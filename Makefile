@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint static static-fast test bench bench-placement bench-environment bench-staticcheck bench-serve trace-demo
+.PHONY: check lint static static-fast test bench bench-placement bench-environment bench-staticcheck bench-serve bench-e2e trace-demo
 
 check: lint static test
 
@@ -58,6 +58,13 @@ bench-staticcheck:
 # Writes BENCH_serve.json.
 bench-serve:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py
+
+# End-to-end benchmark, one repeat: exits non-zero on any failed
+# result-digest, recovery-bound, decoder-oracle or served==sequential
+# check, so the benchmark's correctness gates run wherever code under
+# them moves (timings from a single repeat are not a measurement).
+bench-e2e:
+	PYTHONPATH=src $(PYTHON) benchmarks/e2e/run.py --repeats 1
 
 trace-demo:
 	PYTHONPATH=src $(PYTHON) examples/traced_run.py

@@ -1,6 +1,6 @@
 """Extension bench — online placement adaptation.
 
-Fixed-CR vs fixed-FR vs the adaptive trainer on the same workload:
+Fixed-CR vs fixed-FR vs the adaptive rule on the same workload:
 the adaptive run starts on CR (the "wrong" placement at w = 4), pays a
 small migration, and finishes with recovery close to the fixed-FR run.
 """
@@ -10,11 +10,10 @@ import pytest
 
 from repro.analysis.reporting import Table
 from repro.core import CyclicRepetition, FractionalRepetition
+from repro.engine import AdaptiveMigration, FlatBackend, RoundEngine, SyncUpdate
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay
 from repro.training import (
-    AdaptivePlacementTrainer,
-    DistributedTrainer,
     ISGCStrategy,
     LogisticRegressionModel,
     SGD,
@@ -47,29 +46,31 @@ def _fixed(placement, ds, streams):
     strategy = ISGCStrategy(
         placement, wait_for=W, rng=np.random.default_rng(5)
     )
-    trainer = DistributedTrainer(
+    engine = RoundEngine(
         LogisticRegressionModel(8, seed=0), streams, strategy,
-        _cluster(), SGD(0.3), eval_data=ds,
+        FlatBackend(_cluster()), SyncUpdate(SGD(0.3)), eval_data=ds,
     )
-    return trainer.run(max_steps=STEPS)
+    return engine.run(max_steps=STEPS)
 
 
 def _adaptive(ds, streams):
-    trainer = AdaptivePlacementTrainer(
-        model=LogisticRegressionModel(8, seed=0),
-        streams=streams,
-        initial_placement=CyclicRepetition(N, C),
+    # The decoder and the migration rule draw from one generator.
+    rng = np.random.default_rng(6)
+    rule = AdaptiveMigration(
+        SGD(0.3),
         wait_for=W,
-        cluster=_cluster(),
-        optimizer=SGD(0.3),
-        eval_data=ds,
         partition_bytes=1e5,
         network=NetworkModel(latency=0.001, bandwidth=1e9),
         review_every=20,
-        rng=np.random.default_rng(6),
+        rng=rng,
     )
-    summary = trainer.run(max_steps=STEPS)
-    return trainer, summary
+    engine = RoundEngine(
+        LogisticRegressionModel(8, seed=0), streams,
+        ISGCStrategy(CyclicRepetition(N, C), wait_for=W, rng=rng),
+        FlatBackend(_cluster()), rule, eval_data=ds,
+    )
+    summary = engine.run(max_steps=STEPS)
+    return rule, summary
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def adaptive_report():
     ds, streams = _workload()
     fixed_cr = _fixed(CyclicRepetition(N, C), ds, streams)
     fixed_fr = _fixed(FractionalRepetition(N, C), ds, streams)
-    trainer, adaptive = _adaptive(ds, streams)
+    rule, adaptive = _adaptive(ds, streams)
 
     table = Table(
         title=(
@@ -94,10 +95,10 @@ def adaptive_report():
         "adaptive (CR start)",
         f"{100 * adaptive.avg_recovery_fraction:.1f}",
         round(adaptive.final_loss, 4),
-        len(trainer.migrations),
+        len(rule.migrations),
     )
     register_report("extension_adaptive_placement", table.render())
-    return fixed_cr, fixed_fr, adaptive, trainer
+    return fixed_cr, fixed_fr, adaptive, rule
 
 
 def test_adaptive_run_bench(benchmark, adaptive_report):
@@ -106,8 +107,8 @@ def test_adaptive_run_bench(benchmark, adaptive_report):
 
 
 def test_adaptive_lands_between_cr_and_fr(adaptive_report):
-    fixed_cr, fixed_fr, adaptive, trainer = adaptive_report
-    assert trainer.migrations
+    fixed_cr, fixed_fr, adaptive, rule = adaptive_report
+    assert rule.migrations
     assert (
         fixed_cr.avg_recovery_fraction
         < adaptive.avg_recovery_fraction

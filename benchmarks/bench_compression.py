@@ -11,11 +11,11 @@ import pytest
 
 from repro.analysis.reporting import Table
 from repro.core import CyclicRepetition
+from repro.engine import FlatBackend, RoundEngine, SyncUpdate
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import NoDelay
 from repro.training import (
     CompressedISGCStrategy,
-    DistributedTrainer,
     ISGCStrategy,
     LogisticRegressionModel,
     SGD,
@@ -39,11 +39,11 @@ def _run(strategy):
         network=NetworkModel(latency=0.0, bandwidth=float("inf")),
         delay_model=NoDelay(), rng=np.random.default_rng(0),
     )
-    trainer = DistributedTrainer(
+    engine = RoundEngine(
         LogisticRegressionModel(8, seed=0), streams, strategy,
-        cluster, SGD(0.3), eval_data=ds,
+        FlatBackend(cluster), SyncUpdate(SGD(0.3)), eval_data=ds,
     )
-    return trainer.run(max_steps=STEPS)
+    return engine.run(max_steps=STEPS)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,7 @@
-"""Engine overhead: the refactored trainer must cost ≲ the old loop.
+"""Engine overhead: the round engine must cost ≲ a hand-rolled loop.
 
-The engine refactor replaced the hand-rolled ``DistributedTrainer``
-loop with ``RoundEngine`` + ``FlatBackend`` + ``SyncUpdate``.  The
-dispatch indirection (rule/backend virtual calls, ``RoundExecution``
+``RoundEngine`` + ``FlatBackend`` + ``SyncUpdate`` replaced the
+hand-rolled sync loop.  The dispatch indirection (rule/backend virtual calls, ``RoundExecution``
 construction) must stay in the noise next to the real per-step work
 (gradient evaluation + event simulation).
 
@@ -12,7 +11,7 @@ decode, unbiased mean update, held-out eval — on Fig. 11's cluster
 shape (n = 24, c = 2, IS-GC/CR with w = 6, exponential delays).  The
 benchmark asserts:
 
-* the engine-backed trainer's best-of-N wall clock is within **5 %**
+* the engine's best-of-N wall clock is within **5 %**
   of the inline loop's (the refactor's overhead budget);
 * the two produce bit-identical loss trajectories (so the comparison
   measures the same computation).
@@ -29,16 +28,17 @@ from repro import (
     ComputeModel,
     CyclicRepetition,
     DelayTrace,
-    DistributedTrainer,
     ExponentialDelay,
     ISGCStrategy,
     LogisticRegressionModel,
+    RoundEngine,
     SGD,
     TraceReplayModel,
     build_batch_streams,
     make_classification,
     partition_dataset,
 )
+from repro.engine import FlatBackend, SyncUpdate
 from repro.training.evaluation import held_out_loss
 
 N = 24          # Fig. 11 cluster size
@@ -76,7 +76,7 @@ def _fresh_parts(dataset, trace):
 
 
 def _inline_run(model, streams, strategy, cluster, optimizer, eval_data):
-    """The pre-engine DistributedTrainer loop body, transcribed from
+    """The pre-engine sync loop body, transcribed from
     the last pre-refactor revision (including its StepRecord, gradient
     norm and loss-tracker bookkeeping, so the comparison is fair)."""
     from repro.training.convergence import LossTracker
@@ -118,10 +118,11 @@ def _inline_run(model, streams, strategy, cluster, optimizer, eval_data):
 
 
 def _engine_run(model, streams, strategy, cluster, optimizer, eval_data):
-    trainer = DistributedTrainer(
-        model, streams, strategy, cluster, optimizer, eval_data=eval_data
+    engine = RoundEngine(
+        model, streams, strategy, FlatBackend(cluster),
+        SyncUpdate(optimizer), eval_data=eval_data,
     )
-    return list(trainer.run(max_steps=STEPS).loss_curve)
+    return list(engine.run(max_steps=STEPS).loss_curve)
 
 
 def _timed(fn, dataset, streams, trace):

@@ -11,11 +11,11 @@ import pytest
 
 from repro.analysis.reporting import Table
 from repro.core import CyclicRepetition
+from repro.engine import FlatBackend, LocalUpdate, RoundEngine
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay
 from repro.training import (
     ISGCStrategy,
-    LocalUpdateTrainer,
     LogisticRegressionModel,
     build_batch_streams,
     make_classification,
@@ -40,11 +40,12 @@ def _run(tau):
         delay_model=ExponentialDelay(1.0),
         rng=np.random.default_rng(4),
     )
-    trainer = LocalUpdateTrainer(
+    engine = RoundEngine(
         LogisticRegressionModel(8, seed=0), streams, strategy,
-        cluster, local_steps=tau, local_lr=0.3, eval_data=ds,
+        FlatBackend(cluster), LocalUpdate(local_steps=tau, local_lr=0.3),
+        eval_data=ds,
     )
-    return trainer.run(max_rounds=BATCH_BUDGET // tau)
+    return engine.run(max_steps=BATCH_BUDGET // tau)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 
 An extension beyond the paper: the cluster starts on CR(8, 2) (say,
 because `c | n` wasn't checked at deploy time), and the adaptive
-trainer notices at its first review that FR would recover ~1 more
+rule notices at its first review that FR would recover ~1 more
 partition per step at w = 4.  It plans the partition copies, charges
 the simulated clock for them, switches placements mid-run — model and
 optimizer state intact — and finishes with FR-level recovery.
@@ -18,14 +18,16 @@ from repro import (
     ComputeModel,
     CyclicRepetition,
     ExponentialDelay,
+    ISGCStrategy,
     NetworkModel,
+    RoundEngine,
     SGD,
     SoftmaxRegressionModel,
     build_batch_streams,
     make_classification,
     partition_dataset,
 )
-from repro.training import AdaptivePlacementTrainer
+from repro.engine import AdaptiveMigration, FlatBackend
 
 N, C, W = 8, 2, 4
 STEPS = 120
@@ -43,36 +45,41 @@ def main() -> None:
         delay_model=ExponentialDelay(0.5),
         rng=np.random.default_rng(3),
     )
-    trainer = AdaptivePlacementTrainer(
-        model=SoftmaxRegressionModel(12, 3, seed=0),
-        streams=streams,
-        initial_placement=CyclicRepetition(N, C),
+    # The decoder and the migration rule draw from one generator.
+    rng = np.random.default_rng(4)
+    rule = AdaptiveMigration(
+        SGD(0.3),
         wait_for=W,
-        cluster=cluster,
-        optimizer=SGD(0.3),
-        eval_data=dataset,
         partition_bytes=1e6,
         network=NetworkModel(latency=0.001, bandwidth=1e9),
         review_every=20,
-        rng=np.random.default_rng(4),
+        rng=rng,
     )
-    summary = trainer.run(max_steps=STEPS)
+    engine = RoundEngine(
+        model=SoftmaxRegressionModel(12, 3, seed=0),
+        streams=streams,
+        strategy=ISGCStrategy(CyclicRepetition(N, C), wait_for=W, rng=rng),
+        backend=FlatBackend(cluster),
+        rule=rule,
+        eval_data=dataset,
+    )
+    summary = engine.run(max_steps=STEPS)
 
     print(summary.describe())
     print()
-    if trainer.migrations:
-        for event in trainer.migrations:
+    if rule.migrations:
+        for event in rule.migrations:
             print(
                 f"step {event.step}: migrated {event.from_label} → "
                 f"{event.to_label} ({event.partition_copies} partition "
                 f"copies, {event.cost_seconds * 1000:.1f} ms)"
             )
-        switch = trainer.migrations[0].step
+        switch = rule.migrations[0].step
         before = np.mean(
-            [r.recovery_fraction for r in trainer.records[:switch]]
+            [r.recovery_fraction for r in engine.records[:switch]]
         )
         after = np.mean(
-            [r.recovery_fraction for r in trainer.records[switch:]]
+            [r.recovery_fraction for r in engine.records[switch:]]
         )
         print(
             f"\nrecovery before migration: {100 * before:.1f}%   "

@@ -23,14 +23,15 @@ from repro import (
     FractionalRepetition,
     NetworkModel,
     PersistentStragglers,
+    RoundEngine,
     ShiftedExponentialDelay,
 )
 from repro.analysis import Table
 from repro.core import heterogeneous_recovery, optimize_assignment
+from repro.engine import FlatBackend, LocalUpdate
 from repro.training import (
     CompressedISGCStrategy,
     ISGCStrategy,
-    LocalUpdateTrainer,
     LogisticRegressionModel,
     build_batch_streams,
     make_classification,
@@ -93,11 +94,12 @@ def main() -> None:
             network=NetworkModel(latency=0.0, bandwidth=float("inf")),
             delay_model=delay, rng=np.random.default_rng(5),
         )
-        trainer = LocalUpdateTrainer(
+        engine = RoundEngine(
             LogisticRegressionModel(10, seed=0), streams, strategy,
-            cluster, local_steps=tau, local_lr=0.3, eval_data=dataset,
+            FlatBackend(cluster), LocalUpdate(local_steps=tau, local_lr=0.3),
+            eval_data=dataset,
         )
-        summary = trainer.run(max_rounds=48 // tau)
+        summary = engine.run(max_steps=48 // tau)
         runs.add_row(
             label, summary.num_steps, round(summary.total_sim_time, 1),
             round(summary.final_loss, 4),

@@ -15,11 +15,11 @@ import numpy as np
 
 from repro import (
     ClusterSimulator,
-    DistributedTrainer,
     ExponentialDelay,
     HybridRepetition,
     ISGCStrategy,
     MLPClassifier,
+    RoundEngine,
     SGD,
     build_batch_streams,
     conflict_graph,
@@ -28,6 +28,7 @@ from repro import (
     partition_dataset,
 )
 from repro.analysis import Table
+from repro.engine import FlatBackend, SyncUpdate
 
 N, C, G, W = 8, 4, 2, 2
 STEPS = 200
@@ -60,10 +61,11 @@ def main() -> None:
         strategy = ISGCStrategy(
             placement, wait_for=W, rng=np.random.default_rng(c1)
         )
-        trainer = DistributedTrainer(
-            model, streams, strategy, cluster, SGD(0.2), eval_data=dataset
+        engine = RoundEngine(
+            model, streams, strategy, FlatBackend(cluster),
+            SyncUpdate(SGD(0.2)), eval_data=dataset,
         )
-        summary = trainer.run(max_steps=STEPS)
+        summary = engine.run(max_steps=STEPS)
         table.add_row(
             c1, C - c1, edges,
             round(stats.mean_recovered, 2),

@@ -20,12 +20,12 @@ from repro import (
     ClusterSimulator,
     CyclicRepetition,
     DelayTrace,
-    DistributedTrainer,
     ExponentialDelay,
     FractionalRepetition,
     ISGCStrategy,
     ISSGDStrategy,
     MLPClassifier,
+    RoundEngine,
     SGD,
     SyncSGDStrategy,
     TraceReplayModel,
@@ -34,6 +34,7 @@ from repro import (
     partition_dataset,
 )
 from repro.analysis import Table
+from repro.engine import FlatBackend, SyncUpdate
 
 N_WORKERS = 4
 C = 2
@@ -89,10 +90,11 @@ def main() -> None:
             delay_model=TraceReplayModel(trace),
             rng=np.random.default_rng(0),
         )
-        trainer = DistributedTrainer(
-            model, streams, strategy, cluster, SGD(0.15), eval_data=dataset
+        engine = RoundEngine(
+            model, streams, strategy, FlatBackend(cluster),
+            SyncUpdate(SGD(0.15)), eval_data=dataset,
         )
-        s = trainer.run(max_steps=MAX_STEPS, loss_threshold=LOSS_THRESHOLD)
+        s = engine.run(max_steps=MAX_STEPS, loss_threshold=LOSS_THRESHOLD)
         table.add_row(
             strategy.name,
             f"{100 * s.avg_recovery_fraction:.1f}",

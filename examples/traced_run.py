@@ -18,9 +18,9 @@ import numpy as np
 from repro import (
     ClusterSimulator,
     CyclicRepetition,
-    DistributedTrainer,
     ExponentialDelay,
     ISGCStrategy,
+    RoundEngine,
     RoundTracer,
     SGD,
     SoftmaxRegressionModel,
@@ -31,6 +31,7 @@ from repro import (
     read_traces,
 )
 from repro.analysis.reporting import trace_summary_table
+from repro.engine import FlatBackend, SyncUpdate
 from repro.parallel import DecodeCache
 
 N, C, W, STEPS = 8, 2, 4, 120
@@ -38,32 +39,33 @@ N, C, W, STEPS = 8, 2, 4, 120
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. A traced training run: hand the tracer to the trainer, which
-    #    stamps the strategy name as the scheme label and enriches every
-    #    round with its decode outcome.
+    # 1. A traced training run: hand the tracer to the engine, which
+    #    attaches it to the simulator and enriches every round with its
+    #    decode outcome.  The tracer carries the scheme label.
     # ------------------------------------------------------------------
     data = make_classification(1024, 12, num_classes=3, seed=0)
     streams = build_batch_streams(
         partition_dataset(data, N, seed=1), batch_size=32, seed=2
     )
     placement = CyclicRepetition(N, C)
-    tracer = RoundTracer()
     cache = DecodeCache()  # memoised decodes, bit-identical to uncached
-    trainer = DistributedTrainer(
+    strategy = ISGCStrategy(
+        placement, wait_for=W, rng=np.random.default_rng(3), cache=cache
+    )
+    tracer = RoundTracer(scheme=strategy.name)
+    cluster = ClusterSimulator(
+        N, C, delay_model=ExponentialDelay(1.0), rng=np.random.default_rng(4)
+    )
+    engine = RoundEngine(
         model=SoftmaxRegressionModel(12, 3, seed=0),
         streams=streams,
-        strategy=ISGCStrategy(placement, wait_for=W,
-                              rng=np.random.default_rng(3),
-                              cache=cache),
-        cluster=ClusterSimulator(
-            N, C, delay_model=ExponentialDelay(1.0),
-            rng=np.random.default_rng(4),
-        ),
-        optimizer=SGD(0.3),
+        strategy=strategy,
+        backend=FlatBackend(cluster),
+        rule=SyncUpdate(SGD(0.3)),
         eval_data=data,
         tracer=tracer,
     )
-    summary = trainer.run(max_steps=STEPS)
+    summary = engine.run(max_steps=STEPS)
     print(summary.describe())
 
     # ------------------------------------------------------------------

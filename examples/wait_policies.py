@@ -17,11 +17,11 @@ from repro import (
     ClusterSimulator,
     CyclicRepetition,
     DeadlinePolicy,
-    DistributedTrainer,
     ExponentialDelay,
     ISGCStrategy,
     ParetoDelay,
     PersistentStragglers,
+    RoundEngine,
     SGD,
     ShiftedExponentialDelay,
     SoftmaxRegressionModel,
@@ -31,6 +31,7 @@ from repro import (
     partition_dataset,
 )
 from repro.analysis import Table
+from repro.engine import FlatBackend, SyncUpdate
 from repro.simulation import linear_rampup
 
 N, C = 8, 2
@@ -82,11 +83,11 @@ def main() -> None:
                 delay_model=delay,
                 rng=np.random.default_rng(11),
             )
-            trainer = DistributedTrainer(
-                SoftmaxRegressionModel(16, 4, seed=0),
-                streams, strategy, cluster, SGD(0.3), eval_data=dataset,
+            engine = RoundEngine(
+                SoftmaxRegressionModel(16, 4, seed=0), streams, strategy,
+                FlatBackend(cluster), SyncUpdate(SGD(0.3)), eval_data=dataset,
             )
-            s = trainer.run(max_steps=STEPS)
+            s = engine.run(max_steps=STEPS)
             table.add_row(
                 policy_name,
                 f"{100 * s.avg_recovery_fraction:.1f}",

@@ -19,10 +19,10 @@ Gradient coding (worker payloads → recovered gradients)::
 
     from repro import SummationCode, ClassicGradientCode
 
-End-to-end simulated training::
+End-to-end simulated training (the one loop, wired by hand)::
 
-    from repro import (DistributedTrainer, ISGCStrategy, ClusterSimulator,
-                       ExponentialDelay, SGD)
+    from repro import RoundEngine, ISGCStrategy, ClusterSimulator, SGD
+    from repro.engine import FlatBackend, SyncUpdate
 
 Straggler environments (delay/failure/compute/network/contention
 models, built by family name through the environment registry)::
@@ -128,9 +128,7 @@ from .simulation import (
     WaitPolicy,
 )
 from .training import (
-    AsyncSGDTrainer,
     ClassicGCStrategy,
-    DistributedTrainer,
     ISGCStrategy,
     ISSGDStrategy,
     LinearRegressionModel,
@@ -176,7 +174,6 @@ from .engine import (
     run_spec,
 )
 from .parallel import DecodeCache, ProcessExecutor, SerialExecutor
-from .runtime import SimulatedRuntime
 from .obs import (
     MetricsRegistry,
     RoundTrace,
@@ -191,9 +188,7 @@ from .serve import (
     CoordinatorClient,
     JobCancelledError,
     JobFailedError,
-    JobHandle,
     JobState,
-    PoolStats,
     SchedulingClass,
     ServeMailbox,
     WorkerPool,
@@ -281,7 +276,6 @@ __all__ = [
     "ISSGDStrategy",
     "ClassicGCStrategy",
     "ISGCStrategy",
-    "DistributedTrainer",
     # environment registry
     "ENV_REGISTRY",
     "Environment",
@@ -315,8 +309,6 @@ __all__ = [
     "TransientDropouts",
     "BestEffortWaitForK",
     "ContendedUploadModel",
-    "AsyncSGDTrainer",
-    "SimulatedRuntime",
     # engine
     "RoundEngine",
     "EngineState",
@@ -344,12 +336,10 @@ __all__ = [
     "Coordinator",
     "run_jobs",
     "JobState",
-    "JobHandle",
     "JobFailedError",
     "JobCancelledError",
     "SchedulingClass",
     "WorkerPool",
-    "PoolStats",
     "ServeMailbox",
     "CoordinatorClient",
     "__version__",

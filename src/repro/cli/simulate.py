@@ -18,7 +18,7 @@ def run_simulate(args: argparse.Namespace):
     Returns ``(report, summary)``: the structured :class:`RunReport`
     payload plus the raw engine summary the command prints from.
     """
-    from ..engine.spec import make_strategy
+    from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
     from ..env import make_delay_model
     from ..simulation.cluster import ClusterSimulator
     from ..training.datasets import (
@@ -26,7 +26,6 @@ def run_simulate(args: argparse.Namespace):
     )
     from ..training.models import SoftmaxRegressionModel
     from ..training.optimizers import SGD
-    from ..training.trainer import DistributedTrainer
 
     placement = _build_placement(args)
     n = placement.num_workers
@@ -67,11 +66,12 @@ def run_simulate(args: argparse.Namespace):
         delay_model=make_delay_model(args.delay_kind, **delay_params),
         rng=np.random.default_rng(args.seed + 3),
     )
-    trainer = DistributedTrainer(
+    engine = RoundEngine(
         SoftmaxRegressionModel(12, 3, seed=0), streams, strategy,
-        cluster, SGD(args.lr), eval_data=dataset,
+        FlatBackend(cluster),  # repro: noqa[REG002] wraps the simulator the flags above describe
+        SyncUpdate(SGD(args.lr)), eval_data=dataset,
     )
-    summary = trainer.run(max_steps=args.steps)
+    summary = engine.run(max_steps=args.steps)
     return build_run_report(summary), summary
 
 

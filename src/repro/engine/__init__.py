@@ -13,8 +13,8 @@ Layering (see ``docs/architecture.md``)::
         ▼
     simulation / runtime substrates
 
-The historical trainer classes (``DistributedTrainer`` and friends)
-remain available as thin shims over this package.
+This package is the only way to run a training loop: build a
+:class:`RoundEngine` by hand or from a spec with :func:`build_engine`.
 """
 
 from .backends import (

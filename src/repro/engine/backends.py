@@ -24,10 +24,9 @@ accepted-worker set *in the exact form the pre-engine loops passed to
 the actor path) so refactored trajectories stay bit-identical; decoders
 normalise internally, so the two forms decode to the same floats.
 
-This module deliberately imports nothing from ``repro.training`` or
-``repro.runtime`` at module level — trainers import the engine, so the
-engine binds to their objects only at construction time (duck-typed
-masters/workers, lazily-imported helpers).
+This module imports nothing from ``repro.training`` or
+``repro.runtime``: masters and workers are duck-typed, so the backends
+stay a leaf under both.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..env import make_compute_model, make_delay_model, make_network_model
-from ..exceptions import TrainingError
+from ..exceptions import ConfigurationError, TrainingError
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..simulation.cluster import ClusterSimulator, ComputeModel
 from ..simulation.events import Event, EventQueue
@@ -88,6 +87,18 @@ class ExecutionBackend(abc.ABC):
         """The round tracer riding on this backend, if any."""
         return None
 
+    def attach_tracer(self, tracer: "RoundTracer") -> None:
+        """Route this backend's round events to ``tracer``.
+
+        Called by the engine when it is given a tracer.  Only backends
+        that record rounds override this; the rest reject tracing.
+        """
+        raise ConfigurationError(
+            f"tracing requires a cluster-backed backend "
+            f"(round events come from ClusterSimulator); "
+            f"backend {type(self).__name__!r} does not record rounds"
+        )
+
     @abc.abstractmethod
     def execute_round(
         self, engine: "RoundEngine", step: int, policy: WaitPolicy
@@ -109,10 +120,19 @@ class ExecutionBackend(abc.ABC):
 
 
 class FlatBackend(ExecutionBackend):
-    """The :class:`ClusterSimulator` path (historical flat trainers)."""
+    """The :class:`ClusterSimulator` path: in-process gradients, one
+    ``run_round`` call per step."""
 
     def __init__(self, cluster: ClusterSimulator):
         self._cluster = cluster
+
+    def bind(self, engine: "RoundEngine") -> None:
+        expected = engine.strategy.placement.num_workers
+        if self._cluster.num_workers != expected:
+            raise TrainingError(
+                f"cluster has {self._cluster.num_workers} workers but "
+                f"placement expects {expected}"
+            )
 
     @property
     def cluster(self) -> ClusterSimulator:
@@ -125,6 +145,9 @@ class FlatBackend(ExecutionBackend):
     @property
     def tracer(self) -> "RoundTracer | None":
         return self._cluster.tracer
+
+    def attach_tracer(self, tracer: "RoundTracer") -> None:
+        self._cluster.tracer = tracer
 
     def execute_round(self, engine, step, policy):
         partition_gradients, batch_losses = engine.rule.compute_partitions(
@@ -150,15 +173,14 @@ class FlatBackend(ExecutionBackend):
 
 
 class ActorBackend(ExecutionBackend):
-    """The message-passing path (historical ``SimulatedRuntime``).
+    """The message-passing path over master/worker actors.
 
-    Owns the scheduling half of :meth:`SimulatedRuntime.run_step`: the
-    master/worker actors stay pure state machines, the backend drives
-    broadcast → per-worker compute/straggle/upload → event-queue race →
-    wait policy → delivery of accepted uploads.  The engine then
-    decodes and updates; :meth:`on_record` commits the record back to
-    the master so ``master.records`` / ``master.step`` keep their
-    historical meaning.
+    Owns the scheduling half of a round: the master/worker actors stay
+    pure state machines, the backend drives broadcast → per-worker
+    compute/straggle/upload → event-queue race → wait policy →
+    delivery of accepted uploads.  The engine then decodes and
+    updates; :meth:`on_record` commits the record back to the master
+    so ``master.records`` / ``master.step`` track the run.
     """
 
     def __init__(

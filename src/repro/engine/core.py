@@ -1,10 +1,7 @@
 """The round engine: one canonical training step for every scheme.
 
-Historically the repo carried five hand-rolled loops (flat sync
-trainer, async trainer, adaptive trainer, local-update trainer, actor
-runtime) that each re-implemented batch draw → encode → arrivals →
-wait → decode → update → eval.  :class:`RoundEngine` owns that step
-once, parameterised along two orthogonal axes:
+:class:`RoundEngine` owns batch draw → encode → arrivals → wait →
+decode → update → eval once, parameterised along two orthogonal axes:
 
 * an :class:`~repro.engine.backends.ExecutionBackend` — *where* the
   round runs (flat simulator, actor messages, async arrivals);
@@ -12,9 +9,9 @@ once, parameterised along two orthogonal axes:
   aggregate means (sync mean-gradient update, local-update delta,
   adaptive migration, per-arrival async apply).
 
-The historical trainer classes survive as thin shims over this class;
-golden tests pin their trajectories bit-for-bit against pre-engine
-recordings.
+It is the only training loop in the package: argument checks live on
+the rule and backend that use the value, and ``tests/golden`` pins
+every (backend, rule) family bit-for-bit against pre-engine recordings.
 """
 
 from __future__ import annotations
@@ -24,6 +21,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import TrainingError
+from ..training.convergence import LossTracker
+from ..training.evaluation import held_out_loss
 from ..types import AsyncSummary, AsyncUpdateRecord, StepRecord, TrainingSummary
 from .backends import ExecutionBackend
 from .rules import UpdateRule
@@ -42,7 +41,6 @@ from .state import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import RoundTracer
     from ..simulation.policies import WaitPolicy
-    from ..training.convergence import LossTracker
     from ..training.datasets import BatchStream, Dataset
     from ..training.models import Model
     from ..training.strategies import TrainingStrategy
@@ -81,12 +79,14 @@ class RoundEngine:
         #: migration cost over the remaining steps).
         self.max_steps = 0
         #: the active run's loss tracker (``None`` before ``start_run``).
-        self._tracker: "LossTracker | None" = None
+        self._tracker: LossTracker | None = None
         #: ``MODE_ROUNDS``/``MODE_UPDATES`` while a run is active.
         self._mode: str | None = None
         #: async-run update budget (``start_updates``).
         self._max_updates = 0
         backend.bind(self)
+        if tracer is not None:
+            backend.attach_tracer(tracer)
         self.tracer = tracer if tracer is not None else backend.tracer
         # A decode cache riding on the strategy reports its hit/miss
         # counters through the trace registry (``decode.cache.*``), so
@@ -94,11 +94,6 @@ class RoundEngine:
         cache = getattr(strategy, "decode_cache", None)
         if self.tracer is not None and cache is not None:
             cache.attach_metrics(self.tracer.registry)
-        # The engine is imported by repro.training, so training-layer
-        # helpers bind at construction time rather than import time.
-        from ..training.evaluation import held_out_loss
-
-        self._eval_fn = held_out_loss
 
     @property
     def clock(self) -> float:
@@ -137,7 +132,7 @@ class RoundEngine:
             )
         applied = self.rule.apply(self, grad_sum, recovered)
 
-        loss = self._eval_fn(
+        loss = held_out_loss(
             self.model, self.eval_data, fallback_losses=execution.batch_losses
         )
         record = StepRecord(
@@ -172,8 +167,6 @@ class RoundEngine:
         """Begin a synchronous run (resets records and the tracker)."""
         if max_steps <= 0:
             raise TrainingError(f"max_steps must be positive, got {max_steps}")
-        from ..training.convergence import LossTracker
-
         self._tracker = LossTracker(loss_threshold, smoothing_window)
         self._mode = MODE_ROUNDS
         self.max_steps = max_steps
@@ -300,7 +293,7 @@ class RoundEngine:
             self.rule.apply_arrival(self, grad)
             master_version += 1
 
-            loss = self._eval_fn(
+            loss = held_out_loss(
                 self.model, self.eval_data, fallback_losses=(batch_loss,)
             )
             prev_time = (
@@ -419,8 +412,6 @@ class RoundEngine:
         ]
         self._mode = state.mode
         if state.mode == MODE_ROUNDS:
-            from ..training.convergence import LossTracker
-
             tracker = LossTracker(state.loss_threshold, state.smoothing_window)
             tracker.load_losses(state.losses)
             self._tracker = tracker

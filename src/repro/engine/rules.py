@@ -1,8 +1,8 @@
 """Update rules: what the engine does with a decoded round.
 
-The historical trainers differed not in the round mechanics (encode →
-arrivals → wait → decode — that is the backend's job) but in four small
-policies, captured here as :class:`UpdateRule` hooks:
+Training loops differ not in the round mechanics (encode → arrivals →
+wait → decode — that is the backend's job) but in four small policies,
+captured here as :class:`UpdateRule` hooks:
 
 * what is computed per partition (:meth:`compute_partitions` — a
   gradient for SGD, a τ-step parameter delta for local-update SGD);
@@ -12,10 +12,6 @@ policies, captured here as :class:`UpdateRule` hooks:
   or a direct parameter assignment);
 * how the run labels itself and charges extra simulated time
   (:meth:`scheme_label`, :meth:`time_offset`).
-
-``repro.training`` imports this module, so anything from the training
-layer (strategies, advisor-driven migration) is imported lazily inside
-methods.
 """
 
 from __future__ import annotations
@@ -29,7 +25,9 @@ from ..core.advisor import evaluate_placement, rank_placements
 from ..core.migration import migration_cost_seconds, migration_plan
 from ..core.placement import Placement
 from ..env import make_network_model
+from ..exceptions import TrainingError
 from ..simulation.network import NetworkModel
+from ..training.strategies import ISGCStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..training.optimizers import SGD
@@ -153,6 +151,12 @@ class LocalUpdate(UpdateRule):
     step_noun = "round"
 
     def __init__(self, local_steps: int, local_lr: float):
+        if local_steps <= 0:
+            raise TrainingError(
+                f"local_steps must be positive, got {local_steps}"
+            )
+        if local_lr <= 0:
+            raise TrainingError(f"local_lr must be positive, got {local_lr}")
         self._tau = local_steps
         self._lr = local_lr
         self._start: np.ndarray | None = None
@@ -226,6 +230,14 @@ class AdaptiveMigration(SyncUpdate):
         rng: np.random.Generator | None = None,
     ):
         super().__init__(optimizer)
+        if review_every <= 0:
+            raise TrainingError(
+                f"review_every must be positive, got {review_every}"
+            )
+        if not 0.0 <= min_recovery_gain <= 1.0:
+            raise TrainingError(
+                f"min_recovery_gain must be in [0, 1], got {min_recovery_gain}"
+            )
         self._wait_for = wait_for
         self._bytes = partition_bytes
         self._network = network if network is not None else make_network_model()
@@ -273,8 +285,6 @@ class AdaptiveMigration(SyncUpdate):
         remaining = engine.max_steps - step
         if per_step_saving * remaining <= cost:
             return
-
-        from ..training.strategies import ISGCStrategy
 
         self._penalty += cost
         self.migrations.append(
@@ -336,8 +346,6 @@ class AdaptiveMigration(SyncUpdate):
         ]
         if not self.migrations:
             return
-        from ..training.strategies import ISGCStrategy
-
         placement: Placement = engine.strategy.placement
         ranking = rank_placements(
             placement.num_workers,

@@ -270,6 +270,31 @@ _DEFAULT_MODEL: Mapping[str, Any] = {"kind": "logistic"}
 
 _DEFAULT_DELAY: Mapping[str, Any] = {"kind": "exponential", "mean": 1.0}
 
+#: rule name → the ``rule_params`` keys :func:`_build_rule` reads.
+_RULE_PARAMS: Mapping[str, tuple] = {
+    "sync": ("recovery_scaled_lr",),
+    "local-update": ("local_steps", "local_lr"),
+    "adaptive": (
+        "partition_bytes", "review_every", "min_recovery_gain", "seed",
+    ),
+    "async": (),
+}
+
+
+def _did_you_mean(unknown, known) -> str:
+    """``'nmae' — did you mean 'name'?; 'x'`` for each unknown name."""
+    import difflib
+
+    hints = []
+    for name in unknown:
+        close = difflib.get_close_matches(
+            str(name), sorted(known), n=1, cutoff=0.6
+        )
+        hints.append(
+            f"{name!r} — did you mean {close[0]!r}?" if close else repr(name)
+        )
+    return "; ".join(hints)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -312,10 +337,22 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"max_steps must be positive, got {self.max_steps}"
             )
-        if self.rule not in ("sync", "local-update", "adaptive", "async"):
+        accepted = _RULE_PARAMS.get(self.rule)
+        if accepted is None:
             raise ConfigurationError(
                 f"unknown rule {self.rule!r}; expected sync, local-update, "
                 "adaptive or async"
+            )
+        if not isinstance(self.rule_params, Mapping):
+            raise ConfigurationError(
+                f"rule_params must be a mapping, got {self.rule_params!r}"
+            )
+        unknown = sorted(set(self.rule_params) - set(accepted))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown rule_params for rule {self.rule!r}: "
+                f"{_did_you_mean(unknown, accepted)}; "
+                f"accepted: {', '.join(accepted) or '(none)'}"
             )
 
     # ------------------------------------------------------------------
@@ -331,23 +368,12 @@ class ExperimentSpec:
         did-you-mean hint, so a typoed ``wiat_for`` in a submission
         payload fails at admission instead of silently defaulting.
         """
-        import difflib
-
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            hints = []
-            for name in unknown:
-                close = difflib.get_close_matches(
-                    name, sorted(known), n=1, cutoff=0.6
-                )
-                hints.append(
-                    f"{name!r} — did you mean {close[0]!r}?"
-                    if close else repr(name)
-                )
             raise ConfigurationError(
                 f"unknown spec field{'s' if len(unknown) != 1 else ''}: "
-                + "; ".join(hints)
+                + _did_you_mean(unknown, known)
             )
         return cls(**dict(data))
 
@@ -566,20 +592,14 @@ def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
     from ..runtime.actors import MasterActor, WorkerActor
 
     _require_flat_only_sections(ctx, "actor")
-    eval_data = ctx.eval_data
-    master = MasterActor(
-        ctx.strategy,
-        ctx.model,
-        ctx.optimizer,
-        eval_features=eval_data.features if eval_data is not None else None,
-        eval_labels=eval_data.labels if eval_data is not None else None,
-    )
+    # Workers share the model object: actors run one at a time in
+    # simulation and each sets parameters before computing.
     workers = [
         WorkerActor(i, ctx.strategy, ctx.model, ctx.streams)
         for i in range(ctx.spec.num_workers)
     ]
     return ActorBackend(
-        master,
+        MasterActor(ctx.strategy, ctx.model),
         workers,
         compute=ctx.compute,
         network=ctx.network,
@@ -697,16 +717,16 @@ def _build_environment(spec: ExperimentSpec) -> Environment:
 
 
 def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
-    params = dict(spec.rule_params)
+    params = spec.rule_params
     if spec.rule == "sync":
         return SyncUpdate(
             ctx.optimizer,
-            recovery_scaled_lr=params.pop("recovery_scaled_lr", False),
+            recovery_scaled_lr=params.get("recovery_scaled_lr", False),
         )
     if spec.rule == "local-update":
         return LocalUpdate(
-            local_steps=params.pop("local_steps", 4),
-            local_lr=params.pop("local_lr", spec.learning_rate),
+            local_steps=params.get("local_steps", 4),
+            local_lr=params.get("local_lr", spec.learning_rate),
         )
     if spec.rule == "adaptive":
         if spec.wait_for is None:
@@ -714,11 +734,11 @@ def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
         return AdaptiveMigration(
             ctx.optimizer,
             wait_for=spec.wait_for,
-            partition_bytes=params.pop("partition_bytes", 1e7),
+            partition_bytes=params.get("partition_bytes", 1e7),
             network=ctx.network,
-            review_every=params.pop("review_every", 25),
-            min_recovery_gain=params.pop("min_recovery_gain", 0.05),
-            rng=np.random.default_rng(params.pop("seed", spec.seed + 5)),
+            review_every=params.get("review_every", 25),
+            min_recovery_gain=params.get("min_recovery_gain", 0.05),
+            rng=np.random.default_rng(params.get("seed", spec.seed + 5)),
         )
     if spec.rule == "async":
         return AsyncUpdate(ctx.optimizer)
@@ -781,15 +801,6 @@ def build_engine(spec: ExperimentSpec, tracer=None) -> RoundEngine:
             f"unknown backend {backend_name!r}; registered backends: {known}"
         )
     backend = backend_factory(ctx)
-    if tracer is not None:
-        cluster = getattr(backend, "cluster", None)
-        if cluster is None:
-            raise ConfigurationError(
-                f"tracing requires a cluster-backed backend "
-                f"(round events come from ClusterSimulator); "
-                f"backend {backend_name!r} does not record rounds"
-            )
-        cluster.tracer = tracer
     rule = _build_rule(spec, ctx)
     return RoundEngine(
         model=model,

@@ -26,7 +26,7 @@ from ..analysis.reporting import Table
 from ..core.batch import enumerate_masks
 from ..core.decoders import decoder_for
 from ..core.scheme import make_placement
-from ..engine.spec import make_strategy
+from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
 from ..env import make_compute_model, make_delay_model, make_network_model
 from ..simulation.cluster import ClusterSimulator
 from ..simulation.policies import AdaptiveWaitK, DeadlinePolicy, WaitForK, linear_rampup
@@ -34,7 +34,6 @@ from ..straggler.estimators import EstimatingWaitPolicy, LatencyEstimator
 from ..training.datasets import build_batch_streams, make_cifar_like, partition_dataset
 from ..training.models import MLPClassifier
 from ..training.optimizers import SGD
-from ..training.trainer import DistributedTrainer
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +170,12 @@ def adaptive_policy_study(
             delay_model=delay,
             rng=np.random.default_rng(seed + 7),
         )
-        trainer = DistributedTrainer(
+        engine = RoundEngine(
             MLPClassifier(8 * 8 * 3, 32, 10, seed=0), streams, strategy,
-            cluster, SGD(0.15), eval_data=dataset,
+            FlatBackend(cluster),  # repro: noqa[REG002] wraps the per-policy simulator built above
+            SyncUpdate(SGD(0.15)), eval_data=dataset,
         )
-        summary = trainer.run(max_steps, loss_threshold=loss_threshold)
+        summary = engine.run(max_steps, loss_threshold=loss_threshold)
         points.append(
             PolicyPoint(
                 policy=name,

@@ -29,7 +29,7 @@ from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
 from ..analysis.stats import summarize_trials
 from ..core.scheme import make_placement
-from ..engine.spec import make_strategy
+from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
 from ..env import delay_model_from, make_delay_model
 from ..parallel import PointTask, SweepExecutor
 from ..simulation.cluster import ClusterSimulator
@@ -38,9 +38,8 @@ from ..training.datasets import build_batch_streams, make_cifar_like, partition_
 from ..training.models import MLPClassifier
 from ..training.optimizers import SGD
 from ..training.strategies import TrainingStrategy
-from ..training.trainer import DistributedTrainer
 from ..types import TrainingSummary
-from .config import Fig12Config
+from .config import Fig12Config, Fig13Config
 
 
 @dataclass(frozen=True)
@@ -63,30 +62,31 @@ class TrainingPoint:
     total_time_ci: str = ""
 
 
-def _make_model(cfg: Fig12Config) -> MLPClassifier:
-    dim = 8 * 8 * 3
-    return MLPClassifier(dim, hidden_units=32, num_classes=10, seed=0)
-
-
 def _run_one(
-    cfg: Fig12Config,
+    cfg: Fig12Config | Fig13Config,
     strategy: TrainingStrategy,
     trace: DelayTrace,
     streams,
     eval_data,
+    max_steps: int,
+    loss_threshold: float | None = None,
 ) -> TrainingSummary:
-    model = _make_model(cfg)
+    """Train one scheme over a replayed trace (shared with Fig. 13)."""
     cluster = ClusterSimulator(
         num_workers=cfg.num_workers,
         partitions_per_worker=strategy.placement.partitions_per_worker,
         delay_model=delay_model_from(trace),
         rng=np.random.default_rng(cfg.seed),
     )
-    trainer = DistributedTrainer(
-        model, streams, strategy, cluster, SGD(cfg.learning_rate),
+    engine = RoundEngine(
+        MLPClassifier(8 * 8 * 3, hidden_units=32, num_classes=10, seed=0),
+        streams,
+        strategy,
+        FlatBackend(cluster),  # repro: noqa[REG002] wraps the trace-replay simulator built above
+        SyncUpdate(SGD(cfg.learning_rate)),
         eval_data=eval_data,
     )
-    return trainer.run(cfg.max_steps, loss_threshold=cfg.loss_threshold)
+    return engine.run(max_steps, loss_threshold=loss_threshold)
 
 
 def _strategies_for(cfg: Fig12Config, w: int, trial_seed: int) -> List[TrainingStrategy]:
@@ -140,7 +140,10 @@ def _fig12_cell(cfg: Fig12Config, wait_for: int) -> List[TrainingPoint]:
             n, cfg.max_steps, np.random.default_rng(trial_seed),
         )
         for strategy in _strategies_for(cfg, w, trial_seed):
-            summary = _run_one(cfg, strategy, trace, streams, dataset)
+            summary = _run_one(
+                cfg, strategy, trace, streams, dataset,
+                cfg.max_steps, cfg.loss_threshold,
+            )
             cell.setdefault(strategy.name, []).append(summary)
     points: List[TrainingPoint] = []
     for scheme, summaries in cell.items():

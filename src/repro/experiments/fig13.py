@@ -25,15 +25,12 @@ from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
 from ..core.hybrid import HybridRepetition
 from ..engine.spec import make_strategy
-from ..env import delay_model_from, make_delay_model
+from ..env import make_delay_model
 from ..parallel import PointTask, SweepExecutor
-from ..simulation.cluster import ClusterSimulator
 from ..straggler.traces import DelayTrace
 from ..training.datasets import build_batch_streams, make_cifar_like, partition_dataset
-from ..training.models import MLPClassifier
-from ..training.optimizers import SGD
-from ..training.trainer import DistributedTrainer
 from .config import Fig13Config
+from .fig12 import _run_one
 
 
 @dataclass(frozen=True)
@@ -85,18 +82,7 @@ def _fig13_cell(cfg: Fig13Config, c1: int) -> HRPoint:
         c2=cfg.total_c - c1,
         num_groups=cfg.num_groups,
     )
-    model = MLPClassifier(8 * 8 * 3, hidden_units=32, num_classes=10, seed=0)
-    cluster = ClusterSimulator(
-        num_workers=n,
-        partitions_per_worker=placement.partitions_per_worker,
-        delay_model=delay_model_from(trace),
-        rng=np.random.default_rng(cfg.seed),
-    )
-    trainer = DistributedTrainer(
-        model, streams, strategy, cluster, SGD(cfg.learning_rate),
-        eval_data=dataset,
-    )
-    summary = trainer.run(cfg.num_steps)
+    summary = _run_one(cfg, strategy, trace, streams, dataset, cfg.num_steps)
     return HRPoint(
         c1=c1,
         c2=cfg.total_c - c1,

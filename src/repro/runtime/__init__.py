@@ -2,7 +2,6 @@
 
 from .messages import GradientUpload, Message, ParameterBroadcast, StopTraining
 from .actors import MasterActor, WorkerActor
-from .system import SimulatedRuntime
 
 __all__ = [
     "Message",
@@ -11,5 +10,4 @@ __all__ = [
     "StopTraining",
     "MasterActor",
     "WorkerActor",
-    "SimulatedRuntime",
 ]

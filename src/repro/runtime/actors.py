@@ -8,26 +8,23 @@ These mirror the paper's Ray implementation (Sec. VIII-A) one-to-one:
   is numerically identical), computes per-partition gradients at the
   broadcast parameters, *encodes* them with the strategy's code, and
   uploads one payload;
-* the :class:`MasterActor` collects uploads until its wait policy is
-  satisfied (the ``ray.wait(num_returns=w)`` call), decodes via the
-  strategy, performs the unbiased update, and broadcasts new
-  parameters.
+* the :class:`MasterActor` broadcasts the current parameters and
+  collects the uploads its wait policy accepted (the
+  ``ray.wait(num_returns=w)`` call); the round engine then decodes via
+  the strategy and performs the unbiased update.
 
-Actors are pure state machines: the :mod:`repro.runtime.system`
-scheduler owns all timing, so the same actors can later be driven by a
-real transport.
+Actors are pure state machines:
+:class:`~repro.engine.backends.ActorBackend` owns all timing, so the
+same actors can later be driven by a real transport.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from ..exceptions import TrainingError
 from ..training.datasets import BatchStream
 from ..training.models import Model
-from ..training.optimizers import SGD
 from ..training.strategies import TrainingStrategy
 from ..types import StepRecord
 from .messages import GradientUpload, ParameterBroadcast
@@ -87,24 +84,11 @@ class WorkerActor:
 
 
 class MasterActor:
-    """Collects uploads, decodes, updates, and re-broadcasts."""
+    """Broadcasts parameters, collects uploads, keeps the step log."""
 
-    def __init__(
-        self,
-        strategy: TrainingStrategy,
-        model: Model,
-        optimizer: SGD,
-        eval_features: Optional[np.ndarray] = None,
-        eval_labels: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, strategy: TrainingStrategy, model: Model):
         self._strategy = strategy
         self._model = model
-        self._optimizer = optimizer
-        self._eval = (
-            (eval_features, eval_labels)
-            if eval_features is not None and eval_labels is not None
-            else None
-        )
         self._step = 0
         self._pending: Dict[int, GradientUpload] = {}
         self.records: List[StepRecord] = []
@@ -144,9 +128,7 @@ class MasterActor:
 
         The round engine owns decode/update when driving the actors via
         :class:`~repro.engine.backends.ActorBackend`; this keeps
-        ``master.records`` and ``master.step`` meaning what they always
-        have.  :meth:`complete_step` remains for driving the actor
-        directly.
+        ``master.records`` and ``master.step`` in step with it.
         """
         self.records.append(record)
         self._step += 1
@@ -156,39 +138,3 @@ class MasterActor:
         self._step = step
         self._pending = {}
         self.records = list(records)
-
-    def complete_step(
-        self, accepted_workers: Sequence[int], now: float, wait_time: float
-    ) -> None:
-        """Decode the accepted uploads and apply the update."""
-        payloads = {
-            w: self._pending[w].payload for w in accepted_workers
-        }
-        missing = [w for w, p in payloads.items() if p is None]
-        if missing:
-            raise TrainingError(f"empty payloads from workers {missing}")
-        grad_sum, recovered = self._strategy.decode(accepted_workers, payloads)
-        if not recovered:
-            raise TrainingError(f"step {self._step}: nothing recovered")
-        mean_grad = grad_sum / len(recovered)
-        params = self._optimizer.update(self._model.get_parameters(), mean_grad)
-        self._model.set_parameters(params)
-
-        if self._eval is not None:
-            loss = self._model.loss(*self._eval)
-        else:
-            loss = float("nan")
-        n = self._strategy.placement.num_partitions
-        self.records.append(
-            StepRecord(
-                step=self._step,
-                sim_time=now,
-                wait_time=wait_time,
-                num_available=len(accepted_workers),
-                num_recovered=len(recovered),
-                recovery_fraction=len(recovered) / n,
-                loss=loss,
-                grad_norm=float(np.linalg.norm(mean_grad)),
-            )
-        )
-        self._step += 1

@@ -13,7 +13,6 @@ from .policies import (
     linear_rampup,
 )
 from .cluster import ClusterSimulator, ComputeModel, RoundResult
-from .metrics import StepStatistics, moving_average, steps_to_threshold
 from .contention import (
     ContendedRound,
     ContendedUploadModel,
@@ -43,9 +42,6 @@ __all__ = [
     "ClusterSimulator",
     "ComputeModel",
     "RoundResult",
-    "StepStatistics",
-    "moving_average",
-    "steps_to_threshold",
     "HeterogeneousComputeModel",
     "HeterogeneousDelayAdapter",
     "uniform_speed_profile",

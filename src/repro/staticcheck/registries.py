@@ -11,9 +11,7 @@ round-tripping.  These rules keep the library honest:
 * ``REG001`` — a ``*Strategy`` class constructed in library code
   outside the registered factories (``engine/spec.py``) or the class
   definitions themselves (``training/strategies.py``);
-* ``REG002`` — a ``*Backend`` constructed outside the factories; the
-  historical trainer shims (``repro/training``, ``repro/runtime``) are
-  the sanctioned compatibility layer and are excluded;
+* ``REG002`` — a ``*Backend`` constructed outside the factories;
 * ``REG003`` — a ``@register_scheme`` factory whose signature cannot
   round-trip spec ``scheme_params`` (missing ``**params``) or a
   ``@register_backend`` factory that does not take the build context.
@@ -120,15 +118,13 @@ def check_strategy_construction(
     name="backend-outside-factory",
     description=(
         "Library code must obtain execution backends via the "
-        "@register_backend factories; the training/runtime shims are "
-        "the sanctioned compatibility layer."
+        "@register_backend factories so specs, CLI and code agree on "
+        "construction."
     ),
     scope=LIBRARY_SCOPE,
     exclude=(
         "engine/backends.py",  # the class definitions themselves
         "engine/spec.py",      # the registered factories
-        "repro/training/",     # historical trainer shims (pinned by goldens)
-        "repro/runtime/",      # actor-system shim
         "staticcheck/",
     ),
 )

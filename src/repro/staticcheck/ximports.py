@@ -10,7 +10,7 @@
   ``repro.graphs`` importing ``repro.engine`` or ``repro.cli``, or
   anything importing ``repro.staticcheck`` outside the CLI).  The
   checked code must never depend on its checker.
-* ``XIMP003`` — stale re-exports: a shim module lists a name in
+* ``XIMP003`` — stale re-exports: a module lists a name in
   ``__all__`` it never binds, or ``from``-imports a symbol an indexed
   module does not define (modules with wildcard imports or a module
   ``__getattr__`` are skipped — their namespace is not statically
@@ -125,9 +125,9 @@ def check_layer_violation(
     "XIMP003",
     name="stale-reexport",
     description=(
-        "A shim module re-exports a name that no longer exists: "
+        "A module re-exports a name that no longer exists: "
         "__all__ lists an unbound name, or a from-import names a "
-        "symbol the source module does not define. The shim works "
+        "symbol the source module does not define. The module works "
         "until someone touches it; fix the name or drop the "
         "re-export."
     ),

@@ -68,17 +68,6 @@ class DelayModel(abc.ABC):
             [self.sample(w, step, rng) for w in workers], dtype=float
         )
 
-    def sample_all(
-        self, workers: Sequence[int], step: int, rng: np.random.Generator
-    ) -> dict[int, float]:
-        """Delays for a whole round, keyed by worker.
-
-        Shim over :meth:`sample_round` kept for dict-shaped callers.
-        """
-        ordered = list(workers)
-        round_delays = self.sample_round(ordered, step, rng)
-        return {w: float(d) for w, d in zip(ordered, round_delays)}
-
 
 class NoDelay(DelayModel):
     """The ideal cluster: nobody straggles."""

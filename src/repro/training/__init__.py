@@ -1,4 +1,4 @@
-"""Training substrate: datasets, models, optimizers, strategies, trainer."""
+"""Training substrate: datasets, models, optimizers, strategies."""
 
 from .datasets import (
     BatchStream,
@@ -26,13 +26,9 @@ from .strategies import (
     TrainingStrategy,
 )
 from .convergence import LossTracker
-from .trainer import DistributedTrainer
-from .async_trainer import AsyncSGDTrainer, AsyncSummary, AsyncUpdateRecord
 from .evaluation import EvaluationReport, accuracy_curve, evaluate
 from .conv import Conv2DClassifier
-from .adaptive_trainer import AdaptivePlacementTrainer, MigrationEvent
 from .compression import CompressedISGCStrategy, TopKCompressor, nonzero_fraction
-from .local_sgd import LocalUpdateTrainer
 
 __all__ = [
     "Dataset",
@@ -60,18 +56,11 @@ __all__ = [
     "ClassicGCStrategy",
     "ISGCStrategy",
     "LossTracker",
-    "DistributedTrainer",
-    "AsyncSGDTrainer",
-    "AsyncSummary",
-    "AsyncUpdateRecord",
     "EvaluationReport",
     "evaluate",
     "accuracy_curve",
     "Conv2DClassifier",
-    "AdaptivePlacementTrainer",
-    "MigrationEvent",
     "TopKCompressor",
     "CompressedISGCStrategy",
     "nonzero_fraction",
-    "LocalUpdateTrainer",
 ]

@@ -6,12 +6,23 @@ import numpy as np
 import pytest
 
 from repro.core import CyclicRepetition, FractionalRepetition, HybridRepetition
+from repro.engine import FlatBackend, RoundEngine, SyncUpdate
 
 
 @pytest.fixture
 def rng():
     """A fresh deterministic generator per test."""
     return np.random.default_rng(12345)
+
+
+def sync_engine(
+    model, streams, strategy, cluster, optimizer, eval_data=None, **rule_kw
+):
+    """The paper's loop: sync updates over a flat cluster simulator."""
+    return RoundEngine(
+        model, streams, strategy, FlatBackend(cluster),
+        SyncUpdate(optimizer, **rule_kw), eval_data=eval_data,
+    )
 
 
 def all_fr_params(max_n: int = 12):

@@ -1,12 +1,12 @@
-"""Record golden trajectories for the engine refactor.
+"""Record golden trajectories for the round engine.
 
 Run as ``PYTHONPATH=src python tests/golden/record_goldens.py`` — it
 writes one JSON file per workload into this directory.  The files
 checked into the repo were recorded at the commit *before* the
 ``repro.engine`` extraction, so the regression tests in
-``tests/test_golden_trajectories.py`` prove the engine-backed shims
-reproduce the original five training loops bit-for-bit (JSON floats
-round-trip exactly through ``repr``).
+``tests/test_golden_trajectories.py`` prove the engine reproduces the
+original five training loops bit-for-bit (JSON floats round-trip
+exactly through ``repr``).
 
 Keep the workloads here small but non-trivial: real stragglers (trace
 replay of exponential delays), real decoding (FR/CR conflict graphs),
@@ -22,6 +22,16 @@ import pathlib
 import numpy as np
 
 from repro.core import CyclicRepetition, FractionalRepetition
+from repro.engine import (
+    ActorBackend,
+    AdaptiveMigration,
+    AsyncArrivalBackend,
+    AsyncUpdate,
+    FlatBackend,
+    LocalUpdate,
+    RoundEngine,
+    SyncUpdate,
+)
 from repro.experiments import (
     Fig11Config,
     Fig12Config,
@@ -30,13 +40,11 @@ from repro.experiments import (
     run_fig12,
     run_fig13,
 )
-from repro.runtime import SimulatedRuntime
+from repro.runtime import MasterActor, WorkerActor
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import DelayTrace, ExponentialDelay, TraceReplayModel
 from repro.training import (
-    AsyncSGDTrainer,
     ClassicGCStrategy,
-    DistributedTrainer,
     ISGCStrategy,
     ISSGDStrategy,
     LogisticRegressionModel,
@@ -46,8 +54,6 @@ from repro.training import (
     make_classification,
     partition_dataset,
 )
-from repro.training.adaptive_trainer import AdaptivePlacementTrainer
-from repro.training.local_sgd import LocalUpdateTrainer
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -133,15 +139,16 @@ def golden_flat_trainers():
         ds, streams = _workload()
         trace = _trace()
         strategy = make_strategy(kind)
-        trainer = DistributedTrainer(
+        engine = RoundEngine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
-            make_cluster(strategy, trace), SGD(0.3), eval_data=ds,
+            FlatBackend(make_cluster(strategy, trace)),
+            SyncUpdate(SGD(0.3)), eval_data=ds,
         )
-        summary = trainer.run(max_steps=STEPS)
+        summary = engine.run(max_steps=STEPS)
         out[kind] = {
             "summary": summary_to_dict(summary),
-            "records": [record_to_dict(r) for r in trainer.records],
-            "final_parameters": list(trainer._model.get_parameters()),
+            "records": [record_to_dict(r) for r in engine.records],
+            "final_parameters": list(engine.model.get_parameters()),
         }
     return out
 
@@ -153,11 +160,11 @@ def golden_flat_no_eval():
         _, streams = _workload()
         trace = _trace()
         strategy = make_strategy(kind)
-        trainer = DistributedTrainer(
+        engine = RoundEngine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
-            make_cluster(strategy, trace), SGD(0.3),
+            FlatBackend(make_cluster(strategy, trace)), SyncUpdate(SGD(0.3)),
         )
-        summary = trainer.run(max_steps=10)
+        summary = engine.run(max_steps=10)
         out[kind] = {"loss_curve": list(summary.loss_curve)}
     return out
 
@@ -167,38 +174,44 @@ def golden_runtime():
     for kind in ("sync", "issgd", "gc", "isgc-fr", "isgc-cr"):
         ds, streams = _workload()
         trace = _trace()
-        runtime = SimulatedRuntime(
-            strategy=make_strategy(kind),
-            model=LogisticRegressionModel(8, seed=0),
-            streams=streams,
-            optimizer=SGD(0.3),
+        strategy = make_strategy(kind)
+        model = LogisticRegressionModel(8, seed=0)
+        master = MasterActor(strategy, model)
+        backend = ActorBackend(
+            master,
+            [WorkerActor(i, strategy, model, streams) for i in range(N)],
             compute=ComputeModel(0.02, 0.02),
             network=NetworkModel(latency=0.0, bandwidth=float("inf")),
             delay_model=TraceReplayModel(trace),
-            eval_data=ds,
             rng=np.random.default_rng(0),
         )
-        summary = runtime.run(max_steps=STEPS)
+        engine = RoundEngine(
+            model, streams, strategy, backend, SyncUpdate(SGD(0.3)),
+            eval_data=ds,
+        )
+        summary = engine.run(max_steps=STEPS)
         out[kind] = {
             "summary": summary_to_dict(summary),
-            "records": [record_to_dict(r) for r in runtime.master.records],
+            "records": [record_to_dict(r) for r in master.records],
         }
     return out
 
 
 def golden_async():
     ds, streams = _workload()
-    trainer = AsyncSGDTrainer(
-        model=LogisticRegressionModel(8, seed=0),
-        streams=streams,
-        optimizer=SGD(0.05),
+    backend = AsyncArrivalBackend(
         compute=ComputeModel(0.05, 0.05),
         network=NetworkModel(latency=0.0, bandwidth=float("inf")),
         delay_model=ExponentialDelay(0.3, affected=[0, 1]),
-        eval_data=ds,
         rng=np.random.default_rng(11),
     )
-    summary = trainer.run(max_updates=60)
+    # No coding on the async path: one partition per worker, as
+    # ``build_engine`` wires ``rule: async`` over ``sync-sgd``.
+    engine = RoundEngine(
+        LogisticRegressionModel(8, seed=0), streams, make_strategy("sync"),
+        backend, AsyncUpdate(SGD(0.05)), eval_data=ds,
+    )
+    summary = engine.run_updates(max_updates=60)
     return {
         "records": [
             {
@@ -208,7 +221,7 @@ def golden_async():
                 "staleness": r.staleness,
                 "loss": r.loss,
             }
-            for r in trainer.records
+            for r in engine.async_records
         ],
         "summary": {
             "num_updates": summary.num_updates,
@@ -218,7 +231,7 @@ def golden_async():
             "max_staleness": summary.max_staleness,
             "loss_curve": list(summary.loss_curve),
         },
-        "final_parameters": list(trainer._model.get_parameters()),
+        "final_parameters": list(engine.model.get_parameters()),
     }
 
 
@@ -233,23 +246,26 @@ def golden_adaptive():
         delay_model=ExponentialDelay(0.5),
         rng=np.random.default_rng(0),
     )
-    trainer = AdaptivePlacementTrainer(
-        model=LogisticRegressionModel(8, seed=0),
-        streams=streams,
-        initial_placement=placement,
+    # The strategy and the migration rule share one generator, so a
+    # migrated run consumes the stream the pre-engine loop did.
+    rng = np.random.default_rng(7)
+    rule = AdaptiveMigration(
+        SGD(0.3),
         wait_for=4,
-        cluster=cluster,
-        optimizer=SGD(0.3),
-        eval_data=ds,
-        network=NetworkModel(latency=0.001, bandwidth=1e9),
-        rng=np.random.default_rng(7),
-        review_every=10,
         partition_bytes=1e4,
+        network=NetworkModel(latency=0.001, bandwidth=1e9),
+        review_every=10,
+        rng=rng,
     )
-    summary = trainer.run(max_steps=30)
+    engine = RoundEngine(
+        LogisticRegressionModel(8, seed=0), streams,
+        ISGCStrategy(placement, wait_for=4, rng=rng),
+        FlatBackend(cluster), rule, eval_data=ds,
+    )
+    summary = engine.run(max_steps=30)
     return {
         "summary": summary_to_dict(summary),
-        "records": [record_to_dict(r) for r in trainer.records],
+        "records": [record_to_dict(r) for r in engine.records],
         "migrations": [
             {
                 "step": m.step,
@@ -259,10 +275,10 @@ def golden_adaptive():
                 "cost_seconds": m.cost_seconds,
                 "sim_time": m.sim_time,
             }
-            for m in trainer.migrations
+            for m in rule.migrations
         ],
-        "placement_scheme": trainer.placement.scheme,
-        "final_parameters": list(trainer._model.get_parameters()),
+        "placement_scheme": engine.strategy.placement.scheme,
+        "final_parameters": list(engine.model.get_parameters()),
     }
 
 
@@ -277,15 +293,16 @@ def golden_local():
         delay_model=TraceReplayModel(_trace()),
         rng=np.random.default_rng(0),
     )
-    trainer = LocalUpdateTrainer(
-        LogisticRegressionModel(8, seed=0), streams, strategy, cluster,
-        local_steps=3, local_lr=0.1, eval_data=ds,
+    engine = RoundEngine(
+        LogisticRegressionModel(8, seed=0), streams, strategy,
+        FlatBackend(cluster), LocalUpdate(local_steps=3, local_lr=0.1),
+        eval_data=ds,
     )
-    summary = trainer.run(max_rounds=20)
+    summary = engine.run(max_steps=20)
     return {
         "summary": summary_to_dict(summary),
-        "records": [record_to_dict(r) for r in trainer.records],
-        "final_parameters": list(trainer._model.get_parameters()),
+        "records": [record_to_dict(r) for r in engine.records],
+        "final_parameters": list(engine.model.get_parameters()),
     }
 
 

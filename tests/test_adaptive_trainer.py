@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import CyclicRepetition, FractionalRepetition
+from repro.engine import AdaptiveMigration, FlatBackend, RoundEngine
 from repro.exceptions import TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
 from repro.training import (
+    ISGCStrategy,
     LogisticRegressionModel,
     SGD,
     build_batch_streams,
     make_classification,
     partition_dataset,
 )
-from repro.training.adaptive_trainer import AdaptivePlacementTrainer
 
 
 def _setup(initial_placement, wait_for=4, delay=None, **kw):
@@ -28,17 +29,19 @@ def _setup(initial_placement, wait_for=4, delay=None, **kw):
         delay_model=delay or ExponentialDelay(0.5),
         rng=np.random.default_rng(0),
     )
-    trainer = AdaptivePlacementTrainer(
-        model=LogisticRegressionModel(8, seed=0),
-        streams=streams,
-        initial_placement=initial_placement,
+    # One generator for strategy and rule, as the adaptive golden records.
+    rng = np.random.default_rng(7)
+    rule = AdaptiveMigration(
+        SGD(0.3),
         wait_for=wait_for,
-        cluster=cluster,
-        optimizer=SGD(0.3),
-        eval_data=ds,
         network=NetworkModel(latency=0.001, bandwidth=1e9),
-        rng=np.random.default_rng(7),
+        rng=rng,
         **kw,
+    )
+    trainer = RoundEngine(
+        LogisticRegressionModel(8, seed=0), streams,
+        ISGCStrategy(initial_placement, wait_for=wait_for, rng=rng),
+        FlatBackend(cluster), rule, eval_data=ds,
     )
     return trainer, ds
 
@@ -53,19 +56,19 @@ class TestAdaptiveTrainer:
         trainer.run(max_steps=60)
         # At w = 4 FR recovers ~7.9/8 vs CR's ~6.9/8 — comfortably past
         # the 5% default gain threshold.
-        assert trainer.migrations, "no migration happened"
-        event = trainer.migrations[0]
+        assert trainer.rule.migrations, "no migration happened"
+        event = trainer.rule.migrations[0]
         assert event.step == 10
         assert "Fractional" in event.to_label
-        assert isinstance(trainer.placement, FractionalRepetition)
+        assert isinstance(trainer.strategy.placement, FractionalRepetition)
 
     def test_recovery_improves_after_migration(self):
         trainer, _ = _setup(
             CyclicRepetition(8, 2), review_every=15, partition_bytes=1e4,
         )
         trainer.run(max_steps=90)
-        assert trainer.migrations
-        switch = trainer.migrations[0].step
+        assert trainer.rule.migrations
+        switch = trainer.rule.migrations[0].step
         before = np.mean(
             [r.recovery_fraction for r in trainer.records[:switch]]
         )
@@ -79,7 +82,7 @@ class TestAdaptiveTrainer:
             FractionalRepetition(8, 2), review_every=10, partition_bytes=1e4,
         )
         trainer.run(max_steps=40)
-        assert not trainer.migrations
+        assert not trainer.rule.migrations
 
     def test_no_migration_when_cost_prohibitive(self):
         """Huge partitions: the amortisation test must refuse."""
@@ -88,15 +91,15 @@ class TestAdaptiveTrainer:
             partition_bytes=1e15,
         )
         trainer.run(max_steps=40)
-        assert not trainer.migrations
+        assert not trainer.rule.migrations
 
     def test_migration_cost_charged_to_clock(self):
         cheap, _ = _setup(
             CyclicRepetition(8, 2), review_every=10, partition_bytes=1e4,
         )
         cheap_summary = cheap.run(max_steps=40)
-        assert cheap.migrations
-        cost = sum(m.cost_seconds for m in cheap.migrations)
+        assert cheap.rule.migrations
+        cost = sum(m.cost_seconds for m in cheap.rule.migrations)
         assert cost > 0
         # The recorded sim_time includes the accumulated penalty.
         assert cheap_summary.total_sim_time >= cheap.records[-1].wait_time

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.core import CyclicRepetition
 from repro.exceptions import ConfigurationError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
 from repro.training import (
-    DistributedTrainer,
     ISGCStrategy,
     LogisticRegressionModel,
     SGD,
@@ -127,7 +127,7 @@ class TestCompressedStrategy:
                 network=NetworkModel(latency=0.0, bandwidth=float("inf")),
                 delay_model=NoDelay(), rng=np.random.default_rng(0),
             )
-            trainer = DistributedTrainer(
+            trainer = sync_engine(
                 LogisticRegressionModel(8, seed=0), streams, strategy,
                 cluster, SGD(0.3), eval_data=ds,
             )

@@ -55,7 +55,7 @@ def make_spec(backend="flat", rule="sync", **over):
         # Review early and accept any gain so a migration actually
         # happens inside the test horizon — the strategy swap is the
         # hardest piece of state to restore.
-        base["rule_params"] = {"review_every": 3, "min_recovery_gain": -1.0}
+        base["rule_params"] = {"review_every": 3, "min_recovery_gain": 0.0}
     base.update(over)
     return ExperimentSpec(**base)
 

@@ -282,20 +282,9 @@ class TestRegistryDirectEquivalence:
 
 
 # ----------------------------------------------------------------------
-# sample_round / sample_all contracts
+# sample_round contracts
 # ----------------------------------------------------------------------
 class TestSampleRound:
-    def test_sample_all_shim_matches_sample_round(self):
-        model = make_delay_model("exponential", mean=1.5)
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        as_dict = model.sample_all(WORKERS, 0, rng_a)
-        as_array = model.sample_round(WORKERS, 0, rng_b)
-        assert list(as_dict) == WORKERS
-        np.testing.assert_array_equal(
-            np.array([as_dict[w] for w in WORKERS]), as_array
-        )
-
     def test_empty_worker_list(self):
         for kind in ("none", "exponential", "pareto"):
             model = make_delay_model(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.exceptions import ConfigurationError
 from repro.straggler import EstimatingWaitPolicy, LatencyEstimator
 
@@ -128,7 +129,6 @@ class TestEstimatingWaitPolicy:
         from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
         from repro.straggler import PersistentStragglers, ShiftedExponentialDelay
         from repro.training import (
-            DistributedTrainer,
             ISGCStrategy,
             LogisticRegressionModel,
             SGD,
@@ -157,7 +157,7 @@ class TestEstimatingWaitPolicy:
             ),
             rng=np.random.default_rng(1),
         )
-        trainer = DistributedTrainer(
+        trainer = sync_engine(
             LogisticRegressionModel(6, seed=0), streams, strategy, cluster,
             SGD(0.3), eval_data=ds,
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.core import CyclicRepetition
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
@@ -21,7 +22,6 @@ from repro.straggler import (
     TransientDropouts,
 )
 from repro.training import (
-    DistributedTrainer,
     ISGCStrategy,
     LogisticRegressionModel,
     SGD,
@@ -141,7 +141,7 @@ class TestTrainingThroughFailures:
             delay_model=NoDelay(), failure_model=failures,
             rng=np.random.default_rng(1),
         )
-        return DistributedTrainer(
+        return sync_engine(
             LogisticRegressionModel(6, seed=0), streams, strategy, cluster,
             SGD(0.3), eval_data=ds,
         )
@@ -170,7 +170,7 @@ class TestTrainingThroughFailures:
             failure_model=PermanentCrashes([2], at_step=0),
             rng=np.random.default_rng(0),
         )
-        trainer = DistributedTrainer(
+        trainer = sync_engine(
             LogisticRegressionModel(6, seed=0), streams, SyncSGDStrategy(n),
             cluster, SGD(0.3), eval_data=ds,
         )

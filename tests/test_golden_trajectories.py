@@ -1,10 +1,10 @@
-"""Golden-trajectory regression: the engine shims replay the old loops.
+"""Golden-trajectory regression: the round engine replays the old loops.
 
 The JSON files under ``tests/golden/`` were recorded by
 ``tests/golden/record_goldens.py`` at the commit *before* the
 ``repro.engine`` extraction, when each training loop was still a
-hand-rolled implementation.  Re-running the same workloads through the
-engine-backed shims must reproduce them **bit-for-bit** — JSON floats
+hand-rolled implementation.  Re-running the same workloads through
+``RoundEngine`` must reproduce them **bit-for-bit** — JSON floats
 round-trip exactly through ``repr``, so ``==`` on the decoded
 structures is exact float equality on every loss, step time, recovered
 count and final parameter.
@@ -73,6 +73,6 @@ def test_adaptive_golden_contains_a_migration():
     """The adaptive golden is only meaningful if a migration happened."""
     data = _golden("adaptive.json")
     assert len(data["migrations"]) >= 1
-    assert data["placement_scheme"] != "cyclic-repetition(8,2)" or True
     # the recorded run migrates CR -> FR at the first review point
     assert data["migrations"][0]["step"] == 10
+    assert data["placement_scheme"] == "fr"

@@ -7,6 +7,7 @@ optimizer) and the equivalences the paper asserts between schemes.
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.codes import ClassicGradientCode
 from repro.core import (
     CyclicRepetition,
@@ -24,7 +25,6 @@ from repro.straggler import (
     TraceReplayModel,
 )
 from repro.training import (
-    DistributedTrainer,
     ISGCStrategy,
     ISSGDStrategy,
     SGD,
@@ -49,7 +49,7 @@ def _training_setup(strategy, trace, lr=0.3, n=4, seed=0):
         delay_model=TraceReplayModel(trace),
         rng=np.random.default_rng(seed),
     )
-    return DistributedTrainer(model, streams, strategy, cluster, SGD(lr), eval_data=ds)
+    return sync_engine(model, streams, strategy, cluster, SGD(lr), eval_data=ds)
 
 
 @pytest.fixture

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.core import CyclicRepetition, FractionalRepetition
 from repro.core.hetero_placement import (
     heterogeneous_recovery,
     optimize_assignment,
 )
+from repro.engine import FlatBackend, LocalUpdate, RoundEngine
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
 from repro.training import (
-    DistributedTrainer,
     ISGCStrategy,
     LogisticRegressionModel,
     SGD,
@@ -20,7 +21,6 @@ from repro.training import (
     make_classification,
     partition_dataset,
 )
-from repro.training.local_sgd import LocalUpdateTrainer
 
 
 def _workload(n=4):
@@ -45,28 +45,28 @@ class TestLocalUpdateTrainer:
             CyclicRepetition(4, 2), wait_for=wait_for,
             rng=np.random.default_rng(0),
         )
-        return LocalUpdateTrainer(
+        return RoundEngine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
-            _cluster(delay=delay), local_steps=tau, local_lr=lr,
-            eval_data=ds,
+            FlatBackend(_cluster(delay=delay)),
+            LocalUpdate(local_steps=tau, local_lr=lr), eval_data=ds,
         ), ds, streams
 
     def test_converges(self):
         trainer, _, _ = self._trainer(tau=4)
-        summary = trainer.run(max_rounds=25)
+        summary = trainer.run(max_steps=25)
         assert summary.loss_curve[-1] < summary.loss_curve[0]
         assert "τ=4" in summary.scheme
 
     def test_tau_one_matches_plain_trainer(self):
-        """τ = 1 with matching step sizes reproduces DistributedTrainer
+        """τ = 1 with matching step sizes reproduces the sync rule
         exactly (delta = lr·grad; master applies mean delta)."""
         local, ds, streams = self._trainer(tau=1, lr=0.3)
-        local_summary = local.run(max_rounds=15)
+        local_summary = local.run(max_steps=15)
 
         strategy = ISGCStrategy(
             CyclicRepetition(4, 2), wait_for=4, rng=np.random.default_rng(0)
         )
-        plain = DistributedTrainer(
+        plain = sync_engine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
             _cluster(), SGD(0.3), eval_data=ds,
         )
@@ -81,7 +81,7 @@ class TestLocalUpdateTrainer:
         """τ = 4 consumes 4 batches per round: at equal total batches it
         needs 4× fewer communication rounds (straggler waits)."""
         tau4, _, _ = self._trainer(tau=4, lr=0.15)
-        s4 = tau4.run(max_rounds=10)  # 40 batches per partition
+        s4 = tau4.run(max_steps=10)  # 40 batches per partition
         assert s4.num_steps == 10
         assert s4.loss_curve[-1] < s4.loss_curve[0]
 
@@ -89,7 +89,7 @@ class TestLocalUpdateTrainer:
         trainer, _, _ = self._trainer(
             tau=2, wait_for=2, delay=ExponentialDelay(0.5)
         )
-        summary = trainer.run(max_rounds=15)
+        summary = trainer.run(max_steps=15)
         assert 0 < summary.avg_recovery_fraction <= 1.0
 
     def test_replica_determinism(self):
@@ -100,33 +100,24 @@ class TestLocalUpdateTrainer:
             FractionalRepetition(4, 2), wait_for=4,
             rng=np.random.default_rng(0),
         )
-        trainer = LocalUpdateTrainer(
+        rule = LocalUpdate(local_steps=3, local_lr=0.1)
+        engine = RoundEngine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
-            _cluster(), local_steps=3, local_lr=0.1, eval_data=ds,
+            FlatBackend(_cluster()), rule, eval_data=ds,
         )
-        start = trainer._model.get_parameters()
-        d1 = trainer._partition_delta(1, 0, start)
-        d2 = trainer._partition_delta(1, 0, start)
+        start = engine.model.get_parameters()
+        d1 = rule.partition_delta(engine, 1, 0, start)
+        d2 = rule.partition_delta(engine, 1, 0, start)
         np.testing.assert_array_equal(d1, d2)
 
     def test_validation(self):
-        ds, streams = _workload()
-        strategy = ISGCStrategy(
-            CyclicRepetition(4, 2), wait_for=4, rng=np.random.default_rng(0)
-        )
-        with pytest.raises(TrainingError):
-            LocalUpdateTrainer(
-                LogisticRegressionModel(8), streams, strategy,
-                _cluster(), local_steps=0, local_lr=0.1,
-            )
-        with pytest.raises(TrainingError):
-            LocalUpdateTrainer(
-                LogisticRegressionModel(8), streams, strategy,
-                _cluster(), local_steps=2, local_lr=-0.1,
-            )
+        with pytest.raises(TrainingError, match="local_steps"):
+            LocalUpdate(local_steps=0, local_lr=0.1)
+        with pytest.raises(TrainingError, match="local_lr"):
+            LocalUpdate(local_steps=2, local_lr=-0.1)
         trainer, _, _ = self._trainer(tau=2)
         with pytest.raises(TrainingError):
-            trainer.run(max_rounds=0)
+            trainer.run(max_steps=0)
 
 
 class TestHeterogeneousRecovery:

@@ -1,22 +1,22 @@
 """Tests for the actor runtime — including trajectory equivalence with
-the flat trainer, the property that makes the runtime trustworthy."""
+the flat backend, the property that makes the runtime trustworthy."""
 
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.core import CyclicRepetition, FractionalRepetition
-from repro.exceptions import SimulationError, TrainingError
+from repro.engine import ActorBackend, RoundEngine, SyncUpdate
+from repro.exceptions import TrainingError
 from repro.runtime import (
     GradientUpload,
     MasterActor,
     ParameterBroadcast,
-    SimulatedRuntime,
     WorkerActor,
 )
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import DelayTrace, ExponentialDelay, TraceReplayModel
 from repro.training import (
-    DistributedTrainer,
     ISGCStrategy,
     ISSGDStrategy,
     LogisticRegressionModel,
@@ -57,17 +57,20 @@ def _strategy(kind, seed=0):
     raise ValueError(kind)
 
 
-def _runtime(strategy, streams, ds, trace):
-    return SimulatedRuntime(
-        strategy=strategy,
-        model=LogisticRegressionModel(8, seed=0),
-        streams=streams,
-        optimizer=SGD(0.3),
+def _runtime(strategy, streams, ds, trace, keep_message_log=False):
+    """An engine over the actor backend (the master is ``backend.master``)."""
+    model = LogisticRegressionModel(8, seed=0)
+    backend = ActorBackend(
+        MasterActor(strategy, model),
+        [WorkerActor(i, strategy, model, streams) for i in range(N)],
         compute=ComputeModel(0.02, 0.02),
         network=NetworkModel(latency=0.0, bandwidth=float("inf")),
         delay_model=TraceReplayModel(trace),
-        eval_data=ds,
         rng=np.random.default_rng(0),
+        keep_message_log=keep_message_log,
+    )
+    return RoundEngine(
+        model, streams, strategy, backend, SyncUpdate(SGD(0.3)), eval_data=ds
     )
 
 
@@ -109,10 +112,7 @@ class TestActors:
     def test_master_rejects_stale_upload(self, workload):
         ds, _ = workload
         strategy = _strategy("issgd")
-        master = MasterActor(
-            strategy, LogisticRegressionModel(8), SGD(0.1),
-            eval_features=ds.features, eval_labels=ds.labels,
-        )
+        master = MasterActor(strategy, LogisticRegressionModel(8))
         master.broadcast(0.0)
         stale = GradientUpload(
             sender="worker-0", send_time=0.0, step=7, worker=0,
@@ -125,8 +125,9 @@ class TestActors:
         ds, streams = workload
         runtime = _runtime(_strategy("issgd"), streams, ds, trace)
         runtime.run(max_steps=5)
-        assert len(runtime.master.records) == 5
-        assert runtime.master.step == 5
+        master = runtime.backend.master
+        assert len(master.records) == 5
+        assert master.step == 5
 
 
 class TestRuntimeRuns:
@@ -141,53 +142,38 @@ class TestRuntimeRuns:
         ds, streams = workload
         runtime = _runtime(_strategy("issgd"), streams, ds, trace)
         times = []
-        for _ in range(5):
-            runtime.run_step(runtime._strategy.policy)
+        for step in range(5):
+            runtime.run_step(step)
             times.append(runtime.clock)
         assert times == sorted(times)
         assert times[0] > 0
 
     def test_message_log(self, workload, trace):
         ds, streams = workload
-        runtime = SimulatedRuntime(
-            strategy=_strategy("issgd"),
-            model=LogisticRegressionModel(8, seed=0),
-            streams=streams,
-            optimizer=SGD(0.3),
-            delay_model=TraceReplayModel(trace),
-            eval_data=ds,
-            rng=np.random.default_rng(0),
-            keep_message_log=True,
+        runtime = _runtime(
+            _strategy("issgd"), streams, ds, trace, keep_message_log=True
         )
         runtime.run(max_steps=3)
-        broadcasts = [
-            m for m in runtime.message_log if isinstance(m, ParameterBroadcast)
-        ]
-        uploads = [
-            m for m in runtime.message_log if isinstance(m, GradientUpload)
-        ]
+        log = runtime.backend.message_log
+        broadcasts = [m for m in log if isinstance(m, ParameterBroadcast)]
+        uploads = [m for m in log if isinstance(m, GradientUpload)]
         assert len(broadcasts) == 3
         assert len(uploads) == 3 * 2  # w = 2 accepted per step
 
     def test_stream_count_mismatch(self, workload, trace):
         ds, streams = workload
-        with pytest.raises(SimulationError):
-            SimulatedRuntime(
-                strategy=SyncSGDStrategy(N + 1),
-                model=LogisticRegressionModel(8),
-                streams=streams,
-                optimizer=SGD(0.1),
-            )
+        with pytest.raises(TrainingError, match="partitions"):
+            _runtime(SyncSGDStrategy(N + 1), streams, ds, trace)
 
     def test_invalid_max_steps(self, workload, trace):
         ds, streams = workload
         runtime = _runtime(_strategy("issgd"), streams, ds, trace)
-        with pytest.raises(SimulationError):
+        with pytest.raises(TrainingError):
             runtime.run(max_steps=0)
 
 
 class TestEquivalenceWithFlatTrainer:
-    """The actor path and the flat trainer must produce identical
+    """The actor path and the flat backend must produce identical
     trajectories on the same trace — the runtime's core guarantee."""
 
     @pytest.mark.parametrize("kind", ["sync", "issgd", "isgc-fr", "isgc-cr"])
@@ -206,7 +192,7 @@ class TestEquivalenceWithFlatTrainer:
             delay_model=TraceReplayModel(trace),
             rng=np.random.default_rng(0),
         )
-        flat = DistributedTrainer(
+        flat = sync_engine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
             cluster, SGD(0.3), eval_data=ds,
         )
@@ -231,11 +217,11 @@ class TestEquivalenceWithFlatTrainer:
             delay_model=TraceReplayModel(trace),
             rng=np.random.default_rng(0),
         )
-        flat = DistributedTrainer(
+        flat = sync_engine(
             LogisticRegressionModel(8, seed=0), streams, strategy,
             cluster, SGD(0.3), eval_data=ds,
         )
         flat.run(max_steps=20)
-        for a, b in zip(runtime.master.records, flat.records):
+        for a, b in zip(runtime.backend.master.records, flat.records):
             assert a.num_recovered == b.num_recovered
             assert a.num_available == b.num_available

@@ -7,6 +7,7 @@ Hypothesis drives adversarial schedulers and weight assignments at it.
 """
 
 import asyncio
+import dataclasses
 import json
 import pathlib
 
@@ -297,6 +298,36 @@ class TestLifecycle:
         (solo,) = run_jobs([make_spec(1)])
         assert good.report.to_dict() == solo.to_dict()
 
+    def test_out_of_range_rule_params_fail_only_their_job(self):
+        bad_params = [
+            ("adaptive", {"review_every": 0}),
+            ("adaptive", {"min_recovery_gain": 7.0}),
+            ("local-update", {"local_steps": 0}),
+            ("local-update", {"local_lr": -1.0}),
+        ]
+
+        async def scenario():
+            coord = Coordinator(mode="deterministic", max_running=2)
+            bad = [
+                coord.submit(dataclasses.replace(
+                    make_spec(0), rule=rule, rule_params=params
+                ))
+                for rule, params in bad_params
+            ]
+            good = coord.submit(make_spec(1))
+            await coord.drain()
+            for handle, (_, params) in zip(bad, bad_params):
+                (key,) = params
+                assert handle.state is JobState.FAILED
+                assert "TrainingError" in handle.error
+                assert key in handle.error
+            assert good.state is JobState.DONE
+            return good
+
+        good = asyncio.run(scenario())
+        (solo,) = run_jobs([make_spec(1)])
+        assert good.report.to_dict() == solo.to_dict()
+
     def test_run_jobs_raises_on_failed_job(self):
         bad = ExperimentSpec(
             name="bad", scheme="nope", num_workers=4,
@@ -385,6 +416,21 @@ class TestMailbox:
         snapshot = client.state("typo")
         assert snapshot["state"] == "rejected"
         assert "wait_for" in snapshot["error"]  # did-you-mean hint
+
+    def test_misspelt_rule_param_rejected_before_admission(self, tmp_path):
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = make_spec(0).to_dict()
+        payload.update(rule="local-update", rule_params={"local_stepz": 3})
+        (root / "inbox" / "typo.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        good = client.submit(make_spec(1))
+        serve_once(root)
+        snapshot = client.state("typo")
+        assert snapshot["state"] == "rejected"
+        assert "did you mean 'local_steps'" in snapshot["error"]
+        assert client.state(good)["state"] == "done"
 
     def test_mailbox_cancel(self, tmp_path):
         root = tmp_path / "mbox"

@@ -12,13 +12,11 @@ from repro.simulation import (
     Event,
     EventQueue,
     NetworkModel,
-    StepStatistics,
     WaitForAll,
     WaitForK,
     linear_rampup,
-    moving_average,
-    steps_to_threshold,
 )
+from repro.obs import StepStatistics, moving_average, steps_to_threshold
 from repro.straggler import NoDelay, PersistentStragglers, ShiftedExponentialDelay
 from repro.types import StepRecord
 

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 from repro.engine import ExperimentSpec, build_engine, run_spec
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, TrainingError
 
 
 def _spec(**over):
@@ -180,6 +180,26 @@ class TestRules:
     def test_each_sync_rule_runs(self, rule, params):
         summary = run_spec(_spec(rule=rule, rule_params=params))
         assert summary.num_steps == 5
+
+    def test_misspelt_rule_param_rejected_with_hint(self):
+        with pytest.raises(ConfigurationError) as exc:
+            _spec(rule="local-update", rule_params={"local_stepz": 3})
+        message = str(exc.value)
+        assert "'local_stepz' — did you mean 'local_steps'?" in message
+        assert "accepted: local_steps, local_lr" in message
+        with pytest.raises(ConfigurationError, match=r"accepted: \(none\)"):
+            _spec(scheme="sync-sgd", rule="async", rule_params={"lr": 1})
+
+    @pytest.mark.parametrize("rule, params", [
+        ("adaptive", {"review_every": 0}),
+        ("adaptive", {"min_recovery_gain": 7.0}),
+        ("local-update", {"local_steps": 0}),
+        ("local-update", {"local_lr": -1.0}),
+    ])
+    def test_out_of_range_rule_param_rejected(self, rule, params):
+        (key,) = params
+        with pytest.raises(TrainingError, match=key):
+            run_spec(_spec(rule=rule, rule_params=params))
 
     def test_async_rule_returns_async_summary(self):
         summary = run_spec(_spec(scheme="sync-sgd", wait_for=None,

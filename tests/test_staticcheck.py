@@ -352,11 +352,12 @@ class TestRegistryRules:
         )
         assert rules_of(findings) == ["REG002"]
 
-    def test_reg002_shim_layer_exempt(self):
-        assert check(
+    def test_reg002_training_layer_flagged(self):
+        findings = check(
             "b = FlatBackend(cluster)\n",
-            scope_path="src/repro/training/trainer.py",
-        ) == []
+            scope_path="src/repro/training/foo.py",
+        )
+        assert rules_of(findings) == ["REG002"]
 
     def test_reg004_direct_placement_construction(self):
         findings = check(

@@ -46,10 +46,6 @@ class TestExponentialDelay:
         with pytest.raises(ConfigurationError):
             ExponentialDelay(-1.0)
 
-    def test_sample_all(self, rng):
-        delays = ExponentialDelay(1.0).sample_all(range(5), 0, rng)
-        assert set(delays) == set(range(5))
-
 
 class TestShiftedExponential:
     def test_floor_respected(self, rng):

@@ -1,14 +1,14 @@
-"""Tests for the distributed-training driver and convergence tracking."""
+"""Tests for the sync training loop and convergence tracking."""
 
 import numpy as np
 import pytest
 
+from conftest import sync_engine
 from repro.core import CyclicRepetition, FractionalRepetition
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
 from repro.training import (
-    DistributedTrainer,
     ISGCStrategy,
     ISSGDStrategy,
     LogisticRegressionModel,
@@ -34,7 +34,7 @@ def _setup(strategy, n=4, delay=None, seed=0, lr=0.5):
         delay_model=delay or NoDelay(),
         rng=np.random.default_rng(seed),
     )
-    trainer = DistributedTrainer(model, streams, strategy, cluster, SGD(lr), eval_data=ds)
+    trainer = sync_engine(model, streams, strategy, cluster, SGD(lr), eval_data=ds)
     return trainer, ds
 
 
@@ -141,7 +141,7 @@ class TestDistributedTrainer:
         strategy = SyncSGDStrategy(4)
         cluster = ClusterSimulator(4, 1, rng=np.random.default_rng(0))
         with pytest.raises(TrainingError, match="partitions"):
-            DistributedTrainer(
+            sync_engine(
                 LogisticRegressionModel(8), streams, strategy, cluster, SGD(0.1)
             )
 
@@ -151,7 +151,7 @@ class TestDistributedTrainer:
         streams = build_batch_streams(parts, 16, seed=3)
         cluster = ClusterSimulator(5, 1, rng=np.random.default_rng(0))
         with pytest.raises(TrainingError, match="workers"):
-            DistributedTrainer(
+            sync_engine(
                 LogisticRegressionModel(8), streams, SyncSGDStrategy(4),
                 cluster, SGD(0.1),
             )
@@ -166,7 +166,7 @@ class TestDistributedTrainer:
         parts = partition_dataset(ds, 4, seed=2)
         streams = build_batch_streams(parts, 32, seed=3)
         cluster = ClusterSimulator(4, 1, rng=np.random.default_rng(0))
-        trainer = DistributedTrainer(
+        trainer = sync_engine(
             LogisticRegressionModel(8, seed=0), streams, SyncSGDStrategy(4),
             cluster, SGD(0.5),
         )
@@ -213,7 +213,7 @@ class TestRecoveryScaledLR:
                 network=NetworkModel(latency=0.0, bandwidth=float("inf")),
                 delay_model=NoDelay(), rng=np.random.default_rng(0),
             )
-            return model, DistributedTrainer(
+            return model, sync_engine(
                 model, streams, strat, cluster, SGD(0.5), eval_data=ds,
                 recovery_scaled_lr=scaled,
             )
@@ -240,7 +240,7 @@ class TestRecoveryScaledLR:
             cluster = ClusterSimulator(
                 4, 1, delay_model=NoDelay(), rng=np.random.default_rng(0),
             )
-            trainer = DistributedTrainer(
+            trainer = sync_engine(
                 model, streams, SyncSGDStrategy(4), cluster, SGD(0.5),
                 eval_data=ds, recovery_scaled_lr=scaled,
             )
