@@ -6,6 +6,7 @@ import argparse
 
 from ..analysis.reporting import Table
 from ..exceptions import ReproError
+from ..registry import did_you_mean
 from .params import _parse_model_params
 from .registry import register_command
 
@@ -49,19 +50,10 @@ def cmd_environments(args: argparse.Namespace) -> int:
             if args.layer:
                 raise ReproError(str(exc)) from exc
     if not matches:
-        import difflib
-
-        known = sorted(
-            {k for layer in LAYERS for k in ENV_REGISTRY[layer]}
-            | {
-                alias
-                for layer in LAYERS
-                for fam in ENV_REGISTRY[layer].values()
-                for alias in fam.aliases
-            }
+        hint = did_you_mean(
+            args.kind,
+            {s for layer in LAYERS for s in ENV_REGISTRY[layer].spellings()},
         )
-        close = difflib.get_close_matches(args.kind, known, n=1)
-        hint = f" — did you mean {close[0]!r}?" if close else ""
         raise ReproError(
             f"unknown environment model {args.kind!r} in any layer{hint}; "
             "run `repro environments` for the catalogue"

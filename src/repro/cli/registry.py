@@ -25,14 +25,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..exceptions import ReproError
+from ..registry import Registry
 
 Configure = Callable[[argparse.ArgumentParser], None]
 
-#: registration order defines the --help listing (dicts are ordered).
-COMMAND_REGISTRY: Dict[str, "Command"] = {}
+#: registration order defines the --help listing.
+COMMAND_REGISTRY: Registry["Command"] = Registry(
+    "CLI command", "commands", ValueError
+)
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,8 @@ def register_command(
     """
 
     def wrap(configure: Configure) -> Configure:
-        if name in COMMAND_REGISTRY:
-            raise ValueError(f"duplicate CLI command {name!r}")
-        COMMAND_REGISTRY[name] = Command(
-            name=name, help=help, configure=configure
+        COMMAND_REGISTRY.register(
+            name, Command(name=name, help=help, configure=configure)
         )
         return configure
 

@@ -46,7 +46,6 @@ import warnings
 from typing import (
     Any,
     Callable,
-    Dict,
     FrozenSet,
     Hashable,
     Iterable,
@@ -59,8 +58,9 @@ from typing import (
 
 import numpy as np
 
-from ..exceptions import DecodeError
+from ..exceptions import ConfigurationError, DecodeError
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
+from ..registry import Registry
 from ..types import DecodeResult
 from .batch import (
     BatchDecodeResult,
@@ -71,7 +71,9 @@ from .batch import (
 )
 from .placement import Placement
 
-_REGISTRY: Dict[str, Type["Decoder"]] = {}
+_REGISTRY: Registry[Type["Decoder"]] = Registry(
+    "decoder scheme", "schemes", ConfigurationError
+)
 
 #: schemes for which exact-MIS decoding is the *documented* decoder,
 #: not a silent downgrade — no fallback warning for these.
@@ -93,7 +95,7 @@ def register_decoder(scheme: str) -> Callable[[Type["Decoder"]], Type["Decoder"]
     """Class decorator registering a decoder under ``scheme``."""
 
     def wrap(cls: Type["Decoder"]) -> Type["Decoder"]:
-        _REGISTRY[scheme] = cls
+        _REGISTRY.register(scheme, cls)
         cls.scheme = scheme
         return cls
 

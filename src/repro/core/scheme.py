@@ -8,8 +8,8 @@ each family grew its own ad-hoc conflict/bound/fingerprint plumbing;
 now they all speak one protocol:
 
 * :class:`PlacementScheme` — ``construct()`` (cached), ``conflict_graph()``
-  (ground truth by default, with per-family *verified* fast paths
-  routed through :mod:`repro.core.conflict`), ``recovery_bounds(w)``
+  (ground truth by default, with *verified* closed-form fast paths for
+  FR and CR routed through :mod:`repro.core.conflict`), ``recovery_bounds(w)``
   (Theorem 10/11 style partition-count brackets), ``fingerprint()``
   (the :class:`~repro.parallel.DecodeCache` key) and ``describe()``;
 * :data:`PLACEMENT_REGISTRY` + :func:`register_placement` — the name →
@@ -36,14 +36,12 @@ re-checked by ``benchmarks/bench_placement.py``).
 
 from __future__ import annotations
 
-import difflib
 import inspect
 from abc import ABC, abstractmethod
 from typing import (
     Any,
     Callable,
     ClassVar,
-    Dict,
     List,
     Mapping,
     Optional,
@@ -54,12 +52,12 @@ from typing import (
 
 from ..exceptions import ConfigurationError
 from ..graphs.graph import Graph
+from ..registry import Registry
 from .bounds import hr_alpha_bounds, recovered_partitions_bounds
 from .conflict import (
     conflict_graph,
     cr_conflict_graph,
     fr_conflict_graph,
-    hr_conflict_graph,
 )
 from .cyclic import CyclicRepetition
 from .explicit import ExplicitPlacement
@@ -67,12 +65,10 @@ from .fractional import FractionalRepetition
 from .hybrid import HybridRepetition
 from .placement import Placement
 
-#: placement family name → scheme class (the third registry, alongside
-#: SCHEME_REGISTRY and BACKEND_REGISTRY in :mod:`repro.engine.spec`).
-PLACEMENT_REGISTRY: Dict[str, Type["PlacementScheme"]] = {}
-
-#: accepted alternate spellings → canonical family name.
-_ALIASES: Dict[str, str] = {}
+#: placement family name → scheme class.
+PLACEMENT_REGISTRY: Registry[Type["PlacementScheme"]] = Registry(
+    "placement family", "families", ConfigurationError
+)
 
 
 def register_placement(
@@ -86,16 +82,9 @@ def register_placement(
     """
 
     def wrap(cls: Type["PlacementScheme"]) -> Type["PlacementScheme"]:
-        if name in PLACEMENT_REGISTRY:
-            raise ConfigurationError(
-                f"placement family {name!r} already registered "
-                f"({PLACEMENT_REGISTRY[name].__name__})"
-            )
-        PLACEMENT_REGISTRY[name] = cls
+        PLACEMENT_REGISTRY.register(name, cls, aliases)
         cls.family = name
         cls.aliases = tuple(aliases)
-        for alias in aliases:
-            _ALIASES[alias] = name
         return cls
 
     return wrap
@@ -113,29 +102,12 @@ def unknown_placement_message(name: Any) -> str:
     static rules, so ``repro check`` and ``repro run`` report typos
     identically.
     """
-    known = sorted(set(PLACEMENT_REGISTRY) | set(_ALIASES))
-    close = difflib.get_close_matches(str(name), known, n=3, cutoff=0.5)
-    hint = (
-        " — did you mean " + " or ".join(repr(m) for m in close) + "?"
-        if close
-        else ""
-    )
-    return (
-        f"unknown placement family {name!r}{hint} "
-        f"(registered families: {', '.join(registered_placements())})"
-    )
+    return PLACEMENT_REGISTRY.unknown_message(name)
 
 
 def resolve_placement(name: str) -> Type["PlacementScheme"]:
     """The scheme class for ``name`` (canonical or alias)."""
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"placement family must be a string, got {name!r}"
-        )
-    cls = PLACEMENT_REGISTRY.get(_ALIASES.get(name, name))
-    if cls is None:
-        raise ConfigurationError(unknown_placement_message(name))
-    return cls
+    return PLACEMENT_REGISTRY.resolve(name)
 
 
 def placement_scheme(name: str, **params: Any) -> "PlacementScheme":
@@ -213,11 +185,10 @@ def placement_spec_problems(
     document (families deriving ``c`` themselves only cross-check an
     explicitly declared value).
     """
-    if not isinstance(family, str):
-        return [f"placement family must be a string, got {family!r}"]
-    cls = PLACEMENT_REGISTRY.get(_ALIASES.get(family, family))
-    if cls is None:
-        return [unknown_placement_message(family)]
+    try:
+        cls = PLACEMENT_REGISTRY.resolve(family)
+    except ConfigurationError as exc:
+        return [str(exc)]
     return cls.spec_problems(
         num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
@@ -312,10 +283,11 @@ class PlacementScheme(ABC):
 
         Default: partition-intersection ground truth
         (:func:`repro.core.conflict.conflict_graph`), correct for any
-        placement.  Families with closed-form constructions (Theorem 1
-        for CR, clique unions for FR, Alg. 4 for HR) override this
-        with the fast path — which must agree with the ground truth
-        (property-tested per family).
+        placement.  FR (clique unions) and CR (Theorem 1) override this
+        with their closed-form construction — which must agree with the
+        ground truth (property-tested per family).  HR does not: Alg. 4's
+        pairwise predicate (:func:`~repro.core.conflict.hr_conflict_graph`)
+        measures slower than the ground-truth builder.
         """
         return conflict_graph(self.construct())
 
@@ -573,10 +545,6 @@ class HRScheme(PlacementScheme):
 
     def _construct(self) -> Placement:
         return HybridRepetition(self._n, self._c1, self._c2, self._g)
-
-    def conflict_graph(self) -> Graph:
-        # Alg. 4's closed-form predicate — verified against ground truth.
-        return hr_conflict_graph(self._n, self._c1, self._c2, self._g)
 
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         # Corrected group-wise α bounds (see bounds.hr_alpha_bounds for

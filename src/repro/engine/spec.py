@@ -50,6 +50,7 @@ load.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -60,6 +61,7 @@ import numpy as np
 
 from ..env import Environment
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..straggler.models import DelayModel
 from ..simulation.cluster import ComputeModel
 from ..simulation.network import NetworkModel
@@ -70,8 +72,12 @@ from .rules import AdaptiveMigration, AsyncUpdate, LocalUpdate, SyncUpdate, Upda
 SchemeFactory = Callable[..., Any]
 BackendFactory = Callable[["BuildContext"], ExecutionBackend]
 
-SCHEME_REGISTRY: Dict[str, SchemeFactory] = {}
-BACKEND_REGISTRY: Dict[str, BackendFactory] = {}
+SCHEME_REGISTRY: Registry[SchemeFactory] = Registry(
+    "scheme", "schemes", ConfigurationError
+)
+BACKEND_REGISTRY: Registry[BackendFactory] = Registry(
+    "backend", "backends", ConfigurationError
+)
 
 
 def register_scheme(name: str) -> Callable[[SchemeFactory], SchemeFactory]:
@@ -82,21 +88,13 @@ def register_scheme(name: str) -> Callable[[SchemeFactory], SchemeFactory]:
     return a :class:`~repro.training.strategies.TrainingStrategy`.
     """
 
-    def wrap(factory: SchemeFactory) -> SchemeFactory:
-        SCHEME_REGISTRY[name] = factory
-        return factory
-
-    return wrap
+    return functools.partial(SCHEME_REGISTRY.register, name)
 
 
 def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
     """Decorator registering an execution-backend factory under ``name``."""
 
-    def wrap(factory: BackendFactory) -> BackendFactory:
-        BACKEND_REGISTRY[name] = factory
-        return factory
-
-    return wrap
+    return functools.partial(BACKEND_REGISTRY.register, name)
 
 
 def make_strategy(
@@ -114,22 +112,7 @@ def make_strategy(
     ``seed`` is sugar for ``rng=np.random.default_rng(seed)`` (matching
     the figure runners' per-trial seeding); an explicit ``rng`` wins.
     """
-    factory = SCHEME_REGISTRY.get(name)
-    if factory is None:
-        import difflib
-
-        known = ", ".join(sorted(SCHEME_REGISTRY))
-        close = difflib.get_close_matches(
-            str(name), sorted(SCHEME_REGISTRY), n=3, cutoff=0.5
-        )
-        hint = (
-            " — did you mean " + " or ".join(repr(m) for m in close) + "?"
-            if close
-            else ""
-        )
-        raise ConfigurationError(
-            f"unknown scheme {name!r}{hint}; registered schemes: {known}"
-        )
+    factory = SCHEME_REGISTRY.resolve(name)
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
     return factory(
@@ -794,13 +777,7 @@ def build_engine(spec: ExperimentSpec, tracer=None) -> RoundEngine:
     )
 
     backend_name = "async-arrivals" if spec.rule == "async" else spec.backend
-    backend_factory = BACKEND_REGISTRY.get(backend_name)
-    if backend_factory is None:
-        known = ", ".join(sorted(BACKEND_REGISTRY))
-        raise ConfigurationError(
-            f"unknown backend {backend_name!r}; registered backends: {known}"
-        )
-    backend = backend_factory(ctx)
+    backend = BACKEND_REGISTRY.resolve(backend_name)(ctx)
     rule = _build_rule(spec, ctx)
     return RoundEngine(
         model=model,

@@ -39,7 +39,6 @@ property-tested per family in ``tests/test_env.py`` and pinned by
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import hashlib
 import inspect
 import json
@@ -49,6 +48,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..simulation.cluster import ComputeModel
 from ..simulation.contention import ContendedUploadModel
 from ..simulation.heterogeneous import HeterogeneousComputeModel
@@ -104,14 +104,11 @@ class ModelFamily:
         }
 
 
-#: layer → kind → family (five registries, same shape as
-#: PLACEMENT_REGISTRY / SCHEME_REGISTRY / BACKEND_REGISTRY).
-ENV_REGISTRY: Dict[str, Dict[str, ModelFamily]] = {
-    layer: {} for layer in LAYERS
+#: layer → kind → family: one :class:`~repro.registry.Registry` per layer.
+ENV_REGISTRY: Dict[str, Registry[ModelFamily]] = {
+    layer: Registry(f"{layer} model", "kinds", ConfigurationError)
+    for layer in LAYERS
 }
-
-#: layer → accepted alternate spelling → canonical kind.
-_ALIASES: Dict[str, Dict[str, str]] = {layer: {} for layer in LAYERS}
 
 #: registry-built model → (layer, kind, raw params) for :func:`spec_of`.
 #: Keyed weakly so the registry never pins model lifetimes.
@@ -129,14 +126,8 @@ def _register(
     paper: str = "",
     nested: Sequence[str] = (),
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    registry = ENV_REGISTRY[layer]
-
     def wrap(build: Callable[..., Any]) -> Callable[..., Any]:
-        if kind in registry:
-            raise ConfigurationError(
-                f"{layer} model {kind!r} already registered"
-            )
-        registry[kind] = ModelFamily(
+        family = ModelFamily(
             layer=layer,
             kind=kind,
             aliases=tuple(aliases),
@@ -145,8 +136,7 @@ def _register(
             build=build,
             nested=tuple(nested),
         )
-        for alias in aliases:
-            _ALIASES[layer][alias] = kind
+        ENV_REGISTRY[layer].register(kind, family, aliases)
         return build
 
     return wrap
@@ -177,14 +167,19 @@ def register_contention(kind: str, **meta: Any):
     return _register("contention", kind, **meta)
 
 
-def registered_models(layer: str) -> List[str]:
-    """Sorted canonical kinds of ``layer`` (aliases excluded)."""
-    if layer not in ENV_REGISTRY:
+def _layer_registry(layer: str) -> Registry[ModelFamily]:
+    registry = ENV_REGISTRY.get(layer)
+    if registry is None:
         raise ConfigurationError(
             f"unknown environment layer {layer!r} "
             f"(layers: {', '.join(LAYERS)})"
         )
-    return sorted(ENV_REGISTRY[layer])
+    return registry
+
+
+def registered_models(layer: str) -> List[str]:
+    """Sorted canonical kinds of ``layer`` (aliases excluded)."""
+    return sorted(_layer_registry(layer))
 
 
 def unknown_model_message(layer: str, name: Any) -> str:
@@ -194,34 +189,12 @@ def unknown_model_message(layer: str, name: Any) -> str:
     ``repro check`` and ``repro run`` report typos identically
     (mirrors :func:`repro.core.scheme.unknown_placement_message`).
     """
-    known = sorted(set(ENV_REGISTRY[layer]) | set(_ALIASES[layer]))
-    close = difflib.get_close_matches(str(name), known, n=3, cutoff=0.5)
-    hint = (
-        " — did you mean " + " or ".join(repr(m) for m in close) + "?"
-        if close
-        else ""
-    )
-    return (
-        f"unknown {layer} model {name!r}{hint} "
-        f"(registered kinds: {', '.join(registered_models(layer))})"
-    )
+    return ENV_REGISTRY[layer].unknown_message(name)
 
 
 def resolve_model(layer: str, name: str) -> ModelFamily:
     """The family registered for ``name`` (canonical or alias)."""
-    if layer not in ENV_REGISTRY:
-        raise ConfigurationError(
-            f"unknown environment layer {layer!r} "
-            f"(layers: {', '.join(LAYERS)})"
-        )
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"{layer} model kind must be a string, got {name!r}"
-        )
-    family = ENV_REGISTRY[layer].get(_ALIASES[layer].get(name, name))
-    if family is None:
-        raise ConfigurationError(unknown_model_message(layer, name))
-    return family
+    return _layer_registry(layer).resolve(name)
 
 
 def make_model(layer: str, kind: str, **params: Any) -> Any:
@@ -456,11 +429,10 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
             f"{where} must be a kind string or a {{'kind': ...}} "
             f"mapping, got {value!r}"
         ]
-    if not isinstance(kind, str):
-        return [f"{where}: model kind must be a string, got {kind!r}"]
-    family = ENV_REGISTRY[layer].get(_ALIASES[layer].get(kind, kind))
-    if family is None:
-        return [f"{where}: {unknown_model_message(layer, kind)}"]
+    try:
+        family = ENV_REGISTRY[layer].resolve(kind)
+    except ConfigurationError as exc:
+        return [f"{where}: {exc}"]
     problems: List[str] = []
     accepted = family.parameters()
     for name in params:

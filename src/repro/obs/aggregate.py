@@ -1,8 +1,6 @@
 """Record-level aggregation helpers.
 
-Folded in from the pre-observability ``repro.simulation.metrics``
-module (which now re-exports these names for compatibility).  The
-summary statistics are computed through :class:`MetricsRegistry`
+The summary statistics are computed through :class:`MetricsRegistry`
 instruments so they share one implementation with live-run metrics:
 ``StepStatistics.from_records`` is exactly a histogram of the per-step
 clock increments plus two means, and reading it back through the

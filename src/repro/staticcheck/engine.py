@@ -51,6 +51,7 @@ from typing import (
 )
 
 from ..exceptions import ReproError
+from ..registry import Registry
 from .findings import Finding, Severity
 
 #: Rule id for files that cannot be parsed at all.
@@ -141,13 +142,7 @@ class Rule:
         return not any(e in scope_path for e in self.exclude)
 
 
-RULE_REGISTRY: Dict[str, Rule] = {}
-
-
-def _register(rule: Rule) -> None:
-    if rule.id in RULE_REGISTRY:
-        raise StaticCheckError(f"duplicate rule id {rule.id!r}")
-    RULE_REGISTRY[rule.id] = rule
+RULE_REGISTRY: Registry[Rule] = Registry("rule id", "rules", StaticCheckError)
 
 
 def _make_decorator(
@@ -163,7 +158,8 @@ def _make_decorator(
         exclude: Sequence[str] = (),
     ) -> Callable[[Callable], Callable]:
         def wrap(fn: Callable) -> Callable:
-            _register(
+            RULE_REGISTRY.register(
+                rule_id,
                 Rule(
                     id=rule_id,
                     name=name,
@@ -174,7 +170,7 @@ def _make_decorator(
                     exclude=tuple(exclude),
                     check=fn,
                     granularity=granularity,
-                )
+                ),
             )
             return fn
 

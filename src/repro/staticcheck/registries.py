@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .engine import PythonContext, Rule, python_rule, terminal_name
 from .findings import Finding
@@ -70,10 +70,32 @@ def _decorator_name(dec: ast.AST) -> Optional[str]:
     return terminal_name(dec)
 
 
-def _defined_class_names(tree: ast.AST) -> set:
-    return {
-        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+def _direct_constructions(
+    ctx: PythonContext,
+    rule: Rule,
+    is_target: Callable[[str], object],
+    advice: str,
+) -> List[Finding]:
+    """One finding per ``Name(...)`` call whose class name ``is_target``
+    accepts — the visitor REG001/002/004/005 share; they differ only in
+    which names they police and what they advise instead."""
+    findings = []
+    # A module may build instances of its own classes.
+    local_classes = {
+        node.name
+        for node in ast.walk(ctx.tree)
+        if isinstance(node, ast.ClassDef)
     }
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = terminal_name(node.func)
+        if name is None or name in local_classes or not is_target(name):
+            continue
+        findings.append(ctx.finding(
+            rule, node, f"{name}(...) constructed directly; {advice}"
+        ))
+    return findings
 
 
 @python_rule(
@@ -94,23 +116,11 @@ def check_strategy_construction(
     ctx: PythonContext, rule: Rule
 ) -> List[Finding]:
     """Flag direct ``SomeStrategy(...)`` constructions in library code."""
-    findings = []
-    local_classes = _defined_class_names(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = terminal_name(node.func)
-        if name is None or not _STRATEGY_RE.match(name):
-            continue
-        if name in local_classes:
-            continue  # a module may build instances of its own classes
-        findings.append(ctx.finding(
-            rule, node,
-            f"{name}(...) constructed directly; library code should go "
-            "through make_strategy(<scheme>, ...) so registry, spec "
-            "and CLI construction stay identical",
-        ))
-    return findings
+    return _direct_constructions(
+        ctx, rule, _STRATEGY_RE.match,
+        "library code should go through make_strategy(<scheme>, ...) "
+        "so registry, spec and CLI construction stay identical",
+    )
 
 
 @python_rule(
@@ -132,23 +142,11 @@ def check_backend_construction(
     ctx: PythonContext, rule: Rule
 ) -> List[Finding]:
     """Flag direct ``SomeBackend(...)`` constructions in library code."""
-    findings = []
-    local_classes = _defined_class_names(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = terminal_name(node.func)
-        if name is None or not _BACKEND_RE.match(name):
-            continue
-        if name in local_classes:
-            continue
-        findings.append(ctx.finding(
-            rule, node,
-            f"{name}(...) constructed directly; register a backend "
-            "factory with @register_backend and build through the "
-            "BACKEND_REGISTRY",
-        ))
-    return findings
+    return _direct_constructions(
+        ctx, rule, _BACKEND_RE.match,
+        "register a backend factory with @register_backend and build "
+        "through the BACKEND_REGISTRY",
+    )
 
 
 @python_rule(
@@ -171,23 +169,12 @@ def check_placement_construction(
 ) -> List[Finding]:
     """Flag direct ``*Repetition(...)``/``*Placement(...)`` calls in
     library code."""
-    findings = []
-    local_classes = _defined_class_names(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = terminal_name(node.func)
-        if name is None or not _PLACEMENT_RE.match(name):
-            continue
-        if name in local_classes:
-            continue  # a module may build instances of its own classes
-        findings.append(ctx.finding(
-            rule, node,
-            f"{name}(...) constructed directly; library code should go "
-            "through make_placement(<family>, ...) so registry, spec, "
-            "CLI and decode-cache-key construction stay identical",
-        ))
-    return findings
+    return _direct_constructions(
+        ctx, rule, _PLACEMENT_RE.match,
+        "library code should go through make_placement(<family>, ...) "
+        "so registry, spec, CLI and decode-cache-key construction stay "
+        "identical",
+    )
 
 
 @python_rule(
@@ -211,25 +198,13 @@ def check_env_model_construction(
     ctx: PythonContext, rule: Rule
 ) -> List[Finding]:
     """Flag direct environment-model constructions in library code."""
-    findings = []
-    local_classes = _defined_class_names(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = terminal_name(node.func)
-        if name is None or name not in ENV_MODEL_CLASSES:
-            continue
-        if name in local_classes:
-            continue  # a module may build instances of its own classes
-        findings.append(ctx.finding(
-            rule, node,
-            f"{name}(...) constructed directly; library code should go "
-            "through make_delay_model / make_failure_model / "
-            "make_compute_model / make_network_model / "
-            "make_contention_model so registry, spec, CLI and "
-            "fingerprint construction stay identical",
-        ))
-    return findings
+    return _direct_constructions(
+        ctx, rule, ENV_MODEL_CLASSES.__contains__,
+        "library code should go through make_delay_model / "
+        "make_failure_model / make_compute_model / make_network_model / "
+        "make_contention_model so registry, spec, CLI and fingerprint "
+        "construction stay identical",
+    )
 
 
 @python_rule(

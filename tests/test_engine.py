@@ -186,6 +186,15 @@ class TestRegistries:
         finally:
             BACKEND_REGISTRY.pop("toy-flat", None)
 
+    def test_registration_never_silently_overwrites(self):
+        flat, is_gc = BACKEND_REGISTRY["flat"], SCHEME_REGISTRY["is-gc"]
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register_backend("flat")(lambda ctx: None)
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register_scheme("is-gc")(lambda **params: None)
+        assert BACKEND_REGISTRY["flat"] is flat
+        assert SCHEME_REGISTRY["is-gc"] is is_gc
+
     def test_unknown_backend_raises(self):
         spec = _spec("is-gc-cr", wait_for=2, seed=0, backend="warp-drive")
         with pytest.raises(ConfigurationError, match="warp-drive"):

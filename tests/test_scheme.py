@@ -170,6 +170,26 @@ class TestRegistry:
                 def _construct(self):
                     raise AssertionError
 
+    def test_alias_cannot_hijack_a_registered_family(self):
+        from repro.core.scheme import register_placement, resolve_placement
+
+        for claimed in ("fr", "fractional"):
+            with pytest.raises(ConfigurationError, match="already registered"):
+                @register_placement("brand-new", aliases=(claimed,))
+                class Hijack(PlacementScheme):  # pragma: no cover - rejected
+                    def _construct(self):
+                        raise AssertionError
+        assert resolve_placement("fr") is resolve_placement("fractional")
+        assert resolve_placement("fr") is PLACEMENT_REGISTRY["fr"]
+        assert "brand-new" not in PLACEMENT_REGISTRY
+
+    def test_hr_conflict_graph_is_the_ground_truth_builder(self):
+        """HR has no override: Alg. 4's predicate measures slower than
+        the ground truth it must equal (tests/test_conflict.py)."""
+        from repro.core.scheme import HRScheme
+
+        assert HRScheme.conflict_graph is PlacementScheme.conflict_graph
+
 
 # ----------------------------------------------------------------------
 # Protocol behaviour.

@@ -274,6 +274,17 @@ class TestLifecycle:
         assert peer.report.to_dict() == solo.to_dict()
 
     def test_failed_job_is_isolated(self):
+        bad_names = [
+            {"scheme": "nope"},
+            {"backend": "warp-drive"},
+            # Not even strings: what a hand-written JSON payload can
+            # hold.  Must fail as ConfigurationError, not a raw
+            # TypeError from a dict lookup.
+            {"scheme": ["is-gc"]},
+            {"backend": ["flat"]},
+            {"backend": {"kind": "flat"}},
+        ]
+
         async def scenario():
             coord = Coordinator(mode="deterministic", max_running=2)
             bad_spec = ExperimentSpec(
@@ -285,12 +296,21 @@ class TestLifecycle:
                 max_steps=4,
             )
             bad = coord.submit(bad_spec)
+            others = [
+                coord.submit(dataclasses.replace(make_spec(0), **names))
+                for names in bad_names
+            ]
             good = coord.submit(make_spec(1))
             await coord.drain()
             assert bad.state is JobState.FAILED
             assert "nope" in bad.error
             with pytest.raises(JobFailedError, match="nope"):
                 await bad.result()
+            for handle, names in zip(others, bad_names):
+                (name,) = names.values()
+                assert handle.state is JobState.FAILED
+                assert "ConfigurationError" in handle.error
+                assert repr(name) in handle.error
             assert good.state is JobState.DONE
             return good
 

@@ -190,6 +190,37 @@ class TestRules:
         with pytest.raises(ConfigurationError, match=r"accepted: \(none\)"):
             _spec(scheme="sync-sgd", rule="async", rule_params={"lr": 1})
 
+    @pytest.mark.parametrize("field, name, message", [
+        ("scheme", "is-gc-cx",
+         "unknown scheme 'is-gc-cx' — did you mean 'is-gc-cr' or "),
+        ("backend", "flatt",
+         "unknown backend 'flatt' — did you mean 'flat'? "
+         "(registered backends: "),
+        ("scheme", ["is-gc"], "scheme must be a string, got ['is-gc']"),
+        ("scheme", 7, "scheme must be a string, got 7"),
+        ("backend", ["flat"], "backend must be a string, got ['flat']"),
+        ("backend", {"kind": "flat"}, "backend must be a string, got {"),
+    ], ids=[
+        "scheme-typo", "backend-typo", "scheme-list", "scheme-int",
+        "backend-list", "backend-table",
+    ])
+    def test_bad_scheme_or_backend_name_rejected(
+        self, tmp_path, capsys, field, name, message
+    ):
+        """A name arriving from a spec file — typo, list, table — is a
+        ConfigurationError (``repro run``: ``error: ...``, exit 2),
+        never a raw TypeError from a dict lookup."""
+        from repro import cli
+
+        payload = {**_spec().to_dict(), field: name}
+        with pytest.raises(ConfigurationError) as exc:
+            run_spec(ExperimentSpec.from_dict(payload))
+        assert message in str(exc.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["run", str(path)]) == 2
+        assert f"error: {exc.value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rule, params", [
         ("adaptive", {"review_every": 0}),
         ("adaptive", {"min_recovery_gain": 7.0}),
