@@ -21,9 +21,12 @@ Two sections:
   :class:`~repro.parallel.DecodeCache`, asserting bit-identical
   results and recording the hit rate and time saved.
 * **batch-decode** — the same mask stream through ``decode_batch``
-  versus the per-mask loop, asserting **>= 10x** speedup on the smoke
-  grid, bit-for-bit identical selections *and* generator stream, plus
-  looped/batched equivalence for every registered placement family.
+  versus the per-mask loop, asserting bit-for-bit identical selections
+  *and* generator stream, plus looped/batched equivalence for every
+  registered placement family.  The batched-over-looped ratio is
+  *reported, not asserted*: it is machine-relative and falls when the
+  looped path gets faster; absolute cost per mask of the batch, looped
+  and cached paths is tracked by ``decode_mc`` in ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ def bench_batch_decode(smoke: bool) -> dict:
     masks = _random_masks(placement.num_workers, num_masks, seed=3)
 
     # Both sides are timed as the best of two runs (fresh identically
-    # seeded generators each run) so a scheduler hiccup on either side
-    # cannot decide the speedup assertion.
+    # seeded generators each run) to damp scheduler hiccups in the
+    # reported ratio.
     mask_lists = [np.flatnonzero(row).tolist() for row in masks]
     looped_s = float("inf")
     for _ in range(2):
@@ -257,7 +260,6 @@ def bench_batch_decode(smoke: bool) -> dict:
         "looped_seconds": looped_s,
         "batched_seconds": batched_s,
         "speedup": speedup,
-        "speedup_ok": speedup >= 10.0,
         "bit_identical": bool(bit_identical),
         "families": families,
         "families_ok": all(families.values()),
@@ -331,10 +333,6 @@ def main(argv=None) -> int:
     if not (batch["bit_identical"] and batch["families_ok"]):
         print("FAIL: batched decoding diverged from the looped "
               "reference", file=sys.stderr)
-        return 1
-    if not batch["speedup_ok"]:
-        print(f"FAIL: batched decode speedup {batch['speedup']:.1f}x "
-              "is below the required 10x", file=sys.stderr)
         return 1
     return 0
 

@@ -42,24 +42,6 @@ class RecoveryStats:
         )
 
 
-def _stack_results(masks, results, num_partitions) -> BatchDecodeResult:
-    """Looped decode results as the batch's column-oriented arrays."""
-    trials = masks.shape[0]
-    selected = np.zeros_like(masks)
-    recovered = np.zeros((trials, num_partitions), dtype=bool)
-    searches = np.empty(trials, dtype=np.intp)
-    for t, res in enumerate(results):
-        selected[t, list(res.selected_workers)] = True
-        recovered[t, list(res.recovered_partitions)] = True
-        searches[t] = res.num_searches
-    return BatchDecodeResult(
-        available=masks,
-        selected=selected,
-        recovered=recovered,
-        num_searches=searches,
-    )
-
-
 def monte_carlo_recovery(
     placement: Placement,
     wait_for: int,
@@ -98,7 +80,9 @@ def monte_carlo_recovery(
             available = rng.choice(n, size=wait_for, replace=False)
             masks[t, available] = True
             results.append(dec.decode(available.tolist()))
-        batch = _stack_results(masks, results, placement.num_partitions)
+        batch = BatchDecodeResult.from_results(
+            masks, results, placement.num_partitions
+        )
     arr = batch.num_recovered
     freq = batch.recovered.sum(axis=0).astype(float)
     return RecoveryStats(

@@ -73,7 +73,7 @@ def cyclic_b_matrix(
 def decode_vector(
     b_matrix: np.ndarray,
     surviving_rows: list[int] | tuple[int, ...],
-    rcond: float = 1e-10,
+    rcond: float | None = None,
     atol: float = 1e-6,
 ) -> np.ndarray:
     """Find ``a`` with ``aᵀ · B[surv] = 𝟙ᵀ`` (the classic GC decode step).
@@ -81,6 +81,12 @@ def decode_vector(
     Returns the coefficient vector ``a`` (one weight per surviving
     worker).  Raises :class:`CodingError` when the all-ones vector is
     not in the row span — i.e. when too many workers straggled.
+
+    ``rcond=None`` is LAPACK's machine-precision cut-off.  A random
+    :func:`cyclic_b_matrix` draw can have entries ~1e4 and genuine
+    singular values ~1e-11 of the largest; a coarser cut-off truncates
+    those and rejects a legal straggler pattern, so span membership is
+    decided by the ``atol`` residual check alone.
     """
     rows = np.asarray(surviving_rows, dtype=int)
     if rows.size == 0:

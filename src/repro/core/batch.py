@@ -11,8 +11,11 @@ the speed on the table.  This module is the data layer behind
 * conflict graphs become ``(n, n)`` boolean adjacency matrices
   (:func:`circulant_adjacency` for the CR/HR circles,
   :func:`conflict_adjacency` for any pairwise predicate);
-* the FR/CR/HR greedy selection walks run vectorized across every
-  (mask, start) pair at once (:func:`batched_greedy_chains`);
+* the clockwise greedy walk of Algs. 2/3 exists exactly twice — one
+  mask at a time (:func:`greedy_chain`) and across every (mask, start)
+  pair at once (:func:`batched_greedy_chains`) — both driven by an
+  adjacency, with the start vertices of a ``c``-window read off the
+  sorted survivors by :func:`window_starts`;
 * results stay column-oriented in a :class:`BatchDecodeResult` so
   consumers (recovery stats, variance moments) can keep doing linear
   algebra instead of iterating ``DecodeResult`` objects.
@@ -28,9 +31,19 @@ generator in the identical stream position as the looped path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -51,16 +64,27 @@ def validate_mask(available_workers: Iterable[int], num_workers: int):
     """Validate one availability mask; return its frozenset.
 
     The canonical checks every decoder family shares, in a fixed order:
-    empty masks, duplicate worker ids, then out-of-range ids — each
+    empty masks, non-integer worker ids (``bool`` included — ``True``
+    is not worker 1), duplicate ids, then out-of-range ids — each
     raising :class:`~repro.exceptions.DecodeError` with one message
     shape.  Both :meth:`Decoder.decode` and every ``decode_batch``
     implementation route through here, so malformed input fails
     identically on either path.
     """
     workers = list(available_workers)
-    available = frozenset(workers)
-    if not available:
+    if not workers:
         raise DecodeError("cannot decode with zero available workers")
+    bad_types = {
+        t
+        for t in set(map(type, workers))
+        if t is bool or not issubclass(t, (int, np.integer))
+    }
+    if bad_types:
+        raise DecodeError(
+            "available workers must be integer ids, got "
+            f"{[w for w in workers if type(w) in bad_types]!r}"
+        )
+    available = frozenset(workers)
     if len(workers) != len(available):
         seen: set = set()
         dups: set = set()
@@ -135,6 +159,16 @@ def enumerate_masks(num_workers: int, size: int) -> np.ndarray:
     return avail
 
 
+def mask_members(avail: np.ndarray) -> Iterator[List[int]]:
+    """Each row's available worker ids, ascending, as plain python ints
+    (one ``nonzero`` pass for the whole batch, so per-mask fairness
+    draws work on lists and leave numpy to the generator calls)."""
+    flat = np.nonzero(avail)[1].tolist()
+    bounds = np.concatenate(([0], np.cumsum(avail.sum(axis=1)))).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield flat[lo:hi]
+
+
 # ----------------------------------------------------------------------
 # Graph and placement bitset representations.
 
@@ -176,7 +210,58 @@ def partition_matrix(placement: Placement) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# The vectorized greedy-chain kernel (Algs. 2/3 inner loop).
+# The clockwise greedy walk (Algs. 2/3 inner loop): scalar and batched.
+
+
+def window_starts(
+    members: Sequence[int], index: int, c: int, n: int
+) -> List[int]:
+    """Alg. 2's start vertices: the available members of the clockwise
+    window ``{u, u+1, …, u+c-1}`` on an ``n``-circle, ascending, where
+    ``u = members[index]`` and ``members`` is the ascending list of
+    available vertices.  Read straight off the sorted list: the run
+    from ``index`` up while ``< u+c``, preceded (when the window wraps
+    past ``n``) by the prefix below ``u+c-n``.  Needs ``c <= n``."""
+    size = len(members)
+    top = members[index] + c
+    starts: List[int] = []
+    if top > n:
+        k = 0
+        while k < index and members[k] < top - n:
+            starts.append(members[k])
+            k += 1
+    k = index
+    while k < size and members[k] < top:
+        starts.append(members[k])
+        k += 1
+    return starts
+
+
+def greedy_chain(
+    adj: Sequence[Sequence[bool]], members: Sequence[int], start: int
+) -> FrozenSet[int]:
+    """One clockwise greedy walk (Alg. 2 lines 4-12, Alg. 3's loop).
+
+    From ``start``, visit the other available vertices clockwise and
+    admit a candidate iff it is adjacent (in ``adj``) to neither the
+    last admitted vertex nor the start.  Consecutive + wrap checks
+    suffice for pairwise independence: on a circulant, gaps ``>= c``
+    sum to arcs ``>= c``; under Alg. 4, by Theorem 9's monotonicity.
+
+    ``members`` is the ascending list of available vertices (it must
+    contain ``start``); ``adj`` is any ``adj[a][b]`` adjacency — pass
+    ``matrix.tolist()``, nested lists index an order of magnitude
+    faster than numpy scalars.  Row for row this is
+    :func:`batched_greedy_chains` (pinned by a hypothesis property).
+    """
+    at = bisect_left(members, start)
+    near_start = near_last = adj[start]
+    chain = [start]
+    for cand in members[at + 1:] + members[:at]:
+        if not (near_last[cand] or near_start[cand]):
+            chain.append(cand)
+            near_last = adj[cand]
+    return frozenset(chain)
 
 
 def batched_greedy_chains(
@@ -184,14 +269,14 @@ def batched_greedy_chains(
 ) -> np.ndarray:
     """Run every clockwise greedy walk of a batch at once.
 
-    Reproduces, per row, exactly the scalar walk shared by the CR and
-    HR decoders: start at ``starts[p]``, scan offsets ``1..n-1``
-    clockwise, and admit candidate ``(start + offset) % n`` iff it is
-    available and adjacent (in ``adj``) to neither the last admitted
-    vertex nor the start.  The CR condition ``circular_distance >= c``
-    is exactly non-adjacency in the circulant graph, and the HR Alg. 4
-    predicate is exactly adjacency in :func:`conflict_adjacency`, so
-    one kernel serves both.
+    Reproduces, per row, exactly :func:`greedy_chain`: start at
+    ``starts[p]``, scan offsets ``1..n-1`` clockwise, and admit
+    candidate ``(start + offset) % n`` iff it is available and adjacent
+    (in ``adj``) to neither the last admitted vertex nor the start.
+    The CR condition ``circular_distance >= c`` is exactly
+    non-adjacency in the circulant graph, and the HR Alg. 4 predicate
+    is exactly adjacency in :func:`conflict_adjacency`, so one kernel
+    serves both.
 
     Parameters are ``adj`` ``(n, n)`` bool (``False`` diagonal),
     ``avail_rows`` ``(P, n)`` bool (the mask each walk runs under), and
@@ -271,6 +356,30 @@ class BatchDecodeResult:
     recovered: np.ndarray
     #: (num_masks,) int — greedy searches run per mask.
     num_searches: np.ndarray
+
+    @classmethod
+    def from_results(
+        cls,
+        available: np.ndarray,
+        results: Iterable[DecodeResult],
+        num_partitions: int,
+    ) -> "BatchDecodeResult":
+        """Looped ``decode`` results (one per row of ``available``) as
+        the batch's column-oriented arrays."""
+        num_masks = available.shape[0]
+        selected = np.zeros_like(available)
+        recovered = np.zeros((num_masks, num_partitions), dtype=bool)
+        searches = np.empty(num_masks, dtype=np.intp)
+        for i, res in enumerate(results):
+            selected[i, list(res.selected_workers)] = True
+            recovered[i, list(res.recovered_partitions)] = True
+            searches[i] = res.num_searches
+        return cls(
+            available=available,
+            selected=selected,
+            recovered=recovered,
+            num_searches=searches,
+        )
 
     def __len__(self) -> int:
         return self.available.shape[0]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import abc
 import warnings
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -212,8 +213,8 @@ class Decoder(abc.ABC):
         ----------
         available_workers:
             The workers ``W'`` whose coded gradients the master received
-            this step.  Must be non-empty, duplicate-free and within
-            ``[0, n)`` — validated by the shared
+            this step.  Must be non-empty, duplicate-free integer ids
+            within ``[0, n)`` — validated by the shared
             :func:`~repro.core.batch.validate_mask`, so malformed
             masks raise the same :class:`DecodeError` here as on the
             batched path, for every decoder family.
@@ -276,22 +277,10 @@ class Decoder(abc.ABC):
         )
         if originals is None:
             originals = [np.flatnonzero(row) for row in avail]
-        results = [self.decode(mask) for mask in originals]
-        num_masks = avail.shape[0]
-        selected = np.zeros_like(avail)
-        recovered = np.zeros(
-            (num_masks, self._placement.num_partitions), dtype=bool
-        )
-        searches = np.empty(num_masks, dtype=np.intp)
-        for i, res in enumerate(results):
-            selected[i, list(res.selected_workers)] = True
-            recovered[i, list(res.recovered_partitions)] = True
-            searches[i] = res.num_searches
-        return BatchDecodeResult(
-            available=avail,
-            selected=selected,
-            recovered=recovered,
-            num_searches=searches,
+        return BatchDecodeResult.from_results(
+            avail,
+            [self.decode(mask) for mask in originals],
+            self._placement.num_partitions,
         )
 
     # ------------------------------------------------------------------
@@ -320,7 +309,7 @@ class Decoder(abc.ABC):
             )
         # float64 matmul takes the BLAS path (integer matmul does not);
         # counts are small exact integers either way.
-        counts = selected.astype(np.float64) @ self._partition_matrix_f64()
+        counts = selected.astype(np.float64) @ self._partition_matrix_f64
         if (counts > 1.5).any():
             row, part = (int(v) for v in np.argwhere(counts > 1.5)[0])
             raise DecodeError(
@@ -345,15 +334,12 @@ class Decoder(abc.ABC):
             num_searches=searches,
         )
 
+    @cached_property
     def _partition_matrix_f64(self) -> np.ndarray:
         """The placement's worker→partition indicator as a float matrix
-        (computed once per decoder; used to batch recovery + the
-        disjointness check via one matrix product)."""
-        mat = getattr(self, "_pmat_f64", None)
-        if mat is None:
-            mat = partition_matrix(self._placement).astype(np.float64)
-            self._pmat_f64 = mat
-        return mat
+        (used to batch recovery + the disjointness check via one matrix
+        product)."""
+        return partition_matrix(self._placement).astype(np.float64)
 
     # ------------------------------------------------------------------
     def _memo(

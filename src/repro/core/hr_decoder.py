@@ -1,7 +1,9 @@
 """Decoder for hybrid repetition — Alg. 3 + Alg. 4 of the paper.
 
 The general HR conflict graph is "FR-like within a group, CR-like across
-neighbouring groups".  Alg. 3 adapts the CR greedy walk:
+neighbouring groups".  Alg. 3 adapts the CR greedy walk
+(:class:`~repro.core.cr_decoder.ChainDecoder` — same walk, same
+reducers, different adjacency and seeding):
 
 * start vertices are the available workers of **one random non-empty
   group** (Theorem 8: some maximum independent set touches any group
@@ -9,41 +11,37 @@ neighbouring groups".  Alg. 3 adapts the CR greedy walk:
 * the clockwise walk admits a candidate iff it conflicts with neither
   the previously admitted vertex nor the start vertex, where conflict is
   the closed-form predicate of Alg. 4 (within-group completeness plus
-  neighbouring-group CR spill-over).
+  neighbouring-group CR spill-over), tabulated once as an adjacency
+  matrix.
 
 Consecutive + wrap checks suffice for pairwise independence by the
 observation in Theorem 9 (conflict "monotonicity" along the circle).
 
 Special cases route to simpler algorithms:
 
-* ``c1 = 0`` or ``g = 1`` → the placement *is* CR, use the CR walk;
+* ``c1 = 0`` or ``g = 1`` → the placement *is* CR (Theorems 5–7), so
+  nothing is overridden: the inherited Alg. 2 code runs as is, under
+  HR's own memo kind;
 * ``c2 = 0`` → groups are conflict-isolated; decode each group
-  independently with the CR walk on its local circle (which degenerates
+  independently with Alg. 2 on its local circle (which degenerates
   to "pick one worker per group" when ``n0 ≤ 2c - 1``, i.e. FR).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Tuple
+from functools import cached_property
+from typing import Dict, List
 
 import numpy as np
 
-from ..graphs.circulant import circular_distance
-from .batch import (
-    BatchDecodeResult,
-    MaskBatch,
-    batched_greedy_chains,
-    circulant_adjacency,
-    conflict_adjacency,
-    masks_to_array,
-    segment_argmax,
-)
-from .decoders import Decoder, Selection, register_decoder
+from .batch import circulant_adjacency, conflict_adjacency
+from .cr_decoder import ChainDecoder, Segment
+from .decoders import register_decoder
 from .hybrid import HybridRepetition
 
 
 @register_decoder("hr")
-class HRDecoder(Decoder):
+class HRDecoder(ChainDecoder):
     """Alg. 3/4: group-seeded greedy walk with the HR conflict predicate."""
 
     def __init__(self, placement: HybridRepetition, *, rng=None, cache=None):
@@ -53,349 +51,44 @@ class HRDecoder(Decoder):
                 f"got {type(placement).__name__}"
             )
         super().__init__(placement, rng=rng, cache=cache)
-
-    def _decode(self, available: FrozenSet[int]) -> Selection:
-        placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        n = placement.num_workers
-        c = placement.partitions_per_worker
-
         if placement.c1 == 0 or placement.num_groups == 1:
-            return self._cr_walk(available, n, c)
-        if placement.c2 == 0:
-            return self._per_group(available)
-        return self._general_walk(available)
-
-    def decode_batch(self, masks: MaskBatch) -> BatchDecodeResult:
-        """Vectorized Algs. 3/4 across a whole mask batch.
-
-        Mirrors :meth:`_decode`'s three cases.  In every case the
-        fairness draws (seed vertex / seed group, start-order shuffle)
-        happen per mask in batch order with identical generator
-        consumption to the looped path, and only the deterministic
-        walks run through the vectorized kernel — so the batch is
-        bit-for-bit identical to looping :meth:`decode`.
-        """
-        placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        n = placement.num_workers
-        c = placement.partitions_per_worker
-        avail, _ = masks_to_array(masks, n)
-
-        if placement.c1 == 0 or placement.num_groups == 1:
-            # HR(n, 0, c) ≡ CR(n, c): window-seeded walks on the global
-            # circle (circular distance ≥ c ⟺ non-adjacent in C_n^{1..c-1}).
-            offsets = np.arange(c)
-
-            def starts_for(row: np.ndarray, members: np.ndarray) -> List[int]:
-                u = int(members[self._rng.integers(members.size)])
-                return sorted(int(v) for v in (u + offsets) % n if row[v])
-
-            selected, searches = self._batch_walks(
-                avail, "hr-cr-chain", circulant_adjacency(n, c), starts_for
-            )
+            self._kind = "hr-cr-chain"
         elif placement.c2 == 0:
-            selected, searches = self._batch_per_group(avail)
+            self._kind = "hr-group-chain"
         else:
-            # General HR: seed one random non-empty group, start from
-            # each of its survivors, walk under the Alg. 4 predicate
-            # (⟺ adjacency in the conflict matrix).
-            n0 = placement.group_size
+            self._kind = "hr-general-chain"
 
-            def starts_for(row: np.ndarray, members: np.ndarray) -> List[int]:
-                groups = np.unique(members // n0)
-                group = int(groups[self._rng.integers(groups.size)])
-                return members[members // n0 == group].tolist()
-
-            selected, searches = self._batch_walks(
-                avail, "hr-general-chain", self._conflict_adj(), starts_for
-            )
-        return self._finalize_batch(avail, selected, searches)
-
-    def _conflict_adj(self) -> np.ndarray:
-        """Alg. 4 conflict matrix, built once per decoder."""
-        adj = getattr(self, "_adj", None)
-        if adj is None:
-            adj = conflict_adjacency(self._placement)
-            self._adj = adj
-        return adj
-
-    # ------------------------------------------------------------------
-    def _batch_walks(
-        self,
-        avail: np.ndarray,
-        kind: str,
-        adj: np.ndarray,
-        starts_for,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Shared batched walk for the whole-circle cases: per-mask RNG
-        start lists in batch order, one kernel run for every
-        (mask, start) pair, first strictly-largest chain per mask."""
-        num_masks = avail.shape[0]
-        cache = self._cache
-        all_starts: List[int] = []
-        row_of: List[int] = []
-        searches = np.empty(num_masks, dtype=np.intp)
-        row_fsets: List[FrozenSet[int]] = []
-        for i in range(num_masks):
-            members = np.flatnonzero(avail[i])
-            starts = starts_for(avail[i], members)
-            self._rng.shuffle(starts)
-            searches[i] = len(starts)
-            all_starts.extend(starts)
-            row_of.extend([i] * len(starts))
-            if cache is not None:
-                row_fsets.append(frozenset(members.tolist()))
-
-        rows_arr = np.asarray(row_of, dtype=np.intp)
-        starts_arr = np.asarray(all_starts, dtype=np.intp)
-        selected = np.zeros_like(avail)
-        if cache is None:
-            chains = batched_greedy_chains(adj, avail[rows_arr], starts_arr)
-            winners = segment_argmax(
-                chains.sum(axis=1).tolist(), searches.tolist()
-            )
-            selected = chains[winners]
-        else:
-            keys = [
-                (row_fsets[i], start)
-                for i, start in zip(row_of, all_starts)
-            ]
-            fset_row: dict = {}
-            for i, fs in enumerate(row_fsets):
-                fset_row.setdefault(fs, i)
-
-            def compute_missing(missing):
-                miss_rows = np.asarray(
-                    [fset_row[fs] for fs, _ in missing], dtype=np.intp
-                )
-                miss_starts = np.asarray(
-                    [start for _, start in missing], dtype=np.intp
-                )
-                miss_chains = batched_greedy_chains(
-                    adj, avail[miss_rows], miss_starts
-                )
-                return [
-                    frozenset(np.flatnonzero(row).tolist())
-                    for row in miss_chains
-                ]
-
-            chain_sets = self._memo_batch(kind, keys, compute_missing)
-            winners = segment_argmax(
-                [len(s) for s in chain_sets], searches.tolist()
-            )
-            for i, w in enumerate(winners):
-                selected[i, list(chain_sets[w])] = True
-        return selected, searches
-
-    def _batch_per_group(
-        self, avail: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched grouped-CR case (c2 = 0): every non-empty
-        (mask, group) pair is one segment of walks on its local
-        n0-circle; winners union into the global selection."""
+    @cached_property
+    def _adj(self) -> np.ndarray:
+        """The global circulant (CR case), one group's local circulant
+        (``c2 = 0``), or the Alg. 4 conflict matrix (general HR)."""
         placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        n0 = placement.group_size
-        num_groups = placement.num_groups
-        c = placement.partitions_per_worker
-        num_masks = avail.shape[0]
-        cache = self._cache
-        local = avail.reshape(num_masks, num_groups, n0)
-        offsets = np.arange(c)
-
-        seg_mask: List[int] = []
-        seg_group: List[int] = []
-        seg_len: List[int] = []
-        walk_mask: List[int] = []
-        walk_group: List[int] = []
-        all_starts: List[int] = []
-        searches = np.zeros(num_masks, dtype=np.intp)
-        row_fsets: List[FrozenSet[int]] = []
-        for i in range(num_masks):
-            if cache is not None:
-                row_fsets.append(
-                    frozenset(np.flatnonzero(avail[i]).tolist())
-                )
-            for group in range(num_groups):
-                lrow = local[i, group]
-                members = np.flatnonzero(lrow)
-                if not members.size:
-                    continue
-                u = int(members[self._rng.integers(members.size)])
-                starts = sorted(
-                    int(v) for v in (u + offsets) % n0 if lrow[v]
-                )
-                self._rng.shuffle(starts)
-                searches[i] += len(starts)
-                seg_mask.append(i)
-                seg_group.append(group)
-                seg_len.append(len(starts))
-                for start in starts:
-                    walk_mask.append(i)
-                    walk_group.append(group)
-                    all_starts.append(start)
-
-        walk_mask_arr = np.asarray(walk_mask, dtype=np.intp)
-        walk_group_arr = np.asarray(walk_group, dtype=np.intp)
-        starts_arr = np.asarray(all_starts, dtype=np.intp)
-        adj0 = circulant_adjacency(n0, c)
-        selected = np.zeros_like(avail)
-        selected_local = selected.reshape(num_masks, num_groups, n0)
-        seg_mask_arr = np.asarray(seg_mask, dtype=np.intp)
-        seg_group_arr = np.asarray(seg_group, dtype=np.intp)
-        if cache is None:
-            chains = batched_greedy_chains(
-                adj0, local[walk_mask_arr, walk_group_arr], starts_arr
+        if self._kind == "hr-cr-chain":
+            return super()._adj
+        if self._kind == "hr-group-chain":
+            return circulant_adjacency(
+                placement.group_size, placement.partitions_per_worker
             )
-            winners = segment_argmax(chains.sum(axis=1).tolist(), seg_len)
-            selected_local[seg_mask_arr, seg_group_arr] = chains[winners]
-        else:
-            keys = [
-                (row_fsets[m], (g, s))
-                for m, g, s in zip(walk_mask, walk_group, all_starts)
-            ]
-            key_walk: dict = {}
-            for w, key in enumerate(keys):
-                key_walk.setdefault(key, w)
+        return conflict_adjacency(placement)
 
-            def compute_missing(missing):
-                walks = [key_walk[(fs, extra)] for fs, extra in missing]
-                idx = np.asarray(walks, dtype=np.intp)
-                miss_chains = batched_greedy_chains(
-                    adj0,
-                    local[walk_mask_arr[idx], walk_group_arr[idx]],
-                    starts_arr[idx],
-                )
-                return [
-                    frozenset(np.flatnonzero(row).tolist())
-                    for row in miss_chains
-                ]
-
-            chain_sets = self._memo_batch(
-                "hr-group-chain", keys, compute_missing
-            )
-            winners = segment_argmax([len(s) for s in chain_sets], seg_len)
-            for j, w in enumerate(winners):
-                selected_local[seg_mask[j], seg_group[j], list(chain_sets[w])] = True
-        return selected, np.maximum(searches, 1)
-
-    # ------------------------------------------------------------------
-    # Pure-CR degenerate case
-    # ------------------------------------------------------------------
-    def _cr_walk(self, available: FrozenSet[int], n: int, c: int) -> Selection:
-        """Alg. 2 on the global circle (HR(n, 0, c) ≡ CR(n, c))."""
-        u = int(self._rng.choice(sorted(available)))
-        starts = sorted({(u + v) % n for v in range(c)} & available)
-        # Random start order keeps tie-breaking fair (see CRDecoder).
+    def _draw_starts(self, members: List[int]) -> List[Segment]:
+        if self._kind == "hr-cr-chain":
+            return super()._draw_starts(members)
+        n0 = self._placement.group_size  # type: ignore[attr-defined]
+        by_group: Dict[int, List[int]] = {}
+        for worker in members:
+            by_group.setdefault(worker // n0, []).append(worker)
+        if self._kind == "hr-group-chain":
+            # Alg. 2 per non-empty group, on circle-local ids.
+            segments = []
+            for group, workers in by_group.items():
+                local = [worker - group * n0 for worker in workers]
+                segments.append((group, local, self._draw_window(local)))
+            return segments
+        # Alg. 3: seed one random non-empty group and start from each
+        # of its survivors — "as long as i is randomly permutated,
+        # gradients on each worker have an equal chance".
+        groups = list(by_group)
+        starts = by_group[groups[int(self._rng.integers(len(groups)))]]
         self._rng.shuffle(starts)
-        best: FrozenSet[int] = frozenset()
-        for start in starts:
-            # Pure in (mask, start) — memoisable; RNG draws stay live.
-            chain = self._memo(
-                "hr-cr-chain",
-                available,
-                start,
-                lambda start=start: self._circle_chain(start, available, n, c),
-            )
-            if len(chain) > len(best):
-                best = chain
-        return Selection(best, len(starts))
-
-    @staticmethod
-    def _circle_chain(
-        start: int, available: FrozenSet[int], n: int, c: int
-    ) -> FrozenSet[int]:
-        """Deterministic clockwise greedy walk on an ``n``-circle."""
-        chain: List[int] = [start]
-        last = start
-        for offset in range(1, n):
-            cand = (start + offset) % n
-            if cand not in available:
-                continue
-            if (
-                circular_distance(last, cand, n) >= c
-                and circular_distance(cand, start, n) >= c
-            ):
-                chain.append(cand)
-                last = cand
-        return frozenset(chain)
-
-    # ------------------------------------------------------------------
-    # Grouped-CR case (c2 = 0): groups are conflict-isolated
-    # ------------------------------------------------------------------
-    def _per_group(self, available: FrozenSet[int]) -> Selection:
-        placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        n0 = placement.group_size
-        c = placement.partitions_per_worker
-        selected: set[int] = set()
-        searches = 0
-        for group in range(placement.num_groups):
-            base = group * n0
-            local_avail = frozenset(
-                w - base for w in available if base <= w < base + n0
-            )
-            if not local_avail:
-                continue
-            u = int(self._rng.choice(sorted(local_avail)))
-            starts = sorted({(u + v) % n0 for v in range(c)} & local_avail)
-            self._rng.shuffle(starts)
-            best_local: FrozenSet[int] = frozenset()
-            for start in starts:
-                searches += 1
-                # local_avail is a pure projection of the global mask, so
-                # keying on (mask, group, start) is sound.
-                chain = self._memo(
-                    "hr-group-chain",
-                    available,
-                    (group, start),
-                    lambda start=start: self._circle_chain(
-                        start, local_avail, n0, c
-                    ),
-                )
-                if len(chain) > len(best_local):
-                    best_local = chain
-            selected |= {base + v for v in best_local}
-        return Selection(frozenset(selected), max(searches, 1))
-
-    # ------------------------------------------------------------------
-    # General HR (c1 > 0 and c2 > 0): Alg. 3
-    # ------------------------------------------------------------------
-    def _general_walk(self, available: FrozenSet[int]) -> Selection:
-        placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        n0 = placement.group_size
-        non_empty = sorted({w // n0 for w in available})
-        group = int(self._rng.choice(non_empty))
-        starts = sorted(
-            w for w in available if w // n0 == group
-        )
-        # Alg. 3: "as long as i is randomly permutated, gradients on each
-        # worker have an equal chance" — permute the start order.
-        self._rng.shuffle(starts)
-        best: FrozenSet[int] = frozenset()
-        for start in starts:
-            chain = self._memo(
-                "hr-general-chain",
-                available,
-                start,
-                lambda start=start: self._conflict_chain(start, available),
-            )
-            if len(chain) > len(best):
-                best = chain
-        return Selection(best, len(starts))
-
-    def _conflict_chain(
-        self, start: int, available: FrozenSet[int]
-    ) -> FrozenSet[int]:
-        """Deterministic Alg. 3 walk under the Alg. 4 conflict predicate."""
-        placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        n = placement.num_workers
-        chain: List[int] = [start]
-        last = start
-        for offset in range(1, n):
-            cand = (start + offset) % n
-            if cand not in available:
-                continue
-            if not placement.conflicts_fast(last, cand) and not (
-                placement.conflicts_fast(cand, start)
-            ):
-                chain.append(cand)
-                last = cand
-        return frozenset(chain)
+        return [(0, members, starts)]

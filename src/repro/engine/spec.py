@@ -59,7 +59,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
-from ..env import Environment
+from ..env import LAYERS, Environment
 from ..exceptions import ConfigurationError
 from ..registry import Registry
 from ..straggler.models import DelayModel
@@ -127,11 +127,30 @@ def make_strategy(
 # ----------------------------------------------------------------------
 # Built-in schemes.  Lazy imports keep engine ↔ training acyclic.
 
+#: ``scheme_params`` every built-in scheme accepts, used or not, so one
+#: params table can be shared across a ``scheme`` grid.
+_COMMON_SCHEME_PARAMS = ("seed", "policy", "cache")
+
+
+def _reject_unknown_params(scheme: str, params: Mapping[str, Any], *own: str):
+    """A built-in factory's leftover ``**params`` are typos: fail like
+    a misspelt ``rule_params`` key instead of dropping them."""
+    accepted = own + _COMMON_SCHEME_PARAMS
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown scheme_params for scheme {scheme!r}: "
+            f"{_did_you_mean(unknown, accepted)}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+
+
 @register_scheme("sync-sgd")
 def _sync_sgd(*, num_workers, partitions_per_worker=1, wait_for=None,
               rng=None, **params):
     from ..training.strategies import SyncSGDStrategy
 
+    _reject_unknown_params("sync-sgd", params)
     return SyncSGDStrategy(num_workers)
 
 
@@ -140,6 +159,7 @@ def _is_sgd(*, num_workers, partitions_per_worker=1, wait_for=None,
             rng=None, policy=None, **params):
     from ..training.strategies import ISSGDStrategy
 
+    _reject_unknown_params("is-sgd", params)
     if wait_for is None:
         raise ConfigurationError("scheme 'is-sgd' needs wait_for")
     return ISSGDStrategy(num_workers, wait_for, policy=policy)
@@ -151,6 +171,7 @@ def _classic_gc(*, num_workers, partitions_per_worker=1, wait_for=None,
     from ..core.scheme import make_placement
     from ..training.strategies import ClassicGCStrategy
 
+    _reject_unknown_params("gc", params)
     placement = make_placement(
         "cr", num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
@@ -180,6 +201,7 @@ def _isgc_fr(*, num_workers, partitions_per_worker=1, wait_for=None,
              rng=None, policy=None, cache=None, **params):
     from ..core.scheme import make_placement
 
+    _reject_unknown_params("is-gc-fr", params)
     placement = make_placement(
         "fr", num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
@@ -192,6 +214,7 @@ def _isgc_cr(*, num_workers, partitions_per_worker=1, wait_for=None,
              rng=None, policy=None, cache=None, **params):
     from ..core.scheme import make_placement
 
+    _reject_unknown_params("is-gc-cr", params)
     placement = make_placement(
         "cr", num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
@@ -205,6 +228,7 @@ def _isgc_hr(*, num_workers, partitions_per_worker=1, wait_for=None,
              cache=None, **params):
     from ..core.scheme import make_placement
 
+    _reject_unknown_params("is-gc-hr", params, "c1", "c2", "num_groups")
     if c1 is None or c2 is None or num_groups is None:
         raise ConfigurationError(
             "scheme 'is-gc-hr' needs c1, c2 and num_groups params"
@@ -688,15 +712,23 @@ def _build_environment(spec: ExperimentSpec) -> Environment:
     ``compute:``/``network:`` parameter mappings build the ``uniform``
     families as before.
     """
-    delay = dict(spec.delay) if spec.delay else dict(_DEFAULT_DELAY)
-    delay.setdefault("kind", "exponential")
-    return Environment(
-        delay=delay,
-        failure=dict(spec.failure) if spec.failure else None,
-        compute=dict(spec.compute) if spec.compute else None,
-        network=dict(spec.network) if spec.network else None,
-        contention=dict(spec.contention) if spec.contention else None,
-    )
+    sections: Dict[str, Any] = {}
+    for name in LAYERS:
+        value = getattr(spec, name)
+        if isinstance(value, Mapping):
+            value = dict(value)
+        elif value is not None and not isinstance(value, str):
+            raise ConfigurationError(
+                f"spec section {name!r} must be a kind string or a "
+                f"{{'kind': ...}} mapping, got {value!r}"
+            )
+        # An empty section asks for the layer's default.
+        sections[name] = value or None
+    if sections["delay"] is None:
+        sections["delay"] = dict(_DEFAULT_DELAY)
+    if isinstance(sections["delay"], dict):
+        sections["delay"].setdefault("kind", "exponential")
+    return Environment(**sections)
 
 
 def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:

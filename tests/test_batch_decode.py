@@ -206,18 +206,52 @@ class TestMaskValidation:
         ):
             validate_mask([-1, 0, 6], 6)
 
+    @pytest.mark.parametrize(
+        ("bad", "shown"),
+        [
+            ([0, 2.5], "[2.5]"),
+            ([0, True], "[True]"),
+            ([1.0, 2.0], "[1.0, 2.0]"),
+            (["a"], "['a']"),
+        ],
+    )
+    def test_non_integer_ids_message(self, bad, shown):
+        with pytest.raises(DecodeError) as err:
+            validate_mask(bad, 6)
+        assert str(err.value) == (
+            f"available workers must be integer ids, got {shown}"
+        )
+
+    def test_numpy_integers_accepted_numpy_floats_and_bools_not(self):
+        assert validate_mask(np.array([3, 1]), 6) == frozenset({1, 3})
+        for bad in (np.array([1.0, 2.0]), [np.bool_(True)]):
+            with pytest.raises(DecodeError, match="must be integer ids"):
+                validate_mask(bad, 6)
+
     @pytest.mark.parametrize(("name", "placement"), FAMILIES, ids=FAMILY_IDS)
     def test_same_error_both_paths(self, name, placement):
-        bad_masks = [[], [0, 0], [0, placement.num_workers]]
+        bad_masks = [
+            [],
+            [0, 0],
+            [0, placement.num_workers],
+            [0, 2.5],
+            [0, True],
+            [1.0, 2.0],
+            ["a"],
+        ]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            dec = decoder_for(placement, rng=np.random.default_rng(0))
+            dec = decoder_for(placement, rng=rng)
         for bad in bad_masks:
             with pytest.raises(DecodeError) as looped_err:
                 dec.decode(bad)
             with pytest.raises(DecodeError) as batched_err:
                 dec.decode_batch([[0], bad])
             assert str(batched_err.value) == str(looped_err.value)
+        # Rejected before any fairness draw, on either path.
+        assert rng.bit_generator.state == state
 
     def test_batch_fails_fast_without_consuming_rng(self):
         placement = CyclicRepetition(8, 2)

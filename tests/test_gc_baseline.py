@@ -91,6 +91,34 @@ class TestDecodeVector:
             decode_vector(b, [0, 1, 2])
 
 
+class TestIllConditionedDraw:
+    """A legal straggler pattern must decode whatever the matrix draw:
+    this seed's ``B`` has entries ~1.7e4 and genuine singular values
+    ~5e-11 of the largest, which a 1e-10 cut-off used to truncate."""
+
+    SPEC = dict(
+        name="ill-conditioned-gc", scheme="gc", num_workers=12,
+        partitions_per_worker=3, wait_for=9, max_steps=11, seed=386141098,
+    )
+
+    def test_every_two_straggler_pattern_decodes(self):
+        from repro import ExperimentSpec, build_engine
+
+        b = build_engine(ExperimentSpec(**self.SPEC)).strategy.code.b_matrix
+        assert np.abs(b).max() > 1e4  # still the ill-conditioned draw
+        for stragglers in combinations(range(12), 2):
+            rows = [w for w in range(12) if w not in stragglers]
+            a = decode_vector(b, rows)
+            np.testing.assert_allclose(b[rows].T @ a, np.ones(12), atol=1e-6)
+
+    def test_spec_trains(self):
+        from repro import ExperimentSpec, run_spec
+
+        summary = run_spec(ExperimentSpec(**self.SPEC))
+        assert summary.num_steps == 11
+        assert summary.avg_recovery_fraction == 1.0
+
+
 class TestClassicGradientCode:
     def _grads(self, n, dim=4, seed=0):
         rng = np.random.default_rng(seed)

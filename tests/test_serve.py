@@ -348,6 +348,44 @@ class TestLifecycle:
         (solo,) = run_jobs([make_spec(1)])
         assert good.report.to_dict() == solo.to_dict()
 
+    def test_misspelt_scheme_params_and_bad_sections_fail_only_their_job(
+        self,
+    ):
+        bad_fields = [
+            ({"scheme_params": {"polcy": None}},
+             "unknown scheme_params for scheme 'is-gc-cr': "
+             "'polcy' — did you mean 'policy'?"),
+            ({"delay": ["none"]}, "spec section 'delay' must be a kind string"),
+            ({"failure": 3}, "spec section 'failure' must be a kind string"),
+            ({"contention": ["none"]},
+             "spec section 'contention' must be a kind string"),
+        ]
+        by_name = dataclasses.replace(make_spec(0), delay="none")
+
+        async def scenario():
+            coord = Coordinator(mode="deterministic", max_running=2)
+            bad = [
+                coord.submit(dataclasses.replace(make_spec(0), **fields))
+                for fields, _ in bad_fields
+            ]
+            named = coord.submit(by_name)
+            good = coord.submit(make_spec(1))
+            await coord.drain()
+            for handle, (_, message) in zip(bad, bad_fields):
+                assert handle.state is JobState.FAILED
+                assert "ConfigurationError" in handle.error
+                assert message in handle.error
+            assert named.state is JobState.DONE
+            assert good.state is JobState.DONE
+            return named, good
+
+        named, good = asyncio.run(scenario())
+        solo_named, solo = run_jobs([by_name, make_spec(1)])
+        # A section given as a kind string serves like any other spec,
+        # and the failures never touched their peers.
+        assert named.report.to_dict() == solo_named.to_dict()
+        assert good.report.to_dict() == solo.to_dict()
+
     def test_run_jobs_raises_on_failed_job(self):
         bad = ExperimentSpec(
             name="bad", scheme="nope", num_workers=4,

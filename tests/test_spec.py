@@ -190,6 +190,64 @@ class TestRules:
         with pytest.raises(ConfigurationError, match=r"accepted: \(none\)"):
             _spec(scheme="sync-sgd", rule="async", rule_params={"lr": 1})
 
+    @pytest.mark.parametrize("scheme, params, hint, accepted", [
+        ("sync-sgd", {"polcy": 1},
+         "'polcy' — did you mean 'policy'?", "seed, policy, cache"),
+        ("is-sgd", {"bogus": 1}, "'bogus'", "seed, policy, cache"),
+        ("gc", {"sed": 3}, "'sed' — did you mean 'seed'?",
+         "seed, policy, cache"),
+        ("is-gc-fr", {"cach": None},
+         "'cach' — did you mean 'cache'?", "seed, policy, cache"),
+        ("is-gc-cr", {"bogus": 1}, "'bogus'", "seed, policy, cache"),
+        ("is-gc-hr", {"c1": 1, "c2": 1, "num_group": 2},
+         "'num_group' — did you mean 'num_groups'?",
+         "c1, c2, num_groups, seed, policy, cache"),
+    ], ids=["sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr"])
+    def test_misspelt_scheme_param_rejected_with_hint(
+        self, scheme, params, hint, accepted
+    ):
+        with pytest.raises(ConfigurationError) as exc:
+            run_spec(_spec(scheme=scheme, scheme_params=params))
+        assert str(exc.value) == (
+            f"unknown scheme_params for scheme {scheme!r}: {hint}; "
+            f"accepted: {accepted}"
+        )
+
+    @pytest.mark.parametrize(
+        "scheme", ["sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr"]
+    )
+    def test_shared_scheme_params_accepted_by_every_scheme(self, scheme):
+        # One params table shared across a scheme grid must keep working.
+        shared = {"seed": 3, "policy": None, "cache": None}
+        summary = run_spec(_spec(scheme=scheme, scheme_params=shared))
+        assert summary.num_steps == 5
+
+    def test_environment_sections_accept_kind_strings(self):
+        by_name = run_spec(_spec(
+            delay="none", failure="none", compute="uniform",
+            network="uniform", contention="none",
+        ))
+        by_mapping = run_spec(_spec(
+            delay={"kind": "none"}, failure={"kind": "none"},
+            compute={"kind": "uniform"}, network={"kind": "uniform"},
+            contention={"kind": "none"},
+        ))
+        assert by_name == by_mapping
+        with pytest.raises(ConfigurationError, match="unknown delay model"):
+            run_spec(_spec(delay="exponentail"))
+
+    @pytest.mark.parametrize(
+        "section", ["delay", "failure", "compute", "network", "contention"]
+    )
+    @pytest.mark.parametrize("value", [["none"], 3, ("kind", "none")])
+    def test_environment_section_of_wrong_type_rejected(self, section, value):
+        with pytest.raises(ConfigurationError) as exc:
+            run_spec(_spec(**{section: value}))
+        assert str(exc.value) == (
+            f"spec section {section!r} must be a kind string or a "
+            f"{{'kind': ...}} mapping, got {value!r}"
+        )
+
     @pytest.mark.parametrize("field, name, message", [
         ("scheme", "is-gc-cx",
          "unknown scheme 'is-gc-cx' — did you mean 'is-gc-cr' or "),
