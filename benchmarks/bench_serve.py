@@ -20,7 +20,9 @@ script exits non-zero on any violation):
 * **kill/resume** — a coordinator subprocess is SIGKILLed mid-grid; a
   successor takes over the mailbox from the stale marker, re-admits
   the survivors from their checkpoints and finishes them with reports
-  and traces bit-for-bit identical to the never-interrupted run;
+  and traces bit-for-bit identical to the never-interrupted run,
+  leaving ``checkpoints/`` empty (the report records the mean size of
+  the checkpoint head a round boundary rewrites);
 * **failure isolation (live mode)** — rerunning the same 8 jobs in
   live (thread-pool) mode with one deliberately broken ninth job: the
   bad job FAILs, every peer still matches the deterministic reports.
@@ -232,9 +234,28 @@ def pool_throughput(specs):
     }
 
 
+class MeteredMailbox(ServeMailbox):
+    """Sizes the checkpoint head every round boundary leaves behind."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.head_writes = 0
+        self.head_bytes = 0
+
+    def write_checkpoint(self, job, state):
+        super().write_checkpoint(job, state)
+        if state is not None:
+            head = self.root / "checkpoints" / f"{job.job_id}.json"
+            self.head_writes += 1
+            self.head_bytes += head.stat().st_size
+
+
 def kill_resume(specs, snapshots, workdir):
     """SIGKILL a serving coordinator mid-grid; a successor must finish
-    the survivors bit-identically to the never-interrupted run."""
+    the survivors bit-identically to the never-interrupted run.
+
+    Returns the successor's checkpoint-head statistics.
+    """
     root = workdir / "kill-mbox"
     trace_dir = workdir / "kill-traces"
     client = CoordinatorClient(root)
@@ -278,8 +299,9 @@ def kill_resume(specs, snapshots, workdir):
         pool_capacity=2,
         trace_dir=trace_dir,
     )
+    mailbox = MeteredMailbox(root)
     with coordinator:
-        asyncio.run(coordinator.serve(ServeMailbox(root), once=True))
+        asyncio.run(coordinator.serve(mailbox, once=True))
 
     for job_id, snapshot in zip(job_ids, snapshots):
         resumed = client.state(job_id)
@@ -297,6 +319,17 @@ def kill_resume(specs, snapshots, workdir):
         assert resumed_trace.read_bytes() == baseline_trace.read_bytes(), (
             f"{job_id} trace diverged after kill/resume"
         )
+    leftovers = sorted(p.name for p in (root / "checkpoints").iterdir())
+    assert not leftovers, (
+        f"finished jobs left checkpoint files behind: {leftovers}"
+    )
+    assert mailbox.head_writes > 0, "successor checkpointed no round"
+    return {
+        "checkpoint_head_writes": mailbox.head_writes,
+        "checkpoint_head_bytes_per_round": round(
+            mailbox.head_bytes / mailbox.head_writes, 1
+        ),
+    }
 
 
 def live_failure_isolation(specs, snapshots):
@@ -360,12 +393,14 @@ def main() -> int:
               f"engines (gate: {MIN_SPEEDUP}x)")
 
         start = time.perf_counter()
-        kill_resume(specs, snapshots, workdir)
+        report["kill_resume"] = kill_resume(specs, snapshots, workdir)
         report["kill_resume_seconds"] = round(
             time.perf_counter() - start, 3
         )
         print("kill/resume: successor coordinator finished the grid "
-              f"bit-identically ({report['kill_resume_seconds']}s)")
+              f"bit-identically ({report['kill_resume_seconds']}s, "
+              f"{report['kill_resume']['checkpoint_head_bytes_per_round']}"
+              " head bytes per round)")
 
         start = time.perf_counter()
         live_failure_isolation(specs, snapshots)

@@ -18,10 +18,18 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 
-try:  # scipy is a dev dependency; fall back gracefully without it.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_stats = None
+
+def _scipy_stats():
+    """``scipy.stats``, or ``None`` without scipy (a dev dependency).
+
+    Imported by the two functions that need it, not at module import:
+    it costs most of a second that every ``import repro`` would pay.
+    """
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return stats
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,9 @@ class TrialSummary:
 
 
 def _t_critical(df: int, confidence: float) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2, df))
+    scipy_stats = _scipy_stats()
+    if scipy_stats is not None:
+        return float(scipy_stats.t.ppf(0.5 + confidence / 2, df))
     # Normal approximation is adequate for df ≥ 30; below that it
     # understates the interval slightly — documented fallback.
     z_table = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -113,11 +122,12 @@ def paired_comparison(
     diff = b - a
     summary = summarize_trials(diff.tolist(), confidence)
     p_value = None
-    if _scipy_stats is not None:
+    scipy_stats = _scipy_stats()
+    if scipy_stats is not None:
         if np.allclose(diff, diff[0]):
             p_value = 0.0 if diff[0] != 0 else 1.0
         else:
-            p_value = float(_scipy_stats.ttest_rel(b, a).pvalue)
+            p_value = float(scipy_stats.ttest_rel(b, a).pvalue)
     return PairedComparison(
         mean_difference=summary.mean,
         ci_low=summary.ci_low,

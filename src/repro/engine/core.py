@@ -30,11 +30,7 @@ from .state import (
     MODE_ROUNDS,
     MODE_UPDATES,
     EngineState,
-    async_record_from_dict,
-    async_record_to_dict,
     generator_state,
-    record_from_dict,
-    record_to_dict,
     set_generator_state,
 )
 
@@ -384,10 +380,9 @@ class RoundEngine:
             max_steps=budget,
             loss_threshold=threshold,
             smoothing_window=window,
-            records=tuple(record_to_dict(r) for r in self.records),
-            async_records=tuple(
-                async_record_to_dict(r) for r in self.async_records
-            ),
+            # Records are frozen: the state shares them by reference.
+            records=tuple(self.records),
+            async_records=tuple(self.async_records),
             losses=losses,
             rule=self.rule.snapshot_state(),
             backend=self.backend.snapshot_state(),
@@ -406,10 +401,8 @@ class RoundEngine:
         :meth:`step_rounds` / :meth:`step_updates` continue bit-for-bit.
         """
         self.model.set_parameters(np.asarray(state.params, dtype=float))
-        self.records = [record_from_dict(r) for r in state.records]
-        self.async_records = [
-            async_record_from_dict(r) for r in state.async_records
-        ]
+        self.records = list(state.records)
+        self.async_records = list(state.async_records)
         self._mode = state.mode
         if state.mode == MODE_ROUNDS:
             tracker = LossTracker(state.loss_threshold, state.smoothing_window)

@@ -373,14 +373,32 @@ class ExperimentSpec:
 
         Unknown keys raise :class:`ConfigurationError` with a
         did-you-mean hint, so a typoed ``wiat_for`` in a submission
-        payload fails at admission instead of silently defaulting.
+        payload fails at admission instead of silently defaulting; a
+        payload without a required field (``name``, ``scheme``,
+        ``num_workers``) or that is no mapping at all raises it too.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"spec must be a mapping, got {type(data).__name__}"
+            )
+        fields = dataclasses.fields(cls)
+        known = {f.name for f in fields}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigurationError(
                 f"unknown spec field{'s' if len(unknown) != 1 else ''}: "
                 + _did_you_mean(unknown, known)
+            )
+        missing = [
+            f.name for f in fields
+            if f.name not in data
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"missing spec field{'s' if len(missing) != 1 else ''}: "
+                + ", ".join(missing)
             )
         return cls(**dict(data))
 

@@ -11,6 +11,14 @@ freshly built engine for the same spec resumes the run bit-for-bit:
 ``snapshot → restore → continue`` produces the identical trajectory
 *and* identical JSONL traces as the uninterrupted run.
 
+A snapshot costs the same whatever the run's length: the committed
+records are frozen, so the state holds the engine's own record objects
+by reference and turns them into dicts only in :meth:`EngineState.to_dict`.
+For stores that persist a run round by round (the serve mailbox),
+:meth:`EngineState.without_history` / :meth:`~EngineState.history` /
+:meth:`~EngineState.with_history` split a state into a small head plus
+one dict per record and put it back together.
+
 Component state rides on the objects that own it: update rules,
 backends, delay models and optimizers each expose
 ``snapshot_state()``/``restore_state()`` hooks (default: stateless),
@@ -30,8 +38,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +147,9 @@ class EngineState:
     asynchronous-update runs (``"updates"``); ``max_steps`` is the
     corresponding budget (steps or updates).  ``rule`` / ``backend`` /
     ``strategy`` carry the component ``snapshot_state()`` payloads.
+    ``records`` / ``async_records`` hold the engine's frozen record
+    objects by reference — a snapshot never copies the run's history —
+    and become dicts only in :meth:`to_dict`.
     """
 
     mode: str
@@ -147,8 +158,8 @@ class EngineState:
     max_steps: int
     loss_threshold: Optional[float]
     smoothing_window: int
-    records: Tuple[Mapping[str, Any], ...] = ()
-    async_records: Tuple[Mapping[str, Any], ...] = ()
+    records: Tuple[StepRecord, ...] = ()
+    async_records: Tuple[AsyncUpdateRecord, ...] = ()
     losses: Tuple[float, ...] = ()
     rule: Mapping[str, Any] = field(default_factory=dict)
     backend: Mapping[str, Any] = field(default_factory=dict)
@@ -178,8 +189,10 @@ class EngineState:
             "max_steps": self.max_steps,
             "loss_threshold": self.loss_threshold,
             "smoothing_window": self.smoothing_window,
-            "records": [dict(r) for r in self.records],
-            "async_records": [dict(r) for r in self.async_records],
+            "records": [record_to_dict(r) for r in self.records],
+            "async_records": [
+                async_record_to_dict(r) for r in self.async_records
+            ],
             "losses": list(self.losses),
             "rule": dict(self.rule),
             "backend": dict(self.backend),
@@ -208,9 +221,12 @@ class EngineState:
                 max_steps=int(payload["max_steps"]),
                 loss_threshold=payload.get("loss_threshold"),
                 smoothing_window=int(payload.get("smoothing_window", 1)),
-                records=tuple(dict(r) for r in payload.get("records", ())),
+                records=tuple(
+                    record_from_dict(r) for r in payload.get("records", ())
+                ),
                 async_records=tuple(
-                    dict(r) for r in payload.get("async_records", ())
+                    async_record_from_dict(r)
+                    for r in payload.get("async_records", ())
                 ),
                 losses=tuple(float(v) for v in payload.get("losses", ())),
                 rule=dict(payload.get("rule", {})),
@@ -221,6 +237,8 @@ class EngineState:
             )
         except KeyError as exc:
             raise TrainingError(f"engine state is missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise TrainingError(f"engine state is malformed: {exc}")
 
     def to_json(self) -> str:
         """Lossless JSON text (floats via ``repr``)."""
@@ -239,9 +257,53 @@ class EngineState:
     @property
     def step_records(self) -> List[StepRecord]:
         """The committed synchronous records as :class:`StepRecord`."""
-        return [record_from_dict(r) for r in self.records]
+        return list(self.records)
 
     @property
     def update_records(self) -> List[AsyncUpdateRecord]:
         """The committed async records as :class:`AsyncUpdateRecord`."""
-        return [async_record_from_dict(r) for r in self.async_records]
+        return list(self.async_records)
+
+    # ------------------------------------------------------------------
+    # Incremental persistence: the state minus everything that grows
+    # with the run, and that history one JSON-safe dict per record.
+    # ``round_index`` counts the active mode's records, so a stored
+    # head knows how many of a record log's entries belong to it.
+
+    def without_history(self) -> "EngineState":
+        """This state with its records and loss curve emptied.
+
+        A rounds-mode run tracks exactly its records' ``loss`` column,
+        which is how :meth:`with_history` puts the curve back.
+        """
+        if self.mode == MODE_ROUNDS and len(self.losses) != len(self.records):
+            raise TrainingError(
+                f"engine state tracks {len(self.losses)} losses for "
+                f"{len(self.records)} records; its history cannot be split"
+            )
+        return replace(self, records=(), async_records=(), losses=())
+
+    def history(self, start: int = 0) -> List[Dict[str, Any]]:
+        """The active mode's records from index ``start`` on, as dicts."""
+        if self.mode == MODE_ROUNDS:
+            return [record_to_dict(r) for r in self.records[start:]]
+        return [async_record_to_dict(r) for r in self.async_records[start:]]
+
+    def with_history(
+        self, payloads: Sequence[Mapping[str, Any]]
+    ) -> "EngineState":
+        """Inverse of :meth:`without_history` + :meth:`history`."""
+        try:
+            if self.mode == MODE_ROUNDS:
+                records = tuple(map(record_from_dict, payloads))
+                return replace(
+                    self,
+                    records=records,
+                    losses=tuple(float(r.loss) for r in records),
+                )
+            return replace(
+                self,
+                async_records=tuple(map(async_record_from_dict, payloads)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise TrainingError(f"engine state record is malformed: {exc}")

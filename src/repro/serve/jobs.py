@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, AsyncIterator, Dict, List, Optional
 
 from ..exceptions import ServeError
@@ -124,6 +125,19 @@ class Job:
     )
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
 
+    # The spec is frozen, so what every state file and checkpoint head
+    # repeats about it is computed once per job, not once per round.
+
+    @cached_property
+    def spec_payload(self) -> Dict[str, object]:
+        """``spec.to_dict()`` (embedded in every checkpoint head)."""
+        return self.spec.to_dict()
+
+    @cached_property
+    def spec_fingerprint(self) -> str:
+        """``spec.fingerprint()`` (embedded in every state snapshot)."""
+        return self.spec.fingerprint()
+
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready state summary (the ``jobs/<id>.json`` payload)."""
         payload: Dict[str, object] = {
@@ -132,7 +146,7 @@ class Job:
             "state": self.state.value,
             "weight": self.weight,
             "rounds_done": self.rounds_done,
-            "spec_fingerprint": self.spec.fingerprint(),
+            "spec_fingerprint": self.spec_fingerprint,
         }
         # Scheduling-class fields appear only when non-default, so
         # default-class jobs keep the exact historical payload.

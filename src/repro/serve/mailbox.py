@@ -12,8 +12,12 @@ extra dependency.  Layout::
       cancel/<job_id>.cancel
       jobs/<job_id>.json        # state snapshots, rewritten on progress
       rejected/<job_id>.json
-      checkpoints/<job_id>.json # resumable job records (spec + engine
-                                # state), cleared on terminal states
+      checkpoints/<job_id>.json           # resumable job head: spec +
+                                          # engine state minus history
+      checkpoints/<job_id>.records.jsonl  # append-only record log, one
+                                          # line per committed record
+                                          # (both cleared on terminal
+                                          # states)
 
 Submissions embed the full spec payload (``{"spec": {...}}``), so the
 coordinator revalidates through :meth:`ExperimentSpec.from_dict` and
@@ -24,11 +28,20 @@ including the spec layer's did-you-mean hints.  Admission rejections
 ``retry_hint``.
 
 ``checkpoints/`` is what makes jobs survive their coordinator: each
-record holds everything needed to re-admit the job (spec, name, weight,
+head holds everything needed to re-admit the job (spec, name, weight,
 scheduling class, trace path) plus — once the job has run a quantum —
-its serialized :class:`~repro.engine.EngineState`.  A restarting
-coordinator re-admits every non-terminal checkpointed job and resumes
-it bit-identically (see :meth:`Coordinator.serve`).  The
+its serialized :class:`~repro.engine.EngineState`.  A round persists
+what it changed, not the job's history: the new records are appended
+to the job's record log and flushed, *then* the small head — the
+engine state without its records and loss curve, plus
+``records_logged``, the number of log lines it counts on — is replaced
+atomically (the append-then-truncate discipline
+:class:`~repro.obs.TraceStreamWriter` and ``truncate_traces`` use for
+traces).  A crash between the two steps leaves lines the head does not
+count; recovery keeps the first ``records_logged`` lines, drops later
+or torn ones, and rejects a head whose log is shorter than it claims.
+A restarting coordinator re-admits every non-terminal checkpointed job
+and resumes it bit-identically (see :meth:`Coordinator.serve`).  The
 ``coordinator.json`` marker embeds the serving pid; a new coordinator
 takes over a *stale* marker (dead pid) but refuses a live one.
 
@@ -51,11 +64,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from ..engine.spec import ExperimentSpec
 from ..engine.state import EngineState
-from ..exceptions import (
-    ConfigurationError,
-    ServeError,
-    SubmissionRejectedError,
-)
+from ..exceptions import ReproError, ServeError, SubmissionRejectedError
+from ..obs import truncate_traces
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coordinator import Coordinator
@@ -67,17 +77,34 @@ _CANCEL = "cancel"
 _REJECTED = "rejected"
 _CHECKPOINTS = "checkpoints"
 _COORDINATOR = "coordinator.json"
+#: record-log suffix; deliberately not ``*.json`` so head scans skip it.
+_RECORD_LOG = ".records.jsonl"
 _SUBDIRS = (_INBOX, _JOBS, _CANCEL, _REJECTED, _CHECKPOINTS)
 
 #: terminal states a client's ``wait()`` stops on.
 _TERMINAL = ("done", "failed", "cancelled", "rejected")
 
 
-def _atomic_write(path: pathlib.Path, payload: Dict[str, object]) -> None:
-    """Write JSON so that readers see either nothing or the whole file."""
+def _atomic_write(
+    path: pathlib.Path, payload: Dict[str, object], *, compact: bool = False
+) -> None:
+    """Write JSON so that readers see either nothing or the whole file.
+
+    ``compact`` drops the indentation meant for human readers, which
+    also keeps ``json`` on its C encoder (checkpoint heads, one per
+    round).
+    """
+    if compact:
+        text = _compact_json(payload)
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(text + "\n")
     os.replace(tmp, path)
+
+
+def _compact_json(payload: Dict[str, object]) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _pid_alive(pid: int) -> bool:
@@ -203,6 +230,10 @@ class ServeMailbox:
         self.root = pathlib.Path(root)
         for sub in _SUBDIRS:
             (self.root / sub).mkdir(parents=True, exist_ok=True)
+        #: job id → lines its record log is known to hold (exactly that
+        #: many, all a prefix of the job's history).  Absent = unknown:
+        #: the next checkpoint with a state rewrites the log.
+        self._logged: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def announce(self, coordinator: "Coordinator") -> None:
@@ -251,7 +282,7 @@ class ServeMailbox:
             try:
                 payload = json.loads(path.read_text())
                 submission = Submission.from_payload(job_id, payload)
-            except (ServeError, ConfigurationError, ValueError) as exc:
+            except (ReproError, ValueError, TypeError) as exc:
                 path.unlink()
                 self._write_rejection_payload(
                     job_id, str(exc), {"reason": "invalid_submission"}
@@ -313,52 +344,118 @@ class ServeMailbox:
         Written at admission (``state=None`` — the job can restart from
         round zero) and refreshed at every round boundary once the job
         runs, so a killed coordinator loses at most the quantum that
-        was in flight.
+        was in flight.  A refresh costs the same at round 100 as at
+        round 1: the records committed since the last write are
+        appended to the job's log, then the head that counts them
+        replaces the previous head.
         """
         payload: Dict[str, object] = {
             "id": job.job_id,
             "name": job.name,
             "weight": job.weight,
             "rounds_done": job.rounds_done,
-            "spec": job.spec.to_dict(),
-            "engine_state": state.to_dict() if state is not None else None,
+            "spec": job.spec_payload,
+            "engine_state": None,
         }
+        if state is not None:
+            payload["records_logged"] = self._log_records(job.job_id, state)
+            payload["engine_state"] = state.without_history().to_dict()
         if job.priority != 0:
             payload["priority"] = job.priority
         if job.deadline is not None:
             payload["deadline"] = job.deadline
         if job.trace_path is not None:
             payload["trace_path"] = job.trace_path
-        _atomic_write(
-            self.root / _CHECKPOINTS / f"{job.job_id}.json", payload
-        )
+        _atomic_write(self._head_path(job.job_id), payload, compact=True)
+
+    def _head_path(self, job_id: str) -> pathlib.Path:
+        return self.root / _CHECKPOINTS / f"{job_id}.json"
+
+    def _log_path(self, job_id: str) -> pathlib.Path:
+        return self.root / _CHECKPOINTS / f"{job_id}{_RECORD_LOG}"
+
+    def _log_records(self, job_id: str, state: EngineState) -> int:
+        """Bring the job's record log up to ``state``; returns its length.
+
+        Appends only what the log lacks.  A log of unknown content (a
+        mailbox object that neither wrote nor recovered it) or one
+        ahead of ``state`` is rewritten from the first record.
+        """
+        logged = self._logged.get(job_id)
+        rewrite = logged is None or logged > state.round_index
+        start = 0 if rewrite else logged
+        pending = state.history(start)
+        if pending or rewrite:
+            with open(self._log_path(job_id), "w" if rewrite else "a") as log:
+                log.writelines(_compact_json(r) + "\n" for r in pending)
+        self._logged[job_id] = start + len(pending)
+        return self._logged[job_id]
 
     def clear_checkpoint(self, job_id: str) -> None:
-        """Drop a terminal job's checkpoint record (idempotent)."""
-        path = self.root / _CHECKPOINTS / f"{job_id}.json"
-        if path.exists():
-            path.unlink()
+        """Drop a terminal job's head and record log (idempotent).
+
+        Head first: a crash in between strands a log without a head,
+        which :meth:`poll_checkpoints` sweeps, never a head whose log
+        is gone.
+        """
+        self._logged.pop(job_id, None)
+        self._head_path(job_id).unlink(missing_ok=True)
+        self._log_path(job_id).unlink(missing_ok=True)
 
     def poll_checkpoints(self) -> List[CheckpointRecord]:
         """Decode every checkpoint record, in sorted (job id) order.
 
-        Unreadable records are rejected (with the parse error) rather
-        than wedging recovery of the readable ones.
+        Unreadable records — a head that does not parse, a log shorter
+        than its head counts, a bad line inside the counted prefix —
+        are rejected (with the parse error) rather than wedging
+        recovery of the readable ones.
         """
         records = []
-        for path in sorted((self.root / _CHECKPOINTS).glob("*.json")):
+        directory = self.root / _CHECKPOINTS
+        for path in sorted(directory.glob("*.json")):
             job_id = path.stem
             try:
-                payload = json.loads(path.read_text())
-                records.append(CheckpointRecord.from_payload(job_id, payload))
-            except (ServeError, ConfigurationError, ValueError) as exc:
-                path.unlink()
+                records.append(self._read_checkpoint(job_id, path))
+            except (ReproError, ValueError, TypeError) as exc:
+                self.clear_checkpoint(job_id)
                 self._write_rejection_payload(
                     job_id,
                     f"unreadable checkpoint: {exc}",
                     {"reason": "invalid_checkpoint"},
                 )
+        for log in directory.glob("*" + _RECORD_LOG):
+            if not self._head_path(log.name[: -len(_RECORD_LOG)]).exists():
+                log.unlink()
         return records
+
+    def _read_checkpoint(
+        self, job_id: str, path: pathlib.Path
+    ) -> CheckpointRecord:
+        """One head plus the log lines it counts, trimmed to that count."""
+        payload = json.loads(path.read_text())
+        record = CheckpointRecord.from_payload(job_id, payload)
+        state = record.engine_state
+        if state is None or "records_logged" not in payload:
+            # Not yet run, or a pre-log head carrying its records
+            # inline: no log line belongs to it.
+            return record
+        count = state.round_index
+        if payload["records_logged"] != count:
+            raise ServeError(
+                f"checkpoint {job_id!r} counts "
+                f"{payload['records_logged']!r} logged records but its "
+                f"engine state is at round {count}"
+            )
+        log = self._log_path(job_id)
+        # The primitive trace streams rewind with: drops the lines the
+        # head does not count, raises when the log holds fewer.
+        truncate_traces(log, count)
+        lines = log.read_text().splitlines() if count else []
+        record.engine_state = state.with_history(
+            [json.loads(line) for line in lines]
+        )
+        self._logged[job_id] = count
+        return record
 
 
 class CoordinatorClient:

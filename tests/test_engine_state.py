@@ -11,7 +11,9 @@ to this property.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -27,6 +29,17 @@ from repro.engine.state import (
 )
 from repro.exceptions import TrainingError
 from repro.obs import RoundTracer
+from repro.types import AsyncUpdateRecord, StepRecord
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+_spec = importlib.util.spec_from_file_location(
+    "record_engine_state", GOLDEN_DIR / "record_engine_state.py"
+)
+recorder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorder)
+
+GOLDEN = json.loads((GOLDEN_DIR / "engine_state.json").read_text())
 
 #: Every backend × update-rule combination the engine supports (the
 #: ``async`` rule always runs on the async-arrivals backend).
@@ -236,6 +249,90 @@ class TestEngineStateValue:
         assert state.round_index == 4
         assert len(state.records) == 4
         assert len(state.step_records) == 4
+
+    @pytest.mark.parametrize("name", sorted(recorder.CASES))
+    def test_json_is_byte_identical_to_the_recorded_parent(self, name):
+        # Recorded before records rode along by reference; the text a
+        # snapshot serialises to — and re-serialises to after a round
+        # trip — must not have moved.
+        state = recorder.suspended_engine(*recorder.CASES[name]).snapshot()
+        assert state.to_json() == GOLDEN[name]
+        assert EngineState.from_json(GOLDEN[name]).to_json() == GOLDEN[name]
+
+    def test_snapshot_shares_records_and_ignores_later_rounds(self):
+        spec = make_spec()
+        engine = build_engine(spec)
+        engine.start_run(spec.max_steps)
+        engine.step_rounds(3)
+        state = engine.snapshot()
+        frozen = state.to_json()
+        # No copy of the history: the very objects the engine committed.
+        assert all(a is b for a, b in zip(state.records, engine.records))
+        assert all(isinstance(r, StepRecord) for r in state.records)
+        engine.step_rounds(4)
+        assert len(engine.records) == 7
+        assert len(state.records) == state.round_index == 3
+        assert state.to_json() == frozen
+        # ...and restoring it does not tie the engine's list to the
+        # state's tuple either.
+        other = build_engine(spec)
+        other.start_run(spec.max_steps)
+        other.restore(state)
+        other.step_rounds(1)
+        assert len(state.records) == 3
+        assert state.to_json() == frozen
+
+    @pytest.mark.parametrize("backend,rule", COMBOS)
+    def test_history_splits_and_rejoins(self, backend, rule):
+        # The incremental-persistence view: a head without records plus
+        # one plain dict per record is the whole state again.
+        engine = recorder.suspended_engine(backend, rule, 4)
+        state = engine.snapshot()
+        head = state.without_history()
+        assert head.records == () and head.async_records == ()
+        assert head.losses == ()
+        assert head.round_index == state.round_index == 4
+        lines = [json.loads(json.dumps(r)) for r in state.history()]
+        assert len(lines) == 4
+        assert state.history(3) == state.history()[3:]
+        rejoined = EngineState.from_json(head.to_json()).with_history(lines)
+        assert rejoined == state
+        assert rejoined.to_json() == state.to_json()
+        kind = AsyncUpdateRecord if rule == "async" else StepRecord
+        assert all(isinstance(r, kind) for r in rejoined.step_records
+                   + rejoined.update_records)
+
+    def test_history_split_refuses_a_curve_that_is_not_the_records(self):
+        # Only reachable by driving run_step() around step_rounds();
+        # the head drops the curve, so it must be the records' column.
+        state = recorder.suspended_engine("flat", "sync", 3).snapshot()
+        lopsided = dataclasses.replace(state, losses=state.losses[:2])
+        with pytest.raises(TrainingError, match="cannot be split"):
+            lopsided.without_history()
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: p.update(version=99), id="version-skew"),
+        pytest.param(lambda p: p.pop("params"), id="truncated"),
+        pytest.param(lambda p: p.update(params=5), id="params-not-a-list"),
+        pytest.param(lambda p: p.update(round_index="x"), id="bad-index"),
+        pytest.param(lambda p: p.update(records=[7]), id="record-not-a-dict"),
+        pytest.param(
+            lambda p: p["records"][0].pop("loss"), id="record-missing-field"
+        ),
+        pytest.param(
+            lambda p: p["records"][0].update(bogus=1), id="record-extra-field"
+        ),
+    ])
+    def test_hostile_payloads_raise_training_error(self, mutate):
+        payload = json.loads(GOLDEN["flat-sync@3"])
+        mutate(payload)
+        with pytest.raises(TrainingError):
+            EngineState.from_dict(payload)
+        with pytest.raises(TrainingError):
+            EngineState.from_dict([payload])
+        head = EngineState.from_json(GOLDEN["flat-sync@3"]).without_history()
+        with pytest.raises(TrainingError, match="record is malformed"):
+            head.with_history([{"step": 0}])
 
     def test_registry_kinds_are_consistent(self):
         assert set(CHECKPOINT_COVERED) == set(CHECKPOINT_TRANSIENT)

@@ -475,6 +475,51 @@ class TestMailbox:
         assert snapshot["state"] == "rejected"
         assert "wait_for" in snapshot["error"]  # did-you-mean hint
 
+    @pytest.mark.parametrize("broken", [
+        pytest.param(
+            lambda spec: {k: v for k, v in spec.items() if k != "name"},
+            id="no-name",
+        ),
+        pytest.param(
+            lambda spec: {k: v for k, v in spec.items() if k != "scheme"},
+            id="no-scheme",
+        ),
+        pytest.param(
+            lambda spec: {**spec, "num_workers": "4"}, id="str-num-workers"
+        ),
+        pytest.param(lambda spec: 5, id="spec-not-a-mapping"),
+    ])
+    def test_unconstructible_spec_rejected_not_crashing(
+        self, tmp_path, broken
+    ):
+        # A missing required field used to raise a bare TypeError out
+        # of poll_submissions: the coordinator died with the file still
+        # in inbox/, so every restart died on it again.
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = broken(make_spec(0).to_dict())
+        (root / "inbox" / "broken.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        good = client.submit(make_spec(1))
+        serve_once(root)
+        snapshot = client.state("broken")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        assert not (root / "inbox" / "broken.json").exists()
+        assert client.state(good)["state"] == "done"
+
+    def test_missing_spec_field_is_named_in_the_rejection(self, tmp_path):
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = make_spec(0).to_dict()
+        del payload["name"]
+        (root / "inbox" / "anon.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        serve_once(root)
+        assert client.state("anon")["error"] == "missing spec field: name"
+
     def test_misspelt_rule_param_rejected_before_admission(self, tmp_path):
         root = tmp_path / "mbox"
         client = CoordinatorClient(root)

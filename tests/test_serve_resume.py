@@ -13,6 +13,11 @@ interleaved-equals-sequential invariant across *process* boundaries:
   over, re-admits every non-terminal job and completes them — reports
   *and* streamed traces bit-identical to runs that were never
   interrupted;
+* a round's checkpoint is incremental — new records appended to a
+  per-job log, then a small head replaced — and a crash at any point
+  of that write, a torn log line, a pre-log head or a hostile record
+  ends in a bit-identical resume or a ``rejected/`` entry, never a
+  dead coordinator;
 * :class:`~repro.serve.SchedulingClass` priorities drain strictly
   higher tiers first while SWRR fairness (±1 quantum) holds within
   each tier, with earliest-deadline-first tie-breaking;
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -49,6 +55,7 @@ from repro.serve import (
     ServeMailbox,
     WorkerPool,
 )
+from repro.serve import mailbox as mailbox_module
 from repro.serve.jobs import Job
 from repro.serve.runner import JobRunner
 
@@ -360,6 +367,309 @@ class TestCrashRecovery:
         assert record["priority"] == 2
         assert record["deadline"] == 9.0
         assert record["weight"] == 3
+
+
+# ----------------------------------------------------------------------
+# Incremental checkpoints: record log + head
+
+
+class SimulatedCrash(Exception):
+    """Stands in for SIGKILL at a chosen point of the write path."""
+
+
+def serve_until_crash(mb, nth, **kwargs):
+    """Serve ``mb`` and die instead of replacing the ``nth`` head that
+    carries engine state — after that round's records reached the log,
+    before any head counts them."""
+    real = mailbox_module._atomic_write
+    seen = itertools.count(1)
+
+    def write(path, payload, **options):
+        if (
+            path.parent.name == "checkpoints"
+            and payload.get("engine_state") is not None
+            and next(seen) == nth
+        ):
+            raise SimulatedCrash
+        real(path, payload, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mailbox_module, "_atomic_write", write)
+        with pytest.raises(SimulatedCrash):
+            drain(mb, **kwargs)
+
+
+def head_of(mb, job_id):
+    return json.loads((mb / "checkpoints" / f"{job_id}.json").read_text())
+
+
+def log_of(mb, job_id):
+    return mb / "checkpoints" / f"{job_id}.records.jsonl"
+
+
+def log_lines(mb, job_id):
+    return log_of(mb, job_id).read_bytes().splitlines(keepends=True)
+
+
+def solo_runs(specs, tmp_path):
+    solo = []
+    for i, spec in enumerate(specs):
+        solo.extend(run_jobs([spec], trace_dir=tmp_path / f"solo-{i}"))
+    return solo
+
+
+def assert_finished_like(client, ids, solo):
+    """Every job done, report and trace bytes equal to its solo run."""
+    for job_id, straight in zip(ids, solo):
+        snap = client.state(job_id)
+        assert snap["state"] == "done", snap
+        assert strip_trace(snap["report"]) == strip_trace(straight.to_dict())
+        assert (
+            pathlib.Path(snap["report"]["trace_path"]).read_bytes()
+            == pathlib.Path(straight.trace_path).read_bytes()
+        )
+
+
+class TestIncrementalCheckpoints:
+    def crashed_mailbox(self, tmp_path, nth=5, jobs=2, max_steps=8):
+        """A mailbox whose coordinator died mid-write, plus the truth."""
+        specs = [make_spec(i, max_steps=max_steps) for i in range(jobs)]
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(mb, specs, tmp_path)
+        serve_until_crash(mb, nth, trace_dir=tmp_path / "traces")
+        return mb, client, ids, solo_runs(specs, tmp_path)
+
+    def test_crash_between_log_append_and_head_replace(self, tmp_path):
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        heads = {job_id: head_of(mb, job_id) for job_id in ids}
+        extra = {
+            job_id: len(log_lines(mb, job_id)) - head["records_logged"]
+            for job_id, head in heads.items()
+        }
+        # Exactly one round reached its log but no head.
+        assert sorted(extra.values()) == [0, 1]
+        for head in heads.values():
+            assert head["records_logged"] == head["rounds_done"] > 0
+            assert head["engine_state"]["records"] == []
+
+        records = ServeMailbox(mb).poll_checkpoints()
+        assert [r.job_id for r in records] == ids
+        for record in records:
+            assert len(log_lines(mb, record.job_id)) == record.rounds_done
+            assert len(record.engine_state.records) == record.rounds_done
+
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_torn_final_log_line_is_dropped(self, tmp_path):
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        for job_id in ids:
+            with open(log_of(mb, job_id), "ab") as log:
+                log.write(b'{"step": 99, "sim_ti')
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+
+    def test_pre_log_head_with_inline_records_still_resumes(self, tmp_path):
+        # What the previous layout left behind: one pretty-printed file
+        # per job, the whole history inline, no log.  Checkpointed work
+        # is never lost, so it resumes — and its next write starts the
+        # log from the first record.
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        for record in ServeMailbox(mb).poll_checkpoints():
+            head = head_of(mb, record.job_id)
+            del head["records_logged"]
+            head["engine_state"] = record.engine_state.to_dict()
+            assert len(head["engine_state"]["records"]) == record.rounds_done
+            (mb / "checkpoints" / f"{record.job_id}.json").write_text(
+                json.dumps(head, indent=2, sort_keys=True) + "\n"
+            )
+            log_of(mb, record.job_id).unlink()
+        serve_until_crash(mb, len(ids) + 1, trace_dir=tmp_path / "traces")
+        for job_id in ids:
+            head = head_of(mb, job_id)
+            assert head["engine_state"]["records"] == []
+            assert len(log_lines(mb, job_id)) >= head["records_logged"] > 0
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+
+    def test_recovery_repersist_does_not_double_append(self, tmp_path):
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        before = {j: head_of(mb, j)["records_logged"] for j in ids}
+        # A second coordinator recovers both jobs (re-persisting each),
+        # runs one more round and dies in that round's write.
+        serve_until_crash(mb, len(ids) + 1, trace_dir=tmp_path / "traces")
+        after = {j: head_of(mb, j)["records_logged"] for j in ids}
+        assert after == before
+        lines = {j: len(log_lines(mb, j)) for j in ids}
+        assert sorted(lines[j] - after[j] for j in ids) == [0, 1]
+        for job_id in ids:
+            steps = [json.loads(l)["step"] for l in log_lines(mb, job_id)]
+            assert steps == list(range(len(steps)))
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_round_cost_does_not_grow_with_the_job(self, tmp_path):
+        mb = tmp_path / "mb"
+        _submit_jobs(mb, [make_spec(0, max_steps=100)], tmp_path, trace=False)
+        seen = {}
+        real = ServeMailbox.write_checkpoint
+
+        def write(mailbox, job, state):
+            real(mailbox, job, state)
+            if state is not None:
+                seen[job.rounds_done] = (
+                    (mb / "checkpoints" / f"{job.job_id}.json").stat().st_size,
+                    len(log_lines(mb, job.job_id)),
+                )
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ServeMailbox, "write_checkpoint", write)
+            drain(mb)
+        assert sorted(seen) == list(range(1, 100))
+        assert all(lines == done for done, (_, lines) in seen.items())
+        # The head holds nothing that grows with the run: over 99
+        # rounds only the widths of a few numbers move.
+        sizes = [size for size, _ in seen.values()]
+        assert seen[90][0] <= 2 * seen[10][0]
+        assert max(sizes) - min(sizes) < 64
+
+    def test_async_jobs_log_one_line_per_update(self, tmp_path):
+        spec = make_spec(0, rule="async", max_steps=100)
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(mb, [spec], tmp_path, trace=False)
+        serve_until_crash(mb, 3)
+        head = head_of(mb, ids[0])
+        assert head["records_logged"] == head["rounds_done"] == 64
+        assert head["engine_state"]["async_records"] == []
+        assert len(log_lines(mb, ids[0])) == 96
+        drain(mb)
+        (straight,) = run_jobs([spec])
+        assert client.state(ids[0])["report"] == straight.to_dict()
+
+    def test_terminal_jobs_leave_nothing_under_checkpoints(self, tmp_path):
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        bad = dict(make_spec(1).to_dict(), wait_for=99)
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        done = client.submit(make_spec(0))
+        failed = client.submit(tmp_path / "bad.json")
+        cancelled = client.submit(make_spec(2))
+        client.cancel(cancelled)
+        drain(mb, max_running=1)
+        states = [client.state(j)["state"] for j in (done, failed, cancelled)]
+        assert states == ["done", "failed", "cancelled"]
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_stranded_log_is_swept_at_recovery(self, tmp_path):
+        # clear_checkpoint unlinks the head first; a crash before the
+        # second unlink leaves a log nobody counts.
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        (mb / "checkpoints" / f"{ids[0]}.json").unlink()
+        records = ServeMailbox(mb).poll_checkpoints()
+        assert [r.job_id for r in records] == ids[1:]
+        assert not log_of(mb, ids[0]).exists()
+        assert log_of(mb, ids[1]).exists()
+
+
+def _skew_version(head, log):
+    head["engine_state"]["version"] = 99
+
+
+def _truncate_state(head, log):
+    head["engine_state"] = {"version": 1, "mode": "rounds"}
+
+
+def _non_mapping_state(head, log):
+    head["engine_state"] = [1, 2, 3]
+
+
+def _null_weight(head, log):
+    head["weight"] = None
+
+
+def _overcount(head, log):
+    head["records_logged"] += 1
+
+
+def _count_disagrees_with_state(head, log):
+    head["records_logged"] -= 1
+
+
+def _drop_log(head, log):
+    log.unlink()
+
+
+def _shorten_log(head, log):
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:head["records_logged"] - 1]))
+
+
+def _garble_counted_line(head, log):
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[0] = b"{not json}\n"
+    log.write_bytes(b"".join(lines))
+
+
+def _counted_line_not_a_record(head, log):
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[0] = b'{"step": 0}\n'
+    log.write_bytes(b"".join(lines))
+
+
+class TestHostileCheckpoints:
+    """Every unreadable checkpoint ends in ``rejected/``; its peer resumes."""
+
+    @pytest.mark.parametrize("damage", [
+        _skew_version, _truncate_state, _non_mapping_state, _null_weight,
+        _overcount, _count_disagrees_with_state, _drop_log, _shorten_log,
+        _garble_counted_line, _counted_line_not_a_record,
+    ])
+    def test_rejected_without_stranding_the_peer(self, tmp_path, damage):
+        specs = [make_spec(i, max_steps=8) for i in range(2)]
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(mb, specs, tmp_path)
+        serve_until_crash(mb, 6, trace_dir=tmp_path / "traces")
+        victim, peer = ids
+        head = head_of(mb, victim)
+        damage(head, log_of(mb, victim))
+        (mb / "checkpoints" / f"{victim}.json").write_text(json.dumps(head))
+
+        drain(mb, trace_dir=tmp_path / "traces")
+        record = json.loads((mb / "rejected" / f"{victim}.json").read_text())
+        assert record["state"] == "rejected"
+        assert record["reason"] == "invalid_checkpoint"
+        assert record["error"].startswith("unreadable checkpoint: ")
+        assert_finished_like(client, [peer], solo_runs(specs, tmp_path)[1:])
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_hostile_head_in_the_previous_layout(self, tmp_path):
+        # The four cases verified against the parent: there the whole
+        # state sat inline in one file and each killed the coordinator.
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        runner = JobRunner(make_spec(0))
+        runner.step()
+        good = runner.checkpoint().to_dict()
+        spec = make_spec(0).to_dict()
+        for name, patch in {
+            "skewed": {"engine_state": dict(good, version=99)},
+            "truncated": {"engine_state": {"version": 1, "mode": "rounds"}},
+            "listy": {"engine_state": [good]},
+            "weightless": {"engine_state": good, "weight": None},
+        }.items():
+            payload = {"id": name, "name": name, "weight": 1,
+                       "rounds_done": 1, "spec": spec, **patch}
+            (mb / "checkpoints" / f"{name}.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True)
+            )
+        peer = client.submit(make_spec(1))
+        drain(mb)
+        for name in ("skewed", "truncated", "listy", "weightless"):
+            assert client.state(name)["reason"] == "invalid_checkpoint"
+        assert client.state(peer)["state"] == "done"
+        assert list((mb / "checkpoints").iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,26 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError, match="gpu_count"):
             ExperimentSpec.from_dict(data)
 
+    def test_from_dict_names_missing_required_fields(self):
+        # Was a bare ``TypeError: __init__() missing 1 required
+        # positional argument`` — which escaped the mailbox's handler.
+        data = _spec().to_dict()
+        del data["name"]
+        with pytest.raises(
+            ConfigurationError, match="^missing spec field: name$"
+        ):
+            ExperimentSpec.from_dict(data)
+        del data["num_workers"]
+        with pytest.raises(
+            ConfigurationError, match="missing spec fields: name, num_workers"
+        ):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("payload", [5, None, "is-gc-cr", [1, 2]])
+    def test_from_dict_rejects_non_mappings(self, payload):
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            ExperimentSpec.from_dict(payload)
+
     def test_json_file_round_trip(self, tmp_path):
         spec = _spec(delay={"kind": "exponential", "mean": 0.25})
         path = tmp_path / "spec.json"

@@ -1,5 +1,10 @@
 """Tests for multi-trial statistics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -117,3 +122,42 @@ class TestBootstrap:
             bootstrap_ci([])
         with pytest.raises(ConfigurationError):
             bootstrap_ci([1.0], resamples=0)
+
+
+class TestLazyScipy:
+    """``scipy.stats`` loads inside the two functions that use it."""
+
+    A = [10.2, 11.5, 9.8, 10.9, 12.1, 10.4]
+    B = [11.0, 12.4, 10.1, 11.9, 12.8, 11.6]
+
+    def test_import_repro_does_not_import_scipy(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys, repro, repro.analysis.stats; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_values_unchanged_from_the_module_level_import(self):
+        # Recorded at the parent commit (scipy imported at module top).
+        pytest.importorskip("scipy")
+        s95 = summarize_trials(self.A)
+        assert (s95.mean, s95.std) == (10.816666666666668, 0.8612007121842541)
+        assert (s95.ci_low, s95.ci_high) == (
+            9.912891946196709, 11.720441387136628
+        )
+        s90 = summarize_trials(self.A, 0.9)
+        assert (s90.ci_low, s90.ci_high) == (
+            10.108208466621969, 11.525124866711367
+        )
+        comp = paired_comparison(self.A, self.B)
+        assert comp.mean_difference == 0.8166666666666668
+        assert (comp.ci_low, comp.ci_high) == (
+            0.49548677906379784, 1.1378465542695357
+        )
+        assert comp.p_value == 0.00125453315968422
