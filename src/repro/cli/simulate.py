@@ -21,9 +21,8 @@ def run_simulate(args: argparse.Namespace):
     from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
     from ..env import make_delay_model
     from ..simulation.cluster import ClusterSimulator
-    from ..training.datasets import (
-        build_batch_streams, make_classification, partition_dataset,
-    )
+    from ..training.datasets import make_classification, partition_dataset
+    from ..training.gradients import build_batch_streams
     from ..training.models import SoftmaxRegressionModel
     from ..training.optimizers import SGD
 

@@ -203,6 +203,18 @@ class ActorBackend(ExecutionBackend):
         self.message_log: List = []
         self._clock = 0.0
 
+    def bind(self, engine: "RoundEngine") -> None:
+        # Lazy: rules.py imports repro.training, this module must not.
+        from .rules import UpdateRule
+
+        rule = type(engine.rule)
+        if rule.compute_partitions is not UpdateRule.compute_partitions:
+            raise TrainingError(
+                "the actor backend's workers upload coded gradients; rule "
+                f"{rule.__name__!r} codes its own per-partition quantity "
+                "and needs an in-process backend"
+            )
+
     @property
     def clock(self) -> float:
         return self._clock

@@ -16,13 +16,14 @@ every (backend, rule) family bit-for-bit against pre-engine recordings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from ..exceptions import TrainingError
 from ..training.convergence import LossTracker
 from ..training.evaluation import held_out_loss
+from ..training.gradients import BatchStreams
 from ..types import AsyncSummary, AsyncUpdateRecord, StepRecord, TrainingSummary
 from .backends import ExecutionBackend
 from .rules import UpdateRule
@@ -37,7 +38,7 @@ from .state import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import RoundTracer
     from ..simulation.policies import WaitPolicy
-    from ..training.datasets import BatchStream, Dataset
+    from ..training.datasets import Dataset
     from ..training.models import Model
     from ..training.strategies import TrainingStrategy
 
@@ -48,7 +49,7 @@ class RoundEngine:
     def __init__(
         self,
         model: "Model",
-        streams: Sequence["BatchStream"],
+        streams: BatchStreams,
         strategy: "TrainingStrategy",
         backend: ExecutionBackend,
         rule: UpdateRule,
@@ -62,7 +63,9 @@ class RoundEngine:
                 "batch streams"
             )
         self.model = model
-        self.streams = list(streams)
+        #: the gradient path: every per-partition gradient of a run is
+        #: one :meth:`BatchStreams.gradients` call on this object.
+        self.streams = BatchStreams.require(streams)
         #: mutable on purpose: adaptive rules swap the strategy mid-run.
         self.strategy = strategy
         self.backend = backend
@@ -281,9 +284,11 @@ class RoundEngine:
             event = backend.next_arrival()
             clock = event.time
             worker = event.worker
-            x, y = self.streams[worker].batch(backend.worker_step[worker])
+            losses, grads = self.streams.gradients(
+                self.model, backend.worker_step[worker], partition=worker
+            )
             backend.worker_step[worker] += 1
-            batch_loss, grad = self.model.loss_and_gradient(x, y)
+            batch_loss, grad = float(losses[0]), grads[0]
             staleness = master_version - backend.fetch_version[worker]
 
             self.rule.apply_arrival(self, grad)

@@ -6,6 +6,9 @@ captured here as :class:`UpdateRule` hooks:
 
 * what is computed per partition (:meth:`compute_partitions` — a
   gradient for SGD, a τ-step parameter delta for local-update SGD);
+  both are stacked calls into the one gradient path,
+  :meth:`repro.training.gradients.BatchStreams.gradients`, and leave
+  the engine's model untouched;
 * what happens before a step (:meth:`before_step` — nothing, or an
   adaptive migration review);
 * how the decoded sum is applied (:meth:`apply` — an optimizer update,
@@ -72,14 +75,8 @@ class UpdateRule:
         parameters — the canonical step shared by every synchronous
         scheme in the paper.
         """
-        partition_gradients: GradientMap = {}
-        batch_losses: List[float] = []
-        for pid in range(engine.num_partitions):
-            x, y = engine.streams[pid].batch(step)
-            loss, grad = engine.model.loss_and_gradient(x, y)
-            partition_gradients[pid] = grad
-            batch_losses.append(loss)
-        return partition_gradients, batch_losses
+        losses, grads = engine.streams.gradients(engine.model, step)
+        return dict(enumerate(grads)), losses.tolist()
 
     def before_step(self, engine: "RoundEngine", step: int) -> None:
         """Hook run before the round executes."""
@@ -159,48 +156,34 @@ class LocalUpdate(UpdateRule):
             raise TrainingError(f"local_lr must be positive, got {local_lr}")
         self._tau = local_steps
         self._lr = local_lr
-        self._start: np.ndarray | None = None
 
     @property
     def local_steps(self) -> int:
         return self._tau
 
-    def partition_delta(
-        self,
-        engine: "RoundEngine",
-        pid: int,
-        round_index: int,
-        start: np.ndarray,
-    ) -> np.ndarray:
-        """τ local SGD steps on partition ``pid``; returns −Δ.
+    def compute_partitions(self, engine, step):
+        """τ local SGD steps per partition; returns every ``−Δ``.
 
         The sign convention matches gradients: the master *subtracts*
-        the aggregated quantity scaled by its own step size of 1, so we
-        return ``start − final`` ("the direction to move along").
-        Batches are drawn at global steps ``round·τ .. round·τ+τ−1`` so
-        every replica of the partition sees the identical sequence.
+        the aggregated quantity scaled by its own step size of 1, so a
+        partition's row is ``start − final`` ("the direction to move
+        along").  Batches are drawn at global steps ``round·τ ..
+        round·τ+τ−1`` so every replica of a partition sees the identical
+        sequence; after the first step each partition is on its own
+        parameter row.
         """
-        params = start.copy()
-        for t in range(self._tau):
-            engine.model.set_parameters(params)
-            x, y = engine.streams[pid].batch(round_index * self._tau + t)
-            _, grad = engine.model.loss_and_gradient(x, y)
-            params = params - self._lr * grad
-        return start - params
-
-    def compute_partitions(self, engine, step):
         start = engine.model.get_parameters()
-        self._start = start
-        deltas = {
-            pid: self.partition_delta(engine, pid, step, start)
-            for pid in range(engine.num_partitions)
-        }
-        engine.model.set_parameters(start)
-        return deltas, ()
+        params = start
+        for t in range(self._tau):
+            _, grads = engine.streams.gradients(
+                engine.model, step * self._tau + t, params
+            )
+            params = params - self._lr * grads
+        return dict(enumerate(start - params)), ()
 
     def apply(self, engine, aggregate, recovered):
         mean_delta = aggregate / len(recovered)
-        engine.model.set_parameters(self._start - mean_delta)
+        engine.model.set_parameters(engine.model.get_parameters() - mean_delta)
         return mean_delta
 
     def scheme_label(self, engine):

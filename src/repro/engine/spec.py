@@ -303,6 +303,13 @@ def _did_you_mean(unknown, known) -> str:
     return "; ".join(hints)
 
 
+def _require_int(field_name: str, value: Any, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(
+            f"{field_name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A complete, serialisable description of one training run."""
@@ -343,6 +350,13 @@ class ExperimentSpec:
         if self.max_steps <= 0:
             raise ConfigurationError(
                 f"max_steps must be positive, got {self.max_steps}"
+            )
+        # NumPy would reject these from inside build_engine, with no
+        # field name (a bad seed) or as a bare TypeError (a bad size).
+        _require_int("seed", self.seed, minimum=0)
+        if isinstance(self.dataset, Mapping) and "batch_size" in self.dataset:
+            _require_int(
+                "dataset.batch_size", self.dataset["batch_size"], minimum=1
             )
         accepted = _RULE_PARAMS.get(self.rule)
         if accepted is None:
@@ -552,7 +566,7 @@ class BuildContext:
 
     spec: ExperimentSpec
     model: Any
-    streams: list
+    streams: Any
     strategy: Any
     optimizer: Any
     eval_data: Any
@@ -790,7 +804,8 @@ def build_engine(spec: ExperimentSpec, tracer=None) -> RoundEngine:
     tracing through the engine — the serve coordinator uses this for
     live per-job trace streaming.  Tracing never perturbs the run.
     """
-    from ..training.datasets import build_batch_streams, partition_dataset
+    from ..training.datasets import partition_dataset
+    from ..training.gradients import build_batch_streams
     from ..training.optimizers import SGD
 
     dataset = _build_dataset(spec)
@@ -815,7 +830,7 @@ def build_engine(spec: ExperimentSpec, tracer=None) -> RoundEngine:
     ctx = BuildContext(
         spec=spec,
         model=model,
-        streams=list(streams),
+        streams=streams,
         strategy=strategy,
         optimizer=optimizer,
         eval_data=dataset,

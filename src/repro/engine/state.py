@@ -27,8 +27,9 @@ engine-level assembly here never changes.
 
 The module also exports :data:`CHECKPOINT_COVERED`, the authoritative
 list of attributes that may legally be assigned on engine / update-rule
-/ backend instances during a run.  The ``CKPT001`` static rule audits
-every such assignment in the engine layer against this registry, so a
+/ backend / batch-stream instances during a run.  The ``CKPT001`` static
+rule audits every such assignment in the engine layer (and the gradient
+path under it) against this registry, so a
 newly introduced piece of run state that is *not* captured by
 ``snapshot()`` fails ``repro check`` instead of silently breaking
 resume determinism.
@@ -82,6 +83,9 @@ CHECKPOINT_COVERED: Mapping[str, frozenset] = {
         "fetch_version",   # async per-worker fetch versions
         "worker_step",     # async per-worker batch cursors
     }),
+    # The engine's BatchStreams (training/gradients.py): block, plans
+    # and streams are fixed at construction.
+    "streams": frozenset(),
 }
 
 #: Within-round scratch attributes: assigned and consumed inside a
@@ -89,10 +93,13 @@ CHECKPOINT_COVERED: Mapping[str, frozenset] = {
 #: part of the snapshot.  CKPT001 accepts these too.
 CHECKPOINT_TRANSIENT: Mapping[str, frozenset] = {
     "engine": frozenset(),
-    "rule": frozenset({
-        "_start",          # LocalUpdate: round-start parameters
-    }),
+    "rule": frozenset(),
     "backend": frozenset(),
+    "streams": frozenset({
+        # round_gradients' memo: a pure function of its (model, step,
+        # parameters) key, so it is only ever read back for that key.
+        "_memo",
+    }),
 }
 
 

@@ -31,7 +31,8 @@ from ..env import make_compute_model, make_delay_model, make_network_model
 from ..simulation.cluster import ClusterSimulator
 from ..simulation.policies import AdaptiveWaitK, DeadlinePolicy, WaitForK, linear_rampup
 from ..straggler.estimators import EstimatingWaitPolicy, LatencyEstimator
-from ..training.datasets import build_batch_streams, make_cifar_like, partition_dataset
+from ..training.datasets import make_cifar_like, partition_dataset
+from ..training.gradients import build_batch_streams
 from ..training.models import MLPClassifier
 from ..training.optimizers import SGD
 

@@ -34,7 +34,8 @@ from ..env import delay_model_from, make_delay_model
 from ..parallel import PointTask, SweepExecutor
 from ..simulation.cluster import ClusterSimulator
 from ..straggler.traces import DelayTrace
-from ..training.datasets import build_batch_streams, make_cifar_like, partition_dataset
+from ..training.datasets import make_cifar_like, partition_dataset
+from ..training.gradients import build_batch_streams
 from ..training.models import MLPClassifier
 from ..training.optimizers import SGD
 from ..training.strategies import TrainingStrategy

@@ -28,7 +28,8 @@ from ..engine.spec import make_strategy
 from ..env import make_delay_model
 from ..parallel import PointTask, SweepExecutor
 from ..straggler.traces import DelayTrace
-from ..training.datasets import build_batch_streams, make_cifar_like, partition_dataset
+from ..training.datasets import make_cifar_like, partition_dataset
+from ..training.gradients import build_batch_streams
 from .config import Fig13Config
 from .fig12 import _run_one
 

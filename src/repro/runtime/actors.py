@@ -3,11 +3,17 @@
 These mirror the paper's Ray implementation (Sec. VIII-A) one-to-one:
 
 * each :class:`WorkerActor` owns its dataset partitions and per-
-  partition seeded batch streams ("multiple copies of the same model"
-  in the paper — here one shared model evaluated per partition, which
-  is numerically identical), computes per-partition gradients at the
-  broadcast parameters, *encodes* them with the strategy's code, and
-  uploads one payload;
+  partition seeded batch streams, takes its partitions' gradients at
+  the broadcast parameters, *encodes* them with the strategy's code,
+  and uploads one payload.  The paper runs "multiple copies of the
+  same model", one per replica; every gradient code rests on the ``c``
+  replicas of partition *i* computing the identical ``g_i``, so the
+  workers of one simulated cluster share a
+  :class:`~repro.training.gradients.BatchStreams` and each ``g_i`` is
+  evaluated once per (step, broadcast parameters) —
+  :meth:`~repro.training.gradients.BatchStreams.round_gradients` —
+  instead of ``c`` times.  The uploads are bit-equal to every worker
+  differentiating on its own;
 * the :class:`MasterActor` broadcasts the current parameters and
   collects the uploads its wait policy accepted (the
   ``ray.wait(num_returns=w)`` call); the round engine then decodes via
@@ -20,10 +26,10 @@ same actors can later be driven by a real transport.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..exceptions import TrainingError
-from ..training.datasets import BatchStream
+from ..training.gradients import BatchStreams
 from ..training.models import Model
 from ..training.strategies import TrainingStrategy
 from ..types import StepRecord
@@ -38,12 +44,12 @@ class WorkerActor:
         worker_id: int,
         strategy: TrainingStrategy,
         model: Model,
-        streams: Sequence[BatchStream],
+        streams: BatchStreams,
     ):
         self._id = worker_id
         self._strategy = strategy
         self._model = model
-        self._streams = streams
+        self._streams = BatchStreams.require(streams)
         self._partitions = strategy.placement.partitions_of(worker_id)
 
     @property
@@ -65,14 +71,11 @@ class WorkerActor:
         """Compute this step's coded gradient at the received params."""
         if msg.parameters is None:
             raise TrainingError("broadcast carried no parameters")
-        self._model.set_parameters(msg.parameters)
-        partition_gradients = {}
-        for p in self._partitions:
-            x, y = self._streams[p].batch(msg.step)
-            _, grad = self._model.loss_and_gradient(x, y)
-            partition_gradients[p] = grad
+        gradients = self._streams.round_gradients(
+            self._model, msg.step, msg.parameters
+        )
         payload = self._strategy.encode_worker_payload(
-            self._id, partition_gradients
+            self._id, {p: gradients[p] for p in self._partitions}
         )
         return GradientUpload(
             sender=f"worker-{self._id}",

@@ -29,12 +29,14 @@ from typing import List, Optional
 from .engine import PythonContext, Rule, python_rule
 from .findings import Finding
 
-#: The engine-layer files whose classes own checkpointable run state,
-#: mapped to the registry kind their ``self`` corresponds to.
+#: The files whose classes own checkpointable run state (the engine
+#: layer and the gradient path it runs on), mapped to the registry kind
+#: their ``self`` corresponds to.
 _KIND_BY_FILE = {
     "repro/engine/core.py": "engine",
     "repro/engine/rules.py": "rule",
     "repro/engine/backends.py": "backend",
+    "repro/training/gradients.py": "streams",
 }
 
 CKPT_SCOPE = tuple(_KIND_BY_FILE)

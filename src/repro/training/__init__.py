@@ -3,12 +3,12 @@
 from .datasets import (
     BatchStream,
     Dataset,
-    build_batch_streams,
     make_cifar_like,
     make_classification,
     make_regression,
     partition_dataset,
 )
+from .gradients import BatchStreams, build_batch_streams
 from .losses import BinaryCrossEntropy, MeanSquaredError, SoftmaxCrossEntropy
 from .models import (
     LinearRegressionModel,
@@ -33,6 +33,7 @@ from .compression import CompressedISGCStrategy, TopKCompressor, nonzero_fractio
 __all__ = [
     "Dataset",
     "BatchStream",
+    "BatchStreams",
     "build_batch_streams",
     "make_regression",
     "make_classification",

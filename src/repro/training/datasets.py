@@ -13,16 +13,20 @@ experiments measure (recovered-gradient fraction → convergence speed):
 Partitioning follows Sec. VIII-A's seed discipline: each partition owns
 an independent seeded batch stream, so every scheme sees byte-identical
 mini-batches for the same (partition, step) pair.
+:meth:`BatchStream.indices` is the one definition of that stream;
+:class:`~repro.training.gradients.BatchStreams` draws all partitions'
+rows of a round from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, TrainingError
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """A new dataset restricted to ``indices`` (rows copied by view)."""
+        """A new dataset holding copies of the rows at ``indices``."""
         return Dataset(
             features=self.features[indices],
             labels=self.labels[indices],
@@ -135,13 +139,65 @@ def _check_sizes(num_samples: int, num_features: int) -> None:
 # ----------------------------------------------------------------------
 # Partitioning & batch streams
 # ----------------------------------------------------------------------
+class Partitions(Sequence):
+    """The partitions of one dataset, stored as one padded block.
+
+    ``features`` is ``(P, max_n, d)`` and ``labels`` ``(P, max_n, ...)``;
+    partition ``pid`` owns the first ``sizes[pid]`` rows of its slab
+    (the rest is zero padding no batch ever indexes).  As a sequence it
+    yields the per-partition :class:`Dataset` objects, which are views
+    of the block.
+    """
+
+    def __init__(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sizes: Iterable[int],
+        name: str = "dataset",
+    ):
+        self.features = features
+        self.labels = labels
+        self._views = [
+            Dataset(features[pid, :size], labels[pid, :size], name)
+            for pid, size in enumerate(sizes)
+        ]
+
+    @classmethod
+    def stack(cls, datasets: "Sequence[Dataset]") -> "Partitions":
+        """``datasets`` as one block (itself when it already is one)."""
+        if isinstance(datasets, cls):
+            return datasets
+        datasets = list(datasets)
+        if not datasets:
+            raise ConfigurationError("no partitions given")
+        first = datasets[0]
+        sizes = [part.num_samples for part in datasets]
+        shape = (len(datasets), max(sizes))
+        features = np.zeros(
+            shape + first.features.shape[1:], first.features.dtype
+        )
+        labels = np.zeros(shape + first.labels.shape[1:], first.labels.dtype)
+        for pid, part in enumerate(datasets):
+            features[pid, : sizes[pid]] = part.features
+            labels[pid, : sizes[pid]] = part.labels
+        return cls(features, labels, sizes, first.name)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):
+        return self._views[index]
+
+
 def partition_dataset(
     dataset: Dataset, num_partitions: int, seed: int = 0
-) -> List[Dataset]:
+) -> Partitions:
     """Shuffle once, then split into ``num_partitions`` near-equal parts.
 
-    Sizes differ by at most one sample; the shuffle keeps class balance
-    statistical rather than positional.
+    Sizes differ by at most one sample (the first ``N mod P`` partitions
+    hold the extra one, as ``np.array_split`` cuts); the shuffle keeps
+    class balance statistical rather than positional.
     """
     if num_partitions <= 0:
         raise ConfigurationError(
@@ -154,18 +210,53 @@ def partition_dataset(
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.num_samples)
-    chunks = np.array_split(order, num_partitions)
-    return [dataset.subset(chunk) for chunk in chunks]
+    small, larger = divmod(dataset.num_samples, num_partitions)
+    cut = larger * (small + 1)
+    sizes = [small + 1] * larger + [small] * (num_partitions - larger)
+
+    def block(rows: np.ndarray) -> np.ndarray:
+        shuffled = rows[order]
+        padded = np.zeros(
+            (num_partitions, max(sizes)) + rows.shape[1:], rows.dtype
+        )
+        if larger:
+            padded[:larger] = shuffled[:cut].reshape(
+                (larger, small + 1) + rows.shape[1:]
+            )
+        padded[larger:, :small] = shuffled[cut:].reshape(
+            (num_partitions - larger, small) + rows.shape[1:]
+        )
+        return padded
+
+    return Partitions(
+        block(dataset.features), block(dataset.labels), sizes, dataset.name
+    )
+
+
+def check_step(step: int) -> int:
+    """``step`` as a plain ``int``; anything but a non-negative integer
+    is rejected (``"3"`` or ``1.5`` would otherwise seed *some* stream)."""
+    if (
+        isinstance(step, bool)
+        or not isinstance(step, (int, np.integer))
+        or step < 0
+    ):
+        raise TrainingError(
+            f"step must be a non-negative integer, got {step!r}"
+        )
+    return int(step)
 
 
 class BatchStream:
     """Reproducible mini-batch stream over one partition.
 
-    Batches are sampled with replacement from a per-partition
-    :class:`numpy.random.Generator` seeded by ``(seed, partition_id)``,
-    so any two runs — regardless of scheme — draw identical batches for
-    the same (partition, step).  This is the paper's "carefully control
-    all random seeds" discipline (Sec. VIII-A).
+    :meth:`indices` is the one definition of the stream: ``batch_size``
+    draws with replacement from a fresh ``default_rng((seed,
+    partition_id, step))`` — stateless, so batches can be
+    re-materialised in any order and any two runs, regardless of
+    scheme, draw identical batches for the same (partition, step).
+    This is the paper's "carefully control all random seeds" discipline
+    (Sec. VIII-A).  Batches are clamped to the partition size.
     """
 
     def __init__(self, partition: Dataset, partition_id: int, batch_size: int, seed: int = 0):
@@ -182,25 +273,17 @@ class BatchStream:
     def batch_size(self) -> int:
         return self._batch_size
 
-    def batch(self, step: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The (features, labels) mini-batch for ``step``.
-
-        Stateless by construction: a fresh generator is derived from
-        ``(seed, partition_id, step)`` so batches can be re-materialised
-        in any order.
-        """
+    def indices(self, step: int) -> np.ndarray:
+        """Partition-local row indices of the mini-batch at ``step``
+        (a non-negative ``int`` — see :func:`check_step`)."""
         rng = np.random.default_rng(
             (self._seed, self._partition_id, step)
         )
-        idx = rng.integers(self._partition.num_samples, size=self._batch_size)
+        return rng.integers(
+            self._partition.num_samples, size=self._batch_size
+        )
+
+    def batch(self, step: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The (features, labels) mini-batch for ``step``."""
+        idx = self.indices(check_step(step))
         return self._partition.features[idx], self._partition.labels[idx]
-
-
-def build_batch_streams(
-    partitions: List[Dataset], batch_size: int, seed: int = 0
-) -> List[BatchStream]:
-    """One stream per partition, sharing the master seed."""
-    return [
-        BatchStream(part, pid, batch_size, seed=seed)
-        for pid, part in enumerate(partitions)
-    ]

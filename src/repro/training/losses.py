@@ -4,6 +4,11 @@ Each loss exposes ``value(pred, y)`` and ``grad(pred, y)`` (gradient
 w.r.t. the prediction), letting models chain their own backward pass.
 All values are means over the batch, matching the optimizer's
 "gradient of the average loss" convention.
+
+Inputs may carry leading stack axes — ``(..., b)`` predictions,
+``(..., b, k)`` logits, ``(..., b)`` targets: every reduction runs over
+the batch axis alone, so a stacked call returns one value per stacked
+batch, bit-equal to the unstacked call on that batch.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ import numpy as np
 from ..exceptions import TrainingError
 
 
-def _check_batch(pred: np.ndarray, target: np.ndarray) -> None:
-    if pred.shape[0] != target.shape[0]:
+def _check_batch(pred: np.ndarray, target: np.ndarray, axis: int = -1) -> None:
+    """``pred``'s batch axis must match ``target``'s and be non-empty."""
+    if pred.shape[axis] != target.shape[-1]:
         raise TrainingError(
-            f"prediction/target batch mismatch: {pred.shape[0]} vs "
-            f"{target.shape[0]}"
+            f"prediction/target batch mismatch: {pred.shape[axis]} vs "
+            f"{target.shape[-1]}"
         )
-    if pred.shape[0] == 0:
+    if pred.shape[axis] == 0:
         raise TrainingError("empty batch")
 
 
@@ -27,15 +33,15 @@ class MeanSquaredError:
     """``0.5 · mean((pred - y)²)`` — the 0.5 makes the gradient clean."""
 
     @staticmethod
-    def value(pred: np.ndarray, target: np.ndarray) -> float:
+    def value(pred: np.ndarray, target: np.ndarray):
         _check_batch(pred, target)
         diff = pred - target
-        return float(0.5 * np.mean(diff * diff))
+        return 0.5 * np.mean(diff * diff, axis=-1)
 
     @staticmethod
     def grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
         _check_batch(pred, target)
-        return (pred - target) / pred.shape[0]
+        return (pred - target) / pred.shape[-1]
 
 
 class BinaryCrossEntropy:
@@ -46,20 +52,19 @@ class BinaryCrossEntropy:
     """
 
     @staticmethod
-    def value(scores: np.ndarray, target: np.ndarray) -> float:
+    def value(scores: np.ndarray, target: np.ndarray):
         _check_batch(scores, target)
         signed = np.where(target > 0.5, 1.0, -1.0)
         margin = scores * signed
         # log(1 + exp(-m)) computed stably.
-        loss = np.logaddexp(0.0, -margin)
-        return float(loss.mean())
+        return np.logaddexp(0.0, -margin).mean(axis=-1)
 
     @staticmethod
     def grad(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
         _check_batch(scores, target)
         signed = np.where(target > 0.5, 1.0, -1.0)
         sigma = 1.0 / (1.0 + np.exp(scores * signed))
-        return (-signed * sigma) / scores.shape[0]
+        return (-signed * sigma) / scores.shape[-1]
 
 
 class SoftmaxCrossEntropy:
@@ -67,22 +72,26 @@ class SoftmaxCrossEntropy:
 
     @staticmethod
     def _probabilities(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return exp / exp.sum(axis=-1, keepdims=True)
 
     @classmethod
-    def value(cls, logits: np.ndarray, target: np.ndarray) -> float:
-        _check_batch(logits, target)
-        probs = cls._probabilities(logits)
-        idx = np.arange(logits.shape[0])
-        picked = np.clip(probs[idx, target.astype(int)], 1e-12, None)
-        return float(-np.log(picked).mean())
+    def _rows(cls, logits: np.ndarray, target: np.ndarray):
+        """Probabilities as ``(rows, k)`` plus each row's (row, class)
+        index pair, whatever the leading stack axes."""
+        _check_batch(logits, target, axis=-2)
+        probs = cls._probabilities(logits).reshape(-1, logits.shape[-1])
+        return probs, (np.arange(probs.shape[0]), target.astype(int).ravel())
+
+    @classmethod
+    def value(cls, logits: np.ndarray, target: np.ndarray):
+        probs, picked = cls._rows(logits, target)
+        likelihood = np.clip(probs[picked], 1e-12, None)
+        return -np.log(likelihood.reshape(target.shape)).mean(axis=-1)
 
     @classmethod
     def grad(cls, logits: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _check_batch(logits, target)
-        probs = cls._probabilities(logits)
-        idx = np.arange(logits.shape[0])
-        probs[idx, target.astype(int)] -= 1.0
-        return probs / logits.shape[0]
+        probs, picked = cls._rows(logits, target)
+        probs[picked] -= 1.0
+        return (probs / logits.shape[-2]).reshape(logits.shape)

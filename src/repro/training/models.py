@@ -5,9 +5,15 @@ Every model exposes
 * ``num_parameters`` and ``get_parameters() / set_parameters(vec)``
   over a single flat ``float64`` vector — the unit the coded-gradient
   pipeline ships around;
-* ``loss(x, y)`` — mean loss on a batch;
-* ``gradient(x, y)`` — flat gradient of the mean batch loss;
-* ``loss_and_gradient(x, y)`` — both in one pass.
+* ``stacked_loss_and_gradient(x, y, parameters=None)`` — mean losses
+  ``(G,)`` and flat gradients ``(G, D)`` of ``G`` equally sized batches
+  in one call, at the current parameters, at one shared ``(D,)`` vector
+  or at one ``(G, D)`` row per batch.  This is *the* implementation of
+  each model: row ``g`` is bit-equal to evaluating batch ``g`` alone
+  (every matrix product is one BLAS call per stacked batch on the same
+  operand layout, every reduction runs over the batch axis only);
+* ``loss_and_gradient(x, y)`` — its ``G = 1`` case; ``loss`` and
+  ``gradient`` pick one half.
 
 Gradients are analytic (no autograd) and are validated against finite
 differences in the tests.
@@ -16,7 +22,7 @@ differences in the tests.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +31,12 @@ from .losses import BinaryCrossEntropy, MeanSquaredError, SoftmaxCrossEntropy
 
 
 class Model(abc.ABC):
-    """Base class for flat-parameter models."""
+    """Base class for flat-parameter models.
+
+    A subclass defines either the stacked form (the vectorised models
+    below) or the single-batch form (then the stacked form is the loop
+    over the leading axis defined here).
+    """
 
     @property
     @abc.abstractmethod
@@ -40,11 +51,47 @@ class Model(abc.ABC):
     def set_parameters(self, flat: np.ndarray) -> None:
         """Install a flat parameter vector."""
 
-    @abc.abstractmethod
     def loss_and_gradient(
         self, x: np.ndarray, y: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         """Mean batch loss and its flat gradient."""
+        losses, grads = self.stacked_loss_and_gradient(
+            np.asarray(x)[None], np.asarray(y)[None]
+        )
+        return float(losses[0]), grads[0]
+
+    def stacked_loss_and_gradient(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        parameters: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Losses ``(G,)`` and flat gradients ``(G, D)`` of ``G`` batches.
+
+        ``x`` is ``(G, b, d)``, ``y`` is ``(G, b)``; ``parameters`` is
+        ``None`` (the model's current vector), one shared ``(D,)``
+        vector or one ``(G, D)`` row per batch.  The model's own
+        parameters are left as they were.
+        """
+        if type(self).loss_and_gradient is Model.loss_and_gradient:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither loss_and_gradient "
+                "nor stacked_loss_and_gradient"
+            )
+        x, y = _stacked_batches(x, y)
+        stack = x.shape[0]
+        rows = self._parameter_rows(parameters, stack)
+        losses = np.empty(stack)
+        grads = np.empty((stack, self.num_parameters))
+        original = self.get_parameters()
+        try:
+            for g in range(stack):
+                if rows is not None:
+                    self.set_parameters(rows[g % len(rows)])
+                losses[g], grads[g] = self.loss_and_gradient(x[g], y[g])
+        finally:
+            self.set_parameters(original)
+        return losses, grads
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean batch loss at the current parameters."""
@@ -63,9 +110,63 @@ class Model(abc.ABC):
             )
         return arr
 
+    def _parameter_rows(
+        self, parameters: Optional[np.ndarray], num_batches: int
+    ) -> Optional[np.ndarray]:
+        """``parameters`` as ``(1, D)`` (shared) or ``(G, D)`` rows;
+        ``None`` stays ``None`` (the current parameters)."""
+        if parameters is None:
+            return None
+        rows = np.asarray(parameters, dtype=float)
+        size = self.num_parameters
+        if rows.shape == (size,):
+            return rows[None]
+        if rows.shape != (num_batches, size):
+            raise TrainingError(
+                f"parameters of shape {rows.shape} fit neither one shared "
+                f"({size},) vector nor one row per batch "
+                f"({num_batches}, {size})"
+            )
+        return rows
 
-class LinearRegressionModel(Model):
-    """``pred = Xw + b`` under mean-squared error."""
+
+def _stacked_batches(x, y) -> Tuple[np.ndarray, np.ndarray]:
+    x, y = np.asarray(x), np.asarray(y)
+    if x.ndim != 3 or y.shape[:1] != x.shape[:1]:
+        raise TrainingError(
+            "stacked batches must be (G, b, d) features with (G, b) "
+            f"targets, got shapes {x.shape} and {y.shape}"
+        )
+    return x, y
+
+
+class _FlatModel(Model):
+    """A model stored as its flat vector; tensors are views of it."""
+
+    def __init__(self, flat: np.ndarray):
+        self._flat = flat
+
+    @property
+    def num_parameters(self) -> int:
+        return self._flat.size
+
+    def get_parameters(self) -> np.ndarray:
+        return self._flat.copy()
+
+    def set_parameters(self, flat: np.ndarray) -> None:
+        """Install a flat parameter vector."""
+        self._flat = self._validate_flat(flat).copy()
+
+    def _parameter_rows(self, parameters, num_batches):
+        if parameters is None:
+            return self._flat[None]
+        return super()._parameter_rows(parameters, num_batches)
+
+
+class _AffineModel(_FlatModel):
+    """``score = Xw + b`` under the subclass's loss on the scores."""
+
+    _loss: type
 
     def __init__(self, num_features: int, seed: int = 0):
         if num_features <= 0:
@@ -73,78 +174,47 @@ class LinearRegressionModel(Model):
                 f"num_features must be positive, got {num_features}"
             )
         rng = np.random.default_rng(seed)
-        self._w = rng.normal(scale=0.01, size=num_features)
-        self._b = 0.0
+        weights = rng.normal(scale=0.01, size=num_features)
+        super().__init__(np.concatenate([weights, [0.0]]))
         self._d = num_features
 
-    @property
-    def num_parameters(self) -> int:
-        return self._d + 1
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        """Raw scores ``Xw + b``."""
+        return x @ self._flat[: self._d] + self._flat[self._d]
 
-    def get_parameters(self) -> np.ndarray:
-        return np.concatenate([self._w, [self._b]])
+    def stacked_loss_and_gradient(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        rows = self._parameter_rows(parameters, x.shape[0])
+        d = self._d
+        s = (x @ rows[:, :d, None])[..., 0] + rows[:, d, None]
+        losses = self._loss.value(s, y)
+        ds = self._loss.grad(s, y)
+        grad_w = (x.transpose(0, 2, 1) @ ds[..., None])[..., 0]
+        grad_b = ds.sum(axis=1, keepdims=True)
+        return losses, np.concatenate([grad_w, grad_b], axis=1)
 
-    def set_parameters(self, flat: np.ndarray) -> None:
-        """Install a flat parameter vector."""
-        arr = self._validate_flat(flat)
-        self._w = arr[: self._d].copy()
-        self._b = float(arr[self._d])
+
+class LinearRegressionModel(_AffineModel):
+    """``pred = Xw + b`` under mean-squared error."""
+
+    _loss = MeanSquaredError
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Real-valued predictions ``Xw + b``."""
-        return x @ self._w + self._b
-
-    def loss_and_gradient(self, x, y):
-        pred = self.predict(x)
-        loss = MeanSquaredError.value(pred, y)
-        dpred = MeanSquaredError.grad(pred, y)
-        grad_w = x.T @ dpred
-        grad_b = dpred.sum()
-        return loss, np.concatenate([grad_w, [grad_b]])
+        return self.scores(x)
 
 
-class LogisticRegressionModel(Model):
+class LogisticRegressionModel(_AffineModel):
     """Binary logistic regression on raw scores."""
 
-    def __init__(self, num_features: int, seed: int = 0):
-        if num_features <= 0:
-            raise TrainingError(
-                f"num_features must be positive, got {num_features}"
-            )
-        rng = np.random.default_rng(seed)
-        self._w = rng.normal(scale=0.01, size=num_features)
-        self._b = 0.0
-        self._d = num_features
-
-    @property
-    def num_parameters(self) -> int:
-        return self._d + 1
-
-    def get_parameters(self) -> np.ndarray:
-        return np.concatenate([self._w, [self._b]])
-
-    def set_parameters(self, flat: np.ndarray) -> None:
-        """Install a flat parameter vector."""
-        arr = self._validate_flat(flat)
-        self._w = arr[: self._d].copy()
-        self._b = float(arr[self._d])
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Raw (pre-sigmoid) decision scores."""
-        return x @ self._w + self._b
+    _loss = BinaryCrossEntropy
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard 0/1 predictions."""
         return (self.scores(x) > 0).astype(np.int64)
 
-    def loss_and_gradient(self, x, y):
-        s = self.scores(x)
-        loss = BinaryCrossEntropy.value(s, y)
-        ds = BinaryCrossEntropy.grad(s, y)
-        return loss, np.concatenate([x.T @ ds, [ds.sum()]])
 
-
-class SoftmaxRegressionModel(Model):
+class SoftmaxRegressionModel(_FlatModel):
     """Multinomial logistic regression (linear softmax classifier)."""
 
     def __init__(self, num_features: int, num_classes: int, seed: int = 0):
@@ -154,43 +224,43 @@ class SoftmaxRegressionModel(Model):
                 f"{num_features}, {num_classes}"
             )
         rng = np.random.default_rng(seed)
-        self._w = rng.normal(scale=0.01, size=(num_features, num_classes))
-        self._b = np.zeros(num_classes)
+        weights = rng.normal(scale=0.01, size=(num_features, num_classes))
+        super().__init__(
+            np.concatenate([weights.ravel(), np.zeros(num_classes)])
+        )
         self._d = num_features
         self._k = num_classes
 
-    @property
-    def num_parameters(self) -> int:
-        return self._d * self._k + self._k
-
-    def get_parameters(self) -> np.ndarray:
-        return np.concatenate([self._w.ravel(), self._b])
-
-    def set_parameters(self, flat: np.ndarray) -> None:
-        """Install a flat parameter vector."""
-        arr = self._validate_flat(flat)
+    def _tensors(self, rows: np.ndarray):
+        """``(w, b)`` views of ``(R, D)`` parameter rows, batch-shaped."""
         split = self._d * self._k
-        self._w = arr[:split].reshape(self._d, self._k).copy()
-        self._b = arr[split:].copy()
+        return (
+            rows[:, :split].reshape(-1, self._d, self._k),
+            rows[:, None, split:],
+        )
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Raw class scores."""
-        return x @ self._w + self._b
+        w, b = self._tensors(self._flat[None])
+        return x @ w[0] + b[0, 0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard class predictions."""
         return self.logits(x).argmax(axis=1)
 
-    def loss_and_gradient(self, x, y):
-        z = self.logits(x)
-        loss = SoftmaxCrossEntropy.value(z, y)
+    def stacked_loss_and_gradient(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        w, b = self._tensors(self._parameter_rows(parameters, x.shape[0]))
+        z = x @ w + b
+        losses = SoftmaxCrossEntropy.value(z, y)
         dz = SoftmaxCrossEntropy.grad(z, y)
-        grad_w = x.T @ dz
-        grad_b = dz.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
+        grad_w = x.transpose(0, 2, 1) @ dz
+        return losses, np.concatenate(
+            [grad_w.reshape(len(x), -1), dz.sum(axis=1)], axis=1
+        )
 
 
-class MLPClassifier(Model):
+class MLPClassifier(_FlatModel):
     """One-hidden-layer ReLU network with a softmax head.
 
     The non-convex stand-in for the paper's ResNet-18: small enough for
@@ -211,62 +281,60 @@ class MLPClassifier(Model):
                 f"got {num_features}, {hidden_units}, {num_classes}"
             )
         rng = np.random.default_rng(seed)
-        self._w1 = rng.normal(
+        w1 = rng.normal(
             scale=np.sqrt(2.0 / num_features), size=(num_features, hidden_units)
         )
-        self._b1 = np.zeros(hidden_units)
-        self._w2 = rng.normal(
+        w2 = rng.normal(
             scale=np.sqrt(2.0 / hidden_units), size=(hidden_units, num_classes)
         )
-        self._b2 = np.zeros(num_classes)
-        self._shapes = [
-            self._w1.shape,
-            self._b1.shape,
-            self._w2.shape,
-            self._b2.shape,
-        ]
-
-    @property
-    def num_parameters(self) -> int:
-        return sum(int(np.prod(s)) for s in self._shapes)
-
-    def get_parameters(self) -> np.ndarray:
-        return np.concatenate(
-            [self._w1.ravel(), self._b1, self._w2.ravel(), self._b2]
+        super().__init__(np.concatenate([
+            w1.ravel(), np.zeros(hidden_units),
+            w2.ravel(), np.zeros(num_classes),
+        ]))
+        self._shapes = (w1.shape, w2.shape)
+        self._cuts = tuple(
+            np.cumsum([w1.size, hidden_units, w2.size]).tolist()
         )
 
-    def set_parameters(self, flat: np.ndarray) -> None:
-        """Install a flat parameter vector."""
-        arr = self._validate_flat(flat)
-        offset = 0
-        tensors = []
-        for shape in self._shapes:
-            size = int(np.prod(shape))
-            tensors.append(arr[offset:offset + size].reshape(shape).copy())
-            offset += size
-        self._w1, self._b1, self._w2, self._b2 = tensors
+    def _tensors(self, rows: np.ndarray):
+        """``(w1, b1, w2, b2)`` views of ``(R, D)`` parameter rows."""
+        (d, h), (_, k) = self._shapes
+        cuts = self._cuts
+        return (
+            rows[:, : cuts[0]].reshape(-1, d, h),
+            rows[:, None, cuts[0]:cuts[1]],
+            rows[:, cuts[1]:cuts[2]].reshape(-1, h, k),
+            rows[:, None, cuts[2]:],
+        )
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Raw class scores."""
-        hidden = np.maximum(x @ self._w1 + self._b1, 0.0)
-        return hidden @ self._w2 + self._b2
+        w1, b1, w2, b2 = self._tensors(self._flat[None])
+        hidden = np.maximum(x @ w1[0] + b1[0, 0], 0.0)
+        return hidden @ w2[0] + b2[0, 0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard class predictions."""
         return self.logits(x).argmax(axis=1)
 
-    def loss_and_gradient(self, x, y):
-        pre = x @ self._w1 + self._b1
+    def stacked_loss_and_gradient(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        w1, b1, w2, b2 = self._tensors(
+            self._parameter_rows(parameters, x.shape[0])
+        )
+        pre = x @ w1 + b1
         hidden = np.maximum(pre, 0.0)
-        z = hidden @ self._w2 + self._b2
-        loss = SoftmaxCrossEntropy.value(z, y)
+        z = hidden @ w2 + b2
+        losses = SoftmaxCrossEntropy.value(z, y)
         dz = SoftmaxCrossEntropy.grad(z, y)
-        grad_w2 = hidden.T @ dz
-        grad_b2 = dz.sum(axis=0)
-        dhidden = dz @ self._w2.T
-        dpre = dhidden * (pre > 0)
-        grad_w1 = x.T @ dpre
-        grad_b1 = dpre.sum(axis=0)
-        return loss, np.concatenate(
-            [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
+        grad_w2 = hidden.transpose(0, 2, 1) @ dz
+        dpre = (dz @ w2.transpose(0, 2, 1)) * (pre > 0)
+        grad_w1 = x.transpose(0, 2, 1) @ dpre
+        stack = len(x)
+        return losses, np.concatenate(
+            [
+                grad_w1.reshape(stack, -1), dpre.sum(axis=1),
+                grad_w2.reshape(stack, -1), dz.sum(axis=1),
+            ],
+            axis=1,
         )

@@ -1,0 +1,494 @@
+"""The stacked gradient path against an independent per-partition loop.
+
+``BatchStreams.gradients`` draws, gathers and differentiates all
+partitions of a round in one stacked call, and every training loop in
+the package goes through it.  The oracle here shares none of that code:
+
+* partitions are cut the pre-block way (``array_split`` of the shuffle,
+  fancy-indexed copies);
+* each batch is ``default_rng((seed, pid, step)).integers(n, size=b)``
+  written out, one generator per partition;
+* each model's loss and gradient are the single-batch 2-D formulas the
+  models had before they were stacked (``x @ w``, ``x.T @ d``, …) —
+  except the conv net, whose own single-batch method *is* its
+  definition and whose stacked form is the base-class loop.
+
+Everything is compared with ``==`` on the bits.  Stacked ``matmul`` on
+``(G, b, d)`` blocks issues one BLAS call per batch with the operand
+layout of the 2-D call, which is what keeps the bits; that is a
+property of the BLAS build, so a failure message carries the
+NumPy/BLAS fingerprint.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    ClusterSimulator,
+    ComputeModel,
+    CyclicRepetition,
+    DelayTrace,
+    ExponentialDelay,
+    ISGCStrategy,
+    SGD,
+    TraceReplayModel,
+)
+from repro.engine import (
+    ExperimentSpec,
+    FlatBackend,
+    RoundEngine,
+    SyncUpdate,
+    build_engine,
+)
+from repro.exceptions import TrainingError
+from repro.training import (
+    Conv2DClassifier,
+    Dataset,
+    LinearRegressionModel,
+    LogisticRegressionModel,
+    MLPClassifier,
+    SoftmaxRegressionModel,
+    build_batch_streams,
+    make_classification,
+    partition_dataset,
+)
+from repro.training.evaluation import held_out_loss
+
+
+def _fingerprint() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = blas.get("openblas configuration") or (
+            f"{blas.get('name')} {blas.get('version')}"
+        )
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
+def assert_same_bits(actual, expected, what: str) -> None:
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, (what, actual.shape, expected.shape)
+    differing = int(np.sum(actual != expected))
+    assert differing == 0, (
+        f"{what}: {differing} of {expected.size} values differ from the "
+        f"per-partition loop (max |Δ| = "
+        f"{np.max(np.abs(actual - expected)):.3e}) on {_fingerprint()}"
+    )
+
+
+# ----------------------------------------------------------------------
+# The oracle: single-batch 2-D model math, one partition at a time.
+
+def _mse(pred, y):
+    diff = pred - y
+    return float(0.5 * np.mean(diff * diff)), diff / pred.shape[0]
+
+
+def _bce(scores, y):
+    signed = np.where(y > 0.5, 1.0, -1.0)
+    loss = float(np.logaddexp(0.0, -(scores * signed)).mean())
+    sigma = 1.0 / (1.0 + np.exp(scores * signed))
+    return loss, (-signed * sigma) / scores.shape[0]
+
+
+def _softmax_ce(logits, y):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    picked = np.clip(probs[rows, y.astype(int)], 1e-12, None)
+    loss = float(-np.log(picked).mean())
+    probs[rows, y.astype(int)] -= 1.0
+    return loss, probs / logits.shape[0]
+
+
+def _ref_affine(loss_fn):
+    def reference(model, theta, x, y):
+        d = x.shape[1]
+        w, b = theta[:d].copy(), float(theta[d])
+        loss, ds = loss_fn(x @ w + b, y)
+        return loss, np.concatenate([x.T @ ds, [ds.sum()]])
+    return reference
+
+
+def _ref_softmax(model, theta, x, y):
+    d, k = x.shape[1], CLASSES
+    w = theta[: d * k].reshape(d, k).copy()
+    b = theta[d * k:].copy()
+    loss, dz = _softmax_ce(x @ w + b, y)
+    return loss, np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
+
+
+def _ref_mlp(model, theta, x, y):
+    d, h, k = x.shape[1], HIDDEN, CLASSES
+    cuts = np.cumsum([d * h, h, h * k])
+    w1 = theta[: cuts[0]].reshape(d, h).copy()
+    b1 = theta[cuts[0]:cuts[1]].copy()
+    w2 = theta[cuts[1]:cuts[2]].reshape(h, k).copy()
+    b2 = theta[cuts[2]:].copy()
+    pre = x @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    loss, dz = _softmax_ce(hidden @ w2 + b2, y)
+    dpre = (dz @ w2.T) * (pre > 0)
+    return loss, np.concatenate([
+        (x.T @ dpre).ravel(), dpre.sum(axis=0),
+        (hidden.T @ dz).ravel(), dz.sum(axis=0),
+    ])
+
+
+def _ref_conv(model, theta, x, y):
+    model.set_parameters(theta)
+    loss, grad = model.loss_and_gradient(x, y)
+    return float(loss), grad
+
+
+CLASSES, HIDDEN, SIDE = 3, 4, 4
+
+#: name → (features, model factory, labels are real-valued, oracle)
+MODELS = {
+    "linear": (5, lambda: LinearRegressionModel(5, seed=1), True,
+               _ref_affine(_mse)),
+    "logistic": (5, lambda: LogisticRegressionModel(5, seed=1), False,
+                 _ref_affine(_bce)),
+    "softmax": (5, lambda: SoftmaxRegressionModel(5, CLASSES, seed=1),
+                False, _ref_softmax),
+    "mlp": (5, lambda: MLPClassifier(5, HIDDEN, CLASSES, seed=1), False,
+            _ref_mlp),
+    "conv": (SIDE * SIDE, lambda: Conv2DClassifier(
+        side=SIDE, in_channels=1, num_filters=2, num_classes=CLASSES, seed=1,
+    ), False, _ref_conv),
+}
+
+
+def _dataset(name: str, num_samples: int, seed: int) -> Dataset:
+    features, _, real_labels, _ = MODELS[name]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(num_samples, features))
+    if real_labels:
+        y = rng.normal(size=num_samples)
+    else:
+        high = 2 if name == "logistic" else CLASSES
+        y = rng.integers(high, size=num_samples)
+    return Dataset(x, y)
+
+
+def reference_partitions(dataset: Dataset, count: int, seed: int):
+    """``partition_dataset`` as it was before the block existed."""
+    order = np.random.default_rng(seed).permutation(dataset.num_samples)
+    return [
+        Dataset(dataset.features[chunk], dataset.labels[chunk])
+        for chunk in np.array_split(order, count)
+    ]
+
+
+def reference_round(name, model, parts, batch_size, seed, step, thetas):
+    """Losses and gradients of every partition, one at a time, at
+    ``thetas[pid]``; the model's own parameters are put back."""
+    oracle = MODELS[name][3]
+    original = model.get_parameters()
+    losses, grads = [], []
+    for pid, part in enumerate(parts):
+        n = part.num_samples
+        rng = np.random.default_rng((seed, pid, step))
+        idx = rng.integers(n, size=min(batch_size, n))
+        loss, grad = oracle(
+            model, thetas[pid], part.features[idx], part.labels[idx]
+        )
+        losses.append(loss)
+        grads.append(grad)
+    model.set_parameters(original)
+    return np.array(losses), np.array(grads)
+
+
+STEPS = st.one_of(
+    st.integers(0, 200), st.integers(2**32, 2**32 + 10**6),
+    st.integers(2**63, 2**64),
+)
+
+
+class TestStackedRoundEqualsLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(MODELS)),
+        count=st.integers(1, 6),
+        extra=st.integers(0, 40),
+        batch_size=st.integers(1, 12),
+        seed=st.integers(0, 2**31),
+        step=STEPS,
+        mode=st.sampled_from(["current", "shared", "per-partition"]),
+    )
+    def test_near_equal_partitions(
+        self, name, count, extra, batch_size, seed, step, mode
+    ):
+        # N = count + extra rows: partition sizes differ by at most
+        # one, and batch_size lands below, between and above them.
+        dataset = _dataset(name, count + extra, seed)
+        parts = partition_dataset(dataset, count, seed=seed)
+        expected_parts = reference_partitions(dataset, count, seed)
+        for mine, theirs in zip(parts, expected_parts):
+            assert_same_bits(mine.features, theirs.features, "partition rows")
+            assert_same_bits(mine.labels, theirs.labels, "partition labels")
+        self._check(name, parts, expected_parts, batch_size, seed, step, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(MODELS)),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        batch_size=st.integers(1, 10),
+        seed=st.integers(0, 2**31),
+        step=STEPS,
+        mode=st.sampled_from(["current", "shared", "per-partition"]),
+    )
+    def test_arbitrary_partition_sizes(
+        self, name, sizes, batch_size, seed, step, mode
+    ):
+        # Hand-built partitions: as many batch-size groups as there
+        # are distinct sizes below batch_size.
+        dataset = _dataset(name, sum(sizes), seed)
+        cuts = np.cumsum(sizes)[:-1]
+        parts = [
+            Dataset(x, y) for x, y in zip(
+                np.split(dataset.features, cuts),
+                np.split(dataset.labels, cuts),
+            )
+        ]
+        self._check(name, parts, parts, batch_size, seed, step, mode)
+
+    @staticmethod
+    def _check(name, parts, expected_parts, batch_size, seed, step, mode):
+        model = MODELS[name][1]()
+        streams = build_batch_streams(parts, batch_size, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        before = model.get_parameters()
+        if mode == "current":
+            parameters = None
+            thetas = [before] * len(parts)
+        elif mode == "shared":
+            parameters = rng.normal(size=model.num_parameters)
+            thetas = [parameters] * len(parts)
+        else:
+            parameters = rng.normal(size=(len(parts), model.num_parameters))
+            thetas = parameters
+        losses, grads = streams.gradients(model, step, parameters)
+        want_losses, want_grads = reference_round(
+            name, model, expected_parts, batch_size, seed, step, thetas
+        )
+        what = f"{name}, {mode} parameters, sizes " + str(
+            [part.num_samples for part in parts]
+        ) + f", batch_size {batch_size}"
+        assert_same_bits(losses, want_losses, f"losses ({what})")
+        assert_same_bits(grads, want_grads, f"gradients ({what})")
+        # Evaluating elsewhere never moves the model.
+        assert_same_bits(model.get_parameters(), before, "model parameters")
+        # One partition on its own (the async arrival path) is its row.
+        pid = len(parts) - 1
+        row = None if parameters is None else thetas[pid]
+        loss, grad = streams.gradients(model, step, row, partition=pid)
+        assert_same_bits(loss, want_losses[pid:], f"single loss ({what})")
+        assert_same_bits(grad, want_grads[pid:], f"single gradient ({what})")
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_single_batch_call_is_the_one_row_case(self, name):
+        model = MODELS[name][1]()
+        data = _dataset(name, 7, seed=3)
+        loss, grad = model.loss_and_gradient(data.features, data.labels)
+        want_loss, want_grad = MODELS[name][3](
+            model, model.get_parameters(), data.features, data.labels
+        )
+        assert isinstance(loss, float)
+        assert loss == want_loss, _fingerprint()
+        assert_same_bits(grad, want_grad, f"{name} single batch")
+
+    def test_parameter_rows_must_fit(self):
+        model = LogisticRegressionModel(5)
+        streams = build_batch_streams(
+            partition_dataset(_dataset("logistic", 12, 0), 3), 4
+        )
+        with pytest.raises(TrainingError, match="one row per batch"):
+            streams.gradients(model, 0, np.zeros((2, model.num_parameters)))
+        with pytest.raises(TrainingError, match="one row per batch"):
+            streams.gradients(model, 0, np.zeros(model.num_parameters + 1))
+
+
+class TestStreamDefinition:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        count=st.integers(1, 8),
+        extra=st.integers(0, 30),
+        batch_size=st.integers(1, 9),
+        step=STEPS,
+        data=st.data(),
+    )
+    def test_index_row_is_the_seeded_draw(
+        self, seed, count, extra, batch_size, step, data
+    ):
+        pid = data.draw(st.integers(0, count - 1))
+        parts = partition_dataset(_dataset("linear", count + extra, 0), count)
+        streams = build_batch_streams(parts, batch_size, seed=seed)
+        n = parts[pid].num_samples
+        want = np.random.default_rng((seed, pid, step)).integers(
+            n, size=min(batch_size, n)
+        )
+        assert_same_bits(streams[pid].indices(step), want, "index row")
+        x, y = streams[pid].batch(step)
+        assert_same_bits(x, parts[pid].features[want], "batch features")
+        assert_same_bits(y, parts[pid].labels[want], "batch labels")
+
+    @pytest.mark.parametrize("step", ["3", -1, 1.5, True, None])
+    def test_step_must_be_a_non_negative_integer(self, step):
+        # "3" used to draw step 3's batch; -1 and 1.5 leaked NumPy's
+        # ValueError / TypeError from the generator's constructor.
+        model = LogisticRegressionModel(5)
+        streams = build_batch_streams(
+            partition_dataset(_dataset("logistic", 12, 0), 3), 4
+        )
+        with pytest.raises(TrainingError, match="step must be"):
+            streams.gradients(model, step)
+        with pytest.raises(TrainingError, match="step must be"):
+            streams[0].batch(step)
+
+    def test_numpy_integer_steps_are_steps(self):
+        streams = build_batch_streams(
+            partition_dataset(_dataset("logistic", 12, 0), 3), 4
+        )
+        assert_same_bits(
+            streams[1].batch(np.int64(7))[0], streams[1].batch(7)[0], "batch"
+        )
+
+    def test_hand_built_stream_lists_are_refused(self):
+        # Without the block there is nothing to gather from; N actors
+        # each re-stacking their own copy would be the silent failure.
+        parts = partition_dataset(_dataset("logistic", 12, 0), 2)
+        streams = list(build_batch_streams(parts, 4))
+        strategy = ISGCStrategy(CyclicRepetition(2, 1), wait_for=1)
+        with pytest.raises(TrainingError, match="build_batch_streams"):
+            RoundEngine(
+                LogisticRegressionModel(5), streams, strategy,
+                FlatBackend(ClusterSimulator(2, 1)), SyncUpdate(SGD(0.1)),
+            )
+
+
+class TestActorRoundSharesReplicaGradients:
+    def _engine(self):
+        spec = ExperimentSpec(
+            name="actor-share", scheme="is-gc-cr", backend="actor",
+            num_workers=6, partitions_per_worker=2, wait_for=4,
+            max_steps=4, seed=5,
+        )
+        return spec, build_engine(spec)
+
+    def test_each_partition_is_evaluated_once_per_round(self, monkeypatch):
+        _, engine = self._engine()
+        evaluated = []
+        stacked = engine.model.stacked_loss_and_gradient
+
+        def counting(x, y, parameters=None):
+            evaluated.append(np.shape(x)[:2])
+            return stacked(x, y, parameters)
+
+        monkeypatch.setattr(
+            engine.model, "stacked_loss_and_gradient", counting
+        )
+        engine.start_run(3)
+        engine.step_rounds(3)
+        # The held-out loss is one more (1, N) call per round.
+        held_out = (1, engine.eval_data.num_samples)
+        batches = [shape for shape in evaluated if shape != held_out]
+        # 6 workers × 2 replicas ask; 6 partitions are differentiated.
+        assert sum(stack for stack, _ in batches) == 3 * engine.num_partitions
+
+    def test_uploads_equal_the_per_worker_loop(self):
+        spec, engine = self._engine()
+        engine.start_run(4)
+        engine.step_rounds(2)
+        backend, strategy = engine.backend, engine.strategy
+        broadcast = backend.master.broadcast(backend.clock)
+        assert broadcast.step == 2
+        # build_engine's seed discipline: partitions seed+1, streams
+        # seed+2; the eval set is the whole dataset.
+        parts = reference_partitions(
+            engine.eval_data, engine.num_partitions, spec.seed + 1
+        )
+        _, want = reference_round(
+            "logistic", engine.model, parts, spec.dataset["batch_size"],
+            spec.seed + 2, broadcast.step,
+            [broadcast.parameters] * len(parts),
+        )
+        for worker in backend.workers:
+            upload = worker.handle_broadcast(broadcast, backend.clock)
+            expected = strategy.encode_worker_payload(
+                worker.worker_id,
+                {p: want[p] for p in worker.partitions},
+            )
+            assert_same_bits(
+                upload.payload, expected,
+                f"worker {worker.worker_id} payload",
+            )
+
+
+class TestEngineEqualsInlineLoop:
+    """The pre-engine sync loop (PR 1's, kept as ``bench_engine``'s
+    reference until that script was retired) on Fig. 11's cluster
+    shape, with the oracle's gradients: same losses, bit for bit."""
+
+    N, C, W, STEPS = 24, 2, 6, 25
+
+    def _parts(self, trace):
+        model = LogisticRegressionModel(8, seed=0)
+        strategy = ISGCStrategy(
+            CyclicRepetition(self.N, self.C), wait_for=self.W,
+            rng=np.random.default_rng(7),
+        )
+        cluster = ClusterSimulator(
+            num_workers=self.N,
+            partitions_per_worker=self.C,
+            compute=ComputeModel(0.1, 1.6),
+            delay_model=TraceReplayModel(trace),
+            rng=np.random.default_rng(0),
+        )
+        return model, strategy, cluster, SGD(0.3)
+
+    def test_loss_trajectories_identical(self):
+        dataset = make_classification(1536, 8, num_classes=2, seed=1)
+        trace = DelayTrace.record(
+            ExponentialDelay(1.5, affected=range(12)),
+            self.N, self.STEPS, np.random.default_rng(4),
+        )
+        parts = reference_partitions(dataset, self.N, seed=2)
+
+        model, strategy, cluster, optimizer = self._parts(trace)
+        inline = []
+        for step in range(self.STEPS):
+            theta = model.get_parameters()
+            batch_losses, grads = reference_round(
+                "logistic", model, parts, 32, 3, step, [theta] * self.N
+            )
+            payloads = strategy.encode(dict(enumerate(grads)))
+            result = cluster.run_round(step, strategy.policy)
+            grad_sum, recovered = strategy.decode(
+                result.outcome.accepted_workers, payloads
+            )
+            model.set_parameters(
+                optimizer.update(theta, grad_sum / len(recovered))
+            )
+            inline.append(held_out_loss(
+                model, dataset, fallback_losses=list(batch_losses)
+            ))
+
+        model, strategy, cluster, optimizer = self._parts(trace)
+        streams = build_batch_streams(
+            partition_dataset(dataset, self.N, seed=2), 32, seed=3
+        )
+        engine = RoundEngine(
+            model, streams, strategy, FlatBackend(cluster),
+            SyncUpdate(optimizer), eval_data=dataset,
+        )
+        assert list(engine.run(self.STEPS).loss_curve) == inline, (
+            _fingerprint()
+        )

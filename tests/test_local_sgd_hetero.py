@@ -9,7 +9,13 @@ from repro.core.hetero_placement import (
     heterogeneous_recovery,
     optimize_assignment,
 )
-from repro.engine import FlatBackend, LocalUpdate, RoundEngine
+from repro.engine import (
+    ExperimentSpec,
+    FlatBackend,
+    LocalUpdate,
+    RoundEngine,
+    build_engine,
+)
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
@@ -106,9 +112,12 @@ class TestLocalUpdateTrainer:
             FlatBackend(_cluster()), rule, eval_data=ds,
         )
         start = engine.model.get_parameters()
-        d1 = rule.partition_delta(engine, 1, 0, start)
-        d2 = rule.partition_delta(engine, 1, 0, start)
-        np.testing.assert_array_equal(d1, d2)
+        d1, _ = rule.compute_partitions(engine, 0)
+        d2, _ = rule.compute_partitions(engine, 0)
+        for pid in range(4):
+            np.testing.assert_array_equal(d1[pid], d2[pid])
+        # ... and the local trajectories never touch the shared model.
+        np.testing.assert_array_equal(engine.model.get_parameters(), start)
 
     def test_validation(self):
         with pytest.raises(TrainingError, match="local_steps"):
@@ -118,6 +127,18 @@ class TestLocalUpdateTrainer:
         trainer, _, _ = self._trainer(tau=2)
         with pytest.raises(TrainingError):
             trainer.run(max_steps=0)
+
+
+    def test_actor_backend_refuses_delta_rules(self):
+        # Worker actors upload coded *gradients*; this pair used to be
+        # built and then die in apply() with a bare TypeError.
+        spec = ExperimentSpec(
+            name="actor-local", scheme="is-gc-cr", num_workers=4,
+            partitions_per_worker=2, wait_for=2, backend="actor",
+            rule="local-update",
+        )
+        with pytest.raises(TrainingError, match="in-process backend"):
+            build_engine(spec)
 
 
 class TestHeterogeneousRecovery:

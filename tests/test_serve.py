@@ -488,6 +488,16 @@ class TestMailbox:
             lambda spec: {**spec, "num_workers": "4"}, id="str-num-workers"
         ),
         pytest.param(lambda spec: 5, id="spec-not-a-mapping"),
+        # These two used to be admitted and then kill build_engine with
+        # NumPy's raw "expected non-negative integer".
+        pytest.param(lambda spec: {**spec, "seed": -1}, id="negative-seed"),
+        pytest.param(lambda spec: {**spec, "seed": 1.5}, id="float-seed"),
+        pytest.param(
+            lambda spec: {
+                **spec, "dataset": {**spec["dataset"], "batch_size": 0}
+            },
+            id="zero-batch-size",
+        ),
     ])
     def test_unconstructible_spec_rejected_not_crashing(
         self, tmp_path, broken
@@ -519,6 +529,18 @@ class TestMailbox:
         )
         serve_once(root)
         assert client.state("anon")["error"] == "missing spec field: name"
+
+    def test_bad_seed_is_named_in_the_rejection(self, tmp_path):
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = {**make_spec(0).to_dict(), "seed": -1}
+        (root / "inbox" / "neg.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        serve_once(root)
+        assert client.state("neg")["error"] == (
+            "seed must be an integer >= 0, got -1"
+        )
 
     def test_misspelt_rule_param_rejected_before_admission(self, tmp_path):
         root = tmp_path / "mbox"

@@ -42,6 +42,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="positive"):
             _spec(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, -2, -3, 1.5, True, "7"])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        # Was admitted, then died inside build_engine with NumPy's raw
+        # "expected non-negative integer" (seed + 2 seeds the streams).
+        with pytest.raises(ConfigurationError, match="^seed must be"):
+            _spec(seed=seed)
+        with pytest.raises(ConfigurationError, match="^seed must be"):
+            ExperimentSpec.from_dict({**_spec().to_dict(), "seed": seed})
+
+    @pytest.mark.parametrize("batch_size", [0, -4, 2.5, True, "16"])
+    def test_rejects_batch_size_that_is_not_a_positive_int(self, batch_size):
+        dataset = {**_spec().dataset, "batch_size": batch_size}
+        with pytest.raises(
+            ConfigurationError, match=r"^dataset\.batch_size must be"
+        ):
+            _spec(dataset=dataset)
+        with pytest.raises(
+            ConfigurationError, match=r"^dataset\.batch_size must be"
+        ):
+            ExperimentSpec.from_dict({**_spec().to_dict(), "dataset": dataset})
+
     def test_rejects_unknown_rule(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):
             _spec(rule="teleport")

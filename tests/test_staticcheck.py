@@ -750,6 +750,7 @@ class TestParallelismRules:
 ENGINE_PATH = "src/repro/engine/core.py"
 RULES_PATH = "src/repro/engine/rules.py"
 BACKENDS_PATH = "src/repro/engine/backends.py"
+GRADIENTS_PATH = "src/repro/training/gradients.py"
 
 
 class TestCheckpointRule:
@@ -813,17 +814,19 @@ class TestCheckpointRule:
         assert "CHECKPOINT_COVERED['rule']" in findings[1].message
 
     def test_ckpt001_transient_scratch_accepted(self):
-        # LocalUpdate's round-start parameters are registered as
-        # within-round scratch (CHECKPOINT_TRANSIENT), not snapshot
-        # state — the rule accepts both registries.
-        assert check(
+        # The gradient path's replica memo is registered as transient
+        # (CHECKPOINT_TRANSIENT), not snapshot state — the rule accepts
+        # both registries, and audits that file like the engine's own.
+        source = """
+            class BatchStreams:
+                def round_gradients(self, model, step, parameters):
+                    self._memo = (model, step)
+                    self._cursor = step
             """
-            class LocalUpdate:
-                def compute_partitions(self, engine, step):
-                    self._start = engine.model.parameters
-            """,
-            scope_path=RULES_PATH,
-        ) == []
+        findings = check(source, scope_path=GRADIENTS_PATH)
+        assert rules_of(findings) == ["CKPT001"]
+        assert "self._cursor" in findings[0].message
+        assert "CHECKPOINT_COVERED['streams']" in findings[0].message
 
     def test_ckpt001_backend_clock_covered(self):
         findings = check(
