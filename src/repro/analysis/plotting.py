@@ -2,7 +2,7 @@
 
 No matplotlib in the dependency set — loss curves and recovery sweeps
 render as Unicode sparklines and simple line plots, which is all the
-examples and bench summaries need.
+examples need.
 """
 
 from __future__ import annotations

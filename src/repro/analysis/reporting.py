@@ -1,7 +1,7 @@
 """Plain-text tables and series for experiment output.
 
-The benchmark harness regenerates the paper's figures as printed
-tables; this module owns the formatting so every bench looks the same.
+``repro experiment`` regenerates the paper's figures as printed
+tables; this module owns the formatting so every table looks the same.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Empirical verification of the paper's theory (Sec. VII).
 
 These helpers exhaustively or statistically check the theorems against
-constructed instances; the test suite calls them, and the ablation
-benches report them as tables.
+constructed instances; the test suite calls them, and
+``repro experiment theory`` reports them as tables.
 """
 
 from __future__ import annotations

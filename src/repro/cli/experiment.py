@@ -28,9 +28,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 @register_command("experiment", help="run a paper experiment")
 def configure(parser: argparse.ArgumentParser) -> None:
     """Wire the ``experiment`` subparser (arguments + handler)."""
-    parser.add_argument(
-        "figure", choices=("fig11", "fig12", "fig13", "extra", "all"),
-    )
+    from ..experiments.runner import EXPERIMENTS
+
+    parser.add_argument("figure", choices=(*EXPERIMENTS, "all"))
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="process-pool workers for the figure grid (default: serial; "

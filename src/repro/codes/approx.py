@@ -18,7 +18,7 @@ payloads IS-GC uses, so the comparison isolates the *decoding policy*:
 
 Both return *estimates of the full gradient sum* (not partial sums),
 plus diagnostics (`coefficient deviation`) used by the comparison
-bench.  IS-GC instead returns an exact partial sum — the paper's
+table (``repro experiment ablations``).  IS-GC instead returns an exact partial sum — the paper's
 argument is that this keeps the convergence analysis clean.
 """
 

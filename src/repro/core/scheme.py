@@ -30,8 +30,7 @@ up by name.
 Fast paths are *verified*, not parallel code paths: every override of
 :meth:`PlacementScheme.conflict_graph` must agree with the
 ground-truth :func:`~repro.core.conflict.conflict_graph` of the
-constructed placement (property-tested in ``tests/test_scheme.py`` and
-re-checked by ``benchmarks/bench_placement.py``).
+constructed placement (property-tested in ``tests/test_scheme.py``).
 """
 
 from __future__ import annotations

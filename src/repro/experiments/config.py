@@ -3,7 +3,7 @@
 Defaults are scaled so the whole suite reproduces on a laptop in
 minutes while preserving the paper's *shapes* (who wins, by what
 factor, where crossovers fall).  Every figure runner accepts a config
-object so benches and tests can dial sizes up or down.
+object so tests can dial sizes down.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class SchemePoint:
     avg_step_time: float
 
 
-def _avg_step_time(
+def avg_step_time(
     trace: DelayTrace,
     cfg: Fig11Config,
     partitions_per_worker: int,
@@ -151,7 +151,7 @@ def run_condition(
     return [
         SchemePoint(
             label, wait_for, ppw,
-            _avg_step_time(
+            avg_step_time(
                 trace, cfg, ppw, WaitForK(wait_for),
                 tracer=tracer, scheme_label=label, decoder=decoder,
             ),

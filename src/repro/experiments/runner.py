@@ -1,8 +1,11 @@
-"""Run every paper experiment and print its tables.
+"""Run every experiment of EXPERIMENTS.md and print its tables.
 
-Used by the benchmark harness (``benchmarks/``) and runnable directly::
+The one way to regenerate them — ``repro experiment <group>``, or
+directly::
 
-    python -m repro.experiments.runner [fig11|fig12|fig13|all] [--jobs N] [--trace PATH]
+    python -m repro.experiments.runner [<group> ...|all] [--jobs N] [--trace PATH]
+
+where ``<group>`` is a key of :data:`EXPERIMENTS`.
 
 ``--jobs N`` fans the figure grids out over a
 :class:`~repro.parallel.ProcessExecutor` with ``N`` workers — results
@@ -25,6 +28,16 @@ from .fig12 import fig12_tables
 from .fig13 import fig13_tables
 from .extra import adaptive_policy_table, enduring_straggler_table
 
+
+def _table_group(name: str) -> List[Table]:
+    """Build the ``name`` group of :mod:`.tables`.  Imported here, not
+    at module top: ``import repro.experiments`` is on every entry
+    point's start-up path and only ``repro experiment`` needs it."""
+    from .tables import GROUPS
+
+    return [build() for build in GROUPS[name]]
+
+
 EXPERIMENTS: Dict[str, Callable[..., List[Table]]] = {
     "fig11": lambda executor=None: fig11_tables(
         Fig11Config(), executor=executor
@@ -39,6 +52,9 @@ EXPERIMENTS: Dict[str, Callable[..., List[Table]]] = {
     "extra": lambda executor=None: [
         enduring_straggler_table(), adaptive_policy_table()
     ],
+    "ablations": lambda executor=None: _table_group("ablations"),
+    "theory": lambda executor=None: _table_group("theory"),
+    "extensions": lambda executor=None: _table_group("extensions"),
 }
 
 

@@ -21,8 +21,7 @@ Because eviction goes through the same
 crash recovery, a pooled job's trajectory is bit-for-bit identical no
 matter how many times it bounced out of the pool — the determinism
 tests pin this.  ``capacity=0`` degenerates to a per-quantum
-build/restore cycle (the "per-job engine" baseline the serve benchmark
-measures the shared pool against).
+build/restore cycle (the "per-job engine" baseline).
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ class WorkerPool:
     capacity:
         Maximum resident engines (``>= 0``).  ``0`` forces a
         snapshot/rebuild round-trip on every quantum — functionally
-        identical, maximally memory-frugal, and the benchmark's
-        baseline.
+        identical and maximally memory-frugal.
     """
 
     def __init__(self, capacity: int = 4):

@@ -244,24 +244,20 @@ _SKIP_DIRS = {
     ".venv", "venv", ".tox", ".mypy_cache", "node_modules",
     ".hypothesis",
 }
-#: directory *pairs* skipped as parent/child (benchmark result dumps).
-_SKIP_DIR_PAIRS = {("benchmarks", "results")}
 _CHECKED_SUFFIXES = {".py", ".md", ".json", ".toml"}
 
 
 def _skipped(parts: Tuple[str, ...]) -> bool:
     if set(parts) & _SKIP_DIRS:
         return True
-    if any(p.endswith(".egg-info") for p in parts):
-        return True
-    return any(pair in _SKIP_DIR_PAIRS for pair in zip(parts, parts[1:]))
+    return any(p.endswith(".egg-info") for p in parts)
 
 
 def iter_source_files(paths: Sequence["str | Path"]) -> List[Path]:
     """Expand files/directories into the checkable file list.
 
-    Skips caches, virtualenvs and benchmark result dumps
-    (``.venv``/``__pycache__``/``benchmarks/results`` and friends).
+    Skips caches, virtualenvs and build metadata
+    (``.venv``/``__pycache__``/``*.egg-info`` and friends).
     """
     out: List[Path] = []
     for raw in paths:
@@ -672,8 +668,8 @@ def _build_index(py_files: Sequence[Path], texts: Mapping[Path, str],
         except ValueError:
             display = str(f)
         if name in modules:
-            # standalone-module stem collision (tests/conftest.py vs
-            # benchmarks/conftest.py): key by path-derived name.
+            # standalone-module stem collision (two directories each
+            # with a conftest.py): key by path-derived name.
             name = Path(display).with_suffix("").as_posix().replace("/", ".")
         info = None
         if cache is not None:

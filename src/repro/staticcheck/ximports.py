@@ -45,7 +45,7 @@ def _within(name: str, prefix: str) -> bool:
 
 def _is_test_module(name: str, scope_path: str) -> bool:
     stem = name.rsplit(".", 1)[-1]
-    if stem.startswith(("test_", "bench_")) or stem == "conftest":
+    if stem.startswith("test_") or stem == "conftest":
         return True
     return "tests/" in scope_path or "benchmarks/" in scope_path
 

@@ -158,7 +158,7 @@ class ShiftedExponentialDelay(DelayModel):
 class ParetoDelay(DelayModel):
     """Heavy-tailed delays: ``scale · (Pareto(alpha))`` seconds.
 
-    Used by the ablation benches to probe sensitivity to tail weight.
+    Used by the ablation tables to probe sensitivity to tail weight.
     """
 
     def __init__(self, alpha: float, scale: float):

@@ -74,6 +74,21 @@ class TestFig11:
         gc = next(p for p in points if p.scheme == "gc")
         assert gc.avg_step_time > sync.avg_step_time
 
+    def test_relative_overhead_over_issgd_shrinks_with_delay(self):
+        """Sec. VIII-B's "difference reduced" claim: the constant
+        compute gap weighs less as E[delay] grows from 1.5 s to 3.0 s."""
+        cfg = Fig11Config(num_steps=60)
+
+        def relative_gap(expected_delay):
+            points = run_condition(cfg, expected_delay, 24)
+            isgc = next(p for p in points if p.scheme == "is-gc(w=18)")
+            issgd = next(p for p in points if p.scheme == "is-sgd(w=18)")
+            return (
+                isgc.avg_step_time - issgd.avg_step_time
+            ) / issgd.avg_step_time
+
+        assert relative_gap(3.0) < relative_gap(1.5)
+
     def test_tables_render(self):
         tables = fig11_tables(SMALL11)
         assert len(tables) == 1
@@ -136,3 +151,13 @@ class TestRunner:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run("fig99")
+
+    def test_cli_choices_are_the_runner_registry(self):
+        from repro.cli import build_parser
+        from repro.experiments.runner import EXPERIMENTS
+
+        parser = build_parser()
+        for name in (*EXPERIMENTS, "all"):
+            assert parser.parse_args(["experiment", name]).figure == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["experiment", "fig99"])

@@ -25,6 +25,8 @@ from repro import (
     RunReport,
     ServeError,
     ServeMailbox,
+    aggregate_traces,
+    read_traces,
     run_jobs,
     run_spec,
 )
@@ -104,6 +106,14 @@ class TestDeterminism:
             conc_trace = pathlib.Path(conc.trace_path).read_bytes()
             seq_trace = pathlib.Path(seq.trace_path).read_bytes()
             assert conc_trace == seq_trace
+            # The streamed trace lost nothing: it re-reads to the
+            # report's rounds and clocks, and re-aggregates to one
+            # scheme label covering every round.
+            traces = read_traces(conc.trace_path)
+            assert [t.step for t in traces] == list(range(conc.num_steps))
+            assert [t.step_end for t in traces] == list(conc.time_curve)
+            (aggregate,) = aggregate_traces(traces).values()
+            assert aggregate.rounds == conc.num_steps
 
     def test_adversarial_interleaving(self):
         specs = [make_spec(i) for i in range(4)]

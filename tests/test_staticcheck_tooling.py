@@ -476,7 +476,6 @@ class TestDiscoverySkips:
     @pytest.mark.parametrize("where", [
         ".venv/lib/mod.py",
         "__pycache__/mod.py",
-        "benchmarks/results/mod.py",
         ".hypothesis/mod.py",
     ])
     def test_vendored_and_derived_trees_skipped(self, tmp_path, where):
@@ -484,5 +483,5 @@ class TestDiscoverySkips:
         assert run_check([str(tmp_path)], project=False).num_files == 0
 
     def test_benchmarks_sources_still_checked(self, tmp_path):
-        write(tmp_path, "benchmarks/bench_mod.py", CLEAN)
+        write(tmp_path, "benchmarks/e2e/workloads.py", CLEAN)
         assert run_check([str(tmp_path)], project=False).num_files == 1
