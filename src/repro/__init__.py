@@ -162,6 +162,7 @@ from .env import (
 )
 from .analysis import monte_carlo_recovery, recovery_curve, summarize_trials
 from .engine import (
+    EnginePlan,
     EngineState,
     ExperimentSpec,
     RoundEngine,
@@ -311,6 +312,7 @@ __all__ = [
     "ContendedUploadModel",
     # engine
     "RoundEngine",
+    "EnginePlan",
     "EngineState",
     "RunReport",
     "build_run_report",

@@ -57,6 +57,7 @@ class ClassicGradientCode:
                     "the placement does not store there"
                 )
         self._placement = placement
+        b.flags.writeable = False  # handed out as copies only
         self._b = b
 
     @property

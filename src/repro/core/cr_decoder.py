@@ -85,6 +85,9 @@ class ChainDecoder(Decoder):
         """:attr:`_adj` as nested lists, for the scalar walk."""
         return self._adj.tolist()
 
+    def _search_tables(self):
+        return self._adj, self._adj_rows
+
     def _draw_window(self, members: List[int]) -> List[int]:
         """Alg. 2's fairness draws on one circle: a uniform available
         seed vertex ``u``, then the available members of its

@@ -42,6 +42,7 @@ uncached — same results, same generator stream.
 from __future__ import annotations
 
 import abc
+import copy
 import warnings
 from functools import cached_property
 from typing import (
@@ -205,6 +206,23 @@ class Decoder(abc.ABC):
         ``cache`` (results stay bit-for-bit identical — see module
         docstring)."""
         self._cache = cache
+
+    def fork(
+        self, *, rng: np.random.Generator, cache: "Any | None" = None
+    ) -> "Decoder":
+        """A decoder for one more run over the same placement: it owns
+        ``rng`` and ``cache`` and shares this one's search tables (built
+        here if need be, and made read-only)."""
+        for table in self._search_tables():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+        twin = copy.copy(self)
+        twin._rng, twin._cache, twin._metrics = rng, cache, NULL_REGISTRY
+        return twin
+
+    def _search_tables(self) -> Sequence[Any]:
+        """The lazily built, placement-only tables (subclass hook)."""
+        return ()
 
     def decode(self, available_workers: Iterable[int]) -> DecodeResult:
         """Run one decoding round — the single public entry point.

@@ -5,6 +5,9 @@ Layering (see ``docs/architecture.md``)::
     experiments / CLI / examples
         │   ExperimentSpec + registries (spec.py)
         ▼
+    EnginePlan (plan.py): the spec-derived half, built once
+        │   .engine(): the mutable half (EngineState, state.py)
+        ▼
     RoundEngine (core.py)
         │   UpdateRule hooks (rules.py)
         ▼
@@ -38,14 +41,12 @@ from .rules import (
 from .spec import (
     BACKEND_REGISTRY,
     SCHEME_REGISTRY,
-    BuildContext,
     ExperimentSpec,
-    build_engine,
     make_strategy,
     register_backend,
     register_scheme,
-    run_spec,
 )
+from .plan import BuildContext, EnginePlan, build_engine, run_spec
 
 __all__ = [
     "RoundEngine",
@@ -65,6 +66,7 @@ __all__ = [
     "RunReport",
     "build_run_report",
     "BuildContext",
+    "EnginePlan",
     "SCHEME_REGISTRY",
     "BACKEND_REGISTRY",
     "register_scheme",

@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..training.datasets import Dataset
     from ..training.models import Model
     from ..training.strategies import TrainingStrategy
+    from .plan import EnginePlan
 
 
 class RoundEngine:
@@ -55,6 +56,7 @@ class RoundEngine:
         rule: UpdateRule,
         eval_data: Optional["Dataset"] = None,
         tracer: "RoundTracer | None" = None,
+        plan: "EnginePlan | None" = None,
     ):
         n = strategy.placement.num_partitions
         if len(streams) != n:
@@ -71,6 +73,8 @@ class RoundEngine:
         self.backend = backend
         self.rule = rule
         self.eval_data = eval_data
+        #: the plan this engine came from (``None`` if hand-wired).
+        self.plan = plan
         self.num_partitions = n
         self.records: List[StepRecord] = []
         self.async_records: List[AsyncUpdateRecord] = []
@@ -357,8 +361,8 @@ class RoundEngine:
 
         Valid at any round/update boundary of an active run.  The
         returned :class:`EngineState` round-trips through JSON; feeding
-        it to :meth:`restore` on a *freshly built* engine for the same
-        spec resumes the run with bit-identical trajectories and traces.
+        it to :meth:`restore` on a *fresh* engine for the same spec
+        resumes the run with bit-identical trajectories and traces.
         """
         if self._mode is None:
             raise TrainingError(

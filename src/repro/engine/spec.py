@@ -42,6 +42,10 @@ same way.
 Registering one factory is all a new scheme, backend or placement
 family needs; the engine and the CLI pick it up by name.
 
+Turning a spec into an engine is :mod:`repro.engine.plan`'s job
+(:class:`~repro.engine.plan.EnginePlan`, the built-in backends);
+:func:`build_engine` and :func:`run_spec` stay importable from here.
+
 Training-layer classes are imported lazily inside the factories so
 ``repro.engine`` never circularly imports ``repro.training`` at module
 load.
@@ -59,15 +63,9 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
-from ..env import LAYERS, Environment
 from ..exceptions import ConfigurationError
 from ..registry import Registry
-from ..straggler.models import DelayModel
-from ..simulation.cluster import ComputeModel
-from ..simulation.network import NetworkModel
-from .backends import ActorBackend, AsyncArrivalBackend, ExecutionBackend, FlatBackend
-from .core import RoundEngine
-from .rules import AdaptiveMigration, AsyncUpdate, LocalUpdate, SyncUpdate, UpdateRule
+from .backends import ExecutionBackend
 
 SchemeFactory = Callable[..., Any]
 BackendFactory = Callable[["BuildContext"], ExecutionBackend]
@@ -277,7 +275,7 @@ _DEFAULT_MODEL: Mapping[str, Any] = {"kind": "logistic"}
 
 _DEFAULT_DELAY: Mapping[str, Any] = {"kind": "exponential", "mean": 1.0}
 
-#: rule name → the ``rule_params`` keys :func:`_build_rule` reads.
+#: rule name → the ``rule_params`` keys ``plan._build_rule`` reads.
 _RULE_PARAMS: Mapping[str, tuple] = {
     "sync": ("recovery_scaled_lr",),
     "local-update": ("local_steps", "local_lr"),
@@ -351,7 +349,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"max_steps must be positive, got {self.max_steps}"
             )
-        # NumPy would reject these from inside build_engine, with no
+        # NumPy would reject these from inside EnginePlan, with no
         # field name (a bad seed) or as a bare TypeError (a bad size).
         _require_int("seed", self.seed, minimum=0)
         if isinstance(self.dataset, Mapping) and "batch_size" in self.dataset:
@@ -554,334 +552,16 @@ def _spec_toml(data: Dict[str, Any]) -> str:
     return "\n".join(scalars) + "\n\n" + "\n\n".join(tables) + "\n"
 
 
-@dataclass
-class BuildContext:
-    """Everything a backend factory may need, already constructed.
-
-    ``compute``/``network``/``delay_model`` mirror the corresponding
-    :class:`~repro.env.Environment` layers for backends that wire
-    models individually; ``environment`` carries the full composite
-    (including failure and contention) for backends that support it.
-    """
-
-    spec: ExperimentSpec
-    model: Any
-    streams: Any
-    strategy: Any
-    optimizer: Any
-    eval_data: Any
-    compute: ComputeModel
-    network: NetworkModel
-    delay_model: DelayModel
-    rng: np.random.Generator
-    environment: Optional[Environment] = None
+#: names that moved to plan.py with the spec → engine assembly.
+_PLAN_NAMES = ("BuildContext", "build_engine", "run_spec", "run_spec_variation")
 
 
-# ----------------------------------------------------------------------
-# Built-in backends.
+def __getattr__(name: str) -> Any:
+    """Bind :data:`_PLAN_NAMES` on first use: plan.py imports this
+    module, so a module-level import here would close a cycle."""
+    if name not in _PLAN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import plan
 
-def _require_flat_only_sections(ctx: BuildContext, backend: str) -> None:
-    """``failure:``/``contention:`` are simulated by the flat backend's
-    :class:`ClusterSimulator` only; reject silently-ignored sections."""
-    unsupported = [
-        name
-        for name, section in (
-            ("failure", ctx.spec.failure),
-            ("contention", ctx.spec.contention),
-        )
-        if section
-    ]
-    if unsupported:
-        raise ConfigurationError(
-            f"backend {backend!r} does not simulate the "
-            f"{'/'.join(unsupported)} spec section(s); "
-            "use the flat backend"
-        )
-
-
-@register_backend("flat")
-def _flat_backend(ctx: BuildContext) -> ExecutionBackend:
-    from ..simulation.cluster import ClusterSimulator
-
-    if ctx.environment is not None:
-        cluster = ClusterSimulator(
-            num_workers=ctx.spec.num_workers,
-            partitions_per_worker=(
-                ctx.strategy.placement.partitions_per_worker
-            ),
-            environment=ctx.environment,
-            rng=ctx.rng,
-        )
-    else:  # hand-built BuildContext without the composite
-        cluster = ClusterSimulator(
-            num_workers=ctx.spec.num_workers,
-            partitions_per_worker=(
-                ctx.strategy.placement.partitions_per_worker
-            ),
-            compute=ctx.compute,
-            network=ctx.network,
-            delay_model=ctx.delay_model,
-            rng=ctx.rng,
-        )
-    return FlatBackend(cluster)
-
-
-@register_backend("actor")
-def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
-    from ..runtime.actors import MasterActor, WorkerActor
-
-    _require_flat_only_sections(ctx, "actor")
-    # Workers share the model object: actors run one at a time in
-    # simulation and each sets parameters before computing.
-    workers = [
-        WorkerActor(i, ctx.strategy, ctx.model, ctx.streams)
-        for i in range(ctx.spec.num_workers)
-    ]
-    return ActorBackend(
-        MasterActor(ctx.strategy, ctx.model),
-        workers,
-        compute=ctx.compute,
-        network=ctx.network,
-        delay_model=ctx.delay_model,
-        rng=ctx.rng,
-    )
-
-
-@register_backend("async-arrivals")
-def _async_backend(ctx: BuildContext) -> ExecutionBackend:
-    _require_flat_only_sections(ctx, "async-arrivals")
-    return AsyncArrivalBackend(
-        compute=ctx.compute,
-        network=ctx.network,
-        delay_model=ctx.delay_model,
-        rng=ctx.rng,
-    )
-
-
-# ----------------------------------------------------------------------
-# Spec → engine assembly.
-
-def _build_dataset(spec: ExperimentSpec):
-    from ..training.datasets import (
-        make_cifar_like,
-        make_classification,
-        make_regression,
-    )
-
-    params = {**_DEFAULT_DATASET, **dict(spec.dataset)}
-    kind = params.pop("kind")
-    params.pop("batch_size", None)
-    seed = params.pop("seed", spec.seed)
-    if kind == "classification":
-        return make_classification(
-            params.pop("samples"),
-            params.pop("features"),
-            num_classes=params.pop("num_classes"),
-            separation=params.pop("separation"),
-            seed=seed,
-            **params,
-        )
-    if kind == "cifar-like":
-        params.pop("features", None)
-        params.pop("num_classes", None)
-        params.pop("separation", None)
-        return make_cifar_like(
-            params.pop("samples"), side=params.pop("side", 8), seed=seed
-        )
-    if kind == "regression":
-        params.pop("num_classes", None)
-        params.pop("separation", None)
-        return make_regression(
-            params.pop("samples"), params.pop("features"), seed=seed,
-            **params,
-        )
-    raise ConfigurationError(f"unknown dataset kind {kind!r}")
-
-
-def _build_model(spec: ExperimentSpec, dataset):
-    from ..training.models import (
-        LinearRegressionModel,
-        LogisticRegressionModel,
-        MLPClassifier,
-        SoftmaxRegressionModel,
-    )
-
-    params = {**_DEFAULT_MODEL, **dict(spec.model)}
-    kind = params.pop("kind")
-    features = int(dataset.features.shape[1])
-    seed = params.pop("seed", 0)
-    if kind == "logistic":
-        return LogisticRegressionModel(features, seed=seed, **params)
-    if kind == "linear":
-        return LinearRegressionModel(features, seed=seed, **params)
-    if kind == "softmax":
-        num_classes = params.pop(
-            "num_classes", int(np.max(dataset.labels)) + 1
-        )
-        return SoftmaxRegressionModel(
-            features, num_classes, seed=seed, **params
-        )
-    if kind == "mlp":
-        num_classes = params.pop(
-            "num_classes", int(np.max(dataset.labels)) + 1
-        )
-        return MLPClassifier(
-            features,
-            hidden_units=params.pop("hidden_units", 32),
-            num_classes=num_classes,
-            seed=seed,
-            **params,
-        )
-    raise ConfigurationError(f"unknown model kind {kind!r}")
-
-
-def _build_environment(spec: ExperimentSpec) -> Environment:
-    """The spec's five environment sections, resolved by the registry.
-
-    Every registered kind (``repro environments``) is reachable; the
-    ``delay:`` section defaults its kind to ``exponential`` (the
-    historical bare ``{"mean": ...}`` syntax keeps working), and bare
-    ``compute:``/``network:`` parameter mappings build the ``uniform``
-    families as before.
-    """
-    sections: Dict[str, Any] = {}
-    for name in LAYERS:
-        value = getattr(spec, name)
-        if isinstance(value, Mapping):
-            value = dict(value)
-        elif value is not None and not isinstance(value, str):
-            raise ConfigurationError(
-                f"spec section {name!r} must be a kind string or a "
-                f"{{'kind': ...}} mapping, got {value!r}"
-            )
-        # An empty section asks for the layer's default.
-        sections[name] = value or None
-    if sections["delay"] is None:
-        sections["delay"] = dict(_DEFAULT_DELAY)
-    if isinstance(sections["delay"], dict):
-        sections["delay"].setdefault("kind", "exponential")
-    return Environment(**sections)
-
-
-def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
-    params = spec.rule_params
-    if spec.rule == "sync":
-        return SyncUpdate(
-            ctx.optimizer,
-            recovery_scaled_lr=params.get("recovery_scaled_lr", False),
-        )
-    if spec.rule == "local-update":
-        return LocalUpdate(
-            local_steps=params.get("local_steps", 4),
-            local_lr=params.get("local_lr", spec.learning_rate),
-        )
-    if spec.rule == "adaptive":
-        if spec.wait_for is None:
-            raise ConfigurationError("rule 'adaptive' needs wait_for")
-        return AdaptiveMigration(
-            ctx.optimizer,
-            wait_for=spec.wait_for,
-            partition_bytes=params.get("partition_bytes", 1e7),
-            network=ctx.network,
-            review_every=params.get("review_every", 25),
-            min_recovery_gain=params.get("min_recovery_gain", 0.05),
-            rng=np.random.default_rng(params.get("seed", spec.seed + 5)),
-        )
-    if spec.rule == "async":
-        return AsyncUpdate(ctx.optimizer)
-    raise ConfigurationError(f"unknown rule {spec.rule!r}")
-
-
-def build_engine(spec: ExperimentSpec, tracer=None) -> RoundEngine:
-    """Assemble the full engine a spec describes.
-
-    Seeding convention (matching the figure runners): the dataset uses
-    ``seed``, partitioning ``seed+1``, batch streams ``seed+2``, the
-    strategy's decoder ``seed+3``, the backend simulator ``seed+4``,
-    and an adaptive rule's advisor ``seed+5``.
-
-    ``tracer`` (a :class:`~repro.obs.RoundTracer`) threads per-round
-    tracing through the engine — the serve coordinator uses this for
-    live per-job trace streaming.  Tracing never perturbs the run.
-    """
-    from ..training.datasets import partition_dataset
-    from ..training.gradients import build_batch_streams
-    from ..training.optimizers import SGD
-
-    dataset = _build_dataset(spec)
-    num_partitions = spec.num_workers
-    partitions = partition_dataset(dataset, num_partitions, seed=spec.seed + 1)
-    batch_size = dict(spec.dataset).get(
-        "batch_size", _DEFAULT_DATASET["batch_size"]
-    )
-    streams = build_batch_streams(partitions, batch_size, seed=spec.seed + 2)
-    model = _build_model(spec, dataset)
-    strategy = make_strategy(
-        spec.scheme,
-        num_workers=spec.num_workers,
-        partitions_per_worker=spec.partitions_per_worker,
-        wait_for=spec.wait_for,
-        seed=dict(spec.scheme_params).pop("seed", spec.seed + 3),
-        **{k: v for k, v in spec.scheme_params.items() if k != "seed"},
-    )
-    environment = _build_environment(spec)
-    optimizer = SGD(spec.learning_rate)
-
-    ctx = BuildContext(
-        spec=spec,
-        model=model,
-        streams=streams,
-        strategy=strategy,
-        optimizer=optimizer,
-        eval_data=dataset,
-        compute=environment.compute,
-        network=environment.network,
-        delay_model=environment.delay,
-        rng=np.random.default_rng(spec.seed + 4),
-        environment=environment,
-    )
-
-    backend_name = "async-arrivals" if spec.rule == "async" else spec.backend
-    backend = BACKEND_REGISTRY.resolve(backend_name)(ctx)
-    rule = _build_rule(spec, ctx)
-    return RoundEngine(
-        model=model,
-        streams=ctx.streams,
-        strategy=strategy,
-        backend=backend,
-        rule=rule,
-        eval_data=dataset,
-        tracer=tracer,
-    )
-
-
-def run_spec_variation(base: ExperimentSpec, **overrides):
-    """Run ``base`` with dataclass-field overrides applied.
-
-    Module-level (hence picklable) cell function for spec grid sweeps:
-    ``ProcessExecutor`` ships ``functools.partial(run_spec_variation,
-    base)`` plus per-point override dicts across the pool boundary.
-    Overrides re-run the spec's validation via ``dataclasses.replace``.
-    """
-    spec = dataclasses.replace(base, **overrides) if overrides else base
-    return run_spec(spec)
-
-
-def run_spec(spec: "ExperimentSpec | str | pathlib.Path"):
-    """Build and run a spec; returns the run's summary.
-
-    Accepts a spec object or a path to a ``.json``/``.toml`` file.
-    Synchronous rules return a
-    :class:`~repro.types.TrainingSummary`; the async rule returns an
-    :class:`~repro.types.AsyncSummary`.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        spec = ExperimentSpec.load(spec)
-    engine = build_engine(spec)
-    if spec.rule == "async":
-        return engine.run_updates(spec.max_steps)
-    return engine.run(
-        spec.max_steps,
-        loss_threshold=spec.loss_threshold,
-        smoothing_window=spec.smoothing_window,
-    )
+    globals().update({moved: getattr(plan, moved) for moved in _PLAN_NAMES})
+    return globals()[name]

@@ -27,12 +27,12 @@ engine-level assembly here never changes.
 
 The module also exports :data:`CHECKPOINT_COVERED`, the authoritative
 list of attributes that may legally be assigned on engine / update-rule
-/ backend / batch-stream instances during a run.  The ``CKPT001`` static
-rule audits every such assignment in the engine layer (and the gradient
-path under it) against this registry, so a
+/ backend instances during a run.  The ``CKPT001`` static rule audits
+every such assignment in the engine layer against this registry, so a
 newly introduced piece of run state that is *not* captured by
 ``snapshot()`` fails ``repro check`` instead of silently breaking
-resume determinism.
+resume determinism.  This is the *state* half of an engine; the rest is
+its frozen, read-only :class:`~repro.engine.plan.EnginePlan`.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ CHECKPOINT_COVERED: Mapping[str, frozenset] = {
         "fetch_version",   # async per-worker fetch versions
         "worker_step",     # async per-worker batch cursors
     }),
-    # The engine's BatchStreams (training/gradients.py): block, plans
-    # and streams are fixed at construction.
-    "streams": frozenset(),
 }
 
 #: Within-round scratch attributes: assigned and consumed inside a
@@ -95,11 +92,6 @@ CHECKPOINT_TRANSIENT: Mapping[str, frozenset] = {
     "engine": frozenset(),
     "rule": frozenset(),
     "backend": frozenset(),
-    "streams": frozenset({
-        # round_gradients' memo: a pure function of its (model, step,
-        # parameters) key, so it is only ever read back for that key.
-        "_memo",
-    }),
 }
 
 

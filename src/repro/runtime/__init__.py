@@ -1,7 +1,7 @@
 """Actor runtime: the Ray-like substrate the paper's implementation used."""
 
 from .messages import GradientUpload, Message, ParameterBroadcast, StopTraining
-from .actors import MasterActor, WorkerActor
+from .actors import MasterActor, RoundGradients, WorkerActor
 
 __all__ = [
     "Message",
@@ -9,5 +9,6 @@ __all__ = [
     "GradientUpload",
     "StopTraining",
     "MasterActor",
+    "RoundGradients",
     "WorkerActor",
 ]

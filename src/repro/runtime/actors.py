@@ -8,10 +8,8 @@ These mirror the paper's Ray implementation (Sec. VIII-A) one-to-one:
   and uploads one payload.  The paper runs "multiple copies of the
   same model", one per replica; every gradient code rests on the ``c``
   replicas of partition *i* computing the identical ``g_i``, so the
-  workers of one simulated cluster share a
-  :class:`~repro.training.gradients.BatchStreams` and each ``g_i`` is
-  evaluated once per (step, broadcast parameters) —
-  :meth:`~repro.training.gradients.BatchStreams.round_gradients` —
+  workers of one simulated cluster share a :class:`RoundGradients` and
+  each ``g_i`` is evaluated once per (step, broadcast parameters)
   instead of ``c`` times.  The uploads are bit-equal to every worker
   differentiating on its own;
 * the :class:`MasterActor` broadcasts the current parameters and
@@ -26,7 +24,9 @@ same actors can later be driven by a real transport.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..exceptions import TrainingError
 from ..training.gradients import BatchStreams
@@ -36,8 +36,37 @@ from ..types import StepRecord
 from .messages import GradientUpload, ParameterBroadcast
 
 
+class RoundGradients:
+    """One round's ``(P, D)`` gradients, for the workers that share it.
+
+    The ``c`` workers storing partition ``i`` all need the identical
+    ``g_i`` of the broadcast parameters, so the first one to ask
+    computes the round and the rest read it (read-only — a payload that
+    aliases a row cannot corrupt a peer's).  The memo is the worker
+    group's: the streams it reads hold no run state.
+    """
+
+    def __init__(self, model: Model, streams: BatchStreams):
+        self._model = model
+        self._streams = BatchStreams.require(streams)
+        #: (step, parameter bytes, gradients) of the last round asked for.
+        self._memo: Optional[tuple] = None
+
+    def at(self, step: int, parameters: np.ndarray) -> np.ndarray:
+        """All partitions' gradients, once per ``(step, parameters)``."""
+        parameters = np.asarray(parameters, dtype=float)
+        key = parameters.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != step or memo[1] != key:
+            _, grads = self._streams.gradients(self._model, step, parameters)
+            grads.flags.writeable = False
+            self._memo = memo = (step, key, grads)
+        return memo[2]
+
+
 class WorkerActor:
-    """Owns a subset of partitions; computes and encodes gradients."""
+    """Owns a subset of partitions; computes and encodes gradients
+    (on its own, or through the cluster's ``shared`` round memo)."""
 
     def __init__(
         self,
@@ -45,11 +74,13 @@ class WorkerActor:
         strategy: TrainingStrategy,
         model: Model,
         streams: BatchStreams,
+        shared: Optional[RoundGradients] = None,
     ):
         self._id = worker_id
         self._strategy = strategy
-        self._model = model
-        self._streams = BatchStreams.require(streams)
+        self._gradients = (
+            shared if shared is not None else RoundGradients(model, streams)
+        )
         self._partitions = strategy.placement.partitions_of(worker_id)
 
     @property
@@ -71,9 +102,7 @@ class WorkerActor:
         """Compute this step's coded gradient at the received params."""
         if msg.parameters is None:
             raise TrainingError("broadcast carried no parameters")
-        gradients = self._streams.round_gradients(
-            self._model, msg.step, msg.parameters
-        )
+        gradients = self._gradients.at(msg.step, msg.parameters)
         payload = self._strategy.encode_worker_payload(
             self._id, {p: gradients[p] for p in self._partitions}
         )

@@ -81,8 +81,9 @@ class Coordinator:
         ``trace=False``.
     pool_capacity:
         How many live engines the shared :class:`WorkerPool` keeps
-        resident; jobs beyond that are parked as
-        :class:`~repro.engine.EngineState` snapshots and resumed
+        resident; jobs beyond that are parked as their
+        :class:`~repro.engine.plan.EnginePlan` plus an
+        :class:`~repro.engine.EngineState` snapshot and resumed
         bit-identically on their next quantum.  Defaults to
         ``max_running``.
     """
@@ -261,6 +262,7 @@ class Coordinator:
         if state.terminal:
             self.pool.discard(job)
             job.checkpoint_state = None
+            job.plan = None
             if self._mailbox is not None:
                 self._mailbox.clear_checkpoint(job.job_id)
             job.done_event.set()

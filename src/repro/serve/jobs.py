@@ -117,6 +117,9 @@ class Job:
     #: parked engine state while evicted from the worker pool (or
     #: recovered from a mailbox checkpoint); consumed on re-acquire.
     checkpoint_state: "object | None" = None
+    #: the job's :class:`~repro.engine.plan.EnginePlan`, from its first
+    #: engine until it turns terminal; never serialised.
+    plan: "object | None" = None
     #: scheduler bookkeeping (smooth weighted round-robin credit).
     credit: int = 0
     #: queues feeding active ``watch()`` streams.

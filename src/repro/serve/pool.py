@@ -1,19 +1,21 @@
 """Shared engine slots for multiplexed jobs: :class:`WorkerPool`.
 
 A coordinator may hold far more admitted jobs than it can keep as live
-engines: every :class:`~repro.serve.runner.JobRunner` owns a dataset,
-partitioned batch streams, a coded strategy and a simulator — cheap to
-*step* but comparatively expensive to *build*.  The pool bounds how
-many of those engines exist at once and multiplexes all jobs over
-them:
+engines.  An engine is two halves (:mod:`repro.engine.plan`): the
+immutable, spec-derived *plan* (dataset, batch streams, placement,
+code — expensive to derive) and the *state* a run advances (model,
+generators, simulator, open trace stream).  The pool bounds how many
+live engines exist at once and multiplexes all jobs over them:
 
 * ``acquire(job)`` returns the job's resident runner (a *hit*), or
-  rebuilds one — from the job's checkpoint when it was previously
-  evicted — and makes it resident (a *build*/*restore*);
+  makes one resident (a *build*): first from the spec, which leaves
+  the plan on the job; after an eviction from that plan plus the
+  job's checkpoint (a *restore*) — mutable state only;
 * when residency exceeds ``capacity``, the least-recently-used
   unpinned job is *evicted*: its engine state is snapshotted onto the
   job record (:attr:`~repro.serve.jobs.Job.checkpoint_state`) and the
-  engine discarded, so the job can resume bit-identically later;
+  engine discarded.  A parked job is plan + state until it turns
+  terminal; ``max_running`` therefore bounds the plans alive;
 * jobs whose quantum is in flight are *pinned* and never evicted.
 
 Because eviction goes through the same
@@ -21,7 +23,7 @@ Because eviction goes through the same
 crash recovery, a pooled job's trajectory is bit-for-bit identical no
 matter how many times it bounced out of the pool — the determinism
 tests pin this.  ``capacity=0`` degenerates to a per-quantum
-build/restore cycle (the "per-job engine" baseline).
+snapshot/re-instantiate cycle; the plan is still derived once per job.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class WorkerPool:
     ----------
     capacity:
         Maximum resident engines (``>= 0``).  ``0`` forces a
-        snapshot/rebuild round-trip on every quantum — functionally
-        identical and maximally memory-frugal.
+        snapshot/re-instantiate round-trip on every quantum —
+        functionally identical, one live engine at a time.
     """
 
     def __init__(self, capacity: int = 4):
@@ -93,8 +95,9 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def acquire(self, job: "Job") -> JobRunner:
-        """The job's live runner, rebuilding from its checkpoint if
-        it was evicted; pins the slot until :meth:`release`."""
+        """The job's live runner, instantiated from the job's plan and
+        checkpoint if it was evicted; pins the slot until
+        :meth:`release`."""
         slot = self._slots.get(job.job_id)
         if slot is not None:
             self.stats.hits += 1
@@ -106,7 +109,9 @@ class WorkerPool:
             trace_path=job.trace_path,
             trace_context=job.name,
             checkpoint=job.checkpoint_state,
+            plan=job.plan,
         )
+        job.plan = runner.plan
         if job.checkpoint_state is not None:
             self.stats.restores += 1
             job.checkpoint_state = None

@@ -22,12 +22,14 @@ invisible to the trajectory).
 
 Checkpointing: :meth:`JobRunner.checkpoint` captures the engine's
 :class:`~repro.engine.EngineState` at the current round boundary;
-constructing a runner with ``checkpoint=`` rebuilds the engine from
-the spec, restores that state, rewinds the trace stream to the
-checkpointed round count, and continues — bit-identically to a run
-that was never interrupted.  This is how the
-:class:`~repro.serve.pool.WorkerPool` parks evicted jobs and how a
-restarted coordinator resumes RUNNING jobs after a crash.
+constructing a runner with ``checkpoint=`` takes a fresh engine,
+restores that state, rewinds the trace stream to the checkpointed
+round count, and continues — bit-identically to a run that was never
+interrupted.  This is how the :class:`~repro.serve.pool.WorkerPool`
+parks evicted jobs and how a restarted coordinator resumes RUNNING
+jobs after a crash.  With ``plan=`` (the previous runner's
+:attr:`JobRunner.plan`) the new engine is mutable state only; without,
+``build_engine(spec)`` derives the plan first.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from ..exceptions import ServeError
 from ..obs import RoundTracer, TraceStreamWriter, truncate_traces
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..engine.plan import EnginePlan
     from ..engine.state import EngineState
     from ..engine.spec import ExperimentSpec
     from ..types import StepRecord
@@ -65,9 +68,12 @@ class JobRunner:
         tracing).
     checkpoint:
         An :class:`~repro.engine.EngineState` from a previous runner's
-        :meth:`checkpoint`; the rebuilt engine restores it and the
-        trace file is rewound to the checkpointed round count before
-        streaming resumes.
+        :meth:`checkpoint`; the new engine restores it and the trace
+        file is rewound to the checkpointed round count before
+        streaming resumes (another spec's state: ``TrainingError``).
+    plan:
+        ``spec``'s :class:`~repro.engine.plan.EnginePlan` (a previous
+        runner's :attr:`plan`), to save deriving it again.
     """
 
     def __init__(
@@ -76,6 +82,7 @@ class JobRunner:
         trace_path: Optional[str] = None,
         trace_context: Optional[str] = None,
         checkpoint: "EngineState | None" = None,
+        plan: "EnginePlan | None" = None,
     ):
         self.spec = spec
         self.tracer: RoundTracer | None = None
@@ -100,7 +107,11 @@ class JobRunner:
             self._stream = TraceStreamWriter(
                 trace_path, append=checkpoint is not None
             )
-        self.engine = build_engine(spec, tracer=self.tracer)
+        self.engine = (
+            build_engine(spec, tracer=self.tracer) if plan is None
+            else plan.engine(self.tracer)
+        )
+        self.plan: "EnginePlan" = self.engine.plan
         self._finished = False
         self._summary = None
         if spec.rule == "async":
@@ -112,7 +123,7 @@ class JobRunner:
                 smoothing_window=spec.smoothing_window,
             )
         if checkpoint is not None:
-            self.engine.restore(checkpoint)
+            self.plan.restore(self.engine, checkpoint)
 
     # ------------------------------------------------------------------
     @property

@@ -30,13 +30,11 @@ from .engine import PythonContext, Rule, python_rule
 from .findings import Finding
 
 #: The files whose classes own checkpointable run state (the engine
-#: layer and the gradient path it runs on), mapped to the registry kind
-#: their ``self`` corresponds to.
+#: layer), mapped to the registry kind their ``self`` corresponds to.
 _KIND_BY_FILE = {
     "repro/engine/core.py": "engine",
     "repro/engine/rules.py": "rule",
     "repro/engine/backends.py": "backend",
-    "repro/training/gradients.py": "streams",
 }
 
 CKPT_SCOPE = tuple(_KIND_BY_FILE)

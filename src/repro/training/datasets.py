@@ -146,7 +146,8 @@ class Partitions(Sequence):
     partition ``pid`` owns the first ``sizes[pid]`` rows of its slab
     (the rest is zero padding no batch ever indexes).  As a sequence it
     yields the per-partition :class:`Dataset` objects, which are views
-    of the block.
+    of the block.  The block is made read-only: it is shared by every
+    engine of an :class:`~repro.engine.plan.EnginePlan`.
     """
 
     def __init__(
@@ -158,6 +159,7 @@ class Partitions(Sequence):
     ):
         self.features = features
         self.labels = labels
+        features.flags.writeable = labels.flags.writeable = False
         self._views = [
             Dataset(features[pid, :size], labels[pid, :size], name)
             for pid, size in enumerate(sizes)

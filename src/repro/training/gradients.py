@@ -43,7 +43,9 @@ class BatchStreams(Sequence):
     """All partitions' seeded batch streams, stacked.
 
     As a sequence it yields one :class:`BatchStream` per partition;
-    :meth:`gradients` is the stacked round.
+    :meth:`gradients` is the stacked round.  Fixed at construction and
+    stateless afterwards, so one object serves every engine of an
+    :class:`~repro.engine.plan.EnginePlan`.
     """
 
     def __init__(
@@ -76,9 +78,8 @@ class BatchStreams(Sequence):
             )
             for group in by_size.values()
         ]
-        #: (model, step, parameter bytes, gradients) of the last
-        #: :meth:`round_gradients` call.
-        self._memo: Optional[tuple] = None
+        for offsets in (self._offsets, *(plan[2] for plan in self._round_plan)):
+            offsets.flags.writeable = False
 
     @classmethod
     def require(cls, streams: "BatchStreams") -> "BatchStreams":
@@ -146,30 +147,6 @@ class BatchStreams(Sequence):
             losses[positions] = group_losses
             grads[positions] = group_grads
         return losses, grads
-
-    def round_gradients(
-        self, model: Model, step: int, parameters: np.ndarray
-    ) -> np.ndarray:
-        """All partitions' gradients ``(P, D)`` at ``parameters``,
-        evaluated once per ``(model, step, parameters)``.
-
-        For callers that ask per replica: the ``c`` workers storing
-        partition ``i`` all need the identical ``g_i`` of the broadcast
-        parameters, so the first one to ask computes the round and the
-        rest read it (read-only — a payload that aliases a row cannot
-        corrupt a peer's).
-        """
-        parameters = np.asarray(parameters, dtype=float)
-        key = parameters.tobytes()
-        memo = self._memo
-        if (
-            memo is None or memo[0] is not model
-            or memo[1] != step or memo[2] != key
-        ):
-            _, grads = self.gradients(model, step, parameters)
-            grads.flags.writeable = False
-            self._memo = memo = (model, step, key, grads)
-        return memo[3]
 
 
 def build_batch_streams(

@@ -21,6 +21,7 @@ every scheme performs an unbiased mean-gradient update (Assumption 2).
 from __future__ import annotations
 
 import abc
+import copy
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -77,6 +78,16 @@ class TrainingStrategy(abc.ABC):
         payloads: GradientMap,
     ) -> Tuple[np.ndarray, FrozenSet[int]]:
         """(sum of recovered per-partition gradients, recovered set)."""
+
+    def spawn(
+        self, seed: int, cache: "DecodeCache | None" = None
+    ) -> "TrainingStrategy":
+        """This scheme for one more run: what is fixed before training
+        (placement, code, wait policy) shared, what a run mutates new
+        and seeded by ``seed`` (``cache``: an explicit
+        :class:`DecodeCache` in place of a new one).  Schemes without
+        run state are shared whole; the others override this."""
+        return self
 
     def describe(self) -> str:
         """Short human-readable identification of the scheme."""
@@ -224,6 +235,16 @@ class ISGCStrategy(TrainingStrategy):
     def decode_cache(self) -> "DecodeCache | None":
         """The decoder's :class:`DecodeCache`, if one is attached."""
         return self._decoder.cache
+
+    def spawn(self, seed, cache=None):
+        """Own fairness generator, decode cache and ``last_decode``."""
+        twin = copy.copy(self)
+        twin._decoder = self._decoder.fork(
+            rng=np.random.default_rng(seed),
+            cache=cache if cache is not None else DecodeCache(),
+        )
+        twin.last_decode = None
+        return twin
 
     def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
         return self._code.encode(partition_gradients)

@@ -46,7 +46,11 @@ from repro import CoordinatorClient, ExperimentSpec, ServeError, run_jobs
 from repro.cli import main as cli_main
 from repro.engine.report import build_run_report
 from repro.engine.spec import run_spec_variation
-from repro.exceptions import AdmissionError, SubmissionRejectedError
+from repro.exceptions import (
+    AdmissionError,
+    SubmissionRejectedError,
+    TrainingError,
+)
 from repro.experiments.sweep import Sweep
 from repro.serve import (
     Coordinator,
@@ -56,7 +60,7 @@ from repro.serve import (
     WorkerPool,
 )
 from repro.serve import mailbox as mailbox_module
-from repro.serve.jobs import Job
+from repro.serve.jobs import Job, JobState
 from repro.serve.runner import JobRunner
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -136,11 +140,102 @@ def run_coordinator(specs, *, pool_capacity, trace_dir=None, mailbox=None):
         return asyncio.run(_run()), coord
 
 
+def count_plan_derivations(monkeypatch):
+    """Count what only deriving an ``EnginePlan`` does: generating the
+    dataset and drawing the classic-GC coding matrix."""
+    from repro.codes import gc_scheme
+    from repro.training import datasets
+
+    counts = {"datasets": 0, "matrices": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        datasets, "make_classification",
+        counted("datasets", datasets.make_classification),
+    )
+    monkeypatch.setattr(
+        gc_scheme, "cyclic_b_matrix",
+        counted("matrices", gc_scheme.cyclic_b_matrix),
+    )
+    return counts
+
+
 # ----------------------------------------------------------------------
 # Worker-pool eviction determinism
 
 
 class TestWorkerPoolDeterminism:
+    def test_a_parked_job_keeps_its_plan(self, monkeypatch):
+        # The regression guard is a count, not a timer: at capacity 0
+        # every quantum instantiates a new engine, but what the spec
+        # alone determines is derived once per job.
+        specs = [make_spec(i) for i in range(3)] + [make_spec(3, scheme="gc")]
+        baseline = run_jobs(specs)
+        counts = count_plan_derivations(monkeypatch)
+        reports, coord = run_coordinator(specs, pool_capacity=0)
+        assert [r.to_dict() for r in reports] == [
+            r.to_dict() for r in baseline
+        ]
+        stats = coord.pool.stats
+        assert stats.restores > 0
+        assert stats.builds == stats.restores + len(specs)
+        assert counts == {"datasets": len(specs), "matrices": 1}
+        for job in coord._jobs.values():
+            assert job.state.terminal
+            assert job.plan is None and job.checkpoint_state is None
+
+    def test_terminal_jobs_drop_plan_and_state(self):
+        # DONE, CANCELLED and FAILED alike.  The failure is a parked
+        # state swapped for another spec's: it must fail its own job,
+        # typed and naming the field, not run on the wrong plan.
+        rounds = 8
+        foreign = JobRunner(make_spec(9, rule="local-update"))
+        foreign.step()
+        foreign_state = foreign.checkpoint()
+
+        async def scenario():
+            coord = Coordinator(
+                mode="deterministic", max_running=3, pool_capacity=0
+            )
+            cancelled = coord.submit(make_spec(0, max_steps=rounds))
+            failed = coord.submit(make_spec(1, max_steps=rounds))
+            done = coord.submit(make_spec(2, max_steps=rounds))
+
+            async def meddle():
+                async for event in failed.watch():
+                    if event.kind == "round" and event.step == 2:
+                        job = coord._jobs[failed.job_id]
+                        # parked: plan + state, no engine
+                        assert job.runner is None
+                        assert job.plan is not None
+                        assert job.checkpoint_state is not None
+                        job.checkpoint_state = foreign_state
+                        cancelled.cancel()
+
+            task = asyncio.create_task(meddle())
+            with coord:
+                await coord.drain()
+            await task
+            return coord, cancelled, failed, done
+
+        coord, cancelled, failed, done = asyncio.run(scenario())
+        assert cancelled.state is JobState.CANCELLED
+        assert failed.state is JobState.FAILED
+        assert "TrainingError" in failed.error
+        assert "section 'rule'" in failed.error
+        assert done.state is JobState.DONE
+        (solo,) = run_jobs([make_spec(2, max_steps=rounds)])
+        assert done.report.to_dict() == solo.to_dict()
+        for job in coord._jobs.values():
+            assert job.plan is None
+            assert job.checkpoint_state is None
+            assert job.runner is None
+
     def test_capacity_zero_rebuilds_every_quantum(self):
         specs = [make_spec(i) for i in range(4)]
         baseline = run_jobs(specs)
@@ -241,6 +336,28 @@ class TestWorkerPoolMechanics:
         while not second.step():
             pass
         assert second.report().to_dict() == baseline
+        # ...and the same from the first runner's plan instead of the
+        # spec: only mutable state is instantiated.
+        third = JobRunner(spec, checkpoint=state, plan=first.plan)
+        assert third.plan is first.plan and third.engine is not first.engine
+        while not third.step():
+            pass
+        assert third.report().to_dict() == baseline
+
+    @pytest.mark.parametrize("over,field", [
+        (dict(rule="async"), "'mode' is 'rounds'"),
+        (dict(rule="local-update"), "section 'rule'"),
+        (dict(scheme="is-sgd"), "section 'strategy'"),
+        (dict(backend="actor"), "section 'backend'"),
+    ])
+    def test_runner_refuses_another_specs_state(self, over, field):
+        # Used to be accepted silently (or die with a bare KeyError:
+        # 'fetch_version' for the async spec).
+        first = JobRunner(make_spec(0))
+        first.step()
+        state = first.checkpoint()
+        with pytest.raises(TrainingError, match=field):
+            JobRunner(make_spec(0, **over), checkpoint=state)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +375,9 @@ def _submit_jobs(mailbox_root, specs, tmp_path, trace=True):
 
 
 class TestCrashRecovery:
-    def test_sigkill_then_restart_completes_bit_identical(self, tmp_path):
+    def test_sigkill_then_restart_completes_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
         specs = [make_spec(i, max_steps=8) for i in range(3)]
         solo = []
         for i, spec in enumerate(specs):
@@ -302,8 +421,16 @@ class TestCrashRecovery:
         assert list((mb / "checkpoints").glob("*.json"))
 
         # A fresh coordinator takes over the stale marker, re-admits
-        # every non-terminal job from its checkpoint, and completes.
-        drain(mb, trace_dir=trace_dir, max_running=2)
+        # every non-terminal job from its checkpoint, and completes —
+        # through a pool too small to keep them resident, deriving one
+        # plan per resumed job however often it is parked.
+        resumed = [
+            job_id for job_id in ids
+            if (client.state(job_id) or {}).get("state") != "done"
+        ]
+        counts = count_plan_derivations(monkeypatch)
+        drain(mb, trace_dir=trace_dir, max_running=2, pool_capacity=1)
+        assert counts["datasets"] == len(resumed)
         for job_id, straight in zip(ids, solo):
             snap = client.state(job_id)
             assert snap["state"] == "done", snap

@@ -813,20 +813,43 @@ class TestCheckpointRule:
         assert "self._cache" in findings[1].message
         assert "CHECKPOINT_COVERED['rule']" in findings[1].message
 
-    def test_ckpt001_transient_scratch_accepted(self):
-        # The gradient path's replica memo is registered as transient
+    def test_ckpt001_transient_scratch_accepted(self, monkeypatch):
+        # Within-round scratch is registered as transient
         # (CHECKPOINT_TRANSIENT), not snapshot state — the rule accepts
-        # both registries, and audits that file like the engine's own.
+        # both registries.  No engine-layer class keeps any today (the
+        # actor workers' round memo lives with the workers), so the
+        # registry entry is supplied here.
+        from repro.engine import state
+
+        monkeypatch.setitem(
+            state.CHECKPOINT_TRANSIENT, "backend", frozenset({"_memo"})
+        )
         source = """
-            class BatchStreams:
-                def round_gradients(self, model, step, parameters):
-                    self._memo = (model, step)
+            class ActorBackend:
+                def execute_round(self, engine, step, policy):
+                    self._memo = (engine.model, step)
                     self._cursor = step
             """
-        findings = check(source, scope_path=GRADIENTS_PATH)
+        findings = check(source, scope_path=BACKENDS_PATH)
         assert rules_of(findings) == ["CKPT001"]
         assert "self._cursor" in findings[0].message
-        assert "CHECKPOINT_COVERED['streams']" in findings[0].message
+        assert "CHECKPOINT_COVERED['backend']" in findings[0].message
+
+    def test_ckpt001_gradient_path_is_plan_not_state(self):
+        # BatchStreams belongs to the immutable EnginePlan: read-only
+        # arrays enforce at runtime what an audit could only suggest,
+        # so the file is outside CKPT001's scope.
+        from repro.engine.state import CHECKPOINT_COVERED
+
+        assert set(CHECKPOINT_COVERED) == {"engine", "rule", "backend"}
+        assert check(
+            """
+            class BatchStreams:
+                def gradients(self, model, step):
+                    self._cursor = step
+            """,
+            scope_path=GRADIENTS_PATH,
+        ) == []
 
     def test_ckpt001_backend_clock_covered(self):
         findings = check(
