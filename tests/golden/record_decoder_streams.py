@@ -1,14 +1,18 @@
-"""Record the CR/HR decoders' exact behaviour on fixed seeded masks.
+"""Record the FR/CR/HR decoders' exact behaviour on fixed seeded masks.
 
 Run as ``PYTHONPATH=src python tests/golden/record_decoder_streams.py``
-— it writes ``decoder_streams.json`` into this directory.  The file
-checked into the repo was recorded at the commit *before* CR and HR
-decoding were collapsed onto one greedy-chain implementation, so
-``tests/test_decoder_streams.py`` proves that refactor is bit-for-bit
-neutral where the trajectory goldens only see it through a trainer.
+— it writes ``decoder_streams.json`` into this directory.  The CR and
+HR cases checked into the repo were recorded at the commit *before* CR
+and HR decoding were collapsed onto one greedy-chain implementation,
+the FR cases at the commit before Alg. 1's per-group ``choice`` calls
+became one bounded ``integers`` draw, so ``tests/test_decoder_oracles.py``
+proves both rewrites bit-for-bit neutral where the trajectory goldens
+only see them through a trainer.
 
-Per case (CR ``window`` / ``all``, HR's ``c1 = 0``, ``g = 1``,
-``c2 = 0`` and general cases) and per mode the golden stores:
+Per case (FR with several groups, ``c = 1`` and one group, and with
+ids past the frozenset's hash table so iteration is not ascending; CR
+``window`` / ``all``; HR's ``c1 = 0``, ``g = 1``, ``c2 = 0`` and
+general cases) and per mode the golden stores:
 
 * a digest of every ``(selected workers, num_searches)`` pair, in mask
   order;
@@ -31,6 +35,8 @@ import numpy as np
 
 from repro.core.cr_decoder import CRDecoder
 from repro.core.cyclic import CyclicRepetition
+from repro.core.fr_decoder import FRDecoder
+from repro.core.fractional import FractionalRepetition
 from repro.core.hr_decoder import HRDecoder
 from repro.core.hybrid import HybridRepetition
 from repro.parallel import DecodeCache
@@ -41,6 +47,21 @@ NUM_MASKS = 40
 
 #: name → decoder factory ``(rng, cache) -> Decoder``.
 CASES = {
+    "fr-12-3": lambda rng, cache: FRDecoder(
+        FractionalRepetition(12, 3), rng=rng, cache=cache
+    ),
+    "fr-48-3": lambda rng, cache: FRDecoder(
+        FractionalRepetition(48, 3), rng=rng, cache=cache
+    ),
+    "fr-48-1": lambda rng, cache: FRDecoder(
+        FractionalRepetition(48, 1), rng=rng, cache=cache
+    ),
+    "fr-6-6": lambda rng, cache: FRDecoder(
+        FractionalRepetition(6, 6), rng=rng, cache=cache
+    ),
+    "fr-96-4": lambda rng, cache: FRDecoder(
+        FractionalRepetition(96, 4), rng=rng, cache=cache
+    ),
     "cr-window-12-3": lambda rng, cache: CRDecoder(
         CyclicRepetition(12, 3), rng=rng, cache=cache
     ),

@@ -1,12 +1,14 @@
-"""The CR/HR decoders held to three independent references.
+"""The FR/CR/HR decoders held to three independent references.
 
 * **Recorded streams** — ``tests/golden/decoder_streams.json`` was
-  recorded by ``tests/golden/record_decoder_streams.py`` at the commit
-  *before* CR and HR decoding were collapsed onto one greedy-chain
-  implementation: selections, ``num_searches``, the generator's end
-  state and the cache's hit/miss counts must not move, for looped,
-  batched and cached decoding of CR (``window`` / ``all``) and of every
-  HR case.
+  recorded by ``tests/golden/record_decoder_streams.py``: its CR/HR
+  cases at the commit *before* CR and HR decoding were collapsed onto
+  one greedy-chain implementation, its FR cases before Alg. 1's
+  per-group ``choice`` calls became one bounded ``integers`` draw.
+  Selections, ``num_searches``, the generator's end state and the
+  cache's hit/miss counts must not move, for looped, batched and cached
+  decoding of every FR case, CR (``window`` / ``all``) and every HR
+  case.
 * **Scalar walk == kernel row** — :func:`repro.core.batch.greedy_chain`
   and :func:`repro.core.batch.batched_greedy_chains` are the only two
   spellings of the clockwise walk; a hypothesis property keeps them
