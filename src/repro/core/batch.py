@@ -61,7 +61,9 @@ MaskBatch = Union[np.ndarray, Sequence[Iterable[int]]]
 
 
 def validate_mask(available_workers: Iterable[int], num_workers: int):
-    """Validate one availability mask; return its frozenset.
+    """Validate one availability mask; return its frozenset of Python
+    ``int`` ids (numpy integers are converted, in listed order, so the
+    set iterates as one built from the mask itself would).
 
     The canonical checks every decoder family shares, in a fixed order:
     empty masks, non-integer worker ids (``bool`` included — ``True``
@@ -74,9 +76,10 @@ def validate_mask(available_workers: Iterable[int], num_workers: int):
     workers = list(available_workers)
     if not workers:
         raise DecodeError("cannot decode with zero available workers")
+    types = set(map(type, workers))
     bad_types = {
         t
-        for t in set(map(type, workers))
+        for t in types
         if t is bool or not issubclass(t, (int, np.integer))
     }
     if bad_types:
@@ -84,18 +87,20 @@ def validate_mask(available_workers: Iterable[int], num_workers: int):
             "available workers must be integer ids, got "
             f"{[w for w in workers if type(w) in bad_types]!r}"
         )
+    if types != {int}:
+        workers = [int(w) for w in workers]
     available = frozenset(workers)
     if len(workers) != len(available):
         seen: set = set()
         dups: set = set()
         for w in workers:
             if w in seen:
-                dups.add(int(w))
+                dups.add(w)
             seen.add(w)
         raise DecodeError(
             f"duplicate available workers: {sorted(dups)}"
         )
-    bad = sorted(int(w) for w in available if not 0 <= w < num_workers)
+    bad = sorted(w for w in available if not 0 <= w < num_workers)
     if bad:
         raise DecodeError(
             f"available workers out of range [0, {num_workers}): {bad}"
@@ -116,9 +121,11 @@ def masks_to_array(
 
     Returns ``(avail, originals)`` where ``originals`` is the list of
     original mask objects (``None`` for array input).  Decoders whose
-    RNG draws depend on mask *iteration order* (FR iterates the
-    frozenset) must rebuild per-mask frozensets from ``originals`` to
-    stay bit-for-bit identical to the looped path.
+    RNG draws depend on mask *iteration order* (FR draws its groups in
+    frozenset order) rebuild each mask's frozenset from its listed ids,
+    ``frozenset(list(mask))`` as :func:`validate_mask` builds it — not
+    ``frozenset(mask)``, which can iterate differently for a set-typed
+    mask — to stay bit-for-bit identical to the looped path.
     """
     n = num_workers
     if (
@@ -137,8 +144,7 @@ def masks_to_array(
     originals = list(masks)
     avail = np.zeros((len(originals), n), dtype=bool)
     for i, mask in enumerate(originals):
-        members = validate_mask(mask, n)
-        avail[i, [int(w) for w in members]] = True
+        avail[i, list(validate_mask(mask, n))] = True
     return avail, originals
 
 

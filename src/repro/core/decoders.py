@@ -247,10 +247,12 @@ class Decoder(abc.ABC):
                 "decoder selected no workers despite availability "
                 f"{sorted(available)}"
             )
-        self._check_disjoint(selected)
-        recovered = frozenset(
-            p for w in selected for p in self._placement.partitions_of(w)
-        )
+        partitions_of = self._placement.partitions_of
+        covered = [p for w in selected for p in partitions_of(w)]
+        recovered = frozenset(covered)
+        if len(covered) != len(recovered):
+            # Some partition is covered twice: let the full check name it.
+            self._check_disjoint(selected)
         # No-op on the default NULL_REGISTRY, so untraced decodes pay
         # only these attribute lookups.
         metrics = self._metrics
@@ -285,10 +287,11 @@ class Decoder(abc.ABC):
         This base implementation validates then loops ``decode`` — the
         correct-by-construction fallback for decoders without a
         vectorized kernel.  CR/HR override it with the batched chain
-        kernel; FR and the exact decoder override it to batch their
-        cache lookups and result assembly (their per-mask work is
-        RNG- or search-bound, so there is no deterministic inner loop
-        to vectorize).
+        kernel; FR draws every group of the batch in one ``integers``
+        call and picks the survivors with array ops; the exact decoder
+        overrides it to batch its cache lookups and result assembly
+        (its per-mask work is search-bound, so there is no
+        deterministic inner loop to vectorize).
         """
         avail, originals = masks_to_array(
             masks, self._placement.num_workers
@@ -402,7 +405,9 @@ class Decoder(abc.ABC):
         )
 
     def _check_disjoint(self, selected: Iterable[int]) -> None:
-        """Internal invariant: selected workers' partitions are disjoint."""
+        """Internal invariant: selected workers' partitions are disjoint.
+        :meth:`decode` runs it only once a partition count says they
+        are not, so the error names the first re-covering worker."""
         seen: set[int] = set()
         for w in selected:
             parts = set(self._placement.partitions_of(w))

@@ -10,6 +10,8 @@ with and without a :class:`~repro.parallel.DecodeCache`, plus the
 cache's one-pass hit/miss partition and the shared mask validation.
 """
 
+import json
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.closed_form import expected_recovered_exact
 from repro.analysis.variance import estimator_moments
-from repro.core import CyclicRepetition, decoder_for
+from repro.core import CyclicRepetition, FractionalRepetition, decoder_for
 from repro.core.batch import enumerate_masks, masks_to_array, validate_mask
 from repro.core.scheme import make_placement
 from repro.exceptions import DecodeError
@@ -161,6 +163,112 @@ class TestBatchLoopEquivalence:
         batch = dec_b.decode_batch(masks)
         assert batch.results() == looped
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+#: How a mask reaches ``decode_batch`` (``decode`` gets each entry as
+#: is; a boolean array row is decoded from its ascending id list).
+MASK_FORMS = {
+    "bool": lambda ids, n: np.isin(np.arange(n), ids),
+    "ascending": lambda ids, n: sorted(ids),
+    "shuffled": lambda ids, n: list(ids),
+    "tuple": lambda ids, n: tuple(ids),
+    "ndarray": lambda ids, n: np.array(ids),
+    "set": lambda ids, n: set(ids),
+}
+
+
+@st.composite
+def fr_batches(draw):
+    """``(FR(n, c), form, masks)`` with ``n <= 96``, ``c`` any divisor
+    (so ``c = 1`` and ``c = n`` included) and masks of every size, each
+    listed in a random order."""
+    n = draw(st.integers(1, 96))
+    c = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    form = draw(st.sampled_from(sorted(MASK_FORMS)))
+    masks = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(n)))
+        masks.append(MASK_FORMS[form](order[:draw(st.integers(1, n))], n))
+    return FractionalRepetition(n, c), form, masks
+
+
+class TestFRAlgorithmOne:
+    """Alg. 1 as executable properties, batched and looped."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=fr_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_loop_for_every_mask_form(self, batch, seed):
+        placement, form, masks = batch
+        dec_a, rng_a, dec_b, rng_b = _decoder_pair(placement, seed)
+        if form == "bool":
+            masks = np.array(masks)
+            looped = [dec_a.decode(np.flatnonzero(row).tolist()) for row in masks]
+        else:
+            looped = [dec_a.decode(mask) for mask in masks]
+        assert dec_b.decode_batch(masks).results() == looped
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=fr_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_one_survivor_per_non_empty_group(self, batch, seed):
+        placement, form, masks = batch
+        if form == "bool":
+            masks = np.array(masks)
+        n, c = placement.num_workers, placement.partitions_per_worker
+        result = decoder_for(
+            placement, rng=np.random.default_rng(seed)
+        ).decode_batch(masks)
+        per_group = result.selected.reshape(len(result), n // c, c).sum(axis=2)
+        non_empty = result.available.reshape(len(result), n // c, c).any(axis=2)
+        np.testing.assert_array_equal(per_group, non_empty.astype(int))
+        assert not (result.selected & ~result.available).any()
+
+    @pytest.mark.parametrize("seed", [2023, 7])
+    def test_each_survivor_of_a_group_equally_likely(self, seed):
+        # Groups of 1, 2, 3 and 4 survivors; each survivor of a k-group
+        # must be kept at rate 1/k, to within five binomial standard
+        # deviations over 3000 decodes of the one mask.
+        trials = 3000
+        mask = [0, 4, 5, 8, 9, 10, 12, 13, 14, 15]
+        placement = FractionalRepetition(16, 4)
+        rates = (
+            decoder_for(placement, rng=np.random.default_rng(seed))
+            .decode_batch([mask] * trials)
+            .selected.mean(axis=0)
+        )
+        for group in range(4):
+            survivors = [w for w in mask if w // 4 == group]
+            p = 1 / len(survivors)
+            bound = 5 * math.sqrt(p * (1 - p) / trials)
+            for worker in survivors:
+                assert abs(rates[worker] - p) <= bound, (worker, rates[worker])
+
+
+class TestPythonIntIds:
+    """numpy ids in, Python ``int`` ids out, on both paths."""
+
+    @pytest.mark.parametrize("name", ["fr", "cr", "hr"])
+    def test_numpy_mask_decodes_to_python_ints(self, name):
+        placement = dict(FAMILIES)[name]
+        mask = np.array([0, 5, 7, 9])
+        looped = decoder_for(placement, rng=np.random.default_rng(0)).decode(mask)
+        batched = (
+            decoder_for(placement, rng=np.random.default_rng(0))
+            .decode_batch([mask])
+            .results()[0]
+        )
+        assert looped == batched
+        for result in (looped, batched):
+            for ids in (
+                result.selected_workers,
+                result.recovered_partitions,
+                result.available_workers,
+            ):
+                assert {type(i) for i in ids} == {int}
+        assert json.dumps(sorted(looped.selected_workers)) == json.dumps(
+            sorted(batched.selected_workers)
+        )
+        assert json.dumps(sorted(looped.available_workers)) == "[0, 5, 7, 9]"
 
 
 class TestBatchResultShape:

@@ -13,6 +13,7 @@ from repro.core import (
     HybridRepetition,
     decoder_for,
 )
+from repro.core.decoders import Selection
 from repro.exceptions import ConfigurationError, DecodeError
 
 
@@ -67,6 +68,25 @@ class TestDecodeContract:
     def test_num_recovered_is_alpha_times_c(self, cr4, rng):
         result = decoder_for(cr4, rng=rng).decode([0, 2])
         assert result.num_recovered == len(result.selected_workers) * 2
+
+    def test_disjointness_walk_runs_only_on_an_overlap(self, monkeypatch, rng):
+        dec = decoder_for(CyclicRepetition(8, 2), rng=rng)
+        monkeypatch.setattr(
+            dec, "_check_disjoint", lambda selected: pytest.fail("walked")
+        )
+        for mask in ([0, 2, 4, 6], range(8), [3]):
+            dec.decode(mask)
+
+    def test_overlap_names_the_first_re_covering_worker(self, monkeypatch, rng):
+        dec = decoder_for(CyclicRepetition(8, 2), rng=rng)
+        monkeypatch.setattr(
+            dec, "_decode", lambda available: Selection(frozenset({0, 1}), 1)
+        )
+        with pytest.raises(
+            DecodeError,
+            match=r"^decoder bug: worker 1 re-covers partitions \[1\]$",
+        ):
+            dec.decode([0, 1])
 
 
 class TestFRDecoder:
