@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint static static-fast test bench-e2e trace-demo
+.PHONY: check lint static test bench-e2e trace-demo
 
 check: lint static test
 
@@ -15,13 +15,9 @@ lint:
 		echo "ruff not installed; skipping lint"; \
 	fi
 
+# `repro check` with no paths checks src tests examples README.md docs.
 static:
-	PYTHONPATH=src $(PYTHON) -m repro check src tests examples README.md docs
-
-# Same gate with the incremental cache (.repro-check-cache.json):
-# warm runs re-analyse only edited files and their importers.
-static-fast:
-	PYTHONPATH=src $(PYTHON) -m repro check src tests examples README.md docs --cache
+	PYTHONPATH=src $(PYTHON) -m repro check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

@@ -13,12 +13,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     import json as _json
 
     from ..staticcheck import (
-        AnalysisCache, render_catalogue, render_json, render_text,
-        run_check,
-    )
-    from ..staticcheck.baseline import (
-        DEFAULT_BASELINE_PATH, apply_baseline, load_baseline,
-        write_baseline,
+        render_catalogue, render_json, render_text, run_check,
     )
     from ..staticcheck.report import (
         catalogue_json, catalogue_markdown, render_stats,
@@ -34,30 +29,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(render_catalogue())
         return 0
     select = args.select.split(",") if args.select else None
-    cache = AnalysisCache(args.cache_path) if args.cache else None
-    result = run_check(args.paths, select=select, cache=cache)
-
-    if args.fix or args.fix_suppress:
-        result = _apply_autofixes(args, result, select, cache)
-
-    if args.write_baseline is not None:
-        baseline_path = args.write_baseline or DEFAULT_BASELINE_PATH
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"froze {len(result.findings)} finding"
-            f"{'s' if len(result.findings) != 1 else ''} "
-            f"into {baseline_path}"
-        )
-        return 0
-
-    suppressed = stale = 0
-    if args.baseline is not None:
-        baseline_path = args.baseline or DEFAULT_BASELINE_PATH
-        split = apply_baseline(
-            result.findings, load_baseline(baseline_path)
-        )
-        result.findings = split.new
-        suppressed, stale = len(split.suppressed), len(split.stale)
+    result = run_check(args.paths, select=select)
 
     if args.format == "json":
         print(render_json(result))
@@ -69,61 +41,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     else:
         print(render_text(result))
-        if suppressed or stale:
-            print(
-                f"baseline: {suppressed} finding"
-                f"{'s' if suppressed != 1 else ''} frozen"
-                + (f", {stale} stale entries" if stale else "")
-            )
     if args.stats:
         print(render_stats(result), file=sys.stderr)
     return 0 if result.ok else 1
 
 
-def _apply_autofixes(args, result, select, cache):
-    """``repro check --fix``: rewrite what is mechanical, re-check."""
-    from pathlib import Path
-
-    from ..staticcheck import run_check
-    from ..staticcheck.autofix import apply_fixes
-
-    suppress = (
-        {s.strip().upper() for s in args.fix_suppress.split(",")}
-        if args.fix_suppress else set()
-    )
-    sources = {}
-    for finding in result.findings:
-        path = Path(finding.path)
-        if finding.path not in sources and path.is_file():
-            sources[finding.path] = path.read_text(encoding="utf-8")
-    fixed = apply_fixes(result.findings, sources, suppress=suppress)
-    for path in sorted(fixed.changed_paths):
-        Path(path).write_text(sources[path], encoding="utf-8")
-    total = sum(fixed.fixed.values())
-    if total:
-        breakdown = ", ".join(
-            f"{rule} x{count}"
-            for rule, count in sorted(fixed.fixed.items())
-        )
-        print(
-            f"fixed {total} finding{'s' if total != 1 else ''} "
-            f"({breakdown}) in {len(fixed.changed_paths)} files",
-            file=sys.stderr,
-        )
-        return run_check(args.paths, select=select, cache=cache)
-    return result
-
-
 @register_command(
     "check",
-    help="static analysis: determinism, time units, registries, "
-         "spec feasibility",
+    help="static analysis: determinism, time units, spec feasibility",
 )
 def configure(parser: argparse.ArgumentParser) -> None:
     """Wire the ``check`` subparser (arguments + handler)."""
     parser.add_argument(
-        "paths", nargs="*", default=["src", "tests", "examples"],
-        help="files/directories to check (default: src tests examples)",
+        "paths", nargs="*",
+        default=["src", "tests", "examples", "README.md", "docs"],
+        help="files/directories to check (default: src tests examples "
+             "README.md docs)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif", "markdown"),
@@ -134,7 +67,7 @@ def configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select", default=None,
         help="comma-separated rule ids or family prefixes to run "
-             "(e.g. FLOW,DET,REG005; default: all)",
+             "(e.g. FLOW,DET,TIME001; default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -143,39 +76,6 @@ def configure(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--stats", action="store_true",
-        help="print slowest rules/files and cache traffic to stderr",
-    )
-    parser.add_argument(
-        "--cache", action="store_true",
-        help="use the incremental analysis cache (see --cache-path)",
-    )
-    parser.add_argument(
-        "--cache-path", default=".repro-check-cache.json",
-        help="incremental cache location (default: "
-             ".repro-check-cache.json)",
-    )
-    parser.add_argument(
-        "--baseline", nargs="?", const="", default=None,
-        metavar="PATH",
-        help="subtract baseline-frozen findings; fail only on new ones "
-             "(default path: .repro-check-baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline", nargs="?", const="", default=None,
-        metavar="PATH",
-        help="freeze the current findings into a baseline file and "
-             "exit 0",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical autofixes (seeded default_rng in docs, "
-             "sorted(set(...)), unambiguous registry rewrites), then "
-             "re-check",
-    )
-    parser.add_argument(
-        "--fix-suppress", default=None, metavar="RULES",
-        help="insert '# repro: noqa[RULE]' on lines flagged by the "
-             "given comma-separated rules (freeze deliberate "
-             "exceptions)",
+        help="print slowest rules/files to stderr",
     )
     parser.set_defaults(func=cmd_check)

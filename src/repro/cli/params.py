@@ -18,7 +18,7 @@ from ..exceptions import ReproError
 
 def _build_placement(args: argparse.Namespace) -> Placement:
     # Every CLI placement goes through the placement registry, the same
-    # construction path specs and library code use (REG001/REG004).
+    # construction path specs and library code use.
     if args.scheme == "hr":
         if args.g is None or args.c1 is None:
             raise ReproError("HR needs --g and --c1 (c2 = c - c1)")

@@ -36,7 +36,7 @@ def run_simulate(args: argparse.Namespace):
         batch_size=32, seed=args.seed + 2,
     )
     # Built through the scheme registry so CLI, specs and library code
-    # share one construction path (what `repro check` REG001 enforces).
+    # share one construction path.
     if args.c == 1:
         strategy = make_strategy("is-sgd", num_workers=n, wait_for=args.w)
     else:
@@ -55,7 +55,7 @@ def run_simulate(args: argparse.Namespace):
             **scheme_params,
         )
     # Delay models are built through the environment registry — the
-    # same construction path specs and library code use (REG005); the
+    # same construction path specs and library code use; the
     # default is the historical exponential with --delay as its mean.
     delay_params = _parse_model_params(args.delay_param, flag="--delay-param")
     if args.delay_kind in ("exponential", "exp"):
@@ -67,7 +67,7 @@ def run_simulate(args: argparse.Namespace):
     )
     engine = RoundEngine(
         SoftmaxRegressionModel(12, 3, seed=0), streams, strategy,
-        FlatBackend(cluster),  # repro: noqa[REG002] wraps the simulator the flags above describe
+        FlatBackend(cluster),
         SyncUpdate(SGD(args.lr)), eval_data=dataset,
     )
     summary = engine.run(max_steps=args.steps)

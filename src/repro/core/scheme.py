@@ -18,7 +18,7 @@ now they all speak one protocol:
   :func:`~repro.engine.spec.register_backend`;
 * :func:`make_placement` / :func:`placement_scheme` — the construction
   entry points the CLI, the spec engine, the advisor and library code
-  share (``repro check`` REG004 enforces this).
+  share.
 
 Registered families: ``fr``, ``cr``, ``hr``, ``explicit``, ``hetero``,
 ``comm-efficient`` and ``multimessage`` (see ``docs/placements.md`` for
@@ -135,8 +135,7 @@ def make_placement(name: str, **params: Any) -> Placement:
     """Construct the placement of registered family ``name``.
 
     The single construction entry point for library code, the CLI and
-    the spec engine (REG004 flags direct ``*Repetition``/``*Placement``
-    constructor calls outside this layer).  Parameter-constraint
+    the spec engine.  Parameter-constraint
     violations raise :class:`~repro.exceptions.PlacementError` exactly
     as the direct constructors do — same type, same message — so
     callers' error handling is unchanged by going through the registry.
@@ -398,9 +397,9 @@ class PlacementScheme(ABC):
 
 # ----------------------------------------------------------------------
 # Registered families.  This module is the sanctioned construction
-# layer, mirroring engine/spec.py for strategies/backends — the direct
-# ``*Repetition(...)`` / ``*Placement(...)`` calls below are exactly
-# what REG004 steers the rest of the library through here for.
+# layer, mirroring engine/spec.py for strategies/backends: the rest of
+# the library builds placements through make_placement, which reaches
+# the direct ``*Repetition(...)`` / ``*Placement(...)`` calls below.
 
 
 @register_placement("fr", aliases=("fractional",))

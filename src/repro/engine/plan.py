@@ -8,10 +8,10 @@ the classic-GC coding matrix, the initial model vector, the resolved
 backend factory and environment sections.  It is immutable (a frozen,
 slotted dataclass over read-only arrays) and holds no run state.
 :meth:`EnginePlan.engine` instantiates the other half — what
-:class:`~repro.engine.state.EngineState` describes and ``CKPT001``
-audits.  Any number of engines may come from one plan; each runs bit
-for bit like ``build_engine(spec)``, which is ``EnginePlan(spec)
-.engine()`` — there is one assembly path.
+:class:`~repro.engine.state.EngineState` describes.  Any number of
+engines may come from one plan; each runs bit for bit like
+``build_engine(spec)``, which is ``EnginePlan(spec).engine()`` — there
+is one assembly path.
 
 Whoever restores many states of one run (the serve layer parking a
 job) keeps the plan next to the state.  A plan belongs to its holder:

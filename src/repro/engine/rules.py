@@ -282,8 +282,8 @@ class AdaptiveMigration(SyncUpdate):
         )
         # Rebuilt from a concrete migrated Placement object with the
         # run's shared generator — the name-keyed registry cannot
-        # express either, so the direct construction is sanctioned.
-        engine.strategy = ISGCStrategy(  # repro: noqa[REG001]
+        # express either, so the strategy is constructed directly.
+        engine.strategy = ISGCStrategy(
             best.placement, wait_for=self._wait_for, rng=self._rng
         )
         engine.backend.on_strategy_change(engine.strategy)
@@ -337,7 +337,7 @@ class AdaptiveMigration(SyncUpdate):
             trials=1500,
             seed=self.migrations[-1].step,
         )
-        engine.strategy = ISGCStrategy(  # repro: noqa[REG001]
+        engine.strategy = ISGCStrategy(
             ranking[0].placement, wait_for=self._wait_for, rng=self._rng
         )
         engine.backend.on_strategy_change(engine.strategy)

@@ -1,4 +1,4 @@
-"""Checkpointable run state: :class:`EngineState` and its field registry.
+"""Checkpointable run state: :class:`EngineState`.
 
 A running :class:`~repro.engine.core.RoundEngine` is a first-class,
 suspendable value: ``engine.snapshot()`` captures *every* piece of
@@ -23,16 +23,9 @@ Component state rides on the objects that own it: update rules,
 backends, delay models and optimizers each expose
 ``snapshot_state()``/``restore_state()`` hooks (default: stateless),
 so a new stateful component only has to extend its own hook — the
-engine-level assembly here never changes.
-
-The module also exports :data:`CHECKPOINT_COVERED`, the authoritative
-list of attributes that may legally be assigned on engine / update-rule
-/ backend instances during a run.  The ``CKPT001`` static rule audits
-every such assignment in the engine layer against this registry, so a
-newly introduced piece of run state that is *not* captured by
-``snapshot()`` fails ``repro check`` instead of silently breaking
-resume determinism.  This is the *state* half of an engine; the rest is
-its frozen, read-only :class:`~repro.engine.plan.EnginePlan`.
+engine-level assembly here never changes.  This is the *state* half of
+an engine; the rest is its frozen, read-only
+:class:`~repro.engine.plan.EnginePlan`.
 """
 
 from __future__ import annotations
@@ -53,46 +46,6 @@ STATE_VERSION = 1
 #: Snapshot modes: synchronous rounds vs. asynchronous updates.
 MODE_ROUNDS = "rounds"
 MODE_UPDATES = "updates"
-
-#: Attributes legally assigned on engine-layer instances *during a run*
-#: (i.e. outside ``__init__``/``bind``/``start``-style setup and the
-#: snapshot/restore/reset methods themselves), keyed by owner kind.
-#: Every name here is captured by :meth:`RoundEngine.snapshot` — either
-#: directly or via a component ``snapshot_state()`` hook.  CKPT001
-#: audits the engine layer against this registry.
-CHECKPOINT_COVERED: Mapping[str, frozenset] = {
-    # RoundEngine instances ("self" in core.py, "engine" in rule hooks).
-    "engine": frozenset({
-        "strategy",        # adaptive migration swap; re-derived on restore
-        "records",         # serialised verbatim
-        "async_records",   # serialised verbatim
-        "max_steps",       # run budget
-        "_tracker",        # LossTracker (threshold/window/losses)
-        "_mode",           # rounds vs updates
-        "_max_updates",    # async run budget
-    }),
-    # UpdateRule instances.
-    "rule": frozenset({
-        "_penalty",        # AdaptiveMigration simulated-time charge
-        "migrations",      # AdaptiveMigration event log
-    }),
-    # ExecutionBackend instances.
-    "backend": frozenset({
-        "_clock",          # actor/async simulated clock
-        "_queue",          # async pending arrivals
-        "fetch_version",   # async per-worker fetch versions
-        "worker_step",     # async per-worker batch cursors
-    }),
-}
-
-#: Within-round scratch attributes: assigned and consumed inside a
-#: single quantum, never live across a round boundary, therefore not
-#: part of the snapshot.  CKPT001 accepts these too.
-CHECKPOINT_TRANSIENT: Mapping[str, frozenset] = {
-    "engine": frozenset(),
-    "rule": frozenset(),
-    "backend": frozenset(),
-}
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ same move :mod:`repro.core.scheme` made for placements:
   :func:`register_compute` / :func:`register_network` /
   :func:`register_contention` decorators (alias support included);
 * :func:`make_delay_model` and friends — the construction entry points
-  the spec engine, the CLI and library code share (``repro check``
-  REG005 enforces this), with did-you-mean errors for typos;
+  the spec engine, the CLI and library code share, with did-you-mean
+  errors for typos;
 * :func:`delay_model_from` etc. — coercers accepting a built model, a
   bare kind string or a ``{"kind": ..., **params}`` mapping, applied
   recursively for composite families (``persistent`` / ``diurnal`` /
@@ -469,9 +469,10 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
 
 # ----------------------------------------------------------------------
 # Registered delay families.  This module is the sanctioned
-# construction layer, mirroring core/scheme.py for placements — the
-# direct constructor calls below are exactly what REG005 steers the
-# rest of the library through here for.
+# construction layer, mirroring core/scheme.py for placements: the
+# rest of the library builds environment models through
+# make_delay_model and friends, which reach the direct constructor
+# calls below.
 
 
 @register_delay(

@@ -173,7 +173,7 @@ def adaptive_policy_study(
         )
         engine = RoundEngine(
             MLPClassifier(8 * 8 * 3, 32, 10, seed=0), streams, strategy,
-            FlatBackend(cluster),  # repro: noqa[REG002] wraps the per-policy simulator built above
+            FlatBackend(cluster),
             SyncUpdate(SGD(0.15)), eval_data=dataset,
         )
         summary = engine.run(max_steps, loss_threshold=loss_threshold)

@@ -83,7 +83,7 @@ def _run_one(
         MLPClassifier(8 * 8 * 3, hidden_units=32, num_classes=10, seed=0),
         streams,
         strategy,
-        FlatBackend(cluster),  # repro: noqa[REG002] wraps the trace-replay simulator built above
+        FlatBackend(cluster),
         SyncUpdate(SGD(cfg.learning_rate)),
         eval_data=eval_data,
     )

@@ -379,7 +379,7 @@ def _train(n, c, strategy, rule, delay, steps, *, compute=0.02, cluster_seed=0):
     )
     engine = RoundEngine(
         LogisticRegressionModel(8, seed=0), streams, strategy,
-        FlatBackend(cluster),  # repro: noqa[REG002] wraps the per-run simulator built above
+        FlatBackend(cluster),
         rule, eval_data=dataset,
     )
     return engine.run(max_steps=steps)
@@ -491,7 +491,7 @@ def compression_table() -> Table:
                 wait_for=w, rng=rng,
             )
         else:
-            strategy = CompressedISGCStrategy(  # repro: noqa[REG001] top-k sparsification has no registered scheme
+            strategy = CompressedISGCStrategy(
                 _placement("cr", n, c), wait_for=w, fraction=fraction, rng=rng,
             )
         summary = _train(

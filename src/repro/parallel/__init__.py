@@ -13,7 +13,7 @@ Two pieces:
   draws stay live.
 
 See ``docs/parallelism.md`` for the executor model, the seeding
-discipline (and its ``PAR001`` static check), and cache semantics.
+discipline (and its ``FLOW002`` static check), and cache semantics.
 """
 
 from .cache import DecodeCache

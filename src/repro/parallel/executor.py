@@ -10,7 +10,7 @@ make ``ProcessExecutor`` results bit-for-bit identical to serial runs:
   workers.  A spawned child is a pure function of (root seed, spawn
   index), so the same point gets the same stream no matter which
   process, or how many, evaluate it.  Never ship ``seed + i`` integers
-  across the pool boundary (``repro check`` rule ``PAR001``).
+  across the pool boundary (``repro check`` rule ``FLOW002``).
 * **ordering** — outcomes are returned sorted by point index,
   regardless of completion order.
 * **isolation** — a point that raises is captured as a full formatted

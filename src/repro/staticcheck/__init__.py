@@ -3,8 +3,8 @@
 The two costliest defects in this repo's history were statically
 detectable: the absolute-vs-step-relative seconds mismatch fixed in
 PR 1, and the strict RNG/seed discipline the PR-2 golden trajectories
-depend on.  This package makes those invariants — plus registry
-hygiene and spec feasibility — machine-checkable, as ``repro check``:
+depend on.  This package makes those invariants — plus spec
+feasibility — machine-checkable, as ``repro check``:
 
 ========  ==============================================================
 family    rules
@@ -14,34 +14,19 @@ DET       ``DET001`` module-level RNG, ``DET002`` wall-clock reads,
           ``DET003`` unseeded ``default_rng()``, ``DET004`` ordering
           hazards
 TIME      ``TIME001`` mixed absolute/step-relative arithmetic,
-          ``TIME002`` undocumented time units
-REG       ``REG001``/``REG002`` strategies/backends built outside the
-          registries, ``REG003`` factory signature round-trip,
-          ``REG004`` placements outside the placement registry,
-          ``REG005`` environment models outside the env registry
+          ``TIME002`` undocumented time units, ``TIME003`` wall-clock
+          reads in the serve/obs/straggler layers
 SPEC      ``SPEC001`` infeasible spec files, ``SPEC002`` infeasible
           spec literals
-PAR       ``PAR001`` arithmetic per-task seeds at a process-pool
-          boundary (use ``SeedSequence.spawn``)
-CKPT      ``CKPT001`` engine-layer run-path assignment not covered by
-          the ``EngineState`` checkpoint registry
 FLOW      whole-project RNG dataflow: ``FLOW001`` Generator into a
           cached/batched kernel, ``FLOW002`` Generator/derived seed
           across a pool dispatch, ``FLOW003`` draw order depending on
           set iteration
-XREG      cross-module registry completeness: ``XREG001`` missing
-          ``spec_problems``, ``XREG002`` missing golden fingerprint,
-          ``XREG003`` missing docs catalogue row, ``XREG004`` name
-          collisions
-XIMP      import hygiene: ``XIMP001`` cycles, ``XIMP002`` layer
-          violations, ``XIMP003`` stale re-exports
 ========  ==============================================================
 
-The FLOW/XREG/XIMP families run on the whole-project index
+The FLOW family runs on the whole-project index
 (:mod:`repro.staticcheck.project`) with interprocedural dataflow
-summaries (:mod:`repro.staticcheck.dataflow`); per-file and per-module
-results are cached incrementally (:mod:`repro.staticcheck.cache`) and
-invalidated transitively through the import graph.
+summaries (:mod:`repro.staticcheck.dataflow`).
 
 Suppress a deliberate exception with ``# repro: noqa[RULE]`` on the
 offending line (always with a justification comment).  See
@@ -49,7 +34,6 @@ offending line (always with a justification comment).  See
 rule.
 """
 
-from .cache import AnalysisCache, DEFAULT_CACHE_PATH
 from .engine import (
     RULE_REGISTRY,
     CheckResult,
@@ -62,7 +46,6 @@ from .engine import (
     iter_source_files,
     noqa_map,
     project_rule,
-    project_wide_rule,
     python_rule,
     run_check,
     spec_rule,
@@ -79,19 +62,9 @@ from .report import (
 from .specrules import spec_feasibility_problems
 
 # Importing the rule modules registers their rules.
-from . import (  # noqa: F401
-    checkpoint,
-    determinism,
-    parallelism,
-    registries,
-    specrules,
-    timeunits,
-)
-from . import flowrules, ximports, xreg  # noqa: F401
+from . import determinism, flowrules, specrules, timeunits  # noqa: F401
 
 __all__ = [
-    "AnalysisCache",
-    "DEFAULT_CACHE_PATH",
     "RULE_REGISTRY",
     "CheckResult",
     "Finding",
@@ -109,7 +82,6 @@ __all__ = [
     "iter_source_files",
     "noqa_map",
     "project_rule",
-    "project_wide_rule",
     "python_rule",
     "render_catalogue",
     "render_json",

@@ -18,11 +18,9 @@ rules prescribe.
 
 The analysis is flow-insensitive within a function (assignment effects
 are iterated to a small fixpoint) and summary-based across functions:
-:func:`summarize_module` extracts **JSON-serialisable** per-function
-summaries (parameters, returned tags, consumed parameters, outgoing
-calls), and :func:`propagate` closes them over the call graph.  The
-serialisability is load-bearing — summaries are the index shards the
-incremental cache stores, so a warm run re-analyses nothing.
+:func:`summarize_module` extracts plain-data per-function summaries
+(parameters, returned tags, consumed parameters, outgoing calls), and
+:func:`propagate` closes them over the call graph.
 """
 
 from __future__ import annotations
@@ -353,13 +351,11 @@ def _iter_functions(
 
 
 def summarize_module(info: ModuleInfo) -> Dict[str, Any]:
-    """Local (single-module) dataflow summary — an index shard.
+    """Local (single-module) dataflow summary.
 
     Returns ``{"functions": {qual: summary}, "class_attrs":
-    {Class: {attr: [tags]}}}`` where every summary is plain JSON data.
+    {Class: {attr: [tags]}}}`` where every summary is plain data.
     """
-    if info.tree is None:
-        return {"functions": {}, "class_attrs": {}}
     class_attrs = _class_attr_tags(info.tree)
 
     def resolve_local(dotted: str) -> List[str]:
@@ -588,8 +584,6 @@ def propagate(
 def analyze_project(index: ProjectIndex) -> Dict[str, Dict[str, Any]]:
     """Summarise every indexed module and run propagation to fixpoint."""
     summaries = {
-        name: summarize_module(info)
-        for name, info in index.modules.items()
-        if info.tree is not None
+        name: summarize_module(info) for name, info in index.modules.items()
     }
     return propagate(summaries, index)

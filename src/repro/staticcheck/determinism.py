@@ -13,7 +13,7 @@ every Fig. 11–13 result.  These rules make the discipline checkable:
   inside the deterministic core packages;
 * ``DET003`` — ``default_rng()`` with no seed anywhere in the
   library, docs and examples (entropy-seeded generators cannot be
-  replayed; ``repro check --fix`` seeds doc/example snippets);
+  replayed, and doc/example snippets get copy-pasted);
 * ``DET004`` — ordering hazards (``list(set(...))``, ``os.listdir``,
   unsorted ``glob``/``iterdir``) inside the core packages.
 

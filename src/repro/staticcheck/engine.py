@@ -10,12 +10,11 @@ Responsibilities:
   true line numbers), and ``.json``/``.toml`` files that look like
   :class:`~repro.engine.spec.ExperimentSpec` documents go to the
   spec-feasibility rules;
-* the **project pass** — ``.py`` files are additionally indexed into a
-  whole-project module graph (:mod:`repro.staticcheck.project`) with
-  interprocedural dataflow summaries
-  (:mod:`repro.staticcheck.dataflow`), over which the FLOW/XREG/XIMP
-  families run; per-module results are cacheable, invalidated
-  transitively through the import graph;
+* the **project pass** — the ``.py`` files' ASTs are additionally
+  indexed into a whole-project module graph
+  (:mod:`repro.staticcheck.project`) with interprocedural dataflow
+  summaries (:mod:`repro.staticcheck.dataflow`), over which the FLOW
+  family runs;
 * **suppressions** — a ``# repro: noqa[RULE1,RULE2]`` comment on the
   offending line silences those rules there (bare ``# repro: noqa``
   silences every rule on the line), for per-file and project findings
@@ -32,7 +31,6 @@ broken branches alike.
 from __future__ import annotations
 
 import ast
-import copy
 import json
 import re
 import time
@@ -119,10 +117,8 @@ class Rule:
     everywhere); ``exclude`` lists sanctioned locations inside that
     scope.  ``kind`` is ``"python"`` (AST contexts, including markdown
     code blocks), ``"spec"`` (parsed JSON/TOML spec documents) or
-    ``"project"`` (the whole-project index).  Project rules carry a
-    ``granularity``: ``"module"`` checks run once per indexed module
-    (and their findings cache per module, keyed by the module's import-
-    closure digest); ``"project"`` checks run once per index.
+    ``"project"`` (run once per checked module of the whole-project
+    index).
     """
 
     id: str
@@ -133,7 +129,6 @@ class Rule:
     scope: tuple
     exclude: tuple
     check: Callable[..., Iterable[Finding]]
-    granularity: str = "file"
 
     def applies_to(self, scope_path: str) -> bool:
         """Whether this rule runs on the file at ``scope_path``."""
@@ -145,9 +140,7 @@ class Rule:
 RULE_REGISTRY: Registry[Rule] = Registry("rule id", "rules", StaticCheckError)
 
 
-def _make_decorator(
-    kind: str, granularity: str = "file"
-) -> Callable[..., Callable]:
+def _make_decorator(kind: str) -> Callable[..., Callable]:
     def decorator(
         rule_id: str,
         *,
@@ -169,7 +162,6 @@ def _make_decorator(
                     scope=tuple(scope),
                     exclude=tuple(exclude),
                     check=fn,
-                    granularity=granularity,
                 ),
             )
             return fn
@@ -187,16 +179,10 @@ python_rule.__doc__ = (
 spec_rule = _make_decorator("spec")
 spec_rule.__doc__ = "Decorator registering a spec-document rule."
 
-project_rule = _make_decorator("project", granularity="module")
+project_rule = _make_decorator("project")
 project_rule.__doc__ = (
     "Decorator registering a per-module project rule "
     "``fn(ctx, rule, module) -> findings`` (ctx: ProjectContext)."
-)
-
-project_wide_rule = _make_decorator("project", granularity="project")
-project_wide_rule.__doc__ = (
-    "Decorator registering a whole-index project rule "
-    "``fn(ctx, rule) -> findings``."
 )
 
 
@@ -271,7 +257,7 @@ def iter_source_files(paths: Sequence["str | Path"]) -> List[Path]:
             if sub.suffix not in _CHECKED_SUFFIXES or not sub.is_file():
                 continue
             if sub.name.startswith("."):
-                continue  # dotfiles: the checker's own cache/baseline
+                continue  # dotfiles are tool state, not project sources
             if _skipped(sub.parts):
                 continue
             out.append(sub)
@@ -392,6 +378,18 @@ def check_source(
     ``rule_seconds`` (optional) accumulates per-rule wall time for
     ``--stats``.
     """
+    return _check_python(source, path, scope_path, select, rule_seconds)[0]
+
+
+def _check_python(
+    source: str,
+    path: str,
+    scope_path: Optional[str],
+    select: Optional[Set[str]],
+    rule_seconds: Optional[Dict[str, float]],
+) -> Tuple[List[Finding], Optional[ast.Module]]:
+    """:func:`check_source` plus the parsed tree (``None`` when the
+    source does not parse), which the project pass indexes as is."""
     scope_path = scope_path if scope_path is not None else path
     scope_path = Path(scope_path).as_posix()
     try:
@@ -406,7 +404,7 @@ def check_source(
                 severity=Severity.ERROR,
                 message=f"file does not parse: {exc.msg}",
             )
-        ]
+        ], None
     ctx = PythonContext(
         path=path, scope_path=scope_path, source=source, tree=tree
     )
@@ -421,7 +419,7 @@ def check_source(
                 rule_seconds.get(rule.id, 0.0)
                 + time.perf_counter() - started
             )
-    return _apply_noqa(sorted(findings), noqa_map(source))
+    return _apply_noqa(sorted(findings), noqa_map(source)), tree
 
 
 def check_spec_mapping(
@@ -515,12 +513,8 @@ class CheckResult:
     #: per-file wall time (display path → seconds), for ``--stats``
     #: and the JSON report's ``timing`` section.
     file_seconds: Dict[str, float] = field(default_factory=dict)
-    #: per-rule wall time across all files (project pass included,
-    #: attributed per rule family under ``PROJECT``).
+    #: per-rule wall time across all files (project pass included).
     rule_seconds: Dict[str, float] = field(default_factory=dict)
-    #: incremental-cache accounting (zero when no cache attached).
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: modules in the project index (0 when the pass was skipped).
     project_modules: int = 0
     total_seconds: float = 0.0
@@ -535,25 +529,22 @@ def run_check(
     paths: Sequence["str | Path"],
     select: Optional[Iterable[str]] = None,
     *,
-    cache: Optional["AnalysisCache"] = None,
     project: bool = True,
 ) -> CheckResult:
     """Check every file under ``paths``; the library entry point.
 
     ``select`` restricts to the given rule ids or family prefixes
     (unknown ids raise :class:`StaticCheckError` — a usage error, exit
-    code 2 at the CLI).  ``cache`` attaches an incremental
-    :class:`~repro.staticcheck.cache.AnalysisCache`; ``project=False``
-    skips the whole-project pass (FLOW/XREG/XIMP).
+    code 2 at the CLI).  ``project=False`` skips the whole-project pass
+    (FLOW).
     """
     started_total = time.perf_counter()
     selected: Optional[Set[str]] = None
     if select is not None:
         selected = expand_select(select)
     result = CheckResult()
-    if cache is not None:
-        cache.ensure_ruleset(_ruleset_signature(selected))
-    texts: Dict[Path, str] = {}
+    # resolved path → (source, tree) of every checked .py file.
+    parsed: Dict[Path, Tuple[str, Optional[ast.Module]]] = {}
     py_files: List[Path] = []
     for path in iter_source_files(paths):
         try:
@@ -563,79 +554,46 @@ def run_check(
         result.num_files += 1
         display = str(path)
         started = time.perf_counter()
-        cached = (
-            cache.get_file_findings(display, text)
-            if cache is not None else None
-        )
-        if cached is not None:
-            result.findings.extend(cached)
-            result.cache_hits += 1
-        else:
-            if path.suffix == ".py":
-                found = check_source(
-                    text, path=display, select=selected,
-                    rule_seconds=result.rule_seconds,
-                )
-            elif path.suffix == ".md":
-                found = _check_markdown(
-                    text, display, selected, result.rule_seconds
-                )
-            else:
-                found = _check_data_file(path, text, selected)
-            result.findings.extend(found)
-            if cache is not None:
-                cache.put_file_findings(display, text, found)
-                result.cache_misses += 1
         if path.suffix == ".py":
-            texts[path.resolve()] = text
+            found, tree = _check_python(
+                text, display, None, selected, result.rule_seconds
+            )
+            parsed[path.resolve()] = (text, tree)
             py_files.append(path)
+        elif path.suffix == ".md":
+            found = _check_markdown(
+                text, display, selected, result.rule_seconds
+            )
+        else:
+            found = _check_data_file(path, text, selected)
+        result.findings.extend(found)
         result.file_seconds[display] = time.perf_counter() - started
     if project and py_files and _rules("project", selected):
-        _run_project_pass(
-            py_files, texts, selected, cache, result
-        )
-    if cache is not None:
-        cache.save()
+        _run_project_pass(py_files, parsed, selected, result)
     result.findings.sort()
     result.total_seconds = time.perf_counter() - started_total
     return result
-
-
-def _ruleset_signature(selected: Optional[Set[str]]) -> str:
-    import hashlib
-
-    parts = sorted(RULE_REGISTRY)
-    parts.append("select=" + (",".join(sorted(selected)) if selected else "*"))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
 # The project pass
 
 
-def _detect_repo_root(index) -> Optional[Path]:
-    """The repository root, inferred from the indexed package layout
-    (``<root>/src/repro/...`` → ``<root>``)."""
-    from .project import module_name_for
-
-    for info in index.modules.values():
-        if not info.name.startswith("repro"):
-            continue
-        try:
-            pkg_root, _ = module_name_for(Path(info.path))
-        except OSError:  # pragma: no cover - defensive
-            continue
-        return pkg_root.parent if pkg_root.name == "src" else pkg_root
-    return None
+def _display_path(path: Path) -> str:
+    try:
+        return str(path.relative_to(Path.cwd()))
+    except ValueError:
+        return str(path)
 
 
-def _build_index(py_files: Sequence[Path], texts: Mapping[Path, str],
-                 cache) -> "object":
-    """Build the project index, rebuilding unchanged modules from
-    cached shards (no re-parse) where possible."""
+def _build_index(
+    py_files: Sequence[Path],
+    parsed: Mapping[Path, Tuple[str, Optional[ast.Module]]],
+) -> "ProjectIndex":
+    """Build the project index over the checked files' packages,
+    reusing the trees the per-file pass already parsed."""
     from .project import (
-        ModuleInfo, ProjectIndex, content_hash, module_name_for,
-        parse_module,
+        ModuleInfo, ProjectIndex, index_module, module_name_for,
     )
 
     # Complete packages: interprocedural flow needs every module of a
@@ -656,137 +614,62 @@ def _build_index(py_files: Sequence[Path], texts: Mapping[Path, str],
                 all_files.setdefault(sub.resolve())
     modules: Dict[str, ModuleInfo] = {}
     for f in all_files:
-        pkg_root, name = module_name_for(f)
-        text = texts.get(f)
-        if text is None:
+        _, name = module_name_for(f)
+        if f in parsed:
+            text, tree = parsed[f]
+        else:
             try:
                 text = f.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
+                tree = ast.parse(text)
+            except (OSError, UnicodeDecodeError, SyntaxError):
                 continue
-        try:
-            display = str(f.relative_to(Path.cwd()))
-        except ValueError:
-            display = str(f)
+        if tree is None:
+            continue  # reported as GEN001 by the per-file pass
+        display = _display_path(f)
         if name in modules:
             # standalone-module stem collision (two directories each
             # with a conftest.py): key by path-derived name.
             name = Path(display).with_suffix("").as_posix().replace("/", ".")
-        info = None
-        if cache is not None:
-            shard = cache.get_shard(display, content_hash(text))
-            if shard is not None:
-                info = ModuleInfo.from_shard(shard)
-                info.source = text
-        if info is None:
-            info = parse_module(
-                name, text, path=display,
-                scope_path=Path(display).as_posix(),
-            )
-        if info is not None:
-            modules[info.name] = info
+        modules[name] = index_module(
+            name, text, tree,
+            path=display, scope_path=Path(display).as_posix(),
+        )
     return ProjectIndex(modules)
 
 
 def _run_project_pass(
     py_files: Sequence[Path],
-    texts: Mapping[Path, str],
+    parsed: Mapping[Path, Tuple[str, Optional[ast.Module]]],
     selected: Optional[Set[str]],
-    cache,
     result: CheckResult,
 ) -> None:
-    from .dataflow import propagate, summarize_module
-    from .project import ProjectContext, parse_module
+    from .dataflow import analyze_project
+    from .project import ProjectContext
 
     started = time.perf_counter()
-    index = _build_index(py_files, texts, cache)
+    index = _build_index(py_files, parsed)
     result.project_modules = len(index.modules)
     checked_paths = set()
     for f in py_files:
-        try:
-            checked_paths.add(str(f.relative_to(Path.cwd())))
-        except ValueError:
-            checked_paths.add(str(f))
+        checked_paths.add(_display_path(f))
         checked_paths.add(str(f))
 
-    def ensure_tree(info):
-        if info.tree is None:
-            parsed = parse_module(
-                info.name, info.source,
-                path=info.path, scope_path=info.scope_path,
-            )
-            if parsed is not None:
-                index.modules[info.name] = parsed
-                index.by_path[parsed.path] = parsed
-                return parsed
-        return info
-
-    module_rules = [
-        r for r in _rules("project", selected) if r.granularity == "module"
-    ]
-    wide_rules = [
-        r for r in _rules("project", selected) if r.granularity == "project"
-    ]
-
-    # Digest-first: decide which modules actually need re-analysis.
-    # On a warm no-change run everything hits, and the expensive
-    # dataflow pass (summaries + propagation) is skipped entirely.
-    ctx = ProjectContext(index=index, root=_detect_repo_root(index))
-    project_findings: List[Finding] = []
-    dirty: List[Tuple[str, str, List[Rule]]] = []
+    rules = _rules("project", selected)
+    work = []
     for name in sorted(index.modules):
         info = index.modules[name]
         if info.path not in checked_paths:
             continue
-        applicable = [
-            r for r in module_rules if r.applies_to(info.scope_path)
-        ]
-        if not applicable:
-            continue
-        digest = index.closure_digest(name)
-        cached = (
-            cache.get_module_findings(info.path, digest)
-            if cache is not None else None
-        )
-        if cached is not None:
-            project_findings.extend(cached)
-            result.cache_hits += 1
-        else:
-            dirty.append((name, digest, applicable))
+        applicable = [r for r in rules if r.applies_to(info.scope_path)]
+        if applicable:
+            work.append((info, applicable))
 
-    wide_digest = _global_digest(index, ctx) if wide_rules else ""
-    wide_cached = (
-        cache.get_project_findings(wide_digest)
-        if cache is not None and wide_rules else None
-    )
-    wide_miss = bool(wide_rules) and wide_cached is None
-
-    if dirty or wide_miss:
-        # Local dataflow summaries (index shards), then propagation.
-        local_summaries: Dict[str, Dict] = {}
-        for name in sorted(index.modules):
-            info = index.modules[name]
-            summary = (
-                cache.get_summary(info.path, info.content_hash)
-                if cache is not None else None
-            )
-            if summary is None:
-                info = ensure_tree(info)
-                if info.tree is None:
-                    continue
-                summary = summarize_module(info)
-                if cache is not None:
-                    cache.put_shard(
-                        info.path, info.content_hash,
-                        info.to_shard(), summary,
-                    )
-                summary = copy.deepcopy(summary)
-            local_summaries[name] = summary
-        ctx.summaries = propagate(local_summaries, index)
-
-    for name, digest, applicable in dirty:
-        info = ensure_tree(index.modules[name])
-        if info.tree is None:
-            continue
+    # The dataflow summaries cover the whole index (callees may live
+    # in unchecked modules), but are only built when a rule will run.
+    ctx = ProjectContext(index=index)
+    if work:
+        ctx.summaries = analyze_project(index)
+    for info, applicable in work:
         module_findings: List[Finding] = []
         for rule in applicable:
             rule_started = time.perf_counter()
@@ -795,70 +678,12 @@ def _run_project_pass(
                 result.rule_seconds.get(rule.id, 0.0)
                 + time.perf_counter() - rule_started
             )
-        module_findings = _apply_noqa(
-            sorted(module_findings), noqa_map(info.source)
+        result.findings.extend(
+            _apply_noqa(module_findings, noqa_map(info.source))
         )
-        if cache is not None:
-            cache.put_module_findings(info.path, digest, module_findings)
-            result.cache_misses += 1
-        project_findings.extend(module_findings)
-
-    if wide_rules:
-        if wide_cached is not None:
-            project_findings.extend(
-                f for f in wide_cached if f.path in checked_paths
-            )
-            result.cache_hits += 1
-        else:
-            wide_findings: List[Finding] = []
-            for rule in wide_rules:
-                rule_started = time.perf_counter()
-                wide_findings.extend(rule.check(ctx, rule))
-                result.rule_seconds[rule.id] = (
-                    result.rule_seconds.get(rule.id, 0.0)
-                    + time.perf_counter() - rule_started
-                )
-            kept: List[Finding] = []
-            for f in sorted(wide_findings):
-                info = index.by_path.get(f.path)
-                source = info.source if info is not None else ""
-                if _apply_noqa([f], noqa_map(source)):
-                    kept.append(f)
-            if cache is not None:
-                cache.put_project_findings(wide_digest, kept)
-                result.cache_misses += 1
-            project_findings.extend(
-                f for f in kept if f.path in checked_paths
-            )
-
-    result.findings.extend(project_findings)
     result.file_seconds["<project pass>"] = (
         time.perf_counter() - started
     )
-
-
-def _global_digest(index, ctx) -> str:
-    """Validity key for whole-index findings: every module's content
-    plus the auxiliary evidence files (goldens, docs catalogues)."""
-    import hashlib
-
-    parts: List[str] = []
-    for name in sorted(index.modules):
-        parts.append(name)
-        parts.append(index.modules[name].content_hash)
-    for aux in (
-        "tests/golden/placement_schemes.json",
-        "tests/golden/environments.json",
-        "docs/placements.md",
-        "docs/environments.md",
-    ):
-        text = ctx.aux_text(aux)
-        parts.append(aux)
-        parts.append(
-            "" if text is None
-            else hashlib.sha256(text.encode("utf-8")).hexdigest()
-        )
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

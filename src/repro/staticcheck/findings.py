@@ -58,15 +58,3 @@ class Finding:
             "severity": self.severity.value,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            rule=data["rule"],
-            severity=Severity(data["severity"]),
-            message=data["message"],
-        )

@@ -18,8 +18,8 @@ calls and returns — rather than pattern-matching single expressions.
   crosses a process-pool dispatch (``submit``/``map``/… or a
   ``SweepExecutor.run``).  Generators do not survive pickling with
   their stream intact, and ``seed + i`` children are correlated; ship
-  parent-spawned ``SeedSequence`` children instead (this deepens the
-  per-file PAR001 boundary heuristic with assignment-aware flow).
+  parent-spawned ``SeedSequence`` children instead (see
+  ``docs/parallelism.md``).
 * ``FLOW003`` — a Generator is consumed inside a loop over a set (or
   set-returning expression), so the *order* of draws depends on hash
   iteration order; iterate a sorted view instead.
@@ -43,7 +43,6 @@ from .dataflow import (
 )
 from .engine import Rule, dotted_name, project_rule
 from .findings import Finding
-from .parallelism import _DISPATCH_METHODS
 from .project import ModuleInfo, ProjectContext
 
 #: memoisation entry points of the decode layer (``repro.parallel.
@@ -56,8 +55,15 @@ _MEMO_METHODS = frozenset({
 #: whole-round kernel and must never see a Generator.
 _BATCH_MODULE = "repro.core.batch"
 
-#: receiver names that mark a ``.run(...)`` / ``.submit(...)`` call as
-#: a pool dispatch even without a visible pool constructor.
+#: methods that ship work (and its arguments) across a pool boundary
+#: (``SweepExecutor.run`` included).
+_DISPATCH_METHODS = frozenset({
+    "submit", "map", "map_async", "starmap", "starmap_async",
+    "apply", "apply_async", "imap", "imap_unordered", "run",
+})
+
+#: receiver names that mark a dispatch-method call as a pool dispatch
+#: even without a visible pool constructor.
 _POOLISH_FRAGMENTS = ("pool", "executor")
 
 #: set-producing call names whose iteration order is hash-dependent.
@@ -155,7 +161,6 @@ def _consumptions(
 def _each_function(info: ModuleInfo):
     """``(qualname, cls, node, class_attrs)`` for every function in a
     module (class-attribute tags computed once)."""
-    assert info.tree is not None
     class_attrs = _class_attr_tags(info.tree)
     for qual, cls, node in _iter_functions(info.tree):
         yield qual, cls, node, class_attrs
@@ -241,7 +246,7 @@ def check_gen_into_cached_kernel(
         "(submit/map/SweepExecutor.run). Generators do not cross "
         "pickling with their stream intact and arithmetic seeds are "
         "correlated across workers; spawn SeedSequence children in "
-        "the parent (deepens PAR001 with assignment-aware dataflow)."
+        "the parent (np.random.SeedSequence(seed).spawn(n))."
     ),
     scope=("repro/",),
 )
@@ -250,7 +255,6 @@ def check_gen_across_pool(
 ) -> List[Finding]:
     """Flag Generators or derived seeds crossing a process boundary."""
     findings: List[Finding] = []
-    dispatch = _DISPATCH_METHODS | {"run"}
     for _, cls, node, class_attrs in _each_function(info):
         env, _ = _function_scope(info, ctx, cls, node, class_attrs)
         for sub in ast.walk(node):
@@ -259,7 +263,7 @@ def check_gen_across_pool(
             func = sub.func
             if not (
                 isinstance(func, ast.Attribute)
-                and func.attr in dispatch
+                and func.attr in _DISPATCH_METHODS
             ):
                 continue
             receiver = (dotted_name(func.value) or "").lower()

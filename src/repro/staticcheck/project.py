@@ -1,86 +1,32 @@
-"""The whole-project analysis substrate behind the FLOW/XREG/XIMP rules.
+"""The whole-project analysis substrate behind the FLOW rules.
 
 Per-file AST rules (`repro.staticcheck.determinism` and friends) see one
 parsed source unit at a time, so they cannot follow a
-``numpy.random.Generator`` through a call, notice a registry family with
-no golden fingerprint, or see an import cycle.  This module builds the
-missing context — **purely syntactically**, never importing the code it
-indexes:
+``numpy.random.Generator`` through a call into another module.  This
+module builds the missing context — **purely syntactically**, never
+importing the code it indexes:
 
-* :class:`ModuleInfo` — one parsed module: resolved imports (absolute
-  and relative, aliased and ``from``-style), the top-level symbol
-  table, class bases/methods, ``@register_*`` registrations, and the
-  content hash that keys the incremental cache;
-* :class:`ProjectIndex` — the module graph: name → :class:`ModuleInfo`,
-  the module-level import graph restricted to indexed modules, name
-  resolution (``resolve``), class-hierarchy walks (``class_defines``),
-  and transitive import closures (the cache-invalidation frontier);
+* :class:`ModuleInfo` — one parsed module: its AST, its resolved
+  imports (absolute and relative, aliased and ``from``-style) and its
+  top-level symbol table;
+* :class:`ProjectIndex` — name → :class:`ModuleInfo`, with name
+  resolution (``resolve``) and re-export-following function lookup
+  (``resolve_function``);
 * :class:`ProjectContext` — what a ``@project_rule`` check receives:
-  the index, the repository root (for docs/golden lookups), and the
-  per-module dataflow summaries from :mod:`repro.staticcheck.dataflow`.
+  the index and the per-module dataflow summaries from
+  :mod:`repro.staticcheck.dataflow`.
 
-Indexes are built either from files on disk (:meth:`ProjectIndex.
-from_files` — module names derived by walking ``__init__.py`` chains)
-or from in-memory sources (:meth:`ProjectIndex.from_sources` — the
-fixture entry point used by the tests).
+``repro check`` builds its index from the trees the per-file pass
+already parsed; :meth:`ProjectIndex.from_sources` builds one from
+in-memory sources (the fixture entry point used by the tests).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
-
-#: registration decorators recognised by the index, decorator name →
-#: registry kind.  ``@register_placement`` decorates classes; the
-#: environment decorators decorate factory functions.
-REGISTRATION_DECORATORS = {
-    "register_placement": "placement",
-    "register_scheme": "scheme",
-    "register_backend": "backend",
-    "register_delay": "delay",
-    "register_failure": "failure",
-    "register_compute": "compute",
-    "register_network": "network",
-    "register_contention": "contention",
-}
-
-
-@dataclass(frozen=True)
-class Registration:
-    """One ``@register_*`` use: a named family entering a registry."""
-
-    kind: str
-    name: str
-    aliases: Tuple[str, ...]
-    symbol: str
-    lineno: int
-    #: True when the decorated factory's body is trivially ``return
-    #: None`` — a registered "absence" (e.g. the ``none`` contention
-    #: model) that has nothing to fingerprint or catalogue.
-    returns_none: bool = False
-
-
-@dataclass
-class ClassInfo:
-    """Bases and methods of one class, for index-local MRO walks."""
-
-    qualname: str
-    bases: Tuple[str, ...]  # resolved candidates (dotted) or bare names
-    methods: Set[str] = field(default_factory=set)
-    lineno: int = 1
+from typing import Any, Dict, Mapping, Optional, Set, Tuple
 
 
 @dataclass
@@ -91,103 +37,11 @@ class ModuleInfo:
     path: str
     scope_path: str
     source: str
-    tree: Optional[ast.Module]
+    tree: ast.Module
     #: local alias → fully dotted target ("pkg.mod" or "pkg.mod.symbol").
     aliases: Dict[str, str] = field(default_factory=dict)
-    #: modules imported at module level (dotted names, as written).
-    module_imports: Set[str] = field(default_factory=set)
-    #: modules imported anywhere (incl. inside functions).
-    all_imports: Set[str] = field(default_factory=set)
     #: top-level bound names (defs, classes, imports, assignments).
     symbols: Set[str] = field(default_factory=set)
-    #: names listed in a literal ``__all__``.
-    exported: Set[str] = field(default_factory=set)
-    has_wildcard_import: bool = False
-    has_module_getattr: bool = False
-    registrations: List[Registration] = field(default_factory=list)
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    content_hash: str = ""
-
-    def to_shard(self) -> Dict[str, Any]:
-        """The JSON-serialisable index shard the incremental cache
-        stores (everything except the AST and source text)."""
-        return {
-            "name": self.name,
-            "path": self.path,
-            "scope_path": self.scope_path,
-            "aliases": dict(self.aliases),
-            "module_imports": sorted(self.module_imports),
-            "all_imports": sorted(self.all_imports),
-            "symbols": sorted(self.symbols),
-            "exported": sorted(self.exported),
-            "has_wildcard_import": self.has_wildcard_import,
-            "has_module_getattr": self.has_module_getattr,
-            "registrations": [
-                {
-                    "kind": r.kind,
-                    "name": r.name,
-                    "aliases": list(r.aliases),
-                    "symbol": r.symbol,
-                    "lineno": r.lineno,
-                    "returns_none": r.returns_none,
-                }
-                for r in self.registrations
-            ],
-            "classes": {
-                c.qualname: {
-                    "bases": list(c.bases),
-                    "methods": sorted(c.methods),
-                    "lineno": c.lineno,
-                }
-                for c in self.classes.values()
-            },
-            "content_hash": self.content_hash,
-        }
-
-    @classmethod
-    def from_shard(cls, shard: Mapping[str, Any]) -> "ModuleInfo":
-        """Rebuild (AST-less) module info from a cached shard."""
-        info = cls(
-            name=shard["name"],
-            path=shard["path"],
-            scope_path=shard["scope_path"],
-            source="",
-            tree=None,
-            aliases=dict(shard["aliases"]),
-            module_imports=set(shard["module_imports"]),
-            all_imports=set(shard["all_imports"]),
-            symbols=set(shard["symbols"]),
-            exported=set(shard["exported"]),
-            has_wildcard_import=shard["has_wildcard_import"],
-            has_module_getattr=shard["has_module_getattr"],
-            content_hash=shard["content_hash"],
-        )
-        info.registrations = [
-            Registration(
-                kind=r["kind"],
-                name=r["name"],
-                aliases=tuple(r["aliases"]),
-                symbol=r["symbol"],
-                lineno=r["lineno"],
-                returns_none=r.get("returns_none", False),
-            )
-            for r in shard["registrations"]
-        ]
-        info.classes = {
-            qual: ClassInfo(
-                qualname=qual,
-                bases=tuple(meta["bases"]),
-                methods=set(meta["methods"]),
-                lineno=meta["lineno"],
-            )
-            for qual, meta in shard["classes"].items()
-        }
-        return info
-
-
-def content_hash(text: str) -> str:
-    """The content digest keying the incremental cache."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def module_name_for(path: Path) -> Tuple[Path, str]:
@@ -212,7 +66,7 @@ def module_name_for(path: Path) -> Tuple[Path, str]:
 
 
 # ----------------------------------------------------------------------
-# Module parsing
+# Module indexing
 
 
 def _relative_base(module_name: str, level: int, is_package: bool) -> str:
@@ -226,97 +80,28 @@ def _relative_base(module_name: str, level: int, is_package: bool) -> str:
     return ".".join(parts[: len(parts) - drop]) if drop else ".".join(parts)
 
 
-def _decorator_registration(
-    dec: ast.expr, symbol: str, lineno: int, returns_none: bool
-) -> Optional[Registration]:
-    if not isinstance(dec, ast.Call):
-        return None
-    func = dec.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None
-    )
-    kind = REGISTRATION_DECORATORS.get(name or "")
-    if kind is None:
-        return None
-    family = None
-    if dec.args and isinstance(dec.args[0], ast.Constant):
-        if isinstance(dec.args[0].value, str):
-            family = dec.args[0].value
-    if family is None:
-        return None
-    aliases: List[str] = []
-    for kw in dec.keywords:
-        if kw.arg == "aliases" and isinstance(
-            kw.value, (ast.Tuple, ast.List)
-        ):
-            aliases = [
-                elt.value
-                for elt in kw.value.elts
-                if isinstance(elt, ast.Constant)
-                and isinstance(elt.value, str)
-            ]
-    return Registration(
-        kind=kind,
-        name=family,
-        aliases=tuple(aliases),
-        symbol=symbol,
-        lineno=lineno,
-        returns_none=returns_none,
-    )
-
-
-def _trivially_returns_none(node: ast.AST) -> bool:
-    """True for factory bodies that only ever ``return None``."""
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return False
-    returns = [n for n in ast.walk(node) if isinstance(n, ast.Return)]
-    if not returns:
-        return True
-    return all(
-        r.value is None
-        or (isinstance(r.value, ast.Constant) and r.value.value is None)
-        for r in returns
-    )
-
-
-def parse_module(
-    name: str,
-    source: str,
-    path: str = "",
-    scope_path: str = "",
-) -> Optional[ModuleInfo]:
-    """Parse one module into a :class:`ModuleInfo` (``None`` on syntax
-    errors — per-file checking reports those as ``GEN001``)."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
+def index_module(
+    name: str, source: str, tree: ast.Module, path: str, scope_path: str
+) -> ModuleInfo:
+    """Index one already-parsed module into a :class:`ModuleInfo`."""
     info = ModuleInfo(
-        name=name,
-        path=path or f"{name.replace('.', '/')}.py",
-        scope_path=scope_path or path or f"{name.replace('.', '/')}.py",
-        source=source,
-        tree=tree,
-        content_hash=content_hash(source),
+        name=name, path=path, scope_path=scope_path, source=source, tree=tree
     )
-    is_package = path.endswith("__init__.py") if path else False
+    is_package = path.endswith("__init__.py")
+    top_level = set(map(id, tree.body))
 
-    def record_import(node: ast.AST, top_level: bool) -> None:
+    # Imports anywhere bind aliases; top-level ones also bind symbols.
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                target = alias.name
-                info.all_imports.add(target)
-                if top_level:
-                    info.module_imports.add(target)
                 if alias.asname:
-                    info.aliases[alias.asname] = target
-                    if top_level:
-                        info.symbols.add(alias.asname)
+                    bound = alias.asname
+                    info.aliases[bound] = alias.name
                 else:
-                    root = target.split(".")[0]
-                    info.aliases[root] = root
-                    if top_level:
-                        info.symbols.add(root)
+                    bound = alias.name.split(".")[0]
+                    info.aliases[bound] = bound
+                if id(node) in top_level:
+                    info.symbols.add(bound)
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base = _relative_base(name, node.level, is_package)
@@ -327,29 +112,18 @@ def parse_module(
             else:
                 target_mod = node.module or ""
             if not target_mod:
-                return
-            info.all_imports.add(target_mod)
-            if top_level:
-                info.module_imports.add(target_mod)
+                continue
             for alias in node.names:
                 if alias.name == "*":
-                    info.has_wildcard_import = True
                     continue
                 bound = alias.asname or alias.name
                 info.aliases[bound] = f"{target_mod}.{alias.name}"
-                if top_level:
+                if id(node) in top_level:
                     info.symbols.add(bound)
 
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            record_import(node, top_level=node in tree.body)
-
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.symbols.add(node.name)
-            if node.name == "__getattr__":
-                info.has_module_getattr = True
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             info.symbols.add(node.name)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
@@ -380,77 +154,7 @@ def parse_module(
                                 alias.asname
                                 or alias.name.split(".")[0]
                             )
-
-    # __all__ strings (literal lists/tuples only).
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets
-            )
-            and isinstance(node.value, (ast.List, ast.Tuple))
-        ):
-            info.exported.update(
-                elt.value for elt in node.value.elts
-                if isinstance(elt, ast.Constant)
-                and isinstance(elt.value, str)
-            )
-
-    # Classes (with qualnames) and registrations.
-    def visit_scope(body: Sequence[ast.stmt], prefix: str) -> None:
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                qual = f"{prefix}{node.name}"
-                bases = []
-                for base in node.bases:
-                    dotted = _dotted(base)
-                    if dotted is not None:
-                        bases.append(dotted)
-                cinfo = ClassInfo(
-                    qualname=qual, bases=tuple(bases), lineno=node.lineno
-                )
-                for sub in node.body:
-                    if isinstance(
-                        sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        cinfo.methods.add(sub.name)
-                    elif isinstance(sub, ast.Assign):
-                        for target in sub.targets:
-                            if isinstance(target, ast.Name):
-                                cinfo.methods.add(target.id)
-                info.classes[qual] = cinfo
-                for dec in node.decorator_list:
-                    reg = _decorator_registration(
-                        dec, qual, node.lineno, returns_none=False
-                    )
-                    if reg is not None:
-                        info.registrations.append(reg)
-                visit_scope(node.body, prefix=f"{qual}.")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for dec in node.decorator_list:
-                    reg = _decorator_registration(
-                        dec,
-                        f"{prefix}{node.name}",
-                        node.lineno,
-                        returns_none=_trivially_returns_none(node),
-                    )
-                    if reg is not None:
-                        info.registrations.append(reg)
-
-    visit_scope(tree.body, prefix="")
     return info
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -458,34 +162,17 @@ def _dotted(node: ast.AST) -> Optional[str]:
 
 
 class ProjectIndex:
-    """The whole-project module graph and symbol tables."""
+    """The whole-project module table and name resolution."""
 
     def __init__(self, modules: Mapping[str, ModuleInfo]):
         self.modules: Dict[str, ModuleInfo] = dict(modules)
-        self.by_path: Dict[str, ModuleInfo] = {
-            m.path: m for m in self.modules.values()
-        }
-        #: module → indexed modules it imports at module level.
-        self.import_graph: Dict[str, Set[str]] = {}
-        #: module → indexed modules it imports anywhere.
-        self.full_import_graph: Dict[str, Set[str]] = {}
-        for name, info in self.modules.items():
-            self.import_graph[name] = {
-                t for t in (self._to_indexed(i) for i in info.module_imports)
-                if t is not None and t != name
-            }
-            self.full_import_graph[name] = {
-                t for t in (self._to_indexed(i) for i in info.all_imports)
-                if t is not None and t != name
-            }
-
-    # -- construction ---------------------------------------------------
 
     @classmethod
     def from_sources(
         cls, sources: Mapping[str, str]
     ) -> "ProjectIndex":
-        """Build an index from ``{dotted_name: source}`` (fixtures)."""
+        """Build an index from ``{dotted_name: source}`` (fixtures);
+        sources that do not parse are left out."""
         modules = {}
         for name, source in sources.items():
             rel = name.replace(".", "/")
@@ -494,84 +181,14 @@ class ProjectIndex:
                 if any(k.startswith(name + ".") for k in sources)
                 else f"{rel}.py"
             )
-            info = parse_module(name, source, path=path, scope_path=path)
-            if info is not None:
-                modules[name] = info
-        return cls(modules)
-
-    @classmethod
-    def from_files(
-        cls,
-        files: Iterable[Path],
-        *,
-        sources: Optional[Mapping[Path, str]] = None,
-        expand_packages: bool = True,
-    ) -> "ProjectIndex":
-        """Build an index from ``.py`` files on disk.
-
-        The index is completed to whole packages: for every checked
-        file inside a package, every module of that package joins the
-        index (interprocedural flow needs the full graph even when only
-        a sub-path was asked for).  ``sources`` short-circuits disk
-        reads for already-loaded files.
-        """
-        seeds = [Path(f) for f in files if str(f).endswith(".py")]
-        package_dirs: Set[Path] = set()
-        standalone: List[Path] = []
-        for f in seeds:
-            root, name = module_name_for(f)
-            top = name.split(".")[0]
-            pkg_dir = root / top
-            if (pkg_dir / "__init__.py").exists():
-                package_dirs.add(pkg_dir)
-            else:
-                standalone.append(f)
-        all_files: Dict[Path, None] = dict.fromkeys(
-            f.resolve() for f in seeds
-        )
-        if expand_packages:
-            for pkg in sorted(package_dirs):
-                for sub in sorted(pkg.rglob("*.py")):
-                    if "__pycache__" not in sub.parts:
-                        all_files.setdefault(sub.resolve())
-        modules: Dict[str, ModuleInfo] = {}
-        for f in all_files:
-            _, name = module_name_for(f)
             try:
-                text = (
-                    sources.get(f) if sources else None
-                ) or f.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
+                tree = ast.parse(source)
+            except SyntaxError:
                 continue
-            try:
-                display = str(f.relative_to(Path.cwd()))
-            except ValueError:
-                display = str(f)
-            info = parse_module(
-                name, text,
-                path=display,
-                scope_path=Path(display).as_posix(),
+            modules[name] = index_module(
+                name, source, tree, path=path, scope_path=path
             )
-            if info is not None:
-                modules[name] = info
         return cls(modules)
-
-    # -- resolution -----------------------------------------------------
-
-    def _to_indexed(self, dotted: str) -> Optional[str]:
-        """Map an import target to an indexed module (or its package)."""
-        if dotted in self.modules:
-            return dotted
-        # ``from repro.core.scheme import X`` seen as module target is
-        # already a module; ``import repro.core`` with only submodules
-        # indexed maps to the package __init__ if present.
-        parts = dotted.split(".")
-        while parts:
-            cand = ".".join(parts)
-            if cand in self.modules:
-                return cand
-            parts.pop()
-        return None
 
     def resolve(self, module: str, local_name: str) -> Optional[str]:
         """Resolve a (possibly dotted) local name to a fully qualified
@@ -615,100 +232,6 @@ class ProjectIndex:
                 return None
         return None
 
-    def class_defines(
-        self, module: str, class_qual: str, method: str
-    ) -> bool:
-        """Does ``class_qual`` (in ``module``) define or inherit
-        ``method``, walking bases inside the index only?"""
-        seen: Set[Tuple[str, str]] = set()
-        stack = [(module, class_qual)]
-        while stack:
-            mod, qual = stack.pop()
-            if (mod, qual) in seen:
-                continue
-            seen.add((mod, qual))
-            info = self.modules.get(mod)
-            if info is None:
-                continue
-            cinfo = info.classes.get(qual)
-            if cinfo is None:
-                continue
-            if method in cinfo.methods:
-                return True
-            for base in cinfo.bases:
-                resolved = self.resolve(mod, base)
-                if resolved is None:
-                    # same-module base written bare
-                    if base in info.classes:
-                        stack.append((mod, base))
-                    continue
-                located = self.resolve_function(resolved)
-                if located is not None:
-                    stack.append(located)
-        return False
-
-    # -- graph ----------------------------------------------------------
-
-    def transitive_imports(self, module: str) -> Set[str]:
-        """All indexed modules reachable from ``module`` via imports
-        (module-level and function-level alike; this is the cache-
-        invalidation frontier)."""
-        seen: Set[str] = set()
-        stack = [module]
-        while stack:
-            current = stack.pop()
-            for dep in self.full_import_graph.get(current, ()):
-                if dep not in seen:
-                    seen.add(dep)
-                    stack.append(dep)
-        return seen
-
-    def closure_digest(self, module: str) -> str:
-        """Digest of a module's content + its transitive import
-        closure's contents — the validity key for cached per-module
-        project findings."""
-        parts = [module, self.modules[module].content_hash]
-        for dep in sorted(self.transitive_imports(module)):
-            parts.append(dep)
-            parts.append(self.modules[dep].content_hash)
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-    def import_cycles(self) -> List[List[str]]:
-        """Elementary cycles among module-level imports (via SCCs)."""
-        index_counter = [0]
-        stack: List[str] = []
-        lowlink: Dict[str, int] = {}
-        number: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        sccs: List[List[str]] = []
-
-        def strongconnect(v: str) -> None:
-            number[v] = lowlink[v] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in sorted(self.import_graph.get(v, ())):
-                if w not in number:
-                    strongconnect(w)
-                    lowlink[v] = min(lowlink[v], lowlink[w])
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], number[w])
-            if lowlink[v] == number[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                if len(scc) > 1 or v in self.import_graph.get(v, ()):
-                    sccs.append(sorted(scc))
-
-        for v in sorted(self.modules):
-            if v not in number:
-                strongconnect(v)
-        return sccs
-
 
 # ----------------------------------------------------------------------
 # What project rules receive
@@ -718,52 +241,24 @@ class ProjectIndex:
 class ProjectContext:
     """Everything a ``@project_rule`` check sees.
 
-    ``aux`` carries out-of-tree evidence (golden fingerprint files,
-    docs catalogues) keyed by repo-relative path; when empty, the
-    context reads them from ``root`` on demand.  ``summaries`` holds
-    the dataflow function summaries keyed by module name (see
-    :mod:`repro.staticcheck.dataflow`).
+    ``summaries`` holds the dataflow function summaries keyed by module
+    name (see :mod:`repro.staticcheck.dataflow`).
     """
 
     index: ProjectIndex
-    root: Optional[Path] = None
-    aux: Dict[str, Optional[str]] = field(default_factory=dict)
     summaries: Dict[str, Any] = field(default_factory=dict)
 
-    def aux_text(self, relpath: str) -> Optional[str]:
-        """Text of an auxiliary repo file, or ``None`` if unavailable."""
-        if relpath in self.aux:
-            return self.aux[relpath]
-        if self.root is None:
-            return None
-        candidate = self.root / relpath
-        try:
-            text = candidate.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            text = None
-        self.aux[relpath] = text
-        return text
-
     def finding(
-        self,
-        rule: Any,
-        module: ModuleInfo,
-        node_or_line: "ast.AST | int",
-        message: str,
+        self, rule: Any, module: ModuleInfo, node: ast.AST, message: str
     ):
         """Build a :class:`~repro.staticcheck.findings.Finding` anchored
-        in ``module`` at an AST node or a line number."""
+        in ``module`` at ``node``."""
         from .findings import Finding
 
-        if isinstance(node_or_line, int):
-            line, col = node_or_line, 1
-        else:
-            line = getattr(node_or_line, "lineno", 1)
-            col = getattr(node_or_line, "col_offset", 0) + 1
         return Finding(
             path=module.path,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
             rule=rule.id,
             severity=rule.severity,
             message=message,

@@ -4,12 +4,14 @@ The JSON document is versioned and stable — CI annotators and editor
 integrations parse it::
 
     {
-      "version": 1,
+      "version": 2,
       "checked_files": 188,
       "findings": [{"path", "line", "col", "rule", "severity",
                     "message"}, ...],
       "summary": {"total": 2, "by_rule": {"DET001": 2},
-                  "by_severity": {"error": 2}}
+                  "by_severity": {"error": 2}},
+      "timing": {"total_seconds", "files": {...}, "rules": {...}},
+      "project_modules": 140
     }
 """
 
@@ -23,7 +25,7 @@ from .engine import RULE_REGISTRY, CheckResult
 from .findings import Finding
 
 #: Bump when the JSON structure changes incompatibly.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def render_text(result: CheckResult) -> str:
@@ -74,10 +76,6 @@ def to_json_dict(result: CheckResult) -> Dict[str, Any]:
                 for rule, seconds in sorted(result.rule_seconds.items())
             },
         },
-        "cache": {
-            "hits": result.cache_hits,
-            "misses": result.cache_misses,
-        },
         "project_modules": result.project_modules,
     }
 
@@ -88,7 +86,7 @@ def render_json(result: CheckResult) -> str:
 
 
 def render_stats(result: CheckResult, top: int = 10) -> str:
-    """The ``--stats`` block: slowest rules and files, cache traffic."""
+    """The ``--stats`` block: slowest rules and files."""
     lines = [
         f"total: {result.total_seconds:.3f}s over "
         f"{result.num_files} files"
@@ -97,11 +95,6 @@ def render_stats(result: CheckResult, top: int = 10) -> str:
             if result.project_modules else ""
         )
     ]
-    if result.cache_hits or result.cache_misses:
-        lines.append(
-            f"cache: {result.cache_hits} hits, "
-            f"{result.cache_misses} misses"
-        )
     slowest_rules = sorted(
         result.rule_seconds.items(), key=lambda kv: -kv[1]
     )[:top]

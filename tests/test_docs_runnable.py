@@ -126,3 +126,37 @@ def test_static_analysis_catalogue_is_generated():
     )
     assert match, "catalogue markers missing from docs/static_analysis.md"
     assert match.group(1).strip() == catalogue_markdown().strip()
+
+
+def _uncatalogued(doc: str, registry) -> list:
+    """Families of ``registry`` with no catalogue entry — a heading,
+    table row or list item naming them (or an alias) in backticks — in
+    ``docs/<doc>``."""
+    rows = [
+        line for line in (REPO / "docs" / doc).read_text().splitlines()
+        if line.startswith(("#", "|", "- "))
+    ]
+    return [
+        name for name, entry in registry.items()
+        if not any(
+            f"`{spelling}`" in row
+            for spelling in (name, *getattr(entry, "aliases", ()))
+            for row in rows
+        )
+    ]
+
+
+def test_every_placement_family_has_a_catalogue_row():
+    from repro.core.scheme import PLACEMENT_REGISTRY
+
+    assert _uncatalogued("placements.md", PLACEMENT_REGISTRY) == []
+
+
+def test_every_environment_family_has_a_catalogue_row():
+    from repro.env import ENV_REGISTRY
+
+    missing = {
+        layer: _uncatalogued("environments.md", table)
+        for layer, table in ENV_REGISTRY.items()
+    }
+    assert not any(missing.values()), missing

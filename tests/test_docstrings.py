@@ -36,6 +36,18 @@ def test_every_module_has_docstring():
     assert not missing, f"modules without docstrings: {missing}"
 
 
+def test_every_all_name_is_bound():
+    """A module's ``__all__`` lists no name it no longer binds (a lazy
+    module ``__getattr__`` binding counts)."""
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in _repro_modules()
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not stale, f"__all__ names that are not bound: {stale}"
+
+
 def test_every_public_class_documented():
     missing = []
     for module in _repro_modules():

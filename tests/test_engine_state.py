@@ -22,11 +22,7 @@ from hypothesis import strategies as st
 
 from repro.engine.report import build_run_report
 from repro.engine.spec import ExperimentSpec, build_engine
-from repro.engine.state import (
-    CHECKPOINT_COVERED,
-    CHECKPOINT_TRANSIENT,
-    EngineState,
-)
+from repro.engine.state import EngineState
 from repro.exceptions import TrainingError
 from repro.obs import RoundTracer
 from repro.types import AsyncUpdateRecord, StepRecord
@@ -333,11 +329,6 @@ class TestEngineStateValue:
         head = EngineState.from_json(GOLDEN["flat-sync@3"]).without_history()
         with pytest.raises(TrainingError, match="record is malformed"):
             head.with_history([{"step": 0}])
-
-    def test_registry_kinds_are_consistent(self):
-        assert set(CHECKPOINT_COVERED) == set(CHECKPOINT_TRANSIENT)
-        for kind, names in CHECKPOINT_COVERED.items():
-            assert not names & CHECKPOINT_TRANSIENT[kind]
 
     def test_state_is_plain_json(self):
         spec = make_spec("flat", "adaptive", max_steps=6)

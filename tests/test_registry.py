@@ -1,6 +1,8 @@
 """Tests for :mod:`repro.registry` — the one name table — and for the
 seven live tables built on it."""
 
+import inspect
+
 import pytest
 
 from repro.cli import COMMAND_REGISTRY
@@ -188,3 +190,25 @@ class TestLiveTables:
         with pytest.raises(error, match="must be a string"):
             table.resolve(["no-such-name"])
         assert table.spellings() == before
+
+
+class TestFactorySignatures:
+    """Every registered factory accepts what its caller passes."""
+
+    def test_scheme_factories_take_num_workers_and_params(self):
+        # make_strategy always passes num_workers, and spec
+        # scheme_params reach the factory through **params.
+        for name, factory in SCHEME_REGISTRY.items():
+            params = inspect.signature(factory).parameters.values()
+            assert "num_workers" in {p.name for p in params}, name
+            assert any(p.kind is p.VAR_KEYWORD for p in params), name
+
+    def test_backend_factories_take_one_positional_argument(self):
+        # EnginePlan calls every backend factory with the BuildContext.
+        for name, factory in BACKEND_REGISTRY.items():
+            params = inspect.signature(factory).parameters.values()
+            positional = [
+                p for p in params
+                if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            ]
+            assert len(positional) == 1, name

@@ -23,7 +23,6 @@ from repro.staticcheck import (
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-ENGINE_PATH = "src/repro/engine/somemodule.py"
 SIM_PATH = "src/repro/simulation/somemodule.py"
 
 
@@ -36,13 +35,13 @@ def check(source, scope_path="src/repro/engine/mod.py", **kw):
 
 
 # ----------------------------------------------------------------------
-# Registry / engine mechanics
+# Rule registry / engine mechanics
 
 
 class TestEngine:
     def test_all_rule_families_registered(self):
         families = {rule_id[:3] for rule_id in RULE_REGISTRY}
-        assert {"DET", "TIME"[:3], "REG", "SPE"} <= families
+        assert families == {"DET", "FLO", "SPE", "TIM"}
 
     def test_syntax_error_is_a_finding(self):
         findings = check_source("def broken(:\n")
@@ -149,8 +148,8 @@ class TestDeterminismRules:
     def test_det003_unseeded_default_rng(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
         assert rules_of(check(src)) == ["DET003"]
-        # DET003 covers the whole library plus runnable docs/examples
-        # (the --fix target); unrelated scripts stay out of scope.
+        # DET003 covers the whole library plus runnable docs/examples;
+        # unrelated scripts stay out of scope.
         assert rules_of(
             check(src, scope_path="examples/demo.py")
         ) == ["DET003"]
@@ -318,178 +317,6 @@ class TestTimeUnitRules:
 
 
 # ----------------------------------------------------------------------
-# Registry-hygiene rules
-
-
-class TestRegistryRules:
-    def test_reg001_direct_strategy_construction(self):
-        findings = check(
-            "s = ISGCStrategy(placement, wait_for=2)\n",
-            scope_path="src/repro/experiments/foo.py",
-        )
-        assert rules_of(findings) == ["REG001"]
-
-    def test_reg001_factories_and_examples_exempt(self):
-        src = "s = ISGCStrategy(placement, wait_for=2)\n"
-        assert check(src, scope_path="src/repro/engine/spec.py") == []
-        assert check(src, scope_path="examples/demo.py") == []
-
-    def test_reg001_own_class_exempt(self):
-        assert check(
-            """
-            class MyStrategy:
-                pass
-
-            s = MyStrategy()
-            """,
-            scope_path="src/repro/experiments/foo.py",
-        ) == []
-
-    def test_reg002_direct_backend_construction(self):
-        findings = check(
-            "b = FlatBackend(cluster)\n",
-            scope_path="src/repro/experiments/foo.py",
-        )
-        assert rules_of(findings) == ["REG002"]
-
-    def test_reg002_training_layer_flagged(self):
-        findings = check(
-            "b = FlatBackend(cluster)\n",
-            scope_path="src/repro/training/foo.py",
-        )
-        assert rules_of(findings) == ["REG002"]
-
-    def test_reg004_direct_placement_construction(self):
-        findings = check(
-            "p = CyclicRepetition(8, 2)\n",
-            scope_path="src/repro/experiments/foo.py",
-        )
-        assert rules_of(findings) == ["REG004"]
-        assert "make_placement" in findings[0].message
-
-    def test_reg004_explicit_table_construction(self):
-        findings = check(
-            "p = ExplicitPlacement({0: (0,), 1: (1,)})\n",
-            scope_path="src/repro/analysis/foo.py",
-        )
-        assert rules_of(findings) == ["REG004"]
-
-    def test_reg004_registry_layer_and_substrate_exempt(self):
-        src = "p = FractionalRepetition(8, 2)\n"
-        assert check(src, scope_path="src/repro/core/scheme.py") == []
-        assert check(src, scope_path="src/repro/core/conflict.py") == []
-        assert check(src, scope_path="tests/test_foo.py") == []
-
-    def test_reg004_own_class_exempt(self):
-        assert check(
-            """
-            class MyPlacement:
-                pass
-
-            p = MyPlacement()
-            """,
-            scope_path="src/repro/experiments/foo.py",
-        ) == []
-
-    def test_reg005_direct_delay_construction(self):
-        findings = check(
-            "m = ExponentialDelay(1.5)\n",
-            scope_path="src/repro/experiments/foo.py",
-        )
-        assert rules_of(findings) == ["REG005"]
-        assert "make_delay_model" in findings[0].message
-
-    def test_reg005_direct_failure_and_network_construction(self):
-        findings = check(
-            "f = TransientDropouts(0.1)\nn = NetworkModel()\n",
-            scope_path="src/repro/engine/foo.py",
-        )
-        assert rules_of(findings) == ["REG005", "REG005"]
-
-    def test_reg005_defining_packages_and_registry_exempt(self):
-        src = "m = ExponentialDelay(1.5)\n"
-        assert check(src, scope_path="src/repro/straggler/models.py") == []
-        assert check(src, scope_path="src/repro/simulation/cluster.py") == []
-        assert check(src, scope_path="src/repro/env/registry.py") == []
-        assert check(src, scope_path="tests/test_foo.py") == []
-        assert check(src, scope_path="examples/demo.py") == []
-
-    def test_reg005_own_class_exempt(self):
-        assert check(
-            """
-            class NoDelay:
-                pass
-
-            m = NoDelay()
-            """,
-            scope_path="src/repro/experiments/foo.py",
-        ) == []
-
-    def test_reg005_noqa_opt_out(self):
-        assert check(
-            "m = ExponentialDelay(1.5)  # repro: noqa[REG005] doc example\n",
-            scope_path="src/repro/experiments/foo.py",
-        ) == []
-
-    def test_reg005_class_list_matches_env_registry(self):
-        """Every registry-buildable class name is policed, and the rule's
-        table names no class the env registry cannot build."""
-        from repro.env import ENV_REGISTRY
-        from repro.staticcheck.registries import ENV_MODEL_CLASSES
-
-        buildable = set()
-        for families in ENV_REGISTRY.values():
-            for family in families.values():
-                try:
-                    model = family.build()
-                except Exception:
-                    continue  # requires parameters; class named below
-                if model is not None:
-                    buildable.add(type(model).__name__)
-        assert buildable <= ENV_MODEL_CLASSES
-
-    def test_reg003_scheme_factory_missing_kwargs(self):
-        findings = check(
-            """
-            @register_scheme("toy")
-            def make_toy(*, num_workers, wait_for=None, rng=None):
-                return object()
-            """
-        )
-        assert rules_of(findings) == ["REG003"]
-
-    def test_reg003_scheme_factory_missing_num_workers(self):
-        findings = check(
-            """
-            @register_scheme("toy")
-            def make_toy(**params):
-                return object()
-            """
-        )
-        assert rules_of(findings) == ["REG003"]
-
-    def test_reg003_conforming_factory_clean(self):
-        assert check(
-            """
-            @register_scheme("toy")
-            def make_toy(*, num_workers, partitions_per_worker=1,
-                         wait_for=None, rng=None, **params):
-                return object()
-            """
-        ) == []
-
-    def test_reg003_backend_factory_arity(self):
-        findings = check(
-            """
-            @register_backend("toy")
-            def make_backend():
-                return object()
-            """
-        )
-        assert rules_of(findings) == ["REG003"]
-
-
-# ----------------------------------------------------------------------
 # Spec feasibility
 
 
@@ -648,12 +475,23 @@ class TestSpecFeasibility:
 
 
 # ----------------------------------------------------------------------
-# PAR001: pool-boundary seed discipline
+# Pool-boundary seed discipline (FLOW002)
+
+
+def pool_check(tmp_path, source):
+    """FLOW002 findings for ``source`` placed as module ``repro.sweep``."""
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    module = package / "sweep.py"
+    module.write_text(textwrap.dedent(source))
+    return run_check([module], select=["FLOW002"]).findings
 
 
 class TestParallelismRules:
-    def test_submit_with_seed_arithmetic_flagged(self):
-        findings = check(
+    def test_submit_with_seed_arithmetic_flagged(self, tmp_path):
+        findings = pool_check(
+            tmp_path,
             """
             from concurrent.futures import ProcessPoolExecutor
 
@@ -661,12 +499,12 @@ class TestParallelismRules:
                 with ProcessPoolExecutor(4) as pool:
                     return [pool.submit(fn, seed + i) for i in range(n)]
             """,
-            scope_path="src/repro/experiments/mod.py",
         )
-        assert rules_of(findings) == ["PAR001"]
+        assert rules_of(findings) == ["FLOW002"]
 
-    def test_map_over_derived_seeds_flagged(self):
-        findings = check(
+    def test_map_over_derived_seeds_flagged(self, tmp_path):
+        findings = pool_check(
+            tmp_path,
             """
             from multiprocessing import Pool
 
@@ -674,12 +512,12 @@ class TestParallelismRules:
                 with Pool(4) as pool:
                     return pool.map(fn, [seed * 1000 + i for i in range(n)])
             """,
-            scope_path="examples/mod.py",
         )
-        assert rules_of(findings) == ["PAR001"]
+        assert rules_of(findings) == ["FLOW002"]
 
-    def test_fork_context_counts_as_pool_usage(self):
-        findings = check(
+    def test_fork_context_counts_as_pool_usage(self, tmp_path):
+        findings = pool_check(
+            tmp_path,
             """
             import multiprocessing as mp
 
@@ -687,12 +525,13 @@ class TestParallelismRules:
                 ctx = mp.get_context("fork")
                 pool = ctx.Pool(2)
                 return pool.map_async(fn, [base_seed + i for i in range(n)])
-            """
+            """,
         )
-        assert rules_of(findings) == ["PAR001"]
+        assert rules_of(findings) == ["FLOW002"]
 
-    def test_spawned_seed_sequences_are_clean(self):
-        assert check(
+    def test_spawned_seed_sequences_are_clean(self, tmp_path):
+        assert pool_check(
+            tmp_path,
             """
             import numpy as np
             from concurrent.futures import ProcessPoolExecutor
@@ -701,13 +540,14 @@ class TestParallelismRules:
                 seeds = np.random.SeedSequence(seed).spawn(n)
                 with ProcessPoolExecutor(4) as pool:
                     return [pool.submit(fn, s) for s in seeds]
-            """
+            """,
         ) == []
 
-    def test_seed_sequence_wrapper_inside_dispatch_is_clean(self):
+    def test_seed_sequence_wrapper_inside_dispatch_is_clean(self, tmp_path):
         # SeedSequence(seed + i) keeps derivation in SeedSequence space —
         # exactly the sanctioned fix, even written inline.
-        assert check(
+        assert pool_check(
+            tmp_path,
             """
             import numpy as np
             from concurrent.futures import ProcessPoolExecutor
@@ -718,194 +558,32 @@ class TestParallelismRules:
                         pool.submit(fn, np.random.SeedSequence(seed + i))
                         for i in range(n)
                     ]
-            """
+            """,
         ) == []
 
-    def test_seed_arithmetic_without_pool_is_clean(self):
+    def test_seed_arithmetic_without_pool_is_clean(self, tmp_path):
         # Serial seed offsets (the figure runners' trial_seed pattern)
         # are fine: no pool boundary, no stream-independence hazard.
-        assert check(
+        assert pool_check(
+            tmp_path,
             """
             def trials(fn, seed, n):
                 return [fn(seed + 1000 * trial) for trial in range(n)]
-            """
+            """,
         ) == []
 
-    def test_noqa_suppresses_par001(self):
-        findings = check(
+    def test_noqa_suppresses_flow002(self, tmp_path):
+        findings = pool_check(
+            tmp_path,
             """
             from concurrent.futures import ProcessPoolExecutor
 
             def sweep(fn, seed, n):
                 with ProcessPoolExecutor(4) as pool:
-                    return [pool.submit(fn, seed + i) for i in range(n)]  # repro: noqa[PAR001]
-            """
+                    return [pool.submit(fn, seed + i) for i in range(n)]  # repro: noqa[FLOW002]
+            """,
         )
         assert findings == []
-
-
-# ----------------------------------------------------------------------
-# Checkpoint-coverage rule
-
-ENGINE_PATH = "src/repro/engine/core.py"
-RULES_PATH = "src/repro/engine/rules.py"
-BACKENDS_PATH = "src/repro/engine/backends.py"
-GRADIENTS_PATH = "src/repro/training/gradients.py"
-
-
-class TestCheckpointRule:
-    def test_ckpt001_uncovered_engine_attribute(self):
-        findings = check(
-            """
-            class RoundEngine:
-                def step_rounds(self, n):
-                    self._warmup_left = 3
-            """,
-            scope_path=ENGINE_PATH,
-        )
-        assert rules_of(findings) == ["CKPT001"]
-        assert "_warmup_left" in findings[0].message
-        assert "CHECKPOINT_COVERED['engine']" in findings[0].message
-
-    def test_ckpt001_covered_attributes_clean(self):
-        assert check(
-            """
-            class RoundEngine:
-                def step_rounds(self, n):
-                    self.records = []
-                    self._mode = "rounds"
-            """,
-            scope_path=ENGINE_PATH,
-        ) == []
-
-    def test_ckpt001_setup_and_checkpoint_methods_exempt(self):
-        assert check(
-            """
-            class RoundEngine:
-                def __init__(self):
-                    self.anything = 1
-                def start_run(self, max_steps):
-                    self.whatever = 2
-                def restore(self, state):
-                    self.other = 3
-                def snapshot(self):
-                    self.scratch = 4
-                def reset(self):
-                    self.gone = 5
-            """,
-            scope_path=ENGINE_PATH,
-        ) == []
-
-    def test_ckpt001_rule_kind_and_engine_param(self):
-        findings = check(
-            """
-            class MyRule:
-                def apply(self, engine, aggregate, recovered):
-                    self._penalty += 1.0
-                    engine.records = []
-                    engine.scratch = 1
-                    self._cache = {}
-            """,
-            scope_path=RULES_PATH,
-        )
-        assert rules_of(findings) == ["CKPT001", "CKPT001"]
-        assert "engine.scratch" in findings[0].message
-        assert "self._cache" in findings[1].message
-        assert "CHECKPOINT_COVERED['rule']" in findings[1].message
-
-    def test_ckpt001_transient_scratch_accepted(self, monkeypatch):
-        # Within-round scratch is registered as transient
-        # (CHECKPOINT_TRANSIENT), not snapshot state — the rule accepts
-        # both registries.  No engine-layer class keeps any today (the
-        # actor workers' round memo lives with the workers), so the
-        # registry entry is supplied here.
-        from repro.engine import state
-
-        monkeypatch.setitem(
-            state.CHECKPOINT_TRANSIENT, "backend", frozenset({"_memo"})
-        )
-        source = """
-            class ActorBackend:
-                def execute_round(self, engine, step, policy):
-                    self._memo = (engine.model, step)
-                    self._cursor = step
-            """
-        findings = check(source, scope_path=BACKENDS_PATH)
-        assert rules_of(findings) == ["CKPT001"]
-        assert "self._cursor" in findings[0].message
-        assert "CHECKPOINT_COVERED['backend']" in findings[0].message
-
-    def test_ckpt001_gradient_path_is_plan_not_state(self):
-        # BatchStreams belongs to the immutable EnginePlan: read-only
-        # arrays enforce at runtime what an audit could only suggest,
-        # so the file is outside CKPT001's scope.
-        from repro.engine.state import CHECKPOINT_COVERED
-
-        assert set(CHECKPOINT_COVERED) == {"engine", "rule", "backend"}
-        assert check(
-            """
-            class BatchStreams:
-                def gradients(self, model, step):
-                    self._cursor = step
-            """,
-            scope_path=GRADIENTS_PATH,
-        ) == []
-
-    def test_ckpt001_backend_clock_covered(self):
-        findings = check(
-            """
-            class ActorBackend:
-                def execute_round(self, engine, step, policy):
-                    self._clock = 7.0
-                    self._round_cache = {}
-            """,
-            scope_path=BACKENDS_PATH,
-        )
-        assert rules_of(findings) == ["CKPT001"]
-        assert "_round_cache" in findings[0].message
-
-    def test_ckpt001_augassign_audited(self):
-        findings = check(
-            """
-            class RoundEngine:
-                def step_rounds(self, n):
-                    self._drift += 1
-            """,
-            scope_path=ENGINE_PATH,
-        )
-        assert rules_of(findings) == ["CKPT001"]
-
-    def test_ckpt001_out_of_scope(self):
-        assert check(
-            "class X:\n"
-            "    def step(self):\n"
-            "        self.anything = 1\n",
-            scope_path="src/repro/serve/runner.py",
-        ) == []
-
-    def test_ckpt001_noqa_suppression(self):
-        assert check(
-            """
-            class RoundEngine:
-                def step_rounds(self, n):
-                    self._scratch = 1  # repro: noqa[CKPT001]
-            """,
-            scope_path=ENGINE_PATH,
-        ) == []
-
-    def test_ckpt001_registry_matches_snapshot_fields(self):
-        # The registry itself must stay honest: every non-transient
-        # engine attribute it lists is restored by RoundEngine.restore,
-        # so a registry entry snapshot() stopped writing would fail
-        # here rather than silently pass the static audit.
-        import inspect
-
-        from repro.engine import core
-        from repro.engine.state import CHECKPOINT_COVERED
-
-        source = inspect.getsource(core.RoundEngine)
-        for attr in CHECKPOINT_COVERED["engine"]:
-            assert f"self.{attr}" in source, attr
 
 
 # ----------------------------------------------------------------------

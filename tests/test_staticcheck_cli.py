@@ -6,7 +6,10 @@ the JSON report schema, ``--list-rules``, ``--select``, and
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from repro.cli import main
 from repro.staticcheck import JSON_SCHEMA_VERSION, RULE_REGISTRY
@@ -71,6 +74,8 @@ class TestJsonOutput:
         assert report["summary"]["total"] == 1
         assert report["summary"]["by_rule"] == {"DET001": 1}
         assert report["summary"]["by_severity"]["error"] == 1
+        assert "files" in report["timing"]
+        assert report["timing"]["total_seconds"] >= 0
 
     def test_clean_json(self, tmp_path, capsys):
         path = write(tmp_path, "clean.py", CLEAN)
@@ -142,3 +147,19 @@ class TestSpecFiles:
             "x = np.random.randn(2)\n```\n",
         )
         assert main(["check", path]) == 1
+
+
+class TestLazyImport:
+    def test_import_repro_does_not_load_the_checker(self):
+        # Checked code never depends on its checker: only `repro check`
+        # itself imports repro.staticcheck, inside the command handler.
+        probe = (
+            "import sys, repro, repro.cli; "
+            "print([m for m in sys.modules if m.startswith('repro.staticcheck')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

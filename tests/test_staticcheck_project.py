@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-project rule families (FLOW/XREG/XIMP).
+"""Fixture tests for the whole-project rule family (FLOW).
 
 Each rule gets at least one offending fixture (asserted caught) and a
 clean twin (asserted clean).  Fixtures are in-memory module sets built
@@ -17,23 +17,19 @@ from repro.staticcheck.dataflow import analyze_project
 from repro.staticcheck.project import ProjectContext, ProjectIndex
 
 
-def project_findings(sources, rule_ids, aux=None):
+def project_findings(sources, rule_ids):
     """Run the named project rules over ``{dotted: source}`` fixtures."""
     index = ProjectIndex.from_sources(
         {name: textwrap.dedent(src) for name, src in sources.items()}
     )
-    ctx = ProjectContext(index=index, aux=dict(aux or {}))
-    ctx.summaries = analyze_project(index)
+    ctx = ProjectContext(index=index, summaries=analyze_project(index))
     findings = []
     for rule_id in rule_ids:
         rule = RULE_REGISTRY[rule_id]
-        if rule.granularity == "module":
-            for name in sorted(index.modules):
-                info = index.modules[name]
-                if rule.applies_to(info.scope_path):
-                    findings.extend(rule.check(ctx, rule, info))
-        else:
-            findings.extend(rule.check(ctx, rule))
+        for name in sorted(index.modules):
+            info = index.modules[name]
+            if rule.applies_to(info.scope_path):
+                findings.extend(rule.check(ctx, rule, info))
     return findings
 
 
@@ -264,326 +260,6 @@ class TestFlow003:
                     return [rng.normal() for w in list(workers)]
                 """,
         }, ["FLOW003"])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# XREG — registry completeness (evidence injected via ctx.aux)
-
-GOLDEN_OK = '{"cases": [{"family": "mirror"}]}'
-DOCS_OK = "# Catalogue\n\n| `mirror` | a scheme |\n"
-PLACEMENT_GOLDEN = "tests/golden/placement_schemes.json"
-PLACEMENT_DOCS = "docs/placements.md"
-ENV_GOLDEN = "tests/golden/environments.json"
-ENV_DOCS = "docs/environments.md"
-
-
-def placement_fixture(body):
-    return {
-        "repro.schemes": (
-            "from repro.core.scheme import register_placement\n\n"
-            + textwrap.dedent(body)
-        ),
-        "repro.core.scheme": """
-            def register_placement(name, aliases=()):
-                def wrap(cls):
-                    return cls
-                return wrap
-            """,
-    }
-
-
-class TestXreg:
-    def test_missing_spec_hook_flagged(self):
-        findings = project_findings(
-            placement_fixture(
-                """
-                @register_placement("mirror")
-                class Mirror:
-                    def place(self):
-                        return None
-                """
-            ),
-            ["XREG001"],
-        )
-        assert rules_of(findings) == ["XREG001"]
-        assert "spec_problems" in findings[0].message
-
-    def test_spec_hook_inherited_is_clean(self):
-        sources = placement_fixture(
-            """
-            class Base:
-                def spec_problems(self, spec):
-                    return []
-
-            @register_placement("mirror")
-            class Mirror(Base):
-                pass
-            """
-        )
-        assert project_findings(sources, ["XREG001"]) == []
-
-    def test_missing_golden_entry_flagged(self):
-        findings = project_findings(
-            placement_fixture(
-                """
-                @register_placement("mirror")
-                class Mirror:
-                    def spec_problems(self, spec):
-                        return []
-                """
-            ),
-            ["XREG002"],
-            aux={PLACEMENT_GOLDEN: '{"cases": []}'},
-        )
-        assert rules_of(findings) == ["XREG002"]
-        assert "golden" in findings[0].message
-
-    def test_golden_entry_via_alias_is_clean(self):
-        sources = placement_fixture(
-            """
-            @register_placement("mirror", aliases=("copy",))
-            class Mirror:
-                def spec_problems(self, spec):
-                    return []
-            """
-        )
-        findings = project_findings(
-            sources, ["XREG002"],
-            aux={PLACEMENT_GOLDEN: '{"cases": [{"family": "copy"}]}'},
-        )
-        assert findings == []
-
-    def test_golden_file_known_missing_flagged(self):
-        findings = project_findings(
-            placement_fixture(
-                """
-                @register_placement("mirror")
-                class Mirror:
-                    def spec_problems(self, spec):
-                        return []
-                """
-            ),
-            ["XREG002"],
-            aux={PLACEMENT_GOLDEN: None},
-        )
-        assert rules_of(findings) == ["XREG002"]
-        assert "missing" in findings[0].message
-
-    def test_golden_file_unknowable_is_silent(self):
-        # no repo root, nothing injected: absence is not evidence.
-        findings = project_findings(
-            placement_fixture(
-                """
-                @register_placement("mirror")
-                class Mirror:
-                    def spec_problems(self, spec):
-                        return []
-                """
-            ),
-            ["XREG002"],
-        )
-        assert findings == []
-
-    def test_none_returning_factory_exempt_from_golden(self):
-        findings = project_findings({
-            "repro.env.delays": """
-                from repro.env.registry import register_delay
-
-                @register_delay("none")
-                def make_none(params):
-                    return None
-                """,
-            "repro.env.registry": """
-                def register_delay(name, aliases=()):
-                    def wrap(fn):
-                        return fn
-                    return wrap
-                """,
-        }, ["XREG002"], aux={ENV_GOLDEN: '{"cases": []}'})
-        assert findings == []
-
-    def test_uncatalogued_family_flagged(self):
-        findings = project_findings(
-            placement_fixture(
-                """
-                @register_placement("mirror")
-                class Mirror:
-                    def spec_problems(self, spec):
-                        return []
-                """
-            ),
-            ["XREG003"],
-            aux={PLACEMENT_DOCS: "# Catalogue\n\nnothing here\n"},
-        )
-        assert rules_of(findings) == ["XREG003"]
-        assert "catalogue" in findings[0].message
-
-    def test_catalogued_family_is_clean(self):
-        findings = project_findings(
-            placement_fixture(
-                """
-                @register_placement("mirror")
-                class Mirror:
-                    def spec_problems(self, spec):
-                        return []
-                """
-            ),
-            ["XREG003"],
-            aux={PLACEMENT_DOCS: DOCS_OK},
-        )
-        assert findings == []
-
-    def test_name_collision_flagged(self):
-        findings = project_findings({
-            "repro.env.a": """
-                from repro.env.registry import register_delay
-
-                @register_delay("uniform")
-                def make_a(params):
-                    return params
-                """,
-            "repro.env.b": """
-                from repro.env.registry import register_delay
-
-                @register_delay("shifted", aliases=("uniform",))
-                def make_b(params):
-                    return params
-                """,
-            "repro.env.registry": """
-                def register_delay(name, aliases=()):
-                    def wrap(fn):
-                        return fn
-                    return wrap
-                """,
-        }, ["XREG004"])
-        assert rules_of(findings) == ["XREG004"]
-        assert "uniform" in findings[0].message
-
-    def test_same_name_different_kind_is_clean(self):
-        findings = project_findings({
-            "repro.env.models": """
-                from repro.env.registry import register_delay
-                from repro.env.registry import register_failure
-
-                @register_delay("uniform")
-                def make_delay(params):
-                    return params
-
-                @register_failure("uniform")
-                def make_failure(params):
-                    return params
-                """,
-            "repro.env.registry": """
-                def register_delay(name, aliases=()):
-                    def wrap(fn):
-                        return fn
-                    return wrap
-
-                def register_failure(name, aliases=()):
-                    def wrap(fn):
-                        return fn
-                    return wrap
-                """,
-        }, ["XREG004"])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# XIMP — import hygiene
-
-
-class TestXimp:
-    def test_cycle_flagged_once_per_module(self):
-        findings = project_findings({
-            "repro.a": "import repro.b\n",
-            "repro.b": "import repro.a\n",
-        }, ["XIMP001"])
-        assert rules_of(findings) == ["XIMP001", "XIMP001"]
-        assert "cycle" in findings[0].message
-
-    def test_function_level_import_breaks_cycle(self):
-        findings = project_findings({
-            "repro.a": "import repro.b\n",
-            "repro.b": (
-                "def late():\n"
-                "    import repro.a\n"
-                "    return repro.a\n"
-            ),
-        }, ["XIMP001"])
-        assert findings == []
-
-    def test_core_importing_engine_flagged(self):
-        findings = project_findings({
-            "repro.core.decoder": "from repro.engine.runner import run\n",
-            "repro.engine.runner": "def run():\n    return None\n",
-        }, ["XIMP002"])
-        assert rules_of(findings) == ["XIMP002"]
-        assert "repro.engine" in findings[0].message
-
-    def test_engine_importing_core_is_clean(self):
-        findings = project_findings({
-            "repro.engine.runner": "import repro.core.decoder\n",
-            "repro.core.decoder": "def decode():\n    return None\n",
-        }, ["XIMP002"])
-        assert findings == []
-
-    def test_library_importing_staticcheck_flagged(self):
-        findings = project_findings({
-            "repro.engine.runner": "from repro.staticcheck import run_check\n",
-            "repro.staticcheck": "def run_check():\n    return None\n",
-        }, ["XIMP002"])
-        assert rules_of(findings) == ["XIMP002"]
-        assert "staticcheck" in findings[0].message
-
-    def test_cli_importing_staticcheck_is_clean(self):
-        findings = project_findings({
-            "repro.cli": "from repro.staticcheck import run_check\n",
-            "repro.staticcheck": "def run_check():\n    return None\n",
-        }, ["XIMP002"])
-        assert findings == []
-
-    def test_stale_all_name_flagged(self):
-        findings = project_findings({
-            "repro.shim": '__all__ = ["gone"]\n',
-        }, ["XIMP003"])
-        assert rules_of(findings) == ["XIMP003"]
-        assert "gone" in findings[0].message
-
-    def test_stale_from_import_flagged(self):
-        findings = project_findings({
-            "repro.shim": "from repro.real import vanished\n",
-            "repro.real": "def still_here():\n    return None\n",
-        }, ["XIMP003"])
-        assert rules_of(findings) == ["XIMP003"]
-        assert "vanished" in findings[0].message
-
-    def test_live_reexport_is_clean(self):
-        findings = project_findings({
-            "repro.shim": (
-                "from repro.real import still_here\n"
-                '__all__ = ["still_here"]\n'
-            ),
-            "repro.real": "def still_here():\n    return None\n",
-        }, ["XIMP003"])
-        assert findings == []
-
-    def test_wildcard_module_skipped(self):
-        findings = project_findings({
-            "repro.shim": (
-                "from repro.real import *  # noqa: F401,F403\n"
-                '__all__ = ["whatever"]\n'
-            ),
-            "repro.real": "def still_here():\n    return None\n",
-        }, ["XIMP003"])
-        assert findings == []
-
-    def test_submodule_import_is_not_stale(self):
-        findings = project_findings({
-            "repro.pkg": "",
-            "repro.pkg.sub": "def f():\n    return None\n",
-            "repro.shim": "from repro.pkg import sub\n",
-        }, ["XIMP003"])
         assert findings == []
 
 
