@@ -120,12 +120,7 @@ def masks_to_array(
     would, before any row is decoded (so no RNG is consumed on error).
 
     Returns ``(avail, originals)`` where ``originals`` is the list of
-    original mask objects (``None`` for array input).  Decoders whose
-    RNG draws depend on mask *iteration order* (FR draws its groups in
-    frozenset order) rebuild each mask's frozenset from its listed ids,
-    ``frozenset(list(mask))`` as :func:`validate_mask` builds it — not
-    ``frozenset(mask)``, which can iterate differently for a set-typed
-    mask — to stay bit-for-bit identical to the looped path.
+    original mask objects (``None`` for array input).
     """
     n = num_workers
     if (

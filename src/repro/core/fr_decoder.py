@@ -6,23 +6,23 @@ per non-empty group.  Complexity O(|W'|); randomness keeps the fairness
 guarantee (every worker — hence every partition — equally likely to
 contribute when stragglers are homogeneous).
 
-A mask's draws are one bounded ``integers`` call: group ``k`` gets an
-index ``d_k`` uniform in ``[0, s_k)`` over its ``s_k`` survivors, and
-its ``d_k``-th survivor in ascending order is kept.  That is the stream
-of one ``Generator.choice`` per group — ``choice`` over ``s`` items
-consumes exactly ``integers(0, s)``, and one call over an array of
-bounds consumes exactly the scalar calls in sequence — so a whole
-batch's draws are one call as well.
+A mask's draws are one bounded ``integers`` call over its non-empty
+groups in ascending order: group ``k`` gets an index ``d_k`` uniform in
+``[0, s_k)`` over its ``s_k`` survivors, and its ``d_k``-th survivor in
+ascending order is kept.  One call over an array of bounds consumes
+exactly the scalar calls in sequence, so a whole batch's draws — mask
+by mask, each mask's groups ascending — are one call as well, and the
+selection depends only on the set of available workers, never on the
+order the caller listed them in.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List
+from typing import Dict, FrozenSet, List
 
 import numpy as np
 
-from .batch import BatchDecodeResult, MaskBatch, mask_members, masks_to_array
+from .batch import BatchDecodeResult, MaskBatch, masks_to_array
 from .decoders import Decoder, Selection, register_decoder
 from .fractional import FractionalRepetition
 
@@ -31,13 +31,9 @@ from .fractional import FractionalRepetition
 class FRDecoder(Decoder):
     """Alg. 1: one random available worker per FR group.
 
-    Groups draw in the order each first appears in the mask's frozenset
-    iteration, which is not always ascending and — for the same ids —
-    depends on the order the caller listed them in: passing a mask
-    reversed changes the selection on about 1 in 60–110 random masks
-    at ``FR(48, 3)``.  Fairness holds either way (each group's draw is
-    uniform over its survivors); the order is part of the recorded
-    stream, so making it canonical is a stream-definition change.
+    Groups draw in ascending order, so a mask's selection is a function
+    of its set of ids (and the generator) alone.  Fairness: each
+    group's draw is uniform over its survivors.
 
     Deliberately uncached: decoding is already O(|W'|) — there is no
     search kernel worth memoising, and the per-group RNG draws must
@@ -61,58 +57,34 @@ class FRDecoder(Decoder):
     def _decode(self, available: FrozenSet[int]) -> Selection:
         c = self._placement.partitions_per_worker
         by_group: Dict[int, List[int]] = {}
-        for worker in available:
+        for worker in sorted(available):
             by_group.setdefault(worker // c, []).append(worker)
         survivors = list(by_group.values())
         draws = self._rng.integers(0, [len(s) for s in survivors]).tolist()
         return Selection(
-            frozenset(sorted(s)[d] for s, d in zip(survivors, draws)), 1
+            frozenset(s[d] for s, d in zip(survivors, draws)), 1
         )
 
     def decode_batch(self, masks: MaskBatch) -> BatchDecodeResult:
-        """Batched Alg. 1: validate up front, then draw every group of
-        every mask in one ``integers`` call.
+        """Batched Alg. 1: validate up front, then draw every non-empty
+        ``(mask, group)`` cell, in row-major order, in one ``integers``
+        call — the looped path's order, so selections and the generator
+        stream are bit-for-bit those of looping ``decode``.
 
-        The draws follow the looped path's order — mask by mask, each
-        mask's groups in its frozenset iteration order — so selections
-        and the generator stream are bit-for-bit those of looping
-        ``decode``.  The frozensets are rebuilt from the listed ids, as
-        ``decode`` builds them (array rows list their ids ascending);
-        listing their groups is the one per-mask Python step.
+        Each cell's survivors are ranked by a running count, whose last
+        entry bounds the cell's draw ``d`` and whose first entry past
+        ``d`` marks the pick.
         """
-        avail, originals = masks_to_array(masks, self._placement.num_workers)
-        if originals is None:
-            fsets: Iterable[FrozenSet] = map(frozenset, mask_members(avail))
-        else:
-            fsets = (frozenset(list(mask)) for mask in originals)
-        return self._finalize_batch(
-            avail,
-            self._select_batch(avail, fsets),
-            np.ones(avail.shape[0], dtype=np.intp),
-        )
-
-    def _select_batch(
-        self, avail: np.ndarray, fsets: Iterable[FrozenSet]
-    ) -> np.ndarray:
-        """The ``avail``-shaped selection: each drawn ``(mask, group)``
-        cell's survivors are ranked by a running count, whose last entry
-        bounds the cell's draw ``d`` and whose first entry past ``d``
-        marks the pick."""
+        avail, _ = masks_to_array(masks, self._placement.num_workers)
         c = self._placement.partitions_per_worker
-        num_groups = avail.shape[1] // c
-        cells = np.fromiter(
-            chain.from_iterable(
-                dict.fromkeys(i * num_groups + w // c for w in fs)
-                for i, fs in enumerate(fsets)
-            ),
-            dtype=np.intp,
-        )
-        rank = avail.reshape(-1, c)[cells].cumsum(
-            axis=1, dtype=np.min_scalar_type(c)
-        )
+        by_cell = avail.reshape(-1, c)
+        cells = np.flatnonzero(by_cell.any(axis=1))
+        rank = by_cell[cells].cumsum(axis=1, dtype=np.min_scalar_type(c))
         draws = self._rng.integers(0, rank[:, -1])
         selected = np.zeros(avail.shape, dtype=bool)
         selected.reshape(-1)[
             cells * c + (rank > draws[:, None]).argmax(axis=1)
         ] = True
-        return selected
+        return self._finalize_batch(
+            avail, selected, np.ones(avail.shape[0], dtype=np.intp)
+        )

@@ -133,8 +133,7 @@ class Conv2DClassifier(Model):
     def loss_and_gradient(self, x, y) -> Tuple[float, np.ndarray]:
         logits, cache = self._forward(x)
         cols, pre, trimmed, windows, pooled, flat = cache
-        loss = SoftmaxCrossEntropy.value(logits, y)
-        dlogits = SoftmaxCrossEntropy.grad(logits, y)
+        loss, dlogits = SoftmaxCrossEntropy.value_and_grad(logits, y)
 
         grad_w_fc = flat.T @ dlogits
         grad_b_fc = dlogits.sum(axis=0)

@@ -12,10 +12,11 @@ experiments measure (recovered-gradient fraction → convergence speed):
 
 Partitioning follows Sec. VIII-A's seed discipline: each partition owns
 an independent seeded batch stream, so every scheme sees byte-identical
-mini-batches for the same (partition, step) pair.
-:meth:`BatchStream.indices` is the one definition of that stream;
+mini-batches for the same (partition, step) pair.  :func:`draw_indices`
+is the one definition of that stream; :meth:`BatchStream.indices` is
+one partition's row of it and
 :class:`~repro.training.gradients.BatchStreams` draws all partitions'
-rows of a round from it.
+rows of a round in one call.
 """
 
 from __future__ import annotations
@@ -235,30 +236,117 @@ def partition_dataset(
     )
 
 
+def _is_counter(value) -> bool:
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, np.integer))
+        and 0 <= value < 2**64
+    )
+
+
 def check_step(step: int) -> int:
-    """``step`` as a plain ``int``; anything but a non-negative integer
-    is rejected (``"3"`` or ``1.5`` would otherwise seed *some* stream)."""
-    if (
-        isinstance(step, bool)
-        or not isinstance(step, (int, np.integer))
-        or step < 0
-    ):
+    """``step`` as a plain ``int``; anything but an integer in
+    ``[0, 2⁶⁴)`` is rejected (``"3"`` or ``1.5`` would otherwise seed
+    *some* stream, and the stream counts steps in 64 bits)."""
+    if not _is_counter(step):
         raise TrainingError(
-            f"step must be a non-negative integer, got {step!r}"
+            f"step must be a non-negative integer below 2**64, got {step!r}"
         )
     return int(step)
+
+
+# ----------------------------------------------------------------------
+# The batch-index stream: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+# used as a counter hash.  ``mix`` is its bijective output function and
+# ``γ`` its Weyl increment; output ``i`` of the generator seeded with
+# ``s`` is ``mix(s + i·γ)``, so any output is one hash away.
+
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_MULTIPLIERS = (
+    np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+)
+_MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_HALF = np.uint64(32)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a ``uint64`` array (in place)."""
+    (m1, m2), (s1, s2, s3) = _MIX_MULTIPLIERS, _MIX_SHIFTS
+    z ^= z >> s1
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
+
+
+def _outputs(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """``mix(key + (counter + 1)·γ)``: output ``counter + 1`` of the
+    SplitMix64 generator seeded with each key (broadcast)."""
+    return _mix(keys + (counters + np.uint64(1)) * np.uint64(_GAMMA))
+
+
+def stream_key(seed: int) -> np.ndarray:
+    """The ``(1,)`` ``uint64`` key of master seed ``seed``: the first
+    word of ``SeedSequence(seed)``, so any non-negative integer seeds a
+    well-mixed key."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or seed < 0
+    ):
+        raise ConfigurationError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
+    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)
+
+
+def draw_indices(
+    key: np.ndarray,
+    step: int,
+    partition_ids: np.ndarray,
+    sizes: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """The batch-index stream: ``(R, width)`` partition-local rows.
+
+    Row ``r`` holds draws ``0 … width-1`` of partition
+    ``partition_ids[r]`` (``sizes[r]`` samples) at ``step``; both are
+    ``(R, 1)`` ``uint64`` columns.  With ``S`` = SplitMix64's output
+    ``i + 1`` from seed ``s`` written ``S(s, i)``, draw ``k`` is::
+
+        round  = S(key, step)
+        row    = S(round, pid)
+        word   = S(row, k)
+        index  = ⌊(word >> 32) · size / 2³²⌋      (multiply-shift)
+
+    Every index is a fixed number of hashes of its own coordinates, so
+    one partition's row (an actor's ``c`` rows, an async arrival's one)
+    costs no more than its share of the round, and the first ``b``
+    draws of a row do not depend on ``width``.  Multiply-shift on the
+    top 32 bits is uniform to within ``size / 2³²`` per index.
+    """
+    round_key = _outputs(key, np.array([step], dtype=np.uint64))
+    words = _outputs(
+        _outputs(round_key, partition_ids),
+        np.arange(width, dtype=np.uint64),
+    )
+    words >>= _HALF
+    words *= sizes
+    words >>= _HALF
+    return words.astype(np.intp)
 
 
 class BatchStream:
     """Reproducible mini-batch stream over one partition.
 
-    :meth:`indices` is the one definition of the stream: ``batch_size``
-    draws with replacement from a fresh ``default_rng((seed,
-    partition_id, step))`` — stateless, so batches can be
-    re-materialised in any order and any two runs, regardless of
-    scheme, draw identical batches for the same (partition, step).
-    This is the paper's "carefully control all random seeds" discipline
-    (Sec. VIII-A).  Batches are clamped to the partition size.
+    :meth:`indices` is this partition's row of :func:`draw_indices`:
+    ``batch_size`` draws with replacement, a pure function of (seed,
+    partition id, step) — stateless, so batches can be re-materialised
+    in any order and any two runs, regardless of scheme, draw identical
+    batches for the same (partition, step).  This is the paper's
+    "carefully control all random seeds" discipline (Sec. VIII-A).
+    Batches are clamped to the partition size.
     """
 
     def __init__(self, partition: Dataset, partition_id: int, batch_size: int, seed: int = 0):
@@ -266,10 +354,19 @@ class BatchStream:
             raise ConfigurationError(
                 f"batch_size must be positive, got {batch_size}"
             )
+        if not _is_counter(partition_id) or partition.num_samples >= 2**32:
+            raise ConfigurationError(
+                f"partition {partition_id!r} of {partition.num_samples} "
+                "samples: need an id in [0, 2**64) and fewer than 2**32 "
+                "samples"
+            )
         self._partition = partition
         self._batch_size = min(batch_size, partition.num_samples)
-        self._seed = seed
-        self._partition_id = partition_id
+        self._key = stream_key(seed)
+        self._id = np.array([[partition_id]], dtype=np.uint64)
+        self._size = np.array([[partition.num_samples]], dtype=np.uint64)
+        for shared in (self._key, self._id, self._size):
+            shared.flags.writeable = False
 
     @property
     def batch_size(self) -> int:
@@ -277,15 +374,13 @@ class BatchStream:
 
     def indices(self, step: int) -> np.ndarray:
         """Partition-local row indices of the mini-batch at ``step``
-        (a non-negative ``int`` — see :func:`check_step`)."""
-        rng = np.random.default_rng(
-            (self._seed, self._partition_id, step)
-        )
-        return rng.integers(
-            self._partition.num_samples, size=self._batch_size
-        )
+        (see :func:`check_step`)."""
+        return draw_indices(
+            self._key, check_step(step), self._id, self._size,
+            self._batch_size,
+        )[0]
 
     def batch(self, step: int) -> Tuple[np.ndarray, np.ndarray]:
         """The (features, labels) mini-batch for ``step``."""
-        idx = self.indices(check_step(step))
+        idx = self.indices(step)
         return self._partition.features[idx], self._partition.labels[idx]

@@ -11,12 +11,11 @@ local-update SGD, the worker actors and the async arrival loop):
    (:class:`~repro.training.datasets.Partitions`, built by
    ``partition_dataset``'s single shuffle; the per-partition
    ``Dataset`` objects are views of it).
-2. **Draw.**  Row ``pid`` of a round's index rows is
-   :meth:`BatchStream.indices`, i.e. exactly ``default_rng((seed, pid,
-   step)).integers(n_pid, size=b_pid)`` — the stream definition is per
-   (partition, step) and stays that way, so one generator per partition
-   per round is the floor under NumPy's public API (≈ 0.4 ms for 24
-   partitions).
+2. **Draw.**  A round's index rows are one
+   :func:`~repro.training.datasets.draw_indices` call: a counter hash
+   of (seed, step, pid, k), so the whole ``(P, b)`` block costs about
+   as much as one generator construction did, and row ``pid`` is
+   exactly :meth:`BatchStream.indices`.
 3. **Gather.**  One ``take`` per batch-size group out of the block.
    ``b_pid = min(batch_size, n_pid)`` and near-equal partitions differ
    by at most one row, so there are at most two groups.
@@ -35,7 +34,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import TrainingError
-from .datasets import BatchStream, Dataset, Partitions, check_step
+from .datasets import (
+    BatchStream,
+    Dataset,
+    Partitions,
+    check_step,
+    draw_indices,
+    stream_key,
+)
 from .models import Model
 
 
@@ -64,22 +70,21 @@ class BatchStreams(Sequence):
         self._labels = block.labels.reshape(
             (count * width,) + block.labels.shape[2:]
         )
-        self._offsets = np.arange(count) * width
-        #: per batch-size group: positions (= partition ids), their
-        #: streams and their block offsets ``(G, 1)``.
+        self._offsets = np.arange(count)[:, None] * width
+        self._key = stream_key(seed)
+        # (P, 1) columns built afresh: a view's base would stay writable.
+        self._ids = np.array([[pid] for pid in range(count)], np.uint64)
+        self._sizes = np.array(
+            [[part.num_samples] for part in block], np.uint64
+        )
+        self._width = max(stream.batch_size for stream in self._streams)
+        #: per batch size: the partitions (= positions) drawing that many.
         by_size: dict = {}
         for pid, stream in enumerate(self._streams):
             by_size.setdefault(stream.batch_size, []).append(pid)
-        self._round_plan = [
-            (
-                group,
-                [self._streams[pid] for pid in group],
-                self._offsets[group, None],
-            )
-            for group in by_size.values()
-        ]
-        for offsets in (self._offsets, *(plan[2] for plan in self._round_plan)):
-            offsets.flags.writeable = False
+        self._round_plan = list(by_size.items())
+        for shared in (self._offsets, self._key, self._ids, self._sizes):
+            shared.flags.writeable = False
 
     @classmethod
     def require(cls, streams: "BatchStreams") -> "BatchStreams":
@@ -116,32 +121,36 @@ class BatchStreams(Sequence):
         """
         step = check_step(step)
         if partition is None:
-            plan, rows = self._round_plan, len(self)
+            index = self._offsets + draw_indices(
+                self._key, step, self._ids, self._sizes, self._width
+            )
+            plan = [
+                (positions, index[positions, :size])
+                for size, positions in self._round_plan
+            ]
+            rows = len(self)
         else:
-            plan, rows = [(
-                [0], [self._streams[partition]], self._offsets[partition]
-            )], 1
+            row = self._streams[partition].indices(step)
+            plan, rows = [([0], (self._offsets[partition] + row)[None])], 1
         per_row = parameters is not None and np.ndim(parameters) == 2
         if per_row and len(parameters) != rows:
             raise TrainingError(
                 f"parameters of shape {np.shape(parameters)} are not one "
                 f"row per batch ({rows} partitions)"
             )
-        results = []
-        for positions, streams, offsets in plan:
-            index = offsets + np.array(
-                [stream.indices(step) for stream in streams]
-            )
-            results.append(model.stacked_loss_and_gradient(
+        results = [
+            model.stacked_loss_and_gradient(
                 self._features.take(index, axis=0),
                 self._labels.take(index, axis=0),
                 parameters[positions] if per_row else parameters,
-            ))
+            )
+            for positions, index in plan
+        ]
         if len(results) == 1:
             return results[0]
         losses = np.empty(rows)
         grads = np.empty((rows, model.num_parameters))
-        for (positions, _, _), (group_losses, group_grads) in zip(
+        for (positions, _), (group_losses, group_grads) in zip(
             plan, results
         ):
             losses[positions] = group_losses

@@ -1,8 +1,9 @@
 """Loss functions with analytic gradients.
 
-Each loss exposes ``value(pred, y)`` and ``grad(pred, y)`` (gradient
-w.r.t. the prediction), letting models chain their own backward pass.
-All values are means over the batch, matching the optimizer's
+Each loss exposes ``value(pred, y)`` and ``value_and_grad(pred, y)``
+(the same values plus the gradient w.r.t. the prediction, computed
+from one shared forward pass), letting models chain their own backward
+pass.  All values are means over the batch, matching the optimizer's
 "gradient of the average loss" convention.
 
 Inputs may carry leading stack axes — ``(..., b)`` predictions,
@@ -39,9 +40,10 @@ class MeanSquaredError:
         return 0.5 * np.mean(diff * diff, axis=-1)
 
     @staticmethod
-    def grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def value_and_grad(pred: np.ndarray, target: np.ndarray):
         _check_batch(pred, target)
-        return (pred - target) / pred.shape[-1]
+        diff = pred - target
+        return 0.5 * np.mean(diff * diff, axis=-1), diff / pred.shape[-1]
 
 
 class BinaryCrossEntropy:
@@ -52,19 +54,25 @@ class BinaryCrossEntropy:
     """
 
     @staticmethod
-    def value(scores: np.ndarray, target: np.ndarray):
+    def _margin(scores: np.ndarray, target: np.ndarray):
+        """``(t̃, s·t̃)``."""
         _check_batch(scores, target)
         signed = np.where(target > 0.5, 1.0, -1.0)
-        margin = scores * signed
-        # log(1 + exp(-m)) computed stably.
-        return np.logaddexp(0.0, -margin).mean(axis=-1)
+        return signed, scores * signed
 
-    @staticmethod
-    def grad(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _check_batch(scores, target)
-        signed = np.where(target > 0.5, 1.0, -1.0)
-        sigma = 1.0 / (1.0 + np.exp(scores * signed))
-        return (-signed * sigma) / scores.shape[-1]
+    @classmethod
+    def value(cls, scores: np.ndarray, target: np.ndarray):
+        # log(1 + exp(-m)) computed stably.
+        return np.logaddexp(0.0, -cls._margin(scores, target)[1]).mean(axis=-1)
+
+    @classmethod
+    def value_and_grad(cls, scores: np.ndarray, target: np.ndarray):
+        signed, margin = cls._margin(scores, target)
+        sigma = 1.0 / (1.0 + np.exp(margin))
+        return (
+            np.logaddexp(0.0, -margin).mean(axis=-1),
+            (-signed * sigma) / scores.shape[-1],
+        )
 
 
 class SoftmaxCrossEntropy:
@@ -84,14 +92,18 @@ class SoftmaxCrossEntropy:
         probs = cls._probabilities(logits).reshape(-1, logits.shape[-1])
         return probs, (np.arange(probs.shape[0]), target.astype(int).ravel())
 
-    @classmethod
-    def value(cls, logits: np.ndarray, target: np.ndarray):
-        probs, picked = cls._rows(logits, target)
+    @staticmethod
+    def _mean_nll(probs, picked, target: np.ndarray):
         likelihood = np.clip(probs[picked], 1e-12, None)
         return -np.log(likelihood.reshape(target.shape)).mean(axis=-1)
 
     @classmethod
-    def grad(cls, logits: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def value(cls, logits: np.ndarray, target: np.ndarray):
+        return cls._mean_nll(*cls._rows(logits, target), target)
+
+    @classmethod
+    def value_and_grad(cls, logits: np.ndarray, target: np.ndarray):
         probs, picked = cls._rows(logits, target)
+        values = cls._mean_nll(probs, picked, target)
         probs[picked] -= 1.0
-        return (probs / logits.shape[-2]).reshape(logits.shape)
+        return values, (probs / logits.shape[-2]).reshape(logits.shape)

@@ -12,8 +12,9 @@ Every model exposes
   each model: row ``g`` is bit-equal to evaluating batch ``g`` alone
   (every matrix product is one BLAS call per stacked batch on the same
   operand layout, every reduction runs over the batch axis only);
-* ``loss_and_gradient(x, y)`` — its ``G = 1`` case; ``loss`` and
-  ``gradient`` pick one half.
+* ``loss_and_gradient(x, y)`` — its ``G = 1`` case; ``gradient``
+  picks one half, and ``loss`` runs the forward pass alone
+  (``stacked_loss``).
 
 Gradients are analytic (no autograd) and are validated against finite
 differences in the tests.
@@ -93,9 +94,22 @@ class Model(abc.ABC):
             self.set_parameters(original)
         return losses, grads
 
+    def stacked_loss(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        parameters: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Losses ``(G,)`` alone — bit-equal to the first half of
+        :meth:`stacked_loss_and_gradient`, which is also the default;
+        the vectorised models skip the backward pass."""
+        return self.stacked_loss_and_gradient(x, y, parameters)[0]
+
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean batch loss at the current parameters."""
-        return self.loss_and_gradient(x, y)[0]
+        return float(
+            self.stacked_loss(np.asarray(x)[None], np.asarray(y)[None])[0]
+        )
 
     def gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flat gradient of the mean batch loss."""
@@ -182,13 +196,19 @@ class _AffineModel(_FlatModel):
         """Raw scores ``Xw + b``."""
         return x @ self._flat[: self._d] + self._flat[self._d]
 
-    def stacked_loss_and_gradient(self, x, y, parameters=None):
-        x, y = _stacked_batches(x, y)
+    def _stacked_scores(self, x, parameters):
         rows = self._parameter_rows(parameters, x.shape[0])
         d = self._d
-        s = (x @ rows[:, :d, None])[..., 0] + rows[:, d, None]
-        losses = self._loss.value(s, y)
-        ds = self._loss.grad(s, y)
+        return (x @ rows[:, :d, None])[..., 0] + rows[:, d, None]
+
+    def stacked_loss(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        return self._loss.value(self._stacked_scores(x, parameters), y)
+
+    def stacked_loss_and_gradient(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        s = self._stacked_scores(x, parameters)
+        losses, ds = self._loss.value_and_grad(s, y)
         grad_w = (x.transpose(0, 2, 1) @ ds[..., None])[..., 0]
         grad_b = ds.sum(axis=1, keepdims=True)
         return losses, np.concatenate([grad_w, grad_b], axis=1)
@@ -248,12 +268,20 @@ class SoftmaxRegressionModel(_FlatModel):
         """Hard class predictions."""
         return self.logits(x).argmax(axis=1)
 
+    def _stacked_logits(self, x, parameters):
+        w, b = self._tensors(self._parameter_rows(parameters, x.shape[0]))
+        return x @ w + b
+
+    def stacked_loss(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        z = self._stacked_logits(x, parameters)
+        return SoftmaxCrossEntropy.value(z, y)
+
     def stacked_loss_and_gradient(self, x, y, parameters=None):
         x, y = _stacked_batches(x, y)
-        w, b = self._tensors(self._parameter_rows(parameters, x.shape[0]))
-        z = x @ w + b
-        losses = SoftmaxCrossEntropy.value(z, y)
-        dz = SoftmaxCrossEntropy.grad(z, y)
+        losses, dz = SoftmaxCrossEntropy.value_and_grad(
+            self._stacked_logits(x, parameters), y
+        )
         grad_w = x.transpose(0, 2, 1) @ dz
         return losses, np.concatenate(
             [grad_w.reshape(len(x), -1), dz.sum(axis=1)], axis=1
@@ -317,16 +345,24 @@ class MLPClassifier(_FlatModel):
         """Hard class predictions."""
         return self.logits(x).argmax(axis=1)
 
-    def stacked_loss_and_gradient(self, x, y, parameters=None):
-        x, y = _stacked_batches(x, y)
+    def _stacked_forward(self, x, parameters):
+        """``(w2, pre-activations, hidden, logits)`` of stacked batches."""
         w1, b1, w2, b2 = self._tensors(
             self._parameter_rows(parameters, x.shape[0])
         )
         pre = x @ w1 + b1
         hidden = np.maximum(pre, 0.0)
-        z = hidden @ w2 + b2
-        losses = SoftmaxCrossEntropy.value(z, y)
-        dz = SoftmaxCrossEntropy.grad(z, y)
+        return w2, pre, hidden, hidden @ w2 + b2
+
+    def stacked_loss(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        z = self._stacked_forward(x, parameters)[3]
+        return SoftmaxCrossEntropy.value(z, y)
+
+    def stacked_loss_and_gradient(self, x, y, parameters=None):
+        x, y = _stacked_batches(x, y)
+        w2, pre, hidden, z = self._stacked_forward(x, parameters)
+        losses, dz = SoftmaxCrossEntropy.value_and_grad(z, y)
         grad_w2 = hidden.transpose(0, 2, 1) @ dz
         dpre = (dz @ w2.transpose(0, 2, 1)) * (pre > 0)
         grad_w1 = x.transpose(0, 2, 1) @ dpre

@@ -4,13 +4,15 @@ Run as ``PYTHONPATH=src python tests/golden/record_decoder_streams.py``
 — it writes ``decoder_streams.json`` into this directory.  The CR and
 HR cases checked into the repo were recorded at the commit *before* CR
 and HR decoding were collapsed onto one greedy-chain implementation,
-the FR cases at the commit before Alg. 1's per-group ``choice`` calls
-became one bounded ``integers`` draw, so ``tests/test_decoder_oracles.py``
-proves both rewrites bit-for-bit neutral where the trajectory goldens
-only see them through a trainer.
+so ``tests/test_decoder_oracles.py`` proves that rewrite bit-for-bit
+neutral where the trajectory goldens only see it through a trainer.
+The FR cases were recorded before Alg. 1's per-group ``choice`` calls
+became one bounded ``integers`` draw, and re-recorded once when FR's
+groups began drawing in ascending order (``fr-48-3`` and ``fr-96-4``
+moved; the others already drew ascending).
 
 Per case (FR with several groups, ``c = 1`` and one group, and with
-ids past the frozenset's hash table so iteration is not ascending; CR
+ids past the frozenset's hash table, where set order is not ascending; CR
 ``window`` / ``all``; HR's ``c1 = 0``, ``g = 1``, ``c2 = 0`` and
 general cases) and per mode the golden stores:
 

@@ -1,11 +1,12 @@
 """Record ``EngineState.to_json()`` of four pinned suspended runs.
 
 Run as ``PYTHONPATH=src python tests/golden/record_engine_state.py``
-— it writes ``engine_state.json`` into this directory.  The file
-checked into the repo was recorded at the commit *before*
-``EngineState`` began carrying record objects by reference, so
-``tests/test_engine_state.py`` proves the serialised form did not move
-by a byte.
+— it writes ``engine_state.json`` into this directory.  The file was
+first recorded at the commit *before* ``EngineState`` began carrying
+record objects by reference, so ``tests/test_engine_state.py`` proved
+the serialised form did not move by a byte; it was re-recorded once,
+by this script, when the batch-index stream changed (the losses and
+parameters it carries moved, its layout did not).
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Record golden trajectories for the round engine.
 
 Run as ``PYTHONPATH=src python tests/golden/record_goldens.py`` — it
-writes one JSON file per workload into this directory.  The files
-checked into the repo were recorded at the commit *before* the
-``repro.engine`` extraction, so the regression tests in
-``tests/test_golden_trajectories.py`` prove the engine reproduces the
-original five training loops bit-for-bit (JSON floats round-trip
-exactly through ``repr``).
+writes one JSON file per workload into this directory.  The files were
+first recorded at the commit *before* the ``repro.engine`` extraction,
+so the regression tests in ``tests/test_golden_trajectories.py``
+proved the engine reproduces the original five training loops
+bit-for-bit (JSON floats round-trip exactly through ``repr``).  They
+were re-recorded once, by this script, when the batch-index stream
+became a counter hash and FR's groups began drawing in ascending
+order; ``fig11_cell.json`` and ``fig12_small.json`` read no training
+loss and did not move.
 
 Keep the workloads here small but non-trivial: real stragglers (trace
 replay of exponential delays), real decoding (FR/CR conflict graphs),
@@ -370,11 +373,15 @@ GOLDENS = {
 }
 
 
+def serialise(data) -> str:
+    """The file text of one golden."""
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
 def main():
     for name, fn in GOLDENS.items():
         path = GOLDEN_DIR / name
-        data = fn()
-        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        path.write_text(serialise(fn()))
         print(f"wrote {path}")
 
 

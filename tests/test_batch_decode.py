@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.closed_form import expected_recovered_exact
 from repro.analysis.variance import estimator_moments
@@ -207,6 +207,33 @@ class TestFRAlgorithmOne:
             looped = [dec_a.decode(mask) for mask in masks]
         assert dec_b.decode_batch(masks).results() == looped
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=fr_batches(), seed=st.integers(0, 2**32 - 1))
+    @example(
+        # Drew groups in frozenset order when that was the stream.
+        batch=(FractionalRepetition(48, 3), "shuffled", [[
+            12, 16, 22, 14, 41, 11, 37, 9, 17, 1, 39, 8, 32, 6, 24, 5, 31, 10,
+        ]]),
+        seed=1,
+    )
+    def test_selection_ignores_the_listing_order(self, batch, seed):
+        # Groups draw in ascending order, so a mask listed in any order
+        # (or as a set, whose iteration order varies) decodes like its
+        # sorted list — looped and batched.
+        placement, form, masks = batch
+        if form == "bool":
+            masks = [np.flatnonzero(row).tolist() for row in masks]
+        canonical = [sorted(int(w) for w in mask) for mask in masks]
+        dec_a, rng_a, dec_b, rng_b = _decoder_pair(placement, seed)
+        assert [dec_a.decode(mask) for mask in masks] == [
+            dec_b.decode(mask) for mask in canonical
+        ]
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        dec_a, _, dec_b, _ = _decoder_pair(placement, seed)
+        assert dec_a.decode_batch(
+            [list(reversed(mask)) for mask in canonical]
+        ).results() == dec_b.decode_batch(canonical).results()
 
     @settings(max_examples=40, deadline=None)
     @given(batch=fr_batches(), seed=st.integers(0, 2**32 - 1))

@@ -4,7 +4,9 @@
   recorded by ``tests/golden/record_decoder_streams.py``: its CR/HR
   cases at the commit *before* CR and HR decoding were collapsed onto
   one greedy-chain implementation, its FR cases before Alg. 1's
-  per-group ``choice`` calls became one bounded ``integers`` draw.
+  per-group ``choice`` calls became one bounded ``integers`` draw
+  (re-recorded once when FR's groups began drawing in ascending
+  order).
   Selections, ``num_searches``, the generator's end state and the
   cache's hit/miss counts must not move, for looped, batched and cached
   decoding of every FR case, CR (``window`` / ``all``) and every HR

@@ -3,11 +3,13 @@
 The JSON files under ``tests/golden/`` were recorded by
 ``tests/golden/record_goldens.py`` at the commit *before* the
 ``repro.engine`` extraction, when each training loop was still a
-hand-rolled implementation.  Re-running the same workloads through
-``RoundEngine`` must reproduce them **bit-for-bit** — JSON floats
-round-trip exactly through ``repr``, so ``==`` on the decoded
+hand-rolled implementation, and re-recorded once when the batch-index
+stream and FR's group order changed.  Re-running the same workloads
+through ``RoundEngine`` must reproduce them **bit-for-bit** — JSON
+floats round-trip exactly through ``repr``, so ``==`` on the decoded
 structures is exact float equality on every loss, step time, recovered
-count and final parameter.
+count and final parameter — and the recorder's output must be the
+committed bytes.
 
 One golden per loop family (flat sync/GC/IS-SGD/IS-GC, no-eval
 fallback, actor runtime, async, adaptive with a real migration,
@@ -49,9 +51,11 @@ def _golden(name: str):
 def test_engine_shims_match_pre_refactor_goldens(filename, recorder):
     fresh = _roundtrip(recorder())
     assert fresh == _golden(filename), (
-        f"{filename}: engine-backed run diverged from the pre-refactor "
-        "recording"
+        f"{filename}: engine-backed run diverged from the recording"
     )
+    assert record_goldens.serialise(fresh) == (
+        GOLDEN_DIR / filename
+    ).read_text(), f"{filename}: the recorder would rewrite the file"
 
 
 def test_goldens_cover_every_loop_family():

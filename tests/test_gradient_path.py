@@ -6,8 +6,9 @@ the package goes through it.  The oracle here shares none of that code:
 
 * partitions are cut the pre-block way (``array_split`` of the shuffle,
   fancy-indexed copies);
-* each batch is ``default_rng((seed, pid, step)).integers(n, size=b)``
-  written out, one generator per partition;
+* each batch is the stream (``repro.training.datasets.draw_indices``)
+  written out on Python integers, one index at a time — SplitMix64
+  from its published definition, pinned by its known first output;
 * each model's loss and gradient are the single-batch 2-D formulas the
   models had before they were stacked (``x @ w``, ``x.T @ d``, …) —
   except the conv net, whose own single-batch method *is* its
@@ -44,7 +45,7 @@ from repro.engine import (
     SyncUpdate,
     build_engine,
 )
-from repro.exceptions import TrainingError
+from repro.exceptions import ConfigurationError, TrainingError
 from repro.training import (
     Conv2DClassifier,
     Dataset,
@@ -56,6 +57,7 @@ from repro.training import (
     make_classification,
     partition_dataset,
 )
+from repro.training import datasets
 from repro.training.evaluation import held_out_loss
 
 
@@ -186,6 +188,29 @@ def reference_partitions(dataset: Dataset, count: int, seed: int):
     ]
 
 
+MASK64 = 2**64 - 1
+
+
+def splitmix64(seed: int, i: int) -> int:
+    """Output ``i + 1`` of SplitMix64 seeded with ``seed``."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_indices(seed, pid, step, n, size):
+    """Draws ``0 … size-1`` of partition ``pid`` (``n`` rows) at
+    ``step``: hash the key, the step, the partition and the draw in
+    turn, then multiply-shift the top 32 bits into ``[0, n)``."""
+    key = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    row = splitmix64(splitmix64(key, step), pid)
+    return np.array(
+        [(splitmix64(row, k) >> 32) * n >> 32 for k in range(size)],
+        dtype=np.intp,
+    )
+
+
 def reference_round(name, model, parts, batch_size, seed, step, thetas):
     """Losses and gradients of every partition, one at a time, at
     ``thetas[pid]``; the model's own parameters are put back."""
@@ -194,8 +219,7 @@ def reference_round(name, model, parts, batch_size, seed, step, thetas):
     losses, grads = [], []
     for pid, part in enumerate(parts):
         n = part.num_samples
-        rng = np.random.default_rng((seed, pid, step))
-        idx = rng.integers(n, size=min(batch_size, n))
+        idx = reference_indices(seed, pid, step, n, min(batch_size, n))
         loss, grad = oracle(
             model, thetas[pid], part.features[idx], part.labels[idx]
         )
@@ -207,7 +231,7 @@ def reference_round(name, model, parts, batch_size, seed, step, thetas):
 
 STEPS = st.one_of(
     st.integers(0, 200), st.integers(2**32, 2**32 + 10**6),
-    st.integers(2**63, 2**64),
+    st.integers(2**63, 2**64 - 1),
 )
 
 
@@ -303,6 +327,8 @@ class TestStackedRoundEqualsLoop:
         assert isinstance(loss, float)
         assert loss == want_loss, _fingerprint()
         assert_same_bits(grad, want_grad, f"{name} single batch")
+        # Held-out evaluation's forward-only pass gives the same bits.
+        assert model.loss(data.features, data.labels) == want_loss
 
     def test_parameter_rows_must_fit(self):
         model = LogisticRegressionModel(5)
@@ -332,18 +358,24 @@ class TestStreamDefinition:
         parts = partition_dataset(_dataset("linear", count + extra, 0), count)
         streams = build_batch_streams(parts, batch_size, seed=seed)
         n = parts[pid].num_samples
-        want = np.random.default_rng((seed, pid, step)).integers(
-            n, size=min(batch_size, n)
-        )
+        want = reference_indices(seed, pid, step, n, min(batch_size, n))
         assert_same_bits(streams[pid].indices(step), want, "index row")
         x, y = streams[pid].batch(step)
         assert_same_bits(x, parts[pid].features[want], "batch features")
         assert_same_bits(y, parts[pid].labels[want], "batch labels")
 
-    @pytest.mark.parametrize("step", ["3", -1, 1.5, True, None])
+    def test_splitmix64_is_the_published_generator(self):
+        # The first output of SplitMix64 seeded with 0 (Vigna's
+        # reference implementation), for the oracle and the library.
+        assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
+        zero = np.zeros(1, dtype=np.uint64)
+        assert datasets._outputs(zero, zero)[0] == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("step", ["3", -1, 1.5, True, None, 2**64])
     def test_step_must_be_a_non_negative_integer(self, step):
         # "3" used to draw step 3's batch; -1 and 1.5 leaked NumPy's
-        # ValueError / TypeError from the generator's constructor.
+        # ValueError / TypeError from the generator's constructor; the
+        # stream counts steps in 64 bits.
         model = LogisticRegressionModel(5)
         streams = build_batch_streams(
             partition_dataset(_dataset("logistic", 12, 0), 3), 4
@@ -352,6 +384,14 @@ class TestStreamDefinition:
             streams.gradients(model, step)
         with pytest.raises(TrainingError, match="step must be"):
             streams[0].batch(step)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "3", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # None would seed SeedSequence from OS entropy: a silently
+        # unrepeatable run.
+        parts = partition_dataset(_dataset("logistic", 12, 0), 3)
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            build_batch_streams(parts, 4, seed=seed)
 
     def test_numpy_integer_steps_are_steps(self):
         streams = build_batch_streams(
@@ -372,6 +412,97 @@ class TestStreamDefinition:
                 LogisticRegressionModel(5), streams, strategy,
                 FlatBackend(ClusterSimulator(2, 1)), SyncUpdate(SGD(0.1)),
             )
+
+
+def _index_blocks(seed, sizes, width, steps):
+    """``(len(steps), P, width)`` index rows of partitions of ``sizes``."""
+    key = datasets.stream_key(seed)
+    ids = np.arange(len(sizes), dtype=np.uint64)[:, None]
+    column = np.array(sizes, dtype=np.uint64)[:, None]
+    return np.stack([
+        datasets.draw_indices(key, step, ids, column, width)
+        for step in steps
+    ])
+
+
+def _independence_p(a, b, n):
+    """χ² test of independence of two index sequences over ``[0, n)``."""
+    from scipy.stats import chi2_contingency
+
+    table = np.zeros((n, n))
+    np.add.at(table, (a, b), 1)
+    return chi2_contingency(table).pvalue
+
+
+class TestStreamStatistics:
+    """The batch-index stream as a random source, at fixed seeds.
+
+    Budgets follow the ``(1 − f)^s ≤ p_fail`` rule: a defect touching a
+    fraction ``f`` of the samples escapes ``s`` independent ones with
+    probability ``(1 − f)^s``, so ``s ≥ ln(1/p_fail) / f``.  The χ²
+    tests use ``p ≥ 1e-6``: a correct stream fails one with probability
+    1e-6, and the seeds are fixed, so the outcome never flickers.
+    """
+
+    SEEDS = [2023, 7]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_partition_is_uniform(self, seed):
+        # 397 rows in 8 partitions: five of 50, three of 49.  A cell the
+        # stream cannot reach (f = 1/50 of the draws) escapes s = 20 000
+        # draws with (1 − 1/50)^20000 ≈ e^-404; each cell expects ≈ 400.
+        from scipy.stats import chisquare
+
+        sizes = [50] * 5 + [49] * 3
+        blocks = _index_blocks(seed, sizes, 8, range(2500))
+        for pid, n in enumerate(sizes):
+            counts = np.bincount(blocks[:, pid].ravel(), minlength=n)
+            assert len(counts) == n and counts.min() > 0, pid
+            assert chisquare(counts).pvalue >= 1e-6, (pid, counts)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_partitions_steps_draws_and_seeds_are_independent(self, seed):
+        # 12 × 12 contingency tables over s = 6 000 rounds (≈ 42 a
+        # cell): the draw of partition 0 against partition 1 (same
+        # step), step t + 1 (same partition), its next draw (same row)
+        # and seed + 1 (same coordinates).
+        sizes, steps = [12] * 8, range(6001)
+        blocks = _index_blocks(seed, sizes, 2, steps)
+        other_seed = _index_blocks(seed + 1, sizes, 2, steps)
+        first = blocks[:-1, 0, 0]
+        pairs = {
+            "partition": blocks[:-1, 1, 0],
+            "step": blocks[1:, 0, 0],
+            "draw": blocks[:-1, 0, 1],
+            "seed": other_seed[:-1, 0, 0],
+        }
+        for name, second in pairs.items():
+            assert _independence_p(first, second, 12) >= 1e-6, name
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_no_two_coordinates_share_a_row(self, seed):
+        # Rows of 16 draws from 1 000: equal by chance with probability
+        # 1e-48.  A key that ignores, or aliases, a coordinate on a
+        # fraction f = 1 % of pairs escapes s = 2 000 sampled pairs with
+        # (0.99)^2000 ≈ 1.9e-9.
+        rng = np.random.default_rng(seed)
+        key = datasets.stream_key(seed)
+        size = np.array([[1000]], dtype=np.uint64)
+
+        def row(key, step, pid):
+            ids = np.array([[pid]], dtype=np.uint64)
+            return tuple(datasets.draw_indices(key, step, ids, size, 16)[0])
+
+        other = datasets.stream_key(seed + 1)
+        for _ in range(500):
+            step = int(rng.integers(2**63))
+            pid = int(rng.integers(2**32))
+            here = row(key, step, pid)
+            for there in (
+                row(key, step, pid + 1), row(key, step + 1, pid),
+                row(key, pid, step), row(other, step, pid),
+            ):
+                assert here != there, (step, pid)
 
 
 class TestActorRoundSharesReplicaGradients:

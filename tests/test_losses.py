@@ -35,7 +35,7 @@ class TestMSE:
     def test_gradient_matches_numeric(self, rng):
         pred = rng.normal(size=8)
         target = rng.normal(size=8)
-        analytic = MeanSquaredError.grad(pred, target)
+        analytic = MeanSquaredError.value_and_grad(pred, target)[1]
         numeric = numeric_grad(lambda p: MeanSquaredError.value(p, target), pred)
         np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
@@ -69,13 +69,13 @@ class TestBinaryCrossEntropy:
         targets = np.array([0, 1])
         val = BinaryCrossEntropy.value(scores, targets)
         assert np.isfinite(val)
-        grad = BinaryCrossEntropy.grad(scores, targets)
+        grad = BinaryCrossEntropy.value_and_grad(scores, targets)[1]
         assert np.isfinite(grad).all()
 
     def test_gradient_matches_numeric(self, rng):
         scores = rng.normal(size=8)
         targets = rng.integers(2, size=8)
-        analytic = BinaryCrossEntropy.grad(scores, targets)
+        analytic = BinaryCrossEntropy.value_and_grad(scores, targets)[1]
         numeric = numeric_grad(
             lambda s: BinaryCrossEntropy.value(s, targets), scores
         )
@@ -108,7 +108,7 @@ class TestSoftmaxCrossEntropy:
     def test_gradient_matches_numeric(self, rng):
         logits = rng.normal(size=(5, 3))
         targets = rng.integers(3, size=5)
-        analytic = SoftmaxCrossEntropy.grad(logits, targets)
+        analytic = SoftmaxCrossEntropy.value_and_grad(logits, targets)[1]
         numeric = numeric_grad(
             lambda z: SoftmaxCrossEntropy.value(z, targets), logits
         )
@@ -117,5 +117,22 @@ class TestSoftmaxCrossEntropy:
     def test_gradient_rows_sum_to_zero(self, rng):
         logits = rng.normal(size=(5, 3))
         targets = rng.integers(3, size=5)
-        grad = SoftmaxCrossEntropy.grad(logits, targets)
+        grad = SoftmaxCrossEntropy.value_and_grad(logits, targets)[1]
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "loss, pred, target",
+    [
+        (MeanSquaredError, (3, 8), lambda rng: rng.normal(size=(3, 8))),
+        (BinaryCrossEntropy, (3, 8), lambda rng: rng.integers(2, size=(3, 8))),
+        (SoftmaxCrossEntropy, (3, 8, 4), lambda rng: rng.integers(4, size=(3, 8))),
+    ],
+)
+def test_value_and_grad_values_are_value(loss, pred, target, rng):
+    # Models train on value_and_grad and evaluate on value: the two must
+    # agree to the bit, stacked batches included.
+    pred, target = rng.normal(size=pred), target(rng)
+    np.testing.assert_array_equal(
+        loss.value_and_grad(pred, target)[0], loss.value(pred, target)
+    )
