@@ -12,8 +12,9 @@ and which clock advances:
 * :class:`ActorBackend` — the message-passing path over
   :class:`~repro.runtime.actors.MasterActor` /
   :class:`~repro.runtime.actors.WorkerActor`: parameters are broadcast,
-  each worker computes and encodes its own partitions, uploads race
-  through the event queue, and the master collects the accepted ones.
+  each worker computes and encodes its own partitions, the uploads
+  race through :func:`~repro.simulation.events.arrival_race` (the
+  simulator's own race), and the master collects the accepted ones.
 * :class:`AsyncArrivalBackend` — no synchronous rounds at all: a
   per-worker fetch/compute/upload pipeline whose arrivals the engine
   consumes one at a time (:meth:`RoundEngine.run_updates`).
@@ -41,7 +42,7 @@ from ..env import make_compute_model, make_delay_model, make_network_model
 from ..exceptions import ConfigurationError, TrainingError
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..simulation.cluster import ClusterSimulator, ComputeModel
-from ..simulation.events import Event, EventQueue
+from ..simulation.events import Event, EventQueue, arrival_race
 from ..simulation.network import NetworkModel
 from ..simulation.policies import WaitOutcome, WaitPolicy
 from ..straggler.models import DelayModel
@@ -177,7 +178,7 @@ class ActorBackend(ExecutionBackend):
 
     Owns the scheduling half of a round: the master/worker actors stay
     pure state machines, the backend drives broadcast → per-worker
-    compute/straggle/upload → event-queue race → wait policy →
+    compute/straggle/upload → arrival race → wait policy →
     delivery of accepted uploads.  The engine then decodes and
     updates; :meth:`on_record` commits the record back to the master
     so ``master.records`` / ``master.step`` track the run.
@@ -228,32 +229,23 @@ class ActorBackend(ExecutionBackend):
         broadcast_t = self._network.broadcast_time(
             len(broadcast.parameters), len(self.workers)
         )
-        queue = EventQueue()
         grad_elems = broadcast.parameters.size
         upload_t = self._network.transfer_time(grad_elems)
+        ids = [worker.worker_id for worker in self.workers]
         # One vectorized draw for the whole round; handle_broadcast is
         # RNG-free, so batching the delays ahead of the worker loop
         # keeps the random stream bit-identical to per-worker draws.
-        straggles = self._delays.sample_round(
-            [worker.worker_id for worker in self.workers],
-            broadcast.step,
-            self._rng,
-        )
-        for worker, straggle_t in zip(self.workers, straggles):
-            upload = worker.handle_broadcast(broadcast, start + broadcast_t)
-            compute_t = self._compute.step_time(len(worker.partitions))
-            arrival = (
-                start + broadcast_t + compute_t + float(straggle_t) + upload_t
-            )
-            queue.push(
-                Event(arrival, "upload", worker=worker.worker_id, payload=upload)
-            )
-
-        arrivals: Dict[int, float] = {}
+        straggles = self._delays.sample_round(ids, broadcast.step, self._rng)
         uploads: Dict[int, object] = {}
-        for event in queue.drain():
-            arrivals[event.worker] = event.time - start
-            uploads[event.worker] = event.payload
+        compute_t = np.empty(len(self.workers))
+        for i, worker in enumerate(self.workers):
+            uploads[worker.worker_id] = worker.handle_broadcast(
+                broadcast, start + broadcast_t
+            )
+            compute_t[i] = self._compute.step_time(len(worker.partitions))
+        arrivals = arrival_race(
+            ids, start, broadcast_t, compute_t, straggles, upload_t
+        )
 
         outcome = policy.wait(arrivals, broadcast.step)
         accepted = sorted(outcome.accepted_workers)

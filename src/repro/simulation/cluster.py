@@ -1,4 +1,4 @@
-"""Event-driven master/worker cluster simulator.
+"""Master/worker cluster simulator, one synchronous round at a time.
 
 One :class:`ClusterSimulator` models a synchronous training round:
 
@@ -7,8 +7,11 @@ One :class:`ClusterSimulator` models a synchronous training round:
    (``base_compute + c · per_partition_compute`` seconds), suffers a
    straggler delay from the injected :class:`~repro.straggler.DelayModel`,
    and uploads its coded gradient (network transfer time);
-3. arrival events are pushed into an :class:`EventQueue`; the caller's
-   wait policy then decides who is accepted and when the master moves on.
+3. the uploads race: :func:`~repro.simulation.events.arrival_race`
+   computes every live worker's finish time as one float64 array and
+   orders the arrivals by a stable argsort (ties by worker order); the
+   caller's wait policy then decides who is accepted and when the
+   master moves on.
 
 All time is simulated seconds.  Two time origins coexist and are kept
 strictly apart:
@@ -37,7 +40,7 @@ from ..exceptions import ConfigurationError, SimulationError
 from ..straggler.failures import FailureModel, NoFailures
 from ..straggler.models import DelayModel, NoDelay
 from .contention import ContendedUploadModel
-from .events import Event, EventQueue
+from .events import arrival_race
 from .network import NetworkModel
 from .policies import WaitOutcome, WaitPolicy
 
@@ -221,59 +224,50 @@ class ClusterSimulator:
         with a ``contended_link`` the uploads fair-share the master's
         ingress bandwidth instead of transferring independently.
 
-        The round is drawn in two batches: all alive checks (worker
-        order), then one :meth:`DelayModel.sample_round` over the
-        survivors — a single vectorized draw for the vectorizable
-        families instead of ``n`` scalar ones.
+        The round is drawn in two batches: one
+        :meth:`FailureModel.alive_round` (worker order), then one
+        :meth:`DelayModel.sample_round` over the survivors.  The
+        uncontended race is one :func:`arrival_race` call, so
+        ``arrivals`` iterates in arrival order (ties by worker id);
+        under contention it iterates in worker order.
         """
         start = self._clock
         broadcast = self._network.broadcast_time(
             self._gradient_elements, self._n
         )
-        alive = [
-            worker
-            for worker in range(self._n)
-            if self._failures.is_alive(worker, step, self._rng)
-        ]
+        alive = self._failures.alive_round(self._n, step, self._rng)
         if not alive:
             raise SimulationError(
                 f"step {step}: every worker failed; nothing to wait for"
             )
         compute_t = self._compute.step_time(self._c)
         straggles = self._delays.sample_round(alive, step, self._rng)
-        upload_starts = {
-            worker: start + broadcast + compute_t + float(straggle_t)
-            for worker, straggle_t in zip(alive, straggles)
-        }
 
         if self._link is not None:
+            upload_starts = {
+                worker: start + broadcast + compute_t + float(straggle_t)
+                for worker, straggle_t in zip(alive, straggles)
+            }
             contended = self._link.round_arrivals(
                 upload_starts, self._gradient_elements
             )
-            arrivals = contended.arrivals
+            # Policies reason in step-relative time (deadlines).
+            relative = {
+                w: t - start for w, t in contended.arrivals.items()
+            }
         else:
-            queue = EventQueue()
-            upload_t = self._network.transfer_time(self._gradient_elements)
-            for worker, begun in upload_starts.items():
-                queue.push(
-                    Event(
-                        time=begun + upload_t,
-                        kind="gradient_arrival",
-                        worker=worker,
-                    )
-                )
-            arrivals = {ev.worker: ev.time for ev in queue.drain()}
-        # Policies reason in step-relative time (deadlines); convert
-        # once and keep the relative convention all the way out — the
-        # returned RoundResult carries the policy's outcome verbatim.
-        relative = {w: t - start for w, t in arrivals.items()}
+            relative = arrival_race(
+                alive,
+                start,
+                broadcast,
+                compute_t,
+                straggles,
+                self._network.transfer_time(self._gradient_elements),
+            )
         outcome = policy.wait(relative, step)
         end = start + outcome.proceed_time
         self._clock = end
-        per_worker_compute = self._compute.step_time(self._c)
-        wasted = per_worker_compute * sum(
-            1 for w in relative if w not in outcome.accepted_workers
-        )
+        wasted = compute_t * len(relative.keys() - outcome.accepted_workers)
         if self._tracer is not None:
             self._tracer.record_round(
                 step=step,

@@ -1,10 +1,16 @@
 """Discrete-event primitives for the cluster simulator.
 
-A tiny but real event-driven core: a priority queue of timestamped
-events with deterministic tie-breaking (by insertion sequence), which is
-what makes whole simulations reproducible bit-for-bit under a fixed
-seed.  The synchronous-step experiments drive it one round at a time;
-the queue also supports open-ended pipelined simulations.
+Two pieces, one ordering rule — earliest first, ties by insertion
+order — which is what makes whole simulations reproducible bit-for-bit
+under a fixed seed:
+
+* :func:`arrival_race` — one synchronous round's upload race as a
+  single float64 computation and a stable argsort.  Both synchronous
+  paths (``ClusterSimulator.run_round`` and the actor backend) order
+  their arrivals through it, so the two cannot drift.
+* :class:`EventQueue` — a priority queue of timestamped events for
+  open-ended pipelined simulations (the asynchronous backend's
+  cross-round queue).
 """
 
 from __future__ import annotations
@@ -12,9 +18,52 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Sequence
+
+import numpy as np
 
 from ..exceptions import SimulationError
+
+
+def arrival_race(
+    workers: Sequence[int],
+    start: float,
+    broadcast: float,
+    compute,
+    straggles,
+    upload: float,
+) -> Dict[int, float]:
+    """Step-relative upload arrivals of one synchronous round, in
+    arrival order.
+
+    Worker ``workers[i]`` finishes at
+    ``(((start + broadcast) + compute) + straggles[i]) + upload``
+    absolute seconds — ``compute`` is one float or an array aligned
+    with ``workers`` — and the returned time is that minus ``start``.
+    The operations run in that order, elementwise in float64, so every
+    time is bit-identical to the scalar expression.
+
+    The dict's iteration order is the arrival order: earliest first,
+    ties broken by position in ``workers`` (a stable argsort), exactly
+    the ``(time, insertion sequence)`` order of an :class:`EventQueue`
+    fed in ``workers`` order.  Trace files serialise that order.
+    """
+    finish = (
+        (start + broadcast + compute) + np.asarray(straggles, dtype=float)
+    ) + upload
+    order = finish.argsort(kind="stable")
+    if order.size and finish[order[0]] < 0:
+        # Name the first negative time in worker order, as a queue fed
+        # in that order would have refused it.
+        raise SimulationError(
+            f"negative event time {float(finish[finish < 0][0])}"
+        )
+    return dict(
+        zip(
+            np.asarray(workers)[order].tolist(),
+            (finish[order] - start).tolist(),
+        )
+    )
 
 
 @dataclass(frozen=True, order=False)

@@ -10,7 +10,7 @@ cluster simulator drops the arrivals of dead workers.
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, List
 
 import numpy as np
 
@@ -23,6 +23,22 @@ class FailureModel(abc.ABC):
     @abc.abstractmethod
     def is_alive(self, worker: int, step: int, rng: np.random.Generator) -> bool:
         """Whether ``worker``'s upload happens at ``step``."""
+
+    def alive_round(
+        self, num_workers: int, step: int, rng: np.random.Generator
+    ) -> List[int]:
+        """The workers in ``range(num_workers)`` alive at ``step``,
+        ascending.
+
+        Contract: consumes ``rng`` exactly as :meth:`is_alive` called
+        for each worker in order would.  The default is that loop;
+        overrides answer it in one call.
+        """
+        return [
+            worker
+            for worker in range(num_workers)
+            if self.is_alive(worker, step, rng)
+        ]
 
     def reset(self) -> None:
         """Forget any internal state so a replay reproduces the run.
@@ -39,6 +55,12 @@ class NoFailures(FailureModel):
     def is_alive(self, worker: int, step: int, rng: np.random.Generator) -> bool:
         """Always ``True``."""
         return True
+
+    def alive_round(
+        self, num_workers: int, step: int, rng: np.random.Generator
+    ) -> List[int]:
+        """Every worker."""
+        return list(range(num_workers))
 
 
 class PermanentCrashes(FailureModel):
@@ -84,7 +106,12 @@ class TransientDropouts(FailureModel):
 
 
 class CompositeFailures(FailureModel):
-    """Alive only if alive under *every* constituent model."""
+    """Alive only if alive under *every* constituent model.
+
+    Keeps the default :meth:`FailureModel.alive_round` loop: the
+    ``all()`` short-circuit skips later models' draws for a worker an
+    earlier model already killed, and that skip is part of the stream.
+    """
 
     def __init__(self, models: Iterable[FailureModel]):
         self._models = list(models)

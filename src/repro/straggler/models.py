@@ -63,6 +63,14 @@ class DelayModel(abc.ABC):
         ``Generator`` fills a size-``k`` request by applying the scalar
         routine ``k`` times, so batched and looped simulation produce
         identical delay streams.
+
+        The compound families — :class:`BernoulliStraggler`,
+        :class:`PersistentStragglers` and :class:`MixtureDelay` — keep
+        this default loop, and the stream definition forbids otherwise:
+        per worker they draw a gate or component first and then the
+        inner model's delay, and numpy's exponential and pareto use a
+        ziggurat that consumes a variable number of 64-bit words, so no
+        sized draw can reproduce that interleaving.
         """
         return np.array(
             [self.sample(w, step, rng) for w in workers], dtype=float
@@ -377,10 +385,14 @@ class MixtureDelay(DelayModel):
         if total <= 0 or any(w < 0 for w in weights):
             raise ConfigurationError("weights must be non-negative and sum > 0")
         self._models = list(models)
-        self._weights = np.asarray(weights, dtype=float) / total
+        # Generator.choice(p=weights / total) inverts this cdf against
+        # one uniform; doing it directly draws the same component from
+        # the same stream without choice's per-call validation.
+        self._cdf = (np.asarray(weights, dtype=float) / total).cumsum()
+        self._cdf /= self._cdf[-1]
 
     def sample(self, worker: int, step: int, rng: np.random.Generator) -> float:
-        idx = int(rng.choice(len(self._models), p=self._weights))
+        idx = int(self._cdf.searchsorted(rng.random(), side="right"))
         return self._models[idx].sample(worker, step, rng)
 
     def reset(self) -> None:

@@ -137,4 +137,6 @@ class TraceReplayModel(DelayModel):
         if not ordered:
             return np.zeros(0)
         row = step % self._trace.num_steps
-        return self._trace.delays[row, ordered].astype(float)
+        # ``DelayTrace`` stores float64 and fancy indexing copies, so no
+        # ``astype`` is needed.
+        return self._trace.delays[row, ordered]

@@ -44,7 +44,7 @@ from repro.env import (
     resolve_model,
     spec_of,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.cluster import ClusterSimulator, ComputeModel
 from repro.simulation.network import NetworkModel
 from repro.straggler.failures import (
@@ -307,6 +307,29 @@ class TestSampleRound:
         np.testing.assert_array_equal(
             model.sample_round([1], 2, rng), [1.0]
         )
+
+    @pytest.mark.parametrize(
+        "workers, bad",
+        [
+            ([0, -1, 2], -1),
+            ([1, 3, 0], 3),
+            ([2, 5, 4], 5),
+            ([np.int64(0), np.int64(3)], 3),
+        ],
+    )
+    def test_trace_replay_names_first_outside_worker(self, workers, bad):
+        model = TraceReplayModel(DelayTrace(np.zeros((2, 3))))
+        with pytest.raises(SimulationError) as err:
+            model.sample_round(workers, 0, np.random.default_rng(0))
+        assert str(err.value) == f"worker {bad} outside trace width 3"
+
+    def test_trace_replay_numpy_ids(self):
+        table = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        model = TraceReplayModel(DelayTrace(table))
+        ids = np.array([2, 1], dtype=np.int32)
+        out = model.sample_round(list(ids), 1, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, [5.0, 4.0])
+        assert out.dtype == np.float64
 
 
 # ----------------------------------------------------------------------

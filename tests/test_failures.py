@@ -5,6 +5,7 @@ import pytest
 
 from conftest import sync_engine
 from repro.core import CyclicRepetition
+from repro.env import failure_model_from, registered_models
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
     BestEffortWaitForK,
@@ -68,6 +69,54 @@ class TestFailureModels:
     def test_composite_validation(self):
         with pytest.raises(ConfigurationError):
             CompositeFailures([])
+
+
+#: One spec per registered failure family, plus the composites whose
+#: short-circuit shapes the stream: two dropouts, a crash then a dropout.
+ALIVE_ROUND_CASES = {
+    "none": {"kind": "none"},
+    "permanent-crashes": {
+        "kind": "permanent-crashes", "crashed_workers": [1, 4, 6],
+        "at_step": 2,
+    },
+    "transient-dropouts": {"kind": "transient-dropouts", "probability": 0.3},
+    "composite": {
+        "kind": "composite",
+        "models": [
+            {"kind": "transient-dropouts", "probability": 0.2},
+            {"kind": "transient-dropouts", "probability": 0.4},
+        ],
+    },
+    "composite-crash-then-dropout": {
+        "kind": "composite",
+        "models": [
+            {"kind": "permanent-crashes", "crashed_workers": [0, 3]},
+            {"kind": "transient-dropouts", "probability": 0.5},
+        ],
+    },
+}
+
+
+class TestAliveRound:
+    """``alive_round`` is the ``is_alive`` loop in worker order: same
+    ids, same generator end state."""
+
+    def test_every_registered_family_has_a_case(self):
+        assert set(registered_models("failure")) <= set(ALIVE_ROUND_CASES)
+
+    @pytest.mark.parametrize("case", sorted(ALIVE_ROUND_CASES))
+    def test_matches_is_alive_loop(self, case):
+        model = failure_model_from(ALIVE_ROUND_CASES[case])
+        ours, loop = np.random.default_rng(3), np.random.default_rng(3)
+        for step in range(6):
+            for n in (1, 8, 24):
+                expected = [
+                    w for w in range(n) if model.is_alive(w, step, loop)
+                ]
+                got = model.alive_round(n, step, ours)
+                assert got == expected
+                assert all(type(w) is int for w in got)
+        assert ours.bit_generator.state == loop.bit_generator.state
 
 
 class TestSimulatorWithFailures:

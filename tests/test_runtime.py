@@ -14,7 +14,7 @@ from repro.runtime import (
     ParameterBroadcast,
     WorkerActor,
 )
-from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
+from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel, WaitForK
 from repro.straggler import DelayTrace, ExponentialDelay, TraceReplayModel
 from repro.training import (
     ISGCStrategy,
@@ -225,3 +225,46 @@ class TestEquivalenceWithFlatTrainer:
         for a, b in zip(runtime.backend.master.records, flat.records):
             assert a.num_recovered == b.num_recovered
             assert a.num_available == b.num_available
+
+
+class TestActorRace:
+    """The actor backend races its uploads through the simulator's own
+    ``arrival_race``: earliest first, ties by position in the worker
+    list."""
+
+    @pytest.mark.parametrize(
+        "delays, expected, accepted",
+        [
+            # Every worker ties: the worker list's order, as given (the
+            # wait policy itself breaks its ties by worker id).
+            ([0.0, 0.0, 0.0, 0.0], [3, 1, 0, 2], [0, 1]),
+            # Two pairs of ties: 3 and 1 at zero delay, then 0 and 2.
+            ([0.5, 0.0, 0.5, 0.0], [3, 1, 0, 2], [1, 3]),
+            ([0.0, 0.5, 0.0, 0.5], [0, 2, 3, 1], [0, 2]),
+        ],
+    )
+    def test_tied_arrivals_follow_worker_list(
+        self, workload, delays, expected, accepted
+    ):
+        ds, streams = workload
+        strategy = _strategy("issgd")
+        model = LogisticRegressionModel(8, seed=0)
+        compute = ComputeModel(0.02, 0.02)
+        backend = ActorBackend(
+            MasterActor(strategy, model),
+            [WorkerActor(i, strategy, model, streams) for i in (3, 1, 0, 2)],
+            compute=compute,
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            delay_model=TraceReplayModel(DelayTrace(np.array([delays]))),
+            rng=np.random.default_rng(0),
+        )
+        engine = RoundEngine(
+            model, streams, strategy, backend, SyncUpdate(SGD(0.3)),
+            eval_data=ds,
+        )
+        execution = backend.execute_round(engine, 0, WaitForK(2))
+        assert list(execution.arrivals) == expected
+        assert execution.accepted == accepted
+        compute_t = compute.step_time(strategy.placement.partitions_per_worker)
+        for worker, delay in enumerate(delays):
+            assert execution.arrivals[worker] == compute_t + delay

@@ -1,22 +1,36 @@
 """Tests for the discrete-event simulation layer."""
 
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.env import delay_model_from, failure_model_from
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
     AdaptiveWaitK,
+    BestEffortWaitForK,
     ClusterSimulator,
     ComputeModel,
+    ContendedUploadModel,
     DeadlinePolicy,
     Event,
     EventQueue,
     NetworkModel,
+    RoundResult,
     WaitForAll,
     WaitForK,
     linear_rampup,
 )
-from repro.obs import StepStatistics, moving_average, steps_to_threshold
+from repro.simulation.events import arrival_race
+from repro.obs import (
+    RoundTracer,
+    StepStatistics,
+    moving_average,
+    steps_to_threshold,
+)
 from repro.straggler import NoDelay, PersistentStragglers, ShiftedExponentialDelay
 from repro.types import StepRecord
 
@@ -442,3 +456,258 @@ class TestWastedCompute:
             for i, k in enumerate((1, 2, 4))
         ]
         assert wastes[0] > wastes[1] > wastes[2]
+
+
+# ----------------------------------------------------------------------
+# The arrival race against the event-queue round it replaced
+# ----------------------------------------------------------------------
+class QueueRound:
+    """Test-only reference: the event-queue round ``run_round`` ran
+    before the vectorised race — one ``is_alive`` call per worker, one
+    :class:`Event` per upload pushed through an :class:`EventQueue`,
+    arrivals in pop order."""
+
+    def __init__(self, n, c, compute, network, delays, failures, link,
+                 rng, tracer, gradient_elements=10_000):
+        self.n, self.c = n, c
+        self.compute, self.network = compute, network
+        self.delays, self.failures, self.link = delays, failures, link
+        self.rng, self.tracer = rng, tracer
+        self.elements = gradient_elements
+        self.clock = 0.0
+
+    def run_round(self, step, policy):
+        start = self.clock
+        broadcast = self.network.broadcast_time(self.elements, self.n)
+        alive = [
+            w for w in range(self.n)
+            if self.failures.is_alive(w, step, self.rng)
+        ]
+        if not alive:
+            raise SimulationError(
+                f"step {step}: every worker failed; nothing to wait for"
+            )
+        compute_t = self.compute.step_time(self.c)
+        straggles = self.delays.sample_round(alive, step, self.rng)
+        upload_starts = {
+            w: start + broadcast + compute_t + float(straggle_t)
+            for w, straggle_t in zip(alive, straggles)
+        }
+        if self.link is not None:
+            arrivals = self.link.round_arrivals(
+                upload_starts, self.elements
+            ).arrivals
+        else:
+            queue = EventQueue()
+            upload_t = self.network.transfer_time(self.elements)
+            for w, begun in upload_starts.items():
+                queue.push(Event(
+                    time=begun + upload_t, kind="gradient_arrival", worker=w
+                ))
+            arrivals = {ev.worker: ev.time for ev in queue.drain()}
+        relative = {w: t - start for w, t in arrivals.items()}
+        outcome = policy.wait(relative, step)
+        end = start + outcome.proceed_time
+        self.clock = end
+        wasted = compute_t * sum(
+            1 for w in relative if w not in outcome.accepted_workers
+        )
+        if self.tracer is not None:
+            self.tracer.record_round(
+                step=step, arrivals=relative, outcome=outcome,
+                policy=policy.describe(), step_start=start, step_end=end,
+                wasted_compute=wasted,
+            )
+        return RoundResult(
+            arrivals=relative, outcome=outcome, step_start=start,
+            step_end=end, wasted_compute=wasted,
+        )
+
+
+def _delay_spec(draw, n):
+    amount = st.floats(min_value=0.0, max_value=2.0)
+    family = draw(st.sampled_from([
+        "none", "exponential", "shifted-exponential", "pareto",
+        "bernoulli", "persistent", "mixture", "bursty", "trace-replay",
+    ]))
+    workers = st.lists(
+        st.integers(min_value=0, max_value=n - 1), max_size=n, unique=True
+    )
+    if family == "none":
+        return {"kind": "none"}
+    if family == "exponential":
+        affected = draw(st.one_of(st.none(), workers))
+        return {"kind": "exponential", "mean": draw(amount),
+                "affected": affected}
+    if family == "shifted-exponential":
+        return {"kind": family, "shift": draw(amount), "mean": draw(amount)}
+    if family == "pareto":
+        return {"kind": "pareto", "alpha": draw(st.floats(0.5, 4.0)),
+                "scale": draw(amount)}
+    if family == "bernoulli":
+        return {"kind": "bernoulli", "probability": draw(st.floats(0, 1)),
+                "delay": {"kind": "exponential", "mean": draw(amount)}}
+    if family == "persistent":
+        return {"kind": "persistent", "stragglers": draw(workers),
+                "mean": draw(amount), "background_mean": draw(amount)}
+    if family == "mixture":
+        return {"kind": "mixture",
+                "models": [{"kind": "none"},
+                           {"kind": "exponential", "mean": draw(amount)},
+                           {"kind": "pareto", "alpha": 2.5, "scale": 0.5}],
+                "weights": draw(st.lists(st.floats(0.1, 1.0),
+                                         min_size=3, max_size=3))}
+    if family == "bursty":
+        return {"kind": "bursty",
+                "burst": {"kind": "exponential", "mean": draw(amount)},
+                "enter_burst": draw(st.floats(0, 1)),
+                "exit_burst": draw(st.floats(0, 1))}
+    # Replayed delays from a three-value alphabet: ties between some
+    # workers but not all.
+    row = st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)
+    return {"kind": "trace-replay",
+            "delays": draw(st.lists(row, min_size=1, max_size=3))}
+
+
+def _failure_spec(draw, n):
+    dropouts = {"kind": "transient-dropouts",
+                "probability": draw(st.floats(0.0, 0.6))}
+    crashes = {"kind": "permanent-crashes",
+               "crashed_workers": draw(st.lists(
+                   st.integers(0, n - 1), max_size=n - 1, unique=True)),
+               "at_step": draw(st.integers(0, 3))}
+    return draw(st.sampled_from([
+        {"kind": "none"},
+        dropouts,
+        crashes,
+        {"kind": "composite", "models": [dropouts, dropouts]},
+        {"kind": "composite", "models": [crashes, dropouts]},
+    ]))
+
+
+def _policy(draw, n):
+    kind = draw(st.sampled_from(["wait", "best-effort", "deadline", "adaptive"]))
+    if kind == "wait":
+        return WaitForK(draw(st.integers(1, n)))
+    if kind == "best-effort":
+        return BestEffortWaitForK(draw(st.integers(1, n + 2)))
+    if kind == "deadline":
+        return DeadlinePolicy(draw(st.floats(0.01, 5.0)))
+    return AdaptiveWaitK(linear_rampup(
+        draw(st.integers(1, n)), draw(st.integers(1, n)),
+        draw(st.integers(1, 4)),
+    ))
+
+
+@st.composite
+def race_scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    contention = draw(st.booleans())
+    return {
+        "n": n,
+        "c": draw(st.integers(1, 3)),
+        "compute": ComputeModel(
+            draw(st.sampled_from([0.0, 0.05, 0.1])),
+            draw(st.sampled_from([0.0, 0.1])),
+        ),
+        "network": NetworkModel(
+            latency=draw(st.sampled_from([0.0, 0.001, 0.25])),
+            bandwidth=draw(st.sampled_from([float("inf"), 1e6, 1.25e9])),
+        ),
+        "delay": _delay_spec(draw, n),
+        "failure": _failure_spec(draw, n),
+        "capacity": (
+            draw(st.sampled_from([1e5, 4e5, 1e7])) if contention else None
+        ),
+        "policy": _policy(draw, n),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _jsonl_bytes(tracer):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "trace.jsonl"
+        tracer.export_jsonl(path)
+        return path.read_bytes()
+
+
+def _play(run_round, policy, rounds):
+    """Results (or the raised error) of ``rounds`` consecutive rounds."""
+    played = []
+    for step in range(rounds):
+        try:
+            played.append(run_round(step, policy))
+        except Exception as exc:  # compared, never swallowed
+            played.append((type(exc), str(exc)))
+            break
+    return played
+
+
+class TestArrivalRace:
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=race_scenarios())
+    def test_run_round_equals_event_queue_reference(self, scenario):
+        """Same results, arrival order, trace bytes and generator end
+        state as the event-queue round, across delay, failure and
+        contention families and the wait policies."""
+        def parts():
+            link = (
+                None if scenario["capacity"] is None
+                else ContendedUploadModel(scenario["capacity"])
+            )
+            return (
+                delay_model_from(scenario["delay"]),
+                failure_model_from(scenario["failure"]),
+                link,
+                np.random.default_rng(scenario["seed"]),
+                RoundTracer(scheme="race"),
+            )
+
+        delays, failures, link, rng, tracer = parts()
+        sim = ClusterSimulator(
+            scenario["n"], scenario["c"], compute=scenario["compute"],
+            network=scenario["network"], delay_model=delays,
+            failure_model=failures, contended_link=link, rng=rng,
+            tracer=tracer,
+        )
+        ref_delays, ref_failures, ref_link, ref_rng, ref_tracer = parts()
+        ref = QueueRound(
+            scenario["n"], scenario["c"], scenario["compute"],
+            scenario["network"], ref_delays, ref_failures, ref_link,
+            ref_rng, ref_tracer,
+        )
+        policy = scenario["policy"]
+        got = _play(sim.run_round, policy, 4)
+        expected = _play(ref.run_round, policy, 4)
+        assert got == expected
+        for ours, theirs in zip(got, expected):
+            if isinstance(ours, RoundResult):
+                assert list(ours.arrivals) == list(theirs.arrivals)
+        assert sim.clock == ref.clock
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _jsonl_bytes(tracer) == _jsonl_bytes(ref_tracer)
+
+    def test_ties_break_by_worker_order(self):
+        sim = ClusterSimulator(
+            5, 1, network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            rng=np.random.default_rng(0),
+        )
+        result = sim.run_round(0, WaitForK(3))
+        assert list(result.arrivals) == [0, 1, 2, 3, 4]
+        assert result.outcome.accepted_workers == frozenset({0, 1, 2})
+
+    def test_race_orders_by_time_then_position(self):
+        arrivals = arrival_race(
+            [7, 3, 5, 1], 2.0, 0.5, np.array([1.0, 0.5, 1.0, 0.5]),
+            [0.0, 0.5, 0.0, 0.0], 0.25,
+        )
+        # Finish times 3.75, 3.75, 3.75, 3.25: worker 1 first, then the
+        # three-way tie in list order.
+        assert list(arrivals) == [1, 7, 3, 5]
+        assert arrivals[1] == ((2.0 + 0.5 + 0.5) + 0.0) + 0.25 - 2.0
+        assert all(type(w) is int for w in arrivals)
+        assert all(type(t) is float for t in arrivals.values())
+
+    def test_race_rejects_negative_times(self):
+        with pytest.raises(SimulationError, match="negative event time -0.5"):
+            arrival_race([0, 1], 0.0, 0.0, 0.0, [1.0, -0.5], 0.0)

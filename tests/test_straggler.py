@@ -131,6 +131,23 @@ class TestMixture:
         vals = {round(model.sample(0, s, rng), 6) for s in range(200)}
         assert vals == {1.0, 3.0}
 
+    @pytest.mark.parametrize(
+        "weights", [[0.8, 0.2], [1.0, 1.0, 3.0], [0.0, 1.0, 0.0], [1.0]]
+    )
+    def test_component_pick_matches_choice_oracle(self, weights):
+        """The cdf inversion picks what ``Generator.choice(p=…)`` picks
+        and leaves the generator in the same state."""
+        model = MixtureDelay(
+            [ShiftedExponentialDelay(float(k), 0.0) for k in range(len(weights))],
+            weights,
+        )
+        p = np.asarray(weights, dtype=float) / sum(weights)
+        ours, oracle = np.random.default_rng(7), np.random.default_rng(7)
+        for step in range(2000):
+            picked = model.sample(0, step, ours)
+            assert picked == float(oracle.choice(len(weights), p=p))
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             MixtureDelay([], [])
