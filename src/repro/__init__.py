@@ -50,66 +50,27 @@ See ``examples/quickstart.py`` for a runnable walk-through,
 ``EXPERIMENTS.md`` for the paper-figure reproductions.
 """
 
-from .exceptions import (
-    AdmissionError,
-    CodingError,
-    ConfigurationError,
-    DecodeError,
-    ObservabilityError,
-    PlacementError,
-    ReproError,
-    ServeError,
-    SimulationError,
-    SubmissionRejectedError,
-    TrainingError,
-)
-from .types import DecodeResult, StepRecord, TrainingSummary
+from .exceptions import ConfigurationError
 from .core import (
-    CRDecoder,
-    ExplicitPlacement,
     CyclicRepetition,
     Decoder,
-    DescentBound,
-    ExactDecoder,
-    FRDecoder,
     FractionalRepetition,
-    HRDecoder,
     HybridRepetition,
-    PLACEMENT_REGISTRY,
-    Placement,
     PlacementScheme,
     SummationCode,
-    alpha_lower_bound,
-    alpha_upper_bound,
-    as_placement,
     conflict_graph,
     decoder_for,
     make_placement,
     placement_scheme,
-    rank_placements,
     recommend_placement,
-    recovered_partitions_bounds,
-    register_placement,
     registered_placements,
     scheme_for,
 )
-from .codes import (
-    ClassicGradientCode,
-    CommEfficientGC,
-    LeastSquaresDecoder,
-    StochasticSumDecoder,
-)
+from .codes import ClassicGradientCode
 from .straggler import (
-    BernoulliStraggler,
-    EstimatingWaitPolicy,
-    LatencyEstimator,
-    PermanentCrashes,
-    TransientDropouts,
     DelayModel,
     DelayTrace,
     ExponentialDelay,
-    MixtureDelay,
-    NoDelay,
     ParetoDelay,
     PersistentStragglers,
     ShiftedExponentialDelay,
@@ -117,22 +78,16 @@ from .straggler import (
 )
 from .simulation import (
     AdaptiveWaitK,
-    BestEffortWaitForK,
-    ContendedUploadModel,
     ClusterSimulator,
     ComputeModel,
     DeadlinePolicy,
     NetworkModel,
-    WaitForAll,
     WaitForK,
-    WaitPolicy,
 )
 from .training import (
     ClassicGCStrategy,
     ISGCStrategy,
     ISSGDStrategy,
-    LinearRegressionModel,
-    LogisticRegressionModel,
     MLPClassifier,
     SGD,
     SoftmaxRegressionModel,
@@ -140,27 +95,10 @@ from .training import (
     build_batch_streams,
     make_cifar_like,
     make_classification,
-    make_regression,
     partition_dataset,
 )
-from .env import (
-    ENV_REGISTRY,
-    Environment,
-    make_compute_model,
-    make_contention_model,
-    make_delay_model,
-    make_failure_model,
-    make_network_model,
-    model_fingerprint,
-    register_compute,
-    register_contention,
-    register_delay,
-    register_failure,
-    register_network,
-    registered_models,
-    spec_of,
-)
-from .analysis import monte_carlo_recovery, recovery_curve, summarize_trials
+from .env import Environment, make_delay_model
+from .analysis import monte_carlo_recovery
 from .engine import (
     EnginePlan,
     EngineState,
@@ -169,27 +107,15 @@ from .engine import (
     RunReport,
     build_engine,
     build_run_report,
-    make_strategy,
-    register_backend,
     register_scheme,
     run_spec,
 )
 from .parallel import DecodeCache, ProcessExecutor, SerialExecutor
-from .obs import (
-    MetricsRegistry,
-    RoundTrace,
-    RoundTracer,
-    TraceStreamWriter,
-    aggregate_traces,
-    read_traces,
-    write_traces,
-)
+from .obs import RoundTracer, TraceStreamWriter, aggregate_traces, read_traces
 from .serve import (
     Coordinator,
     CoordinatorClient,
-    JobCancelledError,
     JobFailedError,
-    JobState,
     SchedulingClass,
     ServeMailbox,
     WorkerPool,
@@ -198,77 +124,48 @@ from .serve import (
 
 __version__ = "1.0.0"
 
+#: Exactly the names the README, ``docs/``, ``examples/``, the tour
+#: above and ``benchmarks/e2e/`` import from ``repro`` (pinned by
+#: ``tests/test_docs_runnable.py``); everything else is imported from
+#: its subpackage.
 __all__ = [
     # errors
-    "ReproError",
     "ConfigurationError",
-    "PlacementError",
-    "DecodeError",
-    "CodingError",
-    "SimulationError",
-    "TrainingError",
-    "ObservabilityError",
-    "ServeError",
-    "AdmissionError",
-    "SubmissionRejectedError",
-    # types
-    "DecodeResult",
-    "StepRecord",
-    "TrainingSummary",
     # core
-    "Placement",
     "FractionalRepetition",
     "CyclicRepetition",
     "HybridRepetition",
     "conflict_graph",
     "PlacementScheme",
-    "PLACEMENT_REGISTRY",
-    "register_placement",
     "registered_placements",
     "placement_scheme",
     "make_placement",
-    "as_placement",
     "scheme_for",
     "Decoder",
     "decoder_for",
-    "FRDecoder",
-    "CRDecoder",
-    "HRDecoder",
-    "ExactDecoder",
     "SummationCode",
-    "DescentBound",
-    "alpha_lower_bound",
-    "alpha_upper_bound",
-    "recovered_partitions_bounds",
+    "recommend_placement",
     # codes
     "ClassicGradientCode",
     # straggler
     "DelayModel",
-    "NoDelay",
     "ExponentialDelay",
     "ShiftedExponentialDelay",
     "ParetoDelay",
-    "BernoulliStraggler",
     "PersistentStragglers",
-    "MixtureDelay",
     "DelayTrace",
     "TraceReplayModel",
     # simulation
     "ClusterSimulator",
     "ComputeModel",
     "NetworkModel",
-    "WaitPolicy",
     "WaitForK",
-    "WaitForAll",
     "DeadlinePolicy",
     "AdaptiveWaitK",
     # training
     "SGD",
-    "LinearRegressionModel",
-    "LogisticRegressionModel",
     "SoftmaxRegressionModel",
     "MLPClassifier",
-    "make_regression",
     "make_classification",
     "make_cifar_like",
     "partition_dataset",
@@ -278,38 +175,10 @@ __all__ = [
     "ClassicGCStrategy",
     "ISGCStrategy",
     # environment registry
-    "ENV_REGISTRY",
     "Environment",
     "make_delay_model",
-    "make_failure_model",
-    "make_compute_model",
-    "make_network_model",
-    "make_contention_model",
-    "register_delay",
-    "register_failure",
-    "register_compute",
-    "register_network",
-    "register_contention",
-    "registered_models",
-    "spec_of",
-    "model_fingerprint",
     # analysis
     "monte_carlo_recovery",
-    "recovery_curve",
-    "summarize_trials",
-    # extensions
-    "ExplicitPlacement",
-    "rank_placements",
-    "recommend_placement",
-    "CommEfficientGC",
-    "LeastSquaresDecoder",
-    "StochasticSumDecoder",
-    "LatencyEstimator",
-    "EstimatingWaitPolicy",
-    "PermanentCrashes",
-    "TransientDropouts",
-    "BestEffortWaitForK",
-    "ContendedUploadModel",
     # engine
     "RoundEngine",
     "EnginePlan",
@@ -319,27 +188,20 @@ __all__ = [
     "ExperimentSpec",
     "build_engine",
     "run_spec",
-    "make_strategy",
     "register_scheme",
-    "register_backend",
     # parallel execution
     "DecodeCache",
     "ProcessExecutor",
     "SerialExecutor",
     # observability
-    "MetricsRegistry",
-    "RoundTrace",
     "RoundTracer",
     "TraceStreamWriter",
     "aggregate_traces",
     "read_traces",
-    "write_traces",
     # serving
     "Coordinator",
     "run_jobs",
-    "JobState",
     "JobFailedError",
-    "JobCancelledError",
     "SchedulingClass",
     "WorkerPool",
     "ServeMailbox",

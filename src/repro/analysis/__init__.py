@@ -4,17 +4,15 @@ from .recovery import (
     RecoveryStats,
     fairness_gap,
     monte_carlo_recovery,
-    recovery_curve,
 )
 from .theory import (
     BoundCheck,
     best_case_alpha,
     check_bounds_exhaustive,
     check_bounds_sampled,
-    expected_alpha,
     worst_case_alpha,
 )
-from .reporting import Series, Table, series_table
+from .reporting import Table
 from .closed_form import (
     alpha_distribution_exact,
     alpha_distribution_fr,
@@ -22,19 +20,9 @@ from .closed_form import (
     expected_alpha_fr,
     expected_recovered_exact,
 )
-from .plotting import ascii_plot, downsample, loss_curve_panel, sparkline
-from .stats import (
-    PairedComparison,
-    TrialSummary,
-    bootstrap_ci,
-    paired_comparison,
-    summarize_trials,
-)
-from .variance import (
-    EstimatorMoments,
-    estimator_moments,
-    variance_reduction_vs_issgd,
-)
+from .plotting import downsample, loss_curve_panel, sparkline
+from .stats import TrialSummary, summarize_trials
+from .variance import EstimatorMoments, estimator_moments
 from .convergence_theory import (
     BoundValidation,
     estimate_lipschitz,
@@ -45,17 +33,13 @@ from .convergence_theory import (
 __all__ = [
     "RecoveryStats",
     "monte_carlo_recovery",
-    "recovery_curve",
     "fairness_gap",
     "BoundCheck",
     "check_bounds_exhaustive",
     "check_bounds_sampled",
     "worst_case_alpha",
     "best_case_alpha",
-    "expected_alpha",
-    "Series",
     "Table",
-    "series_table",
     "expected_alpha_fr",
     "alpha_distribution_fr",
     "alpha_distribution_exact",
@@ -63,7 +47,6 @@ __all__ = [
     "expected_recovered_exact",
     "sparkline",
     "downsample",
-    "ascii_plot",
     "loss_curve_panel",
     "estimate_lipschitz",
     "estimate_sigma_squared",
@@ -71,10 +54,6 @@ __all__ = [
     "validate_descent_bound",
     "TrialSummary",
     "summarize_trials",
-    "PairedComparison",
-    "paired_comparison",
-    "bootstrap_ci",
     "EstimatorMoments",
     "estimator_moments",
-    "variance_reduction_vs_issgd",
 ]

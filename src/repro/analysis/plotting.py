@@ -1,8 +1,7 @@
 """ASCII plotting for terminal-friendly experiment output.
 
 No matplotlib in the dependency set — loss curves and recovery sweeps
-render as Unicode sparklines and simple line plots, which is all the
-examples need.
+render as Unicode sparklines, which is all the examples need.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..exceptions import ConfigurationError
-from .reporting import Series
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -46,45 +44,6 @@ def downsample(values: Sequence[float], width: int) -> List[float]:
         chunk = vals[lo:hi]
         out.append(sum(chunk) / len(chunk))
     return out
-
-
-def ascii_plot(
-    series: Sequence[Series], width: int = 70, height: int = 12
-) -> str:
-    """A multi-series ASCII line plot with a y-axis.
-
-    Each series is drawn with its own marker (``*``, ``o``, ``+``, …)
-    and listed in a legend below the axes.
-    """
-    if not series:
-        raise ConfigurationError("need at least one series to plot")
-    if width <= 0 or height <= 1:
-        raise ConfigurationError(
-            f"need width > 0 and height > 1, got {width}×{height}"
-        )
-    markers = "*o+x#@%&"
-    sampled = [downsample(list(s.y), width) for s in series]
-    all_vals = [v for ys in sampled for v in ys]
-    lo, hi = min(all_vals), max(all_vals)
-    span = (hi - lo) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for s_idx, ys in enumerate(sampled):
-        marker = markers[s_idx % len(markers)]
-        for x, v in enumerate(ys):
-            row = int((hi - v) / span * (height - 1))
-            grid[row][x] = marker
-
-    lines = []
-    for r, row in enumerate(grid):
-        level = hi - r / (height - 1) * span
-        lines.append(f"{level:>10.4g} |{''.join(row)}")
-    lines.append(" " * 11 + "+" + "-" * width)
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} {s.name}" for i, s in enumerate(series)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
 
 
 def loss_curve_panel(

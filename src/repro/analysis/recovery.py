@@ -9,7 +9,6 @@ relies on (every partition equally likely to appear in ``ĝ``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -95,18 +94,6 @@ def monte_carlo_recovery(
         mean_fraction=float(arr.mean() / n),
         partition_frequency=freq / trials,
     )
-
-
-def recovery_curve(
-    placement: Placement,
-    trials: int = 2000,
-    seed: int = 0,
-) -> Dict[int, RecoveryStats]:
-    """Recovery stats for every ``w`` in ``1..n`` (a Fig. 12(a) series)."""
-    return {
-        w: monte_carlo_recovery(placement, w, trials=trials, seed=seed + w)
-        for w in range(1, placement.num_workers + 1)
-    }
 
 
 def fairness_gap(stats: RecoveryStats) -> float:

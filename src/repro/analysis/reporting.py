@@ -1,4 +1,4 @@
-"""Plain-text tables and series for experiment output.
+"""Plain-text tables for experiment output.
 
 ``repro experiment`` regenerates the paper's figures as printed
 tables; this module owns the formatting so every table looks the same.
@@ -64,22 +64,6 @@ class Table:
         print()
 
 
-@dataclass(frozen=True)
-class Series:
-    """A named (x, y) series — one line of a paper figure."""
-
-    name: str
-    x: Sequence[float]
-    y: Sequence[float]
-
-    def __post_init__(self) -> None:
-        if len(self.x) != len(self.y):
-            raise ConfigurationError(
-                f"series {self.name!r}: {len(self.x)} x-values vs "
-                f"{len(self.y)} y-values"
-            )
-
-
 def format_cache_stats(snapshot: Mapping[str, float]) -> str:
     """Render a :meth:`DecodeCache.snapshot` mapping as one line."""
     lookups = int(snapshot.get("hits", 0) + snapshot.get("misses", 0))
@@ -135,20 +119,4 @@ def trace_summary_table(
     if cache is not None:
         snapshot = cache.snapshot() if hasattr(cache, "snapshot") else cache
         table.footer = format_cache_stats(snapshot)
-    return table
-
-
-def series_table(title: str, x_label: str, series: Sequence[Series]) -> Table:
-    """Tabulate several series over a shared x-axis."""
-    if not series:
-        raise ConfigurationError("need at least one series")
-    base_x = list(series[0].x)
-    for s in series:
-        if list(s.x) != base_x:
-            raise ConfigurationError(
-                f"series {s.name!r} has a different x-axis"
-            )
-    table = Table(title=title, columns=[x_label, *(s.name for s in series)])
-    for i, x in enumerate(base_x):
-        table.add_row(x, *(s.y[i] for s in series))
     return table

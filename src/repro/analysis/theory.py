@@ -81,11 +81,3 @@ def worst_case_alpha(placement: Placement, w: int) -> int:
 def best_case_alpha(placement: Placement, w: int) -> int:
     """``max_{|W'|=w} α(G[W'])`` by exhaustive search (small ``n``)."""
     return max(check.alpha for check in check_bounds_exhaustive(placement, w))
-
-
-def expected_alpha(
-    placement: Placement, w: int, trials: int = 2000, seed: int = 0
-) -> float:
-    """Monte-Carlo estimate of ``E[α(G[W'])]`` under uniform ``W'``."""
-    checks = check_bounds_sampled(placement, w, trials, seed)
-    return float(np.mean([c.alpha for c in checks]))

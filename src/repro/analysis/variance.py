@@ -122,26 +122,3 @@ def estimator_moments(
         bias_norm=float(np.linalg.norm(mean - full)),
     )
 
-
-def variance_reduction_vs_issgd(
-    placement: Placement,
-    wait_for: int,
-    partition_gradients: Mapping[int, np.ndarray],
-    seed: int = 0,
-) -> float:
-    """``Var_IS-SGD / Var_IS-GC`` at the same ``w`` (>1 ⇒ IS-GC wins).
-
-    IS-SGD at ``w`` recovers exactly the ``w`` available partitions;
-    modelled here as the same estimator on the c=1 cyclic placement.
-    """
-    from ..core.scheme import make_placement
-
-    n = placement.num_workers
-    isgc = estimator_moments(placement, wait_for, partition_gradients, seed=seed)
-    issgd = estimator_moments(
-        make_placement("cr", num_workers=n, partitions_per_worker=1),
-        wait_for, partition_gradients, seed=seed,
-    )
-    if isgc.total_variance == 0.0:
-        return float("inf") if issgd.total_variance > 0 else 1.0
-    return issgd.total_variance / isgc.total_variance

@@ -11,12 +11,12 @@ from .registry import register_command
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run one of the paper experiments end to end."""
-    from ..experiments.runner import main as runner_main
+    from ..experiments.runner import EXPERIMENTS, run
 
-    argv = [args.figure]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    runner_main(argv)
+    names = sorted(EXPERIMENTS) if args.figure == "all" else [args.figure]
+    for name in names:
+        for table in run(name, jobs=args.jobs):
+            table.show()
     if args.report is not None:
         # Figure runs aggregate many training runs; the report carries
         # identity only (no single trajectory to embed).

@@ -45,7 +45,7 @@ from .fr_decoder import FRDecoder
 from .cr_decoder import CRDecoder
 from .hr_decoder import HRDecoder
 from .exact_decoder import ExactDecoder
-from .coding import SummationCode, average_gradient, verify_decode
+from .coding import SummationCode, verify_decode
 from .hetero_placement import (
     AssignmentResult,
     heterogeneous_recovery,
@@ -114,7 +114,6 @@ __all__ = [
     "HRDecoder",
     "ExactDecoder",
     "SummationCode",
-    "average_gradient",
     "verify_decode",
     "DescentBound",
     "alpha_lower_bound",

@@ -105,17 +105,6 @@ class SummationCode:
         return partial * scale
 
 
-def average_gradient(
-    gradient_sum: np.ndarray, num_partitions_in_sum: int
-) -> np.ndarray:
-    """Per-partition average; handy when the optimizer expects means."""
-    if num_partitions_in_sum <= 0:
-        raise CodingError(
-            f"need a positive partition count, got {num_partitions_in_sum}"
-        )
-    return gradient_sum / num_partitions_in_sum
-
-
 def verify_decode(
     placement: Placement,
     decision: DecodeResult,

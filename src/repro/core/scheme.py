@@ -94,16 +94,6 @@ def registered_placements() -> List[str]:
     return sorted(PLACEMENT_REGISTRY)
 
 
-def unknown_placement_message(name: Any) -> str:
-    """The did-you-mean error text for an unregistered family name.
-
-    Shared by :func:`resolve_placement` (runtime) and the SPEC001/002
-    static rules, so ``repro check`` and ``repro run`` report typos
-    identically.
-    """
-    return PLACEMENT_REGISTRY.unknown_message(name)
-
-
 def resolve_placement(name: str) -> Type["PlacementScheme"]:
     """The scheme class for ``name`` (canonical or alias)."""
     return PLACEMENT_REGISTRY.resolve(name)

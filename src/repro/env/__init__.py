@@ -33,7 +33,6 @@ from .registry import (
     registered_models,
     resolve_model,
     spec_of,
-    unknown_model_message,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "registered_models",
     "resolve_model",
     "spec_of",
-    "unknown_model_message",
 ]

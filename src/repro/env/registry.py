@@ -182,16 +182,6 @@ def registered_models(layer: str) -> List[str]:
     return sorted(_layer_registry(layer))
 
 
-def unknown_model_message(layer: str, name: Any) -> str:
-    """The did-you-mean error text for an unregistered model kind.
-
-    Shared by runtime construction and the static spec checks, so
-    ``repro check`` and ``repro run`` report typos identically
-    (mirrors :func:`repro.core.scheme.unknown_placement_message`).
-    """
-    return ENV_REGISTRY[layer].unknown_message(name)
-
-
 def resolve_model(layer: str, name: str) -> ModelFamily:
     """The family registered for ``name`` (canonical or alias)."""
     return _layer_registry(layer).resolve(name)

@@ -10,7 +10,7 @@ from .extra import (
     enduring_straggler_study,
     enduring_straggler_table,
 )
-from .runner import run, run_all
+from .runner import run
 
 __all__ = [
     "Fig11Config",
@@ -28,7 +28,6 @@ __all__ = [
     "run_fig13",
     "fig13_tables",
     "run",
-    "run_all",
     "enduring_straggler_study",
     "enduring_straggler_table",
     "adaptive_policy_study",

@@ -2,7 +2,7 @@
 
 from .graph import Graph
 from .circulant import circulant_graph, circular_distance, is_circulant_with_offsets
-from .render import adjacency_art, degree_histogram, edge_list_art
+from .render import adjacency_art, edge_list_art
 from .independent_set import (
     all_maximum_independent_sets,
     greedy_independent_set,
@@ -21,5 +21,4 @@ __all__ = [
     "all_maximum_independent_sets",
     "adjacency_art",
     "edge_list_art",
-    "degree_histogram",
 ]

@@ -55,15 +55,3 @@ def edge_list_art(graph: Graph) -> str:
         lines.append(f"W{v} -- {right}")
     return "\n".join(lines)
 
-
-def degree_histogram(graph: Graph) -> str:
-    """``degree: count`` summary, one line per occurring degree."""
-    if not graph.vertices:
-        raise ConfigurationError("cannot summarise an empty graph")
-    counts: dict[int, int] = {}
-    for v in graph.vertices:
-        d = graph.degree(v)
-        counts[d] = counts.get(d, 0) + 1
-    return "\n".join(
-        f"degree {d}: {counts[d]} worker(s)" for d in sorted(counts)
-    )

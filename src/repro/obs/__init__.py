@@ -22,7 +22,7 @@ Typical use::
     aggregates = aggregate_traces(read_traces("run.jsonl"))
 """
 
-from .aggregate import StepStatistics, moving_average, steps_to_threshold
+from .aggregate import StepStatistics, steps_to_threshold
 from .registry import (
     Counter,
     Gauge,
@@ -32,7 +32,7 @@ from .registry import (
     NULL_REGISTRY,
 )
 from .events import RoundTrace, TRACE_SCHEMA_VERSION
-from .tracer import RoundTracer, null_tracer
+from .tracer import RoundTracer
 from .jsonl import (
     TraceStreamWriter,
     read_traces,
@@ -43,7 +43,6 @@ from .summary import SchemeAggregate, aggregate_traces
 
 __all__ = [
     "StepStatistics",
-    "moving_average",
     "steps_to_threshold",
     "Counter",
     "Gauge",
@@ -54,7 +53,6 @@ __all__ = [
     "RoundTrace",
     "TRACE_SCHEMA_VERSION",
     "RoundTracer",
-    "null_tracer",
     "read_traces",
     "truncate_traces",
     "write_traces",

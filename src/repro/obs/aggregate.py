@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..types import StepRecord
 from .registry import MetricsRegistry
 
@@ -71,16 +69,3 @@ def steps_to_threshold(
             return idx
     return None
 
-
-def moving_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Simple trailing moving average (shorter windows at the start)."""
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    arr = np.asarray(values, dtype=float)
-    out = np.empty_like(arr)
-    csum = np.cumsum(arr)
-    for i in range(len(arr)):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out

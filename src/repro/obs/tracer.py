@@ -14,7 +14,7 @@ The default everywhere is *no tracer* (``None``), which costs one
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from ..exceptions import ObservabilityError
 from .events import RoundTrace
@@ -161,11 +161,3 @@ class RoundTracer:
 
         return write_traces(path, self._traces)
 
-
-def null_tracer() -> Optional[RoundTracer]:
-    """The disabled-tracing sentinel; spelled out for readability.
-
-    Instrumented call sites take ``tracer: RoundTracer | None`` and skip
-    all recording when it is ``None`` — the zero-cost default.
-    """
-    return None

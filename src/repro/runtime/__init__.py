@@ -1,13 +1,12 @@
 """Actor runtime: the Ray-like substrate the paper's implementation used."""
 
-from .messages import GradientUpload, Message, ParameterBroadcast, StopTraining
+from .messages import GradientUpload, Message, ParameterBroadcast
 from .actors import MasterActor, RoundGradients, WorkerActor
 
 __all__ = [
     "Message",
     "ParameterBroadcast",
     "GradientUpload",
-    "StopTraining",
     "MasterActor",
     "RoundGradients",
     "WorkerActor",

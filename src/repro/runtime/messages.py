@@ -41,7 +41,3 @@ class GradientUpload(Message):
     worker: int = 0
     payload: Optional[np.ndarray] = field(default=None, compare=False)
 
-
-@dataclass(frozen=True)
-class StopTraining(Message):
-    """Master → workers: training is over, shut down."""

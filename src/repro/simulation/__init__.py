@@ -21,9 +21,6 @@ from .contention import (
 from .heterogeneous import (
     HeterogeneousComputeModel,
     HeterogeneousDelayAdapter,
-    lognormal_speed_profile,
-    tiered_speed_profile,
-    uniform_speed_profile,
 )
 
 __all__ = [
@@ -44,9 +41,6 @@ __all__ = [
     "RoundResult",
     "HeterogeneousComputeModel",
     "HeterogeneousDelayAdapter",
-    "uniform_speed_profile",
-    "tiered_speed_profile",
-    "lognormal_speed_profile",
     "fair_share_finish_times",
     "ContendedUploadModel",
     "ContendedRound",

@@ -3,15 +3,13 @@
 The paper's experiments assume homogeneous hardware with injected
 delays, but its discussion (and cited work on heterogeneity-aware GC,
 [21]) motivates clusters where some machines are simply slower.  This
-module provides a per-worker compute model and a helper to build the
-speed profile from common shapes.
+module provides a per-worker compute model and its adapter to the
+delay-model interface.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
-
-import numpy as np
+from typing import Dict, Mapping
 
 from ..exceptions import ConfigurationError
 from ..straggler.models import DelayModel
@@ -55,40 +53,6 @@ class HeterogeneousComputeModel:
             base=self._base.base * f,
             per_partition=self._base.per_partition * f,
         )
-
-
-def uniform_speed_profile(num_workers: int) -> Dict[int, float]:
-    """Everybody at factor 1.0 (a homogeneous cluster)."""
-    if num_workers <= 0:
-        raise ConfigurationError(f"num_workers must be positive, got {num_workers}")
-    return {w: 1.0 for w in range(num_workers)}
-
-
-def tiered_speed_profile(
-    num_workers: int, slow_workers: Sequence[int], slow_factor: float = 3.0
-) -> Dict[int, float]:
-    """A two-tier cluster: listed workers run ``slow_factor×`` slower."""
-    profile = uniform_speed_profile(num_workers)
-    for worker in slow_workers:
-        if not 0 <= worker < num_workers:
-            raise ConfigurationError(
-                f"slow worker {worker} outside [0, {num_workers})"
-            )
-        profile[worker] = slow_factor
-    return profile
-
-
-def lognormal_speed_profile(
-    num_workers: int, sigma: float = 0.3, seed: int = 0
-) -> Dict[int, float]:
-    """A realistic spread: factors ~ LogNormal(0, sigma), median 1.0."""
-    if sigma < 0:
-        raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-    rng = np.random.default_rng(seed)
-    return {
-        w: float(rng.lognormal(mean=0.0, sigma=sigma))
-        for w in range(num_workers)
-    }
 
 
 class HeterogeneousDelayAdapter(DelayModel):

@@ -17,7 +17,7 @@ from .models import (
     Model,
     SoftmaxRegressionModel,
 )
-from .optimizers import SGD, constant_lr, inverse_time_decay, step_decay
+from .optimizers import SGD, constant_lr
 from .strategies import (
     ClassicGCStrategy,
     ISGCStrategy,
@@ -49,8 +49,6 @@ __all__ = [
     "MLPClassifier",
     "SGD",
     "constant_lr",
-    "step_decay",
-    "inverse_time_decay",
     "TrainingStrategy",
     "SyncSGDStrategy",
     "ISSGDStrategy",

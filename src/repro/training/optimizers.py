@@ -24,24 +24,6 @@ def constant_lr(lr: float) -> LRSchedule:
     return lambda step: lr
 
 
-def step_decay(lr: float, factor: float, every: int) -> LRSchedule:
-    """Multiply by ``factor`` every ``every`` steps."""
-    if lr <= 0 or not 0 < factor <= 1 or every <= 0:
-        raise ConfigurationError(
-            f"invalid step decay: lr={lr}, factor={factor}, every={every}"
-        )
-    return lambda step: lr * factor ** (step // every)
-
-
-def inverse_time_decay(lr: float, rate: float) -> LRSchedule:
-    """``lr / (1 + rate · step)`` — the classic SGD schedule."""
-    if lr <= 0 or rate < 0:
-        raise ConfigurationError(
-            f"invalid inverse-time decay: lr={lr}, rate={rate}"
-        )
-    return lambda step: lr / (1.0 + rate * step)
-
-
 class SGD:
     """Stochastic gradient descent over a flat parameter vector."""
 

@@ -1,17 +1,12 @@
 """Tests for the analysis layer: recovery stats, theory checks, reporting."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
-    Series,
     Table,
     check_bounds_sampled,
-    expected_alpha,
     fairness_gap,
     monte_carlo_recovery,
-    recovery_curve,
-    series_table,
 )
 from repro.core import CyclicRepetition, FractionalRepetition
 from repro.exceptions import ConfigurationError
@@ -57,11 +52,6 @@ class TestMonteCarloRecovery:
         stats = monte_carlo_recovery(CyclicRepetition(4, 2), 2, trials=20)
         assert "w=2" in stats.describe()
 
-    def test_recovery_curve_monotone_in_w(self):
-        curve = recovery_curve(CyclicRepetition(6, 2), trials=1500, seed=0)
-        means = [curve[w].mean_recovered for w in range(1, 7)]
-        assert all(b >= a - 0.1 for a, b in zip(means, means[1:]))
-
     def test_fairness_gap_zero_for_symmetric_full(self):
         stats = monte_carlo_recovery(CyclicRepetition(4, 2), 4, trials=100)
         assert fairness_gap(stats) == pytest.approx(0.0)
@@ -72,12 +62,6 @@ class TestTheoryHelpers:
         pl = CyclicRepetition(10, 3)
         for check in check_bounds_sampled(pl, 5, trials=100, seed=0):
             assert check.holds
-
-    def test_expected_alpha_between_bounds(self):
-        from repro.core import alpha_lower_bound, alpha_upper_bound
-        pl = CyclicRepetition(8, 2)
-        val = expected_alpha(pl, 4, trials=500, seed=1)
-        assert alpha_lower_bound(8, 2, 4) <= val <= alpha_upper_bound(8, 2, 4)
 
     def test_sampled_validation(self):
         with pytest.raises(ConfigurationError):
@@ -106,25 +90,3 @@ class TestReporting:
         t.add_row(1)
         t.show()
         assert "Demo" in capsys.readouterr().out
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            Series("s", [1, 2], [1.0])
-
-    def test_series_table(self):
-        s1 = Series("one", [1, 2], [0.1, 0.2])
-        s2 = Series("two", [1, 2], [0.3, 0.4])
-        t = series_table("fig", "w", [s1, s2])
-        text = t.render()
-        assert "one" in text and "two" in text and "0.4" in text
-
-    def test_series_table_mismatched_axes(self):
-        with pytest.raises(ConfigurationError):
-            series_table("fig", "w", [
-                Series("a", [1, 2], [0.0, 0.0]),
-                Series("b", [1, 3], [0.0, 0.0]),
-            ])
-
-    def test_series_table_empty(self):
-        with pytest.raises(ConfigurationError):
-            series_table("fig", "w", [])

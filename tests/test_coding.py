@@ -8,7 +8,6 @@ from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
     SummationCode,
-    average_gradient,
     decoder_for,
     verify_decode,
 )
@@ -112,15 +111,6 @@ class TestDecode:
 
 
 class TestHelpers:
-    def test_average_gradient(self):
-        np.testing.assert_allclose(
-            average_gradient(np.array([4.0, 8.0]), 4), [1.0, 2.0]
-        )
-
-    def test_average_gradient_rejects_zero(self):
-        with pytest.raises(CodingError):
-            average_gradient(np.zeros(2), 0)
-
     def test_verify_decode_detects_corruption(self):
         pl = CyclicRepetition(4, 2)
         code = SummationCode(pl)

@@ -13,7 +13,7 @@ from repro.core import (
     worth_migrating,
 )
 from repro.exceptions import ConfigurationError, TrainingError
-from repro.graphs import Graph, adjacency_art, degree_histogram, edge_list_art
+from repro.graphs import Graph, adjacency_art, edge_list_art
 from repro.simulation import NetworkModel
 from repro.training import Conv2DClassifier, make_cifar_like
 
@@ -174,17 +174,11 @@ class TestGraphArt:
         g = Graph(vertices=[0])
         assert "no conflicts" in edge_list_art(g)
 
-    def test_degree_histogram(self):
-        g = conflict_graph(CyclicRepetition(6, 2))
-        assert degree_histogram(g) == "degree 2: 6 worker(s)"
-
     def test_empty_graph_rejected(self):
         with pytest.raises(ConfigurationError):
             adjacency_art(Graph())
         with pytest.raises(ConfigurationError):
             edge_list_art(Graph())
-        with pytest.raises(ConfigurationError):
-            degree_histogram(Graph())
 
 
 class TestMigrationProperties:

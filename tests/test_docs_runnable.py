@@ -12,6 +12,7 @@ runnable too.
 """
 
 import pathlib
+import pkgutil
 import re
 
 import pytest
@@ -160,3 +161,41 @@ def test_every_environment_family_has_a_catalogue_row():
         for layer, table in ENV_REGISTRY.items()
     }
     assert not any(missing.values()), missing
+
+
+def _public_api_uses() -> set:
+    """Every name the README, ``docs/``, ``examples/``, the ``repro``
+    docstring tour and ``benchmarks/e2e/`` take from the top-level
+    package: ``from repro import …`` lists and ``repro.<name>``
+    attributes that are not submodules."""
+    import repro
+
+    submodules = {m.name for m in pkgutil.iter_modules(repro.__path__)}
+    texts = [(REPO / "README.md").read_text(), repro.__doc__]
+    texts += [p.read_text() for p in sorted((REPO / "docs").glob("*.md"))]
+    texts += [p.read_text() for p in sorted((REPO / "examples").rglob("*.py"))]
+    texts += [
+        p.read_text() for p in sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
+    ]
+    names = set()
+    for text in texts:
+        for match in re.finditer(r"from repro import (\([^)]*\)|[^\n]*)", text):
+            body = re.sub(r"#[^\n]*", "", match.group(1).strip("()"))
+            names.update(
+                part.split(" as ")[0].strip()
+                for part in body.split(",") if part.strip()
+            )
+        names.update(
+            name for name in re.findall(r"(?<![\w.])repro\.(\w+)", text)
+            if name not in submodules
+        )
+    return names
+
+
+def test_public_api_is_what_the_docs_import():
+    """``repro.__all__`` is exactly what the docs, examples and the
+    benchmark use, plus ``__version__``: a name nothing outside the tests
+    imports lives in its subpackage only."""
+    import repro
+
+    assert set(repro.__all__) == _public_api_uses() | {"__version__"}

@@ -11,43 +11,7 @@ from repro.simulation import (
     HeterogeneousDelayAdapter,
     NetworkModel,
     WaitForK,
-    lognormal_speed_profile,
-    tiered_speed_profile,
-    uniform_speed_profile,
 )
-
-
-class TestProfiles:
-    def test_uniform(self):
-        profile = uniform_speed_profile(4)
-        assert profile == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
-
-    def test_uniform_validation(self):
-        with pytest.raises(ConfigurationError):
-            uniform_speed_profile(0)
-
-    def test_tiered(self):
-        profile = tiered_speed_profile(4, [1, 3], slow_factor=2.5)
-        assert profile[0] == 1.0
-        assert profile[1] == 2.5
-        assert profile[3] == 2.5
-
-    def test_tiered_validation(self):
-        with pytest.raises(ConfigurationError):
-            tiered_speed_profile(4, [7])
-
-    def test_lognormal_median_near_one(self):
-        profile = lognormal_speed_profile(4000, sigma=0.3, seed=0)
-        median = float(np.median(list(profile.values())))
-        assert median == pytest.approx(1.0, abs=0.05)
-
-    def test_lognormal_all_positive(self):
-        profile = lognormal_speed_profile(100, sigma=1.0, seed=1)
-        assert all(f > 0 for f in profile.values())
-
-    def test_lognormal_validation(self):
-        with pytest.raises(ConfigurationError):
-            lognormal_speed_profile(4, sigma=-1.0)
 
 
 class TestHeterogeneousComputeModel:
@@ -83,7 +47,7 @@ class TestHeterogeneousComputeModel:
 class TestDelayAdapter:
     def test_surplus_only(self):
         model = HeterogeneousComputeModel(
-            ComputeModel(0.1, 0.1), tiered_speed_profile(4, [0], 3.0)
+            ComputeModel(0.1, 0.1), {0: 3.0}
         )
         adapter = HeterogeneousDelayAdapter(model, partitions_per_worker=2)
         rng = np.random.default_rng(0)
@@ -99,7 +63,7 @@ class TestDelayAdapter:
     def test_drives_cluster_simulator(self):
         """Heterogeneous cluster end to end: wait-k dodges the slow tier."""
         het = HeterogeneousComputeModel(
-            ComputeModel(0.1, 0.1), tiered_speed_profile(4, [3], 10.0)
+            ComputeModel(0.1, 0.1), {3: 10.0}
         )
         sim = ClusterSimulator(
             num_workers=4,

@@ -14,7 +14,6 @@ from repro.obs import (
     RoundTracer,
     SchemeAggregate,
     aggregate_traces,
-    null_tracer,
     read_traces,
     write_traces,
 )
@@ -226,9 +225,6 @@ def _record(tracer, step=0, accepted=(0, 2), proceed=0.75):
 
 
 class TestRoundTracer:
-    def test_null_tracer_is_none(self):
-        assert null_tracer() is None
-
     def test_record_round_collects_and_feeds_metrics(self):
         tracer = RoundTracer(scheme="gc")
         _record(tracer, step=0)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.experiments.config import Fig11Config
 from repro.experiments.fig11 import run_traced_fig11
-from repro.experiments.runner import export_trace
 from repro.obs import RoundTracer, aggregate_traces, read_traces
 from repro.simulation import ClusterSimulator, ComputeModel, WaitForK
 from repro.simulation.network import NetworkModel
@@ -73,14 +72,6 @@ class TestTracedFig11Exactness:
         assert reg.histogram("round.step_time").mean == pytest.approx(
             float(np.mean([t.step_time for t in tracer.traces]))
         )
-
-
-class TestRunnerExport:
-    def test_export_trace_writes_jsonl(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        count = export_trace(path, cfg=SMALL)
-        assert count == 4 * SMALL.num_steps
-        assert len(read_traces(path)) == count
 
 
 class TestCliTrace:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.training import SGD, constant_lr, inverse_time_decay, step_decay
+from repro.training import SGD, constant_lr
 
 
 class TestSchedules:
@@ -15,30 +15,6 @@ class TestSchedules:
     def test_constant_validation(self):
         with pytest.raises(ConfigurationError):
             constant_lr(0.0)
-
-    def test_step_decay(self):
-        sched = step_decay(1.0, factor=0.5, every=10)
-        assert sched(0) == 1.0
-        assert sched(9) == 1.0
-        assert sched(10) == 0.5
-        assert sched(20) == 0.25
-
-    def test_step_decay_validation(self):
-        with pytest.raises(ConfigurationError):
-            step_decay(1.0, factor=1.5, every=10)
-        with pytest.raises(ConfigurationError):
-            step_decay(1.0, factor=0.5, every=0)
-
-    def test_inverse_time(self):
-        sched = inverse_time_decay(1.0, rate=1.0)
-        assert sched(0) == 1.0
-        assert sched(1) == pytest.approx(0.5)
-        assert sched(9) == pytest.approx(0.1)
-
-    def test_inverse_time_validation(self):
-        with pytest.raises(ConfigurationError):
-            inverse_time_decay(-1.0, 0.1)
-
 
 class TestSGD:
     def test_vanilla_update(self):
@@ -61,7 +37,7 @@ class TestSGD:
         assert opt.step_count == 1
 
     def test_schedule_used(self):
-        opt = SGD(step_decay(1.0, 0.5, every=1))
+        opt = SGD(lambda step: 0.5**step)
         p = np.array([0.0])
         g = np.array([1.0])
         p = opt.update(p, g)  # lr 1.0
@@ -70,7 +46,7 @@ class TestSGD:
         assert p[0] == pytest.approx(-1.5)
 
     def test_current_lr(self):
-        opt = SGD(step_decay(1.0, 0.1, every=1))
+        opt = SGD(lambda step: 0.1**step)
         assert opt.current_lr() == 1.0
         opt.update(np.zeros(1), np.zeros(1))
         assert opt.current_lr() == pytest.approx(0.1)

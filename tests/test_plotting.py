@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Series, ascii_plot, downsample, loss_curve_panel, sparkline
+from repro.analysis import downsample, loss_curve_panel, sparkline
 from repro.exceptions import ConfigurationError
 
 
@@ -47,28 +47,6 @@ class TestDownsample:
     def test_invalid_width(self):
         with pytest.raises(ConfigurationError):
             downsample([1.0], 0)
-
-
-class TestAsciiPlot:
-    def test_contains_markers_and_legend(self):
-        s1 = Series("loss-a", list(range(20)), [float(i) for i in range(20)])
-        s2 = Series("loss-b", list(range(20)), [float(20 - i) for i in range(20)])
-        art = ascii_plot([s1, s2], width=30, height=8)
-        assert "*" in art and "o" in art
-        assert "loss-a" in art and "loss-b" in art
-
-    def test_dimensions(self):
-        s = Series("x", [0, 1, 2], [1.0, 2.0, 3.0])
-        art = ascii_plot([s], width=20, height=6)
-        # height rows + axis + legend
-        assert len(art.splitlines()) == 8
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ascii_plot([], width=10, height=5)
-        s = Series("x", [0], [1.0])
-        with pytest.raises(ConfigurationError):
-            ascii_plot([s], width=0, height=5)
 
 
 class TestLossCurvePanel:

@@ -19,19 +19,19 @@ from repro import (
     Coordinator,
     CoordinatorClient,
     ExperimentSpec,
-    JobCancelledError,
     JobFailedError,
-    JobState,
     RunReport,
-    ServeError,
     ServeMailbox,
     aggregate_traces,
     read_traces,
     run_jobs,
     run_spec,
 )
+from repro.exceptions import ServeError
 from repro.serve import (
     FairScheduler,
+    JobCancelledError,
+    JobState,
     RandomOrderScheduler,
     RoundRobinScheduler,
 )

@@ -42,12 +42,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CoordinatorClient, ExperimentSpec, ServeError, run_jobs
+from repro import CoordinatorClient, ExperimentSpec, run_jobs
 from repro.cli import main as cli_main
 from repro.engine.report import build_run_report
 from repro.engine.spec import run_spec_variation
 from repro.exceptions import (
     AdmissionError,
+    ServeError,
     SubmissionRejectedError,
     TrainingError,
 )

@@ -28,7 +28,6 @@ from repro.simulation.events import arrival_race
 from repro.obs import (
     RoundTracer,
     StepStatistics,
-    moving_average,
     steps_to_threshold,
 )
 from repro.straggler import NoDelay, PersistentStragglers, ShiftedExponentialDelay
@@ -291,20 +290,6 @@ class TestMetrics:
     def test_steps_to_threshold(self):
         assert steps_to_threshold([3.0, 2.0, 0.9, 0.5], 1.0) == 3
         assert steps_to_threshold([3.0, 2.0], 1.0) is None
-
-    def test_moving_average(self):
-        out = moving_average([1.0, 3.0, 5.0, 7.0], window=2)
-        np.testing.assert_allclose(out, [1.0, 2.0, 4.0, 6.0])
-
-    def test_moving_average_window_one(self):
-        np.testing.assert_allclose(
-            moving_average([1.0, 2.0], 1), [1.0, 2.0]
-        )
-
-    def test_moving_average_validation(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
 
 class TestUnitConvention:
     """Regression tests for the step-relative time convention.

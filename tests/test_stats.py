@@ -8,11 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    bootstrap_ci,
-    paired_comparison,
-    summarize_trials,
-)
+from repro.analysis import summarize_trials
+from repro.analysis.stats import _t_critical
 from repro.exceptions import ConfigurationError
 
 
@@ -63,72 +60,42 @@ class TestSummarizeTrials:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             summarize_trials([])
-        with pytest.raises(ConfigurationError):
-            summarize_trials([1.0], confidence=1.5)
 
 
-class TestPairedComparison:
-    def test_direction(self):
-        a = [1.0, 1.1, 0.9, 1.0]
-        b = [2.0, 2.1, 1.9, 2.0]
-        comp = paired_comparison(a, b)
-        assert comp.mean_difference == pytest.approx(1.0)
-        assert comp.significant
+class TestTCritical:
+    """The 95 % t quantile is a table, not scipy (a dev-only extra)."""
 
-    def test_no_difference_not_significant(self):
-        rng = np.random.default_rng(2)
-        base = rng.normal(size=20)
-        noise_a = base + 0.01 * rng.normal(size=20)
-        noise_b = base + 0.01 * rng.normal(size=20)
-        comp = paired_comparison(noise_a.tolist(), noise_b.tolist())
-        assert not comp.significant
+    A = [10.2, 11.5, 9.8, 10.9, 12.1, 10.4]
 
-    def test_pairing_beats_trace_variance(self):
-        """The point of pairing: shared trace noise cancels out."""
-        rng = np.random.default_rng(3)
-        trace_noise = 10.0 * rng.normal(size=12)  # dominates
-        a = trace_noise + 1.0 + 0.1 * rng.normal(size=12)
-        b = trace_noise + 1.5 + 0.1 * rng.normal(size=12)
-        comp = paired_comparison(a.tolist(), b.tolist())
-        assert comp.significant
-        assert comp.mean_difference == pytest.approx(0.5, abs=0.15)
+    def test_pinned_df2(self):
+        # Fig. 12's three trials: df = 2.
+        assert _t_critical(2) == pytest.approx(4.302653, abs=1e-6)
 
-    def test_p_value_present_with_scipy(self):
-        comp = paired_comparison([1.0, 2.0, 3.0], [2.0, 3.0, 4.5])
-        assert comp.p_value is not None
-        assert 0.0 <= comp.p_value <= 1.0
+    def test_normal_quantile_above_df30(self):
+        assert _t_critical(31) == _t_critical(1000) == pytest.approx(
+            1.959964, abs=1e-6
+        )
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            paired_comparison([1.0], [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            paired_comparison([1.0], [1.0])
+    def test_identical_without_scipy(self, monkeypatch):
+        with_scipy = summarize_trials(self.A)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        with pytest.raises(ImportError):
+            import scipy.stats  # noqa: F401
+        assert summarize_trials(self.A) == with_scipy
 
-
-class TestBootstrap:
-    def test_ci_contains_true_mean(self):
-        rng = np.random.default_rng(4)
-        values = (5.0 + rng.normal(size=100)).tolist()
-        lo, hi = bootstrap_ci(values, seed=1)
-        assert lo <= 5.1 and hi >= 4.9
-
-    def test_custom_statistic(self):
-        values = [1.0, 2.0, 3.0, 4.0, 100.0]
-        lo, hi = bootstrap_ci(values, statistic=np.median, seed=2)
-        assert lo >= 1.0 and hi <= 100.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([])
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([1.0], resamples=0)
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in range(1, 31):
+            assert _t_critical(df) == pytest.approx(
+                float(stats.t.ppf(0.975, df)), abs=1e-6
+            )
 
 
 class TestLazyScipy:
-    """``scipy.stats`` loads inside the two functions that use it."""
+    """The library never imports scipy."""
 
     A = [10.2, 11.5, 9.8, 10.9, 12.1, 10.4]
-    B = [11.0, 12.4, 10.1, 11.9, 12.8, 11.6]
 
     def test_import_repro_does_not_import_scipy(self):
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -144,20 +111,9 @@ class TestLazyScipy:
         assert out.stdout.strip() == "[]"
 
     def test_values_unchanged_from_the_module_level_import(self):
-        # Recorded at the parent commit (scipy imported at module top).
-        pytest.importorskip("scipy")
+        # Recorded when the quantile came from scipy.stats.t.ppf.
         s95 = summarize_trials(self.A)
         assert (s95.mean, s95.std) == (10.816666666666668, 0.8612007121842541)
         assert (s95.ci_low, s95.ci_high) == (
             9.912891946196709, 11.720441387136628
         )
-        s90 = summarize_trials(self.A, 0.9)
-        assert (s90.ci_low, s90.ci_high) == (
-            10.108208466621969, 11.525124866711367
-        )
-        comp = paired_comparison(self.A, self.B)
-        assert comp.mean_difference == 0.8166666666666668
-        assert (comp.ci_low, comp.ci_high) == (
-            0.49548677906379784, 1.1378465542695357
-        )
-        assert comp.p_value == 0.00125453315968422

@@ -1,12 +1,11 @@
-"""Tests for estimator-variance analysis, evaluation, and checkpoints."""
+"""Tests for estimator-variance analysis and evaluation."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import estimator_moments, variance_reduction_vs_issgd
+from repro.analysis import estimator_moments
 from repro.core import CyclicRepetition, FractionalRepetition
 from repro.exceptions import ConfigurationError, TrainingError
-from repro.io import load_checkpoint, save_checkpoint
 from repro.training import (
     LinearRegressionModel,
     SoftmaxRegressionModel,
@@ -44,13 +43,6 @@ class TestEstimatorMoments:
             for w in (1, 3, 6)
         ]
         assert variances[0] > variances[1] > variances[2]
-
-    def test_isgc_lower_variance_than_issgd(self):
-        """The convergence mechanism: more recovery → lower variance."""
-        placement = FractionalRepetition(4, 2)
-        grads = _grads(4, seed=3)
-        ratio = variance_reduction_vs_issgd(placement, 2, grads, seed=4)
-        assert ratio > 1.0
 
     def test_fr_at_least_cr_variance_reduction(self):
         grads = _grads(8, seed=5)
@@ -108,38 +100,3 @@ class TestEvaluate:
         with pytest.raises(TrainingError):
             accuracy_curve(SoftmaxRegressionModel(4, 2), [], ds)
 
-
-class TestCheckpoints:
-    def test_round_trip(self, tmp_path):
-        params = np.array([1.0, -2.5, 3.25])
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, step=42, metadata={"scheme": "is-gc-cr"})
-        loaded, step, meta = load_checkpoint(path)
-        np.testing.assert_allclose(loaded, params)
-        assert step == 42
-        assert meta == {"scheme": "is-gc-cr"}
-
-    def test_resume_training_from_checkpoint(self, tmp_path):
-        """Checkpoint mid-run, restore into a fresh model, keep going."""
-        ds = make_classification(200, 5, num_classes=2, separation=4.0, seed=0)
-        model = SoftmaxRegressionModel(5, 2, seed=0)
-        for _ in range(20):
-            _, grad = model.loss_and_gradient(ds.features, ds.labels)
-            model.set_parameters(model.get_parameters() - 0.3 * grad)
-        path = tmp_path / "mid.json"
-        save_checkpoint(path, model.get_parameters(), step=20)
-
-        resumed = SoftmaxRegressionModel(5, 2, seed=99)
-        params, step, _ = load_checkpoint(path)
-        resumed.set_parameters(params)
-        assert resumed.loss(ds.features, ds.labels) == pytest.approx(
-            model.loss(ds.features, ds.labels)
-        )
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            save_checkpoint(tmp_path / "x.json", np.zeros(2), step=-1)
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(ConfigurationError):
-            load_checkpoint(bad)
