@@ -13,7 +13,6 @@ from .approx import (
     LeastSquaresDecoder,
     StochasticSumDecoder,
     l2_gradient_error,
-    placement_matrix,
 )
 
 __all__ = [
@@ -26,6 +25,5 @@ __all__ = [
     "LeastSquaresDecoder",
     "StochasticSumDecoder",
     "l2_gradient_error",
-    "placement_matrix",
     "CommEfficientGC",
 ]

@@ -29,18 +29,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ..core.batch import partition_matrix
 from ..core.placement import Placement
 from ..exceptions import CodingError
-
-
-def placement_matrix(placement: Placement) -> np.ndarray:
-    """The 0/1 worker × partition incidence matrix of ``placement``."""
-    n = placement.num_workers
-    b = np.zeros((n, placement.num_partitions))
-    for worker in range(n):
-        for p in placement.partitions_of(worker):
-            b[worker, p] = 1.0
-    return b
 
 
 @dataclass(frozen=True)
@@ -71,7 +62,7 @@ class LeastSquaresDecoder:
 
     def __init__(self, placement: Placement):
         self._placement = placement
-        self._b = placement_matrix(placement)
+        self._b = partition_matrix(placement).astype(float)
 
     @property
     def placement(self) -> Placement:
@@ -113,7 +104,7 @@ class StochasticSumDecoder:
 
     def __init__(self, placement: Placement):
         self._placement = placement
-        self._b = placement_matrix(placement)
+        self._b = partition_matrix(placement).astype(float)
 
     @property
     def placement(self) -> Placement:

@@ -9,12 +9,11 @@ and which clock advances:
   :class:`~repro.simulation.cluster.ClusterSimulator`: gradients are
   computed in-process by the engine's update rule, then one call to
   ``run_round`` yields arrivals and the wait-policy outcome.
-* :class:`ActorBackend` — the message-passing path over
-  :class:`~repro.runtime.actors.MasterActor` /
+* :class:`ActorBackend` — the same simulator round, with payloads
+  from :class:`~repro.runtime.actors.MasterActor` /
   :class:`~repro.runtime.actors.WorkerActor`: parameters are broadcast,
-  each worker computes and encodes its own partitions, the uploads
-  race through :func:`~repro.simulation.events.arrival_race` (the
-  simulator's own race), and the master collects the accepted ones.
+  each accepted worker computes and encodes its own partitions, and
+  the master collects the uploads.
 * :class:`AsyncArrivalBackend` — no synchronous rounds at all: a
   per-worker fetch/compute/upload pipeline whose arrivals the engine
   consumes one at a time (:meth:`RoundEngine.run_updates`).
@@ -42,7 +41,7 @@ from ..env import make_compute_model, make_delay_model, make_network_model
 from ..exceptions import ConfigurationError, TrainingError
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..simulation.cluster import ClusterSimulator, ComputeModel
-from ..simulation.events import Event, EventQueue, arrival_race
+from ..simulation.events import Event, EventQueue
 from ..simulation.network import NetworkModel
 from ..simulation.policies import WaitOutcome, WaitPolicy
 from ..straggler.models import DelayModel
@@ -173,38 +172,36 @@ class FlatBackend(ExecutionBackend):
         self._cluster.restore_state(state)
 
 
-class ActorBackend(ExecutionBackend):
+class ActorBackend(FlatBackend):
     """The message-passing path over master/worker actors.
 
-    Owns the scheduling half of a round: the master/worker actors stay
-    pure state machines, the backend drives broadcast → per-worker
-    compute/straggle/upload → arrival race → wait policy →
-    delivery of accepted uploads.  The engine then decodes and
-    updates; :meth:`on_record` commits the record back to the master
-    so ``master.records`` / ``master.step`` track the run.
+    A :class:`FlatBackend` that only changes where payloads come from:
+    the cluster simulator times the round exactly as on the flat path,
+    then the master broadcasts, each accepted worker computes and
+    encodes its own partitions, and the master collects their uploads.
+    ``handle_broadcast`` draws no randomness, so only the accepted
+    workers need to run it.
+    The engine then decodes and updates; :meth:`on_record` commits the
+    record back to the master so ``master.records`` / ``master.step``
+    track the run.
     """
 
     def __init__(
         self,
         master,
         workers: Sequence,
-        compute: ComputeModel | None = None,
-        network: NetworkModel | None = None,
-        delay_model: DelayModel | None = None,
-        rng: np.random.Generator | None = None,
+        cluster: ClusterSimulator,
         keep_message_log: bool = False,
     ):
+        super().__init__(cluster)
         self.master = master
         self.workers = list(workers)
-        self._compute = compute if compute is not None else make_compute_model()
-        self._network = network if network is not None else make_network_model()
-        self._delays = delay_model if delay_model is not None else make_delay_model("none")
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
+        self._by_id = {worker.worker_id: worker for worker in self.workers}
         self._keep_log = keep_message_log
         self.message_log: List = []
-        self._clock = 0.0
 
     def bind(self, engine: "RoundEngine") -> None:
+        super().bind(engine)
         # Lazy: rules.py imports repro.training, this module must not.
         from .rules import UpdateRule
 
@@ -216,42 +213,16 @@ class ActorBackend(ExecutionBackend):
                 "and needs an in-process backend"
             )
 
-    @property
-    def clock(self) -> float:
-        return self._clock
-
     def execute_round(self, engine, step, policy):
-        start = self._clock
-        broadcast = self.master.broadcast(start)
+        result = self._cluster.run_round(step, policy)
+        broadcast = self.master.broadcast(result.step_start)
         if self._keep_log:
             self.message_log.append(broadcast)
-
-        broadcast_t = self._network.broadcast_time(
-            len(broadcast.parameters), len(self.workers)
-        )
-        grad_elems = broadcast.parameters.size
-        upload_t = self._network.transfer_time(grad_elems)
-        ids = [worker.worker_id for worker in self.workers]
-        # One vectorized draw for the whole round; handle_broadcast is
-        # RNG-free, so batching the delays ahead of the worker loop
-        # keeps the random stream bit-identical to per-worker draws.
-        straggles = self._delays.sample_round(ids, broadcast.step, self._rng)
-        uploads: Dict[int, object] = {}
-        compute_t = np.empty(len(self.workers))
-        for i, worker in enumerate(self.workers):
-            uploads[worker.worker_id] = worker.handle_broadcast(
-                broadcast, start + broadcast_t
-            )
-            compute_t[i] = self._compute.step_time(len(worker.partitions))
-        arrivals = arrival_race(
-            ids, start, broadcast_t, compute_t, straggles, upload_t
-        )
-
-        outcome = policy.wait(arrivals, broadcast.step)
-        accepted = sorted(outcome.accepted_workers)
+        received = result.step_start + result.broadcast_time
+        accepted = sorted(result.outcome.accepted_workers)
         payloads: Dict[int, np.ndarray] = {}
         for w in accepted:
-            msg = uploads[w]
+            msg = self._by_id[w].handle_broadcast(broadcast, received)
             self.master.receive(msg)
             if self._keep_log:
                 self.message_log.append(msg)
@@ -259,16 +230,13 @@ class ActorBackend(ExecutionBackend):
         missing = [w for w, p in payloads.items() if p is None]
         if missing:
             raise TrainingError(f"empty payloads from workers {missing}")
-
-        end = start + outcome.proceed_time
-        self._clock = end
         return RoundExecution(
             payloads=payloads,
             accepted=accepted,
-            arrivals=arrivals,
-            outcome=outcome,
-            step_start=start,
-            step_end=end,
+            arrivals=result.arrivals,
+            outcome=result.outcome,
+            step_start=result.step_start,
+            step_end=result.step_end,
         )
 
     def on_record(self, record) -> None:
@@ -280,21 +248,10 @@ class ActorBackend(ExecutionBackend):
             worker.update_strategy(strategy)
 
     def snapshot_state(self):
-        from .state import generator_state
-
-        return {
-            "clock": self._clock,
-            "rng": generator_state(self._rng),
-            "master_step": self.master.step,
-            "delays": self._delays.snapshot_state(),
-        }
+        return {**super().snapshot_state(), "master_step": self.master.step}
 
     def restore_state(self, engine, state):
-        from .state import set_generator_state
-
-        self._clock = float(state["clock"])
-        set_generator_state(self._rng, state["rng"])
-        self._delays.restore_state(state["delays"])
+        super().restore_state(engine, state)
         self.master.restore_progress(
             int(state["master_step"]), engine.records
         )
@@ -359,7 +316,11 @@ class AsyncArrivalBackend(ExecutionBackend):
     def schedule(self, worker: int, now: float, version: int) -> None:
         """Worker fetches parameters at ``now`` and will deliver later."""
         self.fetch_version[worker] = version
-        compute_t = self._compute.step_time(1)
+        step_time_for = getattr(self._compute, "step_time_for", None)
+        compute_t = (
+            self._compute.step_time(1) if step_time_for is None
+            else step_time_for(worker, 1)
+        )
         straggle_t = self._delays.sample(
             worker, self.worker_step[worker], self._rng
         )

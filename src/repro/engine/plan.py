@@ -25,15 +25,12 @@ import copy
 import dataclasses
 import pathlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 import numpy as np
 
 from ..env import LAYERS, Environment
 from ..exceptions import ConfigurationError, TrainingError
-from ..simulation.cluster import ComputeModel
-from ..simulation.network import NetworkModel
-from ..straggler.models import DelayModel
 from .backends import ActorBackend, AsyncArrivalBackend, ExecutionBackend, FlatBackend
 from .core import RoundEngine
 from .rules import AdaptiveMigration, AsyncUpdate, LocalUpdate, SyncUpdate, UpdateRule
@@ -58,13 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class BuildContext:
-    """Everything a backend factory may need, already constructed.
-
-    ``compute``/``network``/``delay_model`` mirror the corresponding
-    :class:`~repro.env.Environment` layers for backends that wire
-    models individually; ``environment`` carries the full composite
-    (including failure and contention) for backends that support it.
-    """
+    """Everything a backend factory may need, already constructed;
+    ``environment`` holds this engine's five model layers."""
 
     spec: ExperimentSpec
     model: Any
@@ -72,60 +64,32 @@ class BuildContext:
     strategy: Any
     optimizer: Any
     eval_data: Any
-    compute: ComputeModel
-    network: NetworkModel
-    delay_model: DelayModel
+    environment: Environment
     rng: np.random.Generator
-    environment: Optional[Environment] = None
 
 
 # ----------------------------------------------------------------------
 # Built-in backends.
 
-def _require_flat_only_sections(ctx: BuildContext, backend: str) -> None:
-    """``failure:``/``contention:`` are simulated by the flat backend's
-    :class:`ClusterSimulator` only; reject silently-ignored sections."""
-    unsupported = [
-        name
-        for name, section in (
-            ("failure", ctx.spec.failure),
-            ("contention", ctx.spec.contention),
-        )
-        if section
-    ]
-    if unsupported:
-        raise ConfigurationError(
-            f"backend {backend!r} does not simulate the "
-            f"{'/'.join(unsupported)} spec section(s); "
-            "use the flat backend"
-        )
+def _cluster(ctx: BuildContext, **kwargs):
+    """This engine's round simulator, in its environment."""
+    return ctx.environment.simulator(
+        ctx.spec.num_workers,
+        ctx.strategy.placement.partitions_per_worker,
+        rng=ctx.rng,
+        **kwargs,
+    )
 
 
 @register_backend("flat")
 def _flat_backend(ctx: BuildContext) -> ExecutionBackend:
-    from ..simulation.cluster import ClusterSimulator
-
-    if ctx.environment is not None:
-        models = {"environment": ctx.environment}
-    else:  # hand-built BuildContext without the composite
-        models = {
-            "compute": ctx.compute,
-            "network": ctx.network,
-            "delay_model": ctx.delay_model,
-        }
-    return FlatBackend(ClusterSimulator(
-        num_workers=ctx.spec.num_workers,
-        partitions_per_worker=ctx.strategy.placement.partitions_per_worker,
-        rng=ctx.rng,
-        **models,
-    ))
+    return FlatBackend(_cluster(ctx))
 
 
 @register_backend("actor")
 def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
     from ..runtime.actors import MasterActor, RoundGradients, WorkerActor
 
-    _require_flat_only_sections(ctx, "actor")
     # Workers share the model object: actors run one at a time in
     # simulation and each sets parameters before computing.  They also
     # share the round's gradients, so each g_i is evaluated once.
@@ -137,20 +101,27 @@ def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
     return ActorBackend(
         MasterActor(ctx.strategy, ctx.model),
         workers,
-        compute=ctx.compute,
-        network=ctx.network,
-        delay_model=ctx.delay_model,
-        rng=ctx.rng,
+        _cluster(ctx, gradient_elements=ctx.model.num_parameters),
     )
 
 
 @register_backend("async-arrivals")
 def _async_backend(ctx: BuildContext) -> ExecutionBackend:
-    _require_flat_only_sections(ctx, "async-arrivals")
+    # failure:/contention: are round models of the ClusterSimulator;
+    # refuse them rather than ignore them silently.
+    unsupported = [
+        name for name in ("failure", "contention") if getattr(ctx.spec, name)
+    ]
+    if unsupported:
+        raise ConfigurationError(
+            f"backend 'async-arrivals' does not simulate the "
+            f"{'/'.join(unsupported)} spec section(s); "
+            "use a synchronous rule on the flat or actor backend"
+        )
     return AsyncArrivalBackend(
-        compute=ctx.compute,
-        network=ctx.network,
-        delay_model=ctx.delay_model,
+        compute=ctx.environment.compute,
+        network=ctx.environment.network,
+        delay_model=ctx.environment.delay,
         rng=ctx.rng,
     )
 
@@ -260,7 +231,7 @@ def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
             ctx.optimizer,
             wait_for=spec.wait_for,
             partition_bytes=params.get("partition_bytes", 1e7),
-            network=ctx.network,
+            network=ctx.environment.network,
             review_every=params.get("review_every", 25),
             min_recovery_gain=params.get("min_recovery_gain", 0.05),
             rng=np.random.default_rng(params.get("seed", spec.seed + 5)),
@@ -348,7 +319,6 @@ class EnginePlan:
             spec.scheme_params.get("seed", spec.seed + 3),
             spec.scheme_params.get("cache"),
         )
-        environment = Environment(**self.environment)
         ctx = BuildContext(
             spec=spec,
             model=model,
@@ -356,11 +326,8 @@ class EnginePlan:
             strategy=strategy,
             optimizer=SGD(spec.learning_rate),
             eval_data=self.dataset,
-            compute=environment.compute,
-            network=environment.network,
-            delay_model=environment.delay,
+            environment=Environment(**self.environment),
             rng=np.random.default_rng(spec.seed + 4),
-            environment=environment,
         )
         return RoundEngine(
             model=model,

@@ -373,6 +373,19 @@ class ExperimentSpec:
                 f"{_did_you_mean(unknown, accepted)}; "
                 f"accepted: {', '.join(accepted) or '(none)'}"
             )
+        # The async rule runs on the async-arrivals backend (``flat``,
+        # the default, selects it); no other rule can.
+        if (
+            self.backend not in ("flat", "async-arrivals")
+            if self.rule == "async"
+            else self.backend == "async-arrivals"
+        ):
+            raise ConfigurationError(
+                f"backend {self.backend!r} cannot run rule {self.rule!r}: "
+                "the async rule takes backend 'flat' (the default) or "
+                "'async-arrivals', and every other rule any backend but "
+                "'async-arrivals'"
+            )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

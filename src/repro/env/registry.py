@@ -688,10 +688,7 @@ def _compute_uniform(
 
 @register_compute(
     "heterogeneous",
-    summary=(
-        "uniform cost scaled by per-worker speed factors (pair with "
-        "HeterogeneousDelayAdapter for the homogeneous simulator)"
-    ),
+    summary="uniform cost scaled by per-worker speed factors",
     paper="heterogeneity-aware GC discussion (related work [21])",
 )
 def _compute_heterogeneous(

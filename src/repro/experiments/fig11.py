@@ -255,13 +255,3 @@ def fig11_tables(
             )
         tables.append(table)
     return tables
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Print every table of this experiment."""
-    for table in fig11_tables():
-        table.show()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -242,13 +242,3 @@ def fig12_tables(
                 table.add_row(*row)
         tables.append(table)
     return tables
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Print every table of this experiment."""
-    for table in fig12_tables():
-        table.show()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

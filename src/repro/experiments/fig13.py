@@ -145,13 +145,3 @@ def fig13_tables(
                      for p in points)
         )
     return [recovery, losses]
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Print every table of this experiment."""
-    for table in fig13_tables():
-        table.show()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -18,8 +18,9 @@ These mirror the paper's Ray implementation (Sec. VIII-A) one-to-one:
   the strategy and performs the unbiased update.
 
 Actors are pure state machines:
-:class:`~repro.engine.backends.ActorBackend` owns all timing, so the
-same actors can later be driven by a real transport.
+:class:`~repro.engine.backends.ActorBackend` times every round with its
+:class:`~repro.simulation.ClusterSimulator`, so the same actors can
+later be driven by a real transport.
 """
 
 from __future__ import annotations

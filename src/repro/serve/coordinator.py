@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import pathlib
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -505,7 +504,7 @@ class Coordinator:
         for record in mailbox.poll_checkpoints():
             if record.job_id in self._jobs:
                 continue
-            published = self._published_state(mailbox, record.job_id)
+            published = mailbox.published_state(record.job_id)
             if published in ("done", "failed", "cancelled"):
                 mailbox.clear_checkpoint(record.job_id)
                 continue
@@ -521,7 +520,7 @@ class Coordinator:
                 )
             except ServeError as exc:
                 mailbox.clear_checkpoint(record.job_id)
-                mailbox._write_rejection_payload(
+                mailbox.write_rejection(
                     record.job_id,
                     f"recovery failed: {exc}",
                     {"reason": "recovery_failed"},
@@ -535,18 +534,6 @@ class Coordinator:
             # round-zero record) so a second crash resumes from the
             # same boundary, not from scratch.
             mailbox.write_checkpoint(job, record.engine_state)
-
-    @staticmethod
-    def _published_state(
-        mailbox: "ServeMailbox", job_id: str
-    ) -> Optional[str]:
-        path = mailbox.root / "jobs" / f"{job_id}.json"
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text()).get("state")
-        except ValueError:
-            return None
 
     def _poll_mailbox(self, mailbox: "ServeMailbox") -> int:
         admitted = 0
@@ -563,9 +550,11 @@ class Coordinator:
                 )
                 admitted += 1
             except AdmissionError as exc:
-                mailbox.write_rejection(submission, str(exc), exc.details())
+                mailbox.write_rejection(
+                    submission.job_id, str(exc), exc.details()
+                )
             except ServeError as exc:
-                mailbox.write_rejection(submission, str(exc))
+                mailbox.write_rejection(submission.job_id, str(exc))
         for job_id in mailbox.poll_cancels():
             job = self._jobs.get(job_id)
             if job is not None:

@@ -284,7 +284,7 @@ class ServeMailbox:
                 submission = Submission.from_payload(job_id, payload)
             except (ReproError, ValueError, TypeError) as exc:
                 path.unlink()
-                self._write_rejection_payload(
+                self.write_rejection(
                     job_id, str(exc), {"reason": "invalid_submission"}
                 )
                 continue
@@ -306,26 +306,31 @@ class ServeMailbox:
             self.root / _JOBS / f"{job.job_id}.json", job.snapshot()
         )
 
+    def published_state(self, job_id: str) -> Optional[str]:
+        """The ``state`` of ``job_id``'s published snapshot, or None
+        when none was written (or it does not parse)."""
+        path = self.root / _JOBS / f"{job_id}.json"
+        if not path.exists():
+            return None
+        try:
+            return json.loads(path.read_text()).get("state")
+        except ValueError:
+            return None
+
     def write_rejection(
-        self,
-        submission: Submission,
-        reason: str,
-        details: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Record that a well-formed submission failed admission.
-
-        ``details`` carries the structured context (machine-readable
-        ``reason``, ``queue_depth``/``queue_limit``, ``retry_hint``)
-        of an :class:`~repro.exceptions.AdmissionError`.
-        """
-        self._write_rejection_payload(submission.job_id, reason, details)
-
-    def _write_rejection_payload(
         self,
         job_id: str,
         reason: str,
         details: Optional[Dict[str, object]] = None,
     ) -> None:
+        """Record that ``job_id`` was rejected — a malformed payload, a
+        failed admission, an unrecoverable checkpoint.
+
+        ``details`` carries the structured context (machine-readable
+        ``reason``, and for an
+        :class:`~repro.exceptions.AdmissionError` its
+        ``queue_depth``/``queue_limit``/``retry_hint``).
+        """
         payload: Dict[str, object] = {
             "id": job_id,
             "state": "rejected",
@@ -418,7 +423,7 @@ class ServeMailbox:
                 records.append(self._read_checkpoint(job_id, path))
             except (ReproError, ValueError, TypeError) as exc:
                 self.clear_checkpoint(job_id)
-                self._write_rejection_payload(
+                self.write_rejection(
                     job_id,
                     f"unreadable checkpoint: {exc}",
                     {"reason": "invalid_checkpoint"},

@@ -64,8 +64,7 @@ class JobRunner:
     trace_path:
         When given, a :class:`~repro.obs.TraceStreamWriter` streams the
         job's round trace there — one JSONL line per round, flushed as
-        the round completes (requires the flat backend, like all
-        tracing).
+        the round completes.
     checkpoint:
         An :class:`~repro.engine.EngineState` from a previous runner's
         :meth:`checkpoint`; the new engine restores it and the trace

@@ -4,7 +4,8 @@ One :class:`ClusterSimulator` models a synchronous training round:
 
 1. at step start the master broadcasts parameters (one broadcast time);
 2. every worker computes gradients on its ``c`` partitions
-   (``base_compute + c · per_partition_compute`` seconds), suffers a
+   (``base_compute + c · per_partition_compute`` seconds, scaled per
+   worker by a heterogeneous compute model), suffers a
    straggler delay from the injected :class:`~repro.straggler.DelayModel`,
    and uploads its coded gradient (network transfer time);
 3. the uploads race: :func:`~repro.simulation.events.arrival_race`
@@ -100,6 +101,9 @@ class RoundResult:
     #: the quantity the multi-message extension (repro.partial) exists
     #: to harvest.
     wasted_compute: float = 0.0
+    #: Seconds the parameter broadcast took: workers start computing
+    #: at ``step_start + broadcast_time``.
+    broadcast_time: float = 0.0
 
     @property
     def step_time(self) -> float:
@@ -240,13 +244,17 @@ class ClusterSimulator:
             raise SimulationError(
                 f"step {step}: every worker failed; nothing to wait for"
             )
-        compute_t = self._compute.step_time(self._c)
+        compute_t = self._compute_time(alive)
         straggles = self._delays.sample_round(alive, step, self._rng)
 
         if self._link is not None:
             upload_starts = {
-                worker: start + broadcast + compute_t + float(straggle_t)
-                for worker, straggle_t in zip(alive, straggles)
+                worker: start + broadcast + worker_compute + float(straggle_t)
+                for worker, worker_compute, straggle_t in zip(
+                    alive,
+                    np.broadcast_to(compute_t, len(alive)).tolist(),
+                    straggles,
+                )
             }
             contended = self._link.round_arrivals(
                 upload_starts, self._gradient_elements
@@ -267,7 +275,13 @@ class ClusterSimulator:
         outcome = policy.wait(relative, step)
         end = start + outcome.proceed_time
         self._clock = end
-        wasted = compute_t * len(relative.keys() - outcome.accepted_workers)
+        idle = relative.keys() - outcome.accepted_workers
+        if isinstance(compute_t, np.ndarray):
+            wasted = float(sum(
+                t for w, t in zip(alive, compute_t.tolist()) if w in idle
+            ))
+        else:
+            wasted = compute_t * len(idle)
         if self._tracer is not None:
             self._tracer.record_round(
                 step=step,
@@ -284,4 +298,14 @@ class ClusterSimulator:
             step_start=start,
             step_end=end,
             wasted_compute=wasted,
+            broadcast_time=broadcast,
         )
+
+    def _compute_time(self, workers):
+        """Compute seconds of this round's live ``workers``: one float
+        for a uniform model, an array aligned with ``workers`` for a
+        per-worker one (``step_time_for``, e.g. heterogeneous speeds)."""
+        step_time_for = getattr(self._compute, "step_time_for", None)
+        if step_time_for is None:
+            return self._compute.step_time(self._c)
+        return np.array([step_time_for(w, self._c) for w in workers])

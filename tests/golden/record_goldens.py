@@ -183,10 +183,7 @@ def golden_runtime():
         backend = ActorBackend(
             master,
             [WorkerActor(i, strategy, model, streams) for i in range(N)],
-            compute=ComputeModel(0.02, 0.02),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=TraceReplayModel(trace),
-            rng=np.random.default_rng(0),
+            make_cluster(strategy, trace),
         )
         engine = RoundEngine(
             model, streams, strategy, backend, SyncUpdate(SGD(0.3)),

@@ -7,13 +7,13 @@ from repro.codes import (
     LeastSquaresDecoder,
     StochasticSumDecoder,
     l2_gradient_error,
-    placement_matrix,
 )
 from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
     SummationCode,
     decoder_for,
+    partition_matrix,
 )
 from repro.exceptions import CodingError
 
@@ -27,17 +27,17 @@ def _payloads(placement, seed=0, dim=6):
 class TestPlacementMatrix:
     def test_row_support_matches_partitions(self):
         placement = CyclicRepetition(5, 2)
-        b = placement_matrix(placement)
+        b = partition_matrix(placement)
         for worker in range(5):
             support = set(np.flatnonzero(b[worker]))
             assert support == set(placement.partitions_of(worker))
 
     def test_row_sums_equal_c(self):
-        b = placement_matrix(FractionalRepetition(6, 3))
+        b = partition_matrix(FractionalRepetition(6, 3))
         np.testing.assert_allclose(b.sum(axis=1), 3.0)
 
     def test_column_sums_equal_c(self):
-        b = placement_matrix(CyclicRepetition(6, 3))
+        b = partition_matrix(CyclicRepetition(6, 3))
         np.testing.assert_allclose(b.sum(axis=0), 3.0)
 
 

@@ -169,9 +169,7 @@ class TestRegistries:
                 partitions_per_worker=(
                     ctx.strategy.placement.partitions_per_worker
                 ),
-                compute=ctx.compute,
-                network=ctx.network,
-                delay_model=ctx.delay_model,
+                environment=ctx.environment,
                 rng=ctx.rng,
             )
             return FlatBackend(cluster)

@@ -106,9 +106,9 @@ def run(engine, spec):
 
 
 def traced(spec):
-    """Round tracing needs the cluster-backed (flat, synchronous)
-    backend; everything else runs untraced."""
-    if spec.backend == "flat" and spec.rule != "async":
+    """Every synchronous rule's rounds are traced (flat and actor share
+    the cluster simulator); async runs have no rounds to trace."""
+    if spec.rule != "async":
         return RoundTracer(scheme=spec.name)
     return None
 

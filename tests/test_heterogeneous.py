@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.engine import ExperimentSpec, build_engine
 from repro.exceptions import ConfigurationError
+from repro.obs import RoundTracer
 from repro.simulation import (
     ClusterSimulator,
     ComputeModel,
@@ -78,3 +80,52 @@ class TestDelayAdapter:
         assert result.step_time == pytest.approx(0.3)
         full = sim.run_round(1, WaitForK(4))
         assert full.step_time == pytest.approx(3.0)
+
+
+class TestHeterogeneousComputeSection:
+    """``compute: {kind: "heterogeneous"}`` on every backend: one 10×
+    slow worker and no delay model, so its uploads come in last."""
+
+    SLOW = 3
+
+    def _spec(self, backend="flat", rule="sync", max_steps=4):
+        return ExperimentSpec(
+            name="heterogeneous",
+            scheme="sync-sgd",
+            num_workers=4,
+            backend=backend,
+            rule=rule,
+            max_steps=max_steps,
+            delay={"kind": "none"},
+            compute={"kind": "heterogeneous",
+                     "speed_factors": {self.SLOW: 10.0}},
+        )
+
+    @pytest.mark.parametrize("backend", ["flat", "actor"])
+    def test_round_backends(self, backend):
+        spec = self._spec(backend)
+        tracer = RoundTracer()
+        build_engine(spec, tracer=tracer).run(spec.max_steps)
+        assert len(tracer.traces) == spec.max_steps
+        for trace in tracer.traces:
+            slow = trace.arrivals[self.SLOW]
+            assert list(trace.arrivals)[-1] == self.SLOW
+            assert all(
+                t < slow for w, t in trace.arrivals.items() if w != self.SLOW
+            )
+
+    def test_async_backend(self):
+        # 3 fast workers upload ~9 times each before the slow one's first.
+        spec = self._spec(rule="async", max_steps=40)
+        engine = build_engine(spec)
+        engine.run_updates(spec.max_steps)
+        first = {}
+        for record in engine.async_records:
+            first.setdefault(record.worker, record.sim_time)
+        assert sorted(first) == [0, 1, 2, 3]
+        assert max(first, key=first.get) == self.SLOW
+        assert all(
+            t < first[self.SLOW] for w, t in first.items() if w != self.SLOW
+        )
+        counts = [r.worker for r in engine.async_records].count
+        assert counts(self.SLOW) < min(counts(w) for w in (0, 1, 2))

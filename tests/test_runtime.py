@@ -63,10 +63,15 @@ def _runtime(strategy, streams, ds, trace, keep_message_log=False):
     backend = ActorBackend(
         MasterActor(strategy, model),
         [WorkerActor(i, strategy, model, streams) for i in range(N)],
-        compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=TraceReplayModel(trace),
-        rng=np.random.default_rng(0),
+        ClusterSimulator(
+            num_workers=N,
+            partitions_per_worker=strategy.placement.partitions_per_worker,
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            delay_model=TraceReplayModel(trace),
+            gradient_elements=model.num_parameters,
+            rng=np.random.default_rng(0),
+        ),
         keep_message_log=keep_message_log,
     )
     return RoundEngine(
@@ -228,22 +233,21 @@ class TestEquivalenceWithFlatTrainer:
 
 
 class TestActorRace:
-    """The actor backend races its uploads through the simulator's own
-    ``arrival_race``: earliest first, ties by position in the worker
-    list."""
+    """The actor backend's round is its cluster simulator's
+    ``arrival_race``: earliest first, ties by worker id, whatever order
+    the worker list is in."""
 
     @pytest.mark.parametrize(
         "delays, expected, accepted",
         [
-            # Every worker ties: the worker list's order, as given (the
-            # wait policy itself breaks its ties by worker id).
-            ([0.0, 0.0, 0.0, 0.0], [3, 1, 0, 2], [0, 1]),
-            # Two pairs of ties: 3 and 1 at zero delay, then 0 and 2.
-            ([0.5, 0.0, 0.5, 0.0], [3, 1, 0, 2], [1, 3]),
-            ([0.0, 0.5, 0.0, 0.5], [0, 2, 3, 1], [0, 2]),
+            # Every worker ties: worker id order.
+            ([0.0, 0.0, 0.0, 0.0], [0, 1, 2, 3], [0, 1]),
+            # Two pairs of ties: 1 and 3 at zero delay, then 0 and 2.
+            ([0.5, 0.0, 0.5, 0.0], [1, 3, 0, 2], [1, 3]),
+            ([0.0, 0.5, 0.0, 0.5], [0, 2, 1, 3], [0, 2]),
         ],
     )
-    def test_tied_arrivals_follow_worker_list(
+    def test_tied_arrivals_follow_worker_id(
         self, workload, delays, expected, accepted
     ):
         ds, streams = workload
@@ -253,10 +257,15 @@ class TestActorRace:
         backend = ActorBackend(
             MasterActor(strategy, model),
             [WorkerActor(i, strategy, model, streams) for i in (3, 1, 0, 2)],
-            compute=compute,
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=TraceReplayModel(DelayTrace(np.array([delays]))),
-            rng=np.random.default_rng(0),
+            ClusterSimulator(
+                num_workers=N,
+                partitions_per_worker=strategy.placement.partitions_per_worker,
+                compute=compute,
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+                delay_model=TraceReplayModel(DelayTrace(np.array([delays]))),
+                rng=np.random.default_rng(0),
+            ),
+            keep_message_log=True,
         )
         engine = RoundEngine(
             model, streams, strategy, backend, SyncUpdate(SGD(0.3)),
@@ -268,3 +277,6 @@ class TestActorRace:
         compute_t = compute.step_time(strategy.placement.partitions_per_worker)
         for worker, delay in enumerate(delays):
             assert execution.arrivals[worker] == compute_t + delay
+        # Only the accepted workers compute and upload.
+        uploads = [m.worker for m in backend.message_log[1:]]
+        assert uploads == accepted

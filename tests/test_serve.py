@@ -665,6 +665,25 @@ class TestRunReport:
         assert report.scheme == spec.scheme
         assert report.spec_fingerprint == spec.fingerprint()
 
+    def test_actor_job_streams_its_trace(self, tmp_path):
+        """The actor backend rounds through the cluster simulator, so
+        a traced coordinator runs actor jobs like flat ones."""
+        spec = dataclasses.replace(make_spec(0), backend="actor")
+
+        async def scenario():
+            coord = Coordinator(mode="deterministic", trace_dir=tmp_path)
+            handle = coord.submit(spec)
+            await coord.drain()
+            assert handle.state is JobState.DONE
+            return await handle.result()
+
+        report = asyncio.run(scenario())
+        lines = pathlib.Path(report.trace_path).read_text().splitlines()
+        assert len(lines) == report.num_steps == spec.max_steps
+        assert [json.loads(line)["step"] for line in lines] == list(
+            range(spec.max_steps)
+        )
+
     def test_trace_report_points_at_stream(self, tmp_path):
         (report,) = run_jobs([make_spec(0)], trace_dir=tmp_path)
         trace = pathlib.Path(report.trace_path)

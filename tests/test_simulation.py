@@ -505,7 +505,7 @@ class QueueRound:
             )
         return RoundResult(
             arrivals=relative, outcome=outcome, step_start=start,
-            step_end=end, wasted_compute=wasted,
+            step_end=end, wasted_compute=wasted, broadcast_time=broadcast,
         )
 
 

@@ -191,16 +191,46 @@ class TestEnvironmentSections:
         with pytest.raises(ConfigurationError, match="transient-dropouts"):
             build_engine(spec)
 
-    @pytest.mark.parametrize("backend", ["actor", "async-arrival"])
+    @pytest.mark.parametrize("backend", ["async-arrivals"])
     def test_non_flat_backends_reject_flat_only_sections(self, backend):
         spec = _spec(
             backend=backend,
             failure={"kind": "transient-dropouts", "probability": 0.1},
-            **({"rule": "async", "wait_for": None, "scheme": "sync-sgd"}
-               if backend == "async-arrival" else {}),
+            rule="async", wait_for=None, scheme="sync-sgd",
         )
-        with pytest.raises(ConfigurationError, match="flat backend"):
+        with pytest.raises(ConfigurationError, match="flat or actor backend"):
             build_engine(spec)
+
+    def test_actor_backend_runs_failure_and_contention_sections(self):
+        """The actor backend times its rounds with the flat backend's
+        ClusterSimulator, so it simulates every environment section."""
+        healthy = run_spec(_spec(seed=3, backend="actor"))
+        troubled = run_spec(_spec(
+            seed=3,
+            backend="actor",
+            failure={"kind": "permanent-crashes", "crashed_workers": [0]},
+            contention={"kind": "fair-share", "capacity_bytes_per_s": 1e3},
+        ))
+        assert troubled.num_steps == healthy.num_steps == 5
+        assert troubled.loss_curve != healthy.loss_curve
+        assert troubled.total_sim_time != healthy.total_sim_time
+
+    @pytest.mark.parametrize("rule, backend", [
+        ("async", "actor"),
+        ("async", "async-arrival"),
+        ("sync", "async-arrivals"),
+        ("local-update", "async-arrivals"),
+    ])
+    def test_backend_must_suit_the_rule(self, rule, backend):
+        with pytest.raises(ConfigurationError, match="cannot run rule"):
+            _spec(scheme="sync-sgd", wait_for=None, rule=rule,
+                  backend=backend)
+
+    @pytest.mark.parametrize("backend", ["flat", "async-arrivals"])
+    def test_async_rule_takes_flat_or_async_arrivals(self, backend):
+        spec = _spec(scheme="sync-sgd", wait_for=None, rule="async",
+                     backend=backend)
+        assert run_spec(spec).num_updates == 5
 
     def test_persistent_legacy_sugar_still_builds(self):
         """The pre-registry shorthand (stragglers + mean) keeps working
