@@ -9,12 +9,18 @@ neutral where the trajectory goldens only see it through a trainer.
 The FR cases were recorded before Alg. 1's per-group ``choice`` calls
 became one bounded ``integers`` draw, and re-recorded once when FR's
 groups began drawing in ascending order (``fr-48-3`` and ``fr-96-4``
-moved; the others already drew ascending).
+moved; the others already drew ascending).  The ``exact-*`` cases
+were recorded before the exact-MIS decoder's branch and bound became
+a memoised bitset search.  Fair exact decoding draws an index into
+the canonical list of optima, so these cases pin that list's order:
+at ``n >= 11`` it is the order of branching on workers sorted by
+``repr`` (``10`` before ``2``), not ascending.
 
 Per case (FR with several groups, ``c = 1`` and one group, and with
 ids past the frozenset's hash table, where set order is not ascending; CR
 ``window`` / ``all``; HR's ``c1 = 0``, ``g = 1``, ``c2 = 0`` and
-general cases) and per mode the golden stores:
+general cases; the exact decoder on CR, HR and a hetero ``cr`` table
+with a non-identity assignment) and per mode the golden stores:
 
 * a digest of every ``(selected workers, num_searches)`` pair, in mask
   order;
@@ -37,15 +43,20 @@ import numpy as np
 
 from repro.core.cr_decoder import CRDecoder
 from repro.core.cyclic import CyclicRepetition
+from repro.core.exact_decoder import ExactDecoder
 from repro.core.fr_decoder import FRDecoder
 from repro.core.fractional import FractionalRepetition
 from repro.core.hr_decoder import HRDecoder
 from repro.core.hybrid import HybridRepetition
+from repro.core.scheme import HeteroScheme
 from repro.parallel import DecodeCache
 
 HERE = pathlib.Path(__file__).parent
 DECODER_SEED = 20230711
 NUM_MASKS = 40
+
+#: Machine → base worker index for the ``exact-hetero-cr-12-3`` case.
+HETERO_ASSIGNMENT = (5, 11, 2, 8, 0, 10, 3, 7, 1, 9, 4, 6)
 
 #: name → decoder factory ``(rng, cache) -> Decoder``.
 CASES = {
@@ -96,6 +107,22 @@ CASES = {
     ),
     "hr-general-24": lambda rng, cache: HRDecoder(
         HybridRepetition(24, 2, 2, 4), rng=rng, cache=cache
+    ),
+    "exact-cr-12-3": lambda rng, cache: ExactDecoder(
+        CyclicRepetition(12, 3), rng=rng, cache=cache
+    ),
+    "exact-hr-12": lambda rng, cache: ExactDecoder(
+        HybridRepetition(12, 1, 3, 3), rng=rng, cache=cache
+    ),
+    "exact-hetero-cr-12-3": lambda rng, cache: ExactDecoder(
+        HeteroScheme(
+            num_workers=12,
+            assignment=HETERO_ASSIGNMENT,
+            base="cr",
+            partitions_per_worker=3,
+        ).construct(),
+        rng=rng,
+        cache=cache,
     ),
 }
 
