@@ -20,7 +20,7 @@ static:
 	PYTHONPATH=src $(PYTHON) -m repro check
 
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=10
 
 # End-to-end benchmark, one repeat: exits non-zero on any failed
 # result-digest, recovery-bound, decoder-oracle or served==sequential

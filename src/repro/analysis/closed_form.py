@@ -105,7 +105,7 @@ def alpha_distribution_exact(
     counts: Dict[int, int] = {}
     total = 0
     for subset in combinations(range(n), w):
-        alpha = independence_number(graph.subgraph(subset))
+        alpha = independence_number(graph, subset)
         counts[alpha] = counts.get(alpha, 0) + 1
         total += 1
     return {k: v / total for k, v in sorted(counts.items())}

@@ -46,7 +46,7 @@ def check_bounds_exhaustive(
     lo = alpha_lower_bound(n, c, w)
     hi = alpha_upper_bound(n, c, w)
     for subset in combinations(range(n), w):
-        alpha = independence_number(graph.subgraph(subset))
+        alpha = independence_number(graph, subset)
         yield BoundCheck(available=subset, alpha=alpha, lower=lo, upper=hi)
 
 
@@ -64,7 +64,7 @@ def check_bounds_sampled(
     hi = alpha_upper_bound(n, c, w)
     for _ in range(trials):
         subset = tuple(sorted(rng.choice(n, size=w, replace=False).tolist()))
-        alpha = independence_number(graph.subgraph(subset))
+        alpha = independence_number(graph, subset)
         yield BoundCheck(available=subset, alpha=alpha, lower=lo, upper=hi)
 
 

@@ -89,7 +89,7 @@ def estimator_moments(
         weights_list: List[float] = []
         for row in masks:
             subset = frozenset(np.flatnonzero(row).tolist())
-            optima = all_maximum_independent_sets(graph.subgraph(subset))
+            optima = all_maximum_independent_sets(graph, subset)
             for mis in optima:
                 indicator = np.zeros(n, dtype=bool)
                 indicator[[int(v) for v in mis]] = True

@@ -6,13 +6,7 @@ from .explicit import ExplicitPlacement
 from .fractional import FractionalRepetition
 from .cyclic import CyclicRepetition
 from .hybrid import HybridRepetition
-from .conflict import (
-    conflict_graph,
-    cr_conflict_graph,
-    edge_subset,
-    fr_conflict_graph,
-    hr_conflict_graph,
-)
+from .conflict import conflict_graph, edge_subset
 from .scheme import (
     PLACEMENT_REGISTRY,
     CommEfficientScheme,
@@ -34,7 +28,6 @@ from .batch import (
     BatchDecodeResult,
     batched_greedy_chains,
     circulant_adjacency,
-    conflict_adjacency,
     enumerate_masks,
     masks_to_array,
     partition_matrix,
@@ -79,9 +72,6 @@ __all__ = [
     "CyclicRepetition",
     "HybridRepetition",
     "conflict_graph",
-    "fr_conflict_graph",
-    "cr_conflict_graph",
-    "hr_conflict_graph",
     "edge_subset",
     "PlacementScheme",
     "PLACEMENT_REGISTRY",
@@ -104,7 +94,6 @@ __all__ = [
     "BatchDecodeResult",
     "batched_greedy_chains",
     "circulant_adjacency",
-    "conflict_adjacency",
     "enumerate_masks",
     "masks_to_array",
     "partition_matrix",

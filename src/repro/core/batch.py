@@ -8,9 +8,10 @@ the speed on the table.  This module is the data layer behind
 * availability masks become one ``(num_masks, n)`` boolean array
   (:func:`masks_to_array`, with the same validation errors as the
   looped path);
-* conflict graphs become ``(n, n)`` boolean adjacency matrices
-  (:func:`circulant_adjacency` for the CR/HR circles,
-  :func:`conflict_adjacency` for any pairwise predicate);
+* conflict graphs are ``(n, n)`` boolean adjacency matrices
+  (:func:`circulant_adjacency` is Theorem 1's closed form for the CR/HR
+  circles; :func:`repro.core.conflict.conflict_graph` builds any
+  placement's from :func:`partition_matrix`);
 * the clockwise greedy walk of Algs. 2/3 exists exactly twice — one
   mask at a time (:func:`greedy_chain`) and across every (mask, start)
   pair at once (:func:`batched_greedy_chains`) — both driven by an
@@ -184,20 +185,6 @@ def circulant_adjacency(n: int, c: int) -> np.ndarray:
     return (dist > 0) & (dist < c)
 
 
-def conflict_adjacency(placement: Placement) -> np.ndarray:
-    """``(n, n)`` boolean adjacency from the placement's pairwise
-    conflict predicate (``conflicts_fast`` when the family has the O(1)
-    closed form, partition-intersection ground truth otherwise)."""
-    n = placement.num_workers
-    pred = getattr(placement, "conflicts_fast", placement.conflicts)
-    adj = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if pred(a, b):
-                adj[a, b] = adj[b, a] = True
-    return adj
-
-
 def partition_matrix(placement: Placement) -> np.ndarray:
     """``(num_workers, num_partitions)`` boolean storage indicator:
     entry ``[w, p]`` iff worker ``w`` stores partition ``p``.  A batch
@@ -276,8 +263,8 @@ def batched_greedy_chains(
     (in ``adj``) to neither the last admitted vertex nor the start.
     The CR condition ``circular_distance >= c`` is exactly
     non-adjacency in the circulant graph, and the HR Alg. 4 predicate
-    is exactly adjacency in :func:`conflict_adjacency`, so one kernel
-    serves both.
+    is exactly adjacency in the HR conflict graph, so one kernel serves
+    both.
 
     Parameters are ``adj`` ``(n, n)`` bool (``False`` diagonal),
     ``avail_rows`` ``(P, n)`` bool (the mask each walk runs under), and

@@ -6,70 +6,30 @@ partition.  The conflict graph ``G = (W, E)`` has one vertex per worker
 and an edge per conflicting pair; decoding a set ``W'`` of available
 workers is exactly a maximum-independent-set problem on ``G[W']``.
 
-This module builds conflict graphs from ground truth (placement
-intersections) and offers the fast closed-form constructions the paper
-proves correct (Theorem 1 for CR, clique-union for FR).
+:func:`conflict_graph` is the ground truth for every placement.  The
+one closed form beside it is Theorem 1's circulant
+(:func:`repro.core.batch.circulant_adjacency`), which the CR and HR
+decoders walk and the tests hold to this builder.
 """
 
 from __future__ import annotations
 
-from ..graphs.circulant import circulant_graph
+import numpy as np
+
 from ..graphs.graph import Graph
-from .cyclic import CyclicRepetition
-from .fractional import FractionalRepetition
-from .hybrid import HybridRepetition
+from .batch import partition_matrix
 from .placement import Placement
 
 
 def conflict_graph(placement: Placement) -> Graph:
-    """Ground-truth conflict graph from partition-set intersections.
-
-    Works for any placement; O(n² · c) which is negligible at worker
-    scale.  The fast constructions below must agree with this for the
-    schemes they cover (enforced by tests).
-    """
-    n = placement.num_workers
-    g = Graph(vertices=range(n))
-    part_sets = [set(placement.partitions_of(w)) for w in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if part_sets[a] & part_sets[b]:
-                g.add_edge(a, b)
-    return g
-
-
-def fr_conflict_graph(n: int, c: int) -> Graph:
-    """FR conflict graph: a disjoint union of ``n/c`` cliques (Fig. 4a)."""
-    FractionalRepetition(n, c)  # parameter validation
-    g = Graph(vertices=range(n))
-    for group in range(n // c):
-        members = range(group * c, (group + 1) * c)
-        for a in members:
-            for b in members:
-                if a < b:
-                    g.add_edge(a, b)
-    return g
-
-
-def cr_conflict_graph(n: int, c: int) -> Graph:
-    """CR conflict graph: the circulant ``C_n^{1..c-1}`` (Theorem 1)."""
-    CyclicRepetition(n, c)  # parameter validation
-    if c == 1:
-        return Graph(vertices=range(n))
-    return circulant_graph(n, range(1, c))
-
-
-def hr_conflict_graph(n: int, c1: int, c2: int, g: int) -> Graph:
-    """HR conflict graph via the Alg. 4 closed-form predicate."""
-    placement = HybridRepetition(n, c1, c2, g)
-    graph = Graph(vertices=range(n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            if placement.conflicts_fast(a, b):
-                graph.add_edge(a, b)
-    return graph
+    """Ground-truth conflict graph from partition-set intersections:
+    ``P @ Pᵀ`` over the storage indicator ``P``, diagonal cleared."""
+    storage = partition_matrix(placement).astype(np.float32)
+    adjacency = (storage @ storage.T) > 0
+    np.fill_diagonal(adjacency, False)
+    return Graph(adjacency)
 
 
 def edge_subset(inner: Graph, outer: Graph) -> bool:
     """True iff ``E(inner) ⊆ E(outer)`` (Theorems 4 and 7 orderings)."""
-    return inner.edges <= outer.edges
+    return not (inner.adjacency & ~outer.adjacency).any()

@@ -8,7 +8,7 @@ payloads recover ``ĝ = Σ_{i∈I} g_i`` with ``|I|`` maximal.
 All decoders share two contracts the paper relies on:
 
 * **optimality** — the returned worker set is a *maximum* independent
-  set of ``G[W']`` (verified against exact branch-and-bound in tests);
+  set of ``G[W']`` (verified against the exact MIS solver in tests);
 * **fairness** — under homogeneous stragglers every partition has the
   same probability of appearing in ``I`` (randomized tie-breaking,
   driven by an injected :class:`numpy.random.Generator`).

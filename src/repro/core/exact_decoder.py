@@ -1,9 +1,10 @@
 """Exact-MIS reference decoder.
 
 Works for *any* placement by solving the maximum-independent-set
-problem on the induced conflict subgraph with branch and bound.  This is
-the ground truth the linear-time scheme decoders are validated against,
-and the decoder of last resort for custom placements.
+problem on the induced conflict subgraph with the memoised bitset
+search of :mod:`repro.graphs.independent_set`.  This is the ground
+truth the linear-time scheme decoders are validated against, and the
+decoder of last resort for custom placements.
 
 To preserve the paper's fairness property, when several maximum
 independent sets exist one is chosen uniformly at random.
@@ -16,10 +17,7 @@ from typing import FrozenSet, List, Tuple
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.independent_set import (
-    all_maximum_independent_sets,
-    maximum_independent_set,
-)
+from ..graphs.independent_set import all_maximum_independent_sets
 from .batch import BatchDecodeResult, MaskBatch, masks_to_array
 from .conflict import conflict_graph
 from .decoders import Decoder, Selection, register_decoder
@@ -28,65 +26,34 @@ from .placement import Placement
 
 @register_decoder("exact")
 class ExactDecoder(Decoder):
-    """Branch-and-bound MIS decoder for arbitrary placements."""
+    """Exact MIS decoder for arbitrary placements: a uniform draw over
+    every maximum independent set of ``G[W']``."""
 
-    def __init__(
-        self,
-        placement: Placement,
-        *,
-        rng=None,
-        fair: bool = True,
-        cache=None,
-    ):
-        """``fair=True`` samples uniformly among all maximum independent
-        sets (slower); ``fair=False`` returns a single deterministic
-        optimum (used in benchmarks where only the size matters)."""
+    def __init__(self, placement: Placement, *, rng=None, cache=None):
         super().__init__(placement, rng=rng, cache=cache)
         self._graph: Graph = conflict_graph(placement)
-        self._fair = fair
 
-    @property
-    def graph(self) -> Graph:
-        """The full conflict graph of the placement."""
-        return self._graph
+    def _optima(self, available: FrozenSet[int]) -> Tuple[FrozenSet[int], ...]:
+        return tuple(all_maximum_independent_sets(self._graph, available))
 
     def _decode(self, available: FrozenSet[int]) -> Selection:
-        if self._fair:
-            # all_maximum_independent_sets is canonically ordered (pure
-            # in the induced subgraph), so the optima list memoises; the
-            # uniform index draw below stays live for fairness.
-            optima: Tuple[FrozenSet[int], ...] = self._memo(
-                "exact-optima",
-                available,
-                "fair",
-                lambda: tuple(
-                    all_maximum_independent_sets(
-                        self._graph.subgraph(available)
-                    )
-                ),
-            )
-            idx = int(self._rng.integers(len(optima)))
-            chosen = optima[idx]
-        else:
-            chosen = self._memo(
-                "exact-optima",
-                available,
-                "first",
-                lambda: maximum_independent_set(
-                    self._graph.subgraph(available)
-                ),
-            )
-        return Selection(frozenset(int(v) for v in chosen), 1)
+        # The optima list is canonically ordered (pure in the induced
+        # subgraph), so it memoises; the uniform index draw below stays
+        # live for fairness.
+        optima = self._memo(
+            "exact-optima", available, None, lambda: self._optima(available)
+        )
+        chosen = optima[int(self._rng.integers(len(optima)))]
+        return Selection(chosen, 1)
 
     def decode_batch(self, masks: MaskBatch) -> BatchDecodeResult:
         """Batched exact decoding: one cache pass, then fairness draws.
 
-        The branch-and-bound kernel is pure in the induced subgraph, so
-        the whole batch resolves through one
-        :meth:`~Decoder._memo_batch` hit/miss partition; only the
-        misses are solved.  The uniform index draws (fair mode) then
-        run per mask in batch order — after the kernels but in the
-        identical stream positions as the looped path, which also
+        The search is pure in the induced subgraph, so the whole batch
+        resolves through one :meth:`~Decoder._memo_batch` hit/miss
+        partition; only the misses are solved.  The uniform index draws
+        then run per mask in batch order — after the searches but in
+        the identical stream positions as the looped path, which also
         never draws *during* a search.
         """
         placement: Placement = self._placement
@@ -98,32 +65,17 @@ class ExactDecoder(Decoder):
             fsets = [
                 frozenset(np.flatnonzero(row).tolist()) for row in avail
             ]
-        extra = "fair" if self._fair else "first"
-        keys = [(fs, extra) for fs in fsets]
 
         def compute_missing(missing: List) -> List:
-            if self._fair:
-                return [
-                    tuple(
-                        all_maximum_independent_sets(
-                            self._graph.subgraph(fs)
-                        )
-                    )
-                    for fs, _ in missing
-                ]
-            return [
-                maximum_independent_set(self._graph.subgraph(fs))
-                for fs, _ in missing
-            ]
+            return [self._optima(fs) for fs, _ in missing]
 
-        values = self._memo_batch("exact-optima", keys, compute_missing)
+        values = self._memo_batch(
+            "exact-optima", [(fs, None) for fs in fsets], compute_missing
+        )
         selected = np.zeros_like(avail)
-        for i, value in enumerate(values):
-            if self._fair:
-                chosen = value[int(self._rng.integers(len(value)))]
-            else:
-                chosen = value
-            selected[i, [int(v) for v in chosen]] = True
+        for i, optima in enumerate(values):
+            chosen = optima[int(self._rng.integers(len(optima)))]
+            selected[i, list(chosen)] = True
         return self._finalize_batch(
             avail, selected, np.ones(num_masks, dtype=np.intp)
         )

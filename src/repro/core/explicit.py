@@ -23,8 +23,8 @@ class ExplicitPlacement(Placement):
     partitions and every partition must be stored somewhere (the
     standard :class:`Placement` invariants).
 
-    Decoding dispatches to the exact branch-and-bound decoder, which
-    is correct for any placement.
+    Decoding dispatches to the exact-MIS decoder, which is correct for
+    any placement.
     """
 
     scheme = "explicit"

@@ -10,9 +10,9 @@ reducers, different adjacency and seeding):
   with survivors);
 * the clockwise walk admits a candidate iff it conflicts with neither
   the previously admitted vertex nor the start vertex, where conflict is
-  the closed-form predicate of Alg. 4 (within-group completeness plus
-  neighbouring-group CR spill-over), tabulated once as an adjacency
-  matrix.
+  Alg. 4's predicate (within-group completeness plus neighbouring-group
+  CR spill-over) — exactly adjacency in the conflict graph, whose
+  matrix the walk indexes.
 
 Consecutive + wrap checks suffice for pairwise independence by the
 observation in Theorem 9 (conflict "monotonicity" along the circle).
@@ -34,7 +34,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from .batch import circulant_adjacency, conflict_adjacency
+from .batch import circulant_adjacency
+from .conflict import conflict_graph
 from .cr_decoder import ChainDecoder, Segment
 from .decoders import register_decoder
 from .hybrid import HybridRepetition
@@ -61,7 +62,8 @@ class HRDecoder(ChainDecoder):
     @cached_property
     def _adj(self) -> np.ndarray:
         """The global circulant (CR case), one group's local circulant
-        (``c2 = 0``), or the Alg. 4 conflict matrix (general HR)."""
+        (``c2 = 0``), or the conflict graph's matrix (general HR, where
+        adjacency is exactly Alg. 4's predicate)."""
         placement: HybridRepetition = self._placement  # type: ignore[assignment]
         if self._kind == "hr-cr-chain":
             return super()._adj
@@ -69,7 +71,7 @@ class HRDecoder(ChainDecoder):
             return circulant_adjacency(
                 placement.group_size, placement.partitions_per_worker
             )
-        return conflict_adjacency(placement)
+        return conflict_graph(placement).adjacency
 
     def _draw_starts(self, members: List[int]) -> List[Segment]:
         if self._kind == "hr-cr-chain":

@@ -8,9 +8,9 @@ each family grew its own ad-hoc conflict/bound/fingerprint plumbing;
 now they all speak one protocol:
 
 * :class:`PlacementScheme` — ``construct()`` (cached), ``conflict_graph()``
-  (ground truth by default, with *verified* closed-form fast paths for
-  FR and CR routed through :mod:`repro.core.conflict`), ``recovery_bounds(w)``
-  (Theorem 10/11 style partition-count brackets), ``fingerprint()``
+  (the partition-intersection ground truth of :mod:`repro.core.conflict`,
+  one builder for every family), ``recovery_bounds(w)`` (Theorem 10/11
+  style partition-count brackets), ``fingerprint()``
   (the :class:`~repro.parallel.DecodeCache` key) and ``describe()``;
 * :data:`PLACEMENT_REGISTRY` + :func:`register_placement` — the name →
   scheme-class registry, mirroring
@@ -26,11 +26,6 @@ the catalogue with paper pointers).  A new family needs one
 ``@register_placement`` class; specs (via the generic ``is-gc``
 scheme), ``repro placements``, caching and the static checks pick it
 up by name.
-
-Fast paths are *verified*, not parallel code paths: every override of
-:meth:`PlacementScheme.conflict_graph` must agree with the
-ground-truth :func:`~repro.core.conflict.conflict_graph` of the
-constructed placement (property-tested in ``tests/test_scheme.py``).
 """
 
 from __future__ import annotations
@@ -53,11 +48,7 @@ from ..exceptions import ConfigurationError
 from ..graphs.graph import Graph
 from ..registry import Registry
 from .bounds import hr_alpha_bounds, recovered_partitions_bounds
-from .conflict import (
-    conflict_graph,
-    cr_conflict_graph,
-    fr_conflict_graph,
-)
+from .conflict import conflict_graph
 from .cyclic import CyclicRepetition
 from .explicit import ExplicitPlacement
 from .fractional import FractionalRepetition
@@ -224,12 +215,11 @@ class PlacementScheme(ABC):
     """One placement family: parameters in, paper machinery out.
 
     Subclasses register with :func:`register_placement`, implement
-    :meth:`_construct`, and optionally override :meth:`conflict_graph`
-    with a *verified* closed-form fast path and
-    :meth:`recovery_bounds` with family-specific theorems.  The default
-    implementations — partition-intersection ground truth and the
-    single-selected-worker bracket — are correct for **any** placement,
-    so a minimal new family is just a constructor.
+    :meth:`_construct`, and optionally override :meth:`recovery_bounds`
+    with family-specific theorems.  The conflict graph (partition-
+    intersection ground truth) and the default single-selected-worker
+    bracket are correct for **any** placement, so a minimal new family
+    is just a constructor.
     """
 
     #: canonical registry name, set by :func:`register_placement`.
@@ -267,16 +257,10 @@ class PlacementScheme(ABC):
 
     # -- the protocol ---------------------------------------------------
     def conflict_graph(self) -> Graph:
-        """The conflict graph ``G`` of the constructed placement.
-
-        Default: partition-intersection ground truth
-        (:func:`repro.core.conflict.conflict_graph`), correct for any
-        placement.  FR (clique unions) and CR (Theorem 1) override this
-        with their closed-form construction — which must agree with the
-        ground truth (property-tested per family).  HR does not: Alg. 4's
-        pairwise predicate (:func:`~repro.core.conflict.hr_conflict_graph`)
-        measures slower than the ground-truth builder.
-        """
+        """The conflict graph ``G`` of the constructed placement: the
+        partition-intersection ground truth
+        (:func:`repro.core.conflict.conflict_graph`), one builder for
+        every family."""
         return conflict_graph(self.construct())
 
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
@@ -400,7 +384,7 @@ class FRScheme(PlacementScheme):
         "fractional repetition — n/c disjoint groups of c identical "
         "replicas (requires c | n); best recovery, least flexible"
     )
-    paper = "Sec. III; decoder Alg. 2; bounds Thms. 10-11; Fig. 4(a)"
+    paper = "Sec. III; decoder Alg. 1; bounds Thms. 10-11; Fig. 4(a)"
 
     def __init__(self, *, num_workers: int, partitions_per_worker: int = 1):
         super().__init__()
@@ -409,10 +393,6 @@ class FRScheme(PlacementScheme):
 
     def _construct(self) -> Placement:
         return FractionalRepetition(self._n, self._c)
-
-    def conflict_graph(self) -> Graph:
-        # Clique union (Fig. 4a) — verified against ground truth.
-        return fr_conflict_graph(self._n, self._c)
 
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         return recovered_partitions_bounds(self._n, self._c, wait_for)
@@ -450,7 +430,7 @@ class CRScheme(PlacementScheme):
         "cyclic repetition — worker i stores partitions (i..i+c-1) mod n; "
         "always valid, most flexible wait choices"
     )
-    paper = "Sec. III; conflict graph Thm. 1 (circulant C_n^{1..c-1}); decoder Alg. 1"
+    paper = "Sec. III; conflict graph Thm. 1 (circulant C_n^{1..c-1}); decoder Alg. 2"
 
     def __init__(self, *, num_workers: int, partitions_per_worker: int = 1):
         super().__init__()
@@ -459,11 +439,6 @@ class CRScheme(PlacementScheme):
 
     def _construct(self) -> Placement:
         return CyclicRepetition(self._n, self._c)
-
-    def conflict_graph(self) -> Graph:
-        # Theorem 1's circulant construction — verified against ground
-        # truth (property-tested across the (n, c) grid).
-        return cr_conflict_graph(self._n, self._c)
 
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         return recovered_partitions_bounds(self._n, self._c, wait_for)
@@ -712,17 +687,6 @@ class HeteroScheme(PlacementScheme):
             }
         )
 
-    def conflict_graph(self) -> Graph:
-        # Relabel the base family's (fast-path) graph: machine m plays
-        # base worker assignment[m], so edges map through the inverse.
-        base_graph = self._base.conflict_graph()
-        machine_of = {w: m for m, w in enumerate(self._assignment)}
-        graph = Graph(vertices=range(self._n))
-        for edge in base_graph.edges:
-            a, b = tuple(edge)
-            graph.add_edge(machine_of[a], machine_of[b])
-        return graph
-
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         # α is invariant under vertex relabelling.
         return self._base.recovery_bounds(wait_for)
@@ -764,9 +728,6 @@ class CommEfficientScheme(PlacementScheme):
 
     def _construct(self) -> Placement:
         return FractionalRepetition(self._n, self._c)
-
-    def conflict_graph(self) -> Graph:
-        return fr_conflict_graph(self._n, self._c)
 
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         return recovered_partitions_bounds(self._n, self._c, wait_for)
@@ -847,9 +808,6 @@ class MultiMessageScheme(PlacementScheme):
 
     def _construct(self) -> Placement:
         return self.base.construct()
-
-    def conflict_graph(self) -> Graph:
-        return self.base.conflict_graph()
 
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         return self.base.recovery_bounds(wait_for)

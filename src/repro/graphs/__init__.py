@@ -1,22 +1,13 @@
-"""Graph substrate: lightweight graphs, circulant constructors, MIS solvers."""
+"""Graph substrate: the conflict-graph value type and the exact MIS solver."""
 
 from .graph import Graph
-from .circulant import circulant_graph, circular_distance, is_circulant_with_offsets
+from .circulant import circular_distance
 from .render import adjacency_art, edge_list_art
-from .independent_set import (
-    all_maximum_independent_sets,
-    greedy_independent_set,
-    independence_number,
-    maximum_independent_set,
-)
+from .independent_set import all_maximum_independent_sets, independence_number
 
 __all__ = [
     "Graph",
-    "circulant_graph",
     "circular_distance",
-    "is_circulant_with_offsets",
-    "greedy_independent_set",
-    "maximum_independent_set",
     "independence_number",
     "all_maximum_independent_sets",
     "adjacency_art",

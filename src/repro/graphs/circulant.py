@@ -1,16 +1,13 @@
-"""Circulant graphs.
+"""Circular distance on the worker circle.
 
 Theorem 1 of the paper proves that the conflict graph of cyclic
 repetition ``CR(n, c)`` is the circulant graph ``C_n^{1..c-1}``: vertices
 ``0..n-1`` arranged on a circle, with an edge between ``x`` and ``y``
-whenever their circular distance is one of the given offsets.
+whenever their circular distance is below ``c``
+(:func:`repro.core.batch.circulant_adjacency` builds it).
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
-
-from .graph import Graph
 
 
 def circular_distance(x: int, y: int, n: int) -> int:
@@ -23,35 +20,3 @@ def circular_distance(x: int, y: int, n: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     diff = abs(x - y) % n
     return min(diff, n - diff)
-
-
-def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
-    """Build the circulant graph ``C_n^{offsets}`` on vertices ``0..n-1``.
-
-    ``offsets`` are interpreted modulo ``n``; an offset of ``0`` (or a
-    multiple of ``n``) is rejected because it would create self-loops.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    normalized: set[int] = set()
-    for off in offsets:
-        off_mod = off % n
-        if off_mod == 0:
-            raise ValueError(f"offset {off} is 0 mod n={n} (self-loop)")
-        normalized.add(min(off_mod, n - off_mod))
-    g = Graph(vertices=range(n))
-    for v in range(n):
-        for off in normalized:
-            g.add_edge(v, (v + off) % n)
-    return g
-
-
-def is_circulant_with_offsets(g: Graph, n: int, offsets: Iterable[int]) -> bool:
-    """Check whether ``g`` equals ``C_n^{offsets}`` on vertices ``0..n-1``.
-
-    Used by tests to validate Theorem 1 against ground-truth conflict
-    graphs built directly from partition placements.
-    """
-    if g.vertices != frozenset(range(n)):
-        return False
-    return g == circulant_graph(n, offsets)

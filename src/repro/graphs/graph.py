@@ -1,174 +1,68 @@
-"""A small, dependency-free undirected graph.
+"""The conflict graph as a value: a read-only ``(n, n)`` bool adjacency.
 
-The conflict graphs in the paper are tiny (one vertex per worker), so this
-module favours clarity and exact semantics over asymptotic cleverness.
-Vertices are arbitrary hashable objects; in practice they are worker
-indices ``0..n-1``.
-
-The class intentionally mirrors a small subset of the :mod:`networkx`
-API (``add_edge``, ``neighbors``, ``subgraph``) so tests can cross-check
-against networkx without adapters.
+Conflict graphs have one vertex per worker, so vertices are always the
+worker ids ``0..n-1`` and the graph *is* its adjacency matrix — the
+same representation the batched decoders index
+(:mod:`repro.core.batch`).  :class:`Graph` only adds what a matrix
+lacks as a value: validation, a plain-``bool`` equality and the edge
+set as unordered pairs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import FrozenSet
 
-Vertex = Hashable
-Edge = Tuple[Vertex, Vertex]
+import numpy as np
 
 
 class Graph:
-    """An undirected simple graph (no self-loops, no parallel edges)."""
+    """An undirected simple graph on vertices ``0..n-1``.
 
-    def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable[Edge] = ()):
-        self._adj: Dict[Vertex, Set[Vertex]] = {}
-        for v in vertices:
-            self.add_vertex(v)
-        for u, v in edges:
-            self.add_edge(u, v)
+    Built from a square, symmetric boolean adjacency with a ``False``
+    diagonal (no self-loops); the matrix is copied and frozen, so a
+    graph never changes after construction.
+    """
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_vertex(self, v: Vertex) -> None:
-        """Add ``v`` if not already present."""
-        self._adj.setdefault(v, set())
+    __slots__ = ("_adjacency",)
 
-    def add_edge(self, u: Vertex, v: Vertex) -> None:
-        """Add the undirected edge ``{u, v}``, creating endpoints as needed.
-
-        Self-loops are rejected because a conflict graph never contains
-        them (a worker trivially "conflicts" with itself but that carries
-        no information for decoding).
-        """
-        if u == v:
-            raise ValueError(f"self-loops are not allowed (vertex {u!r})")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def vertices(self) -> FrozenSet[Vertex]:
-        return frozenset(self._adj)
+    def __init__(self, adjacency) -> None:
+        adj = np.array(adjacency, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(
+                f"adjacency must be a square matrix, got shape {adj.shape}"
+            )
+        if adj.diagonal().any():
+            first = int(np.flatnonzero(adj.diagonal())[0])
+            raise ValueError(f"self-loops are not allowed (vertex {first})")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency must be symmetric (undirected graph)")
+        adj.flags.writeable = False
+        self._adjacency = adj
 
     @property
-    def edges(self) -> FrozenSet[FrozenSet[Vertex]]:
+    def adjacency(self) -> np.ndarray:
+        """The read-only ``(n, n)`` bool adjacency matrix."""
+        return self._adjacency
+
+    @property
+    def edges(self) -> FrozenSet[FrozenSet[int]]:
         """Edges as frozensets, suitable for set-algebra comparisons."""
-        out: Set[FrozenSet[Vertex]] = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                out.add(frozenset((u, v)))
-        return frozenset(out)
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        """True iff the undirected edge ``{u, v}`` exists."""
-        return u in self._adj and v in self._adj[u]
-
-    def neighbors(self, v: Vertex) -> FrozenSet[Vertex]:
-        """The adjacency set of ``v``."""
-        return frozenset(self._adj[v])
-
-    def degree(self, v: Vertex) -> int:
-        """Number of neighbours of ``v``."""
-        return len(self._adj[v])
-
-    def number_of_vertices(self) -> int:
-        """Vertex count."""
-        return len(self._adj)
+        rows, cols = np.nonzero(np.triu(self._adjacency))
+        return frozenset(
+            frozenset((u, v)) for u, v in zip(rows.tolist(), cols.tolist())
+        )
 
     def number_of_edges(self) -> int:
         """Edge count (undirected, no duplicates)."""
-        return len(self.edges)
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self._adj
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._adj)
-
-    def __len__(self) -> int:
-        return len(self._adj)
+        return int(np.count_nonzero(self._adjacency)) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return bool(np.array_equal(self._adjacency, other._adjacency))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Graph(|V|={self.number_of_vertices()}, "
+            f"Graph(|V|={self._adjacency.shape[0]}, "
             f"|E|={self.number_of_edges()})"
         )
-
-    # ------------------------------------------------------------------
-    # Derived graphs
-    # ------------------------------------------------------------------
-    def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        """Return the induced subgraph on ``keep`` (paper notation ``G[W']``)."""
-        keep_set = set(keep)
-        missing = keep_set - set(self._adj)
-        if missing:
-            raise KeyError(f"vertices not in graph: {sorted(missing, key=repr)}")
-        sub = Graph(vertices=keep_set)
-        for u in keep_set:
-            for v in self._adj[u]:
-                if v in keep_set:
-                    sub.add_edge(u, v)
-        return sub
-
-    def complement(self) -> "Graph":
-        """Return the complement graph (used by clique-based cross-checks)."""
-        verts = sorted(self._adj, key=repr)
-        comp = Graph(vertices=verts)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                if v not in self._adj[u]:
-                    comp.add_edge(u, v)
-        return comp
-
-    def is_independent_set(self, candidate: Iterable[Vertex]) -> bool:
-        """True iff no two vertices of ``candidate`` are adjacent."""
-        cand = list(candidate)
-        cand_set = set(cand)
-        if len(cand) != len(cand_set):
-            return False
-        for u in cand_set:
-            if u not in self._adj:
-                return False
-            if self._adj[u] & cand_set:
-                return False
-        return True
-
-    def is_clique(self, candidate: Iterable[Vertex]) -> bool:
-        """True iff every pair of vertices in ``candidate`` is adjacent."""
-        cand = sorted(set(candidate), key=repr)
-        for i, u in enumerate(cand):
-            for v in cand[i + 1:]:
-                if not self.has_edge(u, v):
-                    return False
-        return True
-
-    def connected_components(self) -> list[FrozenSet[Vertex]]:
-        """Connected components, each returned as a frozenset of vertices."""
-        seen: Set[Vertex] = set()
-        components: list[FrozenSet[Vertex]] = []
-        for root in self._adj:
-            if root in seen:
-                continue
-            stack = [root]
-            comp: Set[Vertex] = set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(self._adj[v] - comp)
-            seen |= comp
-            components.append(frozenset(comp))
-        return components

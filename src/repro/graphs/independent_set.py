@@ -1,111 +1,100 @@
-"""Independent-set algorithms.
+"""The exact maximum-independent-set solver.
 
 Decoding IS-GC is a maximum-independent-set (MIS) problem on the induced
 conflict graph ``G[W']`` (Sec. V-A of the paper).  The scheme-specific
-linear-time decoders live in :mod:`repro.core`; this module provides
+linear-time decoders live in :mod:`repro.core`; this module is the
+exact reference they are checked against and the decoder of last
+resort for arbitrary placements.
 
-* an exact branch-and-bound MIS used as the reference ("ground truth")
-  in tests and as the decoder for arbitrary placements, and
-* a generic greedy MIS used for comparisons and as a fallback.
-
-MIS is NP-hard in general, but conflict graphs have one vertex per
-*worker*, so ``n`` is tens at most and the exact solver is plenty fast.
+One search serves both entry points.  The available workers become bit
+positions, each worker's neighbourhood a bitset, and ``α`` of a set of
+remaining candidates is memoised for the duration of one call: branch
+on the next candidate, taken (drop its neighbours) or skipped.  MIS is
+NP-hard in general, but a conflict graph has one vertex per worker.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
-from typing import FrozenSet, List, Set
+from collections.abc import Iterable
+from typing import Callable, FrozenSet, List, Tuple
+
+import numpy as np
 
 from .graph import Graph
 
-Vertex = Hashable
+
+def _search(
+    graph: Graph, available: Iterable[int]
+) -> Tuple[List[int], List[int], Callable[[int], int]]:
+    """Bit order, neighbourhood bitsets and the memoised ``α`` of a
+    candidate bitset, for the subgraph induced by ``available``."""
+    n = graph.adjacency.shape[0]
+    # Branch in repr order (worker 10 before worker 2): the canonical
+    # list of optima, which fair exact decoding draws an index into, was
+    # recorded in this order.
+    order = sorted({int(v) for v in available}, key=repr)
+    if order and not 0 <= min(order) <= max(order) < n:
+        raise ValueError(f"available workers must lie in 0..{n - 1}")
+    index = np.array(order, dtype=np.intp)
+    packed = np.packbits(
+        graph.adjacency[index][:, index], axis=1, bitorder="little"
+    )
+    raw, width = packed.tobytes(), packed.shape[1]
+    neighbours = [
+        int.from_bytes(raw[i:i + width], "little")
+        for i in range(0, len(raw), width or 1)
+    ]
+    memo = {0: 0}
+
+    def alpha(candidates: int) -> int:
+        found = memo.get(candidates)
+        if found is None:
+            low = candidates & -candidates
+            rest = candidates ^ low
+            near = neighbours[low.bit_length() - 1]
+            found = 1 + alpha(rest & ~near)
+            if near & rest:
+                found = max(found, alpha(rest))
+            memo[candidates] = found
+        return found
+
+    return order, neighbours, alpha
 
 
-def greedy_independent_set(
-    graph: Graph, order: Iterable[Vertex] | None = None
-) -> FrozenSet[Vertex]:
-    """Greedy maximal independent set.
+def independence_number(graph: Graph, available: Iterable[int]) -> int:
+    """``α(G[available])``: the size of a maximum independent set."""
+    order, _, alpha = _search(graph, available)
+    return alpha((1 << len(order)) - 1)
 
-    Vertices are considered in ``order`` (default: ascending degree, the
-    classic heuristic); each vertex is added if it conflicts with nothing
-    chosen so far.  The result is *maximal* (cannot be extended) but not
-    necessarily *maximum*.
+
+def all_maximum_independent_sets(
+    graph: Graph, available: Iterable[int]
+) -> List[FrozenSet[int]]:
+    """Every maximum independent set of ``G[available]``, in canonical
+    order: depth first over the workers in ``repr`` order, taking a
+    worker before skipping it.
+
+    Fair exact decoding draws uniformly over this list, so its order is
+    part of the decoder's seeded behaviour.
     """
-    if order is None:
-        order = sorted(graph.vertices, key=lambda v: (graph.degree(v), repr(v)))
-    chosen: Set[Vertex] = set()
-    blocked: Set[Vertex] = set()
-    for v in order:
-        if v in blocked or v in chosen:
-            continue
-        chosen.add(v)
-        blocked |= graph.neighbors(v)
-    return frozenset(chosen)
+    order, neighbours, alpha = _search(graph, available)
+    optima: List[FrozenSet[int]] = []
+    chosen: List[int] = []
 
-
-def maximum_independent_set(graph: Graph) -> FrozenSet[Vertex]:
-    """Exact maximum independent set via branch and bound.
-
-    Branches on a highest-degree vertex (either exclude it or include it
-    and discard its neighbourhood), pruning when the remaining vertex
-    count cannot beat the incumbent.  Exponential worst case, perfectly
-    fine for worker-scale graphs (``n`` ≲ 60 in every experiment).
-    """
-    vertices = sorted(graph.vertices, key=repr)
-    best: List[FrozenSet[Vertex]] = [greedy_independent_set(graph)]
-
-    def branch(candidates: Set[Vertex], chosen: Set[Vertex]) -> None:
-        if len(chosen) + len(candidates) <= len(best[0]):
-            return  # cannot improve on the incumbent
-        if not candidates:
-            if len(chosen) > len(best[0]):
-                best[0] = frozenset(chosen)
+    def extend(candidates: int, need: int) -> None:
+        if not need:
+            optima.append(frozenset(chosen))
             return
-        # Pick the candidate with the most candidate-neighbours: deciding
-        # it prunes the search space fastest.
-        pivot = max(
-            candidates,
-            key=lambda v: (len(graph.neighbors(v) & candidates), repr(v)),
-        )
-        # Branch 1: include pivot.
-        branch(candidates - graph.neighbors(pivot) - {pivot}, chosen | {pivot})
-        # Branch 2: exclude pivot.
-        branch(candidates - {pivot}, chosen)
-
-    branch(set(vertices), set())
-    return best[0]
-
-
-def independence_number(graph: Graph) -> int:
-    """``α(G)``: the size of a maximum independent set of ``graph``."""
-    return len(maximum_independent_set(graph))
-
-
-def all_maximum_independent_sets(graph: Graph) -> List[FrozenSet[Vertex]]:
-    """Enumerate *all* maximum independent sets (small graphs only).
-
-    Used by fairness tests: the paper requires every partition to have an
-    equal chance of appearing in the decoded gradient, which we validate
-    against the full optimum set family.
-    """
-    alpha = independence_number(graph)
-    results: List[FrozenSet[Vertex]] = []
-    vertices = sorted(graph.vertices, key=repr)
-
-    def extend(idx: int, chosen: Set[Vertex], blocked: Set[Vertex]) -> None:
-        if len(chosen) == alpha:
-            results.append(frozenset(chosen))
+        if alpha(candidates) < need:
             return
-        remaining = len(vertices) - idx
-        if len(chosen) + remaining < alpha:
-            return
-        if idx == len(vertices):
-            return
-        v = vertices[idx]
-        if v not in blocked:
-            extend(idx + 1, chosen | {v}, blocked | graph.neighbors(v))
-        extend(idx + 1, chosen, blocked)
+        low = candidates & -candidates
+        rest = candidates ^ low
+        bit = low.bit_length() - 1
+        chosen.append(order[bit])
+        extend(rest & ~neighbours[bit], need - 1)
+        chosen.pop()
+        extend(rest, need)
 
-    extend(0, set(), set())
-    return results
+    full = (1 << len(order)) - 1
+    extend(full, alpha(full))
+    return optima

@@ -116,8 +116,8 @@ class TestFRBeatsCR:
         for w in range(1, n + 1):
             for subset in combinations(range(n), w):
                 assert independence_number(
-                    fr_graph.subgraph(subset)
-                ) >= independence_number(cr_graph.subgraph(subset))
+                    fr_graph, subset
+                ) >= independence_number(cr_graph, subset)
 
 
 class TestDescentBound:
@@ -173,7 +173,7 @@ class TestTheorem10HREdgeCase:
         from repro.graphs import independence_number
 
         placement = HybridRepetition(12, 4, 0, 2)
-        alpha = independence_number(conflict_graph(placement))
+        alpha = independence_number(conflict_graph(placement), range(12))
         assert alpha == 2
         assert alpha < alpha_lower_bound(12, 4, 12)  # printed: 3
 
@@ -191,7 +191,7 @@ class TestTheorem10HREdgeCase:
             for w in range(1, n + 1):
                 lo, hi = hr_alpha_bounds(n, c1, c2, g, w)
                 alphas = [
-                    independence_number(graph.subgraph(sub))
+                    independence_number(graph, sub)
                     for sub in combinations(range(n), w)
                 ]
                 assert lo <= min(alphas), (n, c1, c2, g, w)

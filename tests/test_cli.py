@@ -32,6 +32,22 @@ class TestPlacementCommand:
         # FR needs c | n.
         assert main(["placement", "--scheme", "fr", "-n", "5", "-c", "2"]) == 2
 
+    def test_rows_and_edges_in_ascending_worker_order(self, capsys):
+        assert main(["placement", "--scheme", "cr", "-n", "12", "-c", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        top = next(
+            i for i, line in enumerate(out) if line.startswith("conflict graph")
+        )
+        header, *matrix = out[top + 1:top + 14]
+        edge_rows = out[top + 15:]
+        workers = [str(w) for w in range(12)]
+        assert header.split() == workers
+        assert [row.split()[0] for row in matrix] == workers
+        assert [row.split()[0] for row in edge_rows] == [
+            f"W{w}" for w in workers
+        ]
+        assert edge_rows[0] == "W0 -- W1 W2 W10 W11"
+
 
 class TestDecodeCommand:
     def test_decode_paper_example(self, capsys):

@@ -1,19 +1,29 @@
 """Tests for conflict-graph construction (Sec. V-A, Theorems 1 and 4)."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
+    HybridRepetition,
+    circulant_adjacency,
     conflict_graph,
-    cr_conflict_graph,
     edge_subset,
-    fr_conflict_graph,
-    hr_conflict_graph,
 )
-from repro.graphs import circulant_graph, is_circulant_with_offsets
+from repro.graphs import Graph, circular_distance
 
 from conftest import all_cr_params, all_fr_params, all_hr_params
+
+
+def cr_graph(n, c):
+    """Theorem 1's closed form as a graph."""
+    return Graph(circulant_adjacency(n, c))
+
+
+def fr_graph(n, c):
+    return conflict_graph(FractionalRepetition(n, c))
 
 
 class TestGroundTruth:
@@ -46,32 +56,41 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("n,c", [(n, c) for n, c in all_cr_params(14) if c >= 2])
     def test_cr_is_circulant(self, n, c):
-        gt = conflict_graph(CyclicRepetition(n, c))
-        assert is_circulant_with_offsets(gt, n, range(1, c))
+        gt = conflict_graph(CyclicRepetition(n, c)).adjacency
+        for x in range(n):
+            for y in range(n):
+                assert gt[x, y] == (0 < circular_distance(x, y, n) < c)
 
     @pytest.mark.parametrize("n,c", list(all_cr_params(12)))
     def test_fast_construction_matches_ground_truth(self, n, c):
-        assert cr_conflict_graph(n, c) == conflict_graph(CyclicRepetition(n, c))
+        assert cr_graph(n, c) == conflict_graph(CyclicRepetition(n, c))
 
 
 class TestFastConstructions:
     @pytest.mark.parametrize("n,c", list(all_fr_params(12)))
     def test_fr_fast_matches_ground_truth(self, n, c):
-        assert fr_conflict_graph(n, c) == conflict_graph(FractionalRepetition(n, c))
+        # Fig. 4(a)'s clique union: conflict iff same group.
+        group = np.arange(n) // c
+        same = (group[:, None] == group[None, :]) & ~np.eye(n, dtype=bool)
+        assert Graph(same) == fr_graph(n, c)
 
     @pytest.mark.parametrize("n,c1,c2,g", list(all_hr_params(ns=(4, 6, 8, 12))))
     def test_hr_fast_matches_ground_truth(self, n, c1, c2, g):
-        from repro.core import HybridRepetition
-        assert hr_conflict_graph(n, c1, c2, g) == conflict_graph(
-            HybridRepetition(n, c1, c2, g)
-        )
+        # Alg. 4's O(1) predicate, tabulated, is the ground truth.
+        placement = HybridRepetition(n, c1, c2, g)
+        adjacency = conflict_graph(placement).adjacency
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    assert placement.conflicts_fast(a, b) == adjacency[a, b]
 
     def test_fr_is_clique_union(self):
-        g = fr_conflict_graph(9, 3)
-        comps = g.connected_components()
+        g = nx.from_numpy_array(fr_graph(9, 3).adjacency)
+        comps = list(nx.connected_components(g))
         assert len(comps) == 3
         for comp in comps:
-            assert g.is_clique(comp)
+            sub = g.subgraph(comp)
+            assert sub.number_of_edges() == len(comp) * (len(comp) - 1) // 2
 
 
 class TestTheorem4:
@@ -81,32 +100,29 @@ class TestTheorem4:
     def test_fr_subset_cr(self, n):
         for c in range(2, n + 1):
             if n % c == 0:
-                assert edge_subset(fr_conflict_graph(n, c), cr_conflict_graph(n, c))
+                assert edge_subset(fr_graph(n, c), cr_graph(n, c))
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8, 12])
     def test_cr_chain_is_nested(self, n):
-        prev = cr_conflict_graph(n, 1)
+        prev = cr_graph(n, 1)
         for c in range(2, n + 1):
-            cur = cr_conflict_graph(n, c)
+            cur = cr_graph(n, c)
             assert edge_subset(prev, cur), f"c={c}"
             prev = cur
 
     def test_fr_strictly_smaller_when_c_between_2_and_n(self):
         """The inclusion is strict for 1 < c < n (paper uses ⊂)."""
-        fr = fr_conflict_graph(8, 2)
-        cr = cr_conflict_graph(8, 2)
-        assert fr.edges < cr.edges
+        assert fr_graph(8, 2).edges < cr_graph(8, 2).edges
 
     def test_chain_top_is_complete(self):
         n = 6
-        top = cr_conflict_graph(n, n)
-        assert top.number_of_edges() == n * (n - 1) // 2
+        assert cr_graph(n, n).number_of_edges() == n * (n - 1) // 2
 
 
 class TestEdgeSubsetHelper:
     def test_reflexive(self):
-        g = cr_conflict_graph(6, 3)
+        g = cr_graph(6, 3)
         assert edge_subset(g, g)
 
     def test_not_subset(self):
-        assert not edge_subset(cr_conflict_graph(6, 3), cr_conflict_graph(6, 2))
+        assert not edge_subset(cr_graph(6, 3), cr_graph(6, 2))

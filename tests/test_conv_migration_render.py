@@ -171,14 +171,15 @@ class TestGraphArt:
         assert "W2 -- W3" in art
 
     def test_edge_list_isolated_vertex(self):
-        g = Graph(vertices=[0])
+        g = Graph(np.zeros((1, 1), dtype=bool))
         assert "no conflicts" in edge_list_art(g)
 
     def test_empty_graph_rejected(self):
+        empty = Graph(np.zeros((0, 0), dtype=bool))
         with pytest.raises(ConfigurationError):
-            adjacency_art(Graph())
+            adjacency_art(empty)
         with pytest.raises(ConfigurationError):
-            edge_list_art(Graph())
+            edge_list_art(empty)
 
 
 class TestMigrationProperties:

@@ -17,8 +17,8 @@
   equal under every family adjacency.
 * **Optimality** — on *every* availability mask of every CR/HR/FR
   placement with ``n ≤ 12`` the linear-time decoders select exactly as
-  many workers as the branch-and-bound :class:`ExactDecoder` (the
-  first slice of ROADMAP item 3(i)) — bar one HR placement the check
+  many workers as the exact solver's ``α(G[W'])`` (the first slice of
+  ROADMAP item 3(i)) — bar one HR placement the check
   itself found, pinned in ``KNOWN_SUBOPTIMAL``.
 """
 
@@ -39,13 +39,12 @@ from repro.core import (
 from repro.core.batch import (
     batched_greedy_chains,
     circulant_adjacency,
-    conflict_adjacency,
     greedy_chain,
     window_starts,
 )
 from repro.core.conflict import conflict_graph
-from repro.core.exact_decoder import ExactDecoder
 from repro.exceptions import PlacementError
+from repro.graphs import independence_number
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -97,7 +96,11 @@ def _hr_grid(sizes):
 
 ADJACENCIES = (
     [circulant_adjacency(n, c) for n in range(1, 14) for c in range(1, n + 1)]
-    + [conflict_adjacency(p) for p in _hr_grid(range(2, 13)) if p.c1 and p.c2]
+    + [
+        conflict_graph(p).adjacency
+        for p in _hr_grid(range(2, 13))
+        if p.c1 and p.c2
+    ]
 )
 
 
@@ -165,15 +168,15 @@ def _placements(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_every_mask_decodes_to_a_maximum_independent_set(n):
     masks = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    members = [np.flatnonzero(row).tolist() for row in masks]
     exact_sizes = {}
     suboptimal = set()
     for placement, edges in _placements(n):
         if edges not in exact_sizes:
-            # α(G[W']) per mask by branch and bound, once per graph.
-            exact_sizes[edges] = (
-                ExactDecoder(placement, fair=False)
-                .decode_batch(masks)
-                .num_selected
+            # α(G[W']) per mask by the exact solver, once per graph.
+            graph = conflict_graph(placement)
+            exact_sizes[edges] = np.array(
+                [independence_number(graph, avail) for avail in members]
             )
         # Independence of each selection is _finalize_batch's own check
         # (no partition covered twice); maximality is the count.

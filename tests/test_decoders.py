@@ -203,18 +203,10 @@ class TestExactDecoder:
     def test_fair_mode_hits_all_optima(self, cr4):
         seen = set()
         for seed in range(60):
-            dec = ExactDecoder(cr4, rng=np.random.default_rng(seed), fair=True)
+            dec = ExactDecoder(cr4, rng=np.random.default_rng(seed))
             seen.add(dec.decode(range(4)).selected_workers)
         # C_4^1 has two maximum independent sets: {0,2} and {1,3}.
         assert seen == {frozenset({0, 2}), frozenset({1, 3})}
-
-    def test_unfair_mode_deterministic(self, cr4):
-        results = {
-            ExactDecoder(cr4, rng=np.random.default_rng(s), fair=False)
-            .decode(range(4)).selected_workers
-            for s in range(10)
-        }
-        assert len(results) == 1
 
     def test_registered_as_fallback(self):
         class OddPlacement(CyclicRepetition):

@@ -1,15 +1,12 @@
-"""Tests for circulant graphs and circular distance."""
+"""Tests for circular distance and Theorem 1's circulant adjacency."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.graphs import (
-    Graph,
-    circulant_graph,
-    circular_distance,
-    is_circulant_with_offsets,
-)
+from repro.core.batch import circulant_adjacency
+from repro.graphs import circular_distance
 
 
 class TestCircularDistance:
@@ -57,52 +54,23 @@ class TestCircularDistance:
 
 
 class TestCirculantGraph:
+    """``circulant_adjacency(n, c)`` is ``C_n^{1..c-1}``."""
+
     def test_cycle(self):
-        g = circulant_graph(5, [1])
-        assert g.number_of_edges() == 5
-        for v in range(5):
-            assert g.degree(v) == 2
+        adjacency = circulant_adjacency(5, 2)
+        assert np.count_nonzero(adjacency) // 2 == 5
+        assert (adjacency.sum(axis=1) == 2).all()
 
     def test_complete_when_all_offsets(self):
         n = 6
-        g = circulant_graph(n, range(1, n // 2 + 1))
-        assert g.number_of_edges() == n * (n - 1) // 2
-
-    def test_offsets_mod_n(self):
-        assert circulant_graph(5, [1]) == circulant_graph(5, [6])
-        assert circulant_graph(5, [2]) == circulant_graph(5, [-2])
-
-    def test_zero_offset_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            circulant_graph(5, [0])
-
-    def test_offset_multiple_of_n_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            circulant_graph(5, [10])
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            circulant_graph(0, [1])
+        adjacency = circulant_adjacency(n, n // 2 + 1)
+        assert (adjacency == ~np.eye(n, dtype=bool)).all()
 
     @pytest.mark.parametrize("n,offsets", [
-        (4, [1]), (6, [1, 2]), (8, [1, 3]), (9, [2]), (10, [1, 2, 3]),
+        (4, [1]), (6, [1, 2]), (8, [1, 2, 3]), (9, [1]), (10, [1, 2, 3]),
     ])
     def test_matches_networkx(self, n, offsets):
-        ours = circulant_graph(n, offsets)
-        theirs = nx.circulant_graph(n, offsets)
-        assert ours.vertices == frozenset(theirs.nodes)
-        assert ours.edges == frozenset(
-            frozenset(e) for e in theirs.edges
+        theirs = nx.to_numpy_array(
+            nx.circulant_graph(n, offsets), nodelist=range(n), dtype=bool
         )
-
-    def test_is_circulant_with_offsets_true(self):
-        g = circulant_graph(7, [1, 2])
-        assert is_circulant_with_offsets(g, 7, [1, 2])
-
-    def test_is_circulant_with_offsets_false_edges(self):
-        g = circulant_graph(7, [1])
-        assert not is_circulant_with_offsets(g, 7, [1, 2])
-
-    def test_is_circulant_with_offsets_false_vertices(self):
-        g = Graph(vertices=range(6))
-        assert not is_circulant_with_offsets(g, 7, [1])
+        assert (circulant_adjacency(n, len(offsets) + 1) == theirs).all()

@@ -135,7 +135,7 @@ class TestDecodingLaws:
         c = placement.partitions_per_worker
         w = int(rng.integers(1, n + 1))
         subset = rng.choice(n, size=w, replace=False).tolist()
-        alpha = independence_number(conflict_graph(placement).subgraph(subset))
+        alpha = independence_number(conflict_graph(placement), subset)
         if isinstance(placement, HybridRepetition):
             lo, hi = hr_alpha_bounds(
                 n, placement.c1, placement.c2, placement.num_groups, w

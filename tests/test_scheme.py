@@ -17,14 +17,17 @@ Three layers of pinning:
   ``C_n^{1..c-1}`` across randomized ``(n, c)``.
 """
 
+import importlib
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import circulant_adjacency
 from repro.core.conflict import conflict_graph
 from repro.core.cyclic import CyclicRepetition
 from repro.core.decoders import decoder_for
@@ -48,12 +51,22 @@ from repro.core.scheme import (
 )
 from repro.engine.spec import make_strategy
 from repro.exceptions import ConfigurationError, PlacementError
-from repro.graphs.circulant import circulant_graph
+from repro.graphs import Graph
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "golden" / "placement_schemes.json"
 )
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+def pairwise_conflicts(placement: Placement) -> Graph:
+    """The conflict graph pair by pair from ``Placement.conflicts``
+    (shared partitions as sets), beside the ``P @ Pᵀ`` builder."""
+    n = placement.num_workers
+    return Graph([
+        [a != b and placement.conflicts(a, b) for b in range(n)]
+        for a in range(n)
+    ])
 
 
 def golden_id(case):
@@ -89,7 +102,9 @@ class TestGoldenEquivalence:
 
     def test_fast_path_conflict_graph_matches_ground_truth(self, case):
         scheme = placement_scheme(case["family"], **case["params"])
-        assert scheme.conflict_graph() == conflict_graph(scheme.construct())
+        assert scheme.conflict_graph() == pairwise_conflicts(
+            scheme.construct()
+        )
 
 
 def test_golden_covers_every_registered_family():
@@ -119,6 +134,14 @@ class TestRegistry:
             ("multi-message", "multimessage"),
         ):
             assert resolve_placement(alias) is PLACEMENT_REGISTRY[canonical]
+
+    @pytest.mark.parametrize("family", ["fr", "cr", "hr"])
+    def test_paper_cites_its_decoders_algorithm(self, family):
+        """``paper`` names the algorithm the decoder module's docstring
+        opens with (FR Alg. 1, CR Alg. 2, HR Alg. 3)."""
+        module = importlib.import_module(f"repro.core.{family}_decoder")
+        algorithm = re.search(r"Alg\. \d", module.__doc__.splitlines()[0])
+        assert f"decoder {algorithm.group()}" in PLACEMENT_REGISTRY[family].paper
 
     def test_alias_lookup_matches_canonical(self):
         via_alias = make_placement(
@@ -184,11 +207,12 @@ class TestRegistry:
         assert "brand-new" not in PLACEMENT_REGISTRY
 
     def test_hr_conflict_graph_is_the_ground_truth_builder(self):
-        """HR has no override: Alg. 4's predicate measures slower than
-        the ground truth it must equal (tests/test_conflict.py)."""
-        from repro.core.scheme import HRScheme
-
-        assert HRScheme.conflict_graph is PlacementScheme.conflict_graph
+        """No family overrides the one ground-truth builder — HR's
+        Alg. 4 predicate and CR's Theorem 1 circulant are held to it in
+        tests/test_conflict.py instead."""
+        for family in registered_placements():
+            scheme_cls = PLACEMENT_REGISTRY[family]
+            assert scheme_cls.conflict_graph is PlacementScheme.conflict_graph
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +334,15 @@ class TestProtocol:
             )
 
     def test_hetero_conflict_graph_is_relabelled_base(self):
+        assignment = [1, 0, 3, 4, 5, 2]
         scheme = placement_scheme(
             "hetero", num_workers=6, partitions_per_worker=2,
-            base="cr", assignment=[1, 0, 3, 2, 5, 4],
+            base="cr", assignment=assignment,
         )
-        assert scheme.conflict_graph() == conflict_graph(scheme.construct())
+        # Machines a and b conflict iff the base workers they play do.
+        base = conflict_graph(CyclicRepetition(6, 2)).adjacency
+        relabelled = Graph(base[np.ix_(assignment, assignment)])
+        assert scheme.conflict_graph() == relabelled
 
     def test_comm_efficient_coder(self):
         from repro.codes.comm_efficient import CommEfficientGC
@@ -443,9 +471,7 @@ class TestSpecIntegration:
 
 def exact_recovered(scheme: PlacementScheme, available) -> int:
     """Recovered partitions of an exact-MIS decode on ``available``."""
-    decoder = ExactDecoder(
-        scheme.construct(), rng=np.random.default_rng(0), fair=False
-    )
+    decoder = ExactDecoder(scheme.construct(), rng=np.random.default_rng(0))
     return decoder.decode(sorted(available)).num_recovered
 
 
@@ -570,18 +596,15 @@ def test_cr_conflict_graph_is_theorem1_circulant(scheme):
     placement = scheme.construct()
     n = placement.num_workers
     c = placement.partitions_per_worker
-    assert scheme.conflict_graph() == circulant_graph(n, range(1, c))
-    # And the fast path agrees with the partition-intersection ground
-    # truth (the protocol's verification contract).
-    assert scheme.conflict_graph() == conflict_graph(placement)
+    assert scheme.conflict_graph() == Graph(circulant_adjacency(n, c))
 
 
 @settings(max_examples=40, deadline=None)
 @given(scheme=family_schemes())
 def test_fast_conflict_paths_match_ground_truth(scheme):
-    """Every family's conflict_graph() override is verified against the
-    partition-intersection ground truth."""
-    assert scheme.conflict_graph() == conflict_graph(scheme.construct())
+    """Every family's conflict graph (``P @ Pᵀ``) equals the pairwise
+    shared-partition test."""
+    assert scheme.conflict_graph() == pairwise_conflicts(scheme.construct())
 
 
 @settings(max_examples=40, deadline=None)
