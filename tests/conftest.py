@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import CyclicRepetition, FractionalRepetition, HybridRepetition
 from repro.engine import FlatBackend, RoundEngine, SyncUpdate
+from repro.graphs import Graph
 
 
 @pytest.fixture
@@ -23,6 +24,14 @@ def sync_engine(
         model, streams, strategy, FlatBackend(cluster),
         SyncUpdate(optimizer, **rule_kw), eval_data=eval_data,
     )
+
+
+def graph_from_edges(n: int, edges=()) -> Graph:
+    """The graph on ``0..n-1`` with the given undirected edges."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adjacency[u, v] = adjacency[v, u] = True
+    return Graph(adjacency)
 
 
 def all_fr_params(max_n: int = 12):
