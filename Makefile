@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint static test bench-e2e trace-demo
+.PHONY: check lint static test goldens bench-e2e trace-demo
 
 check: lint static test
 
@@ -21,6 +21,15 @@ static:
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=10
+
+# Re-record every golden with the tests/golden/record_*.py scripts
+# and fail if any file moved: the goldens must be what the source
+# produces, not what it once produced.
+goldens:
+	for script in tests/golden/record_*.py; do \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
+	done
+	git diff --exit-code -- tests/golden
 
 # End-to-end benchmark, one repeat: exits non-zero on any failed
 # result-digest, recovery-bound, decoder-oracle or served==sequential

@@ -23,20 +23,35 @@ Two decoders are provided:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
+)
 
 import numpy as np
 
-from ..core.fractional import FractionalRepetition
+from ..core.fractional import FractionalRepetition, fr_problems
+from ..core.scheme import PlacementScheme, as_placement, spec_int
 from ..exceptions import CodingError
+
+
+def comm_efficient_problems(n: int, c: Optional[int], blocks: Any) -> List[str]:
+    """Why ``k = blocks`` Vandermonde blocks over ``FR(n, c)`` cannot
+    exist, as messages (empty when they can); ``c = None`` (not
+    statically known) checks only what does not need it."""
+    problems = fr_problems(n, c)
+    k = spec_int(blocks)
+    if k is None or (c is not None and not 1 <= k <= c):
+        problems.append(
+            "communication-efficient GC needs integer blocks k with "
+            f"1 <= k <= c; got blocks={blocks!r}, c={c}"
+        )
+    return problems
 
 
 class CommEfficientGC:
     """Vandermonde block coding over an FR placement."""
 
     def __init__(self, placement: FractionalRepetition, blocks: int):
-        from ..core.scheme import PlacementScheme, as_placement
-
         if isinstance(placement, PlacementScheme):
             placement = as_placement(placement)
         if not isinstance(placement, FractionalRepetition):
@@ -45,10 +60,9 @@ class CommEfficientGC:
                 f"got {type(placement).__name__}"
             )
         c = placement.partitions_per_worker
-        if not 1 <= blocks <= c:
-            raise CodingError(
-                f"need 1 <= k <= c; got k={blocks}, c={c}"
-            )
+        problems = comm_efficient_problems(placement.num_workers, c, blocks)
+        if problems:
+            raise CodingError(problems[0])
         self._placement = placement
         self._k = blocks
         # Distinct real evaluation points keep every k×k Vandermonde

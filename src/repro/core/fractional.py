@@ -12,10 +12,22 @@ decoding reduces to picking one surviving worker per group (Alg. 1).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 from ..exceptions import PlacementError
 from .placement import Placement
+
+
+def fr_problems(n: int, c: Optional[int]) -> List[str]:
+    """Why ``FR(n, c)`` cannot exist, as messages (empty when it can);
+    ``c = None`` (not statically known) checks nothing."""
+    if c is not None and n % c != 0:
+        return [
+            "FR placement requires c | n (Sec. III: workers form n/c "
+            f"groups of c replicas); got n={n}, c={c} (use CR or HR "
+            "instead)"
+        ]
+    return []
 
 
 class FractionalRepetition(Placement):
@@ -26,10 +38,9 @@ class FractionalRepetition(Placement):
     def __init__(self, num_workers: int, partitions_per_worker: int):
         super().__init__(num_workers, partitions_per_worker)
         n, c = self._n, self._c
-        if n % c != 0:
-            raise PlacementError(
-                f"FR requires c | n; got n={n}, c={c} (use CR or HR instead)"
-            )
+        problems = fr_problems(n, c)
+        if problems:
+            raise PlacementError(problems[0])
         assignments = {
             worker: tuple(range((worker // c) * c, (worker // c) * c + c))
             for worker in range(n)

@@ -36,10 +36,48 @@ conflict — the invariant the HR decoder (Alg. 3) relies on.  Since
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from ..exceptions import PlacementError
 from .placement import Placement
+
+
+def hr_problems(n: int, c1: int, c2: int, g: int) -> List[str]:
+    """Theorem 5-7 feasibility of ``HR(n, c1, c2)`` with ``g`` groups:
+    why it cannot exist, as messages (empty when it can)."""
+    c = c1 + c2
+    if c1 < 0 or c2 < 0 or c < 1:
+        return [
+            "HR needs c1, c2 >= 0 with c = c1 + c2 >= 1; got "
+            f"c1={c1}, c2={c2}"
+        ]
+    if g < 1 or n % g != 0:
+        return [
+            "HR requires g | n (workers split into g equal groups, "
+            f"Sec. VI); got n={n}, num_groups={g}"
+        ]
+    if c > n:
+        return [f"HR needs c = c1 + c2 <= n; got c={c}, n={n}"]
+    problems: List[str] = []
+    n0 = n // g
+    if c1 > 0 and g > 1:
+        if c > n0:
+            problems.append(
+                "HR requires c <= n0 = n/g (Theorem 5: a group must "
+                f"hold all its partitions); got c={c}, n0={n0}"
+            )
+        if c1 > n0:
+            problems.append(
+                "HR upper part needs c1 <= n0 (at most one within-group "
+                f"wrap); got c1={c1}, n0={n0}"
+            )
+        if c2 > 0 and n0 > c + c1:
+            problems.append(
+                "general HR needs n0 <= c + c1 (Theorem 6 within-group "
+                "completeness: workers of one group must pairwise "
+                f"conflict); got n0={n0}, c={c}, c1={c1}"
+            )
+    return problems
 
 
 class HybridRepetition(Placement):
@@ -54,30 +92,12 @@ class HybridRepetition(Placement):
         c2: int,
         num_groups: int,
     ):
-        if c1 < 0 or c2 < 0:
-            raise PlacementError(f"c1 and c2 must be non-negative, got {c1}, {c2}")
-        c = c1 + c2
-        super().__init__(num_workers, c)
+        problems = hr_problems(num_workers, c1, c2, num_groups)
+        if problems:
+            raise PlacementError(problems[0])
+        super().__init__(num_workers, c1 + c2)
         n = self._n
-        if num_groups <= 0 or n % num_groups != 0:
-            raise PlacementError(
-                f"HR requires g | n; got n={n}, g={num_groups}"
-            )
         n0 = n // num_groups
-        if c1 > 0 and num_groups > 1:
-            if c > n0:
-                raise PlacementError(
-                    f"HR requires c <= n0 = n/g; got c={c}, n0={n0}"
-                )
-            if c1 > n0:
-                raise PlacementError(
-                    f"HR upper part needs c1 <= n0; got c1={c1}, n0={n0}"
-                )
-            if c2 > 0 and n0 > c + c1:
-                raise PlacementError(
-                    "general HR needs within-group completeness "
-                    f"n0 <= c + c1 (Theorem 6); got n0={n0}, c={c}, c1={c1}"
-                )
         self._c1 = c1
         self._c2 = c2
         self._g = num_groups

@@ -31,6 +31,7 @@ up by name.
 from __future__ import annotations
 
 import inspect
+import numbers
 from abc import ABC, abstractmethod
 from typing import (
     Any,
@@ -44,15 +45,15 @@ from typing import (
     Type,
 )
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, PlacementError
 from ..graphs.graph import Graph
 from ..registry import Registry
 from .bounds import hr_alpha_bounds, recovered_partitions_bounds
 from .conflict import conflict_graph
 from .cyclic import CyclicRepetition
 from .explicit import ExplicitPlacement
-from .fractional import FractionalRepetition
-from .hybrid import HybridRepetition
+from .fractional import FractionalRepetition, fr_problems
+from .hybrid import HybridRepetition, hr_problems
 from .placement import Placement
 
 #: placement family name → scheme class.
@@ -90,6 +91,16 @@ def resolve_placement(name: str) -> Type["PlacementScheme"]:
     return PLACEMENT_REGISTRY.resolve(name)
 
 
+def placement_params(name: str) -> List[str]:
+    """The parameter names family ``name``'s constructor accepts, in
+    signature order."""
+    return [
+        p
+        for p in inspect.signature(resolve_placement(name).__init__).parameters
+        if p not in ("self", "kwargs")
+    ]
+
+
 def placement_scheme(name: str, **params: Any) -> "PlacementScheme":
     """Instantiate the registered family ``name`` with ``params``.
 
@@ -101,14 +112,9 @@ def placement_scheme(name: str, **params: Any) -> "PlacementScheme":
     try:
         return cls(**params)
     except TypeError as exc:
-        accepted = [
-            p
-            for p in inspect.signature(cls.__init__).parameters
-            if p not in ("self", "kwargs")
-        ]
         raise ConfigurationError(
             f"invalid parameters for placement family {cls.family!r}: "
-            f"{exc}; accepted: {', '.join(accepted)}"
+            f"{exc}; accepted: {', '.join(placement_params(name))}"
         ) from exc
 
 
@@ -144,6 +150,14 @@ def spec_placement_scheme(
     if cls.uses_uniform_c and partitions_per_worker is not None:
         kwargs.setdefault("partitions_per_worker", partitions_per_worker)
     return placement_scheme(name, num_workers=num_workers, **kwargs)
+
+
+def spec_int(value: Any) -> Optional[int]:
+    """``value`` as an int for the static checks, or ``None`` when it
+    is not one (bools are not ints)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return None
+    return int(value)
 
 
 def placement_spec_problems(
@@ -194,17 +208,26 @@ def as_placement(obj: "Placement | PlacementScheme") -> Placement:
 def scheme_for(placement: Placement) -> "PlacementScheme":
     """Wrap an already-constructed placement in its family's scheme view.
 
-    Recovers the protocol object (fast conflict paths, family-specific
-    bounds) for placements built elsewhere; unknown concrete types fall
-    back to the generic ``explicit`` family, which is correct for any
-    placement.  The wrapper reuses ``placement`` itself, so
-    ``fingerprint()`` (hence every cache key) is unchanged.
+    Recovers the protocol object (family-specific bounds, describe)
+    for placements built elsewhere: the family is the registered one
+    whose ``placement_type`` is the placement's concrete type, and any
+    other type falls back to the generic ``explicit`` family, which is
+    correct for any placement.  The wrapper reuses ``placement``
+    itself, so ``fingerprint()`` (hence every cache key) is unchanged.
     """
-    for cls in dict.fromkeys(PLACEMENT_REGISTRY.values()):
-        scheme = cls.from_placement(placement)
-        if scheme is not None:
-            return scheme
-    return ExplicitScheme._wrap(placement)
+    cls = next(
+        (
+            family
+            for family in PLACEMENT_REGISTRY.values()
+            if family.placement_type is type(placement)
+        ),
+        ExplicitScheme,
+    )
+    # A view, not a construction: the family's parameters are never
+    # needed again, since construct() returns the cached placement.
+    scheme = cls.__new__(cls)
+    scheme._placement = placement
+    return scheme
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +239,11 @@ class PlacementScheme(ABC):
 
     Subclasses register with :func:`register_placement`, implement
     :meth:`_construct`, and optionally override :meth:`recovery_bounds`
-    with family-specific theorems.  The conflict graph (partition-
-    intersection ground truth) and the default single-selected-worker
-    bracket are correct for **any** placement, so a minimal new family
-    is just a constructor.
+    with family-specific theorems (read from the constructed placement,
+    so :func:`scheme_for` views need no parameters).  The conflict graph
+    (partition-intersection ground truth) and the default
+    single-selected-worker bracket are correct for **any** placement,
+    so a minimal new family is just a constructor.
     """
 
     #: canonical registry name, set by :func:`register_placement`.
@@ -235,6 +259,9 @@ class PlacementScheme(ABC):
     #: their own parameters (HR's ``c1 + c2``, explicit tables) set
     #: this ``False`` (see :func:`spec_placement_scheme`).
     uses_uniform_c: ClassVar[bool] = True
+    #: the concrete :class:`Placement` type :meth:`_construct` returns
+    #: when it is this family's own (:func:`scheme_for` maps it back).
+    placement_type: ClassVar[Optional[Type[Placement]]] = None
 
     def __init__(self) -> None:
         self._placement: Optional[Placement] = None
@@ -352,18 +379,13 @@ class PlacementScheme(ABC):
         """Arithmetic-only feasibility problems (for SPEC001/SPEC002).
 
         Must not construct anything; return constraint-citing messages.
-        The default accepts everything (constraints then surface at
+        A family states each constraint once, as a function beside its
+        placement type returning these messages, whose first one the
+        constructor raises (``fr_problems``, ``hr_problems``).  The
+        default accepts everything (constraints then surface at
         :meth:`construct` time only).
         """
         return []
-
-    @classmethod
-    def from_placement(
-        cls, placement: Placement
-    ) -> Optional["PlacementScheme"]:
-        """A scheme wrapping ``placement`` if it is this family's
-        concrete type, else ``None`` (used by :func:`scheme_for`)."""
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(family={self.family!r})"
@@ -376,8 +398,27 @@ class PlacementScheme(ABC):
 # the direct ``*Repetition(...)`` / ``*Placement(...)`` calls below.
 
 
+class _RepetitionScheme(PlacementScheme):
+    """A family built as ``placement_type(n, c)`` whose recovered
+    partitions Theorems 10/11 bracket (FR, CR, and comm-efficient's FR)."""
+
+    def __init__(self, *, num_workers: int, partitions_per_worker: int = 1):
+        super().__init__()
+        self._n = int(num_workers)
+        self._c = int(partitions_per_worker)
+
+    def _construct(self) -> Placement:
+        return self.placement_type(self._n, self._c)
+
+    def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
+        placement = self.construct()
+        return recovered_partitions_bounds(
+            placement.num_workers, placement.partitions_per_worker, wait_for
+        )
+
+
 @register_placement("fr", aliases=("fractional",))
-class FRScheme(PlacementScheme):
+class FRScheme(_RepetitionScheme):
     """Fractional repetition: ``n/c`` disjoint groups of ``c`` clones."""
 
     summary = (
@@ -385,45 +426,18 @@ class FRScheme(PlacementScheme):
         "replicas (requires c | n); best recovery, least flexible"
     )
     paper = "Sec. III; decoder Alg. 1; bounds Thms. 10-11; Fig. 4(a)"
-
-    def __init__(self, *, num_workers: int, partitions_per_worker: int = 1):
-        super().__init__()
-        self._n = int(num_workers)
-        self._c = int(partitions_per_worker)
-
-    def _construct(self) -> Placement:
-        return FractionalRepetition(self._n, self._c)
-
-    def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
-        return recovered_partitions_bounds(self._n, self._c, wait_for)
+    placement_type = FractionalRepetition
 
     @classmethod
     def spec_problems(
         cls, *, num_workers, partitions_per_worker=None, declared=False,
         params=None,
     ) -> List[str]:
-        n, c = num_workers, partitions_per_worker
-        if c is not None and n % c != 0:
-            return [
-                "FR placement requires c | n (Sec. III: workers form "
-                f"n/c groups of c replicas); got n={n}, c={c}"
-            ]
-        return []
-
-    @classmethod
-    def from_placement(cls, placement):
-        if type(placement) is FractionalRepetition:
-            scheme = cls(
-                num_workers=placement.num_workers,
-                partitions_per_worker=placement.partitions_per_worker,
-            )
-            scheme._placement = placement
-            return scheme
-        return None
+        return fr_problems(num_workers, partitions_per_worker)
 
 
 @register_placement("cr", aliases=("cyclic",))
-class CRScheme(PlacementScheme):
+class CRScheme(_RepetitionScheme):
     """Cyclic repetition: worker ``i`` stores ``(i .. i+c-1) mod n``."""
 
     summary = (
@@ -431,17 +445,7 @@ class CRScheme(PlacementScheme):
         "always valid, most flexible wait choices"
     )
     paper = "Sec. III; conflict graph Thm. 1 (circulant C_n^{1..c-1}); decoder Alg. 2"
-
-    def __init__(self, *, num_workers: int, partitions_per_worker: int = 1):
-        super().__init__()
-        self._n = int(num_workers)
-        self._c = int(partitions_per_worker)
-
-    def _construct(self) -> Placement:
-        return CyclicRepetition(self._n, self._c)
-
-    def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
-        return recovered_partitions_bounds(self._n, self._c, wait_for)
+    placement_type = CyclicRepetition
 
     @classmethod
     def spec_problems(
@@ -458,17 +462,6 @@ class CRScheme(PlacementScheme):
             ]
         return []
 
-    @classmethod
-    def from_placement(cls, placement):
-        if type(placement) is CyclicRepetition:
-            scheme = cls(
-                num_workers=placement.num_workers,
-                partitions_per_worker=placement.partitions_per_worker,
-            )
-            scheme._placement = placement
-            return scheme
-        return None
-
 
 @register_placement("hr", aliases=("hybrid",))
 class HRScheme(PlacementScheme):
@@ -480,6 +473,7 @@ class HRScheme(PlacementScheme):
     )
     paper = "Sec. VI; conflict test Alg. 4; decoder Alg. 3; Thms. 5-7"
     uses_uniform_c = False
+    placement_type = HybridRepetition
 
     def __init__(
         self,
@@ -513,28 +507,26 @@ class HRScheme(PlacementScheme):
         # Corrected group-wise α bounds (see bounds.hr_alpha_bounds for
         # why the printed Theorem 10 fails when n0 > c), scaled to
         # partitions.
-        lo, hi = hr_alpha_bounds(
-            self._n, self._c1, self._c2, self._g, wait_for
-        )
-        c = self._c1 + self._c2
-        return min(lo * c, self._n), min(hi * c, self._n)
+        p = self.construct()
+        n, c = p.num_workers, p.partitions_per_worker
+        lo, hi = hr_alpha_bounds(n, p.c1, p.c2, p.num_groups, wait_for)
+        return min(lo * c, n), min(hi * c, n)
 
     @classmethod
     def spec_problems(
         cls, *, num_workers, partitions_per_worker=None, declared=False,
         params=None,
     ) -> List[str]:
-        n = num_workers
         params = params or {}
-        c1 = _spec_int(params.get("c1"))
-        c2 = _spec_int(params.get("c2"))
-        g = _spec_int(params.get("num_groups"))
+        c1, c2, g = (
+            spec_int(params.get(key)) for key in ("c1", "c2", "num_groups")
+        )
         if c1 is None or c2 is None or g is None:
             return [
                 "HR placement needs integer params c1, c2 and "
                 "num_groups (HR(n, c1, c2) with g groups, Sec. VI)"
             ]
-        problems = _hr_constraint_problems(n, c1, c2, g)
+        problems = hr_problems(num_workers, c1, c2, g)
         if (
             declared
             and partitions_per_worker is not None
@@ -548,19 +540,6 @@ class HRScheme(PlacementScheme):
             )
         return problems
 
-    @classmethod
-    def from_placement(cls, placement):
-        if type(placement) is HybridRepetition:
-            scheme = cls(
-                num_workers=placement.num_workers,
-                c1=placement.c1,
-                c2=placement.c2,
-                num_groups=placement.num_groups,
-            )
-            scheme._placement = placement
-            return scheme
-        return None
-
 
 @register_placement("explicit", aliases=("table",))
 class ExplicitScheme(PlacementScheme):
@@ -572,6 +551,7 @@ class ExplicitScheme(PlacementScheme):
     )
     paper = "Sec. V-A (conflict graphs) + exact-MIS decoding"
     uses_uniform_c = False
+    placement_type = ExplicitPlacement
 
     def __init__(
         self,
@@ -610,20 +590,6 @@ class ExplicitScheme(PlacementScheme):
         if self._rows is not None:
             return ExplicitPlacement.from_rows(self._rows)
         return ExplicitPlacement(self._assignments)
-
-    @classmethod
-    def _wrap(cls, placement: Placement) -> "ExplicitScheme":
-        """Generic :func:`scheme_for` fallback: view any placement
-        through the explicit family without re-deriving its table."""
-        scheme = cls(assignments=placement.assignment_table())
-        scheme._placement = placement
-        return scheme
-
-    @classmethod
-    def from_placement(cls, placement):
-        if type(placement) is ExplicitPlacement:
-            return cls._wrap(placement)
-        return None
 
 
 @register_placement("hetero", aliases=("heterogeneous",))
@@ -693,7 +659,7 @@ class HeteroScheme(PlacementScheme):
 
 
 @register_placement("comm-efficient", aliases=("comm_efficient", "ye-abbe"))
-class CommEfficientScheme(PlacementScheme):
+class CommEfficientScheme(_RepetitionScheme):
     """FR placement + Ye-Abbe Vandermonde block coding (ICML'18).
 
     The placement (hence conflict graph, fingerprint and IS-GC
@@ -716,9 +682,9 @@ class CommEfficientScheme(PlacementScheme):
         partitions_per_worker: int = 1,
         blocks: int = 1,
     ):
-        super().__init__()
-        self._n = int(num_workers)
-        self._c = int(partitions_per_worker)
+        super().__init__(
+            num_workers=num_workers, partitions_per_worker=partitions_per_worker
+        )
         self._blocks = int(blocks)
 
     @property
@@ -727,10 +693,13 @@ class CommEfficientScheme(PlacementScheme):
         return self._blocks
 
     def _construct(self) -> Placement:
-        return FractionalRepetition(self._n, self._c)
+        # Imported lazily: core must stay importable without codes.
+        from ..codes.comm_efficient import comm_efficient_problems
 
-    def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
-        return recovered_partitions_bounds(self._n, self._c, wait_for)
+        problems = comm_efficient_problems(self._n, self._c, self._blocks)
+        if problems:
+            raise PlacementError(problems[0])
+        return FractionalRepetition(self._n, self._c)
 
     def coder(self):
         """The Vandermonde codec over this scheme's FR placement."""
@@ -744,22 +713,12 @@ class CommEfficientScheme(PlacementScheme):
         cls, *, num_workers, partitions_per_worker=None, declared=False,
         params=None,
     ) -> List[str]:
-        problems = FRScheme.spec_problems(
-            num_workers=num_workers,
-            partitions_per_worker=partitions_per_worker,
+        from ..codes.comm_efficient import comm_efficient_problems
+
+        return comm_efficient_problems(
+            num_workers, partitions_per_worker,
+            (params or {}).get("blocks", 1),
         )
-        k = _spec_int((params or {}).get("blocks", 1))
-        if k is None or (
-            partitions_per_worker is not None
-            and not 1 <= k <= partitions_per_worker
-        ):
-            problems.append(
-                "communication-efficient GC needs integer blocks k "
-                "with 1 <= k <= c; got blocks="
-                f"{(params or {}).get('blocks', 1)!r}, "
-                f"c={partitions_per_worker}"
-            )
-        return problems
 
 
 @register_placement("multimessage", aliases=("multi-message",))
@@ -833,56 +792,3 @@ class MultiMessageScheme(PlacementScheme):
             declared=declared,
             params=params,
         )
-
-
-# ----------------------------------------------------------------------
-# Shared arithmetic helpers for the static hooks.
-
-
-def _spec_int(value: Any) -> Optional[int]:
-    """``value`` as an int for static checks (bools are not ints)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value
-
-
-def _hr_constraint_problems(n: int, c1: int, c2: int, g: int) -> List[str]:
-    """Theorem 5-7 feasibility of ``HR(n, c1, c2)`` with ``g`` groups."""
-    problems: List[str] = []
-    if c1 < 0 or c2 < 0 or c1 + c2 < 1:
-        problems.append(
-            "HR needs c1, c2 >= 0 with c = c1 + c2 >= 1; got "
-            f"c1={c1}, c2={c2}"
-        )
-        return problems
-    if g < 1 or n % g != 0:
-        problems.append(
-            "HR requires g | n (workers split into g equal groups, "
-            f"Sec. VI); got n={n}, num_groups={g}"
-        )
-        return problems
-    n0 = n // g
-    c = c1 + c2
-    if c > n:
-        problems.append(
-            f"HR needs c = c1 + c2 <= n; got c={c}, n={n}"
-        )
-        return problems
-    if c1 > 0 and g > 1:
-        if c > n0:
-            problems.append(
-                "HR requires c <= n0 = n/g (Theorem 5: a group must "
-                f"hold all its partitions); got c={c}, n0={n0}"
-            )
-        if c1 > n0:
-            problems.append(
-                "HR upper part needs c1 <= n0 (at most one within-group "
-                f"wrap); got c1={c1}, n0={n0}"
-            )
-        if c2 > 0 and n0 > c + c1:
-            problems.append(
-                "general HR needs n0 <= c + c1 (Theorem 6 within-group "
-                "completeness: workers of one group must pairwise "
-                f"conflict); got n0={n0}, c={c}, c1={c1}"
-            )
-    return problems

@@ -27,9 +27,11 @@ registries make the system open for extension without modification:
 A third registry lives one layer down:
 :data:`~repro.core.scheme.PLACEMENT_REGISTRY` maps placement-family
 names to :class:`~repro.core.scheme.PlacementScheme` classes, and the
-IS-GC factories here build their placements through it.  The generic
+IS-GC factory here builds its placements through it.  The generic
 ``is-gc`` scheme exposes *every* registered family to specs:
-``scheme="is-gc"`` with ``scheme_params={"placement": "hr", ...}``.
+``scheme="is-gc"`` with ``scheme_params={"placement": "hr", ...}``;
+``is-gc-fr``, ``is-gc-cr`` and ``is-gc-hr`` are presets of it that fix
+``placement`` (:data:`SCHEME_FAMILIES`).
 
 The environment side goes through a fourth registry family:
 :data:`~repro.env.ENV_REGISTRY` resolves the ``delay:`` / ``failure:``
@@ -125,6 +127,18 @@ def make_strategy(
 # ----------------------------------------------------------------------
 # Built-in schemes.  Lazy imports keep engine ↔ training acyclic.
 
+#: Scheme → the placement family it runs over: ``gc`` decodes CR, and
+#: each ``is-gc-<family>`` preset is ``is-gc`` with ``placement`` fixed
+#: (``is-gc``'s own entry is its default ``placement``).  The static
+#: spec checks (:mod:`repro.staticcheck.specrules`) read it too.
+SCHEME_FAMILIES: Mapping[str, str] = {
+    "gc": "cr",
+    "is-gc-fr": "fr",
+    "is-gc-cr": "cr",
+    "is-gc-hr": "hr",
+    "is-gc": "cr",
+}
+
 #: ``scheme_params`` every built-in scheme accepts, used or not, so one
 #: params table can be shared across a ``scheme`` grid.
 _COMMON_SCHEME_PARAMS = ("seed", "policy", "cache")
@@ -171,75 +185,44 @@ def _classic_gc(*, num_workers, partitions_per_worker=1, wait_for=None,
 
     _reject_unknown_params("gc", params)
     placement = make_placement(
-        "cr", num_workers=num_workers,
+        SCHEME_FAMILIES["gc"], num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
     )
     return ClassicGCStrategy(placement, rng=rng)
 
 
-def _isgc(placement, wait_for, rng, policy, cache=None):
-    from ..parallel.cache import DecodeCache
-    from ..training.strategies import ISGCStrategy
+def _isgc_preset(name: str, family: str) -> SchemeFactory:
+    """``is-gc`` with ``placement=family`` fixed: the preset takes the
+    family's own parameters (HR's ``c1``, ``c2``, ``num_groups``)
+    besides the common ones, and no ``placement``."""
 
-    if wait_for is None:
-        raise ConfigurationError("IS-GC schemes need wait_for")
-    # Spec-built IS-GC runs cache their decode search kernels by
-    # default: cached decoding is bit-for-bit identical to uncached
-    # (the memo sits under the fairness RNG draws), so this is pure
-    # speed-up.  Pass an explicit cache to share one across runs.
-    if cache is None:
-        cache = DecodeCache()
-    return ISGCStrategy(
-        placement, wait_for=wait_for, rng=rng, policy=policy, cache=cache
-    )
+    def preset(*, num_workers, partitions_per_worker=1, wait_for=None,
+               rng=None, seed=None, **params):
+        from ..core.scheme import placement_params
 
-
-@register_scheme("is-gc-fr")
-def _isgc_fr(*, num_workers, partitions_per_worker=1, wait_for=None,
-             rng=None, policy=None, cache=None, **params):
-    from ..core.scheme import make_placement
-
-    _reject_unknown_params("is-gc-fr", params)
-    placement = make_placement(
-        "fr", num_workers=num_workers,
-        partitions_per_worker=partitions_per_worker,
-    )
-    return _isgc(placement, wait_for, rng, policy, cache)
-
-
-@register_scheme("is-gc-cr")
-def _isgc_cr(*, num_workers, partitions_per_worker=1, wait_for=None,
-             rng=None, policy=None, cache=None, **params):
-    from ..core.scheme import make_placement
-
-    _reject_unknown_params("is-gc-cr", params)
-    placement = make_placement(
-        "cr", num_workers=num_workers,
-        partitions_per_worker=partitions_per_worker,
-    )
-    return _isgc(placement, wait_for, rng, policy, cache)
-
-
-@register_scheme("is-gc-hr")
-def _isgc_hr(*, num_workers, partitions_per_worker=1, wait_for=None,
-             rng=None, policy=None, c1=None, c2=None, num_groups=None,
-             cache=None, **params):
-    from ..core.scheme import make_placement
-
-    _reject_unknown_params("is-gc-hr", params, "c1", "c2", "num_groups")
-    if c1 is None or c2 is None or num_groups is None:
-        raise ConfigurationError(
-            "scheme 'is-gc-hr' needs c1, c2 and num_groups params"
+        own = [
+            p for p in placement_params(family)
+            if p not in ("num_workers", "partitions_per_worker")
+        ]
+        _reject_unknown_params(name, params, *own)
+        return _isgc_any(
+            num_workers=num_workers,
+            partitions_per_worker=partitions_per_worker,
+            wait_for=wait_for, rng=rng, placement=family, **params,
         )
-    placement = make_placement(
-        "hr", num_workers=num_workers, c1=c1, c2=c2, num_groups=num_groups,
-    )
-    return _isgc(placement, wait_for, rng, policy, cache)
+
+    return preset
+
+
+for _name, _family in SCHEME_FAMILIES.items():
+    if _name.startswith("is-gc-"):
+        register_scheme(_name)(_isgc_preset(_name, _family))
 
 
 @register_scheme("is-gc")
 def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
-              rng=None, policy=None, cache=None, placement="cr", **params):
+              rng=None, policy=None, cache=None,
+              placement=SCHEME_FAMILIES["is-gc"], **params):
     """Generic IS-GC over *any* registered placement family.
 
     ``scheme_params={"placement": "<family>", ...}`` routes the
@@ -249,14 +232,25 @@ def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
     or ``placement="explicit"`` with ``rows``).
     """
     from ..core.scheme import spec_placement_scheme
+    from ..parallel.cache import DecodeCache
+    from ..training.strategies import ISGCStrategy
 
-    scheme = spec_placement_scheme(
+    placement = spec_placement_scheme(
         placement,
         num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
         **params,
+    ).construct()
+    if wait_for is None:
+        raise ConfigurationError("IS-GC schemes need wait_for")
+    # Spec-built IS-GC runs cache their decode search kernels by
+    # default: cached decoding is bit-for-bit identical to uncached
+    # (the memo sits under the fairness RNG draws), so this is pure
+    # speed-up.  Pass an explicit cache to share one across runs.
+    return ISGCStrategy(
+        placement, wait_for=wait_for, rng=rng, policy=policy,
+        cache=DecodeCache() if cache is None else cache,
     )
-    return _isgc(scheme.construct(), wait_for, rng, policy, cache)
 
 
 # ----------------------------------------------------------------------
@@ -362,10 +356,11 @@ class ExperimentSpec:
                 f"unknown rule {self.rule!r}; expected sync, local-update, "
                 "adaptive or async"
             )
-        if not isinstance(self.rule_params, Mapping):
-            raise ConfigurationError(
-                f"rule_params must be a mapping, got {self.rule_params!r}"
-            )
+        for name in ("scheme_params", "rule_params"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ConfigurationError(
+                    f"{name} must be a mapping, got {getattr(self, name)!r}"
+                )
         unknown = sorted(set(self.rule_params) - set(accepted))
         if unknown:
             raise ConfigurationError(

@@ -20,7 +20,6 @@ from .contention import (
 )
 from .heterogeneous import (
     HeterogeneousComputeModel,
-    HeterogeneousDelayAdapter,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "ComputeModel",
     "RoundResult",
     "HeterogeneousComputeModel",
-    "HeterogeneousDelayAdapter",
     "fair_share_finish_times",
     "ContendedUploadModel",
     "ContendedRound",

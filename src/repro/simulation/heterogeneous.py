@@ -3,8 +3,9 @@
 The paper's experiments assume homogeneous hardware with injected
 delays, but its discussion (and cited work on heterogeneity-aware GC,
 [21]) motivates clusters where some machines are simply slower.  This
-module provides a per-worker compute model and its adapter to the
-delay-model interface.
+module provides a per-worker compute model: pass it as a
+simulator's ``compute`` (or a spec's ``compute: heterogeneous``
+section) and every backend charges each worker its own step time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from ..exceptions import ConfigurationError
-from ..straggler.models import DelayModel
 from .cluster import ComputeModel
 
 
@@ -53,33 +53,3 @@ class HeterogeneousComputeModel:
             base=self._base.base * f,
             per_partition=self._base.per_partition * f,
         )
-
-
-class HeterogeneousDelayAdapter(DelayModel):
-    """Expose heterogeneous *compute* as a DelayModel-compatible extra.
-
-    The homogeneous :class:`~repro.simulation.ClusterSimulator` charges
-    every worker the same compute time; this adapter converts the
-    per-worker surplus ``(factor − 1) × base_step_time`` into an
-    additive delay so heterogeneous clusters can be simulated without
-    changing the simulator.
-    """
-
-    def __init__(
-        self, model: HeterogeneousComputeModel, partitions_per_worker: int
-    ):
-        if partitions_per_worker <= 0:
-            raise ConfigurationError(
-                "partitions_per_worker must be positive, "
-                f"got {partitions_per_worker}"
-            )
-        self._model = model
-        self._partitions = partitions_per_worker
-
-    def sample(self, worker: int, step: int, rng) -> float:
-        """Extra delay: the worker surplus over the homogeneous cost."""
-        base_time = self._model.step_time_for(worker, self._partitions)
-        homogeneous = self._model.step_time_for(worker, self._partitions) / (
-            self._model.factor(worker)
-        )
-        return max(0.0, base_time - homogeneous)

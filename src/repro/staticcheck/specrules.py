@@ -24,7 +24,9 @@ placement registry's static hooks
 constraints are checked here without touching this module — including
 the generic ``is-gc`` scheme, whose ``scheme_params["placement"]``
 selects the family (typos get the same did-you-mean message
-``repro run`` raises).
+``repro run`` raises).  Which family a scheme runs over is read from
+:data:`repro.engine.spec.SCHEME_FAMILIES`, the table the spec engine
+builds its presets from.
 """
 
 from __future__ import annotations
@@ -34,34 +36,6 @@ from typing import Any, FrozenSet, List, Mapping
 
 from .engine import PythonContext, Rule, SpecContext, python_rule, spec_rule, terminal_name
 from .findings import Finding
-
-#: Schemes whose placement constraints the validator knows statically.
-#: Third-party registered schemes are skipped (their constraints live
-#: in their own factories).
-KNOWN_SCHEMES = frozenset({
-    "sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr",
-    "is-gc",
-})
-
-#: Schemes that wait for ``w`` workers and therefore need ``wait_for``.
-WAITING_SCHEMES = frozenset({
-    "is-sgd", "is-gc-fr", "is-gc-cr", "is-gc-hr", "is-gc",
-})
-
-#: Fixed scheme → placement-family bindings; the generic ``is-gc``
-#: scheme resolves its family from ``scheme_params["placement"]``.
-_SCHEME_FAMILIES = {
-    "gc": "cr",
-    "is-gc-cr": "cr",
-    "is-gc-fr": "fr",
-    "is-gc-hr": "hr",
-}
-
-
-def _as_int(value: Any) -> "int | None":
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value
 
 
 def spec_feasibility_problems(
@@ -76,9 +50,12 @@ def spec_feasibility_problems(
     ``wait_for`` in a literal spec); checks involving them are skipped
     rather than guessed at.
     """
+    from ..core.scheme import placement_spec_problems, spec_int
+    from ..engine.spec import SCHEME_FAMILIES
+
     problems: List[str] = []
     scheme = data.get("scheme")
-    n = _as_int(data.get("num_workers"))
+    n = spec_int(data.get("num_workers"))
     if n is None or n < 1:
         problems.append(
             "num_workers must be a positive integer, got "
@@ -86,7 +63,7 @@ def spec_feasibility_problems(
         )
         return problems  # everything below needs a valid n
 
-    c = _as_int(data.get("partitions_per_worker", 1))
+    c = spec_int(data.get("partitions_per_worker", 1))
     c_known = "partitions_per_worker" not in unresolved
     if c_known and (c is None or not 1 <= c <= n):
         problems.append(
@@ -100,31 +77,27 @@ def spec_feasibility_problems(
     # Placement feasibility per scheme — dispatched through the
     # placement registry's arithmetic-only static hooks, so every
     # registered family (and any future one) is checked uniformly.
-    params_known = "scheme_params" not in unresolved
-    family_params = data.get("scheme_params") or {}
-    if params_known and not isinstance(family_params, Mapping):
-        if scheme in ("is-gc", "is-gc-hr"):
-            problems.append(
-                f"scheme_params must be a mapping, got {family_params!r}"
-            )
-        family_params = {}
-    family_params = dict(family_params) if params_known else {}
-
-    family = _SCHEME_FAMILIES.get(scheme)
-    if scheme in ("is-gc-hr", "is-gc") and not params_known:
-        family = None  # family/params not statically known: skip
-    elif scheme == "is-gc":
-        family = family_params.pop("placement", "cr")
-    if family is not None:
-        from ..core.scheme import placement_spec_problems
-
-        problems.extend(placement_spec_problems(
-            family,
-            num_workers=n,
-            partitions_per_worker=c if c_known else None,
-            declared="partitions_per_worker" in data and c_known,
-            params=family_params,
-        ))
+    # Unresolved scheme_params skip it: HR's and is-gc's family
+    # parameters live there.
+    if "scheme_params" not in unresolved:
+        params = data.get("scheme_params", {})
+        if not isinstance(params, Mapping):
+            problems.append(f"scheme_params must be a mapping, got {params!r}")
+            params = {}
+        params = dict(params)
+        family = (
+            SCHEME_FAMILIES.get(scheme) if isinstance(scheme, str) else None
+        )
+        if scheme == "is-gc":
+            family = params.pop("placement", family)
+        if family is not None:
+            problems.extend(placement_spec_problems(
+                family,
+                num_workers=n,
+                partitions_per_worker=c if c_known else None,
+                declared="partitions_per_worker" in data and c_known,
+                params=params,
+            ))
 
     # ------------------------------------------------------------------
     # Environment sections — dispatched through the environment
@@ -150,7 +123,9 @@ def spec_feasibility_problems(
     if "wait_for" not in unresolved:
         w = data.get("wait_for")
         if w is None:
-            if scheme in WAITING_SCHEMES:
+            # IS-SGD and every IS-GC scheme ignore stragglers: they
+            # wait for w workers each round.
+            if isinstance(scheme, str) and scheme.startswith("is-"):
                 problems.append(
                     f"scheme {scheme!r} waits for w workers each round; "
                     "set wait_for (1 <= w <= n)"
@@ -161,7 +136,7 @@ def spec_feasibility_problems(
                     "set wait_for (1 <= w <= n)"
                 )
         else:
-            w = _as_int(w)
+            w = spec_int(w)
             if w is None or not 1 <= w <= n:
                 problems.append(
                     f"wait_for must satisfy 1 <= w <= n = {n} (the "

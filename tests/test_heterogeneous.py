@@ -10,7 +10,6 @@ from repro.simulation import (
     ClusterSimulator,
     ComputeModel,
     HeterogeneousComputeModel,
-    HeterogeneousDelayAdapter,
     NetworkModel,
     WaitForK,
 )
@@ -45,34 +44,15 @@ class TestHeterogeneousComputeModel:
         factors[0] = 99.0
         assert model.factor(0) == 2.0
 
-
-class TestDelayAdapter:
-    def test_surplus_only(self):
-        model = HeterogeneousComputeModel(
-            ComputeModel(0.1, 0.1), {0: 3.0}
-        )
-        adapter = HeterogeneousDelayAdapter(model, partitions_per_worker=2)
-        rng = np.random.default_rng(0)
-        # Fast worker: no extra delay; slow worker: (3-1)×0.3 = 0.6 s.
-        assert adapter.sample(1, 0, rng) == pytest.approx(0.0)
-        assert adapter.sample(0, 0, rng) == pytest.approx(0.6)
-
-    def test_validation(self):
-        model = HeterogeneousComputeModel(ComputeModel(), {})
-        with pytest.raises(ConfigurationError):
-            HeterogeneousDelayAdapter(model, partitions_per_worker=0)
-
     def test_drives_cluster_simulator(self):
         """Heterogeneous cluster end to end: wait-k dodges the slow tier."""
-        het = HeterogeneousComputeModel(
-            ComputeModel(0.1, 0.1), {3: 10.0}
-        )
         sim = ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(0.1, 0.1),
+            compute=HeterogeneousComputeModel(
+                ComputeModel(0.1, 0.1), {3: 10.0}
+            ),
             network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=HeterogeneousDelayAdapter(het, 2),
             rng=np.random.default_rng(0),
         )
         result = sim.run_round(0, WaitForK(3))

@@ -17,6 +17,7 @@ Three layers of pinning:
   ``C_n^{1..c-1}`` across randomized ``(n, c)``.
 """
 
+import dataclasses
 import importlib
 import json
 import pathlib
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codes.comm_efficient import CommEfficientGC
 from repro.core.batch import circulant_adjacency
 from repro.core.conflict import conflict_graph
 from repro.core.cyclic import CyclicRepetition
@@ -46,11 +48,13 @@ from repro.core.scheme import (
     as_placement,
     make_placement,
     placement_scheme,
+    placement_spec_problems,
     registered_placements,
     scheme_for,
 )
+from repro.engine import ExperimentSpec, run_spec
 from repro.engine.spec import make_strategy
-from repro.exceptions import ConfigurationError, PlacementError
+from repro.exceptions import CodingError, ConfigurationError, PlacementError
 from repro.graphs import Graph
 
 GOLDEN_PATH = (
@@ -435,19 +439,32 @@ class TestSpecIntegration:
         ).fingerprint
 
     def test_generic_isgc_matches_dedicated_schemes(self):
-        for dedicated, family in (
-            ("is-gc-cr", "cr"), ("is-gc-fr", "fr"),
+        # Each is-gc-<family> preset is is-gc with placement=<family>:
+        # same placement, and the same run end to end.
+        for family, params in (
+            ("cr", {}), ("fr", {}),
+            ("hr", {"c1": 1, "c2": 1, "num_groups": 4}),
         ):
             a = make_strategy(
-                dedicated, num_workers=6, partitions_per_worker=2,
-                wait_for=3, rng=np.random.default_rng(0),
+                f"is-gc-{family}", num_workers=8, partitions_per_worker=2,
+                wait_for=3, rng=np.random.default_rng(0), **params,
             )
             b = make_strategy(
-                "is-gc", num_workers=6, partitions_per_worker=2,
+                "is-gc", num_workers=8, partitions_per_worker=2,
                 wait_for=3, rng=np.random.default_rng(0),
-                placement=family,
+                placement=family, **params,
             )
             assert a.placement.fingerprint == b.placement.fingerprint
+            preset = ExperimentSpec(
+                name="preset", scheme=f"is-gc-{family}", num_workers=8,
+                partitions_per_worker=2, wait_for=4, max_steps=6,
+                scheme_params=params,
+            )
+            generic = dataclasses.replace(
+                preset, scheme="is-gc",
+                scheme_params={"placement": family, **params},
+            )
+            assert run_spec(preset) == run_spec(generic)
 
     def test_unknown_placement_family_via_spec(self):
         with pytest.raises(ConfigurationError) as err:
@@ -463,6 +480,58 @@ class TestSpecIntegration:
         msg = str(err.value)
         assert "did you mean" in msg
         assert "registered schemes" in msg
+
+
+class TestFeasibilityAgreement:
+    """Each family states its constraints once: the static hook
+    (``spec_problems``) and construction accept exactly the same
+    parameters and lead with the same message, over every n <= 12."""
+
+    @staticmethod
+    def cases():
+        for n in range(1, 13):
+            for c in range(1, n + 1):
+                base = {"num_workers": n, "partitions_per_worker": c}
+                yield "fr", base, {}
+                yield "cr", base, {}
+                for k in range(0, c + 2):
+                    yield "comm-efficient", base, {"blocks": k}
+            for g in range(0, n + 2):
+                for c1 in range(-1, 5):
+                    for c2 in range(-1, 5):
+                        yield "hr", {"num_workers": n}, {
+                            "c1": c1, "c2": c2, "num_groups": g,
+                        }
+
+    def test_static_problems_match_construction(self):
+        disagreements = []
+        for family, base, params in self.cases():
+            static = placement_spec_problems(family, **base, params=params)
+            try:
+                placement_scheme(family, **base, **params).construct()
+                built = None
+            except PlacementError as exc:
+                built = str(exc)
+            if family == "cr" and base["partitions_per_worker"] == base[
+                "num_workers"
+            ]:
+                # The one static-only lint: CR(n, n) exists, but every
+                # pair of its workers conflicts (Theorem 1).
+                assert static and built is None
+                continue
+            if (static[0] if static else None) != built:
+                disagreements.append((family, base, params, static, built))
+        assert disagreements == []
+
+    def test_codec_raises_the_same_message(self):
+        placement = FractionalRepetition(8, 4)
+        for blocks in (0, 5):
+            with pytest.raises(CodingError) as exc:
+                CommEfficientGC(placement, blocks=blocks)
+            assert str(exc.value) == placement_spec_problems(
+                "comm-efficient", num_workers=8, partitions_per_worker=4,
+                params={"blocks": blocks},
+            )[0]
 
 
 # ----------------------------------------------------------------------
@@ -502,27 +571,17 @@ _VALID_HR = [
         for c1 in (0, 1, 2)
         for c2 in (0, 1, 2)
     )
+    # Exactly the constructible ones (TestFeasibilityAgreement).
     if HRScheme.spec_problems(
         num_workers=params["num_workers"],
         params=params,
     ) == []
-    and params["c1"] + params["c2"] >= 1
-    and params["num_workers"] % params["num_groups"] == 0
 ]
 
 
 @st.composite
 def hr_schemes(draw):
-    params = draw(st.sampled_from(_VALID_HR))
-    try:
-        scheme = placement_scheme("hr", **params)
-        scheme.construct()
-    except PlacementError:
-        # The arithmetic pre-filter is necessary, not sufficient.
-        from hypothesis import assume
-
-        assume(False)
-    return scheme
+    return placement_scheme("hr", **draw(st.sampled_from(_VALID_HR)))
 
 
 @st.composite

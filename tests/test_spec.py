@@ -51,6 +51,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="^seed must be"):
             ExperimentSpec.from_dict({**_spec().to_dict(), "seed": seed})
 
+    @pytest.mark.parametrize("scheme", ["is-gc-cr", "sync-sgd", "is-gc"])
+    def test_rejects_scheme_params_that_are_not_a_mapping(self, scheme):
+        # Was admitted for every scheme, then died inside build_engine
+        # with a bare "cannot convert dictionary update sequence".
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^scheme_params must be a mapping, got \[1, 2\]$",
+        ):
+            _spec(scheme=scheme, scheme_params=[1, 2])
+
     @pytest.mark.parametrize("batch_size", [0, -4, 2.5, True, "16"])
     def test_rejects_batch_size_that_is_not_a_positive_int(self, batch_size):
         dataset = {**_spec().dataset, "batch_size": batch_size}
@@ -273,7 +283,15 @@ class TestRules:
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_group": 2},
          "'num_group' — did you mean 'num_groups'?",
          "c1, c2, num_groups, seed, policy, cache"),
-    ], ids=["sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr"])
+        # A preset fixes is-gc's placement, so it takes no placement key.
+        ("is-gc-fr", {"placement": "fr"}, "'placement'",
+         "seed, policy, cache"),
+        ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "placement": "cr"},
+         "'placement'", "c1, c2, num_groups, seed, policy, cache"),
+    ], ids=[
+        "sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr",
+        "is-gc-fr-placement", "is-gc-hr-placement",
+    ])
     def test_misspelt_scheme_param_rejected_with_hint(
         self, scheme, params, hint, accepted
     ):

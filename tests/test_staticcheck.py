@@ -413,6 +413,15 @@ class TestSpecFeasibility:
             wait_for=6, scheme_params={"c1": 1, "c2": 2, "num_groups": 3},
         )) == []
 
+    @pytest.mark.parametrize(
+        "scheme", ["is-gc-cr", "sync-sgd", "gc", "is-sgd", "is-gc-hr"]
+    )
+    def test_scheme_params_must_be_a_mapping(self, scheme):
+        problems = spec_feasibility_problems(
+            base_spec(scheme=scheme, scheme_params=[1, 2])
+        )
+        assert "scheme_params must be a mapping, got [1, 2]" in problems
+
     def test_wait_for_range(self):
         problems = spec_feasibility_problems(base_spec(wait_for=9))
         assert any("1 <= w <= n" in p for p in problems)
