@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,9 +65,16 @@ def set_generator_state(rng: np.random.Generator, state: Mapping) -> None:
 # ----------------------------------------------------------------------
 # Record (de)serialisation.
 
+# Records are flat frozen dataclasses of scalars (plus ``extras``, a
+# str → float mapping), so a shallow field dict serialises to the same
+# JSON as ``dataclasses.asdict`` without its per-field deep copy.
+_STEP_FIELDS = tuple(f.name for f in fields(StepRecord))
+_ASYNC_FIELDS = tuple(f.name for f in fields(AsyncUpdateRecord))
+
+
 def record_to_dict(record: StepRecord) -> Dict[str, Any]:
     """A :class:`StepRecord` as a JSON-safe dict (extras included)."""
-    payload = asdict(record)
+    payload = {name: getattr(record, name) for name in _STEP_FIELDS}
     payload["extras"] = dict(record.extras)
     return payload
 
@@ -81,7 +88,7 @@ def record_from_dict(payload: Mapping[str, Any]) -> StepRecord:
 
 def async_record_to_dict(record: AsyncUpdateRecord) -> Dict[str, Any]:
     """An :class:`AsyncUpdateRecord` as a JSON-safe dict."""
-    return asdict(record)
+    return {name: getattr(record, name) for name in _ASYNC_FIELDS}
 
 
 def async_record_from_dict(payload: Mapping[str, Any]) -> AsyncUpdateRecord:

@@ -280,7 +280,9 @@ class Coordinator:
     def _push_event(self, job: Job, event: JobEvent) -> None:
         for queue in job.watchers:
             queue.put_nowait(event)
-        if self._mailbox is not None:
+        # The mailbox snapshot changes only on transitions; round
+        # progress reaches file clients through the checkpoint head.
+        if self._mailbox is not None and event.kind == "state":
             self._mailbox.write_state(job)
 
     def _start_job(self, job: Job) -> None:
@@ -477,9 +479,6 @@ class Coordinator:
                 if self._active():
                     idle_polls = 0
                     await self.drain()
-                    for job in self._jobs.values():
-                        if job.state.terminal:
-                            mailbox.write_state(job)
                     continue
                 if once and not admitted:
                     return

@@ -4,13 +4,17 @@ running coordinator.
 A mailbox is a directory; every message is one JSON file written
 atomically (temp file + ``os.replace``), so readers never observe a
 partial payload and the protocol needs no socket, daemon library or
-extra dependency.  Layout::
+extra dependency.  Nothing is fsynced: the mailbox is crash-consistent
+under process death (SIGKILL, OOM), not under power loss or an OS
+crash.  Layout::
 
     <root>/
       coordinator.json          # present while a coordinator is serving
       inbox/<job_id>.json       # submissions, consumed in sorted order
       cancel/<job_id>.cancel
-      jobs/<job_id>.json        # state snapshots, rewritten on progress
+      jobs/<job_id>.json        # state snapshots, written on state
+                                # transitions; live ``rounds_done``
+                                # comes from the checkpoint head
       rejected/<job_id>.json
       checkpoints/<job_id>.json           # resumable job head: spec +
                                           # engine state minus history
@@ -85,21 +89,12 @@ _SUBDIRS = (_INBOX, _JOBS, _CANCEL, _REJECTED, _CHECKPOINTS)
 _TERMINAL = ("done", "failed", "cancelled", "rejected")
 
 
-def _atomic_write(
-    path: pathlib.Path, payload: Dict[str, object], *, compact: bool = False
-) -> None:
-    """Write JSON so that readers see either nothing or the whole file.
-
-    ``compact`` drops the indentation meant for human readers, which
-    also keeps ``json`` on its C encoder (checkpoint heads, one per
-    round).
-    """
-    if compact:
-        text = _compact_json(payload)
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+def _atomic_write(path: pathlib.Path, payload: Dict[str, object]) -> None:
+    """Write compact sorted JSON so that readers see either nothing or
+    the whole file: the one write primitive for every mailbox file that
+    is replaced rather than appended to."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text + "\n")
+    tmp.write_text(_compact_json(payload) + "\n")
     os.replace(tmp, path)
 
 
@@ -371,7 +366,7 @@ class ServeMailbox:
             payload["deadline"] = job.deadline
         if job.trace_path is not None:
             payload["trace_path"] = job.trace_path
-        _atomic_write(self._head_path(job.job_id), payload, compact=True)
+        _atomic_write(self._head_path(job.job_id), payload)
 
     def _head_path(self, job_id: str) -> pathlib.Path:
         return self.root / _CHECKPOINTS / f"{job_id}.json"
@@ -467,8 +462,9 @@ class CoordinatorClient:
     """CLI/client-side view of a mailbox directory.
 
     Submissions are fire-and-forget file drops; state comes from the
-    snapshots the coordinator publishes.  ``wait()`` polls with a
-    wall-clock deadline — acceptable here because the clock only
+    snapshots the coordinator publishes on state transitions, progress
+    from the checkpoint head it replaces every round.  ``wait()`` polls
+    with a wall-clock deadline — acceptable here because the clock only
     bounds the *wait*, it never enters a job result.
     """
 
@@ -550,23 +546,50 @@ class CoordinatorClient:
         (self.root / _CANCEL / f"{job_id}.cancel").write_text("")
 
     # ------------------------------------------------------------------
+    def _with_progress(
+        self, job_id: str, snapshot: Dict[str, object]
+    ) -> Dict[str, object]:
+        """``snapshot`` with a live job's ``rounds_done`` taken from its
+        checkpoint head.
+
+        A terminal snapshot (or rejection record) is final.  A head
+        that is missing (cleared in a race with a terminal transition)
+        or unreadable leaves the snapshot's own value.
+        """
+        if snapshot.get("state") in _TERMINAL:
+            return snapshot
+        head = self.root / _CHECKPOINTS / f"{job_id}.json"
+        try:
+            rounds = json.loads(head.read_text())["rounds_done"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return snapshot
+        if isinstance(rounds, int):
+            snapshot["rounds_done"] = rounds
+        return snapshot
+
     def state(self, job_id: str) -> Optional[Dict[str, object]]:
-        """The latest snapshot for one job (or its rejection record)."""
+        """The latest snapshot for one job (or its rejection record),
+        with live ``rounds_done`` while it is not terminal."""
         for sub in (_JOBS, _REJECTED):
             path = self.root / sub / f"{job_id}.json"
             if path.exists():
-                return json.loads(path.read_text())
+                return self._with_progress(
+                    job_id, json.loads(path.read_text())
+                )
         inbox = self.root / _INBOX / f"{job_id}.json"
         if inbox.exists():
             return {"id": job_id, "state": "submitted"}
         return None
 
     def jobs(self) -> List[Dict[str, object]]:
-        """All known job snapshots, sorted by job id."""
+        """All known job snapshots, sorted by job id (live
+        ``rounds_done`` as in :meth:`state`)."""
         snapshots = {}
         for sub in (_JOBS, _REJECTED):
             for path in sorted((self.root / sub).glob("*.json")):
-                snapshots[path.stem] = json.loads(path.read_text())
+                snapshots[path.stem] = self._with_progress(
+                    path.stem, json.loads(path.read_text())
+                )
         for path in sorted((self.root / _INBOX).glob("*.json")):
             snapshots.setdefault(
                 path.stem, {"id": path.stem, "state": "submitted"}

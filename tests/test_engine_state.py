@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 from repro.engine.report import build_run_report
 from repro.engine.spec import ExperimentSpec, build_engine
-from repro.engine.state import EngineState
+from repro.engine.state import (
+    EngineState,
+    async_record_from_dict,
+    async_record_to_dict,
+    record_from_dict,
+    record_to_dict,
+)
 from repro.exceptions import TrainingError
 from repro.obs import RoundTracer
 from repro.types import AsyncUpdateRecord, StepRecord
@@ -197,6 +203,57 @@ class TestSnapshotResume:
         baseline = report_dict(spec, run_uninterrupted(spec))
         resumed = report_dict(spec, run_with_suspension(spec, cut))
         assert resumed == baseline
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: plain floats and ``np.float64`` (what numpy-computed metrics are).
+_float_values = st.one_of(_finite, _finite.map(np.float64))
+_counts = st.integers(min_value=0, max_value=10**6)
+
+step_records = st.builds(
+    StepRecord,
+    step=_counts,
+    sim_time=_float_values,
+    wait_time=_float_values,
+    num_available=_counts,
+    num_recovered=_counts,
+    recovery_fraction=_float_values,
+    loss=_float_values,
+    grad_norm=_float_values,
+    extras=st.dictionaries(st.text(max_size=6), _float_values, max_size=4),
+)
+async_records = st.builds(
+    AsyncUpdateRecord,
+    update_index=_counts,
+    sim_time=_float_values,
+    worker=_counts,
+    staleness=_counts,
+    loss=_float_values,
+)
+
+
+def compact(payload):
+    return json.dumps(payload, separators=(",", ":"))
+
+
+class TestRecordEncoding:
+    """The shallow record encoders write the bytes ``asdict`` wrote."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=step_records)
+    def test_step_record_bytes_and_round_trip(self, record):
+        payload = record_to_dict(record)
+        assert compact(payload) == compact(dataclasses.asdict(record))
+        assert record_from_dict(payload) == record
+        assert record_from_dict(json.loads(compact(payload))) == record
+
+    @settings(max_examples=150, deadline=None)
+    @given(record=async_records)
+    def test_async_record_bytes_and_round_trip(self, record):
+        payload = async_record_to_dict(record)
+        assert compact(payload) == compact(dataclasses.asdict(record))
+        assert async_record_from_dict(payload) == record
+        assert async_record_from_dict(json.loads(compact(payload))) == record
 
 
 class TestEngineStateValue:

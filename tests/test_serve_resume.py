@@ -18,6 +18,9 @@ interleaved-equals-sequential invariant across *process* boundaries:
   of that write, a torn log line, a pre-log head or a hostile record
   ends in a bit-identical resume or a ``rejected/`` entry, never a
   dead coordinator;
+* ``jobs/<id>.json`` is written once per state transition, however long
+  the job or the coordinator lives; file clients read a live job's
+  ``rounds_done`` from its checkpoint head;
 * :class:`~repro.serve.SchedulingClass` priorities drain strictly
   higher tiers first while SWRR fairness (±1 quantum) holds within
   each tier, with earliest-deadline-first tie-breaking;
@@ -699,6 +702,149 @@ class TestIncrementalCheckpoints:
         assert [r.job_id for r in records] == ids[1:]
         assert not log_of(mb, ids[0]).exists()
         assert log_of(mb, ids[1]).exists()
+
+
+def record_state_files(patch):
+    """Log ``(job id, state)`` for every ``jobs/<id>.json`` replace."""
+    real = mailbox_module._atomic_write
+    written = []
+
+    def write(path, payload, **options):
+        if path.parent.name == "jobs":
+            written.append((path.stem, payload["state"]))
+        real(path, payload, **options)
+
+    patch.setattr(mailbox_module, "_atomic_write", write)
+    return written
+
+
+class TestStatePublication:
+    """``jobs/<id>.json`` is written on state transitions only; file
+    clients read a live job's progress from its checkpoint head."""
+
+    def test_a_job_writes_its_state_file_once_per_transition(
+        self, tmp_path
+    ):
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(
+            mb, [make_spec(0, max_steps=7)], tmp_path, trace=False
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            written = record_state_files(patch)
+            drain(mb)
+        assert written == [(ids[0], s) for s in ("queued", "running", "done")]
+        assert client.state(ids[0])["rounds_done"] == 7
+
+    def test_long_lived_coordinator_writes_each_terminal_state_once(
+        self, tmp_path
+    ):
+        # Four serve waves through one coordinator, one job each: every
+        # wave publishes its own job's terminal state and nothing else's.
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        mailbox = ServeMailbox(mb)
+        coord = Coordinator(mode="deterministic")
+        ids = [f"wave-{wave}" for wave in range(4)]
+
+        async def waves():
+            for wave, job_id in enumerate(ids):
+                client.submit(make_spec(wave, max_steps=3), job_id=job_id)
+                await coord.serve(mailbox, once=True)
+
+        with pytest.MonkeyPatch.context() as patch:
+            written = record_state_files(patch)
+            with coord:
+                asyncio.run(waves())
+        done = [job_id for job_id, state in written if state == "done"]
+        assert done == ids
+        assert len(written) == 3 * len(ids)
+
+    def test_live_progress_comes_from_the_head(self, tmp_path):
+        mb = tmp_path / "mb"
+        specs = [make_spec(i, max_steps=6 + 2 * i) for i in range(2)]
+        client, ids = _submit_jobs(mb, specs, tmp_path, trace=False)
+        coord = Coordinator(mode="deterministic", max_running=2)
+        seen = {job_id: [] for job_id in ids}
+
+        async def main():
+            serving = asyncio.create_task(
+                coord.serve(ServeMailbox(mb), once=True)
+            )
+            # The coordinator yields after every quantum, so each pass
+            # of this loop observes one round boundary.
+            while not serving.done():
+                listed = {snap["id"]: snap for snap in client.jobs()}
+                for job_id in ids:
+                    snap = client.state(job_id)
+                    assert listed[job_id] == snap
+                    head = mb / "checkpoints" / f"{job_id}.json"
+                    if snap["state"] == "running" and head.exists():
+                        assert snap["rounds_done"] == head_of(
+                            mb, job_id
+                        )["rounds_done"]
+                    seen[job_id].append(snap.get("rounds_done", 0))
+                await asyncio.sleep(0)
+            await serving
+
+        with coord:
+            asyncio.run(main())
+        for job_id, spec in zip(ids, specs):
+            rounds = seen[job_id]
+            assert rounds == sorted(rounds)
+            # Every round boundary a running job passes is visible.
+            assert set(range(1, spec.max_steps)) <= set(rounds)
+            assert client.state(job_id)["rounds_done"] == spec.max_steps
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate", "not-a-head"])
+    def test_missing_or_unreadable_head_falls_back_to_the_snapshot(
+        self, tmp_path, damage
+    ):
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(mb, [make_spec(0)], tmp_path, trace=False)
+        serve_until_crash(mb, 4)
+        job_id = ids[0]
+        head = mb / "checkpoints" / f"{job_id}.json"
+        assert client.state(job_id)["rounds_done"] == 3
+        snapshot = json.loads((mb / "jobs" / f"{job_id}.json").read_text())
+        assert snapshot["state"] == "running"
+        if damage == "delete":
+            head.unlink()
+        elif damage == "truncate":
+            head.write_bytes(head.read_bytes()[:40])
+        else:
+            head.write_text("[3]")
+        assert client.state(job_id) == snapshot
+        assert client.jobs() == [snapshot]
+
+    def test_recovered_queued_job_shows_its_checkpointed_rounds(
+        self, tmp_path
+    ):
+        mb = tmp_path / "mb"
+        specs = [make_spec(i, max_steps=8) for i in range(2)]
+        client, ids = _submit_jobs(mb, specs, tmp_path, trace=False)
+        serve_until_crash(mb, 5)
+        checkpointed = head_of(mb, ids[1])["rounds_done"]
+        assert checkpointed > 0
+        # One running slot: the second recovered job waits queued while
+        # the first finishes.
+        coord = Coordinator(mode="deterministic", max_running=1)
+        queued = []
+
+        async def main():
+            serving = asyncio.create_task(
+                coord.serve(ServeMailbox(mb), once=True)
+            )
+            while not serving.done():
+                snap = client.state(ids[1])
+                if snap["state"] == "queued":
+                    queued.append(snap["rounds_done"])
+                await asyncio.sleep(0)
+            await serving
+
+        with coord:
+            asyncio.run(main())
+        assert queued and set(queued) == {checkpointed}
+        assert client.state(ids[1])["state"] == "done"
 
 
 def _skew_version(head, log):
