@@ -23,13 +23,19 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q --durations=10
 
 # Re-record every golden with the tests/golden/record_*.py scripts
-# and fail if any file moved: the goldens must be what the source
-# produces, not what it once produced.
+# and fail if any file moved, appeared or is uncommitted: the goldens
+# must be what the source produces, not what it once produced.  `git
+# diff` shows what moved; `git status` also catches a new untracked
+# file (a recorder writing under a new name).
 goldens:
 	for script in tests/golden/record_*.py; do \
 		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 	git diff --exit-code -- tests/golden
+	@status="$$(git status --porcelain -- tests/golden)"; \
+	if [ -n "$$status" ]; then \
+		echo "tests/golden is not clean:"; echo "$$status"; exit 1; \
+	fi
 
 # End-to-end benchmark, one repeat: exits non-zero on any failed
 # result-digest, recovery-bound, decoder-oracle or served==sequential

@@ -12,16 +12,15 @@ Layering (see ``docs/architecture.md``)::
         │   UpdateRule hooks (rules.py)
         ▼
     ExecutionBackend (backends.py)
-        │   flat ClusterSimulator · actor messages · async arrivals
+        │   FlatBackend (flat, actor) · AsyncArrivalBackend
         ▼
-    simulation / runtime substrates
+    simulation (ClusterSimulator, EventQueue)
 
 This package is the only way to run a training loop: build a
 :class:`RoundEngine` by hand or from a spec with :func:`build_engine`.
 """
 
 from .backends import (
-    ActorBackend,
     AsyncArrivalBackend,
     ExecutionBackend,
     FlatBackend,
@@ -52,7 +51,6 @@ __all__ = [
     "RoundEngine",
     "ExecutionBackend",
     "FlatBackend",
-    "ActorBackend",
     "AsyncArrivalBackend",
     "RoundExecution",
     "UpdateRule",

@@ -5,28 +5,21 @@ step (decode → unbiased update → eval → record); a backend owns its
 *mechanics* — where gradients are computed, how arrivals are produced,
 and which clock advances:
 
-* :class:`FlatBackend` — the vectorised path over
+* :class:`FlatBackend` — the synchronous path over
   :class:`~repro.simulation.cluster.ClusterSimulator`: gradients are
   computed in-process by the engine's update rule, then one call to
-  ``run_round`` yields arrivals and the wait-policy outcome.
-* :class:`ActorBackend` — the same simulator round, with payloads
-  from :class:`~repro.runtime.actors.MasterActor` /
-  :class:`~repro.runtime.actors.WorkerActor`: parameters are broadcast,
-  each accepted worker computes and encodes its own partitions, and
-  the master collects the uploads.
+  ``run_round`` yields arrivals and the wait-policy outcome.  Specs
+  select it as ``flat`` (10 000-element messages) or as ``actor``, the
+  paper's Ray round (Sec. VIII-A), whose broadcasts and uploads are
+  the model's parameter count; in every scheme comparison Ray's role
+  is ``ray.wait(w)``, i.e. which workers arrive when, and that is the
+  simulator's wait policy.
 * :class:`AsyncArrivalBackend` — no synchronous rounds at all: a
   per-worker fetch/compute/upload pipeline whose arrivals the engine
   consumes one at a time (:meth:`RoundEngine.run_updates`).
 
-Both synchronous backends return a :class:`RoundExecution` carrying the
-accepted-worker set *in the exact form the pre-engine loops passed to
-``strategy.decode``* (a frozenset on the flat path, a sorted list on
-the actor path) so refactored trajectories stay bit-identical; decoders
-normalise internally, so the two forms decode to the same floats.
-
-This module imports nothing from ``repro.training`` or
-``repro.runtime``: masters and workers are duck-typed, so the backends
-stay a leaf under both.
+This module imports nothing from ``repro.training``, so the backends
+stay a leaf under it.
 """
 
 from __future__ import annotations
@@ -55,11 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class RoundExecution:
     """Everything one synchronous round produced, pre-decode.
 
-    ``accepted`` is the wait policy's accepted-worker set in the form
-    the backend's historical loop passed to ``strategy.decode``;
-    ``batch_losses`` are the pre-update per-partition batch losses when
-    the backend computed gradients in-process (empty on the actor path,
-    whose historical loss fallback is NaN).
+    ``accepted`` is the wait policy's accepted-worker set, as passed to
+    ``strategy.decode``; ``batch_losses`` are the pre-update
+    per-partition batch losses, the loss fallback when the engine has
+    no eval set.
     """
 
     payloads: Mapping[int, np.ndarray]
@@ -68,7 +60,7 @@ class RoundExecution:
     outcome: WaitOutcome
     step_start: float
     step_end: float
-    batch_losses: Tuple[float, ...] = ()
+    batch_losses: Tuple[float, ...]
 
 
 class ExecutionBackend(abc.ABC):
@@ -104,12 +96,6 @@ class ExecutionBackend(abc.ABC):
         self, engine: "RoundEngine", step: int, policy: WaitPolicy
     ) -> RoundExecution:
         """Run one full round at ``step`` under ``policy``."""
-
-    def on_record(self, record) -> None:
-        """Hook invoked after the engine commits a step record."""
-
-    def on_strategy_change(self, strategy) -> None:
-        """Hook invoked when a rule swaps the engine's strategy."""
 
     def snapshot_state(self) -> Dict:
         """JSON-safe mutable backend state (checkpointing)."""
@@ -170,91 +156,6 @@ class FlatBackend(ExecutionBackend):
 
     def restore_state(self, engine, state):
         self._cluster.restore_state(state)
-
-
-class ActorBackend(FlatBackend):
-    """The message-passing path over master/worker actors.
-
-    A :class:`FlatBackend` that only changes where payloads come from:
-    the cluster simulator times the round exactly as on the flat path,
-    then the master broadcasts, each accepted worker computes and
-    encodes its own partitions, and the master collects their uploads.
-    ``handle_broadcast`` draws no randomness, so only the accepted
-    workers need to run it.
-    The engine then decodes and updates; :meth:`on_record` commits the
-    record back to the master so ``master.records`` / ``master.step``
-    track the run.
-    """
-
-    def __init__(
-        self,
-        master,
-        workers: Sequence,
-        cluster: ClusterSimulator,
-        keep_message_log: bool = False,
-    ):
-        super().__init__(cluster)
-        self.master = master
-        self.workers = list(workers)
-        self._by_id = {worker.worker_id: worker for worker in self.workers}
-        self._keep_log = keep_message_log
-        self.message_log: List = []
-
-    def bind(self, engine: "RoundEngine") -> None:
-        super().bind(engine)
-        # Lazy: rules.py imports repro.training, this module must not.
-        from .rules import UpdateRule
-
-        rule = type(engine.rule)
-        if rule.compute_partitions is not UpdateRule.compute_partitions:
-            raise TrainingError(
-                "the actor backend's workers upload coded gradients; rule "
-                f"{rule.__name__!r} codes its own per-partition quantity "
-                "and needs an in-process backend"
-            )
-
-    def execute_round(self, engine, step, policy):
-        result = self._cluster.run_round(step, policy)
-        broadcast = self.master.broadcast(result.step_start)
-        if self._keep_log:
-            self.message_log.append(broadcast)
-        received = result.step_start + result.broadcast_time
-        accepted = sorted(result.outcome.accepted_workers)
-        payloads: Dict[int, np.ndarray] = {}
-        for w in accepted:
-            msg = self._by_id[w].handle_broadcast(broadcast, received)
-            self.master.receive(msg)
-            if self._keep_log:
-                self.message_log.append(msg)
-            payloads[w] = msg.payload
-        missing = [w for w, p in payloads.items() if p is None]
-        if missing:
-            raise TrainingError(f"empty payloads from workers {missing}")
-        return RoundExecution(
-            payloads=payloads,
-            accepted=accepted,
-            arrivals=result.arrivals,
-            outcome=result.outcome,
-            step_start=result.step_start,
-            step_end=result.step_end,
-        )
-
-    def on_record(self, record) -> None:
-        self.master.commit_record(record)
-
-    def on_strategy_change(self, strategy) -> None:
-        self.master.update_strategy(strategy)
-        for worker in self.workers:
-            worker.update_strategy(strategy)
-
-    def snapshot_state(self):
-        return {**super().snapshot_state(), "master_step": self.master.step}
-
-    def restore_state(self, engine, state):
-        super().restore_state(engine, state)
-        self.master.restore_progress(
-            int(state["master_step"]), engine.records
-        )
 
 
 @dataclass

@@ -4,7 +4,7 @@
 decode → update → eval once, parameterised along two orthogonal axes:
 
 * an :class:`~repro.engine.backends.ExecutionBackend` — *where* the
-  round runs (flat simulator, actor messages, async arrivals);
+  round runs (synchronous cluster simulator, async arrivals);
 * an :class:`~repro.engine.rules.UpdateRule` — *what* the decoded
   aggregate means (sync mean-gradient update, local-update delta,
   adaptive migration, per-arrival async apply).
@@ -152,7 +152,6 @@ class RoundEngine:
             ),
         )
         self.records.append(record)
-        self.backend.on_record(record)
         return record
 
     # ------------------------------------------------------------------

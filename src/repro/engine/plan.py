@@ -31,7 +31,7 @@ import numpy as np
 
 from ..env import LAYERS, Environment
 from ..exceptions import ConfigurationError, TrainingError
-from .backends import ActorBackend, AsyncArrivalBackend, ExecutionBackend, FlatBackend
+from .backends import AsyncArrivalBackend, ExecutionBackend, FlatBackend
 from .core import RoundEngine
 from .rules import AdaptiveMigration, AsyncUpdate, LocalUpdate, SyncUpdate, UpdateRule
 from .spec import (
@@ -88,20 +88,10 @@ def _flat_backend(ctx: BuildContext) -> ExecutionBackend:
 
 @register_backend("actor")
 def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
-    from ..runtime.actors import MasterActor, RoundGradients, WorkerActor
-
-    # Workers share the model object: actors run one at a time in
-    # simulation and each sets parameters before computing.  They also
-    # share the round's gradients, so each g_i is evaluated once.
-    shared = RoundGradients(ctx.model, ctx.streams)
-    workers = [
-        WorkerActor(i, ctx.strategy, ctx.model, ctx.streams, shared)
-        for i in range(ctx.spec.num_workers)
-    ]
-    return ActorBackend(
-        MasterActor(ctx.strategy, ctx.model),
-        workers,
-        _cluster(ctx, gradient_elements=ctx.model.num_parameters),
+    # The paper's Ray round (Sec. VIII-A): the same simulator round as
+    # ``flat``, with model-sized broadcasts and uploads.
+    return FlatBackend(
+        _cluster(ctx, gradient_elements=ctx.model.num_parameters)
     )
 
 

@@ -69,11 +69,10 @@ class UpdateRule:
     ) -> Tuple[GradientMap, Sequence[float]]:
         """Per-partition quantities to encode, plus their batch losses.
 
-        Used by in-process backends (the actor backend computes inside
-        its worker actors instead).  The default draws each partition's
-        seeded batch and evaluates the gradient at the current
-        parameters — the canonical step shared by every synchronous
-        scheme in the paper.
+        Called by :class:`~repro.engine.backends.FlatBackend` once per
+        round.  The default draws each partition's seeded batch and
+        evaluates the gradient at the current parameters — the
+        canonical step shared by every synchronous scheme in the paper.
         """
         losses, grads = engine.streams.gradients(engine.model, step)
         return dict(enumerate(grads)), losses.tolist()
@@ -286,7 +285,6 @@ class AdaptiveMigration(SyncUpdate):
         engine.strategy = ISGCStrategy(
             best.placement, wait_for=self._wait_for, rng=self._rng
         )
-        engine.backend.on_strategy_change(engine.strategy)
         if engine.tracer is not None:
             engine.tracer.registry.counter("adaptive.migrations").inc()
             engine.tracer.set_context(scheme=engine.strategy.name)
@@ -340,7 +338,6 @@ class AdaptiveMigration(SyncUpdate):
         engine.strategy = ISGCStrategy(
             ranking[0].placement, wait_for=self._wait_for, rng=self._rng
         )
-        engine.backend.on_strategy_change(engine.strategy)
 
 
 class AsyncUpdate(UpdateRule):

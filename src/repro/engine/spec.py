@@ -297,8 +297,12 @@ def _did_you_mean(unknown, known) -> str:
 
 def _require_int(field_name: str, value: Any, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        bound = (
+            "a positive integer" if minimum == 1
+            else f"an integer >= {minimum}"
+        )
         raise ConfigurationError(
-            f"{field_name} must be an integer >= {minimum}, got {value!r}"
+            f"{field_name} must be {bound}, got {value!r}"
         )
 
 
@@ -335,16 +339,16 @@ class ExperimentSpec:
     rule_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.num_workers <= 0:
-            raise ConfigurationError(
-                f"num_workers must be positive, got {self.num_workers}"
-            )
-        if self.max_steps <= 0:
-            raise ConfigurationError(
-                f"max_steps must be positive, got {self.max_steps}"
-            )
         # NumPy would reject these from inside EnginePlan, with no
-        # field name (a bad seed) or as a bare TypeError (a bad size).
+        # field name (a bad seed) or as a bare TypeError (a bad size);
+        # a bool or a float would run under its own fingerprint.
+        for name in (
+            "num_workers", "partitions_per_worker", "max_steps",
+            "smoothing_window",
+        ):
+            _require_int(name, getattr(self, name), minimum=1)
+        if self.wait_for is not None:
+            _require_int("wait_for", self.wait_for, minimum=1)
         _require_int("seed", self.seed, minimum=0)
         if isinstance(self.dataset, Mapping) and "batch_size" in self.dataset:
             _require_int(

@@ -173,6 +173,12 @@ class EngineState:
                 f"(this build reads version {STATE_VERSION})"
             )
         try:
+            backend = dict(payload.get("backend", {}))
+            # ``backend: actor`` states written while its rounds ran
+            # through master/worker actors carry the master's step
+            # counter, which always equalled ``round_index``; the flat
+            # round keeps none.
+            backend.pop("master_step", None)
             return cls(
                 mode=payload["mode"],
                 round_index=int(payload["round_index"]),
@@ -189,7 +195,7 @@ class EngineState:
                 ),
                 losses=tuple(float(v) for v in payload.get("losses", ())),
                 rule=dict(payload.get("rule", {})),
-                backend=dict(payload.get("backend", {})),
+                backend=backend,
                 strategy=dict(payload.get("strategy", {})),
                 tracer_scheme=payload.get("tracer_scheme"),
                 version=version,

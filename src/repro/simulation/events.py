@@ -5,9 +5,9 @@ order — which is what makes whole simulations reproducible bit-for-bit
 under a fixed seed:
 
 * :func:`arrival_race` — one synchronous round's upload race as a
-  single float64 computation and a stable argsort.  Both synchronous
-  paths (``ClusterSimulator.run_round`` and the actor backend) order
-  their arrivals through it, so the two cannot drift.
+  single float64 computation and a stable argsort.
+  ``ClusterSimulator.run_round``, the one synchronous round, orders
+  its arrivals through it.
 * :class:`EventQueue` — a priority queue of timestamped events for
   open-ended pipelined simulations (the asynchronous backend's
   cross-round queue).

@@ -116,10 +116,6 @@ class CompressedISGCStrategy(ISGCStrategy):
             for worker, payload in full.items()
         }
 
-    def encode_worker_payload(self, worker, partition_gradients):
-        payload = super().encode_worker_payload(worker, partition_gradients)
-        return self._compressor.compress(worker, payload)
-
 
 def nonzero_fraction(payloads: Dict[int, np.ndarray]) -> float:
     """Mean fraction of non-zero entries across worker payloads."""

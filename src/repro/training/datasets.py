@@ -321,10 +321,10 @@ def draw_indices(
         index  = ⌊(word >> 32) · size / 2³²⌋      (multiply-shift)
 
     Every index is a fixed number of hashes of its own coordinates, so
-    one partition's row (an actor's ``c`` rows, an async arrival's one)
-    costs no more than its share of the round, and the first ``b``
-    draws of a row do not depend on ``width``.  Multiply-shift on the
-    top 32 bits is uniform to within ``size / 2³²`` per index.
+    one partition's row (an async arrival's) costs no more than its
+    share of the round, and the first ``b`` draws of a row do not
+    depend on ``width``.  Multiply-shift on the top 32 bits is uniform
+    to within ``size / 2³²`` per index.
     """
     round_key = _outputs(key, np.array([step], dtype=np.uint64))
     words = _outputs(

@@ -42,8 +42,8 @@ def held_out_loss(
     The paper evaluates on a fixed held-out batch so scheme comparisons
     are exact; when no ``eval_data`` is given the mean of this step's
     *pre-update* partition batch losses stands in, and when the caller
-    has no batch losses either (the actor path, local-update rounds)
-    the loss is NaN rather than a misleading number.
+    has no batch losses either the loss is NaN rather than a misleading
+    number.
 
     Historically each trainer inlined its own variant of this — the
     async trainer even evaluated a single *post-update* batch loss as

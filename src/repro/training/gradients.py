@@ -4,7 +4,7 @@ Every training loop needs the same step — "for each partition draw its
 seeded mini-batch and differentiate the model on it" — and on laptop-
 scale partitions that step is almost pure per-call NumPy overhead.
 :class:`BatchStreams` owns it once, for all callers (the sync rules,
-local-update SGD, the worker actors and the async arrival loop):
+local-update SGD and the async arrival loop):
 
 1. **Block.**  The partitions live in one padded ``(P, max_n, d)``
    feature block with a matching label block

@@ -60,17 +60,6 @@ class TrainingStrategy(abc.ABC):
     def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
         """Worker payloads from per-partition gradients."""
 
-    def encode_worker_payload(
-        self, worker: int, partition_gradients: GradientMap
-    ) -> np.ndarray:
-        """One worker's payload from *its own* partition gradients.
-
-        Used by the actor runtime, where each worker computes only the
-        gradients of the partitions it stores.  The default encodes just
-        that worker; code-backed strategies override for efficiency.
-        """
-        return self.encode(dict(partition_gradients))[worker]
-
     @abc.abstractmethod
     def decode(
         self,
@@ -115,9 +104,6 @@ class SyncSGDStrategy(TrainingStrategy):
             for w in range(self._placement.num_workers)
         }
 
-    def encode_worker_payload(self, worker, partition_gradients):
-        return np.asarray(partition_gradients[worker], dtype=float)
-
     def decode(self, available_workers, payloads):
         workers = sorted(available_workers)
         n = self._placement.num_workers
@@ -155,9 +141,6 @@ class ISSGDStrategy(TrainingStrategy):
             for w in range(self._placement.num_workers)
         }
 
-    def encode_worker_payload(self, worker, partition_gradients):
-        return np.asarray(partition_gradients[worker], dtype=float)
-
     def decode(self, available_workers, payloads):
         workers = sorted(available_workers)
         total = sum(np.asarray(payloads[w], dtype=float) for w in workers)
@@ -183,9 +166,6 @@ class ClassicGCStrategy(TrainingStrategy):
 
     def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
         return self._code.encode(partition_gradients)
-
-    def encode_worker_payload(self, worker, partition_gradients):
-        return self._code.encode_worker(worker, partition_gradients)
 
     def decode(self, available_workers, payloads):
         total = self._code.decode(available_workers, payloads)
@@ -248,9 +228,6 @@ class ISGCStrategy(TrainingStrategy):
 
     def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
         return self._code.encode(partition_gradients)
-
-    def encode_worker_payload(self, worker, partition_gradients):
-        return self._code.encode_worker(worker, partition_gradients)
 
     def decode(self, available_workers, payloads):
         decision = self._decoder.decode(available_workers)

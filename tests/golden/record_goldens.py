@@ -14,7 +14,7 @@ loss and did not move.
 Keep the workloads here small but non-trivial: real stragglers (trace
 replay of exponential delays), real decoding (FR/CR conflict graphs),
 and every loop family (sync, GC, IS-SGD, IS-GC, async, adaptive,
-local-update, actor runtime) plus one cell of each figure runner.
+local-update, the actor round) plus one cell of each figure runner.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core import CyclicRepetition, FractionalRepetition
 from repro.engine import (
-    ActorBackend,
     AdaptiveMigration,
     AsyncArrivalBackend,
     AsyncUpdate,
@@ -43,7 +42,6 @@ from repro.experiments import (
     run_fig12,
     run_fig13,
 )
-from repro.runtime import MasterActor, WorkerActor
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import DelayTrace, ExponentialDelay, TraceReplayModel
 from repro.training import (
@@ -173,26 +171,23 @@ def golden_flat_no_eval():
 
 
 def golden_runtime():
+    """The actor round.  First recorded through master/worker actors;
+    ``backend: actor`` is now a :class:`FlatBackend`, and the flat
+    round reproduces the recording bit for bit."""
     out = {}
     for kind in ("sync", "issgd", "gc", "isgc-fr", "isgc-cr"):
         ds, streams = _workload()
         trace = _trace()
         strategy = make_strategy(kind)
-        model = LogisticRegressionModel(8, seed=0)
-        master = MasterActor(strategy, model)
-        backend = ActorBackend(
-            master,
-            [WorkerActor(i, strategy, model, streams) for i in range(N)],
-            make_cluster(strategy, trace),
-        )
         engine = RoundEngine(
-            model, streams, strategy, backend, SyncUpdate(SGD(0.3)),
+            LogisticRegressionModel(8, seed=0), streams, strategy,
+            FlatBackend(make_cluster(strategy, trace)), SyncUpdate(SGD(0.3)),
             eval_data=ds,
         )
         summary = engine.run(max_steps=STEPS)
         out[kind] = {
             "summary": summary_to_dict(summary),
-            "records": [record_to_dict(r) for r in master.records],
+            "records": [record_to_dict(r) for r in engine.records],
         }
     return out
 

@@ -3,14 +3,14 @@
 Two properties anchor the refactor:
 
 * **flat == actor, exactly.**  The hypothesis test runs the same
-  :class:`~repro.engine.spec.ExperimentSpec` through both execution
-  backends and demands the full trajectories — losses, step times,
+  :class:`~repro.engine.spec.ExperimentSpec` through both backend
+  names and demands the full trajectories — losses, step times,
   recovered counts, accepted sets, final parameters — be equal with
   ``==``, not ``approx``.  The spec pins a zero-latency,
-  infinite-bandwidth network because the actor path additionally
-  charges parameter-broadcast time; with that cost zeroed the two
-  paths must consume identical delay-model draws and produce identical
-  arithmetic.
+  infinite-bandwidth network because the two charge different message
+  sizes (the model's parameter count vs 10 000 elements); with that
+  cost zeroed they must consume identical delay-model draws and
+  produce identical arithmetic.
 
 * **A new scheme is one registration.**  The acceptance test registers
   a toy placement scheme with :func:`~repro.engine.spec.register_scheme`
@@ -41,8 +41,8 @@ from repro.engine.backends import FlatBackend
 from repro.engine.spec import BACKEND_REGISTRY, SCHEME_REGISTRY
 from repro.exceptions import ConfigurationError
 
-# Zero network cost: the actor path charges broadcast time, the flat
-# path does not, so exact cross-backend equality needs a free network.
+# Zero network cost: actor and flat messages differ in size, so exact
+# cross-backend equality needs a free network.
 FREE_NETWORK = {"latency": 0.0, "bandwidth": float("inf")}
 
 

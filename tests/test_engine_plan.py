@@ -289,8 +289,8 @@ class TestPlanIsImmutable:
 class TestRestoreRefusesAForeignState:
     """``plan.restore`` holds a state against what it carries itself;
     specs that differ only in something it does not carry (``is-gc-cr``
-    vs ``is-gc-fr``, worker counts of a flat run) need a spec
-    fingerprint in the state — ROADMAP item 8."""
+    vs ``is-gc-fr``, worker counts of a flat run, ``flat`` vs ``actor``)
+    need a spec fingerprint in the state — ROADMAP item 8."""
 
     @staticmethod
     def suspended(spec, cut=2):
@@ -319,10 +319,6 @@ class TestRestoreRefusesAForeignState:
         pytest.param(
             dict(), dict(scheme="is-sgd"), "section 'strategy'",
             id="scheme-is-gc-vs-is-sgd",
-        ),
-        pytest.param(
-            dict(), dict(backend="actor"), "section 'backend'",
-            id="backend-flat-vs-actor",
         ),
         pytest.param(
             dict(rule="async"), dict(rule="async", num_workers=4),

@@ -232,6 +232,52 @@ async_records = st.builds(
 )
 
 
+#: ``actor-sync@2`` as written while ``backend: actor`` ran its rounds
+#: through master/worker actors: the backend section still carries the
+#: master's step counter (``master_step``), and the layout version is 1.
+LEGACY_ACTOR_STATE = (
+    '{"async_records": [], "backend": {"clock": 0.85017692045351, "dela'
+    'ys": {}, "master_step": 2, "rng": {"bit_generator": "PCG64", "has_'
+    'uint32": 0, "state": {"inc": 7937318808080196428804369945471644491'
+    ', "state": 66217733609308865503219324306661192406}, "uinteger": 0}'
+    '}, "loss_threshold": null, "losses": [0.28403782141999123, 0.18085'
+    '813043670002], "max_steps": 10, "mode": "rounds", "params": [-0.18'
+    '362349416581544, -0.33153136513967474, 0.25741666953454717, 0.3533'
+    '2715685710636, 0.15173649677126777, -0.0971516978830857, -0.008229'
+    '927328263123, -0.0953436985951299, 0.043725152140089374], "records'
+    '": [{"extras": {}, "grad_norm": 1.4097532710356089, "loss": 0.2840'
+    '3782141999123, "num_available": 2, "num_recovered": 2, "recovery_f'
+    'raction": 0.5, "sim_time": 0.4815924889174404, "step": 0, "wait_ti'
+    'me": 0.4815924889174404}, {"extras": {}, "grad_norm": 0.7686835379'
+    '374873, "loss": 0.18085813043670002, "num_available": 2, "num_reco'
+    'vered": 4, "recovery_fraction": 1.0, "sim_time": 0.85017692045351,'
+    ' "step": 1, "wait_time": 0.3685844315360696}], "round_index": 2, "'
+    'rule": {"optimizer": {"step": 2, "velocity": null}}, "smoothing_wi'
+    'ndow": 5, "strategy": {"decoder_rng": {"bit_generator": "PCG64", "'
+    'has_uint32": 1, "state": {"inc": 155168332176707774904512248224851'
+    '075529, "state": 206475276927037107585613994727480374809}, "uinteg'
+    'er": 891986582}}, "tracer_scheme": null, "version": 1}'
+)
+
+
+class TestLegacyActorState:
+    def test_master_step_state_restores_and_finishes_bit_identical(self):
+        spec = make_spec("actor", "sync")
+        assert '"master_step": 2' in LEGACY_ACTOR_STATE
+        baseline = report_dict(spec, run_uninterrupted(spec))
+        state = EngineState.from_json(LEGACY_ACTOR_STATE)
+        assert state.round_index == 2 and "master_step" not in state.backend
+        engine = build_engine(spec)
+        engine.start_run(spec.max_steps)
+        # The checked restore: what the serve layer's runners use.
+        engine.plan.restore(engine, state)
+        while not engine.step_rounds(1):
+            pass
+        assert report_dict(spec, engine.finish_run()) == baseline
+        # ...and it is the state today's actor engine writes at round 2.
+        assert state.to_json() == GOLDEN["actor-sync@2"]
+
+
 def compact(payload):
     return json.dumps(payload, separators=(",", ":"))
 

@@ -12,7 +12,7 @@ count and final parameter — and the recorder's output must be the
 committed bytes.
 
 One golden per loop family (flat sync/GC/IS-SGD/IS-GC, no-eval
-fallback, actor runtime, async, adaptive with a real migration,
+fallback, the actor round, async, adaptive with a real migration,
 local-update) plus one cell of each figure runner, pinning the
 registry-based rewiring of fig11/12/13.
 """

@@ -45,6 +45,7 @@ from repro.engine import (
     SyncUpdate,
     build_engine,
 )
+from repro.core.coding import SummationCode
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.training import (
     Conv2DClassifier,
@@ -506,6 +507,10 @@ class TestStreamStatistics:
 
 
 class TestActorRoundSharesReplicaGradients:
+    """The actor round differentiates each partition once, whichever
+    ``c`` workers store it, and its payloads equal each worker encoding
+    its own partitions."""
+
     def _engine(self):
         spec = ExperimentSpec(
             name="actor-share", scheme="is-gc-cr", backend="actor",
@@ -531,16 +536,17 @@ class TestActorRoundSharesReplicaGradients:
         # The held-out loss is one more (1, N) call per round.
         held_out = (1, engine.eval_data.num_samples)
         batches = [shape for shape in evaluated if shape != held_out]
-        # 6 workers × 2 replicas ask; 6 partitions are differentiated.
+        # 6 workers × 2 replicas store them; 6 partitions are differentiated.
         assert sum(stack for stack, _ in batches) == 3 * engine.num_partitions
 
     def test_uploads_equal_the_per_worker_loop(self):
         spec, engine = self._engine()
         engine.start_run(4)
         engine.step_rounds(2)
-        backend, strategy = engine.backend, engine.strategy
-        broadcast = backend.master.broadcast(backend.clock)
-        assert broadcast.step == 2
+        parameters = engine.model.get_parameters()
+        execution = engine.backend.execute_round(
+            engine, 2, engine.strategy.policy
+        )
         # build_engine's seed discipline: partitions seed+1, streams
         # seed+2; the eval set is the whole dataset.
         parts = reference_partitions(
@@ -548,18 +554,18 @@ class TestActorRoundSharesReplicaGradients:
         )
         _, want = reference_round(
             "logistic", engine.model, parts, spec.dataset["batch_size"],
-            spec.seed + 2, broadcast.step,
-            [broadcast.parameters] * len(parts),
+            spec.seed + 2, 2, [parameters] * len(parts),
         )
-        for worker in backend.workers:
-            upload = worker.handle_broadcast(broadcast, backend.clock)
-            expected = strategy.encode_worker_payload(
-                worker.worker_id,
-                {p: want[p] for p in worker.partitions},
+        placement = engine.strategy.placement
+        code = SummationCode(placement)
+        for worker in range(placement.num_workers):
+            expected = code.encode_worker(
+                worker,
+                {p: want[p] for p in placement.partitions_of(worker)},
             )
             assert_same_bits(
-                upload.payload, expected,
-                f"worker {worker.worker_id} payload",
+                execution.payloads[worker], expected,
+                f"worker {worker} payload",
             )
 
 

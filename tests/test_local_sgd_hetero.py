@@ -129,16 +129,26 @@ class TestLocalUpdateTrainer:
             trainer.run(max_steps=0)
 
 
-    def test_actor_backend_refuses_delta_rules(self):
-        # Worker actors upload coded *gradients*; this pair used to be
-        # built and then die in apply() with a bare TypeError.
-        spec = ExperimentSpec(
-            name="actor-local", scheme="is-gc-cr", num_workers=4,
-            partitions_per_worker=2, wait_for=2, backend="actor",
-            rule="local-update",
+    def test_actor_backend_runs_delta_rules_like_flat(self):
+        # The actor backend is the flat round with model-sized messages;
+        # on an ideal network the size costs nothing, so a local-update
+        # run must match flat's to the bit.
+        runs = []
+        for backend in ("actor", "flat"):
+            engine = build_engine(ExperimentSpec(
+                name="actor-local", scheme="is-gc-cr", num_workers=4,
+                partitions_per_worker=2, wait_for=2, backend=backend,
+                rule="local-update", rule_params={"local_steps": 3},
+                max_steps=8, seed=5, network={"kind": "ideal"},
+            ))
+            runs.append((engine, engine.run(8)))
+        (actor, actor_summary), (flat, flat_summary) = runs
+        assert actor_summary.loss_curve == flat_summary.loss_curve
+        assert actor_summary.total_sim_time == flat_summary.total_sim_time
+        assert actor.records == flat.records
+        np.testing.assert_array_equal(
+            actor.model.get_parameters(), flat.model.get_parameters()
         )
-        with pytest.raises(TrainingError, match="in-process backend"):
-            build_engine(spec)
 
 
 class TestHeterogeneousRecovery:

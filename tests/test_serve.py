@@ -529,6 +529,24 @@ class TestMailbox:
         assert not (root / "inbox" / "broken.json").exists()
         assert client.state(good)["state"] == "done"
 
+    def test_float_wait_for_is_rejected_at_admission(self, tmp_path):
+        # Used to be admitted and then fail the job inside the engine
+        # ("slice indices must be integers").
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = {**make_spec(0).to_dict(), "wait_for": 2.0}
+        (root / "inbox" / "float.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        serve_once(root)
+        snapshot = client.state("float")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        assert snapshot["error"] == (
+            "wait_for must be a positive integer, got 2.0"
+        )
+        assert (root / "rejected" / "float.json").exists()
+
     def test_missing_spec_field_is_named_in_the_rejection(self, tmp_path):
         root = tmp_path / "mbox"
         client = CoordinatorClient(root)

@@ -352,7 +352,6 @@ class TestWorkerPoolMechanics:
         (dict(rule="async"), "'mode' is 'rounds'"),
         (dict(rule="local-update"), "section 'rule'"),
         (dict(scheme="is-sgd"), "section 'strategy'"),
-        (dict(backend="actor"), "section 'backend'"),
     ])
     def test_runner_refuses_another_specs_state(self, over, field):
         # Used to be accepted silently (or die with a bare KeyError:

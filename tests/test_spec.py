@@ -51,6 +51,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="^seed must be"):
             ExperimentSpec.from_dict({**_spec().to_dict(), "seed": seed})
 
+    @pytest.mark.parametrize("field", [
+        "num_workers", "partitions_per_worker", "wait_for", "max_steps",
+        "smoothing_window",
+    ])
+    @pytest.mark.parametrize("value", [True, 2.0, "4"])
+    def test_rejects_integer_field_that_is_not_an_int(self, field, value):
+        # A bool ran silently as 1, a float ran under a fingerprint of
+        # its own (or died inside the engine on a slice), a string
+        # raised a bare TypeError.
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            _spec(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            ExperimentSpec.from_dict({**_spec().to_dict(), field: value})
+
     @pytest.mark.parametrize("scheme", ["is-gc-cr", "sync-sgd", "is-gc"])
     def test_rejects_scheme_params_that_are_not_a_mapping(self, scheme):
         # Was admitted for every scheme, then died inside build_engine
