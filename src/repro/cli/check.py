@@ -48,7 +48,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 @register_command(
     "check",
-    help="static analysis: determinism, time units, spec feasibility",
+    help="static analysis: determinism, time units, RNG flow",
 )
 def configure(parser: argparse.ArgumentParser) -> None:
     """Wire the ``check`` subparser (arguments + handler)."""

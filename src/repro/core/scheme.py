@@ -24,7 +24,7 @@ Registered families: ``fr``, ``cr``, ``hr``, ``explicit``, ``hetero``,
 ``comm-efficient`` and ``multimessage`` (see ``docs/placements.md`` for
 the catalogue with paper pointers).  A new family needs one
 ``@register_placement`` class; specs (via the generic ``is-gc``
-scheme), ``repro placements``, caching and the static checks pick it
+scheme), ``repro placements``, caching and spec admission pick it
 up by name.
 """
 
@@ -153,8 +153,8 @@ def spec_placement_scheme(
 
 
 def spec_int(value: Any) -> Optional[int]:
-    """``value`` as an int for the static checks, or ``None`` when it
-    is not one (bools are not ints)."""
+    """``value`` as an int for the spec feasibility hooks, or ``None``
+    when it is not one (bools are not ints)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         return None
     return int(value)
@@ -165,18 +165,16 @@ def placement_spec_problems(
     *,
     num_workers: int,
     partitions_per_worker: Optional[int] = None,
-    declared: bool = False,
     params: Optional[Mapping[str, Any]] = None,
 ) -> List[str]:
-    """Static feasibility problems of ``family`` at these parameters.
+    """Feasibility problems of ``family`` at these parameters.
 
-    The arithmetic-only hook behind the SPEC001/SPEC002 rules: nothing
+    The arithmetic-only hook behind spec admission
+    (:class:`~repro.engine.spec.ExperimentSpec` construction): nothing
     is constructed, so the checks are safe on untrusted spec documents.
     Unknown families return the same did-you-mean message
-    ``repro run`` would raise.  ``declared`` says whether
-    ``partitions_per_worker`` was explicitly present in the spec
-    document (families deriving ``c`` themselves only cross-check an
-    explicitly declared value).
+    construction would raise.  ``partitions_per_worker=None`` (not
+    known to be a valid ``c``) skips the checks that need it.
     """
     try:
         cls = PLACEMENT_REGISTRY.resolve(family)
@@ -185,7 +183,6 @@ def placement_spec_problems(
     return cls.spec_problems(
         num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
-        declared=declared,
         params=dict(params or {}),
     )
 
@@ -366,17 +363,16 @@ class PlacementScheme(ABC):
         lines.append(self.construct().describe())
         return "\n".join(lines)
 
-    # -- static hooks ---------------------------------------------------
+    # -- spec admission hook ---------------------------------------------
     @classmethod
     def spec_problems(
         cls,
         *,
         num_workers: int,
         partitions_per_worker: Optional[int] = None,
-        declared: bool = False,
         params: Optional[Mapping[str, Any]] = None,
     ) -> List[str]:
-        """Arithmetic-only feasibility problems (for SPEC001/SPEC002).
+        """Arithmetic-only feasibility problems (for spec admission).
 
         Must not construct anything; return constraint-citing messages.
         A family states each constraint once, as a function beside its
@@ -430,8 +426,7 @@ class FRScheme(_RepetitionScheme):
 
     @classmethod
     def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, declared=False,
-        params=None,
+        cls, *, num_workers, partitions_per_worker=None, params=None,
     ) -> List[str]:
         return fr_problems(num_workers, partitions_per_worker)
 
@@ -449,8 +444,7 @@ class CRScheme(_RepetitionScheme):
 
     @classmethod
     def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, declared=False,
-        params=None,
+        cls, *, num_workers, partitions_per_worker=None, params=None,
     ) -> List[str]:
         n, c = num_workers, partitions_per_worker
         if c is not None and c >= n:
@@ -514,8 +508,7 @@ class HRScheme(PlacementScheme):
 
     @classmethod
     def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, declared=False,
-        params=None,
+        cls, *, num_workers, partitions_per_worker=None, params=None,
     ) -> List[str]:
         params = params or {}
         c1, c2, g = (
@@ -527,11 +520,9 @@ class HRScheme(PlacementScheme):
                 "num_groups (HR(n, c1, c2) with g groups, Sec. VI)"
             ]
         problems = hr_problems(num_workers, c1, c2, g)
-        if (
-            declared
-            and partitions_per_worker is not None
-            and partitions_per_worker != c1 + c2
-        ):
+        # c = c1 + c2 >= 2 for a feasible HR, so a spec's default c = 1
+        # means "not given".
+        if partitions_per_worker not in (None, 1, c1 + c2):
             problems.append(
                 "HR spec declares partitions_per_worker="
                 f"{partitions_per_worker} but the placement stores "
@@ -710,8 +701,7 @@ class CommEfficientScheme(_RepetitionScheme):
 
     @classmethod
     def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, declared=False,
-        params=None,
+        cls, *, num_workers, partitions_per_worker=None, params=None,
     ) -> List[str]:
         from ..codes.comm_efficient import comm_efficient_problems
 
@@ -780,8 +770,7 @@ class MultiMessageScheme(PlacementScheme):
 
     @classmethod
     def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, declared=False,
-        params=None,
+        cls, *, num_workers, partitions_per_worker=None, params=None,
     ) -> List[str]:
         params = dict(params or {})
         base = params.pop("base", "cr")
@@ -789,6 +778,5 @@ class MultiMessageScheme(PlacementScheme):
             base,
             num_workers=num_workers,
             partitions_per_worker=partitions_per_worker,
-            declared=declared,
             params=params,
         )

@@ -97,17 +97,8 @@ def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
 
 @register_backend("async-arrivals")
 def _async_backend(ctx: BuildContext) -> ExecutionBackend:
-    # failure:/contention: are round models of the ClusterSimulator;
-    # refuse them rather than ignore them silently.
-    unsupported = [
-        name for name in ("failure", "contention") if getattr(ctx.spec, name)
-    ]
-    if unsupported:
-        raise ConfigurationError(
-            f"backend 'async-arrivals' does not simulate the "
-            f"{'/'.join(unsupported)} spec section(s); "
-            "use a synchronous rule on the flat or actor backend"
-        )
+    # Spec admission refuses failure:/contention: here: they are round
+    # models of the ClusterSimulator, which this backend does not run.
     return AsyncArrivalBackend(
         compute=ctx.environment.compute,
         network=ctx.environment.network,
@@ -186,15 +177,10 @@ def _environment_sections(spec: ExperimentSpec) -> Dict[str, Any]:
     sections: Dict[str, Any] = {}
     for name in LAYERS:
         value = getattr(spec, name)
-        if isinstance(value, Mapping):
-            value = dict(value)
-        elif value is not None and not isinstance(value, str):
-            raise ConfigurationError(
-                f"spec section {name!r} must be a kind string or a "
-                f"{{'kind': ...}} mapping, got {value!r}"
-            )
         # An empty section asks for the layer's default.
-        sections[name] = value or None
+        sections[name] = (
+            dict(value) if isinstance(value, Mapping) else value
+        ) or None
     if sections["delay"] is None:
         sections["delay"] = dict(_DEFAULT_DELAY)
     if isinstance(sections["delay"], dict):
@@ -215,8 +201,6 @@ def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
             local_lr=params.get("local_lr", spec.learning_rate),
         )
     if spec.rule == "adaptive":
-        if spec.wait_for is None:
-            raise ConfigurationError("rule 'adaptive' needs wait_for")
         return AdaptiveMigration(
             ctx.optimizer,
             wait_for=spec.wait_for,
@@ -226,9 +210,7 @@ def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
             min_recovery_gain=params.get("min_recovery_gain", 0.05),
             rng=np.random.default_rng(params.get("seed", spec.seed + 5)),
         )
-    if spec.rule == "async":
-        return AsyncUpdate(ctx.optimizer)
-    raise ConfigurationError(f"unknown rule {spec.rule!r}")
+    return AsyncUpdate(ctx.optimizer)  # admission knows no other rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,7 +374,7 @@ def run_spec(spec: "ExperimentSpec | str | pathlib.Path"):
     :class:`~repro.types.AsyncSummary`.
     """
     if not isinstance(spec, ExperimentSpec):
-        spec = ExperimentSpec.load(spec)
+        spec = ExperimentSpec.from_file(spec)
     engine = build_engine(spec)
     if spec.rule == "async":
         return engine.run_updates(spec.max_steps)

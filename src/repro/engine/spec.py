@@ -60,11 +60,14 @@ import functools
 import hashlib
 import json
 import pathlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..core.scheme import placement_spec_problems
+from ..env.registry import LAYERS, model_spec_problems
 from ..exceptions import ConfigurationError
 from ..registry import Registry
 from .backends import ExecutionBackend
@@ -129,8 +132,8 @@ def make_strategy(
 
 #: Scheme → the placement family it runs over: ``gc`` decodes CR, and
 #: each ``is-gc-<family>`` preset is ``is-gc`` with ``placement`` fixed
-#: (``is-gc``'s own entry is its default ``placement``).  The static
-#: spec checks (:mod:`repro.staticcheck.specrules`) read it too.
+#: (``is-gc``'s own entry is its default ``placement``).  Spec
+#: admission reads it to check a scheme's placement constraints.
 SCHEME_FAMILIES: Mapping[str, str] = {
     "gc": "cr",
     "is-gc-fr": "fr",
@@ -295,24 +298,179 @@ def _did_you_mean(unknown, known) -> str:
     return "; ".join(hints)
 
 
-def _require_int(field_name: str, value: Any, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+def _is_int(value: Any, minimum: int = 1) -> bool:
+    """Bools are not ints, nor are NumPy integers (the fingerprint's
+    JSON cannot encode them)."""
+    return (
+        not isinstance(value, bool) and isinstance(value, int)
+        and value >= minimum
+    )
+
+
+def _int_problems(field_name: str, value: Any, minimum: int) -> List[str]:
+    if not _is_int(value, minimum):
         bound = (
             "a positive integer" if minimum == 1
             else f"an integer >= {minimum}"
         )
-        raise ConfigurationError(
-            f"{field_name} must be {bound}, got {value!r}"
+        return [f"{field_name} must be {bound}, got {value!r}"]
+    return []
+
+
+def _admission_problems(spec: "ExperimentSpec") -> List[str]:
+    """Why ``spec`` cannot run, as messages (empty when it can).
+
+    Purely arithmetic: nothing is built, so it is safe on untrusted
+    payloads.  Types come first (NumPy would reject a bad size or seed
+    from inside :class:`~repro.engine.plan.EnginePlan` with no field
+    name, and a bool or a float would run under its own fingerprint);
+    the paper's constraints on ``n``, ``c`` and ``w`` are checked only
+    where their fields are well typed.  Placement feasibility goes
+    through the placement registry's hooks and each environment
+    section through the environment registry's, so a newly registered
+    family is checked here without touching this function.
+    """
+    problems: List[str] = []
+    for name in (
+        "num_workers", "partitions_per_worker", "max_steps",
+        "smoothing_window",
+    ):
+        problems += _int_problems(name, getattr(spec, name), minimum=1)
+    if spec.wait_for is not None:
+        problems += _int_problems("wait_for", spec.wait_for, minimum=1)
+    problems += _int_problems("seed", spec.seed, minimum=0)
+    if isinstance(spec.dataset, Mapping) and "batch_size" in spec.dataset:
+        problems += _int_problems(
+            "dataset.batch_size", spec.dataset["batch_size"], minimum=1
         )
+    accepted = _RULE_PARAMS.get(spec.rule)
+    if accepted is None:
+        problems.append(
+            f"unknown rule {spec.rule!r}; expected sync, local-update, "
+            "adaptive or async"
+        )
+    for name in ("scheme_params", "rule_params"):
+        if not isinstance(getattr(spec, name), Mapping):
+            problems.append(
+                f"{name} must be a mapping, got {getattr(spec, name)!r}"
+            )
+    if accepted is not None and isinstance(spec.rule_params, Mapping):
+        unknown = sorted(set(spec.rule_params) - set(accepted))
+        if unknown:
+            problems.append(
+                f"unknown rule_params for rule {spec.rule!r}: "
+                f"{_did_you_mean(unknown, accepted)}; "
+                f"accepted: {', '.join(accepted) or '(none)'}"
+            )
+    # The async rule runs on the async-arrivals backend (``flat``, the
+    # default, selects it); no other rule can.
+    if (
+        spec.backend not in ("flat", "async-arrivals")
+        if spec.rule == "async"
+        else spec.backend == "async-arrivals"
+    ):
+        problems.append(
+            f"backend {spec.backend!r} cannot run rule {spec.rule!r}: "
+            "the async rule takes backend 'flat' (the default) or "
+            "'async-arrivals', and every other rule any backend but "
+            "'async-arrivals'"
+        )
+
+    scheme, n, c, w = (
+        spec.scheme, spec.num_workers, spec.partitions_per_worker,
+        spec.wait_for,
+    )
+    waits = isinstance(scheme, str) and scheme.startswith("is-")
+    if w is None and waits:
+        # IS-SGD and every IS-GC scheme wait for w workers each round.
+        problems.append(
+            f"scheme {scheme!r} waits for w workers each round; "
+            "set wait_for (1 <= w <= n)"
+        )
+    elif w is None and spec.rule == "adaptive":
+        problems.append(
+            "rule 'adaptive' ranks placements for a target w; "
+            "set wait_for (1 <= w <= n)"
+        )
+    if _is_int(n):
+        c_known = _is_int(c)
+        if c_known and c > n:
+            problems.append(
+                "partitions_per_worker must satisfy 1 <= c <= n "
+                f"(each worker stores c of the n partitions); got c={c}, "
+                f"n={n}"
+            )
+            c_known = False
+        if isinstance(spec.scheme_params, Mapping):
+            params = dict(spec.scheme_params)
+            family = (
+                SCHEME_FAMILIES.get(scheme) if isinstance(scheme, str)
+                else None
+            )
+            if scheme == "is-gc":
+                family = params.pop("placement", family)
+            if family is not None:
+                problems += placement_spec_problems(
+                    family, num_workers=n,
+                    partitions_per_worker=c if c_known else None,
+                    params=params,
+                )
+        if w is not None and _is_int(w) and w > n:
+            # Theorems 10/11 bound α(G[W']) for 1 <= w <= n only.
+            problems.append(
+                f"wait_for must satisfy 1 <= w <= n = {n} (the "
+                "Theorem 10/11 recovery bounds are defined only there, "
+                "and more than n workers can never arrive); "
+                f"got {w!r}"
+            )
+
+    for layer in LAYERS:
+        section = getattr(spec, layer)
+        if section is not None and not isinstance(section, (str, Mapping)):
+            problems.append(
+                f"spec section {layer!r} must be a kind string or a "
+                f"{{'kind': ...}} mapping, got {section!r}"
+            )
+            continue
+        if not section:
+            continue  # an empty section asks for the layer's default
+        if layer == "delay" and isinstance(section, Mapping):
+            # A kind-less delay section is exponential (the paper's).
+            section = {"kind": "exponential", **section}
+        problems += model_spec_problems(layer, section, section=layer)
+    # failure:/contention: are round models of the ClusterSimulator,
+    # which the async-arrivals backend does not run.
+    unsupported = [
+        name for name in ("failure", "contention") if getattr(spec, name)
+    ]
+    if spec.rule == "async" and unsupported:
+        problems.append(
+            f"backend 'async-arrivals' does not simulate the "
+            f"{'/'.join(unsupported)} spec section(s); "
+            "use a synchronous rule on the flat or actor backend"
+        )
+    return problems
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A complete, serialisable description of one training run."""
+    """A complete, serialisable description of one training run.
+
+    Construction is admission: a spec that cannot run (a field of the
+    wrong type, CR with ``c >= n``, FR without ``c | n``, HR outside
+    Theorems 5-7, ``wait_for`` outside ``1 <= w <= n``, an unknown
+    environment kind, ...) raises one :class:`ConfigurationError`
+    naming every problem, joined by ``"; "``.  So ``from_dict``,
+    ``from_file``, ``repro run``, job submission and checkpoint
+    recovery all refuse the same specs with the same text.
+    """
 
     name: str
     scheme: str
     num_workers: int
+    #: ``c``.  HR derives its own ``c = c1 + c2 >= 2``, so for HR the
+    #: default 1 reads as "not given" and any other value must equal
+    #: ``c1 + c2``.
     partitions_per_worker: int = 1
     wait_for: Optional[int] = None
     backend: str = "flat"
@@ -339,52 +497,9 @@ class ExperimentSpec:
     rule_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        # NumPy would reject these from inside EnginePlan, with no
-        # field name (a bad seed) or as a bare TypeError (a bad size);
-        # a bool or a float would run under its own fingerprint.
-        for name in (
-            "num_workers", "partitions_per_worker", "max_steps",
-            "smoothing_window",
-        ):
-            _require_int(name, getattr(self, name), minimum=1)
-        if self.wait_for is not None:
-            _require_int("wait_for", self.wait_for, minimum=1)
-        _require_int("seed", self.seed, minimum=0)
-        if isinstance(self.dataset, Mapping) and "batch_size" in self.dataset:
-            _require_int(
-                "dataset.batch_size", self.dataset["batch_size"], minimum=1
-            )
-        accepted = _RULE_PARAMS.get(self.rule)
-        if accepted is None:
-            raise ConfigurationError(
-                f"unknown rule {self.rule!r}; expected sync, local-update, "
-                "adaptive or async"
-            )
-        for name in ("scheme_params", "rule_params"):
-            if not isinstance(getattr(self, name), Mapping):
-                raise ConfigurationError(
-                    f"{name} must be a mapping, got {getattr(self, name)!r}"
-                )
-        unknown = sorted(set(self.rule_params) - set(accepted))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown rule_params for rule {self.rule!r}: "
-                f"{_did_you_mean(unknown, accepted)}; "
-                f"accepted: {', '.join(accepted) or '(none)'}"
-            )
-        # The async rule runs on the async-arrivals backend (``flat``,
-        # the default, selects it); no other rule can.
-        if (
-            self.backend not in ("flat", "async-arrivals")
-            if self.rule == "async"
-            else self.backend == "async-arrivals"
-        ):
-            raise ConfigurationError(
-                f"backend {self.backend!r} cannot run rule {self.rule!r}: "
-                "the async rule takes backend 'flat' (the default) or "
-                "'async-arrivals', and every other rule any backend but "
-                "'async-arrivals'"
-            )
+        problems = _admission_problems(self)
+        if problems:
+            raise ConfigurationError("; ".join(problems))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -469,9 +584,6 @@ class ExperimentSpec:
             )
         return cls.from_dict(data)
 
-    # `load` predates `from_file`; both names are public and identical.
-    load = from_file
-
     def to_file(self, path: "str | pathlib.Path") -> pathlib.Path:
         """Write the spec to ``path`` (format chosen by suffix).
 
@@ -482,7 +594,8 @@ class ExperimentSpec:
         """
         path = pathlib.Path(path)
         if path.suffix == ".json":
-            self.save(path)
+            text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+            path.write_text(text + "\n")
         elif path.suffix == ".toml":
             path.write_text(_spec_toml(self.to_dict()))
         else:
@@ -490,13 +603,6 @@ class ExperimentSpec:
                 f"spec files must be .json or .toml, got {path.suffix!r}"
             )
         return path
-
-    def save(self, path: "str | pathlib.Path") -> None:
-        """Write the spec as JSON regardless of suffix (the historical
-        behaviour; :meth:`to_file` picks the format by suffix)."""
-        pathlib.Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
 
     def fingerprint(self) -> str:
         """Content digest of this spec, stable across processes.

@@ -16,16 +16,16 @@ describable, content-fingerprintable, resettable unit:
 * :meth:`simulator` binds the environment to a
   :class:`~repro.simulation.ClusterSimulator` in one call.
 
-``Environment.spec_problems`` is the arithmetic-only validation hook:
-signature-level problems of every section without constructing
-anything, with the same did-you-mean messages construction would raise.
+Spec sections are validated before anything is built, per layer, by
+:func:`~repro.env.registry.model_spec_problems` (spec admission calls
+it from :class:`~repro.engine.spec.ExperimentSpec`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .registry import (
     contention_model_from,
     delay_model_from,
     failure_model_from,
-    model_spec_problems,
     network_model_from,
     spec_of,
 )
@@ -174,34 +173,6 @@ class Environment:
             rng=rng,
             tracer=tracer,
         )
-
-    # -- static hooks ---------------------------------------------------
-    @staticmethod
-    def spec_problems(
-        sections: Mapping[str, Any], *, where: str = "environment"
-    ) -> List[str]:
-        """Arithmetic-only problems of a ``{layer: spec}`` mapping.
-
-        Nothing is constructed; unknown kinds/parameters return the
-        same did-you-mean messages construction would raise.
-        """
-        if not isinstance(sections, Mapping):
-            return [f"{where} must be a mapping, got {sections!r}"]
-        problems = [
-            f"{where} has unknown section {name!r} "
-            f"(layers: {', '.join(LAYERS)})"
-            for name in sorted(set(sections) - set(LAYERS))
-        ]
-        for layer in LAYERS:
-            section = sections.get(layer)
-            if section is None:
-                continue
-            problems.extend(
-                model_spec_problems(
-                    layer, section, section=f"{where}.{layer}"
-                )
-            )
-        return problems
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Environment(fingerprint={self.fingerprint()[:12]}...)"

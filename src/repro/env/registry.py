@@ -21,7 +21,7 @@ same move :mod:`repro.core.scheme` made for placements:
   ``bursty`` / ``bernoulli`` / ``mixture`` name their sub-models the
   same way);
 * :func:`model_spec_problems` — the arithmetic-only validation hook
-  behind spec checking: signature-level problems (unknown kind, unknown
+  behind spec admission: signature-level problems (unknown kind, unknown
   or missing parameters, malformed nesting) without constructing
   anything;
 * :func:`spec_of` / :func:`model_fingerprint` — canonical JSON-ready
@@ -391,7 +391,7 @@ def model_fingerprint(model: Any) -> str:
 
 
 def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[str]:
-    """Signature-level problems of one model spec (for static checks).
+    """Signature-level problems of one model spec (for spec admission).
 
     Mirrors :func:`repro.core.scheme.placement_spec_problems`: unknown
     kinds get the same did-you-mean message runtime construction would

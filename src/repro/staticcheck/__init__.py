@@ -3,8 +3,9 @@
 The two costliest defects in this repo's history were statically
 detectable: the absolute-vs-step-relative seconds mismatch fixed in
 PR 1, and the strict RNG/seed discipline the PR-2 golden trajectories
-depend on.  This package makes those invariants — plus spec
-feasibility — machine-checkable, as ``repro check``:
+depend on.  This package makes those invariants machine-checkable,
+as ``repro check`` over ``.py`` files and the fenced Python blocks of
+Markdown files:
 
 ========  ==============================================================
 family    rules
@@ -16,8 +17,6 @@ DET       ``DET001`` module-level RNG, ``DET002`` wall-clock reads,
 TIME      ``TIME001`` mixed absolute/step-relative arithmetic,
           ``TIME002`` undocumented time units, ``TIME003`` wall-clock
           reads in the serve/obs/straggler layers
-SPEC      ``SPEC001`` infeasible spec files, ``SPEC002`` infeasible
-          spec literals
 FLOW      whole-project RNG dataflow: ``FLOW001`` Generator into a
           cached/batched kernel, ``FLOW002`` Generator/derived seed
           across a pool dispatch, ``FLOW003`` draw order depending on
@@ -40,7 +39,6 @@ from .engine import (
     Rule,
     StaticCheckError,
     check_source,
-    check_spec_mapping,
     expand_select,
     iter_markdown_blocks,
     iter_source_files,
@@ -48,7 +46,6 @@ from .engine import (
     project_rule,
     python_rule,
     run_check,
-    spec_rule,
 )
 from .findings import Finding, Severity
 from .project import ModuleInfo, ProjectContext, ProjectIndex
@@ -59,10 +56,8 @@ from .report import (
     render_text,
     to_json_dict,
 )
-from .specrules import spec_feasibility_problems
-
 # Importing the rule modules registers their rules.
-from . import determinism, flowrules, specrules, timeunits  # noqa: F401
+from . import determinism, flowrules, timeunits  # noqa: F401
 
 __all__ = [
     "RULE_REGISTRY",
@@ -76,7 +71,6 @@ __all__ = [
     "Severity",
     "StaticCheckError",
     "check_source",
-    "check_spec_mapping",
     "expand_select",
     "iter_markdown_blocks",
     "iter_source_files",
@@ -87,7 +81,5 @@ __all__ = [
     "render_json",
     "render_text",
     "run_check",
-    "spec_feasibility_problems",
-    "spec_rule",
     "to_json_dict",
 ]

@@ -3,13 +3,13 @@
 Responsibilities:
 
 * a **rule registry** (:data:`RULE_REGISTRY`) populated by the
-  :func:`python_rule` / :func:`spec_rule` / :func:`project_rule`
-  decorators in the rule modules;
-* **file discovery** — ``.py`` files are parsed to an AST, ``.md``
+  :func:`python_rule` / :func:`project_rule` decorators in the rule
+  modules;
+* **file discovery** — ``.py`` files are parsed to an AST and ``.md``
   files contribute their fenced ```````python`````` blocks (at their
-  true line numbers), and ``.json``/``.toml`` files that look like
-  :class:`~repro.engine.spec.ExperimentSpec` documents go to the
-  spec-feasibility rules;
+  true line numbers); nothing else is checked (spec files are
+  validated when they load, by
+  :class:`~repro.engine.spec.ExperimentSpec`);
 * the **project pass** — the ``.py`` files' ASTs are additionally
   indexed into a whole-project module graph
   (:mod:`repro.staticcheck.project`) with interprocedural dataflow
@@ -24,14 +24,12 @@ Responsibilities:
   ``repro/engine`` without flagging an example script.
 
 The engine never *imports* the code it checks — analysis is purely
-syntactic, so ``repro check`` is safe to run on untrusted specs and
-broken branches alike.
+syntactic, so ``repro check`` is safe to run on broken branches.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -90,35 +88,14 @@ class PythonContext:
 
 
 @dataclass(frozen=True)
-class SpecContext:
-    """What a spec-feasibility rule sees for one spec document."""
-
-    path: str
-    scope_path: str
-    data: Mapping[str, object]
-
-    def finding(self, rule: "Rule", message: str, line: int = 1) -> Finding:
-        """Build a :class:`Finding` for this document."""
-        return Finding(
-            path=self.path,
-            line=line,
-            col=1,
-            rule=rule.id,
-            severity=rule.severity,
-            message=message,
-        )
-
-
-@dataclass(frozen=True)
 class Rule:
     """One registered check.
 
     ``scope`` is a tuple of path fragments the rule applies to (empty =
     everywhere); ``exclude`` lists sanctioned locations inside that
     scope.  ``kind`` is ``"python"`` (AST contexts, including markdown
-    code blocks), ``"spec"`` (parsed JSON/TOML spec documents) or
-    ``"project"`` (run once per checked module of the whole-project
-    index).
+    code blocks) or ``"project"`` (run once per checked module of the
+    whole-project index).
     """
 
     id: str
@@ -176,9 +153,6 @@ python_rule.__doc__ = (
     "Decorator registering an AST rule ``fn(ctx, rule) -> findings``."
 )
 
-spec_rule = _make_decorator("spec")
-spec_rule.__doc__ = "Decorator registering a spec-document rule."
-
 project_rule = _make_decorator("project")
 project_rule.__doc__ = (
     "Decorator registering a per-module project rule "
@@ -230,7 +204,7 @@ _SKIP_DIRS = {
     ".venv", "venv", ".tox", ".mypy_cache", "node_modules",
     ".hypothesis",
 }
-_CHECKED_SUFFIXES = {".py", ".md", ".json", ".toml"}
+_CHECKED_SUFFIXES = (".py", ".md")
 
 
 def _skipped(parts: Tuple[str, ...]) -> bool:
@@ -242,8 +216,9 @@ def _skipped(parts: Tuple[str, ...]) -> bool:
 def iter_source_files(paths: Sequence["str | Path"]) -> List[Path]:
     """Expand files/directories into the checkable file list.
 
-    Skips caches, virtualenvs and build metadata
-    (``.venv``/``__pycache__``/``*.egg-info`` and friends).
+    Directory walks skip other suffixes, caches, virtualenvs and build
+    metadata (``.venv``/``__pycache__``/``*.egg-info`` and friends); an
+    explicit file of another suffix is a usage error.
     """
     out: List[Path] = []
     for raw in paths:
@@ -251,6 +226,16 @@ def iter_source_files(paths: Sequence["str | Path"]) -> List[Path]:
         if not path.exists():
             raise StaticCheckError(f"no such file or directory: {path}")
         if path.is_file():
+            if path.suffix not in _CHECKED_SUFFIXES:
+                hint = (
+                    "; spec files are validated by `repro run` / "
+                    "ExperimentSpec.from_file"
+                    if path.suffix in (".json", ".toml") else ""
+                )
+                raise StaticCheckError(
+                    f"cannot check {path}: `repro check` reads "
+                    f"{' and '.join(_CHECKED_SUFFIXES)} files{hint}"
+                )
             out.append(path)
             continue
         for sub in sorted(path.rglob("*")):
@@ -422,28 +407,6 @@ def _check_python(
     return _apply_noqa(sorted(findings), noqa_map(source)), tree
 
 
-def check_spec_mapping(
-    data: Mapping[str, object],
-    path: str = "<spec>.json",
-    select: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Run the spec-feasibility rules over one parsed spec mapping."""
-    ctx = SpecContext(path=path, scope_path=Path(path).as_posix(), data=data)
-    findings: List[Finding] = []
-    for rule in _rules("spec", select):
-        if rule.applies_to(ctx.scope_path):
-            findings.extend(rule.check(ctx, rule))
-    return sorted(findings)
-
-
-def _looks_like_spec(data: object) -> bool:
-    return (
-        isinstance(data, Mapping)
-        and "scheme" in data
-        and "num_workers" in data
-    )
-
-
 def _check_markdown(
     text: str,
     path: str,
@@ -462,46 +425,6 @@ def _check_markdown(
             )
         )
     return _apply_noqa(findings, noqa_map(text))
-
-
-def _check_data_file(
-    path: Path, text: str, select: Optional[Set[str]]
-) -> List[Finding]:
-    if path.suffix == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return [
-                Finding(
-                    path=str(path),
-                    line=exc.lineno,
-                    col=exc.colno,
-                    rule=SYNTAX_RULE,
-                    severity=Severity.ERROR,
-                    message=f"invalid JSON: {exc.msg}",
-                )
-            ]
-    else:  # .toml
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - Python 3.10
-            return []  # tomllib is 3.11+; TOML specs are skipped there
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            return [
-                Finding(
-                    path=str(path),
-                    line=1,
-                    col=1,
-                    rule=SYNTAX_RULE,
-                    severity=Severity.ERROR,
-                    message=f"invalid TOML: {exc}",
-                )
-            ]
-    if not _looks_like_spec(data):
-        return []
-    return check_spec_mapping(data, path=str(path), select=select)
 
 
 @dataclass
@@ -560,12 +483,10 @@ def run_check(
             )
             parsed[path.resolve()] = (text, tree)
             py_files.append(path)
-        elif path.suffix == ".md":
+        else:
             found = _check_markdown(
                 text, display, selected, result.rule_seconds
             )
-        else:
-            found = _check_data_file(path, text, selected)
         result.findings.extend(found)
         result.file_seconds[display] = time.perf_counter() - started
     if project and py_files and _rules("project", selected):

@@ -559,14 +559,3 @@ class TestEnvironment:
                 num_workers=2, partitions_per_worker=1,
                 environment=env, delay_model=NoDelay(),
             )
-
-    def test_spec_problems(self):
-        assert Environment.spec_problems({
-            "delay": {"kind": "exponential", "mean": 1.0},
-        }) == []
-        problems = Environment.spec_problems({
-            "delay": {"kind": "exponentail"},
-        })
-        assert problems and "exponential" in problems[0]
-        problems = Environment.spec_problems({"dealy": {}})
-        assert problems and "dealy" in problems[0]

@@ -10,6 +10,7 @@ import asyncio
 import dataclasses
 import json
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -365,10 +366,10 @@ class TestLifecycle:
             ({"scheme_params": {"polcy": None}},
              "unknown scheme_params for scheme 'is-gc-cr': "
              "'polcy' — did you mean 'policy'?"),
-            ({"delay": ["none"]}, "spec section 'delay' must be a kind string"),
-            ({"failure": 3}, "spec section 'failure' must be a kind string"),
-            ({"contention": ["none"]},
-             "spec section 'contention' must be a kind string"),
+            # Admission checks the environment sections; the dataset and
+            # model kinds are resolved only when the job builds.
+            ({"dataset": {"kind": "mnist"}}, "unknown dataset kind 'mnist'"),
+            ({"model": {"kind": "resnet"}}, "unknown model kind 'resnet'"),
         ]
         by_name = dataclasses.replace(make_spec(0), delay="none")
 
@@ -508,6 +509,23 @@ class TestMailbox:
             },
             id="zero-batch-size",
         ),
+        # These three used to be admitted and then fail their job when
+        # it was built.
+        pytest.param(lambda spec: {**spec, "wait_for": 99}, id="wait-for-99"),
+        pytest.param(
+            lambda spec: {
+                **spec, "scheme": "is-gc-cr", "partitions_per_worker": 4,
+            },
+            id="cr-c-equals-n",
+        ),
+        pytest.param(
+            lambda spec: {
+                **spec, "scheme": "sync-sgd", "wait_for": None,
+                "rule": "async",
+                "failure": {"kind": "transient-dropouts", "probability": 0.1},
+            },
+            id="async-with-failure",
+        ),
     ])
     def test_unconstructible_spec_rejected_not_crashing(
         self, tmp_path, broken
@@ -645,6 +663,9 @@ class TestSpecFiles:
         assert loaded == spec
         assert loaded.fingerprint() == spec.fingerprint()
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="tomllib is Python >= 3.11"
+    )
     def test_toml_roundtrip(self, tmp_path):
         spec = make_spec(1)
         path = spec.to_file(tmp_path / "spec.toml")

@@ -15,10 +15,8 @@ from repro.staticcheck import (
     RULE_REGISTRY,
     StaticCheckError,
     check_source,
-    check_spec_mapping,
     noqa_map,
     run_check,
-    spec_feasibility_problems,
 )
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -41,7 +39,7 @@ def check(source, scope_path="src/repro/engine/mod.py", **kw):
 class TestEngine:
     def test_all_rule_families_registered(self):
         families = {rule_id[:3] for rule_id in RULE_REGISTRY}
-        assert families == {"DET", "FLO", "SPE", "TIM"}
+        assert families == {"DET", "FLO", "TIM"}
 
     def test_syntax_error_is_a_finding(self):
         findings = check_source("def broken(:\n")
@@ -317,173 +315,6 @@ class TestTimeUnitRules:
 
 
 # ----------------------------------------------------------------------
-# Spec feasibility
-
-
-def base_spec(**over):
-    spec = {
-        "name": "t", "scheme": "is-gc-cr", "num_workers": 8,
-        "partitions_per_worker": 2, "wait_for": 4,
-    }
-    spec.update(over)
-    return spec
-
-
-class TestSpecFeasibility:
-    def test_feasible_cr_spec_clean(self):
-        assert spec_feasibility_problems(base_spec()) == []
-
-    def test_cr_with_c_equal_n_rejected_citing_constraint(self):
-        problems = spec_feasibility_problems(
-            base_spec(partitions_per_worker=8)
-        )
-        assert len(problems) == 1
-        # The message must cite the violated constraint.
-        assert "1 <= c < n" in problems[0]
-        assert "Theorem 1" in problems[0]
-
-    def test_fr_divisibility(self):
-        problems = spec_feasibility_problems(
-            base_spec(scheme="is-gc-fr", partitions_per_worker=3)
-        )
-        assert any("c | n" in p for p in problems)
-
-    def test_hr_missing_params(self):
-        problems = spec_feasibility_problems(base_spec(scheme="is-gc-hr"))
-        assert any("num_groups" in p for p in problems)
-
-    def test_generic_isgc_defaults_to_cr(self):
-        assert spec_feasibility_problems(base_spec(scheme="is-gc")) == []
-        problems = spec_feasibility_problems(
-            base_spec(scheme="is-gc", partitions_per_worker=8)
-        )
-        assert any("Theorem 1" in p for p in problems)
-
-    def test_generic_isgc_routes_family_checks(self):
-        problems = spec_feasibility_problems(base_spec(
-            scheme="is-gc",
-            scheme_params={"placement": "fr"},
-            partitions_per_worker=3,
-        ))
-        assert any("c | n" in p for p in problems)
-
-    def test_generic_isgc_hr_family_feasible(self):
-        assert spec_feasibility_problems(base_spec(
-            scheme="is-gc",
-            scheme_params={
-                "placement": "hr", "c1": 2, "c2": 1, "num_groups": 3,
-            },
-            num_workers=12,
-            partitions_per_worker=3,
-        )) == []
-
-    def test_generic_isgc_unknown_family_did_you_mean(self):
-        problems = spec_feasibility_problems(base_spec(
-            scheme="is-gc", scheme_params={"placement": "cyclc"},
-        ))
-        assert len(problems) == 1
-        assert "did you mean 'cyclic'" in problems[0]
-        assert "registered families" in problems[0]
-
-    def test_hr_group_divisibility(self):
-        problems = spec_feasibility_problems(base_spec(
-            scheme="is-gc-hr", num_workers=8, partitions_per_worker=3,
-            scheme_params={"c1": 1, "c2": 2, "num_groups": 3},
-        ))
-        assert any("g | n" in p for p in problems)
-
-    def test_hr_theorem6_completeness(self):
-        # n0 = 6 > c + c1 = 3 + 1 violates within-group completeness.
-        problems = spec_feasibility_problems(base_spec(
-            scheme="is-gc-hr", num_workers=12, partitions_per_worker=3,
-            scheme_params={"c1": 1, "c2": 2, "num_groups": 2},
-        ))
-        assert any("Theorem 6" in p for p in problems)
-
-    def test_hr_partitions_mismatch(self):
-        problems = spec_feasibility_problems(base_spec(
-            scheme="is-gc-hr", num_workers=12, partitions_per_worker=1,
-            scheme_params={"c1": 1, "c2": 2, "num_groups": 3},
-        ))
-        assert any("c1 + c2" in p for p in problems)
-
-    def test_valid_hr_spec_clean(self):
-        assert spec_feasibility_problems(base_spec(
-            scheme="is-gc-hr", num_workers=12, partitions_per_worker=3,
-            wait_for=6, scheme_params={"c1": 1, "c2": 2, "num_groups": 3},
-        )) == []
-
-    @pytest.mark.parametrize(
-        "scheme", ["is-gc-cr", "sync-sgd", "gc", "is-sgd", "is-gc-hr"]
-    )
-    def test_scheme_params_must_be_a_mapping(self, scheme):
-        problems = spec_feasibility_problems(
-            base_spec(scheme=scheme, scheme_params=[1, 2])
-        )
-        assert "scheme_params must be a mapping, got [1, 2]" in problems
-
-    def test_wait_for_range(self):
-        problems = spec_feasibility_problems(base_spec(wait_for=9))
-        assert any("1 <= w <= n" in p for p in problems)
-
-    def test_wait_for_required_for_waiting_schemes(self):
-        problems = spec_feasibility_problems(base_spec(wait_for=None))
-        assert any("wait_for" in p for p in problems)
-
-    def test_sync_sgd_needs_no_wait_for(self):
-        assert spec_feasibility_problems({
-            "scheme": "sync-sgd", "num_workers": 4, "wait_for": None,
-        }) == []
-
-    def test_bad_num_workers(self):
-        problems = spec_feasibility_problems(
-            {"scheme": "sync-sgd", "num_workers": 0}
-        )
-        assert any("num_workers" in p for p in problems)
-
-    def test_spec001_via_mapping(self):
-        findings = check_spec_mapping(
-            base_spec(partitions_per_worker=8), path="examples/specs/x.json"
-        )
-        assert rules_of(findings) == ["SPEC001"]
-
-    def test_spec002_literal_in_example(self):
-        findings = check(
-            """
-            spec = ExperimentSpec(
-                name="x", scheme="is-gc-cr", num_workers=4,
-                partitions_per_worker=4, wait_for=2,
-            )
-            """,
-            scope_path="examples/demo.py",
-        )
-        assert rules_of(findings) == ["SPEC002"]
-
-    def test_spec002_skips_unresolved_fields(self):
-        # wait_for computed at runtime: no "missing wait_for" guess.
-        assert check(
-            """
-            spec = ExperimentSpec(
-                name="x", scheme="is-gc-cr", num_workers=8,
-                partitions_per_worker=2, wait_for=pick_w(),
-            )
-            """,
-            scope_path="examples/demo.py",
-        ) == []
-
-    def test_spec002_exempts_tests(self):
-        assert check(
-            """
-            spec = ExperimentSpec(
-                name="x", scheme="is-gc-cr", num_workers=4,
-                partitions_per_worker=4, wait_for=2,
-            )
-            """,
-            scope_path="tests/test_whatever.py",
-        ) == []
-
-
-# ----------------------------------------------------------------------
 # Pool-boundary seed discipline (FLOW002)
 
 
@@ -614,8 +445,3 @@ class TestFullRepo:
         assert result.findings == [], "\n".join(
             f.format() for f in result.findings
         )
-
-    def test_shipped_spec_files_are_feasible(self):
-        result = run_check([REPO / "examples" / "specs"])
-        assert result.findings == []
-        assert result.num_files == 4

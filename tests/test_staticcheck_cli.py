@@ -11,6 +11,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.cli import main
 from repro.staticcheck import JSON_SCHEMA_VERSION, RULE_REGISTRY
 
@@ -124,21 +126,28 @@ class TestNoqa:
         assert main(["check", path]) == 1
 
 
-class TestSpecFiles:
-    def test_infeasible_spec_file_rejected(self, tmp_path, capsys):
-        # CR with c = n: decode-anything needs c < n (Theorem 1).
-        path = write(tmp_path, "bad.json", json.dumps({
-            "name": "bad", "scheme": "is-gc-cr", "num_workers": 4,
-            "partitions_per_worker": 4, "wait_for": 2,
-        }))
-        assert main(["check", path]) == 1
-        out = capsys.readouterr().out
-        assert "SPEC001" in out
-        assert "1 <= c < n" in out
+class TestFileKinds:
+    @pytest.mark.parametrize("name, hint", [
+        ("notes.txt", ""),
+        ("spec.json", "repro run"),
+        ("spec.toml", "ExperimentSpec.from_file"),
+    ], ids=["txt", "json", "toml"])
+    def test_explicit_file_of_another_suffix_exits_two(
+        self, tmp_path, capsys, name, hint
+    ):
+        # notes.txt used to be parsed as TOML: GEN001, exit 1.
+        path = write(tmp_path, name, "not python\n")
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert ".py and .md" in err
+        assert hint in err
 
-    def test_shipped_specs_pass(self, capsys):
-        specs = str(REPO / "examples" / "specs")
-        assert main(["check", specs]) == 0
+    def test_directory_walk_skips_other_suffixes(self, tmp_path, capsys):
+        write(tmp_path, "clean.py", CLEAN)
+        write(tmp_path, "notes.txt", "not python\n")
+        write(tmp_path, "spec.json", "{}")
+        assert main(["check", str(tmp_path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checked_files"] == 1
 
     def test_markdown_python_blocks_checked(self, tmp_path):
         path = write(
