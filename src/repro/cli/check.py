@@ -48,7 +48,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 @register_command(
     "check",
-    help="static analysis: determinism, time units, RNG flow",
+    help="static analysis: determinism and time units",
 )
 def configure(parser: argparse.ArgumentParser) -> None:
     """Wire the ``check`` subparser (arguments + handler)."""
@@ -67,7 +67,7 @@ def configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select", default=None,
         help="comma-separated rule ids or family prefixes to run "
-             "(e.g. FLOW,DET,TIME001; default: all)",
+             "(e.g. DET,TIME001; default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",

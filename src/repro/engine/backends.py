@@ -181,13 +181,14 @@ class AsyncArrivalBackend(ExecutionBackend):
         compute: ComputeModel | None = None,
         network: NetworkModel | None = None,
         delay_model: DelayModel | None = None,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         metrics: MetricsRegistry | None = None,
     ):
         self._compute = compute if compute is not None else make_compute_model()
         self._network = network if network is not None else make_network_model()
         self._delays = delay_model if delay_model is not None else make_delay_model("none")
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
+        self._rng = rng
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._grad_elems = 0
         self._num_workers = 0

@@ -209,7 +209,8 @@ class AdaptiveMigration(SyncUpdate):
         network: NetworkModel | None = None,
         review_every: int = 25,
         min_recovery_gain: float = 0.05,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__(optimizer)
         if review_every <= 0:
@@ -225,7 +226,7 @@ class AdaptiveMigration(SyncUpdate):
         self._network = network if network is not None else make_network_model()
         self._review_every = review_every
         self._min_gain = min_recovery_gain
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
+        self._rng = rng
         self._penalty = 0.0
         self.migrations: List[MigrationEvent] = []
 

@@ -5,15 +5,17 @@ Two pieces:
 * :class:`SweepExecutor` / :class:`SerialExecutor` /
   :class:`ProcessExecutor` — pluggable evaluation strategies for
   independent grid points, with parent-side
-  ``SeedSequence.spawn`` seeding, chunked scheduling, per-point failure
-  isolation, and progress/metrics routed through :mod:`repro.obs`;
+  ``SeedSequence.spawn`` seeding (a :class:`PointTask` refuses any
+  other seed or a ``Generator`` parameter, and ``run`` a partial that
+  binds one), chunked scheduling, per-point failure isolation, and
+  progress/metrics routed through :mod:`repro.obs`;
 * :class:`DecodeCache` — an LRU memo for the deterministic MIS-search
   kernels inside the decoders, keyed on (placement fingerprint, frozen
   availability mask), bit-for-bit transparent because fairness RNG
   draws stay live.
 
 See ``docs/parallelism.md`` for the executor model, the seeding
-discipline (and its ``FLOW002`` static check), and cache semantics.
+discipline and its guards, and cache semantics.
 """
 
 from .cache import DecodeCache

@@ -9,8 +9,11 @@ make ``ProcessExecutor`` results bit-for-bit identical to serial runs:
   ``np.random.SeedSequence.spawn`` *in the parent*, then shipped to the
   workers.  A spawned child is a pure function of (root seed, spawn
   index), so the same point gets the same stream no matter which
-  process, or how many, evaluate it.  Never ship ``seed + i`` integers
-  across the pool boundary (``repro check`` rule ``FLOW002``).
+  process, or how many, evaluate it.  The boundary enforces this:
+  :class:`PointTask` refuses a seed that is not a ``SeedSequence`` and
+  a ``params`` value that is a ``Generator``, and
+  :meth:`SweepExecutor.run` refuses a ``functools.partial`` that binds
+  a ``Generator``.
 * **ordering** — outcomes are returned sorted by point index,
   regardless of completion order.
 * **isolation** — a point that raises is captured as a full formatted
@@ -27,6 +30,7 @@ per-point progress callbacks.
 from __future__ import annotations
 
 import abc
+import functools
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -46,12 +50,36 @@ class ExecutionError(ReproError):
 @dataclass(frozen=True)
 class PointTask:
     """One grid point to evaluate: parameters plus an optional spawned
-    :class:`~numpy.random.SeedSequence` (never a bare int — see module
-    docstring).  Tasks must be picklable to cross the pool boundary."""
+    :class:`~numpy.random.SeedSequence`.  Tasks must be picklable to
+    cross the pool boundary.
+
+    Construction raises :class:`ConfigurationError` for a ``seed`` that
+    is not a ``SeedSequence`` (an int such as ``seed + i`` gives
+    correlated streams; use :func:`spawn_point_seeds`) and for a
+    ``Generator`` among the ``params`` (a pool pickles a copy of it
+    per chunk, so pooled and serial runs would draw different streams).
+    """
 
     index: int
     params: Dict[str, Any]
     seed: Optional[np.random.SeedSequence] = None
+
+    def __post_init__(self) -> None:
+        if self.seed is not None and not isinstance(
+            self.seed, np.random.SeedSequence
+        ):
+            raise ConfigurationError(
+                f"point {self.index}: seed must be a SeedSequence spawned "
+                f"in the parent (spawn_point_seeds), got "
+                f"{type(self.seed).__name__}"
+            )
+        for key, value in self.params.items():
+            if isinstance(value, np.random.Generator):
+                raise ConfigurationError(
+                    f"point {self.index}: params[{key!r}] is a Generator; "
+                    "give the task a spawned seed and the cell gets "
+                    "rng= built from it"
+                )
 
 
 @dataclass(frozen=True)
@@ -164,7 +192,19 @@ class SweepExecutor(abc.ABC):
         serial executor re-raises the original exception live, pool
         executors raise :class:`ExecutionError` carrying the failed
         point's full traceback.
+
+        A ``functools.partial`` ``fn`` that binds a ``Generator`` is
+        refused with :class:`ConfigurationError`: a pool pickles ``fn``
+        once per chunk, so every chunk would start from the same state.
         """
+        if isinstance(fn, functools.partial) and any(
+            isinstance(value, np.random.Generator)
+            for value in (*fn.args, *fn.keywords.values())
+        ):
+            raise ConfigurationError(
+                "fn binds a numpy Generator; seed the tasks "
+                "(spawn_point_seeds) so each point builds its own"
+            )
         tasks = list(tasks)
         total = len(tasks)
         self._completed = 0

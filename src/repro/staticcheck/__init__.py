@@ -13,19 +13,16 @@ family    rules
 GEN       ``GEN001`` unparseable file
 DET       ``DET001`` module-level RNG, ``DET002`` wall-clock reads,
           ``DET003`` unseeded ``default_rng()``, ``DET004`` ordering
-          hazards
+          hazards (set and filesystem iteration)
 TIME      ``TIME001`` mixed absolute/step-relative arithmetic,
           ``TIME002`` undocumented time units, ``TIME003`` wall-clock
           reads in the serve/obs/straggler layers
-FLOW      whole-project RNG dataflow: ``FLOW001`` Generator into a
-          cached/batched kernel, ``FLOW002`` Generator/derived seed
-          across a pool dispatch, ``FLOW003`` draw order depending on
-          set iteration
 ========  ==============================================================
 
-The FLOW family runs on the whole-project index
-(:mod:`repro.staticcheck.project`) with interprocedural dataflow
-summaries (:mod:`repro.staticcheck.dataflow`).
+Every rule sees one file (or one Markdown code block) at a time.  How
+seeds and Generators cross a process pool is guarded at run time
+instead, by :class:`repro.parallel.PointTask` and
+:meth:`repro.parallel.SweepExecutor.run`.
 
 Suppress a deliberate exception with ``# repro: noqa[RULE]`` on the
 offending line (always with a justification comment).  See
@@ -43,12 +40,10 @@ from .engine import (
     iter_markdown_blocks,
     iter_source_files,
     noqa_map,
-    project_rule,
     python_rule,
     run_check,
 )
 from .findings import Finding, Severity
-from .project import ModuleInfo, ProjectContext, ProjectIndex
 from .report import (
     JSON_SCHEMA_VERSION,
     render_catalogue,
@@ -57,16 +52,13 @@ from .report import (
     to_json_dict,
 )
 # Importing the rule modules registers their rules.
-from . import determinism, flowrules, timeunits  # noqa: F401
+from . import determinism, timeunits  # noqa: F401
 
 __all__ = [
     "RULE_REGISTRY",
     "CheckResult",
     "Finding",
     "JSON_SCHEMA_VERSION",
-    "ModuleInfo",
-    "ProjectContext",
-    "ProjectIndex",
     "Rule",
     "Severity",
     "StaticCheckError",
@@ -75,7 +67,6 @@ __all__ = [
     "iter_markdown_blocks",
     "iter_source_files",
     "noqa_map",
-    "project_rule",
     "python_rule",
     "render_catalogue",
     "render_json",

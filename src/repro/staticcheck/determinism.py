@@ -14,11 +14,16 @@ every Fig. 11–13 result.  These rules make the discipline checkable:
 * ``DET003`` — ``default_rng()`` with no seed anywhere in the
   library, docs and examples (entropy-seeded generators cannot be
   replayed, and doc/example snippets get copy-pasted);
-* ``DET004`` — ordering hazards (``list(set(...))``, ``os.listdir``,
-  unsorted ``glob``/``iterdir``) inside the core packages.
+* ``DET004`` — ordering hazards (``list(set(...))``, a ``for`` loop or
+  comprehension over a set, ``os.listdir``, unsorted
+  ``glob``/``iterdir``) in every package that feeds replayable state.
 
 "Core packages" are ``repro/engine``, ``repro/simulation``,
 ``repro/codes`` and ``repro/core`` — the code on the replay path.
+DET004 also covers the packages that draw from or order seeded streams
+around it (straggler and environment models, training, parallel
+sweeps, experiments, analysis, partial recovery); ``repro/serve`` is
+left out, its filesystem globs are order-independent.
 Deliberate exceptions (e.g. an explicitly documented entropy-seeded
 fallback) carry ``# repro: noqa[DET003]`` with a justification.
 """
@@ -26,9 +31,9 @@ fallback) carry ``# repro: noqa[DET003]`` with a justification.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
-from .engine import PythonContext, Rule, dotted_name, python_rule
+from .engine import PythonContext, Rule, python_rule
 from .findings import Finding
 
 #: Packages on the deterministic replay path.
@@ -39,9 +44,20 @@ CORE_SCOPE = (
     "repro/core/",
 )
 
+#: DET004's scope: the core plus every package whose iteration order
+#: reaches an RNG stream or a reported result.
+ORDERING_SCOPE = CORE_SCOPE + (
+    "repro/straggler/",
+    "repro/training/",
+    "repro/parallel/",
+    "repro/experiments/",
+    "repro/analysis/",
+    "repro/env/",
+    "repro/partial/",
+)
+
 #: Everywhere an unseeded ``default_rng()`` can break replay: the whole
-#: library plus the runnable docs/examples (DET003 only — the other
-#: determinism rules stay on the core replay path).
+#: library plus the runnable docs/examples (DET003 only).
 SEEDED_RNG_SCOPE = ("repro/", "docs/", "examples/", "README.md")
 
 #: ``np.random.<fn>`` module-level calls that consume global RNG state.
@@ -67,6 +83,18 @@ WALL_CLOCK = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "date.today", "datetime.date.today",
 })
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def _normalize(dotted: str) -> str:
@@ -195,14 +223,37 @@ _LISTDIR_CALLS = frozenset({"os.listdir", "glob.glob", "glob.iglob"})
 _UNORDERED_PATH_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
 
+_SET_METHODS = frozenset({
+    "union", "intersection", "difference", "symmetric_difference",
+})
+_SET_OPERATORS = (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
+
+
+def _hash_ordered(node: ast.AST) -> bool:
+    """Is this iterable visibly a set: a set display or comprehension,
+    a ``set``/``frozenset`` call, a set-algebra method call, or a
+    ``& | - ^`` with a visibly-set operand?"""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in ("set", "frozenset")
+        return isinstance(func, ast.Attribute) and func.attr in _SET_METHODS
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS):
+        return _hash_ordered(node.left) or _hash_ordered(node.right)
+    return False
+
+
 @python_rule(
     "DET004",
     name="ordering-hazard",
     description=(
         "Set/filesystem iteration order is not deterministic across "
-        "runs and platforms; wrap in sorted() in the core packages."
+        "runs and platforms; wrap in sorted() wherever the order can "
+        "reach an RNG stream or a result."
     ),
-    scope=CORE_SCOPE,
+    scope=ORDERING_SCOPE,
 )
 def check_ordering_hazards(ctx: PythonContext, rule: Rule) -> List[Finding]:
     """Flag order-dependent constructs that feed replayable state."""
@@ -245,16 +296,14 @@ def check_ordering_hazards(ctx: PythonContext, rule: Rule) -> List[Finding]:
                     f".{func.attr}() yields entries in filesystem order; "
                     "wrap in sorted()",
                 ))
-        elif isinstance(node, ast.For):
-            it = node.iter
-            if (
-                isinstance(it, ast.Call)
-                and isinstance(it.func, ast.Name)
-                and it.func.id == "set"
-            ):
-                findings.append(ctx.finding(
-                    rule, it,
-                    "iterating a set() directly follows hash order; "
-                    "iterate sorted(set(...))",
-                ))
+        elif isinstance(
+            node, (ast.For, ast.AsyncFor, ast.comprehension)
+        ) and _hash_ordered(node.iter):
+            # Comprehensions count even under sorted(): draws taken per
+            # element happen in hash order before the sort.
+            findings.append(ctx.finding(
+                rule, node.iter,
+                "iterating a set directly follows hash order; "
+                "iterate sorted(...)",
+            ))
     return findings

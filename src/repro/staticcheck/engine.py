@@ -3,28 +3,22 @@
 Responsibilities:
 
 * a **rule registry** (:data:`RULE_REGISTRY`) populated by the
-  :func:`python_rule` / :func:`project_rule` decorators in the rule
-  modules;
+  :func:`python_rule` decorator in the rule modules;
 * **file discovery** — ``.py`` files are parsed to an AST and ``.md``
   files contribute their fenced ```````python`````` blocks (at their
   true line numbers); nothing else is checked (spec files are
   validated when they load, by
   :class:`~repro.engine.spec.ExperimentSpec`);
-* the **project pass** — the ``.py`` files' ASTs are additionally
-  indexed into a whole-project module graph
-  (:mod:`repro.staticcheck.project`) with interprocedural dataflow
-  summaries (:mod:`repro.staticcheck.dataflow`), over which the FLOW
-  family runs;
 * **suppressions** — a ``# repro: noqa[RULE1,RULE2]`` comment on the
   offending line silences those rules there (bare ``# repro: noqa``
-  silences every rule on the line), for per-file and project findings
-  alike;
+  silences every rule on the line);
 * **scoping** — each rule declares path fragments it applies to (and
   sanctioned exceptions), so e.g. determinism rules police
   ``repro/engine`` without flagging an example script.
 
 The engine never *imports* the code it checks — analysis is purely
-syntactic, so ``repro check`` is safe to run on broken branches.
+syntactic and file-local, so ``repro check`` is safe to run on broken
+branches.
 """
 
 from __future__ import annotations
@@ -93,16 +87,14 @@ class Rule:
 
     ``scope`` is a tuple of path fragments the rule applies to (empty =
     everywhere); ``exclude`` lists sanctioned locations inside that
-    scope.  ``kind`` is ``"python"`` (AST contexts, including markdown
-    code blocks) or ``"project"`` (run once per checked module of the
-    whole-project index).
+    scope.  ``check(ctx, rule)`` sees one parsed source unit (a ``.py``
+    file or a Markdown code block).
     """
 
     id: str
     name: str
     description: str
     severity: Severity
-    kind: str
     scope: tuple
     exclude: tuple
     check: Callable[..., Iterable[Finding]]
@@ -117,47 +109,33 @@ class Rule:
 RULE_REGISTRY: Registry[Rule] = Registry("rule id", "rules", StaticCheckError)
 
 
-def _make_decorator(kind: str) -> Callable[..., Callable]:
-    def decorator(
-        rule_id: str,
-        *,
-        name: str,
-        description: str,
-        severity: Severity = Severity.ERROR,
-        scope: Sequence[str] = (),
-        exclude: Sequence[str] = (),
-    ) -> Callable[[Callable], Callable]:
-        def wrap(fn: Callable) -> Callable:
-            RULE_REGISTRY.register(
-                rule_id,
-                Rule(
-                    id=rule_id,
-                    name=name,
-                    description=description,
-                    severity=severity,
-                    kind=kind,
-                    scope=tuple(scope),
-                    exclude=tuple(exclude),
-                    check=fn,
-                ),
-            )
-            return fn
+def python_rule(
+    rule_id: str,
+    *,
+    name: str,
+    description: str,
+    severity: Severity = Severity.ERROR,
+    scope: Sequence[str] = (),
+    exclude: Sequence[str] = (),
+) -> Callable[[Callable], Callable]:
+    """Decorator registering an AST rule ``fn(ctx, rule) -> findings``."""
 
-        return wrap
+    def wrap(fn: Callable) -> Callable:
+        RULE_REGISTRY.register(
+            rule_id,
+            Rule(
+                id=rule_id,
+                name=name,
+                description=description,
+                severity=severity,
+                scope=tuple(scope),
+                exclude=tuple(exclude),
+                check=fn,
+            ),
+        )
+        return fn
 
-    return decorator
-
-
-python_rule = _make_decorator("python")
-python_rule.__doc__ = (
-    "Decorator registering an AST rule ``fn(ctx, rule) -> findings``."
-)
-
-project_rule = _make_decorator("project")
-project_rule.__doc__ = (
-    "Decorator registering a per-module project rule "
-    "``fn(ctx, rule, module) -> findings`` (ctx: ProjectContext)."
-)
+    return wrap
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +291,8 @@ def iter_markdown_blocks(text: str) -> List[Tuple[int, str]]:
 def expand_select(select: Iterable[str]) -> Set[str]:
     """Expand a ``--select`` list into concrete rule ids.
 
-    Each entry is either a full rule id (``FLOW001``) or a family
-    prefix (``FLOW``, ``DET``) selecting every rule it prefixes.
+    Each entry is either a full rule id (``DET004``) or a family
+    prefix (``DET``, ``TIME``) selecting every rule it prefixes.
     Unknown entries raise :class:`StaticCheckError` (a usage error).
     """
     selected: Set[str] = set()
@@ -337,8 +315,8 @@ def expand_select(select: Iterable[str]) -> Set[str]:
     return selected
 
 
-def _rules(kind: str, select: Optional[Set[str]]) -> List[Rule]:
-    rules = [r for r in RULE_REGISTRY.values() if r.kind == kind]
+def _rules(select: Optional[Set[str]]) -> List[Rule]:
+    rules = list(RULE_REGISTRY.values())
     if select is not None:
         rules = [r for r in rules if r.id in select]
     return sorted(rules, key=lambda r: r.id)
@@ -363,18 +341,6 @@ def check_source(
     ``rule_seconds`` (optional) accumulates per-rule wall time for
     ``--stats``.
     """
-    return _check_python(source, path, scope_path, select, rule_seconds)[0]
-
-
-def _check_python(
-    source: str,
-    path: str,
-    scope_path: Optional[str],
-    select: Optional[Set[str]],
-    rule_seconds: Optional[Dict[str, float]],
-) -> Tuple[List[Finding], Optional[ast.Module]]:
-    """:func:`check_source` plus the parsed tree (``None`` when the
-    source does not parse), which the project pass indexes as is."""
     scope_path = scope_path if scope_path is not None else path
     scope_path = Path(scope_path).as_posix()
     try:
@@ -389,12 +355,12 @@ def _check_python(
                 severity=Severity.ERROR,
                 message=f"file does not parse: {exc.msg}",
             )
-        ], None
+        ]
     ctx = PythonContext(
         path=path, scope_path=scope_path, source=source, tree=tree
     )
     findings: List[Finding] = []
-    for rule in _rules("python", select):
+    for rule in _rules(select):
         if not rule.applies_to(scope_path):
             continue
         started = time.perf_counter()
@@ -404,7 +370,7 @@ def _check_python(
                 rule_seconds.get(rule.id, 0.0)
                 + time.perf_counter() - started
             )
-    return _apply_noqa(sorted(findings), noqa_map(source)), tree
+    return _apply_noqa(sorted(findings), noqa_map(source))
 
 
 def _check_markdown(
@@ -436,10 +402,8 @@ class CheckResult:
     #: per-file wall time (display path → seconds), for ``--stats``
     #: and the JSON report's ``timing`` section.
     file_seconds: Dict[str, float] = field(default_factory=dict)
-    #: per-rule wall time across all files (project pass included).
+    #: per-rule wall time across all files.
     rule_seconds: Dict[str, float] = field(default_factory=dict)
-    #: modules in the project index (0 when the pass was skipped).
-    project_modules: int = 0
     total_seconds: float = 0.0
 
     @property
@@ -451,24 +415,18 @@ class CheckResult:
 def run_check(
     paths: Sequence["str | Path"],
     select: Optional[Iterable[str]] = None,
-    *,
-    project: bool = True,
 ) -> CheckResult:
     """Check every file under ``paths``; the library entry point.
 
     ``select`` restricts to the given rule ids or family prefixes
     (unknown ids raise :class:`StaticCheckError` — a usage error, exit
-    code 2 at the CLI).  ``project=False`` skips the whole-project pass
-    (FLOW).
+    code 2 at the CLI).
     """
     started_total = time.perf_counter()
     selected: Optional[Set[str]] = None
     if select is not None:
         selected = expand_select(select)
     result = CheckResult()
-    # resolved path → (source, tree) of every checked .py file.
-    parsed: Dict[Path, Tuple[str, Optional[ast.Module]]] = {}
-    py_files: List[Path] = []
     for path in iter_source_files(paths):
         try:
             text = path.read_text(encoding="utf-8")
@@ -478,155 +436,17 @@ def run_check(
         display = str(path)
         started = time.perf_counter()
         if path.suffix == ".py":
-            found, tree = _check_python(
-                text, display, None, selected, result.rule_seconds
+            found = check_source(
+                text, display, select=selected,
+                rule_seconds=result.rule_seconds,
             )
-            parsed[path.resolve()] = (text, tree)
-            py_files.append(path)
         else:
             found = _check_markdown(
                 text, display, selected, result.rule_seconds
             )
         result.findings.extend(found)
         result.file_seconds[display] = time.perf_counter() - started
-    if project and py_files and _rules("project", selected):
-        _run_project_pass(py_files, parsed, selected, result)
     result.findings.sort()
     result.total_seconds = time.perf_counter() - started_total
     return result
 
-
-# ----------------------------------------------------------------------
-# The project pass
-
-
-def _display_path(path: Path) -> str:
-    try:
-        return str(path.relative_to(Path.cwd()))
-    except ValueError:
-        return str(path)
-
-
-def _build_index(
-    py_files: Sequence[Path],
-    parsed: Mapping[Path, Tuple[str, Optional[ast.Module]]],
-) -> "ProjectIndex":
-    """Build the project index over the checked files' packages,
-    reusing the trees the per-file pass already parsed."""
-    from .project import (
-        ModuleInfo, ProjectIndex, index_module, module_name_for,
-    )
-
-    # Complete packages: interprocedural flow needs every module of a
-    # package even when only a sub-path was asked for.  Package dirs
-    # are deduplicated before globbing — expanding per seed file would
-    # re-resolve every package member once per seed.
-    all_files: Dict[Path, None] = {}
-    package_dirs: Dict[Path, None] = {}
-    for f in py_files:
-        all_files.setdefault(f.resolve())
-        root, name = module_name_for(f)
-        pkg_dir = root / name.split(".")[0]
-        if (pkg_dir / "__init__.py").exists():
-            package_dirs.setdefault(pkg_dir)
-    for pkg_dir in sorted(package_dirs):
-        for sub in sorted(pkg_dir.rglob("*.py")):
-            if not _skipped(sub.parts):
-                all_files.setdefault(sub.resolve())
-    modules: Dict[str, ModuleInfo] = {}
-    for f in all_files:
-        _, name = module_name_for(f)
-        if f in parsed:
-            text, tree = parsed[f]
-        else:
-            try:
-                text = f.read_text(encoding="utf-8")
-                tree = ast.parse(text)
-            except (OSError, UnicodeDecodeError, SyntaxError):
-                continue
-        if tree is None:
-            continue  # reported as GEN001 by the per-file pass
-        display = _display_path(f)
-        if name in modules:
-            # standalone-module stem collision (two directories each
-            # with a conftest.py): key by path-derived name.
-            name = Path(display).with_suffix("").as_posix().replace("/", ".")
-        modules[name] = index_module(
-            name, text, tree,
-            path=display, scope_path=Path(display).as_posix(),
-        )
-    return ProjectIndex(modules)
-
-
-def _run_project_pass(
-    py_files: Sequence[Path],
-    parsed: Mapping[Path, Tuple[str, Optional[ast.Module]]],
-    selected: Optional[Set[str]],
-    result: CheckResult,
-) -> None:
-    from .dataflow import analyze_project
-    from .project import ProjectContext
-
-    started = time.perf_counter()
-    index = _build_index(py_files, parsed)
-    result.project_modules = len(index.modules)
-    checked_paths = set()
-    for f in py_files:
-        checked_paths.add(_display_path(f))
-        checked_paths.add(str(f))
-
-    rules = _rules("project", selected)
-    work = []
-    for name in sorted(index.modules):
-        info = index.modules[name]
-        if info.path not in checked_paths:
-            continue
-        applicable = [r for r in rules if r.applies_to(info.scope_path)]
-        if applicable:
-            work.append((info, applicable))
-
-    # The dataflow summaries cover the whole index (callees may live
-    # in unchecked modules), but are only built when a rule will run.
-    ctx = ProjectContext(index=index)
-    if work:
-        ctx.summaries = analyze_project(index)
-    for info, applicable in work:
-        module_findings: List[Finding] = []
-        for rule in applicable:
-            rule_started = time.perf_counter()
-            module_findings.extend(rule.check(ctx, rule, info))
-            result.rule_seconds[rule.id] = (
-                result.rule_seconds.get(rule.id, 0.0)
-                + time.perf_counter() - rule_started
-            )
-        result.findings.extend(
-            _apply_noqa(module_findings, noqa_map(info.source))
-        )
-    result.file_seconds["<project pass>"] = (
-        time.perf_counter() - started
-    )
-
-
-# ----------------------------------------------------------------------
-# Shared AST helpers used by several rule modules.
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def terminal_name(node: ast.AST) -> Optional[str]:
-    """The last identifier of a Name/Attribute (``c`` of ``a.b.c``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None

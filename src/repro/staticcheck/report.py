@@ -4,14 +4,13 @@ The JSON document is versioned and stable — CI annotators and editor
 integrations parse it::
 
     {
-      "version": 2,
+      "version": 3,
       "checked_files": 188,
       "findings": [{"path", "line", "col", "rule", "severity",
                     "message"}, ...],
       "summary": {"total": 2, "by_rule": {"DET001": 2},
                   "by_severity": {"error": 2}},
-      "timing": {"total_seconds", "files": {...}, "rules": {...}},
-      "project_modules": 140
+      "timing": {"total_seconds", "files": {...}, "rules": {...}}
     }
 """
 
@@ -19,13 +18,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 from .engine import RULE_REGISTRY, CheckResult
-from .findings import Finding
 
 #: Bump when the JSON structure changes incompatibly.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(result: CheckResult) -> str:
@@ -76,7 +74,6 @@ def to_json_dict(result: CheckResult) -> Dict[str, Any]:
                 for rule, seconds in sorted(result.rule_seconds.items())
             },
         },
-        "project_modules": result.project_modules,
     }
 
 
@@ -90,10 +87,6 @@ def render_stats(result: CheckResult, top: int = 10) -> str:
     lines = [
         f"total: {result.total_seconds:.3f}s over "
         f"{result.num_files} files"
-        + (
-            f", {result.project_modules} indexed modules"
-            if result.project_modules else ""
-        )
     ]
     slowest_rules = sorted(
         result.rule_seconds.items(), key=lambda kv: -kv[1]
@@ -137,7 +130,6 @@ def catalogue_json() -> Dict[str, Any]:
                 "id": rule.id,
                 "name": rule.name,
                 "severity": rule.severity.value,
-                "kind": rule.kind,
                 "scope": list(rule.scope),
                 "exclude": list(rule.exclude),
                 "description": rule.description,
@@ -154,18 +146,14 @@ def catalogue_markdown() -> str:
     the table in ``docs/static_analysis.md`` (regenerate with
     ``repro check --list-rules --format markdown``)."""
     lines = [
-        "| Rule | Name | Severity | Kind | Description |",
-        "| --- | --- | --- | --- | --- |",
+        "| Rule | Name | Severity | Description |",
+        "| --- | --- | --- | --- |",
     ]
     for rule in sorted(RULE_REGISTRY.values(), key=lambda r: r.id):
         description = " ".join(rule.description.split())
         lines.append(
             f"| `{rule.id}` | {rule.name} | {rule.severity.value} "
-            f"| {rule.kind} | {description} |"
+            f"| {description} |"
         )
     return "\n".join(lines)
 
-
-def findings_only(findings: Sequence[Finding]) -> Dict[str, Any]:
-    """Tiny helper for tests: summarise findings by rule id."""
-    return dict(Counter(f.rule for f in findings))

@@ -57,7 +57,8 @@ class TestBasics:
         with pytest.raises(TrainingError, match="batch streams"):
             RoundEngine(
                 LogisticRegressionModel(4), [], SyncSGDStrategy(4),
-                AsyncArrivalBackend(), AsyncUpdate(SGD(0.1)),
+                AsyncArrivalBackend(rng=np.random.default_rng(0)),
+                AsyncUpdate(SGD(0.1)),
             )
 
     def test_time_monotone(self):

@@ -19,8 +19,10 @@ from repro.core.decoders import Decoder, Selection, decoder_for
 from repro.core.fractional import FractionalRepetition
 from repro.core.hybrid import HybridRepetition
 from repro.exceptions import ConfigurationError
-from repro.experiments.config import Fig11Config
+from repro.experiments.config import Fig11Config, Fig12Config, Fig13Config
 from repro.experiments.fig11 import run_condition, run_fig11
+from repro.experiments.fig12 import run_fig12
+from repro.experiments.fig13 import run_fig13
 from repro.experiments.sweep import Sweep, SweepResult
 from repro.obs.registry import MetricsRegistry
 from repro.parallel import (
@@ -175,6 +177,26 @@ class TestSeeding:
         unseeded = evaluate_point(square, PointTask(0, {"x": 3}))
         assert unseeded.value == 9
 
+    @pytest.mark.parametrize("seed", [7, np.int64(7)], ids=["int", "np-int64"])
+    def test_int_seed_refused(self, seed):
+        # ``seed + i`` per point gives correlated streams.
+        with pytest.raises(ConfigurationError, match="SeedSequence"):
+            PointTask(0, {"a": 1}, seed)
+
+    def test_generator_param_refused(self):
+        with pytest.raises(ConfigurationError, match="'rng'.*Generator"):
+            PointTask(0, {"a": 1, "rng": np.random.default_rng(0)})
+
+    @pytest.mark.parametrize("executor", [
+        SerialExecutor(), ProcessExecutor(2),
+    ], ids=["serial", "process"])
+    def test_partial_binding_generator_refused(self, executor):
+        # A pool pickles fn once per chunk: every chunk would replay
+        # the bound generator's stream from the same state.
+        fn = functools.partial(draw, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="Generator"):
+            executor.run(fn, tasks_for([1, 2, 3], key="a"))
+
 
 # ----------------------------------------------------------------------
 # The tentpole property: parallel == serial on a fig11-shaped grid.
@@ -234,6 +256,25 @@ class TestParallelEqualsSerial:
         ]
         assert serial.executor == "serial"
         assert parallel.executor == "process"
+
+    def test_fig12_and_fig13_parallel_equal_serial(self):
+        # The executor path of the training figures hands run() a
+        # partial of the figure config: nothing bound into it may be a
+        # live Generator (SweepExecutor.run refuses one).
+        cfg12 = Fig12Config(
+            num_trials=1, max_steps=10, loss_threshold=0.0,
+            recovery_trials=50, dataset_samples=256, wait_values=(1, 2),
+        )
+        cfg13 = Fig13Config(
+            num_steps=10, recovery_trials=50, dataset_samples=256,
+            c1_values=(0, 1),
+        )
+        assert run_fig12(cfg12) == run_fig12(
+            cfg12, executor=ProcessExecutor(2)
+        )
+        assert run_fig13(cfg13) == run_fig13(
+            cfg13, executor=ProcessExecutor(2)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ def check(source, scope_path="src/repro/engine/mod.py", **kw):
 class TestEngine:
     def test_all_rule_families_registered(self):
         families = {rule_id[:3] for rule_id in RULE_REGISTRY}
-        assert families == {"DET", "FLO", "TIM"}
+        assert families == {"DET", "TIM"}
 
     def test_syntax_error_is_a_finding(self):
         findings = check_source("def broken(:\n")
@@ -174,6 +174,28 @@ class TestDeterminismRules:
 
     def test_det004_sorted_set_is_fine(self):
         assert check("order = sorted(set(workers))\n") == []
+
+    @pytest.mark.parametrize("source", [
+        "delays = [rng.random() for w in set(workers)]\n",
+        "alive = {w for w in {1, 2, 3}}\n",
+        "gates = {w: rng.random() for w in frozenset(workers)}\n",
+        "alive = sorted(w for w in set(workers) if rng.random() < p)\n",
+        "delays = [rng.random() for w in alive.union(extra)]\n",
+        "delays = [rng.random() for w in set(alive) - dead]\n",
+    ], ids=["listcomp", "setcomp-over-display", "dictcomp-over-frozenset",
+            "genexp-under-sorted", "set-method", "set-operator"])
+    def test_det004_comprehension_over_set(self, source):
+        assert rules_of(check(source)) == ["DET004"]
+
+    def test_det004_covers_straggler_models(self):
+        src = "for w in set(workers):\n    pass\n"
+        assert rules_of(
+            check(src, scope_path="src/repro/straggler/failures.py")
+        ) == ["DET004"]
+
+    def test_det004_leaves_serve_alone(self):
+        src = "import glob\nnames = glob.glob('jobs/*.json')\n"
+        assert check(src, scope_path="src/repro/serve/mailbox.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -312,118 +334,6 @@ class TestTimeUnitRules:
             "import time\nstamp = time.time()\n",
             scope_path="src/repro/cli/serve.py",
         ) == []
-
-
-# ----------------------------------------------------------------------
-# Pool-boundary seed discipline (FLOW002)
-
-
-def pool_check(tmp_path, source):
-    """FLOW002 findings for ``source`` placed as module ``repro.sweep``."""
-    package = tmp_path / "repro"
-    package.mkdir()
-    (package / "__init__.py").write_text("")
-    module = package / "sweep.py"
-    module.write_text(textwrap.dedent(source))
-    return run_check([module], select=["FLOW002"]).findings
-
-
-class TestParallelismRules:
-    def test_submit_with_seed_arithmetic_flagged(self, tmp_path):
-        findings = pool_check(
-            tmp_path,
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def sweep(fn, seed, n):
-                with ProcessPoolExecutor(4) as pool:
-                    return [pool.submit(fn, seed + i) for i in range(n)]
-            """,
-        )
-        assert rules_of(findings) == ["FLOW002"]
-
-    def test_map_over_derived_seeds_flagged(self, tmp_path):
-        findings = pool_check(
-            tmp_path,
-            """
-            from multiprocessing import Pool
-
-            def sweep(fn, seed, n):
-                with Pool(4) as pool:
-                    return pool.map(fn, [seed * 1000 + i for i in range(n)])
-            """,
-        )
-        assert rules_of(findings) == ["FLOW002"]
-
-    def test_fork_context_counts_as_pool_usage(self, tmp_path):
-        findings = pool_check(
-            tmp_path,
-            """
-            import multiprocessing as mp
-
-            def sweep(fn, base_seed, n):
-                ctx = mp.get_context("fork")
-                pool = ctx.Pool(2)
-                return pool.map_async(fn, [base_seed + i for i in range(n)])
-            """,
-        )
-        assert rules_of(findings) == ["FLOW002"]
-
-    def test_spawned_seed_sequences_are_clean(self, tmp_path):
-        assert pool_check(
-            tmp_path,
-            """
-            import numpy as np
-            from concurrent.futures import ProcessPoolExecutor
-
-            def sweep(fn, seed, n):
-                seeds = np.random.SeedSequence(seed).spawn(n)
-                with ProcessPoolExecutor(4) as pool:
-                    return [pool.submit(fn, s) for s in seeds]
-            """,
-        ) == []
-
-    def test_seed_sequence_wrapper_inside_dispatch_is_clean(self, tmp_path):
-        # SeedSequence(seed + i) keeps derivation in SeedSequence space —
-        # exactly the sanctioned fix, even written inline.
-        assert pool_check(
-            tmp_path,
-            """
-            import numpy as np
-            from concurrent.futures import ProcessPoolExecutor
-
-            def sweep(fn, seed, n):
-                with ProcessPoolExecutor(4) as pool:
-                    return [
-                        pool.submit(fn, np.random.SeedSequence(seed + i))
-                        for i in range(n)
-                    ]
-            """,
-        ) == []
-
-    def test_seed_arithmetic_without_pool_is_clean(self, tmp_path):
-        # Serial seed offsets (the figure runners' trial_seed pattern)
-        # are fine: no pool boundary, no stream-independence hazard.
-        assert pool_check(
-            tmp_path,
-            """
-            def trials(fn, seed, n):
-                return [fn(seed + 1000 * trial) for trial in range(n)]
-            """,
-        ) == []
-
-    def test_noqa_suppresses_flow002(self, tmp_path):
-        findings = pool_check(
-            tmp_path,
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def sweep(fn, seed, n):
-                with ProcessPoolExecutor(4) as pool:
-                    return [pool.submit(fn, seed + i) for i in range(n)]  # repro: noqa[FLOW002]
-            """,
-        )
-        assert findings == []
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,7 @@ class TestMarkdownBlocks:
             tmp_path, "doc.md",
             "# Doc\n\nProse.\n\n```python\n" + DIRTY + "```\n",
         )
-        result = run_check([md], project=False)
+        result = run_check([md])
         assert result.findings
         # DIRTY's offending line is its second line: 5 fence lines + 2.
         assert {f.line for f in result.findings} == {7}
@@ -106,14 +106,22 @@ class TestNoqaEdgeCases:
 
     def test_multi_rule_list_with_whitespace(self):
         suppressions = noqa_map(
-            "x = 1  # repro: noqa[ DET001 , det002 ,FLOW002]\n"
+            "x = 1  # repro: noqa[ DET001 , det002 ,TIME003]\n"
         )
-        assert suppressions == {1: {"DET001", "DET002", "FLOW002"}}
+        assert suppressions == {1: {"DET001", "DET002", "TIME003"}}
 
     def test_empty_items_dropped(self):
         assert noqa_map("x = 1  # repro: noqa[DET001,,]\n") == {
             1: {"DET001"}
         }
+
+    def test_noqa_in_python_file(self, tmp_path):
+        dirty = DIRTY.replace(
+            "np.random.randn(3)",
+            "np.random.randn(3)  # repro: noqa[DET001]",
+        )
+        assert run_check([write(tmp_path, "mod.py", dirty)]).findings == []
+        assert run_check([write(tmp_path, "bad.py", DIRTY)]).findings
 
     def test_noqa_in_markdown_at_true_line(self, tmp_path):
         dirty = DIRTY.replace(
@@ -123,14 +131,14 @@ class TestNoqaEdgeCases:
         md = write(
             tmp_path, "doc.md", "# Doc\n\n```python\n" + dirty + "```\n"
         )
-        assert run_check([md], project=False).findings == []
+        assert run_check([md]).findings == []
 
     def test_wrong_line_markdown_noqa_does_not_suppress(self, tmp_path):
         md = write(
             tmp_path, "doc.md",
             "# repro: noqa[DET001]\n\n```python\n" + DIRTY + "```\n",
         )
-        assert run_check([md], project=False).findings
+        assert run_check([md]).findings
 
 
 # ----------------------------------------------------------------------
@@ -141,14 +149,14 @@ class TestSarif:
     def test_real_output_validates(self, tmp_path):
         write(tmp_path, "mod.py", DIRTY)
         write(tmp_path, "doc.md", "```python\n" + DIRTY + "```\n")
-        result = run_check([str(tmp_path)], project=False)
+        result = run_check([str(tmp_path)])
         doc = to_sarif_dict(result)
         assert validate_sarif(doc) == []
         assert doc["version"] == SARIF_VERSION
 
     def test_result_shape(self, tmp_path):
         mod = write(tmp_path, "mod.py", DIRTY)
-        doc = to_sarif_dict(run_check([mod], project=False))
+        doc = to_sarif_dict(run_check([mod]))
         run = doc["runs"][0]
         rules = run["tool"]["driver"]["rules"]
         declared = [r["id"] for r in rules]
@@ -161,7 +169,7 @@ class TestSarif:
 
     def test_render_is_json(self, tmp_path):
         mod = write(tmp_path, "mod.py", CLEAN)
-        doc = json.loads(render_sarif(run_check([mod], project=False)))
+        doc = json.loads(render_sarif(run_check([mod])))
         assert doc["runs"][0]["results"] == []
 
     def test_validator_rejects_malformed(self):
@@ -213,8 +221,8 @@ class TestDiscoverySkips:
     ])
     def test_vendored_and_derived_trees_skipped(self, tmp_path, where):
         write(tmp_path, where, DIRTY)
-        assert run_check([str(tmp_path)], project=False).num_files == 0
+        assert run_check([str(tmp_path)]).num_files == 0
 
     def test_benchmarks_sources_still_checked(self, tmp_path):
         write(tmp_path, "benchmarks/e2e/workloads.py", CLEAN)
-        assert run_check([str(tmp_path)], project=False).num_files == 1
+        assert run_check([str(tmp_path)]).num_files == 1
