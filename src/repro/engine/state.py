@@ -30,7 +30,6 @@ an engine; the rest is its frozen, read-only
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -50,16 +49,19 @@ MODE_UPDATES = "updates"
 
 # ----------------------------------------------------------------------
 # RNG helpers — PCG64 (and friends) expose a JSON-safe state dict of
-# plain ints/strings through ``bit_generator.state``.
+# plain ints/strings through ``bit_generator.state``.  The getter builds
+# a fresh nested dict on every call and the setter copies the values
+# into the generator without keeping the dict, so neither side needs a
+# defensive copy.
 
 def generator_state(rng: np.random.Generator) -> Dict[str, Any]:
     """The generator's full internal state as a JSON-safe dict."""
-    return copy.deepcopy(rng.bit_generator.state)
+    return rng.bit_generator.state
 
 
 def set_generator_state(rng: np.random.Generator, state: Mapping) -> None:
     """Restore a state captured by :func:`generator_state`."""
-    rng.bit_generator.state = copy.deepcopy(dict(state))
+    rng.bit_generator.state = dict(state)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ from .scheduler import FairScheduler, Scheduler, SchedulingClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.report import RunReport
-    from .mailbox import CheckpointRecord, ServeMailbox
+    from .mailbox import ServeMailbox
 
 
 class Coordinator:
@@ -124,7 +124,11 @@ class Coordinator:
                 pool_capacity if pool_capacity is not None else max_running
             )
         )
+        # Every job ever submitted, and the non-terminal ones; both in
+        # admission (``seq``) order, so scheduling never sorts or scans
+        # finished jobs.
         self._jobs: Dict[str, Job] = {}
+        self._live: Dict[str, Job] = {}
         self._seq = itertools.count()
         self._inflight: set = set()
         self._pool: ThreadPoolExecutor | None = None
@@ -176,9 +180,7 @@ class Coordinator:
             raise ServeError(
                 f"job deadline must be positive, got {deadline}"
             )
-        active = sum(
-            1 for job in self._jobs.values() if not job.state.terminal
-        )
+        active = len(self._live)
         if active >= self.queue_limit:
             raise AdmissionError(
                 f"admission rejected: {active} active jobs at the "
@@ -216,6 +218,7 @@ class Coordinator:
             self.trace_dir.mkdir(parents=True, exist_ok=True)
             job.trace_path = str(self.trace_dir / f"{job_id}.jsonl")
         self._jobs[job_id] = job
+        self._live[job_id] = job
         self._emit_state(job)
         if self._mailbox is not None:
             self._mailbox.write_checkpoint(job, None)
@@ -231,8 +234,7 @@ class Coordinator:
 
     def jobs(self) -> List[Dict[str, object]]:
         """State snapshots of every job, in submission order."""
-        ordered = sorted(self._jobs.values(), key=lambda job: job.seq)
-        return [job.snapshot() for job in ordered]
+        return [job.snapshot() for job in self._jobs.values()]
 
     # ------------------------------------------------------------------
     # Lifecycle internals
@@ -259,6 +261,7 @@ class Coordinator:
         job.state = state
         self._emit_state(job, detail)
         if state.terminal:
+            self._live.pop(job.job_id, None)
             self.pool.discard(job)
             job.checkpoint_state = None
             job.plan = None
@@ -302,31 +305,30 @@ class Coordinator:
         self._transition(job, JobState.RUNNING)
 
     def _admit_queued(self) -> None:
-        running = [
-            job for job in self._jobs.values()
+        running = sum(
+            1 for job in self._live.values()
             if job.state is JobState.RUNNING
-        ]
-        queued = sorted(
-            (
-                job for job in self._jobs.values()
-                if job.state is JobState.QUEUED
-            ),
-            key=lambda job: job.seq,
         )
+        if running >= self.max_running:
+            return
+        queued = [
+            job for job in self._live.values()
+            if job.state is JobState.QUEUED
+        ]
         for job in queued:
-            if len(running) >= self.max_running:
+            if running >= self.max_running:
                 break
             if job.cancel_requested:
                 self._finish_cancel(job)
                 continue
             self._start_job(job)
             if job.state is JobState.RUNNING:
-                running.append(job)
+                running += 1
 
     def _runnable(self) -> List[Job]:
         """RUNNING jobs eligible for a quantum right now."""
         jobs = []
-        for job in sorted(self._jobs.values(), key=lambda j: j.seq):
+        for job in list(self._live.values()):
             if job.state is not JobState.RUNNING or job in self._inflight:
                 continue
             if job.cancel_requested:
@@ -336,9 +338,7 @@ class Coordinator:
         return jobs
 
     def _active(self) -> bool:
-        return any(
-            not job.state.terminal for job in self._jobs.values()
-        )
+        return bool(self._live)
 
     # ------------------------------------------------------------------
     # Quantum execution

@@ -11,10 +11,13 @@ live engines exist at once and multiplexes all jobs over them:
   makes one resident (a *build*): first from the spec, which leaves
   the plan on the job; after an eviction from that plan plus the
   job's checkpoint (a *restore*) — mutable state only;
-* when residency exceeds ``capacity``, the least-recently-used
+* when residency exceeds ``capacity``, the most recently released
   unpinned job is *evicted*: its engine state is snapshotted onto the
   job record (:attr:`~repro.serve.jobs.Job.checkpoint_state`) and the
-  engine discarded.  A parked job is plan + state until it turns
+  engine discarded.  Under the scheduler's cyclic round-robin the job
+  just run is the one needed last, so parking it keeps the first
+  ``capacity`` jobs resident and bounces only the overflow (LRU would
+  miss on every quantum).  A parked job is plan + state until it turns
   terminal; ``max_running`` therefore bounds the plans alive;
 * jobs whose quantum is in flight are *pinned* and never evicted.
 
@@ -66,7 +69,7 @@ class _Slot:
 
 
 class WorkerPool:
-    """An LRU-bounded set of live job engines.
+    """A bounded set of live job engines that parks the job just run.
 
     Parameters
     ----------
@@ -102,7 +105,6 @@ class WorkerPool:
         if slot is not None:
             self.stats.hits += 1
             slot.pinned = True
-            self._slots.move_to_end(job.job_id)
             return slot.runner
         runner = JobRunner(
             job.spec,
@@ -126,6 +128,7 @@ class WorkerPool:
         if slot is None:
             return
         slot.pinned = False
+        self._slots.move_to_end(job.job_id)
         self._shrink()
 
     def discard(self, job: "Job") -> None:
@@ -155,10 +158,16 @@ class WorkerPool:
         self.stats.evictions += 1
 
     def _shrink(self) -> None:
-        """Evict LRU unpinned slots until residency fits capacity."""
+        """Evict the most recently released unpinned slots until
+        residency fits capacity.
+
+        Slots are kept in release order, so the victim is the last
+        unpinned one: for a cyclic pick order that is the job whose
+        next quantum is furthest away (Belady's choice).
+        """
         while len(self._slots) > self.capacity:
             victim_id = None
-            for job_id, slot in self._slots.items():
+            for job_id, slot in reversed(self._slots.items()):
                 if not slot.pinned:
                     victim_id = job_id
                     break

@@ -31,7 +31,6 @@ same rounds exactly.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
@@ -170,8 +169,10 @@ class ClusterSimulator:
         self._tracer = tracer
         self._clock = 0.0
         # Snapshot the generator so reset() can replay the exact same
-        # random stream (and therefore the exact same rounds).
-        self._rng_state = copy.deepcopy(self._rng.bit_generator.state)
+        # random stream (and therefore the exact same rounds).  The
+        # state getter returns a fresh dict and the setter copies out of
+        # it, so this needs no defensive copy.
+        self._rng_state = self._rng.bit_generator.state
 
     # ------------------------------------------------------------------
     @property
@@ -210,14 +211,14 @@ class ClusterSimulator:
         """
         return {
             "clock": self._clock,
-            "rng": copy.deepcopy(self._rng.bit_generator.state),
+            "rng": self._rng.bit_generator.state,
             "delays": self._delays.snapshot_state(),
         }
 
     def restore_state(self, state) -> None:
         """Restore state captured by :meth:`snapshot_state`."""
         self._clock = float(state["clock"])
-        self._rng.bit_generator.state = copy.deepcopy(dict(state["rng"]))
+        self._rng.bit_generator.state = dict(state["rng"])
         self._delays.restore_state(state["delays"])
 
     # ------------------------------------------------------------------

@@ -26,8 +26,10 @@ from repro.engine.state import (
     EngineState,
     async_record_from_dict,
     async_record_to_dict,
+    generator_state,
     record_from_dict,
     record_to_dict,
+    set_generator_state,
 )
 from repro.exceptions import TrainingError
 from repro.obs import RoundTracer
@@ -442,6 +444,76 @@ class TestEngineStateValue:
         # No numpy scalars or other non-JSON types anywhere.
         text = json.dumps(payload)
         assert json.loads(text) == payload
+
+
+def scramble_generator_states(node) -> int:
+    """Mutate, in place, every numpy generator-state dict in the nested
+    dicts under ``node``; returns how many were found."""
+    if not isinstance(node, dict):
+        return 0
+    found = 0
+    if "bit_generator" in node:
+        node["state"]["state"] += 1
+        node["state"]["inc"] += 2
+        node["has_uint32"] = 1 - node["has_uint32"]
+        found = 1
+    return found + sum(scramble_generator_states(v) for v in node.values())
+
+
+class TestGeneratorStateAliasing:
+    """Generator-state dicts handed out or taken in are not kept:
+    mutating one after the call moves no later draw."""
+
+    def test_generator_state_helpers(self):
+        expected = np.random.default_rng(3).random(5)
+        rng = np.random.default_rng(3)
+        handed_out = generator_state(rng)
+        assert scramble_generator_states(handed_out) == 1
+        assert np.array_equal(rng.random(5), expected)
+
+        taken_in = generator_state(np.random.default_rng(3))
+        set_generator_state(rng, taken_in)
+        scramble_generator_states(taken_in)
+        assert np.array_equal(rng.random(5), expected)
+
+    @pytest.mark.parametrize("backend,rule", COMBOS)
+    def test_engine_snapshot_and_restore(self, backend, rule):
+        spec = make_spec(backend, rule)
+        baseline = report_dict(spec, run_uninterrupted(spec))
+        updates = spec.rule == "async"
+
+        def started():
+            engine = build_engine(spec)
+            if updates:
+                engine.start_updates(spec.max_steps)
+            else:
+                engine.start_run(spec.max_steps)
+            return engine
+
+        def finished(engine):
+            step = engine.step_updates if updates else engine.step_rounds
+            while not step(1):
+                pass
+            return report_dict(
+                spec,
+                engine.finish_updates() if updates else engine.finish_run(),
+            )
+
+        first = started()
+        (first.step_updates if updates else first.step_rounds)(4)
+        snapshot = first.snapshot()
+        pristine = snapshot.to_json()
+        # ``to_dict`` copies only the top level, so this scrambles the
+        # snapshot's own backend and decoder (and adaptive rule) dicts.
+        assert scramble_generator_states(snapshot.to_dict()) >= 2
+        assert snapshot.to_json() != pristine
+        assert finished(first) == baseline
+
+        second = started()
+        taken_in = EngineState.from_json(pristine)
+        second.restore(taken_in)
+        scramble_generator_states(taken_in.to_dict())
+        assert finished(second) == baseline
 
 
 class TestSweepSpecInteraction:

@@ -28,7 +28,7 @@ from repro import (
     run_jobs,
     run_spec,
 )
-from repro.exceptions import ServeError
+from repro.exceptions import AdmissionError, ServeError
 from repro.serve import (
     FairScheduler,
     JobCancelledError,
@@ -283,6 +283,70 @@ class TestLifecycle:
         # the surviving peer's result is unaffected by the cancellation
         (solo,) = run_jobs([make_spec(1)])
         assert peer.report.to_dict() == solo.to_dict()
+
+    def test_each_terminal_state_frees_one_admission_slot(self):
+        # DONE, FAILED, CANCELLED-while-queued and CANCELLED-while-
+        # running each release exactly one ``queue_limit`` slot, and the
+        # listing keeps every job, terminal or not, in submission order.
+        fillers = iter(range(10, 20))
+
+        def refill(coord, admitted):
+            """Submit short jobs until admission refuses; how many fit."""
+            before = len(admitted)
+            while True:
+                i = next(fillers)
+                try:
+                    coord.submit(make_spec(i, max_steps=1), job_id=f"f{i}")
+                except AdmissionError:
+                    return len(admitted) - before
+                admitted.append(f"f{i}")
+
+        async def scenario():
+            coord = Coordinator(
+                mode="deterministic", max_running=1, queue_limit=4
+            )
+            done = coord.submit(make_spec(0, max_steps=2), job_id="z-done")
+            failed = coord.submit(
+                dataclasses.replace(make_spec(1), scheme="nope"),
+                job_id="y-failed",
+            )
+            running = coord.submit(
+                make_spec(2, max_steps=50), job_id="x-running"
+            )
+            queued = coord.submit(make_spec(3), job_id="w-queued")
+            admitted = [done.job_id, failed.job_id, running.job_id,
+                        queued.job_id]
+            assert refill(coord, admitted) == 0
+
+            assert queued.cancel() and queued.state is JobState.CANCELLED
+            assert refill(coord, admitted) == 1
+
+            drain = asyncio.ensure_future(coord.drain())
+            await done.result()
+            assert refill(coord, admitted) == 1
+
+            with pytest.raises(JobFailedError):
+                await failed.result()
+            assert refill(coord, admitted) == 1
+
+            async for event in running.watch():
+                if event.kind == "round" and not running._job.cancel_requested:
+                    assert running.state is JobState.RUNNING
+                    running.cancel()
+            with pytest.raises(JobCancelledError):
+                await running.result()
+            assert refill(coord, admitted) == 1
+
+            await drain
+            with coord:
+                return coord.jobs(), admitted
+
+        listing, admitted = asyncio.run(scenario())
+        assert [job["id"] for job in listing] == admitted
+        assert [job["state"] for job in listing[:4]] == [
+            "done", "failed", "cancelled", "cancelled",
+        ]
+        assert all(job["state"] == "done" for job in listing[4:])
 
     def test_failed_job_is_isolated(self):
         bad_names = [

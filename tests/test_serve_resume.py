@@ -273,6 +273,51 @@ class TestWorkerPoolDeterminism:
             )
         assert coord.pool.stats.evictions > 0
 
+    def test_overflow_jobs_bounce_while_the_rest_stay_resident(self):
+        # Eight equal-weight jobs share four slots.  SWRR picks them
+        # cyclically; parking the job just run keeps the first four
+        # resident, so about half the quanta hit (LRU misses on every
+        # one).  The pool must not move the schedule or any result.
+        rounds = 20
+        specs = [make_spec(i, max_steps=rounds) for i in range(8)]
+        solo = [run_jobs([spec])[0] for spec in specs]
+
+        def serve(capacity):
+            coord = Coordinator(
+                mode="deterministic", max_running=8, pool_capacity=capacity
+            )
+            order = []
+
+            async def record(handle):
+                async for event in handle.watch():
+                    if event.kind == "round":
+                        order.append((event.job_id, event.step))
+
+            async def _run():
+                handles = [coord.submit(spec) for spec in specs]
+                watchers = [
+                    asyncio.create_task(record(handle)) for handle in handles
+                ]
+                await asyncio.sleep(0)  # attach every watcher first
+                await coord.drain()
+                await asyncio.gather(*watchers)
+                return [await handle.result() for handle in handles]
+
+            with coord:
+                return asyncio.run(_run()), order, coord.pool.stats
+
+        reports, order, stats = serve(4)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in solo]
+        assert stats.hits / (stats.hits + stats.builds) >= 0.45
+        assert stats.restores == 4 * rounds
+        unbounded_reports, unbounded_order, unbounded = serve(8)
+        assert unbounded.evictions == 0
+        assert len(order) == 8 * rounds
+        assert order == unbounded_order
+        assert [r.to_dict() for r in unbounded_reports] == [
+            r.to_dict() for r in solo
+        ]
+
     def test_async_jobs_survive_eviction(self):
         specs = [make_spec(i, rule="async", max_steps=40) for i in range(3)]
         baseline = run_jobs(specs)
@@ -294,22 +339,37 @@ class TestWorkerPoolMechanics:
         assert job.runner is None
         assert job.checkpoint_state is not None
 
-    def test_lru_eviction_and_hits(self):
+    def test_parks_the_job_just_released(self):
         pool = WorkerPool(capacity=1)
         jobs = [
             Job(job_id=f"j{i}", name=f"j{i}", spec=make_spec(i), seq=i)
             for i in range(2)
         ]
-        pool.acquire(jobs[0]); pool.release(jobs[0])
-        runner = pool.acquire(jobs[0])
+
+        def quantum(job):
+            runner = pool.acquire(job)
+            pool.release(job)
+            return runner
+
+        quantum(jobs[0])
+        runner = quantum(jobs[0])
         assert runner is jobs[0].runner
-        assert pool.stats.hits == 1
-        pool.release(jobs[0])
-        pool.acquire(jobs[1]); pool.release(jobs[1])
-        # j0 was least recently used and unpinned: parked to snapshot.
-        assert jobs[0].runner is None
-        assert jobs[0].checkpoint_state is not None
-        assert pool.stats.evictions == 1
+        quantum(jobs[1])
+        # j1 was released last: it is parked to snapshot, j0 stays.
+        assert jobs[1].runner is None
+        assert jobs[1].checkpoint_state is not None
+        assert not pool.resident("j1")
+        assert pool.resident("j0") and jobs[0].runner is runner
+        assert pool.stats.to_dict() == {
+            "builds": 2, "restores": 0, "hits": 1, "evictions": 1,
+        }
+        # Another cycle: j0 hits again, j1 is restored and re-parked.
+        assert quantum(jobs[0]) is runner
+        quantum(jobs[1])
+        assert jobs[1].runner is None and pool.resident("j0")
+        assert pool.stats.to_dict() == {
+            "builds": 3, "restores": 1, "hits": 2, "evictions": 2,
+        }
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ServeError):

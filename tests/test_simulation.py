@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation layer."""
 
+import copy
 import pathlib
 import tempfile
 
@@ -380,6 +381,32 @@ class TestResetDeterminism:
         first = self._run(sim)
         sim.reset()
         assert sim.clock == 0.0
+        assert self._run(sim) == first
+
+    def test_state_dicts_do_not_alias_the_generator(self):
+        # snapshot_state hands out, and restore_state takes, generator
+        # dicts the simulator must not keep: mutating them afterwards
+        # moves neither later draws nor a reset() replay.
+        from repro.straggler import ExponentialDelay
+
+        def scramble(state):
+            rng = state["rng"]
+            rng["state"]["state"] += 1
+            rng["state"]["inc"] += 2
+            rng["has_uint32"] = 1 - rng["has_uint32"]
+
+        sim = self._stochastic_sim(ExponentialDelay(1.0))
+        first = self._run(sim)
+        sim.reset()
+        self._run(sim, rounds=3)
+        handed_out = sim.snapshot_state()
+        taken_in = copy.deepcopy(handed_out)
+        scramble(handed_out)
+        assert self._run(sim, rounds=5) == first[3:]
+        sim.restore_state(taken_in)
+        scramble(taken_in)
+        assert self._run(sim, rounds=5) == first[3:]
+        sim.reset()
         assert self._run(sim) == first
 
     def test_reset_rewinds_bursty_markov_state(self):
