@@ -10,8 +10,9 @@ Three ways to drive :mod:`repro.serve`:
 3. the file mailbox — the protocol behind ``repro serve`` /
    ``repro submit``, here exercised in-process.
 
-Everything runs in deterministic mode, so the interleaved results are
-bit-for-bit what sequential ``repro run`` invocations would produce.
+The coordinator runs one round at a time on its event loop, so the
+interleaved results are bit-for-bit what sequential ``repro run``
+invocations would produce.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -65,7 +66,7 @@ def main() -> None:
     #    stream, and one cancellation mid-run.
     # ------------------------------------------------------------------
     async def drive() -> None:
-        coord = Coordinator(mode="deterministic", max_running=2)
+        coord = Coordinator(max_running=2)
         with coord:
             fast = coord.submit(specs[0], weight=3)
             slow = coord.submit(specs[1], weight=1)
@@ -92,7 +93,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as root:
         client = CoordinatorClient(root)
         job_id = client.submit(specs[0], job_id="demo-job")
-        coord = Coordinator(mode="deterministic")
+        coord = Coordinator()
         with coord:
             asyncio.run(coord.serve(ServeMailbox(root), once=True))
         snapshot = client.state(job_id)

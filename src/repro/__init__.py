@@ -43,7 +43,7 @@ Declarative experiments (one engine, pluggable backends/schemes)::
 Multi-job serving (one coordinator, many concurrent specs)::
 
     from repro import Coordinator, run_jobs
-    reports = run_jobs([spec_a, spec_b], mode="deterministic")
+    reports = run_jobs([spec_a, spec_b])
 
 See ``examples/quickstart.py`` for a runnable walk-through,
 ``docs/architecture.md`` for the engine layering, and

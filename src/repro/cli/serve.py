@@ -5,7 +5,8 @@ All four commands meet over a *mailbox directory* (see
 :mod:`repro.serve.mailbox`): ``repro serve MAILBOX`` runs a
 :class:`~repro.serve.Coordinator` against it; ``repro submit`` drops
 spec files into its inbox; ``repro jobs`` lists the published state
-snapshots; ``repro cancel`` requests a round-boundary cancellation.
+snapshots; ``repro cancel`` requests a cancellation, which a serving
+coordinator applies at the job's next round boundary.
 The commands work in either order — submissions made before the
 coordinator starts are picked up when it does.
 
@@ -38,7 +39,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from ..serve import Coordinator, ServeMailbox
 
     coordinator = Coordinator(
-        mode=args.mode,
         max_running=args.max_running,
         queue_limit=args.queue_limit,
         trace_dir=args.trace_dir,
@@ -46,7 +46,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     mailbox = ServeMailbox(args.mailbox)
     print(
-        f"serving {args.mailbox} [{args.mode}] — "
+        f"serving {args.mailbox} — "
         f"max_running={args.max_running}, queue_limit={args.queue_limit}"
     )
     with coordinator:
@@ -216,7 +216,7 @@ def _render_jobs(client, args: argparse.Namespace):
     snapshots = client.jobs()
     serving = client.serving()
     status = (
-        f"coordinator: {serving['mode']} mode, pid {serving['pid']}"
+        f"coordinator: pid {serving['pid']}"
         if serving else "coordinator: not running"
     )
     print(status)
@@ -326,7 +326,8 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_cancel(args: argparse.Namespace) -> int:
-    """Request cancellation of a submitted job."""
+    """Request cancellation of a submitted job (applied at its next
+    round boundary)."""
     from ..serve import CoordinatorClient
 
     client = CoordinatorClient(args.mailbox)
@@ -347,11 +348,6 @@ def _add_mailbox_arg(parser: argparse.ArgumentParser) -> None:
 def configure_serve(parser: argparse.ArgumentParser) -> None:
     """Wire the ``serve`` subparser (arguments + handler)."""
     _add_mailbox_arg(parser)
-    parser.add_argument(
-        "--mode", choices=("live", "deterministic"), default="live",
-        help="live: thread-pool rounds; deterministic: inline, "
-             "bit-for-bit reproducible interleaving",
-    )
     parser.add_argument("--max-running", type=int, default=4,
                         help="jobs running concurrently (default 4)")
     parser.add_argument("--queue-limit", type=int, default=64,

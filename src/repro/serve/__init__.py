@@ -4,7 +4,8 @@
 asyncio :class:`Coordinator` admits many :class:`~repro.engine.ExperimentSpec`
 jobs at once, interleaves their rounds under a fair (smooth weighted
 round-robin) scheduler, isolates failures, supports cancellation at
-round boundaries, and streams each job's round trace as JSONL.
+round boundaries (``repro cancel`` included), and streams each job's
+round trace as JSONL.
 
 Entry points:
 
@@ -24,9 +25,9 @@ kill, and why a resumed job's trajectory and trace are bit-identical
 to an uninterrupted run.  :class:`SchedulingClass` adds priority tiers
 and earliest-deadline-first tie-breaking on top of the fair scheduler.
 
-Deterministic mode guarantees that any interleaving of N jobs is
-bit-for-bit identical to N sequential ``repro run`` invocations; see
-``docs/serving.md``.
+Quanta run inline on the event loop, one at a time, and any
+interleaving of N jobs is bit-for-bit identical to N sequential
+``repro run`` invocations; see ``docs/serving.md``.
 """
 
 from .coordinator import Coordinator, run_jobs
@@ -49,7 +50,6 @@ from .scheduler import (
     DEFAULT_CLASS,
     FairScheduler,
     RandomOrderScheduler,
-    RoundRobinScheduler,
     Scheduler,
     SchedulingClass,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "JobRunner",
     "Scheduler",
     "FairScheduler",
-    "RoundRobinScheduler",
     "RandomOrderScheduler",
     "SchedulingClass",
     "DEFAULT_CLASS",

@@ -3,7 +3,7 @@
 One coordinator hosts many simultaneous training jobs — each a full
 :class:`~repro.engine.ExperimentSpec` with its own placement scheme,
 environment, round engine and seed — and interleaves their rounds over
-a shared executor under a fair scheduler:
+one event loop under a fair scheduler:
 
 * **admission control** — at most ``queue_limit`` non-terminal jobs;
   submissions beyond that are rejected with :class:`ServeError`;
@@ -17,21 +17,13 @@ a shared executor under a fair scheduler:
   :class:`~repro.obs.TraceStreamWriter`, plus in-process
   :meth:`JobHandle.watch` event streams.
 
-Two execution modes:
-
-``deterministic``
-    Quanta run inline on the event-loop thread, one at a time.  Because
-    every job's RNG streams, decode cache and simulated clock are
-    private to its engine, **any** interleaving of quanta yields
-    bit-for-bit the trajectories of sequential ``repro run``
-    invocations — the property the test suite pins with hypothesis.
-
-``live``
-    Quanta run on a thread pool (up to ``max_running`` in flight), so
-    many jobs make wall-clock progress concurrently while the event
-    loop keeps serving submissions, watches and the file mailbox.
-    Results are still per-job deterministic; only the *completion
-    order* is timing-dependent.
+Quanta run inline on the event-loop thread, one at a time, and the
+loop yields between them, so submissions, cancellations, watchers and
+(while :meth:`Coordinator.serve` runs) the file mailbox are all served
+at round boundaries.  Because every job's RNG streams, decode cache and
+simulated clock are private to its engine, **any** interleaving of
+quanta yields bit-for-bit the trajectories of sequential ``repro run``
+invocations — the property the test suite pins with hypothesis.
 
 Simulated time and wall time never mix: job results carry only their
 engines' simulated clocks (the ``TIME003`` static check patrols this
@@ -44,7 +36,6 @@ import asyncio
 import itertools
 import pathlib
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..engine.spec import ExperimentSpec
@@ -64,11 +55,10 @@ class Coordinator:
     Parameters
     ----------
     mode:
-        ``"deterministic"`` (inline quanta, reproducible interleaving)
-        or ``"live"`` (thread-pool quanta); see the module docstring.
+        Accepts only ``"deterministic"``, the one execution path; kept
+        for callers that still name it.
     max_running:
-        How many jobs may hold RUNNING state at once (and, in live
-        mode, how many quanta may be in flight concurrently).
+        How many jobs may hold RUNNING state at once.
     queue_limit:
         Admission bound on non-terminal jobs (queued + running).
     scheduler:
@@ -90,17 +80,17 @@ class Coordinator:
     def __init__(
         self,
         *,
-        mode: str = "live",
+        mode: str = "deterministic",
         max_running: int = 4,
         queue_limit: int = 64,
         scheduler: Optional[Scheduler] = None,
         trace_dir: "str | pathlib.Path | None" = None,
         pool_capacity: Optional[int] = None,
     ):
-        if mode not in ("live", "deterministic"):
+        if mode != "deterministic":
             raise ServeError(
-                f"unknown coordinator mode {mode!r}; expected "
-                "'live' or 'deterministic'"
+                f"unknown coordinator mode {mode!r}; quanta always run "
+                "inline ('deterministic')"
             )
         if max_running <= 0:
             raise ServeError(
@@ -110,7 +100,6 @@ class Coordinator:
             raise ServeError(
                 f"queue_limit must be positive, got {queue_limit}"
             )
-        self.mode = mode
         self.max_running = max_running
         self.queue_limit = queue_limit
         self.scheduler: Scheduler = (
@@ -130,9 +119,6 @@ class Coordinator:
         self._jobs: Dict[str, Job] = {}
         self._live: Dict[str, Job] = {}
         self._seq = itertools.count()
-        self._inflight: set = set()
-        self._pool: ThreadPoolExecutor | None = None
-        self._wake = asyncio.Event()
         self._mailbox: "ServeMailbox | None" = None
         self._closed = False
 
@@ -222,7 +208,6 @@ class Coordinator:
         self._emit_state(job)
         if self._mailbox is not None:
             self._mailbox.write_checkpoint(job, None)
-        self._wake.set()
         return JobHandle(self, job)
 
     def handle(self, job_id: str) -> JobHandle:
@@ -247,7 +232,6 @@ class Coordinator:
             self._finish_cancel(job)
         # RUNNING jobs stop at the next round boundary (the scheduler
         # checks the flag before granting another quantum).
-        self._wake.set()
         return True
 
     def _finish_cancel(self, job: Job) -> None:
@@ -329,7 +313,7 @@ class Coordinator:
         """RUNNING jobs eligible for a quantum right now."""
         jobs = []
         for job in list(self._live.values()):
-            if job.state is not JobState.RUNNING or job in self._inflight:
+            if job.state is not JobState.RUNNING:
                 continue
             if job.cancel_requested:
                 self._finish_cancel(job)
@@ -337,24 +321,22 @@ class Coordinator:
             jobs.append(job)
         return jobs
 
-    def _active(self) -> bool:
-        return bool(self._live)
-
     # ------------------------------------------------------------------
     # Quantum execution
     # ------------------------------------------------------------------
-    def _finish_quantum(self, job: Job, outcome) -> None:
-        """Commit one quantum's result on the event-loop thread."""
-        self._inflight.discard(job)
-        if isinstance(outcome, BaseException):
-            job.error = _summarize_error(outcome)
+    def _run_quantum(self, job: Job) -> None:
+        """Run one round of ``job`` and commit it (isolated on failure)."""
+        try:
+            runner = self.pool.acquire(job)
+            done = runner.step()
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            job.error = _summarize_error(exc)
             if job.runner is not None:
                 job.runner.abort()
             self._transition(job, JobState.FAILED)
             return
-        assert job.runner is not None
-        job.rounds_done = job.runner.rounds_done
-        record = job.runner.last_record
+        job.rounds_done = runner.rounds_done
+        record = runner.last_record
         self._push_event(job, JobEvent(
             job_id=job.job_id,
             kind="round",
@@ -363,87 +345,39 @@ class Coordinator:
             sim_time=record.sim_time if record is not None else None,
             loss=record.loss if record is not None else None,
         ))
-        if outcome:  # runner reported completion
-            job.report = job.runner.report()
+        if done:
+            job.report = runner.report()
             self._transition(job, JobState.DONE)
         elif job.cancel_requested:
             self._finish_cancel(job)
         else:
             # Still running: persist the round boundary so a killed
-            # coordinator resumes from here, then unpin the engine
+            # coordinator resumes from here, then hand the engine back
             # (the pool may park it under capacity pressure).
             if self._mailbox is not None:
-                self._mailbox.write_checkpoint(
-                    job, job.runner.checkpoint()
-                )
+                self._mailbox.write_checkpoint(job, runner.checkpoint())
             self.pool.release(job)
-
-    async def _run_one_deterministic(self, job: Job) -> None:
-        try:
-            runner = self.pool.acquire(job)
-            done = runner.step()
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            self._finish_quantum(job, exc)
-        else:
-            self._finish_quantum(job, done)
-        # Yield so submissions/watchers interleave at round boundaries.
-        await asyncio.sleep(0)
-
-    def _launch_live(self, job: Job) -> "asyncio.Future | None":
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_running,
-                thread_name_prefix="repro-serve",
-            )
-        self._inflight.add(job)
-        try:
-            runner = self.pool.acquire(job)
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            self._finish_quantum(job, exc)
-            return None
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._pool, runner.step)
-
-        def _done(fut: "asyncio.Future") -> None:
-            outcome = fut.exception()
-            if outcome is None:
-                outcome = fut.result()
-            self._finish_quantum(job, outcome)
-            self._wake.set()
-
-        future.add_done_callback(_done)
-        return future
 
     # ------------------------------------------------------------------
     # Driving loops
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Schedule quanta until every submitted job is terminal."""
-        while self._active():
+        """Run quanta until every submitted job is terminal.
+
+        Each iteration polls the mailbox (while :meth:`serve` has one
+        attached, so a cancel or a submission reaches a running job at
+        its next round boundary), admits queued jobs, runs one quantum
+        of the job the scheduler picks, and yields — also when nothing
+        was runnable, so watchers and admission see every boundary.
+        """
+        while self._live:
+            if self._mailbox is not None:
+                self._poll_mailbox(self._mailbox)
             self._admit_queued()
             runnable = self._runnable()
-            if not runnable:
-                if self._inflight:
-                    self._wake.clear()
-                    await self._wake.wait()
-                    continue
-                if not self._active():
-                    break
-                # Only queued-but-unadmittable jobs remain; loop again
-                # (admission frees up as running jobs finish).
-                await asyncio.sleep(0)
-                continue
-            if self.mode == "deterministic":
-                job = self.scheduler.pick(runnable)
-                await self._run_one_deterministic(job)
-            else:
-                while runnable and len(self._inflight) < self.max_running:
-                    job = self.scheduler.pick(runnable)
-                    runnable.remove(job)
-                    self._launch_live(job)
-                self._wake.clear()
-                if self._inflight:
-                    await self._wake.wait()
+            if runnable:
+                self._run_quantum(self.scheduler.pick(runnable))
+            await asyncio.sleep(0)
 
     async def serve(
         self,
@@ -476,7 +410,7 @@ class Coordinator:
         try:
             while True:
                 admitted = self._poll_mailbox(mailbox)
-                if self._active():
+                if self._live:
                     idle_polls = 0
                     await self.drain()
                     continue
@@ -562,15 +496,12 @@ class Coordinator:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Refuse further submissions and release the thread pool.
+        """Refuse further submissions and park unfinished engines.
 
-        Unfinished engines are parked through the worker pool (their
-        state snapshotted onto the job records, trace streams closed).
+        Parking goes through the worker pool: each engine's state is
+        snapshotted onto its job record and its trace stream closed.
         """
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self.pool.clear()
 
     def __enter__(self) -> "Coordinator":
@@ -596,7 +527,6 @@ def _summarize_error(exc: BaseException) -> str:
 def run_jobs(
     specs: Sequence["ExperimentSpec | str | pathlib.Path"],
     *,
-    mode: str = "deterministic",
     max_running: int = 4,
     weights: Optional[Sequence[int]] = None,
     scheduler: Optional[Scheduler] = None,
@@ -611,7 +541,6 @@ def run_jobs(
     per-job outcomes should drive a :class:`Coordinator` directly.
     """
     coordinator = Coordinator(
-        mode=mode,
         max_running=max_running,
         queue_limit=(
             queue_limit if queue_limit is not None else max(64, len(specs))

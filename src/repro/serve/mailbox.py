@@ -102,6 +102,16 @@ def _compact_json(payload: Dict[str, object]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _stems(directory: pathlib.Path, suffix: str) -> List[str]:
+    """The names in ``directory`` ending in ``suffix``, in sorted
+    file-name order, with the suffix cut off."""
+    return [
+        name[: -len(suffix)]
+        for name in sorted(os.listdir(directory))
+        if name.endswith(suffix)
+    ]
+
+
 def _pid_alive(pid: int) -> bool:
     """Whether ``pid`` names a live process we can see."""
     try:
@@ -252,7 +262,6 @@ class ServeMailbox:
                     f"coordinator pid {pid}"
                 )
         _atomic_write(marker, {
-            "mode": coordinator.mode,
             "max_running": coordinator.max_running,
             "queue_limit": coordinator.queue_limit,
             "pid": os.getpid(),
@@ -269,11 +278,13 @@ class ServeMailbox:
         """Consume pending inbox entries in sorted (submission) order.
 
         Malformed payloads are moved straight to ``rejected/`` with the
-        parse error; well-formed ones are yielded for admission.
+        parse error; well-formed ones are yielded for admission.  The
+        coordinator polls at every round boundary, so an empty inbox
+        costs one directory listing.
         """
         inbox = self.root / _INBOX
-        for path in sorted(inbox.glob("*.json")):
-            job_id = path.stem
+        for job_id in _stems(inbox, ".json"):
+            path = inbox / f"{job_id}.json"
             try:
                 payload = json.loads(path.read_text())
                 submission = Submission.from_payload(job_id, payload)
@@ -288,10 +299,10 @@ class ServeMailbox:
 
     def poll_cancels(self) -> List[str]:
         """Consume pending cancellation requests (job ids)."""
-        cancels = []
-        for path in sorted((self.root / _CANCEL).glob("*.cancel")):
-            cancels.append(path.stem)
-            path.unlink()
+        directory = self.root / _CANCEL
+        cancels = _stems(directory, ".cancel")
+        for job_id in cancels:
+            (directory / f"{job_id}.cancel").unlink()
         return cancels
 
     # ------------------------------------------------------------------

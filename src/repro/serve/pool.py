@@ -11,15 +11,19 @@ live engines exist at once and multiplexes all jobs over them:
   makes one resident (a *build*): first from the spec, which leaves
   the plan on the job; after an eviction from that plan plus the
   job's checkpoint (a *restore*) — mutable state only;
-* when residency exceeds ``capacity``, the most recently released
-  unpinned job is *evicted*: its engine state is snapshotted onto the
-  job record (:attr:`~repro.serve.jobs.Job.checkpoint_state`) and the
-  engine discarded.  Under the scheduler's cyclic round-robin the job
-  just run is the one needed last, so parking it keeps the first
+* ``release(job)`` hands the runner back after its quantum; when
+  residency then exceeds ``capacity``, the most recently released job
+  is *evicted*: its engine state is snapshotted onto the job record
+  (:attr:`~repro.serve.jobs.Job.checkpoint_state`) and the engine
+  discarded.  Under the scheduler's cyclic round-robin the job just
+  run is the one needed last, so parking it keeps the first
   ``capacity`` jobs resident and bounces only the overflow (LRU would
   miss on every quantum).  A parked job is plan + state until it turns
-  terminal; ``max_running`` therefore bounds the plans alive;
-* jobs whose quantum is in flight are *pinned* and never evicted.
+  terminal; ``max_running`` therefore bounds the plans alive.
+
+The coordinator runs one quantum at a time and releases or discards
+the job before the next ``acquire``, so no engine is ever in use while
+the pool shrinks.
 
 Because eviction goes through the same
 :class:`~repro.engine.EngineState` snapshot/restore path as coordinator
@@ -32,7 +36,7 @@ snapshot/re-instantiate cycle; the plan is still derived once per job.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
 from ..exceptions import ServeError
@@ -61,13 +65,6 @@ class PoolStats:
         }
 
 
-@dataclass
-class _Slot:
-    job: "Job"
-    runner: JobRunner
-    pinned: bool = field(default=False)
-
-
 class WorkerPool:
     """A bounded set of live job engines that parks the job just run.
 
@@ -85,7 +82,9 @@ class WorkerPool:
                 f"pool capacity must be >= 0, got {capacity}"
             )
         self.capacity = capacity
-        self._slots: "OrderedDict[str, _Slot]" = OrderedDict()
+        # Resident jobs (each holding its ``job.runner``), in release
+        # order.
+        self._slots: "OrderedDict[str, Job]" = OrderedDict()
         self.stats = PoolStats()
 
     # ------------------------------------------------------------------
@@ -99,13 +98,10 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def acquire(self, job: "Job") -> JobRunner:
         """The job's live runner, instantiated from the job's plan and
-        checkpoint if it was evicted; pins the slot until
-        :meth:`release`."""
-        slot = self._slots.get(job.job_id)
-        if slot is not None:
+        checkpoint if it was evicted."""
+        if job.job_id in self._slots:
             self.stats.hits += 1
-            slot.pinned = True
-            return slot.runner
+            return job.runner
         runner = JobRunner(
             job.spec,
             trace_path=job.trace_path,
@@ -118,68 +114,43 @@ class WorkerPool:
             self.stats.restores += 1
             job.checkpoint_state = None
         self.stats.builds += 1
-        self._slots[job.job_id] = _Slot(job=job, runner=runner, pinned=True)
+        self._slots[job.job_id] = job
         job.runner = runner
         return runner
 
     def release(self, job: "Job") -> None:
-        """Unpin the job's slot and shrink residency back to capacity."""
-        slot = self._slots.get(job.job_id)
-        if slot is None:
+        """Mark the job just run and shrink residency back to capacity."""
+        if job.job_id not in self._slots:
             return
-        slot.pinned = False
         self._slots.move_to_end(job.job_id)
         self._shrink()
 
     def discard(self, job: "Job") -> None:
         """Drop a terminal job's engine without snapshotting it."""
-        slot = self._slots.pop(job.job_id, None)
-        if slot is not None:
+        if self._slots.pop(job.job_id, None) is not None:
             job.runner = None
 
-    def evict(self, job: "Job") -> None:
-        """Park one job: snapshot its engine onto the job and drop it."""
-        slot = self._slots.get(job.job_id)
-        if slot is None:
-            return
-        if slot.pinned:
-            raise ServeError(
-                f"cannot evict job {job.job_id!r}: quantum in flight"
-            )
-        del self._slots[job.job_id]
-        self._park(slot)
-
-    def _park(self, slot: _Slot) -> None:
-        job = slot.job
-        if not slot.runner.finished:
-            job.checkpoint_state = slot.runner.checkpoint()
-        slot.runner.release()
+    def _park(self, job: "Job") -> None:
+        """Snapshot the job's engine onto the job and drop the engine."""
+        runner = job.runner
+        if not runner.finished:
+            job.checkpoint_state = runner.checkpoint()
+        runner.release()
         job.runner = None
         self.stats.evictions += 1
 
     def _shrink(self) -> None:
-        """Evict the most recently released unpinned slots until
-        residency fits capacity.
+        """Park the most recently released jobs until residency fits
+        capacity.
 
-        Slots are kept in release order, so the victim is the last
-        unpinned one: for a cyclic pick order that is the job whose
-        next quantum is furthest away (Belady's choice).
+        Slots are kept in release order, so the victim is the last one:
+        for a cyclic pick order that is the job whose next quantum is
+        furthest away (Belady's choice).
         """
         while len(self._slots) > self.capacity:
-            victim_id = None
-            for job_id, slot in reversed(self._slots.items()):
-                if not slot.pinned:
-                    victim_id = job_id
-                    break
-            if victim_id is None:
-                return  # everything in flight; shrink on next release
-            self._park(self._slots.pop(victim_id))
+            self._park(self._slots.popitem()[1])
 
     def clear(self) -> None:
-        """Park every unpinned resident job (coordinator shutdown)."""
-        for job_id in [
-            job_id
-            for job_id, slot in self._slots.items()
-            if not slot.pinned
-        ]:
-            self._park(self._slots.pop(job_id))
+        """Park every resident job (coordinator shutdown)."""
+        while self._slots:
+            self._park(self._slots.popitem(last=False)[1])

@@ -10,9 +10,8 @@ which is *exactly* the same step sequence and stopping rule, so
 ``JobRunner`` run to completion produces, bit for bit, the
 :class:`~repro.types.TrainingSummary` of ``engine.run(...)`` on the
 same spec.  The determinism tests pin this equivalence, which is what
-makes the coordinator's deterministic mode meaningful — N interleaved
-jobs produce the same results as N sequential ``repro run``
-invocations.
+makes the coordinator's interleaving invisible — N interleaved jobs
+produce the same results as N sequential ``repro run`` invocations.
 
 Jobs under the ``async`` update rule step in fixed quanta of
 :data:`ASYNC_QUANTUM` master updates, so they are preemptible and
@@ -59,7 +58,7 @@ class JobRunner:
     ----------
     spec:
         The job's experiment description; the engine, RNG streams and
-        decode cache are all private to this runner, so concurrent
+        decode cache are all private to this runner, so interleaved
         runners cannot perturb each other.
     trace_path:
         When given, a :class:`~repro.obs.TraceStreamWriter` streams the

@@ -132,24 +132,6 @@ class FairScheduler:
         return best
 
 
-class RoundRobinScheduler:
-    """Strict cyclic order by admission sequence, ignoring weights."""
-
-    def __init__(self) -> None:
-        self._last_seq = -1
-
-    def pick(self, runnable: Sequence["Job"]) -> "Job":
-        """The next runnable job after the previously picked one."""
-        ordered = sorted(runnable, key=lambda job: job.seq)
-        for job in ordered:
-            if job.seq > self._last_seq:
-                self._last_seq = job.seq
-                return job
-        job = ordered[0]
-        self._last_seq = job.seq
-        return job
-
-
 class RandomOrderScheduler:
     """Seeded adversarial scheduler: uniformly random runnable job.
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -175,3 +177,29 @@ class TestEnvironmentsCommand:
     def test_unknown_kind_did_you_mean(self, capsys):
         assert main(["environments", "exponentail"]) == 2
         assert "exponential" in capsys.readouterr().err
+
+
+class TestServeCommands:
+    @pytest.mark.parametrize("marker", [
+        pytest.param({"max_running": 4, "queue_limit": 64}, id="current"),
+        # Older coordinators also wrote the execution mode they ran in.
+        pytest.param(
+            {"mode": "live", "max_running": 4, "queue_limit": 64},
+            id="with-mode-field",
+        ),
+    ])
+    def test_jobs_status_line_names_the_pid(self, tmp_path, capsys, marker):
+        mb = tmp_path / "mb"
+        mb.mkdir()
+        (mb / "coordinator.json").write_text(
+            json.dumps({**marker, "pid": 4242})
+        )
+        assert main(["jobs", str(mb)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "coordinator: pid 4242"
+        )
+
+    def test_serve_has_one_execution_path(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "mb", "--help"])
+        assert "--mode" not in capsys.readouterr().out

@@ -1,7 +1,6 @@
 """Tests for :mod:`repro.serve` — the asyncio multi-job coordinator.
 
-The load-bearing property: in deterministic mode, *any* interleaving
-of N concurrent jobs is bit-for-bit identical to N sequential
+The load-bearing property: *any* interleaving of N concurrent jobs is bit-for-bit identical to N sequential
 ``repro run`` invocations — trajectories AND streamed JSONL traces.
 Hypothesis drives adversarial schedulers and weight assignments at it.
 """
@@ -34,7 +33,6 @@ from repro.serve import (
     JobCancelledError,
     JobState,
     RandomOrderScheduler,
-    RoundRobinScheduler,
 )
 from repro.serve.jobs import Job
 
@@ -127,12 +125,6 @@ class TestDeterminism:
             )
             assert [r.to_dict() for r in shuffled] == baseline
 
-    def test_live_mode_matches_deterministic(self):
-        specs = [make_spec(i) for i in range(3)]
-        live = run_jobs(specs, mode="live", max_running=3)
-        det = run_jobs(specs, mode="deterministic")
-        assert [r.to_dict() for r in live] == [r.to_dict() for r in det]
-
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -202,12 +194,6 @@ class TestScheduling:
         assert last_seen > 0, "weight-1 job never ran"
         assert max_gap <= 21  # one full cycle of sum(weights)
 
-    def test_round_robin_cycles_in_seq_order(self):
-        jobs = _fake_jobs([1, 1, 1])
-        scheduler = RoundRobinScheduler()
-        picked = [scheduler.pick(jobs).job_id for _ in range(6)]
-        assert picked == ["fake-0", "fake-1", "fake-2"] * 2
-
     def test_schedule_is_deterministic(self):
         picks = []
         for _ in range(2):
@@ -225,32 +211,32 @@ class TestScheduling:
 
 class TestLifecycle:
     def test_admission_rejects_beyond_queue_limit(self):
-        with Coordinator(mode="deterministic", queue_limit=2) as coord:
+        with Coordinator(queue_limit=2) as coord:
             coord.submit(make_spec(0))
             coord.submit(make_spec(1))
             with pytest.raises(ServeError, match="queue limit"):
                 coord.submit(make_spec(2))
 
     def test_duplicate_job_id_rejected(self):
-        with Coordinator(mode="deterministic") as coord:
+        with Coordinator() as coord:
             coord.submit(make_spec(0), job_id="twin")
             with pytest.raises(ServeError, match="duplicate"):
                 coord.submit(make_spec(1), job_id="twin")
 
     def test_invalid_weight_rejected(self):
-        with Coordinator(mode="deterministic") as coord:
+        with Coordinator() as coord:
             with pytest.raises(ServeError, match="weight"):
                 coord.submit(make_spec(0), weight=0)
 
     def test_closed_coordinator_rejects(self):
-        coord = Coordinator(mode="deterministic")
+        coord = Coordinator()
         coord.close()
         with pytest.raises(ServeError, match="closed"):
             coord.submit(make_spec(0))
 
     def test_cancel_queued_job(self):
         async def scenario():
-            coord = Coordinator(mode="deterministic")
+            coord = Coordinator()
             handle = coord.submit(make_spec(0))
             assert handle.cancel() is True
             assert handle.state is JobState.CANCELLED
@@ -262,7 +248,7 @@ class TestLifecycle:
 
     def test_cancel_running_job_at_round_boundary(self):
         async def scenario():
-            coord = Coordinator(mode="deterministic", max_running=2)
+            coord = Coordinator(max_running=2)
             victim = coord.submit(make_spec(0, max_steps=50))
             peer = coord.submit(make_spec(1))
             drain = asyncio.ensure_future(coord.drain())
@@ -302,9 +288,7 @@ class TestLifecycle:
                 admitted.append(f"f{i}")
 
         async def scenario():
-            coord = Coordinator(
-                mode="deterministic", max_running=1, queue_limit=4
-            )
+            coord = Coordinator(max_running=1, queue_limit=4)
             done = coord.submit(make_spec(0, max_steps=2), job_id="z-done")
             failed = coord.submit(
                 dataclasses.replace(make_spec(1), scheme="nope"),
@@ -361,7 +345,7 @@ class TestLifecycle:
         ]
 
         async def scenario():
-            coord = Coordinator(mode="deterministic", max_running=2)
+            coord = Coordinator(max_running=2)
             bad_spec = ExperimentSpec(
                 name="bad",
                 scheme="nope",
@@ -402,7 +386,7 @@ class TestLifecycle:
         ]
 
         async def scenario():
-            coord = Coordinator(mode="deterministic", max_running=2)
+            coord = Coordinator(max_running=2)
             bad = [
                 coord.submit(dataclasses.replace(
                     make_spec(0), rule=rule, rule_params=params
@@ -438,7 +422,7 @@ class TestLifecycle:
         by_name = dataclasses.replace(make_spec(0), delay="none")
 
         async def scenario():
-            coord = Coordinator(mode="deterministic", max_running=2)
+            coord = Coordinator(max_running=2)
             bad = [
                 coord.submit(dataclasses.replace(make_spec(0), **fields))
                 for fields, _ in bad_fields
@@ -471,7 +455,7 @@ class TestLifecycle:
 
     def test_watch_streams_state_and_round_events(self):
         async def scenario():
-            coord = Coordinator(mode="deterministic")
+            coord = Coordinator()
             handle = coord.submit(make_spec(0))
             events = []
 
@@ -496,7 +480,7 @@ class TestLifecycle:
 
     def test_jobs_snapshot_listing(self):
         specs = [make_spec(i) for i in range(2)]
-        coord = Coordinator(mode="deterministic")
+        coord = Coordinator()
         with coord:
             for spec in specs:
                 coord.submit(spec)
@@ -508,8 +492,11 @@ class TestLifecycle:
             assert snapshot["spec_fingerprint"] == spec.fingerprint()
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ServeError, match="mode"):
-            Coordinator(mode="turbo")
+        # Quanta always run inline; "deterministic" is the one name.
+        for mode in ("turbo", "live"):
+            with pytest.raises(ServeError, match="mode"):
+                Coordinator(mode=mode)
+        Coordinator(mode="deterministic").close()
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +504,7 @@ class TestLifecycle:
 
 
 def serve_once(mailbox_root, **kwargs):
-    coord = Coordinator(mode="deterministic", **kwargs)
+    coord = Coordinator(**kwargs)
     mailbox = ServeMailbox(mailbox_root)
     with coord:
         asyncio.run(coord.serve(mailbox, once=True))
@@ -525,6 +512,39 @@ def serve_once(mailbox_root, **kwargs):
 
 
 class TestMailbox:
+    def test_cancel_and_submission_reach_a_running_job(self, tmp_path):
+        # The coordinator polls the mailbox at every round boundary, so
+        # a client's cancel stops a running job within a round and a
+        # submission made mid-run is admitted and served.
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        client.submit(make_spec(0, max_steps=400), job_id="long")
+        coord = Coordinator(max_running=2)
+
+        async def watch():
+            while True:
+                try:
+                    handle = coord.handle("long")
+                    break
+                except ServeError:
+                    await asyncio.sleep(0)
+            async for event in handle.watch():
+                if event.kind == "round" and event.step == 5:
+                    client.cancel("long")
+                    client.submit(make_spec(1, max_steps=3), job_id="short")
+
+        async def main():
+            watcher = asyncio.ensure_future(watch())
+            await coord.serve(ServeMailbox(root), once=True)
+            await watcher
+
+        with coord:
+            asyncio.run(main())
+        long = client.state("long")
+        assert long["state"] == "cancelled"
+        assert long["rounds_done"] <= 6
+        assert client.state("short")["state"] == "done"
+
     def test_submit_serve_roundtrip(self, tmp_path):
         root = tmp_path / "mbox"
         client = CoordinatorClient(root)
@@ -774,7 +794,7 @@ class TestRunReport:
         spec = dataclasses.replace(make_spec(0), backend="actor")
 
         async def scenario():
-            coord = Coordinator(mode="deterministic", trace_dir=tmp_path)
+            coord = Coordinator(trace_dir=tmp_path)
             handle = coord.submit(spec)
             await coord.drain()
             assert handle.state is JobState.DONE

@@ -115,7 +115,7 @@ def strip_trace(payload):
 
 def drain(mailbox_root, **kwargs):
     """Serve the mailbox once, in-process, deterministically."""
-    coord = Coordinator(mode="deterministic", **kwargs)
+    coord = Coordinator(**kwargs)
     mailbox = ServeMailbox(mailbox_root)
     with coord:
         asyncio.run(coord.serve(mailbox, once=True))
@@ -125,7 +125,6 @@ def drain(mailbox_root, **kwargs):
 def run_coordinator(specs, *, pool_capacity, trace_dir=None, mailbox=None):
     """Drain ``specs`` through one coordinator with a bounded pool."""
     coord = Coordinator(
-        mode="deterministic",
         max_running=4,
         queue_limit=max(64, len(specs)),
         trace_dir=trace_dir,
@@ -203,9 +202,7 @@ class TestWorkerPoolDeterminism:
         foreign_state = foreign.checkpoint()
 
         async def scenario():
-            coord = Coordinator(
-                mode="deterministic", max_running=3, pool_capacity=0
-            )
+            coord = Coordinator(max_running=3, pool_capacity=0)
             cancelled = coord.submit(make_spec(0, max_steps=rounds))
             failed = coord.submit(make_spec(1, max_steps=rounds))
             done = coord.submit(make_spec(2, max_steps=rounds))
@@ -283,9 +280,7 @@ class TestWorkerPoolDeterminism:
         solo = [run_jobs([spec])[0] for spec in specs]
 
         def serve(capacity):
-            coord = Coordinator(
-                mode="deterministic", max_running=8, pool_capacity=capacity
-            )
+            coord = Coordinator(max_running=8, pool_capacity=capacity)
             order = []
 
             async def record(handle):
@@ -328,17 +323,6 @@ class TestWorkerPoolDeterminism:
 
 
 class TestWorkerPoolMechanics:
-    def test_pinned_slot_refuses_eviction(self):
-        pool = WorkerPool(capacity=2)
-        job = Job(job_id="j0", name="j0", spec=make_spec(0), seq=0)
-        pool.acquire(job)
-        with pytest.raises(ServeError):
-            pool.evict(job)
-        pool.release(job)
-        pool.evict(job)
-        assert job.runner is None
-        assert job.checkpoint_state is not None
-
     def test_parks_the_job_just_released(self):
         pool = WorkerPool(capacity=1)
         jobs = [
@@ -453,7 +437,7 @@ class TestCrashRecovery:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve", str(mb),
-                "--mode", "deterministic", "--trace-dir", str(trace_dir),
+                "--trace-dir", str(trace_dir),
                 "--poll-interval", "0.02",
             ],
             env=env,
@@ -548,7 +532,7 @@ class TestCrashRecovery:
         job_id = client.submit(
             spec_path, priority=2, deadline=9.0, weight=3
         )
-        coord = Coordinator(mode="deterministic")
+        coord = Coordinator()
         mailbox = ServeMailbox(mb)
         with coord:
             asyncio.run(coord.serve(mailbox, once=True))
@@ -804,7 +788,7 @@ class TestStatePublication:
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
         mailbox = ServeMailbox(mb)
-        coord = Coordinator(mode="deterministic")
+        coord = Coordinator()
         ids = [f"wave-{wave}" for wave in range(4)]
 
         async def waves():
@@ -824,7 +808,7 @@ class TestStatePublication:
         mb = tmp_path / "mb"
         specs = [make_spec(i, max_steps=6 + 2 * i) for i in range(2)]
         client, ids = _submit_jobs(mb, specs, tmp_path, trace=False)
-        coord = Coordinator(mode="deterministic", max_running=2)
+        coord = Coordinator(max_running=2)
         seen = {job_id: [] for job_id in ids}
 
         async def main():
@@ -888,7 +872,7 @@ class TestStatePublication:
         assert checkpointed > 0
         # One running slot: the second recovered job waits queued while
         # the first finishes.
-        coord = Coordinator(mode="deterministic", max_running=1)
+        coord = Coordinator(max_running=1)
         queued = []
 
         async def main():
@@ -1115,7 +1099,7 @@ class TestSchedulingClasses:
 
     def test_coordinator_accepts_scheduling_class(self):
         spec = make_spec(0, max_steps=2)
-        coord = Coordinator(mode="deterministic")
+        coord = Coordinator()
 
         async def scenario():
             gold = coord.submit(
@@ -1142,7 +1126,7 @@ class TestSchedulingClasses:
 
 class TestStructuredRejection:
     def test_admission_error_carries_details(self):
-        coord = Coordinator(mode="deterministic", queue_limit=1)
+        coord = Coordinator(queue_limit=1)
 
         async def scenario():
             coord.submit(make_spec(0, max_steps=2))
