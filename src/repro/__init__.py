@@ -27,10 +27,12 @@ End-to-end simulated training (the one loop, wired by hand)::
 Straggler environments (delay/failure/compute/network/contention
 models, built by family name through the environment registry)::
 
+    import numpy as np
     from repro import Environment, make_delay_model
     delay = make_delay_model("pareto", alpha=2.5, scale=0.3)
     env = Environment(delay={"kind": "exponential", "mean": 1.5})
-    sim = env.simulator(num_workers=8, partitions_per_worker=2)
+    sim = env.simulator(num_workers=8, partitions_per_worker=2,
+                        rng=np.random.default_rng(0))
 
 Declarative experiments (one engine, pluggable backends/schemes)::
 

@@ -52,51 +52,9 @@ from . import experiment as _experiment  # noqa: E402,F401
 from . import trace as _trace  # noqa: E402,F401
 from . import serve as _serve  # noqa: E402,F401
 
-# Historical flat-module names, kept importable for callers that used
-# `from repro.cli import cmd_run` etc. before the package split.
-from .advise import cmd_advise
-from .bounds import cmd_bounds
-from .check import cmd_check
-from .decode import cmd_decode
-from .environments import cmd_environments
-from .experiment import cmd_experiment
-from .params import (
-    _add_placement_args,
-    _build_placement,
-    _parse_model_params,
-    _parse_param_value,
-    _parse_sweep_value,
-)
-from .placement import cmd_placement
-from .placements import cmd_placements
-from .recovery import cmd_recovery
-from .run import cmd_run, run_spec_file
-from .serve import cmd_cancel, cmd_jobs, cmd_serve, cmd_submit
-from .simulate import cmd_simulate, run_simulate
-from .trace import cmd_trace_record, cmd_trace_summarize
-
 __all__ = [
     "main",
     "build_parser",
     "register_command",
     "COMMAND_REGISTRY",
-    "cmd_placement",
-    "cmd_decode",
-    "cmd_recovery",
-    "cmd_bounds",
-    "cmd_placements",
-    "cmd_environments",
-    "cmd_advise",
-    "cmd_simulate",
-    "run_simulate",
-    "cmd_run",
-    "run_spec_file",
-    "cmd_check",
-    "cmd_experiment",
-    "cmd_trace_record",
-    "cmd_trace_summarize",
-    "cmd_serve",
-    "cmd_submit",
-    "cmd_jobs",
-    "cmd_cancel",
 ]

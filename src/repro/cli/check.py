@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
 from .registry import register_command
 
@@ -15,9 +14,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from ..staticcheck import (
         render_catalogue, render_json, render_text, run_check,
     )
-    from ..staticcheck.report import (
-        catalogue_json, catalogue_markdown, render_stats,
-    )
+    from ..staticcheck.report import catalogue_json, catalogue_markdown
     from ..staticcheck.sarif import render_sarif
 
     if args.list_rules:
@@ -41,8 +38,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     else:
         print(render_text(result))
-    if args.stats:
-        print(render_stats(result), file=sys.stderr)
     return 0 if result.ok else 1
 
 
@@ -73,9 +68,5 @@ def configure(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit (honours --format "
              "json/markdown)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print slowest rules/files to stderr",
     )
     parser.set_defaults(func=cmd_check)

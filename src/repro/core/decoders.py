@@ -174,6 +174,8 @@ class Decoder(abc.ABC):
         cache: "Any | None" = None,
     ):
         self._placement = placement
+        # The fallback stays: the README, the tutorial and the benchmark
+        # harness's self-test build decoders without an rng.
         self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
         self._metrics: "MetricsRegistry" = NULL_REGISTRY
         self._cache = cache

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class Environment:
         partitions_per_worker: int,
         *,
         gradient_elements: int = 10_000,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         tracer: Any = None,
     ) -> ClusterSimulator:
         """A :class:`ClusterSimulator` running in this environment."""

@@ -59,7 +59,8 @@ class MultiMessageRound:
         network: NetworkModel | None = None,
         delay_model: DelayModel | None = None,
         gradient_elements: int = 10_000,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         if not isinstance(placement, Placement):
             from ..core.scheme import as_placement
@@ -70,9 +71,7 @@ class MultiMessageRound:
         self._network = network if network is not None else make_network_model()
         self._delays = delay_model if delay_model is not None else make_delay_model("none")
         self._elements = gradient_elements
-        # Entropy-seeded fallback is the documented default: callers
-        # wanting replay inject a seeded Generator.
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003]
+        self._rng = rng
 
     @property
     def placement(self) -> Placement:

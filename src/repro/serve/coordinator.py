@@ -26,7 +26,7 @@ quanta yields bit-for-bit the trajectories of sequential ``repro run``
 invocations — the property the test suite pins with hypothesis.
 
 Simulated time and wall time never mix: job results carry only their
-engines' simulated clocks (the ``TIME003`` static check patrols this
+engines' simulated clocks (the ``DET002`` static check patrols this
 boundary).
 """
 

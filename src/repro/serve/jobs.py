@@ -13,7 +13,7 @@ machine::
 Terminal states carry either a :class:`~repro.engine.RunReport`
 (``DONE``) or an error summary (``FAILED``).  All timing inside a job
 is *simulated* seconds from its own engine; the coordinator never
-injects wall-clock values into results (enforced by the ``TIME003``
+injects wall-clock values into results (enforced by the ``DET002``
 static check).
 """
 

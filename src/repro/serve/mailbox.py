@@ -53,7 +53,7 @@ Two classes share the directory: :class:`ServeMailbox` is the
 coordinator side (poll, consume, publish state);
 :class:`CoordinatorClient` is the CLI side (submit, list, cancel,
 wait).  Wall-clock time appears *only* here, for client poll timeouts —
-never in job results (the ``TIME003`` static check keeps the rest of
+never in job results (the ``DET002`` static check keeps the rest of
 :mod:`repro.serve` wall-clock-free).
 """
 

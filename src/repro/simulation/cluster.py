@@ -120,7 +120,8 @@ class ClusterSimulator:
         network: NetworkModel | None = None,
         delay_model: DelayModel | None = None,
         gradient_elements: int = 10_000,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         failure_model: FailureModel | None = None,
         contended_link: ContendedUploadModel | None = None,
         tracer: "RoundTracer | None" = None,
@@ -163,7 +164,7 @@ class ClusterSimulator:
         self._network = network if network is not None else NetworkModel()
         self._delays = delay_model if delay_model is not None else NoDelay()
         self._gradient_elements = gradient_elements
-        self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
+        self._rng = rng
         self._failures = failure_model if failure_model is not None else NoFailures()
         self._link = contended_link
         self._tracer = tracer

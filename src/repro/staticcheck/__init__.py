@@ -15,8 +15,7 @@ DET       ``DET001`` module-level RNG, ``DET002`` wall-clock reads,
           ``DET003`` unseeded ``default_rng()``, ``DET004`` ordering
           hazards (set and filesystem iteration)
 TIME      ``TIME001`` mixed absolute/step-relative arithmetic,
-          ``TIME002`` undocumented time units, ``TIME003`` wall-clock
-          reads in the serve/obs/straggler layers
+          ``TIME002`` undocumented time units
 ========  ==============================================================
 
 Every rule sees one file (or one Markdown code block) at a time.  How
@@ -43,7 +42,7 @@ from .engine import (
     python_rule,
     run_check,
 )
-from .findings import Finding, Severity
+from .findings import Finding
 from .report import (
     JSON_SCHEMA_VERSION,
     render_catalogue,
@@ -60,7 +59,6 @@ __all__ = [
     "Finding",
     "JSON_SCHEMA_VERSION",
     "Rule",
-    "Severity",
     "StaticCheckError",
     "check_source",
     "expand_select",

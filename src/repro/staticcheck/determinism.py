@@ -9,8 +9,9 @@ every Fig. 11–13 result.  These rules make the discipline checkable:
 
 * ``DET001`` — module-level RNG calls (``np.random.randn``,
   ``random.shuffle``, …) anywhere in the tree;
-* ``DET002`` — wall-clock reads (``time.time``, ``datetime.now``, …)
-  inside the deterministic core packages;
+* ``DET002`` — wall-clock reads (``time.time``, ``datetime.now``, an
+  event loop's ``.time()``, …) anywhere in the library but the three
+  sites that time real work (:data:`WALL_CLOCK_EXCLUDE`);
 * ``DET003`` — ``default_rng()`` with no seed anywhere in the
   library, docs and examples (entropy-seeded generators cannot be
   replayed, and doc/example snippets get copy-pasted);
@@ -18,12 +19,12 @@ every Fig. 11–13 result.  These rules make the discipline checkable:
   comprehension over a set, ``os.listdir``, unsorted
   ``glob``/``iterdir``) in every package that feeds replayable state.
 
-"Core packages" are ``repro/engine``, ``repro/simulation``,
-``repro/codes`` and ``repro/core`` — the code on the replay path.
-DET004 also covers the packages that draw from or order seeded streams
-around it (straggler and environment models, training, parallel
-sweeps, experiments, analysis, partial recovery); ``repro/serve`` is
-left out, its filesystem globs are order-independent.
+DET004 covers the replay path (``repro/engine``, ``repro/simulation``,
+``repro/codes``, ``repro/core``) and the packages that draw from or
+order seeded streams around it (straggler and environment models,
+training, parallel sweeps, experiments, analysis, partial recovery);
+``repro/serve`` is left out, its filesystem globs are
+order-independent.
 Deliberate exceptions (e.g. an explicitly documented entropy-seeded
 fallback) carry ``# repro: noqa[DET003]`` with a justification.
 """
@@ -36,17 +37,13 @@ from typing import Iterable, List, Optional
 from .engine import PythonContext, Rule, python_rule
 from .findings import Finding
 
-#: Packages on the deterministic replay path.
-CORE_SCOPE = (
+#: DET004's scope: the replay path plus every package whose iteration
+#: order reaches an RNG stream or a reported result.
+ORDERING_SCOPE = (
     "repro/engine/",
     "repro/simulation/",
     "repro/codes/",
     "repro/core/",
-)
-
-#: DET004's scope: the core plus every package whose iteration order
-#: reaches an RNG stream or a reported result.
-ORDERING_SCOPE = CORE_SCOPE + (
     "repro/straggler/",
     "repro/training/",
     "repro/parallel/",
@@ -56,9 +53,14 @@ ORDERING_SCOPE = CORE_SCOPE + (
     "repro/partial/",
 )
 
+#: The library.  Anchored at ``src/``: scopes match path substrings,
+#: and a checkout directory that is itself named ``repro`` must not
+#: pull ``tests/`` in.
+LIBRARY = "src/repro/"
+
 #: Everywhere an unseeded ``default_rng()`` can break replay: the whole
 #: library plus the runnable docs/examples (DET003 only).
-SEEDED_RNG_SCOPE = ("repro/", "docs/", "examples/", "README.md")
+SEEDED_RNG_SCOPE = (LIBRARY, "docs/", "examples/", "README.md")
 
 #: ``np.random.<fn>`` module-level calls that consume global RNG state.
 BANNED_NP_RANDOM = frozenset({
@@ -75,14 +77,34 @@ BANNED_STDLIB_RANDOM = frozenset({
     "normalvariate", "triangular", "vonmisesvariate",
 })
 
-#: Wall-clock reads; the simulator clock is the only time source.
-WALL_CLOCK = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "date.today", "datetime.date.today",
-})
+#: Wall-clock sources, called or merely referenced; the simulator
+#: clock is the only time source.  ``time.sleep`` is not one: sleeping
+#: paces execution without producing a value.
+WALL_CLOCK = frozenset(
+    {
+        f"time.{attr}"
+        for attr in (
+            "time", "time_ns", "monotonic", "monotonic_ns",
+            "perf_counter", "perf_counter_ns",
+            "process_time", "process_time_ns",
+        )
+    }
+    | {
+        f"{cls}.{attr}"
+        for cls in ("datetime", "datetime.datetime")
+        for attr in ("now", "utcnow", "today")
+    }
+    | {"date.today", "datetime.date.today"}
+    | {f"{loop}.time" for loop in ("loop", "_loop", "event_loop")}
+)
+
+#: The sites that read a wall clock on purpose; nothing they read
+#: enters a replayable result.
+WALL_CLOCK_EXCLUDE = (
+    "repro/serve/mailbox.py",  # client polling with real timeouts
+    "repro/parallel/executor.py",  # elapsed-time reporting per point
+    "repro/experiments/sweep.py",  # elapsed-time reporting per sweep
+)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -172,22 +194,37 @@ def check_module_rng(ctx: PythonContext, rule: Rule) -> List[Finding]:
     "DET002",
     name="wall-clock-read",
     description=(
-        "The deterministic core must never read the wall clock; all "
-        "time is simulated (ClusterSimulator.clock and friends)."
+        "Library code must never read the wall clock (time.time()/"
+        "monotonic()/perf_counter(), datetime.now(), an event loop's "
+        ".time(), or a `from time import` of one); all time is "
+        "simulated.  Sanctioned: serve/mailbox.py (client polling), "
+        "parallel/executor.py and experiments/sweep.py (elapsed-time "
+        "reporting)."
     ),
-    scope=CORE_SCOPE,
+    scope=(LIBRARY,),
+    exclude=WALL_CLOCK_EXCLUDE,
 )
 def check_wall_clock(ctx: PythonContext, rule: Rule) -> List[Finding]:
-    """Flag ``time.time()``, ``datetime.now()`` etc. in core packages."""
+    """Flag wall-clock imports, calls and references."""
     findings = []
-    for call in _calls(ctx.tree):
-        dotted = dotted_name(call.func)
-        if dotted in WALL_CLOCK:
-            findings.append(ctx.finding(
-                rule, call,
-                f"{dotted}() reads the wall clock; simulated components "
-                "must take time from the simulator clock",
-            ))
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names if a.name != "sleep"]
+            if node.module in ("time", "datetime") and names:
+                findings.append(ctx.finding(
+                    rule, node,
+                    f"`from {node.module} import {', '.join(names)}` "
+                    "brings in a wall-clock source; take time from the "
+                    "simulator clock",
+                ))
+        elif isinstance(node, ast.Attribute):
+            dotted = dotted_name(node)
+            if dotted in WALL_CLOCK:
+                findings.append(ctx.finding(
+                    rule, node,
+                    f"{dotted} reads the wall clock; take time from the "
+                    "simulator clock",
+                ))
     return findings
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ast
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -42,7 +41,7 @@ from typing import (
 
 from ..exceptions import ReproError
 from ..registry import Registry
-from .findings import Finding, Severity
+from .findings import Finding
 
 #: Rule id for files that cannot be parsed at all.
 SYNTAX_RULE = "GEN001"
@@ -76,7 +75,6 @@ class PythonContext:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=rule.id,
-            severity=rule.severity,
             message=message,
         )
 
@@ -94,7 +92,6 @@ class Rule:
     id: str
     name: str
     description: str
-    severity: Severity
     scope: tuple
     exclude: tuple
     check: Callable[..., Iterable[Finding]]
@@ -114,7 +111,6 @@ def python_rule(
     *,
     name: str,
     description: str,
-    severity: Severity = Severity.ERROR,
     scope: Sequence[str] = (),
     exclude: Sequence[str] = (),
 ) -> Callable[[Callable], Callable]:
@@ -127,7 +123,6 @@ def python_rule(
                 id=rule_id,
                 name=name,
                 description=description,
-                severity=severity,
                 scope=tuple(scope),
                 exclude=tuple(exclude),
                 check=fn,
@@ -331,15 +326,12 @@ def check_source(
     path: str = "<snippet>.py",
     scope_path: Optional[str] = None,
     select: Optional[Set[str]] = None,
-    rule_seconds: Optional[Dict[str, float]] = None,
 ) -> List[Finding]:
     """Check one Python source string (the unit-test entry point).
 
     ``scope_path`` feeds rule scope matching; pass e.g.
     ``"src/repro/engine/foo.py"`` to exercise rules scoped to the
     engine package regardless of where the snippet really lives.
-    ``rule_seconds`` (optional) accumulates per-rule wall time for
-    ``--stats``.
     """
     scope_path = scope_path if scope_path is not None else path
     scope_path = Path(scope_path).as_posix()
@@ -352,7 +344,6 @@ def check_source(
                 line=exc.lineno or 1,
                 col=(exc.offset or 0) + 1,
                 rule=SYNTAX_RULE,
-                severity=Severity.ERROR,
                 message=f"file does not parse: {exc.msg}",
             )
         ]
@@ -361,34 +352,19 @@ def check_source(
     )
     findings: List[Finding] = []
     for rule in _rules(select):
-        if not rule.applies_to(scope_path):
-            continue
-        started = time.perf_counter()
-        findings.extend(rule.check(ctx, rule))
-        if rule_seconds is not None:
-            rule_seconds[rule.id] = (
-                rule_seconds.get(rule.id, 0.0)
-                + time.perf_counter() - started
-            )
+        if rule.applies_to(scope_path):
+            findings.extend(rule.check(ctx, rule))
     return _apply_noqa(sorted(findings), noqa_map(source))
 
 
 def _check_markdown(
-    text: str,
-    path: str,
-    select: Optional[Set[str]],
-    rule_seconds: Optional[Dict[str, float]] = None,
+    text: str, path: str, select: Optional[Set[str]]
 ) -> List[Finding]:
     findings: List[Finding] = []
     for offset, block in iter_markdown_blocks(text):
         # Pad with blank lines so AST positions are file positions.
         findings.extend(
-            check_source(
-                "\n" * offset + block,
-                path=path,
-                select=select,
-                rule_seconds=rule_seconds,
-            )
+            check_source("\n" * offset + block, path=path, select=select)
         )
     return _apply_noqa(findings, noqa_map(text))
 
@@ -399,12 +375,6 @@ class CheckResult:
 
     findings: List[Finding] = field(default_factory=list)
     num_files: int = 0
-    #: per-file wall time (display path → seconds), for ``--stats``
-    #: and the JSON report's ``timing`` section.
-    file_seconds: Dict[str, float] = field(default_factory=dict)
-    #: per-rule wall time across all files.
-    rule_seconds: Dict[str, float] = field(default_factory=dict)
-    total_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -422,7 +392,6 @@ def run_check(
     (unknown ids raise :class:`StaticCheckError` — a usage error, exit
     code 2 at the CLI).
     """
-    started_total = time.perf_counter()
     selected: Optional[Set[str]] = None
     if select is not None:
         selected = expand_select(select)
@@ -433,20 +402,11 @@ def run_check(
         except (OSError, UnicodeDecodeError):
             continue  # unreadable/binary files are not checkable
         result.num_files += 1
-        display = str(path)
-        started = time.perf_counter()
         if path.suffix == ".py":
-            found = check_source(
-                text, display, select=selected,
-                rule_seconds=result.rule_seconds,
-            )
+            found = check_source(text, str(path), select=selected)
         else:
-            found = _check_markdown(
-                text, display, selected, result.rule_seconds
-            )
+            found = _check_markdown(text, str(path), selected)
         result.findings.extend(found)
-        result.file_seconds[display] = time.perf_counter() - started
     result.findings.sort()
-    result.total_seconds = time.perf_counter() - started_total
     return result
 

@@ -1,29 +1,16 @@
-"""Finding and severity types shared by every static-analysis rule.
+"""The finding type shared by every static-analysis rule.
 
 A :class:`Finding` is one concrete violation at one source location;
 the rule engine collects them across files, applies ``# repro:
 noqa[RULE]`` suppressions, and hands the survivors to the reporters in
-:mod:`repro.staticcheck.report`.
+:mod:`repro.staticcheck.report`.  Every finding is an error: any one
+fails ``repro check``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Dict
-
-
-class Severity(str, enum.Enum):
-    """How seriously a finding should be taken.
-
-    ``ERROR`` findings are invariant violations (the check gate fails);
-    ``WARNING`` findings are strong hints that deserve a look but may
-    have sanctioned exceptions.  Both fail ``repro check`` — the split
-    exists so reports and downstream tooling can prioritise.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True, order=True)
@@ -38,15 +25,11 @@ class Finding:
     line: int
     col: int
     rule: str
-    severity: Severity
     message: str
 
     def format(self) -> str:
         """Render as the conventional ``path:line:col: RULE message``."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity.value}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready mapping (the schema ``repro check --format json`` emits)."""
@@ -55,6 +38,5 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "rule": self.rule,
-            "severity": self.severity.value,
             "message": self.message,
         }

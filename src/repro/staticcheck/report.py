@@ -4,13 +4,10 @@ The JSON document is versioned and stable — CI annotators and editor
 integrations parse it::
 
     {
-      "version": 3,
+      "version": 4,
       "checked_files": 188,
-      "findings": [{"path", "line", "col", "rule", "severity",
-                    "message"}, ...],
-      "summary": {"total": 2, "by_rule": {"DET001": 2},
-                  "by_severity": {"error": 2}},
-      "timing": {"total_seconds", "files": {...}, "rules": {...}}
+      "findings": [{"path", "line", "col", "rule", "message"}, ...],
+      "summary": {"total": 2, "by_rule": {"DET001": 2}}
     }
 """
 
@@ -23,7 +20,7 @@ from typing import Any, Dict
 from .engine import RULE_REGISTRY, CheckResult
 
 #: Bump when the JSON structure changes incompatibly.
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 
 def render_text(result: CheckResult) -> str:
@@ -55,24 +52,6 @@ def to_json_dict(result: CheckResult) -> Dict[str, Any]:
             "by_rule": dict(
                 sorted(Counter(f.rule for f in result.findings).items())
             ),
-            "by_severity": dict(
-                sorted(
-                    Counter(
-                        f.severity.value for f in result.findings
-                    ).items()
-                )
-            ),
-        },
-        "timing": {
-            "total_seconds": round(result.total_seconds, 6),
-            "files": {
-                path: round(seconds, 6)
-                for path, seconds in sorted(result.file_seconds.items())
-            },
-            "rules": {
-                rule: round(seconds, 6)
-                for rule, seconds in sorted(result.rule_seconds.items())
-            },
         },
     }
 
@@ -82,39 +61,12 @@ def render_json(result: CheckResult) -> str:
     return json.dumps(to_json_dict(result), indent=2, sort_keys=False)
 
 
-def render_stats(result: CheckResult, top: int = 10) -> str:
-    """The ``--stats`` block: slowest rules and files."""
-    lines = [
-        f"total: {result.total_seconds:.3f}s over "
-        f"{result.num_files} files"
-    ]
-    slowest_rules = sorted(
-        result.rule_seconds.items(), key=lambda kv: -kv[1]
-    )[:top]
-    if slowest_rules:
-        lines.append("slowest rules:")
-        lines.extend(
-            f"  {rule:<10} {seconds * 1000:8.1f} ms"
-            for rule, seconds in slowest_rules
-        )
-    slowest_files = sorted(
-        result.file_seconds.items(), key=lambda kv: -kv[1]
-    )[:top]
-    if slowest_files:
-        lines.append("slowest files:")
-        lines.extend(
-            f"  {seconds * 1000:8.1f} ms  {path}"
-            for path, seconds in slowest_files
-        )
-    return "\n".join(lines)
-
-
 def render_catalogue() -> str:
     """The rule catalogue (``repro check --list-rules``)."""
     lines = []
     for rule in sorted(RULE_REGISTRY.values(), key=lambda r: r.id):
         scope = ", ".join(rule.scope) if rule.scope else "all files"
-        lines.append(f"{rule.id}  {rule.name} [{rule.severity.value}]")
+        lines.append(f"{rule.id}  {rule.name}")
         lines.append(f"    {rule.description}")
         lines.append(f"    scope: {scope}")
     return "\n".join(lines)
@@ -129,7 +81,6 @@ def catalogue_json() -> Dict[str, Any]:
             {
                 "id": rule.id,
                 "name": rule.name,
-                "severity": rule.severity.value,
                 "scope": list(rule.scope),
                 "exclude": list(rule.exclude),
                 "description": rule.description,
@@ -146,14 +97,13 @@ def catalogue_markdown() -> str:
     the table in ``docs/static_analysis.md`` (regenerate with
     ``repro check --list-rules --format markdown``)."""
     lines = [
-        "| Rule | Name | Severity | Description |",
-        "| --- | --- | --- | --- |",
+        "| Rule | Name | Description |",
+        "| --- | --- | --- |",
     ]
     for rule in sorted(RULE_REGISTRY.values(), key=lambda r: r.id):
         description = " ".join(rule.description.split())
         lines.append(
-            f"| `{rule.id}` | {rule.name} | {rule.severity.value} "
-            f"| {description} |"
+            f"| `{rule.id}` | {rule.name} | {description} |"
         )
     return "\n".join(lines)
 

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from .engine import RULE_REGISTRY, SYNTAX_RULE, CheckResult
-from .findings import Severity
 
 #: the published 2.1.0 schema URI (informational; see module docstring).
 SARIF_SCHEMA_URI = (
@@ -30,7 +29,9 @@ SARIF_SCHEMA_URI = (
 )
 SARIF_VERSION = "2.1.0"
 
-_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
+#: Every finding fails ``repro check``, so every rule reports at the
+#: one SARIF level.
+_LEVEL = "error"
 
 
 def _rule_descriptors() -> List[Dict[str, Any]]:
@@ -40,10 +41,10 @@ def _rule_descriptors() -> List[Dict[str, Any]]:
             "name": "unparseable-file",
             "shortDescription": {"text": "file does not parse"},
             "fullDescription": {
-                "text": "The file could not be parsed as Python/JSON/"
-                        "TOML; nothing else can be checked."
+                "text": "The file could not be parsed as Python; "
+                        "nothing else can be checked."
             },
-            "defaultConfiguration": {"level": "error"},
+            "defaultConfiguration": {"level": _LEVEL},
         }
     ]
     for rule in sorted(RULE_REGISTRY.values(), key=lambda r: r.id):
@@ -52,9 +53,7 @@ def _rule_descriptors() -> List[Dict[str, Any]]:
             "name": rule.name,
             "shortDescription": {"text": rule.name},
             "fullDescription": {"text": rule.description},
-            "defaultConfiguration": {
-                "level": _LEVELS[rule.severity]
-            },
+            "defaultConfiguration": {"level": _LEVEL},
         })
     return sorted(rules, key=lambda d: d["id"])
 
@@ -67,7 +66,7 @@ def to_sarif_dict(result: CheckResult) -> Dict[str, Any]:
     for finding in result.findings:
         entry: Dict[str, Any] = {
             "ruleId": finding.rule,
-            "level": _LEVELS[finding.severity],
+            "level": _LEVEL,
             "message": {"text": finding.message},
             "locations": [
                 {

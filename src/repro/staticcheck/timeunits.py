@@ -22,16 +22,6 @@ These rules encode the convention:
   takes a time-valued parameter (``deadline``, ``*_time``,
   ``*_delay``, …) but neither its docstring nor its class docstring
   states the unit/origin.
-* ``TIME003`` — a wall-clock source (the ``time``/``datetime``
-  modules, or an event loop's ``.time()``) appears in a layer whose
-  results are *simulated* seconds.  ``DET002`` already polices the
-  deterministic core (engine/simulation), so this rule covers the
-  complement: the serve coordinator interleaves many simulated runs
-  under real asyncio scheduling, so one stray ``time.monotonic()``
-  can silently turn a reproducible trajectory into a
-  wall-clock-dependent one.  ``repro/serve/mailbox.py`` is the
-  sanctioned exception: its client polls real files with real
-  timeouts, and nothing it reads from the clock enters a job result.
 
 The namespaces below are the single place the convention lives for the
 checker; extend them when new time-valued names join the codebase.
@@ -66,22 +56,6 @@ TIME_SCOPE = (
     "repro/engine/",
     "repro/obs/",
 )
-
-#: Layers whose results are simulated seconds and must therefore never
-#: read a wall clock (TIME003).  ``DET002`` already patrols the
-#: deterministic core (engine/simulation/codes/core); this scope is
-#: the complement — the serve coordinator (which wraps engines in real
-#: asyncio scheduling, exactly where a wall-clock read could leak in),
-#: the obs layer (trace payloads must carry only simulator clocks) and
-#: the straggler models.
-WALLCLOCK_FREE_SCOPE = (
-    "repro/serve/",
-    "repro/obs/",
-    "repro/straggler/",
-)
-
-#: Sanctioned wall-clock locations inside that scope.
-WALLCLOCK_EXCEPTIONS = ("repro/serve/mailbox.py",)
 
 #: Parameter names that denote a quantity of time.
 _TIME_PARAM_RE = re.compile(
@@ -247,76 +221,4 @@ def check_documented_units(ctx: PythonContext, rule: Rule) -> List[Finding]:
             self.generic_visit(node)
 
     Visitor().visit(ctx.tree)
-    return findings
-
-
-#: Wall-clock attribute reads on the ``time`` module.  ``time.sleep``
-#: is excluded on purpose: sleeping paces execution without producing
-#: a value that could contaminate a simulated-time result.
-_WALLCLOCK_TIME_ATTRS = frozenset({
-    "time", "monotonic", "perf_counter", "process_time",
-    "monotonic_ns", "perf_counter_ns", "time_ns", "process_time_ns",
-})
-
-
-@python_rule(
-    "TIME003",
-    name="wall-clock-in-simulated-time-layer",
-    description=(
-        "Simulated-time layers outside the DET002 core (serve/obs/"
-        "straggler) must not read wall clocks — time.time()/"
-        "monotonic()/perf_counter(), datetime.now(), or an asyncio "
-        "loop's .time() would make results scheduling-dependent; "
-        "serve/mailbox.py (client polling) is the sanctioned "
-        "exception."
-    ),
-    scope=WALLCLOCK_FREE_SCOPE,
-    exclude=WALLCLOCK_EXCEPTIONS,
-)
-def check_wallclock_isolation(ctx: PythonContext, rule: Rule) -> List[Finding]:
-    """Flag wall-clock reads in layers whose results are simulated."""
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module in ("time", "datetime") and any(
-                alias.name != "sleep" for alias in node.names
-            ):
-                names = ", ".join(
-                    alias.name for alias in node.names
-                    if alias.name != "sleep"
-                )
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"`from {node.module} import {names}` brings a "
-                    "wall-clock source into a simulated-time layer; "
-                    "results here must depend only on simulator clocks",
-                ))
-        elif isinstance(node, ast.Attribute):
-            value = node.value
-            if not isinstance(value, ast.Name):
-                continue
-            if value.id == "time" and node.attr in _WALLCLOCK_TIME_ATTRS:
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"time.{node.attr}() reads the wall clock inside a "
-                    "simulated-time layer; derive timing from the "
-                    "engine's simulator clock instead",
-                ))
-            elif value.id == "datetime" and node.attr in (
-                "now", "utcnow", "today"
-            ):
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"datetime.{node.attr}() reads the wall clock "
-                    "inside a simulated-time layer",
-                ))
-            elif node.attr == "time" and value.id in (
-                "loop", "_loop", "event_loop"
-            ):
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"{value.id}.time() reads the event loop's clock "
-                    "inside a simulated-time layer; simulated results "
-                    "must not depend on asyncio scheduling",
-                ))
     return findings

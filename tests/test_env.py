@@ -558,4 +558,5 @@ class TestEnvironment:
             ClusterSimulator(
                 num_workers=2, partitions_per_worker=1,
                 environment=env, delay_model=NoDelay(),
+                rng=np.random.default_rng(0),
             )

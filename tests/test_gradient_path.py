@@ -411,7 +411,9 @@ class TestStreamDefinition:
         with pytest.raises(TrainingError, match="build_batch_streams"):
             RoundEngine(
                 LogisticRegressionModel(5), streams, strategy,
-                FlatBackend(ClusterSimulator(2, 1)), SyncUpdate(SGD(0.1)),
+                FlatBackend(ClusterSimulator(
+                    2, 1, rng=np.random.default_rng(0)
+                )), SyncUpdate(SGD(0.1)),
             )
 
 

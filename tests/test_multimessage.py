@@ -61,6 +61,11 @@ class TestSimulation:
         isgc_time = compute.base + c * compute.per_partition
         assert first < isgc_time
 
+    def test_rng_is_required(self):
+        # No entropy-seeded fallback: every round replays.
+        with pytest.raises(TypeError, match="rng"):
+            MultiMessageRound(CyclicRepetition(4, 2))
+
     def test_straggler_shifts_whole_worker(self):
         slow = PersistentStragglers([0], ShiftedExponentialDelay(5.0, 0.0))
         r = _round(CyclicRepetition(4, 2), delay=slow)

@@ -113,7 +113,8 @@ class TestRuntimeRuns:
             RoundEngine(
                 model, streams, SyncSGDStrategy(N + 1),
                 FlatBackend(ClusterSimulator(
-                    N + 1, 1, gradient_elements=model.num_parameters
+                    N + 1, 1, gradient_elements=model.num_parameters,
+                    rng=np.random.default_rng(0),
                 )),
                 SyncUpdate(SGD(0.3)),
             )

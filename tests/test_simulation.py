@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.env import delay_model_from, failure_model_from
+from repro.env import Environment, delay_model_from, failure_model_from
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
     AdaptiveWaitK,
@@ -244,11 +244,19 @@ class TestClusterSimulator:
         sim.reset()
         assert sim.clock == 0.0
 
+    def test_rng_is_required(self):
+        # No entropy-seeded fallback: every simulator replays.
+        with pytest.raises(TypeError, match="rng"):
+            ClusterSimulator(2, 1)
+        with pytest.raises(TypeError, match="rng"):
+            Environment().simulator(2, 1)
+
     def test_validation(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
-            ClusterSimulator(num_workers=0, partitions_per_worker=1)
+            ClusterSimulator(num_workers=0, partitions_per_worker=1, rng=rng)
         with pytest.raises(ConfigurationError):
-            ClusterSimulator(num_workers=2, partitions_per_worker=0)
+            ClusterSimulator(num_workers=2, partitions_per_worker=0, rng=rng)
 
     def test_network_time_counted(self):
         sim = ClusterSimulator(

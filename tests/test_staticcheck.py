@@ -136,12 +136,79 @@ class TestDeterminismRules:
     def test_det002_wall_clock_in_core_scope(self):
         src = "import time\nt = time.time()\n"
         assert rules_of(check(src)) == ["DET002"]
-        # ...but not outside the deterministic core.
+        # ...but not outside the library.
         assert check(src, scope_path="examples/demo.py") == []
 
     def test_det002_datetime_now(self):
         src = "import datetime\nt = datetime.datetime.now()\n"
         assert rules_of(check(src)) == ["DET002"]
+
+    @pytest.mark.parametrize("source, scope_path", [
+        pytest.param(
+            "import datetime\nt = datetime.datetime.now()\n",
+            "src/repro/serve/jobs.py", id="serve-datetime",
+        ),
+        pytest.param(
+            "def f(loop):\n    return loop.time()\n",
+            "src/repro/engine/core.py", id="engine-loop-time",
+        ),
+        pytest.param(
+            "import time\ns = time.perf_counter\n",
+            "src/repro/engine/core.py", id="engine-reference",
+        ),
+        pytest.param(
+            "import time\nt = time.time()\n",
+            "src/repro/training/trainer.py", id="training",
+        ),
+        pytest.param(
+            "import time\nstamp = time.monotonic()\n",
+            "src/repro/serve/coordinator.py", id="serve-monotonic",
+        ),
+        pytest.param(
+            "def quantum(loop):\n    return loop.time()\n",
+            "src/repro/serve/coordinator.py", id="serve-loop-time",
+        ),
+        pytest.param(
+            "from time import perf_counter\n",
+            "src/repro/straggler/delays.py", id="from-import",
+        ),
+        pytest.param(
+            "import datetime\nt = datetime.now()\n",
+            "src/repro/obs/tracer.py", id="obs-datetime",
+        ),
+    ])
+    def test_det002_wall_clock_read(self, source, scope_path):
+        # One rule over the whole library: each call, reference or
+        # import is one finding, wherever in the library it sits.
+        assert rules_of(check(source, scope_path=scope_path)) == ["DET002"]
+
+    def test_det002_sleep_is_sanctioned(self):
+        # Sleeping paces execution; it produces no value that could
+        # contaminate a simulated-time result.
+        assert check(
+            "import time\nfrom time import sleep\n\n"
+            "def pace():\n    time.sleep(0.01)\n",
+            scope_path="src/repro/serve/coordinator.py",
+        ) == []
+
+    @pytest.mark.parametrize("site", [
+        "serve/mailbox.py", "parallel/executor.py", "experiments/sweep.py",
+    ])
+    def test_det002_sanctioned_sites(self, site):
+        assert check(
+            "import time\ndeadline = time.monotonic() + 5\n",
+            scope_path=f"src/repro/{site}",
+        ) == []
+
+    def test_det002_scope_is_the_library(self):
+        src = "import time\nstamp = time.time()\n"
+        assert rules_of(
+            check(src, scope_path="src/repro/cli/serve.py")
+        ) == ["DET002"]
+        assert check(src, scope_path="tests/test_serve.py") == []
+        assert check(src, scope_path="benchmarks/e2e/run.py") == []
+        # A checkout directory named `repro` is not the library.
+        assert check(src, scope_path="/ci/repro/tests/test_serve.py") == []
 
     def test_det003_unseeded_default_rng(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
@@ -152,6 +219,7 @@ class TestDeterminismRules:
             check(src, scope_path="examples/demo.py")
         ) == ["DET003"]
         assert check(src, scope_path="scripts/demo.py") == []
+        assert check(src, scope_path="/ci/repro/tests/test_x.py") == []
 
     def test_det003_seeded_is_fine(self):
         assert check(
@@ -275,64 +343,6 @@ class TestTimeUnitRules:
         assert check(
             "def f(num_workers, fraction):\n    return num_workers\n",
             scope_path=SIM_PATH,
-        ) == []
-
-    def test_time003_wallclock_read_in_serve(self):
-        findings = check(
-            "import time\nstamp = time.monotonic()\n",
-            scope_path="src/repro/serve/coordinator.py",
-        )
-        assert rules_of(findings) == ["TIME003"]
-
-    def test_time003_loop_time_in_serve(self):
-        findings = check(
-            "def quantum(loop):\n    return loop.time()\n",
-            scope_path="src/repro/serve/coordinator.py",
-        )
-        assert rules_of(findings) == ["TIME003"]
-
-    def test_time003_from_import(self):
-        findings = check(
-            "from time import perf_counter\n",
-            scope_path="src/repro/straggler/delays.py",
-        )
-        assert rules_of(findings) == ["TIME003"]
-
-    def test_time003_engine_is_det002_territory(self):
-        # The deterministic core is DET002's beat; TIME003 covers the
-        # complement, so exactly one rule fires per wall-clock read.
-        findings = check(
-            "import time\nt = time.time()\n",
-            scope_path="src/repro/engine/core.py",
-        )
-        assert "TIME003" not in rules_of(findings)
-
-    def test_time003_datetime_now(self):
-        findings = check(
-            "import datetime\nt = datetime.now()\n",
-            scope_path="src/repro/obs/tracer.py",
-        )
-        assert rules_of(findings) == ["TIME003"]
-
-    def test_time003_sleep_is_sanctioned(self):
-        # Sleeping paces execution; it produces no value that could
-        # contaminate a simulated-time result.
-        assert check(
-            "import time\nfrom time import sleep\n\n"
-            "def pace():\n    time.sleep(0.01)\n",
-            scope_path="src/repro/serve/coordinator.py",
-        ) == []
-
-    def test_time003_mailbox_is_sanctioned(self):
-        assert check(
-            "import time\ndeadline = time.monotonic() + 5\n",
-            scope_path="src/repro/serve/mailbox.py",
-        ) == []
-
-    def test_time003_out_of_scope(self):
-        assert check(
-            "import time\nstamp = time.time()\n",
-            scope_path="src/repro/cli/serve.py",
         ) == []
 
 

@@ -71,13 +71,13 @@ class TestJsonOutput:
         assert finding["path"].endswith("dirty.py")
         assert finding["line"] == 2
         assert isinstance(finding["col"], int)
-        assert finding["severity"] in {"error", "warning"}
         assert finding["message"]
         assert report["summary"]["total"] == 1
         assert report["summary"]["by_rule"] == {"DET001": 1}
-        assert report["summary"]["by_severity"]["error"] == 1
-        assert "files" in report["timing"]
-        assert report["timing"]["total_seconds"] >= 0
+        assert set(finding) == {"path", "line", "col", "rule", "message"}
+        assert set(report) == {
+            "version", "checked_files", "findings", "summary",
+        }
 
     def test_clean_json(self, tmp_path, capsys):
         path = write(tmp_path, "clean.py", CLEAN)
