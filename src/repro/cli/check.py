@@ -62,7 +62,7 @@ def configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select", default=None,
         help="comma-separated rule ids or family prefixes to run "
-             "(e.g. DET,TIME001; default: all)",
+             "(e.g. DET,TIME002; default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",

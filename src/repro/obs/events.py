@@ -63,7 +63,7 @@ class RoundTrace:
     # ------------------------------------------------------------------
     @property
     def step_time(self) -> float:
-        """Wall-clock (simulated) duration of the round."""
+        """Simulated duration of the round in seconds."""
         return self.step_end - self.step_start
 
     @property

@@ -22,6 +22,13 @@ strictly apart:
   ``arrivals``/``outcome`` carried by :class:`RoundResult`, measured
   from the start of the current step.
 
+The convention is enforced on what runs record: ``tests/time_origins.py``
+checks that each round starts where the last one ended, that
+``step_start + proceed_time == step_end``, that arrivals are
+step-relative, and that the engine's ``wait_time``/``sim_time``, the
+adaptive rule's migrations and the tracer's ``round.clock`` gauge agree
+with the traces, on every golden, resume, shipped-spec and served run.
+
 The same simulator instance can be replayed for several schemes by
 fixing the delay model to a recorded
 :class:`~repro.straggler.DelayTrace`; :meth:`ClusterSimulator.reset`

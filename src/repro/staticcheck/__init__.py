@@ -1,11 +1,10 @@
 """``repro.staticcheck`` — the project-invariant static-analysis pass.
 
-The two costliest defects in this repo's history were statically
-detectable: the absolute-vs-step-relative seconds mismatch fixed in
-PR 1, and the strict RNG/seed discipline the PR-2 golden trajectories
-depend on.  This package makes those invariants machine-checkable,
-as ``repro check`` over ``.py`` files and the fenced Python blocks of
-Markdown files:
+The golden trajectories depend on strict RNG/seed discipline, and
+every figure on time values that say which unit and origin they use.
+This package makes those invariants machine-checkable, as ``repro
+check`` over ``.py`` files and the fenced Python blocks of Markdown
+files:
 
 ========  ==============================================================
 family    rules
@@ -14,14 +13,15 @@ GEN       ``GEN001`` unparseable file
 DET       ``DET001`` module-level RNG, ``DET002`` wall-clock reads,
           ``DET003`` unseeded ``default_rng()``, ``DET004`` ordering
           hazards (set and filesystem iteration)
-TIME      ``TIME001`` mixed absolute/step-relative arithmetic,
-          ``TIME002`` undocumented time units
+TIME      ``TIME002`` undocumented time units
 ========  ==============================================================
 
 Every rule sees one file (or one Markdown code block) at a time.  How
 seeds and Generators cross a process pool is guarded at run time
 instead, by :class:`repro.parallel.PointTask` and
-:meth:`repro.parallel.SweepExecutor.run`.
+:meth:`repro.parallel.SweepExecutor.run`; whether absolute clock
+readings and step-relative times are kept apart is checked on the
+records every test run produces (``tests/time_origins.py``).
 
 Suppress a deliberate exception with ``# repro: noqa[RULE]`` on the
 offending line (always with a justification comment).  See

@@ -1,30 +1,22 @@
-"""Time-unit discipline rules (TIME0xx).
+"""Time-unit documentation rule (TIME002).
 
 :mod:`repro.simulation.cluster` documents the project's time
 convention: all time is simulated seconds, and **two origins coexist**
 — *absolute* simulator-clock readings (``step_start``, ``step_end``,
 ``clock``) and *step-relative* values measured from the start of the
 current round (``proceed_time``, ``arrival_time``, ``deadline``, the
-values of ``RoundResult.arrivals``).  PR 1 fixed a real bug of exactly
-this shape: ``run_round`` treated a policy's step-relative
-``proceed_time`` as an absolute clock reading.
+values of ``RoundResult.arrivals``).  Whether code keeps the two apart
+is checked at run time, on the traces and records every run produces
+(``tests/time_origins.py``, applied by the golden, resume, spec and
+serve tests).  What no run shows is whether a function *says* which
+unit and origin its time-valued parameters use, so one rule checks
+that:
 
-These rules encode the convention:
-
-* ``TIME001`` — arithmetic/comparisons that mix identifiers from the
-  two origin namespaces in a way no unit algebra permits
-  (``absolute + absolute``, ``relative - absolute``, comparing an
-  absolute reading against a relative one, or assigning one straight
-  to the other).  The sanctioned conversions — ``absolute +
-  relative → absolute`` and ``absolute - absolute → duration`` — are
-  deliberately not flagged.
-* ``TIME002`` — a function in the simulation/straggler/engine layers
-  takes a time-valued parameter (``deadline``, ``*_time``,
-  ``*_delay``, …) but neither its docstring nor its class docstring
-  states the unit/origin.
-
-The namespaces below are the single place the convention lives for the
-checker; extend them when new time-valued names join the codebase.
+* ``TIME002`` — a function in the simulation/straggler/engine/obs
+  layers takes a time-valued parameter (``deadline``, ``*_time``,
+  ``*_delay``, … unannotated or annotated with a numeric type) but
+  neither its docstring nor its class docstring states the
+  unit/origin.
 """
 
 from __future__ import annotations
@@ -35,20 +27,6 @@ from typing import List, Optional
 
 from .engine import PythonContext, Rule, python_rule
 from .findings import Finding
-
-#: Identifiers carrying *absolute* simulator-clock seconds
-#: (see the :mod:`repro.simulation.cluster` module docstring).
-ABSOLUTE_NAMES = frozenset({
-    "step_start", "step_end", "clock", "_clock",
-    "absolute_time", "abs_time", "sim_clock",
-})
-
-#: Identifiers carrying *step-relative* seconds (measured from the
-#: start of the current round) or per-round durations.
-RELATIVE_NAMES = frozenset({
-    "proceed_time", "arrival_time", "relative_time", "rel_time",
-    "deadline", "wait_time", "step_time",
-})
 
 TIME_SCOPE = (
     "repro/simulation/",
@@ -65,103 +43,28 @@ _TIME_PARAM_RE = re.compile(
 
 #: A docstring "states the unit" when it mentions any of these.
 _UNIT_RE = re.compile(
-    r"second|\(s\)|step-relative|absolute|sim[ -]time|\bsec\b",
+    r"second|\(s\)|step-relative|absolute|sim[ -]time",
     re.IGNORECASE,
 )
 
-
-def _origin(node: ast.AST) -> Optional[str]:
-    """Classify a Name/Attribute by the documented namespace it uses."""
-    if isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Name):
-        name = node.id
-    else:
-        return None
-    if name in ABSOLUTE_NAMES:
-        return "absolute"
-    if name in RELATIVE_NAMES:
-        return "step-relative"
-    return None
+#: Annotation names under which a parameter still holds a number.
+_NUMERIC_TYPES = frozenset({
+    "float", "int", "Real", "Number", "float64", "ndarray",
+})
 
 
-def _describe(node: ast.AST) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return "<expr>"  # pragma: no cover - guarded by _origin
-
-
-@python_rule(
-    "TIME001",
-    name="mixed-time-origins",
-    description=(
-        "Absolute simulator-clock values and step-relative values were "
-        "combined in a way unit algebra forbids (the PR-1 bug class); "
-        "convert explicitly via step_start first."
-    ),
-    scope=TIME_SCOPE,
-)
-def check_mixed_origins(ctx: PythonContext, rule: Rule) -> List[Finding]:
-    """Flag cross-origin comparisons, sums, and direct assignments."""
-    findings = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Compare):
-            sides = [node.left, *node.comparators]
-            origins = {o for o in map(_origin, sides) if o is not None}
-            if len(origins) == 2:
-                names = ", ".join(
-                    f"{_describe(s)} ({_origin(s)})"
-                    for s in sides
-                    if _origin(s) is not None
-                )
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"comparison mixes time origins: {names}; convert "
-                    "via step_start before comparing",
-                ))
-        elif isinstance(node, ast.BinOp):
-            left, right = _origin(node.left), _origin(node.right)
-            if (
-                isinstance(node.op, ast.Add)
-                and left == "absolute"
-                and right == "absolute"
-            ):
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"{_describe(node.left)} + {_describe(node.right)} "
-                    "adds two absolute clock readings; subtract to get "
-                    "a duration instead",
-                ))
-            elif (
-                isinstance(node.op, ast.Sub)
-                and left == "step-relative"
-                and right == "absolute"
-            ):
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"{_describe(node.left)} - {_describe(node.right)} "
-                    "subtracts an absolute clock reading from a "
-                    "step-relative value; did you mean the opposite "
-                    f"order, or `step_start + {_describe(node.left)}`?",
-                ))
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target_origin = _origin(node.targets[0])
-            value_origin = _origin(node.value)
-            if (
-                target_origin is not None
-                and value_origin is not None
-                and target_origin != value_origin
-            ):
-                findings.append(ctx.finding(
-                    rule, node,
-                    f"assigning {value_origin} value "
-                    f"{_describe(node.value)!r} to {target_origin} name "
-                    f"{_describe(node.targets[0])!r}; convert via "
-                    "step_start",
-                ))
-    return findings
+def _may_hold_a_time(annotation: Optional[ast.expr]) -> bool:
+    """Whether a parameter annotated ``annotation`` can hold a time:
+    it is unannotated, or its annotation names a numeric type
+    (``float``, ``Optional[float]``, ``Sequence[float]``).  A
+    ``straggler_delay: DelayModel | None`` is a model, not a time."""
+    if annotation is None:
+        return True
+    return any(
+        (isinstance(node, ast.Name) and node.id in _NUMERIC_TYPES)
+        or (isinstance(node, ast.Attribute) and node.attr in _NUMERIC_TYPES)
+        for node in ast.walk(annotation)
+    )
 
 
 @python_rule(
@@ -196,6 +99,7 @@ def check_documented_units(ctx: PythonContext, rule: Rule) -> List[Finding]:
                 for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
                 if a.arg not in ("self", "cls")
                 and _TIME_PARAM_RE.search(a.arg)
+                and _may_hold_a_time(a.annotation)
             ]
             if not params:
                 return

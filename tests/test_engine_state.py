@@ -35,6 +35,8 @@ from repro.exceptions import TrainingError
 from repro.obs import RoundTracer
 from repro.types import AsyncUpdateRecord, StepRecord
 
+from time_origins import assert_time_origins
+
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 _spec = importlib.util.spec_from_file_location(
@@ -77,12 +79,22 @@ def make_spec(backend="flat", rule="sync", **over):
     return ExperimentSpec(**base)
 
 
+def traced(spec, tracer=None):
+    """``tracer``, or a fresh one for a run that has rounds to trace:
+    every run here is held to the time-origin contract, and that reads
+    the round traces."""
+    if tracer is None and spec.rule != "async":
+        return RoundTracer()
+    return tracer
+
+
 def run_uninterrupted(spec, tracer=None):
-    engine = build_engine(spec, tracer=tracer)
+    engine = build_engine(spec, tracer=traced(spec, tracer))
     if spec.rule == "async":
         engine.start_updates(spec.max_steps)
         while not engine.step_updates(1):
             pass
+        assert_time_origins(engine)
         return engine.finish_updates()
     engine.start_run(
         spec.max_steps,
@@ -91,11 +103,13 @@ def run_uninterrupted(spec, tracer=None):
     )
     while not engine.step_rounds(1):
         pass
+    assert_time_origins(engine)
     return engine.finish_run()
 
 
 def run_with_suspension(spec, cut, tracer=None):
-    """Run to ``cut`` rounds, snapshot, resume on a fresh engine."""
+    """Run to ``cut`` rounds, snapshot, resume on a fresh engine; the
+    resumed rounds must chain from the clock the snapshot was cut at."""
     first = build_engine(spec)
     if spec.rule == "async":
         first.start_updates(spec.max_steps)
@@ -111,12 +125,13 @@ def run_with_suspension(spec, cut, tracer=None):
             first.step_rounds(cut)
     state = EngineState.from_json(first.snapshot().to_json())
 
-    second = build_engine(spec, tracer=tracer)
+    second = build_engine(spec, tracer=traced(spec, tracer))
     if spec.rule == "async":
         second.start_updates(spec.max_steps)
         second.restore(state)
         while not second.step_updates(1):
             pass
+        assert_time_origins(second)
         return second.finish_updates()
     second.start_run(
         spec.max_steps,
@@ -126,6 +141,7 @@ def run_with_suspension(spec, cut, tracer=None):
     second.restore(state)
     while not second.step_rounds(1):
         pass
+    assert_time_origins(second, start=first.clock)
     return second.finish_run()
 
 
@@ -163,9 +179,9 @@ class TestSnapshotResume:
         # schedule a capacity-0 worker pool produces.
         spec = make_spec("flat", "sync", max_steps=6)
         baseline = report_dict(spec, run_uninterrupted(spec))
-        state = None
+        state, clock = None, 0.0
         while True:
-            engine = build_engine(spec)
+            engine = build_engine(spec, tracer=RoundTracer())
             engine.start_run(
                 spec.max_steps,
                 loss_threshold=spec.loss_threshold,
@@ -173,9 +189,12 @@ class TestSnapshotResume:
             )
             if state is not None:
                 engine.restore(state)
-            if engine.step_rounds(1):
+            done = engine.step_rounds(1)
+            assert_time_origins(engine, start=clock)
+            if done:
                 resumed = report_dict(spec, engine.finish_run())
                 break
+            clock = engine.clock
             state = EngineState.from_json(engine.snapshot().to_json())
         assert resumed == baseline
 

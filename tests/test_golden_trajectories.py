@@ -15,6 +15,10 @@ One golden per loop family (flat sync/GC/IS-SGD/IS-GC, no-eval
 fallback, the actor round, async, adaptive with a real migration,
 local-update) plus one cell of each figure runner, pinning the
 registry-based rewiring of fig11/12/13.
+
+Every engine a recorder builds also runs with a tracer, and its records
+are held to the time-origin contract (``tests/time_origins.py``); the
+recording still has to match, so the tracer is shown not to perturb it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import json
 import pathlib
 
 import pytest
+
+from time_origins import assert_time_origins, trace_every_engine
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -48,7 +54,10 @@ def _golden(name: str):
     sorted(record_goldens.GOLDENS.items()),
     ids=lambda v: v if isinstance(v, str) else "",
 )
-def test_engine_shims_match_pre_refactor_goldens(filename, recorder):
+def test_engine_shims_match_pre_refactor_goldens(
+    filename, recorder, monkeypatch
+):
+    engines = trace_every_engine(monkeypatch)
     fresh = _roundtrip(recorder())
     assert fresh == _golden(filename), (
         f"{filename}: engine-backed run diverged from the recording"
@@ -56,6 +65,8 @@ def test_engine_shims_match_pre_refactor_goldens(filename, recorder):
     assert record_goldens.serialise(fresh) == (
         GOLDEN_DIR / filename
     ).read_text(), f"{filename}: the recorder would rewrite the file"
+    for engine in engines:
+        assert_time_origins(engine)
 
 
 def test_goldens_cover_every_loop_family():

@@ -17,6 +17,8 @@ from repro.simulation import ClusterSimulator, ComputeModel, WaitForK
 from repro.simulation.network import NetworkModel
 from repro.straggler import ExponentialDelay
 
+from time_origins import time_origin_problems
+
 
 SMALL = Fig11Config(
     num_workers=8,
@@ -63,6 +65,19 @@ class TestTracedFig11Exactness:
         live = aggregate_traces(tracer.traces)
         loaded = aggregate_traces(read_traces(path))
         assert live == loaded
+
+    def test_each_scheme_keeps_the_time_origin_contract(self, traced_run):
+        # Fig. 11 replays one fresh simulator per scheme, so each
+        # scheme's rounds chain from 0; the gauge holds the last one's.
+        points, tracer, path = traced_run
+        gauge = tracer.registry.gauge("round.clock").value
+        loaded = read_traces(path)
+        for p in points:
+            traces = [t for t in loaded if t.scheme == p.scheme]
+            last = p is points[-1]
+            assert time_origin_problems(
+                traces, clock_gauge=gauge if last else None
+            ) == []
 
     def test_metrics_registry_consistent_with_traces(self, traced_run):
         points, tracer, path = traced_run

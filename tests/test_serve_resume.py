@@ -56,6 +56,7 @@ from repro.exceptions import (
     TrainingError,
 )
 from repro.experiments.sweep import Sweep
+from repro.obs import read_traces
 from repro.serve import (
     Coordinator,
     FairScheduler,
@@ -66,6 +67,8 @@ from repro.serve import (
 from repro.serve import mailbox as mailbox_module
 from repro.serve.jobs import Job, JobState
 from repro.serve.runner import JobRunner
+
+from time_origins import time_origin_problems
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -268,7 +271,14 @@ class TestWorkerPoolDeterminism:
                 pathlib.Path(pooled.trace_path).read_bytes()
                 == pathlib.Path(straight.trace_path).read_bytes()
             )
+            # Parked and restored between rounds, each job's clock still
+            # chains; its report's time curve is the sim-time clause (a
+            # report carries no per-round wait time).
+            traces = read_traces(pooled.trace_path)
+            assert time_origin_problems(traces) == []
+            assert pooled.time_curve == tuple(t.step_end for t in traces)
         assert coord.pool.stats.evictions > 0
+        assert coord.pool.stats.restores > 0
 
     def test_overflow_jobs_bounce_while_the_rest_stay_resident(self):
         # Eight equal-weight jobs share four slots.  SWRR picks them

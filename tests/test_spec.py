@@ -14,6 +14,8 @@ import pytest
 from repro.engine import EnginePlan, ExperimentSpec, build_engine, run_spec
 from repro.exceptions import ConfigurationError, TrainingError
 
+from time_origins import assert_time_origins, trace_every_engine
+
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
@@ -208,12 +210,16 @@ class TestSpecFiles:
             spec = ExperimentSpec.from_file(path)
             assert EnginePlan(spec).spec is spec
 
-    def test_run_accepts_shipped_specs(self, capsys):
+    def test_run_accepts_shipped_specs(self, capsys, monkeypatch):
         from repro import cli
 
+        engines = trace_every_engine(monkeypatch)
         for path in sorted(SPECS.glob("*.json")):
             assert cli.main(["run", str(path)]) == 0, path
             assert capsys.readouterr().err == ""
+        assert len(engines) == 4
+        for engine in engines:
+            assert_time_origins(engine)
 
     def test_run_refuses_an_infeasible_file(self, tmp_path, capsys):
         from repro import cli

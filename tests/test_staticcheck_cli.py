@@ -90,8 +90,8 @@ class TestJsonOutput:
 class TestSelectAndCatalogue:
     def test_select_filters_rules(self, tmp_path, capsys):
         path = write(tmp_path, "dirty.py", DIRTY)
-        assert main(["check", path, "--select", "TIME001"]) == 0
-        assert main(["check", path, "--select", "DET001,TIME001"]) == 1
+        assert main(["check", path, "--select", "TIME002"]) == 0
+        assert main(["check", path, "--select", "DET001,TIME002"]) == 1
 
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
@@ -121,7 +121,7 @@ class TestNoqa:
         path = write(
             tmp_path, "dirty.py",
             "import numpy as np\n"
-            "x = np.random.randn(3)  # repro: noqa[TIME001]\n",
+            "x = np.random.randn(3)  # repro: noqa[TIME002]\n",
         )
         assert main(["check", path]) == 1
 
