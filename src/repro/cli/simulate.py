@@ -1,85 +1,71 @@
-"""``repro simulate`` — a quick ad-hoc simulated training run."""
+"""``repro simulate`` — a quick ad-hoc simulated training run.
+
+The flags describe an :class:`~repro.engine.ExperimentSpec`
+(:func:`simulate_spec`), which runs and reports exactly as ``repro run``
+runs and reports that spec from a file.
+"""
 
 from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from ..engine.report import build_run_report
+from ..exceptions import ReproError
 from .output import emit_summary
-from .params import _add_placement_args, _build_placement, _parse_model_params
+from .params import _add_placement_args, _parse_model_params
 from .registry import register_command
 
 
-def run_simulate(args: argparse.Namespace):
-    """Build and run the ad-hoc simulation.
+def simulate_spec(args: argparse.Namespace):
+    """The :class:`~repro.engine.ExperimentSpec` the flags describe:
+    softmax regression on a 3-class, 12-feature classification set,
+    IS-SGD when ``-c 1`` and IS-GC over ``--scheme`` otherwise."""
+    from ..engine.spec import ExperimentSpec
 
-    Returns ``(report, summary)``: the structured :class:`RunReport`
-    payload plus the raw engine summary the command prints from.
-    """
-    from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
-    from ..env import make_delay_model
-    from ..simulation.cluster import ClusterSimulator
-    from ..training.datasets import make_classification, partition_dataset
-    from ..training.gradients import build_batch_streams
-    from ..training.models import SoftmaxRegressionModel
-    from ..training.optimizers import SGD
-
-    placement = _build_placement(args)
-    n = placement.num_workers
-    dataset = make_classification(
-        1024, 12, num_classes=3, separation=2.0, seed=args.seed
-    )
-    streams = build_batch_streams(
-        partition_dataset(dataset, n, seed=args.seed + 1),
-        batch_size=32, seed=args.seed + 2,
-    )
-    # Built through the scheme registry so CLI, specs and library code
-    # share one construction path.
+    scheme, scheme_params = f"is-gc-{args.scheme}", {}
+    if args.scheme == "hr":
+        if args.g is None or args.c1 is None:
+            raise ReproError("HR needs --g and --c1 (c2 = c - c1)")
+        scheme_params = {
+            "c1": args.c1, "c2": args.c - args.c1, "num_groups": args.g,
+        }
     if args.c == 1:
-        strategy = make_strategy("is-sgd", num_workers=n, wait_for=args.w)
-    else:
-        scheme_params = {}
-        if args.scheme == "hr":
-            scheme_params = {
-                "c1": args.c1, "c2": args.c - args.c1,
-                "num_groups": args.g,
-            }
-        strategy = make_strategy(
-            f"is-gc-{args.scheme}",
-            num_workers=n,
-            partitions_per_worker=args.c,
-            wait_for=args.w,
-            rng=np.random.default_rng(args.seed),
-            **scheme_params,
-        )
-    # Delay models are built through the environment registry — the
-    # same construction path specs and library code use; the
-    # default is the historical exponential with --delay as its mean.
-    delay_params = _parse_model_params(args.delay_param, flag="--delay-param")
+        scheme, scheme_params = "is-sgd", {}
+    # The default delay is the historical exponential with --delay as
+    # its mean.
+    delay = {
+        "kind": args.delay_kind,
+        **_parse_model_params(args.delay_param, flag="--delay-param"),
+    }
     if args.delay_kind in ("exponential", "exp"):
-        delay_params.setdefault("mean", args.delay)
-    cluster = ClusterSimulator(
-        n, placement.partitions_per_worker,
-        delay_model=make_delay_model(args.delay_kind, **delay_params),
-        rng=np.random.default_rng(args.seed + 3),
+        delay.setdefault("mean", args.delay)
+    return ExperimentSpec(
+        name=scheme,
+        scheme=scheme,
+        num_workers=args.n,
+        partitions_per_worker=args.c,
+        wait_for=args.w,
+        max_steps=args.steps,
+        learning_rate=args.lr,
+        seed=args.seed,
+        dataset={
+            "kind": "classification", "samples": 1024, "features": 12,
+            "num_classes": 3, "separation": 2.0, "batch_size": 32,
+        },
+        model={"kind": "softmax"},
+        delay=delay,
+        scheme_params=scheme_params,
     )
-    engine = RoundEngine(
-        SoftmaxRegressionModel(12, 3, seed=0), streams, strategy,
-        FlatBackend(cluster),
-        SyncUpdate(SGD(args.lr)), eval_data=dataset,
-    )
-    summary = engine.run(max_steps=args.steps)
-    return build_run_report(summary), summary
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a short simulated training job and print its summary."""
-    report, summary = run_simulate(args)
+    from ..engine.plan import run_spec
+
+    spec = simulate_spec(args)
+    summary = run_spec(spec)
     emit_summary(summary)
-    if args.report is not None:
-        report.write(args.report)
+    build_run_report(summary, spec=spec, report_path=args.report)
     return 0
 
 

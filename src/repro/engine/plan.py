@@ -217,11 +217,13 @@ def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
 class EnginePlan:
     """Everything about a run that ``spec`` alone determines.
 
-    Seeding convention (matching the figure runners): the dataset uses
-    ``seed``, partitioning ``seed+1``, batch streams ``seed+2``, the
-    strategy's decoder (and the classic-GC matrix draw) ``seed+3``, the
-    backend simulator ``seed+4``, and an adaptive rule's advisor
-    ``seed+5``.  The generators a run advances are made per engine.
+    Seeding convention: the dataset uses ``seed``, partitioning
+    ``seed+1``, batch streams ``seed+2``, the strategy's decoder (and
+    the classic-GC matrix draw) ``seed+3`` unless ``scheme_params.seed``
+    sets it (the Fig. 12/13 runners set their per-trial decoder seeds
+    there), the backend simulator ``seed+4``, and an adaptive rule's
+    advisor ``seed+5``.  The generators a run advances are made per
+    engine.
     """
 
     spec: ExperimentSpec

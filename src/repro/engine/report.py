@@ -39,8 +39,8 @@ class RunReport:
     ``"async"`` for per-arrival asynchronous runs and ``"experiment"``
     for paper-figure invocations (which aggregate many runs and carry
     only identity + trace fields).  ``spec_fingerprint`` is
-    :meth:`ExperimentSpec.fingerprint` when the run came from a spec,
-    else ``None`` (ad-hoc CLI simulations).
+    :meth:`ExperimentSpec.fingerprint` when the summary is wrapped
+    with its spec, else ``None``.
     """
 
     name: str

@@ -79,9 +79,18 @@ class Fig12Config:
     def __post_init__(self) -> None:
         if self.num_workers <= 0:
             raise ConfigurationError("num_workers must be positive")
+        if self.num_trials < 1:
+            # Panels (b)-(d) average over trials: none leaves them empty.
+            raise ConfigurationError(
+                f"num_trials must be at least 1, got {self.num_trials}"
+            )
         for w in self.wait_values:
             if not 1 <= w <= self.num_workers:
                 raise ConfigurationError(f"wait value {w} outside [1, n]")
+        if not 0 <= self.num_straggling <= self.num_workers:
+            raise ConfigurationError(
+                f"num_straggling {self.num_straggling} outside [0, n]"
+            )
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,17 @@ Panels (all versus the wait count ``w``):
 
 Substitution: MLP on the CIFAR-like synthetic set replaces
 ResNet-18/CIFAR-10 (see DESIGN.md); delays are exponential, and every
-scheme replays the same recorded delay trace per trial.
+scheme replays the same recorded delay trace per trial.  Each training
+run is an :class:`~repro.engine.ExperimentSpec` (:func:`fig12_specs`)
+run by :func:`~repro.engine.run_spec`, the assembly path ``repro run``
+and the serve layer use.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -29,18 +32,12 @@ from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
 from ..analysis.stats import summarize_trials
 from ..core.scheme import make_placement
-from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
-from ..env import delay_model_from, make_delay_model
+from ..engine import ExperimentSpec, run_spec
+from ..env import make_delay_model
 from ..parallel import PointTask, SweepExecutor
-from ..simulation.cluster import ClusterSimulator
 from ..straggler.traces import DelayTrace
-from ..training.datasets import make_cifar_like, partition_dataset
-from ..training.gradients import build_batch_streams
-from ..training.models import MLPClassifier
-from ..training.optimizers import SGD
-from ..training.strategies import TrainingStrategy
 from ..types import TrainingSummary
-from .config import Fig12Config, Fig13Config
+from .config import Fig12Config
 
 
 @dataclass(frozen=True)
@@ -63,41 +60,37 @@ class TrainingPoint:
     total_time_ci: str = ""
 
 
-def _run_one(
-    cfg: Fig12Config | Fig13Config,
-    strategy: TrainingStrategy,
-    trace: DelayTrace,
-    streams,
-    eval_data,
-    max_steps: int,
-    loss_threshold: float | None = None,
-) -> TrainingSummary:
-    """Train one scheme over a replayed trace (shared with Fig. 13)."""
-    cluster = ClusterSimulator(
-        num_workers=cfg.num_workers,
-        partitions_per_worker=strategy.placement.partitions_per_worker,
-        delay_model=delay_model_from(trace),
-        rng=np.random.default_rng(cfg.seed),
-    )
-    engine = RoundEngine(
-        MLPClassifier(8 * 8 * 3, hidden_units=32, num_classes=10, seed=0),
-        streams,
-        strategy,
-        FlatBackend(cluster),
-        SyncUpdate(SGD(cfg.learning_rate)),
-        eval_data=eval_data,
-    )
-    return engine.run(max_steps, loss_threshold=loss_threshold)
+def _cifar_like_dataset(samples: int, batch_size: int) -> Dict[str, Any]:
+    """The ``dataset:`` section of a training-figure spec (shared with
+    Fig. 13): 8x8 CIFAR-like images standing in for CIFAR-10."""
+    return {
+        "kind": "cifar-like", "samples": samples, "side": 8,
+        "batch_size": batch_size,
+    }
 
 
-def _strategies_for(cfg: Fig12Config, w: int, trial_seed: int) -> List[TrainingStrategy]:
-    """The schemes competing at wait count ``w``, via the scheme registry.
+def fig12_specs(
+    cfg: Fig12Config, wait_for: int, trial: int = 0
+) -> List[ExperimentSpec]:
+    """The runs of one trial of the ``wait_for`` column, as specs.
 
-    Per-trial decoder seeds (``trial_seed + 1`` for FR, ``+ 2`` for CR,
-    ``trial_seed`` for classic GC) are unchanged from the hand-wired
-    implementation, so default-config results are bit-identical.
+    Every scheme competing at ``w`` replays the trial's recorded delay
+    trace (inline, as a ``trace-replay`` delay section), so each spec
+    is a complete run that ``repro run`` reproduces.  Per-trial decoder
+    seeds go in ``scheme_params.seed``: ``trial_seed + 1`` for FR,
+    ``+ 2`` for CR and ``trial_seed`` for classic GC (IS-SGD and
+    sync-SGD draw nothing).
     """
-    n, c = cfg.num_workers, cfg.partitions_per_worker
+    n, c, w = cfg.num_workers, cfg.partitions_per_worker, wait_for
+    trial_seed = cfg.seed + 1000 * trial
+    trace = DelayTrace.record(
+        make_delay_model(
+            "exponential",
+            mean=cfg.expected_delay,
+            affected=range(cfg.num_straggling),
+        ),
+        n, cfg.max_steps, np.random.default_rng(trial_seed),
+    )
     cells = [
         ("is-sgd", None),
         ("is-gc-fr", trial_seed + 1),
@@ -108,9 +101,20 @@ def _strategies_for(cfg: Fig12Config, w: int, trial_seed: int) -> List[TrainingS
     if w == n - c + 1:
         cells.append(("gc", trial_seed))
     return [
-        make_strategy(
-            scheme, num_workers=n, partitions_per_worker=c,
-            wait_for=w, seed=seed,
+        ExperimentSpec(
+            name=f"fig12-w{w}-{scheme}-trial{trial}",
+            scheme=scheme,
+            num_workers=n,
+            partitions_per_worker=c,
+            wait_for=w,
+            max_steps=cfg.max_steps,
+            loss_threshold=cfg.loss_threshold,
+            learning_rate=cfg.learning_rate,
+            seed=cfg.seed,
+            dataset=_cifar_like_dataset(cfg.dataset_samples, cfg.batch_size),
+            model={"kind": "mlp"},
+            delay={"kind": "trace-replay", "delays": trace.delays.tolist()},
+            scheme_params={} if seed is None else {"seed": seed},
         )
         for scheme, seed in cells
     ]
@@ -119,33 +123,14 @@ def _strategies_for(cfg: Fig12Config, w: int, trial_seed: int) -> List[TrainingS
 def _fig12_cell(cfg: Fig12Config, wait_for: int) -> List[TrainingPoint]:
     """One wait-count column: every scheme, averaged over trials.
 
-    Self-contained (dataset, streams and traces all rebuild from
-    ``cfg``'s seeds), hence picklable as ``partial(_fig12_cell, cfg)``
-    and bit-identical under any executor.
+    Self-contained (every run is a spec built from ``cfg``), hence
+    picklable as ``partial(_fig12_cell, cfg)`` and bit-identical under
+    any executor.
     """
-    n = cfg.num_workers
-    w = wait_for
-    dataset = make_cifar_like(cfg.dataset_samples, side=8, seed=cfg.seed)
-    partitions = partition_dataset(dataset, n, seed=cfg.seed + 1)
-    streams = build_batch_streams(partitions, cfg.batch_size, seed=cfg.seed + 2)
-
     cell: Dict[str, List[TrainingSummary]] = {}
     for trial in range(cfg.num_trials):
-        trial_seed = cfg.seed + 1000 * trial
-        trace = DelayTrace.record(
-            make_delay_model(
-                "exponential",
-                mean=cfg.expected_delay,
-                affected=range(cfg.num_straggling),
-            ),
-            n, cfg.max_steps, np.random.default_rng(trial_seed),
-        )
-        for strategy in _strategies_for(cfg, w, trial_seed):
-            summary = _run_one(
-                cfg, strategy, trace, streams, dataset,
-                cfg.max_steps, cfg.loss_threshold,
-            )
-            cell.setdefault(strategy.name, []).append(summary)
+        for spec in fig12_specs(cfg, wait_for, trial):
+            cell.setdefault(spec.scheme, []).append(run_spec(spec))
     points: List[TrainingPoint] = []
     for scheme, summaries in cell.items():
         steps = [float(s.num_steps) for s in summaries]
@@ -153,7 +138,7 @@ def _fig12_cell(cfg: Fig12Config, wait_for: int) -> List[TrainingPoint]:
         points.append(
             TrainingPoint(
                 scheme=scheme,
-                wait_for=w,
+                wait_for=wait_for,
                 recovery_pct=100 * float(
                     np.mean([s.avg_recovery_fraction for s in summaries])
                 ),

@@ -10,7 +10,9 @@ Sweep ``HR(8, c1, 4 - c1)`` with ``g = 2`` groups:
 
 Panel (a): recovered gradients vs ``c1`` at ``w = 2`` (Monte-Carlo).
 Panel (b): training-loss curves vs step at ``w = 2`` for each ``c1`` —
-more recovery per step means faster loss descent.
+more recovery per step means faster loss descent.  Each ``c1``'s
+training run is an :class:`~repro.engine.ExperimentSpec`
+(:func:`fig13_spec`) run by :func:`~repro.engine.run_spec`.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ import numpy as np
 from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
 from ..core.hybrid import HybridRepetition
-from ..engine.spec import make_strategy
+from ..engine import ExperimentSpec, run_spec
 from ..env import make_delay_model
 from ..parallel import PointTask, SweepExecutor
 from ..straggler.traces import DelayTrace
-from ..training.datasets import make_cifar_like, partition_dataset
-from ..training.gradients import build_batch_streams
 from .config import Fig13Config
-from .fig12 import _run_one
+from .fig12 import _cifar_like_dataset
 
 
 @dataclass(frozen=True)
@@ -54,36 +54,48 @@ def _placement(cfg: Fig13Config, c1: int) -> HybridRepetition:
     )
 
 
+def fig13_spec(cfg: Fig13Config, c1: int) -> ExperimentSpec:
+    """The ``c1`` setting's training run, as a spec.
+
+    Every ``c1`` replays one recorded delay trace (inline, as a
+    ``trace-replay`` delay section); the decoder seed is
+    ``cfg.seed + c1`` (``scheme_params.seed``).
+    """
+    trace = DelayTrace.record(
+        make_delay_model("exponential", mean=1.0),
+        cfg.num_workers, cfg.num_steps, np.random.default_rng(cfg.seed + 3),
+    )
+    return ExperimentSpec(
+        name=f"fig13-c1-{c1}",
+        scheme="is-gc-hr",
+        num_workers=cfg.num_workers,
+        partitions_per_worker=cfg.total_c,
+        wait_for=cfg.wait_for,
+        max_steps=cfg.num_steps,
+        learning_rate=cfg.learning_rate,
+        seed=cfg.seed,
+        dataset=_cifar_like_dataset(cfg.dataset_samples, cfg.batch_size),
+        model={"kind": "mlp"},
+        delay={"kind": "trace-replay", "delays": trace.delays.tolist()},
+        scheme_params={
+            "c1": c1, "c2": cfg.total_c - c1, "num_groups": cfg.num_groups,
+            "seed": cfg.seed + c1,
+        },
+    )
+
+
 def _fig13_cell(cfg: Fig13Config, c1: int) -> HRPoint:
     """One ``c1`` setting, both panels.
 
-    Self-contained (dataset, streams and the shared delay trace all
+    Self-contained (the recovery estimate and the training spec both
     rebuild from ``cfg``'s seeds), hence picklable as
     ``partial(_fig13_cell, cfg)`` and bit-identical under any executor.
     """
-    n = cfg.num_workers
-    dataset = make_cifar_like(cfg.dataset_samples, side=8, seed=cfg.seed)
-    partitions = partition_dataset(dataset, n, seed=cfg.seed + 1)
-    streams = build_batch_streams(partitions, cfg.batch_size, seed=cfg.seed + 2)
-    trace = DelayTrace.record(
-        make_delay_model("exponential", mean=1.0),
-        n, cfg.num_steps, np.random.default_rng(cfg.seed + 3),
-    )
-
-    placement = _placement(cfg, c1)
     stats = monte_carlo_recovery(
-        placement, cfg.wait_for, trials=cfg.recovery_trials, seed=cfg.seed
+        _placement(cfg, c1), cfg.wait_for,
+        trials=cfg.recovery_trials, seed=cfg.seed,
     )
-    strategy = make_strategy(
-        "is-gc-hr",
-        num_workers=n,
-        wait_for=cfg.wait_for,
-        seed=cfg.seed + c1,
-        c1=c1,
-        c2=cfg.total_c - c1,
-        num_groups=cfg.num_groups,
-    )
-    summary = _run_one(cfg, strategy, trace, streams, dataset, cfg.num_steps)
+    summary = run_spec(fig13_spec(cfg, c1))
     return HRPoint(
         c1=c1,
         c2=cfg.total_c - c1,

@@ -27,7 +27,6 @@ from .strategies import (
 )
 from .convergence import LossTracker
 from .evaluation import EvaluationReport, accuracy_curve, evaluate
-from .conv import Conv2DClassifier
 from .compression import CompressedISGCStrategy, TopKCompressor, nonzero_fraction
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "EvaluationReport",
     "evaluate",
     "accuracy_curve",
-    "Conv2DClassifier",
     "TopKCompressor",
     "CompressedISGCStrategy",
     "nonzero_fraction",

@@ -34,9 +34,8 @@ from .losses import BinaryCrossEntropy, MeanSquaredError, SoftmaxCrossEntropy
 class Model(abc.ABC):
     """Base class for flat-parameter models.
 
-    A subclass defines either the stacked form (the vectorised models
-    below) or the single-batch form (then the stacked form is the loop
-    over the leading axis defined here).
+    A subclass defines the stacked form; the single-batch methods are
+    its ``G = 1`` case.
     """
 
     @property
@@ -61,6 +60,7 @@ class Model(abc.ABC):
         )
         return float(losses[0]), grads[0]
 
+    @abc.abstractmethod
     def stacked_loss_and_gradient(
         self,
         x: np.ndarray,
@@ -74,25 +74,6 @@ class Model(abc.ABC):
         vector or one ``(G, D)`` row per batch.  The model's own
         parameters are left as they were.
         """
-        if type(self).loss_and_gradient is Model.loss_and_gradient:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither loss_and_gradient "
-                "nor stacked_loss_and_gradient"
-            )
-        x, y = _stacked_batches(x, y)
-        stack = x.shape[0]
-        rows = self._parameter_rows(parameters, stack)
-        losses = np.empty(stack)
-        grads = np.empty((stack, self.num_parameters))
-        original = self.get_parameters()
-        try:
-            for g in range(stack):
-                if rows is not None:
-                    self.set_parameters(rows[g % len(rows)])
-                losses[g], grads[g] = self.loss_and_gradient(x[g], y[g])
-        finally:
-            self.set_parameters(original)
-        return losses, grads
 
     def stacked_loss(
         self,
@@ -114,34 +95,6 @@ class Model(abc.ABC):
     def gradient(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flat gradient of the mean batch loss."""
         return self.loss_and_gradient(x, y)[1]
-
-    def _validate_flat(self, flat: np.ndarray) -> np.ndarray:
-        arr = np.asarray(flat, dtype=float).ravel()
-        if arr.size != self.num_parameters:
-            raise TrainingError(
-                f"parameter vector of size {arr.size} does not match "
-                f"model size {self.num_parameters}"
-            )
-        return arr
-
-    def _parameter_rows(
-        self, parameters: Optional[np.ndarray], num_batches: int
-    ) -> Optional[np.ndarray]:
-        """``parameters`` as ``(1, D)`` (shared) or ``(G, D)`` rows;
-        ``None`` stays ``None`` (the current parameters)."""
-        if parameters is None:
-            return None
-        rows = np.asarray(parameters, dtype=float)
-        size = self.num_parameters
-        if rows.shape == (size,):
-            return rows[None]
-        if rows.shape != (num_batches, size):
-            raise TrainingError(
-                f"parameters of shape {rows.shape} fit neither one shared "
-                f"({size},) vector nor one row per batch "
-                f"({num_batches}, {size})"
-            )
-        return rows
 
 
 def _stacked_batches(x, y) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,12 +122,32 @@ class _FlatModel(Model):
 
     def set_parameters(self, flat: np.ndarray) -> None:
         """Install a flat parameter vector."""
-        self._flat = self._validate_flat(flat).copy()
+        arr = np.asarray(flat, dtype=float).ravel()
+        if arr.size != self.num_parameters:
+            raise TrainingError(
+                f"parameter vector of size {arr.size} does not match "
+                f"model size {self.num_parameters}"
+            )
+        self._flat = arr.copy()
 
-    def _parameter_rows(self, parameters, num_batches):
+    def _parameter_rows(
+        self, parameters: Optional[np.ndarray], num_batches: int
+    ) -> np.ndarray:
+        """``parameters`` as ``(1, D)`` (shared; ``None`` is the current
+        vector) or ``(G, D)`` rows."""
         if parameters is None:
             return self._flat[None]
-        return super()._parameter_rows(parameters, num_batches)
+        rows = np.asarray(parameters, dtype=float)
+        size = self.num_parameters
+        if rows.shape == (size,):
+            return rows[None]
+        if rows.shape != (num_batches, size):
+            raise TrainingError(
+                f"parameters of shape {rows.shape} fit neither one shared "
+                f"({size},) vector nor one row per batch "
+                f"({num_batches}, {size})"
+            )
+        return rows
 
 
 class _AffineModel(_FlatModel):

@@ -155,6 +155,49 @@ class TestSimulateCommand:
         ]) == 2
         assert "--delay-param" in capsys.readouterr().err
 
+    def test_simulate_seed_goes_through_spec_admission(self, capsys):
+        assert main([
+            "simulate", "--scheme", "cr", "-n", "4", "-c", "2",
+            "-w", "2", "--steps", "5", "--seed", "-1",
+        ]) == 2
+        assert "seed must be an integer >= 0, got -1" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flags, scheme", [
+        (["--scheme", "cr", "-n", "4", "-c", "2"],
+         {"scheme": "is-gc-cr", "num_workers": 4,
+          "partitions_per_worker": 2}),
+        (["--scheme", "hr", "-n", "8", "-c", "4", "--g", "2", "--c1", "1"],
+         {"scheme": "is-gc-hr", "num_workers": 8,
+          "partitions_per_worker": 4,
+          "scheme_params": {"c1": 1, "c2": 3, "num_groups": 2}}),
+    ], ids=["cr", "hr"])
+    def test_simulate_reports_like_run_of_its_spec(
+        self, flags, scheme, tmp_path
+    ):
+        spec = {
+            "name": scheme["scheme"], **scheme, "wait_for": 2,
+            "max_steps": 12, "learning_rate": 0.2, "seed": 5,
+            "dataset": {
+                "kind": "classification", "samples": 1024, "features": 12,
+                "num_classes": 3, "separation": 2.0, "batch_size": 32,
+            },
+            "model": {"kind": "softmax"},
+            "delay": {"kind": "exponential", "mean": 0.5},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        simulated, ran = tmp_path / "a.json", tmp_path / "b.json"
+        assert main([
+            "simulate", *flags, "-w", "2", "--steps", "12", "--lr", "0.2",
+            "--delay", "0.5", "--seed", "5", "--report", str(simulated),
+        ]) == 0
+        assert main([
+            "run", str(spec_path), "--report", str(ran),
+        ]) == 0
+        assert simulated.read_text() == ran.read_text()
+
 
 class TestEnvironmentsCommand:
     def test_catalogue_lists_every_layer(self, capsys):

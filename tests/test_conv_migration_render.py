@@ -1,4 +1,4 @@
-"""Tests for the conv classifier, placement migration, and graph art."""
+"""Tests for placement migration and graph art."""
 
 import numpy as np
 import pytest
@@ -12,66 +12,9 @@ from repro.core import (
     migration_plan,
     worth_migrating,
 )
-from repro.exceptions import ConfigurationError, TrainingError
+from repro.exceptions import ConfigurationError
 from repro.graphs import Graph, adjacency_art, edge_list_art
 from repro.simulation import NetworkModel
-from repro.training import Conv2DClassifier, make_cifar_like
-
-
-class TestConv2DClassifier:
-    @pytest.fixture
-    def model(self):
-        return Conv2DClassifier(
-            side=6, in_channels=2, num_filters=3, num_classes=3,
-            kernel=3, seed=1,
-        )
-
-    def test_parameter_roundtrip(self, model, rng):
-        params = rng.normal(size=model.num_parameters)
-        model.set_parameters(params)
-        np.testing.assert_allclose(model.get_parameters(), params)
-
-    def test_gradient_matches_finite_differences(self, model, rng):
-        x = rng.normal(size=(4, 6 * 6 * 2))
-        y = rng.integers(3, size=4)
-        _, grad = model.loss_and_gradient(x, y)
-        base = model.get_parameters()
-        eps = 1e-6
-        numeric = np.zeros_like(base)
-        for i in range(base.size):
-            bump = np.zeros_like(base)
-            bump[i] = eps
-            model.set_parameters(base + bump)
-            hi = model.loss(x, y)
-            model.set_parameters(base - bump)
-            lo = model.loss(x, y)
-            numeric[i] = (hi - lo) / (2 * eps)
-        model.set_parameters(base)
-        np.testing.assert_allclose(grad, numeric, atol=1e-5)
-
-    def test_learns_cifar_like(self):
-        ds = make_cifar_like(512, side=6, num_classes=4, seed=0)
-        model = Conv2DClassifier(6, 3, 8, 4, seed=0)
-        initial = model.loss(ds.features, ds.labels)
-        rng = np.random.default_rng(1)
-        for _ in range(150):
-            idx = rng.integers(512, size=64)
-            _, grad = model.loss_and_gradient(ds.features[idx], ds.labels[idx])
-            model.set_parameters(model.get_parameters() - 0.1 * grad)
-        final = model.loss(ds.features, ds.labels)
-        assert final < 0.8 * initial
-
-    def test_predict_shape(self, model, rng):
-        x = rng.normal(size=(7, 6 * 6 * 2))
-        assert model.predict(x).shape == (7,)
-
-    def test_validation(self):
-        with pytest.raises(TrainingError):
-            Conv2DClassifier(side=3, in_channels=1, num_filters=2,
-                             num_classes=2, kernel=3)
-        with pytest.raises(TrainingError):
-            Conv2DClassifier(side=8, in_channels=0, num_filters=2,
-                             num_classes=2)
 
 
 class TestMigration:

@@ -1,7 +1,11 @@
 """Tests for the experiment harnesses (small, fast configurations)."""
 
+import json
+
 import pytest
 
+from repro.cli import main
+from repro.engine import RunReport
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     Fig11Config,
@@ -15,6 +19,8 @@ from repro.experiments import (
     run_fig12,
     run_fig13,
 )
+from repro.experiments.fig12 import fig12_specs
+from repro.experiments.fig13 import fig13_spec
 
 SMALL11 = Fig11Config(num_steps=40, wait_values=(6, 12), expected_delays=(1.5,),
                       num_delayed_options=(12,))
@@ -35,6 +41,15 @@ class TestConfigValidation:
     def test_fig12_bad_wait(self):
         with pytest.raises(ConfigurationError):
             Fig12Config(wait_values=(9,))
+
+    def test_fig12_needs_a_trial(self):
+        with pytest.raises(ConfigurationError, match="num_trials"):
+            Fig12Config(num_trials=0)
+
+    @pytest.mark.parametrize("straggling", [-1, 9])
+    def test_fig12_bad_straggling(self, straggling):
+        with pytest.raises(ConfigurationError, match="num_straggling"):
+            Fig12Config(num_straggling=straggling)
 
     def test_fig13_bad_c1(self):
         with pytest.raises(ConfigurationError):
@@ -161,3 +176,47 @@ class TestRunner:
             assert parser.parse_args(["experiment", name]).figure == name
         with pytest.raises(SystemExit):
             parser.parse_args(["experiment", "fig99"])
+
+
+def _run_spec_file(spec, tmp_path) -> RunReport:
+    """``repro run`` on ``spec`` written out with ``to_dict``."""
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(spec.to_dict()))
+    assert main(["run", str(spec_path), "--report", str(report_path)]) == 0
+    report = RunReport.from_json(report_path.read_text())
+    assert report.spec_fingerprint == spec.fingerprint()
+    return report
+
+
+class TestFigureCellsAreSpecs:
+    """A figure cell's run, written as a spec file, is a ``repro run``."""
+
+    def test_fig12_cell_reproduces_under_repro_run(self, tmp_path):
+        cfg = Fig12Config(
+            num_trials=1, max_steps=40, loss_threshold=1.5,
+            recovery_trials=50, dataset_samples=512, wait_values=(3,),
+        )
+        points = run_fig12(cfg)[3]
+        specs = fig12_specs(cfg, 3)
+        assert [s.scheme for s in specs] == [p.scheme for p in points]
+        gc, point = specs[-1], points[-1]
+        assert gc.scheme == "gc"
+        report = _run_spec_file(gc, tmp_path)
+        assert report.reached_threshold and report.num_steps < 40
+        assert (
+            report.num_steps, report.total_sim_time,
+            report.metrics["avg_step_time"],
+            100 * report.metrics["avg_recovery_fraction"],
+        ) == (
+            point.num_steps, point.total_time, point.avg_step_time,
+            point.recovery_pct,
+        )
+
+    def test_fig13_cell_reproduces_under_repro_run(self, tmp_path):
+        cfg = Fig13Config(
+            num_steps=20, recovery_trials=50, dataset_samples=512,
+            c1_values=(1,),
+        )
+        (point,) = run_fig13(cfg)
+        report = _run_spec_file(fig13_spec(cfg, 1), tmp_path)
+        assert report.loss_curve == point.loss_curve

@@ -10,9 +10,7 @@ the package goes through it.  The oracle here shares none of that code:
   written out on Python integers, one index at a time — SplitMix64
   from its published definition, pinned by its known first output;
 * each model's loss and gradient are the single-batch 2-D formulas the
-  models had before they were stacked (``x @ w``, ``x.T @ d``, …) —
-  except the conv net, whose own single-batch method *is* its
-  definition and whose stacked form is the base-class loop.
+  models had before they were stacked (``x @ w``, ``x.T @ d``, …).
 
 Everything is compared with ``==`` on the bits.  Stacked ``matmul`` on
 ``(G, b, d)`` blocks issues one BLAS call per batch with the operand
@@ -48,7 +46,6 @@ from repro.engine import (
 from repro.core.coding import SummationCode
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.training import (
-    Conv2DClassifier,
     Dataset,
     LinearRegressionModel,
     LogisticRegressionModel,
@@ -144,13 +141,7 @@ def _ref_mlp(model, theta, x, y):
     ])
 
 
-def _ref_conv(model, theta, x, y):
-    model.set_parameters(theta)
-    loss, grad = model.loss_and_gradient(x, y)
-    return float(loss), grad
-
-
-CLASSES, HIDDEN, SIDE = 3, 4, 4
+CLASSES, HIDDEN = 3, 4
 
 #: name → (features, model factory, labels are real-valued, oracle)
 MODELS = {
@@ -162,9 +153,6 @@ MODELS = {
                 False, _ref_softmax),
     "mlp": (5, lambda: MLPClassifier(5, HIDDEN, CLASSES, seed=1), False,
             _ref_mlp),
-    "conv": (SIDE * SIDE, lambda: Conv2DClassifier(
-        side=SIDE, in_channels=1, num_filters=2, num_classes=CLASSES, seed=1,
-    ), False, _ref_conv),
 }
 
 
