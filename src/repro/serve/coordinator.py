@@ -42,7 +42,12 @@ from ..engine.spec import ExperimentSpec
 from ..exceptions import AdmissionError, ServeError
 from .jobs import Job, JobEvent, JobHandle, JobState
 from .pool import WorkerPool
-from .scheduler import FairScheduler, Scheduler, SchedulingClass
+from .scheduler import (
+    FairScheduler,
+    Scheduler,
+    SchedulingClass,
+    check_deadline,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.report import RunReport
@@ -146,9 +151,32 @@ class Coordinator:
         the explicit keyword arguments override it field by field.
         Raises :class:`~repro.exceptions.AdmissionError` (carrying the
         queue depth and a retry hint) when the queue is full, and
-        :class:`ServeError` when the weight is invalid or the
-        coordinator is closed.
+        :class:`ServeError` when the weight or deadline is invalid or
+        the coordinator is closed.
         """
+        job = self._admit(
+            spec, name=name, weight=weight, trace=trace, job_id=job_id,
+            priority=priority, deadline=deadline,
+            scheduling_class=scheduling_class,
+        )
+        if self._mailbox is not None:
+            self._mailbox.write_checkpoint(job, None)
+        return JobHandle(self, job)
+
+    def _admit(
+        self,
+        spec: "ExperimentSpec | str | pathlib.Path",
+        *,
+        name: Optional[str],
+        weight: Optional[int],
+        trace: Optional[bool],
+        job_id: Optional[str],
+        priority: Optional[int],
+        deadline: Optional[float],
+        scheduling_class: Optional[SchedulingClass] = None,
+    ) -> Job:
+        """Validate and register one job (QUEUED); persists nothing, so
+        re-admission keeps the checkpoint it resumes from."""
         if self._closed:
             raise ServeError("coordinator is closed; no new submissions")
         if not isinstance(spec, ExperimentSpec):
@@ -162,10 +190,7 @@ class Coordinator:
             deadline = sched.deadline
         if weight < 1:
             raise ServeError(f"job weight must be >= 1, got {weight}")
-        if deadline is not None and deadline <= 0:
-            raise ServeError(
-                f"job deadline must be positive, got {deadline}"
-            )
+        check_deadline(deadline, "job")
         active = len(self._live)
         if active >= self.queue_limit:
             raise AdmissionError(
@@ -206,9 +231,7 @@ class Coordinator:
         self._jobs[job_id] = job
         self._live[job_id] = job
         self._emit_state(job)
-        if self._mailbox is not None:
-            self._mailbox.write_checkpoint(job, None)
-        return JobHandle(self, job)
+        return job
 
     def handle(self, job_id: str) -> JobHandle:
         """The handle for a previously submitted job id."""
@@ -268,7 +291,7 @@ class Coordinator:
         for queue in job.watchers:
             queue.put_nowait(event)
         # The mailbox snapshot changes only on transitions; round
-        # progress reaches file clients through the checkpoint head.
+        # progress reaches file clients through the round log.
         if self._mailbox is not None and event.kind == "state":
             self._mailbox.write_state(job)
 
@@ -429,10 +452,11 @@ class Coordinator:
         """Re-admit every checkpointed job the last coordinator left.
 
         A job whose published state is already terminal only needs its
-        stale checkpoint cleared; everything else is resubmitted under
+        stale checkpoint cleared; everything else is re-admitted under
         its original id/class, carrying the snapshotted engine state
         (when one was written) so its first quantum continues exactly
-        where the dead coordinator stopped.
+        where the dead coordinator stopped.  Re-admission writes no
+        fresh round-zero checkpoint over the one it resumes from.
         """
         for record in mailbox.poll_checkpoints():
             if record.job_id in self._jobs:
@@ -442,7 +466,7 @@ class Coordinator:
                 mailbox.clear_checkpoint(record.job_id)
                 continue
             try:
-                handle = self.submit(
+                job = self._admit(
                     record.spec,
                     name=record.name,
                     weight=record.weight,
@@ -459,14 +483,10 @@ class Coordinator:
                     {"reason": "recovery_failed"},
                 )
                 continue
-            job = self._jobs[handle.job_id]
             job.trace_path = record.trace_path
             job.checkpoint_state = record.engine_state
             job.rounds_done = record.rounds_done
-            # Re-persist the recovered state (submit wrote a fresh
-            # round-zero record) so a second crash resumes from the
-            # same boundary, not from scratch.
-            mailbox.write_checkpoint(job, record.engine_state)
+            mailbox.readmit(job, record.engine_state)
 
     def _poll_mailbox(self, mailbox: "ServeMailbox") -> int:
         admitted = 0

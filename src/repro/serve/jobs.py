@@ -128,13 +128,8 @@ class Job:
     )
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
 
-    # The spec is frozen, so what every state file and checkpoint head
-    # repeats about it is computed once per job, not once per round.
-
-    @cached_property
-    def spec_payload(self) -> Dict[str, object]:
-        """``spec.to_dict()`` (embedded in every checkpoint head)."""
-        return self.spec.to_dict()
+    # The spec is frozen, so what every state file repeats about it is
+    # computed once per job, not once per transition.
 
     @cached_property
     def spec_fingerprint(self) -> str:

@@ -14,14 +14,13 @@ crash.  Layout::
       cancel/<job_id>.cancel
       jobs/<job_id>.json        # state snapshots, written on state
                                 # transitions; live ``rounds_done``
-                                # comes from the checkpoint head
+                                # comes from the round log
       rejected/<job_id>.json
-      checkpoints/<job_id>.json           # resumable job head: spec +
-                                          # engine state minus history
-      checkpoints/<job_id>.records.jsonl  # append-only record log, one
-                                          # line per committed record
-                                          # (both cleared on terminal
-                                          # states)
+      checkpoints/<job_id>.json          # job head: spec + scheduling
+                                         # class, written at admission
+      checkpoints/<job_id>.rounds.jsonl  # round log, one line per round
+                                         # boundary (both cleared on
+                                         # terminal states)
 
 Submissions embed the full spec payload (``{"spec": {...}}``), so the
 coordinator revalidates through :meth:`ExperimentSpec.from_dict` and
@@ -31,23 +30,24 @@ including the spec layer's did-you-mean hints.  Admission rejections
 ``reason``, the queue depth/limit at rejection time, and a
 ``retry_hint``.
 
-``checkpoints/`` is what makes jobs survive their coordinator: each
-head holds everything needed to re-admit the job (spec, name, weight,
-scheduling class, trace path) plus — once the job has run a quantum —
-its serialized :class:`~repro.engine.EngineState`.  A round persists
-what it changed, not the job's history: the new records are appended
-to the job's record log and flushed, *then* the small head — the
-engine state without its records and loss curve, plus
-``records_logged``, the number of log lines it counts on — is replaced
-atomically (the append-then-truncate discipline
-:class:`~repro.obs.TraceStreamWriter` and ``truncate_traces`` use for
-traces).  A crash between the two steps leaves lines the head does not
-count; recovery keeps the first ``records_logged`` lines, drops later
-or torn ones, and rejects a head whose log is shorter than it claims.
-A restarting coordinator re-admits every non-terminal checkpointed job
-and resumes it bit-identically (see :meth:`Coordinator.serve`).  The
-``coordinator.json`` marker embeds the serving pid; a new coordinator
-takes over a *stale* marker (dead pid) but refuses a live one.
+``checkpoints/`` is what makes jobs survive their coordinator.  A
+job's head holds what never changes (spec, name, weight, scheduling
+class, trace path); it is written once, at admission, after the empty
+round log it names.  A running round then costs one append and no
+replace: a compact line ``{"engine_state", "records", "rounds_done"}``
+carrying the engine state without its history and the records
+committed since the previous line.  Every line is a complete resume
+point, so recovery takes the records of every newline-terminated line
+and the state of the last one, and cuts a torn last line off the file;
+a log whose records disagree with that state's ``round_index``, or
+whose complete line does not parse, is rejected.  A restarting
+coordinator re-admits every non-terminal checkpointed job and resumes
+it bit-identically (see :meth:`Coordinator.serve`).  A head that still
+carries ``engine_state`` is the previous layout (a head replaced every
+round, counting into ``<job_id>.records.jsonl``): it is read, never
+written, and re-admission converts it.  The ``coordinator.json``
+marker embeds the serving pid; a new coordinator takes over a *stale*
+marker (dead pid) but refuses a live one.
 
 Two classes share the directory: :class:`ServeMailbox` is the
 coordinator side (poll, consume, publish state);
@@ -64,12 +64,13 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.spec import ExperimentSpec
 from ..engine.state import EngineState
 from ..exceptions import ReproError, ServeError, SubmissionRejectedError
 from ..obs import truncate_traces
+from .scheduler import check_deadline
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coordinator import Coordinator
@@ -81,7 +82,10 @@ _CANCEL = "cancel"
 _REJECTED = "rejected"
 _CHECKPOINTS = "checkpoints"
 _COORDINATOR = "coordinator.json"
-#: record-log suffix; deliberately not ``*.json`` so head scans skip it.
+#: round-log suffix; deliberately not ``*.json`` so head scans skip it.
+_ROUND_LOG = ".rounds.jsonl"
+#: the previous layout's record log, one line per record, counted by a
+#: head that carried the engine state; read at recovery, never written.
 _RECORD_LOG = ".records.jsonl"
 _SUBDIRS = (_INBOX, _JOBS, _CANCEL, _REJECTED, _CHECKPOINTS)
 
@@ -96,6 +100,14 @@ def _atomic_write(path: pathlib.Path, payload: Dict[str, object]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(_compact_json(payload) + "\n")
     os.replace(tmp, path)
+
+
+def _append(path: pathlib.Path, line: str) -> None:
+    """Append one newline-terminated line: the one write of a running
+    round.  Closing the file hands the bytes to the kernel, so they
+    survive the death of this process."""
+    with open(path, "a") as log:
+        log.write(line)
 
 
 def _compact_json(payload: Dict[str, object]) -> str:
@@ -125,6 +137,61 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _last_line(path: pathlib.Path) -> bytes:
+    """The last newline-terminated line of ``path`` (empty when it has
+    none), read backwards from the end in doubling blocks: a torn tail
+    is skipped, and one line may be as long as the whole file."""
+    with open(path, "rb") as handle:
+        start = handle.seek(0, os.SEEK_END)
+        tail = b""
+        block = 4096
+        while start > 0:
+            step = min(block, start)
+            start -= step
+            handle.seek(start)
+            tail = handle.read(step) + tail
+            end = tail.rfind(b"\n")
+            if end >= 0 and tail.rfind(b"\n", 0, end) >= 0:
+                break
+            block *= 2
+    end = tail.rfind(b"\n")
+    return tail[tail.rfind(b"\n", 0, end) + 1:end] if end >= 0 else b""
+
+
+#: the fields a submission and a checkpoint head share: their default
+#: and the JSON types a value may have (``bool`` is never an ``int``).
+_JOB_FIELDS = {
+    "name": (None, (str,), "non-string name"),
+    "weight": (1, (int,), "non-integer weight"),
+    "priority": (0, (int,), "non-integer priority"),
+    "deadline": (None, (int, float), "non-numeric deadline"),
+    "trace": (None, (bool,), "non-boolean trace flag"),
+    "trace_path": (None, (str,), "non-string trace path"),
+}
+
+
+def _job_fields(
+    kind: str, job_id: str, payload: Dict[str, object], *names: str
+) -> Dict[str, object]:
+    """``names`` read from ``payload`` through one type check, so an
+    inbox entry and a checkpoint head accept exactly the same values
+    (raises :class:`ServeError`; never coerces)."""
+    fields = {}
+    for key in names:
+        default, types, problem = _JOB_FIELDS[key]
+        value = payload.get(key, default)
+        if (value is not None or default is not None) and (
+            not isinstance(value, types)
+            or (isinstance(value, bool) and bool not in types)
+        ):
+            raise ServeError(f"{kind} {job_id!r} has {problem} {value!r}")
+        fields[key] = value
+    if fields.get("deadline") is not None:
+        fields["deadline"] = float(fields["deadline"])
+        check_deadline(fields["deadline"], f"{kind} {job_id!r}")
+    return fields
+
+
 @dataclass
 class Submission:
     """One decoded inbox entry."""
@@ -145,44 +212,13 @@ class Submission:
             raise ServeError(
                 f"submission {job_id!r} is missing the 'spec' payload"
             )
-        spec = ExperimentSpec.from_dict(payload["spec"])
-        weight = payload.get("weight", 1)
-        if not isinstance(weight, int) or isinstance(weight, bool):
-            raise ServeError(
-                f"submission {job_id!r} has non-integer weight "
-                f"{weight!r}"
-            )
-        trace = payload.get("trace")
-        if trace is not None and not isinstance(trace, bool):
-            raise ServeError(
-                f"submission {job_id!r} has non-boolean trace flag "
-                f"{trace!r}"
-            )
-        name = payload.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ServeError(
-                f"submission {job_id!r} has non-string name {name!r}"
-            )
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ServeError(
-                f"submission {job_id!r} has non-integer priority "
-                f"{priority!r}"
-            )
-        deadline = payload.get("deadline")
-        if deadline is not None:
-            if isinstance(deadline, bool) or not isinstance(
-                deadline, (int, float)
-            ):
-                raise ServeError(
-                    f"submission {job_id!r} has non-numeric deadline "
-                    f"{deadline!r}"
-                )
-            deadline = float(deadline)
         return cls(
-            job_id=job_id, spec=spec, name=name,
-            weight=weight, trace=trace,
-            priority=priority, deadline=deadline,
+            job_id=job_id,
+            spec=ExperimentSpec.from_dict(payload["spec"]),
+            **_job_fields(
+                "submission", job_id, payload,
+                "name", "weight", "trace", "priority", "deadline",
+            ),
         )
 
 
@@ -204,27 +240,21 @@ class CheckpointRecord:
     def from_payload(
         cls, job_id: str, payload: Dict[str, object]
     ) -> "CheckpointRecord":
+        """The head's fixed part; the mailbox adds the resume point."""
         if not isinstance(payload, dict) or "spec" not in payload:
             raise ServeError(
                 f"checkpoint {job_id!r} is missing the 'spec' payload"
             )
-        engine_state = payload.get("engine_state")
+        fields = _job_fields(
+            "checkpoint", job_id, payload,
+            "name", "weight", "priority", "deadline", "trace_path",
+        )
+        if fields["name"] is None:
+            fields["name"] = job_id
         return cls(
             job_id=job_id,
             spec=ExperimentSpec.from_dict(payload["spec"]),
-            name=str(payload.get("name", job_id)),
-            weight=int(payload.get("weight", 1)),
-            priority=int(payload.get("priority", 0)),
-            deadline=(
-                float(payload["deadline"])
-                if payload.get("deadline") is not None else None
-            ),
-            trace_path=payload.get("trace_path"),
-            rounds_done=int(payload.get("rounds_done", 0)),
-            engine_state=(
-                EngineState.from_dict(engine_state)
-                if engine_state is not None else None
-            ),
+            **fields,
         )
 
 
@@ -235,9 +265,9 @@ class ServeMailbox:
         self.root = pathlib.Path(root)
         for sub in _SUBDIRS:
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        #: job id → lines its record log is known to hold (exactly that
-        #: many, all a prefix of the job's history).  Absent = unknown:
-        #: the next checkpoint with a state rewrites the log.
+        #: job id → records its round log is known to hold (all of the
+        #: job's history up to there).  Absent = unknown: the next
+        #: checkpoint rewrites the log and the head.
         self._logged: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -350,27 +380,61 @@ class ServeMailbox:
     def write_checkpoint(
         self, job: "Job", state: "EngineState | None"
     ) -> None:
-        """Persist one job's resumable record (spec + engine state).
+        """Persist one job's resume point.
 
-        Written at admission (``state=None`` — the job can restart from
-        round zero) and refreshed at every round boundary once the job
-        runs, so a killed coordinator loses at most the quantum that
-        was in flight.  A refresh costs the same at round 100 as at
-        round 1: the records committed since the last write are
-        appended to the job's log, then the head that counts them
-        replaces the previous head.
+        At admission (``state=None``) the job's empty round log is
+        created, then its head (spec and scheduling class, which never
+        change) is written.  At every round boundary after that, the
+        round costs one append and no replace: a line holding
+        ``rounds_done``, the records committed since the previous line
+        and the engine state without its history, so a killed
+        coordinator loses at most the round in flight and round 100
+        costs what round 1 does.  A job whose log this mailbox does not
+        know (re-admitted from a previous-layout checkpoint, or first
+        checkpointed after its admission) gets a one-line log carrying
+        its whole history, then its head.
         """
+        logged = self._logged.get(job.job_id)
+        if state is None or logged is None or logged > state.round_index:
+            self._rewrite(job, state)
+            return
+        _append(
+            self._log_path(job.job_id),
+            _compact_json(self._round_line(job, state, logged)) + "\n",
+        )
+        self._logged[job.job_id] = state.round_index
+
+    def readmit(self, job: "Job", state: "EngineState | None") -> None:
+        """Persist a job :meth:`poll_checkpoints` recovered.
+
+        A job read from its round log is already persisted; a job read
+        from a previous-layout head is converted.  The new log is
+        complete before the new head replaces the old one, and the old
+        record log goes last: a crash in between leaves either the old
+        head (read as before; the new log is rewritten at the next
+        re-admission) or the new head beside a stranded record log,
+        which :meth:`poll_checkpoints` sweeps.
+        """
+        if job.job_id not in self._logged:
+            self._rewrite(job, state)
+
+    def _rewrite(self, job: "Job", state: "EngineState | None") -> None:
+        """Log first, then head: a head never names a log that is not
+        whole.  The log is replaced atomically when it carries history,
+        so a head on disk always keeps a complete resume point."""
+        log = self._log_path(job.job_id)
+        if state is None:
+            log.write_bytes(b"")
+            self._logged[job.job_id] = 0
+        else:
+            _atomic_write(log, self._round_line(job, state, 0))
+            self._logged[job.job_id] = state.round_index
         payload: Dict[str, object] = {
             "id": job.job_id,
             "name": job.name,
             "weight": job.weight,
-            "rounds_done": job.rounds_done,
-            "spec": job.spec_payload,
-            "engine_state": None,
+            "spec": job.spec.to_dict(),
         }
-        if state is not None:
-            payload["records_logged"] = self._log_records(job.job_id, state)
-            payload["engine_state"] = state.without_history().to_dict()
         if job.priority != 0:
             payload["priority"] = job.priority
         if job.deadline is not None:
@@ -378,32 +442,31 @@ class ServeMailbox:
         if job.trace_path is not None:
             payload["trace_path"] = job.trace_path
         _atomic_write(self._head_path(job.job_id), payload)
+        self._record_log_path(job.job_id).unlink(missing_ok=True)
+
+    @staticmethod
+    def _round_line(
+        job: "Job", state: EngineState, start: int
+    ) -> Dict[str, object]:
+        """One round-log line: the records from ``start`` on and the
+        state they lead to, minus that history."""
+        return {
+            "engine_state": state.without_history().to_dict(),
+            "records": state.history(start),
+            "rounds_done": job.rounds_done,
+        }
 
     def _head_path(self, job_id: str) -> pathlib.Path:
         return self.root / _CHECKPOINTS / f"{job_id}.json"
 
     def _log_path(self, job_id: str) -> pathlib.Path:
+        return self.root / _CHECKPOINTS / f"{job_id}{_ROUND_LOG}"
+
+    def _record_log_path(self, job_id: str) -> pathlib.Path:
         return self.root / _CHECKPOINTS / f"{job_id}{_RECORD_LOG}"
 
-    def _log_records(self, job_id: str, state: EngineState) -> int:
-        """Bring the job's record log up to ``state``; returns its length.
-
-        Appends only what the log lacks.  A log of unknown content (a
-        mailbox object that neither wrote nor recovered it) or one
-        ahead of ``state`` is rewritten from the first record.
-        """
-        logged = self._logged.get(job_id)
-        rewrite = logged is None or logged > state.round_index
-        start = 0 if rewrite else logged
-        pending = state.history(start)
-        if pending or rewrite:
-            with open(self._log_path(job_id), "w" if rewrite else "a") as log:
-                log.writelines(_compact_json(r) + "\n" for r in pending)
-        self._logged[job_id] = start + len(pending)
-        return self._logged[job_id]
-
     def clear_checkpoint(self, job_id: str) -> None:
-        """Drop a terminal job's head and record log (idempotent).
+        """Drop a terminal job's head and logs (idempotent).
 
         Head first: a crash in between strands a log without a head,
         which :meth:`poll_checkpoints` sweeps, never a head whose log
@@ -412,21 +475,26 @@ class ServeMailbox:
         self._logged.pop(job_id, None)
         self._head_path(job_id).unlink(missing_ok=True)
         self._log_path(job_id).unlink(missing_ok=True)
+        self._record_log_path(job_id).unlink(missing_ok=True)
 
     def poll_checkpoints(self) -> List[CheckpointRecord]:
         """Decode every checkpoint record, in sorted (job id) order.
 
-        Unreadable records — a head that does not parse, a log shorter
-        than its head counts, a bad line inside the counted prefix —
-        are rejected (with the parse error) rather than wedging
-        recovery of the readable ones.
+        Unreadable records — a head that does not parse, a head whose
+        log is missing, a complete log line that does not parse, records
+        that disagree with the state they lead to — are rejected (with
+        the parse error) rather than wedging recovery of the readable
+        ones.  What no head will read is swept: a log whose head is
+        gone, a record log beside a current-layout head, a temp file a
+        crash left before its ``os.replace``.
         """
         records = []
+        previous_layout = set()
         directory = self.root / _CHECKPOINTS
         for path in sorted(directory.glob("*.json")):
             job_id = path.stem
             try:
-                records.append(self._read_checkpoint(job_id, path))
+                record, previous = self._read_checkpoint(job_id, path)
             except (ReproError, ValueError, TypeError) as exc:
                 self.clear_checkpoint(job_id)
                 self.write_rejection(
@@ -434,22 +502,76 @@ class ServeMailbox:
                     f"unreadable checkpoint: {exc}",
                     {"reason": "invalid_checkpoint"},
                 )
-        for log in directory.glob("*" + _RECORD_LOG):
-            if not self._head_path(log.name[: -len(_RECORD_LOG)]).exists():
-                log.unlink()
+                continue
+            records.append(record)
+            if previous:
+                previous_layout.add(job_id)
+        for path in directory.glob("*" + _ROUND_LOG):
+            if not self._head_path(path.name[: -len(_ROUND_LOG)]).exists():
+                path.unlink()
+        for path in directory.glob("*" + _RECORD_LOG):
+            if path.name[: -len(_RECORD_LOG)] not in previous_layout:
+                path.unlink()
+        for path in directory.glob("*.tmp"):
+            path.unlink()
         return records
 
     def _read_checkpoint(
         self, job_id: str, path: pathlib.Path
-    ) -> CheckpointRecord:
-        """One head plus the log lines it counts, trimmed to that count."""
+    ) -> Tuple[CheckpointRecord, bool]:
+        """One head plus its round log; the flag marks a previous-layout
+        head, which :meth:`readmit` converts."""
         payload = json.loads(path.read_text())
         record = CheckpointRecord.from_payload(job_id, payload)
-        state = record.engine_state
-        if state is None or "records_logged" not in payload:
-            # Not yet run, or a pre-log head carrying its records
-            # inline: no log line belongs to it.
+        if "engine_state" in payload:
+            return self._read_previous_layout(record, payload), True
+        log = self._log_path(job_id)
+        if not log.exists():
+            raise ServeError(f"checkpoint {job_id!r} has no round log")
+        data = log.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            os.truncate(log, end)  # a torn last line: the round in flight
+        history: List[Dict[str, object]] = []
+        line = None
+        for text in data[:end].splitlines():
+            line = json.loads(text)
+            if not isinstance(line, dict) or not isinstance(
+                line.get("records"), list
+            ):
+                raise ServeError(
+                    f"checkpoint {job_id!r} has a round line that is not "
+                    f"a mapping with a 'records' list"
+                )
+            history.extend(line["records"])
+        if line is not None:
+            state = EngineState.from_dict(line.get("engine_state"))
+            if not len(history) == state.round_index == line.get(
+                "rounds_done"
+            ):
+                raise ServeError(
+                    f"checkpoint {job_id!r} logs {len(history)} records "
+                    f"and {line.get('rounds_done')!r} rounds but its "
+                    f"engine state is at round {state.round_index}"
+                )
+            record.engine_state = state.with_history(history)
+            record.rounds_done = state.round_index
+        self._logged[job_id] = len(history)
+        return record, False
+
+    def _read_previous_layout(
+        self, record: CheckpointRecord, payload: Dict[str, object]
+    ) -> CheckpointRecord:
+        """A head that carries the engine state: records inline, or the
+        first ``records_logged`` lines of its record log."""
+        job_id = record.job_id
+        record.rounds_done = int(payload.get("rounds_done", 0))
+        if payload["engine_state"] is None:
             return record
+        state = EngineState.from_dict(payload["engine_state"])
+        record.engine_state = state
+        if "records_logged" not in payload:
+            return record  # the whole history sits inline
         count = state.round_index
         if payload["records_logged"] != count:
             raise ServeError(
@@ -457,7 +579,7 @@ class ServeMailbox:
                 f"{payload['records_logged']!r} logged records but its "
                 f"engine state is at round {count}"
             )
-        log = self._log_path(job_id)
+        log = self._record_log_path(job_id)
         # The primitive trace streams rewind with: drops the lines the
         # head does not count, raises when the log holds fewer.
         truncate_traces(log, count)
@@ -465,7 +587,6 @@ class ServeMailbox:
         record.engine_state = state.with_history(
             [json.loads(line) for line in lines]
         )
-        self._logged[job_id] = count
         return record
 
 
@@ -474,7 +595,7 @@ class CoordinatorClient:
 
     Submissions are fire-and-forget file drops; state comes from the
     snapshots the coordinator publishes on state transitions, progress
-    from the checkpoint head it replaces every round.  ``wait()`` polls
+    from the round log it appends to every round.  ``wait()`` polls
     with a wall-clock deadline — acceptable here because the clock only
     bounds the *wait*, it never enters a job result.
     """
@@ -560,18 +681,19 @@ class CoordinatorClient:
     def _with_progress(
         self, job_id: str, snapshot: Dict[str, object]
     ) -> Dict[str, object]:
-        """``snapshot`` with a live job's ``rounds_done`` taken from its
-        checkpoint head.
+        """``snapshot`` with a live job's ``rounds_done`` taken from the
+        last complete line of its round log.
 
-        A terminal snapshot (or rejection record) is final.  A head
-        that is missing (cleared in a race with a terminal transition)
-        or unreadable leaves the snapshot's own value.
+        A terminal snapshot (or rejection record) is final.  A log that
+        is missing (cleared in a race with a terminal transition), has
+        no complete line yet or does not parse leaves the snapshot's
+        own value.
         """
         if snapshot.get("state") in _TERMINAL:
             return snapshot
-        head = self.root / _CHECKPOINTS / f"{job_id}.json"
+        log = self.root / _CHECKPOINTS / f"{job_id}{_ROUND_LOG}"
         try:
-            rounds = json.loads(head.read_text())["rounds_done"]
+            rounds = json.loads(_last_line(log))["rounds_done"]
         except (OSError, ValueError, KeyError, TypeError):
             return snapshot
         if isinstance(rounds, int):

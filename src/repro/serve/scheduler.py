@@ -31,6 +31,7 @@ to prove trajectories are interleaving-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
@@ -72,11 +73,23 @@ class SchedulingClass:
             raise ServeError(
                 f"scheduling class weight must be >= 1, got {self.weight}"
             )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ServeError(
-                f"scheduling class deadline must be positive, "
-                f"got {self.deadline}"
-            )
+        check_deadline(self.deadline, "scheduling class")
+
+
+def check_deadline(deadline: Optional[float], owner: str) -> None:
+    """Refuse a deadline that is not a positive finite number.
+
+    A NaN would make :func:`_deadline_key` comparisons non-total (the
+    EDF tie-break would then follow iteration order), and ``inf`` is
+    no deadline at all; JSON inbox files can spell both.
+    """
+    if deadline is not None and not (
+        math.isfinite(deadline) and deadline > 0
+    ):
+        raise ServeError(
+            f"{owner} deadline must be a positive finite number, "
+            f"got {deadline}"
+        )
 
 
 #: the implicit class of jobs submitted without one.

@@ -13,14 +13,15 @@ interleaved-equals-sequential invariant across *process* boundaries:
   over, re-admits every non-terminal job and completes them — reports
   *and* streamed traces bit-identical to runs that were never
   interrupted;
-* a round's checkpoint is incremental — new records appended to a
-  per-job log, then a small head replaced — and a crash at any point
-  of that write, a torn log line, a pre-log head or a hostile record
+* a job's head is written once, at admission, and a round's
+  checkpoint is one appended round-log line (no file is replaced
+  while a job runs); a crash before, during or after that append, a
+  torn log line, an earlier-layout checkpoint or a hostile record
   ends in a bit-identical resume or a ``rejected/`` entry, never a
   dead coordinator;
 * ``jobs/<id>.json`` is written once per state transition, however long
   the job or the coordinator lives; file clients read a live job's
-  ``rounds_done`` from its checkpoint head;
+  ``rounds_done`` from the last complete line of its round log;
 * :class:`~repro.serve.SchedulingClass` priorities drain strictly
   higher tiers first while SWRR fairness (±1 quantum) holds within
   each tier, with earliest-deadline-first tie-breaking;
@@ -31,9 +32,11 @@ interleaved-equals-sequential invariant across *process* boundaries:
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import itertools
 import json
+import math
 import os
 import pathlib
 import signal
@@ -554,45 +557,64 @@ class TestCrashRecovery:
 
 
 # ----------------------------------------------------------------------
-# Incremental checkpoints: record log + head
+# Checkpoints: a head written at admission + one round-log line a round
 
 
 class SimulatedCrash(Exception):
     """Stands in for SIGKILL at a chosen point of the write path."""
 
 
-def serve_until_crash(mb, nth, **kwargs):
-    """Serve ``mb`` and die instead of replacing the ``nth`` head that
-    carries engine state — after that round's records reached the log,
-    before any head counts them."""
-    real = mailbox_module._atomic_write
+#: where a simulated kill lands around a round's one append.
+CRASH_POINTS = ("before", "torn", "after")
+
+
+def serve_until_crash(mb, nth, point="before", **kwargs):
+    """Serve ``mb`` and die at ``point`` of the ``nth`` round append:
+    before any of its bytes, halfway through its line, or once the
+    whole line is on disk but before the coordinator goes on."""
+    real = mailbox_module._append
     seen = itertools.count(1)
 
-    def write(path, payload, **options):
-        if (
-            path.parent.name == "checkpoints"
-            and payload.get("engine_state") is not None
-            and next(seen) == nth
-        ):
+    def append(path, line):
+        if next(seen) == nth:
+            if point == "torn":
+                real(path, line[: len(line) // 2])
+            elif point == "after":
+                real(path, line)
             raise SimulatedCrash
-        real(path, payload, **options)
+        real(path, line)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mailbox_module, "_atomic_write", write)
+        patch.setattr(mailbox_module, "_append", append)
         with pytest.raises(SimulatedCrash):
             drain(mb, **kwargs)
 
 
+def head_path(mb, job_id):
+    return mb / "checkpoints" / f"{job_id}.json"
+
+
 def head_of(mb, job_id):
-    return json.loads((mb / "checkpoints" / f"{job_id}.json").read_text())
+    return json.loads(head_path(mb, job_id).read_text())
 
 
 def log_of(mb, job_id):
-    return mb / "checkpoints" / f"{job_id}.records.jsonl"
+    return mb / "checkpoints" / f"{job_id}.rounds.jsonl"
 
 
-def log_lines(mb, job_id):
-    return log_of(mb, job_id).read_bytes().splitlines(keepends=True)
+def round_lines(mb, job_id):
+    """The complete lines of a job's round log, decoded."""
+    data = log_of(mb, job_id).read_bytes()
+    complete = data[: data.rfind(b"\n") + 1]
+    return [json.loads(line) for line in complete.splitlines()]
+
+
+def logged_steps(mb, job_id):
+    return [
+        record["step"]
+        for line in round_lines(mb, job_id)
+        for record in line["records"]
+    ]
 
 
 def solo_runs(specs, tmp_path):
@@ -614,33 +636,71 @@ def assert_finished_like(client, ids, solo):
         )
 
 
+def compact(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def rewrite_in_parent_layout(mb, uncounted=0):
+    """Turn every checkpoint into what the parent layout kept: a head
+    replaced each round, carrying ``rounds_done``, the engine state
+    without history and ``records_logged``, counting into a record log
+    of one line per record (``uncounted`` extra lines model its crash
+    between the append and the head replace)."""
+    records = ServeMailbox(mb).poll_checkpoints()
+    for record in records:
+        job_id, state = record.job_id, record.engine_state
+        head = head_of(mb, job_id)
+        head.update(
+            rounds_done=record.rounds_done,
+            records_logged=state.round_index,
+            engine_state=state.without_history().to_dict(),
+        )
+        history = state.history()
+        lines = history + history[-1:] * uncounted
+        (mb / "checkpoints" / f"{job_id}.records.jsonl").write_text(
+            "".join(compact(line) + "\n" for line in lines)
+        )
+        head_path(mb, job_id).write_text(compact(head) + "\n")
+        log_of(mb, job_id).unlink()
+    return records
+
+
 class TestIncrementalCheckpoints:
-    def crashed_mailbox(self, tmp_path, nth=5, jobs=2, max_steps=8):
+    def crashed_mailbox(
+        self, tmp_path, nth=5, jobs=2, max_steps=8, point="before"
+    ):
         """A mailbox whose coordinator died mid-write, plus the truth."""
         specs = [make_spec(i, max_steps=max_steps) for i in range(jobs)]
         mb = tmp_path / "mb"
         client, ids = _submit_jobs(mb, specs, tmp_path)
-        serve_until_crash(mb, nth, trace_dir=tmp_path / "traces")
+        serve_until_crash(mb, nth, point, trace_dir=tmp_path / "traces")
         return mb, client, ids, solo_runs(specs, tmp_path)
 
-    def test_crash_between_log_append_and_head_replace(self, tmp_path):
-        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
-        heads = {job_id: head_of(mb, job_id) for job_id in ids}
-        extra = {
-            job_id: len(log_lines(mb, job_id)) - head["records_logged"]
-            for job_id, head in heads.items()
-        }
-        # Exactly one round reached its log but no head.
-        assert sorted(extra.values()) == [0, 1]
-        for head in heads.values():
-            assert head["records_logged"] == head["rounds_done"] > 0
-            assert head["engine_state"]["records"] == []
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_crash_around_the_round_append(self, tmp_path, point):
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path, point=point)
+        # The fifth append is the first job's third round.
+        rounds = {ids[0]: 3 if point == "after" else 2, ids[1]: 2}
+        for job_id in ids:
+            lines = round_lines(mb, job_id)
+            assert len(lines) == rounds[job_id]
+            assert [line["rounds_done"] for line in lines] == list(
+                range(1, rounds[job_id] + 1)
+            )
+            assert all(len(line["records"]) == 1 for line in lines)
+            assert lines[-1]["engine_state"]["records"] == []
+            head = head_of(mb, job_id)
+            assert "engine_state" not in head and "rounds_done" not in head
+        torn = log_of(mb, ids[0]).read_bytes()
+        assert torn.endswith(b"\n") is (point != "torn")
 
         records = ServeMailbox(mb).poll_checkpoints()
         assert [r.job_id for r in records] == ids
         for record in records:
-            assert len(log_lines(mb, record.job_id)) == record.rounds_done
+            assert record.rounds_done == rounds[record.job_id]
             assert len(record.engine_state.records) == record.rounds_done
+            # A torn last line is cut off the file itself.
+            assert log_of(mb, record.job_id).read_bytes().endswith(b"\n")
 
         drain(mb, trace_dir=tmp_path / "traces")
         assert_finished_like(client, ids, solo)
@@ -650,45 +710,89 @@ class TestIncrementalCheckpoints:
         mb, client, ids, solo = self.crashed_mailbox(tmp_path)
         for job_id in ids:
             with open(log_of(mb, job_id), "ab") as log:
-                log.write(b'{"step": 99, "sim_ti')
+                log.write(b'{"engine_state": {"versi')
         drain(mb, trace_dir=tmp_path / "traces")
         assert_finished_like(client, ids, solo)
 
     def test_pre_log_head_with_inline_records_still_resumes(self, tmp_path):
-        # What the previous layout left behind: one pretty-printed file
-        # per job, the whole history inline, no log.  Checkpointed work
-        # is never lost, so it resumes — and its next write starts the
-        # log from the first record.
+        # What the single-file layout left behind: one pretty-printed
+        # head per job, the whole history inline, no log.  Checkpointed
+        # work is never lost: re-admission converts it to a head plus a
+        # one-line log holding the whole history.
         mb, client, ids, solo = self.crashed_mailbox(tmp_path)
         for record in ServeMailbox(mb).poll_checkpoints():
             head = head_of(mb, record.job_id)
-            del head["records_logged"]
+            head["rounds_done"] = record.rounds_done
             head["engine_state"] = record.engine_state.to_dict()
             assert len(head["engine_state"]["records"]) == record.rounds_done
-            (mb / "checkpoints" / f"{record.job_id}.json").write_text(
+            head_path(mb, record.job_id).write_text(
                 json.dumps(head, indent=2, sort_keys=True) + "\n"
             )
             log_of(mb, record.job_id).unlink()
-        serve_until_crash(mb, len(ids) + 1, trace_dir=tmp_path / "traces")
+        serve_until_crash(mb, 1, trace_dir=tmp_path / "traces")
         for job_id in ids:
-            head = head_of(mb, job_id)
-            assert head["engine_state"]["records"] == []
-            assert len(log_lines(mb, job_id)) >= head["records_logged"] > 0
+            assert "engine_state" not in head_of(mb, job_id)
+            (line,) = round_lines(mb, job_id)
+            assert len(line["records"]) == line["rounds_done"] > 0
+            assert line["engine_state"]["records"] == []
         drain(mb, trace_dir=tmp_path / "traces")
         assert_finished_like(client, ids, solo)
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_parent_head_and_record_log_still_resume(self, tmp_path):
+        # A mailbox the previous head + record log layout left mid-run,
+        # one job with a record its head does not count yet.
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        records = rewrite_in_parent_layout(mb, uncounted=1)
+        assert [r.rounds_done for r in records] == [2, 2]
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    @pytest.mark.parametrize("point", ["before", "after"])
+    def test_conversion_survives_a_crash_at_the_head(self, tmp_path, point):
+        # Conversion writes the new log, replaces the head, then drops
+        # the record log.  Killed before the head replace, the old head
+        # still reads its record log; killed after it, the new head
+        # reads the new log and the record log is swept.
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        rewrite_in_parent_layout(mb)
+        real = mailbox_module._atomic_write
+
+        def write(path, payload):
+            if path.parent.name == "checkpoints" and path.suffix == ".json":
+                if point == "after":
+                    real(path, payload)
+                raise SimulatedCrash
+            real(path, payload)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mailbox_module, "_atomic_write", write)
+            with pytest.raises(SimulatedCrash):
+                drain(mb, trace_dir=tmp_path / "traces")
+        victim = ids[0]
+        assert ("engine_state" in head_of(mb, victim)) is (point == "before")
+        assert len(round_lines(mb, victim)) == 1
+        assert (mb / "checkpoints" / f"{victim}.records.jsonl").exists()
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+        assert list((mb / "checkpoints").iterdir()) == []
 
     def test_recovery_repersist_does_not_double_append(self, tmp_path):
         mb, client, ids, solo = self.crashed_mailbox(tmp_path)
-        before = {j: head_of(mb, j)["records_logged"] for j in ids}
-        # A second coordinator recovers both jobs (re-persisting each),
-        # runs one more round and dies in that round's write.
-        serve_until_crash(mb, len(ids) + 1, trace_dir=tmp_path / "traces")
-        after = {j: head_of(mb, j)["records_logged"] for j in ids}
-        assert after == before
-        lines = {j: len(log_lines(mb, j)) for j in ids}
-        assert sorted(lines[j] - after[j] for j in ids) == [0, 1]
+        files = {
+            j: (head_path(mb, j).read_bytes(), log_of(mb, j).read_bytes())
+            for j in ids
+        }
+        # A second coordinator recovers both jobs, which writes nothing,
+        # and dies in its first round's append.
+        serve_until_crash(mb, 1, trace_dir=tmp_path / "traces")
+        assert files == {
+            j: (head_path(mb, j).read_bytes(), log_of(mb, j).read_bytes())
+            for j in ids
+        }
         for job_id in ids:
-            steps = [json.loads(l)["step"] for l in log_lines(mb, job_id)]
+            steps = logged_steps(mb, job_id)
             assert steps == list(range(len(steps)))
         drain(mb, trace_dir=tmp_path / "traces")
         assert_finished_like(client, ids, solo)
@@ -702,32 +806,36 @@ class TestIncrementalCheckpoints:
 
         def write(mailbox, job, state):
             real(mailbox, job, state)
-            if state is not None:
-                seen[job.rounds_done] = (
-                    (mb / "checkpoints" / f"{job.job_id}.json").stat().st_size,
-                    len(log_lines(mb, job.job_id)),
-                )
+            head = head_path(mb, job.job_id).stat()
+            lines = log_of(mb, job.job_id).read_bytes().splitlines()
+            seen[job.rounds_done] = (
+                (head.st_ino, head.st_mtime_ns, head.st_size),
+                len(lines),
+                len(lines[-1]) if lines else 0,
+            )
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ServeMailbox, "write_checkpoint", write)
             drain(mb)
-        assert sorted(seen) == list(range(1, 100))
-        assert all(lines == done for done, (_, lines) in seen.items())
-        # The head holds nothing that grows with the run: over 99
-        # rounds only the widths of a few numbers move.
-        sizes = [size for size, _ in seen.values()]
-        assert seen[90][0] <= 2 * seen[10][0]
+        assert sorted(seen) == list(range(0, 100))
+        # The head is written once, at admission, and never again.
+        assert len({head for head, _, _ in seen.values()}) == 1
+        assert all(lines == done for done, (_, lines, _) in seen.items())
+        # Each round appends one line holding nothing that grows with
+        # the run: over 99 rounds only the widths of a few numbers move.
+        sizes = [size for done, (_, _, size) in seen.items() if done]
+        assert seen[90][2] <= 2 * seen[10][2]
         assert max(sizes) - min(sizes) < 64
 
-    def test_async_jobs_log_one_line_per_update(self, tmp_path):
+    def test_async_jobs_log_one_line_per_quantum(self, tmp_path):
         spec = make_spec(0, rule="async", max_steps=100)
         mb = tmp_path / "mb"
         client, ids = _submit_jobs(mb, [spec], tmp_path, trace=False)
         serve_until_crash(mb, 3)
-        head = head_of(mb, ids[0])
-        assert head["records_logged"] == head["rounds_done"] == 64
-        assert head["engine_state"]["async_records"] == []
-        assert len(log_lines(mb, ids[0])) == 96
+        lines = round_lines(mb, ids[0])
+        assert [len(line["records"]) for line in lines] == [32, 32]
+        assert lines[-1]["rounds_done"] == 64
+        assert lines[-1]["engine_state"]["async_records"] == []
         drain(mb)
         (straight,) = run_jobs([spec])
         assert client.state(ids[0])["report"] == straight.to_dict()
@@ -752,11 +860,60 @@ class TestIncrementalCheckpoints:
         # clear_checkpoint unlinks the head first; a crash before the
         # second unlink leaves a log nobody counts.
         mb, client, ids, solo = self.crashed_mailbox(tmp_path)
-        (mb / "checkpoints" / f"{ids[0]}.json").unlink()
+        head_path(mb, ids[0]).unlink()
         records = ServeMailbox(mb).poll_checkpoints()
         assert [r.job_id for r in records] == ids[1:]
         assert not log_of(mb, ids[0]).exists()
         assert log_of(mb, ids[1]).exists()
+
+    def test_stranded_temp_files_are_swept_at_recovery(self, tmp_path):
+        # A kill between a temp file's write and its os.replace leaves
+        # the temp file; the next start-up removes it, so a clean drain
+        # still leaves the directory empty.
+        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
+        for name in (f"{ids[0]}.json.tmp", f"{ids[1]}.rounds.jsonl.tmp"):
+            (mb / "checkpoints" / name).write_text('{"id": "half')
+        drain(mb, trace_dir=tmp_path / "traces")
+        assert_finished_like(client, ids, solo)
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_a_running_round_replaces_no_file(self, tmp_path):
+        # The mechanism, counted rather than timed: a drained mailbox
+        # replaces one head per admission, one state file per
+        # transition and the serving marker, whatever the round count.
+        def replaced(rounds):
+            mb = tmp_path / f"mb-{rounds}"
+            specs = [make_spec(i, max_steps=rounds) for i in range(3)]
+            _submit_jobs(mb, specs, tmp_path, trace=False)
+            real_replace = os.replace
+            real_write = mailbox_module._atomic_write
+            replaces, writes = [], []
+
+            def replace(src, dst, *args, **kwargs):
+                replaces.append(pathlib.Path(dst))
+                real_replace(src, dst, *args, **kwargs)
+
+            def write(path, payload):
+                writes.append(path)
+                real_write(path, payload)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "replace", replace)
+                patch.setattr(mailbox_module, "_atomic_write", write)
+                drain(mb)
+            assert replaces == writes
+            return collections.Counter(
+                path.name if path.parent == mb else path.parent.name
+                for path in writes
+            )
+
+        counts = replaced(20)
+        assert counts == {
+            "coordinator.json": 1,
+            "checkpoints": 3,  # admissions
+            "jobs": 3 * 3,  # queued, running, done
+        }
+        assert replaced(2) == counts
 
 
 def record_state_files(patch):
@@ -775,7 +932,7 @@ def record_state_files(patch):
 
 class TestStatePublication:
     """``jobs/<id>.json`` is written on state transitions only; file
-    clients read a live job's progress from its checkpoint head."""
+    clients read a live job's progress from its round log."""
 
     def test_a_job_writes_its_state_file_once_per_transition(
         self, tmp_path
@@ -814,7 +971,7 @@ class TestStatePublication:
         assert done == ids
         assert len(written) == 3 * len(ids)
 
-    def test_live_progress_comes_from_the_head(self, tmp_path):
+    def test_live_progress_comes_from_the_log(self, tmp_path):
         mb = tmp_path / "mb"
         specs = [make_spec(i, max_steps=6 + 2 * i) for i in range(2)]
         client, ids = _submit_jobs(mb, specs, tmp_path, trace=False)
@@ -832,11 +989,13 @@ class TestStatePublication:
                 for job_id in ids:
                     snap = client.state(job_id)
                     assert listed[job_id] == snap
-                    head = mb / "checkpoints" / f"{job_id}.json"
-                    if snap["state"] == "running" and head.exists():
-                        assert snap["rounds_done"] == head_of(
-                            mb, job_id
-                        )["rounds_done"]
+                    if snap["state"] == "running" and log_of(
+                        mb, job_id
+                    ).exists():
+                        lines = round_lines(mb, job_id)
+                        assert snap["rounds_done"] == (
+                            lines[-1]["rounds_done"] if lines else 0
+                        )
                     seen[job_id].append(snap.get("rounds_done", 0))
                 await asyncio.sleep(0)
             await serving
@@ -850,24 +1009,39 @@ class TestStatePublication:
             assert set(range(1, spec.max_steps)) <= set(rounds)
             assert client.state(job_id)["rounds_done"] == spec.max_steps
 
-    @pytest.mark.parametrize("damage", ["delete", "truncate", "not-a-head"])
-    def test_missing_or_unreadable_head_falls_back_to_the_snapshot(
+    def test_progress_reads_the_last_line_of_a_long_log(self, tmp_path):
+        # One line can hold a whole history (a converted job), and a
+        # torn append can follow it: the client reads backwards past
+        # both, however long the line.
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(mb, [make_spec(0)], tmp_path, trace=False)
+        serve_until_crash(mb, 4)
+        log = log_of(mb, ids[0])
+        line = json.loads(log.read_bytes().splitlines()[-1])
+        line["records"] = line["records"] * 5000
+        line["rounds_done"] = 7
+        log.write_text(compact(line) + "\n" + '{"engine_state": {"ve')
+        assert log.stat().st_size > 10 * 4096
+        assert client.state(ids[0])["rounds_done"] == 7
+
+    @pytest.mark.parametrize("damage", ["delete", "torn", "not-a-line"])
+    def test_missing_or_unreadable_log_falls_back_to_the_snapshot(
         self, tmp_path, damage
     ):
         mb = tmp_path / "mb"
         client, ids = _submit_jobs(mb, [make_spec(0)], tmp_path, trace=False)
         serve_until_crash(mb, 4)
         job_id = ids[0]
-        head = mb / "checkpoints" / f"{job_id}.json"
+        log = log_of(mb, job_id)
         assert client.state(job_id)["rounds_done"] == 3
         snapshot = json.loads((mb / "jobs" / f"{job_id}.json").read_text())
         assert snapshot["state"] == "running"
         if damage == "delete":
-            head.unlink()
-        elif damage == "truncate":
-            head.write_bytes(head.read_bytes()[:40])
+            log.unlink()
+        elif damage == "torn":
+            log.write_bytes(log.read_bytes()[:40])
         else:
-            head.write_text("[3]")
+            log.write_text("[3]\n")
         assert client.state(job_id) == snapshot
         assert client.jobs() == [snapshot]
 
@@ -878,7 +1052,7 @@ class TestStatePublication:
         specs = [make_spec(i, max_steps=8) for i in range(2)]
         client, ids = _submit_jobs(mb, specs, tmp_path, trace=False)
         serve_until_crash(mb, 5)
-        checkpointed = head_of(mb, ids[1])["rounds_done"]
+        checkpointed = round_lines(mb, ids[1])[-1]["rounds_done"]
         assert checkpointed > 0
         # One running slot: the second recovered job waits queued while
         # the first finishes.
@@ -902,28 +1076,54 @@ class TestStatePublication:
         assert client.state(ids[1])["state"] == "done"
 
 
+def _edit_line(log, index, edit):
+    """Apply ``edit`` to one decoded line of a round log, in place."""
+    lines = [json.loads(line) for line in log.read_bytes().splitlines()]
+    edit(lines[index])
+    log.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
 def _skew_version(head, log):
-    head["engine_state"]["version"] = 99
+    _edit_line(log, -1, lambda line: line["engine_state"].update(version=99))
 
 
 def _truncate_state(head, log):
-    head["engine_state"] = {"version": 1, "mode": "rounds"}
+    _edit_line(log, -1, lambda line: line.update(
+        engine_state={"version": 1, "mode": "rounds"}
+    ))
 
 
 def _non_mapping_state(head, log):
-    head["engine_state"] = [1, 2, 3]
+    _edit_line(log, -1, lambda line: line.update(engine_state=[1, 2, 3]))
 
 
 def _null_weight(head, log):
     head["weight"] = None
 
 
+def _float_weight(head, log):
+    head["weight"] = 2.7
+
+
+def _string_weight(head, log):
+    head["weight"] = "3"
+
+
+def _bool_weight(head, log):
+    head["weight"] = True
+
+
 def _overcount(head, log):
-    head["records_logged"] += 1
+    _edit_line(log, -1, lambda line: line["records"].append(
+        line["records"][-1]
+    ))
 
 
 def _count_disagrees_with_state(head, log):
-    head["records_logged"] -= 1
+    def advance(line):
+        line["engine_state"]["round_index"] += 1
+        line["rounds_done"] += 1
+    _edit_line(log, -1, advance)
 
 
 def _drop_log(head, log):
@@ -932,7 +1132,7 @@ def _drop_log(head, log):
 
 def _shorten_log(head, log):
     lines = log.read_bytes().splitlines(keepends=True)
-    log.write_bytes(b"".join(lines[:head["records_logged"] - 1]))
+    log.write_bytes(b"".join(lines[1:]))
 
 
 def _garble_counted_line(head, log):
@@ -942,9 +1142,7 @@ def _garble_counted_line(head, log):
 
 
 def _counted_line_not_a_record(head, log):
-    lines = log.read_bytes().splitlines(keepends=True)
-    lines[0] = b'{"step": 0}\n'
-    log.write_bytes(b"".join(lines))
+    _edit_line(log, 0, lambda line: line.update(records=[{"step": 0}]))
 
 
 class TestHostileCheckpoints:
@@ -952,6 +1150,7 @@ class TestHostileCheckpoints:
 
     @pytest.mark.parametrize("damage", [
         _skew_version, _truncate_state, _non_mapping_state, _null_weight,
+        _float_weight, _string_weight, _bool_weight,
         _overcount, _count_disagrees_with_state, _drop_log, _shorten_log,
         _garble_counted_line, _counted_line_not_a_record,
     ])
@@ -963,7 +1162,7 @@ class TestHostileCheckpoints:
         victim, peer = ids
         head = head_of(mb, victim)
         damage(head, log_of(mb, victim))
-        (mb / "checkpoints" / f"{victim}.json").write_text(json.dumps(head))
+        head_path(mb, victim).write_text(json.dumps(head))
 
         drain(mb, trace_dir=tmp_path / "traces")
         record = json.loads((mb / "rejected" / f"{victim}.json").read_text())
@@ -974,20 +1173,25 @@ class TestHostileCheckpoints:
         assert list((mb / "checkpoints").iterdir()) == []
 
     def test_hostile_head_in_the_previous_layout(self, tmp_path):
-        # The four cases verified against the parent: there the whole
-        # state sat inline in one file and each killed the coordinator.
+        # The first four cases each killed the coordinator when the
+        # whole state sat inline in one file; the weights were coerced
+        # (2.7 resumed as 2, "3" as 3, true as 1).
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
         runner = JobRunner(make_spec(0))
         runner.step()
         good = runner.checkpoint().to_dict()
         spec = make_spec(0).to_dict()
-        for name, patch in {
+        cases = {
             "skewed": {"engine_state": dict(good, version=99)},
             "truncated": {"engine_state": {"version": 1, "mode": "rounds"}},
             "listy": {"engine_state": [good]},
             "weightless": {"engine_state": good, "weight": None},
-        }.items():
+            "floaty": {"engine_state": good, "weight": 2.7},
+            "stringy": {"engine_state": good, "weight": "3"},
+            "booly": {"engine_state": good, "weight": True},
+        }
+        for name, patch in cases.items():
             payload = {"id": name, "name": name, "weight": 1,
                        "rounds_done": 1, "spec": spec, **patch}
             (mb / "checkpoints" / f"{name}.json").write_text(
@@ -995,7 +1199,7 @@ class TestHostileCheckpoints:
             )
         peer = client.submit(make_spec(1))
         drain(mb)
-        for name in ("skewed", "truncated", "listy", "weightless"):
+        for name in cases:
             assert client.state(name)["reason"] == "invalid_checkpoint"
         assert client.state(peer)["state"] == "done"
         assert list((mb / "checkpoints").iterdir()) == []
@@ -1027,6 +1231,35 @@ class TestSchedulingClasses:
         with pytest.raises(ServeError):
             SchedulingClass(deadline=0.0)
         assert SchedulingClass().priority == 0
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf])
+    def test_scheduling_class_refuses_a_non_finite_deadline(self, deadline):
+        # A NaN deadline makes the EDF tie-break follow iteration order.
+        with pytest.raises(ServeError, match="positive finite number"):
+            SchedulingClass(name="x", deadline=deadline)
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf])
+    def test_submit_refuses_a_non_finite_deadline(self, deadline):
+        with Coordinator() as coord:
+            with pytest.raises(ServeError, match="positive finite number"):
+                coord.submit(make_spec(0, max_steps=2), deadline=deadline)
+            assert coord.jobs() == []
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf])
+    def test_inbox_refuses_a_non_finite_deadline(self, tmp_path, deadline):
+        # json spells these NaN and Infinity, and json.loads takes both.
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        job_id = client.submit(make_spec(0, max_steps=2), deadline=deadline)
+        assert "NaN" in (mb / "inbox" / f"{job_id}.json").read_text() or (
+            "Infinity" in (mb / "inbox" / f"{job_id}.json").read_text()
+        )
+        drain(mb)
+        record = client.state(job_id)
+        assert record["state"] == "rejected"
+        assert record["reason"] == "invalid_submission"
+        assert "positive finite number" in record["error"]
+        assert not (mb / "jobs" / f"{job_id}.json").exists()
 
     def test_top_tier_drains_first(self):
         jobs = _class_jobs([(1, 0, None), (1, 2, None), (1, 2, None)])
