@@ -17,6 +17,7 @@ from repro import (
     ClusterSimulator,
     ComputeModel,
     CyclicRepetition,
+    Environment,
     ExponentialDelay,
     ISGCStrategy,
     NetworkModel,
@@ -39,10 +40,13 @@ def main() -> None:
         partition_dataset(dataset, N, seed=1), batch_size=32, seed=2
     )
     cluster = ClusterSimulator(
-        N, C,
-        compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=ExponentialDelay(0.5),
+        N,
+        C,
+        Environment(
+            delay=ExponentialDelay(0.5),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(3),
     )
     # The decoder and the migration rule draw from one generator.

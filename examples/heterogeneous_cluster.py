@@ -20,6 +20,7 @@ import numpy as np
 from repro import (
     ClusterSimulator,
     ComputeModel,
+    Environment,
     FractionalRepetition,
     NetworkModel,
     PersistentStragglers,
@@ -90,9 +91,14 @@ def main() -> None:
     ]
     for label, strategy, tau in configs:
         cluster = ClusterSimulator(
-            N, C, compute=ComputeModel(0.02, 0.02),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=delay, rng=np.random.default_rng(5),
+            N,
+            C,
+            Environment(
+                delay=delay,
+                compute=ComputeModel(0.02, 0.02),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
+            rng=np.random.default_rng(5),
         )
         engine = RoundEngine(
             LogisticRegressionModel(10, seed=0), streams, strategy,

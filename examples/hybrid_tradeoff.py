@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import (
     ClusterSimulator,
+    Environment,
     ExponentialDelay,
     HybridRepetition,
     ISGCStrategy,
@@ -55,7 +56,7 @@ def main() -> None:
         cluster = ClusterSimulator(
             num_workers=N,
             partitions_per_worker=C,
-            delay_model=ExponentialDelay(1.0),
+            environment=Environment(delay=ExponentialDelay(1.0)),
             rng=np.random.default_rng(9),
         )
         strategy = ISGCStrategy(

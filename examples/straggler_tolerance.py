@@ -20,6 +20,7 @@ from repro import (
     ClusterSimulator,
     CyclicRepetition,
     DelayTrace,
+    Environment,
     ExponentialDelay,
     FractionalRepetition,
     ISGCStrategy,
@@ -87,7 +88,7 @@ def main() -> None:
         cluster = ClusterSimulator(
             num_workers=N_WORKERS,
             partitions_per_worker=strategy.placement.partitions_per_worker,
-            delay_model=TraceReplayModel(trace),
+            environment=Environment(delay=TraceReplayModel(trace)),
             rng=np.random.default_rng(0),
         )
         engine = RoundEngine(

@@ -18,6 +18,7 @@ import numpy as np
 from repro import (
     ClusterSimulator,
     CyclicRepetition,
+    Environment,
     ExponentialDelay,
     ISGCStrategy,
     RoundEngine,
@@ -54,7 +55,10 @@ def main() -> None:
     )
     tracer = RoundTracer(scheme=strategy.name)
     cluster = ClusterSimulator(
-        N, C, delay_model=ExponentialDelay(1.0), rng=np.random.default_rng(4)
+        N,
+        C,
+        Environment(delay=ExponentialDelay(1.0)),
+        rng=np.random.default_rng(4),
     )
     engine = RoundEngine(
         model=SoftmaxRegressionModel(12, 3, seed=0),

@@ -17,6 +17,7 @@ from repro import (
     ClusterSimulator,
     CyclicRepetition,
     DeadlinePolicy,
+    Environment,
     ExponentialDelay,
     ISGCStrategy,
     ParetoDelay,
@@ -80,7 +81,7 @@ def main() -> None:
             cluster = ClusterSimulator(
                 num_workers=N,
                 partitions_per_worker=C,
-                delay_model=delay,
+                environment=Environment(delay=delay),
                 rng=np.random.default_rng(11),
             )
             engine = RoundEngine(

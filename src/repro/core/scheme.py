@@ -761,12 +761,13 @@ class MultiMessageScheme(PlacementScheme):
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         return self.base.recovery_bounds(wait_for)
 
-    def round(self, **kwargs):
-        """A :class:`MultiMessageRound` simulator over this placement."""
+    def round(self, environment, **kwargs):
+        """A :class:`MultiMessageRound` simulator over this placement,
+        in ``environment``."""
         # Imported lazily: core must stay importable without partial.
         from ..partial.multimessage import MultiMessageRound
 
-        return MultiMessageRound(self.construct(), **kwargs)
+        return MultiMessageRound(self.construct(), environment, **kwargs)
 
     @classmethod
     def spec_problems(

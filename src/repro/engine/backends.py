@@ -30,16 +30,14 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..env import make_compute_model, make_delay_model, make_network_model
 from ..exceptions import ConfigurationError, TrainingError
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
-from ..simulation.cluster import ClusterSimulator, ComputeModel
+from ..simulation.cluster import ClusterSimulator
 from ..simulation.events import Event, EventQueue
-from ..simulation.network import NetworkModel
 from ..simulation.policies import WaitOutcome, WaitPolicy
-from ..straggler.models import DelayModel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..env.environment import Environment
     from ..obs.tracer import RoundTracer
     from .core import RoundEngine
 
@@ -173,21 +171,22 @@ class AsyncArrivalBackend(ExecutionBackend):
     fetch → compute → straggle → upload, and
     :meth:`RoundEngine.run_updates` consumes arrivals one at a time.
     The backend owns the per-worker fetch-version and step counters the
-    engine reads to compute staleness and draw seeded batches.
+    engine reads to compute staleness and draw seeded batches.  Its
+    models come from ``environment``, which may not carry failures or
+    a contended link (they are refused, not ignored).
     """
 
     def __init__(
         self,
-        compute: ComputeModel | None = None,
-        network: NetworkModel | None = None,
-        delay_model: DelayModel | None = None,
+        environment: "Environment",
         *,
         rng: np.random.Generator,
         metrics: MetricsRegistry | None = None,
     ):
-        self._compute = compute if compute is not None else make_compute_model()
-        self._network = network if network is not None else make_network_model()
-        self._delays = delay_model if delay_model is not None else make_delay_model("none")
+        environment.refuse_failures_and_contention()
+        self._compute = environment.compute
+        self._network = environment.network
+        self._delays = environment.delay
         self._rng = rng
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._grad_elems = 0

@@ -38,6 +38,7 @@ from .spec import (
     _DEFAULT_DATASET,
     _DEFAULT_DELAY,
     _DEFAULT_MODEL,
+    _delay_section,
     BACKEND_REGISTRY,
     BackendFactory,
     ExperimentSpec,
@@ -97,14 +98,7 @@ def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
 
 @register_backend("async-arrivals")
 def _async_backend(ctx: BuildContext) -> ExecutionBackend:
-    # Spec admission refuses failure:/contention: here: they are round
-    # models of the ClusterSimulator, which this backend does not run.
-    return AsyncArrivalBackend(
-        compute=ctx.environment.compute,
-        network=ctx.environment.network,
-        delay_model=ctx.environment.delay,
-        rng=ctx.rng,
-    )
+    return AsyncArrivalBackend(ctx.environment, rng=ctx.rng)
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +175,7 @@ def _environment_sections(spec: ExperimentSpec) -> Dict[str, Any]:
         sections[name] = (
             dict(value) if isinstance(value, Mapping) else value
         ) or None
-    if sections["delay"] is None:
-        sections["delay"] = dict(_DEFAULT_DELAY)
-    if isinstance(sections["delay"], dict):
-        sections["delay"].setdefault("kind", "exponential")
+    sections["delay"] = _delay_section(sections["delay"] or _DEFAULT_DELAY)
     return sections
 
 

@@ -272,6 +272,14 @@ _DEFAULT_MODEL: Mapping[str, Any] = {"kind": "logistic"}
 
 _DEFAULT_DELAY: Mapping[str, Any] = {"kind": "exponential", "mean": 1.0}
 
+
+def _delay_section(section: Any) -> Any:
+    """A kind-less ``delay:`` mapping is exponential (the paper's);
+    admission and ``plan._environment_sections`` both read it so."""
+    if isinstance(section, Mapping):
+        return {"kind": "exponential", **section}
+    return section
+
 #: rule name → the ``rule_params`` keys ``plan._build_rule`` reads.
 _RULE_PARAMS: Mapping[str, tuple] = {
     "sync": ("recovery_scaled_lr",),
@@ -434,9 +442,8 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
             continue
         if not section:
             continue  # an empty section asks for the layer's default
-        if layer == "delay" and isinstance(section, Mapping):
-            # A kind-less delay section is exponential (the paper's).
-            section = {"kind": "exponential", **section}
+        if layer == "delay":
+            section = _delay_section(section)
         problems += model_spec_problems(layer, section, section=layer)
     # failure:/contention: are round models of the ClusterSimulator,
     # which the async-arrivals backend does not run.

@@ -12,10 +12,7 @@ from .registry import (
     ENV_REGISTRY,
     LAYERS,
     ModelFamily,
-    compute_model_from,
-    contention_model_from,
     delay_model_from,
-    failure_model_from,
     make_compute_model,
     make_contention_model,
     make_delay_model,
@@ -23,8 +20,8 @@ from .registry import (
     make_model,
     make_network_model,
     model_fingerprint,
+    model_from,
     model_spec_problems,
-    network_model_from,
     register_compute,
     register_contention,
     register_delay,
@@ -40,10 +37,7 @@ __all__ = [
     "Environment",
     "LAYERS",
     "ModelFamily",
-    "compute_model_from",
-    "contention_model_from",
     "delay_model_from",
-    "failure_model_from",
     "make_compute_model",
     "make_contention_model",
     "make_delay_model",
@@ -51,8 +45,8 @@ __all__ = [
     "make_model",
     "make_network_model",
     "model_fingerprint",
+    "model_from",
     "model_spec_problems",
-    "network_model_from",
     "register_compute",
     "register_contention",
     "register_delay",

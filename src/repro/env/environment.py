@@ -5,9 +5,10 @@ failure, compute, network, contention — that before this module every
 caller wired by hand.  :class:`Environment` bundles them into one
 describable, content-fingerprintable, resettable unit:
 
-* build it from spec sections (``Environment.from_sections``), from
-  already-built models, or any mix — each layer accepts a model
-  instance, a kind string, or a ``{"kind": ..., **params}`` mapping;
+* build it from spec sections, from already-built models, or any mix
+  — each layer accepts a model instance, a kind string, or a
+  ``{"kind": ..., **params}`` mapping, read by
+  :func:`~repro.env.registry.model_from`;
 * :meth:`describe` renders the catalogue view, :meth:`fingerprint`
   digests the canonical spec (the sweep-cache key discipline of
   :meth:`repro.core.scheme.PlacementScheme.fingerprint`);
@@ -15,6 +16,11 @@ describable, content-fingerprintable, resettable unit:
   reproduces the run;
 * :meth:`simulator` binds the environment to a
   :class:`~repro.simulation.ClusterSimulator` in one call.
+
+Every round simulator (``ClusterSimulator``, the async-arrivals
+backend, the multi-message round) takes its models from one
+:class:`Environment`; the neutral default of each layer is stated once,
+in :mod:`repro.env.registry`.
 
 Spec sections are validated before anything is built, per layer, by
 :func:`~repro.env.registry.model_spec_problems` (spec admission calls
@@ -25,21 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..simulation.cluster import ClusterSimulator
-from .registry import (
-    LAYERS,
-    compute_model_from,
-    contention_model_from,
-    delay_model_from,
-    failure_model_from,
-    network_model_from,
-    spec_of,
-)
+from ..straggler.failures import NoFailures
+from .registry import delay_model_from, model_from, spec_of
 
 
 class Environment:
@@ -60,17 +59,11 @@ class Environment:
         network: Any = None,
         contention: Any = None,
     ):
-        self._delay = delay_model_from(delay if delay is not None else "none")
-        self._failure = failure_model_from(
-            failure if failure is not None else "none"
-        )
-        self._compute = compute_model_from(
-            compute if compute is not None else "uniform"
-        )
-        self._network = network_model_from(
-            network if network is not None else "uniform"
-        )
-        self._contention = contention_model_from(contention)
+        self._delay = delay_model_from(delay)
+        self._failure = model_from("failure", failure)
+        self._compute = model_from("compute", compute)
+        self._network = model_from("network", network)
+        self._contention = model_from("contention", contention)
 
     # -- layers ---------------------------------------------------------
     @property
@@ -93,22 +86,6 @@ class Environment:
     def contention(self):
         return self._contention
 
-    # -- construction helpers ------------------------------------------
-    @classmethod
-    def from_sections(
-        cls, sections: Mapping[str, Any], *, where: str = "environment"
-    ) -> "Environment":
-        """Build from a ``{layer: spec}`` mapping (unknown layers are
-        rejected with the accepted layer names)."""
-        unknown = sorted(set(sections) - set(LAYERS))
-        if unknown:
-            raise ConfigurationError(
-                f"{where} has unknown sections "
-                f"{', '.join(map(repr, unknown))} "
-                f"(layers: {', '.join(LAYERS)})"
-            )
-        return cls(**{layer: sections.get(layer) for layer in LAYERS})
-
     # -- the protocol ---------------------------------------------------
     def reset(self) -> None:
         """Rewind stateful delay/failure models (bursty state etc.) so
@@ -120,9 +97,9 @@ class Environment:
         """Canonical ``{layer: spec}`` mapping of every layer.
 
         Registry-built layers reproduce their construction spec
-        (``Environment.from_sections(env.spec())`` rebuilds an
-        equivalent environment); directly-built models fall back to a
-        stable class/state digest.
+        (``Environment(**env.spec())`` rebuilds an equivalent
+        environment); directly-built models fall back to a stable
+        class/state digest.
         """
         return {
             "delay": spec_of(self._delay),
@@ -154,6 +131,25 @@ class Environment:
                     f"  {layer}: {label}" + (f" ({rendered})" if rendered else "")
                 )
         return "\n".join(lines)
+
+    def refuse_failures_and_contention(self) -> None:
+        """Raise :class:`ConfigurationError` unless the failure and
+        contention layers are the neutral ones — for the round
+        simulators that model neither and would otherwise ignore them
+        (the async-arrivals backend, the multi-message round)."""
+        active = [
+            layer
+            for layer, neutral in (
+                ("failure", isinstance(self._failure, NoFailures)),
+                ("contention", self._contention is None),
+            )
+            if not neutral
+        ]
+        if active:
+            raise ConfigurationError(
+                "this round simulator models neither failures nor link "
+                f"contention; got a non-neutral {'/'.join(active)} layer"
+            )
 
     def simulator(
         self,

@@ -15,11 +15,14 @@ same move :mod:`repro.core.scheme` made for placements:
 * :func:`make_delay_model` and friends — the construction entry points
   the spec engine, the CLI and library code share, with did-you-mean
   errors for typos;
-* :func:`delay_model_from` etc. — coercers accepting a built model, a
+* :func:`model_from` — the one coercer, accepting a built model, a
   bare kind string or a ``{"kind": ..., **params}`` mapping, applied
   recursively for composite families (``persistent`` / ``diurnal`` /
   ``bursty`` / ``bernoulli`` / ``mixture`` name their sub-models the
-  same way);
+  same way); a per-layer table states each layer's model types, its
+  neutral kind, the kind of a kind-less mapping and the layer its
+  nested sub-models belong to (:func:`delay_model_from` adds the
+  recorded-trace case);
 * :func:`model_spec_problems` — the arithmetic-only validation hook
   behind spec admission: signature-level problems (unknown kind, unknown
   or missing parameters, malformed nesting) without constructing
@@ -74,10 +77,35 @@ from ..straggler.models import (
 )
 from ..straggler.traces import DelayTrace, TraceReplayModel
 
+
+@dataclasses.dataclass(frozen=True)
+class _Layer:
+    """How one environment layer reads a spec value."""
+
+    #: built models of this layer, passed through as they are.
+    types: Tuple[type, ...]
+    #: the kind of an absent layer: its ideal/neutral family.
+    neutral: str
+    #: the kind of a mapping with no ``kind`` key (``None``: refused).
+    bare_kind: Optional[str] = None
+    #: the layer that nested sub-model specs name (``ModelFamily.nested``).
+    nested: Optional[str] = None
+
+
+#: layer → how it reads a spec value, in catalogue order.
+_LAYER_RULES: Dict[str, _Layer] = {
+    "delay": _Layer((DelayModel,), "none", nested="delay"),
+    "failure": _Layer((FailureModel,), "none", nested="failure"),
+    "compute": _Layer(
+        (ComputeModel, HeterogeneousComputeModel), "uniform",
+        bare_kind="uniform",
+    ),
+    "network": _Layer((NetworkModel,), "uniform", bare_kind="uniform"),
+    "contention": _Layer((ContendedUploadModel,), "none"),
+}
+
 #: the environment layers, in catalogue order.
-LAYERS: Tuple[str, ...] = (
-    "delay", "failure", "compute", "network", "contention"
-)
+LAYERS: Tuple[str, ...] = tuple(_LAYER_RULES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,14 +195,19 @@ def register_contention(kind: str, **meta: Any):
     return _register("contention", kind, **meta)
 
 
-def _layer_registry(layer: str) -> Registry[ModelFamily]:
-    registry = ENV_REGISTRY.get(layer)
-    if registry is None:
+def _layer_rule(layer: str) -> _Layer:
+    rule = _LAYER_RULES.get(layer)
+    if rule is None:
         raise ConfigurationError(
             f"unknown environment layer {layer!r} "
             f"(layers: {', '.join(LAYERS)})"
         )
-    return registry
+    return rule
+
+
+def _layer_registry(layer: str) -> Registry[ModelFamily]:
+    _layer_rule(layer)
+    return ENV_REGISTRY[layer]
 
 
 def registered_models(layer: str) -> List[str]:
@@ -242,12 +275,27 @@ def make_contention_model(kind: str, **params: Any):
 # Spec coercion: model object | kind string | {"kind": ..., **params}.
 
 
-def _model_from(layer: str, value: Any, *, default_kind: Optional[str] = None):
+def model_from(layer: str, value: Any) -> Any:
+    """Coerce ``value`` to a ``layer`` model.
+
+    A built model of the layer passes through; a kind string or a
+    ``{"kind": ..., **params}`` mapping is built by the registry;
+    ``None`` builds the layer's neutral family (no delay, no failures,
+    uniform compute and network, an uncontended link — the last is
+    ``None`` itself).  A mapping with no ``kind`` builds the ``uniform``
+    family on the compute and network layers (the historical
+    bare-parameter spec syntax) and is refused on the others.
+    """
+    rule = _layer_rule(layer)
+    if value is None:
+        value = rule.neutral
+    if isinstance(value, rule.types):
+        return value
     if isinstance(value, str):
         return make_model(layer, value)
     if isinstance(value, Mapping):
         params = dict(value)
-        kind = params.pop("kind", default_kind)
+        kind = params.pop("kind", rule.bare_kind)
         if kind is None:
             raise ConfigurationError(
                 f"{layer} spec needs a 'kind' key naming a registered "
@@ -263,67 +311,23 @@ def _model_from(layer: str, value: Any, *, default_kind: Optional[str] = None):
 def delay_model_from(value: Any) -> DelayModel:
     """Coerce ``value`` to a :class:`DelayModel`.
 
-    Accepts a built model, a recorded :class:`DelayTrace` (wrapped in
-    the replay adapter — the Fig. 11/12 record-once-replay-everywhere
-    idiom), a kind string, or a ``{"kind": ...}`` mapping.
+    :func:`model_from` for the delay layer, plus a recorded
+    :class:`DelayTrace` (wrapped in the replay adapter — the Fig. 11/12
+    record-once-replay-everywhere idiom).
     """
-    if isinstance(value, DelayModel):
-        return value
     if isinstance(value, DelayTrace):
         model = TraceReplayModel(value)
         _PROVENANCE[model] = (
             "delay", "trace-replay", {"delays": value.delays.tolist()}
         )
         return model
-    return _model_from("delay", value)
-
-
-def failure_model_from(value: Any) -> FailureModel:
-    """Coerce ``value`` to a :class:`FailureModel` (spec or instance)."""
-    if isinstance(value, FailureModel):
-        return value
-    return _model_from("failure", value)
-
-
-def compute_model_from(value: Any):
-    """Coerce ``value`` to a compute model.
-
-    Bare-parameter mappings (no ``kind`` key) build the ``uniform``
-    family — the historical ``compute: {base: ..., per_partition: ...}``
-    spec syntax.
-    """
-    if isinstance(value, (ComputeModel, HeterogeneousComputeModel)):
-        return value
-    return _model_from("compute", value, default_kind="uniform")
-
-
-def network_model_from(value: Any):
-    """Coerce ``value`` to a :class:`NetworkModel` (``kind`` defaults to
-    ``uniform``, the historical bare-parameter spec syntax)."""
-    if isinstance(value, NetworkModel):
-        return value
-    return _model_from("network", value, default_kind="uniform")
-
-
-def contention_model_from(value: Any):
-    """Coerce ``value`` to a contention model or ``None`` (no link
-    sharing)."""
-    if value is None or isinstance(value, ContendedUploadModel):
-        return value
-    return _model_from("contention", value)
+    return model_from("delay", value)
 
 
 # ----------------------------------------------------------------------
 # Canonical specs + fingerprints.
 
-_MODEL_TYPES = (
-    DelayModel,
-    FailureModel,
-    ComputeModel,
-    HeterogeneousComputeModel,
-    NetworkModel,
-    ContendedUploadModel,
-)
+_MODEL_TYPES = tuple(t for rule in _LAYER_RULES.values() for t in rule.types)
 
 
 def _canonical(value: Any) -> Any:
@@ -400,15 +404,14 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
     means etc.) are construction-time concerns and not checked here.
     """
     where = section or f"{layer} spec"
-    if isinstance(value, _MODEL_TYPES):
+    rule = _layer_rule(layer)
+    if isinstance(value, rule.types):
         return []
     if isinstance(value, str):
         kind, params = value, {}
     elif isinstance(value, Mapping):
         params = dict(value)
-        kind = params.pop(
-            "kind", "uniform" if layer in ("compute", "network") else None
-        )
+        kind = params.pop("kind", rule.bare_kind)
         if kind is None:
             return [
                 f"{where} needs a 'kind' key naming a registered model "
@@ -441,7 +444,7 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
         sub = params.get(name)
         if sub is None:
             continue
-        sub_layer = "failure" if layer == "failure" else "delay"
+        sub_layer = rule.nested
         sub_section = f"{where}.{name}"
         if isinstance(sub, (list, tuple)):
             for i, entry in enumerate(sub):
@@ -668,22 +671,18 @@ def _failure_dropouts(probability: float) -> FailureModel:
     nested=("models",),
 )
 def _failure_composite(models: Sequence[Any]) -> FailureModel:
-    return CompositeFailures([failure_model_from(m) for m in models])
+    return CompositeFailures([model_from("failure", m) for m in models])
 
 
 # ----------------------------------------------------------------------
 # Registered compute / network / contention families.
 
 
-@register_compute(
+register_compute(
     "uniform",
     summary="base + c*per_partition seconds per worker per step",
     paper="Sec. VIII-B step-time accounting",
-)
-def _compute_uniform(
-    base: float = 0.05, per_partition: float = 0.10
-) -> ComputeModel:
-    return ComputeModel(base=base, per_partition=per_partition)
+)(ComputeModel)
 
 
 @register_compute(
@@ -693,8 +692,8 @@ def _compute_uniform(
 )
 def _compute_heterogeneous(
     speed_factors: Mapping[Any, float],
-    base: float = 0.05,
-    per_partition: float = 0.10,
+    base: float = ComputeModel.base,
+    per_partition: float = ComputeModel.per_partition,
 ) -> HeterogeneousComputeModel:
     factors = {int(w): float(f) for w, f in speed_factors.items()}
     return HeterogeneousComputeModel(
@@ -702,21 +701,11 @@ def _compute_heterogeneous(
     )
 
 
-@register_network(
+register_network(
     "uniform",
     summary="latency + size/bandwidth per message (10 Gbit/s default)",
     paper="Fig. 12(c): 'most time is spent on uploading gradients'",
-)
-def _network_uniform(
-    latency: float = 0.001,
-    bandwidth: float = 1.25e9,
-    bytes_per_element: int = 4,
-) -> NetworkModel:
-    return NetworkModel(
-        latency=latency,
-        bandwidth=bandwidth,
-        bytes_per_element=bytes_per_element,
-    )
+)(NetworkModel)
 
 
 @register_network(

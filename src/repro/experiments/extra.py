@@ -27,8 +27,7 @@ from ..core.batch import enumerate_masks
 from ..core.decoders import decoder_for
 from ..core.scheme import make_placement
 from ..engine import FlatBackend, RoundEngine, SyncUpdate, make_strategy
-from ..env import make_compute_model, make_delay_model, make_network_model
-from ..simulation.cluster import ClusterSimulator
+from ..env import Environment, make_delay_model
 from ..simulation.policies import AdaptiveWaitK, DeadlinePolicy, WaitForK, linear_rampup
 from ..straggler.estimators import EstimatingWaitPolicy, LatencyEstimator
 from ..training.datasets import make_cifar_like, partition_dataset
@@ -163,14 +162,11 @@ def adaptive_policy_study(
             "is-gc-cr", num_workers=n, partitions_per_worker=c,
             wait_for=4, seed=seed, policy=policy,
         )
-        cluster = ClusterSimulator(
-            num_workers=n,
-            partitions_per_worker=c,
-            compute=make_compute_model("uniform", base=0.05, per_partition=0.05),
-            network=make_network_model("ideal"),
-            delay_model=delay,
-            rng=np.random.default_rng(seed + 7),
-        )
+        cluster = Environment(
+            delay=delay,
+            compute={"base": 0.05, "per_partition": 0.05},
+            network="ideal",
+        ).simulator(n, c, rng=np.random.default_rng(seed + 7))
         engine = RoundEngine(
             MLPClassifier(8 * 8 * 3, 32, 10, seed=0), streams, strategy,
             FlatBackend(cluster),

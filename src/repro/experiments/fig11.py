@@ -30,9 +30,8 @@ import numpy as np
 from ..analysis.reporting import Table
 from ..core.scheme import make_placement
 from ..core.decoders import Decoder, decoder_for
-from ..env import delay_model_from, make_compute_model, make_delay_model
+from ..env import Environment, make_delay_model
 from ..parallel import PointTask, SweepExecutor
-from ..simulation.cluster import ClusterSimulator
 from ..simulation.policies import WaitForK, WaitPolicy
 from ..straggler.traces import DelayTrace
 from .config import Fig11Config
@@ -68,15 +67,15 @@ def avg_step_time(
     """
     if tracer is not None and scheme_label is not None:
         tracer.set_context(scheme=scheme_label)
-    sim = ClusterSimulator(
-        num_workers=cfg.num_workers,
-        partitions_per_worker=partitions_per_worker,
-        compute=make_compute_model(
-            "uniform",
-            base=cfg.base_compute,
-            per_partition=cfg.per_partition_compute,
-        ),
-        delay_model=delay_model_from(trace),
+    sim = Environment(
+        delay=trace,
+        compute={
+            "base": cfg.base_compute,
+            "per_partition": cfg.per_partition_compute,
+        },
+    ).simulator(
+        cfg.num_workers,
+        partitions_per_worker,
         rng=np.random.default_rng(cfg.seed),
         tracer=tracer,
     )

@@ -47,14 +47,9 @@ from ..engine import (
     SyncUpdate,
     make_strategy,
 )
-from ..env import (
-    make_compute_model,
-    make_delay_model,
-    make_network_model,
-)
+from ..env import Environment, make_delay_model, make_network_model
 from ..exceptions import CodingError
 from ..partial import recovery_vs_deadline
-from ..simulation.cluster import ClusterSimulator
 from ..simulation.policies import (
     AdaptiveWaitK,
     DeadlinePolicy,
@@ -368,15 +363,11 @@ def _train(n, c, strategy, rule, delay, steps, *, compute=0.02, cluster_seed=0):
     streams = build_batch_streams(
         partition_dataset(dataset, n, seed=2), 32, seed=3
     )
-    cluster = ClusterSimulator(
-        n, c,
-        compute=make_compute_model(
-            "uniform", base=compute, per_partition=compute
-        ),
-        network=make_network_model("ideal"),
-        delay_model=delay,
-        rng=np.random.default_rng(cluster_seed),
-    )
+    cluster = Environment(
+        delay=delay,
+        compute={"base": compute, "per_partition": compute},
+        network="ideal",
+    ).simulator(n, c, rng=np.random.default_rng(cluster_seed))
     engine = RoundEngine(
         LogisticRegressionModel(8, seed=0), streams, strategy,
         FlatBackend(cluster),
@@ -495,7 +486,7 @@ def compression_table() -> Table:
                 _placement("cr", n, c), wait_for=w, fraction=fraction, rng=rng,
             )
         summary = _train(
-            n, c, strategy, SyncUpdate(SGD(0.3)), make_delay_model("none"),
+            n, c, strategy, SyncUpdate(SGD(0.3)), "none",
             steps, compute=0.01,
         )
         # 9 = the logistic model's parameter count.
@@ -540,12 +531,12 @@ def multimessage_table() -> Table:
     comparisons = recovery_vs_deadline(
         _placement("cr", 8, 2),
         deadlines=(0.4, 0.7, 1.0, 1.5, 2.5, 4.0),
-        trials=400,
-        compute=make_compute_model("uniform", base=0.1, per_partition=0.4),
-        network=make_network_model("ideal"),
-        delay_model=make_delay_model(
-            "shifted-exponential", shift=0.0, mean=0.5
+        environment=Environment(
+            delay={"kind": "shifted-exponential", "shift": 0.0, "mean": 0.5},
+            compute={"base": 0.1, "per_partition": 0.4},
+            network="ideal",
         ),
+        trials=400,
         seed=3,
     )
     table = Table(

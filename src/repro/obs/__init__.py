@@ -16,13 +16,12 @@ Typical use::
     from repro.obs import RoundTracer, aggregate_traces
 
     tracer = RoundTracer()
-    sim = ClusterSimulator(..., tracer=tracer)
+    sim = Environment(...).simulator(n, c, rng=rng, tracer=tracer)
     ...
     tracer.export_jsonl("run.jsonl")
     aggregates = aggregate_traces(read_traces("run.jsonl"))
 """
 
-from .aggregate import StepStatistics, steps_to_threshold
 from .registry import (
     Counter,
     Gauge,
@@ -42,8 +41,6 @@ from .jsonl import (
 from .summary import SchemeAggregate, aggregate_traces
 
 __all__ = [
-    "StepStatistics",
-    "steps_to_threshold",
     "Counter",
     "Gauge",
     "Histogram",

@@ -27,17 +27,16 @@ worker but only after the full local computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.decoders import decoder_for
 from ..core.placement import Placement
-from ..env import make_compute_model, make_delay_model, make_network_model
 from ..exceptions import ConfigurationError, SimulationError
-from ..simulation.cluster import ComputeModel
-from ..simulation.network import NetworkModel
-from ..straggler.models import DelayModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..env.environment import Environment
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,13 @@ class MessageArrival:
 
 
 class MultiMessageRound:
-    """Simulates one round of per-partition uploads."""
+    """Simulates one round of per-partition uploads, with the models of
+    ``environment`` (failures and a contended link are refused)."""
 
     def __init__(
         self,
         placement: Placement,
-        compute: ComputeModel | None = None,
-        network: NetworkModel | None = None,
-        delay_model: DelayModel | None = None,
+        environment: "Environment",
         gradient_elements: int = 10_000,
         *,
         rng: np.random.Generator,
@@ -66,10 +64,11 @@ class MultiMessageRound:
             from ..core.scheme import as_placement
 
             placement = as_placement(placement)
+        environment.refuse_failures_and_contention()
         self._placement = placement
-        self._compute = compute if compute is not None else make_compute_model()
-        self._network = network if network is not None else make_network_model()
-        self._delays = delay_model if delay_model is not None else make_delay_model("none")
+        self._compute = environment.compute
+        self._network = environment.network
+        self._delays = environment.delay
         self._elements = gradient_elements
         self._rng = rng
 
@@ -150,10 +149,8 @@ class DeadlineComparison:
 def recovery_vs_deadline(
     placement: Placement,
     deadlines: Sequence[float],
+    environment: "Environment",
     trials: int = 300,
-    compute: ComputeModel | None = None,
-    network: NetworkModel | None = None,
-    delay_model: DelayModel | None = None,
     gradient_elements: int = 10_000,
     seed: int = 0,
 ) -> List[DeadlineComparison]:
@@ -163,23 +160,18 @@ def recovery_vs_deadline(
     ``delay_i + base + c·per_partition + upload``; the master decodes
     the conflict graph over the workers that made the deadline.
     Multi-message side: per-partition arrivals, distinct-union
-    collection.  Both replay identical straggler draws.
+    collection.  Both replay identical straggler draws from
+    ``environment``'s delay model.
     """
     if not deadlines:
         raise ConfigurationError("need at least one deadline")
-    compute = compute if compute is not None else make_compute_model()
-    network = network if network is not None else make_network_model()
-    delay_model = delay_model if delay_model is not None else make_delay_model("none")
+    environment.refuse_failures_and_contention()
+    compute, delay_model = environment.compute, environment.delay
 
     c = placement.partitions_per_worker
     n = placement.num_workers
-    upload_t = network.transfer_time(gradient_elements)
+    upload_t = environment.network.transfer_time(gradient_elements)
     decoder = decoder_for(placement, rng=np.random.default_rng(seed + 1))
-    round_sim = MultiMessageRound(
-        placement, compute=compute, network=network,
-        delay_model=delay_model, gradient_elements=gradient_elements,
-        rng=np.random.default_rng(seed),
-    )
     # Separate RNG streams would desynchronise the straggler draws, so
     # delays are drawn once per trial and shared by both sides.
     rng = np.random.default_rng(seed)

@@ -42,12 +42,8 @@ from ..engine.spec import ExperimentSpec
 from ..exceptions import AdmissionError, ServeError
 from .jobs import Job, JobEvent, JobHandle, JobState
 from .pool import WorkerPool
-from .scheduler import (
-    FairScheduler,
-    Scheduler,
-    SchedulingClass,
-    check_deadline,
-)
+from .mailbox import job_fields
+from .scheduler import FairScheduler, Scheduler, SchedulingClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.report import RunReport
@@ -188,9 +184,17 @@ class Coordinator:
             priority = sched.priority if sched is not None else 0
         if deadline is None and sched is not None:
             deadline = sched.deadline
+        # The type rule inbox entries and checkpoint heads go through:
+        # a weight of 2.7 or a priority of True is refused, not coerced.
+        fields = job_fields(
+            "job" if job_id is None else f"job {job_id!r}",
+            dict(weight=weight, priority=priority, deadline=deadline),
+            "weight", "priority", "deadline",
+        )
+        weight, priority = fields["weight"], fields["priority"]
+        deadline = fields["deadline"]
         if weight < 1:
             raise ServeError(f"job weight must be >= 1, got {weight}")
-        check_deadline(deadline, "job")
         active = len(self._live)
         if active >= self.queue_limit:
             raise AdmissionError(
@@ -213,8 +217,8 @@ class Coordinator:
             job_id=job_id,
             name=name if name is not None else spec.name,
             spec=spec,
-            weight=int(weight),
-            priority=int(priority),
+            weight=weight,
+            priority=priority,
             deadline=deadline,
             seq=seq,
         )

@@ -158,8 +158,9 @@ def _last_line(path: pathlib.Path) -> bytes:
     return tail[tail.rfind(b"\n", 0, end) + 1:end] if end >= 0 else b""
 
 
-#: the fields a submission and a checkpoint head share: their default
-#: and the JSON types a value may have (``bool`` is never an ``int``).
+#: the fields a submission, a checkpoint head and a direct submit
+#: share: their default and the types a value may have (``bool`` is
+#: never an ``int``).
 _JOB_FIELDS = {
     "name": (None, (str,), "non-string name"),
     "weight": (1, (int,), "non-integer weight"),
@@ -170,12 +171,13 @@ _JOB_FIELDS = {
 }
 
 
-def _job_fields(
-    kind: str, job_id: str, payload: Dict[str, object], *names: str
+def job_fields(
+    owner: str, payload: Dict[str, object], *names: str
 ) -> Dict[str, object]:
     """``names`` read from ``payload`` through one type check, so an
-    inbox entry and a checkpoint head accept exactly the same values
-    (raises :class:`ServeError`; never coerces)."""
+    inbox entry, a checkpoint head, ``Coordinator.submit`` and
+    ``CoordinatorClient.submit`` accept exactly the same values (raises
+    :class:`ServeError` naming ``owner``; never coerces)."""
     fields = {}
     for key in names:
         default, types, problem = _JOB_FIELDS[key]
@@ -184,11 +186,11 @@ def _job_fields(
             not isinstance(value, types)
             or (isinstance(value, bool) and bool not in types)
         ):
-            raise ServeError(f"{kind} {job_id!r} has {problem} {value!r}")
+            raise ServeError(f"{owner} has {problem} {value!r}")
         fields[key] = value
     if fields.get("deadline") is not None:
         fields["deadline"] = float(fields["deadline"])
-        check_deadline(fields["deadline"], f"{kind} {job_id!r}")
+        check_deadline(fields["deadline"], owner)
     return fields
 
 
@@ -215,8 +217,8 @@ class Submission:
         return cls(
             job_id=job_id,
             spec=ExperimentSpec.from_dict(payload["spec"]),
-            **_job_fields(
-                "submission", job_id, payload,
+            **job_fields(
+                f"submission {job_id!r}", payload,
                 "name", "weight", "trace", "priority", "deadline",
             ),
         )
@@ -245,8 +247,8 @@ class CheckpointRecord:
             raise ServeError(
                 f"checkpoint {job_id!r} is missing the 'spec' payload"
             )
-        fields = _job_fields(
-            "checkpoint", job_id, payload,
+        fields = job_fields(
+            f"checkpoint {job_id!r}", payload,
             "name", "weight", "priority", "deadline", "trace_path",
         )
         if fields["name"] is None:
@@ -645,6 +647,14 @@ class CoordinatorClient:
             spec = ExperimentSpec.from_file(spec)
         if job_id is None:
             job_id = self._fresh_job_id()
+        # The coordinator's own check, before anything is written: a
+        # value it would refuse never reaches the inbox.
+        fields = job_fields(
+            f"submission {job_id!r}",
+            dict(name=name, weight=weight, trace=trace, priority=priority,
+                 deadline=deadline),
+            "name", "weight", "trace", "priority", "deadline",
+        )
         rejected = self.root / _REJECTED / f"{job_id}.json"
         if rejected.exists():
             record = json.loads(rejected.read_text())
@@ -658,7 +668,7 @@ class CoordinatorClient:
             raise ServeError(f"duplicate job id {job_id!r}")
         payload: Dict[str, object] = {
             "spec": spec.to_dict(),
-            "weight": int(weight),
+            "weight": fields["weight"],
         }
         if name is not None:
             payload["name"] = name
@@ -667,9 +677,9 @@ class CoordinatorClient:
         # Scheduling-class fields ride along only when non-default, so
         # default-class payloads stay byte-identical to the old format.
         if priority != 0:
-            payload["priority"] = int(priority)
+            payload["priority"] = priority
         if deadline is not None:
-            payload["deadline"] = float(deadline)
+            payload["deadline"] = fields["deadline"]
         _atomic_write(target, payload)
         return job_id
 

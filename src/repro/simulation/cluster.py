@@ -44,11 +44,7 @@ from typing import TYPE_CHECKING, Dict
 import numpy as np
 
 from ..exceptions import ConfigurationError, SimulationError
-from ..straggler.failures import FailureModel, NoFailures
-from ..straggler.models import DelayModel, NoDelay
-from .contention import ContendedUploadModel
 from .events import arrival_race
-from .network import NetworkModel
 from .policies import WaitOutcome, WaitPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,22 +113,22 @@ class RoundResult:
 
 
 class ClusterSimulator:
-    """Simulates rounds of distributed gradient computation."""
+    """Simulates rounds of distributed gradient computation.
+
+    Its five model layers (delay, failure, compute, network,
+    contention) come from one :class:`~repro.env.Environment`;
+    ``Environment(...).simulator(n, c, rng=...)`` is the short form.
+    """
 
     def __init__(
         self,
         num_workers: int,
         partitions_per_worker: int,
-        compute: ComputeModel | None = None,
-        network: NetworkModel | None = None,
-        delay_model: DelayModel | None = None,
+        environment: "Environment",
         gradient_elements: int = 10_000,
         *,
         rng: np.random.Generator,
-        failure_model: FailureModel | None = None,
-        contended_link: ContendedUploadModel | None = None,
         tracer: "RoundTracer | None" = None,
-        environment: "Environment | None" = None,
     ):
         if num_workers <= 0:
             raise ConfigurationError(
@@ -143,37 +139,15 @@ class ClusterSimulator:
                 "partitions_per_worker must be positive, "
                 f"got {partitions_per_worker}"
             )
-        if environment is not None:
-            given = [
-                name
-                for name, value in (
-                    ("compute", compute),
-                    ("network", network),
-                    ("delay_model", delay_model),
-                    ("failure_model", failure_model),
-                    ("contended_link", contended_link),
-                )
-                if value is not None
-            ]
-            if given:
-                raise ConfigurationError(
-                    "environment= bundles every model layer; drop the "
-                    f"individual argument(s) {', '.join(given)}"
-                )
-            compute = environment.compute
-            network = environment.network
-            delay_model = environment.delay
-            failure_model = environment.failure
-            contended_link = environment.contention
         self._n = num_workers
         self._c = partitions_per_worker
-        self._compute = compute if compute is not None else ComputeModel()
-        self._network = network if network is not None else NetworkModel()
-        self._delays = delay_model if delay_model is not None else NoDelay()
+        self._compute = environment.compute
+        self._network = environment.network
+        self._delays = environment.delay
         self._gradient_elements = gradient_elements
         self._rng = rng
-        self._failures = failure_model if failure_model is not None else NoFailures()
-        self._link = contended_link
+        self._failures = environment.failure
+        self._link = environment.contention
         self._tracer = tracer
         self._clock = 0.0
         # Snapshot the generator so reset() can replay the exact same
@@ -233,8 +207,8 @@ class ClusterSimulator:
     def run_round(self, step: int, policy: WaitPolicy) -> RoundResult:
         """Simulate one synchronous round under ``policy``.
 
-        Crashed/dropped workers (``failure_model``) produce no arrival;
-        with a ``contended_link`` the uploads fair-share the master's
+        Crashed/dropped workers (the failure layer) produce no arrival;
+        with a contended link (the contention layer) the uploads fair-share the master's
         ingress bandwidth instead of transferring independently.
 
         The round is drawn in two batches: one

@@ -36,6 +36,7 @@ from repro.engine import (
     RoundEngine,
     SyncUpdate,
 )
+from repro.env import Environment
 from repro.experiments import (
     Fig11Config,
     Fig12Config,
@@ -102,9 +103,11 @@ def make_cluster(strategy, trace):
     return ClusterSimulator(
         num_workers=N,
         partitions_per_worker=strategy.placement.partitions_per_worker,
-        compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=TraceReplayModel(trace),
+        environment=Environment(
+            delay=TraceReplayModel(trace),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(0),
     )
 
@@ -197,9 +200,11 @@ def golden_runtime():
 def golden_async():
     ds, streams = _workload()
     backend = AsyncArrivalBackend(
-        compute=ComputeModel(0.05, 0.05),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=ExponentialDelay(0.3, affected=[0, 1]),
+        Environment(
+            delay=ExponentialDelay(0.3, affected=[0, 1]),
+            compute=ComputeModel(0.05, 0.05),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(11),
     )
     # No coding on the async path: one partition per worker, as
@@ -237,10 +242,13 @@ def golden_adaptive():
     ds, streams = _workload(n)
     placement = CyclicRepetition(n, 2)
     cluster = ClusterSimulator(
-        n, placement.partitions_per_worker,
-        compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=ExponentialDelay(0.5),
+        n,
+        placement.partitions_per_worker,
+        Environment(
+            delay=ExponentialDelay(0.5),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(0),
     )
     # The strategy and the migration rule share one generator, so a
@@ -285,9 +293,13 @@ def golden_local():
         CyclicRepetition(4, 2), wait_for=2, rng=np.random.default_rng(5)
     )
     cluster = ClusterSimulator(
-        4, 2, compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=TraceReplayModel(_trace()),
+        4,
+        2,
+        Environment(
+            delay=TraceReplayModel(_trace()),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(0),
     )
     engine = RoundEngine(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CyclicRepetition, FractionalRepetition
 from repro.engine import AdaptiveMigration, FlatBackend, RoundEngine
+from repro.env import Environment
 from repro.exceptions import TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
@@ -23,10 +24,13 @@ def _setup(initial_placement, wait_for=4, delay=None, **kw):
     ds = make_classification(512, 8, num_classes=2, separation=3.0, seed=1)
     streams = build_batch_streams(partition_dataset(ds, n, seed=2), 32, seed=3)
     cluster = ClusterSimulator(
-        n, initial_placement.partitions_per_worker,
-        compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=delay or ExponentialDelay(0.5),
+        n,
+        initial_placement.partitions_per_worker,
+        Environment(
+            delay=delay or ExponentialDelay(0.5),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(0),
     )
     # One generator for strategy and rule, as the adaptive golden records.

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import sync_engine
 from repro.engine import AsyncArrivalBackend, AsyncUpdate, RoundEngine
-from repro.exceptions import TrainingError
+from repro.env import Environment
+from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import ComputeModel, NetworkModel
 from repro.straggler import NoDelay, PersistentStragglers, ShiftedExponentialDelay
 from repro.training import (
@@ -23,9 +24,11 @@ def _trainer(n=4, delay=None, lr=0.3, seed=0):
     parts = partition_dataset(ds, n, seed=2)
     streams = build_batch_streams(parts, batch_size=32, seed=3)
     backend = AsyncArrivalBackend(
-        compute=ComputeModel(0.05, 0.05),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=delay or NoDelay(),
+        Environment(
+            delay=delay or NoDelay(),
+            compute=ComputeModel(0.05, 0.05),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(seed),
     )
     # No coding on the async path: one partition per worker, exactly
@@ -57,8 +60,25 @@ class TestBasics:
         with pytest.raises(TrainingError, match="batch streams"):
             RoundEngine(
                 LogisticRegressionModel(4), [], SyncSGDStrategy(4),
-                AsyncArrivalBackend(rng=np.random.default_rng(0)),
+                AsyncArrivalBackend(
+                    Environment(),
+                    rng=np.random.default_rng(0),
+                ),
                 AsyncUpdate(SGD(0.1)),
+            )
+
+    @pytest.mark.parametrize("layer, section", [
+        ("failure", {"kind": "transient-dropouts", "probability": 0.1}),
+        ("contention", {"kind": "fair-share", "capacity_bytes_per_s": 1e6}),
+    ])
+    def test_refuses_failures_and_contention(self, layer, section):
+        """The per-arrival pipeline simulates neither failures nor a
+        contended link: an environment with either is refused, not
+        ignored."""
+        with pytest.raises(ConfigurationError, match=layer):
+            AsyncArrivalBackend(
+                Environment(**{layer: section}),
+                rng=np.random.default_rng(0),
             )
 
     def test_time_monotone(self):
@@ -121,9 +141,14 @@ class TestComparisonWithSync:
         parts = partition_dataset(ds, 4, seed=2)
         streams = build_batch_streams(parts, batch_size=32, seed=3)
         cluster = ClusterSimulator(
-            4, 1, compute=ComputeModel(0.05, 0.05),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=slow, rng=np.random.default_rng(0),
+            4,
+            1,
+            Environment(
+                delay=slow,
+                compute=ComputeModel(0.05, 0.05),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
+            rng=np.random.default_rng(0),
         )
         sync_trainer = sync_engine(
             LogisticRegressionModel(8, seed=0), streams,

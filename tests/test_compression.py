@@ -5,6 +5,7 @@ import pytest
 
 from conftest import sync_engine
 from repro.core import CyclicRepetition
+from repro.env import Environment
 from repro.exceptions import ConfigurationError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
@@ -123,9 +124,14 @@ class TestCompressedStrategy:
             parts = partition_dataset(ds, 4, seed=2)
             streams = build_batch_streams(parts, batch_size=32, seed=3)
             cluster = ClusterSimulator(
-                4, 2, compute=ComputeModel(0.01, 0.01),
-                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-                delay_model=NoDelay(), rng=np.random.default_rng(0),
+                4,
+                2,
+                Environment(
+                    delay=NoDelay(),
+                    compute=ComputeModel(0.01, 0.01),
+                    network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+                ),
+                rng=np.random.default_rng(0),
             )
             trainer = sync_engine(
                 LogisticRegressionModel(8, seed=0), streams, strategy,

@@ -5,15 +5,14 @@ and executes them in a shared namespace per file (later blocks may use
 names defined by earlier ones, as the prose implies).  Keeps the docs
 from rotting as the API evolves.
 
-The spec-based examples (``examples/quickstart.py`` and
-``examples/async_vs_isgc.py``) are executed the same way, with their
-training budgets shrunk, so the ExperimentSpec walk-throughs stay
-runnable too.
+Every script under ``examples/`` is executed the same way, with its
+training budget shrunk, so the walk-throughs stay runnable too.
 """
 
 import pathlib
 import pkgutil
 import re
+import tempfile
 
 import pytest
 
@@ -54,6 +53,16 @@ _EXAMPLE_SPEEDUPS = [
     ("max_steps=200", "max_steps=15"),
     ('"samples": 2048', '"samples": 512'),
     ("UPDATE_BUDGET = 240", "UPDATE_BUDGET = 48"),
+    ("STEPS = 120", "STEPS = 30"),
+    ("STEPS = 150", "STEPS = 12"),
+    ("STEPS = 200", "STEPS = 12"),
+    ("MAX_STEPS = 600", "MAX_STEPS = 8"),
+    ("make_cifar_like(2048, side=8", "make_cifar_like(256, side=8"),
+    ("STEPS = 8, 2, 4, 120", "STEPS = 8, 2, 4, 20"),
+    ("trials=3000", "trials=200"),
+    ("trials=1500", "trials=100"),
+    ("max_steps=48 // tau", "max_steps=8 // tau"),
+    ("ROUNDS = 1000", "ROUNDS = 100"),
 ]
 
 
@@ -88,6 +97,67 @@ def test_serve_quickstart_example_runs(capsys):
     assert "four schemes, one coordinator" in out
     assert "job-0002: cancelled" in out
     assert "demo-job: done" in out
+
+
+def test_adaptive_placement_example_runs(capsys):
+    _run_example(REPO / "examples" / "adaptive_placement.py")
+    out = capsys.readouterr().out
+    assert "adaptive-is-gc" in out
+    assert "recovery before migration" in out
+
+
+def test_wait_policies_example_runs(capsys):
+    _run_example(REPO / "examples" / "wait_policies.py")
+    out = capsys.readouterr().out
+    for policy in ("wait-2", "wait-6", "deadline 1.0s", "ramp 2→6"):
+        assert policy in out
+
+
+def test_straggler_tolerance_example_runs(capsys):
+    _run_example(REPO / "examples" / "straggler_tolerance.py")
+    out = capsys.readouterr().out
+    for scheme in ("sync-sgd", "is-sgd", "is-gc-fr", "is-gc-cr"):
+        assert scheme in out
+
+
+def test_heterogeneous_cluster_example_runs(capsys):
+    _run_example(REPO / "examples" / "heterogeneous_cluster.py")
+    out = capsys.readouterr().out
+    assert "optimised (slow machines spread)" in out
+    assert "top-20% uploads" in out
+
+
+def test_hybrid_tradeoff_example_runs(capsys):
+    _run_example(REPO / "examples" / "hybrid_tradeoff.py")
+    out = capsys.readouterr().out
+    assert "the CR→FR spectrum" in out
+
+
+def test_traced_run_example_runs(tmp_path, monkeypatch, capsys):
+    # The example exports its trace under tempfile.mkdtemp().
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    _run_example(REPO / "examples" / "traced_run.py")
+    out = capsys.readouterr().out
+    assert "(live == loaded)" in out
+    assert list(tmp_path.glob("*/traced_run.jsonl"))
+
+
+def test_comm_efficient_coding_example_runs(capsys):
+    _run_example(REPO / "examples" / "comm_efficient_coding.py")
+    out = capsys.readouterr().out
+    assert "decoded exactly from" in out
+    assert "Block-count sweep" in out
+
+
+def test_every_example_runs_in_a_test():
+    """No example script is left out of the tests above."""
+    source = pathlib.Path(__file__).read_text()
+    missing = [
+        path.name for path in sorted((REPO / "examples").glob("*.py"))
+        if f'"{path.name}"' not in source
+    ]
+    assert missing == []
 
 
 def test_serving_doc_blocks_run(tmp_path, monkeypatch, capsys):

@@ -40,6 +40,7 @@ from repro.env import (
     make_network_model,
     model_fingerprint,
     model_spec_problems,
+    model_from,
     registered_models,
     resolve_model,
     spec_of,
@@ -482,13 +483,9 @@ class TestEnvironment:
             "failure": {"kind": "transient-dropouts", "probability": 0.1},
             "compute": {"kind": "uniform", "base": 0.05, "per_partition": 0.1},
         }
-        env = Environment.from_sections(sections)
-        rebuilt = Environment.from_sections(env.spec())
+        env = Environment(**sections)
+        rebuilt = Environment(**env.spec())
         assert rebuilt.fingerprint() == env.fingerprint()
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            Environment.from_sections({"dealy": {"kind": "exponential"}})
 
     def test_fingerprint_parameter_sensitive(self):
         base = Environment(delay={"kind": "exponential", "mean": 1.0})
@@ -523,6 +520,44 @@ class TestEnvironment:
         ]
         assert first == replay
 
+    def test_model_from_reads_the_layer_table(self):
+        # A built model of the layer passes through as it is.
+        model = ExponentialDelay(1.0)
+        assert model_from("delay", model) is model
+        # An absent layer is its neutral model.
+        assert isinstance(model_from("delay", None), NoDelay)
+        assert model_from("compute", None) == ComputeModel()
+        assert model_from("network", None) == NetworkModel()
+        assert model_from("contention", None) is None
+        # A kind-less mapping is uniform on compute/network only.
+        assert model_from("compute", {"base": 0.2}) == ComputeModel(base=0.2)
+        assert model_from("network", {"latency": 0.0}) == NetworkModel(
+            latency=0.0
+        )
+        for layer in ("delay", "failure", "contention"):
+            with pytest.raises(ConfigurationError, match="needs a 'kind'"):
+                model_from(layer, {"probability": 0.5})
+        # A model of another layer is not a model of this one.
+        with pytest.raises(ConfigurationError, match="network model"):
+            model_from("network", ComputeModel())
+        with pytest.raises(ConfigurationError, match="unknown environment"):
+            model_from("dealy", "none")
+
+    def test_uniform_families_are_the_model_classes(self):
+        """The registry states no defaults of its own for the uniform
+        compute and network families: they are the classes."""
+        assert resolve_model("compute", "uniform").build is ComputeModel
+        assert resolve_model("network", "uniform").build is NetworkModel
+        assert make_compute_model() == ComputeModel()
+        assert make_network_model() == NetworkModel()
+        assert spec_of(make_compute_model(base=0.2)) == {
+            "kind": "uniform", "base": 0.2,
+        }
+
+    def test_cluster_simulator_requires_an_environment(self):
+        with pytest.raises(TypeError, match="environment"):
+            ClusterSimulator(2, 1, rng=np.random.default_rng(0))
+
     def test_simulator_wiring(self):
         env = Environment(delay={"kind": "exponential", "mean": 0.5})
         sim = env.simulator(
@@ -535,10 +570,13 @@ class TestEnvironment:
         assert len(result.arrivals) == 4
 
     def test_simulator_equals_direct_cluster(self):
+        """Directly built models in an Environment run the same rounds
+        as the registry-built ones."""
         env = Environment(delay={"kind": "exponential", "mean": 0.5})
         direct = ClusterSimulator(
-            num_workers=4, partitions_per_worker=2,
-            delay_model=ExponentialDelay(0.5),
+            num_workers=4,
+            partitions_per_worker=2,
+            environment=Environment(delay=ExponentialDelay(0.5)),
             rng=np.random.default_rng(0),
         )
         via_env = env.simulator(
@@ -551,12 +589,3 @@ class TestEnvironment:
             a = direct.run_round(step, WaitForK(2))
             b = via_env.run_round(step, WaitForK(2))
             assert a.arrivals == b.arrivals
-
-    def test_environment_excludes_individual_model_args(self):
-        env = Environment()
-        with pytest.raises(ConfigurationError, match="delay_model"):
-            ClusterSimulator(
-                num_workers=2, partitions_per_worker=1,
-                environment=env, delay_model=NoDelay(),
-                rng=np.random.default_rng(0),
-            )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import sync_engine
+from repro.env import Environment
 from repro.exceptions import ConfigurationError
 from repro.straggler import EstimatingWaitPolicy, LatencyEstimator
 
@@ -150,10 +151,14 @@ class TestEstimatingWaitPolicy:
             rng=np.random.default_rng(0), policy=policy,
         )
         cluster = ClusterSimulator(
-            n, 2, compute=ComputeModel(0.05, 0.05),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=PersistentStragglers(
+            n,
+            2,
+            Environment(
+                delay=PersistentStragglers(
                 [0], ShiftedExponentialDelay(5.0, 0.0)
+            ),
+                compute=ComputeModel(0.05, 0.05),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
             ),
             rng=np.random.default_rng(1),
         )

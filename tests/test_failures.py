@@ -5,7 +5,7 @@ import pytest
 
 from conftest import sync_engine
 from repro.core import CyclicRepetition
-from repro.env import failure_model_from, registered_models
+from repro.env import Environment, model_from, registered_models
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
     BestEffortWaitForK,
@@ -106,7 +106,7 @@ class TestAliveRound:
 
     @pytest.mark.parametrize("case", sorted(ALIVE_ROUND_CASES))
     def test_matches_is_alive_loop(self, case):
-        model = failure_model_from(ALIVE_ROUND_CASES[case])
+        model = model_from("failure", ALIVE_ROUND_CASES[case])
         ours, loop = np.random.default_rng(3), np.random.default_rng(3)
         for step in range(6):
             for n in (1, 8, 24):
@@ -120,16 +120,18 @@ class TestAliveRound:
 
 
 class TestSimulatorWithFailures:
-    def _sim(self, failures, policy_k=2, **kw):
+    def _sim(self, failures, contention=None):
         return ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(0.1, 0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=NoDelay(),
-            failure_model=failures,
+            environment=Environment(
+                delay=NoDelay(),
+                failure=failures,
+                compute=ComputeModel(0.1, 0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+                contention=contention,
+            ),
             rng=np.random.default_rng(0),
-            **kw,
         )
 
     def test_crashed_workers_never_arrive(self):
@@ -157,7 +159,7 @@ class TestSimulatorWithFailures:
     def test_contended_link_round(self):
         sim = self._sim(
             NoFailures(),
-            contended_link=ContendedUploadModel(capacity_bytes_per_s=80_000),
+            contention=ContendedUploadModel(capacity_bytes_per_s=80_000),
         )
         # 4 × 40 kB flows share 80 kB/s: all finish 2 s after compute.
         result = sim.run_round(0, BestEffortWaitForK(4))
@@ -166,7 +168,7 @@ class TestSimulatorWithFailures:
     def test_contention_vs_ideal_ordering(self):
         contended = self._sim(
             NoFailures(),
-            contended_link=ContendedUploadModel(capacity_bytes_per_s=80_000),
+            contention=ContendedUploadModel(capacity_bytes_per_s=80_000),
         )
         ideal = self._sim(NoFailures())
         t_contended = contended.run_round(0, BestEffortWaitForK(4)).step_time
@@ -185,9 +187,14 @@ class TestTrainingThroughFailures:
             policy=BestEffortWaitForK(wait_for),
         )
         cluster = ClusterSimulator(
-            n, 2, compute=ComputeModel(0.05, 0.05),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=NoDelay(), failure_model=failures,
+            n,
+            2,
+            Environment(
+                delay=NoDelay(),
+                failure=failures,
+                compute=ComputeModel(0.05, 0.05),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(1),
         )
         return sync_engine(
@@ -215,8 +222,12 @@ class TestTrainingThroughFailures:
         ds = make_classification(256, 6, num_classes=2, seed=0)
         streams = build_batch_streams(partition_dataset(ds, n, seed=1), 16, seed=2)
         cluster = ClusterSimulator(
-            n, 1, delay_model=NoDelay(),
-            failure_model=PermanentCrashes([2], at_step=0),
+            n,
+            1,
+            Environment(
+                delay=NoDelay(),
+                failure=PermanentCrashes([2], at_step=0),
+            ),
             rng=np.random.default_rng(0),
         )
         trainer = sync_engine(

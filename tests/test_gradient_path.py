@@ -44,6 +44,7 @@ from repro.engine import (
     build_engine,
 )
 from repro.core.coding import SummationCode
+from repro.env import Environment
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.training import (
     Dataset,
@@ -400,7 +401,10 @@ class TestStreamDefinition:
             RoundEngine(
                 LogisticRegressionModel(5), streams, strategy,
                 FlatBackend(ClusterSimulator(
-                    2, 1, rng=np.random.default_rng(0)
+                    2,
+                    1,
+                    Environment(),
+                    rng=np.random.default_rng(0),
                 )), SyncUpdate(SGD(0.1)),
             )
 
@@ -575,8 +579,10 @@ class TestEngineEqualsInlineLoop:
         cluster = ClusterSimulator(
             num_workers=self.N,
             partitions_per_worker=self.C,
-            compute=ComputeModel(0.1, 1.6),
-            delay_model=TraceReplayModel(trace),
+            environment=Environment(
+                delay=TraceReplayModel(trace),
+                compute=ComputeModel(0.1, 1.6),
+            ),
             rng=np.random.default_rng(0),
         )
         return model, strategy, cluster, SGD(0.3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ExperimentSpec, build_engine
+from repro.env import Environment
 from repro.exceptions import ConfigurationError
 from repro.obs import RoundTracer
 from repro.simulation import (
@@ -49,10 +50,12 @@ class TestHeterogeneousComputeModel:
         sim = ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=HeterogeneousComputeModel(
+            environment=Environment(
+                compute=HeterogeneousComputeModel(
                 ComputeModel(0.1, 0.1), {3: 10.0}
             ),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(0),
         )
         result = sim.run_round(0, WaitForK(3))

@@ -16,6 +16,7 @@ from repro.core import (
     SummationCode,
     decoder_for,
 )
+from repro.env import Environment
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel, WaitForK
 from repro.straggler import (
     DelayTrace,
@@ -44,9 +45,11 @@ def _training_setup(strategy, trace, lr=0.3, n=4, seed=0):
     cluster = ClusterSimulator(
         num_workers=n,
         partitions_per_worker=strategy.placement.partitions_per_worker,
-        compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=TraceReplayModel(trace),
+        environment=Environment(
+            delay=TraceReplayModel(trace),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(seed),
     )
     return sync_engine(model, streams, strategy, cluster, SGD(lr), eval_data=ds)
@@ -156,7 +159,7 @@ class TestEndToEndPipelineConsistency:
         sim = ClusterSimulator(
             num_workers=n,
             partitions_per_worker=placement.partitions_per_worker,
-            delay_model=ExponentialDelay(1.0),
+            environment=Environment(delay=ExponentialDelay(1.0)),
             rng=rng,
         )
         grads = {p: rng.normal(size=5) for p in range(n)}

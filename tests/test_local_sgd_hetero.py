@@ -16,6 +16,7 @@ from repro.engine import (
     RoundEngine,
     build_engine,
 )
+from repro.env import Environment
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
@@ -37,9 +38,13 @@ def _workload(n=4):
 
 def _cluster(n=4, c=2, delay=None):
     return ClusterSimulator(
-        n, c, compute=ComputeModel(0.02, 0.02),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=delay or NoDelay(),
+        n,
+        c,
+        Environment(
+            delay=delay or NoDelay(),
+            compute=ComputeModel(0.02, 0.02),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(0),
     )
 

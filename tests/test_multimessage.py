@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CyclicRepetition, FractionalRepetition
+from repro.env import Environment
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.partial import (
     MessageArrival,
@@ -21,9 +22,11 @@ IDEAL = NetworkModel(latency=0.0, bandwidth=float("inf"))
 def _round(placement, delay=None):
     return MultiMessageRound(
         placement,
-        compute=ComputeModel(base=0.1, per_partition=0.2),
-        network=IDEAL,
-        delay_model=delay or NoDelay(),
+        Environment(
+            delay=delay or NoDelay(),
+            compute=ComputeModel(base=0.1, per_partition=0.2),
+            network=IDEAL,
+        ),
         rng=np.random.default_rng(0),
     )
 
@@ -64,7 +67,26 @@ class TestSimulation:
     def test_rng_is_required(self):
         # No entropy-seeded fallback: every round replays.
         with pytest.raises(TypeError, match="rng"):
-            MultiMessageRound(CyclicRepetition(4, 2))
+            MultiMessageRound(CyclicRepetition(4, 2), Environment())
+
+    @pytest.mark.parametrize("layer, section", [
+        ("failure", {"kind": "permanent-crashes", "crashed_workers": [0]}),
+        ("contention", {"kind": "fair-share", "capacity_bytes_per_s": 1e6}),
+    ])
+    def test_refuses_failures_and_contention(self, layer, section):
+        """The round simulates neither failures nor a contended link:
+        an environment with either is refused, not ignored."""
+        with pytest.raises(ConfigurationError, match=layer):
+            MultiMessageRound(
+                CyclicRepetition(4, 2), Environment(**{layer: section}),
+                rng=np.random.default_rng(0),
+            )
+        # The neutral layers, spelled out, are accepted.
+        MultiMessageRound(
+            CyclicRepetition(4, 2),
+            Environment(failure="none", contention="none"),
+            rng=np.random.default_rng(0),
+        )
 
     def test_straggler_shifts_whole_worker(self):
         slow = PersistentStragglers([0], ShiftedExponentialDelay(5.0, 0.0))
@@ -115,9 +137,14 @@ class TestRecoveryVsDeadline:
     def test_monotone_in_deadline(self):
         placement = CyclicRepetition(6, 2)
         comparisons = recovery_vs_deadline(
-            placement, deadlines=(0.2, 0.5, 1.0, 3.0), trials=100,
-            compute=ComputeModel(0.05, 0.1), network=IDEAL,
-            delay_model=ShiftedExponentialDelay(0.0, 0.5),
+            placement,
+            deadlines=(0.2, 0.5, 1.0, 3.0),
+            trials=100,
+            environment=Environment(
+                delay=ShiftedExponentialDelay(0.0, 0.5),
+                compute=ComputeModel(0.05, 0.1),
+                network=IDEAL,
+            ),
         )
         mm = [c.multimessage_recovered for c in comparisons]
         gc = [c.isgc_recovered for c in comparisons]
@@ -132,8 +159,14 @@ class TestRecoveryVsDeadline:
         # Deadline after first partitions (0.5) but before full
         # payloads (0.9).
         comparisons = recovery_vs_deadline(
-            placement, deadlines=(0.6,), trials=50,
-            compute=compute, network=IDEAL, delay_model=NoDelay(),
+            placement,
+            deadlines=(0.6,),
+            trials=50,
+            environment=Environment(
+                delay=NoDelay(),
+                compute=compute,
+                network=IDEAL,
+            ),
         )
         point = comparisons[0]
         assert point.multimessage_recovered > point.isgc_recovered
@@ -141,9 +174,14 @@ class TestRecoveryVsDeadline:
     def test_both_reach_full_recovery_eventually(self):
         placement = CyclicRepetition(4, 2)
         comparisons = recovery_vs_deadline(
-            placement, deadlines=(100.0,), trials=20,
-            compute=ComputeModel(0.05, 0.1), network=IDEAL,
-            delay_model=ShiftedExponentialDelay(0.0, 0.3),
+            placement,
+            deadlines=(100.0,),
+            trials=20,
+            environment=Environment(
+                delay=ShiftedExponentialDelay(0.0, 0.3),
+                compute=ComputeModel(0.05, 0.1),
+                network=IDEAL,
+            ),
         )
         point = comparisons[0]
         assert point.multimessage_recovered == pytest.approx(4.0)
@@ -151,4 +189,21 @@ class TestRecoveryVsDeadline:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            recovery_vs_deadline(CyclicRepetition(4, 2), deadlines=())
+            recovery_vs_deadline(
+                CyclicRepetition(4, 2), deadlines=(),
+                environment=Environment(),
+            )
+
+    @pytest.mark.parametrize("layer, section", [
+        ("failure", {"kind": "transient-dropouts", "probability": 0.1}),
+        ("contention", {"kind": "fair-share", "capacity_bytes_per_s": 1e6}),
+    ])
+    def test_refuses_failures_and_contention(self, layer, section):
+        """Neither side of the comparison simulates failures or a
+        contended link, so such an environment is refused, not
+        ignored."""
+        with pytest.raises(ConfigurationError, match=layer):
+            recovery_vs_deadline(
+                CyclicRepetition(4, 2), deadlines=(1.0,),
+                environment=Environment(**{layer: section}),
+            )

@@ -10,6 +10,7 @@ the live path.
 import numpy as np
 import pytest
 
+from repro.env import Environment
 from repro.experiments.config import Fig11Config
 from repro.experiments.fig11 import run_traced_fig11
 from repro.obs import RoundTracer, aggregate_traces, read_traces
@@ -119,9 +120,11 @@ class TestSimulatorTracing:
         return ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=ExponentialDelay(0.5),
+            environment=Environment(
+                delay=ExponentialDelay(0.5),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(7),
             tracer=tracer,
         )

@@ -20,6 +20,7 @@ from repro.engine import (
     SyncUpdate,
     build_engine,
 )
+from repro.env import Environment
 from repro.exceptions import TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel
 from repro.training import (
@@ -113,7 +114,10 @@ class TestRuntimeRuns:
             RoundEngine(
                 model, streams, SyncSGDStrategy(N + 1),
                 FlatBackend(ClusterSimulator(
-                    N + 1, 1, gradient_elements=model.num_parameters,
+                    N + 1,
+                    1,
+                    Environment(),
+                    gradient_elements=model.num_parameters,
                     rng=np.random.default_rng(0),
                 )),
                 SyncUpdate(SGD(0.3)),

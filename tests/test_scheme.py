@@ -54,6 +54,7 @@ from repro.core.scheme import (
 )
 from repro.engine import ExperimentSpec, run_spec
 from repro.engine.spec import make_strategy
+from repro.env import Environment
 from repro.exceptions import CodingError, ConfigurationError, PlacementError
 from repro.graphs import Graph
 
@@ -376,7 +377,7 @@ class TestProtocol:
             "multimessage", num_workers=8, partitions_per_worker=3,
             base="cr",
         )
-        round_ = scheme.round(rng=np.random.default_rng(0))
+        round_ = scheme.round(Environment(), rng=np.random.default_rng(0))
         assert isinstance(round_, MultiMessageRound)
         assert round_.placement.fingerprint == scheme.fingerprint()
 
@@ -386,7 +387,11 @@ class TestProtocol:
         scheme = placement_scheme(
             "cr", num_workers=8, partitions_per_worker=3
         )
-        round_ = MultiMessageRound(scheme, rng=np.random.default_rng(0))
+        round_ = MultiMessageRound(
+            scheme,
+            Environment(),
+            rng=np.random.default_rng(0),
+        )
         assert round_.placement is scheme.construct()
 
 

@@ -228,6 +228,18 @@ class TestLifecycle:
             with pytest.raises(ServeError, match="weight"):
                 coord.submit(make_spec(0), weight=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", 2.7), ("weight", "3"), ("weight", True),
+        ("priority", True), ("priority", 1.5),
+    ])
+    def test_direct_submit_refuses_what_the_inbox_refuses(self, field, value):
+        """A weight of 2.7 is refused, not admitted as 2: the same type
+        rule as inbox entries and checkpoint heads."""
+        with Coordinator() as coord:
+            with pytest.raises(ServeError, match=f"non-integer {field}"):
+                coord.submit(make_spec(0), **{field: value})
+            assert coord.jobs() == []
+
     def test_closed_coordinator_rejects(self):
         coord = Coordinator()
         coord.close()

@@ -1248,18 +1248,51 @@ class TestSchedulingClasses:
     @pytest.mark.parametrize("deadline", [math.nan, math.inf])
     def test_inbox_refuses_a_non_finite_deadline(self, tmp_path, deadline):
         # json spells these NaN and Infinity, and json.loads takes both.
+        # The client refuses them, so the entry is written by hand, as
+        # any other writer of the inbox could.
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
-        job_id = client.submit(make_spec(0, max_steps=2), deadline=deadline)
-        assert "NaN" in (mb / "inbox" / f"{job_id}.json").read_text() or (
-            "Infinity" in (mb / "inbox" / f"{job_id}.json").read_text()
-        )
+        job_id = "hand-written"
+        entry = mb / "inbox" / f"{job_id}.json"
+        entry.write_text(json.dumps({
+            "spec": make_spec(0, max_steps=2).to_dict(),
+            "weight": 1,
+            "deadline": deadline,
+        }))
+        assert "NaN" in entry.read_text() or "Infinity" in entry.read_text()
         drain(mb)
         record = client.state(job_id)
         assert record["state"] == "rejected"
         assert record["reason"] == "invalid_submission"
         assert "positive finite number" in record["error"]
         assert not (mb / "jobs" / f"{job_id}.json").exists()
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf])
+    def test_client_refuses_a_non_finite_deadline(self, tmp_path, deadline):
+        """`repro submit --deadline nan` fails before the inbox entry is
+        written: the client runs the coordinator's field check."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(make_spec(0, max_steps=2).to_dict()))
+        mb = tmp_path / "mb"
+        rc = cli_main([
+            "submit", str(mb), str(spec_path),
+            "--deadline", str(deadline),
+        ])
+        assert rc != 0
+        assert list((mb / "inbox").iterdir()) == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight", 2.7), ("weight", "3"), ("weight", True),
+        ("priority", True), ("priority", 1.5),
+    ])
+    def test_client_refuses_a_non_integer_weight_or_priority(
+        self, tmp_path, field, value
+    ):
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        with pytest.raises(ServeError, match=f"non-integer {field}"):
+            client.submit(make_spec(0, max_steps=2), **{field: value})
+        assert list((mb / "inbox").iterdir()) == []
 
     def test_top_tier_drains_first(self):
         jobs = _class_jobs([(1, 0, None), (1, 2, None), (1, 2, None)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.env import Environment, delay_model_from, failure_model_from
+from repro.env import Environment, delay_model_from, model_from
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
     AdaptiveWaitK,
@@ -26,13 +26,8 @@ from repro.simulation import (
     linear_rampup,
 )
 from repro.simulation.events import arrival_race
-from repro.obs import (
-    RoundTracer,
-    StepStatistics,
-    steps_to_threshold,
-)
+from repro.obs import RoundTracer
 from repro.straggler import NoDelay, PersistentStragglers, ShiftedExponentialDelay
-from repro.types import StepRecord
 
 
 class TestEventQueue:
@@ -198,9 +193,11 @@ class TestClusterSimulator:
         return ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=delay_model or NoDelay(),
+            environment=Environment(
+                delay=delay_model or NoDelay(),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(0),
             **kw,
         )
@@ -247,58 +244,32 @@ class TestClusterSimulator:
     def test_rng_is_required(self):
         # No entropy-seeded fallback: every simulator replays.
         with pytest.raises(TypeError, match="rng"):
-            ClusterSimulator(2, 1)
+            ClusterSimulator(2, 1, Environment())
         with pytest.raises(TypeError, match="rng"):
             Environment().simulator(2, 1)
 
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
-            ClusterSimulator(num_workers=0, partitions_per_worker=1, rng=rng)
+            Environment().simulator(0, 1, rng=rng)
         with pytest.raises(ConfigurationError):
-            ClusterSimulator(num_workers=2, partitions_per_worker=0, rng=rng)
+            Environment().simulator(2, 0, rng=rng)
 
     def test_network_time_counted(self):
         sim = ClusterSimulator(
             num_workers=2,
             partitions_per_worker=1,
-            compute=ComputeModel(base=0.0, per_partition=0.0),
-            network=NetworkModel(latency=0.5, bandwidth=float("inf")),
-            delay_model=NoDelay(),
+            environment=Environment(
+                delay=NoDelay(),
+                compute=ComputeModel(base=0.0, per_partition=0.0),
+                network=NetworkModel(latency=0.5, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(0),
         )
         result = sim.run_round(0, WaitForK(2))
         # broadcast latency + upload latency
         assert result.step_time == pytest.approx(1.0)
 
-
-class TestMetrics:
-    def _records(self, times, recoveries):
-        return [
-            StepRecord(
-                step=i, sim_time=sum(times[: i + 1]), wait_time=t,
-                num_available=2, num_recovered=r, recovery_fraction=r / 4,
-                loss=1.0,
-            )
-            for i, (t, r) in enumerate(zip(times, recoveries))
-        ]
-
-    def test_statistics(self):
-        stats = StepStatistics.from_records(
-            self._records([1.0, 2.0, 3.0], [2, 4, 4])
-        )
-        assert stats.count == 3
-        assert stats.mean_step_time == pytest.approx(2.0)
-        assert stats.total_time == pytest.approx(6.0)
-        assert stats.mean_recovery_fraction == pytest.approx(10 / 12)
-
-    def test_statistics_empty(self):
-        with pytest.raises(ValueError):
-            StepStatistics.from_records([])
-
-    def test_steps_to_threshold(self):
-        assert steps_to_threshold([3.0, 2.0, 0.9, 0.5], 1.0) == 3
-        assert steps_to_threshold([3.0, 2.0], 1.0) is None
 
 class TestUnitConvention:
     """Regression tests for the step-relative time convention.
@@ -313,9 +284,11 @@ class TestUnitConvention:
         return ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=ExponentialDelay(1.0),
+            environment=Environment(
+                delay=ExponentialDelay(1.0),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(11),
         )
 
@@ -349,9 +322,11 @@ class TestUnitConvention:
         sim = ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=ExponentialDelay(0.2),
+            environment=Environment(
+                delay=ExponentialDelay(0.2),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(3),
         )
         policy = DeadlinePolicy(1.0)
@@ -368,10 +343,12 @@ class TestResetDeterminism:
         return ClusterSimulator(
             num_workers=6,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=delay_model,
-            failure_model=TransientDropouts(0.2),
+            environment=Environment(
+                delay=delay_model,
+                failure=TransientDropouts(0.2),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(42),
         )
 
@@ -438,9 +415,11 @@ class TestResetDeterminism:
         sim = ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=TraceReplayModel(trace),
+            environment=Environment(
+                delay=TraceReplayModel(trace),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(0),
         )
         first = [sim.run_round(s, WaitForK(3)).arrivals for s in range(6)]
@@ -454,9 +433,11 @@ class TestWastedCompute:
         return ClusterSimulator(
             num_workers=4,
             partitions_per_worker=2,
-            compute=ComputeModel(base=0.1, per_partition=0.1),
-            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-            delay_model=NoDelay(),
+            environment=Environment(
+                delay=NoDelay(),
+                compute=ComputeModel(base=0.1, per_partition=0.1),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(0),
         )
 
@@ -677,7 +658,7 @@ class TestArrivalRace:
             )
             return (
                 delay_model_from(scenario["delay"]),
-                failure_model_from(scenario["failure"]),
+                model_from("failure", scenario["failure"]),
                 link,
                 np.random.default_rng(scenario["seed"]),
                 RoundTracer(scheme="race"),
@@ -685,9 +666,16 @@ class TestArrivalRace:
 
         delays, failures, link, rng, tracer = parts()
         sim = ClusterSimulator(
-            scenario["n"], scenario["c"], compute=scenario["compute"],
-            network=scenario["network"], delay_model=delays,
-            failure_model=failures, contended_link=link, rng=rng,
+            scenario["n"],
+            scenario["c"],
+            Environment(
+                delay=delays,
+                failure=failures,
+                compute=scenario["compute"],
+                network=scenario["network"],
+                contention=link,
+            ),
+            rng=rng,
             tracer=tracer,
         )
         ref_delays, ref_failures, ref_link, ref_rng, ref_tracer = parts()
@@ -709,7 +697,11 @@ class TestArrivalRace:
 
     def test_ties_break_by_worker_order(self):
         sim = ClusterSimulator(
-            5, 1, network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            5,
+            1,
+            Environment(
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
             rng=np.random.default_rng(0),
         )
         result = sim.run_round(0, WaitForK(3))

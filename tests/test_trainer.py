@@ -5,6 +5,7 @@ import pytest
 
 from conftest import sync_engine
 from repro.core import CyclicRepetition, FractionalRepetition
+from repro.env import Environment
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import ExponentialDelay, NoDelay
@@ -29,9 +30,11 @@ def _setup(strategy, n=4, delay=None, seed=0, lr=0.5):
     cluster = ClusterSimulator(
         num_workers=n,
         partitions_per_worker=strategy.placement.partitions_per_worker,
-        compute=ComputeModel(0.01, 0.01),
-        network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-        delay_model=delay or NoDelay(),
+        environment=Environment(
+            delay=delay or NoDelay(),
+            compute=ComputeModel(0.01, 0.01),
+            network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+        ),
         rng=np.random.default_rng(seed),
     )
     trainer = sync_engine(model, streams, strategy, cluster, SGD(lr), eval_data=ds)
@@ -139,7 +142,12 @@ class TestDistributedTrainer:
         parts = partition_dataset(ds, 3, seed=2)
         streams = build_batch_streams(parts, 16, seed=3)
         strategy = SyncSGDStrategy(4)
-        cluster = ClusterSimulator(4, 1, rng=np.random.default_rng(0))
+        cluster = ClusterSimulator(
+            4,
+            1,
+            Environment(),
+            rng=np.random.default_rng(0),
+        )
         with pytest.raises(TrainingError, match="partitions"):
             sync_engine(
                 LogisticRegressionModel(8), streams, strategy, cluster, SGD(0.1)
@@ -149,7 +157,12 @@ class TestDistributedTrainer:
         ds = make_classification(100, 8, seed=1)
         parts = partition_dataset(ds, 4, seed=2)
         streams = build_batch_streams(parts, 16, seed=3)
-        cluster = ClusterSimulator(5, 1, rng=np.random.default_rng(0))
+        cluster = ClusterSimulator(
+            5,
+            1,
+            Environment(),
+            rng=np.random.default_rng(0),
+        )
         with pytest.raises(TrainingError, match="workers"):
             sync_engine(
                 LogisticRegressionModel(8), streams, SyncSGDStrategy(4),
@@ -165,7 +178,12 @@ class TestDistributedTrainer:
         ds = make_classification(512, 8, num_classes=2, seed=1)
         parts = partition_dataset(ds, 4, seed=2)
         streams = build_batch_streams(parts, 32, seed=3)
-        cluster = ClusterSimulator(4, 1, rng=np.random.default_rng(0))
+        cluster = ClusterSimulator(
+            4,
+            1,
+            Environment(),
+            rng=np.random.default_rng(0),
+        )
         trainer = sync_engine(
             LogisticRegressionModel(8, seed=0), streams, SyncSGDStrategy(4),
             cluster, SGD(0.5),
@@ -209,9 +227,14 @@ class TestRecoveryScaledLR:
             streams = build_batch_streams(parts, batch_size=32, seed=3)
             model = LogisticRegressionModel(8, seed=0)
             cluster = ClusterSimulator(
-                4, 1, compute=ComputeModel(0.01, 0.01),
-                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
-                delay_model=NoDelay(), rng=np.random.default_rng(0),
+                4,
+                1,
+                Environment(
+                    delay=NoDelay(),
+                    compute=ComputeModel(0.01, 0.01),
+                    network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+                ),
+                rng=np.random.default_rng(0),
             )
             return model, sync_engine(
                 model, streams, strat, cluster, SGD(0.5), eval_data=ds,
@@ -238,7 +261,10 @@ class TestRecoveryScaledLR:
             streams = build_batch_streams(parts, batch_size=32, seed=3)
             model = LogisticRegressionModel(8, seed=0)
             cluster = ClusterSimulator(
-                4, 1, delay_model=NoDelay(), rng=np.random.default_rng(0),
+                4,
+                1,
+                Environment(delay=NoDelay()),
+                rng=np.random.default_rng(0),
             )
             trainer = sync_engine(
                 model, streams, SyncSGDStrategy(4), cluster, SGD(0.5),
