@@ -2,7 +2,7 @@
 """Round-trace observability end to end: record, export, re-aggregate.
 
 Runs a short IS-GC training job with a :class:`~repro.RoundTracer`
-attached, prints the live metrics, exports the round stream to JSONL,
+attached, prints the live aggregates, exports the round stream to JSONL,
 loads it back, and shows that the re-aggregated per-scheme statistics
 reproduce the live numbers exactly — the invariant the observability
 layer is built around.
@@ -73,17 +73,16 @@ def main() -> None:
     print(summary.describe())
 
     # ------------------------------------------------------------------
-    # 2. Live metrics: the tracer's registry accumulates distributions
-    #    as the run goes (no post-processing needed).
+    # 2. Live aggregates: the traces are the run's one record, and
+    #    aggregate_traces reduces them to the headline distributions.
     # ------------------------------------------------------------------
-    reg = tracer.registry
-    step_t = reg.histogram("round.step_time")
-    print(f"\nlive metrics over {len(tracer)} rounds:")
-    print(f"  step time   mean={step_t.mean:.3f}s "
-          f"p50={step_t.p50:.3f}s p95={step_t.p95:.3f}s")
-    print(f"  decodes     {reg.counter('decode.count').value:.0f}, "
-          "mean searches "
-          f"{reg.histogram('decode.num_searches').mean:.2f}")
+    live = aggregate_traces(tracer.traces)
+    run = live[strategy.name]
+    print(f"\nlive aggregates over {len(tracer)} rounds:")
+    print(f"  step time   mean={run.mean_step_time:.3f}s "
+          f"p50={run.p50_step_time:.3f}s p95={run.p95_step_time:.3f}s")
+    print(f"  decodes     {run.decoded_rounds}, "
+          f"mean searches {run.mean_num_searches:.2f}")
 
     # ------------------------------------------------------------------
     # 3. Export to JSONL, load back, re-aggregate — exactly the live
@@ -98,7 +97,6 @@ def main() -> None:
         aggs, title=f"Re-aggregated from {out.name}", cache=cache
     ).show()
 
-    live = aggregate_traces(tracer.traces)
     assert live == aggs, "exported trace must reproduce live aggregates"
     scheme = next(iter(aggs))
     print("round-trip exact: mean step time "

@@ -26,8 +26,8 @@ Subclasses implement the :meth:`Decoder._decode` hook returning a
 typed :class:`Selection`, and may override ``decode_batch`` with a
 vectorized path.
 
-``rng``, ``metrics`` and ``cache`` are keyword-only in
-:func:`decoder_for` and every decoder constructor.
+``rng`` and ``cache`` are keyword-only in :func:`decoder_for` and
+every decoder constructor.
 
 Caching
 -------
@@ -61,7 +61,6 @@ from typing import (
 import numpy as np
 
 from ..exceptions import ConfigurationError, DecodeError
-from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..registry import Registry
 from ..types import DecodeResult
 from .batch import (
@@ -108,14 +107,13 @@ def decoder_for(
     placement: "Placement | Any",
     *,
     rng: np.random.Generator | None = None,
-    metrics: "MetricsRegistry | None" = None,
     cache: "Any | None" = None,
 ) -> "Decoder":
     """Instantiate the registered decoder matching ``placement.scheme``.
 
     ``placement`` may also be a
     :class:`~repro.core.scheme.PlacementScheme`; it is constructed
-    first.  ``rng``, ``metrics`` and ``cache`` are keyword-only.  Falls
+    first.  ``rng`` and ``cache`` are keyword-only.  Falls
     back to the exact-MIS decoder for unknown schemes, which is correct
     for *any* placement (just not linear-time).  The fallback is
     registered on demand, so this works even when only this module has
@@ -125,9 +123,9 @@ def decoder_for(
 
     Explicit tables are exact-decoded *by design* (there is no
     closed-form structure to exploit); any other unregistered scheme
-    taking the fallback emits a :class:`RuntimeWarning` and a
-    ``decode.fallback`` metric, so an O(2^n) decoder can never
-    silently masquerade as a linear-time one in a benchmark run.
+    taking the fallback emits a :class:`RuntimeWarning`, so an O(2^n)
+    decoder can never silently masquerade as a linear-time one in a
+    benchmark run.
     """
     if not isinstance(placement, Placement):
         from .scheme import as_placement
@@ -147,8 +145,6 @@ def decoder_for(
                 f"schemes: {sorted(_REGISTRY)}"
             )
     decoder = cls(placement, rng=rng, cache=cache)
-    if metrics is not None:
-        decoder.attach_metrics(metrics)
     if is_fallback and placement.scheme not in _EXACT_BY_DESIGN:
         warnings.warn(
             "no linear-time decoder registered for scheme "
@@ -157,7 +153,6 @@ def decoder_for(
             RuntimeWarning,
             stacklevel=2,
         )
-        decoder.metrics.counter("decode.fallback").inc()
     return decoder
 
 
@@ -177,7 +172,6 @@ class Decoder(abc.ABC):
         # The fallback stays: the README, the tutorial and the benchmark
         # harness's self-test build decoders without an rng.
         self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
-        self._metrics: "MetricsRegistry" = NULL_REGISTRY
         self._cache = cache
 
     @property
@@ -188,15 +182,6 @@ class Decoder(abc.ABC):
     @property
     def placement(self) -> Placement:
         return self._placement
-
-    @property
-    def metrics(self) -> "MetricsRegistry":
-        """The attached metrics sink (a shared no-op by default)."""
-        return self._metrics
-
-    def attach_metrics(self, registry: "MetricsRegistry") -> None:
-        """Route this decoder's per-call metrics into ``registry``."""
-        self._metrics = registry
 
     @property
     def cache(self):
@@ -219,7 +204,7 @@ class Decoder(abc.ABC):
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
         twin = copy.copy(self)
-        twin._rng, twin._cache, twin._metrics = rng, cache, NULL_REGISTRY
+        twin._rng, twin._cache = rng, cache
         return twin
 
     def _search_tables(self) -> Sequence[Any]:
@@ -255,12 +240,6 @@ class Decoder(abc.ABC):
         if len(covered) != len(recovered):
             # Some partition is covered twice: let the full check name it.
             self._check_disjoint(selected)
-        # No-op on the default NULL_REGISTRY, so untraced decodes pay
-        # only these attribute lookups.
-        metrics = self._metrics
-        metrics.counter("decode.calls").inc()
-        metrics.histogram("decode.num_searches").observe(searches)
-        metrics.histogram("decode.num_recovered").observe(len(recovered))
         return DecodeResult(
             selected_workers=frozenset(selected),
             recovered_partitions=recovered,
@@ -321,8 +300,7 @@ class Decoder(abc.ABC):
         searches: np.ndarray,
     ) -> BatchDecodeResult:
         """Shared tail of every vectorized ``decode_batch`` override:
-        invariant checks, recovery via the partition matrix, and the
-        same per-decode metrics the looped path records."""
+        invariant checks and recovery via the partition matrix."""
         empty = ~selected.any(axis=1)
         if empty.any():
             row = int(np.flatnonzero(empty)[0])
@@ -339,22 +317,11 @@ class Decoder(abc.ABC):
                 f"decoder bug: batch row {row} re-covers partition {part}"
             )
         recovered = counts > 0.5
-        searches = np.asarray(searches, dtype=np.intp)
-        metrics = self._metrics
-        if metrics is not NULL_REGISTRY:
-            metrics.counter("decode.calls").inc(len(searches))
-            searches_hist = metrics.histogram("decode.num_searches")
-            recovered_hist = metrics.histogram("decode.num_recovered")
-            for s, r in zip(
-                searches.tolist(), recovered.sum(axis=1).tolist()
-            ):
-                searches_hist.observe(s)
-                recovered_hist.observe(r)
         return BatchDecodeResult(
             available=avail,
             selected=selected,
             recovered=recovered,
-            num_searches=searches,
+            num_searches=np.asarray(searches, dtype=np.intp),
         )
 
     @cached_property

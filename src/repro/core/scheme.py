@@ -321,7 +321,6 @@ class PlacementScheme(ABC):
         self,
         *,
         rng: Any = None,
-        metrics: Any = None,
         cache: Any = None,
     ):
         """This family's :class:`~repro.core.decoders.Decoder` over the
@@ -332,16 +331,13 @@ class PlacementScheme(ABC):
         # decoder modules without a cycle.
         from .decoders import decoder_for
 
-        return decoder_for(
-            self.construct(), rng=rng, metrics=metrics, cache=cache
-        )
+        return decoder_for(self.construct(), rng=rng, cache=cache)
 
     def decode_batch(
         self,
         masks: Any,
         *,
         rng: Any = None,
-        metrics: Any = None,
         cache: Any = None,
     ):
         """Decode a whole batch of availability masks through this
@@ -351,9 +347,7 @@ class PlacementScheme(ABC):
         batches should hold on to :meth:`decoder` (its adjacency /
         partition matrices are built once per decoder instance).
         """
-        return self.decoder(
-            rng=rng, metrics=metrics, cache=cache
-        ).decode_batch(masks)
+        return self.decoder(rng=rng, cache=cache).decode_batch(masks)
 
     def describe(self) -> str:
         """Human-readable family + placement description."""

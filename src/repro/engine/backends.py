@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError, TrainingError
-from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..simulation.cluster import ClusterSimulator
 from ..simulation.events import Event, EventQueue
 from ..simulation.policies import WaitOutcome, WaitPolicy
@@ -181,14 +180,12 @@ class AsyncArrivalBackend(ExecutionBackend):
         environment: "Environment",
         *,
         rng: np.random.Generator,
-        metrics: MetricsRegistry | None = None,
     ):
         environment.refuse_failures_and_contention()
         self._compute = environment.compute
         self._network = environment.network
         self._delays = environment.delay
         self._rng = rng
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._grad_elems = 0
         self._num_workers = 0
         self._queue = EventQueue()

@@ -91,12 +91,6 @@ class RoundEngine:
         if tracer is not None:
             backend.attach_tracer(tracer)
         self.tracer = tracer if tracer is not None else backend.tracer
-        # A decode cache riding on the strategy reports its hit/miss
-        # counters through the trace registry (``decode.cache.*``), so
-        # the hit rate lands in the run's trace summary.
-        cache = getattr(strategy, "decode_cache", None)
-        if self.tracer is not None and cache is not None:
-            cache.attach_metrics(self.tracer.registry)
 
     @property
     def clock(self) -> float:
@@ -300,9 +294,6 @@ class RoundEngine:
             loss = held_out_loss(
                 self.model, self.eval_data, fallback_losses=(batch_loss,)
             )
-            prev_time = (
-                self.async_records[-1].sim_time if self.async_records else 0.0
-            )
             self.async_records.append(
                 AsyncUpdateRecord(
                     update_index=master_version,
@@ -311,12 +302,6 @@ class RoundEngine:
                     staleness=staleness,
                     loss=loss,
                 )
-            )
-            metrics = backend.metrics
-            metrics.counter("async.updates").inc()
-            metrics.histogram("async.staleness").observe(staleness)
-            metrics.histogram("async.update_interval").observe(
-                clock - prev_time
             )
             backend.schedule(worker, clock, version=master_version)
         return len(self.async_records) >= self._max_updates

@@ -287,7 +287,6 @@ class AdaptiveMigration(SyncUpdate):
             best.placement, wait_for=self._wait_for, rng=self._rng
         )
         if engine.tracer is not None:
-            engine.tracer.registry.counter("adaptive.migrations").inc()
             engine.tracer.set_context(scheme=engine.strategy.name)
 
     def time_offset(self) -> float:

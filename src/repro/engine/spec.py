@@ -58,15 +58,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import pathlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.scheme import placement_spec_problems
+from ..core.scheme import placement_spec_problems, resolve_placement
 from ..env.registry import LAYERS, model_spec_problems
 from ..exceptions import ConfigurationError
 from ..registry import Registry
@@ -146,18 +147,72 @@ SCHEME_FAMILIES: Mapping[str, str] = {
 #: params table can be shared across a ``scheme`` grid.
 _COMMON_SCHEME_PARAMS = ("seed", "policy", "cache")
 
+#: built-in schemes that take the common ``scheme_params`` only.
+_PLAIN_SCHEMES = ("sync-sgd", "is-sgd", "gc")
 
-def _reject_unknown_params(scheme: str, params: Mapping[str, Any], *own: str):
+
+def _scheme_param_names(
+    scheme: str, placement: Any = None
+) -> Optional[Tuple[str, ...]]:
+    """The ``scheme_params`` keys built-in ``scheme`` accepts, in the
+    order a refusal lists them; ``None`` when the set is open or not
+    known here.
+
+    Every built-in scheme takes the common keys.  An ``is-gc-<family>``
+    preset also takes its family's own placement parameters (HR's
+    ``c1``, ``c2``, ``num_groups``), and ``is-gc`` takes ``placement``
+    plus the parameters of that family (its default when ``None``).
+    A scheme registered elsewhere, an unknown family (admission names
+    it) and a family that forwards extra keywords to a base family
+    read ``None``.  Admission and the factories both check this set.
+    """
+    if scheme in _PLAIN_SCHEMES:
+        return _COMMON_SCHEME_PARAMS
+    if scheme == "is-gc":
+        head = ("placement",)
+        family = placement if placement is not None else SCHEME_FAMILIES[scheme]
+    elif scheme.startswith("is-gc-") and scheme in SCHEME_FAMILIES:
+        head, family = (), SCHEME_FAMILIES[scheme]
+    else:
+        return None
+    try:
+        cls = resolve_placement(family)
+    except ConfigurationError:
+        return None
+    signature = inspect.signature(cls.__init__).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in signature):
+        return None
+    own = tuple(
+        p.name for p in signature
+        if p.name not in ("self", "num_workers", "partitions_per_worker")
+    )
+    return head + own + _COMMON_SCHEME_PARAMS
+
+
+def _unknown_scheme_params(
+    scheme: str, params: Mapping[str, Any]
+) -> Optional[str]:
+    """The refusal for ``params`` keys ``scheme`` does not accept, or
+    ``None`` when every key is accepted (or the set is open)."""
+    accepted = _scheme_param_names(scheme, params.get("placement"))
+    if accepted is None:
+        return None
+    unknown = sorted(set(params) - set(accepted))
+    if not unknown:
+        return None
+    return (
+        f"unknown scheme_params for scheme {scheme!r}: "
+        f"{_did_you_mean(unknown, accepted)}; "
+        f"accepted: {', '.join(accepted)}"
+    )
+
+
+def _reject_unknown_params(scheme: str, params: Mapping[str, Any]) -> None:
     """A built-in factory's leftover ``**params`` are typos: fail like
     a misspelt ``rule_params`` key instead of dropping them."""
-    accepted = own + _COMMON_SCHEME_PARAMS
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown scheme_params for scheme {scheme!r}: "
-            f"{_did_you_mean(unknown, accepted)}; "
-            f"accepted: {', '.join(accepted)}"
-        )
+    problem = _unknown_scheme_params(scheme, params)
+    if problem is not None:
+        raise ConfigurationError(problem)
 
 
 @register_scheme("sync-sgd")
@@ -201,13 +256,7 @@ def _isgc_preset(name: str, family: str) -> SchemeFactory:
 
     def preset(*, num_workers, partitions_per_worker=1, wait_for=None,
                rng=None, seed=None, **params):
-        from ..core.scheme import placement_params
-
-        own = [
-            p for p in placement_params(family)
-            if p not in ("num_workers", "partitions_per_worker")
-        ]
-        _reject_unknown_params(name, params, *own)
+        _reject_unknown_params(name, params)
         return _isgc_any(
             num_workers=num_workers,
             partitions_per_worker=partitions_per_worker,
@@ -238,6 +287,7 @@ def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
     from ..parallel.cache import DecodeCache
     from ..training.strategies import ISGCStrategy
 
+    _reject_unknown_params("is-gc", {"placement": placement, **params})
     placement = spec_placement_scheme(
         placement,
         num_workers=num_workers,
@@ -370,6 +420,10 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
                 f"{_did_you_mean(unknown, accepted)}; "
                 f"accepted: {', '.join(accepted) or '(none)'}"
             )
+    if isinstance(spec.scheme, str) and isinstance(spec.scheme_params, Mapping):
+        unknown_scheme = _unknown_scheme_params(spec.scheme, spec.scheme_params)
+        if unknown_scheme is not None:
+            problems.append(unknown_scheme)
     # The async rule runs on the async-arrivals backend (``flat``, the
     # default, selects it); no other rule can.
     if (

@@ -138,11 +138,34 @@ ENV_REGISTRY: Dict[str, Registry[ModelFamily]] = {
     for layer in LAYERS
 }
 
-#: registry-built model → (layer, kind, raw params) for :func:`spec_of`.
-#: Keyed weakly so the registry never pins model lifetimes.
-_PROVENANCE: "weakref.WeakKeyDictionary[Any, Tuple[str, str, Dict[str, Any]]]" = (
-    weakref.WeakKeyDictionary()
-)
+_Provenance = Tuple[str, str, Dict[str, Any]]
+
+#: ``id(model)`` → (weak reference to the registry-built model, its
+#: (layer, kind, raw params)) for :func:`spec_of`.  Keyed by identity:
+#: frozen-dataclass models compare and hash by value, so an equal model
+#: built directly must not read as registry-built.  The reference's
+#: callback drops the entry, so the registry never pins model lifetimes.
+_PROVENANCE: Dict[int, Tuple["weakref.ref[Any]", _Provenance]] = {}
+
+
+def _record_provenance(model: Any, entry: _Provenance) -> None:
+    key = id(model)
+
+    def forget(ref: "weakref.ref[Any]") -> None:
+        if _PROVENANCE.get(key, (None,))[0] is ref:
+            del _PROVENANCE[key]
+
+    try:
+        _PROVENANCE[key] = (weakref.ref(model, forget), entry)
+    except TypeError:  # pragma: no cover - non-weakref-able model
+        pass
+
+
+def _provenance(model: Any) -> Optional[_Provenance]:
+    held = _PROVENANCE.get(id(model))
+    if held is None or held[0]() is not model:
+        return None
+    return held[1]
 
 
 def _register(
@@ -238,10 +261,7 @@ def make_model(layer: str, kind: str, **params: Any) -> Any:
             f"{exc}; accepted: {', '.join(family.parameters())}"
         ) from exc
     if model is not None:
-        try:
-            _PROVENANCE[model] = (layer, family.kind, dict(params))
-        except TypeError:  # pragma: no cover - non-weakref-able model
-            pass
+        _record_provenance(model, (layer, family.kind, dict(params)))
     return model
 
 
@@ -317,8 +337,8 @@ def delay_model_from(value: Any) -> DelayModel:
     """
     if isinstance(value, DelayTrace):
         model = TraceReplayModel(value)
-        _PROVENANCE[model] = (
-            "delay", "trace-replay", {"delays": value.delays.tolist()}
+        _record_provenance(
+            model, ("delay", "trace-replay", {"delays": value.delays.tolist()})
         )
         return model
     return model_from("delay", value)
@@ -360,10 +380,7 @@ def spec_of(model: Any) -> Optional[Dict[str, Any]]:
     """
     if model is None:
         return None
-    try:
-        entry = _PROVENANCE.get(model)
-    except TypeError:  # pragma: no cover - unhashable model
-        entry = None
+    entry = _provenance(model)
     if entry is not None:
         _, kind, params = entry
         spec = {"kind": kind}

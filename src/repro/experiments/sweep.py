@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..analysis.reporting import Table
@@ -121,7 +121,6 @@ class Sweep:
 
     name: str
     axes: Mapping[str, Sequence[Any]]
-    points: List[SweepPoint] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.axes:
@@ -174,10 +173,6 @@ class Sweep:
             When given, per-point ``SeedSequence`` children are spawned
             from it in the parent and each cell receives an extra
             ``rng=`` keyword argument — same streams under any executor.
-
-        Results also land in ``self.points`` (kept for tabulation and
-        back-compat with the pre-redesign list-returning ``run``; a
-        :class:`SweepResult` *is* a sequence of points).
         """
         if fn is None:
             base = getattr(self, "_spec_base", None)
@@ -203,33 +198,25 @@ class Sweep:
         started = time.perf_counter()
         outcomes = executor.run(fn, tasks, reraise=strict)
         elapsed = time.perf_counter() - started
-        self.points = [
+        points = [
             SweepPoint(
                 params=combos[o.index], value=o.value, error=o.error
             )
             for o in outcomes
         ]
-        return SweepResult(
-            self.points, executor=executor.name, elapsed=elapsed
-        )
+        return SweepResult(points, executor=executor.name, elapsed=elapsed)
 
     # ------------------------------------------------------------------
     def to_table(
         self,
+        result: Sequence[SweepPoint],
         value_label: str = "value",
-        result: "Sequence[SweepPoint] | None" = None,
     ) -> Table:
-        """Long-format table: one row per grid point.
-
-        Tabulates ``result`` (any sequence of points, e.g. a
-        :class:`SweepResult`) when given, else the last :meth:`run`.
-        """
-        points = list(result) if result is not None else self.points
-        if not points:
-            raise ConfigurationError("run() the sweep before tabulating")
+        """Long-format table of ``result`` (the :class:`SweepResult` of
+        :meth:`run`, or any sequence of points): one row per point."""
         names = list(self.axes)
         table = Table(title=self.name, columns=[*names, value_label])
-        for point in points:
+        for point in result:
             cell = (
                 point.value if point.ok else f"error: {point.error_summary}"
             )
@@ -276,24 +263,22 @@ class Sweep:
 
     def to_grid_table(
         self,
+        result: Sequence[SweepPoint],
         row_axis: str,
         col_axis: str,
         value_label: str = "",
-        result: "Sequence[SweepPoint] | None" = None,
     ) -> Table:
-        """Wide-format table for exactly two axes (a heat-map layout)."""
+        """Wide-format table of ``result`` for exactly two axes (a
+        heat-map layout)."""
         if set(self.axes) != {row_axis, col_axis}:
             raise ConfigurationError(
                 f"grid layout needs exactly the axes {row_axis!r} and "
                 f"{col_axis!r}; sweep has {sorted(self.axes)}"
             )
-        points = list(result) if result is not None else self.points
-        if not points:
-            raise ConfigurationError("run() the sweep before tabulating")
         lookup = {
             (p.params[row_axis], p.params[col_axis]):
                 (p.value if p.ok else "err")
-            for p in points
+            for p in result
         }
         cols = list(self.axes[col_axis])
         table = Table(

@@ -325,8 +325,7 @@ def _grid_table(name: str, cell: Callable[[int, int], str]) -> Table:
     sweep = Sweep(
         name=name, axes={"c": (2, 3, 4, 6), "w": (2, 4, 6, 8, 10, 12)}
     )
-    sweep.run(cell)
-    return sweep.to_grid_table("c", "w")
+    return sweep.to_grid_table(sweep.run(cell), "c", "w")
 
 
 def _expected_recovered(family: str, c: int, w: int) -> float:

@@ -1,9 +1,8 @@
-"""repro.obs — round-level observability: metrics, traces, aggregation.
+"""repro.obs — round-level observability: traces and their aggregation.
 
-The subsystem has a passive half and an active half:
+The round trace is the one record of a run; everything else is read
+from it:
 
-* :mod:`~repro.obs.registry` — named counters/gauges/streaming
-  histograms with a zero-cost no-op default (:data:`NULL_REGISTRY`);
 * :mod:`~repro.obs.events` / :mod:`~repro.obs.tracer` — one typed
   :class:`RoundTrace` per simulated round, recorded by the cluster
   simulator and enriched with decode outcomes by trainers/experiments;
@@ -22,14 +21,6 @@ Typical use::
     aggregates = aggregate_traces(read_traces("run.jsonl"))
 """
 
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-)
 from .events import RoundTrace, TRACE_SCHEMA_VERSION
 from .tracer import RoundTracer
 from .jsonl import (
@@ -41,12 +32,6 @@ from .jsonl import (
 from .summary import SchemeAggregate, aggregate_traces
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "RoundTrace",
     "TRACE_SCHEMA_VERSION",
     "RoundTracer",

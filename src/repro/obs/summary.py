@@ -6,9 +6,9 @@ from a :class:`~repro.obs.tracer.RoundTracer` or loaded back from JSONL
 step time, recovery fraction) plus the operational ones (accepted
 counts, decode search effort, wasted compute).
 
-Aggregation uses the same arithmetic as the live metrics
-(``numpy`` means over the full series), so an exported-then-reloaded
-trace summarises to exactly the numbers the run produced.
+Aggregation is a pure function of the traces (``numpy`` means over
+the full series), so an exported-then-reloaded trace summarises to
+exactly the numbers the live tracer's traces give.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A tracer is handed to the :class:`~repro.simulation.ClusterSimulator`
 (and, transitively, trainers and experiment runners).  The simulator
 records the timing half of each round; whoever decodes the round —
 trainer, experiment, CLI — enriches the same trace with the decode
-outcome.  The tracer also feeds a :class:`~repro.obs.registry.MetricsRegistry`
-so headline distributions (step time, recovery, search counts) are
-available without touching the raw event stream.
+outcome.  The traces are the one record of a run: headline
+distributions (step time, recovery, search counts) come from them via
+:func:`~repro.obs.summary.aggregate_traces`.
 
 The default everywhere is *no tracer* (``None``), which costs one
 ``is None`` check per round.
@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping
 
 from ..exceptions import ObservabilityError
 from .events import RoundTrace
-from .registry import MetricsRegistry
 
 # WaitOutcome is only needed for type checking; import lazily to keep
 # obs importable without the simulation package (and cycle-free).
@@ -33,20 +32,12 @@ class RoundTracer:
 
     Parameters
     ----------
-    registry:
-        Metrics sink for aggregate distributions; a fresh
-        :class:`MetricsRegistry` when omitted.
     scheme:
         Initial context label stamped on recorded rounds; usually set
         (and re-set) via :meth:`set_context` as runs switch schemes.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        scheme: str = "",
-    ):
-        self._registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, scheme: str = ""):
         self._scheme = scheme
         self._traces: List[RoundTrace] = []
         # Index of the most recent trace per (scheme, step), so decode
@@ -54,10 +45,6 @@ class RoundTracer:
         self._latest: Dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry
-
     @property
     def scheme(self) -> str:
         return self._scheme
@@ -74,7 +61,7 @@ class RoundTracer:
         self._scheme = scheme
 
     def clear(self) -> None:
-        """Drop all recorded traces (metrics are left untouched)."""
+        """Drop all recorded traces."""
         self._traces = []
         self._latest = {}
 
@@ -108,13 +95,6 @@ class RoundTracer:
         )
         self._latest[(self._scheme, step)] = len(self._traces)
         self._traces.append(trace)
-
-        reg = self._registry
-        reg.counter("round.count").inc()
-        reg.histogram("round.step_time").observe(trace.step_time)
-        reg.histogram("round.accepted").observe(trace.num_accepted)
-        reg.histogram("round.wasted_compute").observe(wasted_compute)
-        reg.gauge("round.clock").set(step_end)
         return trace
 
     def record_decode(
@@ -141,13 +121,6 @@ class RoundTracer:
             num_partitions=num_partitions,
         )
         self._traces[idx] = enriched
-
-        reg = self._registry
-        reg.counter("decode.count").inc()
-        reg.histogram("decode.num_searches").observe(num_searches)
-        reg.histogram("decode.recovery_fraction").observe(
-            num_recovered / num_partitions
-        )
         return enriched
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ Two pieces:
   ``SeedSequence.spawn`` seeding (a :class:`PointTask` refuses any
   other seed or a ``Generator`` parameter, and ``run`` a partial that
   binds one), chunked scheduling, per-point failure isolation, and
-  progress/metrics routed through :mod:`repro.obs`;
+  per-point progress events (``on_event``);
 * :class:`DecodeCache` — an LRU memo for the deterministic MIS-search
   kernels inside the decoders, keyed on (placement fingerprint, frozen
   availability mask), bit-for-bit transparent because fairness RNG

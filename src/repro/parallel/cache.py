@@ -15,9 +15,8 @@ extra)``: the fingerprint (a content digest, stable across processes —
 see :meth:`repro.core.placement.Placement.fingerprint`) isolates
 placements, ``kind`` isolates a decoder's different search kernels, and
 ``extra`` carries kernel-specific parameters (e.g. a chain's start
-vertex).  Eviction is LRU; hit/miss/eviction counters are exported to
-an attached :class:`~repro.obs.registry.MetricsRegistry` under
-``decode.cache.*``.
+vertex).  Eviction is LRU; the cache counts its own hits, misses and
+evictions (:meth:`DecodeCache.snapshot`).
 
 One cache instance may be shared by any number of decoders (and sweep
 points) within a process; pool workers each grow their own — decode
@@ -30,7 +29,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
-from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 
 CacheKey = Tuple[str, str, Hashable, Hashable]
 
@@ -41,12 +39,7 @@ _MISSING = object()
 class DecodeCache:
     """Bounded LRU memo for deterministic decode search kernels."""
 
-    def __init__(
-        self,
-        maxsize: int = 65536,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, maxsize: int = 65536):
         if maxsize <= 0:
             raise ConfigurationError(
                 f"cache maxsize must be positive, got {maxsize}"
@@ -56,7 +49,6 @@ class DecodeCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
 
     # ------------------------------------------------------------------
     @property
@@ -85,10 +77,6 @@ class DecodeCache:
         lookups = self._hits + self._misses
         return self._hits / lookups if lookups else 0.0
 
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Route hit/miss/eviction counters into ``registry``."""
-        self._metrics = registry
-
     # ------------------------------------------------------------------
     def get_or_compute(
         self,
@@ -104,23 +92,18 @@ class DecodeCache:
         back to every future hit without copying.
         """
         full_key: CacheKey = (fingerprint, kind, key, None)
-        metrics = self._metrics
         try:
             value = self._data[full_key]
         except KeyError:
             self._misses += 1
-            metrics.counter("decode.cache.misses").inc()
             value = compute()
             self._data[full_key] = value
             if len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
                 self._evictions += 1
-                metrics.counter("decode.cache.evictions").inc()
-            metrics.gauge("decode.cache.size").set(len(self._data))
             return value
         self._data.move_to_end(full_key)
         self._hits += 1
-        metrics.counter("decode.cache.hits").inc()
         return value
 
     def get_or_compute_batch(
@@ -143,7 +126,6 @@ class DecodeCache:
         batch's unique misses fit the cache (no mid-batch eviction of a
         key the same batch still needs).
         """
-        metrics = self._metrics
         data = self._data
         values: List[Any] = []
         missing_keys: List[Hashable] = []
@@ -163,7 +145,6 @@ class DecodeCache:
                 missing_at[key] = [i]
                 missing_keys.append(key)
                 self._misses += 1
-                metrics.counter("decode.cache.misses").inc()
             else:
                 # A duplicate of a pending miss: a sequential loop
                 # would find it cached by now — count it as a hit.
@@ -171,8 +152,6 @@ class DecodeCache:
                 hits += 1
             values.append(_MISSING)
         self._hits += hits
-        if hits:
-            metrics.counter("decode.cache.hits").inc(hits)
         if missing_keys:
             computed = compute_missing(missing_keys)
             if len(computed) != len(missing_keys):
@@ -186,10 +165,8 @@ class DecodeCache:
                 if len(data) > self._maxsize:
                     data.popitem(last=False)
                     self._evictions += 1
-                    metrics.counter("decode.cache.evictions").inc()
                 for i in missing_at[key]:
                     values[i] = value
-            metrics.gauge("decode.cache.size").set(len(data))
         return values
 
     def clear(self) -> None:

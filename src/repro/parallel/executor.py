@@ -20,11 +20,9 @@ make ``ProcessExecutor`` results bit-for-bit identical to serial runs:
   traceback on its own :class:`PointOutcome`; one bad corner never
   kills (or reorders) the rest of the grid.
 
-Progress and timing are routed through :mod:`repro.obs`: attach a
-:class:`~repro.obs.registry.MetricsRegistry` to get
-``sweep.points.ok`` / ``sweep.points.failed`` counters and a
-``sweep.point_seconds`` histogram, and/or pass ``on_event`` for live
-per-point progress callbacks.
+Progress and timing reach the caller as :class:`SweepEvent` records:
+pass ``on_event`` for live per-point callbacks (each ``point`` event
+carries the point's ``ok`` and ``elapsed``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError, ReproError
-from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 
 
 class ExecutionError(ReproError):
@@ -152,31 +149,16 @@ class SweepExecutor(abc.ABC):
     """Strategy interface for evaluating a batch of independent points.
 
     Subclasses implement :meth:`_execute`; :meth:`run` wraps it with the
-    shared contract — outcomes sorted by index, per-point metrics and
-    progress events, optional strict re-raise.
+    shared contract — outcomes sorted by index, per-point progress
+    events, optional strict re-raise.
     """
 
     #: short label used in tables and bench reports.
     name = "abstract"
 
-    def __init__(
-        self,
-        *,
-        metrics: MetricsRegistry | None = None,
-        on_event: ProgressCallback | None = None,
-    ):
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
+    def __init__(self, *, on_event: ProgressCallback | None = None):
         self._on_event = on_event
         self._completed = 0
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The attached metrics sink (a shared no-op by default)."""
-        return self._metrics
-
-    def attach_metrics(self, registry: MetricsRegistry) -> None:
-        """Route this executor's per-point metrics into ``registry``."""
-        self._metrics = registry
 
     # ------------------------------------------------------------------
     def run(
@@ -242,13 +224,8 @@ class SweepExecutor(abc.ABC):
 
     # ------------------------------------------------------------------
     def _record(self, outcome: PointOutcome, total: int) -> None:
-        """Book one finished point into metrics + progress events."""
+        """Book one finished point as a progress event."""
         self._completed += 1
-        metrics = self._metrics
-        metrics.counter(
-            "sweep.points.ok" if outcome.ok else "sweep.points.failed"
-        ).inc()
-        metrics.histogram("sweep.point_seconds").observe(outcome.elapsed)
         self._emit(
             SweepEvent(
                 kind="point",
@@ -314,10 +291,9 @@ class ProcessExecutor(SweepExecutor):
         jobs: int,
         *,
         chunk_size: Optional[int] = None,
-        metrics: MetricsRegistry | None = None,
         on_event: ProgressCallback | None = None,
     ):
-        super().__init__(metrics=metrics, on_event=on_event)
+        super().__init__(on_event=on_event)
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if chunk_size is not None and chunk_size < 1:
@@ -341,9 +317,9 @@ class ProcessExecutor(SweepExecutor):
         if self.jobs == 1 or len(tasks) == 1:
             # A one-worker pool would only add IPC overhead; the serial
             # path is defined to be identical anyway.
-            return SerialExecutor(
-                metrics=self._metrics, on_event=self._on_event
-            )._execute(fn, tasks, reraise=False)
+            return SerialExecutor(on_event=self._on_event)._execute(
+                fn, tasks, reraise=False
+            )
         outcomes: List[PointOutcome] = []
         chunks = self._chunks(tasks)
         total = len(tasks)

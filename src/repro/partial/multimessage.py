@@ -13,7 +13,8 @@ level:
 * :class:`MultiMessageRound` — simulates per-message arrival times:
   worker ``i``'s ``j``-th message (its ``j``-th stored partition) lands
   at ``start + delay_i + base + (j+1)·per_partition + (j+1)·upload``
-  (computation and uploads are serialized per worker);
+  (computation and uploads are serialized per worker; a heterogeneous
+  compute model charges each worker its own ``base``/``per_partition``);
 * collectors turn an arrival stream into a recovered partition set:
   :func:`collect_by_deadline` and :func:`collect_first_k_messages`;
 * :func:`recovery_vs_deadline` — the head-to-head with IS-GC: at each
@@ -27,7 +28,7 @@ worker but only after the full local computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from ..exceptions import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..env.environment import Environment
+    from ..simulation.cluster import ComputeModel
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,36 @@ class MessageArrival:
     worker: int
     partition: int
     time: float
+
+
+def _round_arrivals(
+    placement: Placement,
+    compute: "ComputeModel",
+    straggles: Sequence[float],
+    upload_t: float,
+) -> Tuple[List[MessageArrival], List[float]]:
+    """One round's per-partition message arrivals, sorted by time, and
+    each worker's single coded-payload arrival (after all ``c``
+    partitions), given worker ``w``'s straggle ``straggles[w]``.
+
+    Each worker's cost comes from ``compute.worker_view(w)`` when the
+    model is per-worker (heterogeneous speeds), else from ``compute``.
+    """
+    worker_view = getattr(compute, "worker_view", None)
+    c = placement.partitions_per_worker
+    messages: List[MessageArrival] = []
+    coded: List[float] = []
+    for worker, straggle in enumerate(straggles):
+        cost = compute if worker_view is None else worker_view(worker)
+        base = cost.base + straggle
+        for j, partition in enumerate(placement.partitions_of(worker)):
+            compute_done = base + (j + 1) * cost.per_partition
+            # Uploads are serialized behind the computation.
+            landed = compute_done + (j + 1) * upload_t
+            messages.append(MessageArrival(worker, partition, landed))
+        coded.append(base + c * cost.per_partition + upload_t)
+    messages.sort(key=lambda m: (m.time, m.worker, m.partition))
+    return messages, coded
 
 
 class MultiMessageRound:
@@ -86,19 +118,16 @@ class MultiMessageRound:
 
     def simulate(self, step: int) -> List[MessageArrival]:
         """All message arrivals for one round, sorted by time."""
-        upload_t = self._network.transfer_time(self._elements)
-        arrivals: List[MessageArrival] = []
-        for worker in range(self._placement.num_workers):
-            straggle = self._delays.sample(worker, step, self._rng)
-            base = self._compute.base + straggle
-            for j, partition in enumerate(self._placement.partitions_of(worker)):
-                compute_done = base + (j + 1) * self._compute.per_partition
-                # Uploads are serialized behind the computation.
-                landed = compute_done + (j + 1) * upload_t
-                arrivals.append(
-                    MessageArrival(worker=worker, partition=partition, time=landed)
-                )
-        arrivals.sort(key=lambda m: (m.time, m.worker, m.partition))
+        straggles = [
+            self._delays.sample(worker, step, self._rng)
+            for worker in range(self._placement.num_workers)
+        ]
+        arrivals, _ = _round_arrivals(
+            self._placement,
+            self._compute,
+            straggles,
+            self._network.transfer_time(self._elements),
+        )
         return arrivals
 
 
@@ -157,7 +186,7 @@ def recovery_vs_deadline(
     """Mean distinct-partition recovery vs deadline for both approaches.
 
     IS-GC side: worker ``i``'s single payload lands at
-    ``delay_i + base + c·per_partition + upload``; the master decodes
+    ``delay_i + base_i + c·per_partition_i + upload``; the master decodes
     the conflict graph over the workers that made the deadline.
     Multi-message side: per-partition arrivals, distinct-union
     collection.  Both replay identical straggler draws from
@@ -168,7 +197,6 @@ def recovery_vs_deadline(
     environment.refuse_failures_and_contention()
     compute, delay_model = environment.compute, environment.delay
 
-    c = placement.partitions_per_worker
     n = placement.num_workers
     upload_t = environment.network.transfer_time(gradient_elements)
     decoder = decoder_for(placement, rng=np.random.default_rng(seed + 1))
@@ -178,28 +206,17 @@ def recovery_vs_deadline(
 
     sums = {d: [0.0, 0.0] for d in deadlines}
     for trial in range(trials):
-        straggles = {
-            w: delay_model.sample(w, trial, rng) for w in range(n)
-        }
-
-        mm_arrivals: List[MessageArrival] = []
-        isgc_arrival_time: Dict[int, float] = {}
-        for worker in range(n):
-            base = compute.base + straggles[worker]
-            for j, partition in enumerate(placement.partitions_of(worker)):
-                landed = base + (j + 1) * compute.per_partition + (j + 1) * upload_t
-                mm_arrivals.append(MessageArrival(worker, partition, landed))
-            isgc_arrival_time[worker] = (
-                base + c * compute.per_partition + upload_t
-            )
-        mm_arrivals.sort(key=lambda m: (m.time, m.worker, m.partition))
+        straggles = [delay_model.sample(w, trial, rng) for w in range(n)]
+        mm_arrivals, isgc_arrival_time = _round_arrivals(
+            placement, compute, straggles, upload_t
+        )
 
         for deadline in deadlines:
             recovered_mm, _ = collect_by_deadline(mm_arrivals, deadline)
             sums[deadline][0] += len(recovered_mm)
 
             available = [
-                w for w, t in isgc_arrival_time.items() if t <= deadline
+                w for w, t in enumerate(isgc_arrival_time) if t <= deadline
             ]
             if available:
                 sums[deadline][1] += decoder.decode(available).num_recovered

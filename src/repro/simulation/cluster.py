@@ -25,9 +25,9 @@ strictly apart:
 The convention is enforced on what runs record: ``tests/time_origins.py``
 checks that each round starts where the last one ended, that
 ``step_start + proceed_time == step_end``, that arrivals are
-step-relative, and that the engine's ``wait_time``/``sim_time``, the
-adaptive rule's migrations and the tracer's ``round.clock`` gauge agree
-with the traces, on every golden, resume, shipped-spec and served run.
+step-relative, and that the engine's ``wait_time``/``sim_time`` and
+the adaptive rule's migrations agree with the traces, on every golden,
+resume, shipped-spec and served run.
 
 The same simulator instance can be replayed for several schemes by
 fixing the delay model to a recorded

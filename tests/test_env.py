@@ -378,6 +378,21 @@ class TestRegistryMachinery:
         spec = spec_of(ParetoDelay(2.0, 1.0))
         assert spec["class"] == "ParetoDelay"
 
+    def test_spec_of_direct_built_ignores_equal_registry_built(self):
+        # Provenance follows the object, not its value: an equal
+        # registry-built model alive at the same time changes nothing.
+        direct = ComputeModel()
+        before = spec_of(direct)
+        assert before == {
+            "class": "ComputeModel", "base": 0.05, "per_partition": 0.1,
+        }
+        built = make_compute_model()
+        assert built == direct
+        assert spec_of(direct) == before
+        assert spec_of(built) == {"kind": "uniform"}
+        del built
+        assert spec_of(direct) == before
+
     def test_fingerprint_is_stable_and_parameter_sensitive(self):
         a = model_fingerprint(make_delay_model("exponential", mean=1.0))
         b = model_fingerprint(make_delay_model("exponential", mean=1.0))

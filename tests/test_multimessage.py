@@ -18,6 +18,12 @@ from repro.straggler import NoDelay, PersistentStragglers, ShiftedExponentialDel
 
 IDEAL = NetworkModel(latency=0.0, bandwidth=float("inf"))
 
+#: workers 0 and 1 compute at half speed; the rest as ``_round``'s model.
+SLOW_PAIR = {
+    "kind": "heterogeneous", "speed_factors": {0: 2.0, 1: 2.0},
+    "base": 0.1, "per_partition": 0.2,
+}
+
 
 def _round(placement, delay=None):
     return MultiMessageRound(
@@ -87,6 +93,19 @@ class TestSimulation:
             Environment(failure="none", contention="none"),
             rng=np.random.default_rng(0),
         )
+
+    def test_heterogeneous_compute_charges_each_worker_its_own_cost(self):
+        r = MultiMessageRound(
+            CyclicRepetition(4, 2),
+            Environment(delay=NoDelay(), compute=SLOW_PAIR, network=IDEAL),
+            rng=np.random.default_rng(0),
+        )
+        times = {(m.worker, m.partition): m.time for m in r.simulate(0)}
+        # Slow: 2 x (0.1 + j x 0.2); fast: 0.1 + j x 0.2.
+        assert times[(0, 0)] == pytest.approx(0.6)
+        assert times[(0, 1)] == pytest.approx(1.0)
+        assert times[(2, 2)] == pytest.approx(0.3)
+        assert times[(2, 3)] == pytest.approx(0.5)
 
     def test_straggler_shifts_whole_worker(self):
         slow = PersistentStragglers([0], ShiftedExponentialDelay(5.0, 0.0))
@@ -186,6 +205,19 @@ class TestRecoveryVsDeadline:
         point = comparisons[0]
         assert point.multimessage_recovered == pytest.approx(4.0)
         assert point.isgc_recovered == pytest.approx(4.0)
+
+    def test_heterogeneous_compute_delays_the_slow_workers(self):
+        """At 0.7 s the fast workers' payloads (0.5 s) have landed but
+        the slow pair's (1.0 s) have not; their first messages (0.6 s)
+        have.  FR(4, 2)'s group {0, 1} is the slow pair."""
+        [point] = recovery_vs_deadline(
+            FractionalRepetition(4, 2), deadlines=(0.7,), trials=5,
+            environment=Environment(
+                delay=NoDelay(), compute=SLOW_PAIR, network=IDEAL
+            ),
+        )
+        assert point.isgc_recovered == 2.0
+        assert point.multimessage_recovered == 3.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,6 @@
 """Unit tests for the observability layer (repro.obs)."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.exceptions import ObservabilityError
 from repro.obs import (
     TRACE_SCHEMA_VERSION,
-    MetricsRegistry,
     RoundTrace,
     RoundTracer,
     SchemeAggregate,
@@ -17,128 +15,7 @@ from repro.obs import (
     read_traces,
     write_traces,
 )
-from repro.obs.registry import NULL_REGISTRY, Histogram, NullRegistry
 from repro.simulation.policies import WaitOutcome
-
-
-# ----------------------------------------------------------------------
-# Metrics registry
-# ----------------------------------------------------------------------
-class TestCounter:
-    def test_starts_at_zero_and_increments(self):
-        c = MetricsRegistry().counter("x")
-        assert c.value == 0.0
-        c.inc()
-        c.inc(2.5)
-        assert c.value == pytest.approx(3.5)
-
-    def test_negative_increment_rejected(self):
-        c = MetricsRegistry().counter("x")
-        with pytest.raises(ObservabilityError):
-            c.inc(-1.0)
-
-
-class TestGauge:
-    def test_set_overwrites(self):
-        g = MetricsRegistry().gauge("clock")
-        assert math.isnan(g.value)
-        g.set(1.0)
-        g.set(7.0)
-        assert g.value == 7.0
-
-
-class TestHistogram:
-    def test_mean_and_quantiles(self):
-        h = Histogram("t")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.mean == pytest.approx(2.5)
-        assert h.p50 == pytest.approx(2.5)
-        assert h.quantile(0.0) == pytest.approx(1.0)
-        assert h.quantile(1.0) == pytest.approx(4.0)
-
-    def test_empty_quantile_is_nan(self):
-        assert math.isnan(Histogram("t").p95)
-
-    def test_quantile_range_validated(self):
-        with pytest.raises(ObservabilityError):
-            Histogram("t").quantile(1.5)
-
-    def test_max_samples_validated(self):
-        with pytest.raises(ObservabilityError):
-            Histogram("t", max_samples=0)
-
-    def test_reservoir_bounds_memory(self):
-        h = Histogram("t", max_samples=16)
-        for v in range(1000):
-            h.observe(float(v))
-        assert h.count == 1000
-        assert len(h._samples) == 16
-        # Total/mean stay exact even once sampling kicks in.
-        assert h.total == pytest.approx(sum(range(1000)))
-        assert h.mean == pytest.approx(499.5)
-
-    def test_reservoir_deterministic_per_name(self):
-        def fill(name):
-            h = Histogram(name, max_samples=8)
-            for v in range(200):
-                h.observe(float(v))
-            return list(h._samples)
-
-        assert fill("same") == fill("same")
-
-    def test_summary_keys(self):
-        h = Histogram("t")
-        h.observe(1.0)
-        assert set(h.summary()) == {"count", "mean", "p50", "p95", "p99"}
-
-
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")
-
-    def test_cross_kind_name_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ObservabilityError):
-            reg.gauge("x")
-        with pytest.raises(ObservabilityError):
-            reg.histogram("x")
-
-    def test_snapshot_flattens_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(3.0)
-        snap = reg.snapshot()
-        assert snap["c"] == 2.0
-        assert snap["g"] == 1.5
-        assert snap["h"]["count"] == 1.0
-
-    def test_names_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("b")
-        reg.gauge("a")
-        assert list(reg.names) == ["a", "b"]
-
-
-class TestNullRegistry:
-    def test_shared_singletons(self):
-        reg = NullRegistry()
-        assert reg.counter("a") is reg.counter("b")
-        assert reg.gauge("a") is reg.gauge("b")
-        assert reg.histogram("a") is reg.histogram("b")
-
-    def test_records_are_dropped(self):
-        NULL_REGISTRY.counter("x").inc(100)
-        NULL_REGISTRY.gauge("x").set(5.0)
-        NULL_REGISTRY.histogram("x").observe(1.0)
-        assert NULL_REGISTRY.counter("x").value == 0.0
-        assert NULL_REGISTRY.histogram("x").count == 0
-        assert NULL_REGISTRY.snapshot() == {}
 
 
 # ----------------------------------------------------------------------
@@ -225,14 +102,13 @@ def _record(tracer, step=0, accepted=(0, 2), proceed=0.75):
 
 
 class TestRoundTracer:
-    def test_record_round_collects_and_feeds_metrics(self):
+    def test_record_round_collects_traces(self):
         tracer = RoundTracer(scheme="gc")
         _record(tracer, step=0)
         _record(tracer, step=1)
         assert len(tracer) == 2
         assert all(t.scheme == "gc" for t in tracer.traces)
-        assert tracer.registry.counter("round.count").value == 2.0
-        assert tracer.registry.histogram("round.step_time").count == 2
+        assert [t.step for t in tracer.traces] == [0, 1]
 
     def test_record_decode_enriches_matching_round(self):
         tracer = RoundTracer(scheme="is-gc")
@@ -243,7 +119,6 @@ class TestRoundTracer:
         )
         assert enriched.recovery_fraction == pytest.approx(0.5)
         assert tracer.traces[0].num_searches == 3
-        assert tracer.registry.counter("decode.count").value == 1.0
 
     def test_record_decode_without_round_raises(self):
         with pytest.raises(ObservabilityError):
@@ -258,12 +133,11 @@ class TestRoundTracer:
         assert tracer.traces[0].num_recovered is None
         assert tracer.traces[1].num_recovered == 2
 
-    def test_clear_drops_traces_keeps_metrics(self):
+    def test_clear_drops_traces(self):
         tracer = RoundTracer()
         _record(tracer)
         tracer.clear()
         assert len(tracer) == 0
-        assert tracer.registry.counter("round.count").value == 1.0
         with pytest.raises(ObservabilityError):
             tracer.record_decode(0, "cr", 1, 1, 2)
 

@@ -24,7 +24,6 @@ from repro.experiments.fig11 import run_condition, run_fig11
 from repro.experiments.fig12 import run_fig12
 from repro.experiments.fig13 import run_fig13
 from repro.experiments.sweep import Sweep, SweepResult
-from repro.obs.registry import MetricsRegistry
 from repro.parallel import (
     DecodeCache,
     ExecutionError,
@@ -86,16 +85,15 @@ class TestSerialExecutor:
         with pytest.raises(ValueError, match="boom at 2"):
             SerialExecutor().run(fragile, tasks_for([2]), reraise=True)
 
-    def test_metrics_and_events(self):
-        registry = MetricsRegistry()
+    def test_events(self):
         events = []
-        executor = SerialExecutor(metrics=registry, on_event=events.append)
+        executor = SerialExecutor(on_event=events.append)
         executor.run(fragile, tasks_for([1, 2]))
-        assert registry.counter("sweep.points.ok").value == 1
-        assert registry.counter("sweep.points.failed").value == 1
-        assert registry.histogram("sweep.point_seconds").count == 2
         kinds = [e.kind for e in events]
         assert kinds == ["start", "point", "point", "finish"]
+        points = [e for e in events if e.kind == "point"]
+        assert [e.ok for e in points] == [True, False]
+        assert all(e.elapsed >= 0.0 for e in points)
         assert events[-1].completed == events[-1].total == 2
 
 
@@ -360,17 +358,6 @@ class TestDecodeCache:
         assert (a, b) == ("cr", "fr")
         assert cache.misses == 2 and cache.hits == 0
 
-    def test_metrics_export(self):
-        registry = MetricsRegistry()
-        cache = DecodeCache(maxsize=1, metrics=registry)
-        cache.get_or_compute("fp", "k", 1, lambda: 1)
-        cache.get_or_compute("fp", "k", 1, lambda: 1)
-        cache.get_or_compute("fp", "k", 2, lambda: 2)
-        assert registry.counter("decode.cache.hits").value == 1
-        assert registry.counter("decode.cache.misses").value == 2
-        assert registry.counter("decode.cache.evictions").value == 1
-        assert registry.gauge("decode.cache.size").value == 1
-
     def test_snapshot_and_describe(self):
         cache = DecodeCache(maxsize=8)
         cache.get_or_compute("fp", "k", 1, lambda: 1)
@@ -452,8 +439,8 @@ class TestCachedDecodingTransparency:
 
 class TestDecoderKeywordOnly:
     def test_positional_rng_rejected(self):
-        # The one-release positional shim is removed: rng/metrics/cache
-        # are strictly keyword-only now.
+        # The one-release positional shim is removed: rng/cache are
+        # strictly keyword-only now.
         with pytest.raises(TypeError):
             decoder_for(CyclicRepetition(6, 2), np.random.default_rng(0))
 
@@ -491,11 +478,10 @@ class TestDecoderKeywordOnly:
         workers, searches = selection
         assert workers == frozenset({1}) and searches == 2
 
-    def test_rng_metrics_cache_are_keyword_only(self):
+    def test_rng_and_cache_are_keyword_only(self):
         with pytest.raises(TypeError):
             decoder_for(
-                CyclicRepetition(6, 2),
-                np.random.default_rng(0), None, DecodeCache(),
+                CyclicRepetition(6, 2), np.random.default_rng(0), DecodeCache()
             )
 
 

@@ -27,7 +27,7 @@ from repro import (
     run_jobs,
     run_spec,
 )
-from repro.exceptions import AdmissionError, ServeError
+from repro.exceptions import AdmissionError, ConfigurationError, ServeError
 from repro.serve import (
     FairScheduler,
     JobCancelledError,
@@ -422,10 +422,14 @@ class TestLifecycle:
     def test_misspelt_scheme_params_and_bad_sections_fail_only_their_job(
         self,
     ):
+        # A misspelt scheme_params key is refused at spec construction,
+        # so it never becomes a job.
+        with pytest.raises(ConfigurationError, match=(
+            "unknown scheme_params for scheme 'is-gc-cr': "
+            "'polcy' — did you mean 'policy'?"
+        )):
+            dataclasses.replace(make_spec(0), scheme_params={"polcy": None})
         bad_fields = [
-            ({"scheme_params": {"polcy": None}},
-             "unknown scheme_params for scheme 'is-gc-cr': "
-             "'polcy' — did you mean 'policy'?"),
             # Admission checks the environment sections; the dataset and
             # model kinds are resolved only when the job builds.
             ({"dataset": {"kind": "mnist"}}, "unknown dataset kind 'mnist'"),
@@ -697,6 +701,23 @@ class TestMailbox:
         snapshot = client.state("typo")
         assert snapshot["state"] == "rejected"
         assert "did you mean 'local_steps'" in snapshot["error"]
+        assert client.state(good)["state"] == "done"
+
+    def test_misspelt_scheme_param_rejected_before_admission(self, tmp_path):
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = make_spec(0).to_dict()
+        payload.update(scheme_params={"sed": 3})
+        (root / "inbox" / "typo.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        good = client.submit(make_spec(1))
+        serve_once(root)
+        snapshot = client.state("typo")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        assert "'sed' — did you mean 'seed'?" in snapshot["error"]
+        assert (root / "rejected" / "typo.json").exists()
         assert client.state(good)["state"] == "done"
 
     def test_mailbox_cancel(self, tmp_path):

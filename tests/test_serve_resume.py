@@ -843,9 +843,9 @@ class TestIncrementalCheckpoints:
     def test_terminal_jobs_leave_nothing_under_checkpoints(self, tmp_path):
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
-        # A misspelt scheme_params key passes admission and fails the
-        # job when its strategy is built.
-        bad = dict(make_spec(1).to_dict(), scheme_params={"polcy": None})
+        # An unknown dataset kind passes admission and fails the job
+        # when its plan is built.
+        bad = dict(make_spec(1).to_dict(), dataset={"kind": "mnist"})
         (tmp_path / "bad.json").write_text(json.dumps(bad))
         done = client.submit(make_spec(0))
         failed = client.submit(tmp_path / "bad.json")
@@ -1603,10 +1603,10 @@ class TestWatch:
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
         spec_path = tmp_path / "spec.json"
-        # A misspelt scheme_params key fails the job at build time.
+        # An unknown dataset kind fails the job at build time.
         bad = dict(
             make_spec(0, max_steps=2).to_dict(),
-            scheme_params={"polcy": None},
+            dataset={"kind": "mnist"},
         )
         spec_path.write_text(json.dumps(bad))
         client.submit(spec_path)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine import EnginePlan, ExperimentSpec, build_engine, run_spec
+from repro.engine.spec import make_strategy
 from repro.exceptions import ConfigurationError, TrainingError
 
 from time_origins import assert_time_origins, trace_every_engine
@@ -438,8 +439,8 @@ class TestRules:
         ("is-gc-fr", {"cach": None},
          "'cach' — did you mean 'cache'?", "seed, policy, cache"),
         ("is-gc-cr", {"bogus": 1}, "'bogus'", "seed, policy, cache"),
-        # Admission needs c1, c2 and num_groups; the misspelt extra key
-        # is left to the scheme factory.
+        # Admission checks HR's c1, c2 and num_groups and the key names
+        # alike, so the misspelt extra key is refused at construction.
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "num_group": 2},
          "'num_group' — did you mean 'num_groups'?",
          "c1, c2, num_groups, seed, policy, cache"),
@@ -448,19 +449,39 @@ class TestRules:
          "seed, policy, cache"),
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "placement": "cr"},
          "'placement'", "c1, c2, num_groups, seed, policy, cache"),
+        # is-gc takes its placement family's parameters.
+        ("is-gc", {"placement": "hr", "c1": 1, "c2": 1, "num_groups": 2,
+                   "bogus": 1},
+         "'bogus'", "placement, c1, c2, num_groups, seed, policy, cache"),
     ], ids=[
         "sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr",
-        "is-gc-fr-placement", "is-gc-hr-placement",
+        "is-gc-fr-placement", "is-gc-hr-placement", "is-gc-any-hr",
     ])
     def test_misspelt_scheme_param_rejected_with_hint(
         self, scheme, params, hint, accepted
     ):
-        with pytest.raises(ConfigurationError) as exc:
-            run_spec(_spec(scheme=scheme, scheme_params=params))
-        assert str(exc.value) == (
+        message = (
             f"unknown scheme_params for scheme {scheme!r}: {hint}; "
             f"accepted: {accepted}"
         )
+        # Construction is admission: the spec never reaches a factory.
+        with pytest.raises(ConfigurationError) as exc:
+            _spec(scheme=scheme, scheme_params=params)
+        assert str(exc.value) == message
+        # The factory checks the same set with the same text.
+        with pytest.raises(ConfigurationError) as exc:
+            make_strategy(
+                scheme, num_workers=4, partitions_per_worker=2, wait_for=2,
+                **params,
+            )
+        assert str(exc.value) == message
+
+    def test_open_placement_family_params_pass_admission(self):
+        # multimessage forwards its extra keys to the base family.
+        spec = _spec(scheme="is-gc", scheme_params={
+            "placement": "multimessage", "base": "cr",
+        })
+        assert run_spec(spec).num_steps == 5
 
     @pytest.mark.parametrize(
         "scheme", ["sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr"]

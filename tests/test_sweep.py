@@ -64,8 +64,7 @@ class TestSweep:
 
     def test_table_cell_uses_error_summary(self):
         sweep = Sweep("s", {"a": (0,)})
-        sweep.run(lambda a: 1 // a)
-        text = sweep.to_table().render()
+        text = sweep.to_table(sweep.run(lambda a: 1 // a)).render()
         assert "ZeroDivisionError" in text
         assert "Traceback" not in text
 
@@ -73,34 +72,33 @@ class TestSweep:
 class TestTables:
     def test_long_table(self):
         sweep = Sweep("title", {"a": (1, 2)})
-        sweep.run(lambda a: a + 0.5)
-        table = sweep.to_table("result")
+        table = sweep.to_table(sweep.run(lambda a: a + 0.5), "result")
         text = table.render()
         assert "title" in text and "result" in text and "2.5" in text
 
     def test_long_table_requires_run(self):
+        # The table takes run()'s result; the sweep keeps no copy of it.
         sweep = Sweep("s", {"a": (1,)})
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             sweep.to_table()
 
     def test_grid_table(self):
         sweep = Sweep("grid", {"r": (1, 2), "c": (10, 20)})
-        sweep.run(lambda r, c: r * c)
-        table = sweep.to_grid_table("r", "c")
+        table = sweep.to_grid_table(sweep.run(lambda r, c: r * c), "r", "c")
         text = table.render()
         assert "r \\ c" in text
         assert "40" in text
 
     def test_grid_table_axis_mismatch(self):
         sweep = Sweep("grid", {"r": (1,), "c": (2,), "z": (3,)})
-        sweep.run(lambda r, c, z: 0)
+        result = sweep.run(lambda r, c, z: 0)
         with pytest.raises(ConfigurationError):
-            sweep.to_grid_table("r", "c")
+            sweep.to_grid_table(result, "r", "c")
 
     def test_grid_table_shows_errors(self):
         sweep = Sweep("grid", {"r": (0, 1), "c": (1,)})
-        sweep.run(lambda r, c: c // r)
-        text = sweep.to_grid_table("r", "c").render()
+        result = sweep.run(lambda r, c: c // r)
+        text = sweep.to_grid_table(result, "r", "c").render()
         assert "err" in text
 
     def test_sweep_used_with_real_recovery(self):
@@ -108,10 +106,10 @@ class TestTables:
         from repro.core import CyclicRepetition
 
         sweep = Sweep("recovery", {"c": (1, 2), "w": (2, 4)})
-        sweep.run(
+        result = sweep.run(
             lambda c, w: expected_recovered_exact(CyclicRepetition(4, c), w)
         )
-        values = {tuple(p.params.values()): p.value for p in sweep.points}
+        values = {tuple(p.params.values()): p.value for p in result}
         assert values[(1, 4)] == pytest.approx(4.0)
         assert values[(2, 4)] == pytest.approx(4.0)
         assert values[(2, 2)] > values[(1, 2)]

@@ -3,9 +3,9 @@
 ``tests/time_origins.py`` holds every run of the golden, resume, spec
 and serve tests to the absolute vs step-relative contract.  These cases
 feed it one hand-built clean run, doctored into the shape of a known
-bug: the four time-origin plants of the checker audit in CHANGES.md
-(E1–E4), two keyword-argument plants at other sites, a decreasing async
-clock and a ``round.clock`` gauge one step behind.
+bug: the time-origin plants of the checker audit in CHANGES.md (E1, E3
+and E4; E2 sat in the ``round.clock`` gauge, which is gone), two
+keyword-argument plants at other sites and a decreasing async clock.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def clean_run():
         traces=traces,
         records=records,
         migrations=[migration],
-        clock_gauge=traces[-1].step_end,
         async_records=[
             AsyncUpdateRecord(update_index=i + 1, sim_time=time, worker=0,
                               staleness=0, loss=1.0)
@@ -77,23 +76,12 @@ def doctor(field, index, **changes):
     return apply
 
 
-def set_gauge(value_of):
-    def apply(run):
-        run["clock_gauge"] = value_of(run["traces"])
-    return apply
-
-
 CASES = [
     pytest.param(
         # E1: run_round sets the clock to the step-relative proceed_time,
         # so the next round starts at round 1's proceed_time.
         doctor("traces", 2, step_start=0.5, step_end=1.5),
         "step 2: chain", id="E1-clock-is-proceed-time",
-    ),
-    pytest.param(
-        # E2: the round.clock gauge is step_start + step_end.
-        set_gauge(lambda traces: traces[-1].step_start + traces[-1].step_end),
-        "step 2: clock gauge", id="E2-gauge-sums-absolutes",
     ),
     pytest.param(
         # E3: wait_time recorded as step_end + step_start.
@@ -138,10 +126,6 @@ CASES = [
     pytest.param(
         doctor("async_records", 2, sim_time=0.5),
         "update 3: async order", id="async-clock-goes-back",
-    ),
-    pytest.param(
-        set_gauge(lambda traces: traces[-2].step_end),
-        "step 2: clock gauge", id="gauge-one-step-behind",
     ),
 ]
 

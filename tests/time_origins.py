@@ -6,8 +6,7 @@ All time is simulated seconds, and two origins coexist (the
 ``arrivals`` and ``proceed_time`` are *step-relative* (seconds since
 that round's ``step_start``).  :func:`time_origin_problems` reads a
 run's :class:`~repro.obs.RoundTrace` stream, its
-:class:`~repro.types.StepRecord`\\ s, the adaptive rule's migrations,
-the tracer's ``round.clock`` gauge and the async
+:class:`~repro.types.StepRecord`\\ s, the adaptive rule's migrations and the async
 :class:`~repro.types.AsyncUpdateRecord`\\ s, and names every clause that
 does not hold exactly (``==`` on floats, because each side is computed
 by the same operations):
@@ -30,8 +29,6 @@ by the same operations):
     (``RoundEngine`` adds ``rule.time_offset()``; every other rule's is 0);
 ``migration time``
     a migration at step ``t`` is stamped ``step_start[t] + cost_seconds``;
-``clock gauge``
-    the tracer's ``round.clock`` gauge reads the last ``step_end``;
 ``async order``
     ``AsyncUpdateRecord.sim_time`` never decreases (and starts >= 0).
 
@@ -43,7 +40,7 @@ tracer, so a test that already runs engines can check them afterwards.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.engine import FlatBackend, RoundEngine
 from repro.obs import RoundTracer
@@ -55,7 +52,6 @@ def time_origin_problems(
     *,
     start: float = 0.0,
     migrations: Sequence = (),
-    clock_gauge: Optional[float] = None,
     async_records: Sequence = (),
 ) -> List[str]:
     """Every broken clause of the contract, one message each.
@@ -125,15 +121,6 @@ def time_origin_problems(
                 f"{expected!r}"
             )
 
-    if traces and clock_gauge is not None:
-        last = traces[-1]
-        if clock_gauge != last.step_end:
-            problems.append(
-                f"step {last.step}: clock gauge: round.clock reads "
-                f"{clock_gauge!r}, but the last step_end is "
-                f"{last.step_end!r}"
-            )
-
     previous = 0.0
     for record in async_records:
         if record.sim_time < previous:
@@ -168,9 +155,6 @@ def assert_time_origins(engine, start: float = 0.0) -> None:
         engine.records,
         start=start,
         migrations=getattr(engine.rule, "migrations", ()),
-        clock_gauge=(
-            tracer.registry.gauge("round.clock").value if traces else None
-        ),
         async_records=engine.async_records,
     )
     assert not problems, "time-origin contract broken:\n" + "\n".join(
