@@ -91,13 +91,19 @@ def resolve_placement(name: str) -> Type["PlacementScheme"]:
     return PLACEMENT_REGISTRY.resolve(name)
 
 
+def _init_params(name: str) -> List[inspect.Parameter]:
+    return list(
+        inspect.signature(resolve_placement(name).__init__).parameters.values()
+    )
+
+
 def placement_params(name: str) -> List[str]:
     """The parameter names family ``name``'s constructor accepts, in
-    signature order."""
+    signature order.  A ``**`` catch-all is not a name: the families
+    that have one forward every other key to their base family."""
     return [
-        p
-        for p in inspect.signature(resolve_placement(name).__init__).parameters
-        if p not in ("self", "kwargs")
+        p.name for p in _init_params(name)
+        if p.name != "self" and p.kind is not p.VAR_KEYWORD
     ]
 
 
@@ -112,9 +118,11 @@ def placement_scheme(name: str, **params: Any) -> "PlacementScheme":
     try:
         return cls(**params)
     except TypeError as exc:
+        forwards = any(p.kind is p.VAR_KEYWORD for p in _init_params(name))
         raise ConfigurationError(
             f"invalid parameters for placement family {cls.family!r}: "
             f"{exc}; accepted: {', '.join(placement_params(name))}"
+            + ("; other keys go to the base family" if forwards else "")
         ) from exc
 
 

@@ -383,6 +383,9 @@ class RoundEngine:
             tracer_scheme=(
                 self.tracer.scheme if self.tracer is not None else None
             ),
+            spec_fingerprint=(
+                self.plan.spec_fingerprint if self.plan is not None else None
+            ),
         )
 
     def restore(self, state: EngineState) -> None:

@@ -229,6 +229,9 @@ class EnginePlan:
     #: ``Environment(**environment)`` builds one engine's models.
     environment: Mapping[str, Any] = field(init=False, repr=False)
     backend: BackendFactory = field(init=False, repr=False)
+    #: ``spec.fingerprint()``, computed once: every snapshot of this
+    #: plan's engines carries it and :meth:`restore` checks it.
+    spec_fingerprint: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         from ..training.datasets import partition_dataset
@@ -261,6 +264,7 @@ class EnginePlan:
             "backend": BACKEND_REGISTRY.resolve(
                 "async-arrivals" if spec.rule == "async" else spec.backend
             ),
+            "spec_fingerprint": spec.fingerprint(),
         }
         # Partitions, streams, the GC matrix and decoder tables are
         # read-only by construction; these are made so here.
@@ -313,8 +317,9 @@ class EnginePlan:
         held against the snapshot the engine would take now: ``mode``,
         and per ``rule`` / ``backend`` / ``strategy`` section the field
         names and every per-worker list's length (the model checks
-        ``params``).  Specs alike in all that need a spec fingerprint
-        in the state to be told apart; the layout has none.
+        ``params``), so a hand-edited state that keeps the right
+        fingerprint still cannot reach a component in the wrong shape.
+        Last, the state must carry this plan's spec fingerprint.
         """
         ours, workers = engine.snapshot(), self.spec.num_workers
         if state.mode != ours.mode:
@@ -338,6 +343,12 @@ class EnginePlan:
                         f"engine state field '{name}.{key}' has "
                         f"{len(given[key])} entries for {workers} workers"
                     )
+        if state.spec_fingerprint != self.spec_fingerprint:
+            raise TrainingError(
+                f"engine state belongs to spec fingerprint "
+                f"{state.spec_fingerprint!r}, but this plan's spec has "
+                f"{self.spec_fingerprint!r}"
+            )
         engine.restore(state)
 
 

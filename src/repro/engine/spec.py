@@ -671,10 +671,15 @@ class ExperimentSpec:
         A deterministic function of every field (canonical sorted-key
         JSON), mirroring :meth:`Placement.fingerprint`; it identifies
         a run's full configuration in :class:`~repro.engine.report.RunReport`
-        payloads and serve-job results.
+        payloads, serve-job results and every
+        :class:`~repro.engine.state.EngineState` an
+        :class:`~repro.engine.plan.EnginePlan`'s engine snapshots.  The
+        text is :meth:`to_dict`'s, without its deep copy.
         """
         canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
+            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+            sort_keys=True,
+            separators=(",", ":"),
         )
         h = hashlib.blake2b(digest_size=16)
         h.update(canonical.encode())

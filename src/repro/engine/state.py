@@ -39,8 +39,9 @@ import numpy as np
 from ..exceptions import TrainingError
 from ..types import AsyncUpdateRecord, StepRecord
 
-#: Bumped whenever the serialised layout changes incompatibly.
-STATE_VERSION = 1
+#: Bumped whenever the serialised layout changes incompatibly; a state
+#: of any other version is refused, never converted.
+STATE_VERSION = 2
 
 #: Snapshot modes: synchronous rounds vs. asynchronous updates.
 MODE_ROUNDS = "rounds"
@@ -110,7 +111,11 @@ class EngineState:
     ``strategy`` carry the component ``snapshot_state()`` payloads.
     ``records`` / ``async_records`` hold the engine's frozen record
     objects by reference — a snapshot never copies the run's history —
-    and become dicts only in :meth:`to_dict`.
+    and become dicts only in :meth:`to_dict`.  ``spec_fingerprint`` is
+    the :meth:`~repro.engine.spec.ExperimentSpec.fingerprint` of the
+    spec whose plan built the engine (``None`` for a hand-wired
+    engine); :meth:`~repro.engine.plan.EnginePlan.restore` refuses a
+    state whose fingerprint is not its own spec's.
     """
 
     mode: str
@@ -126,6 +131,7 @@ class EngineState:
     backend: Mapping[str, Any] = field(default_factory=dict)
     strategy: Mapping[str, Any] = field(default_factory=dict)
     tracer_scheme: Optional[str] = None
+    spec_fingerprint: Optional[str] = None
     version: int = STATE_VERSION
 
     def __post_init__(self) -> None:
@@ -159,6 +165,7 @@ class EngineState:
             "backend": dict(self.backend),
             "strategy": dict(self.strategy),
             "tracer_scheme": self.tracer_scheme,
+            "spec_fingerprint": self.spec_fingerprint,
         }
 
     @classmethod
@@ -168,19 +175,13 @@ class EngineState:
             raise TrainingError(
                 f"engine state must be a mapping, got {type(payload).__name__}"
             )
-        version = payload.get("version", STATE_VERSION)
+        version = payload.get("version")
         if version != STATE_VERSION:
             raise TrainingError(
-                f"engine state version {version} is not supported "
+                f"engine state version {version!r} is not supported "
                 f"(this build reads version {STATE_VERSION})"
             )
         try:
-            backend = dict(payload.get("backend", {}))
-            # ``backend: actor`` states written while its rounds ran
-            # through master/worker actors carry the master's step
-            # counter, which always equalled ``round_index``; the flat
-            # round keeps none.
-            backend.pop("master_step", None)
             return cls(
                 mode=payload["mode"],
                 round_index=int(payload["round_index"]),
@@ -197,9 +198,10 @@ class EngineState:
                 ),
                 losses=tuple(float(v) for v in payload.get("losses", ())),
                 rule=dict(payload.get("rule", {})),
-                backend=backend,
+                backend=dict(payload.get("backend", {})),
                 strategy=dict(payload.get("strategy", {})),
                 tracer_scheme=payload.get("tracer_scheme"),
+                spec_fingerprint=payload.get("spec_fingerprint"),
                 version=version,
             )
         except KeyError as exc:
@@ -235,7 +237,7 @@ class EngineState:
     # Incremental persistence: the state minus everything that grows
     # with the run, and that history one JSON-safe dict per record.
     # ``round_index`` counts the active mode's records, so a stored
-    # head knows how many of a record log's entries belong to it.
+    # state without history knows how many logged records lead to it.
 
     def without_history(self) -> "EngineState":
         """This state with its records and loss curve emptied.

@@ -266,7 +266,6 @@ class Sweep:
         result: Sequence[SweepPoint],
         row_axis: str,
         col_axis: str,
-        value_label: str = "",
     ) -> Table:
         """Wide-format table of ``result`` for exactly two axes (a
         heat-map layout)."""

@@ -488,9 +488,8 @@ class Coordinator:
                 )
                 continue
             job.trace_path = record.trace_path
-            job.checkpoint_state = record.engine_state
-            job.rounds_done = record.rounds_done
-            mailbox.readmit(job, record.engine_state)
+            job.checkpoint_state = state = record.engine_state
+            job.rounds_done = state.round_index if state is not None else 0
 
     def _poll_mailbox(self, mailbox: "ServeMailbox") -> int:
         admitted = 0

@@ -42,10 +42,10 @@ and the state of the last one, and cuts a torn last line off the file;
 a log whose records disagree with that state's ``round_index``, or
 whose complete line does not parse, is rejected.  A restarting
 coordinator re-admits every non-terminal checkpointed job and resumes
-it bit-identically (see :meth:`Coordinator.serve`).  A head that still
-carries ``engine_state`` is the previous layout (a head replaced every
-round, counting into ``<job_id>.records.jsonl``): it is read, never
-written, and re-admission converts it.  The ``coordinator.json``
+it bit-identically (see :meth:`Coordinator.serve`).  This is the one
+layout read: a head that carries ``engine_state`` (an earlier layout)
+is rejected like any other unreadable checkpoint, and so is a round
+line whose engine state is of another version.  The ``coordinator.json``
 marker embeds the serving pid; a new coordinator takes over a *stale*
 marker (dead pid) but refuses a live one.
 
@@ -64,12 +64,11 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from ..engine.spec import ExperimentSpec
 from ..engine.state import EngineState
 from ..exceptions import ReproError, ServeError, SubmissionRejectedError
-from ..obs import truncate_traces
 from .scheduler import check_deadline
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,9 +83,6 @@ _CHECKPOINTS = "checkpoints"
 _COORDINATOR = "coordinator.json"
 #: round-log suffix; deliberately not ``*.json`` so head scans skip it.
 _ROUND_LOG = ".rounds.jsonl"
-#: the previous layout's record log, one line per record, counted by a
-#: head that carried the engine state; read at recovery, never written.
-_RECORD_LOG = ".records.jsonl"
 _SUBDIRS = (_INBOX, _JOBS, _CANCEL, _REJECTED, _CHECKPOINTS)
 
 #: terminal states a client's ``wait()`` stops on.
@@ -235,7 +231,6 @@ class CheckpointRecord:
     priority: int = 0
     deadline: Optional[float] = None
     trace_path: Optional[str] = None
-    rounds_done: int = 0
     engine_state: Optional[EngineState] = None
 
     @classmethod
@@ -392,7 +387,7 @@ class ServeMailbox:
         and the engine state without its history, so a killed
         coordinator loses at most the round in flight and round 100
         costs what round 1 does.  A job whose log this mailbox does not
-        know (re-admitted from a previous-layout checkpoint, or first
+        know (submitted before the mailbox was attached, so first
         checkpointed after its admission) gets a one-line log carrying
         its whole history, then its head.
         """
@@ -405,20 +400,6 @@ class ServeMailbox:
             _compact_json(self._round_line(job, state, logged)) + "\n",
         )
         self._logged[job.job_id] = state.round_index
-
-    def readmit(self, job: "Job", state: "EngineState | None") -> None:
-        """Persist a job :meth:`poll_checkpoints` recovered.
-
-        A job read from its round log is already persisted; a job read
-        from a previous-layout head is converted.  The new log is
-        complete before the new head replaces the old one, and the old
-        record log goes last: a crash in between leaves either the old
-        head (read as before; the new log is rewritten at the next
-        re-admission) or the new head beside a stranded record log,
-        which :meth:`poll_checkpoints` sweeps.
-        """
-        if job.job_id not in self._logged:
-            self._rewrite(job, state)
 
     def _rewrite(self, job: "Job", state: "EngineState | None") -> None:
         """Log first, then head: a head never names a log that is not
@@ -444,7 +425,6 @@ class ServeMailbox:
         if job.trace_path is not None:
             payload["trace_path"] = job.trace_path
         _atomic_write(self._head_path(job.job_id), payload)
-        self._record_log_path(job.job_id).unlink(missing_ok=True)
 
     @staticmethod
     def _round_line(
@@ -464,11 +444,8 @@ class ServeMailbox:
     def _log_path(self, job_id: str) -> pathlib.Path:
         return self.root / _CHECKPOINTS / f"{job_id}{_ROUND_LOG}"
 
-    def _record_log_path(self, job_id: str) -> pathlib.Path:
-        return self.root / _CHECKPOINTS / f"{job_id}{_RECORD_LOG}"
-
     def clear_checkpoint(self, job_id: str) -> None:
-        """Drop a terminal job's head and logs (idempotent).
+        """Drop a terminal job's head and round log (idempotent).
 
         Head first: a crash in between strands a log without a head,
         which :meth:`poll_checkpoints` sweeps, never a head whose log
@@ -477,26 +454,24 @@ class ServeMailbox:
         self._logged.pop(job_id, None)
         self._head_path(job_id).unlink(missing_ok=True)
         self._log_path(job_id).unlink(missing_ok=True)
-        self._record_log_path(job_id).unlink(missing_ok=True)
 
     def poll_checkpoints(self) -> List[CheckpointRecord]:
         """Decode every checkpoint record, in sorted (job id) order.
 
-        Unreadable records — a head that does not parse, a head whose
-        log is missing, a complete log line that does not parse, records
+        Unreadable records — a head that does not parse, a head in an
+        earlier layout, a head whose log is missing, a complete log line
+        that does not parse, an engine state of another version, records
         that disagree with the state they lead to — are rejected (with
         the parse error) rather than wedging recovery of the readable
         ones.  What no head will read is swept: a log whose head is
-        gone, a record log beside a current-layout head, a temp file a
-        crash left before its ``os.replace``.
+        gone, a temp file a crash left before its ``os.replace``.
         """
         records = []
-        previous_layout = set()
         directory = self.root / _CHECKPOINTS
         for path in sorted(directory.glob("*.json")):
             job_id = path.stem
             try:
-                record, previous = self._read_checkpoint(job_id, path)
+                record = self._read_checkpoint(job_id, path)
             except (ReproError, ValueError, TypeError) as exc:
                 self.clear_checkpoint(job_id)
                 self.write_rejection(
@@ -506,13 +481,8 @@ class ServeMailbox:
                 )
                 continue
             records.append(record)
-            if previous:
-                previous_layout.add(job_id)
         for path in directory.glob("*" + _ROUND_LOG):
             if not self._head_path(path.name[: -len(_ROUND_LOG)]).exists():
-                path.unlink()
-        for path in directory.glob("*" + _RECORD_LOG):
-            if path.name[: -len(_RECORD_LOG)] not in previous_layout:
                 path.unlink()
         for path in directory.glob("*.tmp"):
             path.unlink()
@@ -520,13 +490,15 @@ class ServeMailbox:
 
     def _read_checkpoint(
         self, job_id: str, path: pathlib.Path
-    ) -> Tuple[CheckpointRecord, bool]:
-        """One head plus its round log; the flag marks a previous-layout
-        head, which :meth:`readmit` converts."""
+    ) -> CheckpointRecord:
+        """One head plus its round log."""
         payload = json.loads(path.read_text())
         record = CheckpointRecord.from_payload(job_id, payload)
         if "engine_state" in payload:
-            return self._read_previous_layout(record, payload), True
+            raise ServeError(
+                f"checkpoint {job_id!r} carries 'engine_state' in its "
+                f"head, an earlier layout this version does not read"
+            )
         log = self._log_path(job_id)
         if not log.exists():
             raise ServeError(f"checkpoint {job_id!r} has no round log")
@@ -557,38 +529,7 @@ class ServeMailbox:
                     f"engine state is at round {state.round_index}"
                 )
             record.engine_state = state.with_history(history)
-            record.rounds_done = state.round_index
         self._logged[job_id] = len(history)
-        return record, False
-
-    def _read_previous_layout(
-        self, record: CheckpointRecord, payload: Dict[str, object]
-    ) -> CheckpointRecord:
-        """A head that carries the engine state: records inline, or the
-        first ``records_logged`` lines of its record log."""
-        job_id = record.job_id
-        record.rounds_done = int(payload.get("rounds_done", 0))
-        if payload["engine_state"] is None:
-            return record
-        state = EngineState.from_dict(payload["engine_state"])
-        record.engine_state = state
-        if "records_logged" not in payload:
-            return record  # the whole history sits inline
-        count = state.round_index
-        if payload["records_logged"] != count:
-            raise ServeError(
-                f"checkpoint {job_id!r} counts "
-                f"{payload['records_logged']!r} logged records but its "
-                f"engine state is at round {count}"
-            )
-        log = self._record_log_path(job_id)
-        # The primitive trace streams rewind with: drops the lines the
-        # head does not count, raises when the log holds fewer.
-        truncate_traces(log, count)
-        lines = log.read_text().splitlines() if count else []
-        record.engine_state = state.with_history(
-            [json.loads(line) for line in lines]
-        )
         return record
 
 

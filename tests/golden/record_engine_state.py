@@ -6,7 +6,10 @@ first recorded at the commit *before* ``EngineState`` began carrying
 record objects by reference, so ``tests/test_engine_state.py`` proved
 the serialised form did not move by a byte; it was re-recorded once,
 by this script, when the batch-index stream changed (the losses and
-parameters it carries moved, its layout did not).
+parameters it carries moved, its layout did not), and once more when
+the layout went to version 2: each state now names the fingerprint of
+the spec that built it, so a checked restore can refuse another spec's
+state (besides the version, no other value of the four states moved).
 """
 
 from __future__ import annotations

@@ -287,10 +287,10 @@ class TestPlanIsImmutable:
 
 
 class TestRestoreRefusesAForeignState:
-    """``plan.restore`` holds a state against what it carries itself;
-    specs that differ only in something it does not carry (``is-gc-cr``
-    vs ``is-gc-fr``, worker counts of a flat run, ``flat`` vs ``actor``)
-    need a spec fingerprint in the state — ROADMAP item 8."""
+    """``plan.restore`` holds a state against what it carries itself:
+    its shape, then the spec fingerprint it names, which tells apart
+    specs alike in shape (``is-gc-cr`` vs ``is-gc-fr``, worker counts of
+    a flat run, ``flat`` vs ``actor``)."""
 
     @staticmethod
     def suspended(spec, cut=2):
@@ -326,8 +326,20 @@ class TestRestoreRefusesAForeignState:
             id="async-worker-count",
         ),
         pytest.param(
-            dict(), dict(model={"kind": "softmax"}), "parameter vector",
+            dict(), dict(model={"kind": "softmax"}), "spec fingerprint",
             id="model-size",
+        ),
+        pytest.param(
+            dict(), dict(scheme="is-gc-fr"), "spec fingerprint",
+            id="scheme-is-gc-cr-vs-is-gc-fr",
+        ),
+        pytest.param(
+            dict(), dict(num_workers=4), "spec fingerprint",
+            id="flat-worker-count",
+        ),
+        pytest.param(
+            dict(), dict(backend="actor"), "spec fingerprint",
+            id="flat-vs-actor",
         ),
     ])
     def test_mismatch_names_the_field(self, ours, theirs, field):
@@ -337,6 +349,42 @@ class TestRestoreRefusesAForeignState:
         start(engine, spec)
         with pytest.raises(TrainingError, match=field):
             engine.plan.restore(engine, state)
+
+    @pytest.mark.parametrize("tamper,field", [
+        pytest.param(
+            lambda s: dict(params=s.params[:-1]), "parameter vector",
+            id="model-size",
+        ),
+        pytest.param(
+            lambda s: dict(rule={**s.rule, "extra": 1}), "section 'rule'",
+            id="rule-field",
+        ),
+        pytest.param(
+            lambda s: dict(mode="updates"), "'mode' is 'updates'",
+            id="mode",
+        ),
+    ])
+    def test_right_fingerprint_wrong_shape_names_the_field(
+        self, tamper, field
+    ):
+        # A hand-edited state that keeps its spec's fingerprint is
+        # still held to the engine's shape.
+        spec = make_spec()
+        state = self.suspended(spec)
+        state = dataclasses.replace(state, **tamper(state))
+        engine = build_engine(spec)
+        start(engine, spec)
+        with pytest.raises(TrainingError, match=field):
+            engine.plan.restore(engine, state)
+
+    def test_the_fingerprint_names_both_specs(self):
+        state = self.suspended(make_spec(seed=8))
+        engine = build_engine(make_spec())
+        start(engine, make_spec())
+        with pytest.raises(TrainingError) as err:
+            engine.plan.restore(engine, state)
+        assert make_spec(seed=8).fingerprint() in str(err.value)
+        assert make_spec().fingerprint() in str(err.value)
 
     @pytest.mark.parametrize("backend,rule,scheme", CASES, ids=CASE_IDS)
     def test_own_states_are_accepted(self, backend, rule, scheme):

@@ -180,6 +180,19 @@ class TestRegistry:
         assert "'fr'" in msg
         assert "accepted:" in msg
         assert "partitions_per_worker" in msg
+        assert "base family" not in msg
+
+    @pytest.mark.parametrize("family", ["multimessage", "hetero"])
+    def test_forwarding_families_name_no_catch_all(self, family):
+        # Their ``**base_params`` is not a keyword anyone can pass.
+        from repro.core.scheme import placement_params
+
+        assert "base_params" not in placement_params(family)
+        with pytest.raises(ConfigurationError) as err:
+            make_placement(family, partitions_per_worker=2)
+        msg = str(err.value)
+        assert "base_params" not in msg
+        assert msg.endswith("; other keys go to the base family")
 
     def test_constraint_violations_stay_placement_errors(self):
         # Same type and message as the direct constructor raised.

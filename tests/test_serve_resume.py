@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -52,6 +53,7 @@ from repro import CoordinatorClient, ExperimentSpec, run_jobs
 from repro.cli import main as cli_main
 from repro.engine.report import build_run_report
 from repro.engine.spec import run_spec_variation
+from repro.engine.state import STATE_VERSION
 from repro.exceptions import (
     AdmissionError,
     ServeError,
@@ -409,6 +411,11 @@ class TestWorkerPoolMechanics:
         (dict(rule="async"), "'mode' is 'rounds'"),
         (dict(rule="local-update"), "section 'rule'"),
         (dict(scheme="is-sgd"), "section 'strategy'"),
+        # Alike in every section's shape: only the spec fingerprint
+        # the state carries tells these apart.
+        (dict(scheme="is-gc-fr"), "spec fingerprint"),
+        (dict(seed=51), "spec fingerprint"),
+        (dict(learning_rate=0.6), "spec fingerprint"),
     ])
     def test_runner_refuses_another_specs_state(self, over, field):
         # Used to be accepted silently (or die with a bare KeyError:
@@ -568,8 +575,9 @@ class SimulatedCrash(Exception):
 CRASH_POINTS = ("before", "torn", "after")
 
 
-def serve_until_crash(mb, nth, point="before", **kwargs):
-    """Serve ``mb`` and die at ``point`` of the ``nth`` round append:
+@contextlib.contextmanager
+def crash_at_append(nth, point="before"):
+    """Die at ``point`` of the ``nth`` round append inside the block:
     before any of its bytes, halfway through its line, or once the
     whole line is on disk but before the coordinator goes on."""
     real = mailbox_module._append
@@ -587,7 +595,13 @@ def serve_until_crash(mb, nth, point="before", **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mailbox_module, "_append", append)
         with pytest.raises(SimulatedCrash):
-            drain(mb, **kwargs)
+            yield
+
+
+def serve_until_crash(mb, nth, point="before", **kwargs):
+    """Serve ``mb`` and die at ``point`` of the ``nth`` round append."""
+    with crash_at_append(nth, point):
+        drain(mb, **kwargs)
 
 
 def head_path(mb, job_id):
@@ -640,31 +654,6 @@ def compact(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def rewrite_in_parent_layout(mb, uncounted=0):
-    """Turn every checkpoint into what the parent layout kept: a head
-    replaced each round, carrying ``rounds_done``, the engine state
-    without history and ``records_logged``, counting into a record log
-    of one line per record (``uncounted`` extra lines model its crash
-    between the append and the head replace)."""
-    records = ServeMailbox(mb).poll_checkpoints()
-    for record in records:
-        job_id, state = record.job_id, record.engine_state
-        head = head_of(mb, job_id)
-        head.update(
-            rounds_done=record.rounds_done,
-            records_logged=state.round_index,
-            engine_state=state.without_history().to_dict(),
-        )
-        history = state.history()
-        lines = history + history[-1:] * uncounted
-        (mb / "checkpoints" / f"{job_id}.records.jsonl").write_text(
-            "".join(compact(line) + "\n" for line in lines)
-        )
-        head_path(mb, job_id).write_text(compact(head) + "\n")
-        log_of(mb, job_id).unlink()
-    return records
-
-
 class TestIncrementalCheckpoints:
     def crashed_mailbox(
         self, tmp_path, nth=5, jobs=2, max_steps=8, point="before"
@@ -697,8 +686,9 @@ class TestIncrementalCheckpoints:
         records = ServeMailbox(mb).poll_checkpoints()
         assert [r.job_id for r in records] == ids
         for record in records:
-            assert record.rounds_done == rounds[record.job_id]
-            assert len(record.engine_state.records) == record.rounds_done
+            state = record.engine_state
+            assert state.round_index == rounds[record.job_id]
+            assert len(state.records) == state.round_index
             # A torn last line is cut off the file itself.
             assert log_of(mb, record.job_id).read_bytes().endswith(b"\n")
 
@@ -714,68 +704,31 @@ class TestIncrementalCheckpoints:
         drain(mb, trace_dir=tmp_path / "traces")
         assert_finished_like(client, ids, solo)
 
-    def test_pre_log_head_with_inline_records_still_resumes(self, tmp_path):
-        # What the single-file layout left behind: one pretty-printed
-        # head per job, the whole history inline, no log.  Checkpointed
-        # work is never lost: re-admission converts it to a head plus a
-        # one-line log holding the whole history.
-        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
-        for record in ServeMailbox(mb).poll_checkpoints():
-            head = head_of(mb, record.job_id)
-            head["rounds_done"] = record.rounds_done
-            head["engine_state"] = record.engine_state.to_dict()
-            assert len(head["engine_state"]["records"]) == record.rounds_done
-            head_path(mb, record.job_id).write_text(
-                json.dumps(head, indent=2, sort_keys=True) + "\n"
-            )
-            log_of(mb, record.job_id).unlink()
-        serve_until_crash(mb, 1, trace_dir=tmp_path / "traces")
+    def test_job_submitted_before_the_mailbox_resumes(self, tmp_path):
+        # Submitted in-process, a job has neither head nor round log
+        # when serve() attaches the mailbox: its first checkpoint writes
+        # a one-line log holding its whole history, then its head.
+        specs = [make_spec(i, max_steps=8) for i in range(2)]
+        mb, traces = tmp_path / "mb", tmp_path / "traces"
+        coord = Coordinator(trace_dir=traces)
+        with coord:
+            ids = [coord.submit(spec, trace=True).job_id for spec in specs]
+            assert not (mb / "checkpoints").exists()
+            with crash_at_append(1, "after"):
+                asyncio.run(coord.serve(ServeMailbox(mb), once=True))
+        # Each job's first checkpoint was a whole-history rewrite; the
+        # first round after it was the one append.
+        assert [len(round_lines(mb, j)) for j in ids] == [2, 1]
         for job_id in ids:
+            first = round_lines(mb, job_id)[0]
+            assert len(first["records"]) == first["rounds_done"] == 1
             assert "engine_state" not in head_of(mb, job_id)
-            (line,) = round_lines(mb, job_id)
-            assert len(line["records"]) == line["rounds_done"] > 0
-            assert line["engine_state"]["records"] == []
-        drain(mb, trace_dir=tmp_path / "traces")
-        assert_finished_like(client, ids, solo)
-        assert list((mb / "checkpoints").iterdir()) == []
-
-    def test_parent_head_and_record_log_still_resume(self, tmp_path):
-        # A mailbox the previous head + record log layout left mid-run,
-        # one job with a record its head does not count yet.
-        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
-        records = rewrite_in_parent_layout(mb, uncounted=1)
-        assert [r.rounds_done for r in records] == [2, 2]
-        drain(mb, trace_dir=tmp_path / "traces")
-        assert_finished_like(client, ids, solo)
-        assert list((mb / "checkpoints").iterdir()) == []
-
-    @pytest.mark.parametrize("point", ["before", "after"])
-    def test_conversion_survives_a_crash_at_the_head(self, tmp_path, point):
-        # Conversion writes the new log, replaces the head, then drops
-        # the record log.  Killed before the head replace, the old head
-        # still reads its record log; killed after it, the new head
-        # reads the new log and the record log is swept.
-        mb, client, ids, solo = self.crashed_mailbox(tmp_path)
-        rewrite_in_parent_layout(mb)
-        real = mailbox_module._atomic_write
-
-        def write(path, payload):
-            if path.parent.name == "checkpoints" and path.suffix == ".json":
-                if point == "after":
-                    real(path, payload)
-                raise SimulatedCrash
-            real(path, payload)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mailbox_module, "_atomic_write", write)
-            with pytest.raises(SimulatedCrash):
-                drain(mb, trace_dir=tmp_path / "traces")
-        victim = ids[0]
-        assert ("engine_state" in head_of(mb, victim)) is (point == "before")
-        assert len(round_lines(mb, victim)) == 1
-        assert (mb / "checkpoints" / f"{victim}.records.jsonl").exists()
-        drain(mb, trace_dir=tmp_path / "traces")
-        assert_finished_like(client, ids, solo)
+            assert logged_steps(mb, job_id) == list(
+                range(round_lines(mb, job_id)[-1]["rounds_done"])
+            )
+        drain(mb, trace_dir=traces)
+        client = CoordinatorClient(mb)
+        assert_finished_like(client, ids, solo_runs(specs, tmp_path))
         assert list((mb / "checkpoints").iterdir()) == []
 
     def test_recovery_repersist_does_not_double_append(self, tmp_path):
@@ -1089,8 +1042,21 @@ def _skew_version(head, log):
 
 def _truncate_state(head, log):
     _edit_line(log, -1, lambda line: line.update(
-        engine_state={"version": 1, "mode": "rounds"}
+        engine_state={"version": STATE_VERSION, "mode": "rounds"}
     ))
+
+
+def _version_one_state(head, log):
+    _edit_line(log, -1, lambda line: line["engine_state"].update(version=1))
+
+
+def _versionless_state(head, log):
+    _edit_line(log, -1, lambda line: line["engine_state"].pop("version"))
+
+
+def _engine_state_in_the_head(head, log):
+    # The earlier layouts kept the engine state in the head.
+    head["engine_state"] = None
 
 
 def _non_mapping_state(head, log):
@@ -1149,7 +1115,9 @@ class TestHostileCheckpoints:
     """Every unreadable checkpoint ends in ``rejected/``; its peer resumes."""
 
     @pytest.mark.parametrize("damage", [
-        _skew_version, _truncate_state, _non_mapping_state, _null_weight,
+        _skew_version, _version_one_state, _versionless_state,
+        _engine_state_in_the_head, _truncate_state, _non_mapping_state,
+        _null_weight,
         _float_weight, _string_weight, _bool_weight,
         _overcount, _count_disagrees_with_state, _drop_log, _shorten_log,
         _garble_counted_line, _counted_line_not_a_record,
@@ -1172,35 +1140,27 @@ class TestHostileCheckpoints:
         assert_finished_like(client, [peer], solo_runs(specs, tmp_path)[1:])
         assert list((mb / "checkpoints").iterdir()) == []
 
-    def test_hostile_head_in_the_previous_layout(self, tmp_path):
-        # The first four cases each killed the coordinator when the
-        # whole state sat inline in one file; the weights were coerced
-        # (2.7 resumed as 2, "3" as 3, true as 1).
+    def test_head_carrying_engine_state_is_an_earlier_layout(self, tmp_path):
+        # A head that carries the engine state, as the earlier layouts
+        # wrote it (rounds done and the whole history inline), is
+        # refused, not converted; its peer still finishes.
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
         runner = JobRunner(make_spec(0))
         runner.step()
-        good = runner.checkpoint().to_dict()
-        spec = make_spec(0).to_dict()
-        cases = {
-            "skewed": {"engine_state": dict(good, version=99)},
-            "truncated": {"engine_state": {"version": 1, "mode": "rounds"}},
-            "listy": {"engine_state": [good]},
-            "weightless": {"engine_state": good, "weight": None},
-            "floaty": {"engine_state": good, "weight": 2.7},
-            "stringy": {"engine_state": good, "weight": "3"},
-            "booly": {"engine_state": good, "weight": True},
+        payload = {
+            "id": "earlier", "name": "earlier", "weight": 1,
+            "rounds_done": 1, "spec": make_spec(0).to_dict(),
+            "engine_state": runner.checkpoint().to_dict(),
         }
-        for name, patch in cases.items():
-            payload = {"id": name, "name": name, "weight": 1,
-                       "rounds_done": 1, "spec": spec, **patch}
-            (mb / "checkpoints" / f"{name}.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True)
-            )
+        (mb / "checkpoints" / "earlier.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True)
+        )
         peer = client.submit(make_spec(1))
         drain(mb)
-        for name in cases:
-            assert client.state(name)["reason"] == "invalid_checkpoint"
+        record = client.state("earlier")
+        assert record["reason"] == "invalid_checkpoint"
+        assert "earlier layout" in record["error"]
         assert client.state(peer)["state"] == "done"
         assert list((mb / "checkpoints").iterdir()) == []
 
