@@ -2,12 +2,14 @@
 
 Exposes the library's main entry points without writing Python::
 
-    python -m repro placement --scheme cr -n 8 -c 2
-    python -m repro decode    --scheme cr -n 8 -c 2 --available 0,2,5
-    python -m repro recovery  --scheme fr -n 8 -c 2 --trials 2000
-    python -m repro bounds    -n 8 -c 2
     python -m repro placements
-    python -m repro placements hr -n 12 -c 3 --param c1=2 --param c2=1 --param num_groups=3
+    python -m repro placements cr -n 8 -c 2
+    python -m repro placements hr -n 12 --param c1=2 --param c2=1 --param num_groups=3
+    python -m repro decode    cr -n 8 -c 2 --available 0,2,5
+    python -m repro recovery  fr -n 8 -c 2 --trials 2000
+    python -m repro recovery  explicit -n 4 --param 'rows=[[0,1],[1,2],[2,3],[3,0]]'
+    python -m repro bounds    -n 8 -c 2
+    python -m repro simulate  hr -n 12 --param c1=2 --param c2=1 --param num_groups=3 -w 9
     python -m repro environments
     python -m repro environments pareto --param alpha=2.5 --param scale=0.5
     python -m repro experiment fig13
@@ -38,7 +40,6 @@ from .registry import COMMAND_REGISTRY, build_parser, main, register_command
 # Importing a command module registers its subcommand; this order IS
 # the `repro --help` listing, so keep the historical sequence and add
 # new commands at the end.
-from . import placement as _placement  # noqa: E402,F401
 from . import decode as _decode  # noqa: E402,F401
 from . import recovery as _recovery  # noqa: E402,F401
 from . import bounds as _bounds  # noqa: E402,F401

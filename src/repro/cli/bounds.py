@@ -6,11 +6,15 @@ import argparse
 
 from ..analysis.reporting import Table
 from ..core.bounds import alpha_lower_bound, alpha_upper_bound
+from ..exceptions import ReproError
 from .registry import register_command
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     """Print the Theorem 10/11 bound table for (n, c)."""
+    if args.n < 1:
+        # No w to tabulate; the per-row check would never run.
+        raise ReproError(f"need n >= 1, got n={args.n}")
     table = Table(
         title=f"Theorem 10/11 bounds on α(G[W']) — n={args.n}, c={args.c}",
         columns=["w", "lower (Thm 10)", "upper (Thm 11)"],

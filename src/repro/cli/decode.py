@@ -7,13 +7,13 @@ import argparse
 import numpy as np
 
 from ..core.decoders import decoder_for
-from .params import _add_placement_args, _build_placement
+from .params import _add_placement_args, _placement_scheme
 from .registry import register_command
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
     """Decode one round for an explicit available-worker set."""
-    placement = _build_placement(args)
+    placement = _placement_scheme(args).construct()
     available = [int(tok) for tok in args.available.split(",") if tok]
     decoder = decoder_for(placement, rng=np.random.default_rng(args.seed))
     result = decoder.decode(available)

@@ -1,9 +1,9 @@
 """Argument-parsing helpers shared by several subcommands.
 
-Placement flags (``--scheme/-n/-c/--g/--c1``) are shared by
-``placement``, ``decode``, ``recovery`` and ``simulate``; the
-``KEY=VALUE`` parameter grammars are shared by ``placements``,
-``environments``, ``simulate`` and ``run --sweep``.
+The placement grammar (``FAMILY -n N [-c C] [--param KEY=VALUE ...]``,
+the placement registry's own) is shared by ``placements``, ``decode``,
+``recovery`` and ``simulate``; the ``KEY=VALUE`` parameter grammars are
+shared by those, ``environments`` and ``run --sweep``.
 """
 
 from __future__ import annotations
@@ -11,35 +11,55 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from ..core.placement import Placement
-from ..core.scheme import make_placement
+from ..core.scheme import PlacementScheme, spec_placement_scheme
 from ..exceptions import ReproError
 
 
-def _build_placement(args: argparse.Namespace) -> Placement:
-    # Every CLI placement goes through the placement registry, the same
-    # construction path specs and library code use.
-    if args.scheme == "hr":
-        if args.g is None or args.c1 is None:
-            raise ReproError("HR needs --g and --c1 (c2 = c - c1)")
-        return make_placement(
-            "hr", num_workers=args.n, c1=args.c1, c2=args.c - args.c1,
-            num_groups=args.g,
+def _placement_scheme(args: argparse.Namespace) -> PlacementScheme:
+    """The registered family the placement flags name, under a spec's
+    calling convention (``-n`` is ``num_workers``, ``-c`` the uniform
+    ``partitions_per_worker``, ``--param`` the family's own keys).
+
+    A family that derives ``c`` from its own parameters (``hr``,
+    ``explicit``) needs no ``-c``; one given must agree with the ``c``
+    it derives.
+    """
+    if args.n is None:
+        raise ReproError(
+            f"placement family {args.family!r} needs -n (number of workers)"
         )
-    return make_placement(
-        args.scheme, num_workers=args.n, partitions_per_worker=args.c
+    scheme = spec_placement_scheme(
+        args.family, num_workers=args.n, partitions_per_worker=args.c,
+        **_parse_model_params(args.param),
     )
+    c = scheme.construct().partitions_per_worker
+    if args.c is not None and args.c != c:
+        raise ReproError(
+            f"-c {args.c} disagrees with the {scheme.family!r} placement, "
+            f"which stores c = {c} partitions per worker"
+        )
+    return scheme
 
 
-def _add_placement_args(parser: argparse.ArgumentParser) -> None:
+def _add_placement_args(
+    parser: argparse.ArgumentParser, *, catalogue: bool = False
+) -> None:
+    """The placement grammar; with ``catalogue`` the family is optional
+    (``repro placements`` lists every family when it is omitted)."""
     parser.add_argument(
-        "--scheme", choices=("fr", "cr", "hr"), required=True,
-        help="placement family",
+        "family", nargs="?" if catalogue else None, default=None,
+        help="registered placement family (see `repro placements`)",
     )
-    parser.add_argument("-n", type=int, required=True, help="number of workers")
-    parser.add_argument("-c", type=int, required=True, help="partitions per worker")
-    parser.add_argument("--g", type=int, default=None, help="HR: number of groups")
-    parser.add_argument("--c1", type=int, default=None, help="HR: upper-part rows")
+    parser.add_argument("-n", type=int, default=None, required=not catalogue,
+                        help="number of workers")
+    parser.add_argument("-c", type=int, default=None,
+                        help="partitions per worker (hr and explicit "
+                             "derive it from --param)")
+    parser.add_argument(
+        "--param", action="append", default=None, metavar="KEY=VALUE",
+        help="family parameter (repeatable; JSON values), e.g. "
+             "--param c1=2 or --param 'rows=[[0,1],[1,2]]'",
+    )
 
 
 def _parse_sweep_value(token: str):

@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 
 from ..analysis.reporting import Table
-from ..exceptions import ReproError
-from .params import _parse_sweep_value
+from .params import _add_placement_args, _placement_scheme
 from .registry import register_command
 
 
 def cmd_placements(args: argparse.Namespace) -> int:
-    """List registered placement families, or describe one of them."""
-    from ..core.scheme import (
-        PLACEMENT_REGISTRY, registered_placements, spec_placement_scheme,
-    )
+    """List registered placement families, or describe one of them:
+    its placement, fingerprint, recovery bounds and conflict graph."""
+    from ..core.scheme import PLACEMENT_REGISTRY, registered_placements
+    from ..graphs.render import adjacency_art, edge_list_art
 
     if args.family is None:
         table = Table(
@@ -32,27 +31,10 @@ def cmd_placements(args: argparse.Namespace) -> int:
         table.show()
         return 0
 
-    params = {}
-    for clause in args.param or []:
-        key, sep, value = clause.partition("=")
-        if not sep or not value:
-            raise ReproError(f"--param needs key=value, got {clause!r}")
-        params[key.strip()] = _parse_sweep_value(value.strip())
-    if args.n is None:
-        raise ReproError(
-            f"describing family {args.family!r} needs -n (number of workers)"
-        )
-    scheme = spec_placement_scheme(
-        args.family,
-        num_workers=args.n,
-        partitions_per_worker=args.c,
-        **params,
-    )
+    scheme = _placement_scheme(args)
     print(scheme.describe())
     placement = scheme.construct()
-    graph = scheme.conflict_graph()
     print(f"fingerprint    : {scheme.fingerprint()}")
-    print(f"conflict edges : {graph.number_of_edges()}")
     table = Table(
         title=f"recovery bounds (Thm 10/11) — {placement.num_workers} workers",
         columns=["w", "lower", "upper"],
@@ -61,6 +43,11 @@ def cmd_placements(args: argparse.Namespace) -> int:
         lo, hi = scheme.recovery_bounds(w)
         table.add_row(w, lo, hi)
     table.show()
+    graph = scheme.conflict_graph()
+    print(f"\nconflict graph ({graph.number_of_edges()} edges):")
+    print(adjacency_art(graph))
+    print()
+    print(edge_list_art(graph))
     return 0
 
 
@@ -70,16 +57,5 @@ def cmd_placements(args: argparse.Namespace) -> int:
 )
 def configure(parser: argparse.ArgumentParser) -> None:
     """Wire the ``placements`` subparser (arguments + handler)."""
-    parser.add_argument(
-        "family", nargs="?", default=None,
-        help="family name to describe (omit to list all families)",
-    )
-    parser.add_argument("-n", type=int, default=None, help="number of workers")
-    parser.add_argument(
-        "-c", type=int, default=None, help="partitions per worker"
-    )
-    parser.add_argument(
-        "--param", action="append", default=None, metavar="KEY=VALUE",
-        help="extra family parameter (repeatable), e.g. --param c1=2",
-    )
+    _add_placement_args(parser, catalogue=True)
     parser.set_defaults(func=cmd_placements)

@@ -6,19 +6,20 @@ import argparse
 
 from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
-from .params import _add_placement_args, _build_placement
+from .params import _add_placement_args, _placement_scheme
 from .registry import register_command
 
 
 def cmd_recovery(args: argparse.Namespace) -> int:
     """Print the Monte-Carlo recovery curve for a placement."""
-    placement = _build_placement(args)
+    placement = _placement_scheme(args).construct()
     table = Table(
         title=f"Recovery curve — {type(placement).__name__}"
-        f"(n={args.n}, c={args.c}), {args.trials} trials per w",
+        f"(n={placement.num_workers}, c={placement.partitions_per_worker}), "
+        f"{args.trials} trials per w",
         columns=["w", "mean recovered", "% of gradients", "min", "max"],
     )
-    for w in range(1, args.n + 1):
+    for w in range(1, placement.num_workers + 1):
         stats = monte_carlo_recovery(
             placement, w, trials=args.trials, seed=args.seed
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 
 from ..engine.report import build_run_report
-from ..exceptions import ReproError
 from .output import emit_summary
 from .params import _add_placement_args, _parse_model_params
 from .registry import register_command
@@ -19,16 +18,13 @@ from .registry import register_command
 def simulate_spec(args: argparse.Namespace):
     """The :class:`~repro.engine.ExperimentSpec` the flags describe:
     softmax regression on a 3-class, 12-feature classification set,
-    IS-SGD when ``-c 1`` and IS-GC over ``--scheme`` otherwise."""
+    IS-SGD when ``-c 1`` and IS-GC over the placement family otherwise
+    (``is-gc`` with ``scheme_params.placement``)."""
     from ..engine.spec import ExperimentSpec
 
-    scheme, scheme_params = f"is-gc-{args.scheme}", {}
-    if args.scheme == "hr":
-        if args.g is None or args.c1 is None:
-            raise ReproError("HR needs --g and --c1 (c2 = c - c1)")
-        scheme_params = {
-            "c1": args.c1, "c2": args.c - args.c1, "num_groups": args.g,
-        }
+    scheme, scheme_params = "is-gc", {
+        "placement": args.family, **_parse_model_params(args.param),
+    }
     if args.c == 1:
         scheme, scheme_params = "is-sgd", {}
     # The default delay is the historical exponential with --delay as
@@ -43,7 +39,8 @@ def simulate_spec(args: argparse.Namespace):
         name=scheme,
         scheme=scheme,
         num_workers=args.n,
-        partitions_per_worker=args.c,
+        # 1 is the field's default, which HR reads as "not given".
+        partitions_per_worker=1 if args.c is None else args.c,
         wait_for=args.w,
         max_steps=args.steps,
         learning_rate=args.lr,

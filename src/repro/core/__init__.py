@@ -9,13 +9,11 @@ from .hybrid import HybridRepetition
 from .conflict import conflict_graph, edge_subset
 from .scheme import (
     PLACEMENT_REGISTRY,
-    CommEfficientScheme,
     CRScheme,
     ExplicitScheme,
     FRScheme,
     HeteroScheme,
     HRScheme,
-    MultiMessageScheme,
     PlacementScheme,
     as_placement,
     make_placement,
@@ -86,8 +84,6 @@ __all__ = [
     "HRScheme",
     "ExplicitScheme",
     "HeteroScheme",
-    "CommEfficientScheme",
-    "MultiMessageScheme",
     "Decoder",
     "decoder_for",
     "register_decoder",

@@ -20,9 +20,12 @@ now they all speak one protocol:
   entry points the CLI, the spec engine, the advisor and library code
   share.
 
-Registered families: ``fr``, ``cr``, ``hr``, ``explicit``, ``hetero``,
-``comm-efficient`` and ``multimessage`` (see ``docs/placements.md`` for
-the catalogue with paper pointers).  A new family needs one
+Registered families: ``fr``, ``cr``, ``hr``, ``explicit`` and ``hetero``
+(see ``docs/placements.md`` for the catalogue with paper pointers).
+Only what changes who stores what is a family: the Ye–Abbe codec
+(:class:`~repro.codes.CommEfficientGC`) takes an FR placement, and the
+multi-message round (:class:`~repro.partial.MultiMessageRound`) takes
+any placement.  A new family needs one
 ``@register_placement`` class; specs (via the generic ``is-gc``
 scheme), ``repro placements``, caching and spec admission pick it
 up by name.
@@ -45,7 +48,7 @@ from typing import (
     Type,
 )
 
-from ..exceptions import ConfigurationError, PlacementError
+from ..exceptions import ConfigurationError
 from ..graphs.graph import Graph
 from ..registry import Registry
 from .bounds import hr_alpha_bounds, recovered_partitions_bounds
@@ -398,7 +401,7 @@ class PlacementScheme(ABC):
 
 class _RepetitionScheme(PlacementScheme):
     """A family built as ``placement_type(n, c)`` whose recovered
-    partitions Theorems 10/11 bracket (FR, CR, and comm-efficient's FR)."""
+    partitions Theorems 10/11 bracket (FR and CR)."""
 
     def __init__(self, *, num_workers: int, partitions_per_worker: int = 1):
         super().__init__()
@@ -649,137 +652,3 @@ class HeteroScheme(PlacementScheme):
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         # α is invariant under vertex relabelling.
         return self._base.recovery_bounds(wait_for)
-
-
-@register_placement("comm-efficient", aliases=("comm_efficient", "ye-abbe"))
-class CommEfficientScheme(_RepetitionScheme):
-    """FR placement + Ye-Abbe Vandermonde block coding (ICML'18).
-
-    The placement (hence conflict graph, fingerprint and IS-GC
-    decoding semantics) is plain FR; :meth:`coder` yields the
-    :class:`~repro.codes.comm_efficient.CommEfficientGC` codec with
-    ``k = blocks``, tolerating ``c - k`` stragglers per group at a
-    ``k×`` upload saving.
-    """
-
-    summary = (
-        "communication-efficient GC (Ye-Abbe) — FR placement whose "
-        "workers upload k-block Vandermonde combinations (k x smaller)"
-    )
-    paper = "related work [17] (Ye & Abbe ICML'18); IS extension in codes/comm_efficient.py"
-
-    def __init__(
-        self,
-        *,
-        num_workers: int,
-        partitions_per_worker: int = 1,
-        blocks: int = 1,
-    ):
-        super().__init__(
-            num_workers=num_workers, partitions_per_worker=partitions_per_worker
-        )
-        self._blocks = int(blocks)
-
-    @property
-    def blocks(self) -> int:
-        """``k``: blocks per group gradient (upload shrinks ``k×``)."""
-        return self._blocks
-
-    def _construct(self) -> Placement:
-        # Imported lazily: core must stay importable without codes.
-        from ..codes.comm_efficient import comm_efficient_problems
-
-        problems = comm_efficient_problems(self._n, self._c, self._blocks)
-        if problems:
-            raise PlacementError(problems[0])
-        return FractionalRepetition(self._n, self._c)
-
-    def coder(self):
-        """The Vandermonde codec over this scheme's FR placement."""
-        # Imported lazily: core must stay importable without codes.
-        from ..codes.comm_efficient import CommEfficientGC
-
-        return CommEfficientGC(self.construct(), self._blocks)
-
-    @classmethod
-    def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, params=None,
-    ) -> List[str]:
-        from ..codes.comm_efficient import comm_efficient_problems
-
-        return comm_efficient_problems(
-            num_workers, partitions_per_worker,
-            (params or {}).get("blocks", 1),
-        )
-
-
-@register_placement("multimessage", aliases=("multi-message",))
-class MultiMessageScheme(PlacementScheme):
-    """A base family operated with per-partition uploads.
-
-    The placement is the base family's; :meth:`round` yields the
-    :class:`~repro.partial.multimessage.MultiMessageRound` simulator
-    (each partition's gradient ships as soon as it is computed, so
-    stragglers' partial work counts).
-    """
-
-    summary = (
-        "multi-message uploads — a base family's placement where each "
-        "partition gradient ships as computed (partial straggler work "
-        "counts, up to c x the bytes)"
-    )
-    paper = "related work [19]-[21] (Ozfatura et al.); partial/multimessage.py"
-
-    def __init__(
-        self,
-        *,
-        num_workers: int,
-        partitions_per_worker: Optional[int] = None,
-        base: str = "cr",
-        **base_params: Any,
-    ):
-        super().__init__()
-        resolve_placement(base)  # fail fast on an unknown base family
-        self._base_family = base
-        self._base_kwargs = dict(
-            num_workers=num_workers,
-            partitions_per_worker=partitions_per_worker,
-            **base_params,
-        )
-        self._base: Optional[PlacementScheme] = None
-
-    @property
-    def base(self) -> PlacementScheme:
-        """The placement family whose table is uploaded per-partition."""
-        if self._base is None:
-            self._base = spec_placement_scheme(
-                self._base_family, **self._base_kwargs
-            )
-        return self._base
-
-    def _construct(self) -> Placement:
-        return self.base.construct()
-
-    def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
-        return self.base.recovery_bounds(wait_for)
-
-    def round(self, environment, **kwargs):
-        """A :class:`MultiMessageRound` simulator over this placement,
-        in ``environment``."""
-        # Imported lazily: core must stay importable without partial.
-        from ..partial.multimessage import MultiMessageRound
-
-        return MultiMessageRound(self.construct(), environment, **kwargs)
-
-    @classmethod
-    def spec_problems(
-        cls, *, num_workers, partitions_per_worker=None, params=None,
-    ) -> List[str]:
-        params = dict(params or {})
-        base = params.pop("base", "cr")
-        return placement_spec_problems(
-            base,
-            num_workers=num_workers,
-            partitions_per_worker=partitions_per_worker,
-            params=params,
-        )

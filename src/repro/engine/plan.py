@@ -285,8 +285,7 @@ class EnginePlan:
         spec = self.spec
         model = copy.deepcopy(self.model)
         strategy = self.strategy.spawn(
-            spec.scheme_params.get("seed", spec.seed + 3),
-            spec.scheme_params.get("cache"),
+            spec.scheme_params.get("seed", spec.seed + 3)
         )
         ctx = BuildContext(
             spec=spec,

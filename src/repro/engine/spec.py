@@ -424,6 +424,18 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
         unknown_scheme = _unknown_scheme_params(spec.scheme, spec.scheme_params)
         if unknown_scheme is not None:
             problems.append(unknown_scheme)
+    if isinstance(spec.scheme_params, Mapping):
+        # Accepted so one params table fits every scheme, but only
+        # empty: a spec holds data, not objects (make_strategy takes
+        # a policy or cache object).
+        for key in ("policy", "cache"):
+            if spec.scheme_params.get(key) is not None:
+                problems.append(
+                    f"scheme_params.{key} must be null: a spec holds "
+                    "data, not objects (pass a "
+                    f"{key} object to make_strategy instead); got "
+                    f"{spec.scheme_params[key]!r}"
+                )
     # The async rule runs on the async-arrivals backend (``flat``, the
     # default, selects it); no other rule can.
     if (

@@ -68,14 +68,11 @@ class TrainingStrategy(abc.ABC):
     ) -> Tuple[np.ndarray, FrozenSet[int]]:
         """(sum of recovered per-partition gradients, recovered set)."""
 
-    def spawn(
-        self, seed: int, cache: "DecodeCache | None" = None
-    ) -> "TrainingStrategy":
+    def spawn(self, seed: int) -> "TrainingStrategy":
         """This scheme for one more run: what is fixed before training
         (placement, code, wait policy) shared, what a run mutates new
-        and seeded by ``seed`` (``cache``: an explicit
-        :class:`DecodeCache` in place of a new one).  Schemes without
-        run state are shared whole; the others override this."""
+        and seeded by ``seed``.  Schemes without run state are shared
+        whole; the others override this."""
         return self
 
     def describe(self) -> str:
@@ -216,12 +213,11 @@ class ISGCStrategy(TrainingStrategy):
         """The decoder's :class:`DecodeCache`, if one is attached."""
         return self._decoder.cache
 
-    def spawn(self, seed, cache=None):
+    def spawn(self, seed):
         """Own fairness generator, decode cache and ``last_decode``."""
         twin = copy.copy(self)
         twin._decoder = self._decoder.fork(
-            rng=np.random.default_rng(seed),
-            cache=cache if cache is not None else DecodeCache(),
+            rng=np.random.default_rng(seed), cache=DecodeCache(),
         )
         twin.last_decode = None
         return twin

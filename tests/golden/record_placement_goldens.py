@@ -64,12 +64,6 @@ CASES = [
          m: CyclicRepetition(6, 2).partitions_of(w)
          for m, w in enumerate(HETERO_ASSIGNMENT)
      })),
-    ("comm-efficient",
-     {"num_workers": 8, "partitions_per_worker": 4, "blocks": 2},
-     lambda: FractionalRepetition(8, 4)),
-    ("multimessage",
-     {"num_workers": 8, "partitions_per_worker": 3, "base": "cr"},
-     lambda: CyclicRepetition(8, 3)),
 ]
 
 

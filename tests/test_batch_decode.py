@@ -52,21 +52,6 @@ def _family_placements():
                 partitions_per_worker=2,
             ),
         ),
-        (
-            "comm-efficient",
-            make_placement(
-                "comm-efficient",
-                num_workers=12,
-                partitions_per_worker=3,
-                blocks=2,
-            ),
-        ),
-        (
-            "multimessage",
-            make_placement(
-                "multimessage", num_workers=12, partitions_per_worker=2, base="cr"
-            ),
-        ),
     ]
 
 
@@ -491,9 +476,7 @@ class TestFallbackWarning:
             warnings.simplefilter("error", RuntimeWarning)
             decoder_for(placement, rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize(
-        "name", ["fr", "cr", "hr", "comm-efficient", "multimessage"]
-    )
+    @pytest.mark.parametrize("name", ["fr", "cr", "hr"])
     def test_registered_schemes_stay_silent(self, name):
         placement = dict(FAMILIES)[name]
         with warnings.catch_warnings():

@@ -28,7 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codes.comm_efficient import CommEfficientGC
+from repro.codes.comm_efficient import (
+    CommEfficientGC,
+    comm_efficient_problems,
+)
 from repro.core.batch import circulant_adjacency
 from repro.core.conflict import conflict_graph
 from repro.core.cyclic import CyclicRepetition
@@ -40,7 +43,6 @@ from repro.core.migration import migration_plan
 from repro.core.placement import Placement
 from repro.core.scheme import (
     PLACEMENT_REGISTRY,
-    CommEfficientScheme,
     CRScheme,
     FRScheme,
     HRScheme,
@@ -124,8 +126,7 @@ def test_golden_covers_every_registered_family():
 class TestRegistry:
     def test_canonical_families(self):
         assert registered_placements() == [
-            "comm-efficient", "cr", "explicit", "fr", "hetero", "hr",
-            "multimessage",
+            "cr", "explicit", "fr", "hetero", "hr",
         ]
 
     def test_aliases_resolve_to_same_class(self):
@@ -134,9 +135,6 @@ class TestRegistry:
         for alias, canonical in (
             ("fractional", "fr"), ("cyclic", "cr"), ("hybrid", "hr"),
             ("table", "explicit"), ("heterogeneous", "hetero"),
-            ("comm_efficient", "comm-efficient"),
-            ("ye-abbe", "comm-efficient"),
-            ("multi-message", "multimessage"),
         ):
             assert resolve_placement(alias) is PLACEMENT_REGISTRY[canonical]
 
@@ -182,7 +180,7 @@ class TestRegistry:
         assert "partitions_per_worker" in msg
         assert "base family" not in msg
 
-    @pytest.mark.parametrize("family", ["multimessage", "hetero"])
+    @pytest.mark.parametrize("family", ["hetero"])
     def test_forwarding_families_name_no_catch_all(self, family):
         # Their ``**base_params`` is not a keyword anyone can pass.
         from repro.core.scheme import placement_params
@@ -363,16 +361,14 @@ class TestProtocol:
         assert scheme.conflict_graph() == relabelled
 
     def test_comm_efficient_coder(self):
-        from repro.codes.comm_efficient import CommEfficientGC
-
-        scheme = placement_scheme(
-            "comm-efficient", num_workers=8, partitions_per_worker=4,
-            blocks=2,
+        # The Ye-Abbe codec is not a family: it takes the fr family's
+        # placement, whose fingerprint it keeps.
+        placement = make_placement(
+            "fr", num_workers=8, partitions_per_worker=4
         )
-        coder = scheme.coder()
-        assert isinstance(coder, CommEfficientGC)
+        coder = CommEfficientGC(placement, 2)
         assert coder.blocks == 2
-        assert coder.placement.fingerprint == scheme.fingerprint()
+        assert coder.placement.fingerprint == placement.fingerprint
 
     def test_comm_efficient_coder_accepts_scheme_directly(self):
         from repro.codes.comm_efficient import CommEfficientGC
@@ -384,15 +380,17 @@ class TestProtocol:
         assert coder.placement is scheme.construct()
 
     def test_multimessage_round(self):
+        # The multi-message semantic is a round model, not a family:
+        # it runs over any family's placement.
         from repro.partial.multimessage import MultiMessageRound
 
-        scheme = placement_scheme(
-            "multimessage", num_workers=8, partitions_per_worker=3,
-            base="cr",
+        placement = make_placement(
+            "cr", num_workers=8, partitions_per_worker=3
         )
-        round_ = scheme.round(Environment(), rng=np.random.default_rng(0))
-        assert isinstance(round_, MultiMessageRound)
-        assert round_.placement.fingerprint == scheme.fingerprint()
+        round_ = MultiMessageRound(
+            placement, Environment(), rng=np.random.default_rng(0)
+        )
+        assert round_.placement.fingerprint == placement.fingerprint
 
     def test_multimessage_round_accepts_scheme_directly(self):
         from repro.partial.multimessage import MultiMessageRound
@@ -422,10 +420,6 @@ class TestSpecIntegration:
          {"rows": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}),
         ("hetero", {"num_workers": 6, "partitions_per_worker": 2},
          {"base": "cr", "assignment": [1, 0, 3, 2, 5, 4]}),
-        ("comm-efficient",
-         {"num_workers": 8, "partitions_per_worker": 4}, {"blocks": 2}),
-        ("multimessage",
-         {"num_workers": 8, "partitions_per_worker": 3}, {"base": "cr"}),
     ]
 
     @pytest.mark.parametrize(
@@ -512,8 +506,6 @@ class TestFeasibilityAgreement:
                 base = {"num_workers": n, "partitions_per_worker": c}
                 yield "fr", base, {}
                 yield "cr", base, {}
-                for k in range(0, c + 2):
-                    yield "comm-efficient", base, {"blocks": k}
             for g in range(0, n + 2):
                 for c1 in range(-1, 5):
                     for c2 in range(-1, 5):
@@ -546,9 +538,8 @@ class TestFeasibilityAgreement:
         for blocks in (0, 5):
             with pytest.raises(CodingError) as exc:
                 CommEfficientGC(placement, blocks=blocks)
-            assert str(exc.value) == placement_spec_problems(
-                "comm-efficient", num_workers=8, partitions_per_worker=4,
-                params={"blocks": blocks},
+            assert str(exc.value) == comm_efficient_problems(
+                8, 4, blocks
             )[0]
 
 
@@ -604,11 +595,10 @@ def hr_schemes(draw):
 
 @st.composite
 def family_schemes(draw):
-    """A scheme from any registered family (delegating families
-    wrap a base drawn from the concrete ones)."""
+    """A scheme from any registered family (``hetero`` wraps a base
+    drawn from ``cr``)."""
     kind = draw(st.sampled_from(
-        ["fr", "cr", "hr", "explicit", "hetero", "comm-efficient",
-         "multimessage"]
+        ["fr", "cr", "hr", "explicit", "hetero"]
     ))
     if kind == "fr":
         return draw(fr_schemes())
@@ -621,28 +611,14 @@ def family_schemes(draw):
         return placement_scheme(
             "explicit", assignments=base.assignment_table()
         )
-    if kind == "hetero":
-        base = draw(cr_schemes())
-        placement = base.construct()
-        n = placement.num_workers
-        perm = draw(st.permutations(list(range(n))))
-        return placement_scheme(
-            "hetero", num_workers=n,
-            partitions_per_worker=placement.partitions_per_worker,
-            base="cr", assignment=list(perm),
-        )
-    if kind == "comm-efficient":
-        fr = draw(fr_schemes()).construct()
-        c = fr.partitions_per_worker
-        k = draw(st.integers(min_value=1, max_value=c))
-        return placement_scheme(
-            "comm-efficient", num_workers=fr.num_workers,
-            partitions_per_worker=c, blocks=k,
-        )
-    base = draw(cr_schemes()).construct()
+    base = draw(cr_schemes())
+    placement = base.construct()
+    n = placement.num_workers
+    perm = draw(st.permutations(list(range(n))))
     return placement_scheme(
-        "multimessage", num_workers=base.num_workers,
-        partitions_per_worker=base.partitions_per_worker, base="cr",
+        "hetero", num_workers=n,
+        partitions_per_worker=placement.partitions_per_worker,
+        base="cr", assignment=list(perm),
     )
 
 

@@ -720,6 +720,30 @@ class TestMailbox:
         assert (root / "rejected" / "typo.json").exists()
         assert client.state(good)["state"] == "done"
 
+    @pytest.mark.parametrize("params", [
+        {"policy": 3}, {"policy": "deadline"}, {"cache": 3},
+    ], ids=["policy-int", "policy-str", "cache-int"])
+    def test_object_scheme_param_rejected_before_admission(
+        self, tmp_path, params
+    ):
+        # Used to be admitted and then end the job ``failed`` inside
+        # run_spec.
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = {**make_spec(0).to_dict(), "scheme_params": params}
+        (root / "inbox" / "obj.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        good = client.submit(make_spec(1))
+        serve_once(root)
+        snapshot = client.state("obj")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        (key,) = params
+        assert f"scheme_params.{key} must be null" in snapshot["error"]
+        assert (root / "rejected" / "obj.json").exists()
+        assert client.state(good)["state"] == "done"
+
     def test_mailbox_cancel(self, tmp_path):
         root = tmp_path / "mbox"
         client = CoordinatorClient(root)

@@ -14,6 +14,7 @@ import pytest
 from repro.engine import EnginePlan, ExperimentSpec, build_engine, run_spec
 from repro.engine.spec import make_strategy
 from repro.exceptions import ConfigurationError, TrainingError
+from repro.simulation import WaitForK
 
 from time_origins import assert_time_origins, trace_every_engine
 
@@ -477,9 +478,10 @@ class TestRules:
         assert str(exc.value) == message
 
     def test_open_placement_family_params_pass_admission(self):
-        # multimessage forwards its extra keys to the base family.
+        # hetero forwards its extra keys to the base family.
         spec = _spec(scheme="is-gc", scheme_params={
-            "placement": "multimessage", "base": "cr",
+            "placement": "hetero", "assignment": [1, 0, 3, 2],
+            "base": "hr", "c1": 1, "c2": 1, "num_groups": 2,
         })
         assert run_spec(spec).num_steps == 5
 
@@ -491,6 +493,21 @@ class TestRules:
         shared = {"seed": 3, "policy": None, "cache": None}
         summary = run_spec(_spec(scheme=scheme, scheme_params=shared))
         assert summary.num_steps == 5
+
+    @pytest.mark.parametrize("key, value", [
+        ("policy", 3), ("policy", "deadline"), ("cache", 3),
+        ("policy", WaitForK(2)),
+    ], ids=["policy-int", "policy-str", "cache-int", "policy-object"])
+    def test_policy_and_cache_are_refused_unless_null(self, key, value):
+        # Used to be admitted and then crash run_spec (no attribute
+        # 'wait' / 'get_or_compute') or fingerprint() (an object).
+        with pytest.raises(ConfigurationError) as exc:
+            _spec(scheme="is-gc-cr", scheme_params={key: value})
+        assert str(exc.value) == (
+            f"scheme_params.{key} must be null: a spec holds data, not "
+            f"objects (pass a {key} object to make_strategy instead); "
+            f"got {value!r}"
+        )
 
     def test_environment_sections_accept_kind_strings(self):
         by_name = run_spec(_spec(
