@@ -40,6 +40,7 @@ from typing import (
     Any,
     Callable,
     ClassVar,
+    Dict,
     List,
     Mapping,
     Optional,
@@ -48,7 +49,7 @@ from typing import (
     Type,
 )
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, PlacementError
 from ..graphs.graph import Graph
 from ..registry import Registry
 from .bounds import hr_alpha_bounds, recovered_partitions_bounds
@@ -110,6 +111,11 @@ def placement_params(name: str) -> List[str]:
     ]
 
 
+def _forwards(name: str) -> bool:
+    """Whether family ``name`` forwards unnamed keys to a base family."""
+    return any(p.kind is p.VAR_KEYWORD for p in _init_params(name))
+
+
 def placement_scheme(name: str, **params: Any) -> "PlacementScheme":
     """Instantiate the registered family ``name`` with ``params``.
 
@@ -121,11 +127,10 @@ def placement_scheme(name: str, **params: Any) -> "PlacementScheme":
     try:
         return cls(**params)
     except TypeError as exc:
-        forwards = any(p.kind is p.VAR_KEYWORD for p in _init_params(name))
         raise ConfigurationError(
             f"invalid parameters for placement family {cls.family!r}: "
             f"{exc}; accepted: {', '.join(placement_params(name))}"
-            + ("; other keys go to the base family" if forwards else "")
+            + ("; other keys go to the base family" if _forwards(name) else "")
         ) from exc
 
 
@@ -379,12 +384,14 @@ class PlacementScheme(ABC):
     ) -> List[str]:
         """Arithmetic-only feasibility problems (for spec admission).
 
-        Must not construct anything; return constraint-citing messages.
-        A family states each constraint once, as a function beside its
-        placement type returning these messages, whose first one the
-        constructor raises (``fr_problems``, ``hr_problems``).  The
-        default accepts everything (constraints then surface at
-        :meth:`construct` time only).
+        Must not construct anything larger than the spec spells out (an
+        ``explicit`` table may be built; an ``FR(n, c)`` may not);
+        return constraint-citing messages.  A family states each
+        constraint once, as a function beside its placement type
+        returning these messages, whose first one the constructor
+        raises (``fr_problems``, ``hr_problems``).  The default accepts
+        everything (constraints then surface at :meth:`construct` time
+        only).
         """
         return []
 
@@ -557,35 +564,60 @@ class ExplicitScheme(PlacementScheme):
         num_workers: Optional[int] = None,
     ):
         super().__init__()
-        if (rows is None) == (assignments is None):
-            raise ConfigurationError(
-                "explicit placement needs exactly one of rows= "
-                "(row-per-worker list) or assignments= (worker -> "
-                "partitions mapping)"
-            )
-        # A shallow copy is enough here: ExplicitPlacement.from_rows
-        # tuple-normalizes every row at construction time anyway.
-        self._rows = list(rows) if rows is not None else None
-        self._assignments = (
-            {int(w): tuple(p) for w, p in assignments.items()}
-            if assignments is not None
-            else None
-        )
-        expected = num_workers
-        actual = (
-            len(self._rows) if self._rows is not None
-            else len(self._assignments)
-        )
-        if expected is not None and int(expected) != actual:
-            raise ConfigurationError(
-                f"explicit table has {actual} workers but "
-                f"num_workers={expected} was given; make them agree"
-            )
+        self._table = _explicit_table(rows, assignments, num_workers)
 
     def _construct(self) -> Placement:
-        if self._rows is not None:
-            return ExplicitPlacement.from_rows(self._rows)
-        return ExplicitPlacement(self._assignments)
+        return ExplicitPlacement(self._table)
+
+    @classmethod
+    def spec_problems(
+        cls, *, num_workers, partitions_per_worker=None, params=None,
+    ) -> List[str]:
+        # The table is spelled out entry by entry in the spec, so
+        # building it costs what reading the spec did.
+        params = params or {}
+        try:
+            ExplicitPlacement(_explicit_table(
+                params.get("rows"), params.get("assignments"), num_workers
+            ))
+        except (ConfigurationError, PlacementError) as exc:
+            return [str(exc)]
+        return []
+
+
+def _explicit_table(
+    rows: Any, assignments: Any, num_workers: Optional[int]
+) -> Dict[int, Tuple[int, ...]]:
+    """The worker → partitions table ``explicit``'s parameters name:
+    ``rows`` (row-per-worker list) or ``assignments`` (worker →
+    partitions mapping), ``num_workers`` of them when given.  Raises
+    :class:`ConfigurationError`; what a placement table must satisfy
+    beyond its shape is :class:`ExplicitPlacement`'s to check.
+    """
+    if (rows is None) == (assignments is None):
+        raise ConfigurationError(
+            "explicit placement needs exactly one of rows= "
+            "(row-per-worker list) or assignments= (worker -> "
+            "partitions mapping)"
+        )
+    try:
+        pairs = enumerate(rows) if rows is not None else assignments.items()
+        table = {int(worker): tuple(parts) for worker, parts in pairs}
+    except (AttributeError, TypeError, ValueError):
+        table = None
+    if table is None or any(
+        spec_int(p) is None for parts in table.values() for p in parts
+    ):
+        raise ConfigurationError(
+            "explicit placement needs one list of integer partition ids "
+            "per worker"
+        )
+    if num_workers is not None and int(num_workers) != len(table):
+        raise ConfigurationError(
+            f"explicit table has {len(table)} workers but "
+            f"num_workers={num_workers} was given; make them agree"
+        )
+    return table
 
 
 @register_placement("hetero", aliases=("heterogeneous",))
@@ -617,12 +649,10 @@ class HeteroScheme(PlacementScheme):
     ):
         super().__init__()
         self._n = int(num_workers)
+        problems = _hetero_problems(self._n, assignment, base, base_params)
+        if problems:
+            raise ConfigurationError(problems[0])
         self._assignment = [int(a) for a in assignment]
-        if sorted(self._assignment) != list(range(self._n)):
-            raise ConfigurationError(
-                "assignment must be a permutation of worker indices "
-                f"0..{self._n - 1}, got {assignment!r}"
-            )
         self._base = spec_placement_scheme(
             base,
             num_workers=num_workers,
@@ -652,3 +682,57 @@ class HeteroScheme(PlacementScheme):
     def recovery_bounds(self, wait_for: int) -> Tuple[int, int]:
         # α is invariant under vertex relabelling.
         return self._base.recovery_bounds(wait_for)
+
+    @classmethod
+    def spec_problems(
+        cls, *, num_workers, partitions_per_worker=None, params=None,
+    ) -> List[str]:
+        params = dict(params or {})
+        assignment = params.pop("assignment", None)
+        base = params.pop("base", "cr")
+        problems = _hetero_problems(num_workers, assignment, base, params)
+        try:
+            base_cls = resolve_placement(base)
+        except ConfigurationError:
+            return problems
+        return problems + base_cls.spec_problems(
+            num_workers=num_workers,
+            partitions_per_worker=(
+                partitions_per_worker if base_cls.uses_uniform_c else None
+            ),
+            params=params,
+        )
+
+
+def _hetero_problems(
+    n: int, assignment: Any, base: Any, base_params: Mapping[str, Any]
+) -> List[str]:
+    """Why ``hetero`` refuses these parameters, as messages: the
+    ``assignment`` must put the ``n`` machines on worker indices
+    ``0..n-1``, and ``base`` must be a family taking ``base_params``
+    (the uniform ``c`` aside).  The base family's own constraints are
+    its own."""
+    try:
+        workers = sorted(spec_int(a) for a in assignment)
+    except TypeError:  # not a sequence, or holds more than one non-int
+        workers = None
+    problems = [] if workers == list(range(n)) else [
+        "assignment must be a permutation of worker indices "
+        f"0..{n - 1}, got {assignment!r}"
+    ]
+    try:
+        family = resolve_placement(base).family
+    except ConfigurationError as exc:
+        return problems + [str(exc)]
+    accepted = [
+        name for name in placement_params(family)
+        if name not in ("num_workers", "partitions_per_worker")
+    ]
+    unknown = sorted(set(base_params) - set(accepted))
+    if unknown and not _forwards(family):
+        problems.append(
+            f"hetero's base family {family!r} takes no parameter "
+            f"{', '.join(map(repr, unknown))}; accepted: "
+            f"{', '.join(['assignment', 'base', *accepted])}"
+        )
+    return problems

@@ -476,7 +476,11 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
             )
             c_known = False
         if isinstance(spec.scheme_params, Mapping):
-            params = dict(spec.scheme_params)
+            # What the scheme forwards to its placement family.
+            params = {
+                key: value for key, value in spec.scheme_params.items()
+                if key not in _COMMON_SCHEME_PARAMS
+            }
             family = (
                 SCHEME_FAMILIES.get(scheme) if isinstance(scheme, str)
                 else None

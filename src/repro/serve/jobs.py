@@ -137,7 +137,8 @@ class Job:
         return self.spec.fingerprint()
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready state summary (the ``jobs/<id>.json`` payload)."""
+        """JSON-ready state summary (one line of the state log
+        ``jobs/<id>.jsonl``, appended on every transition)."""
         payload: Dict[str, object] = {
             "id": self.job_id,
             "name": self.name,

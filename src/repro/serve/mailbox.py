@@ -2,7 +2,8 @@
 running coordinator.
 
 A mailbox is a directory; every message is one JSON file written
-atomically (temp file + ``os.replace``), so readers never observe a
+atomically (temp file + ``os.replace``) or one JSON line appended to a
+log read from its last complete line, so readers never observe a
 partial payload and the protocol needs no socket, daemon library or
 extra dependency.  Nothing is fsynced: the mailbox is crash-consistent
 under process death (SIGKILL, OOM), not under power loss or an OS
@@ -12,8 +13,8 @@ crash.  Layout::
       coordinator.json          # present while a coordinator is serving
       inbox/<job_id>.json       # submissions, consumed in sorted order
       cancel/<job_id>.cancel
-      jobs/<job_id>.json        # state snapshots, written on state
-                                # transitions; live ``rounds_done``
+      jobs/<job_id>.jsonl       # state log, one snapshot line per
+                                # transition; live ``rounds_done``
                                 # comes from the round log
       rejected/<job_id>.json
       checkpoints/<job_id>.json          # job head: spec + scheduling
@@ -45,7 +46,8 @@ coordinator re-admits every non-terminal checkpointed job and resumes
 it bit-identically (see :meth:`Coordinator.serve`).  This is the one
 layout read: a head that carries ``engine_state`` (an earlier layout)
 is rejected like any other unreadable checkpoint, and so is a round
-line whose engine state is of another version.  The ``coordinator.json``
+line whose engine state is of another version; nothing reads a
+``jobs/<id>.json`` snapshot.  The ``coordinator.json``
 marker embeds the serving pid; a new coordinator takes over a *stale*
 marker (dead pid) but refuses a live one.
 
@@ -83,6 +85,8 @@ _CHECKPOINTS = "checkpoints"
 _COORDINATOR = "coordinator.json"
 #: round-log suffix; deliberately not ``*.json`` so head scans skip it.
 _ROUND_LOG = ".rounds.jsonl"
+#: state-log suffix (``jobs/<job_id>.jsonl``).
+_STATE_LOG = ".jsonl"
 _SUBDIRS = (_INBOX, _JOBS, _CANCEL, _REJECTED, _CHECKPOINTS)
 
 #: terminal states a client's ``wait()`` stops on.
@@ -91,8 +95,9 @@ _TERMINAL = ("done", "failed", "cancelled", "rejected")
 
 def _atomic_write(path: pathlib.Path, payload: Dict[str, object]) -> None:
     """Write compact sorted JSON so that readers see either nothing or
-    the whole file: the one write primitive for every mailbox file that
-    is replaced rather than appended to."""
+    the whole file: the one write primitive for a file written whole.
+    What a drain changes is appended to instead: on ext4, renaming over
+    an existing file costs tens of milliseconds of block freeing."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(_compact_json(payload) + "\n")
     os.replace(tmp, path)
@@ -100,8 +105,8 @@ def _atomic_write(path: pathlib.Path, payload: Dict[str, object]) -> None:
 
 def _append(path: pathlib.Path, line: str) -> None:
     """Append one newline-terminated line: the one write of a running
-    round.  Closing the file hands the bytes to the kernel, so they
-    survive the death of this process."""
+    round and of a state transition.  Closing the file hands the bytes
+    to the kernel, so they survive the death of this process."""
     with open(path, "a") as log:
         log.write(line)
 
@@ -152,6 +157,32 @@ def _last_line(path: pathlib.Path) -> bytes:
             block *= 2
     end = tail.rfind(b"\n")
     return tail[tail.rfind(b"\n", 0, end) + 1:end] if end >= 0 else b""
+
+
+def _cut_torn_tail(path: pathlib.Path) -> bytes:
+    """The newline-terminated lines of log ``path``, with a torn last
+    line (the append a killed process had in flight) cut off the file
+    itself, so the next append starts a clean line."""
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        os.truncate(path, end)
+    return data[:end]
+
+
+def _state_log(root: pathlib.Path, job_id: str) -> pathlib.Path:
+    return root / _JOBS / f"{job_id}{_STATE_LOG}"
+
+
+def _last_record(path: pathlib.Path) -> Optional[Dict[str, object]]:
+    """The JSON mapping on the last complete line of log ``path``, or
+    None when the log is missing, has no complete line yet or that line
+    is not a JSON mapping."""
+    try:
+        record = json.loads(_last_line(path))
+    except (OSError, ValueError):
+        return None
+    return record if isinstance(record, dict) else None
 
 
 #: the fields a submission, a checkpoint head and a direct submit
@@ -334,21 +365,26 @@ class ServeMailbox:
 
     # ------------------------------------------------------------------
     def write_state(self, job: "Job") -> None:
-        """Publish/refresh one job's state snapshot."""
-        _atomic_write(
-            self.root / _JOBS / f"{job.job_id}.json", job.snapshot()
+        """Publish one job's state: append its snapshot to its state
+        log, one line per transition."""
+        _append(
+            _state_log(self.root, job.job_id),
+            _compact_json(job.snapshot()) + "\n",
         )
 
     def published_state(self, job_id: str) -> Optional[str]:
-        """The ``state`` of ``job_id``'s published snapshot, or None
-        when none was written (or it does not parse)."""
-        path = self.root / _JOBS / f"{job_id}.json"
+        """The ``state`` of ``job_id``'s last published snapshot, or
+        None when none was written (or it does not parse).  Recovery
+        asks before re-admitting a job, so a torn last line is cut off
+        here; a log left with no complete line is removed, not kept
+        empty."""
+        path = _state_log(self.root, job_id)
         if not path.exists():
             return None
-        try:
-            return json.loads(path.read_text()).get("state")
-        except ValueError:
-            return None
+        if not _cut_torn_tail(path):
+            path.unlink()
+        snapshot = _last_record(path)
+        return None if snapshot is None else snapshot.get("state")
 
     def write_rejection(
         self,
@@ -502,13 +538,9 @@ class ServeMailbox:
         log = self._log_path(job_id)
         if not log.exists():
             raise ServeError(f"checkpoint {job_id!r} has no round log")
-        data = log.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            os.truncate(log, end)  # a torn last line: the round in flight
         history: List[Dict[str, object]] = []
         line = None
-        for text in data[:end].splitlines():
+        for text in _cut_torn_tail(log).splitlines():
             line = json.loads(text)
             if not isinstance(line, dict) or not isinstance(
                 line.get("records"), list
@@ -537,9 +569,9 @@ class CoordinatorClient:
     """CLI/client-side view of a mailbox directory.
 
     Submissions are fire-and-forget file drops; state comes from the
-    snapshots the coordinator publishes on state transitions, progress
-    from the round log it appends to every round.  ``wait()`` polls
-    with a wall-clock deadline — acceptable here because the clock only
+    log the coordinator appends to on state transitions, progress from
+    the round log it appends to every round.  ``wait()`` polls with a
+    wall-clock deadline — acceptable here because the clock only
     bounds the *wait*, it never enters a job result.
     """
 
@@ -560,7 +592,7 @@ class CoordinatorClient:
         taken = {
             path.stem
             for sub in (_INBOX, _JOBS, _REJECTED, _CHECKPOINTS)
-            for path in (self.root / sub).glob("*.json")
+            for path in (self.root / sub).glob("*.json*")
         }
         i = 0
         while f"job-{os.getpid()}-{i:04d}" in taken:
@@ -605,7 +637,7 @@ class CoordinatorClient:
                 record=record,
             )
         target = self.root / _INBOX / f"{job_id}.json"
-        if target.exists() or (self.root / _JOBS / f"{job_id}.json").exists():
+        if target.exists() or _state_log(self.root, job_id).exists():
             raise ServeError(f"duplicate job id {job_id!r}")
         payload: Dict[str, object] = {
             "spec": spec.to_dict(),
@@ -643,42 +675,40 @@ class CoordinatorClient:
         if snapshot.get("state") in _TERMINAL:
             return snapshot
         log = self.root / _CHECKPOINTS / f"{job_id}{_ROUND_LOG}"
-        try:
-            rounds = json.loads(_last_line(log))["rounds_done"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return snapshot
+        line = _last_record(log)
+        rounds = line.get("rounds_done") if line is not None else None
         if isinstance(rounds, int):
             snapshot["rounds_done"] = rounds
         return snapshot
 
     def state(self, job_id: str) -> Optional[Dict[str, object]]:
         """The latest snapshot for one job (or its rejection record),
-        with live ``rounds_done`` while it is not terminal."""
-        for sub in (_JOBS, _REJECTED):
-            path = self.root / sub / f"{job_id}.json"
-            if path.exists():
-                return self._with_progress(
-                    job_id, json.loads(path.read_text())
-                )
-        inbox = self.root / _INBOX / f"{job_id}.json"
-        if inbox.exists():
+        with live ``rounds_done`` while it is not terminal.  A rejection
+        is final, also of a job recovery could not read after its state
+        log said ``running``."""
+        rejected = self.root / _REJECTED / f"{job_id}.json"
+        if rejected.exists():
+            snapshot = json.loads(rejected.read_text())
+        else:
+            snapshot = _last_record(_state_log(self.root, job_id))
+        if snapshot is not None:
+            return self._with_progress(job_id, snapshot)
+        if (self.root / _INBOX / f"{job_id}.json").exists():
             return {"id": job_id, "state": "submitted"}
         return None
 
     def jobs(self) -> List[Dict[str, object]]:
-        """All known job snapshots, sorted by job id (live
-        ``rounds_done`` as in :meth:`state`)."""
-        snapshots = {}
-        for sub in (_JOBS, _REJECTED):
-            for path in sorted((self.root / sub).glob("*.json")):
-                snapshots[path.stem] = self._with_progress(
-                    path.stem, json.loads(path.read_text())
-                )
-        for path in sorted((self.root / _INBOX).glob("*.json")):
-            snapshots.setdefault(
-                path.stem, {"id": path.stem, "state": "submitted"}
-            )
-        return [snapshots[key] for key in sorted(snapshots)]
+        """All known job snapshots, sorted by job id (each as
+        :meth:`state` reads it)."""
+        ids = {
+            *_stems(self.root / _JOBS, _STATE_LOG),
+            *_stems(self.root / _REJECTED, ".json"),
+            *_stems(self.root / _INBOX, ".json"),
+        }
+        return [
+            snapshot for snapshot in map(self.state, sorted(ids))
+            if snapshot is not None
+        ]
 
     def wait(
         self,

@@ -533,6 +533,65 @@ class TestFeasibilityAgreement:
                 disagreements.append((family, base, params, static, built))
         assert disagreements == []
 
+    TABLE_CASES = [
+        ("explicit", {"rows": [[0, 1], [1, 2], [2, 3], [3, 0]]}),
+        ("explicit", {"assignments": {"0": [0, 1], "1": [1, 2],
+                                      "2": [2, 3], "3": [3, 0]}}),
+        ("explicit", {"rows": [[0, 9], [1, 2], [2, 3], [3, 0]]}),
+        ("explicit", {"rows": [[0, 1], [1, 0]]}),
+        ("explicit", {}),
+        ("explicit", {"rows": [[0, 1]] * 4, "assignments": {}}),
+        ("explicit", {"rows": [[0, 1], [1, 2], [2, 3], [3]]}),
+        ("explicit", {"rows": [[0, 1], [1, 0], [0, 1], [1, 0]]}),
+        ("explicit", {"rows": [[0, 0, 1], [1, 2], [2, 3], [3, 0]]}),
+        ("explicit", {"rows": [[0, "1"], [1, 2], [2, 3], [3, 0]]}),
+        ("explicit", {"rows": [[0, 1, 2, 3, 0]] * 4}),
+        ("explicit", {"rows": 5}),
+        ("explicit", {"rows": [[]] * 4}),
+        ("hetero", {"assignment": [1, 0, 3, 2]}),
+        ("hetero", {"assignment": [0, 0, 1, 2]}),
+        ("hetero", {"assignment": [0, 1, 2]}),
+        ("hetero", {"assignment": [0, 1, 2, "3"]}),
+        ("hetero", {"assignment": 4}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": "cyclc"}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": 3}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "bogus": 1}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": "fr"}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": "hr",
+                    "c1": 1, "c2": 1, "num_groups": 2}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": "hr",
+                    "c1": 1, "c2": 1, "num_groups": 3}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": "explicit",
+                    "rows": [[0, 1], [1, 2], [2, 3], [3, 0]]}),
+        ("hetero", {"assignment": [1, 0, 3, 2], "base": "explicit",
+                    "rows": [[0, 9], [1, 2], [2, 3], [3, 0]]}),
+    ]
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_table_families_agree_with_construction(self, c):
+        # explicit and hetero read their tables from spec data, so the
+        # hook must refuse what the spec-driven constructor refuses,
+        # with the same leading message, and nothing else.
+        from repro.core.scheme import spec_placement_scheme
+
+        disagreements = []
+        for family, params in self.TABLE_CASES:
+            static = placement_spec_problems(
+                family, num_workers=4, partitions_per_worker=c,
+                params=params,
+            )
+            try:
+                spec_placement_scheme(
+                    family, num_workers=4, partitions_per_worker=c,
+                    **params,
+                ).construct()
+                built = None
+            except (ConfigurationError, PlacementError) as exc:
+                built = str(exc)
+            if (static[0] if static else None) != built:
+                disagreements.append((family, params, static, built))
+        assert disagreements == []
+
     def test_codec_raises_the_same_message(self):
         placement = FractionalRepetition(8, 4)
         for blocks in (0, 5):

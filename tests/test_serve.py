@@ -744,6 +744,32 @@ class TestMailbox:
         assert (root / "rejected" / "obj.json").exists()
         assert client.state(good)["state"] == "done"
 
+    @pytest.mark.parametrize("params", [
+        {"placement": "hetero", "assignment": [0, 0, 1, 2]},
+        {"placement": "explicit", "rows": [[0, 9], [1, 2], [2, 3], [3, 0]]},
+    ], ids=["hetero-not-a-permutation", "explicit-partition-out-of-range"])
+    def test_bad_placement_table_rejected_before_admission(
+        self, tmp_path, params
+    ):
+        # Used to be admitted and then end the job ``failed`` inside
+        # run_spec.
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        payload = {
+            **make_spec(0).to_dict(), "scheme": "is-gc",
+            "scheme_params": params,
+        }
+        (root / "inbox" / "table.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        good = client.submit(make_spec(1))
+        serve_once(root)
+        snapshot = client.state("table")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        assert (root / "rejected" / "table.json").exists()
+        assert client.state(good)["state"] == "done"
+
     def test_mailbox_cancel(self, tmp_path):
         root = tmp_path / "mbox"
         client = CoordinatorClient(root)

@@ -19,9 +19,11 @@ interleaved-equals-sequential invariant across *process* boundaries:
   torn log line, an earlier-layout checkpoint or a hostile record
   ends in a bit-identical resume or a ``rejected/`` entry, never a
   dead coordinator;
-* ``jobs/<id>.json`` is written once per state transition, however long
-  the job or the coordinator lives; file clients read a live job's
-  ``rounds_done`` from the last complete line of its round log;
+* ``jobs/<id>.jsonl`` gains one appended line per state transition,
+  however long the job or the coordinator lives, and a drain replaces
+  no existing file; file clients read a job's state from the last
+  complete line of that log and a live job's ``rounds_done`` from the
+  last complete line of its round log;
 * :class:`~repro.serve.SchedulingClass` priorities drain strictly
   higher tiers first while SWRR fairness (±1 quantum) holds within
   each tier, with earliest-deadline-first tie-breaking;
@@ -52,7 +54,7 @@ from hypothesis import strategies as st
 from repro import CoordinatorClient, ExperimentSpec, run_jobs
 from repro.cli import main as cli_main
 from repro.engine.report import build_run_report
-from repro.engine.spec import run_spec_variation
+from repro.engine.spec import run_spec, run_spec_variation
 from repro.engine.state import STATE_VERSION
 from repro.exceptions import (
     AdmissionError,
@@ -445,7 +447,9 @@ class TestCrashRecovery:
     def test_sigkill_then_restart_completes_bit_identical(
         self, tmp_path, monkeypatch
     ):
-        specs = [make_spec(i, max_steps=8) for i in range(3)]
+        # Long enough that the kill below lands mid-run: a drain of
+        # 3 x 8 rounds can finish between two of its 20-ms polls.
+        specs = [make_spec(i, max_steps=100) for i in range(3)]
         solo = []
         for i, spec in enumerate(specs):
             solo.extend(run_jobs([spec], trace_dir=tmp_path / f"solo-{i}"))
@@ -556,7 +560,7 @@ class TestCrashRecovery:
         mailbox = ServeMailbox(mb)
         with coord:
             asyncio.run(coord.serve(mailbox, once=True))
-        record = json.loads((mb / "jobs" / f"{job_id}.json").read_text())
+        record = client.state(job_id)
         assert record["state"] == "done"
         assert record["priority"] == 2
         assert record["deadline"] == 9.0
@@ -576,15 +580,16 @@ CRASH_POINTS = ("before", "torn", "after")
 
 
 @contextlib.contextmanager
-def crash_at_append(nth, point="before"):
-    """Die at ``point`` of the ``nth`` round append inside the block:
-    before any of its bytes, halfway through its line, or once the
-    whole line is on disk but before the coordinator goes on."""
+def crash_at_append(nth, point="before", directory="checkpoints"):
+    """Die at ``point`` of the ``nth`` append to a log in ``directory``
+    (a round log unless told otherwise) inside the block: before any of
+    its bytes, halfway through its line, or once the whole line is on
+    disk but before the coordinator goes on."""
     real = mailbox_module._append
     seen = itertools.count(1)
 
     def append(path, line):
-        if next(seen) == nth:
+        if path.parent.name == directory and next(seen) == nth:
             if point == "torn":
                 real(path, line[: len(line) // 2])
             elif point == "after":
@@ -832,8 +837,8 @@ class TestIncrementalCheckpoints:
 
     def test_a_running_round_replaces_no_file(self, tmp_path):
         # The mechanism, counted rather than timed: a drained mailbox
-        # replaces one head per admission, one state file per
-        # transition and the serving marker, whatever the round count.
+        # renames one head per admission and the serving marker into
+        # place, whatever the round count; state transitions append.
         def replaced(rounds):
             mb = tmp_path / f"mb-{rounds}"
             specs = [make_spec(i, max_steps=rounds) for i in range(3)]
@@ -864,28 +869,36 @@ class TestIncrementalCheckpoints:
         assert counts == {
             "coordinator.json": 1,
             "checkpoints": 3,  # admissions
-            "jobs": 3 * 3,  # queued, running, done
         }
         assert replaced(2) == counts
 
 
 def record_state_files(patch):
-    """Log ``(job id, state)`` for every ``jobs/<id>.json`` replace."""
-    real = mailbox_module._atomic_write
+    """Log ``(job id, state)`` for every line appended to a
+    ``jobs/<id>.jsonl`` state log."""
+    real = mailbox_module._append
     written = []
 
-    def write(path, payload, **options):
+    def append(path, line):
         if path.parent.name == "jobs":
-            written.append((path.stem, payload["state"]))
-        real(path, payload, **options)
+            assert line.endswith("\n") and line.count("\n") == 1
+            written.append((path.stem, json.loads(line)["state"]))
+        real(path, line)
 
-    patch.setattr(mailbox_module, "_atomic_write", write)
+    patch.setattr(mailbox_module, "_append", append)
     return written
 
 
+def state_lines(mb, job_id):
+    """The lines of a job's state log, decoded."""
+    path = mb / "jobs" / f"{job_id}.jsonl"
+    return [json.loads(line) for line in path.read_bytes().splitlines()]
+
+
 class TestStatePublication:
-    """``jobs/<id>.json`` is written on state transitions only; file
-    clients read a live job's progress from its round log."""
+    """``jobs/<id>.jsonl`` gains one line per state transition; file
+    clients read a job's state from its last line and a live job's
+    progress from its round log."""
 
     def test_a_job_writes_its_state_file_once_per_transition(
         self, tmp_path
@@ -898,6 +911,9 @@ class TestStatePublication:
             written = record_state_files(patch)
             drain(mb)
         assert written == [(ids[0], s) for s in ("queued", "running", "done")]
+        assert [
+            (line["id"], line["state"]) for line in state_lines(mb, ids[0])
+        ] == written
         assert client.state(ids[0])["rounds_done"] == 7
 
     def test_long_lived_coordinator_writes_each_terminal_state_once(
@@ -923,6 +939,69 @@ class TestStatePublication:
         done = [job_id for job_id, state in written if state == "done"]
         assert done == ids
         assert len(written) == 3 * len(ids)
+
+    def test_a_drain_replaces_no_existing_file(self, tmp_path):
+        # Counted, not timed: renaming over an existing file frees the
+        # replaced file's blocks (tens of milliseconds on ext4), so no
+        # transition of a job that ends done, failed or cancelled may
+        # replace a file; a rename onto a new name is cheap.
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        bad = dict(make_spec(1).to_dict(), dataset={"kind": "mnist"})
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        done = client.submit(make_spec(0))
+        failed = client.submit(tmp_path / "bad.json")
+        cancelled = client.submit(make_spec(2))
+        client.cancel(cancelled)
+        real_replace = mailbox_module.os.replace
+        replaced, overwritten = [], []
+
+        def replace(src, dst, *args, **kwargs):
+            replaced.append(pathlib.Path(dst).parent.name)
+            if os.path.exists(dst):
+                overwritten.append(dst)
+            real_replace(src, dst, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mailbox_module.os, "replace", replace)
+            drain(mb, max_running=1)
+        states = [client.state(j)["state"] for j in (done, failed, cancelled)]
+        assert states == ["done", "failed", "cancelled"]
+        # The serving marker and three checkpoint heads, all new names.
+        assert sorted(replaced) == ["checkpoints"] * 3 + ["mb"]
+        assert overwritten == []
+
+    def test_torn_terminal_line_is_cut_and_the_job_resumes(self, tmp_path):
+        spec = make_spec(0, max_steps=5)
+        mb = tmp_path / "mb"
+        client, ids = _submit_jobs(mb, [spec], tmp_path, trace=False)
+        job_id = ids[0]
+        # The third state line (queued, running, done) is torn.
+        with crash_at_append(3, "torn", directory="jobs"):
+            drain(mb)
+        log = mb / "jobs" / f"{job_id}.jsonl"
+        assert not log.read_bytes().endswith(b"\n")
+        assert client.state(job_id)["state"] == "running"
+        # Recovery cuts the torn line and re-admits the job, whose next
+        # transitions append onto a clean line.
+        drain(mb)
+        assert [line["state"] for line in state_lines(mb, job_id)] == [
+            "queued", "running", "queued", "running", "done",
+        ]
+        snapshot = client.state(job_id)
+        assert snapshot["state"] == "done"
+        expected = build_run_report(run_spec(spec), spec=spec).to_dict()
+        assert strip_trace(snapshot["report"]) == strip_trace(expected)
+        assert list((mb / "checkpoints").iterdir()) == []
+
+    def test_state_log_without_a_complete_line_is_removed(self, tmp_path):
+        mb = tmp_path / "mb"
+        mailbox = ServeMailbox(mb)
+        log = mb / "jobs" / "half.jsonl"
+        log.write_text('{"id": "half", "sta')
+        assert CoordinatorClient(mb).state("half") is None
+        assert mailbox.published_state("half") is None
+        assert not log.exists()
 
     def test_live_progress_comes_from_the_log(self, tmp_path):
         mb = tmp_path / "mb"
@@ -987,7 +1066,7 @@ class TestStatePublication:
         job_id = ids[0]
         log = log_of(mb, job_id)
         assert client.state(job_id)["rounds_done"] == 3
-        snapshot = json.loads((mb / "jobs" / f"{job_id}.json").read_text())
+        snapshot = state_lines(mb, job_id)[-1]
         assert snapshot["state"] == "running"
         if damage == "delete":
             log.unlink()
@@ -1137,6 +1216,8 @@ class TestHostileCheckpoints:
         assert record["state"] == "rejected"
         assert record["reason"] == "invalid_checkpoint"
         assert record["error"].startswith("unreadable checkpoint: ")
+        # The rejection is final, though the state log last said running.
+        assert client.state(victim) == record
         assert_finished_like(client, [peer], solo_runs(specs, tmp_path)[1:])
         assert list((mb / "checkpoints").iterdir()) == []
 
@@ -1225,7 +1306,7 @@ class TestSchedulingClasses:
         assert record["state"] == "rejected"
         assert record["reason"] == "invalid_submission"
         assert "positive finite number" in record["error"]
-        assert not (mb / "jobs" / f"{job_id}.json").exists()
+        assert not (mb / "jobs" / f"{job_id}.jsonl").exists()
 
     @pytest.mark.parametrize("deadline", [math.nan, math.inf])
     def test_client_refuses_a_non_finite_deadline(self, tmp_path, deadline):
@@ -1460,11 +1541,7 @@ class TestSweepSubmission:
             "wait_for": [1, 2],
         }
         sweep = Sweep.over_spec("ground truth", base, axes)
-        snapshots = sorted(
-            (json.loads(p.read_text())
-             for p in (mb / "jobs").glob("*.json")),
-            key=lambda s: s["id"],
-        )
+        snapshots = client.jobs()
         assert len(snapshots) == 100
         for snap, params in zip(snapshots, sweep.combinations()):
             assert snap["state"] == "done"

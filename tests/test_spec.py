@@ -196,6 +196,51 @@ class TestAdmission:
         spec = _spec(**fields)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
+    # Each of these used to be admitted and then fail inside run_spec
+    # (a served job ended failed instead of rejected).
+    @pytest.mark.parametrize("params, message", [
+        ({"placement": "hetero", "assignment": [0, 0, 1, 2]},
+         "assignment must be a permutation of worker indices 0..3, "
+         "got [0, 0, 1, 2]"),
+        ({"placement": "hetero", "assignment": [1, 0, 3, 2],
+          "base": "cyclc"},
+         "unknown placement family 'cyclc' — did you mean 'cyclic'?"),
+        ({"placement": "hetero", "assignment": [1, 0, 3, 2], "bogus": 1},
+         "hetero's base family 'cr' takes no parameter 'bogus'; "
+         "accepted: assignment, base"),
+        ({"placement": "explicit", "rows": [[0, 9], [1, 2], [2, 3], [3, 0]]},
+         "worker 0 references partition 9 outside [0, 4)"),
+        ({"placement": "explicit", "rows": [[0, 1], [1, 0]]},
+         "explicit table has 2 workers but num_workers=4 was given"),
+        ({"placement": "explicit"},
+         "explicit placement needs exactly one of rows= "
+         "(row-per-worker list) or assignments="),
+    ], ids=[
+        "hetero-not-a-permutation", "hetero-unknown-base",
+        "hetero-stray-param", "explicit-partition-out-of-range",
+        "explicit-too-few-rows", "explicit-no-table",
+    ])
+    def test_bad_placement_table_refused(self, params, message):
+        payload = {
+            **_spec(scheme="is-gc").to_dict(), "scheme_params": params,
+        }
+        for build in (lambda: ExperimentSpec(**payload),
+                      lambda: ExperimentSpec.from_dict(payload)):
+            with pytest.raises(ConfigurationError) as exc:
+                build()
+            assert message in str(exc.value)
+
+    @pytest.mark.parametrize("params", [
+        {"placement": "hetero", "assignment": [1, 0, 3, 2], "seed": 3},
+        {"placement": "hetero", "assignment": [3, 2, 1, 0], "base": "fr"},
+        {"placement": "explicit",
+         "assignments": {"0": [0, 1], "1": [1, 2], "2": [2, 3],
+                         "3": [3, 0]}},
+    ], ids=["hetero-shared-seed", "hetero-fr-base", "explicit-assignments"])
+    def test_placement_tables_admitted_and_run(self, params):
+        spec = _spec(scheme="is-gc", scheme_params=params)
+        assert run_spec(spec).num_steps == 5
+
     def test_every_problem_is_named_in_one_error(self):
         with pytest.raises(ConfigurationError) as exc:
             _spec(partitions_per_worker=4, wait_for=9)
