@@ -37,10 +37,12 @@ goldens:
 		echo "tests/golden is not clean:"; echo "$$status"; exit 1; \
 	fi
 
-# End-to-end benchmark, one repeat: exits non-zero on any failed
-# result-digest, recovery-bound, decoder-oracle or served==sequential
-# check, so the benchmark's correctness gates run wherever code under
-# them moves (timings from a single repeat are not a measurement).
+# End-to-end benchmark, one repeat: exits non-zero on a failed
+# recovery-bound, decoder-oracle or served==sequential check, or when
+# repeats disagree on a result digest.  It compares no digest with a
+# recorded one, so a change that moves a digest deterministically still
+# exits 0: diff the `result_digest` lines against the parent's run
+# (timings from a single repeat are not a measurement).
 bench-e2e:
 	PYTHONPATH=src $(PYTHON) benchmarks/e2e/run.py --repeats 1
 

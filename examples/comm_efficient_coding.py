@@ -26,8 +26,8 @@ ROUNDS = 1000
 def main() -> None:
     placement = FractionalRepetition(N, C)
     rng = np.random.default_rng(0)
-    gradients = {p: rng.normal(size=DIM) for p in range(N)}
-    full = sum(gradients.values())
+    gradients = rng.normal(size=(N, DIM))  # row p: partition p's gradient
+    full = gradients.sum(axis=0)
 
     # One concrete decode first: k=2, two stragglers per group.
     code = CommEfficientGC(placement, blocks=2)

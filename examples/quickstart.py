@@ -38,13 +38,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Encode: each worker uploads the *sum* of its partitions'
     #    gradients — that single design choice is what lets the master
-    #    decode from any subset of workers.
+    #    decode from any subset of workers.  Row p of the gradient
+    #    block is partition p's gradient; row i of the payload block is
+    #    worker i's upload.
     # ------------------------------------------------------------------
-    gradients = {p: rng.normal(size=6) for p in range(4)}
+    gradients = rng.normal(size=(4, 6))
     code = SummationCode(placement)
     payloads = code.encode(gradients)
     print("worker payloads (g_i + g_{i+1}):")
-    for worker, payload in payloads.items():
+    for worker, payload in enumerate(payloads):
         print(f"  W{worker}: {np.round(payload, 2)}")
     print()
 
@@ -56,7 +58,7 @@ def main() -> None:
     decoder = decoder_for(placement, rng=rng)
     decision = decoder.decode([0, 2])
     decoded = code.decode_sum(decision, payloads)
-    full = sum(gradients.values())
+    full = gradients.sum(axis=0)
     print(f"available workers : {sorted(decision.available_workers)}")
     print(f"selected workers  : {sorted(decision.selected_workers)}")
     print(f"recovered         : {sorted(decision.recovered_partitions)} "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Mapping
+from typing import List
 
 import numpy as np
 
@@ -47,12 +47,13 @@ class EstimatorMoments:
 def estimator_moments(
     placement: Placement,
     wait_for: int,
-    partition_gradients: Mapping[int, np.ndarray],
+    partition_gradients: np.ndarray,
     exact_limit: int = 50_000,
     trials: int = 4000,
     seed: int = 0,
 ) -> EstimatorMoments:
-    """Moments of ``ĝ = (n/|I|)·Σ_{p∈I} g_p`` under uniform ``W'``.
+    """Moments of ``ĝ = (n/|I|)·Σ_{p∈I} g_p`` under uniform ``W'``,
+    for the ``(P, D)`` gradient block (row ``p`` is ``g_p``).
 
     Exact path (``C(n, w)`` affordable): enumerate every availability
     subset *and* every maximum independent set of its induced conflict
@@ -65,13 +66,14 @@ def estimator_moments(
     n = placement.num_workers
     if not 1 <= wait_for <= n:
         raise ConfigurationError(f"invalid w = {wait_for} for n = {n}")
-    missing = [p for p in range(n) if p not in partition_gradients]
-    if missing:
-        raise ConfigurationError(f"missing gradients for partitions {missing}")
-    grads = {p: np.asarray(g, dtype=float) for p, g in partition_gradients.items()}
-    # (num_partitions, d) stack so recovery indicators turn gradient
-    # sums into one matrix product.
-    grad_mat = np.stack([grads[p] for p in range(n)])
+    # One row per partition, so recovery indicators turn gradient sums
+    # into one matrix product.
+    grad_mat = np.asarray(partition_gradients, dtype=float)
+    if grad_mat.ndim != 2 or grad_mat.shape[0] != n:
+        raise ConfigurationError(
+            f"expected a ({n}, D) block of partition gradients, "
+            f"got shape {grad_mat.shape}"
+        )
     full = grad_mat.sum(axis=0)
     rng = np.random.default_rng(seed)
     pmat = partition_matrix(placement)

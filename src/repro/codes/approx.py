@@ -25,11 +25,12 @@ argument is that this keeps the convergence analysis clean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from ..core.batch import partition_matrix
+from ..core.coding import add_rows, as_block
 from ..core.placement import Placement
 from ..exceptions import CodingError
 
@@ -71,23 +72,21 @@ class LeastSquaresDecoder:
     def decode(
         self,
         available_workers: Iterable[int],
-        payloads: Mapping[int, np.ndarray],
+        payloads: np.ndarray,
     ) -> ApproxDecodeResult:
-        """ℓ2-optimal estimate of the full gradient from ``W'``."""
+        """ℓ2-optimal estimate of the full gradient from ``W'``, given
+        the ``(n, D)`` payload block."""
         rows = sorted(set(available_workers))
         if not rows:
             raise CodingError("cannot decode with zero available workers")
-        missing = [w for w in rows if w not in payloads]
-        if missing:
-            raise CodingError(f"no payloads for workers {missing}")
+        block = as_block(
+            payloads, self._placement.num_workers, "worker payloads"
+        )
         sub = self._b[rows, :]
         ones = np.ones(self._b.shape[1])
         weights, *_ = np.linalg.lstsq(sub.T, ones, rcond=None)
-        estimate = np.zeros_like(np.asarray(payloads[rows[0]], dtype=float))
-        for weight, worker in zip(weights, rows):
-            estimate = estimate + weight * np.asarray(
-                payloads[worker], dtype=float
-            )
+        # `+ 0.0`: this sum starts from zero (see add_rows).
+        estimate = add_rows(weights[:, None] * block[rows]) + 0.0
         return ApproxDecodeResult(
             estimate=estimate, coefficient_vector=sub.T @ weights
         )
@@ -113,21 +112,19 @@ class StochasticSumDecoder:
     def decode(
         self,
         available_workers: Iterable[int],
-        payloads: Mapping[int, np.ndarray],
+        payloads: np.ndarray,
     ) -> ApproxDecodeResult:
-        """Rescaled-sum estimate of the full gradient from ``W'``."""
+        """Rescaled-sum estimate of the full gradient from ``W'``, given
+        the ``(n, D)`` payload block."""
         rows = sorted(set(available_workers))
         if not rows:
             raise CodingError("cannot decode with zero available workers")
-        missing = [w for w in rows if w not in payloads]
-        if missing:
-            raise CodingError(f"no payloads for workers {missing}")
         n = self._placement.num_workers
+        block = as_block(payloads, n, "worker payloads")
         c = self._placement.partitions_per_worker
         scale = n / (c * len(rows))
-        total = np.zeros_like(np.asarray(payloads[rows[0]], dtype=float))
-        for worker in rows:
-            total = total + np.asarray(payloads[worker], dtype=float)
+        # `+ 0.0`: this sum starts from zero (see add_rows).
+        total = add_rows(block[rows]) + 0.0
         coefficients = scale * self._b[rows, :].sum(axis=0)
         return ApproxDecodeResult(
             estimate=scale * total, coefficient_vector=coefficients
@@ -136,10 +133,9 @@ class StochasticSumDecoder:
 
 def l2_gradient_error(
     result: ApproxDecodeResult,
-    partition_gradients: Mapping[int, np.ndarray],
+    partition_gradients: np.ndarray,
 ) -> float:
-    """``‖ĝ − Σ_p g_p‖₂`` for a decoded estimate on known gradients."""
-    full = sum(
-        np.asarray(g, dtype=float) for g in partition_gradients.values()
-    )
+    """``‖ĝ − Σ_p g_p‖₂`` for a decoded estimate on the known ``(P, D)``
+    gradient block."""
+    full = add_rows(np.asarray(partition_gradients, dtype=float)) + 0.0
     return float(np.linalg.norm(result.estimate - full))

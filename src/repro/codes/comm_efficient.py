@@ -23,12 +23,11 @@ Two decoders are provided:
 
 from __future__ import annotations
 
-from typing import (
-    Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
-)
+from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.coding import as_block
 from ..core.fractional import FractionalRepetition, fr_problems
 from ..core.scheme import PlacementScheme, as_placement, spec_int
 from ..exceptions import CodingError
@@ -91,19 +90,6 @@ class CommEfficientGC:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _group_sum(
-        self, group: int, partition_gradients: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        c = self._placement.partitions_per_worker
-        base = group * c
-        missing = [p for p in range(base, base + c) if p not in partition_gradients]
-        if missing:
-            raise CodingError(f"missing gradients for partitions {missing}")
-        total = np.asarray(partition_gradients[base], dtype=float).copy()
-        for p in range(base + 1, base + c):
-            total += partition_gradients[p]
-        return total
-
     def _split_blocks(self, vec: np.ndarray) -> np.ndarray:
         """Zero-pad to a multiple of k and reshape to (k, d/k)."""
         block_len = self.payload_elements(vec.size)
@@ -111,23 +97,25 @@ class CommEfficientGC:
         padded[: vec.size] = vec
         return padded.reshape(self._k, block_len)
 
-    def encode_worker(
-        self, worker: int, partition_gradients: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Worker's coded upload: ``Σ_b V[j, b] · block_b`` (length d/k)."""
-        group = self._placement.group_of(worker)
-        local = worker - group * self._placement.partitions_per_worker
-        blocks = self._split_blocks(self._group_sum(group, partition_gradients))
-        return self._vandermonde[local] @ blocks
-
-    def encode(
-        self, partition_gradients: Mapping[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Coded uploads for every worker."""
-        return {
-            w: self.encode_worker(w, partition_gradients)
-            for w in range(self._placement.num_workers)
-        }
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
+        """Coded uploads for every worker from the ``(P, D)`` gradient
+        block: row ``i`` is ``Σ_b V[j, b] · block_b`` of worker ``i``'s
+        group sum (``j`` its place in the group), ``⌈D/k⌉`` long."""
+        c = self._placement.partitions_per_worker
+        block = as_block(
+            partition_gradients, self._placement.num_partitions,
+            "partition gradients",
+        )
+        # FR groups are runs of c partitions: sum each in index order.
+        grouped = block.reshape(-1, c, block.shape[1])
+        sums = grouped[:, 0].copy()
+        for j in range(1, c):
+            sums += grouped[:, j]
+        blocks = [self._split_blocks(total) for total in sums]
+        return np.stack([
+            self._vandermonde[worker % c] @ blocks[worker // c]
+            for worker in range(self._placement.num_workers)
+        ])
 
     # ------------------------------------------------------------------
     # Master side
@@ -136,7 +124,7 @@ class CommEfficientGC:
         self,
         group: int,
         survivors: list[int],
-        payloads: Mapping[int, np.ndarray],
+        payloads: np.ndarray,
         gradient_elements: int,
     ) -> np.ndarray:
         """Solve the k×k Vandermonde system for one group's blocks."""
@@ -144,14 +132,13 @@ class CommEfficientGC:
         chosen = survivors[: self._k]
         locals_ = [w - group * c for w in chosen]
         system = self._vandermonde[locals_, :]
-        stacked = np.stack([np.asarray(payloads[w], dtype=float) for w in chosen])
-        blocks = np.linalg.solve(system, stacked)
+        blocks = np.linalg.solve(system, payloads[chosen])
         return blocks.reshape(-1)[:gradient_elements]
 
     def decode(
         self,
         available_workers: Iterable[int],
-        payloads: Mapping[int, np.ndarray],
+        payloads: np.ndarray,
         gradient_elements: int,
     ) -> np.ndarray:
         """Synchronous semantics: full gradient or :class:`CodingError`."""
@@ -170,16 +157,17 @@ class CommEfficientGC:
     def decode_partial(
         self,
         available_workers: Iterable[int],
-        payloads: Mapping[int, np.ndarray],
+        payloads: np.ndarray,
         gradient_elements: int,
     ) -> Tuple[np.ndarray, FrozenSet[int]]:
-        """Ignore-straggler semantics: best partial sum + recovered set."""
+        """Ignore-straggler semantics: best partial sum + recovered set,
+        from the ``(n, ⌈D/k⌉)`` payload block."""
         available = sorted(set(available_workers))
         if not available:
             raise CodingError("cannot decode with zero available workers")
-        missing = [w for w in available if w not in payloads]
-        if missing:
-            raise CodingError(f"no payloads for workers {missing}")
+        payloads = as_block(
+            payloads, self._placement.num_workers, "worker payloads"
+        )
         c = self._placement.partitions_per_worker
         total = np.zeros(gradient_elements)
         recovered: set[int] = set()

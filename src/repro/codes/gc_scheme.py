@@ -11,10 +11,11 @@ restriction IS-GC removes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.coding import add_rows, as_block, partition_index
 from ..core.cyclic import CyclicRepetition
 from ..core.fractional import FractionalRepetition
 from ..core.placement import Placement
@@ -59,6 +60,20 @@ class ClassicGradientCode:
         self._placement = placement
         b.flags.writeable = False  # handed out as copies only
         self._b = b
+        # Column j of the encode: the workers whose j-th partition has
+        # a non-zero coefficient, that partition, and the coefficients
+        # as a column (all read-only, built once per code).
+        index = partition_index(placement)
+        coefficients = np.take_along_axis(b, index, axis=1)
+        columns = []
+        for j in range(index.shape[1]):
+            # a copy: flatnonzero returns a view of a writable buffer
+            rows = np.flatnonzero(coefficients[:, j]).copy()
+            column = (rows, index[rows, j], coefficients[rows, j, None])
+            for part in column:
+                part.flags.writeable = False
+            columns.append(column)
+        self._columns = tuple(columns)
 
     @property
     def placement(self) -> Placement:
@@ -82,35 +97,22 @@ class ClassicGradientCode:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def encode(
-        self, partition_gradients: Mapping[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """All workers' payloads ``payload_i = Σ_p B[i,p] · g_p``."""
-        return {
-            worker: self.encode_worker(worker, partition_gradients)
-            for worker in range(self._placement.num_workers)
-        }
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
+        """Every worker's payload ``Σ_p B[i,p] · g_p`` from the ``(P, D)``
+        gradient block.
 
-    def encode_worker(
-        self, worker: int, partition_gradients: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """One worker's weighted-combination payload."""
-        parts = self._placement.partitions_of(worker)
-        missing = [p for p in parts if p not in partition_gradients]
-        if missing:
-            raise CodingError(
-                f"worker {worker} needs gradients for partitions {missing}"
-            )
-        payload = np.zeros_like(
-            np.asarray(partition_gradients[parts[0]], dtype=float)
+        One masked multiply-add per column of the partition index, in
+        ``partitions_of`` order from a zero start; a zero coefficient
+        adds nothing (its rows are left out of the column's mask).
+        """
+        block = as_block(
+            partition_gradients, self._placement.num_partitions,
+            "partition gradients",
         )
-        for p in parts:
-            coeff = self._b[worker, p]
-            if coeff != 0.0:
-                payload = payload + coeff * np.asarray(
-                    partition_gradients[p], dtype=float
-                )
-        return payload
+        payloads = np.zeros((self._placement.num_workers, block.shape[1]))
+        for rows, parts, weights in self._columns:
+            payloads[rows] += weights * block[parts]
+        return payloads
 
     # ------------------------------------------------------------------
     # Master side
@@ -119,25 +121,45 @@ class ClassicGradientCode:
         """Whether the exact full gradient is recoverable from ``W'``."""
         return supports_full_recovery(self._b, sorted(available_workers))
 
+    def decode_vector(self, survivors: Sequence[int]) -> np.ndarray:
+        """The read-only weights ``a`` with ``aᵀ · B[survivors] = 𝟙ᵀ``.
+
+        ``survivors`` are sorted worker indices; the vector depends on
+        them alone, so callers may memoise it per survivor set.  Raises
+        :class:`CodingError` when the set is too small or otherwise
+        undecodable (IS-GC's motivating failure mode).
+        """
+        vector = decode_vector(self._b, list(survivors))
+        vector.flags.writeable = False
+        return vector
+
+    def combine(
+        self,
+        survivors: Sequence[int],
+        vector: np.ndarray,
+        worker_payloads: np.ndarray,
+    ) -> np.ndarray:
+        """``Σ_k a_k · payload_{survivors[k]}`` over the non-zero
+        weights, added in survivor order from a zero start."""
+        block = as_block(
+            worker_payloads, self._placement.num_workers, "worker payloads"
+        )
+        keep = vector != 0.0
+        rows = np.asarray(survivors, dtype=np.intp)[keep]
+        # `+ 0.0`: this sum starts from zero (see add_rows).
+        return add_rows(vector[keep, None] * block[rows]) + 0.0
+
     def decode(
         self,
         available_workers: Iterable[int],
-        worker_payloads: Mapping[int, np.ndarray],
+        worker_payloads: np.ndarray,
     ) -> np.ndarray:
         """Exact full-gradient sum ``Σ_{p=0}^{n-1} g_p`` from survivors.
 
         Raises :class:`CodingError` when the survivor set is too small or
-        otherwise undecodable (IS-GC's motivating failure mode).
+        otherwise undecodable.
         """
-        rows = sorted(available_workers)
-        missing = [w for w in rows if w not in worker_payloads]
-        if missing:
-            raise CodingError(f"no payloads for workers {missing}")
-        a = decode_vector(self._b, rows)
-        total = np.zeros_like(np.asarray(worker_payloads[rows[0]], dtype=float))
-        for weight, worker in zip(a, rows):
-            if weight != 0.0:
-                total = total + weight * np.asarray(
-                    worker_payloads[worker], dtype=float
-                )
-        return total
+        survivors = sorted(available_workers)
+        return self.combine(
+            survivors, self.decode_vector(survivors), worker_payloads
+        )

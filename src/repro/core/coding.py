@@ -6,16 +6,16 @@ worker-side encoding to coefficient-1 sums: worker ``i`` uploads
 partition sets can then be added directly at the master — no linear
 solve, no minimum worker count.
 
-This module carries the numeric half of the pipeline: turning
-per-partition gradient vectors into worker payloads and turning a
-decoding decision (:class:`repro.types.DecodeResult`) plus payloads into
-the partial gradient ``ĝ`` (optionally rescaled to an unbiased estimate
-of the full gradient, Assumption 2).
+This module carries the numeric half of the pipeline: turning the
+``(P, D)`` block of per-partition gradients (row ``p`` is ``g_p``) into
+the ``(n, D)`` block of worker payloads (row ``i`` is worker ``i``'s
+upload) and turning a decoding decision
+(:class:`repro.types.DecodeResult`) plus payloads into the partial
+gradient ``ĝ`` (optionally rescaled to an unbiased estimate of the
+full gradient, Assumption 2).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
@@ -24,11 +24,57 @@ from ..types import DecodeResult
 from .placement import Placement
 
 
+def as_block(rows: np.ndarray, count: int, what: str) -> np.ndarray:
+    """``rows`` as a float ``(count, D)`` block, or :class:`CodingError`.
+
+    The one input check of every encode and decode: a block carries
+    exactly one row per partition (encode) or per worker (decode).
+    """
+    block = np.asarray(rows, dtype=float)
+    if block.ndim != 2 or block.shape[0] != count:
+        raise CodingError(
+            f"expected a ({count}, D) block of {what}, "
+            f"got shape {block.shape}"
+        )
+    return block
+
+
+def add_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows[0] + rows[1] + …`` of a ``(k, D)`` block, in index order.
+
+    Bit-equal to copying the first row and adding the rest one by one:
+    the start is ``-0.0``, which leaves every first row as it is (an
+    all ``-0.0`` column stays ``-0.0``), and numpy adds along a
+    non-innermost axis element by element in index order.  A ``(k, 1)``
+    block makes the row axis innermost, where numpy would sum pairwise,
+    so it accumulates instead.  A sum that starts from zero, where a
+    lone ``-0.0`` becomes ``0.0``, is ``add_rows(rows) + 0.0``.
+    """
+    if rows.shape[1] == 1 and len(rows) > 1:
+        return np.add.accumulate(rows, axis=0)[-1]
+    return np.add.reduce(rows, axis=0, initial=-0.0)
+
+
+def partition_index(placement: Placement) -> np.ndarray:
+    """Read-only ``(n, c)`` table: row ``i`` is ``partitions_of(i)``.
+
+    Every placement stores exactly ``c`` partitions per worker (the
+    :class:`Placement` invariant), so the table is never ragged.
+    """
+    index = np.array(
+        [placement.partitions_of(w) for w in range(placement.num_workers)],
+        dtype=np.intp,
+    )
+    index.flags.writeable = False
+    return index
+
+
 class SummationCode:
     """Encode/decode gradient payloads for a given placement."""
 
     def __init__(self, placement: Placement):
         self._placement = placement
+        self._index = partition_index(placement)
 
     @property
     def placement(self) -> Placement:
@@ -37,62 +83,39 @@ class SummationCode:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def encode(
-        self, partition_gradients: Mapping[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Compute every worker's payload from per-partition gradients.
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
+        """Every worker's payload from the ``(P, D)`` gradient block.
 
-        ``partition_gradients`` maps partition index → gradient vector.
-        Missing partitions raise; downstream straggler behaviour is
-        modelled by *dropping worker payloads*, never by dropping
-        partition gradients.
+        Row ``i`` is ``Σ_j g_{partitions_of(i)[j]}``, added in
+        ``partitions_of`` order starting from the first partition's row
+        — one gather and one in-place add per column of the partition
+        index.  A block without exactly one row per partition raises;
+        downstream straggler behaviour is modelled by *dropping worker
+        payloads*, never by dropping partition gradients.
         """
-        payloads: Dict[int, np.ndarray] = {}
-        for worker in range(self._placement.num_workers):
-            payloads[worker] = self.encode_worker(worker, partition_gradients)
+        block = as_block(
+            partition_gradients, self._placement.num_partitions,
+            "partition gradients",
+        )
+        payloads = block[self._index[:, 0]]
+        for column in self._index.T[1:]:
+            payloads += block[column]
         return payloads
-
-    def encode_worker(
-        self, worker: int, partition_gradients: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Payload of one worker: the plain sum over its partitions."""
-        parts = self._placement.partitions_of(worker)
-        missing = [p for p in parts if p not in partition_gradients]
-        if missing:
-            raise CodingError(
-                f"worker {worker} needs gradients for partitions {missing}"
-            )
-        total = np.array(partition_gradients[parts[0]], dtype=float, copy=True)
-        for p in parts[1:]:
-            total += partition_gradients[p]
-        return total
 
     # ------------------------------------------------------------------
     # Master side
     # ------------------------------------------------------------------
     def decode_sum(
-        self,
-        decision: DecodeResult,
-        worker_payloads: Mapping[int, np.ndarray],
+        self, decision: DecodeResult, worker_payloads: np.ndarray
     ) -> np.ndarray:
-        """``ĝ = Σ_{i∈I} g_i``: add the selected workers' payloads."""
-        missing = [
-            w for w in decision.selected_workers if w not in worker_payloads
-        ]
-        if missing:
-            raise CodingError(
-                f"selected workers without payloads: {sorted(missing)}"
-            )
-        workers = sorted(decision.selected_workers)
-        total = np.array(worker_payloads[workers[0]], dtype=float, copy=True)
-        for w in workers[1:]:
-            total += worker_payloads[w]
-        return total
+        """``ĝ = Σ_{i∈I} g_i``: add the selected workers' payload rows."""
+        block = as_block(
+            worker_payloads, self._placement.num_workers, "worker payloads"
+        )
+        return add_rows(block[sorted(decision.selected_workers)])
 
     def decode_unbiased(
-        self,
-        decision: DecodeResult,
-        worker_payloads: Mapping[int, np.ndarray],
+        self, decision: DecodeResult, worker_payloads: np.ndarray
     ) -> np.ndarray:
         """Unbiased full-gradient estimate ``(n / |I|) · ĝ`` (Assumption 2).
 
@@ -108,12 +131,13 @@ class SummationCode:
 def verify_decode(
     placement: Placement,
     decision: DecodeResult,
-    partition_gradients: Mapping[int, np.ndarray],
+    partition_gradients: np.ndarray,
     decoded: np.ndarray,
     atol: float = 1e-9,
 ) -> bool:
-    """Check ``decoded == Σ_{i∈I} g_i`` against raw partition gradients."""
-    expected = np.zeros_like(decoded, dtype=float)
-    for p in decision.recovered_partitions:
-        expected = expected + np.asarray(partition_gradients[p], dtype=float)
+    """Check ``decoded == Σ_{i∈I} g_i`` against the raw gradient block."""
+    block = as_block(
+        partition_gradients, placement.num_partitions, "partition gradients"
+    )
+    expected = block[sorted(decision.recovered_partitions)].sum(axis=0)
     return bool(np.allclose(decoded, expected, atol=atol))

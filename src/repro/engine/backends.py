@@ -45,13 +45,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class RoundExecution:
     """Everything one synchronous round produced, pre-decode.
 
-    ``accepted`` is the wait policy's accepted-worker set, as passed to
-    ``strategy.decode``; ``batch_losses`` are the pre-update
-    per-partition batch losses, the loss fallback when the engine has
-    no eval set.
+    ``payloads`` is the strategy's ``(n, D)`` payload block (row ``i``
+    is worker ``i``'s upload); ``accepted`` is the wait policy's
+    accepted-worker set, as passed to ``strategy.decode``;
+    ``batch_losses`` are the pre-update per-partition batch losses, the
+    loss fallback when the engine has no eval set.
     """
 
-    payloads: Mapping[int, np.ndarray]
+    payloads: np.ndarray
     accepted: Sequence[int]
     arrivals: Mapping[int, float]
     outcome: WaitOutcome
@@ -133,10 +134,8 @@ class FlatBackend(ExecutionBackend):
         self._cluster.tracer = tracer
 
     def execute_round(self, engine, step, policy):
-        partition_gradients, batch_losses = engine.rule.compute_partitions(
-            engine, step
-        )
-        payloads = engine.strategy.encode(partition_gradients)
+        gradients, batch_losses = engine.rule.compute_partitions(engine, step)
+        payloads = engine.strategy.encode(gradients)
         result = self._cluster.run_round(step, policy)
         return RoundExecution(
             payloads=payloads,

@@ -5,8 +5,9 @@ wait → decode — that is the backend's job) but in four small policies,
 captured here as :class:`UpdateRule` hooks:
 
 * what is computed per partition (:meth:`compute_partitions` — a
-  gradient for SGD, a τ-step parameter delta for local-update SGD);
-  both are stacked calls into the one gradient path,
+  gradient for SGD, a τ-step parameter delta for local-update SGD, as
+  one ``(P, D)`` block whose row ``p`` is partition ``p``'s); both are
+  stacked calls into the one gradient path,
   :meth:`repro.training.gradients.BatchStreams.gradients`, and leave
   the engine's model untouched;
 * what happens before a step (:meth:`before_step` — nothing, or an
@@ -36,8 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..training.optimizers import SGD
     from .core import RoundEngine
 
-GradientMap = Dict[int, np.ndarray]
-
 
 @dataclass(frozen=True)
 class MigrationEvent:
@@ -66,8 +65,8 @@ class UpdateRule:
 
     def compute_partitions(
         self, engine: "RoundEngine", step: int
-    ) -> Tuple[GradientMap, Sequence[float]]:
-        """Per-partition quantities to encode, plus their batch losses.
+    ) -> Tuple[np.ndarray, Sequence[float]]:
+        """The ``(P, D)`` block to encode, plus the batch losses.
 
         Called by :class:`~repro.engine.backends.FlatBackend` once per
         round.  The default draws each partition's seeded batch and
@@ -75,7 +74,7 @@ class UpdateRule:
         canonical step shared by every synchronous scheme in the paper.
         """
         losses, grads = engine.streams.gradients(engine.model, step)
-        return dict(enumerate(grads)), losses.tolist()
+        return grads, losses.tolist()
 
     def before_step(self, engine: "RoundEngine", step: int) -> None:
         """Hook run before the round executes."""
@@ -164,9 +163,9 @@ class LocalUpdate(UpdateRule):
         """τ local SGD steps per partition; returns every ``−Δ``.
 
         The sign convention matches gradients: the master *subtracts*
-        the aggregated quantity scaled by its own step size of 1, so a
-        partition's row is ``start − final`` ("the direction to move
-        along").  Batches are drawn at global steps ``round·τ ..
+        the aggregated quantity scaled by its own step size of 1, so
+        row ``p`` of the ``(P, D)`` block is partition ``p``'s
+        ``start − final`` ("the direction to move along").  Batches are drawn at global steps ``round·τ ..
         round·τ+τ−1`` so every replica of a partition sees the identical
         sequence; after the first step each partition is on its own
         parameter row.
@@ -178,7 +177,7 @@ class LocalUpdate(UpdateRule):
                 engine.model, step * self._tau + t, params
             )
             params = params - self._lr * grads
-        return dict(enumerate(start - params)), ()
+        return start - params, ()
 
     def apply(self, engine, aggregate, recovered):
         mean_delta = aggregate / len(recovered)

@@ -211,9 +211,7 @@ def approx_vs_isgc_table() -> Table:
     n, c, trials = 12, 3, 400
     placement = _placement("cr", n, c)
     rng = np.random.default_rng(0)
-    payloads = SummationCode(placement).encode(
-        {p: rng.normal(size=64) for p in range(n)}
-    )
+    payloads = SummationCode(placement).encode(rng.normal(size=(n, 64)))
     isgc = decoder_for(placement, rng=np.random.default_rng(1))
     ls = LeastSquaresDecoder(placement)
     ss = StochasticSumDecoder(placement)
@@ -284,7 +282,7 @@ def estimator_variance_table() -> Table:
     Fig. 12(b)/13(b): more recovered partitions, lower variance."""
     n, c = 8, 2
     rng = np.random.default_rng(0)
-    grads = {p: rng.normal(size=16) for p in range(n)}
+    grads = rng.normal(size=(n, 16))
     placements = [
         _placement("cr", n, 1), _placement("cr", n, c), _placement("fr", n, c)
     ]
@@ -428,7 +426,7 @@ def comm_efficient_table() -> Table:
     n, c, dim, trials = 8, 4, 256, 500
     placement = _placement("fr", n, c)
     rng = np.random.default_rng(0)
-    grads = {p: rng.normal(size=dim) for p in range(n)}
+    grads = rng.normal(size=(n, dim))
     table = Table(
         title=(
             f"Extension — Ye-Abbe block coding over FR({n},{c}) with the "

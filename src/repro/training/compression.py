@@ -23,7 +23,7 @@ from ..core.decoders import Decoder
 from ..core.placement import Placement
 from ..exceptions import ConfigurationError
 from ..simulation.policies import WaitPolicy
-from .strategies import GradientMap, ISGCStrategy
+from .strategies import ISGCStrategy
 
 
 class TopKCompressor:
@@ -109,19 +109,18 @@ class CompressedISGCStrategy(ISGCStrategy):
         """Fraction of gradient entries actually shipped per upload."""
         return self._compressor.fraction
 
-    def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         full = super().encode(partition_gradients)
-        return {
-            worker: self._compressor.compress(worker, payload)
-            for worker, payload in full.items()
-        }
+        return np.stack([
+            self._compressor.compress(worker, payload)
+            for worker, payload in enumerate(full)
+        ])
 
 
-def nonzero_fraction(payloads: Dict[int, np.ndarray]) -> float:
-    """Mean fraction of non-zero entries across worker payloads."""
-    if not payloads:
+def nonzero_fraction(payloads: np.ndarray) -> float:
+    """Mean fraction of non-zero entries across the rows of an
+    ``(n, D)`` payload block."""
+    block = np.asarray(payloads)
+    if block.ndim != 2 or not block.size:
         raise ConfigurationError("no payloads to measure")
-    fractions = [
-        float(np.count_nonzero(p)) / p.size for p in payloads.values()
-    ]
-    return float(np.mean(fractions))
+    return float(np.mean(np.count_nonzero(block, axis=1) / block.shape[1]))

@@ -24,6 +24,11 @@ local-update SGD and the async arrival loop):
    bit-equal, row by row, to evaluating each partition on its own
    (``tests/test_gradient_path.py`` pins that against an independent
    loop and prints the BLAS fingerprint when it fails).
+
+The ``(P, D)`` gradient block is what the update rule hands on: the
+strategy's ``encode`` turns it into the ``(n, D)`` payload block and
+``decode`` adds payload rows, so no round splits it into per-partition
+vectors.
 """
 
 from __future__ import annotations

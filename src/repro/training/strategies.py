@@ -13,21 +13,25 @@ schemes freely:
   over any placement, wait for any ``w`` workers, decode the maximal
   partial sum via the scheme's conflict-graph decoder.
 
-The decode contract returns the *sum* of recovered per-partition
-gradients plus the recovered set; the trainer divides by the count so
-every scheme performs an unbiased mean-gradient update (Assumption 2).
+One round is two blocks: ``encode`` maps the ``(P, D)`` block of
+per-partition gradients (row ``p`` is ``g_p``) to the ``(n, D)`` block
+of worker payloads (row ``i`` is worker ``i``'s upload), and
+``decode`` returns the *sum* of recovered per-partition gradients,
+added from the accepted workers' payload rows, plus the recovered set;
+the trainer divides by the count so every scheme performs an unbiased
+mean-gradient update (Assumption 2).
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 import numpy as np
 
 from ..codes.gc_scheme import ClassicGradientCode
-from ..core.coding import SummationCode
+from ..core.coding import SummationCode, add_rows, as_block
 from ..core.scheme import make_placement
 from ..core.decoders import Decoder, decoder_for
 from ..core.placement import Placement
@@ -35,8 +39,6 @@ from ..exceptions import ConfigurationError
 from ..parallel.cache import DecodeCache
 from ..simulation.policies import WaitForAll, WaitForK, WaitPolicy
 from ..types import DecodeResult
-
-GradientMap = Mapping[int, np.ndarray]
 
 
 class TrainingStrategy(abc.ABC):
@@ -57,14 +59,16 @@ class TrainingStrategy(abc.ABC):
         return self._policy
 
     @abc.abstractmethod
-    def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
-        """Worker payloads from per-partition gradients."""
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
+        """The ``(n, D)`` payload block from the ``(P, D)`` gradient
+        block; a block of the wrong row count raises
+        :class:`~repro.exceptions.CodingError`."""
 
     @abc.abstractmethod
     def decode(
         self,
         available_workers: Iterable[int],
-        payloads: GradientMap,
+        payloads: np.ndarray,
     ) -> Tuple[np.ndarray, FrozenSet[int]]:
         """(sum of recovered per-partition gradients, recovered set)."""
 
@@ -94,12 +98,12 @@ class SyncSGDStrategy(TrainingStrategy):
         )
         super().__init__(placement, WaitForAll(num_workers))
 
-    def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         # c = 1: worker i's payload is exactly partition i's gradient.
-        return {
-            w: np.asarray(partition_gradients[w], dtype=float)
-            for w in range(self._placement.num_workers)
-        }
+        return as_block(
+            partition_gradients, self._placement.num_workers,
+            "partition gradients",
+        )
 
     def decode(self, available_workers, payloads):
         workers = sorted(available_workers)
@@ -108,8 +112,9 @@ class SyncSGDStrategy(TrainingStrategy):
             raise ConfigurationError(
                 f"sync SGD requires all {n} workers, got {len(workers)}"
             )
-        total = sum(np.asarray(payloads[w], dtype=float) for w in workers)
-        return total, frozenset(range(n))
+        block = as_block(payloads, n, "worker payloads")
+        # `+ 0.0`: this sum starts from zero (see add_rows).
+        return add_rows(block[workers]) + 0.0, frozenset(range(n))
 
 
 class ISSGDStrategy(TrainingStrategy):
@@ -132,16 +137,19 @@ class ISSGDStrategy(TrainingStrategy):
     def wait_for(self) -> int:
         return self._w
 
-    def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
-        return {
-            w: np.asarray(partition_gradients[w], dtype=float)
-            for w in range(self._placement.num_workers)
-        }
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
+        return as_block(
+            partition_gradients, self._placement.num_workers,
+            "partition gradients",
+        )
 
     def decode(self, available_workers, payloads):
         workers = sorted(available_workers)
-        total = sum(np.asarray(payloads[w], dtype=float) for w in workers)
-        return total, frozenset(workers)
+        block = as_block(
+            payloads, self._placement.num_workers, "worker payloads"
+        )
+        # `+ 0.0`: this sum starts from zero (see add_rows).
+        return add_rows(block[workers]) + 0.0, frozenset(workers)
 
 
 class ClassicGCStrategy(TrainingStrategy):
@@ -156,18 +164,42 @@ class ClassicGCStrategy(TrainingStrategy):
     ):
         self._code = ClassicGradientCode(placement, rng=rng)
         super().__init__(placement, WaitForK(self._code.required_workers))
+        self._vectors = DecodeCache()
 
     @property
     def code(self) -> ClassicGradientCode:
         return self._code
 
-    def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
+    @property
+    def decode_cache(self) -> DecodeCache:
+        """The memo of decode vectors, one per survivor set seen."""
+        return self._vectors
+
+    def spawn(self, seed):
+        """Own decode-vector memo; the code is shared."""
+        twin = copy.copy(self)
+        twin._vectors = DecodeCache()
+        return twin
+
+    def decode_vector(self, available_workers: Iterable[int]) -> np.ndarray:
+        """The code's decode vector for ``sorted(W')``, solved (and
+        residual-checked) on the first sight of the set only; an
+        undecodable set raises every time and is never stored."""
+        survivors = tuple(sorted(available_workers))
+        return self._vectors.get_or_compute(
+            self._placement.fingerprint, "gc", survivors,
+            lambda: self._code.decode_vector(survivors),
+        )
+
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         return self._code.encode(partition_gradients)
 
     def decode(self, available_workers, payloads):
-        total = self._code.decode(available_workers, payloads)
-        n = self._placement.num_workers
-        return total, frozenset(range(n))
+        survivors = sorted(available_workers)
+        total = self._code.combine(
+            survivors, self.decode_vector(survivors), payloads
+        )
+        return total, frozenset(range(self._placement.num_workers))
 
 
 class ISGCStrategy(TrainingStrategy):
@@ -222,7 +254,7 @@ class ISGCStrategy(TrainingStrategy):
         twin.last_decode = None
         return twin
 
-    def encode(self, partition_gradients: GradientMap) -> Dict[int, np.ndarray]:
+    def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         return self._code.encode(partition_gradients)
 
     def decode(self, available_workers, payloads):

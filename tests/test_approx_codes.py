@@ -20,7 +20,7 @@ from repro.exceptions import CodingError
 
 def _payloads(placement, seed=0, dim=6):
     rng = np.random.default_rng(seed)
-    grads = {p: rng.normal(size=dim) for p in range(placement.num_workers)}
+    grads = rng.normal(size=(placement.num_workers, dim))
     return grads, SummationCode(placement).encode(grads)
 
 
@@ -49,7 +49,7 @@ class TestLeastSquaresDecoder:
         result = LeastSquaresDecoder(placement).decode(range(6), payloads)
         assert result.is_exact
         np.testing.assert_allclose(
-            result.estimate, sum(grads.values()), atol=1e-8
+            result.estimate, grads.sum(axis=0), atol=1e-8
         )
         assert result.deviation == pytest.approx(0.0, abs=1e-8)
 
@@ -94,7 +94,7 @@ class TestLeastSquaresDecoder:
     def test_missing_payload_raises(self):
         placement = CyclicRepetition(4, 2)
         with pytest.raises(CodingError):
-            LeastSquaresDecoder(placement).decode([0], {})
+            LeastSquaresDecoder(placement).decode([0], np.zeros((1, 3)))
 
 
 class TestStochasticSumDecoder:
@@ -105,7 +105,7 @@ class TestStochasticSumDecoder:
         grads, payloads = _payloads(placement)
         result = StochasticSumDecoder(placement).decode(range(6), payloads)
         np.testing.assert_allclose(
-            result.estimate, sum(grads.values()), atol=1e-9
+            result.estimate, grads.sum(axis=0), atol=1e-9
         )
         assert result.is_exact
 
@@ -121,7 +121,7 @@ class TestStochasticSumDecoder:
         for _ in range(trials):
             avail = rng.choice(6, size=w, replace=False).tolist()
             acc += dec.decode(avail, payloads).estimate
-        full = sum(grads.values())
+        full = grads.sum(axis=0)
         np.testing.assert_allclose(acc / trials, full, atol=0.15)
 
     def test_partial_availability_inexact(self):

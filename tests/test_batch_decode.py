@@ -503,8 +503,8 @@ class TestVarianceBatchPath:
         placement = CyclicRepetition(6, 2)
         n = 6
         rng = np.random.default_rng(2)
-        grads = {p: rng.normal(size=4) for p in range(n)}
-        full = sum(grads.values())
+        grads = rng.normal(size=(n, 4))
+        full = grads.sum(axis=0)
         moments = estimator_moments(placement, 3, grads)
         assert moments.is_unbiased
         np.testing.assert_allclose(moments.mean, full, atol=1e-10)

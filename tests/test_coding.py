@@ -15,8 +15,8 @@ from repro.exceptions import CodingError
 
 
 def _gradients(n, dim, seed=0):
-    rng = np.random.default_rng(seed)
-    return {p: rng.normal(size=dim) for p in range(n)}
+    """The ``(n, dim)`` gradient block: row ``p`` is partition ``p``'s."""
+    return np.random.default_rng(seed).normal(size=(n, dim))
 
 
 class TestEncode:
@@ -31,16 +31,15 @@ class TestEncode:
 
     def test_missing_partition_raises(self):
         code = SummationCode(CyclicRepetition(4, 2))
-        with pytest.raises(CodingError, match="partitions"):
-            code.encode({0: np.zeros(3)})
+        with pytest.raises(CodingError, match="partition"):
+            code.encode(np.zeros((1, 3)))
 
     def test_encode_does_not_mutate_inputs(self):
         pl = CyclicRepetition(3, 2)
         grads = _gradients(3, 4)
-        originals = {p: g.copy() for p, g in grads.items()}
+        originals = grads.copy()
         SummationCode(pl).encode(grads)
-        for p in grads:
-            np.testing.assert_array_equal(grads[p], originals[p])
+        np.testing.assert_array_equal(grads, originals)
 
     def test_fr_group_members_send_identical_payloads(self):
         pl = FractionalRepetition(6, 3)
@@ -77,12 +76,12 @@ class TestDecode:
         code = SummationCode(pl)
         decision = decoder_for(pl, rng=np.random.default_rng(0)).decode([0, 2])
         with pytest.raises(CodingError, match="payloads"):
-            code.decode_sum(decision, {0: np.zeros(3)})
+            code.decode_sum(decision, np.zeros((1, 3)))
 
     def test_unbiased_scaling(self):
         pl = CyclicRepetition(4, 2)
         code = SummationCode(pl)
-        grads = {p: np.ones(2) for p in range(4)}
+        grads = np.ones((4, 2))
         payloads = code.encode(grads)
         decision = decoder_for(pl, rng=np.random.default_rng(0)).decode([0])
         est = code.decode_unbiased(decision, payloads)
@@ -100,7 +99,7 @@ class TestDecode:
         pl = CyclicRepetition(n, c)
         code = SummationCode(pl)
         rng = np.random.default_rng(seed)
-        grads = {p: rng.normal(size=3) for p in range(n)}
+        grads = rng.normal(size=(n, 3))
         payloads = code.encode(grads)
         w = int(rng.integers(1, n + 1))
         avail = rng.choice(n, size=w, replace=False).tolist()

@@ -11,8 +11,8 @@ from repro.exceptions import CodingError
 
 
 def _grads(n, dim=11, seed=0):
-    rng = np.random.default_rng(seed)
-    return {p: rng.normal(size=dim) for p in range(n)}
+    """The ``(n, dim)`` gradient block: row ``p`` is partition ``p``'s."""
+    return np.random.default_rng(seed).normal(size=(n, dim))
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestEncoding:
     def test_payload_shorter_than_gradient(self, code):
         dim = 11
         payloads = code.encode(_grads(8, dim))
-        for payload in payloads.values():
+        for payload in payloads:
             assert payload.size == code.payload_elements(dim) < dim
 
     def test_same_group_different_payloads(self, code):
@@ -54,8 +54,8 @@ class TestEncoding:
         assert not np.allclose(payloads[0], payloads[1])
 
     def test_missing_gradient_raises(self, code):
-        with pytest.raises(CodingError, match="missing"):
-            code.encode_worker(0, {0: np.zeros(4)})
+        with pytest.raises(CodingError, match="partition gradients"):
+            code.encode(np.zeros((1, 4)))
 
 
 class TestSynchronousDecode:
@@ -63,7 +63,7 @@ class TestSynchronousDecode:
         dim = 11
         grads = _grads(8, dim)
         payloads = code.encode(grads)
-        full = sum(grads.values())
+        full = grads.sum(axis=0)
         # Any 2 survivors in each group suffice.
         for g1 in combinations(range(4), 2):
             for g2 in combinations(range(4, 8), 2):
@@ -76,7 +76,7 @@ class TestSynchronousDecode:
         grads = _grads(8, dim)
         payloads = code.encode(grads)
         np.testing.assert_allclose(
-            code.decode(range(8), payloads, dim), sum(grads.values()),
+            code.decode(range(8), payloads, dim), grads.sum(axis=0),
             atol=1e-8,
         )
 
@@ -93,7 +93,7 @@ class TestSynchronousDecode:
         grads = _grads(4, dim)
         payloads = code.encode(grads)
         np.testing.assert_allclose(
-            code.decode(range(4), payloads, dim), sum(grads.values()),
+            code.decode(range(4), payloads, dim), grads.sum(axis=0),
             atol=1e-8,
         )
         with pytest.raises(CodingError):
@@ -107,7 +107,7 @@ class TestSynchronousDecode:
         grads = _grads(4, dim)
         payloads = code.encode(grads)
         decoded = code.decode([0, 2], payloads, dim)
-        np.testing.assert_allclose(decoded, sum(grads.values()), atol=1e-8)
+        np.testing.assert_allclose(decoded, grads.sum(axis=0), atol=1e-8)
 
 
 class TestIgnoreStragglerExtension:
@@ -129,11 +129,11 @@ class TestIgnoreStragglerExtension:
 
     def test_empty_available_raises(self, code):
         with pytest.raises(CodingError):
-            code.decode_partial([], {}, 4)
+            code.decode_partial([], np.zeros((8, 2)), 4)
 
     def test_missing_payload_raises(self, code):
         with pytest.raises(CodingError, match="payloads"):
-            code.decode_partial([0, 1], {0: np.zeros(3)}, 5)
+            code.decode_partial([0, 1], np.zeros((1, 3)), 5)
 
     def test_recovery_monotone_in_survivors(self, code):
         dim = 9

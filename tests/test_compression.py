@@ -89,8 +89,7 @@ class TestTopKCompressor:
 
 class TestCompressedStrategy:
     def _grads(self, n=4, dim=40, seed=0):
-        rng = np.random.default_rng(seed)
-        return {p: rng.normal(size=dim) for p in range(n)}
+        return np.random.default_rng(seed).normal(size=(n, dim))
 
     def test_payloads_sparse(self):
         strat = CompressedISGCStrategy(
@@ -153,4 +152,4 @@ class TestCompressedStrategy:
 
     def test_nonzero_fraction_validation(self):
         with pytest.raises(ConfigurationError):
-            nonzero_fraction({})
+            nonzero_fraction(np.empty((0, 4)))

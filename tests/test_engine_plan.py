@@ -264,9 +264,16 @@ class TestPlanIsImmutable:
         assert b.strategy.last_decode is None
 
     def test_stateless_schemes_are_shared_as_they_are(self):
-        for scheme in ("gc", "is-sgd", "sync-sgd"):
+        for scheme in ("is-sgd", "sync-sgd"):
             plan = EnginePlan(make_spec(scheme=scheme))
             assert plan.engine().strategy is plan.strategy
+        # gc memoises its decode vectors, so each engine gets a twin
+        # with its own memo around the one shared code.
+        plan = EnginePlan(make_spec(scheme="gc"))
+        a, b = plan.engine().strategy, plan.engine().strategy
+        assert a is not b is not plan.strategy
+        assert a.code is b.code is plan.strategy.code
+        assert a.decode_cache is not b.decode_cache
 
     def test_adaptive_swap_leaves_the_plan_untouched(self):
         spec = make_spec("flat", "adaptive", "is-gc-cr")

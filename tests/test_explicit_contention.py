@@ -38,12 +38,12 @@ class TestExplicitPlacement:
             [(0, 1), (2, 3), (0, 2), (1, 3)]
         )
         rng = np.random.default_rng(0)
-        grads = {p: rng.normal(size=3) for p in range(4)}
+        grads = rng.normal(size=(4, 3))
         code = SummationCode(placement)
         payloads = code.encode(grads)
         decision = decoder_for(placement, rng=rng).decode([0, 1])
         decoded = code.decode_sum(decision, payloads)
-        np.testing.assert_allclose(decoded, sum(grads.values()), atol=1e-9)
+        np.testing.assert_allclose(decoded, grads.sum(axis=0), atol=1e-9)
 
     def test_invariants_enforced(self):
         with pytest.raises(PlacementError):

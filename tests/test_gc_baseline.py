@@ -121,8 +121,7 @@ class TestIllConditionedDraw:
 
 class TestClassicGradientCode:
     def _grads(self, n, dim=4, seed=0):
-        rng = np.random.default_rng(seed)
-        return {p: rng.normal(size=dim) for p in range(n)}
+        return np.random.default_rng(seed).normal(size=(n, dim))
 
     @pytest.mark.parametrize("placement", [
         FractionalRepetition(6, 2),
@@ -173,7 +172,7 @@ class TestClassicGradientCode:
         placement = CyclicRepetition(4, 2)
         code = ClassicGradientCode(placement, rng=np.random.default_rng(0))
         with pytest.raises(CodingError, match="payloads"):
-            code.decode([0, 1, 2], {0: np.zeros(2)})
+            code.decode([0, 1, 2], np.zeros((1, 2)))
 
     def test_b_matrix_copy(self):
         code = ClassicGradientCode(

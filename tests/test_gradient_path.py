@@ -43,7 +43,6 @@ from repro.engine import (
     SyncUpdate,
     build_engine,
 )
-from repro.core.coding import SummationCode
 from repro.env import Environment
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.training import (
@@ -551,12 +550,11 @@ class TestActorRoundSharesReplicaGradients:
             spec.seed + 2, 2, [parameters] * len(parts),
         )
         placement = engine.strategy.placement
-        code = SummationCode(placement)
         for worker in range(placement.num_workers):
-            expected = code.encode_worker(
-                worker,
-                {p: want[p] for p in placement.partitions_of(worker)},
-            )
+            first, *rest = placement.partitions_of(worker)
+            expected = want[first].copy()
+            for p in rest:
+                expected += want[p]
             assert_same_bits(
                 execution.payloads[worker], expected,
                 f"worker {worker} payload",
@@ -602,7 +600,7 @@ class TestEngineEqualsInlineLoop:
             batch_losses, grads = reference_round(
                 "logistic", model, parts, 32, 3, step, [theta] * self.N
             )
-            payloads = strategy.encode(dict(enumerate(grads)))
+            payloads = strategy.encode(grads)
             result = cluster.run_round(step, strategy.policy)
             grad_sum, recovered = strategy.decode(
                 result.outcome.accepted_workers, payloads

@@ -162,7 +162,7 @@ class TestEndToEndPipelineConsistency:
             environment=Environment(delay=ExponentialDelay(1.0)),
             rng=rng,
         )
-        grads = {p: rng.normal(size=5) for p in range(n)}
+        grads = rng.normal(size=(n, 5))
         payloads = code.encode(grads)
         for step in range(20):
             w = int(rng.integers(1, n + 1))
@@ -179,7 +179,7 @@ class TestEndToEndPipelineConsistency:
         only 4 partitions — full recovery is impossible for IS-GC.)"""
         placement = CyclicRepetition(6, 2)
         rng = np.random.default_rng(3)
-        grads = {p: rng.normal(size=4) for p in range(6)}
+        grads = rng.normal(size=(6, 4))
         gc = ClassicGradientCode(placement, rng=rng)
         summation = SummationCode(placement)
         decoder = decoder_for(placement, rng=rng)

@@ -22,12 +22,12 @@ from repro.training import ISSGDStrategy, SyncSGDStrategy
 
 @pytest.fixture
 def gradients(rng):
-    return {p: rng.normal(size=8) for p in range(4)}
+    return rng.normal(size=(4, 8))
 
 
 @pytest.fixture
 def full_sum(gradients):
-    return sum(gradients.values())
+    return gradients.sum(axis=0)
 
 
 class TestFig1aSyncSGD:

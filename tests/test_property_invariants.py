@@ -65,10 +65,10 @@ class TestCodingLinearity:
         rng = np.random.default_rng(seed)
         n = placement.num_workers
         code = SummationCode(placement)
-        g = {p: rng.normal(size=4) for p in range(n)}
-        h = {p: rng.normal(size=4) for p in range(n)}
+        g = rng.normal(size=(n, 4))
+        h = rng.normal(size=(n, 4))
         a, b = 2.5, -1.25
-        combined = {p: a * g[p] + b * h[p] for p in range(n)}
+        combined = a * g + b * h
         enc_combined = code.encode(combined)
         enc_g = code.encode(g)
         enc_h = code.encode(h)
@@ -82,7 +82,7 @@ class TestCodingLinearity:
     def test_zero_gradients_encode_to_zero(self, placement, seed):
         n = placement.num_workers
         code = SummationCode(placement)
-        payloads = code.encode({p: np.zeros(3) for p in range(n)})
+        payloads = code.encode(np.zeros((n, 3)))
         for w in range(n):
             np.testing.assert_array_equal(payloads[w], np.zeros(3))
 

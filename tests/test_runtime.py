@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.coding import SummationCode
 from repro.engine import (
     ExperimentSpec,
     FlatBackend,
@@ -80,14 +79,10 @@ class TestActors:
             engine, 0, engine.strategy.policy
         )
         placement = engine.strategy.placement
-        code = SummationCode(placement)
-        assert sorted(execution.payloads) == list(range(N))
-        for worker, payload in execution.payloads.items():
-            assert payload.shape == (engine.model.num_parameters,)
-            own = {p: grads[p] for p in placement.partitions_of(worker)}
-            np.testing.assert_array_equal(
-                payload, code.encode_worker(worker, own)
-            )
+        assert execution.payloads.shape == (N, engine.model.num_parameters)
+        for worker, payload in enumerate(execution.payloads):
+            own = grads[list(placement.partitions_of(worker))]
+            np.testing.assert_array_equal(payload, own.sum(axis=0))
 
 
 class TestRuntimeRuns:

@@ -15,8 +15,8 @@ from repro.training import (
 
 
 def _grads(n, dim=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return {p: rng.normal(size=dim) for p in range(n)}
+    """The ``(n, dim)`` gradient block: row ``p`` is partition ``p``'s."""
+    return np.random.default_rng(seed).normal(size=(n, dim))
 
 
 class TestSyncSGD:
@@ -25,7 +25,7 @@ class TestSyncSGD:
         grads = _grads(4)
         payloads = strat.encode(grads)
         total, recovered = strat.decode(range(4), payloads)
-        np.testing.assert_allclose(total, sum(grads.values()))
+        np.testing.assert_allclose(total, grads.sum(axis=0))
         assert recovered == frozenset(range(4))
 
     def test_partial_workers_rejected(self):
@@ -82,7 +82,7 @@ class TestClassicGC:
         grads = _grads(5)
         payloads = strat.encode(grads)
         total, recovered = strat.decode([0, 2, 3, 4], payloads)
-        np.testing.assert_allclose(total, sum(grads.values()), atol=1e-6)
+        np.testing.assert_allclose(total, grads.sum(axis=0), atol=1e-6)
         assert recovered == frozenset(range(5))
 
     def test_fr_variant(self):
@@ -92,7 +92,7 @@ class TestClassicGC:
         grads = _grads(6)
         payloads = strat.encode(grads)
         total, _ = strat.decode([0, 2, 4, 5, 1], payloads)
-        np.testing.assert_allclose(total, sum(grads.values()), atol=1e-6)
+        np.testing.assert_allclose(total, grads.sum(axis=0), atol=1e-6)
 
     def test_too_many_stragglers_fails(self):
         strat = ClassicGCStrategy(
@@ -144,7 +144,7 @@ class TestISGC:
         grads = _grads(6)
         total, recovered = strat.decode(range(6), strat.encode(grads))
         assert recovered == frozenset(range(6))
-        np.testing.assert_allclose(total, sum(grads.values()), atol=1e-9)
+        np.testing.assert_allclose(total, grads.sum(axis=0), atol=1e-9)
 
     def test_recovers_more_than_issgd_with_same_workers(self):
         """The paper's headline: same available workers, more gradients."""

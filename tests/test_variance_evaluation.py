@@ -17,8 +17,7 @@ from repro.training import (
 
 
 def _grads(n, dim=5, seed=0):
-    rng = np.random.default_rng(seed)
-    return {p: rng.normal(size=dim) for p in range(n)}
+    return np.random.default_rng(seed).normal(size=(n, dim))
 
 
 class TestEstimatorMoments:
@@ -55,7 +54,7 @@ class TestEstimatorMoments:
         with pytest.raises(ConfigurationError):
             estimator_moments(placement, 0, _grads(4))
         with pytest.raises(ConfigurationError):
-            estimator_moments(placement, 2, {0: np.zeros(2)})
+            estimator_moments(placement, 2, np.zeros((1, 2)))
 
 
 class TestEvaluate:
