@@ -12,6 +12,10 @@ order (``fig11_cell.json``, which reads no training loss, did not
 move).  ``fig12_small.json`` was re-recorded once more when its cells
 gained a reachable loss threshold (1.5): every cell now stops between
 16 and 22 of its 40 steps, so its step counts pin the training loss.
+``decode_tables.json`` pins two experiment tables as the rows they
+print: approximate GC against IS-GC and top-k compressed IS-GC, whose
+decodes no training golden reaches.  It was recorded before every
+decoder became a weight function over one shared ``combine``.
 
 Keep the workloads here small but non-trivial: real stragglers (trace
 replay of exponential delays), real decoding (FR/CR conflict graphs),
@@ -45,6 +49,7 @@ from repro.experiments import (
     run_fig12,
     run_fig13,
 )
+from repro.experiments.tables import approx_vs_isgc_table, compression_table
 from repro.simulation import ClusterSimulator, ComputeModel, NetworkModel
 from repro.straggler import DelayTrace, ExponentialDelay, TraceReplayModel
 from repro.training import (
@@ -366,6 +371,22 @@ def golden_fig13_small():
     ]
 
 
+def golden_decode_tables():
+    """The two tables whose rows come from a decode other than the
+    training path's: approximate GC against IS-GC (its masks are drawn
+    from the generator after the payload draw) and top-k compressed
+    IS-GC, as the rows ``repro experiment`` prints."""
+    return {
+        builder.__name__: {
+            "title": table.title,
+            "columns": list(table.columns),
+            "rows": table.rows,
+        }
+        for builder in (approx_vs_isgc_table, compression_table)
+        for table in (builder(),)
+    }
+
+
 GOLDENS = {
     "trainer_flat.json": golden_flat_trainers,
     "trainer_flat_no_eval.json": golden_flat_no_eval,
@@ -376,6 +397,7 @@ GOLDENS = {
     "fig11_cell.json": golden_fig11_cell,
     "fig12_small.json": golden_fig12_small,
     "fig13_small.json": golden_fig13_small,
+    "decode_tables.json": golden_decode_tables,
 }
 
 
