@@ -6,7 +6,9 @@ Walks the whole public API on the paper's n=4, c=2 example:
 1. build a placement and inspect who stores what;
 2. encode per-partition gradients into worker payloads;
 3. decode from an *arbitrary* subset of workers — the paper's headline
-   (classic GC would fail with 2 stragglers; IS-GC recovers everything);
+   (classic GC would fail with 2 stragglers; IS-GC recovers everything):
+   the scheme turns the survivor set into payload rows and weights, and
+   one ``combine`` adds the rows;
 4. run a short simulated training job under exponential stragglers,
    described declaratively as an :class:`~repro.ExperimentSpec` — the
    same object ``repro run <spec.json>`` consumes from the CLI.
@@ -19,8 +21,7 @@ import numpy as np
 from repro import (
     CyclicRepetition,
     ExperimentSpec,
-    SummationCode,
-    decoder_for,
+    ISGCStrategy,
     run_spec,
 )
 
@@ -43,8 +44,8 @@ def main() -> None:
     #    worker i's upload.
     # ------------------------------------------------------------------
     gradients = rng.normal(size=(4, 6))
-    code = SummationCode(placement)
-    payloads = code.encode(gradients)
+    strategy = ISGCStrategy(placement, wait_for=2, rng=rng)
+    payloads = strategy.encode(gradients)
     print("worker payloads (g_i + g_{i+1}):")
     for worker, payload in enumerate(payloads):
         print(f"  W{worker}: {np.round(payload, 2)}")
@@ -54,10 +55,13 @@ def main() -> None:
     # 3. Decode with 2 of 4 workers — Fig. 1(d) of the paper.
     #    W0 holds {D0, D1}, W2 holds {D2, D3}: disjoint, so their
     #    payloads add up to the FULL gradient even with 2 stragglers.
+    #    `decode` checks the survivor set, asks the scheme for its
+    #    weights (`strategy.weights`: the conflict-graph decoder's
+    #    selected rows, each with weight 1) and adds the rows with
+    #    `repro.core.combine`.
     # ------------------------------------------------------------------
-    decoder = decoder_for(placement, rng=rng)
-    decision = decoder.decode([0, 2])
-    decoded = code.decode_sum(decision, payloads)
+    decoded, _ = strategy.decode([0, 2], payloads)
+    decision = strategy.last_decode
     full = gradients.sum(axis=0)
     print(f"available workers : {sorted(decision.available_workers)}")
     print(f"selected workers  : {sorted(decision.selected_workers)}")

@@ -9,7 +9,6 @@ from .gc_matrices import (
 from .gc_scheme import ClassicGradientCode
 from .comm_efficient import CommEfficientGC
 from .approx import (
-    ApproxDecodeResult,
     LeastSquaresDecoder,
     StochasticSumDecoder,
     l2_gradient_error,
@@ -21,7 +20,6 @@ __all__ = [
     "decode_vector",
     "supports_full_recovery",
     "ClassicGradientCode",
-    "ApproxDecodeResult",
     "LeastSquaresDecoder",
     "StochasticSumDecoder",
     "l2_gradient_error",

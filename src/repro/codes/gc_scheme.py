@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.coding import add_rows, as_block, partition_index
+from ..core.coding import as_block, combine, partition_index
 from ..core.cyclic import CyclicRepetition
 from ..core.fractional import FractionalRepetition
 from ..core.placement import Placement
@@ -133,22 +133,6 @@ class ClassicGradientCode:
         vector.flags.writeable = False
         return vector
 
-    def combine(
-        self,
-        survivors: Sequence[int],
-        vector: np.ndarray,
-        worker_payloads: np.ndarray,
-    ) -> np.ndarray:
-        """``Σ_k a_k · payload_{survivors[k]}`` over the non-zero
-        weights, added in survivor order from a zero start."""
-        block = as_block(
-            worker_payloads, self._placement.num_workers, "worker payloads"
-        )
-        keep = vector != 0.0
-        rows = np.asarray(survivors, dtype=np.intp)[keep]
-        # `+ 0.0`: this sum starts from zero (see add_rows).
-        return add_rows(vector[keep, None] * block[rows]) + 0.0
-
     def decode(
         self,
         available_workers: Iterable[int],
@@ -160,6 +144,8 @@ class ClassicGradientCode:
         otherwise undecodable.
         """
         survivors = sorted(available_workers)
-        return self.combine(
-            survivors, self.decode_vector(survivors), worker_payloads
+        vector = self.decode_vector(survivors)
+        block = as_block(
+            worker_payloads, self._placement.num_workers, "worker payloads"
         )
+        return combine(block, survivors, vector)

@@ -36,7 +36,7 @@ from .fr_decoder import FRDecoder
 from .cr_decoder import CRDecoder
 from .hr_decoder import HRDecoder
 from .exact_decoder import ExactDecoder
-from .coding import SummationCode, verify_decode
+from .coding import SummationCode, coefficients, combine, verify_decode
 from .hetero_placement import (
     AssignmentResult,
     heterogeneous_recovery,
@@ -99,6 +99,8 @@ __all__ = [
     "HRDecoder",
     "ExactDecoder",
     "SummationCode",
+    "coefficients",
+    "combine",
     "verify_decode",
     "DescentBound",
     "alpha_lower_bound",

@@ -1,4 +1,4 @@
-"""The IS-GC summation code (Sec. IV).
+"""The IS-GC summation code (Sec. IV) and the master's one combiner.
 
 To stay decodable from an *arbitrary* subset of workers, IS-GC restricts
 worker-side encoding to coefficient-1 sums: worker ``i`` uploads
@@ -9,13 +9,14 @@ solve, no minimum worker count.
 This module carries the numeric half of the pipeline: turning the
 ``(P, D)`` block of per-partition gradients (row ``p`` is ``g_p``) into
 the ``(n, D)`` block of worker payloads (row ``i`` is worker ``i``'s
-upload) and turning a decoding decision
-(:class:`repro.types.DecodeResult`) plus payloads into the partial
-gradient ``ĝ`` (optionally rescaled to an unbiased estimate of the
-full gradient, Assumption 2).
+upload), and adding payload rows at the master: every decoder turns a
+survivor set into rows and weights ``a`` (IS-GC's are 1, classic GC's
+solve ``B_Wᵀa = 𝟙``) that :func:`combine` adds.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,20 +40,50 @@ def as_block(rows: np.ndarray, count: int, what: str) -> np.ndarray:
     return block
 
 
-def add_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows[0] + rows[1] + …`` of a ``(k, D)`` block, in index order.
+def add_rows(rows: np.ndarray, start: float = -0.0) -> np.ndarray:
+    """``start + rows[0] + rows[1] + …`` of a ``(k, D)`` block, in index
+    order: numpy adds along a non-innermost axis element by element.
 
-    Bit-equal to copying the first row and adding the rest one by one:
-    the start is ``-0.0``, which leaves every first row as it is (an
-    all ``-0.0`` column stays ``-0.0``), and numpy adds along a
-    non-innermost axis element by element in index order.  A ``(k, 1)``
-    block makes the row axis innermost, where numpy would sum pairwise,
-    so it accumulates instead.  A sum that starts from zero, where a
-    lone ``-0.0`` becomes ``0.0``, is ``add_rows(rows) + 0.0``.
+    The default ``start``, ``-0.0``, leaves every first row as it is (an
+    all ``-0.0`` column stays ``-0.0``), so the sum is bit-equal to
+    copying the first row and adding the rest one by one.  A sum that
+    starts from zero, where a lone ``-0.0`` becomes ``0.0``, passes
+    ``start=0.0``.  A ``(k, 1)`` block makes the row axis innermost,
+    where numpy would sum pairwise, so it accumulates instead.
     """
     if rows.shape[1] == 1 and len(rows) > 1:
-        return np.add.accumulate(rows, axis=0)[-1]
-    return np.add.reduce(rows, axis=0, initial=-0.0)
+        return np.add.accumulate(rows, axis=0)[-1] + start
+    return np.add.reduce(rows, axis=0, initial=start)
+
+
+def combine(
+    payloads: np.ndarray,
+    rows: Sequence[int],
+    weights: Optional[np.ndarray] = None,
+    start: float = 0.0,
+) -> np.ndarray:
+    """``start + Σ_k weights[k] · payloads[rows[k]]`` in ``rows`` order,
+    over a checked ``(n, D)`` block: the one way the master adds payload
+    rows.  ``weights=None`` means unit weights; a zero weight's row is
+    left out.  ``start`` is :func:`add_rows`'.
+    """
+    if weights is None:
+        return add_rows(payloads[rows], start)
+    keep = weights != 0.0
+    picked = np.asarray(rows, dtype=np.intp)[keep]
+    return add_rows(weights[keep, None] * payloads[picked], start)
+
+
+def coefficients(
+    matrix: np.ndarray,
+    rows: Sequence[int],
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``v = matrix[rows]ᵀ · weights``: how often :func:`combine` counts
+    each partition when row ``i`` of ``matrix`` is worker ``i``'s
+    encoding.  ``v = 𝟙`` is the exact full sum."""
+    block = np.asarray(matrix, dtype=float)[rows]
+    return block.T @ (np.ones(len(block)) if weights is None else weights)
 
 
 def partition_index(placement: Placement) -> np.ndarray:
@@ -70,7 +101,7 @@ def partition_index(placement: Placement) -> np.ndarray:
 
 
 class SummationCode:
-    """Encode/decode gradient payloads for a given placement."""
+    """Encode gradient payloads for a given placement."""
 
     def __init__(self, placement: Placement):
         self._placement = placement
@@ -80,9 +111,6 @@ class SummationCode:
     def placement(self) -> Placement:
         return self._placement
 
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
     def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         """Every worker's payload from the ``(P, D)`` gradient block.
 
@@ -101,31 +129,6 @@ class SummationCode:
         for column in self._index.T[1:]:
             payloads += block[column]
         return payloads
-
-    # ------------------------------------------------------------------
-    # Master side
-    # ------------------------------------------------------------------
-    def decode_sum(
-        self, decision: DecodeResult, worker_payloads: np.ndarray
-    ) -> np.ndarray:
-        """``ĝ = Σ_{i∈I} g_i``: add the selected workers' payload rows."""
-        block = as_block(
-            worker_payloads, self._placement.num_workers, "worker payloads"
-        )
-        return add_rows(block[sorted(decision.selected_workers)])
-
-    def decode_unbiased(
-        self, decision: DecodeResult, worker_payloads: np.ndarray
-    ) -> np.ndarray:
-        """Unbiased full-gradient estimate ``(n / |I|) · ĝ`` (Assumption 2).
-
-        With homogeneous stragglers each partition appears in ``I`` with
-        equal probability, so scaling the partial sum by ``n / |I|``
-        makes its expectation the full gradient sum ``Σ_{i=1}^n g_i``.
-        """
-        partial = self.decode_sum(decision, worker_payloads)
-        scale = self._placement.num_partitions / decision.num_recovered
-        return partial * scale
 
 
 def verify_decode(

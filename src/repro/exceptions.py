@@ -26,12 +26,13 @@ class PlacementError(ConfigurationError):
     """Invalid placement parameters (e.g. FR with ``c`` not dividing ``n``)."""
 
 
-class DecodeError(ReproError):
-    """The master could not decode anything from the available workers."""
-
-
 class CodingError(ReproError):
     """Failure while encoding or decoding gradient payloads."""
+
+
+class DecodeError(CodingError):
+    """The master could not decode anything from the available workers
+    (an empty or malformed survivor set included)."""
 
 
 class SimulationError(ReproError):

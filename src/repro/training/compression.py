@@ -104,6 +104,12 @@ class CompressedISGCStrategy(ISGCStrategy):
     def compressor(self) -> TopKCompressor:
         return self._compressor
 
+    def spawn(self, seed):
+        """IS-GC's twin with its own, empty error-feedback memory."""
+        twin = super().spawn(seed)
+        twin._compressor = TopKCompressor(self._compressor.fraction)
+        return twin
+
     @property
     def upload_fraction(self) -> float:
         """Fraction of gradient entries actually shipped per upload."""

@@ -15,23 +15,25 @@ schemes freely:
 
 One round is two blocks: ``encode`` maps the ``(P, D)`` block of
 per-partition gradients (row ``p`` is ``g_p``) to the ``(n, D)`` block
-of worker payloads (row ``i`` is worker ``i``'s upload), and
-``decode`` returns the *sum* of recovered per-partition gradients,
-added from the accepted workers' payload rows, plus the recovered set;
-the trainer divides by the count so every scheme performs an unbiased
-mean-gradient update (Assumption 2).
+of worker payloads (row ``i`` is worker ``i``'s upload).  Each scheme's
+``weights`` turns a survivor set into payload rows, their weights and
+the recovered set; ``decode`` adds the rows with
+:func:`~repro.core.coding.combine` into the *sum* of recovered
+per-partition gradients, and the trainer divides by the count so every
+scheme performs an unbiased mean-gradient update (Assumption 2).
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..codes.gc_scheme import ClassicGradientCode
-from ..core.coding import SummationCode, add_rows, as_block
+from ..core.batch import validate_mask
+from ..core.coding import SummationCode, as_block, combine
 from ..core.scheme import make_placement
 from ..core.decoders import Decoder, decoder_for
 from ..core.placement import Placement
@@ -64,13 +66,35 @@ class TrainingStrategy(abc.ABC):
         block; a block of the wrong row count raises
         :class:`~repro.exceptions.CodingError`."""
 
+    #: What ``decode``'s sum starts from (see :func:`combine`).
+    sum_start = 0.0
+
     @abc.abstractmethod
+    def weights(self, survivors: FrozenSet[int]) -> Tuple[
+        List[int], Optional[np.ndarray], FrozenSet[int]
+    ]:
+        """(payload rows, their weights or ``None`` for unit weights,
+        recovered partitions) for a checked survivor set."""
+
     def decode(
         self,
         available_workers: Iterable[int],
         payloads: np.ndarray,
     ) -> Tuple[np.ndarray, FrozenSet[int]]:
-        """(sum of recovered per-partition gradients, recovered set)."""
+        """(sum of recovered per-partition gradients, recovered set);
+        a malformed survivor set raises
+        :class:`~repro.exceptions.DecodeError`."""
+        rows, weights, recovered = self.weights(
+            self._survivors(available_workers)
+        )
+        block = as_block(
+            payloads, self._placement.num_workers, "worker payloads"
+        )
+        return combine(block, rows, weights, self.sum_start), recovered
+
+    def _survivors(self, available_workers):
+        """``W'`` checked by :func:`~repro.core.batch.validate_mask`."""
+        return validate_mask(available_workers, self._placement.num_workers)
 
     def spawn(self, seed: int) -> "TrainingStrategy":
         """This scheme for one more run: what is fixed before training
@@ -105,16 +129,13 @@ class SyncSGDStrategy(TrainingStrategy):
             "partition gradients",
         )
 
-    def decode(self, available_workers, payloads):
-        workers = sorted(available_workers)
+    def weights(self, survivors):
         n = self._placement.num_workers
-        if len(workers) != n:
+        if len(survivors) != n:
             raise ConfigurationError(
-                f"sync SGD requires all {n} workers, got {len(workers)}"
+                f"sync SGD requires all {n} workers, got {len(survivors)}"
             )
-        block = as_block(payloads, n, "worker payloads")
-        # `+ 0.0`: this sum starts from zero (see add_rows).
-        return add_rows(block[workers]) + 0.0, frozenset(range(n))
+        return list(range(n)), None, frozenset(range(n))
 
 
 class ISSGDStrategy(TrainingStrategy):
@@ -143,13 +164,9 @@ class ISSGDStrategy(TrainingStrategy):
             "partition gradients",
         )
 
-    def decode(self, available_workers, payloads):
-        workers = sorted(available_workers)
-        block = as_block(
-            payloads, self._placement.num_workers, "worker payloads"
-        )
-        # `+ 0.0`: this sum starts from zero (see add_rows).
-        return add_rows(block[workers]) + 0.0, frozenset(workers)
+    def weights(self, survivors):
+        rows = sorted(survivors)
+        return rows, None, frozenset(rows)
 
 
 class ClassicGCStrategy(TrainingStrategy):
@@ -194,18 +211,18 @@ class ClassicGCStrategy(TrainingStrategy):
     def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         return self._code.encode(partition_gradients)
 
-    def decode(self, available_workers, payloads):
-        survivors = sorted(available_workers)
-        total = self._code.combine(
-            survivors, self.decode_vector(survivors), payloads
-        )
-        return total, frozenset(range(self._placement.num_workers))
+    def weights(self, survivors):
+        rows = sorted(survivors)
+        recovered = frozenset(range(self._placement.num_workers))
+        return rows, self.decode_vector(rows), recovered
 
 
 class ISGCStrategy(TrainingStrategy):
     """IS-GC: summation code + conflict-graph decoding, arbitrary ``w``."""
 
     name = "is-gc"
+    #: -0.0: the sum starts from the first selected payload row.
+    sum_start = -0.0
 
     def __init__(
         self,
@@ -257,8 +274,12 @@ class ISGCStrategy(TrainingStrategy):
     def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         return self._code.encode(partition_gradients)
 
-    def decode(self, available_workers, payloads):
-        decision = self._decoder.decode(available_workers)
+    def _survivors(self, available_workers):
+        # The decoder checks W' with validate_mask itself.
+        return available_workers
+
+    def weights(self, survivors):
+        decision = self._decoder.decode(survivors)
         self.last_decode = decision
-        total = self._code.decode_sum(decision, payloads)
-        return total, decision.recovered_partitions
+        rows = sorted(decision.selected_workers)
+        return rows, None, decision.recovered_partitions

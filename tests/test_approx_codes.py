@@ -12,6 +12,7 @@ from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
     SummationCode,
+    coefficients,
     decoder_for,
     partition_matrix,
 )
@@ -22,6 +23,19 @@ def _payloads(placement, seed=0, dim=6):
     rng = np.random.default_rng(seed)
     grads = rng.normal(size=(placement.num_workers, dim))
     return grads, SummationCode(placement).encode(grads)
+
+
+def _v(placement, rows, weights=None):
+    """The coefficient vector ``v = Bᵀ_rows · a`` of a weight choice."""
+    return coefficients(partition_matrix(placement), rows, weights)
+
+
+def _deviation(v):
+    return float(np.linalg.norm(v - 1.0))
+
+
+def _is_exact(v):
+    return bool(np.allclose(v, 1.0, atol=1e-8))
 
 
 class TestPlacementMatrix:
@@ -46,19 +60,18 @@ class TestLeastSquaresDecoder:
         """With enough non-conflicting coverage the LS solution is exact."""
         placement = CyclicRepetition(6, 2)
         grads, payloads = _payloads(placement)
-        result = LeastSquaresDecoder(placement).decode(range(6), payloads)
-        assert result.is_exact
-        np.testing.assert_allclose(
-            result.estimate, grads.sum(axis=0), atol=1e-8
-        )
-        assert result.deviation == pytest.approx(0.0, abs=1e-8)
+        dec = LeastSquaresDecoder(placement)
+        estimate = dec.decode(range(6), payloads)
+        v = _v(placement, *dec.weights(range(6)))
+        assert _is_exact(v)
+        np.testing.assert_allclose(estimate, grads.sum(axis=0), atol=1e-8)
+        assert _deviation(v) == pytest.approx(0.0, abs=1e-8)
 
     def test_single_worker_estimate(self):
         placement = CyclicRepetition(4, 2)
-        grads, payloads = _payloads(placement)
-        result = LeastSquaresDecoder(placement).decode([0], payloads)
-        assert not result.is_exact
-        assert result.deviation > 0
+        v = _v(placement, *LeastSquaresDecoder(placement).weights([0]))
+        assert not _is_exact(v)
+        assert _deviation(v) > 0
 
     def test_l2_error_decreases_with_more_workers(self):
         placement = CyclicRepetition(8, 2)
@@ -74,16 +87,13 @@ class TestLeastSquaresDecoder:
         """IS-GC's decode is a feasible LS solution (0/1 weights), so the
         LS optimum's coefficient deviation can't exceed IS-GC's."""
         placement = CyclicRepetition(5, 2)
-        grads, payloads = _payloads(placement, seed=4)
         available = [0, 1, 2]
-        ls = LeastSquaresDecoder(placement).decode(available, payloads)
+        ls = _v(placement, *LeastSquaresDecoder(placement).weights(available))
         isgc = decoder_for(placement, rng=np.random.default_rng(0)).decode(available)
         # IS-GC coefficient vector: 1 on recovered, 0 elsewhere.
-        v = np.zeros(5)
-        for p in isgc.recovered_partitions:
-            v[p] = 1.0
-        isgc_dev = float(np.linalg.norm(v - 1.0))
-        assert ls.deviation <= isgc_dev + 1e-9
+        v = _v(placement, sorted(isgc.selected_workers))
+        isgc_dev = _deviation(v)
+        assert _deviation(ls) <= isgc_dev + 1e-9
 
     def test_empty_available_raises(self):
         placement = CyclicRepetition(4, 2)
@@ -103,11 +113,10 @@ class TestStochasticSumDecoder:
         times, so the rescaled sum is the exact full gradient."""
         placement = CyclicRepetition(6, 3)
         grads, payloads = _payloads(placement)
-        result = StochasticSumDecoder(placement).decode(range(6), payloads)
-        np.testing.assert_allclose(
-            result.estimate, grads.sum(axis=0), atol=1e-9
-        )
-        assert result.is_exact
+        dec = StochasticSumDecoder(placement)
+        estimate = dec.decode(range(6), payloads)
+        np.testing.assert_allclose(estimate, grads.sum(axis=0), atol=1e-9)
+        assert _is_exact(_v(placement, *dec.weights(range(6))))
 
     def test_unbiased_over_uniform_availability(self):
         """E[ĝ] over uniform size-w subsets equals the full gradient."""
@@ -120,15 +129,14 @@ class TestStochasticSumDecoder:
         trials = 4000
         for _ in range(trials):
             avail = rng.choice(6, size=w, replace=False).tolist()
-            acc += dec.decode(avail, payloads).estimate
+            acc += dec.decode(avail, payloads)
         full = grads.sum(axis=0)
         np.testing.assert_allclose(acc / trials, full, atol=0.15)
 
     def test_partial_availability_inexact(self):
         placement = CyclicRepetition(6, 2)
-        _, payloads = _payloads(placement)
-        result = StochasticSumDecoder(placement).decode([0, 1], payloads)
-        assert not result.is_exact
+        v = _v(placement, *StochasticSumDecoder(placement).weights([0, 1]))
+        assert not _is_exact(v)
 
     def test_empty_raises(self):
         placement = CyclicRepetition(4, 2)
@@ -140,13 +148,16 @@ class TestStochasticSumDecoder:
 class TestComparisonWithISGC:
     def test_ls_beats_stochastic_sum_in_deviation(self):
         """The LS combiner is optimal among linear decoders, so its
-        coefficient deviation is a lower bound for the rescaled sum."""
+        coefficient deviation is a lower bound for the rescaled sum's
+        and for IS-GC's 0/1 weights."""
         placement = CyclicRepetition(8, 2)
-        grads, payloads = _payloads(placement, seed=6)
         rng = np.random.default_rng(1)
+        isgc = decoder_for(placement, rng=np.random.default_rng(2))
         for _ in range(30):
             w = int(rng.integers(1, 9))
             avail = rng.choice(8, size=w, replace=False).tolist()
-            ls = LeastSquaresDecoder(placement).decode(avail, payloads)
-            ss = StochasticSumDecoder(placement).decode(avail, payloads)
-            assert ls.deviation <= ss.deviation + 1e-9
+            ls = _v(placement, *LeastSquaresDecoder(placement).weights(avail))
+            ss = _v(placement, *StochasticSumDecoder(placement).weights(avail))
+            selected = sorted(isgc.decode(avail).selected_workers)
+            assert _deviation(ls) <= _deviation(ss) + 1e-9
+            assert _deviation(ls) <= _deviation(_v(placement, selected)) + 1e-9

@@ -8,10 +8,12 @@ from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
     SummationCode,
+    combine,
     decoder_for,
     verify_decode,
 )
 from repro.exceptions import CodingError
+from repro.training import ISGCStrategy
 
 
 def _gradients(n, dim, seed=0):
@@ -57,7 +59,7 @@ class TestDecode:
         payloads = code.encode(grads)
         decoder = decoder_for(pl, rng=np.random.default_rng(0))
         decision = decoder.decode([0, 2, 4])
-        decoded = code.decode_sum(decision, payloads)
+        decoded = combine(payloads, sorted(decision.selected_workers))
         assert verify_decode(pl, decision, grads, decoded)
 
     def test_full_availability_recovers_full_sum(self):
@@ -66,27 +68,17 @@ class TestDecode:
         grads = _gradients(6, 3)
         payloads = code.encode(grads)
         decision = decoder_for(pl, rng=np.random.default_rng(1)).decode(range(6))
-        decoded = code.decode_sum(decision, payloads)
+        decoded = combine(payloads, sorted(decision.selected_workers))
         np.testing.assert_allclose(
             decoded, sum(grads[p] for p in range(6)), atol=1e-9
         )
 
     def test_missing_payload_raises(self):
-        pl = CyclicRepetition(4, 2)
-        code = SummationCode(pl)
-        decision = decoder_for(pl, rng=np.random.default_rng(0)).decode([0, 2])
+        strategy = ISGCStrategy(
+            CyclicRepetition(4, 2), 2, rng=np.random.default_rng(0)
+        )
         with pytest.raises(CodingError, match="payloads"):
-            code.decode_sum(decision, np.zeros((1, 3)))
-
-    def test_unbiased_scaling(self):
-        pl = CyclicRepetition(4, 2)
-        code = SummationCode(pl)
-        grads = np.ones((4, 2))
-        payloads = code.encode(grads)
-        decision = decoder_for(pl, rng=np.random.default_rng(0)).decode([0])
-        est = code.decode_unbiased(decision, payloads)
-        # 2 partitions recovered, scaled by 4/2 → equals the full sum.
-        np.testing.assert_allclose(est, 4 * np.ones(2))
+            strategy.decode([0, 2], np.zeros((1, 3)))
 
     @given(
         st.integers(min_value=2, max_value=10),
@@ -104,7 +96,7 @@ class TestDecode:
         w = int(rng.integers(1, n + 1))
         avail = rng.choice(n, size=w, replace=False).tolist()
         decision = decoder_for(pl, rng=rng).decode(avail)
-        decoded = code.decode_sum(decision, payloads)
+        decoded = combine(payloads, sorted(decision.selected_workers))
         expected = sum(grads[p] for p in decision.recovered_partitions)
         np.testing.assert_allclose(decoded, expected, atol=1e-9)
 
@@ -116,5 +108,5 @@ class TestHelpers:
         grads = _gradients(4, 3)
         payloads = code.encode(grads)
         decision = decoder_for(pl, rng=np.random.default_rng(0)).decode([0, 2])
-        decoded = code.decode_sum(decision, payloads) + 0.5
+        decoded = combine(payloads, sorted(decision.selected_workers)) + 0.5
         assert not verify_decode(pl, decision, grads, decoded)

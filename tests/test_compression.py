@@ -106,6 +106,21 @@ class TestCompressedStrategy:
         assert "top25%" in strat.name
         assert strat.upload_fraction == 0.25
 
+    def test_spawned_twins_own_their_compressor(self):
+        """``spawn``'s contract: what a run mutates is new.  A twin's
+        error-feedback memory must not see another twin's uploads."""
+        strat = CompressedISGCStrategy(
+            CyclicRepetition(4, 2), wait_for=2, fraction=0.1,
+            rng=np.random.default_rng(0),
+        )
+        a, b = strat.spawn(1), strat.spawn(2)
+        assert len({id(s.compressor) for s in (strat, a, b)}) == 3
+        assert a.compressor.fraction == b.compressor.fraction == 0.1
+        fresh = strat.spawn(3).encode(self._grads(seed=1))
+        b.encode(self._grads(seed=2))
+        np.testing.assert_array_equal(a.encode(self._grads(seed=1)), fresh)
+        assert strat.compressor.memory_of(0) is None
+
     def test_decode_still_works(self):
         strat = CompressedISGCStrategy(
             CyclicRepetition(4, 2), wait_for=2, fraction=0.5,

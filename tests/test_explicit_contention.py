@@ -8,6 +8,7 @@ from repro.core import (
     ExactDecoder,
     ExplicitPlacement,
     SummationCode,
+    combine,
     conflict_graph,
     decoder_for,
 )
@@ -42,7 +43,7 @@ class TestExplicitPlacement:
         code = SummationCode(placement)
         payloads = code.encode(grads)
         decision = decoder_for(placement, rng=rng).decode([0, 1])
-        decoded = code.decode_sum(decision, payloads)
+        decoded = combine(payloads, sorted(decision.selected_workers))
         np.testing.assert_allclose(decoded, grads.sum(axis=0), atol=1e-9)
 
     def test_invariants_enforced(self):

@@ -14,6 +14,7 @@ from repro.core import (
     FractionalRepetition,
     HybridRepetition,
     SummationCode,
+    combine,
     decoder_for,
 )
 from repro.env import Environment
@@ -168,7 +169,7 @@ class TestEndToEndPipelineConsistency:
             w = int(rng.integers(1, n + 1))
             result = sim.run_round(step, WaitForK(w))
             decision = decoder.decode(result.outcome.accepted_workers)
-            decoded = code.decode_sum(decision, payloads)
+            decoded = combine(payloads, sorted(decision.selected_workers))
             expected = sum(grads[p] for p in decision.recovered_partitions)
             np.testing.assert_allclose(decoded, expected, atol=1e-9)
 
@@ -185,5 +186,7 @@ class TestEndToEndPipelineConsistency:
         decoder = decoder_for(placement, rng=rng)
         gc_total = gc.decode(range(6), gc.encode(grads))
         decision = decoder.decode(range(6))
-        is_total = summation.decode_sum(decision, summation.encode(grads))
+        is_total = combine(
+            summation.encode(grads), sorted(decision.selected_workers)
+        )
         np.testing.assert_allclose(gc_total, is_total, atol=1e-6)

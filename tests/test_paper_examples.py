@@ -14,6 +14,7 @@ from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
     SummationCode,
+    combine,
     decoder_for,
 )
 from repro.exceptions import CodingError
@@ -81,7 +82,8 @@ class TestFig1dISGC:
         decision = decoder.decode([0, 2])
         assert decision.recovered_partitions == frozenset(range(4))
         np.testing.assert_allclose(
-            code.decode_sum(decision, payloads), full_sum, atol=1e-9
+            combine(payloads, sorted(decision.selected_workers)), full_sum,
+            atol=1e-9,
         )
 
     def test_beats_issgd_on_same_workers(self, gradients):
@@ -127,5 +129,6 @@ class TestFig3DecodingOrder:
         code = SummationCode(placement)
         payloads = code.encode(gradients)
         np.testing.assert_allclose(
-            code.decode_sum(decision, payloads), full_sum, atol=1e-9
+            combine(payloads, sorted(decision.selected_workers)), full_sum,
+            atol=1e-9,
         )

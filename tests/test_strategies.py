@@ -1,10 +1,19 @@
 """Tests for training strategies (the scheme abstraction)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from repro.core import CyclicRepetition, FractionalRepetition, HybridRepetition
-from repro.exceptions import CodingError, ConfigurationError
+from repro.codes import LeastSquaresDecoder, StochasticSumDecoder
+from repro.core import (
+    CyclicRepetition,
+    FractionalRepetition,
+    HybridRepetition,
+    coefficients,
+    partition_matrix,
+)
+from repro.exceptions import CodingError, ConfigurationError, DecodeError
 from repro.simulation import DeadlinePolicy, WaitForK
 from repro.training import (
     ClassicGCStrategy,
@@ -159,3 +168,106 @@ class TestISGC:
         _, rec_gc = isgc.decode(available, isgc.encode(grads))
         _, rec_sgd = issgd.decode(available, issgd.encode(grads))
         assert len(rec_gc) == 4 > len(rec_sgd) == 2
+
+
+#: Every decode entry that takes a survivor set: the four strategies
+#: and the two approximate decoders, each over six workers.
+DECODERS = {
+    "sync-sgd": lambda: SyncSGDStrategy(6),
+    "is-sgd": lambda: ISSGDStrategy(6, wait_for=2),
+    "gc": lambda: ClassicGCStrategy(
+        CyclicRepetition(6, 2), rng=np.random.default_rng(0)
+    ),
+    "is-gc": lambda: ISGCStrategy(
+        CyclicRepetition(6, 2), 2, rng=np.random.default_rng(0)
+    ),
+    "least-squares": lambda: LeastSquaresDecoder(CyclicRepetition(6, 2)),
+    "stochastic-sum": lambda: StochasticSumDecoder(CyclicRepetition(6, 2)),
+}
+
+
+class TestSurvivorSetsAreChecked:
+    """One survivor check per decode, with ``validate_mask``'s rules:
+    a malformed set never reaches the weights."""
+
+    @pytest.mark.parametrize("name", sorted(DECODERS))
+    @pytest.mark.parametrize("survivors, message", [
+        ([0, 1, 2, 3, 4, 5, 0], "duplicate available workers: \\[0\\]"),
+        ([-1, 0, 1, 2, 3, 4], "out of range .*\\[-1\\]"),
+        ([0, 1, 2, 3, 4, 6], "out of range .*\\[6\\]"),
+        ([True, 1, 2, 3, 4, 5], "must be integer ids"),
+        ([], "zero available workers"),
+    ], ids=["duplicate", "negative", "out-of-range", "bool", "empty"])
+    def test_malformed_survivor_sets_raise(self, name, survivors, message):
+        decoder = DECODERS[name]()
+        payloads = _grads(6)
+        with pytest.raises(DecodeError, match=message):
+            decoder.decode(survivors, payloads)
+
+    def test_is_gc_checks_once(self, monkeypatch):
+        """IS-GC's decoder runs the check; the strategy does not repeat it."""
+        import repro.core.decoders as decoders
+        import repro.training.strategies as strategies
+
+        calls = []
+        check = decoders.validate_mask
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(decoders, "validate_mask", counted)
+        monkeypatch.setattr(strategies, "validate_mask", counted)
+        DECODERS["is-gc"]().decode([0, 2], _grads(6))
+        assert len(calls) == 1
+
+
+def _coefficient_matrix(strategy):
+    if isinstance(strategy, ClassicGCStrategy):
+        return strategy.code.b_matrix
+    return partition_matrix(strategy.placement)
+
+
+class TestCoefficientVector:
+    """``v = B[rows]ᵀa`` of each scheme's weights on every survivor set:
+    the 0/1 indicator of the recovered set wherever the update divides
+    by ``len(recovered)``, and 𝟙 for classic GC's exact sum."""
+
+    @pytest.mark.parametrize("placement", [
+        CyclicRepetition(8, 3), FractionalRepetition(8, 2),
+    ], ids=repr)
+    def test_on_every_survivor_set(self, placement):
+        n = placement.num_workers
+        partial = [
+            ISGCStrategy(placement, 1, rng=np.random.default_rng(0)),
+            ISSGDStrategy(n, wait_for=1),
+        ]
+        gc = ClassicGCStrategy(placement, rng=np.random.default_rng(0))
+        decodable = 0
+        for size in range(1, n + 1):
+            for survivors in combinations(range(n), size):
+                for strategy in partial:
+                    rows, weights, recovered = strategy.weights(survivors)
+                    v = coefficients(
+                        _coefficient_matrix(strategy), rows, weights
+                    )
+                    indicator = np.zeros(n)
+                    indicator[sorted(recovered)] = 1.0
+                    np.testing.assert_array_equal(v, indicator)
+                try:
+                    rows, weights, recovered = gc.weights(survivors)
+                except CodingError:
+                    continue
+                decodable += 1
+                assert recovered == frozenset(range(n))
+                np.testing.assert_allclose(
+                    coefficients(gc.code.b_matrix, rows, weights), 1.0,
+                    rtol=0, atol=1e-9,
+                )
+        assert decodable > 0
+        sync = SyncSGDStrategy(n)
+        rows, weights, recovered = sync.weights(frozenset(range(n)))
+        assert recovered == frozenset(range(n))
+        np.testing.assert_array_equal(
+            coefficients(_coefficient_matrix(sync), rows, weights), np.ones(n)
+        )

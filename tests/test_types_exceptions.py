@@ -27,6 +27,11 @@ class TestExceptionHierarchy:
         clause for 'bad setup' catches both."""
         assert issubclass(PlacementError, ConfigurationError)
 
+    def test_decode_error_is_coding_error(self):
+        """A malformed survivor set is a decoding failure on every path:
+        IS-GC's decoder and the other schemes' decode raise one type."""
+        assert issubclass(DecodeError, CodingError)
+
     def test_catchable_as_repro_error(self):
         with pytest.raises(ReproError):
             raise DecodeError("nothing arrived")
