@@ -65,7 +65,7 @@ def combine(
     """``start + Σ_k weights[k] · payloads[rows[k]]`` in ``rows`` order,
     over a checked ``(n, D)`` block: the one way the master adds payload
     rows.  ``weights=None`` means unit weights; a zero weight's row is
-    left out.  ``start`` is :func:`add_rows`'.
+    left out.  ``start`` is as for :func:`add_rows`.
     """
     if weights is None:
         return add_rows(payloads[rows], start)
