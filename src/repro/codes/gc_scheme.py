@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.batch import validate_mask
 from ..core.coding import as_block, combine, partition_index
 from ..core.cyclic import CyclicRepetition
 from ..core.fractional import FractionalRepetition
@@ -140,12 +141,12 @@ class ClassicGradientCode:
     ) -> np.ndarray:
         """Exact full-gradient sum ``Σ_{p=0}^{n-1} g_p`` from survivors.
 
-        Raises :class:`CodingError` when the survivor set is too small or
+        Raises :class:`CodingError` when the survivor set is malformed
+        (:func:`~repro.core.batch.validate_mask`), too small or
         otherwise undecodable.
         """
-        survivors = sorted(available_workers)
+        n = self._placement.num_workers
+        survivors = sorted(validate_mask(available_workers, n))
         vector = self.decode_vector(survivors)
-        block = as_block(
-            worker_payloads, self._placement.num_workers, "worker payloads"
-        )
+        block = as_block(worker_payloads, n, "worker payloads")
         return combine(block, survivors, vector)

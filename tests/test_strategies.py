@@ -5,7 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.codes import LeastSquaresDecoder, StochasticSumDecoder
+from repro.codes import (
+    ClassicGradientCode,
+    LeastSquaresDecoder,
+    StochasticSumDecoder,
+)
 from repro.core import (
     CyclicRepetition,
     FractionalRepetition,
@@ -170,9 +174,13 @@ class TestISGC:
         assert len(rec_gc) == 4 > len(rec_sgd) == 2
 
 
-#: Every decode entry that takes a survivor set: the four strategies
-#: and the two approximate decoders, each over six workers.
+#: Every decode entry that takes a survivor set: the four strategies,
+#: classic GC's code and the two approximate decoders, each over six
+#: workers.
 DECODERS = {
+    "gc-code": lambda: ClassicGradientCode(
+        CyclicRepetition(6, 2), rng=np.random.default_rng(0)
+    ),
     "sync-sgd": lambda: SyncSGDStrategy(6),
     "is-sgd": lambda: ISSGDStrategy(6, wait_for=2),
     "gc": lambda: ClassicGCStrategy(
