@@ -20,8 +20,8 @@ def cmd_environments(args: argparse.Namespace) -> int:
         LAYERS,
         make_model,
         model_fingerprint,
+        model_spec,
         resolve_model,
-        spec_of,
     )
 
     if args.kind is None:
@@ -85,11 +85,11 @@ def cmd_environments(args: argparse.Namespace) -> int:
                 "to build it"
             )
         family = matches[0]
-        model = make_model(
-            family.layer, family.kind, **_parse_model_params(args.param)
-        )
-        print(f"  spec        : {spec_of(model)}")
-        print(f"  fingerprint : {model_fingerprint(model)}")
+        params = _parse_model_params(args.param)
+        make_model(family.layer, family.kind, **params)  # checks the params
+        section = {"kind": family.kind, **params}
+        print(f"  spec        : {model_spec(family.layer, section)}")
+        print(f"  fingerprint : {model_fingerprint(family.layer, section)}")
     return 0
 
 

@@ -118,18 +118,34 @@ class ClassicGradientCode:
     # ------------------------------------------------------------------
     # Master side
     # ------------------------------------------------------------------
+    def _survivors(self, available_workers: Iterable[int]) -> list:
+        """``sorted(W')`` checked by
+        :func:`~repro.core.batch.validate_mask`."""
+        n = self._placement.num_workers
+        return sorted(validate_mask(available_workers, n))
+
     def can_decode(self, available_workers: Iterable[int]) -> bool:
-        """Whether the exact full gradient is recoverable from ``W'``."""
-        return supports_full_recovery(self._b, sorted(available_workers))
+        """Whether the exact full gradient is recoverable from ``W'``;
+        a malformed survivor set raises
+        :class:`~repro.exceptions.DecodeError`."""
+        return supports_full_recovery(
+            self._b, self._survivors(available_workers)
+        )
 
-    def decode_vector(self, survivors: Sequence[int]) -> np.ndarray:
-        """The read-only weights ``a`` with ``aᵀ · B[survivors] = 𝟙ᵀ``.
+    def decode_vector(self, available_workers: Iterable[int]) -> np.ndarray:
+        """The read-only weights ``a`` with ``aᵀ · B[survivors] = 𝟙ᵀ``,
+        ``survivors = sorted(W')``.
 
-        ``survivors`` are sorted worker indices; the vector depends on
-        them alone, so callers may memoise it per survivor set.  Raises
-        :class:`CodingError` when the set is too small or otherwise
-        undecodable (IS-GC's motivating failure mode).
+        The vector depends on the survivor set alone, so callers may
+        memoise it per set.  Raises :class:`CodingError` when the set
+        is malformed (:func:`~repro.core.batch.validate_mask`), too
+        small or otherwise undecodable (IS-GC's motivating failure
+        mode).
         """
+        return self._solve(self._survivors(available_workers))
+
+    def _solve(self, survivors: Sequence[int]) -> np.ndarray:
+        """:meth:`decode_vector` of sorted, already checked survivors."""
         vector = decode_vector(self._b, list(survivors))
         vector.flags.writeable = False
         return vector
@@ -145,8 +161,8 @@ class ClassicGradientCode:
         (:func:`~repro.core.batch.validate_mask`), too small or
         otherwise undecodable.
         """
-        n = self._placement.num_workers
-        survivors = sorted(validate_mask(available_workers, n))
-        vector = self.decode_vector(survivors)
-        block = as_block(worker_payloads, n, "worker payloads")
-        return combine(block, survivors, vector)
+        survivors = self._survivors(available_workers)
+        block = as_block(
+            worker_payloads, self._placement.num_workers, "worker payloads"
+        )
+        return combine(block, survivors, self._solve(survivors))

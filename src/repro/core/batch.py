@@ -61,6 +61,10 @@ MaskBatch = Union[np.ndarray, Sequence[Iterable[int]]]
 # Mask validation — the single source of truth for all seven families.
 
 
+#: The id types of a mask that needs no conversion.
+_PLAIN_INTS = frozenset({int})
+
+
 def validate_mask(available_workers: Iterable[int], num_workers: int):
     """Validate one availability mask; return its frozenset of Python
     ``int`` ids (numpy integers are converted, in listed order, so the
@@ -75,9 +79,18 @@ def validate_mask(available_workers: Iterable[int], num_workers: int):
     identically on either path.
     """
     workers = list(available_workers)
+    types = set(map(type, workers))
+    if types == _PLAIN_INTS:
+        # Fast path: plain-int ids, distinct and in range.  Anything
+        # else falls through to the ordered checks and their messages.
+        available = frozenset(workers)
+        if (
+            len(available) == len(workers)
+            and 0 <= min(available) <= max(available) < num_workers
+        ):
+            return available
     if not workers:
         raise DecodeError("cannot decode with zero available workers")
-    types = set(map(type, workers))
     bad_types = {
         t
         for t in types

@@ -21,6 +21,7 @@ from .registry import (
     make_network_model,
     model_fingerprint,
     model_from,
+    model_spec,
     model_spec_problems,
     register_compute,
     register_contention,
@@ -29,7 +30,6 @@ from .registry import (
     register_network,
     registered_models,
     resolve_model,
-    spec_of,
 )
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "make_network_model",
     "model_fingerprint",
     "model_from",
+    "model_spec",
     "model_spec_problems",
     "register_compute",
     "register_contention",
@@ -54,5 +55,4 @@ __all__ = [
     "register_network",
     "registered_models",
     "resolve_model",
-    "spec_of",
 ]

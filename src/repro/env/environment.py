@@ -3,15 +3,12 @@
 An experiment's environment is five coordinated layers — delay,
 failure, compute, network, contention — that before this module every
 caller wired by hand.  :class:`Environment` bundles them into one
-describable, content-fingerprintable, resettable unit:
+resettable unit:
 
 * build it from spec sections, from already-built models, or any mix
   — each layer accepts a model instance, a kind string, or a
   ``{"kind": ..., **params}`` mapping, read by
   :func:`~repro.env.registry.model_from`;
-* :meth:`describe` renders the catalogue view, :meth:`fingerprint`
-  digests the canonical spec (the sweep-cache key discipline of
-  :meth:`repro.core.scheme.PlacementScheme.fingerprint`);
 * :meth:`reset` rewinds stateful delay/failure models so a replay
   reproduces the run;
 * :meth:`simulator` binds the environment to a
@@ -24,21 +21,23 @@ in :mod:`repro.env.registry`.
 
 Spec sections are validated before anything is built, per layer, by
 :func:`~repro.env.registry.model_spec_problems` (spec admission calls
-it from :class:`~repro.engine.spec.ExperimentSpec`).
+it from :class:`~repro.engine.spec.ExperimentSpec`).  An environment
+is named by its sections, not by its built models: the canonical spec
+and fingerprint of a section are
+:func:`~repro.env.registry.model_spec` and
+:func:`~repro.env.registry.model_fingerprint` of that section.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Any, Dict
+from typing import Any
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..simulation.cluster import ClusterSimulator
 from ..straggler.failures import NoFailures
-from .registry import delay_model_from, model_from, spec_of
+from .registry import delay_model_from, model_from
 
 
 class Environment:
@@ -93,45 +92,6 @@ class Environment:
         self._delay.reset()
         self._failure.reset()
 
-    def spec(self) -> Dict[str, Any]:
-        """Canonical ``{layer: spec}`` mapping of every layer.
-
-        Registry-built layers reproduce their construction spec
-        (``Environment(**env.spec())`` rebuilds an equivalent
-        environment); directly-built models fall back to a stable
-        class/state digest.
-        """
-        return {
-            "delay": spec_of(self._delay),
-            "failure": spec_of(self._failure),
-            "compute": spec_of(self._compute),
-            "network": spec_of(self._network),
-            "contention": spec_of(self._contention),
-        }
-
-    def fingerprint(self) -> str:
-        """Content digest of the canonical spec (sha256 hex) — the
-        cache-key discipline of placement fingerprints, for sweeps that
-        key results by environment."""
-        payload = json.dumps(self.spec(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def describe(self) -> str:
-        """Human-readable per-layer description."""
-        lines = ["Environment:"]
-        for layer, section in self.spec().items():
-            if section is None:
-                lines.append(f"  {layer}: none")
-            else:
-                rendered = ", ".join(
-                    f"{k}={v}" for k, v in section.items() if k != "kind"
-                )
-                label = section.get("kind", section.get("class", "?"))
-                lines.append(
-                    f"  {layer}: {label}" + (f" ({rendered})" if rendered else "")
-                )
-        return "\n".join(lines)
-
     def refuse_failures_and_contention(self) -> None:
         """Raise :class:`ConfigurationError` unless the failure and
         contention layers are the neutral ones — for the round
@@ -169,6 +129,3 @@ class Environment:
             rng=rng,
             tracer=tracer,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Environment(fingerprint={self.fingerprint()[:12]}...)"

@@ -27,10 +27,13 @@ same move :mod:`repro.core.scheme` made for placements:
   behind spec admission: signature-level problems (unknown kind, unknown
   or missing parameters, malformed nesting) without constructing
   anything;
-* :func:`spec_of` / :func:`model_fingerprint` — canonical JSON-ready
-  specs and content digests for registry-built models (provenance is
-  recorded at construction), with a best-effort class/state fallback
-  for models built directly.
+* :func:`model_spec` / :func:`model_fingerprint` — the canonical
+  JSON-ready spec of a section and its content digest, pure functions
+  of the section data.  A built model has no spec: fingerprint the
+  section it was built from.
+
+All three read a section through one split (:func:`_split`) into a kind
+and its parameters.
 
 Registry-built models are **bit-for-bit identical** to direct
 construction: the factories below forward parameters verbatim, so the
@@ -45,7 +48,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import weakref
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,36 +140,6 @@ ENV_REGISTRY: Dict[str, Registry[ModelFamily]] = {
     for layer in LAYERS
 }
 
-_Provenance = Tuple[str, str, Dict[str, Any]]
-
-#: ``id(model)`` → (weak reference to the registry-built model, its
-#: (layer, kind, raw params)) for :func:`spec_of`.  Keyed by identity:
-#: frozen-dataclass models compare and hash by value, so an equal model
-#: built directly must not read as registry-built.  The reference's
-#: callback drops the entry, so the registry never pins model lifetimes.
-_PROVENANCE: Dict[int, Tuple["weakref.ref[Any]", _Provenance]] = {}
-
-
-def _record_provenance(model: Any, entry: _Provenance) -> None:
-    key = id(model)
-
-    def forget(ref: "weakref.ref[Any]") -> None:
-        if _PROVENANCE.get(key, (None,))[0] is ref:
-            del _PROVENANCE[key]
-
-    try:
-        _PROVENANCE[key] = (weakref.ref(model, forget), entry)
-    except TypeError:  # pragma: no cover - non-weakref-able model
-        pass
-
-
-def _provenance(model: Any) -> Optional[_Provenance]:
-    held = _PROVENANCE.get(id(model))
-    if held is None or held[0]() is not model:
-        return None
-    return held[1]
-
-
 def _register(
     layer: str,
     kind: str,
@@ -248,21 +220,16 @@ def make_model(layer: str, kind: str, **params: Any) -> Any:
 
     The single construction entry point behind :func:`make_delay_model`
     and friends.  Unknown parameter names are rejected with the
-    family's accepted signature; the built model's provenance
-    ``(kind, params)`` is recorded so :func:`spec_of` /
-    :func:`model_fingerprint` can reproduce the canonical spec.
+    family's accepted signature.
     """
     family = resolve_model(layer, kind)
     try:
-        model = family.build(**params)
+        return family.build(**params)
     except TypeError as exc:
         raise ConfigurationError(
             f"invalid parameters for {layer} model {family.kind!r}: "
             f"{exc}; accepted: {', '.join(family.parameters())}"
         ) from exc
-    if model is not None:
-        _record_provenance(model, (layer, family.kind, dict(params)))
-    return model
 
 
 def make_delay_model(kind: str, **params: Any) -> DelayModel:
@@ -292,7 +259,31 @@ def make_contention_model(kind: str, **params: Any):
 
 
 # ----------------------------------------------------------------------
-# Spec coercion: model object | kind string | {"kind": ..., **params}.
+# Spec sections: kind string | {"kind": ..., **params} | kind-less mapping.
+
+
+def _split(layer: str, value: Any, where: str) -> Tuple[str, Dict[str, Any]]:
+    """``(kind, params)`` of one spec section of ``layer``.
+
+    A kind string has no params; a mapping's ``kind`` key names the
+    family, and a mapping without one takes the layer's bare kind
+    (refused where the layer has none).  Anything else is refused.
+    """
+    if isinstance(value, str):
+        return value, {}
+    if isinstance(value, Mapping):
+        params = dict(value)
+        kind = params.pop("kind", _layer_rule(layer).bare_kind)
+        if kind is None:
+            raise ConfigurationError(
+                f"{where} needs a 'kind' key naming a registered model "
+                f"(kinds: {', '.join(registered_models(layer))})"
+            )
+        return kind, params
+    raise ConfigurationError(
+        f"{where} must be a kind string or a {{'kind': ...}} "
+        f"mapping, got {value!r}"
+    )
 
 
 def model_from(layer: str, value: Any) -> Any:
@@ -311,21 +302,8 @@ def model_from(layer: str, value: Any) -> Any:
         value = rule.neutral
     if isinstance(value, rule.types):
         return value
-    if isinstance(value, str):
-        return make_model(layer, value)
-    if isinstance(value, Mapping):
-        params = dict(value)
-        kind = params.pop("kind", rule.bare_kind)
-        if kind is None:
-            raise ConfigurationError(
-                f"{layer} spec needs a 'kind' key naming a registered "
-                f"model (kinds: {', '.join(registered_models(layer))})"
-            )
-        return make_model(layer, kind, **params)
-    raise ConfigurationError(
-        f"cannot build a {layer} model from {value!r}; pass a kind "
-        f"string, a {{'kind': ...}} mapping, or a model instance"
-    )
+    kind, params = _split(layer, value, f"{layer} model spec")
+    return make_model(layer, kind, **params)
 
 
 def delay_model_from(value: Any) -> DelayModel:
@@ -336,24 +314,16 @@ def delay_model_from(value: Any) -> DelayModel:
     record-once-replay-everywhere idiom).
     """
     if isinstance(value, DelayTrace):
-        model = TraceReplayModel(value)
-        _record_provenance(
-            model, ("delay", "trace-replay", {"delays": value.delays.tolist()})
-        )
-        return model
+        return TraceReplayModel(value)
     return model_from("delay", value)
 
 
 # ----------------------------------------------------------------------
-# Canonical specs + fingerprints.
-
-_MODEL_TYPES = tuple(t for rule in _LAYER_RULES.values() for t in rule.types)
+# Canonical specs + fingerprints: functions of the section data.
 
 
 def _canonical(value: Any) -> Any:
     """``value`` as canonical JSON-ready data (deterministic ordering)."""
-    if isinstance(value, _MODEL_TYPES):
-        return spec_of(value)
     if isinstance(value, Mapping):
         return {
             str(k): _canonical(v)
@@ -367,43 +337,27 @@ def _canonical(value: Any) -> Any:
         return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
-    return value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise ConfigurationError(
+        f"a spec holds data, not {type(value).__name__} objects: "
+        "name a built model by its {'kind': ...} section"
+    )
 
 
-def spec_of(model: Any) -> Optional[Dict[str, Any]]:
-    """The canonical ``{"kind": ..., **params}`` spec of ``model``.
-
-    Registry-built models reproduce their construction spec exactly
-    (nested sub-models recurse).  Models built directly fall back to a
-    best-effort ``{"class": ..., **state}`` digest — stable, but not a
-    spec the registry can rebuild.
-    """
-    if model is None:
-        return None
-    entry = _provenance(model)
-    if entry is not None:
-        _, kind, params = entry
-        spec = {"kind": kind}
-        spec.update(_canonical(params))
-        return spec
-    if dataclasses.is_dataclass(model):
-        state = {
-            f.name: getattr(model, f.name)
-            for f in dataclasses.fields(model)
-        }
-    else:
-        state = {
-            name.lstrip("_"): value
-            for name, value in sorted(vars(model).items())
-        }
-    spec = {"class": type(model).__name__}
-    spec.update(_canonical(state))
+def model_spec(layer: str, value: Any) -> Dict[str, Any]:
+    """The canonical ``{"kind": ..., **params}`` spec of one ``layer``
+    section: the registered kind, then the params as sorted JSON-ready
+    data (nested sub-specs as given).  A built model is refused."""
+    kind, params = _split(layer, value, f"{layer} model spec")
+    spec = {"kind": resolve_model(layer, kind).kind}
+    spec.update(_canonical(params))
     return spec
 
 
-def model_fingerprint(model: Any) -> str:
-    """Content digest of ``model``'s canonical spec (sha256 hex)."""
-    payload = json.dumps(spec_of(model), sort_keys=True)
+def model_fingerprint(layer: str, value: Any) -> str:
+    """Content digest of :func:`model_spec` (sha256 hex)."""
+    payload = json.dumps(model_spec(layer, value), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -424,21 +378,10 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
     rule = _layer_rule(layer)
     if isinstance(value, rule.types):
         return []
-    if isinstance(value, str):
-        kind, params = value, {}
-    elif isinstance(value, Mapping):
-        params = dict(value)
-        kind = params.pop("kind", rule.bare_kind)
-        if kind is None:
-            return [
-                f"{where} needs a 'kind' key naming a registered model "
-                f"(kinds: {', '.join(registered_models(layer))})"
-            ]
-    else:
-        return [
-            f"{where} must be a kind string or a {{'kind': ...}} "
-            f"mapping, got {value!r}"
-        ]
+    try:
+        kind, params = _split(layer, value, where)
+    except ConfigurationError as exc:
+        return [str(exc)]
     try:
         family = ENV_REGISTRY[layer].resolve(kind)
     except ConfigurationError as exc:

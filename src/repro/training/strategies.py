@@ -200,12 +200,17 @@ class ClassicGCStrategy(TrainingStrategy):
 
     def decode_vector(self, available_workers: Iterable[int]) -> np.ndarray:
         """The code's decode vector for ``sorted(W')``, solved (and
-        residual-checked) on the first sight of the set only; an
+        residual-checked) on the first sight of the set only; a
+        malformed (:func:`~repro.core.batch.validate_mask`) or
         undecodable set raises every time and is never stored."""
-        survivors = tuple(sorted(available_workers))
+        return self._memo(sorted(self._survivors(available_workers)))
+
+    def _memo(self, survivors: List[int]) -> np.ndarray:
+        """:meth:`decode_vector` of sorted, already checked survivors."""
+        key = tuple(survivors)
         return self._vectors.get_or_compute(
-            self._placement.fingerprint, "gc", survivors,
-            lambda: self._code.decode_vector(survivors),
+            self._placement.fingerprint, "gc", key,
+            lambda: self._code._solve(key),
         )
 
     def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
@@ -214,7 +219,7 @@ class ClassicGCStrategy(TrainingStrategy):
     def weights(self, survivors):
         rows = sorted(survivors)
         recovered = frozenset(range(self._placement.num_workers))
-        return rows, self.decode_vector(rows), recovered
+        return rows, self._memo(rows), recovered
 
 
 class ISGCStrategy(TrainingStrategy):

@@ -7,12 +7,13 @@ into the repo was recorded at the commit introducing ``repro.env``,
 with each model built through the **direct constructors** (the
 pre-registry construction path), so the equivalence tests in
 ``tests/test_env.py`` prove the registry port is bit-for-bit neutral:
-identical ``model_fingerprint`` digests and identical sampled streams
-through ``make_delay_model(...)`` & co. as through
-``ExponentialDelay(...)`` & co.
+identical sampled streams through ``make_delay_model(...)`` & co. as
+through ``ExponentialDelay(...)`` & co.
 
 Per case the golden stores the layer, the registry kind + params, the
-expected fingerprint, and a behaviour probe:
+fingerprint of that ``{"kind": ..., **params}`` section
+(``model_fingerprint``, a function of the section data alone), and a
+behaviour probe:
 
 * delay models — ``sample_round(range(8), step, default_rng(7))`` for
   steps 0..3 (one shared generator, so stateful models like bursty
@@ -139,7 +140,7 @@ def main() -> None:
             "layer": layer,
             "kind": kind,
             "params": params,
-            "fingerprint": model_fingerprint(model),
+            "fingerprint": model_fingerprint(layer, {"kind": kind, **params}),
             "probe": probe(layer, model),
         })
     out = HERE / "environments.json"

@@ -342,8 +342,25 @@ class TestMaskValidation:
             f"available workers must be integer ids, got {shown}"
         )
 
+    @pytest.mark.parametrize(("bad", "message"), [
+        ([True, 9], "available workers must be integer ids, got [True]"),
+        ([1, 1, 9], "duplicate available workers: [1]"),
+        ([9, 9, np.int64(2)], "duplicate available workers: [9]"),
+    ], ids=["bool-and-range", "duplicate-and-range", "numpy-duplicate"])
+    def test_checks_run_in_order(self, bad, message):
+        """A mask malformed two ways names the earlier check's fault:
+        empty, then type, then duplicate, then range."""
+        with pytest.raises(DecodeError) as err:
+            validate_mask(bad, 6)
+        assert str(err.value) == message
+
     def test_numpy_integers_accepted_numpy_floats_and_bools_not(self):
         assert validate_mask(np.array([3, 1]), 6) == frozenset({1, 3})
+        # plain and numpy ids give the same set, iterating alike
+        ids = [5, 0, 3]
+        plain, numpy = validate_mask(ids, 6), validate_mask(np.array(ids), 6)
+        assert list(plain) == list(numpy) == list(frozenset(ids))
+        assert {type(w) for w in numpy} == {int}
         for bad in (np.array([1.0, 2.0]), [np.bool_(True)]):
             with pytest.raises(DecodeError, match="must be integer ids"):
                 validate_mask(bad, 6)

@@ -313,6 +313,24 @@ class TestEnvironmentsCommand:
         assert "pareto" in out
         assert "2.5" in out
 
+    def test_nested_alias_spelled_section_pinned(self, capsys):
+        """The spec and fingerprint are the section data's: the family's
+        canonical kind, the nested sub-spec as it was spelled."""
+        assert main([
+            "environments", "persistent", "--layer", "delay",
+            "--param", "stragglers=[0]",
+            "--param", 'delay={"kind": "exp", "mean": 2.0}',
+        ]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "  spec        : {'kind': 'persistent', 'delay': {'kind': 'exp', "
+            "'mean': 2.0}, 'stragglers': [0]}\n"
+        ) in out
+        assert (
+            "  fingerprint : 65f4cc75f467dc108425da97b6964f74a77490ab888947dd"
+            "3ce0970ba85090dd\n"
+        ) in out
+
     def test_unknown_kind_did_you_mean(self, capsys):
         assert main(["environments", "exponentail"]) == 2
         assert "exponential" in capsys.readouterr().err

@@ -4,13 +4,13 @@ Three layers of pinning, mirroring ``tests/test_scheme.py``:
 
 * **Golden equivalence** — ``tests/golden/environments.json`` was
   recorded at the commit introducing ``repro.env`` (see
-  ``tests/golden/record_environment_goldens.py``); every family built
-  by registry name must reproduce its fingerprint and its sampled
-  stream bit for bit.
+  ``tests/golden/record_environment_goldens.py``); every family's
+  section must reproduce its fingerprint, and the model the registry
+  builds from it its sampled stream, bit for bit.
 * **Registry/Environment unit tests** — lookup, aliases, did-you-mean
-  errors, parameter validation, provenance specs, the composite
-  :class:`~repro.env.Environment` (fingerprint / describe / reset /
-  sections round-trip / simulator wiring), and trace save/load.
+  errors, parameter validation, canonical specs of section data, the
+  composite :class:`~repro.env.Environment` (reset / simulator
+  wiring), and trace save/load.
 * **Hypothesis properties** — registry-built models consume the RNG
   exactly as direct construction does (identical streams *and*
   identical generator end-state), and ``sample_round`` is bit-for-bit
@@ -39,11 +39,11 @@ from repro.env import (
     make_model,
     make_network_model,
     model_fingerprint,
+    model_spec,
     model_spec_problems,
     model_from,
     registered_models,
     resolve_model,
-    spec_of,
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.cluster import ClusterSimulator, ComputeModel
@@ -86,8 +86,8 @@ def _case_id(case):
 class TestGoldenEnvironments:
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=_case_id)
     def test_fingerprint_pinned(self, case):
-        model = make_model(case["layer"], case["kind"], **case["params"])
-        assert model_fingerprint(model) == case["fingerprint"]
+        section = {"kind": case["kind"], **case["params"]}
+        assert model_fingerprint(case["layer"], section) == case["fingerprint"]
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=_case_id)
     def test_behaviour_pinned(self, case):
@@ -362,41 +362,41 @@ class TestRegistryMachinery:
             make_delay_model("exponential", meen=2.0)
 
     def test_spec_of_registry_built(self):
-        model = make_delay_model("pareto", alpha=2.5, scale=0.3)
-        assert spec_of(model) == {"kind": "pareto", "alpha": 2.5, "scale": 0.3}
+        """The spec of the section the registry builds from."""
+        section = {"kind": "pareto", "alpha": 2.5, "scale": 0.3}
+        assert model_spec("delay", section) == section
 
     def test_spec_of_nested_registry_built(self):
-        model = make_delay_model(
-            "diurnal", base={"kind": "exponential", "mean": 0.5},
-            period_steps=10,
-        )
-        spec = spec_of(model)
+        spec = model_spec("delay", {
+            "kind": "diurnal", "base": {"kind": "exponential", "mean": 0.5},
+            "period_steps": 10,
+        })
         assert spec["kind"] == "diurnal"
         assert spec["base"] == {"kind": "exponential", "mean": 0.5}
 
-    def test_spec_of_direct_built_falls_back_to_class(self):
-        spec = spec_of(ParetoDelay(2.0, 1.0))
-        assert spec["class"] == "ParetoDelay"
+    def test_model_spec_canonical_kind_sorted_params_nested_as_given(self):
+        spec = model_spec("delay", {
+            "stragglers": [0], "kind": "persistent",
+            "delay": {"mean": 2.0, "kind": "exp"},
+        })
+        assert list(spec) == ["kind", "delay", "stragglers"]
+        assert spec["delay"] == {"kind": "exp", "mean": 2.0}
+        assert model_spec("delay", "exp") == {"kind": "exponential"}
 
-    def test_spec_of_direct_built_ignores_equal_registry_built(self):
-        # Provenance follows the object, not its value: an equal
-        # registry-built model alive at the same time changes nothing.
-        direct = ComputeModel()
-        before = spec_of(direct)
-        assert before == {
-            "class": "ComputeModel", "base": 0.05, "per_partition": 0.1,
-        }
-        built = make_compute_model()
-        assert built == direct
-        assert spec_of(direct) == before
-        assert spec_of(built) == {"kind": "uniform"}
-        del built
-        assert spec_of(direct) == before
+    @pytest.mark.parametrize("value", [
+        ParetoDelay(2.0, 1.0),
+        {"kind": "bernoulli", "probability": 0.5,
+         "delay": ExponentialDelay(1.0)},
+        3,
+    ], ids=["built", "nested-built", "int"])
+    def test_model_spec_refuses_anything_but_section_data(self, value):
+        with pytest.raises(ConfigurationError):
+            model_fingerprint("delay", value)
 
     def test_fingerprint_is_stable_and_parameter_sensitive(self):
-        a = model_fingerprint(make_delay_model("exponential", mean=1.0))
-        b = model_fingerprint(make_delay_model("exponential", mean=1.0))
-        c = model_fingerprint(make_delay_model("exponential", mean=2.0))
+        a = model_fingerprint("delay", {"kind": "exponential", "mean": 1.0})
+        b = model_fingerprint("delay", {"kind": "exp", "mean": 1.0})
+        c = model_fingerprint("delay", {"kind": "exponential", "mean": 2.0})
         assert a == b
         assert a != c
 
@@ -413,7 +413,10 @@ class TestRegistryMachinery:
         trace = DelayTrace(np.array([[0.0, 1.0]]))
         model = delay_model_from(trace)
         assert isinstance(model, TraceReplayModel)
-        assert spec_of(model)["kind"] == "trace-replay"
+        section = {"kind": "trace", "delays": trace.delays}
+        assert model_spec("delay", section) == {
+            "kind": "trace-replay", "delays": [[0.0, 1.0]],
+        }
 
     def test_contention_none_returns_none(self):
         assert make_contention_model("none") is None
@@ -492,31 +495,6 @@ class TestEnvironment:
         assert env.compute == ComputeModel()
         assert env.network == NetworkModel()
 
-    def test_sections_round_trip(self):
-        sections = {
-            "delay": {"kind": "exponential", "mean": 1.5},
-            "failure": {"kind": "transient-dropouts", "probability": 0.1},
-            "compute": {"kind": "uniform", "base": 0.05, "per_partition": 0.1},
-        }
-        env = Environment(**sections)
-        rebuilt = Environment(**env.spec())
-        assert rebuilt.fingerprint() == env.fingerprint()
-
-    def test_fingerprint_parameter_sensitive(self):
-        base = Environment(delay={"kind": "exponential", "mean": 1.0})
-        same = Environment(delay={"kind": "exponential", "mean": 1.0})
-        other = Environment(delay={"kind": "exponential", "mean": 2.0})
-        assert base.fingerprint() == same.fingerprint()
-        assert base.fingerprint() != other.fingerprint()
-
-    def test_describe_names_every_layer(self):
-        text = Environment(
-            delay={"kind": "pareto", "alpha": 2.0, "scale": 0.5}
-        ).describe()
-        for label in ("delay", "failure", "compute", "network", "contention"):
-            assert label in text
-        assert "pareto" in text
-
     def test_reset_replays_stateful_models(self):
         env = Environment(delay={
             "kind": "bursty", "burst": {"kind": "exponential", "mean": 4.0},
@@ -565,7 +543,7 @@ class TestEnvironment:
         assert resolve_model("network", "uniform").build is NetworkModel
         assert make_compute_model() == ComputeModel()
         assert make_network_model() == NetworkModel()
-        assert spec_of(make_compute_model(base=0.2)) == {
+        assert model_spec("compute", {"base": 0.2}) == {
             "kind": "uniform", "base": 0.2,
         }
 

@@ -229,6 +229,44 @@ class TestSurvivorSetsAreChecked:
         DECODERS["is-gc"]().decode([0, 2], _grads(6))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("entry", [
+        "code.can_decode", "code.decode_vector", "strategy.decode_vector",
+    ])
+    @pytest.mark.parametrize("survivors, message", [
+        ([-1, 0, 1, 2, 3], "out of range .*\\[-1\\]"),
+        ([0, 1, 2, 3, 4, 4], "duplicate available workers: \\[4\\]"),
+        ([0, 1, 2, 3, 6], "out of range .*\\[6\\]"),
+        ([True, 2, 3, 4, 5], "must be integer ids"),
+    ], ids=["negative", "duplicate", "out-of-range", "bool"])
+    def test_classic_gc_entries_check_survivors(
+        self, entry, survivors, message
+    ):
+        """Classic GC's public survivor-set entries refuse what decode
+        refuses (a ``-1`` would otherwise index worker n−1's B row)."""
+        owner, method = entry.split(".")
+        obj = DECODERS["gc-code" if owner == "code" else "gc"]()
+        with pytest.raises(DecodeError, match=message):
+            getattr(obj, method)(survivors)
+
+    @pytest.mark.parametrize("name", ["gc-code", "gc"])
+    def test_classic_gc_checks_once(self, monkeypatch, name):
+        """Classic GC's decode runs the check once, not again inside
+        its solve or memo."""
+        import repro.codes.gc_scheme as gc_scheme
+        import repro.training.strategies as strategies
+
+        calls = []
+        check = gc_scheme.validate_mask
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(gc_scheme, "validate_mask", counted)
+        monkeypatch.setattr(strategies, "validate_mask", counted)
+        DECODERS[name]().decode(range(5), _grads(6))
+        assert len(calls) == 1
+
 
 def _coefficient_matrix(strategy):
     if isinstance(strategy, ClassicGCStrategy):
