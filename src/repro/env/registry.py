@@ -32,8 +32,9 @@ same move :mod:`repro.core.scheme` made for placements:
   of the section data.  A built model has no spec: fingerprint the
   section it was built from.
 
-All three read a section through one split (:func:`_split`) into a kind
-and its parameters.
+:func:`model_from`, :func:`model_spec_problems` and :func:`model_spec`
+read a section through one split (:func:`_split`) into a kind and its
+parameters.
 
 Registry-built models are **bit-for-bit identical** to direct
 construction: the factories below forward parameters verbatim, so the
