@@ -142,10 +142,12 @@ class ClassicGradientCode:
         small or otherwise undecodable (IS-GC's motivating failure
         mode).
         """
-        return self._solve(self._survivors(available_workers))
+        return self.solve(self._survivors(available_workers))
 
-    def _solve(self, survivors: Sequence[int]) -> np.ndarray:
-        """:meth:`decode_vector` of sorted, already checked survivors."""
+    def solve(self, survivors: Sequence[int]) -> np.ndarray:
+        """:meth:`decode_vector` without the survivor check: for sorted
+        survivors that have already passed
+        :func:`~repro.core.batch.validate_mask`."""
         vector = decode_vector(self._b, list(survivors))
         vector.flags.writeable = False
         return vector
@@ -165,4 +167,4 @@ class ClassicGradientCode:
         block = as_block(
             worker_payloads, self._placement.num_workers, "worker payloads"
         )
-        return combine(block, survivors, self._solve(survivors))
+        return combine(block, survivors, self.solve(survivors))

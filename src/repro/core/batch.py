@@ -61,10 +61,6 @@ MaskBatch = Union[np.ndarray, Sequence[Iterable[int]]]
 # Mask validation — the single source of truth for all seven families.
 
 
-#: The id types of a mask that needs no conversion.
-_PLAIN_INTS = frozenset({int})
-
-
 def validate_mask(available_workers: Iterable[int], num_workers: int):
     """Validate one availability mask; return its frozenset of Python
     ``int`` ids (numpy integers are converted, in listed order, so the
@@ -79,29 +75,20 @@ def validate_mask(available_workers: Iterable[int], num_workers: int):
     identically on either path.
     """
     workers = list(available_workers)
-    types = set(map(type, workers))
-    if types == _PLAIN_INTS:
-        # Fast path: plain-int ids, distinct and in range.  Anything
-        # else falls through to the ordered checks and their messages.
-        available = frozenset(workers)
-        if (
-            len(available) == len(workers)
-            and 0 <= min(available) <= max(available) < num_workers
-        ):
-            return available
     if not workers:
         raise DecodeError("cannot decode with zero available workers")
-    bad_types = {
-        t
-        for t in types
-        if t is bool or not issubclass(t, (int, np.integer))
-    }
-    if bad_types:
-        raise DecodeError(
-            "available workers must be integer ids, got "
-            f"{[w for w in workers if type(w) in bad_types]!r}"
-        )
+    types = set(map(type, workers))
     if types != {int}:
+        bad_types = {
+            t
+            for t in types
+            if t is bool or not issubclass(t, (int, np.integer))
+        }
+        if bad_types:
+            raise DecodeError(
+                "available workers must be integer ids, got "
+                f"{[w for w in workers if type(w) in bad_types]!r}"
+            )
         workers = [int(w) for w in workers]
     available = frozenset(workers)
     if len(workers) != len(available):
@@ -114,8 +101,8 @@ def validate_mask(available_workers: Iterable[int], num_workers: int):
         raise DecodeError(
             f"duplicate available workers: {sorted(dups)}"
         )
-    bad = sorted(w for w in available if not 0 <= w < num_workers)
-    if bad:
+    if min(available) < 0 or max(available) >= num_workers:
+        bad = sorted(w for w in available if not 0 <= w < num_workers)
         raise DecodeError(
             f"available workers out of range [0, {num_workers}): {bad}"
         )

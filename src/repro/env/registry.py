@@ -349,8 +349,13 @@ def _canonical(value: Any) -> Any:
 def model_spec(layer: str, value: Any) -> Dict[str, Any]:
     """The canonical ``{"kind": ..., **params}`` spec of one ``layer``
     section: the registered kind, then the params as sorted JSON-ready
-    data (nested sub-specs as given).  A built model is refused."""
-    kind, params = _split(layer, value, f"{layer} model spec")
+    data (nested sub-specs as given).  A built model, or a section
+    :func:`model_spec_problems` finds fault with, is refused."""
+    where = f"{layer} model spec"
+    problems = model_spec_problems(layer, value, section=where)
+    if problems:
+        raise ConfigurationError(problems[0])
+    kind, params = _split(layer, value, where)
     spec = {"kind": resolve_model(layer, kind).kind}
     spec.update(_canonical(params))
     return spec

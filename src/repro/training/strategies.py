@@ -203,23 +203,18 @@ class ClassicGCStrategy(TrainingStrategy):
         residual-checked) on the first sight of the set only; a
         malformed (:func:`~repro.core.batch.validate_mask`) or
         undecodable set raises every time and is never stored."""
-        return self._memo(sorted(self._survivors(available_workers)))
-
-    def _memo(self, survivors: List[int]) -> np.ndarray:
-        """:meth:`decode_vector` of sorted, already checked survivors."""
-        key = tuple(survivors)
-        return self._vectors.get_or_compute(
-            self._placement.fingerprint, "gc", key,
-            lambda: self._code._solve(key),
-        )
+        return self.weights(self._survivors(available_workers))[1]
 
     def encode(self, partition_gradients: np.ndarray) -> np.ndarray:
         return self._code.encode(partition_gradients)
 
     def weights(self, survivors):
         rows = sorted(survivors)
-        recovered = frozenset(range(self._placement.num_workers))
-        return rows, self._memo(rows), recovered
+        vector = self._vectors.get_or_compute(
+            self._placement.fingerprint, "gc", tuple(rows),
+            lambda: self._code.solve(rows),
+        )
+        return rows, vector, frozenset(range(self._placement.num_workers))
 
 
 class ISGCStrategy(TrainingStrategy):

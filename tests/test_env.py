@@ -388,7 +388,11 @@ class TestRegistryMachinery:
         {"kind": "bernoulli", "probability": 0.5,
          "delay": ExponentialDelay(1.0)},
         3,
-    ], ids=["built", "nested-built", "int"])
+        {"kind": "exp", "meen": 1.0},
+        {"kind": "persistent", "stragglers": [0],
+         "delay": {"kind": "exp", "meen": 1.0}},
+    ], ids=["built", "nested-built", "int", "unknown-param",
+            "nested-unknown-param"])
     def test_model_spec_refuses_anything_but_section_data(self, value):
         with pytest.raises(ConfigurationError):
             model_fingerprint("delay", value)
