@@ -165,10 +165,12 @@ class LocalUpdate(UpdateRule):
         The sign convention matches gradients: the master *subtracts*
         the aggregated quantity scaled by its own step size of 1, so
         row ``p`` of the ``(P, D)`` block is partition ``p``'s
-        ``start − final`` ("the direction to move along").  Batches are drawn at global steps ``round·τ ..
-        round·τ+τ−1`` so every replica of a partition sees the identical
-        sequence; after the first step each partition is on its own
-        parameter row.
+        ``start − final`` ("the direction to move along").
+
+        Batches are drawn at global steps ``round·τ .. round·τ+τ−1``,
+        so every replica of a partition sees the identical sequence.
+        After the first step each partition is on its own parameter
+        row.
         """
         start = engine.model.get_parameters()
         params = start

@@ -216,7 +216,7 @@ def resolve_model(layer: str, name: str) -> ModelFamily:
     return _layer_registry(layer).resolve(name)
 
 
-def make_model(layer: str, kind: str, **params: Any) -> Any:
+def make_model(layer: str, kind: str, /, **params: Any) -> Any:
     """Construct the ``layer`` model of registered family ``kind``.
 
     The single construction entry point behind :func:`make_delay_model`
@@ -233,27 +233,27 @@ def make_model(layer: str, kind: str, **params: Any) -> Any:
         ) from exc
 
 
-def make_delay_model(kind: str, **params: Any) -> DelayModel:
+def make_delay_model(kind: str, /, **params: Any) -> DelayModel:
     """Construct the delay model of registered family ``kind``."""
     return make_model("delay", kind, **params)
 
 
-def make_failure_model(kind: str, **params: Any) -> FailureModel:
+def make_failure_model(kind: str, /, **params: Any) -> FailureModel:
     """Construct the failure model of registered family ``kind``."""
     return make_model("failure", kind, **params)
 
 
-def make_compute_model(kind: str = "uniform", **params: Any):
+def make_compute_model(kind: str = "uniform", /, **params: Any):
     """Construct the compute model of registered family ``kind``."""
     return make_model("compute", kind, **params)
 
 
-def make_network_model(kind: str = "uniform", **params: Any):
+def make_network_model(kind: str = "uniform", /, **params: Any):
     """Construct the network model of registered family ``kind``."""
     return make_model("network", kind, **params)
 
 
-def make_contention_model(kind: str, **params: Any):
+def make_contention_model(kind: str, /, **params: Any):
     """Construct the contention model of registered family ``kind``
     (the ``none`` family yields ``None``: an uncontended link)."""
     return make_model("contention", kind, **params)

@@ -259,19 +259,44 @@ def check_step(step: int) -> int:
 # The batch-index stream: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
 # used as a counter hash.  ``mix`` is its bijective output function and
 # ``γ`` its Weyl increment; output ``i`` of the generator seeded with
-# ``s`` is ``mix(s + i·γ)``, so any output is one hash away.
+# ``s`` is ``mix(s + i·γ)``, so any output is one hash away.  The
+# scalar form works on Python ints (one key at a time costs no array
+# calls); the array form takes its counters' Weyl terms precomputed.
 
+_MASK = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX_MULTIPLIERS = (
-    np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-)
+_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MIX_MULTIPLIERS = tuple(np.uint64(m) for m in _MULTIPLIERS)
 _MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 _HALF = np.uint64(32)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function on a ``uint64`` array (in place)."""
+def counter_hash(key: int, counter: int) -> int:
+    """``S(key, counter)``: output ``counter + 1`` of the SplitMix64
+    generator seeded with ``key``, on Python ints in ``[0, 2⁶⁴)``."""
+    m1, m2 = _MULTIPLIERS
+    z = (key + (counter + 1) * _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * m1) & _MASK
+    z = ((z ^ (z >> 27)) * m2) & _MASK
+    return z ^ (z >> 31)
+
+
+def weyl_terms(counters) -> np.ndarray:
+    """``(counter + 1)·γ mod 2⁶⁴`` of ``uint64`` counters, read-only:
+    the counter half of :func:`counter_hashes`, computed once per
+    stream rather than once per draw."""
+    terms = (
+        np.asarray(counters, dtype=np.uint64) + np.uint64(1)
+    ) * np.uint64(_GAMMA)
+    terms.flags.writeable = False
+    return terms
+
+
+def counter_hashes(keys, terms: np.ndarray) -> np.ndarray:
+    """``S(key, counter)`` broadcast over ``uint64`` keys and the
+    counters' :func:`weyl_terms`, as a new array."""
     (m1, m2), (s1, s2, s3) = _MIX_MULTIPLIERS, _MIX_SHIFTS
+    z = keys + terms
     z ^= z >> s1
     z *= m1
     z ^= z >> s2
@@ -280,15 +305,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _outputs(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """``mix(key + (counter + 1)·γ)``: output ``counter + 1`` of the
-    SplitMix64 generator seeded with each key (broadcast)."""
-    return _mix(keys + (counters + np.uint64(1)) * np.uint64(_GAMMA))
-
-
-def stream_key(seed: int) -> np.ndarray:
-    """The ``(1,)`` ``uint64`` key of master seed ``seed``: the first
-    word of ``SeedSequence(seed)``, so any non-negative integer seeds a
+def stream_key(seed: int) -> int:
+    """The key of master seed ``seed``: the first ``uint64`` word of
+    ``SeedSequence(seed)``, so any non-negative integer seeds a
     well-mixed key."""
     if (
         isinstance(seed, bool)
@@ -298,27 +317,36 @@ def stream_key(seed: int) -> np.ndarray:
         raise ConfigurationError(
             f"seed must be a non-negative integer, got {seed!r}"
         )
-    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)
+    return int(
+        np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
+    )
 
 
 def draw_indices(
-    key: np.ndarray,
+    key: int,
     step: int,
-    partition_ids: np.ndarray,
-    sizes: np.ndarray,
-    width: int,
+    partitions,
+    sizes,
+    draws: np.ndarray,
 ) -> np.ndarray:
-    """The batch-index stream: ``(R, width)`` partition-local rows.
+    """The batch-index stream: ``(R, width)`` rows of indices.
 
-    Row ``r`` holds draws ``0 … width-1`` of partition
-    ``partition_ids[r]`` (``sizes[r]`` samples) at ``step``; both are
-    ``(R, 1)`` ``uint64`` columns.  With ``S`` = SplitMix64's output
-    ``i + 1`` from seed ``s`` written ``S(s, i)``, draw ``k`` is::
+    Row ``r`` holds draws ``0 … width-1`` of partition ``pid`` at
+    ``step``, where ``draws`` is the ``(width,)`` :func:`weyl_terms` of
+    ``0 … width-1``.  ``partitions`` is either the ``(R, 1)``
+    :func:`weyl_terms` column of the partition ids, with ``sizes`` the
+    matching ``(R, 1)`` ``uint64`` column of partition sizes, or one
+    partition id as an ``int`` with its size, giving the one row as a
+    ``(width,)`` array.  With ``S(s, i)`` = :func:`counter_hash`, draw
+    ``k`` is::
 
         round  = S(key, step)
         row    = S(round, pid)
         word   = S(row, k)
         index  = ⌊(word >> 32) · size / 2³²⌋      (multiply-shift)
+
+    The round key, and a single row's key, are hashed on Python ints;
+    a round's row keys and every word are hashed as arrays.
 
     Every index is a fixed number of hashes of its own coordinates, so
     one partition's row (an async arrival's) costs no more than its
@@ -326,11 +354,12 @@ def draw_indices(
     depend on ``width``.  Multiply-shift on the top 32 bits is uniform
     to within ``size / 2³²`` per index.
     """
-    round_key = _outputs(key, np.array([step], dtype=np.uint64))
-    words = _outputs(
-        _outputs(round_key, partition_ids),
-        np.arange(width, dtype=np.uint64),
-    )
+    round_key = counter_hash(key, step)
+    if isinstance(partitions, np.ndarray):
+        rows = counter_hashes(np.uint64(round_key), partitions)
+    else:
+        rows = np.uint64(counter_hash(round_key, partitions))
+    words = counter_hashes(rows, draws)
     words >>= _HALF
     words *= sizes
     words >>= _HALF
@@ -363,10 +392,9 @@ class BatchStream:
         self._partition = partition
         self._batch_size = min(batch_size, partition.num_samples)
         self._key = stream_key(seed)
-        self._id = np.array([[partition_id]], dtype=np.uint64)
-        self._size = np.array([[partition.num_samples]], dtype=np.uint64)
-        for shared in (self._key, self._id, self._size):
-            shared.flags.writeable = False
+        self._id = int(partition_id)
+        self._size = np.uint64(partition.num_samples)
+        self._draws = weyl_terms(np.arange(self._batch_size))
 
     @property
     def batch_size(self) -> int:
@@ -376,9 +404,8 @@ class BatchStream:
         """Partition-local row indices of the mini-batch at ``step``
         (see :func:`check_step`)."""
         return draw_indices(
-            self._key, check_step(step), self._id, self._size,
-            self._batch_size,
-        )[0]
+            self._key, check_step(step), self._id, self._size, self._draws
+        )
 
     def batch(self, step: int) -> Tuple[np.ndarray, np.ndarray]:
         """The (features, labels) mini-batch for ``step``."""

@@ -13,17 +13,25 @@ local-update SGD and the async arrival loop):
    ``Dataset`` objects are views of it).
 2. **Draw.**  A round's index rows are one
    :func:`~repro.training.datasets.draw_indices` call: a counter hash
-   of (seed, step, pid, k), so the whole ``(P, b)`` block costs about
-   as much as one generator construction did, and row ``pid`` is
-   exactly :meth:`BatchStream.indices`.
+   of (seed, step, pid, k).  The Weyl terms of the partitions
+   (``(P, 1)``) and of the draws (``(b_max,)``) are computed once, at
+   construction; per round only the round key is hashed, on Python
+   ints, and then the row keys and the words as two array hashes.
+   Each partition's first row in the flat block is added in place.
+   Row ``pid`` alone (an async arrival) is exactly
+   :meth:`BatchStream.indices`, which hashes its row key on Python
+   ints too, plus that offset.
 3. **Gather.**  One ``take`` per batch-size group out of the block.
    ``b_pid = min(batch_size, n_pid)`` and near-equal partitions differ
-   by at most one row, so there are at most two groups.
+   by at most one row, so there are at most two groups, each a
+   contiguous range of positions (``partition_dataset`` puts the
+   larger partitions first) taken as a slice.
 4. **Differentiate.**  One ``Model.stacked_loss_and_gradient`` per
    group, at shared ``(D,)`` or per-partition ``(P, D)`` parameters —
    bit-equal, row by row, to evaluating each partition on its own
    (``tests/test_gradient_path.py`` pins that against an independent
-   loop and prints the BLAS fingerprint when it fails).
+   loop and prints the BLAS fingerprint when it fails).  With two
+   groups, each writes its slice of one ``(P,)`` / ``(P, D)`` output.
 
 The ``(P, D)`` gradient block is what the update rule hands on: the
 strategy's ``encode`` turns it into the ``(n, D)`` payload block and
@@ -46,6 +54,7 @@ from .datasets import (
     check_step,
     draw_indices,
     stream_key,
+    weyl_terms,
 )
 from .models import Model
 
@@ -75,21 +84,29 @@ class BatchStreams(Sequence):
         self._labels = block.labels.reshape(
             (count * width,) + block.labels.shape[2:]
         )
-        self._offsets = np.arange(count)[:, None] * width
         self._key = stream_key(seed)
+        sizes = [stream.batch_size for stream in self._streams]
+        # What the stream hashes that no step changes, once: the Weyl
+        # terms of the (P, 1) partition ids and of the widest row's
+        # draws (a partition drawing b rows uses the first b).
+        self._partitions = weyl_terms(np.arange(count)[:, None])
+        self._draws = weyl_terms(np.arange(max(sizes)))
         # (P, 1) columns built afresh: a view's base would stay writable.
-        self._ids = np.array([[pid] for pid in range(count)], np.uint64)
         self._sizes = np.array(
             [[part.num_samples] for part in block], np.uint64
         )
-        self._width = max(stream.batch_size for stream in self._streams)
-        #: per batch size: the partitions (= positions) drawing that many.
-        by_size: dict = {}
-        for pid, stream in enumerate(self._streams):
-            by_size.setdefault(stream.batch_size, []).append(pid)
-        self._round_plan = list(by_size.items())
-        for shared in (self._offsets, self._key, self._ids, self._sizes):
+        self._offsets = np.array([[pid * width] for pid in range(count)])
+        for shared in (self._sizes, self._offsets):
             shared.flags.writeable = False
+        #: per batch size: the partitions (= positions) drawing that
+        #: many, as a slice when they are contiguous.
+        by_size: dict = {}
+        for pid, size in enumerate(sizes):
+            by_size.setdefault(size, []).append(pid)
+        self._round_plan = [
+            (_contiguous(positions), size)
+            for size, positions in by_size.items()
+        ]
 
     @classmethod
     def require(cls, streams: "BatchStreams") -> "BatchStreams":
@@ -126,17 +143,19 @@ class BatchStreams(Sequence):
         """
         step = check_step(step)
         if partition is None:
-            index = self._offsets + draw_indices(
-                self._key, step, self._ids, self._sizes, self._width
+            index = draw_indices(
+                self._key, step, self._partitions, self._sizes, self._draws
             )
+            index += self._offsets
             plan = [
                 (positions, index[positions, :size])
-                for size, positions in self._round_plan
+                for positions, size in self._round_plan
             ]
             rows = len(self)
         else:
-            row = self._streams[partition].indices(step)
-            plan, rows = [([0], (self._offsets[partition] + row)[None])], 1
+            index = self._streams[partition].indices(step)
+            index += self._offsets[partition]
+            plan, rows = [(slice(0, 1), index[None])], 1
         per_row = parameters is not None and np.ndim(parameters) == 2
         if per_row and len(parameters) != rows:
             raise TrainingError(
@@ -161,6 +180,16 @@ class BatchStreams(Sequence):
             losses[positions] = group_losses
             grads[positions] = group_grads
         return losses, grads
+
+
+def _contiguous(positions: list):
+    """Increasing ``positions`` as a slice when they are one contiguous
+    run (``partition_dataset``'s larger-first sizes always are), else
+    the list itself."""
+    first, last = positions[0], positions[-1]
+    if last - first + 1 == len(positions):
+        return slice(first, last + 1)
+    return positions
 
 
 def build_batch_streams(

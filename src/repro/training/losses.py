@@ -30,6 +30,12 @@ def _check_batch(pred: np.ndarray, target: np.ndarray, axis: int = -1) -> None:
         raise TrainingError("empty batch")
 
 
+def _batch_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the last (batch) axis: ``ndarray.mean``'s own sum and
+    division, without its Python-level wrapper."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
+
+
 class MeanSquaredError:
     """``0.5 · mean((pred - y)²)`` — the 0.5 makes the gradient clean."""
 
@@ -37,13 +43,13 @@ class MeanSquaredError:
     def value(pred: np.ndarray, target: np.ndarray):
         _check_batch(pred, target)
         diff = pred - target
-        return 0.5 * np.mean(diff * diff, axis=-1)
+        return 0.5 * _batch_mean(diff * diff)
 
     @staticmethod
     def value_and_grad(pred: np.ndarray, target: np.ndarray):
         _check_batch(pred, target)
         diff = pred - target
-        return 0.5 * np.mean(diff * diff, axis=-1), diff / pred.shape[-1]
+        return 0.5 * _batch_mean(diff * diff), diff / pred.shape[-1]
 
 
 class BinaryCrossEntropy:
@@ -63,14 +69,14 @@ class BinaryCrossEntropy:
     @classmethod
     def value(cls, scores: np.ndarray, target: np.ndarray):
         # log(1 + exp(-m)) computed stably.
-        return np.logaddexp(0.0, -cls._margin(scores, target)[1]).mean(axis=-1)
+        return _batch_mean(np.logaddexp(0.0, -cls._margin(scores, target)[1]))
 
     @classmethod
     def value_and_grad(cls, scores: np.ndarray, target: np.ndarray):
         signed, margin = cls._margin(scores, target)
         sigma = 1.0 / (1.0 + np.exp(margin))
         return (
-            np.logaddexp(0.0, -margin).mean(axis=-1),
+            _batch_mean(np.logaddexp(0.0, -margin)),
             (-signed * sigma) / scores.shape[-1],
         )
 
@@ -95,7 +101,7 @@ class SoftmaxCrossEntropy:
     @staticmethod
     def _mean_nll(probs, picked, target: np.ndarray):
         likelihood = np.clip(probs[picked], 1e-12, None)
-        return -np.log(likelihood.reshape(target.shape)).mean(axis=-1)
+        return -_batch_mean(np.log(likelihood.reshape(target.shape)))
 
     @classmethod
     def value(cls, logits: np.ndarray, target: np.ndarray):

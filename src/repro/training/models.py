@@ -149,6 +149,19 @@ class _FlatModel(Model):
             )
         return rows
 
+    @abc.abstractmethod
+    def _tensors(self, rows: np.ndarray) -> tuple:
+        """The model's tensors as batch-shaped views of ``(R, D)``
+        parameter rows, in parameter order."""
+
+    def _gradient_rows(self, *blocks: np.ndarray) -> np.ndarray:
+        """One new ``(G, D)`` gradient array holding ``blocks``, each
+        shaped like its tensor in :meth:`_tensors`."""
+        grads = np.empty((len(blocks[0]), self.num_parameters))
+        for view, block in zip(self._tensors(grads), blocks):
+            view[...] = block
+        return grads
+
 
 class _AffineModel(_FlatModel):
     """``score = Xw + b`` under the subclass's loss on the scores."""
@@ -169,10 +182,14 @@ class _AffineModel(_FlatModel):
         """Raw scores ``Xw + b``."""
         return x @ self._flat[: self._d] + self._flat[self._d]
 
+    def _tensors(self, rows: np.ndarray):
+        """``(w, b)`` views of ``(R, D)`` parameter rows: ``(R, d, 1)``
+        and ``(R, 1)``."""
+        return rows[:, : self._d, None], rows[:, self._d, None]
+
     def _stacked_scores(self, x, parameters):
-        rows = self._parameter_rows(parameters, x.shape[0])
-        d = self._d
-        return (x @ rows[:, :d, None])[..., 0] + rows[:, d, None]
+        w, b = self._tensors(self._parameter_rows(parameters, x.shape[0]))
+        return (x @ w)[..., 0] + b
 
     def stacked_loss(self, x, y, parameters=None):
         x, y = _stacked_batches(x, y)
@@ -182,9 +199,10 @@ class _AffineModel(_FlatModel):
         x, y = _stacked_batches(x, y)
         s = self._stacked_scores(x, parameters)
         losses, ds = self._loss.value_and_grad(s, y)
-        grad_w = (x.transpose(0, 2, 1) @ ds[..., None])[..., 0]
-        grad_b = ds.sum(axis=1, keepdims=True)
-        return losses, np.concatenate([grad_w, grad_b], axis=1)
+        return losses, self._gradient_rows(
+            x.transpose(0, 2, 1) @ ds[..., None],
+            np.add.reduce(ds, axis=1, keepdims=True),
+        )
 
 
 class LinearRegressionModel(_AffineModel):
@@ -255,9 +273,9 @@ class SoftmaxRegressionModel(_FlatModel):
         losses, dz = SoftmaxCrossEntropy.value_and_grad(
             self._stacked_logits(x, parameters), y
         )
-        grad_w = x.transpose(0, 2, 1) @ dz
-        return losses, np.concatenate(
-            [grad_w.reshape(len(x), -1), dz.sum(axis=1)], axis=1
+        return losses, self._gradient_rows(
+            x.transpose(0, 2, 1) @ dz,
+            np.add.reduce(dz, axis=1, keepdims=True),
         )
 
 
@@ -336,14 +354,10 @@ class MLPClassifier(_FlatModel):
         x, y = _stacked_batches(x, y)
         w2, pre, hidden, z = self._stacked_forward(x, parameters)
         losses, dz = SoftmaxCrossEntropy.value_and_grad(z, y)
-        grad_w2 = hidden.transpose(0, 2, 1) @ dz
         dpre = (dz @ w2.transpose(0, 2, 1)) * (pre > 0)
-        grad_w1 = x.transpose(0, 2, 1) @ dpre
-        stack = len(x)
-        return losses, np.concatenate(
-            [
-                grad_w1.reshape(stack, -1), dpre.sum(axis=1),
-                grad_w2.reshape(stack, -1), dz.sum(axis=1),
-            ],
-            axis=1,
+        return losses, self._gradient_rows(
+            x.transpose(0, 2, 1) @ dpre,
+            np.add.reduce(dpre, axis=1, keepdims=True),
+            hidden.transpose(0, 2, 1) @ dz,
+            np.add.reduce(dz, axis=1, keepdims=True),
         )

@@ -331,6 +331,20 @@ class TestEnvironmentsCommand:
             "3ce0970ba85090dd\n"
         ) in out
 
+    @pytest.mark.parametrize("name", ["kind", "layer"])
+    def test_param_named_like_make_models_arguments(self, name, capsys):
+        # `make_model(layer, kind, /, **params)`: a param called `kind`
+        # or `layer` is the family's invalid parameter, not a
+        # TypeError for a doubly given argument.
+        assert main([
+            "environments", "pareto", "--layer", "delay",
+            "--param", f"{name}=1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid parameters for delay model "
+                              "'pareto'"), err
+        assert f"argument {name!r}" in err
+
     def test_unknown_kind_did_you_mean(self, capsys):
         assert main(["environments", "exponentail"]) == 2
         assert "exponential" in capsys.readouterr().err

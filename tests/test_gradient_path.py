@@ -319,6 +319,23 @@ class TestStackedRoundEqualsLoop:
         # Held-out evaluation's forward-only pass gives the same bits.
         assert model.loss(data.features, data.labels) == want_loss
 
+    @pytest.mark.parametrize("rows", [1, 8, 9, 127, 128, 129, 512])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_batch_means_are_the_oracle_mean(self, name, rows):
+        # The losses reduce with np.add.reduce / b, the oracle with
+        # ndarray.mean: equal bits on both sides of the pairwise
+        # summation's 8-wide unroll and 128-element block, and at the
+        # held-out set's 512 rows (7 rows: the test above).
+        model = MODELS[name][1]()
+        data = _dataset(name, rows, seed=rows)
+        want_loss, want_grad = MODELS[name][3](
+            model, model.get_parameters(), data.features, data.labels
+        )
+        loss, grad = model.loss_and_gradient(data.features, data.labels)
+        assert loss == want_loss, _fingerprint()
+        assert_same_bits(grad, want_grad, f"{name} on {rows} rows")
+        assert model.loss(data.features, data.labels) == want_loss
+
     def test_parameter_rows_must_fit(self):
         model = LogisticRegressionModel(5)
         streams = build_batch_streams(
@@ -355,10 +372,30 @@ class TestStreamDefinition:
 
     def test_splitmix64_is_the_published_generator(self):
         # The first output of SplitMix64 seeded with 0 (Vigna's
-        # reference implementation), for the oracle and the library.
+        # reference implementation), for the oracle and for both forms
+        # of the library's hash: on Python ints and on uint64 arrays.
         assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
+        assert datasets.counter_hash(0, 0) == 0xE220A8397B1DCDAF
         zero = np.zeros(1, dtype=np.uint64)
-        assert datasets._outputs(zero, zero)[0] == 0xE220A8397B1DCDAF
+        terms = datasets.weyl_terms(zero)
+        assert datasets.counter_hashes(zero, terms)[0] == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
+    @pytest.mark.parametrize("step", [0, 2**64 - 1])
+    def test_partition_ids_at_the_top_of_64_bits(self, pid, step):
+        # A single row's key is hashed on Python ints: (pid + 1)·γ and
+        # the sums must wrap at 2**64 exactly as uint64 arrays do.
+        data = _dataset("linear", 11, 0)
+        stream = datasets.BatchStream(data, pid, 9, seed=2023)
+        want = reference_indices(2023, pid, step, 11, 9)
+        assert_same_bits(stream.indices(step), want, f"row of {pid}")
+        ids = np.array([[pid]], dtype=np.uint64)
+        row = datasets.draw_indices(
+            datasets.stream_key(2023), step, datasets.weyl_terms(ids),
+            np.array([[11]], dtype=np.uint64),
+            datasets.weyl_terms(np.arange(9)),
+        )
+        assert_same_bits(row[0], want, f"array row of {pid}")
 
     @pytest.mark.parametrize("step", ["3", -1, 1.5, True, None, 2**64])
     def test_step_must_be_a_non_negative_integer(self, step):
@@ -411,10 +448,11 @@ class TestStreamDefinition:
 def _index_blocks(seed, sizes, width, steps):
     """``(len(steps), P, width)`` index rows of partitions of ``sizes``."""
     key = datasets.stream_key(seed)
-    ids = np.arange(len(sizes), dtype=np.uint64)[:, None]
+    ids = datasets.weyl_terms(np.arange(len(sizes))[:, None])
     column = np.array(sizes, dtype=np.uint64)[:, None]
+    draws = datasets.weyl_terms(np.arange(width))
     return np.stack([
-        datasets.draw_indices(key, step, ids, column, width)
+        datasets.draw_indices(key, step, ids, column, draws)
         for step in steps
     ])
 
@@ -481,11 +519,11 @@ class TestStreamStatistics:
         # (0.99)^2000 ≈ 1.9e-9.
         rng = np.random.default_rng(seed)
         key = datasets.stream_key(seed)
-        size = np.array([[1000]], dtype=np.uint64)
+        size = np.uint64(1000)
+        draws = datasets.weyl_terms(np.arange(16))
 
         def row(key, step, pid):
-            ids = np.array([[pid]], dtype=np.uint64)
-            return tuple(datasets.draw_indices(key, step, ids, size, 16)[0])
+            return tuple(datasets.draw_indices(key, step, pid, size, draws))
 
         other = datasets.stream_key(seed + 1)
         for _ in range(500):
