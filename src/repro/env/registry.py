@@ -177,12 +177,22 @@ def register_failure(kind: str, **meta: Any):
 
 
 def register_compute(kind: str, **meta: Any):
-    """Decorator registering a compute-model factory under ``kind``."""
+    """Decorator registering a compute-model factory under ``kind``.
+
+    A compute model must be a pure function of its construction
+    arguments: :class:`~repro.simulation.ClusterSimulator` reads each
+    worker's compute seconds once, when it is built, not per round.
+    """
     return _register("compute", kind, **meta)
 
 
 def register_network(kind: str, **meta: Any):
-    """Decorator registering a network-model factory under ``kind``."""
+    """Decorator registering a network-model factory under ``kind``.
+
+    A network model must be a pure function of its construction
+    arguments: :class:`~repro.simulation.ClusterSimulator` reads the
+    broadcast and upload times once, when it is built, not per round.
+    """
     return _register("network", kind, **meta)
 
 

@@ -9,8 +9,10 @@ computed from a loaded trace match the live run bit-for-bit.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, List, TextIO, Union
 
 from ..exceptions import ObservabilityError
 from .events import RoundTrace
@@ -18,12 +20,40 @@ from .events import RoundTrace
 PathLike = Union[str, Path]
 
 
+def _open_new(path: Path) -> TextIO:
+    """Open ``path`` for writing as a new file, replacing an old one.
+
+    An existing regular file is unlinked and a new one created, never
+    truncated through ``"w"``: on ext4 a truncating open of a file that
+    holds data costs tens to hundreds of milliseconds, unlink + create
+    under one (figures in ``docs/observability.md``), and a crash
+    mid-export leaves the new file holding a prefix of the new trace,
+    never new lines followed by stale ones.  A hard-linked file is
+    detached from its other names instead of truncated under them.
+    Anything else at ``path`` — a symlink, a device such as
+    ``/dev/null`` or ``/dev/stdout``, a FIFO — is opened through
+    ``"w"`` as it is: a symlink's target is written and the link kept,
+    and a device or FIFO is written to, never removed.
+    """
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = False
+    if regular:
+        path.unlink()
+    return path.open("w", encoding="utf-8")
+
+
 def write_traces(path: PathLike, traces: Iterable[RoundTrace]) -> int:
-    """Write ``traces`` to ``path`` as JSONL; returns the record count."""
+    """Write ``traces`` to ``path`` as JSONL; returns the record count.
+
+    An existing regular file at ``path`` is replaced, not truncated
+    (:func:`_open_new`).
+    """
     path = Path(path)
     count = 0
     try:
-        with path.open("w", encoding="utf-8") as fh:
+        with _open_new(path) as fh:
             for trace in traces:
                 fh.write(json.dumps(trace.to_dict(), separators=(",", ":")))
                 fh.write("\n")
@@ -39,7 +69,7 @@ class TraceStreamWriter:
     :func:`write_traces` is a batch writer — nothing is on disk until
     the run ends.  A stream writer keeps the file live instead: every
     :meth:`append` writes one line and flushes, so an external reader
-    (``repro jobs``, ``repro trace summarize``, ``tail -f``) sees each
+    (``repro jobs``, ``repro trace summarize``, ``tail -F``) sees each
     round the moment it completes.  The on-disk format is identical to
     :func:`write_traces`, hence losslessly re-aggregatable with
     :func:`read_traces` + :func:`~repro.obs.aggregate_traces` at any
@@ -47,8 +77,9 @@ class TraceStreamWriter:
 
     Usable as a context manager; :meth:`close` is idempotent.
 
-    ``append=True`` resumes an existing stream instead of truncating
-    it — the checkpoint-restore path: the caller first trims the file
+    ``append=False`` replaces an existing regular file (:func:`_open_new`);
+    ``append=True`` resumes an existing stream instead — the
+    checkpoint-restore path: the caller first trims the file
     to the restored round count (:func:`truncate_traces`) and then
     keeps streaming, so a resumed job's trace is indistinguishable
     from an uninterrupted one.
@@ -57,8 +88,9 @@ class TraceStreamWriter:
     def __init__(self, path: PathLike, append: bool = False):
         self._path = Path(path)
         try:
-            self._fh = self._path.open(
-                "a" if append else "w", encoding="utf-8"
+            self._fh = (
+                self._path.open("a", encoding="utf-8") if append
+                else _open_new(self._path)
             )
         except OSError as exc:
             raise ObservabilityError(
@@ -112,9 +144,11 @@ def truncate_traces(path: PathLike, count: int) -> int:
     The checkpoint-restore primitive: a job resumed from round ``k``
     rewinds its trace stream to exactly ``k`` lines (dropping any
     rounds streamed after the snapshot was taken — e.g. by a
-    coordinator killed between checkpoint and crash) before appending.
-    A missing file with ``count == 0`` is fine (nothing streamed yet).
-    Returns the number of lines kept.
+    coordinator killed between checkpoint and crash, whose last line
+    may be torn) before appending.  The file is cut at the byte offset
+    just past line ``count``, never rewritten, so a crash during the
+    cut cannot lose a kept line.  A missing file with ``count == 0``
+    is fine (nothing streamed yet).  Returns the number of lines kept.
     """
     if count < 0:
         raise ObservabilityError(
@@ -126,7 +160,7 @@ def truncate_traces(path: PathLike, count: int) -> int:
             return 0
         raise ObservabilityError(f"trace file not found: {path}")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = path.read_bytes().splitlines(keepends=True)
     except OSError as exc:
         raise ObservabilityError(f"cannot read trace file: {exc}") from exc
     if len(lines) < count:
@@ -136,7 +170,7 @@ def truncate_traces(path: PathLike, count: int) -> int:
         )
     if len(lines) > count:
         try:
-            path.write_text("".join(lines[:count]), encoding="utf-8")
+            os.truncate(path, sum(map(len, lines[:count])))
         except OSError as exc:
             raise ObservabilityError(
                 f"cannot rewrite trace file: {exc}"

@@ -141,8 +141,6 @@ class ClusterSimulator:
             )
         self._n = num_workers
         self._c = partitions_per_worker
-        self._compute = environment.compute
-        self._network = environment.network
         self._delays = environment.delay
         self._gradient_elements = gradient_elements
         self._rng = rng
@@ -150,6 +148,16 @@ class ClusterSimulator:
         self._link = environment.contention
         self._tracer = tracer
         self._clock = 0.0
+        # Compute and network models are pure functions of their
+        # construction arguments (the contract stated at
+        # ``register_compute`` / ``register_network``), so the transfer
+        # times and each worker's compute seconds are computed once, here.
+        network = environment.network
+        self._broadcast = network.broadcast_time(
+            gradient_elements, num_workers
+        )
+        self._upload = network.transfer_time(gradient_elements)
+        self._compute_t = self._compute_seconds(environment.compute)
         # Snapshot the generator so reset() can replay the exact same
         # random stream (and therefore the exact same rounds).  The
         # state getter returns a fresh dict and the setter copies out of
@@ -219,15 +227,15 @@ class ClusterSimulator:
         under contention it iterates in worker order.
         """
         start = self._clock
-        broadcast = self._network.broadcast_time(
-            self._gradient_elements, self._n
-        )
+        broadcast = self._broadcast
         alive = self._failures.alive_round(self._n, step, self._rng)
         if not alive:
             raise SimulationError(
                 f"step {step}: every worker failed; nothing to wait for"
             )
-        compute_t = self._compute_time(alive)
+        compute_t = self._compute_t
+        if isinstance(compute_t, np.ndarray):
+            compute_t = compute_t[alive]
         straggles = self._delays.sample_round(alive, step, self._rng)
 
         if self._link is not None:
@@ -253,7 +261,7 @@ class ClusterSimulator:
                 broadcast,
                 compute_t,
                 straggles,
-                self._network.transfer_time(self._gradient_elements),
+                self._upload,
             )
         outcome = policy.wait(relative, step)
         end = start + outcome.proceed_time
@@ -284,11 +292,12 @@ class ClusterSimulator:
             broadcast_time=broadcast,
         )
 
-    def _compute_time(self, workers):
-        """Compute seconds of this round's live ``workers``: one float
-        for a uniform model, an array aligned with ``workers`` for a
-        per-worker one (``step_time_for``, e.g. heterogeneous speeds)."""
-        step_time_for = getattr(self._compute, "step_time_for", None)
+    def _compute_seconds(self, compute):
+        """Compute seconds per worker: one float for a uniform model,
+        an array over every worker for a per-worker one
+        (``step_time_for``, e.g. heterogeneous speeds), which a round
+        indexes by its live workers."""
+        step_time_for = getattr(compute, "step_time_for", None)
         if step_time_for is None:
-            return self._compute.step_time(self._c)
-        return np.array([step_time_for(w, self._c) for w in workers])
+            return compute.step_time(self._c)
+        return np.array([step_time_for(w, self._c) for w in range(self._n)])

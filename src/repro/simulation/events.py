@@ -51,19 +51,17 @@ def arrival_race(
     finish = (
         (start + broadcast + compute) + np.asarray(straggles, dtype=float)
     ) + upload
-    order = finish.argsort(kind="stable")
-    if order.size and finish[order[0]] < 0:
+    order = finish.argsort(kind="stable").tolist()
+    times = finish.tolist()
+    if order and times[order[0]] < 0:
         # Name the first negative time in worker order, as a queue fed
         # in that order would have refused it.
         raise SimulationError(
-            f"negative event time {float(finish[finish < 0][0])}"
+            f"negative event time {next(t for t in times if t < 0)}"
         )
-    return dict(
-        zip(
-            np.asarray(workers)[order].tolist(),
-            (finish[order] - start).tolist(),
-        )
-    )
+    # Python floats subtract in binary64 exactly as numpy does, so
+    # each relative time is bit-identical to the array expression.
+    return {workers[i]: times[i] - start for i in order}
 
 
 @dataclass(frozen=True, order=False)

@@ -25,9 +25,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, FrozenSet, Mapping, Tuple
 
 from ..exceptions import ConfigurationError, SimulationError
+
+#: the worker of a ``(time, worker)`` arrival pair.
+_WORKER = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,19 @@ class WaitPolicy(abc.ABC):
 
     @staticmethod
     def _sorted_arrivals(arrivals: Mapping[int, float]) -> list[Tuple[float, int]]:
+        """``(time, worker)`` pairs, earliest first, ties by worker id."""
         if not arrivals:
             raise SimulationError("wait policy invoked with zero arrivals")
-        return sorted((t, w) for w, t in arrivals.items())
+        return sorted(zip(arrivals.values(), arrivals))
+
+    @staticmethod
+    def _accept_first(chosen: list[Tuple[float, int]]) -> WaitOutcome:
+        """Accept the sorted ``(time, worker)`` pairs ``chosen`` and
+        proceed at the last of them."""
+        return WaitOutcome(
+            accepted_workers=frozenset(map(_WORKER, chosen)),
+            proceed_time=chosen[-1][0],
+        )
 
 
 class WaitForK(WaitPolicy):
@@ -88,11 +102,7 @@ class WaitForK(WaitPolicy):
                 f"policy needs {self._k} arrivals but only "
                 f"{len(ordered)} workers reported"
             )
-        chosen = ordered[: self._k]
-        return WaitOutcome(
-            accepted_workers=frozenset(w for _, w in chosen),
-            proceed_time=chosen[-1][0],
-        )
+        return self._accept_first(ordered[: self._k])
 
 
 class BestEffortWaitForK(WaitPolicy):
@@ -115,11 +125,7 @@ class BestEffortWaitForK(WaitPolicy):
 
     def wait(self, arrivals: Mapping[int, float], step: int) -> WaitOutcome:
         ordered = self._sorted_arrivals(arrivals)
-        chosen = ordered[: min(self._k, len(ordered))]
-        return WaitOutcome(
-            accepted_workers=frozenset(w for _, w in chosen),
-            proceed_time=chosen[-1][0],
-        )
+        return self._accept_first(ordered[: self._k])
 
 
 class WaitForAll(WaitForK):

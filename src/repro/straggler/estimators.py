@@ -155,11 +155,7 @@ class EstimatingWaitPolicy(WaitPolicy):
             raise SimulationError(
                 f"target w={target} exceeds {len(ordered)} arrivals"
             )
-        chosen = ordered[:target]
-        outcome = WaitOutcome(
-            accepted_workers=frozenset(w for _, w in chosen),
-            proceed_time=chosen[-1][0],
-        )
+        outcome = self._accept_first(ordered[:target])
         # Learn from everything we saw this round, including stragglers
         # (their full latency is known once their upload lands).
         self._estimator.update_round({w: t for w, t in arrivals.items()})

@@ -17,6 +17,7 @@ schemes can be compared on *identical* delay realisations.
 from __future__ import annotations
 
 import abc
+import bisect
 from collections.abc import Iterable, Sequence
 from typing import FrozenSet
 
@@ -387,12 +388,16 @@ class MixtureDelay(DelayModel):
         self._models = list(models)
         # Generator.choice(p=weights / total) inverts this cdf against
         # one uniform; doing it directly draws the same component from
-        # the same stream without choice's per-call validation.
-        self._cdf = (np.asarray(weights, dtype=float) / total).cumsum()
-        self._cdf /= self._cdf[-1]
+        # the same stream without choice's per-call validation.  The
+        # cdf is kept as Python floats so ``bisect_right`` finds the
+        # index ``searchsorted(side="right")`` would, without numpy's
+        # per-call overhead.
+        cdf = (np.asarray(weights, dtype=float) / total).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = tuple(cdf.tolist())
 
     def sample(self, worker: int, step: int, rng: np.random.Generator) -> float:
-        idx = int(self._cdf.searchsorted(rng.random(), side="right"))
+        idx = bisect.bisect_right(self._cdf, rng.random())
         return self._models[idx].sample(worker, step, rng)
 
     def reset(self) -> None:

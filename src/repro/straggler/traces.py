@@ -128,15 +128,16 @@ class TraceReplayModel(DelayModel):
         self, workers: Sequence[int], step: int, rng: np.random.Generator
     ) -> np.ndarray:
         ordered = list(workers)
-        for worker in ordered:
-            if not 0 <= worker < self._trace.num_workers:
-                raise SimulationError(
-                    f"worker {worker} outside trace width "
-                    f"{self._trace.num_workers}"
-                )
         if not ordered:
             return np.zeros(0)
-        row = step % self._trace.num_steps
+        delays = self._trace.delays
+        num_steps, width = delays.shape
+        if min(ordered) < 0 or max(ordered) >= width:
+            # Name the first offender in worker order.
+            worker = next(w for w in ordered if not 0 <= w < width)
+            raise SimulationError(
+                f"worker {worker} outside trace width {width}"
+            )
         # ``DelayTrace`` stores float64 and fancy indexing copies, so no
         # ``astype`` is needed.
-        return self._trace.delays[row, ordered]
+        return delays[step % num_steps, ordered]

@@ -56,6 +56,7 @@ from repro.straggler.failures import (
 from repro.straggler.models import (
     BernoulliStraggler,
     BurstyDelay,
+    DelayModel,
     DiurnalDelay,
     ExponentialDelay,
     MixtureDelay,
@@ -285,6 +286,26 @@ class TestRegistryDirectEquivalence:
 # ----------------------------------------------------------------------
 # sample_round contracts
 # ----------------------------------------------------------------------
+class _Constant(DelayModel):
+    """A delay model that always returns ``value`` and draws nothing."""
+
+    def __init__(self, value: float):
+        self._value = value
+
+    def sample(self, worker, step, rng):
+        return self._value
+
+
+class _FixedUniform:
+    """An RNG stand-in whose ``random()`` returns one given uniform."""
+
+    def __init__(self, u: float):
+        self._u = u
+
+    def random(self):
+        return self._u
+
+
 class TestSampleRound:
     def test_empty_worker_list(self):
         for kind in ("none", "exponential", "pareto"):
@@ -323,6 +344,29 @@ class TestSampleRound:
         with pytest.raises(SimulationError) as err:
             model.sample_round(workers, 0, np.random.default_rng(0))
         assert str(err.value) == f"worker {bad} outside trace width 3"
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.7, 0.3], [0.8, 0.2], [0.0, 1.0, 0.0, 2.0], [1.0, 0.0],
+         [0.1] * 10, [3.0, 1e-12, 5.0]],
+    )
+    def test_mixture_component_is_the_searchsorted_index(self, weights):
+        # The component a uniform picks is numpy's right-searchsorted
+        # index into the normalised cdf, including 0.0, every cdf entry
+        # and its neighbours.
+        cdf = (np.asarray(weights, dtype=float) / sum(weights)).cumsum()
+        cdf /= cdf[-1]
+        uniforms = [0.0, *np.random.default_rng(5).random(200).tolist()]
+        for entry in cdf.tolist():
+            uniforms += [entry, np.nextafter(entry, 0.0),
+                         np.nextafter(entry, 1.0)]
+        uniforms = [u for u in uniforms if u < 1.0]
+        model = MixtureDelay(
+            [_Constant(float(k)) for k in range(len(weights))], weights
+        )
+        for u in uniforms:
+            expected = int(cdf.searchsorted(u, side="right"))
+            assert model.sample(0, 0, _FixedUniform(u)) == expected, u
 
     def test_trace_replay_numpy_ids(self):
         table = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])

@@ -14,6 +14,7 @@ from repro.simulation import (
     NetworkModel,
     WaitForK,
 )
+from repro.straggler.failures import PermanentCrashes
 
 
 class TestHeterogeneousComputeModel:
@@ -63,6 +64,31 @@ class TestHeterogeneousComputeModel:
         assert result.step_time == pytest.approx(0.3)
         full = sim.run_round(1, WaitForK(4))
         assert full.step_time == pytest.approx(3.0)
+
+    def test_live_workers_keep_their_own_compute_time(self):
+        # With a worker crashed, each live worker is still charged its
+        # own speed factor, and the wasted compute is the ignored
+        # workers' own seconds.
+        factors = {0: 4.0, 2: 2.0, 3: 0.5}
+        compute = HeterogeneousComputeModel(ComputeModel(0.1, 0.1), factors)
+        sim = ClusterSimulator(
+            num_workers=4,
+            partitions_per_worker=2,
+            environment=Environment(
+                compute=compute,
+                failure=PermanentCrashes([1]),
+                network=NetworkModel(latency=0.0, bandwidth=float("inf")),
+            ),
+            rng=np.random.default_rng(0),
+        )
+        result = sim.run_round(0, WaitForK(1))
+        assert result.arrivals == {
+            w: compute.step_time_for(w, 2) for w in (3, 2, 0)
+        }
+        assert list(result.arrivals) == [3, 2, 0]
+        assert result.wasted_compute == (
+            compute.step_time_for(2, 2) + compute.step_time_for(0, 2)
+        )
 
 
 class TestHeterogeneousComputeSection:

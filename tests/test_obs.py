@@ -1,6 +1,8 @@
 """Unit tests for the observability layer (repro.obs)."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from repro.obs import (
     RoundTrace,
     RoundTracer,
     SchemeAggregate,
+    TraceStreamWriter,
     aggregate_traces,
     read_traces,
+    truncate_traces,
     write_traces,
 )
 from repro.simulation.policies import WaitOutcome
@@ -182,6 +186,154 @@ class TestJsonl:
         path.write_text(json.dumps(payload) + "\n")
         with pytest.raises(ObservabilityError, match=r"old\.jsonl:1"):
             read_traces(path)
+
+
+def _stream(path, traces):
+    with TraceStreamWriter(path) as stream:
+        for trace in traces:
+            stream.append(trace)
+
+
+#: the two exports that start a file: batch and stream.
+EXPORTS = [write_traces, _stream]
+
+
+class TestExportReplacesFile:
+    """An export removes an existing file and creates a new one: the
+    bytes are a fresh export's, whatever was there before."""
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    @pytest.mark.parametrize("old_count", [1, 9], ids=["shorter", "longer"])
+    def test_bytes_equal_a_fresh_export(self, tmp_path, export, old_count):
+        traces = [_trace(step=i) for i in range(4)]
+        fresh = tmp_path / "fresh.jsonl"
+        export(fresh, traces)
+        path = tmp_path / "run.jsonl"
+        write_traces(path, [_trace(step=i, scheme="old") for i in range(old_count)])
+        export(path, traces)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_old_file_is_replaced_not_truncated(self, tmp_path, export):
+        # A second name for the old file still holds the old bytes: the
+        # export unlinked it rather than truncating it in place.
+        path = tmp_path / "run.jsonl"
+        write_traces(path, [_trace(step=i) for i in range(3)])
+        old = path.read_bytes()
+        os.link(path, tmp_path / "old.jsonl")
+        export(path, [_trace(step=7)])
+        assert (tmp_path / "old.jsonl").read_bytes() == old
+        assert read_traces(path) == [_trace(step=7)]
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_symlink_writes_its_target(self, tmp_path, export):
+        target = tmp_path / "target.jsonl"
+        write_traces(target, [_trace(step=i) for i in range(5)])
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        export(link, [_trace(step=1)])
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert read_traces(target) == [_trace(step=1)]
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_dangling_symlink_creates_its_target(self, tmp_path, export):
+        target = tmp_path / "target.jsonl"
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        export(link, [_trace(step=2)])
+        assert link.is_symlink()
+        assert read_traces(target) == [_trace(step=2)]
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_fifo_is_written_not_replaced(self, tmp_path, export):
+        # A reader already holds the FIFO open (non-blocking, so nothing
+        # waits), and the export fits in the pipe buffer.
+        traces = [_trace(step=i) for i in range(4)]
+        fresh = tmp_path / "fresh.jsonl"
+        export(fresh, traces)
+        fifo = tmp_path / "run.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            export(fifo, traces)
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == fresh.read_bytes()
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_directory_path_raises_with_os_error_text(self, tmp_path, export):
+        with pytest.raises(ObservabilityError, match="Is a directory"):
+            export(tmp_path, [_trace()])
+
+    @pytest.mark.parametrize("export", EXPORTS)
+    def test_missing_parent_raises_with_os_error_text(self, tmp_path, export):
+        with pytest.raises(
+            ObservabilityError, match="No such file or directory"
+        ):
+            export(tmp_path / "absent" / "run.jsonl", [_trace()])
+
+
+class TestTruncateTraces:
+    """The resume primitive cuts the file after line ``count``; it never
+    rewrites the lines it keeps."""
+
+    def _lines(self, count):
+        return [
+            json.dumps(_trace(step=i).to_dict(), separators=(",", ":"))
+            + "\n"
+            for i in range(count)
+        ]
+
+    def test_kept_prefix_is_byte_identical(self, tmp_path):
+        lines = self._lines(5)
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(lines))
+        assert truncate_traces(path, 3) == 3
+        assert path.read_text() == "".join(lines[:3])
+
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        lines = self._lines(3)
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(lines) + lines[0][:17])
+        assert truncate_traces(path, 3) == 3
+        assert path.read_text() == "".join(lines)
+        assert read_traces(path) == [_trace(step=i) for i in range(3)]
+
+    def test_cuts_in_place(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(self._lines(4)))
+        os.link(path, tmp_path / "other.jsonl")
+        truncate_traces(path, 1)
+        assert (tmp_path / "other.jsonl").read_bytes() == path.read_bytes()
+
+    def test_exact_count_leaves_file_alone(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(self._lines(2)))
+        before = path.read_bytes()
+        assert truncate_traces(path, 2) == 2
+        assert path.read_bytes() == before
+
+    def test_missing_file(self, tmp_path):
+        assert truncate_traces(tmp_path / "none.jsonl", 0) == 0
+        with pytest.raises(ObservabilityError, match="trace file not found"):
+            truncate_traces(tmp_path / "none.jsonl", 1)
+
+    def test_too_few_lines(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(self._lines(2)))
+        with pytest.raises(
+            ObservabilityError, match="holds 2 lines; cannot keep 3"
+        ):
+            truncate_traces(path, 3)
+
+    def test_negative_count(self, tmp_path):
+        with pytest.raises(ObservabilityError, match="negative trace count"):
+            truncate_traces(tmp_path / "run.jsonl", -1)
 
 
 # ----------------------------------------------------------------------
