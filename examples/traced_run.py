@@ -33,7 +33,6 @@ from repro import (
 )
 from repro.analysis.reporting import trace_summary_table
 from repro.engine import FlatBackend, SyncUpdate
-from repro.parallel import DecodeCache
 
 N, C, W, STEPS = 8, 2, 4, 120
 
@@ -49,9 +48,8 @@ def main() -> None:
         partition_dataset(data, N, seed=1), batch_size=32, seed=2
     )
     placement = CyclicRepetition(N, C)
-    cache = DecodeCache()  # memoised decodes, bit-identical to uncached
     strategy = ISGCStrategy(
-        placement, wait_for=W, rng=np.random.default_rng(3), cache=cache
+        placement, wait_for=W, rng=np.random.default_rng(3)
     )
     tracer = RoundTracer(scheme=strategy.name)
     cluster = ClusterSimulator(
@@ -93,9 +91,7 @@ def main() -> None:
     tracer.export_jsonl(out)
     loaded = read_traces(out)
     aggs = aggregate_traces(loaded)
-    trace_summary_table(
-        aggs, title=f"Re-aggregated from {out.name}", cache=cache
-    ).show()
+    trace_summary_table(aggs, title=f"Re-aggregated from {out.name}").show()
 
     assert live == aggs, "exported trace must reproduce live aggregates"
     scheme = next(iter(aggs))

@@ -17,12 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class Table:
-    """A titled column-aligned table (with an optional footer line)."""
+    """A titled column-aligned table."""
 
     title: str
     columns: Sequence[str]
     rows: List[Sequence[object]] = field(default_factory=list)
-    footer: str = ""
 
     def add_row(self, *values: object) -> None:
         """Append one row; must match the column count."""
@@ -52,9 +51,6 @@ class Table:
         lines.append(sep)
         for row in body:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if self.footer:
-            lines.append(sep)
-            lines.append(self.footer)
         return "\n".join(lines)
 
     def show(self) -> None:
@@ -64,30 +60,15 @@ class Table:
         print()
 
 
-def format_cache_stats(snapshot: Mapping[str, float]) -> str:
-    """Render a :meth:`DecodeCache.snapshot` mapping as one line."""
-    lookups = int(snapshot.get("hits", 0) + snapshot.get("misses", 0))
-    return (
-        f"decode cache: {int(snapshot.get('hits', 0))} hits / "
-        f"{lookups} lookups "
-        f"({100 * snapshot.get('hit_rate', 0.0):.1f}% hit rate), "
-        f"{int(snapshot.get('size', 0))}/{int(snapshot.get('maxsize', 0))} "
-        f"entries, {int(snapshot.get('evictions', 0))} evictions"
-    )
-
-
 def trace_summary_table(
     aggregates: Mapping[str, "SchemeAggregate"],
     title: str = "Round-trace summary",
-    cache: object = None,
 ) -> Table:
     """Tabulate per-scheme aggregates of an exported round trace.
 
     Input is the mapping produced by
     :func:`repro.obs.summary.aggregate_traces`; undecoded schemes show
-    ``-`` in the recovery/search columns.  ``cache`` — either a
-    :class:`~repro.parallel.DecodeCache` or its :meth:`snapshot`
-    mapping — adds the decode-cache hit rate as the table footer.
+    ``-`` in the recovery/search columns.
     """
     if not aggregates:
         raise ConfigurationError("need at least one scheme aggregate")
@@ -116,7 +97,4 @@ def trace_summary_table(
             opt(agg.mean_num_searches, ".2f"),
             agg.total_wasted_compute,
         )
-    if cache is not None:
-        snapshot = cache.snapshot() if hasattr(cache, "snapshot") else cache
-        table.footer = format_cache_stats(snapshot)
     return table

@@ -27,6 +27,10 @@ in :meth:`ChainDecoder._decode` and the batched one in
 ``starts="all"`` replaces the window with every available vertex —
 an O(|W'|²/c) belt-and-braces mode used by tests to confirm the window
 heuristic loses nothing.
+
+Nothing here is memoised: a walk is linear in ``|W'|`` and the
+fairness draws that seed it stay live, so a memo of chains costs more
+than it saves; ``cache`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -60,16 +64,13 @@ Segment = Tuple[int, List[int], List[int]]
 class ChainDecoder(Decoder):
     """Alg. 2 on the placement's worker circle, as the skeleton Alg. 3
     reuses: subclasses choose the adjacency the walk runs under
-    (:attr:`_adj`), the memo ``kind`` and — when not Alg. 2's window —
-    the fairness draws (:meth:`_draw_starts`).
+    (:attr:`_adj`) and — when not Alg. 2's window — the fairness draws
+    (:meth:`_draw_starts`).
 
     The adjacency may cover the whole circle or one group of it (HR
     with ``c2 = 0``: ``g`` conflict-isolated ``n0``-circles); walks
     then run per group on circle-local ids and their winners union.
     """
-
-    #: memo ``kind`` of this decoder's chains in a shared cache.
-    _kind: str
 
     @cached_property
     def _adj(self) -> np.ndarray:
@@ -122,19 +123,11 @@ class ChainDecoder(Decoder):
             searches += len(starts)
             best: FrozenSet[int] = frozenset()
             for start in starts:
-                # A chain is a pure function of (placement, mask,
-                # circle, start) — cacheable; the draws above stay live.
-                chain = self._memo(
-                    self._kind,
-                    available,
-                    (circle, start) if grouped else start,
-                    lambda start=start: greedy_chain(rows, local, start),
-                )
+                chain = greedy_chain(rows, local, start)
                 if len(chain) > len(best):
                     best = chain
             if not grouped:
-                # One circle: its winner is the selection as is (and,
-                # cached, stays the one shared object).
+                # One circle: its winner is the selection as is.
                 return Selection(best, searches)
             selected.extend(circle * size + v for v in best)
         return Selection(frozenset(selected), searches)
@@ -176,58 +169,25 @@ class ChainDecoder(Decoder):
 
         Segment ``j`` is ``counts[j]`` consecutive ``starts`` on circle
         ``seg_rows[j]`` (a row of ``avail`` viewed one circle per row).
-        Returns the ``avail``-shaped selection.  With a cache attached
-        the walks resolve through its one-pass hit/miss partition under
-        the looped path's ``(mask, extra)`` keys and only the misses
-        reach the kernel, stored as frozensets — so looped and batched
-        decoding share entries.
+        Returns the ``avail``-shaped selection.
         """
         adj = self._adj
         size = adj.shape[0]
-        circles = avail.shape[1] // size
         rows = avail.reshape(-1, size)
         walk_row = np.repeat(np.asarray(seg_rows, dtype=np.intp), counts)
-        starts_arr = np.asarray(starts, dtype=np.intp)
+        chains = batched_greedy_chains(
+            adj, rows[walk_row], np.asarray(starts, dtype=np.intp)
+        )
+        best = segment_argmax(chains.sum(axis=1), counts)
         selected = np.zeros(avail.shape, dtype=bool)
         winners = selected.reshape(-1, size)  # a view: one circle per row
-        if self._cache is None:
-            chains = batched_greedy_chains(adj, rows[walk_row], starts_arr)
-            best = segment_argmax(chains.sum(axis=1), counts)
-            winners[seg_rows] = chains[best]
-            return selected
-        fsets = [frozenset(members) for members in mask_members(avail)]
-        if circles == 1:
-            keys = [
-                (fsets[row], start)
-                for row, start in zip(walk_row.tolist(), starts)
-            ]
-        else:
-            keys = [
-                (fsets[row // circles], (row % circles, start))
-                for row, start in zip(walk_row.tolist(), starts)
-            ]
-        # Equal keys are equal walks, so any one index per key will do.
-        walk_of = dict(zip(keys, range(len(keys))))
-
-        def compute_missing(missing):
-            walks = np.asarray([walk_of[key] for key in missing], dtype=np.intp)
-            chains = batched_greedy_chains(
-                adj, rows[walk_row[walks]], starts_arr[walks]
-            )
-            return [frozenset(np.flatnonzero(row).tolist()) for row in chains]
-
-        chain_sets = self._memo_batch(self._kind, keys, compute_missing)
-        best = segment_argmax([len(s) for s in chain_sets], counts)
-        for seg_row, walk in zip(seg_rows, best):
-            winners[seg_row, list(chain_sets[walk])] = True
+        winners[seg_rows] = chains[best]
         return selected
 
 
 @register_decoder("cr")
 class CRDecoder(ChainDecoder):
     """Alg. 2: windowed greedy search over the worker circle."""
-
-    _kind = "cr-chain"
 
     def __init__(
         self,

@@ -31,12 +31,13 @@ every decoder constructor.
 
 Caching
 -------
-Attach a :class:`~repro.parallel.DecodeCache` (constructor ``cache=``
-or :meth:`Decoder.attach_cache`) and the decoders memoise their
-*deterministic* search kernels through :meth:`Decoder._memo`, keyed on
-(placement fingerprint, frozen availability mask).  Fairness RNG draws
-are never cached, so cached decoding is bit-for-bit identical to
-uncached — same results, same generator stream.
+Only a search worth memoising has a memo.  The exact-MIS decoder keeps
+its optima per availability mask in a
+:class:`~repro.parallel.DecodeCache` (its own unless ``cache=`` hands
+one in), under the fairness draw, so memoised decoding is bit-for-bit
+identical to a fresh search.  Algs. 1–3 are linear-time walks whose
+fairness draws stay live: FR, CR and HR accept ``cache`` and ignore
+it.
 """
 
 from __future__ import annotations
@@ -49,13 +50,10 @@ from typing import (
     Any,
     Callable,
     FrozenSet,
-    Hashable,
     Iterable,
-    List,
     NamedTuple,
     Sequence,
     Type,
-    TypeVar,
 )
 
 import numpy as np
@@ -79,8 +77,6 @@ _REGISTRY: Registry[Type["Decoder"]] = Registry(
 #: schemes for which exact-MIS decoding is the *documented* decoder,
 #: not a silent downgrade — no fallback warning for these.
 _EXACT_BY_DESIGN = frozenset({"exact", "explicit"})
-
-_T = TypeVar("_T")
 
 
 class Selection(NamedTuple):
@@ -168,11 +164,12 @@ class Decoder(abc.ABC):
         rng: np.random.Generator | None = None,
         cache: "Any | None" = None,
     ):
+        # ``cache`` is accepted for every family and read only by the
+        # decoders with a search worth memoising (the exact one).
         self._placement = placement
         # The fallback stays: the README, the tutorial and the benchmark
         # harness's self-test build decoders without an rng.
         self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
-        self._cache = cache
 
     @property
     def rng(self) -> np.random.Generator:
@@ -183,32 +180,20 @@ class Decoder(abc.ABC):
     def placement(self) -> Placement:
         return self._placement
 
-    @property
-    def cache(self):
-        """The attached :class:`~repro.parallel.DecodeCache`, or ``None``."""
-        return self._cache
-
-    def attach_cache(self, cache) -> None:
-        """Memoise this decoder's deterministic search kernels in
-        ``cache`` (results stay bit-for-bit identical — see module
-        docstring)."""
-        self._cache = cache
-
-    def fork(
-        self, *, rng: np.random.Generator, cache: "Any | None" = None
-    ) -> "Decoder":
+    def fork(self, *, rng: np.random.Generator) -> "Decoder":
         """A decoder for one more run over the same placement: it owns
-        ``rng`` and ``cache`` and shares this one's search tables (built
-        here if need be, and made read-only)."""
+        ``rng`` and shares this one's search tables (built here if need
+        be; arrays made read-only), a memo among them."""
         for table in self._search_tables():
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
         twin = copy.copy(self)
-        twin._rng, twin._cache = rng, cache
+        twin._rng = rng
         return twin
 
     def _search_tables(self) -> Sequence[Any]:
-        """The lazily built, placement-only tables (subclass hook)."""
+        """The placement-only tables, lazily built ones included
+        (subclass hook)."""
         return ()
 
     def decode(self, available_workers: Iterable[int]) -> DecodeResult:
@@ -270,7 +255,7 @@ class Decoder(abc.ABC):
         vectorized kernel.  CR/HR override it with the batched chain
         kernel; FR draws every group of the batch in one ``integers``
         call and picks the survivors with array ops; the exact decoder
-        overrides it to batch its cache lookups and result assembly
+        overrides it to batch its memo lookups and result assembly
         (its per-mask work is search-bound, so there is no
         deterministic inner loop to vectorize).
         """
@@ -330,48 +315,6 @@ class Decoder(abc.ABC):
         (used to batch recovery + the disjointness check via one matrix
         product)."""
         return partition_matrix(self._placement).astype(np.float64)
-
-    # ------------------------------------------------------------------
-    def _memo(
-        self,
-        kind: str,
-        available: FrozenSet[int],
-        extra: Hashable,
-        compute: Callable[[], _T],
-    ) -> _T:
-        """Memoise a *deterministic* search kernel through the attached
-        cache; a plain ``compute()`` when no cache is attached.
-
-        Only pure functions of (placement, ``available``, ``extra``)
-        may go through here — never anything that touches ``self._rng``.
-        """
-        cache = self._cache
-        if cache is None:
-            return compute()
-        return cache.get_or_compute(
-            self._placement.fingerprint, kind, (available, extra), compute
-        )
-
-    def _memo_batch(
-        self,
-        kind: str,
-        keys: Sequence[Hashable],
-        compute_missing: Callable[[List[Hashable]], List[Any]],
-    ) -> List[Any]:
-        """Batch variant of :meth:`_memo`: resolve every key through the
-        attached cache's one-pass hit/miss partition
-        (:meth:`~repro.parallel.DecodeCache.get_or_compute_batch`);
-        ``compute_missing`` receives the unique missing keys and must
-        return their values, aligned.  Keys use the same
-        ``(available, extra)`` shape as :meth:`_memo`, so looped and
-        batched decoding share cache entries.
-        """
-        cache = self._cache
-        if cache is None:
-            return compute_missing(list(keys))
-        return cache.get_or_compute_batch(
-            self._placement.fingerprint, kind, keys, compute_missing
-        )
 
     def _check_disjoint(self, selected: Iterable[int]) -> None:
         """Internal invariant: selected workers' partitions are disjoint.

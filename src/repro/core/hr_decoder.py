@@ -20,8 +20,7 @@ observation in Theorem 9 (conflict "monotonicity" along the circle).
 Special cases route to simpler algorithms:
 
 * ``c1 = 0`` or ``g = 1`` → the placement *is* CR (Theorems 5–7), so
-  nothing is overridden: the inherited Alg. 2 code runs as is, under
-  HR's own memo kind;
+  nothing is overridden: the inherited Alg. 2 code runs as is;
 * ``c2 = 0`` → groups are conflict-isolated; decode each group
   independently with Alg. 2 on its local circle (which degenerates
   to "pick one worker per group" when ``n0 ≤ 2c - 1``, i.e. FR).
@@ -53,11 +52,11 @@ class HRDecoder(ChainDecoder):
             )
         super().__init__(placement, rng=rng, cache=cache)
         if placement.c1 == 0 or placement.num_groups == 1:
-            self._kind = "hr-cr-chain"
+            self._mode = "cr"
         elif placement.c2 == 0:
-            self._kind = "hr-group-chain"
+            self._mode = "groups"
         else:
-            self._kind = "hr-general-chain"
+            self._mode = "general"
 
     @cached_property
     def _adj(self) -> np.ndarray:
@@ -65,22 +64,22 @@ class HRDecoder(ChainDecoder):
         (``c2 = 0``), or the conflict graph's matrix (general HR, where
         adjacency is exactly Alg. 4's predicate)."""
         placement: HybridRepetition = self._placement  # type: ignore[assignment]
-        if self._kind == "hr-cr-chain":
+        if self._mode == "cr":
             return super()._adj
-        if self._kind == "hr-group-chain":
+        if self._mode == "groups":
             return circulant_adjacency(
                 placement.group_size, placement.partitions_per_worker
             )
         return conflict_graph(placement).adjacency
 
     def _draw_starts(self, members: List[int]) -> List[Segment]:
-        if self._kind == "hr-cr-chain":
+        if self._mode == "cr":
             return super()._draw_starts(members)
         n0 = self._placement.group_size  # type: ignore[attr-defined]
         by_group: Dict[int, List[int]] = {}
         for worker in members:
             by_group.setdefault(worker // n0, []).append(worker)
-        if self._kind == "hr-group-chain":
+        if self._mode == "groups":
             # Alg. 2 per non-empty group, on circle-local ids.
             segments = []
             for group, workers in by_group.items():

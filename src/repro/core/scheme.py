@@ -342,7 +342,8 @@ class PlacementScheme(ABC):
         """This family's :class:`~repro.core.decoders.Decoder` over the
         constructed placement (the registry's linear-time decoder, or
         the exact-MIS decoder where that *is* the documented decoder —
-        explicit tables)."""
+        explicit tables).  Only the exact-MIS decoder reads ``cache``,
+        the :class:`~repro.parallel.DecodeCache` of its optima."""
         # Imported lazily: scheme.py must stay importable from the
         # decoder modules without a cycle.
         from .decoders import decoder_for

@@ -223,7 +223,8 @@ class EnginePlan:
     streams: "BatchStreams" = field(init=False, repr=False)
     #: at its seeded initial vector; engines get deep copies.
     model: "Model" = field(init=False, repr=False)
-    #: a template (placement, code, decoder tables); engines get
+    #: a template (placement, code, decoder tables and decode memos);
+    #: engines get its
     #: :meth:`~repro.training.strategies.TrainingStrategy.spawn` twins.
     strategy: "TrainingStrategy" = field(init=False, repr=False)
     #: ``Environment(**environment)`` builds one engine's models.

@@ -145,7 +145,7 @@ SCHEME_FAMILIES: Mapping[str, str] = {
 
 #: ``scheme_params`` every built-in scheme accepts, used or not, so one
 #: params table can be shared across a ``scheme`` grid.
-_COMMON_SCHEME_PARAMS = ("seed", "policy", "cache")
+_COMMON_SCHEME_PARAMS = ("seed", "policy")
 
 #: built-in schemes that take the common ``scheme_params`` only.
 _PLAIN_SCHEMES = ("sync-sgd", "is-sgd", "gc")
@@ -273,7 +273,7 @@ for _name, _family in SCHEME_FAMILIES.items():
 
 @register_scheme("is-gc")
 def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
-              rng=None, policy=None, cache=None,
+              rng=None, policy=None,
               placement=SCHEME_FAMILIES["is-gc"], **params):
     """Generic IS-GC over *any* registered placement family.
 
@@ -284,7 +284,6 @@ def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
     or ``placement="explicit"`` with ``rows``).
     """
     from ..core.scheme import spec_placement_scheme
-    from ..parallel.cache import DecodeCache
     from ..training.strategies import ISGCStrategy
 
     _reject_unknown_params("is-gc", {"placement": placement, **params})
@@ -296,14 +295,7 @@ def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
     ).construct()
     if wait_for is None:
         raise ConfigurationError("IS-GC schemes need wait_for")
-    # Spec-built IS-GC runs cache their decode search kernels by
-    # default: cached decoding is bit-for-bit identical to uncached
-    # (the memo sits under the fairness RNG draws), so this is pure
-    # speed-up.  Pass an explicit cache to share one across runs.
-    return ISGCStrategy(
-        placement, wait_for=wait_for, rng=rng, policy=policy,
-        cache=DecodeCache() if cache is None else cache,
-    )
+    return ISGCStrategy(placement, wait_for=wait_for, rng=rng, policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -424,18 +416,18 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
         unknown_scheme = _unknown_scheme_params(spec.scheme, spec.scheme_params)
         if unknown_scheme is not None:
             problems.append(unknown_scheme)
-    if isinstance(spec.scheme_params, Mapping):
+    if (
+        isinstance(spec.scheme_params, Mapping)
+        and spec.scheme_params.get("policy") is not None
+    ):
         # Accepted so one params table fits every scheme, but only
         # empty: a spec holds data, not objects (make_strategy takes
-        # a policy or cache object).
-        for key in ("policy", "cache"):
-            if spec.scheme_params.get(key) is not None:
-                problems.append(
-                    f"scheme_params.{key} must be null: a spec holds "
-                    "data, not objects (pass a "
-                    f"{key} object to make_strategy instead); got "
-                    f"{spec.scheme_params[key]!r}"
-                )
+        # a policy object).
+        problems.append(
+            "scheme_params.policy must be null: a spec holds data, not "
+            "objects (pass a policy object to make_strategy instead); "
+            f"got {spec.scheme_params['policy']!r}"
+        )
     # The async rule runs on the async-arrivals backend (``flat``, the
     # default, selects it); no other rule can.
     if (

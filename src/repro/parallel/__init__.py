@@ -9,10 +9,10 @@ Two pieces:
   other seed or a ``Generator`` parameter, and ``run`` a partial that
   binds one), chunked scheduling, per-point failure isolation, and
   per-point progress events (``on_event``);
-* :class:`DecodeCache` — an LRU memo for the deterministic MIS-search
-  kernels inside the decoders, keyed on (placement fingerprint, frozen
-  availability mask), bit-for-bit transparent because fairness RNG
-  draws stay live.
+* :class:`DecodeCache` — an LRU memo for the decode searches worth
+  memoising (the exact-MIS decoder's optima, classic GC's decode
+  vectors), keyed on (placement fingerprint, survivor set),
+  bit-for-bit transparent because fairness RNG draws stay live.
 
 See ``docs/parallelism.md`` for the executor model, the seeding
 discipline and its guards, and cache semantics.

@@ -1,26 +1,26 @@
 """Decode memoisation: :class:`DecodeCache`.
 
-Grid sweeps re-decode the same availability masks over and over — a
-300-step Fig. 11 condition sees the same ``W'`` many times, and every
-scheme in the cell replays the same trace.  The expensive part of a
-decode (the MIS search) is a *pure function* of (placement, mask), so
-it memoises perfectly; the fairness randomisation (which optimum to
-return, which start order to try) stays live in the decoder.  That
-split is what makes cached decoding **bit-for-bit identical** to
-uncached: the cache sits *under* the RNG draws, so the generator
-consumes exactly the same stream either way.
+Two decode searches are worth memoising, and each owns one of these:
+the exact-MIS decoder's list of optima per availability mask
+(exponential worst case) and classic GC's ``lstsq`` decode vector per
+survivor set.  Both are *pure functions* of the survivor set for one
+placement (and, for GC, one code), so they memoise perfectly, and each
+memo is held beside what it is computed from and shared by every run
+of a plan.  The fairness randomisation (which optimum to
+return) stays live in the decoder, so memoised decoding is
+**bit-for-bit identical** to a fresh search: the memo sits *under* the
+RNG draws, and the generator consumes exactly the same stream either
+way.  The linear-time FR/CR/HR decoders keep none — a memo of their
+walks costs more than it saves.
 
-Keys are ``(placement fingerprint, kind, frozen availability mask,
-extra)``: the fingerprint (a content digest, stable across processes —
-see :meth:`repro.core.placement.Placement.fingerprint`) isolates
-placements, ``kind`` isolates a decoder's different search kernels, and
-``extra`` carries kernel-specific parameters (e.g. a chain's start
-vertex).  Eviction is LRU; the cache counts its own hits, misses and
-evictions (:meth:`DecodeCache.snapshot`).
+Keys are ``(placement fingerprint, kind, key)``: the fingerprint (a
+content digest, stable across processes — see
+:meth:`repro.core.placement.Placement.fingerprint`) isolates
+placements and ``kind`` isolates searches.  Eviction is LRU; the cache
+counts its own hits, misses and evictions (:meth:`DecodeCache.snapshot`).
 
-One cache instance may be shared by any number of decoders (and sweep
-points) within a process; pool workers each grow their own — decode
-results never cross process boundaries.
+Pool workers each grow their own memo — decode results never cross
+process boundaries.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 
-CacheKey = Tuple[str, str, Hashable, Hashable]
+CacheKey = Tuple[str, str, Hashable]
 
 #: sentinel distinguishing "absent" from a cached ``None``.
 _MISSING = object()
@@ -91,7 +91,7 @@ class DecodeCache:
         values must be immutable (frozensets, tuples) — they are handed
         back to every future hit without copying.
         """
-        full_key: CacheKey = (fingerprint, kind, key, None)
+        full_key: CacheKey = (fingerprint, kind, key)
         try:
             value = self._data[full_key]
         except KeyError:
@@ -132,7 +132,7 @@ class DecodeCache:
         missing_at: Dict[Hashable, List[int]] = {}
         hits = 0
         for i, key in enumerate(keys):
-            full_key: CacheKey = (fingerprint, kind, key, None)
+            full_key: CacheKey = (fingerprint, kind, key)
             value = data.get(full_key, _MISSING)
             if value is not _MISSING:
                 data.move_to_end(full_key)
@@ -160,7 +160,7 @@ class DecodeCache:
                     f"for {len(missing_keys)} missing keys"
                 )
             for key, value in zip(missing_keys, computed):
-                full_key = (fingerprint, kind, key, None)
+                full_key = (fingerprint, kind, key)
                 data[full_key] = value
                 if len(data) > self._maxsize:
                     data.popitem(last=False)

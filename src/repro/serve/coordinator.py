@@ -20,10 +20,11 @@ one event loop under a fair scheduler:
 Quanta run inline on the event-loop thread, one at a time, and the
 loop yields between them, so submissions, cancellations, watchers and
 (while :meth:`Coordinator.serve` runs) the file mailbox are all served
-at round boundaries.  Because every job's RNG streams, decode cache and
-simulated clock are private to its engine, **any** interleaving of
-quanta yields bit-for-bit the trajectories of sequential ``repro run``
-invocations — the property the test suite pins with hypothesis.
+at round boundaries.  Because every job's RNG streams and simulated
+clock are private to its engine (a decode memo its engines share holds
+only pure search results), **any** interleaving of quanta yields
+bit-for-bit the trajectories of sequential ``repro run`` invocations —
+the property the test suite pins with hypothesis.
 
 Simulated time and wall time never mix: job results carry only their
 engines' simulated clocks (the ``DET002`` static check patrols this

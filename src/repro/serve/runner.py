@@ -57,9 +57,9 @@ class JobRunner:
     Parameters
     ----------
     spec:
-        The job's experiment description; the engine, RNG streams and
-        decode cache are all private to this runner, so interleaved
-        runners cannot perturb each other.
+        The job's experiment description; the engine and its RNG
+        streams are private to this runner, so interleaved runners
+        cannot perturb each other.
     trace_path:
         When given, a :class:`~repro.obs.TraceStreamWriter` streams the
         job's round trace there — one JSONL line per round, flushed as

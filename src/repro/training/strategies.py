@@ -181,6 +181,9 @@ class ClassicGCStrategy(TrainingStrategy):
     ):
         self._code = ClassicGradientCode(placement, rng=rng)
         super().__init__(placement, WaitForK(self._code.required_workers))
+        # A decode vector is a pure function of the survivor set, like
+        # the code it is solved from: the memo is no run state, and
+        # ``spawn`` shares it with the code.
         self._vectors = DecodeCache()
 
     @property
@@ -191,12 +194,6 @@ class ClassicGCStrategy(TrainingStrategy):
     def decode_cache(self) -> DecodeCache:
         """The memo of decode vectors, one per survivor set seen."""
         return self._vectors
-
-    def spawn(self, seed):
-        """Own decode-vector memo; the code is shared."""
-        twin = copy.copy(self)
-        twin._vectors = DecodeCache()
-        return twin
 
     def decode_vector(self, available_workers: Iterable[int]) -> np.ndarray:
         """The code's decode vector for ``sorted(W')``, solved (and
@@ -231,7 +228,6 @@ class ISGCStrategy(TrainingStrategy):
         rng: np.random.Generator | None = None,
         decoder: Decoder | None = None,
         policy: WaitPolicy | None = None,
-        cache: "DecodeCache | None" = None,
     ):
         n = placement.num_workers
         if not 1 <= wait_for <= n:
@@ -241,9 +237,7 @@ class ISGCStrategy(TrainingStrategy):
         super().__init__(placement, policy or WaitForK(wait_for))
         self._w = wait_for
         self._code = SummationCode(placement)
-        self._decoder = decoder or decoder_for(placement, rng=rng, cache=cache)
-        if decoder is not None and cache is not None:
-            decoder.attach_cache(cache)
+        self._decoder = decoder or decoder_for(placement, rng=rng)
         self.name = f"is-gc-{placement.scheme}"
         #: The most recent DecodeResult, for observability (trainers
         #: read num_searches / recovered counts from here).
@@ -257,17 +251,11 @@ class ISGCStrategy(TrainingStrategy):
     def decoder(self) -> Decoder:
         return self._decoder
 
-    @property
-    def decode_cache(self) -> "DecodeCache | None":
-        """The decoder's :class:`DecodeCache`, if one is attached."""
-        return self._decoder.cache
-
     def spawn(self, seed):
-        """Own fairness generator, decode cache and ``last_decode``."""
+        """Own fairness generator and ``last_decode``; the decoder's
+        search tables (and memo, if it keeps one) are shared."""
         twin = copy.copy(self)
-        twin._decoder = self._decoder.fork(
-            rng=np.random.default_rng(seed), cache=DecodeCache(),
-        )
+        twin._decoder = self._decoder.fork(rng=np.random.default_rng(seed))
         twin.last_decode = None
         return twin
 

@@ -14,7 +14,10 @@ were recorded before the exact-MIS decoder's branch and bound became
 a memoised bitset search.  Fair exact decoding draws an index into
 the canonical list of optima, so these cases pin that list's order:
 at ``n >= 11`` it is the order of branching on workers sorted by
-``repr`` (``10`` before ``2``), not ascending.
+``repr`` (``10`` before ``2``), not ascending.  The CR and HR cache
+counts were re-recorded once, to zero, when their chain memo was
+removed (every other field kept its value): only the exact decoder
+reads the cache it is handed.
 
 Per case (FR with several groups, ``c = 1`` and one group, and with
 ids past the frozenset's hash table, where set order is not ascending; CR
@@ -25,7 +28,8 @@ with a non-identity assignment) and per mode the golden stores:
 * a digest of every ``(selected workers, num_searches)`` pair, in mask
   order;
 * the injected generator's end state (the fairness draws consumed);
-* the attached :class:`~repro.parallel.DecodeCache`'s hit/miss counts.
+* the hit/miss counts of the :class:`~repro.parallel.DecodeCache`
+  handed in (zero but for the exact decoder, the one that memoises).
 
 Modes: ``looped`` (``decode`` per mask), ``batch`` (``decode_batch``
 on the boolean array), ``batch-lists`` (``decode_batch`` on id lists),

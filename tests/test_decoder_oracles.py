@@ -6,7 +6,8 @@
   one greedy-chain implementation, its FR cases before Alg. 1's
   per-group ``choice`` calls became one bounded ``integers`` draw
   (re-recorded once when FR's groups began drawing in ascending
-  order).
+  order, and once when CR/HR lost their chain memo, which moved only
+  their cache counts, to zero).
   Selections, ``num_searches``, the generator's end state and the
   cache's hit/miss counts must not move, for looped, batched and cached
   decoding of every FR case, CR (``window`` / ``all``) and every HR

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cyclic import CyclicRepetition
 from repro.core.decoders import Decoder, Selection, decoder_for
+from repro.core.exact_decoder import ExactDecoder
+from repro.core.explicit import ExplicitPlacement
 from repro.core.fractional import FractionalRepetition
 from repro.core.hybrid import HybridRepetition
 from repro.exceptions import ConfigurationError
@@ -386,6 +388,9 @@ PLACEMENTS = [
     HybridRepetition(12, 1, 2, 3),
     HybridRepetition(8, 3, 0, 2),   # grouped-CR special case
     HybridRepetition(8, 0, 4, 2),   # pure-CR special case
+    ExplicitPlacement.from_rows(    # exact-MIS decoded
+        [[0, 4], [1, 2], [2, 3], [3, 7], [4, 5], [5, 6], [6, 1], [7, 0]]
+    ),
 ]
 
 
@@ -417,20 +422,54 @@ class TestCachedDecodingTransparency:
         cached, tail_b = _decode_stream(placement, cache)
         assert uncached == cached
         assert tail_a == tail_b
-        if placement.scheme != "fr":  # FR has no cacheable kernel
-            assert cache.hits + cache.misses > 0
+        # Only the exact-MIS search is memoised; the linear-time
+        # decoders accept a cache and never touch it.
+        lookups = cache.hits + cache.misses
+        assert (lookups > 0) == (placement.scheme == "explicit")
+
+    @pytest.mark.parametrize("placement", [
+        CyclicRepetition(12, 3),
+        HybridRepetition(12, 1, 2, 3),  # general HR
+        HybridRepetition(8, 3, 0, 2),   # conflict-isolated groups
+        HybridRepetition(8, 0, 4, 2),   # pure CR
+    ], ids=repr)
+    def test_chain_decoders_leave_the_cache_untouched(self, placement):
+        cache = DecodeCache()
+        decoder = decoder_for(
+            placement, rng=np.random.default_rng(0), cache=cache
+        )
+        masks = np.random.default_rng(1).random(
+            (30, placement.num_workers)
+        ) < 0.6
+        masks[:, 0] = True
+        decoder.decode_batch(masks)
+        for row in masks:
+            decoder.decode(np.flatnonzero(row).tolist())
+        assert (cache.hits, cache.misses, cache.size) == (0, 0, 0)
 
     def test_exact_decoder_fair_draw_stays_live(self):
         placement = CyclicRepetition(8, 2)
-        from repro.core.exact_decoder import ExactDecoder
 
         cache = DecodeCache()
         a = ExactDecoder(placement, rng=np.random.default_rng(3))
         b = ExactDecoder(placement, rng=np.random.default_rng(3), cache=cache)
+        assert b.cache is cache and a.cache is not cache
         mask = frozenset(range(8))
         for _ in range(25):
             assert a.decode(mask) == b.decode(mask)
         assert cache.hits == 24 and cache.misses == 1
+        assert a.cache.hits == 24 and a.cache.misses == 1
+
+    def test_exact_decoder_forks_share_the_memo(self):
+        parent = ExactDecoder(
+            CyclicRepetition(8, 2), rng=np.random.default_rng(3)
+        )
+        twin = parent.fork(rng=np.random.default_rng(4))
+        assert twin.cache is parent.cache and twin.rng is not parent.rng
+        mask = frozenset(range(8))
+        parent.decode(mask)
+        twin.decode_batch([sorted(mask)])
+        assert (parent.cache.misses, parent.cache.hits) == (1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -372,6 +372,34 @@ class TestWorkerPoolMechanics:
             "builds": 3, "restores": 1, "hits": 2, "evictions": 2,
         }
 
+    def test_gc_memo_survives_eviction_and_restore(self):
+        # Each quantum parks the job just run, so every later quantum
+        # restores it from its plan; the plan's classic-GC strategy
+        # keeps its decode-vector memo across all of them.
+        pool = WorkerPool(capacity=1)
+        specs = [make_spec(i, max_steps=12, scheme="gc") for i in range(2)]
+        jobs = [
+            Job(job_id=f"g{i}", name=f"g{i}", spec=spec, seq=i)
+            for i, spec in enumerate(specs)
+        ]
+        hits = {job.job_id: [] for job in jobs}
+        reports = {}
+        while len(reports) < len(jobs):
+            for job in jobs:
+                if job.job_id in reports:
+                    continue
+                runner = pool.acquire(job)
+                if runner.step():
+                    reports[job.job_id] = runner.report().to_dict()
+                hits[job.job_id].append(job.plan.strategy.decode_cache.hits)
+                pool.release(job)
+        assert pool.stats.restores > 0
+        for job, spec in zip(jobs, specs):
+            assert reports[job.job_id] == build_run_report(
+                run_spec(spec), spec=spec
+            ).to_dict()
+            assert hits[job.job_id][-1] > hits[job.job_id][0]
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ServeError):
             WorkerPool(capacity=-1)

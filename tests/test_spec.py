@@ -478,27 +478,28 @@ class TestRules:
 
     @pytest.mark.parametrize("scheme, params, hint, accepted", [
         ("sync-sgd", {"polcy": 1},
-         "'polcy' — did you mean 'policy'?", "seed, policy, cache"),
-        ("is-sgd", {"bogus": 1}, "'bogus'", "seed, policy, cache"),
+         "'polcy' — did you mean 'policy'?", "seed, policy"),
+        ("is-sgd", {"bogus": 1}, "'bogus'", "seed, policy"),
         ("gc", {"sed": 3}, "'sed' — did you mean 'seed'?",
-         "seed, policy, cache"),
-        ("is-gc-fr", {"cach": None},
-         "'cach' — did you mean 'cache'?", "seed, policy, cache"),
-        ("is-gc-cr", {"bogus": 1}, "'bogus'", "seed, policy, cache"),
+         "seed, policy"),
+        # Only the exact decoder and classic GC memoise, each with a
+        # memo of its own: a spec names no cache.
+        ("is-gc-fr", {"cache": None}, "'cache'", "seed, policy"),
+        ("is-gc-cr", {"bogus": 1}, "'bogus'", "seed, policy"),
         # Admission checks HR's c1, c2 and num_groups and the key names
         # alike, so the misspelt extra key is refused at construction.
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "num_group": 2},
          "'num_group' — did you mean 'num_groups'?",
-         "c1, c2, num_groups, seed, policy, cache"),
+         "c1, c2, num_groups, seed, policy"),
         # A preset fixes is-gc's placement, so it takes no placement key.
         ("is-gc-fr", {"placement": "fr"}, "'placement'",
-         "seed, policy, cache"),
+         "seed, policy"),
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "placement": "cr"},
-         "'placement'", "c1, c2, num_groups, seed, policy, cache"),
+         "'placement'", "c1, c2, num_groups, seed, policy"),
         # is-gc takes its placement family's parameters.
         ("is-gc", {"placement": "hr", "c1": 1, "c2": 1, "num_groups": 2,
                    "bogus": 1},
-         "'bogus'", "placement, c1, c2, num_groups, seed, policy, cache"),
+         "'bogus'", "placement, c1, c2, num_groups, seed, policy"),
     ], ids=[
         "sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr",
         "is-gc-fr-placement", "is-gc-hr-placement", "is-gc-any-hr",
@@ -535,7 +536,7 @@ class TestRules:
     )
     def test_shared_scheme_params_accepted_by_every_scheme(self, scheme):
         # One params table shared across a scheme grid must keep working.
-        shared = {"seed": 3, "policy": None, "cache": None}
+        shared = {"seed": 3, "policy": None}
         summary = run_spec(_spec(scheme=scheme, scheme_params=shared))
         assert summary.num_steps == 5
 
@@ -545,9 +546,18 @@ class TestRules:
     ], ids=["policy-int", "policy-str", "cache-int", "policy-object"])
     def test_policy_and_cache_are_refused_unless_null(self, key, value):
         # Used to be admitted and then crash run_spec (no attribute
-        # 'wait' / 'get_or_compute') or fingerprint() (an object).
+        # 'wait') or fingerprint() (an object).  ``cache`` is no
+        # scheme parameter at all: null or not, it is an unknown key.
         with pytest.raises(ConfigurationError) as exc:
             _spec(scheme="is-gc-cr", scheme_params={key: value})
+        if key == "cache":
+            assert str(exc.value) == (
+                "unknown scheme_params for scheme 'is-gc-cr': 'cache'; "
+                "accepted: seed, policy"
+            )
+            with pytest.raises(ConfigurationError, match="'cache'"):
+                _spec(scheme="is-gc-cr", scheme_params={key: None})
+            return
         assert str(exc.value) == (
             f"scheme_params.{key} must be null: a spec holds data, not "
             f"objects (pass a {key} object to make_strategy instead); "
