@@ -58,16 +58,16 @@ from .core import (
     Decoder,
     FractionalRepetition,
     HybridRepetition,
-    PlacementScheme,
     SummationCode,
     conflict_graph,
     decoder_for,
     make_placement,
-    placement_scheme,
     recommend_placement,
     registered_placements,
-    scheme_for,
 )
+# Older names of Placement / make_placement / the identity, which the
+# end-to-end benchmark imports.
+from .core.scheme import PlacementScheme, placement_scheme, scheme_for
 from .codes import ClassicGradientCode
 from .straggler import (
     DelayModel,

@@ -11,34 +11,42 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from ..core.scheme import PlacementScheme, spec_placement_scheme
+from ..core.placement import Placement
+from ..core.scheme import spec_placement_scheme
 from ..exceptions import ReproError
 
 
-def _placement_scheme(args: argparse.Namespace) -> PlacementScheme:
-    """The registered family the placement flags name, under a spec's
-    calling convention (``-n`` is ``num_workers``, ``-c`` the uniform
-    ``partitions_per_worker``, ``--param`` the family's own keys).
+def _placement(args: argparse.Namespace) -> Placement:
+    """The placement of the registered family the placement flags name,
+    under a spec's calling convention (``-n`` is ``num_workers``, ``-c``
+    the uniform ``partitions_per_worker``, ``--param`` the family's own
+    keys).
 
     A family that derives ``c`` from its own parameters (``hr``,
     ``explicit``) needs no ``-c``; one given must agree with the ``c``
-    it derives.
+    it derives.  ``--param`` may not name what ``-n``/``-c`` give.
     """
     if args.n is None:
         raise ReproError(
             f"placement family {args.family!r} needs -n (number of workers)"
         )
-    scheme = spec_placement_scheme(
+    params = _parse_model_params(args.param)
+    for key, flag in (("num_workers", "-n"), ("partitions_per_worker", "-c")):
+        if key in params:
+            raise ReproError(
+                f"--param {key} duplicates {flag}; give it with {flag} only"
+            )
+    placement = spec_placement_scheme(
         args.family, num_workers=args.n, partitions_per_worker=args.c,
-        **_parse_model_params(args.param),
+        **params,
     )
-    c = scheme.construct().partitions_per_worker
+    c = placement.partitions_per_worker
     if args.c is not None and args.c != c:
         raise ReproError(
-            f"-c {args.c} disagrees with the {scheme.family!r} placement, "
-            f"which stores c = {c} partitions per worker"
+            f"-c {args.c} disagrees with the {placement.family!r} "
+            f"placement, which stores c = {c} partitions per worker"
         )
-    return scheme
+    return placement
 
 
 def _add_placement_args(

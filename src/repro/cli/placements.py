@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 
 from ..analysis.reporting import Table
-from .params import _add_placement_args, _placement_scheme
+from .params import _add_placement_args, _placement
 from .registry import register_command
 
 
@@ -31,19 +31,21 @@ def cmd_placements(args: argparse.Namespace) -> int:
         table.show()
         return 0
 
-    scheme = _placement_scheme(args)
-    print(scheme.describe())
-    placement = scheme.construct()
-    print(f"fingerprint    : {scheme.fingerprint()}")
+    placement = _placement(args)
+    print(f"[{placement.family}] {placement.summary}".rstrip())
+    if placement.paper:
+        print(f"paper: {placement.paper}")
+    print(placement.describe())
+    print(f"fingerprint    : {placement.fingerprint}")
     table = Table(
         title=f"recovery bounds (Thm 10/11) — {placement.num_workers} workers",
         columns=["w", "lower", "upper"],
     )
     for w in range(1, placement.num_workers + 1):
-        lo, hi = scheme.recovery_bounds(w)
+        lo, hi = placement.recovery_bounds(w)
         table.add_row(w, lo, hi)
     table.show()
-    graph = scheme.conflict_graph()
+    graph = placement.conflict_graph()
     print(f"\nconflict graph ({graph.number_of_edges()} edges):")
     print(adjacency_art(graph))
     print()

@@ -6,15 +6,15 @@ import argparse
 
 from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
-from .params import _add_placement_args, _placement_scheme
+from .params import _add_placement_args, _placement
 from .registry import register_command
 
 
 def cmd_recovery(args: argparse.Namespace) -> int:
     """Print the Monte-Carlo recovery curve for a placement."""
-    placement = _placement_scheme(args).construct()
+    placement = _placement(args)
     table = Table(
-        title=f"Recovery curve — {type(placement).__name__}"
+        title=f"Recovery curve — {placement.kind}"
         f"(n={placement.num_workers}, c={placement.partitions_per_worker}), "
         f"{args.trials} trials per w",
         columns=["w", "mean recovered", "% of gradients", "min", "max"],

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.coding import as_block
 from ..core.fractional import FractionalRepetition, fr_problems
-from ..core.scheme import PlacementScheme, as_placement, spec_int
+from ..core.placement import spec_int
 from ..exceptions import CodingError
 
 
@@ -51,8 +51,6 @@ class CommEfficientGC:
     """Vandermonde block coding over an FR placement."""
 
     def __init__(self, placement: FractionalRepetition, blocks: int):
-        if isinstance(placement, PlacementScheme):
-            placement = as_placement(placement)
         if not isinstance(placement, FractionalRepetition):
             raise CodingError(
                 "communication-efficient GC is defined over FR placements, "

@@ -9,18 +9,10 @@ from .hybrid import HybridRepetition
 from .conflict import conflict_graph, edge_subset
 from .scheme import (
     PLACEMENT_REGISTRY,
-    CRScheme,
-    ExplicitScheme,
-    FRScheme,
-    HeteroScheme,
-    HRScheme,
-    PlacementScheme,
-    as_placement,
+    HeteroPlacement,
     make_placement,
-    placement_scheme,
     register_placement,
     registered_placements,
-    scheme_for,
 )
 from .batch import (
     BatchDecodeResult,
@@ -71,19 +63,11 @@ __all__ = [
     "HybridRepetition",
     "conflict_graph",
     "edge_subset",
-    "PlacementScheme",
+    "HeteroPlacement",
     "PLACEMENT_REGISTRY",
     "register_placement",
     "registered_placements",
-    "placement_scheme",
     "make_placement",
-    "as_placement",
-    "scheme_for",
-    "FRScheme",
-    "CRScheme",
-    "HRScheme",
-    "ExplicitScheme",
-    "HeteroScheme",
     "Decoder",
     "decoder_for",
     "register_decoder",

@@ -12,7 +12,10 @@ distance ``d(x, y) = min(|x-y|, n-|x-y|)`` is below ``c``.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 from ..graphs.circulant import circular_distance
+from .bounds import recovered_partitions_bounds
 from .placement import Placement
 
 
@@ -20,8 +23,13 @@ class CyclicRepetition(Placement):
     """The CR placement ``CR(n, c)`` for any ``1 <= c <= n``."""
 
     scheme = "cr"
+    summary = (
+        "cyclic repetition — worker i stores partitions (i..i+c-1) mod n; "
+        "always valid, most flexible wait choices"
+    )
+    paper = "Sec. III; conflict graph Thm. 1 (circulant C_n^{1..c-1}); decoder Alg. 2"
 
-    def __init__(self, num_workers: int, partitions_per_worker: int):
+    def __init__(self, num_workers: int, partitions_per_worker: int = 1):
         super().__init__(num_workers, partitions_per_worker)
         n, c = self._n, self._c
         assignments = {
@@ -43,3 +51,20 @@ class CyclicRepetition(Placement):
         if worker_a == worker_b:
             return True
         return self.distance(worker_a, worker_b) < self._c
+
+    def _recovery_bounds(self, w: int) -> Tuple[int, int]:
+        return recovered_partitions_bounds(self._n, self._c, w)
+
+    @classmethod
+    def spec_problems(
+        cls, *, num_workers, partitions_per_worker=None, params=None,
+    ) -> List[str]:
+        n, c = num_workers, partitions_per_worker
+        if c is not None and c >= n:
+            return [
+                f"CR placement requires 1 <= c < n: with c = n = {n} "
+                "every pair of workers shares a partition (Theorem 1: "
+                "conflict iff circular distance < c), so at most one "
+                "payload is ever decodable"
+            ]
+        return []

@@ -27,7 +27,10 @@ typed :class:`Selection`, and may override ``decode_batch`` with a
 vectorized path.
 
 ``rng`` and ``cache`` are keyword-only in :func:`decoder_for` and
-every decoder constructor.
+every decoder constructor.  A placement is its family's object, so
+:meth:`Placement.decoder <repro.core.placement.Placement.decoder>` is
+:func:`decoder_for` on itself, and every entry point here takes the
+placement directly.
 
 Caching
 -------
@@ -100,16 +103,16 @@ def register_decoder(scheme: str) -> Callable[[Type["Decoder"]], Type["Decoder"]
 
 
 def decoder_for(
-    placement: "Placement | Any",
+    placement: Placement,
     *,
     rng: np.random.Generator | None = None,
     cache: "Any | None" = None,
 ) -> "Decoder":
     """Instantiate the registered decoder matching ``placement.scheme``.
 
-    ``placement`` may also be a
-    :class:`~repro.core.scheme.PlacementScheme`; it is constructed
-    first.  ``rng`` and ``cache`` are keyword-only.  Falls
+    ``placement`` is any :class:`Placement`, a registered family's
+    included (:meth:`Placement.decoder` calls this).  ``rng`` and
+    ``cache`` are keyword-only.  Falls
     back to the exact-MIS decoder for unknown schemes, which is correct
     for *any* placement (just not linear-time).  The fallback is
     registered on demand, so this works even when only this module has
@@ -123,10 +126,6 @@ def decoder_for(
     decoder can never silently masquerade as a linear-time one in a
     benchmark run.
     """
-    if not isinstance(placement, Placement):
-        from .scheme import as_placement
-
-        placement = as_placement(placement)
     cls = _REGISTRY.get(placement.scheme)
     is_fallback = cls is None
     if cls is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..exceptions import PlacementError
+from .bounds import recovered_partitions_bounds
 from .placement import Placement
 
 
@@ -34,8 +35,13 @@ class FractionalRepetition(Placement):
     """The FR placement ``FR(n, c)`` with ``c | n``."""
 
     scheme = "fr"
+    summary = (
+        "fractional repetition — n/c disjoint groups of c identical "
+        "replicas (requires c | n); best recovery, least flexible"
+    )
+    paper = "Sec. III; decoder Alg. 1; bounds Thms. 10-11; Fig. 4(a)"
 
-    def __init__(self, num_workers: int, partitions_per_worker: int):
+    def __init__(self, num_workers: int, partitions_per_worker: int = 1):
         super().__init__(num_workers, partitions_per_worker)
         n, c = self._n, self._c
         problems = fr_problems(n, c)
@@ -65,3 +71,12 @@ class FractionalRepetition(Placement):
                 f"group {group} out of range [0, {self.num_groups})"
             )
         return tuple(range(group * self._c, (group + 1) * self._c))
+
+    def _recovery_bounds(self, w: int) -> Tuple[int, int]:
+        return recovered_partitions_bounds(self._n, self._c, w)
+
+    @classmethod
+    def spec_problems(
+        cls, *, num_workers, partitions_per_worker=None, params=None,
+    ) -> List[str]:
+        return fr_problems(num_workers, partitions_per_worker)

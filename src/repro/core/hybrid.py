@@ -36,15 +36,21 @@ conflict — the invariant the HR decoder (Alg. 3) relies on.  Since
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from ..exceptions import PlacementError
-from .placement import Placement
+from ..exceptions import ConfigurationError, PlacementError
+from .bounds import hr_alpha_bounds
+from .placement import Placement, spec_int
 
 
 def hr_problems(n: int, c1: int, c2: int, g: int) -> List[str]:
     """Theorem 5-7 feasibility of ``HR(n, c1, c2)`` with ``g`` groups:
     why it cannot exist, as messages (empty when it can)."""
+    if any(spec_int(value) is None for value in (n, c1, c2, g)):
+        return [
+            "HR placement needs integer n and params c1, c2 and "
+            "num_groups (HR(n, c1, c2) with g groups, Sec. VI)"
+        ]
     c = c1 + c2
     if c1 < 0 or c2 < 0 or c < 1:
         return [
@@ -81,9 +87,18 @@ def hr_problems(n: int, c1: int, c2: int, g: int) -> List[str]:
 
 
 class HybridRepetition(Placement):
-    """The HR placement ``HR(n, c1, c2)`` with ``g`` groups."""
+    """The HR placement ``HR(n, c1, c2)`` with ``g`` groups.
+
+    ``partitions_per_worker``, when given, must equal ``c1 + c2``.
+    """
 
     scheme = "hr"
+    summary = (
+        "hybrid repetition — HR(n, c1, c2) with g groups interpolates "
+        "FR and CR (c = c1 + c2); Theorem 5-7 constraints apply"
+    )
+    paper = "Sec. VI; conflict test Alg. 4; decoder Alg. 3; Thms. 5-7"
+    uses_uniform_c = False
 
     def __init__(
         self,
@@ -91,10 +106,20 @@ class HybridRepetition(Placement):
         c1: int,
         c2: int,
         num_groups: int,
+        partitions_per_worker: Optional[int] = None,
     ):
         problems = hr_problems(num_workers, c1, c2, num_groups)
         if problems:
             raise PlacementError(problems[0])
+        if (
+            partitions_per_worker is not None
+            and spec_int(partitions_per_worker) != c1 + c2
+        ):
+            raise ConfigurationError(
+                f"HR stores c1 + c2 = {c1 + c2} partitions per worker "
+                f"but partitions_per_worker={partitions_per_worker} was "
+                "given; make them agree (or drop partitions_per_worker)"
+            )
         super().__init__(num_workers, c1 + c2)
         n = self._n
         n0 = n // num_groups
@@ -197,6 +222,34 @@ class HybridRepetition(Placement):
             if j1 >= self._n0 - self._c2 + 1 and (i2 - i1) % self._n < self._c:
                 return True
         return False
+
+    def _recovery_bounds(self, w: int) -> Tuple[int, int]:
+        # Corrected group-wise α bounds (see bounds.hr_alpha_bounds for
+        # why the printed Theorem 10 fails when n0 > c), scaled to
+        # partitions.
+        n, c = self._n, self._c
+        lo, hi = hr_alpha_bounds(n, self._c1, self._c2, self._g, w)
+        return min(lo * c, n), min(hi * c, n)
+
+    @classmethod
+    def spec_problems(
+        cls, *, num_workers, partitions_per_worker=None, params=None,
+    ) -> List[str]:
+        params = params or {}
+        c1, c2, g = (params.get(key) for key in ("c1", "c2", "num_groups"))
+        problems = hr_problems(num_workers, c1, c2, g)
+        if any(spec_int(value) is None for value in (c1, c2, g)):
+            return problems
+        # c = c1 + c2 >= 2 for a feasible HR, so a spec's default c = 1
+        # means "not given".
+        if partitions_per_worker not in (None, 1, c1 + c2):
+            problems.append(
+                "HR spec declares partitions_per_worker="
+                f"{partitions_per_worker} but the placement stores "
+                f"c1 + c2 = {c1 + c2} partitions per worker; make "
+                "them agree"
+            )
+        return problems
 
     def __repr__(self) -> str:
         return (

@@ -27,7 +27,6 @@ from ..env import make_network_model
 from ..exceptions import ConfigurationError
 from ..simulation.network import NetworkModel
 from .placement import Placement
-from .scheme import PlacementScheme, as_placement
 
 
 @dataclass(frozen=True)
@@ -43,22 +42,14 @@ class MigrationPlan:
         return self.total_partition_copies == 0
 
 
-def migration_plan(
-    source: "Placement | PlacementScheme",
-    target: "Placement | PlacementScheme",
-) -> MigrationPlan:
+def migration_plan(source: Placement, target: Placement) -> MigrationPlan:
     """Plan the copies needed to realise ``target`` from ``source``.
-
-    Either endpoint may be a :class:`~repro.core.scheme.PlacementScheme`
-    (the registry-level view) or a concrete :class:`Placement`.
 
     For every partition a worker holds under ``target`` but not under
     ``source``, pick a source replica — the worker currently holding
     that partition with the fewest outgoing copies so far (cheap load
     balancing of the senders).  Dropping partitions is free.
     """
-    source = as_placement(source)
-    target = as_placement(target)
     if source.num_workers != target.num_workers:
         raise ConfigurationError(
             "cannot migrate between cluster sizes "

@@ -26,7 +26,7 @@ registries make the system open for extension without modification:
 
 A third registry lives one layer down:
 :data:`~repro.core.scheme.PLACEMENT_REGISTRY` maps placement-family
-names to :class:`~repro.core.scheme.PlacementScheme` classes, and the
+names to :class:`~repro.core.placement.Placement` subclasses, and the
 IS-GC factory here builds its placements through it.  The generic
 ``is-gc`` scheme exposes *every* registered family to specs:
 ``scheme="is-gc"`` with ``scheme_params={"placement": "hr", ...}``;
@@ -292,7 +292,7 @@ def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
         num_workers=num_workers,
         partitions_per_worker=partitions_per_worker,
         **params,
-    ).construct()
+    )
     if wait_for is None:
         raise ConfigurationError("IS-GC schemes need wait_for")
     return ISGCStrategy(placement, wait_for=wait_for, rng=rng, policy=policy)

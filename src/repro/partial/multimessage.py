@@ -92,10 +92,6 @@ class MultiMessageRound:
         *,
         rng: np.random.Generator,
     ):
-        if not isinstance(placement, Placement):
-            from ..core.scheme import as_placement
-
-            placement = as_placement(placement)
         environment.refuse_failures_and_contention()
         self._placement = placement
         self._compute = environment.compute

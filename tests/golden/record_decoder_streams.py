@@ -52,7 +52,7 @@ from repro.core.fr_decoder import FRDecoder
 from repro.core.fractional import FractionalRepetition
 from repro.core.hr_decoder import HRDecoder
 from repro.core.hybrid import HybridRepetition
-from repro.core.scheme import HeteroScheme
+from repro.core.scheme import HeteroPlacement
 from repro.parallel import DecodeCache
 
 HERE = pathlib.Path(__file__).parent
@@ -119,12 +119,12 @@ CASES = {
         HybridRepetition(12, 1, 3, 3), rng=rng, cache=cache
     ),
     "exact-hetero-cr-12-3": lambda rng, cache: ExactDecoder(
-        HeteroScheme(
+        HeteroPlacement(
             num_workers=12,
             assignment=HETERO_ASSIGNMENT,
             base="cr",
             partitions_per_worker=3,
-        ).construct(),
+        ),
         rng=rng,
         cache=cache,
     ),

@@ -81,6 +81,33 @@ class TestPlacementCommand:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("param", ["c1=2.5", 'c1="2"', "c1=true"])
+    def test_family_params_must_be_integers(self, param, capsys):
+        # 2.5 used to build c1 = 2, and "2" c1 = 2: refused, not cast.
+        assert main([
+            "placements", "hr", "-n", "12",
+            "--param", param, "--param", "c2=1", "--param", "num_groups=3",
+        ]) == 2
+        assert "needs integer" in capsys.readouterr().err
+
+
+class TestPlacementFlagsAreNotParams:
+    """``--param`` may not name what ``-n``/``-c`` give: each command
+    refuses it (exit 2) instead of crashing on a duplicate keyword."""
+
+    @pytest.mark.parametrize("command,argv", [
+        ("placements", ["--param", "num_workers=8"]),
+        ("decode", ["--param", "num_workers=8", "--available", "0,2"]),
+        ("recovery", ["--param", "partitions_per_worker=3",
+                      "--trials", "5"]),
+    ])
+    def test_duplicate_of_a_flag_refused(self, command, argv, capsys):
+        assert main([command, "cr", "-n", "6", "-c", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        flag = "-n" if "num_workers" in argv[1] else "-c"
+        assert f"duplicates {flag}" in err
+        assert "Traceback" not in err
+
 
 def _golden_case(family):
     """``(argv, params)`` for the first golden case of ``family``: the
@@ -125,7 +152,7 @@ class TestEveryFamilyFromTheCommandLine:
         placement = make_placement(family, **params)
         out = capsys.readouterr().out
         assert (
-            f"{type(placement).__name__}(n={placement.num_workers}, "
+            f"{placement.kind}(n={placement.num_workers}, "
             f"c={placement.partitions_per_worker}), 20 trials per w"
         ) in out
         rows = [line for line in out.splitlines() if line[:1].isdigit()]

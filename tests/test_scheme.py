@@ -1,4 +1,5 @@
-"""Tests for :mod:`repro.core.scheme` — the unified placement layer.
+"""Tests for :mod:`repro.core.scheme` — the placement registry, whose
+families are :class:`~repro.core.placement.Placement` subclasses.
 
 Three layers of pinning:
 
@@ -8,7 +9,7 @@ Three layers of pinning:
   registry name must reproduce its fingerprints and per-seed decode
   selections bit for bit, proving the refactor is behaviour-neutral.
 * **Protocol/registry unit tests** — lookup, aliases, did-you-mean
-  errors, coercion, scheme recovery, per-family parameter validation,
+  errors, per-family parameter validation (integers, never truncated),
   and spec-engine integration (every family constructible from an
   ``ExperimentSpec`` via the generic ``is-gc`` scheme).
 * **Hypothesis properties** — each family's ``recovery_bounds(w)``
@@ -35,19 +36,14 @@ from repro.codes.comm_efficient import (
 from repro.core.batch import circulant_adjacency
 from repro.core.conflict import conflict_graph
 from repro.core.cyclic import CyclicRepetition
+from repro.cli import main
 from repro.core.decoders import decoder_for
 from repro.core.exact_decoder import ExactDecoder
 from repro.core.fractional import FractionalRepetition
 from repro.core.hybrid import HybridRepetition
-from repro.core.migration import migration_plan
 from repro.core.placement import Placement
 from repro.core.scheme import (
     PLACEMENT_REGISTRY,
-    CRScheme,
-    FRScheme,
-    HRScheme,
-    PlacementScheme,
-    as_placement,
     make_placement,
     placement_scheme,
     placement_spec_problems,
@@ -92,8 +88,10 @@ class TestGoldenEquivalence:
         assert placement.scheme == case["scheme"]
 
     def test_scheme_level_fingerprint_matches(self, case):
-        scheme = placement_scheme(case["family"], **case["params"])
-        assert scheme.fingerprint() == case["fingerprint"]
+        # ``placement_scheme`` is the benchmark's older name for
+        # make_placement: it builds the same placement.
+        placement = placement_scheme(case["family"], **case["params"])
+        assert placement.fingerprint == case["fingerprint"]
 
     def test_decode_selections_match(self, case):
         placement = make_placement(case["family"], **case["params"])
@@ -108,10 +106,8 @@ class TestGoldenEquivalence:
             )
 
     def test_fast_path_conflict_graph_matches_ground_truth(self, case):
-        scheme = placement_scheme(case["family"], **case["params"])
-        assert scheme.conflict_graph() == pairwise_conflicts(
-            scheme.construct()
-        )
+        placement = make_placement(case["family"], **case["params"])
+        assert placement.conflict_graph() == pairwise_conflicts(placement)
 
 
 def test_golden_covers_every_registered_family():
@@ -173,7 +169,7 @@ class TestRegistry:
 
     def test_bad_params_name_the_family_and_accepted(self):
         with pytest.raises(ConfigurationError) as err:
-            placement_scheme("fr", num_workers=6, bogus=3)
+            make_placement("fr", num_workers=6, bogus=3)
         msg = str(err.value)
         assert "'fr'" in msg
         assert "accepted:" in msg
@@ -205,9 +201,8 @@ class TestRegistry:
 
         with pytest.raises(ConfigurationError, match="already registered"):
             @register_placement("fr")
-            class Dup(PlacementScheme):  # pragma: no cover - rejected
-                def _construct(self):
-                    raise AssertionError
+            class Dup(Placement):  # pragma: no cover - rejected
+                pass
 
     def test_alias_cannot_hijack_a_registered_family(self):
         from repro.core.scheme import register_placement, resolve_placement
@@ -215,9 +210,8 @@ class TestRegistry:
         for claimed in ("fr", "fractional"):
             with pytest.raises(ConfigurationError, match="already registered"):
                 @register_placement("brand-new", aliases=(claimed,))
-                class Hijack(PlacementScheme):  # pragma: no cover - rejected
-                    def _construct(self):
-                        raise AssertionError
+                class Hijack(Placement):  # pragma: no cover - rejected
+                    pass
         assert resolve_placement("fr") is resolve_placement("fractional")
         assert resolve_placement("fr") is PLACEMENT_REGISTRY["fr"]
         assert "brand-new" not in PLACEMENT_REGISTRY
@@ -227,8 +221,8 @@ class TestRegistry:
         Alg. 4 predicate and CR's Theorem 1 circulant are held to it in
         tests/test_conflict.py instead."""
         for family in registered_placements():
-            scheme_cls = PLACEMENT_REGISTRY[family]
-            assert scheme_cls.conflict_graph is PlacementScheme.conflict_graph
+            family_cls = PLACEMENT_REGISTRY[family]
+            assert family_cls.conflict_graph is Placement.conflict_graph
 
 
 # ----------------------------------------------------------------------
@@ -236,129 +230,73 @@ class TestRegistry:
 
 
 class TestProtocol:
-    def test_construct_is_cached(self):
-        scheme = placement_scheme(
-            "cr", num_workers=6, partitions_per_worker=2
-        )
-        assert scheme.construct() is scheme.construct()
-
-    def test_as_placement_coerces_both_levels(self):
-        scheme = placement_scheme(
-            "cr", num_workers=6, partitions_per_worker=2
-        )
-        assert as_placement(scheme) is scheme.construct()
-        placement = scheme.construct()
-        assert as_placement(placement) is placement
-        with pytest.raises(ConfigurationError, match="PlacementScheme"):
-            as_placement("not a placement")
-
-    def test_decoder_for_accepts_a_scheme(self):
-        scheme = placement_scheme(
-            "cr", num_workers=6, partitions_per_worker=2
-        )
-        direct = decoder_for(
-            scheme.construct(), rng=np.random.default_rng(0)
-        )
-        via_scheme = decoder_for(scheme, rng=np.random.default_rng(0))
-        assert (
-            sorted(via_scheme.decode(range(6)).selected_workers)
-            == sorted(direct.decode(range(6)).selected_workers)
-        )
-
-    def test_migration_plan_accepts_schemes(self):
-        source = placement_scheme(
-            "cr", num_workers=6, partitions_per_worker=2
-        )
-        target = placement_scheme(
-            "fr", num_workers=6, partitions_per_worker=2
-        )
-        via_schemes = migration_plan(source, target)
-        via_placements = migration_plan(
-            source.construct(), target.construct()
-        )
-        assert via_schemes == via_placements
-
     def test_scheme_for_recovers_families(self):
         for placement, family in (
             (FractionalRepetition(6, 2), "fr"),
             (CyclicRepetition(6, 2), "cr"),
             (HybridRepetition(12, 2, 1, 3), "hr"),
         ):
-            scheme = scheme_for(placement)
-            assert scheme.family == family
-            # The wrapper reuses the placement: cache keys unchanged.
-            assert scheme.construct() is placement
+            # A directly built placement is its family's object; the
+            # benchmark's ``scheme_for`` returns it unchanged.
+            assert placement.family == family
+            assert scheme_for(placement) is placement
 
-    def test_scheme_for_unknown_type_falls_back_to_explicit(self):
-        class OddPlacement(Placement):
-            scheme = "odd"
-
-            def __init__(self):
-                super().__init__(2, 1)
-                self._finalize({0: (0,), 1: (1,)})
-
-        odd = OddPlacement()
-        scheme = scheme_for(odd)
-        assert scheme.family == "explicit"
-        assert scheme.construct() is odd
-
-    def test_describe_names_family_and_paper(self):
-        text = placement_scheme(
-            "cr", num_workers=6, partitions_per_worker=2
-        ).describe()
+    def test_describe_names_family_and_paper(self, capsys):
+        assert main(["placements", "cr", "-n", "6", "-c", "2"]) == 0
+        text = capsys.readouterr().out
         assert text.startswith("[cr]")
         assert "paper:" in text
         assert "CyclicRepetition(n=6, c=2)" in text
 
     def test_default_bounds_validate_w(self):
-        scheme = placement_scheme(
+        placement = make_placement(
             "explicit", rows=[[0, 1], [1, 2], [2, 0]]
         )
-        assert scheme.recovery_bounds(0) == (0, 0)
+        assert placement.recovery_bounds(0) == (0, 0)
         with pytest.raises(ValueError, match="0 <= w <= n"):
-            scheme.recovery_bounds(4)
+            placement.recovery_bounds(4)
 
     def test_hr_partitions_per_worker_cross_check(self):
         # Agreement accepted, disagreement rejected.
-        placement_scheme(
+        make_placement(
             "hr", num_workers=12, c1=2, c2=1, num_groups=3,
             partitions_per_worker=3,
         )
         with pytest.raises(ConfigurationError, match="make them agree"):
-            placement_scheme(
+            make_placement(
                 "hr", num_workers=12, c1=2, c2=1, num_groups=3,
                 partitions_per_worker=2,
             )
 
     def test_explicit_needs_exactly_one_table_form(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
-            placement_scheme("explicit")
+            make_placement("explicit")
         with pytest.raises(ConfigurationError, match="exactly one"):
-            placement_scheme(
+            make_placement(
                 "explicit", rows=[[0]], assignments={0: (0,)}
             )
         with pytest.raises(ConfigurationError, match="make them agree"):
-            placement_scheme(
+            make_placement(
                 "explicit", rows=[[0], [1]], num_workers=3
             )
 
     def test_hetero_assignment_must_be_permutation(self):
         with pytest.raises(ConfigurationError, match="permutation"):
-            placement_scheme(
+            make_placement(
                 "hetero", num_workers=4, assignment=[0, 0, 1, 2],
                 partitions_per_worker=2,
             )
 
     def test_hetero_conflict_graph_is_relabelled_base(self):
         assignment = [1, 0, 3, 4, 5, 2]
-        scheme = placement_scheme(
+        placement = make_placement(
             "hetero", num_workers=6, partitions_per_worker=2,
             base="cr", assignment=assignment,
         )
         # Machines a and b conflict iff the base workers they play do.
         base = conflict_graph(CyclicRepetition(6, 2)).adjacency
         relabelled = Graph(base[np.ix_(assignment, assignment)])
-        assert scheme.conflict_graph() == relabelled
+        assert placement.conflict_graph() == relabelled
 
     def test_comm_efficient_coder(self):
         # The Ye-Abbe codec is not a family: it takes the fr family's
@@ -369,15 +307,6 @@ class TestProtocol:
         coder = CommEfficientGC(placement, 2)
         assert coder.blocks == 2
         assert coder.placement.fingerprint == placement.fingerprint
-
-    def test_comm_efficient_coder_accepts_scheme_directly(self):
-        from repro.codes.comm_efficient import CommEfficientGC
-
-        scheme = placement_scheme(
-            "fr", num_workers=8, partitions_per_worker=4
-        )
-        coder = CommEfficientGC(scheme, 2)
-        assert coder.placement is scheme.construct()
 
     def test_multimessage_round(self):
         # The multi-message semantic is a round model, not a family:
@@ -392,18 +321,59 @@ class TestProtocol:
         )
         assert round_.placement.fingerprint == placement.fingerprint
 
-    def test_multimessage_round_accepts_scheme_directly(self):
-        from repro.partial.multimessage import MultiMessageRound
 
-        scheme = placement_scheme(
-            "cr", num_workers=8, partitions_per_worker=3
+class TestIntegerParameters:
+    """Family parameters are integers by ``spec_int``'s rule, the one
+    spec admission applies: floats, strings and bools are refused, not
+    truncated; numpy integers pass."""
+
+    HETERO = {"base": "cr", "assignment": [1, 0, 3, 2, 5, 4]}
+
+    @pytest.mark.parametrize("family,params", [
+        ("hr", {"num_workers": 12, "c1": 2.5, "c2": 1, "num_groups": 3}),
+        ("hr", {"num_workers": 12, "c1": 2, "c2": 1, "num_groups": "3"}),
+        ("hr", {"num_workers": 12, "c1": 2, "c2": True, "num_groups": 3}),
+        ("hr", {"num_workers": 12, "c1": 2, "c2": 1, "num_groups": 3,
+                "partitions_per_worker": 3.0}),
+        ("cr", {"num_workers": True, "partitions_per_worker": 1}),
+        ("cr", {"num_workers": 6, "partitions_per_worker": 2.0}),
+        ("fr", {"num_workers": "6", "partitions_per_worker": 2}),
+        ("explicit", {"rows": [[0, 1], [1, 2], [2, 0]], "num_workers": 3.0}),
+        ("hetero", {"num_workers": 6.0, "partitions_per_worker": 2, **HETERO}),
+        ("hetero", {"num_workers": 6, "partitions_per_worker": 2.5, **HETERO}),
+    ], ids=[
+        "hr-c1-float", "hr-groups-string", "hr-c2-bool", "hr-c-float",
+        "cr-n-bool", "cr-c-float", "fr-n-string", "explicit-n-float",
+        "hetero-n-float", "hetero-c-float",
+    ])
+    def test_non_integers_refused(self, family, params):
+        with pytest.raises(ConfigurationError):
+            make_placement(family, **params)
+
+    def test_direct_constructors_refuse_them_too(self):
+        with pytest.raises(PlacementError, match="integer"):
+            CyclicRepetition(6, 2.0)
+        with pytest.raises(PlacementError, match="integer"):
+            HybridRepetition(12, 2, 1, 3.0)
+
+    def test_numpy_integers_accepted(self):
+        as_numpy = make_placement(
+            "hr", num_workers=np.int64(12), c1=np.int64(2),
+            c2=np.int32(1), num_groups=np.int64(3),
         )
-        round_ = MultiMessageRound(
-            scheme,
-            Environment(),
-            rng=np.random.default_rng(0),
+        assert as_numpy.fingerprint == make_placement(
+            "hr", num_workers=12, c1=2, c2=1, num_groups=3
+        ).fingerprint
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=golden_id)
+    def test_recovery_bounds_need_an_integer_w(self, case):
+        placement = make_placement(case["family"], **case["params"])
+        for w in (2.5, "2", True):
+            with pytest.raises(ValueError, match="integer"):
+                placement.recovery_bounds(w)
+        assert placement.recovery_bounds(np.int64(2)) == (
+            placement.recovery_bounds(2)
         )
-        assert round_.placement is scheme.construct()
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +409,7 @@ class TestSpecIntegration:
         from repro.core.scheme import spec_placement_scheme
 
         expected = spec_placement_scheme(family, **base, **extra)
-        assert strategy.placement.fingerprint == expected.fingerprint()
+        assert strategy.placement.fingerprint == expected.fingerprint
 
     def test_generic_isgc_defaults_to_cr(self):
         strategy = make_strategy(
@@ -518,7 +488,7 @@ class TestFeasibilityAgreement:
         for family, base, params in self.cases():
             static = placement_spec_problems(family, **base, params=params)
             try:
-                placement_scheme(family, **base, **params).construct()
+                make_placement(family, **base, **params)
                 built = None
             except PlacementError as exc:
                 built = str(exc)
@@ -584,7 +554,7 @@ class TestFeasibilityAgreement:
                 spec_placement_scheme(
                     family, num_workers=4, partitions_per_worker=c,
                     **params,
-                ).construct()
+                )
                 built = None
             except (ConfigurationError, PlacementError) as exc:
                 built = str(exc)
@@ -606,26 +576,24 @@ class TestFeasibilityAgreement:
 # Hypothesis properties.
 
 
-def exact_recovered(scheme: PlacementScheme, available) -> int:
+def exact_recovered(placement: Placement, available) -> int:
     """Recovered partitions of an exact-MIS decode on ``available``."""
-    decoder = ExactDecoder(scheme.construct(), rng=np.random.default_rng(0))
+    decoder = ExactDecoder(placement, rng=np.random.default_rng(0))
     return decoder.decode(sorted(available)).num_recovered
 
 
 @st.composite
-def cr_schemes(draw):
+def cr_placements(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     c = draw(st.integers(min_value=1, max_value=n - 1))
-    return placement_scheme(
-        "cr", num_workers=n, partitions_per_worker=c
-    )
+    return make_placement("cr", num_workers=n, partitions_per_worker=c)
 
 
 @st.composite
-def fr_schemes(draw):
+def fr_placements(draw):
     c = draw(st.integers(min_value=1, max_value=4))
     groups = draw(st.integers(min_value=1, max_value=4))
-    return placement_scheme(
+    return make_placement(
         "fr", num_workers=c * groups, partitions_per_worker=c
     )
 
@@ -640,7 +608,7 @@ _VALID_HR = [
         for c2 in (0, 1, 2)
     )
     # Exactly the constructible ones (TestFeasibilityAgreement).
-    if HRScheme.spec_problems(
+    if HybridRepetition.spec_problems(
         num_workers=params["num_workers"],
         params=params,
     ) == []
@@ -648,78 +616,78 @@ _VALID_HR = [
 
 
 @st.composite
-def hr_schemes(draw):
-    return placement_scheme("hr", **draw(st.sampled_from(_VALID_HR)))
+def hr_placements(draw):
+    return make_placement("hr", **draw(st.sampled_from(_VALID_HR)))
+
+
+#: the families ``hetero`` draws its base from.
+BASES = {"fr": fr_placements, "cr": cr_placements, "hr": hr_placements}
+
+
+def base_params(base: Placement) -> dict:
+    """The registry parameters besides ``num_workers`` that rebuild
+    ``base`` (an FR, CR or HR placement)."""
+    if isinstance(base, HybridRepetition):
+        return {"c1": base.c1, "c2": base.c2, "num_groups": base.num_groups}
+    return {"partitions_per_worker": base.partitions_per_worker}
 
 
 @st.composite
-def family_schemes(draw):
-    """A scheme from any registered family (``hetero`` wraps a base
-    drawn from ``cr``)."""
+def family_placements(draw):
+    """A placement from any registered family (``hetero`` permutes a
+    base drawn from ``fr``, ``cr`` or ``hr``)."""
     kind = draw(st.sampled_from(
         ["fr", "cr", "hr", "explicit", "hetero"]
     ))
-    if kind == "fr":
-        return draw(fr_schemes())
-    if kind == "cr":
-        return draw(cr_schemes())
-    if kind == "hr":
-        return draw(hr_schemes())
+    if kind in BASES:
+        return draw(BASES[kind]())
     if kind == "explicit":
-        base = draw(cr_schemes()).construct()
-        return placement_scheme(
+        base = draw(cr_placements())
+        return make_placement(
             "explicit", assignments=base.assignment_table()
         )
-    base = draw(cr_schemes())
-    placement = base.construct()
-    n = placement.num_workers
+    family = draw(st.sampled_from(sorted(BASES)))
+    base = draw(BASES[family]())
+    n = base.num_workers
     perm = draw(st.permutations(list(range(n))))
-    return placement_scheme(
-        "hetero", num_workers=n,
-        partitions_per_worker=placement.partitions_per_worker,
-        base="cr", assignment=list(perm),
+    return make_placement(
+        "hetero", num_workers=n, base=family, assignment=list(perm),
+        **base_params(base),
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(scheme=family_schemes(), data=st.data())
-def test_recovery_bounds_bracket_exact_mis(scheme, data):
+@given(placement=family_placements(), data=st.data())
+def test_recovery_bounds_bracket_exact_mis(placement, data):
     """Theorems 10/11 (and the generic bracket): for every family and
     every available-set size ``w``, the exact-MIS recovered-partition
     count lies in ``recovery_bounds(w)``."""
-    n = scheme.construct().num_workers
+    n = placement.num_workers
     w = data.draw(st.integers(min_value=1, max_value=n), label="w")
     available = data.draw(
         st.permutations(list(range(n))).map(lambda p: sorted(p[:w])),
         label="available",
     )
-    lo, hi = scheme.recovery_bounds(w)
-    recovered = exact_recovered(scheme, available)
+    lo, hi = placement.recovery_bounds(w)
+    recovered = exact_recovered(placement, available)
     assert lo <= recovered <= hi, (
-        f"{scheme.family}: |I|={recovered} outside [{lo}, {hi}] "
+        f"{placement.family}: |I|={recovered} outside [{lo}, {hi}] "
         f"at w={w}, available={available}"
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(scheme=cr_schemes())
-def test_cr_conflict_graph_is_theorem1_circulant(scheme):
+@given(placement=cr_placements())
+def test_cr_conflict_graph_is_theorem1_circulant(placement):
     """Theorem 1: CR's conflict graph is the circulant C_n^{1..c-1}."""
-    placement = scheme.construct()
     n = placement.num_workers
     c = placement.partitions_per_worker
-    assert scheme.conflict_graph() == Graph(circulant_adjacency(n, c))
+    assert placement.conflict_graph() == Graph(circulant_adjacency(n, c))
 
 
 @settings(max_examples=40, deadline=None)
-@given(scheme=family_schemes())
-def test_fast_conflict_paths_match_ground_truth(scheme):
+@given(placement=family_placements())
+def test_fast_conflict_paths_match_ground_truth(placement):
     """Every family's conflict graph (``P @ Pᵀ``) equals the pairwise
     shared-partition test."""
-    assert scheme.conflict_graph() == pairwise_conflicts(scheme.construct())
-
-
-@settings(max_examples=40, deadline=None)
-@given(scheme=family_schemes())
-def test_fingerprint_matches_constructed_placement(scheme):
-    assert scheme.fingerprint() == scheme.construct().fingerprint
+    assert placement.conflict_graph() == pairwise_conflicts(placement)
