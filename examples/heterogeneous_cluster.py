@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Running IS-GC on a heterogeneous cluster, three levers at once.
+"""Running IS-GC on a heterogeneous cluster, two levers at once.
 
 A cluster with two chronically slow machines (e.g. older GPUs):
 
@@ -9,8 +9,6 @@ A cluster with two chronically slow machines (e.g. older GPUs):
    fast group-mates cover for them.
 2. **Local updates** — τ local steps per round cut the number of
    straggler waits per epoch by τ.
-3. **Compression** — top-k sparsification shrinks the uploads that do
-   happen.
 
 Run:  python examples/heterogeneous_cluster.py
 """
@@ -31,7 +29,6 @@ from repro.analysis import Table
 from repro.core import heterogeneous_recovery, optimize_assignment
 from repro.engine import FlatBackend, LocalUpdate
 from repro.training import (
-    CompressedISGCStrategy,
     ISGCStrategy,
     LogisticRegressionModel,
     build_batch_streams,
@@ -68,7 +65,7 @@ def main() -> None:
           f"{sorted(slow_groups)}\n")
 
     # ------------------------------------------------------------------
-    # 2+3. Local updates and compression on top.
+    # 2. Local updates on top.
     # ------------------------------------------------------------------
     dataset = make_classification(1024, 10, num_classes=2, separation=2.5, seed=0)
     streams = build_batch_streams(
@@ -80,16 +77,10 @@ def main() -> None:
         title="Training under the same stragglers (48 batches/partition)",
         columns=["configuration", "rounds", "total time (s)", "final loss"],
     )
-    configs = [
-        ("τ=1, dense uploads",
-         ISGCStrategy(placement, wait_for=W, rng=np.random.default_rng(3)), 1),
-        ("τ=4, dense uploads",
-         ISGCStrategy(placement, wait_for=W, rng=np.random.default_rng(3)), 4),
-        ("τ=4, top-20% uploads",
-         CompressedISGCStrategy(placement, wait_for=W, fraction=0.2,
-                                rng=np.random.default_rng(3)), 4),
-    ]
-    for label, strategy, tau in configs:
+    for tau in (1, 4):
+        strategy = ISGCStrategy(
+            placement, wait_for=W, rng=np.random.default_rng(3)
+        )
         cluster = ClusterSimulator(
             N,
             C,
@@ -107,14 +98,13 @@ def main() -> None:
         )
         summary = engine.run(max_steps=48 // tau)
         runs.add_row(
-            label, summary.num_steps, round(summary.total_sim_time, 1),
+            f"τ={tau}", summary.num_steps, round(summary.total_sim_time, 1),
             round(summary.final_loss, 4),
         )
     runs.show()
     print(
         "Same data budget: τ=4 pays for the stragglers 4× less often,\n"
-        "and compression shrinks whatever uploads remain — all while\n"
-        "IS-GC keeps decoding whatever subset of machines shows up."
+        "while IS-GC keeps decoding whatever subset of machines shows up."
     )
 
 

@@ -37,7 +37,6 @@ from .state import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.tracer import RoundTracer
-    from ..simulation.policies import WaitPolicy
     from ..training.datasets import Dataset
     from ..training.models import Model
     from ..training.strategies import TrainingStrategy
@@ -97,14 +96,13 @@ class RoundEngine:
         return self.backend.clock
 
     # ------------------------------------------------------------------
-    def run_step(
-        self, step: int, policy: "WaitPolicy | None" = None
-    ) -> StepRecord:
-        """Execute one full round: compute/encode → wait → decode → update."""
+    def run_step(self, step: int) -> StepRecord:
+        """Execute one full round: compute/encode → wait (the strategy's
+        policy) → decode → update."""
         self.rule.before_step(self, step)
-        if policy is None:
-            policy = self.strategy.policy
-        execution = self.backend.execute_round(self, step, policy)
+        execution = self.backend.execute_round(
+            self, step, self.strategy.policy
+        )
 
         grad_sum, recovered = self.strategy.decode(
             execution.accepted, execution.payloads

@@ -60,6 +60,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import pathlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -145,7 +146,7 @@ SCHEME_FAMILIES: Mapping[str, str] = {
 
 #: ``scheme_params`` every built-in scheme accepts, used or not, so one
 #: params table can be shared across a ``scheme`` grid.
-_COMMON_SCHEME_PARAMS = ("seed", "policy")
+_COMMON_SCHEME_PARAMS = ("seed",)
 
 #: built-in schemes that take the common ``scheme_params`` only.
 _PLAIN_SCHEMES = ("sync-sgd", "is-sgd", "gc")
@@ -226,13 +227,13 @@ def _sync_sgd(*, num_workers, partitions_per_worker=1, wait_for=None,
 
 @register_scheme("is-sgd")
 def _is_sgd(*, num_workers, partitions_per_worker=1, wait_for=None,
-            rng=None, policy=None, **params):
+            rng=None, **params):
     from ..training.strategies import ISSGDStrategy
 
     _reject_unknown_params("is-sgd", params)
     if wait_for is None:
         raise ConfigurationError("scheme 'is-sgd' needs wait_for")
-    return ISSGDStrategy(num_workers, wait_for, policy=policy)
+    return ISSGDStrategy(num_workers, wait_for)
 
 
 @register_scheme("gc")
@@ -273,8 +274,7 @@ for _name, _family in SCHEME_FAMILIES.items():
 
 @register_scheme("is-gc")
 def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
-              rng=None, policy=None,
-              placement=SCHEME_FAMILIES["is-gc"], **params):
+              rng=None, placement=SCHEME_FAMILIES["is-gc"], **params):
     """Generic IS-GC over *any* registered placement family.
 
     ``scheme_params={"placement": "<family>", ...}`` routes the
@@ -295,7 +295,7 @@ def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
     )
     if wait_for is None:
         raise ConfigurationError("IS-GC schemes need wait_for")
-    return ISGCStrategy(placement, wait_for=wait_for, rng=rng, policy=policy)
+    return ISGCStrategy(placement, wait_for=wait_for, rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +357,32 @@ def _is_int(value: Any, minimum: int = 1) -> bool:
     )
 
 
+def _is_real(value: Any) -> bool:
+    """Finite ints and floats, not bools (NaN and infinities would run
+    under a fingerprint whose JSON no strict parser reads back)."""
+    return (
+        not isinstance(value, bool) and isinstance(value, (int, float))
+        and math.isfinite(value)
+    )
+
+
+#: ``rule_params`` key → (accepts the value?, what it must be): the
+#: values ``plan._build_rule`` hands the rules, checked before one runs.
+_RULE_PARAM_VALUES: Mapping[str, Tuple[Callable[[Any], bool], str]] = {
+    "recovery_scaled_lr": (lambda v: isinstance(v, bool), "a bool"),
+    "local_steps": (_is_int, "a positive integer"),
+    "local_lr": (lambda v: _is_real(v) and v > 0, "a positive real number"),
+    "partition_bytes": (
+        lambda v: _is_real(v) and v >= 0, "a real number >= 0"
+    ),
+    "review_every": (_is_int, "a positive integer"),
+    "min_recovery_gain": (
+        lambda v: _is_real(v) and 0 <= v <= 1, "a real number in [0, 1]"
+    ),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+}
+
+
 def _int_problems(field_name: str, value: Any, minimum: int) -> List[str]:
     if not _is_int(value, minimum):
         bound = (
@@ -373,8 +399,10 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     Purely arithmetic: nothing is built, so it is safe on untrusted
     payloads.  Types come first (NumPy would reject a bad size or seed
     from inside :class:`~repro.engine.plan.EnginePlan` with no field
-    name, and a bool or a float would run under its own fingerprint);
-    the paper's constraints on ``n``, ``c`` and ``w`` are checked only
+    name, and a bool or a float would run under its own fingerprint),
+    and so are ``scheme_params.seed`` and every ``rule_params`` value,
+    which would otherwise fail only inside the run; the paper's
+    constraints on ``n``, ``c`` and ``w`` are checked only
     where their fields are well typed.  Placement feasibility goes
     through the placement registry's hooks and each environment
     section through the environment registry's, so a newly registered
@@ -412,21 +440,21 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
                 f"{_did_you_mean(unknown, accepted)}; "
                 f"accepted: {', '.join(accepted) or '(none)'}"
             )
+        for key, value in spec.rule_params.items():
+            if key not in accepted:
+                continue
+            valid, what = _RULE_PARAM_VALUES[key]
+            if not valid(value):
+                problems.append(
+                    f"rule_params.{key} must be {what}, got {value!r}"
+                )
     if isinstance(spec.scheme, str) and isinstance(spec.scheme_params, Mapping):
         unknown_scheme = _unknown_scheme_params(spec.scheme, spec.scheme_params)
         if unknown_scheme is not None:
             problems.append(unknown_scheme)
-    if (
-        isinstance(spec.scheme_params, Mapping)
-        and spec.scheme_params.get("policy") is not None
-    ):
-        # Accepted so one params table fits every scheme, but only
-        # empty: a spec holds data, not objects (make_strategy takes
-        # a policy object).
-        problems.append(
-            "scheme_params.policy must be null: a spec holds data, not "
-            "objects (pass a policy object to make_strategy instead); "
-            f"got {spec.scheme_params['policy']!r}"
+    if isinstance(spec.scheme_params, Mapping) and "seed" in spec.scheme_params:
+        problems += _int_problems(
+            "scheme_params.seed", spec.scheme_params["seed"], minimum=0
         )
     # The async rule runs on the async-arrivals backend (``flat``, the
     # default, selects it); no other rule can.

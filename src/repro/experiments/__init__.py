@@ -4,12 +4,7 @@ from .config import Fig11Config, Fig12Config, Fig13Config
 from .fig11 import SchemePoint, fig11_tables, run_condition, run_fig11
 from .fig12 import TrainingPoint, fig12_tables, recovery_table, run_fig12
 from .fig13 import HRPoint, fig13_tables, run_fig13
-from .extra import (
-    adaptive_policy_study,
-    adaptive_policy_table,
-    enduring_straggler_study,
-    enduring_straggler_table,
-)
+from .extra import enduring_straggler_study, enduring_straggler_table
 from .runner import run
 
 __all__ = [
@@ -30,6 +25,4 @@ __all__ = [
     "run",
     "enduring_straggler_study",
     "enduring_straggler_table",
-    "adaptive_policy_study",
-    "adaptive_policy_table",
 ]

@@ -18,7 +18,7 @@ from .config import Fig11Config, Fig12Config, Fig13Config
 from .fig11 import fig11_tables
 from .fig12 import fig12_tables
 from .fig13 import fig13_tables
-from .extra import adaptive_policy_table, enduring_straggler_table
+from .extra import enduring_straggler_table
 
 
 def _table_group(name: str) -> List[Table]:
@@ -40,10 +40,8 @@ EXPERIMENTS: Dict[str, Callable[..., List[Table]]] = {
     "fig13": lambda executor=None: fig13_tables(
         Fig13Config(), executor=executor
     ),
-    # The extra tables are cheap single-condition runs; no grid to fan out.
-    "extra": lambda executor=None: [
-        enduring_straggler_table(), adaptive_policy_table()
-    ],
+    # The extra table is a cheap Monte-Carlo study; no grid to fan out.
+    "extra": lambda executor=None: [enduring_straggler_table()],
     "ablations": lambda executor=None: _table_group("ablations"),
     "theory": lambda executor=None: _table_group("theory"),
     "extensions": lambda executor=None: _table_group("extensions"),

@@ -10,8 +10,10 @@ lists them and ``repro experiment <group>`` runs them (:data:`GROUPS`):
 * ``theory`` — Sec. VII as numbers: Thm 10/11 bounds against exact
   and Monte-Carlo ``E[α]``, estimator variance, the recovery grid;
 * ``extensions`` — what the repo adds on top of the paper: online
-  placement adaptation, Ye-Abbe block coding, top-k sparsification,
-  local-update SGD and multi-message uploads.
+  placement adaptation, Ye-Abbe block coding, local-update SGD and
+  multi-message uploads.  Each training run among them is an
+  :class:`~repro.engine.ExperimentSpec` (:func:`adaptive_placement_specs`,
+  :func:`local_sgd_specs`), so ``repro run`` reproduces each row.
 
 Every builder is seeded and cheap (all of them together run in a few
 seconds), so ``tests/test_ablation_tables.py`` asserts their shapes at
@@ -40,15 +42,8 @@ from ..core import (
     make_placement,
     partition_matrix,
 )
-from ..engine import (
-    AdaptiveMigration,
-    FlatBackend,
-    LocalUpdate,
-    RoundEngine,
-    SyncUpdate,
-    make_strategy,
-)
-from ..env import Environment, make_delay_model, make_network_model
+from ..engine import ExperimentSpec, build_engine, run_spec
+from ..env import Environment, make_delay_model
 from ..exceptions import CodingError
 from ..partial import recovery_vs_deadline
 from ..simulation.policies import (
@@ -58,14 +53,6 @@ from ..simulation.policies import (
     linear_rampup,
 )
 from ..straggler.traces import DelayTrace
-from ..training import (
-    SGD,
-    CompressedISGCStrategy,
-    LogisticRegressionModel,
-    build_batch_streams,
-    make_classification,
-    partition_dataset,
-)
 from .config import Fig11Config
 from .fig11 import avg_step_time
 from .sweep import Sweep
@@ -358,71 +345,74 @@ def fr_advantage_table() -> Table:
 # ----------------------------------------------------------------------
 # Extensions
 # ----------------------------------------------------------------------
-def _train(n, c, strategy, rule, delay, steps, *, compute=0.02, cluster_seed=0):
-    """One logistic-regression run on the extensions' shared workload."""
-    dataset = make_classification(
-        512, 8, num_classes=2, separation=3.0, seed=1
+#: The extensions' shared workload: spec seed 1 draws the dataset with
+#: seed 1, partitions it with 2 and streams its batches with 3.
+_EXTENSION_SEED = 1
+
+
+def _extension_spec(name: str, network="ideal", **fields) -> ExperimentSpec:
+    """One logistic-regression run on the extensions' shared workload:
+    the default dataset and model, compute 0.02 s per step plus 0.02 s
+    per partition, an ideal network unless ``network`` says otherwise."""
+    return ExperimentSpec(
+        name=name,
+        seed=_EXTENSION_SEED,
+        compute={"base": 0.02, "per_partition": 0.02},
+        network=network,
+        **fields,
     )
-    streams = build_batch_streams(
-        partition_dataset(dataset, n, seed=2), 32, seed=3
+
+
+#: ``adaptive_placement_specs()``'s rows, in order.
+_ADAPTIVE_RUNS = ("fixed CR", "fixed FR", "adaptive (CR start)")
+
+
+def adaptive_placement_specs() -> List[ExperimentSpec]:
+    """The runs of :func:`adaptive_placement_table`, as specs: fixed CR
+    and fixed FR, then CR under the ``adaptive`` rule (decoder seed 6,
+    migration reviews every 20 steps over a 1 GB/s link)."""
+    shape = dict(
+        num_workers=8, partitions_per_worker=2, wait_for=4, max_steps=120,
+        delay={"kind": "exponential", "mean": 0.5},
     )
-    cluster = Environment(
-        delay=delay,
-        compute={"base": compute, "per_partition": compute},
-        network="ideal",
-    ).simulator(n, c, rng=np.random.default_rng(cluster_seed))
-    engine = RoundEngine(
-        LogisticRegressionModel(8, seed=0), streams, strategy,
-        FlatBackend(cluster),
-        rule, eval_data=dataset,
+    fixed = [
+        _extension_spec(
+            f"extension-adaptive-fixed-{scheme[-2:]}", scheme=scheme,
+            scheme_params={"seed": 5}, **shape,
+        )
+        for scheme in ("is-gc-cr", "is-gc-fr")
+    ]
+    adaptive = _extension_spec(
+        "extension-adaptive-cr-start", scheme="is-gc-cr", rule="adaptive",
+        network={"kind": "uniform", "latency": 0.001, "bandwidth": 1e9},
+        scheme_params={"seed": 6},
+        rule_params={"partition_bytes": 1e5, "review_every": 20},
+        **shape,
     )
-    return engine.run(max_steps=steps)
+    return [*fixed, adaptive]
 
 
 def adaptive_placement_table() -> Table:
     """Fixed CR and fixed FR against a run that starts on CR (the wrong
     placement at this ``w``) and migrates online."""
-    n, c, w, steps = 8, 2, 4, 120
-
-    def isgc(scheme: str, rng: np.random.Generator):
-        return make_strategy(
-            scheme, num_workers=n, partitions_per_worker=c, wait_for=w, rng=rng
-        )
-
-    def delay():
-        return make_delay_model("exponential", mean=0.5)
-
+    specs = adaptive_placement_specs()
+    first = specs[0]
     table = Table(
         title=(
             "Extension — online placement adaptation "
-            f"(n={n}, c={c}, w={w}, {steps} steps)"
+            f"(n={first.num_workers}, c={first.partitions_per_worker}, "
+            f"w={first.wait_for}, {first.max_steps} steps)"
         ),
         columns=["run", "avg recovery %", "final loss", "migrations"],
     )
-    for name, scheme in (("fixed CR", "is-gc-cr"), ("fixed FR", "is-gc-fr")):
-        summary = _train(
-            n, c, isgc(scheme, np.random.default_rng(5)),
-            SyncUpdate(SGD(0.3)), delay(), steps,
-        )
+    for name, spec in zip(_ADAPTIVE_RUNS, specs):
+        engine = build_engine(spec)
+        summary = engine.run(spec.max_steps)
         table.add_row(
             name, f"{100 * summary.avg_recovery_fraction:.1f}",
-            round(summary.final_loss, 4), 0,
+            round(summary.final_loss, 4),
+            len(getattr(engine.rule, "migrations", ())),
         )
-    # The decoder and the migration rule draw from one generator.
-    rng = np.random.default_rng(6)
-    rule = AdaptiveMigration(
-        SGD(0.3),
-        wait_for=w,
-        partition_bytes=1e5,
-        network=make_network_model("uniform", latency=0.001, bandwidth=1e9),
-        review_every=20,
-        rng=rng,
-    )
-    summary = _train(n, c, isgc("is-gc-cr", rng), rule, delay(), steps)
-    table.add_row(
-        "adaptive (CR start)", f"{100 * summary.avg_recovery_fraction:.1f}",
-        round(summary.final_loss, 4), len(rule.migrations),
-    )
     return table
 
 
@@ -465,65 +455,46 @@ def comm_efficient_table() -> Table:
     return table
 
 
-def compression_table() -> Table:
-    """Top-k sparsified IS-GC payloads: upload size against the loss
-    reached on the same step budget (error feedback keeps every
-    fraction convergent)."""
-    n, c, w, steps = 4, 2, 4, 120
-    table = Table(
-        title=(
-            "Extension — top-k sparsified IS-GC payloads "
-            f"(n={n}, c={c}, w={w}, {steps} steps)"
-        ),
-        columns=["kept fraction", "upload elems/9", "final loss"],
-    )
-    for fraction in (1.0, 0.5, 0.2, 0.1):
-        rng = np.random.default_rng(1)
-        if fraction == 1.0:
-            strategy = make_strategy(
-                "is-gc-cr", num_workers=n, partitions_per_worker=c,
-                wait_for=w, rng=rng,
-            )
-        else:
-            strategy = CompressedISGCStrategy(
-                _placement("cr", n, c), wait_for=w, fraction=fraction, rng=rng,
-            )
-        summary = _train(
-            n, c, strategy, SyncUpdate(SGD(0.3)), "none",
-            steps, compute=0.01,
+#: Batches each partition sees in every run of :func:`local_sgd_table`.
+_LOCAL_BATCH_BUDGET = 48
+
+
+def local_sgd_specs() -> List[ExperimentSpec]:
+    """The runs of :func:`local_sgd_table`, as specs: CR(4, 2) waiting
+    for 3 under ``local-update`` with τ = 1, 2, 4, 8 local steps, each
+    on the same budget of batches per partition."""
+    return [
+        _extension_spec(
+            f"extension-local-sgd-tau{tau}", scheme="is-gc-cr",
+            num_workers=4, partitions_per_worker=2, wait_for=3,
+            rule="local-update", max_steps=_LOCAL_BATCH_BUDGET // tau,
+            delay={"kind": "exponential", "mean": 1.0},
+            scheme_params={"seed": 0},
+            rule_params={"local_steps": tau, "local_lr": 0.3},
         )
-        # 9 = the logistic model's parameter count.
-        table.add_row(
-            fraction, max(1, round(9 * fraction)), round(summary.final_loss, 4)
-        )
-    return table
+        for tau in (1, 2, 4, 8)
+    ]
 
 
 def local_sgd_table() -> Table:
     """Local-update SGD at a fixed batch budget (τ × rounds = const):
     larger τ means fewer straggler waits at the price of drift."""
-    n, c, w, batch_budget = 4, 2, 3, 48
+    specs = local_sgd_specs()
+    first = specs[0]
     table = Table(
         title=(
             "Extension — local-update SGD over IS-GC "
-            f"(n={n}, c={c}, w={w}, {batch_budget} batches/partition, "
+            f"(n={first.num_workers}, c={first.partitions_per_worker}, "
+            f"w={first.wait_for}, {_LOCAL_BATCH_BUDGET} batches/partition, "
             "exp(1.0s) stragglers)"
         ),
         columns=["τ", "rounds", "total time (s)", "final loss"],
     )
-    for tau in (1, 2, 4, 8):
-        strategy = make_strategy(
-            "is-gc-cr", num_workers=n, partitions_per_worker=c, wait_for=w,
-            rng=np.random.default_rng(0),
-        )
-        summary = _train(
-            n, c, strategy, LocalUpdate(local_steps=tau, local_lr=0.3),
-            make_delay_model("exponential", mean=1.0), batch_budget // tau,
-            cluster_seed=4,
-        )
+    for spec in specs:
+        summary = run_spec(spec)
         table.add_row(
-            tau, summary.num_steps, round(summary.total_sim_time, 1),
-            round(summary.final_loss, 4),
+            spec.rule_params["local_steps"], summary.num_steps,
+            round(summary.total_sim_time, 1), round(summary.final_loss, 4),
         )
     return table
 
@@ -582,7 +553,6 @@ GROUPS: Dict[str, Tuple[Callable[[], Table], ...]] = {
     "extensions": (
         adaptive_placement_table,
         comm_efficient_table,
-        compression_table,
         local_sgd_table,
         multimessage_table,
     ),

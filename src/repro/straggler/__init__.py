@@ -13,7 +13,6 @@ from .models import (
     ShiftedExponentialDelay,
 )
 from .traces import DelayTrace, TraceReplayModel
-from .estimators import EstimatingWaitPolicy, LatencyEstimator
 from .failures import (
     CompositeFailures,
     FailureModel,
@@ -35,8 +34,6 @@ __all__ = [
     "BurstyDelay",
     "DelayTrace",
     "TraceReplayModel",
-    "LatencyEstimator",
-    "EstimatingWaitPolicy",
     "FailureModel",
     "NoFailures",
     "PermanentCrashes",

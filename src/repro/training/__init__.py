@@ -27,7 +27,6 @@ from .strategies import (
 )
 from .convergence import LossTracker
 from .evaluation import EvaluationReport, accuracy_curve, evaluate
-from .compression import CompressedISGCStrategy, TopKCompressor, nonzero_fraction
 
 __all__ = [
     "Dataset",
@@ -57,7 +56,4 @@ __all__ = [
     "EvaluationReport",
     "evaluate",
     "accuracy_curve",
-    "TopKCompressor",
-    "CompressedISGCStrategy",
-    "nonzero_fraction",
 ]

@@ -124,7 +124,7 @@ def test_heterogeneous_cluster_example_runs(capsys):
     _run_example(REPO / "examples" / "heterogeneous_cluster.py")
     out = capsys.readouterr().out
     assert "optimised (slow machines spread)" in out
-    assert "top-20% uploads" in out
+    assert "τ=4" in out
 
 
 def test_hybrid_tradeoff_example_runs(capsys):

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.experiments import (
-    adaptive_policy_study,
-    adaptive_policy_table,
-    enduring_straggler_study,
-    enduring_straggler_table,
-    run,
-)
+from repro.experiments import enduring_straggler_study, enduring_straggler_table
 
 
 class TestEnduringStraggler:
@@ -38,35 +32,6 @@ class TestEnduringStraggler:
     def test_table_renders(self):
         table = enduring_straggler_table(trials=200)
         assert "persistent best" in table.render()
-
-
-class TestAdaptivePolicyStudy:
-    @pytest.fixture(scope="class")
-    def points(self):
-        return adaptive_policy_study(max_steps=60, loss_threshold=0.0, seed=2)
-
-    def test_all_policies_present(self, points):
-        names = {p.policy for p in points}
-        assert "wait-4" in names
-        assert "latency-estimating" in names
-        assert any("deadline" in n for n in names)
-        assert any("ramp" in n for n in names)
-
-    def test_waiting_for_all_is_slowest(self, points):
-        by_name = {p.policy: p for p in points}
-        assert by_name["wait-7"].total_time > by_name["wait-4"].total_time
-
-    def test_estimating_policy_avoids_persistent_stragglers(self, points):
-        """After warmup the estimator stops waiting for the two chronic
-        stragglers, so its total time lands near the small-w policies
-        and far below wait-7."""
-        by_name = {p.policy: p for p in points}
-        est = by_name["latency-estimating"]
-        assert est.total_time < 0.5 * by_name["wait-7"].total_time
-
-    def test_table_renders(self):
-        table = adaptive_policy_table(max_steps=25, loss_threshold=0.0)
-        assert "wait-policy" in table.render()
 
 
 class TestRunnerIntegration:

@@ -397,21 +397,17 @@ class TestLifecycle:
             ("local-update", {"local_lr": -1.0}),
         ]
 
+        # Refused at spec construction, so none becomes a job (each
+        # used to be admitted and end ``failed`` with a TrainingError).
+        for rule, params in bad_params:
+            (key,) = params
+            with pytest.raises(ConfigurationError, match=f"rule_params.{key}"):
+                dataclasses.replace(make_spec(0), rule=rule, rule_params=params)
+
         async def scenario():
             coord = Coordinator(max_running=2)
-            bad = [
-                coord.submit(dataclasses.replace(
-                    make_spec(0), rule=rule, rule_params=params
-                ))
-                for rule, params in bad_params
-            ]
             good = coord.submit(make_spec(1))
             await coord.drain()
-            for handle, (_, params) in zip(bad, bad_params):
-                (key,) = params
-                assert handle.state is JobState.FAILED
-                assert "TrainingError" in handle.error
-                assert key in handle.error
             assert good.state is JobState.DONE
             return good
 
@@ -426,9 +422,9 @@ class TestLifecycle:
         # so it never becomes a job.
         with pytest.raises(ConfigurationError, match=(
             "unknown scheme_params for scheme 'is-gc-cr': "
-            "'polcy' — did you mean 'policy'?"
+            "'sed' — did you mean 'seed'?"
         )):
-            dataclasses.replace(make_spec(0), scheme_params={"polcy": None})
+            dataclasses.replace(make_spec(0), scheme_params={"sed": 3})
         bad_fields = [
             # Admission checks the environment sections; the dataset and
             # model kinds are resolved only when the job builds.
@@ -721,9 +717,12 @@ class TestMailbox:
         assert client.state(good)["state"] == "done"
 
     @pytest.mark.parametrize("params, error", [
-        ({"policy": 3}, "scheme_params.policy must be null"),
-        ({"policy": "deadline"}, "scheme_params.policy must be null"),
-        # No spec names a decode memo: ``cache`` is an unknown key.
+        # A spec names neither a wait policy nor a decode memo: both
+        # are unknown keys.
+        ({"policy": 3},
+         "unknown scheme_params for scheme 'is-gc-cr': 'policy'"),
+        ({"policy": "deadline"},
+         "unknown scheme_params for scheme 'is-gc-cr': 'policy'"),
         ({"cache": 3}, "unknown scheme_params for scheme 'is-gc-cr': 'cache'"),
     ], ids=["policy-int", "policy-str", "cache-int"])
     def test_object_scheme_param_rejected_before_admission(
@@ -744,6 +743,58 @@ class TestMailbox:
         assert snapshot["reason"] == "invalid_submission"
         assert error in snapshot["error"]
         assert (root / "rejected" / "obj.json").exists()
+        assert client.state(good)["state"] == "done"
+
+    @pytest.mark.parametrize("rule, params, message", [
+        ("sync", {"seed": "x"}, "scheme_params.seed must be an integer >= 0"),
+        ("sync", {"seed": -3}, "scheme_params.seed must be an integer >= 0"),
+        ("sync", {"seed": 1.5}, "scheme_params.seed must be an integer >= 0"),
+        ("sync", {"seed": True}, "scheme_params.seed must be an integer >= 0"),
+        ("sync", {"recovery_scaled_lr": "no"},
+         "rule_params.recovery_scaled_lr must be a bool"),
+        ("local-update", {"local_steps": "2"},
+         "rule_params.local_steps must be a positive integer"),
+        ("local-update", {"local_lr": "x"},
+         "rule_params.local_lr must be a positive real number"),
+        ("adaptive", {"review_every": "a"},
+         "rule_params.review_every must be a positive integer"),
+        ("adaptive", {"partition_bytes": -1},
+         "rule_params.partition_bytes must be a real number >= 0"),
+        ("adaptive", {"min_recovery_gain": "0.1"},
+         "rule_params.min_recovery_gain must be a real number in [0, 1]"),
+        ("adaptive", {"seed": -1},
+         "rule_params.seed must be an integer >= 0"),
+    ], ids=[
+        "scheme-seed-str", "scheme-seed-negative", "scheme-seed-float",
+        "scheme-seed-bool", "recovery-scaled-lr-str", "local-steps-str",
+        "local-lr-str", "review-every-str", "partition-bytes-negative",
+        "min-recovery-gain-str", "rule-seed-negative",
+    ])
+    def test_bad_seed_or_rule_param_refused_at_admission(
+        self, tmp_path, rule, params, message
+    ):
+        """Each used to be admitted and then fail inside the run (or, a
+        bool seed, run as seed 1 under its own fingerprint): refused at
+        construction, and a served submission lands in ``rejected/``."""
+        section = "scheme_params" if "scheme_params" in message else "rule_params"
+        payload = {**make_spec(0).to_dict(), "rule": rule, section: params}
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentSpec.from_dict(payload)
+        assert f"{message}, got {next(iter(params.values()))!r}" in str(
+            exc.value
+        )
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        (root / "inbox" / "bad.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        good = client.submit(make_spec(1))
+        serve_once(root)
+        snapshot = client.state("bad")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        assert message in snapshot["error"]
+        assert (root / "rejected" / "bad.json").exists()
         assert client.state(good)["state"] == "done"
 
     @pytest.mark.parametrize("params", [

@@ -282,7 +282,7 @@ class TestSpecFiles:
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        spec = _spec(scheme_params={"policy": None}, learning_rate=0.1)
+        spec = _spec(learning_rate=0.1)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -477,29 +477,28 @@ class TestRules:
             _spec(scheme="sync-sgd", rule="async", rule_params={"lr": 1})
 
     @pytest.mark.parametrize("scheme, params, hint, accepted", [
-        ("sync-sgd", {"polcy": 1},
-         "'polcy' — did you mean 'policy'?", "seed, policy"),
-        ("is-sgd", {"bogus": 1}, "'bogus'", "seed, policy"),
-        ("gc", {"sed": 3}, "'sed' — did you mean 'seed'?",
-         "seed, policy"),
+        # A spec holds data, not objects: no scheme takes a wait
+        # policy.
+        ("sync-sgd", {"policy": None}, "'policy'", "seed"),
+        ("is-sgd", {"bogus": 1}, "'bogus'", "seed"),
+        ("gc", {"sed": 3}, "'sed' — did you mean 'seed'?", "seed"),
         # Only the exact decoder and classic GC memoise, each with a
         # memo of its own: a spec names no cache.
-        ("is-gc-fr", {"cache": None}, "'cache'", "seed, policy"),
-        ("is-gc-cr", {"bogus": 1}, "'bogus'", "seed, policy"),
+        ("is-gc-fr", {"cache": None}, "'cache'", "seed"),
+        ("is-gc-cr", {"bogus": 1}, "'bogus'", "seed"),
         # Admission checks HR's c1, c2 and num_groups and the key names
         # alike, so the misspelt extra key is refused at construction.
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "num_group": 2},
          "'num_group' — did you mean 'num_groups'?",
-         "c1, c2, num_groups, seed, policy"),
+         "c1, c2, num_groups, seed"),
         # A preset fixes is-gc's placement, so it takes no placement key.
-        ("is-gc-fr", {"placement": "fr"}, "'placement'",
-         "seed, policy"),
+        ("is-gc-fr", {"placement": "fr"}, "'placement'", "seed"),
         ("is-gc-hr", {"c1": 1, "c2": 1, "num_groups": 2, "placement": "cr"},
-         "'placement'", "c1, c2, num_groups, seed, policy"),
+         "'placement'", "c1, c2, num_groups, seed"),
         # is-gc takes its placement family's parameters.
         ("is-gc", {"placement": "hr", "c1": 1, "c2": 1, "num_groups": 2,
                    "bogus": 1},
-         "'bogus'", "placement, c1, c2, num_groups, seed, policy"),
+         "'bogus'", "placement, c1, c2, num_groups, seed"),
     ], ids=[
         "sync-sgd", "is-sgd", "gc", "is-gc-fr", "is-gc-cr", "is-gc-hr",
         "is-gc-fr-placement", "is-gc-hr-placement", "is-gc-any-hr",
@@ -536,7 +535,7 @@ class TestRules:
     )
     def test_shared_scheme_params_accepted_by_every_scheme(self, scheme):
         # One params table shared across a scheme grid must keep working.
-        shared = {"seed": 3, "policy": None}
+        shared = {"seed": 3}
         summary = run_spec(_spec(scheme=scheme, scheme_params=shared))
         assert summary.num_steps == 5
 
@@ -544,25 +543,18 @@ class TestRules:
         ("policy", 3), ("policy", "deadline"), ("cache", 3),
         ("policy", WaitForK(2)),
     ], ids=["policy-int", "policy-str", "cache-int", "policy-object"])
-    def test_policy_and_cache_are_refused_unless_null(self, key, value):
+    def test_policy_and_cache_are_unknown_keys(self, key, value):
         # Used to be admitted and then crash run_spec (no attribute
-        # 'wait') or fingerprint() (an object).  ``cache`` is no
-        # scheme parameter at all: null or not, it is an unknown key.
-        with pytest.raises(ConfigurationError) as exc:
-            _spec(scheme="is-gc-cr", scheme_params={key: value})
-        if key == "cache":
+        # 'wait') or fingerprint() (an object).  A spec names neither a
+        # wait policy nor a decode memo: null or not, each is an
+        # unknown key.
+        for given in (value, None):
+            with pytest.raises(ConfigurationError) as exc:
+                _spec(scheme="is-gc-cr", scheme_params={key: given})
             assert str(exc.value) == (
-                "unknown scheme_params for scheme 'is-gc-cr': 'cache'; "
-                "accepted: seed, policy"
+                f"unknown scheme_params for scheme 'is-gc-cr': {key!r}; "
+                "accepted: seed"
             )
-            with pytest.raises(ConfigurationError, match="'cache'"):
-                _spec(scheme="is-gc-cr", scheme_params={key: None})
-            return
-        assert str(exc.value) == (
-            f"scheme_params.{key} must be null: a spec holds data, not "
-            f"objects (pass a {key} object to make_strategy instead); "
-            f"got {value!r}"
-        )
 
     def test_environment_sections_accept_kind_strings(self):
         by_name = run_spec(_spec(
@@ -628,9 +620,10 @@ class TestRules:
         ("local-update", {"local_lr": -1.0}),
     ])
     def test_out_of_range_rule_param_rejected(self, rule, params):
+        # Refused at admission, before the rule that would raise is built.
         (key,) = params
-        with pytest.raises(TrainingError, match=key):
-            run_spec(_spec(rule=rule, rule_params=params))
+        with pytest.raises(ConfigurationError, match=f"rule_params.{key}"):
+            _spec(rule=rule, rule_params=params)
 
     def test_async_rule_returns_async_summary(self):
         summary = run_spec(_spec(scheme="sync-sgd", wait_for=None,
