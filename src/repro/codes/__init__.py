@@ -7,7 +7,6 @@ from .gc_matrices import (
     supports_full_recovery,
 )
 from .gc_scheme import ClassicGradientCode
-from .comm_efficient import CommEfficientGC
 from .approx import (
     LeastSquaresDecoder,
     StochasticSumDecoder,
@@ -23,5 +22,4 @@ __all__ = [
     "LeastSquaresDecoder",
     "StochasticSumDecoder",
     "l2_gradient_error",
-    "CommEfficientGC",
 ]

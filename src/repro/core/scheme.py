@@ -25,13 +25,10 @@ module holds:
 
 Registered families: ``fr``, ``cr``, ``hr``, ``explicit`` and ``hetero``
 (see ``docs/placements.md`` for the catalogue with paper pointers).
-Only what changes who stores what is a family: the Ye–Abbe codec
-(:class:`~repro.codes.CommEfficientGC`) takes an FR placement, and the
-multi-message round (:class:`~repro.partial.MultiMessageRound`) takes
-any placement.  A new family is one :class:`Placement` subclass and
-one :func:`register_placement`; specs (via the generic ``is-gc``
-scheme), ``repro placements``, caching and spec admission pick it
-up by name.
+Only what changes who stores what is a family.  A new family is one
+:class:`Placement` subclass and one :func:`register_placement`; specs
+(via the generic ``is-gc`` scheme), ``repro placements``, caching and
+spec admission pick it up by name.
 """
 
 from __future__ import annotations

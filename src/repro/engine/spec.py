@@ -400,8 +400,9 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     payloads.  Types come first (NumPy would reject a bad size or seed
     from inside :class:`~repro.engine.plan.EnginePlan` with no field
     name, and a bool or a float would run under its own fingerprint),
-    and so are ``scheme_params.seed`` and every ``rule_params`` value,
-    which would otherwise fail only inside the run; the paper's
+    and so are ``learning_rate``, ``loss_threshold``,
+    ``scheme_params.seed`` and every ``rule_params`` value, which would
+    otherwise fail only inside the run; the paper's
     constraints on ``n``, ``c`` and ``w`` are checked only
     where their fields are well typed.  Placement feasibility goes
     through the placement registry's hooks and each environment
@@ -417,6 +418,16 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     if spec.wait_for is not None:
         problems += _int_problems("wait_for", spec.wait_for, minimum=1)
     problems += _int_problems("seed", spec.seed, minimum=0)
+    if not (_is_real(spec.learning_rate) and spec.learning_rate > 0):
+        problems.append(
+            "learning_rate must be a positive real number, "
+            f"got {spec.learning_rate!r}"
+        )
+    if spec.loss_threshold is not None and not _is_real(spec.loss_threshold):
+        problems.append(
+            "loss_threshold must be null or a real number, "
+            f"got {spec.loss_threshold!r}"
+        )
     if isinstance(spec.dataset, Mapping) and "batch_size" in spec.dataset:
         problems += _int_problems(
             "dataset.batch_size", spec.dataset["batch_size"], minimum=1

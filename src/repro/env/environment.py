@@ -14,8 +14,8 @@ resettable unit:
 * :meth:`simulator` binds the environment to a
   :class:`~repro.simulation.ClusterSimulator` in one call.
 
-Every round simulator (``ClusterSimulator``, the async-arrivals
-backend, the multi-message round) takes its models from one
+Both round simulators (``ClusterSimulator`` and the async-arrivals
+backend) take their models from one
 :class:`Environment`; the neutral default of each layer is stated once,
 in :mod:`repro.env.registry`.
 
@@ -94,9 +94,8 @@ class Environment:
 
     def refuse_failures_and_contention(self) -> None:
         """Raise :class:`ConfigurationError` unless the failure and
-        contention layers are the neutral ones — for the round
-        simulators that model neither and would otherwise ignore them
-        (the async-arrivals backend, the multi-message round)."""
+        contention layers are the neutral ones — for the async-arrivals
+        backend, which models neither and would otherwise ignore them."""
         active = [
             layer
             for layer, neutral in (

@@ -10,10 +10,10 @@ lists them and ``repro experiment <group>`` runs them (:data:`GROUPS`):
 * ``theory`` — Sec. VII as numbers: Thm 10/11 bounds against exact
   and Monte-Carlo ``E[α]``, estimator variance, the recovery grid;
 * ``extensions`` — what the repo adds on top of the paper: online
-  placement adaptation, Ye-Abbe block coding, local-update SGD and
-  multi-message uploads.  Each training run among them is an
-  :class:`~repro.engine.ExperimentSpec` (:func:`adaptive_placement_specs`,
-  :func:`local_sgd_specs`), so ``repro run`` reproduces each row.
+  placement adaptation and local-update SGD.  Each ``*_table`` runs
+  the :class:`~repro.engine.ExperimentSpec` list its ``*_specs`` twin
+  builds (:func:`adaptive_placement_specs`, :func:`local_sgd_specs`),
+  so ``repro run`` reproduces each row.
 
 Every builder is seeded and cheap (all of them together run in a few
 seconds), so ``tests/test_ablation_tables.py`` asserts their shapes at
@@ -33,7 +33,7 @@ from ..analysis import (
     monte_carlo_recovery,
 )
 from ..analysis.reporting import Table
-from ..codes import CommEfficientGC, LeastSquaresDecoder, StochasticSumDecoder
+from ..codes import LeastSquaresDecoder, StochasticSumDecoder
 from ..core import (
     alpha_lower_bound,
     alpha_upper_bound,
@@ -43,9 +43,7 @@ from ..core import (
     partition_matrix,
 )
 from ..engine import ExperimentSpec, build_engine, run_spec
-from ..env import Environment, make_delay_model
-from ..exceptions import CodingError
-from ..partial import recovery_vs_deadline
+from ..env import make_delay_model
 from ..simulation.policies import (
     AdaptiveWaitK,
     DeadlinePolicy,
@@ -416,45 +414,6 @@ def adaptive_placement_table() -> Table:
     return table
 
 
-def comm_efficient_table() -> Table:
-    """Ye-Abbe block count ``k`` over FR: upload size, guaranteed
-    tolerance per group, and partial recovery under the IS decode."""
-    n, c, dim, trials = 8, 4, 256, 500
-    placement = _placement("fr", n, c)
-    rng = np.random.default_rng(0)
-    grads = rng.normal(size=(n, dim))
-    table = Table(
-        title=(
-            f"Extension — Ye-Abbe block coding over FR({n},{c}) with the "
-            f"IS decode, d={dim}, random w=4 availability, {trials} rounds"
-        ),
-        columns=[
-            "k", "upload elems", "tolerance/group",
-            "mean recovered %", "round failures %",
-        ],
-    )
-    for k in (1, 2, 3, 4):
-        code = CommEfficientGC(placement, blocks=k)
-        payloads = code.encode(grads)
-        recovered = 0.0
-        failures = 0
-        for _ in range(trials):
-            avail = rng.choice(n, size=4, replace=False).tolist()
-            try:
-                _, rec = code.decode_partial(avail, payloads, dim)
-                recovered += len(rec) / n
-            except CodingError:
-                failures += 1
-        table.add_row(
-            k,
-            code.payload_elements(dim),
-            code.max_stragglers_per_group,
-            f"{100 * recovered / trials:.1f}",
-            f"{100 * failures / trials:.1f}",
-        )
-    return table
-
-
 #: Batches each partition sees in every run of :func:`local_sgd_table`.
 _LOCAL_BATCH_BUDGET = 48
 
@@ -499,41 +458,6 @@ def local_sgd_table() -> Table:
     return table
 
 
-def multimessage_table() -> Table:
-    """Recovery against deadline: multi-message uploads (stragglers'
-    partial work counts, at ``c×`` the bytes) vs coded IS-GC payloads."""
-    comparisons = recovery_vs_deadline(
-        _placement("cr", 8, 2),
-        deadlines=(0.4, 0.7, 1.0, 1.5, 2.5, 4.0),
-        environment=Environment(
-            delay={"kind": "shifted-exponential", "shift": 0.0, "mean": 0.5},
-            compute={"base": 0.1, "per_partition": 0.4},
-            network="ideal",
-        ),
-        trials=400,
-        seed=3,
-    )
-    table = Table(
-        title=(
-            "Extension — recovery vs deadline: multi-message (c× bytes) "
-            "vs IS-GC coded payloads, CR(8,2), exp(0.5s) stragglers"
-        ),
-        columns=[
-            "deadline (s)", "multi-message E[recovered]",
-            "is-gc E[recovered]", "multi-message lead",
-        ],
-    )
-    for comp in comparisons:
-        lead = comp.multimessage_recovered - comp.isgc_recovered
-        table.add_row(
-            comp.deadline,
-            round(comp.multimessage_recovered, 2),
-            round(comp.isgc_recovered, 2),
-            f"{lead:+.2f}",
-        )
-    return table
-
-
 # ----------------------------------------------------------------------
 #: ``repro experiment <group>`` → its table builders, in print order.
 GROUPS: Dict[str, Tuple[Callable[[], Table], ...]] = {
@@ -552,8 +476,6 @@ GROUPS: Dict[str, Tuple[Callable[[], Table], ...]] = {
     ),
     "extensions": (
         adaptive_placement_table,
-        comm_efficient_table,
         local_sgd_table,
-        multimessage_table,
     ),
 }

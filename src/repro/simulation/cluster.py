@@ -99,9 +99,7 @@ class RoundResult:
     step_start: float
     step_end: float
     #: Compute-seconds spent by workers whose uploads the master did
-    #: not accept this round — the price of ignoring stragglers, and
-    #: the quantity the multi-message extension (repro.partial) exists
-    #: to harvest.
+    #: not accept this round — the price of ignoring stragglers.
     wasted_compute: float = 0.0
     #: Seconds the parameter broadcast took: workers start computing
     #: at ``step_start + broadcast_time``.

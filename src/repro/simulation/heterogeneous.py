@@ -20,9 +20,7 @@ class HeterogeneousComputeModel:
     """Per-worker compute cost: base model scaled by a speed factor.
 
     A factor of 2.0 means the worker takes twice as long per step.
-    Exposes ``step_time_for(worker, partitions)``;
-    :meth:`worker_view` adapts one worker's cost to the homogeneous
-    :class:`ComputeModel` interface for reuse.
+    Exposes ``step_time_for(worker, partitions)``.
     """
 
     def __init__(self, base: ComputeModel, speed_factors: Mapping[int, float]):
@@ -45,11 +43,3 @@ class HeterogeneousComputeModel:
     def step_time_for(self, worker: int, partitions: int) -> float:
         """Per-step compute seconds for ``worker``."""
         return self._base.step_time(partitions) * self.factor(worker)
-
-    def worker_view(self, worker: int) -> ComputeModel:
-        """A homogeneous-model adapter for one worker."""
-        f = self.factor(worker)
-        return ComputeModel(
-            base=self._base.base * f,
-            per_partition=self._base.per_partition * f,
-        )

@@ -50,7 +50,6 @@ ORDERING_SCOPE = (
     "repro/experiments/",
     "repro/analysis/",
     "repro/env/",
-    "repro/partial/",
 )
 
 #: The library.  Anchored at ``src/``: scopes match path substrings,

@@ -143,13 +143,6 @@ def test_traced_run_example_runs(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.glob("*/traced_run.jsonl"))
 
 
-def test_comm_efficient_coding_example_runs(capsys):
-    _run_example(REPO / "examples" / "comm_efficient_coding.py")
-    out = capsys.readouterr().out
-    assert "decoded exactly from" in out
-    assert "Block-count sweep" in out
-
-
 def test_every_example_runs_in_a_test():
     """No example script is left out of the tests above."""
     source = pathlib.Path(__file__).read_text()

@@ -29,13 +29,6 @@ class TestHeterogeneousComputeModel:
         model = HeterogeneousComputeModel(ComputeModel(0.1, 0.2), {})
         assert model.factor(7) == 1.0
 
-    def test_worker_view_matches(self):
-        model = HeterogeneousComputeModel(
-            ComputeModel(0.1, 0.2), {2: 2.0}
-        )
-        view = model.worker_view(2)
-        assert view.step_time(3) == pytest.approx(model.step_time_for(2, 3))
-
     def test_non_positive_factor_rejected(self):
         with pytest.raises(ConfigurationError):
             HeterogeneousComputeModel(ComputeModel(), {0: 0.0})

@@ -29,10 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codes.comm_efficient import (
-    CommEfficientGC,
-    comm_efficient_problems,
-)
 from repro.core.batch import circulant_adjacency
 from repro.core.conflict import conflict_graph
 from repro.core.cyclic import CyclicRepetition
@@ -52,8 +48,7 @@ from repro.core.scheme import (
 )
 from repro.engine import ExperimentSpec, run_spec
 from repro.engine.spec import make_strategy
-from repro.env import Environment
-from repro.exceptions import CodingError, ConfigurationError, PlacementError
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.graphs import Graph
 
 GOLDEN_PATH = (
@@ -298,29 +293,6 @@ class TestProtocol:
         relabelled = Graph(base[np.ix_(assignment, assignment)])
         assert placement.conflict_graph() == relabelled
 
-    def test_comm_efficient_coder(self):
-        # The Ye-Abbe codec is not a family: it takes the fr family's
-        # placement, whose fingerprint it keeps.
-        placement = make_placement(
-            "fr", num_workers=8, partitions_per_worker=4
-        )
-        coder = CommEfficientGC(placement, 2)
-        assert coder.blocks == 2
-        assert coder.placement.fingerprint == placement.fingerprint
-
-    def test_multimessage_round(self):
-        # The multi-message semantic is a round model, not a family:
-        # it runs over any family's placement.
-        from repro.partial.multimessage import MultiMessageRound
-
-        placement = make_placement(
-            "cr", num_workers=8, partitions_per_worker=3
-        )
-        round_ = MultiMessageRound(
-            placement, Environment(), rng=np.random.default_rng(0)
-        )
-        assert round_.placement.fingerprint == placement.fingerprint
-
 
 class TestIntegerParameters:
     """Family parameters are integers by ``spec_int``'s rule, the one
@@ -561,15 +533,6 @@ class TestFeasibilityAgreement:
             if (static[0] if static else None) != built:
                 disagreements.append((family, params, static, built))
         assert disagreements == []
-
-    def test_codec_raises_the_same_message(self):
-        placement = FractionalRepetition(8, 4)
-        for blocks in (0, 5):
-            with pytest.raises(CodingError) as exc:
-                CommEfficientGC(placement, blocks=blocks)
-            assert str(exc.value) == comm_efficient_problems(
-                8, 4, blocks
-            )[0]
 
 
 # ----------------------------------------------------------------------

@@ -764,20 +764,31 @@ class TestMailbox:
          "rule_params.min_recovery_gain must be a real number in [0, 1]"),
         ("adaptive", {"seed": -1},
          "rule_params.seed must be an integer >= 0"),
+        ("sync", {"learning_rate": True},
+         "learning_rate must be a positive real number"),
+        ("sync", {"loss_threshold": "x"},
+         "loss_threshold must be null or a real number"),
     ], ids=[
         "scheme-seed-str", "scheme-seed-negative", "scheme-seed-float",
         "scheme-seed-bool", "recovery-scaled-lr-str", "local-steps-str",
         "local-lr-str", "review-every-str", "partition-bytes-negative",
-        "min-recovery-gain-str", "rule-seed-negative",
+        "min-recovery-gain-str", "rule-seed-negative", "learning-rate-bool",
+        "loss-threshold-str",
     ])
     def test_bad_seed_or_rule_param_refused_at_admission(
         self, tmp_path, rule, params, message
     ):
         """Each used to be admitted and then fail inside the run (or, a
-        bool seed, run as seed 1 under its own fingerprint): refused at
-        construction, and a served submission lands in ``rejected/``."""
-        section = "scheme_params" if "scheme_params" in message else "rule_params"
-        payload = {**make_spec(0).to_dict(), "rule": rule, section: params}
+        bool seed or learning rate, run as 1 under its own fingerprint):
+        refused at construction, and a served submission lands in
+        ``rejected/``.  A message naming no params section names a
+        top-level field."""
+        field = message.split()[0]
+        payload = {**make_spec(0).to_dict(), "rule": rule}
+        if "." in field:
+            payload[field.split(".")[0]] = params
+        else:
+            payload.update(params)
         with pytest.raises(ConfigurationError) as exc:
             ExperimentSpec.from_dict(payload)
         assert f"{message}, got {next(iter(params.values()))!r}" in str(

@@ -96,6 +96,43 @@ class TestValidation:
         ):
             ExperimentSpec.from_dict({**_spec().to_dict(), "dataset": dataset})
 
+    @pytest.mark.parametrize("value", [
+        "x", -1.0, 0.0, 0, float("nan"), float("inf"), True, None,
+    ])
+    def test_rejects_learning_rate_that_is_not_a_positive_real(self, value):
+        # Was admitted, then failed inside run_spec (a bool ran as 1.0).
+        message = r"^learning_rate must be a positive real number, got "
+        with pytest.raises(ConfigurationError, match=message):
+            _spec(learning_rate=value)
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentSpec.from_dict(
+                {**_spec().to_dict(), "learning_rate": value}
+            )
+
+    @pytest.mark.parametrize("value", [
+        "x", "0.5", float("nan"), float("-inf"), True, [0.5],
+    ])
+    def test_rejects_loss_threshold_that_is_not_null_or_real(self, value):
+        # A string failed at the first comparison; a bool or NaN ran.
+        message = r"^loss_threshold must be null or a real number, got "
+        with pytest.raises(ConfigurationError, match=message):
+            _spec(loss_threshold=value)
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentSpec.from_dict(
+                {**_spec().to_dict(), "loss_threshold": value}
+            )
+
+    @pytest.mark.parametrize("learning_rate, loss_threshold", [
+        (0.3, None), (1, 0), (1e-4, -2.5), (0.5, 3),
+    ])
+    def test_admits_real_learning_rate_and_loss_threshold(
+        self, learning_rate, loss_threshold
+    ):
+        spec = _spec(
+            learning_rate=learning_rate, loss_threshold=loss_threshold
+        )
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
     def test_rejects_unknown_rule(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):
             _spec(rule="teleport")

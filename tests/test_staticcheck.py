@@ -15,6 +15,7 @@ from repro.staticcheck import (
     RULE_REGISTRY,
     StaticCheckError,
     check_source,
+    determinism,
     noqa_map,
     run_check,
 )
@@ -264,6 +265,14 @@ class TestDeterminismRules:
     def test_det004_leaves_serve_alone(self):
         src = "import glob\nnames = glob.glob('jobs/*.json')\n"
         assert check(src, scope_path="src/repro/serve/mailbox.py") == []
+
+    @pytest.mark.parametrize("entry", [
+        *determinism.ORDERING_SCOPE, *determinism.WALL_CLOCK_EXCLUDE,
+    ])
+    def test_scope_entries_name_real_paths(self, entry):
+        # Scopes match path substrings, so an entry naming a renamed
+        # or deleted package silently matches nothing.
+        assert (REPO / "src" / entry).exists()
 
 
 # ----------------------------------------------------------------------
