@@ -109,7 +109,6 @@ from .engine import (
     RunReport,
     build_engine,
     build_run_report,
-    register_scheme,
     run_spec,
 )
 from .parallel import DecodeCache, ProcessExecutor, SerialExecutor
@@ -190,7 +189,6 @@ __all__ = [
     "ExperimentSpec",
     "build_engine",
     "run_spec",
-    "register_scheme",
     # parallel execution
     "DecodeCache",
     "ProcessExecutor",

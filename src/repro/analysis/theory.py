@@ -13,7 +13,6 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ..core.bounds import alpha_lower_bound, alpha_upper_bound
 from ..core.conflict import conflict_graph
 from ..core.placement import Placement
 from ..exceptions import ConfigurationError
@@ -22,7 +21,7 @@ from ..graphs.independent_set import independence_number
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Result of checking Theorems 10/11 on one available set."""
+    """Result of checking a placement's α bracket on one available set."""
 
     available: Tuple[int, ...]
     alpha: int
@@ -34,17 +33,26 @@ class BoundCheck:
         return self.lower <= self.alpha <= self.upper
 
 
+def alpha_bounds(placement: Placement, w: int) -> Tuple[int, int]:
+    """The placement's own bracket on ``α(G[W'])`` at ``|W'| = w``:
+    :meth:`~repro.core.placement.Placement.recovery_bounds` in α units
+    (Theorems 10/11 for FR and CR, the corrected group-wise bracket for
+    HR, the generic one for any other table)."""
+    lo, hi = placement.recovery_bounds(w)
+    c = placement.partitions_per_worker
+    return lo // c, hi // c
+
+
 def check_bounds_exhaustive(
     placement: Placement, w: int
 ) -> Iterator[BoundCheck]:
-    """Theorems 10/11 for *every* size-``w`` available set (small ``n``)."""
+    """The placement's bracket (:func:`alpha_bounds`) on *every*
+    size-``w`` available set (small ``n``)."""
     n = placement.num_workers
-    c = placement.partitions_per_worker
     if not 1 <= w <= n:
         raise ConfigurationError(f"need 1 <= w <= n, got w={w}, n={n}")
     graph = conflict_graph(placement)
-    lo = alpha_lower_bound(n, c, w)
-    hi = alpha_upper_bound(n, c, w)
+    lo, hi = alpha_bounds(placement, w)
     for subset in combinations(range(n), w):
         alpha = independence_number(graph, subset)
         yield BoundCheck(available=subset, alpha=alpha, lower=lo, upper=hi)
@@ -53,15 +61,14 @@ def check_bounds_exhaustive(
 def check_bounds_sampled(
     placement: Placement, w: int, trials: int, seed: int = 0
 ) -> Iterator[BoundCheck]:
-    """Theorems 10/11 on random size-``w`` available sets (large ``n``)."""
+    """The placement's bracket (:func:`alpha_bounds`) on random
+    size-``w`` available sets (large ``n``)."""
     n = placement.num_workers
-    c = placement.partitions_per_worker
     if not 1 <= w <= n:
         raise ConfigurationError(f"need 1 <= w <= n, got w={w}, n={n}")
     rng = np.random.default_rng(seed)
     graph = conflict_graph(placement)
-    lo = alpha_lower_bound(n, c, w)
-    hi = alpha_upper_bound(n, c, w)
+    lo, hi = alpha_bounds(placement, w)
     for _ in range(trials):
         subset = tuple(sorted(rng.choice(n, size=w, replace=False).tolist()))
         alpha = independence_number(graph, subset)

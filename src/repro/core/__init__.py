@@ -23,7 +23,7 @@ from .batch import (
     partition_matrix,
     validate_mask,
 )
-from .decoders import Decoder, decoder_for, register_decoder
+from .decoders import Decoder, decoder_for
 from .fr_decoder import FRDecoder
 from .cr_decoder import CRDecoder
 from .hr_decoder import HRDecoder
@@ -70,7 +70,6 @@ __all__ = [
     "make_placement",
     "Decoder",
     "decoder_for",
-    "register_decoder",
     "BatchDecodeResult",
     "batched_greedy_chains",
     "circulant_adjacency",

@@ -53,7 +53,7 @@ from .batch import (
     window_starts,
 )
 from .cyclic import CyclicRepetition
-from .decoders import Decoder, Selection, register_decoder
+from .decoders import Decoder, Selection
 
 #: one segment of greedy walks: the circle it runs on (``0`` unless the
 #: adjacency covers one group of several), that circle's available
@@ -185,9 +185,10 @@ class ChainDecoder(Decoder):
         return selected
 
 
-@register_decoder("cr")
 class CRDecoder(ChainDecoder):
     """Alg. 2: windowed greedy search over the worker circle."""
+
+    scheme = "cr"
 
     def __init__(
         self,

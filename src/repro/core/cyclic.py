@@ -12,7 +12,7 @@ distance ``d(x, y) = min(|x-y|, n-|x-y|)`` is below ``c``.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 from ..graphs.circulant import circular_distance
 from .bounds import recovered_partitions_bounds
@@ -51,6 +51,12 @@ class CyclicRepetition(Placement):
         if worker_a == worker_b:
             return True
         return self.distance(worker_a, worker_b) < self._c
+
+    def decoder(self, *, rng: Any = None, cache: Any = None):
+        """Alg. 2's decoder (``cache`` is ignored)."""
+        from .cr_decoder import CRDecoder
+
+        return CRDecoder(self, rng=rng, cache=cache)
 
     def _recovery_bounds(self, w: int) -> Tuple[int, int]:
         return recovered_partitions_bounds(self._n, self._c, w)

@@ -1,4 +1,4 @@
-"""Decoder interface and registry.
+"""The decoder interface.
 
 A *decoder* implements the master's ``Decode()`` function: given the set
 ``W'`` of workers whose coded gradients arrived, select a pairwise
@@ -26,11 +26,12 @@ Subclasses implement the :meth:`Decoder._decode` hook returning a
 typed :class:`Selection`, and may override ``decode_batch`` with a
 vectorized path.
 
-``rng`` and ``cache`` are keyword-only in :func:`decoder_for` and
-every decoder constructor.  A placement is its family's object, so
-:meth:`Placement.decoder <repro.core.placement.Placement.decoder>` is
-:func:`decoder_for` on itself, and every entry point here takes the
-placement directly.
+A placement picks its own decoder: :meth:`Placement.decoder
+<repro.core.placement.Placement.decoder>` is the exact-MIS decoder,
+and FR, CR and HR override it with Algs. 1–3 (``fr_decoder``,
+``cr_decoder``, ``hr_decoder``).  :func:`decoder_for` is that method
+as a function.  ``rng`` and ``cache`` are keyword-only in both and in
+every decoder constructor.
 
 Caching
 -------
@@ -47,22 +48,18 @@ from __future__ import annotations
 
 import abc
 import copy
-import warnings
 from functools import cached_property
 from typing import (
     Any,
-    Callable,
     FrozenSet,
     Iterable,
     NamedTuple,
     Sequence,
-    Type,
 )
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, DecodeError
-from ..registry import Registry
+from ..exceptions import DecodeError
 from ..types import DecodeResult
 from .batch import (
     BatchDecodeResult,
@@ -72,14 +69,6 @@ from .batch import (
     validate_mask,
 )
 from .placement import Placement
-
-_REGISTRY: Registry[Type["Decoder"]] = Registry(
-    "decoder scheme", "schemes", ConfigurationError
-)
-
-#: schemes for which exact-MIS decoding is the *documented* decoder,
-#: not a silent downgrade — no fallback warning for these.
-_EXACT_BY_DESIGN = frozenset({"exact", "explicit"})
 
 
 class Selection(NamedTuple):
@@ -91,64 +80,15 @@ class Selection(NamedTuple):
     num_searches: int
 
 
-def register_decoder(scheme: str) -> Callable[[Type["Decoder"]], Type["Decoder"]]:
-    """Class decorator registering a decoder under ``scheme``."""
-
-    def wrap(cls: Type["Decoder"]) -> Type["Decoder"]:
-        _REGISTRY.register(scheme, cls)
-        cls.scheme = scheme
-        return cls
-
-    return wrap
-
-
 def decoder_for(
     placement: Placement,
     *,
     rng: np.random.Generator | None = None,
     cache: "Any | None" = None,
 ) -> "Decoder":
-    """Instantiate the registered decoder matching ``placement.scheme``.
-
-    ``placement`` is any :class:`Placement`, a registered family's
-    included (:meth:`Placement.decoder` calls this).  ``rng`` and
-    ``cache`` are keyword-only.  Falls
-    back to the exact-MIS decoder for unknown schemes, which is correct
-    for *any* placement (just not linear-time).  The fallback is
-    registered on demand, so this works even when only this module has
-    been imported; if registration is somehow impossible a descriptive
-    :class:`~repro.exceptions.DecodeError` is raised instead of a bare
-    ``KeyError``.
-
-    Explicit tables are exact-decoded *by design* (there is no
-    closed-form structure to exploit); any other unregistered scheme
-    taking the fallback emits a :class:`RuntimeWarning`, so an O(2^n)
-    decoder can never silently masquerade as a linear-time one in a
-    benchmark run.
-    """
-    cls = _REGISTRY.get(placement.scheme)
-    is_fallback = cls is None
-    if cls is None:
-        if "exact" not in _REGISTRY:
-            # Importing the module runs its @register_decoder("exact").
-            from . import exact_decoder  # noqa: F401
-        cls = _REGISTRY.get("exact")
-        if cls is None:
-            raise DecodeError(
-                f"no decoder registered for scheme {placement.scheme!r} "
-                "and the exact-MIS fallback is unavailable; registered "
-                f"schemes: {sorted(_REGISTRY)}"
-            )
-    decoder = cls(placement, rng=rng, cache=cache)
-    if is_fallback and placement.scheme not in _EXACT_BY_DESIGN:
-        warnings.warn(
-            "no linear-time decoder registered for scheme "
-            f"{placement.scheme!r}; falling back to the exact-MIS "
-            "decoder (exponential worst case)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return decoder
+    """``placement.decoder(rng=rng, cache=cache)``: Algs. 1–3 for FR,
+    CR and HR, the exact-MIS decoder for any other placement."""
+    return placement.decoder(rng=rng, cache=cache)
 
 
 class Decoder(abc.ABC):

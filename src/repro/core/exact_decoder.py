@@ -25,14 +25,15 @@ from ..graphs.independent_set import all_maximum_independent_sets
 from ..parallel.cache import DecodeCache
 from .batch import BatchDecodeResult, MaskBatch, masks_to_array
 from .conflict import conflict_graph
-from .decoders import Decoder, Selection, register_decoder
+from .decoders import Decoder, Selection
 from .placement import Placement
 
 
-@register_decoder("exact")
 class ExactDecoder(Decoder):
     """Exact MIS decoder for arbitrary placements: a uniform draw over
     every maximum independent set of ``G[W']``."""
+
+    scheme = "exact"
 
     def __init__(
         self,

@@ -23,11 +23,10 @@ from typing import Dict, FrozenSet, List
 import numpy as np
 
 from .batch import BatchDecodeResult, MaskBatch, masks_to_array
-from .decoders import Decoder, Selection, register_decoder
+from .decoders import Decoder, Selection
 from .fractional import FractionalRepetition
 
 
-@register_decoder("fr")
 class FRDecoder(Decoder):
     """Alg. 1: one random available worker per FR group.
 
@@ -39,6 +38,8 @@ class FRDecoder(Decoder):
     search kernel worth memoising, and the per-group RNG draws must
     stay live for fairness anyway.
     """
+
+    scheme = "fr"
 
     def __init__(
         self,

@@ -12,7 +12,7 @@ decoding reduces to picking one surviving worker per group (Alg. 1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..exceptions import PlacementError
 from .bounds import recovered_partitions_bounds
@@ -71,6 +71,12 @@ class FractionalRepetition(Placement):
                 f"group {group} out of range [0, {self.num_groups})"
             )
         return tuple(range(group * self._c, (group + 1) * self._c))
+
+    def decoder(self, *, rng: Any = None, cache: Any = None):
+        """Alg. 1's decoder (``cache`` is ignored)."""
+        from .fr_decoder import FRDecoder
+
+        return FRDecoder(self, rng=rng, cache=cache)
 
     def _recovery_bounds(self, w: int) -> Tuple[int, int]:
         return recovered_partitions_bounds(self._n, self._c, w)

@@ -36,13 +36,13 @@ import numpy as np
 from .batch import circulant_adjacency
 from .conflict import conflict_graph
 from .cr_decoder import ChainDecoder, Segment
-from .decoders import register_decoder
 from .hybrid import HybridRepetition
 
 
-@register_decoder("hr")
 class HRDecoder(ChainDecoder):
     """Alg. 3/4: group-seeded greedy walk with the HR conflict predicate."""
+
+    scheme = "hr"
 
     def __init__(self, placement: HybridRepetition, *, rng=None, cache=None):
         if not isinstance(placement, HybridRepetition):

@@ -36,7 +36,7 @@ conflict — the invariant the HR decoder (Alg. 3) relies on.  Since
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..exceptions import ConfigurationError, PlacementError
 from .bounds import hr_alpha_bounds
@@ -222,6 +222,12 @@ class HybridRepetition(Placement):
             if j1 >= self._n0 - self._c2 + 1 and (i2 - i1) % self._n < self._c:
                 return True
         return False
+
+    def decoder(self, *, rng: Any = None, cache: Any = None):
+        """Algs. 3/4's decoder (``cache`` is ignored)."""
+        from .hr_decoder import HRDecoder
+
+        return HRDecoder(self, rng=rng, cache=cache)
 
     def _recovery_bounds(self, w: int) -> Tuple[int, int]:
         # Corrected group-wise α bounds (see bounds.hr_alpha_bounds for

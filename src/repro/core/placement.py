@@ -69,8 +69,8 @@ class Placement(abc.ABC):
     :meth:`_recovery_bounds` where a theorem gives more.
     """
 
-    #: short machine-readable identifier, e.g. ``"fr"``, ``"cr"``, ``"hr"``:
-    #: the decoder registry's key (:func:`~repro.core.decoders.decoder_for`).
+    #: short machine-readable identifier, e.g. ``"fr"``, ``"cr"``, ``"hr"``;
+    #: :meth:`fingerprint` hashes it.
     scheme: str = "abstract"
     #: canonical registry name, set by
     #: :func:`~repro.core.scheme.register_placement`.
@@ -259,15 +259,15 @@ class Placement(abc.ABC):
         return c, min(min(w, n // c) * c, n)
 
     def decoder(self, *, rng: Any = None, cache: Any = None):
-        """This placement's :class:`~repro.core.decoders.Decoder`
-        (:func:`~repro.core.decoders.decoder_for`: the registry's
-        linear-time decoder, or the exact-MIS decoder where that *is*
-        the documented decoder — explicit tables).  Only the exact-MIS
-        decoder reads ``cache``, the
+        """This placement's :class:`~repro.core.decoders.Decoder`: the
+        exact-MIS decoder, correct for *any* placement and the one
+        explicit and hetero tables are meant to use; FR, CR and HR
+        override it with their linear-time algorithms.  Only the
+        exact-MIS decoder reads ``cache``, the
         :class:`~repro.parallel.DecodeCache` of its optima."""
-        from .decoders import decoder_for
+        from .exact_decoder import ExactDecoder
 
-        return decoder_for(self, rng=rng, cache=cache)
+        return ExactDecoder(self, rng=rng, cache=cache)
 
     def decode_batch(self, masks: Any, *, rng: Any = None, cache: Any = None):
         """Decode a batch of availability masks —

@@ -13,8 +13,8 @@ and arithmetic-only ``spec_problems`` hook; an instance carries the
 module holds:
 
 * :data:`PLACEMENT_REGISTRY` + :func:`register_placement` — the name →
-  class registry, mirroring :func:`~repro.engine.spec.register_scheme`
-  / :func:`~repro.engine.spec.register_backend`;
+  class registry, the one open table a new IS-GC variant joins (the
+  scheme and backend tables of :mod:`repro.engine.spec` are closed);
 * :func:`make_placement` — the one construction entry point the CLI,
   the spec engine, the advisor and library code share, and
   :func:`spec_placement_scheme`, the same under a spec's calling
@@ -28,7 +28,8 @@ Registered families: ``fr``, ``cr``, ``hr``, ``explicit`` and ``hetero``
 Only what changes who stores what is a family.  A new family is one
 :class:`Placement` subclass and one :func:`register_placement`; specs
 (via the generic ``is-gc`` scheme), ``repro placements``, caching and
-spec admission pick it up by name.
+spec admission pick it up by name, and it decodes with the exact-MIS
+decoder unless it overrides :meth:`Placement.decoder`.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Layering (see ``docs/architecture.md``)::
 
     experiments / CLI / examples
-        │   ExperimentSpec + registries (spec.py)
+        │   ExperimentSpec + its closed name tables (spec.py)
         ▼
     EnginePlan (plan.py): the spec-derived half, built once
         │   .engine(): the mutable half (EngineState, state.py)
@@ -42,10 +42,8 @@ from .spec import (
     SCHEME_REGISTRY,
     ExperimentSpec,
     make_strategy,
-    register_backend,
-    register_scheme,
 )
-from .plan import BuildContext, EnginePlan, build_engine, run_spec
+from .plan import EnginePlan, build_engine, run_spec
 
 __all__ = [
     "RoundEngine",
@@ -63,12 +61,9 @@ __all__ = [
     "EngineState",
     "RunReport",
     "build_run_report",
-    "BuildContext",
     "EnginePlan",
     "SCHEME_REGISTRY",
     "BACKEND_REGISTRY",
-    "register_scheme",
-    "register_backend",
     "make_strategy",
     "build_engine",
     "run_spec",

@@ -4,19 +4,19 @@ In the paper everything but the straggler pattern is fixed before
 training starts.  :class:`EnginePlan` is that part of a run — what an
 :class:`~repro.engine.spec.ExperimentSpec` alone determines: dataset,
 partitions and batch streams, the placement with its decoder tables,
-the classic-GC coding matrix, the initial model vector, the resolved
-backend factory and environment sections.  It is immutable (a frozen,
-slotted dataclass over read-only arrays) and holds no run state.
-:meth:`EnginePlan.engine` instantiates the other half — what
-:class:`~repro.engine.state.EngineState` describes.  Any number of
-engines may come from one plan; each runs bit for bit like
-``build_engine(spec)``, which is ``EnginePlan(spec).engine()`` — there
-is one assembly path.
+the classic-GC coding matrix, the initial model vector and the
+environment sections.  It is immutable (a frozen, slotted dataclass
+over read-only arrays) and holds no run state.  :meth:`EnginePlan.engine`
+instantiates the other half — what :class:`~repro.engine.state.EngineState`
+describes — and picks the backend in one branch: the async rule's
+``AsyncArrivalBackend``, else a ``FlatBackend`` (``actor``'s with
+model-sized messages).  Any number of engines may come from one plan;
+each runs bit for bit like ``build_engine(spec)``, which is
+``EnginePlan(spec).engine()`` — there is one assembly path.
 
 Whoever restores many states of one run (the serve layer parking a
 job) keeps the plan next to the state.  A plan belongs to its holder:
-there is no table of plans and none is shared between specs.  Also
-here: the built-in backends and the :class:`BuildContext` they receive.
+there is no table of plans and none is shared between specs.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping
 import numpy as np
 
 from ..env import LAYERS, Environment
-from ..exceptions import ConfigurationError, TrainingError
-from .backends import AsyncArrivalBackend, ExecutionBackend, FlatBackend
+from ..exceptions import TrainingError
+from .backends import AsyncArrivalBackend, FlatBackend
 from .core import RoundEngine
 from .rules import AdaptiveMigration, AsyncUpdate, LocalUpdate, SyncUpdate, UpdateRule
 from .spec import (
@@ -39,11 +39,9 @@ from .spec import (
     _DEFAULT_DELAY,
     _DEFAULT_MODEL,
     _delay_section,
-    BACKEND_REGISTRY,
-    BackendFactory,
+    _runs_on,
     ExperimentSpec,
     make_strategy,
-    register_backend,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,57 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .state import EngineState
 
 
-@dataclass
-class BuildContext:
-    """Everything a backend factory may need, already constructed;
-    ``environment`` holds this engine's five model layers."""
-
-    spec: ExperimentSpec
-    model: Any
-    streams: Any
-    strategy: Any
-    optimizer: Any
-    eval_data: Any
-    environment: Environment
-    rng: np.random.Generator
-
-
-# ----------------------------------------------------------------------
-# Built-in backends.
-
-def _cluster(ctx: BuildContext, **kwargs):
-    """This engine's round simulator, in its environment."""
-    return ctx.environment.simulator(
-        ctx.spec.num_workers,
-        ctx.strategy.placement.partitions_per_worker,
-        rng=ctx.rng,
-        **kwargs,
-    )
-
-
-@register_backend("flat")
-def _flat_backend(ctx: BuildContext) -> ExecutionBackend:
-    return FlatBackend(_cluster(ctx))
-
-
-@register_backend("actor")
-def _actor_backend(ctx: BuildContext) -> ExecutionBackend:
-    # The paper's Ray round (Sec. VIII-A): the same simulator round as
-    # ``flat``, with model-sized broadcasts and uploads.
-    return FlatBackend(
-        _cluster(ctx, gradient_elements=ctx.model.num_parameters)
-    )
-
-
-@register_backend("async-arrivals")
-def _async_backend(ctx: BuildContext) -> ExecutionBackend:
-    return AsyncArrivalBackend(ctx.environment, rng=ctx.rng)
-
-
 # ----------------------------------------------------------------------
 # Spec → plan (what the spec alone determines) → engine.
 
 def _build_dataset(spec: ExperimentSpec):
+    """One branch per :data:`~repro.engine.spec.DATASET_KINDS` entry."""
     from ..training.datasets import (
         make_cifar_like,
         make_classification,
@@ -123,16 +75,16 @@ def _build_dataset(spec: ExperimentSpec):
         return make_cifar_like(
             params["samples"], side=params.get("side", 8), seed=params["seed"]
         )
-    if kind == "regression":
-        params.pop("num_classes", None)
-        params.pop("separation", None)
-        return make_regression(
-            params.pop("samples"), params.pop("features"), **params
-        )
-    raise ConfigurationError(f"unknown dataset kind {kind!r}")
+    # "regression": admission knows no other kind
+    params.pop("num_classes", None)
+    params.pop("separation", None)
+    return make_regression(
+        params.pop("samples"), params.pop("features"), **params
+    )
 
 
 def _build_model(spec: ExperimentSpec, dataset):
+    """One branch per :data:`~repro.engine.spec.MODEL_KINDS` entry."""
     from ..training.models import (
         LinearRegressionModel,
         LogisticRegressionModel,
@@ -148,13 +100,12 @@ def _build_model(spec: ExperimentSpec, dataset):
         return LogisticRegressionModel(features, **params)
     if kind == "linear":
         return LinearRegressionModel(features, **params)
-    if kind in ("softmax", "mlp"):
-        params.setdefault("num_classes", int(np.max(dataset.labels)) + 1)
-        if kind == "softmax":
-            return SoftmaxRegressionModel(features, **params)
-        params.setdefault("hidden_units", 32)
-        return MLPClassifier(features, **params)
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+    params.setdefault("num_classes", int(np.max(dataset.labels)) + 1)
+    if kind == "softmax":
+        return SoftmaxRegressionModel(features, **params)
+    # "mlp": admission knows no other kind
+    params.setdefault("hidden_units", 32)
+    return MLPClassifier(features, **params)
 
 
 def _environment_sections(spec: ExperimentSpec) -> Dict[str, Any]:
@@ -179,11 +130,13 @@ def _environment_sections(spec: ExperimentSpec) -> Dict[str, Any]:
     return sections
 
 
-def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
+def _build_rule(spec: ExperimentSpec, environment: Environment) -> UpdateRule:
+    from ..training.optimizers import SGD
+
     params = spec.rule_params
     if spec.rule == "sync":
         return SyncUpdate(
-            ctx.optimizer,
+            SGD(spec.learning_rate),
             recovery_scaled_lr=params.get("recovery_scaled_lr", False),
         )
     if spec.rule == "local-update":
@@ -193,15 +146,15 @@ def _build_rule(spec: ExperimentSpec, ctx: BuildContext) -> UpdateRule:
         )
     if spec.rule == "adaptive":
         return AdaptiveMigration(
-            ctx.optimizer,
+            SGD(spec.learning_rate),
             wait_for=spec.wait_for,
             partition_bytes=params.get("partition_bytes", 1e7),
-            network=ctx.environment.network,
+            network=environment.network,
             review_every=params.get("review_every", 25),
             min_recovery_gain=params.get("min_recovery_gain", 0.05),
             rng=np.random.default_rng(params.get("seed", spec.seed + 5)),
         )
-    return AsyncUpdate(ctx.optimizer)  # admission knows no other rule
+    return AsyncUpdate(SGD(spec.learning_rate))  # admission knows no other rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,7 +182,6 @@ class EnginePlan:
     strategy: "TrainingStrategy" = field(init=False, repr=False)
     #: ``Environment(**environment)`` builds one engine's models.
     environment: Mapping[str, Any] = field(init=False, repr=False)
-    backend: BackendFactory = field(init=False, repr=False)
     #: ``spec.fingerprint()``, computed once: every snapshot of this
     #: plan's engines carries it and :meth:`restore` checks it.
     spec_fingerprint: str = field(init=False, repr=False)
@@ -262,9 +214,6 @@ class EnginePlan:
                 **params,
             ),
             "environment": _environment_sections(spec),
-            "backend": BACKEND_REGISTRY.resolve(
-                "async-arrivals" if spec.rule == "async" else spec.backend
-            ),
             "spec_fingerprint": spec.fingerprint(),
         }
         # Partitions, streams, the GC matrix and decoder tables are
@@ -281,29 +230,32 @@ class EnginePlan:
         """One engine of this plan, at round zero with fresh run state;
         ``tracer`` (a :class:`~repro.obs.RoundTracer`) threads per-round
         tracing through it and never perturbs the run."""
-        from ..training.optimizers import SGD
-
         spec = self.spec
         model = copy.deepcopy(self.model)
         strategy = self.strategy.spawn(
             spec.scheme_params.get("seed", spec.seed + 3)
         )
-        ctx = BuildContext(
-            spec=spec,
-            model=model,
-            streams=self.streams,
-            strategy=strategy,
-            optimizer=SGD(spec.learning_rate),
-            eval_data=self.dataset,
-            environment=Environment(**self.environment),
-            rng=np.random.default_rng(spec.seed + 4),
-        )
+        environment = Environment(**self.environment)
+        rng = np.random.default_rng(spec.seed + 4)
+        if _runs_on(spec) == "async-arrivals":
+            backend = AsyncArrivalBackend(environment, rng=rng)
+        else:
+            # ``actor`` is the paper's Ray round (Sec. VIII-A): the flat
+            # round with model-sized broadcasts and uploads.
+            sizes = (
+                {"gradient_elements": model.num_parameters}
+                if spec.backend == "actor" else {}
+            )
+            backend = FlatBackend(environment.simulator(
+                spec.num_workers, strategy.placement.partitions_per_worker,
+                rng=rng, **sizes,
+            ))
         return RoundEngine(
             model=model,
             streams=self.streams,
             strategy=strategy,
-            backend=self.backend(ctx),
-            rule=_build_rule(spec, ctx),
+            backend=backend,
+            rule=_build_rule(spec, environment),
             eval_data=self.dataset,
             tracer=tracer,
             plan=self,

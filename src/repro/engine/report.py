@@ -22,13 +22,11 @@ import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union,
+    Any, Dict, Mapping, Optional, Tuple, Union,
 )
 
 from ..types import AsyncSummary, TrainingSummary
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .spec import ExperimentSpec
+from .spec import ExperimentSpec, _runs_on
 
 
 @dataclass(frozen=True)
@@ -79,9 +77,7 @@ class RunReport:
         fingerprint = None
         if spec is not None:
             scheme = spec.scheme
-            backend = (
-                "async-arrivals" if spec.rule == "async" else spec.backend
-            )
+            backend = _runs_on(spec)
             rule = spec.rule
             fingerprint = spec.fingerprint()
             if name is None:

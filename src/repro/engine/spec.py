@@ -1,4 +1,4 @@
-"""Declarative experiments: :class:`ExperimentSpec` plus registries.
+"""Declarative experiments: :class:`ExperimentSpec` and its name tables.
 
 An experiment used to be ~40 lines of hand wiring (dataset → partitions
 → streams → model → strategy → simulator → trainer) copy-pasted across
@@ -16,47 +16,42 @@ same information as data::
     )
     summary = run_spec(spec)
 
-Specs load from JSON or TOML files (``repro run spec.json``), and two
-registries make the system open for extension without modification:
+Specs load from JSON or TOML files (``repro run spec.json``).  The
+paper compares a fixed set of schemes on a fixed set of backends, so
+both are closed tables filled here with data:
 
-* :data:`SCHEME_REGISTRY` — scheme name → strategy factory
-  (:func:`register_scheme`, :func:`make_strategy`);
-* :data:`BACKEND_REGISTRY` — backend name → execution-backend factory
-  (:func:`register_backend`).
+* :data:`SCHEME_REGISTRY` — scheme name → the placement family it runs
+  over, or ``None``; :func:`make_strategy` is the one builder;
+* :data:`BACKEND_REGISTRY` — backend name → what it runs;
+  :meth:`~repro.engine.plan.EnginePlan.engine` builds it.
 
-A third registry lives one layer down:
-:data:`~repro.core.scheme.PLACEMENT_REGISTRY` maps placement-family
-names to :class:`~repro.core.placement.Placement` subclasses, and the
-IS-GC factory here builds its placements through it.  The generic
-``is-gc`` scheme exposes *every* registered family to specs:
-``scheme="is-gc"`` with ``scheme_params={"placement": "hr", ...}``;
-``is-gc-fr``, ``is-gc-cr`` and ``is-gc-hr`` are presets of it that fix
-``placement`` (:data:`SCHEME_FAMILIES`).
-
-The environment side goes through a fourth registry family:
-:data:`~repro.env.ENV_REGISTRY` resolves the ``delay:`` / ``failure:``
-/ ``compute:`` / ``network:`` / ``contention:`` sections by kind, so
-every registered straggler scenario (``repro environments``) is
-spec-reachable — nested composites (``persistent`` / ``diurnal`` /
-``bursty`` / ``mixture`` / ``bernoulli``) name their sub-models the
-same way.
-
-Registering one factory is all a new scheme, backend or placement
-family needs; the engine and the CLI pick it up by name.
+Admission refuses a name neither table holds.  The open tables live one
+layer down: :data:`~repro.core.scheme.PLACEMENT_REGISTRY` maps
+placement-family names to :class:`~repro.core.placement.Placement`
+subclasses, and the generic ``is-gc`` scheme exposes *every* registered
+family to specs: ``scheme="is-gc"`` with ``scheme_params={"placement":
+"hr", ...}``; ``is-gc-fr``, ``is-gc-cr`` and ``is-gc-hr`` are presets of
+it that fix ``placement``.  :data:`~repro.env.ENV_REGISTRY` resolves the
+``delay:`` / ``failure:`` / ``compute:`` / ``network:`` /
+``contention:`` sections by kind, so every registered straggler
+scenario (``repro environments``) is spec-reachable — nested composites
+(``persistent`` / ``diurnal`` / ``bursty`` / ``mixture`` /
+``bernoulli``) name their sub-models the same way.  So a new IS-GC
+variant is a placement-family registration; a new scheme is one row
+of :data:`SCHEME_REGISTRY` plus one :func:`make_strategy` branch.
 
 Turning a spec into an engine is :mod:`repro.engine.plan`'s job
-(:class:`~repro.engine.plan.EnginePlan`, the built-in backends);
-:func:`build_engine` and :func:`run_spec` stay importable from here.
+(:class:`~repro.engine.plan.EnginePlan`); :func:`build_engine` and
+:func:`run_spec` stay importable from here.
 
-Training-layer classes are imported lazily inside the factories so
-``repro.engine`` never circularly imports ``repro.training`` at module
-load.
+Training-layer classes are imported lazily inside :func:`make_strategy`
+so ``repro.engine`` never circularly imports ``repro.training`` at
+module load.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import inspect
 import json
@@ -68,38 +63,45 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.scheme import placement_spec_problems, resolve_placement
+from ..core.scheme import (
+    placement_spec_problems,
+    resolve_placement,
+    spec_placement_scheme,
+)
 from ..env.registry import LAYERS, model_spec_problems
 from ..exceptions import ConfigurationError
-from ..registry import Registry
-from .backends import ExecutionBackend
+from ..registry import Registry, did_you_mean
 
-SchemeFactory = Callable[..., Any]
-BackendFactory = Callable[["BuildContext"], ExecutionBackend]
-
-SCHEME_REGISTRY: Registry[SchemeFactory] = Registry(
+#: scheme name → the placement family it runs over, or ``None``:
+#: ``gc`` decodes CR, each ``is-gc-<family>`` preset is ``is-gc`` with
+#: ``placement`` fixed, and ``is-gc``'s own entry is its default
+#: ``placement``.  Admission reads it to check a scheme's placement
+#: constraints.
+SCHEME_REGISTRY: Registry[Optional[str]] = Registry(
     "scheme", "schemes", ConfigurationError
 )
-BACKEND_REGISTRY: Registry[BackendFactory] = Registry(
+#: backend name → what it runs.
+BACKEND_REGISTRY: Registry[str] = Registry(
     "backend", "backends", ConfigurationError
 )
+for _name, _family in (
+    ("sync-sgd", None), ("is-sgd", None), ("gc", "cr"), ("is-gc-fr", "fr"),
+    ("is-gc-cr", "cr"), ("is-gc-hr", "hr"), ("is-gc", "cr"),
+):
+    SCHEME_REGISTRY.register(_name, _family)
+for _name, _runs in (
+    ("flat", "the simulated synchronous round, 10 000-element messages"),
+    # The paper's Ray round (Sec. VIII-A).
+    ("actor", "the flat round with model-sized broadcasts and uploads"),
+    ("async-arrivals", "one update per arrival; the async rule's backend"),
+):
+    BACKEND_REGISTRY.register(_name, _runs)
 
 
-def register_scheme(name: str) -> Callable[[SchemeFactory], SchemeFactory]:
-    """Decorator registering a strategy factory under ``name``.
-
-    Factories are called as ``factory(num_workers=...,
-    partitions_per_worker=..., wait_for=..., rng=..., **params)`` and
-    return a :class:`~repro.training.strategies.TrainingStrategy`.
-    """
-
-    return functools.partial(SCHEME_REGISTRY.register, name)
-
-
-def register_backend(name: str) -> Callable[[BackendFactory], BackendFactory]:
-    """Decorator registering an execution-backend factory under ``name``."""
-
-    return functools.partial(BACKEND_REGISTRY.register, name)
+def _runs_on(spec: "ExperimentSpec") -> str:
+    """The backend ``spec`` runs on: the async rule's is always
+    ``async-arrivals`` (its spec may name ``flat``, the default)."""
+    return "async-arrivals" if spec.rule == "async" else spec.backend
 
 
 def make_strategy(
@@ -112,70 +114,72 @@ def make_strategy(
     seed: Optional[int] = None,
     **params: Any,
 ):
-    """Instantiate the registered scheme ``name``.
+    """Instantiate scheme ``name``, one of :data:`SCHEME_REGISTRY`.
 
-    ``seed`` is sugar for ``rng=np.random.default_rng(seed)`` (matching
-    the figure runners' per-trial seeding); an explicit ``rng`` wins.
+    ``params`` are the scheme's ``scheme_params`` but ``seed``: IS-GC's
+    ``placement`` and its family's own parameters.  ``seed`` is sugar
+    for ``rng=np.random.default_rng(seed)`` (matching the figure
+    runners' per-trial seeding); an explicit ``rng`` wins.
     """
-    factory = SCHEME_REGISTRY.resolve(name)
-    if rng is None and seed is not None:
-        rng = np.random.default_rng(seed)
-    return factory(
-        num_workers=num_workers,
-        partitions_per_worker=partitions_per_worker,
-        wait_for=wait_for,
-        rng=rng,
-        **params,
+    from ..training.strategies import (
+        ClassicGCStrategy,
+        ISGCStrategy,
+        ISSGDStrategy,
+        SyncSGDStrategy,
     )
 
+    family = SCHEME_REGISTRY.resolve(name)
+    problem = _unknown_scheme_params(name, params)
+    if problem is not None:
+        raise ConfigurationError(problem)
+    if rng is None and seed is not None:
+        rng = np.random.default_rng(seed)
+    if name == "sync-sgd":
+        return SyncSGDStrategy(num_workers)
+    if name == "gc":
+        placement = spec_placement_scheme(
+            family, num_workers=num_workers,
+            partitions_per_worker=partitions_per_worker,
+        )
+        return ClassicGCStrategy(placement, rng=rng)
+    if wait_for is None:
+        raise ConfigurationError(f"scheme {name!r} needs wait_for")
+    if name == "is-sgd":
+        return ISSGDStrategy(num_workers, wait_for)
+    placement = spec_placement_scheme(
+        params.pop("placement", family),
+        num_workers=num_workers,
+        partitions_per_worker=partitions_per_worker,
+        **params,
+    )
+    return ISGCStrategy(placement, wait_for=wait_for, rng=rng)
 
-# ----------------------------------------------------------------------
-# Built-in schemes.  Lazy imports keep engine ↔ training acyclic.
 
-#: Scheme → the placement family it runs over: ``gc`` decodes CR, and
-#: each ``is-gc-<family>`` preset is ``is-gc`` with ``placement`` fixed
-#: (``is-gc``'s own entry is its default ``placement``).  Spec
-#: admission reads it to check a scheme's placement constraints.
-SCHEME_FAMILIES: Mapping[str, str] = {
-    "gc": "cr",
-    "is-gc-fr": "fr",
-    "is-gc-cr": "cr",
-    "is-gc-hr": "hr",
-    "is-gc": "cr",
-}
-
-#: ``scheme_params`` every built-in scheme accepts, used or not, so one
-#: params table can be shared across a ``scheme`` grid.
+#: ``scheme_params`` every scheme accepts, used or not, so one params
+#: table can be shared across a ``scheme`` grid.
 _COMMON_SCHEME_PARAMS = ("seed",)
-
-#: built-in schemes that take the common ``scheme_params`` only.
-_PLAIN_SCHEMES = ("sync-sgd", "is-sgd", "gc")
 
 
 def _scheme_param_names(
     scheme: str, placement: Any = None
 ) -> Optional[Tuple[str, ...]]:
-    """The ``scheme_params`` keys built-in ``scheme`` accepts, in the
-    order a refusal lists them; ``None`` when the set is open or not
-    known here.
+    """The ``scheme_params`` keys ``scheme`` accepts, in the order a
+    refusal lists them; ``None`` when the set is open or not known here.
 
-    Every built-in scheme takes the common keys.  An ``is-gc-<family>``
-    preset also takes its family's own placement parameters (HR's
-    ``c1``, ``c2``, ``num_groups``), and ``is-gc`` takes ``placement``
-    plus the parameters of that family (its default when ``None``).
-    A scheme registered elsewhere, an unknown family (admission names
-    it) and a family that forwards extra keywords to a base family
-    read ``None``.  Admission and the factories both check this set.
+    Every scheme takes the common keys.  An ``is-gc-<family>`` preset
+    also takes its family's own placement parameters (HR's ``c1``,
+    ``c2``, ``num_groups``), and ``is-gc`` takes ``placement`` plus the
+    parameters of that family (its default when ``None``).  An unknown
+    family (admission names it) and a family that forwards extra
+    keywords to a base family read ``None``.
     """
-    if scheme in _PLAIN_SCHEMES:
+    if not scheme.startswith("is-gc"):
         return _COMMON_SCHEME_PARAMS
+    head, family = (), SCHEME_REGISTRY[scheme]
     if scheme == "is-gc":
         head = ("placement",)
-        family = placement if placement is not None else SCHEME_FAMILIES[scheme]
-    elif scheme.startswith("is-gc-") and scheme in SCHEME_FAMILIES:
-        head, family = (), SCHEME_FAMILIES[scheme]
-    else:
-        return None
+        if placement is not None:
+            family = placement
     try:
         cls = resolve_placement(family)
     except ConfigurationError:
@@ -193,8 +197,9 @@ def _scheme_param_names(
 def _unknown_scheme_params(
     scheme: str, params: Mapping[str, Any]
 ) -> Optional[str]:
-    """The refusal for ``params`` keys ``scheme`` does not accept, or
-    ``None`` when every key is accepted (or the set is open)."""
+    """The refusal for the ``params`` keys that ``scheme`` (a table
+    entry) does not accept, or ``None`` when every key is accepted (or
+    the set is open)."""
     accepted = _scheme_param_names(scheme, params.get("placement"))
     if accepted is None:
         return None
@@ -206,96 +211,6 @@ def _unknown_scheme_params(
         f"{_did_you_mean(unknown, accepted)}; "
         f"accepted: {', '.join(accepted)}"
     )
-
-
-def _reject_unknown_params(scheme: str, params: Mapping[str, Any]) -> None:
-    """A built-in factory's leftover ``**params`` are typos: fail like
-    a misspelt ``rule_params`` key instead of dropping them."""
-    problem = _unknown_scheme_params(scheme, params)
-    if problem is not None:
-        raise ConfigurationError(problem)
-
-
-@register_scheme("sync-sgd")
-def _sync_sgd(*, num_workers, partitions_per_worker=1, wait_for=None,
-              rng=None, **params):
-    from ..training.strategies import SyncSGDStrategy
-
-    _reject_unknown_params("sync-sgd", params)
-    return SyncSGDStrategy(num_workers)
-
-
-@register_scheme("is-sgd")
-def _is_sgd(*, num_workers, partitions_per_worker=1, wait_for=None,
-            rng=None, **params):
-    from ..training.strategies import ISSGDStrategy
-
-    _reject_unknown_params("is-sgd", params)
-    if wait_for is None:
-        raise ConfigurationError("scheme 'is-sgd' needs wait_for")
-    return ISSGDStrategy(num_workers, wait_for)
-
-
-@register_scheme("gc")
-def _classic_gc(*, num_workers, partitions_per_worker=1, wait_for=None,
-                rng=None, **params):
-    from ..core.scheme import make_placement
-    from ..training.strategies import ClassicGCStrategy
-
-    _reject_unknown_params("gc", params)
-    placement = make_placement(
-        SCHEME_FAMILIES["gc"], num_workers=num_workers,
-        partitions_per_worker=partitions_per_worker,
-    )
-    return ClassicGCStrategy(placement, rng=rng)
-
-
-def _isgc_preset(name: str, family: str) -> SchemeFactory:
-    """``is-gc`` with ``placement=family`` fixed: the preset takes the
-    family's own parameters (HR's ``c1``, ``c2``, ``num_groups``)
-    besides the common ones, and no ``placement``."""
-
-    def preset(*, num_workers, partitions_per_worker=1, wait_for=None,
-               rng=None, seed=None, **params):
-        _reject_unknown_params(name, params)
-        return _isgc_any(
-            num_workers=num_workers,
-            partitions_per_worker=partitions_per_worker,
-            wait_for=wait_for, rng=rng, placement=family, **params,
-        )
-
-    return preset
-
-
-for _name, _family in SCHEME_FAMILIES.items():
-    if _name.startswith("is-gc-"):
-        register_scheme(_name)(_isgc_preset(_name, _family))
-
-
-@register_scheme("is-gc")
-def _isgc_any(*, num_workers, partitions_per_worker=1, wait_for=None,
-              rng=None, placement=SCHEME_FAMILIES["is-gc"], **params):
-    """Generic IS-GC over *any* registered placement family.
-
-    ``scheme_params={"placement": "<family>", ...}`` routes the
-    remaining params to the family's :func:`register_placement` class,
-    so new families become spec-constructible without touching this
-    module (e.g. ``placement="hr"`` with ``c1``/``c2``/``num_groups``,
-    or ``placement="explicit"`` with ``rows``).
-    """
-    from ..core.scheme import spec_placement_scheme
-    from ..training.strategies import ISGCStrategy
-
-    _reject_unknown_params("is-gc", {"placement": placement, **params})
-    placement = spec_placement_scheme(
-        placement,
-        num_workers=num_workers,
-        partitions_per_worker=partitions_per_worker,
-        **params,
-    )
-    if wait_for is None:
-        raise ConfigurationError("IS-GC schemes need wait_for")
-    return ISGCStrategy(placement, wait_for=wait_for, rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +226,11 @@ _DEFAULT_DATASET: Mapping[str, Any] = {
 }
 
 _DEFAULT_MODEL: Mapping[str, Any] = {"kind": "logistic"}
+
+#: the ``kind``s ``plan._build_dataset`` and ``plan._build_model``
+#: build, one branch each; admission refuses any other.
+DATASET_KINDS = ("classification", "cifar-like", "regression")
+MODEL_KINDS = ("logistic", "linear", "softmax", "mlp")
 
 _DEFAULT_DELAY: Mapping[str, Any] = {"kind": "exponential", "mean": 1.0}
 
@@ -404,8 +324,13 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     ``scheme_params.seed`` and every ``rule_params`` value, which would
     otherwise fail only inside the run; the paper's
     constraints on ``n``, ``c`` and ``w`` are checked only
-    where their fields are well typed.  Placement feasibility goes
-    through the placement registry's hooks and each environment
+    where their fields are well typed.  ``name`` must be a string;
+    ``scheme``, ``backend`` and ``rule`` must name an entry of their
+    closed tables, and ``dataset`` and ``model`` must be mappings whose
+    ``kind`` (defaulted as the plan defaults it) is one the plan
+    builds.  Their other parameters' names and values are the
+    builders' to check, when the plan is built.  Placement feasibility
+    goes through the placement registry's hooks and each environment
     section through the environment registry's, so a newly registered
     family is checked here without touching this function.
     """
@@ -428,16 +353,48 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
             "loss_threshold must be null or a real number, "
             f"got {spec.loss_threshold!r}"
         )
+    if not isinstance(spec.name, str):
+        problems.append(f"name must be a string, got {spec.name!r}")
+    for table, value in (
+        (SCHEME_REGISTRY, spec.scheme), (BACKEND_REGISTRY, spec.backend),
+    ):
+        try:
+            table.resolve(value)
+        except ConfigurationError as exc:
+            problems.append(str(exc))
+    scheme_known = (
+        isinstance(spec.scheme, str) and spec.scheme in SCHEME_REGISTRY
+    )
+    for name, default, kinds in (
+        ("dataset", _DEFAULT_DATASET, DATASET_KINDS),
+        ("model", _DEFAULT_MODEL, MODEL_KINDS),
+    ):
+        section = getattr(spec, name)
+        if not isinstance(section, Mapping):
+            problems.append(
+                f"{name} must be a {{'kind': ...}} mapping, got {section!r}"
+            )
+            continue
+        kind = section.get("kind", default["kind"])
+        if kind not in kinds:
+            problems.append(
+                f"unknown {name} kind {kind!r}{did_you_mean(kind, kinds)} "
+                f"(known kinds: {', '.join(kinds)})"
+            )
     if isinstance(spec.dataset, Mapping) and "batch_size" in spec.dataset:
         problems += _int_problems(
             "dataset.batch_size", spec.dataset["batch_size"], minimum=1
         )
-    accepted = _RULE_PARAMS.get(spec.rule)
-    if accepted is None:
-        problems.append(
-            f"unknown rule {spec.rule!r}; expected sync, local-update, "
-            "adaptive or async"
-        )
+    accepted = None
+    if not isinstance(spec.rule, str):
+        problems.append(f"rule must be a string, got {spec.rule!r}")
+    else:
+        accepted = _RULE_PARAMS.get(spec.rule)
+        if accepted is None:
+            problems.append(
+                f"unknown rule {spec.rule!r}; expected sync, local-update, "
+                "adaptive or async"
+            )
     for name in ("scheme_params", "rule_params"):
         if not isinstance(getattr(spec, name), Mapping):
             problems.append(
@@ -459,7 +416,7 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
                 problems.append(
                     f"rule_params.{key} must be {what}, got {value!r}"
                 )
-    if isinstance(spec.scheme, str) and isinstance(spec.scheme_params, Mapping):
+    if scheme_known and isinstance(spec.scheme_params, Mapping):
         unknown_scheme = _unknown_scheme_params(spec.scheme, spec.scheme_params)
         if unknown_scheme is not None:
             problems.append(unknown_scheme)
@@ -485,7 +442,7 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
         spec.scheme, spec.num_workers, spec.partitions_per_worker,
         spec.wait_for,
     )
-    waits = isinstance(scheme, str) and scheme.startswith("is-")
+    waits = scheme_known and scheme.startswith("is-")
     if w is None and waits:
         # IS-SGD and every IS-GC scheme wait for w workers each round.
         problems.append(
@@ -512,10 +469,7 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
                 key: value for key, value in spec.scheme_params.items()
                 if key not in _COMMON_SCHEME_PARAMS
             }
-            family = (
-                SCHEME_FAMILIES.get(scheme) if isinstance(scheme, str)
-                else None
-            )
+            family = SCHEME_REGISTRY[scheme] if scheme_known else None
             if scheme == "is-gc":
                 family = params.pop("placement", family)
             if family is not None:
@@ -784,7 +738,7 @@ def _spec_toml(data: Dict[str, Any]) -> str:
 
 
 #: names that moved to plan.py with the spec → engine assembly.
-_PLAN_NAMES = ("BuildContext", "build_engine", "run_spec", "run_spec_variation")
+_PLAN_NAMES = ("build_engine", "run_spec", "run_spec_variation")
 
 
 def __getattr__(name: str) -> Any:

@@ -33,10 +33,9 @@ from ..analysis import (
     monte_carlo_recovery,
 )
 from ..analysis.reporting import Table
+from ..analysis.theory import alpha_bounds
 from ..codes import LeastSquaresDecoder, StochasticSumDecoder
 from ..core import (
-    alpha_lower_bound,
-    alpha_upper_bound,
     coefficients,
     decoder_for,
     make_placement,
@@ -240,8 +239,9 @@ def approx_vs_isgc_table() -> Table:
 # Theory
 # ----------------------------------------------------------------------
 def bounds_table() -> Table:
-    """Thm 10/11's band on ``α(G[W'])`` against the exact expectation
-    and a Monte-Carlo estimate, per placement and ``w``."""
+    """Each placement's own band on ``α(G[W'])`` (Thm 10/11; HR's
+    corrected group-wise bracket) against the exact expectation and a
+    Monte-Carlo estimate, per placement and ``w``."""
     table = Table(
         title="Theory — Thm 10/11 bounds vs exact and Monte-Carlo E[α]",
         columns=[
@@ -254,15 +254,13 @@ def bounds_table() -> Table:
         ("HR(8,2,2,g=2)",
          make_placement("hr", num_workers=8, c1=2, c2=2, num_groups=2)),
     ):
-        n = placement.num_workers
         c = placement.partitions_per_worker
         for w in (2, 4, 6, 8):
             mc = monte_carlo_recovery(
                 placement, w, trials=2000, seed=1
             ).mean_recovered / c
             table.add_row(
-                name, w,
-                alpha_lower_bound(n, c, w), alpha_upper_bound(n, c, w),
+                name, w, *alpha_bounds(placement, w),
                 round(expected_alpha_exact(placement, w), 4), round(mc, 4),
             )
     return table

@@ -1,9 +1,10 @@
 """One name table: how a name becomes a thing.
 
-Placement families, decoders, schemes, backends, the five environment
-layers, CLI commands and static-check rules are all looked up by a
-string from a spec file, a command line or a decorator.  Each table is
-a :class:`Registry`, so the rules are stated once: a *spelling*
+Placement families, schemes, backends, the five environment layers,
+CLI commands and static-check rules are all looked up by a string from
+a spec file, a command line or a decorator.  (Schemes and backends are
+closed tables, filled once with data in :mod:`repro.engine.spec`.)
+Each table is a :class:`Registry`, so the rules are stated once: a *spelling*
 (canonical name or alias) belongs to at most one entry and claiming it
 twice is an error, never a silent overwrite; lookups accept any
 spelling while iteration, ``len`` and listings see canonical names in

@@ -35,7 +35,7 @@ from ..codes.gc_scheme import ClassicGradientCode
 from ..core.batch import validate_mask
 from ..core.coding import SummationCode, as_block, combine
 from ..core.scheme import make_placement
-from ..core.decoders import Decoder, decoder_for
+from ..core.decoders import Decoder
 from ..core.placement import Placement
 from ..exceptions import ConfigurationError
 from ..parallel.cache import DecodeCache
@@ -237,7 +237,7 @@ class ISGCStrategy(TrainingStrategy):
         super().__init__(placement, policy or WaitForK(wait_for))
         self._w = wait_for
         self._code = SummationCode(placement)
-        self._decoder = decoder or decoder_for(placement, rng=rng)
+        self._decoder = decoder or placement.decoder(rng=rng)
         self.name = f"is-gc-{placement.scheme}"
         #: The most recent DecodeResult, for observability (trainers
         #: read num_searches / recovered counts from here).

@@ -476,29 +476,25 @@ class TestCacheBatchPartition:
 
 
 class TestFallbackWarning:
-    def test_unknown_scheme_warns(self):
-        from repro.core.exact_decoder import ExactDecoder
-
-        class OddPlacement(CyclicRepetition):
-            scheme = "custom-unknown"
-
-        with pytest.warns(RuntimeWarning, match="custom-unknown.*exact-MIS"):
-            dec = decoder_for(OddPlacement(4, 2))
-        assert isinstance(dec, ExactDecoder)
+    """Each placement picks its decoder; none of them warns."""
 
     @pytest.mark.parametrize("name", ["explicit", "hetero"])
     def test_exact_by_design_schemes_stay_silent(self, name):
+        from repro.core.exact_decoder import ExactDecoder
+
         placement = dict(FAMILIES)[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            decoder_for(placement, rng=np.random.default_rng(0))
+            dec = decoder_for(placement, rng=np.random.default_rng(0))
+        assert isinstance(dec, ExactDecoder)
 
     @pytest.mark.parametrize("name", ["fr", "cr", "hr"])
     def test_registered_schemes_stay_silent(self, name):
         placement = dict(FAMILIES)[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            decoder_for(placement, rng=np.random.default_rng(0))
+            dec = decoder_for(placement, rng=np.random.default_rng(0))
+        assert dec.scheme == placement.scheme == name
 
 
 class TestVarianceBatchPath:

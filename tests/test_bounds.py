@@ -69,6 +69,10 @@ class TestBoundsHoldEmpirically:
         CyclicRepetition(8, 3),
         HybridRepetition(8, 2, 2, 2),
         HybridRepetition(8, 3, 1, 2),
+        # n0 = 6 > c = 4: the printed Theorem 10 bracket misses these,
+        # each placement's own (corrected) bracket holds.
+        HybridRepetition(12, 4, 0, 2),
+        HybridRepetition(12, 3, 1, 2),
     ])
     def test_all_subsets_within_bounds(self, placement):
         n = placement.num_workers

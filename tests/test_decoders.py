@@ -207,12 +207,3 @@ class TestExactDecoder:
             seen.add(dec.decode(range(4)).selected_workers)
         # C_4^1 has two maximum independent sets: {0,2} and {1,3}.
         assert seen == {frozenset({0, 2}), frozenset({1, 3})}
-
-    def test_registered_as_fallback(self):
-        class OddPlacement(CyclicRepetition):
-            scheme = "custom-unknown"
-
-        # The exponential fallback is never silent for unknown schemes.
-        with pytest.warns(RuntimeWarning, match="exact-MIS"):
-            dec = decoder_for(OddPlacement(4, 2))
-        assert isinstance(dec, ExactDecoder)

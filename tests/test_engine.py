@@ -1,6 +1,6 @@
-"""Engine-level tests: backend equivalence and registry extensibility.
+"""Engine-level tests: backend equivalence and the closed name tables.
 
-Two properties anchor the refactor:
+Two properties anchor the engine:
 
 * **flat == actor, exactly.**  The hypothesis test runs the same
   :class:`~repro.engine.spec.ExperimentSpec` through both backend
@@ -12,32 +12,26 @@ Two properties anchor the refactor:
   cost zeroed they must consume identical delay-model draws and
   produce identical arithmetic.
 
-* **A new scheme is one registration.**  The acceptance test registers
-  a toy placement scheme with :func:`~repro.engine.spec.register_scheme`
-  and drives it end-to-end through ``repro run <spec.json>`` without
-  touching any engine code.
+* **Schemes and backends are closed tables.**  An unknown scheme is
+  refused by :func:`~repro.engine.spec.make_strategy` and an unknown
+  backend by spec construction, each naming the table's entries.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cli
 from repro.engine import (
     ExperimentSpec,
     build_engine,
     make_strategy,
-    register_backend,
-    register_scheme,
     run_spec,
 )
-from repro.engine.backends import FlatBackend
 from repro.engine.spec import BACKEND_REGISTRY, SCHEME_REGISTRY
 from repro.exceptions import ConfigurationError
 
@@ -127,76 +121,18 @@ class TestRegistries:
         with pytest.raises(ConfigurationError, match="is-gc-cr"):
             make_strategy("no-such-scheme", num_workers=4)
 
-    def test_toy_scheme_runs_through_cli(self, tmp_path, capsys):
-        """Acceptance criterion: register a scheme, run it via
-        ``repro run`` — no engine code modified."""
-
-        @register_scheme("toy-everyone")
-        def _toy(*, num_workers, partitions_per_worker=1, wait_for=None,
-                 rng=None, **params):
-            from repro.training.strategies import SyncSGDStrategy
-
-            return SyncSGDStrategy(num_workers)
-
-        try:
-            spec = ExperimentSpec(
-                name="toy-via-cli",
-                scheme="toy-everyone",
-                num_workers=4,
-                max_steps=4,
-                seed=0,
-            )
-            path = tmp_path / "toy.json"
-            path.write_text(json.dumps(spec.to_dict()))
-
-            assert cli.main(["run", str(path)]) == 0
-            out = capsys.readouterr().out
-            assert "toy-via-cli" in out
-            assert "toy-everyone" in out
-        finally:
-            SCHEME_REGISTRY.pop("toy-everyone", None)
-
-    def test_toy_backend_is_one_registration(self):
-        """Backends are pluggable the same way: a registered factory is
-        picked up by ``build_engine`` with no engine edits."""
-
-        @register_backend("toy-flat")
-        def _toy_backend(ctx):
-            from repro.simulation.cluster import ClusterSimulator
-
-            cluster = ClusterSimulator(
-                num_workers=ctx.strategy.placement.num_workers,
-                partitions_per_worker=(
-                    ctx.strategy.placement.partitions_per_worker
-                ),
-                environment=ctx.environment,
-                rng=ctx.rng,
-            )
-            return FlatBackend(cluster)
-
-        try:
-            spec = _spec(
-                "is-gc-cr", wait_for=2, seed=9, backend="toy-flat"
-            )
-            toy = run_spec(spec)
-            ref = run_spec(dataclasses.replace(spec, backend="flat"))
-            assert toy.loss_curve == ref.loss_curve
-        finally:
-            BACKEND_REGISTRY.pop("toy-flat", None)
-
     def test_registration_never_silently_overwrites(self):
         flat, is_gc = BACKEND_REGISTRY["flat"], SCHEME_REGISTRY["is-gc"]
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("flat")(lambda ctx: None)
+            BACKEND_REGISTRY.register("flat", "another round")
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_scheme("is-gc")(lambda **params: None)
+            SCHEME_REGISTRY.register("is-gc", "fr")
         assert BACKEND_REGISTRY["flat"] is flat
         assert SCHEME_REGISTRY["is-gc"] is is_gc
 
     def test_unknown_backend_raises(self):
-        spec = _spec("is-gc-cr", wait_for=2, seed=0, backend="warp-drive")
         with pytest.raises(ConfigurationError, match="warp-drive"):
-            build_engine(spec)
+            _spec("is-gc-cr", wait_for=2, seed=0, backend="warp-drive")
 
 
 class TestSweepOverSpec:

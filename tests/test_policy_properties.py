@@ -1,9 +1,7 @@
 """Property-based tests (hypothesis) for wait policies and schedules."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import DecodeError
 from repro.simulation import BestEffortWaitForK, WaitForK, linear_rampup
 
 
@@ -86,20 +84,3 @@ class TestDecoderForErrors:
         assert decoder.scheme == "exact"
         result = decoder.decode([0, 1, 2])
         assert result.num_recovered >= 1
-
-    def test_descriptive_error_when_fallback_unavailable(self, monkeypatch):
-        # With "exact" stripped from the registry (and its module
-        # already cached, so re-import registers nothing), decoder_for
-        # must raise a DecodeError naming the scheme and the registered
-        # alternatives — not a bare KeyError.
-        from repro.core import ExplicitPlacement
-        from repro.core import decoders as decoders_mod
-        import repro.core.exact_decoder  # noqa: F401 — ensure registered
-
-        monkeypatch.delitem(decoders_mod._REGISTRY, "exact")
-        placement = ExplicitPlacement.from_rows([[0, 1], [1, 0]])
-        with pytest.raises(DecodeError) as exc:
-            decoders_mod.decoder_for(placement)
-        msg = str(exc.value)
-        assert "explicit" in msg
-        assert "cr" in msg and "fr" in msg

@@ -51,6 +51,78 @@ def make_spec(i, max_steps=6):
     )
 
 
+#: A dataset parameter's value is the builder's to check, so a spec
+#: holding this one is admitted and its job fails when its plan builds.
+FAILS_AT_BUILD = {"dataset": {"num_classes": 1}}
+BUILD_ERROR = "need at least 2 classes, got 1"
+
+
+#: ``(id, rule, params, message)``: a spec with ``rule`` and ``params``
+#: (under the message's dotted section, else top-level fields) is
+#: refused at admission with ``f"{message}, got {value!r}"``.  Every
+#: spec field has a row setting it whole to a wrong-typed value.
+ADMISSION_ROWS = [
+    ("scheme-seed-str", "sync", {"seed": "x"},
+     "scheme_params.seed must be an integer >= 0"),
+    ("scheme-seed-negative", "sync", {"seed": -3},
+     "scheme_params.seed must be an integer >= 0"),
+    ("scheme-seed-float", "sync", {"seed": 1.5},
+     "scheme_params.seed must be an integer >= 0"),
+    ("scheme-seed-bool", "sync", {"seed": True},
+     "scheme_params.seed must be an integer >= 0"),
+    ("recovery-scaled-lr-str", "sync", {"recovery_scaled_lr": "no"},
+     "rule_params.recovery_scaled_lr must be a bool"),
+    ("local-steps-str", "local-update", {"local_steps": "2"},
+     "rule_params.local_steps must be a positive integer"),
+    ("local-lr-str", "local-update", {"local_lr": "x"},
+     "rule_params.local_lr must be a positive real number"),
+    ("review-every-str", "adaptive", {"review_every": "a"},
+     "rule_params.review_every must be a positive integer"),
+    ("partition-bytes-negative", "adaptive", {"partition_bytes": -1},
+     "rule_params.partition_bytes must be a real number >= 0"),
+    ("min-recovery-gain-str", "adaptive", {"min_recovery_gain": "0.1"},
+     "rule_params.min_recovery_gain must be a real number in [0, 1]"),
+    ("rule-seed-negative", "adaptive", {"seed": -1},
+     "rule_params.seed must be an integer >= 0"),
+    ("learning-rate-bool", "sync", {"learning_rate": True},
+     "learning_rate must be a positive real number"),
+    ("loss-threshold-str", "sync", {"loss_threshold": "x"},
+     "loss_threshold must be null or a real number"),
+    ("name-int", "sync", {"name": 5}, "name must be a string"),
+    ("scheme-int", "sync", {"scheme": 7}, "scheme must be a string"),
+    ("scheme-list", "sync", {"scheme": ["is-gc"]}, "scheme must be a string"),
+    ("backend-list", "sync", {"backend": ["flat"]},
+     "backend must be a string"),
+    ("rule-list", "sync", {"rule": ["sync"]}, "rule must be a string"),
+    ("num-workers-str", "sync", {"num_workers": "4"},
+     "num_workers must be a positive integer"),
+    ("partitions-per-worker-float", "sync",
+     {"partitions_per_worker": 2.0},
+     "partitions_per_worker must be a positive integer"),
+    ("wait-for-str", "sync", {"wait_for": "3"},
+     "wait_for must be a positive integer"),
+    ("max-steps-bool", "sync", {"max_steps": True},
+     "max_steps must be a positive integer"),
+    ("smoothing-window-str", "sync", {"smoothing_window": "5"},
+     "smoothing_window must be a positive integer"),
+    ("seed-str", "sync", {"seed": "x"}, "seed must be an integer >= 0"),
+    ("dataset-int", "sync", {"dataset": 3},
+     "dataset must be a {'kind': ...} mapping"),
+    ("model-str", "sync", {"model": "mlp"},
+     "model must be a {'kind': ...} mapping"),
+    *(
+        (f"{layer}-int", "sync", {layer: 5},
+         f"spec section {layer!r} must be a kind string or a "
+         "{'kind': ...} mapping")
+        for layer in ("delay", "compute", "network", "failure", "contention")
+    ),
+    ("scheme-params-list", "sync", {"scheme_params": [1]},
+     "scheme_params must be a mapping"),
+    ("rule-params-list", "sync", {"rule_params": [1]},
+     "rule_params must be a mapping"),
+]
+
+
 def sequential_reports(specs, trace_dir=None):
     """The ground truth: each spec run alone, one at a time."""
     reports = []
@@ -303,7 +375,7 @@ class TestLifecycle:
             coord = Coordinator(max_running=1, queue_limit=4)
             done = coord.submit(make_spec(0, max_steps=2), job_id="z-done")
             failed = coord.submit(
-                dataclasses.replace(make_spec(1), scheme="nope"),
+                dataclasses.replace(make_spec(1), **FAILS_AT_BUILD),
                 job_id="y-failed",
             )
             running = coord.submit(
@@ -345,43 +417,33 @@ class TestLifecycle:
         assert all(job["state"] == "done" for job in listing[4:])
 
     def test_failed_job_is_isolated(self):
-        bad_names = [
+        # Unknown names, and names that are not even strings (what a
+        # hand-written JSON payload can hold), are refused at spec
+        # construction as a ConfigurationError, so none becomes a job.
+        for names in (
             {"scheme": "nope"},
             {"backend": "warp-drive"},
-            # Not even strings: what a hand-written JSON payload can
-            # hold.  Must fail as ConfigurationError, not a raw
-            # TypeError from a dict lookup.
             {"scheme": ["is-gc"]},
             {"backend": ["flat"]},
             {"backend": {"kind": "flat"}},
-        ]
+        ):
+            (name,) = names.values()
+            with pytest.raises(ConfigurationError) as exc:
+                dataclasses.replace(make_spec(0), **names)
+            assert repr(name) in str(exc.value)
 
         async def scenario():
             coord = Coordinator(max_running=2)
-            bad_spec = ExperimentSpec(
-                name="bad",
-                scheme="nope",
-                num_workers=4,
-                partitions_per_worker=2,
-                wait_for=3,
-                max_steps=4,
+            bad = coord.submit(
+                dataclasses.replace(make_spec(0), **FAILS_AT_BUILD)
             )
-            bad = coord.submit(bad_spec)
-            others = [
-                coord.submit(dataclasses.replace(make_spec(0), **names))
-                for names in bad_names
-            ]
             good = coord.submit(make_spec(1))
             await coord.drain()
             assert bad.state is JobState.FAILED
-            assert "nope" in bad.error
-            with pytest.raises(JobFailedError, match="nope"):
+            assert "ConfigurationError" in bad.error
+            assert BUILD_ERROR in bad.error
+            with pytest.raises(JobFailedError, match=BUILD_ERROR):
                 await bad.result()
-            for handle, names in zip(others, bad_names):
-                (name,) = names.values()
-                assert handle.state is JobState.FAILED
-                assert "ConfigurationError" in handle.error
-                assert repr(name) in handle.error
             assert good.state is JobState.DONE
             return good
 
@@ -425,11 +487,19 @@ class TestLifecycle:
             "'sed' — did you mean 'seed'?"
         )):
             dataclasses.replace(make_spec(0), scheme_params={"sed": 3})
-        bad_fields = [
-            # Admission checks the environment sections; the dataset and
-            # model kinds are resolved only when the job builds.
+        # Admission checks the dataset and model kinds too ...
+        for fields, message in (
             ({"dataset": {"kind": "mnist"}}, "unknown dataset kind 'mnist'"),
             ({"model": {"kind": "resnet"}}, "unknown model kind 'resnet'"),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
+                dataclasses.replace(make_spec(0), **fields)
+        # ... while their parameters' values fail only when the job
+        # builds.
+        bad_fields = [
+            (FAILS_AT_BUILD, "ConfigurationError", BUILD_ERROR),
+            ({"model": {"kind": "softmax", "num_classes": 1}},
+             "TrainingError", "num_classes >= 2, got 8, 1"),
         ]
         by_name = dataclasses.replace(make_spec(0), delay="none")
 
@@ -437,14 +507,14 @@ class TestLifecycle:
             coord = Coordinator(max_running=2)
             bad = [
                 coord.submit(dataclasses.replace(make_spec(0), **fields))
-                for fields, _ in bad_fields
+                for fields, _, _ in bad_fields
             ]
             named = coord.submit(by_name)
             good = coord.submit(make_spec(1))
             await coord.drain()
-            for handle, (_, message) in zip(bad, bad_fields):
+            for handle, (_, error, message) in zip(bad, bad_fields):
                 assert handle.state is JobState.FAILED
-                assert "ConfigurationError" in handle.error
+                assert error in handle.error
                 assert message in handle.error
             assert named.state is JobState.DONE
             assert good.state is JobState.DONE
@@ -458,10 +528,7 @@ class TestLifecycle:
         assert good.report.to_dict() == solo.to_dict()
 
     def test_run_jobs_raises_on_failed_job(self):
-        bad = ExperimentSpec(
-            name="bad", scheme="nope", num_workers=4,
-            partitions_per_worker=2, wait_for=3,
-        )
+        bad = dataclasses.replace(make_spec(0), **FAILS_AT_BUILD)
         with pytest.raises(JobFailedError):
             run_jobs([bad])
 
@@ -745,44 +812,19 @@ class TestMailbox:
         assert (root / "rejected" / "obj.json").exists()
         assert client.state(good)["state"] == "done"
 
-    @pytest.mark.parametrize("rule, params, message", [
-        ("sync", {"seed": "x"}, "scheme_params.seed must be an integer >= 0"),
-        ("sync", {"seed": -3}, "scheme_params.seed must be an integer >= 0"),
-        ("sync", {"seed": 1.5}, "scheme_params.seed must be an integer >= 0"),
-        ("sync", {"seed": True}, "scheme_params.seed must be an integer >= 0"),
-        ("sync", {"recovery_scaled_lr": "no"},
-         "rule_params.recovery_scaled_lr must be a bool"),
-        ("local-update", {"local_steps": "2"},
-         "rule_params.local_steps must be a positive integer"),
-        ("local-update", {"local_lr": "x"},
-         "rule_params.local_lr must be a positive real number"),
-        ("adaptive", {"review_every": "a"},
-         "rule_params.review_every must be a positive integer"),
-        ("adaptive", {"partition_bytes": -1},
-         "rule_params.partition_bytes must be a real number >= 0"),
-        ("adaptive", {"min_recovery_gain": "0.1"},
-         "rule_params.min_recovery_gain must be a real number in [0, 1]"),
-        ("adaptive", {"seed": -1},
-         "rule_params.seed must be an integer >= 0"),
-        ("sync", {"learning_rate": True},
-         "learning_rate must be a positive real number"),
-        ("sync", {"loss_threshold": "x"},
-         "loss_threshold must be null or a real number"),
-    ], ids=[
-        "scheme-seed-str", "scheme-seed-negative", "scheme-seed-float",
-        "scheme-seed-bool", "recovery-scaled-lr-str", "local-steps-str",
-        "local-lr-str", "review-every-str", "partition-bytes-negative",
-        "min-recovery-gain-str", "rule-seed-negative", "learning-rate-bool",
-        "loss-threshold-str",
-    ])
+    @pytest.mark.parametrize(
+        "rule, params, message",
+        [row[1:] for row in ADMISSION_ROWS],
+        ids=[row[0] for row in ADMISSION_ROWS],
+    )
     def test_bad_seed_or_rule_param_refused_at_admission(
         self, tmp_path, rule, params, message
     ):
-        """Each used to be admitted and then fail inside the run (or, a
-        bool seed or learning rate, run as 1 under its own fingerprint):
-        refused at construction, and a served submission lands in
-        ``rejected/``.  A message naming no params section names a
-        top-level field."""
+        """Each used to be admitted and then fail inside the run (or,
+        a bool seed or learning rate, run as 1 under its own
+        fingerprint; a non-string name, run): refused at construction,
+        and a served submission lands in ``rejected/``.  A message
+        naming no params section names a top-level field."""
         field = message.split()[0]
         payload = {**make_spec(0).to_dict(), "rule": rule}
         if "." in field:
@@ -807,6 +849,40 @@ class TestMailbox:
         assert message in snapshot["error"]
         assert (root / "rejected" / "bad.json").exists()
         assert client.state(good)["state"] == "done"
+
+    def test_every_spec_field_has_an_admission_row(self):
+        """A spec field added without an admission check (and a row
+        above) fails here."""
+        whole = {
+            next(iter(params))
+            for _, _, params, message in ADMISSION_ROWS
+            if "." not in message.split()[0]
+        }
+        fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert sorted(fields - whole) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("scheme", "is-gc-cx", "unknown scheme 'is-gc-cx' — did you mean"),
+        ("backend", "flatt", "unknown backend 'flatt' — did you mean 'flat'?"),
+        ("dataset", {"kind": "nope"}, "unknown dataset kind 'nope'"),
+        ("model", {"kind": "nope"}, "unknown model kind 'nope'"),
+    ], ids=["scheme", "backend", "dataset-kind", "model-kind"])
+    def test_unknown_name_refused_at_admission(
+        self, tmp_path, field, value, message
+    ):
+        """Used to be admitted, the job then ending ``failed`` when its
+        engine was built."""
+        payload = {**make_spec(0).to_dict(), field: value}
+        root = tmp_path / "mbox"
+        client = CoordinatorClient(root)
+        (root / "inbox" / "bad.json").write_text(
+            json.dumps({"spec": payload})
+        )
+        serve_once(root)
+        snapshot = client.state("bad")
+        assert snapshot["state"] == "rejected"
+        assert snapshot["reason"] == "invalid_submission"
+        assert message in snapshot["error"]
 
     @pytest.mark.parametrize("params", [
         {"placement": "hetero", "assignment": [0, 0, 1, 2]},

@@ -11,7 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.engine import EnginePlan, ExperimentSpec, build_engine, run_spec
+from repro.engine import EnginePlan, ExperimentSpec, run_spec
 from repro.engine.spec import make_strategy
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import WaitForK
@@ -137,10 +137,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown rule"):
             _spec(rule="teleport")
 
-    def test_unknown_scheme_fails_at_build(self):
-        spec = _spec(scheme="quantum")
-        with pytest.raises(ConfigurationError, match="quantum"):
-            build_engine(spec)
+    def test_unknown_scheme_refused_at_construction(self):
+        with pytest.raises(ConfigurationError, match="unknown scheme 'quantum'"):
+            _spec(scheme="quantum")
 
 
 _HR = {"c1": 1, "c2": 2, "num_groups": 3}
@@ -629,21 +628,37 @@ class TestRules:
         ("scheme", 7, "scheme must be a string, got 7"),
         ("backend", ["flat"], "backend must be a string, got ['flat']"),
         ("backend", {"kind": "flat"}, "backend must be a string, got {"),
+        ("rule", ["sync"], "rule must be a string, got ['sync']"),
+        ("rule", {"kind": "sync"}, "rule must be a string, got {"),
+        ("name", 5, "name must be a string, got 5"),
+        ("dataset", 3, "dataset must be a {'kind': ...} mapping, got 3"),
+        ("dataset", {"kind": "nope"},
+         "unknown dataset kind 'nope' (known kinds: classification, "
+         "cifar-like, regression)"),
+        ("dataset", {"kind": "regresion"},
+         "unknown dataset kind 'regresion' — did you mean 'regression'?"),
+        ("model", "mlp", "model must be a {'kind': ...} mapping, got 'mlp'"),
+        ("model", {"kind": "nope"},
+         "unknown model kind 'nope' (known kinds: logistic, linear, "
+         "softmax, mlp)"),
     ], ids=[
         "scheme-typo", "backend-typo", "scheme-list", "scheme-int",
-        "backend-list", "backend-table",
+        "backend-list", "backend-table", "rule-list", "rule-table",
+        "name-int", "dataset-int", "dataset-kind", "dataset-kind-typo",
+        "model-str", "model-kind",
     ])
     def test_bad_scheme_or_backend_name_rejected(
         self, tmp_path, capsys, field, name, message
     ):
         """A name arriving from a spec file — typo, list, table — is a
-        ConfigurationError (``repro run``: ``error: ...``, exit 2),
-        never a raw TypeError from a dict lookup."""
+        ConfigurationError at construction (``repro run``: ``error:
+        ...``, exit 2), never a raw TypeError from a dict lookup nor a
+        failure inside the build."""
         from repro import cli
 
         payload = {**_spec().to_dict(), field: name}
         with pytest.raises(ConfigurationError) as exc:
-            run_spec(ExperimentSpec.from_dict(payload))
+            ExperimentSpec.from_dict(payload)
         assert message in str(exc.value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
