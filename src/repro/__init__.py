@@ -25,11 +25,11 @@ End-to-end simulated training (the one loop, wired by hand)::
     from repro.engine import FlatBackend, SyncUpdate
 
 Straggler environments (delay/failure/compute/network/contention
-models, built by family name through the environment registry)::
+models, built by family name through the environment table)::
 
     import numpy as np
-    from repro import Environment, make_delay_model
-    delay = make_delay_model("pareto", alpha=2.5, scale=0.3)
+    from repro import Environment, make_model
+    delay = make_model("delay", "pareto", alpha=2.5, scale=0.3)
     env = Environment(delay={"kind": "exponential", "mean": 1.5})
     sim = env.simulator(num_workers=8, partitions_per_worker=2,
                         rng=np.random.default_rng(0))
@@ -99,7 +99,7 @@ from .training import (
     make_classification,
     partition_dataset,
 )
-from .env import Environment, make_delay_model
+from .env import Environment, make_model
 from .analysis import monte_carlo_recovery
 from .engine import (
     EnginePlan,
@@ -175,9 +175,9 @@ __all__ = [
     "ISSGDStrategy",
     "ClassicGCStrategy",
     "ISGCStrategy",
-    # environment registry
+    # environment table
     "Environment",
-    "make_delay_model",
+    "make_model",
     # analysis
     "monte_carlo_recovery",
     # engine

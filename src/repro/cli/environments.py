@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 
 from ..analysis.reporting import Table
+from ..env.registry import LAYERS
 from ..exceptions import ReproError
 from ..registry import did_you_mean
 from .params import _parse_model_params
@@ -17,7 +18,6 @@ def cmd_environments(args: argparse.Namespace) -> int:
 
     from ..env import (
         ENV_REGISTRY,
-        LAYERS,
         make_model,
         model_fingerprint,
         model_spec,
@@ -106,7 +106,7 @@ def configure(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--layer",
-        choices=("delay", "failure", "compute", "network", "contention"),
+        choices=LAYERS,
         default=None,
         help="restrict the kind lookup to one layer",
     )

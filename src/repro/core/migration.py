@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..env import make_network_model
+from ..env import model_from
 from ..exceptions import ConfigurationError
 from ..simulation.network import NetworkModel
 from .placement import Placement
@@ -91,7 +91,7 @@ def migration_cost_seconds(
         raise ConfigurationError(
             f"partition_bytes must be >= 0, got {partition_bytes}"
         )
-    network = network if network is not None else make_network_model()
+    network = model_from("network", network)
     per_copy = network.latency + partition_bytes / network.bandwidth
     return plan.max_copies_per_worker * per_copy
 

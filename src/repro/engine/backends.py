@@ -154,14 +154,6 @@ class FlatBackend(ExecutionBackend):
         self._cluster.restore_state(state)
 
 
-@dataclass
-class ArrivalEvent:
-    """One asynchronous gradient arrival."""
-
-    time: float
-    worker: int
-
-
 class AsyncArrivalBackend(ExecutionBackend):
     """Per-arrival pipeline for the asynchronous extreme.
 
@@ -225,11 +217,11 @@ class AsyncArrivalBackend(ExecutionBackend):
         arrival = now + compute_t + straggle_t + upload_t
         self._queue.push(Event(arrival, "gradient", worker=worker))
 
-    def next_arrival(self) -> ArrivalEvent:
+    def next_arrival(self) -> Event:
         """Pop the earliest pending gradient and advance the clock."""
         event = self._queue.pop()
         self._clock = event.time
-        return ArrivalEvent(time=event.time, worker=event.worker)
+        return event
 
     def execute_round(self, engine, step, policy):
         raise TrainingError(
@@ -240,17 +232,10 @@ class AsyncArrivalBackend(ExecutionBackend):
     def snapshot_state(self):
         from .state import generator_state
 
-        events = []
-        for event in self._queue.snapshot_events():
-            if event.payload is not None:
-                raise TrainingError(
-                    "cannot checkpoint an event carrying a payload: "
-                    f"{event.kind!r} at t={event.time}"
-                )
-            events.append(
-                {"time": event.time, "kind": event.kind,
-                 "worker": event.worker}
-            )
+        events = [
+            {"time": event.time, "kind": event.kind, "worker": event.worker}
+            for event in self._queue.snapshot_events()
+        ]
         return {
             "clock": self._clock,
             "rng": generator_state(self._rng),

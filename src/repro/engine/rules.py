@@ -28,7 +28,7 @@ import numpy as np
 from ..core.advisor import evaluate_placement, rank_placements
 from ..core.migration import migration_cost_seconds, migration_plan
 from ..core.placement import Placement
-from ..env import make_network_model
+from ..env import model_from
 from ..exceptions import TrainingError
 from ..simulation.network import NetworkModel
 from ..training.strategies import ISGCStrategy
@@ -224,7 +224,7 @@ class AdaptiveMigration(SyncUpdate):
             )
         self._wait_for = wait_for
         self._bytes = partition_bytes
-        self._network = network if network is not None else make_network_model()
+        self._network = model_from("network", network)
         self._review_every = review_every
         self._min_gain = min_recovery_gain
         self._rng = rng

@@ -227,11 +227,6 @@ _DEFAULT_DATASET: Mapping[str, Any] = {
 
 _DEFAULT_MODEL: Mapping[str, Any] = {"kind": "logistic"}
 
-#: the ``kind``s ``plan._build_dataset`` and ``plan._build_model``
-#: build, one branch each; admission refuses any other.
-DATASET_KINDS = ("classification", "cifar-like", "regression")
-MODEL_KINDS = ("logistic", "linear", "softmax", "mlp")
-
 _DEFAULT_DELAY: Mapping[str, Any] = {"kind": "exponential", "mean": 1.0}
 
 
@@ -286,21 +281,91 @@ def _is_real(value: Any) -> bool:
     )
 
 
-#: ``rule_params`` key → (accepts the value?, what it must be): the
-#: values ``plan._build_rule`` hands the rules, checked before one runs.
-_RULE_PARAM_VALUES: Mapping[str, Tuple[Callable[[Any], bool], str]] = {
+#: (accepts the value?, what it must be) — one spec parameter's rule.
+_Check = Tuple[Callable[[Any], bool], str]
+
+_SIZE: _Check = (_is_int, "a positive integer")
+_SEED: _Check = (lambda v: _is_int(v, 0), "an integer >= 0")
+_CLASSES: _Check = (lambda v: _is_int(v, 2), "an integer >= 2")
+_REAL: _Check = (_is_real, "a real number")
+
+#: ``rule_params`` key → its rule: the values ``plan._build_rule``
+#: hands the rules, checked before one runs.
+_RULE_PARAM_VALUES: Mapping[str, _Check] = {
     "recovery_scaled_lr": (lambda v: isinstance(v, bool), "a bool"),
-    "local_steps": (_is_int, "a positive integer"),
+    "local_steps": _SIZE,
     "local_lr": (lambda v: _is_real(v) and v > 0, "a positive real number"),
     "partition_bytes": (
         lambda v: _is_real(v) and v >= 0, "a real number >= 0"
     ),
-    "review_every": (_is_int, "a positive integer"),
+    "review_every": _SIZE,
     "min_recovery_gain": (
         lambda v: _is_real(v) and 0 <= v <= 1, "a real number in [0, 1]"
     ),
-    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "seed": _SEED,
 }
+
+#: section → kind → the keys of that kind's section (``kind`` aside)
+#: → its rule: what ``plan._build_dataset`` and ``plan._build_model``
+#: build, one branch per kind and reading these keys only.  Admission
+#: refuses any other kind or key.
+_SECTION_KEYS: Mapping[str, Mapping[str, Mapping[str, _Check]]] = {
+    "dataset": {
+        "classification": {
+            "samples": _SIZE, "features": _SIZE, "num_classes": _CLASSES,
+            "separation": _REAL, "seed": _SEED, "batch_size": _SIZE,
+        },
+        "cifar-like": {
+            "samples": _SIZE, "side": _SIZE, "seed": _SEED,
+            "batch_size": _SIZE,
+        },
+        "regression": {
+            "samples": _SIZE, "features": _SIZE, "noise": _REAL,
+            "seed": _SEED, "batch_size": _SIZE,
+        },
+    },
+    "model": {
+        "logistic": {"seed": _SEED},
+        "linear": {"seed": _SEED},
+        "softmax": {"num_classes": _CLASSES, "seed": _SEED},
+        "mlp": {
+            "num_classes": _CLASSES, "hidden_units": _SIZE, "seed": _SEED,
+        },
+    },
+}
+DATASET_KINDS = tuple(_SECTION_KEYS["dataset"])
+MODEL_KINDS = tuple(_SECTION_KEYS["model"])
+
+
+def _section_problems(name: str, section: Any, default_kind: str) -> List[str]:
+    """What is wrong with the ``dataset:`` or ``model:`` ``section``:
+    its shape, its kind (``default_kind`` when absent), and each key it
+    gives, by :data:`_SECTION_KEYS`."""
+    if not isinstance(section, Mapping):
+        return [f"{name} must be a {{'kind': ...}} mapping, got {section!r}"]
+    kinds = _SECTION_KEYS[name]
+    kind = section.get("kind", default_kind)
+    accepted = kinds.get(kind) if isinstance(kind, str) else None
+    if accepted is None:
+        return [
+            f"unknown {name} kind {kind!r}{did_you_mean(kind, kinds)} "
+            f"(known kinds: {', '.join(kinds)})"
+        ]
+    problems = []
+    for key, value in section.items():
+        if key == "kind":
+            continue
+        if key not in accepted:
+            problems.append(
+                f"{name}: {name} {kind!r} got unknown parameter "
+                f"{key!r}{did_you_mean(key, accepted)} "
+                f"(accepted: {', '.join(accepted)})"
+            )
+            continue
+        valid, what = accepted[key]
+        if not valid(value):
+            problems.append(f"{name}.{key} must be {what}, got {value!r}")
+    return problems
 
 
 def _int_problems(field_name: str, value: Any, minimum: int) -> List[str]:
@@ -328,8 +393,8 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     ``scheme``, ``backend`` and ``rule`` must name an entry of their
     closed tables, and ``dataset`` and ``model`` must be mappings whose
     ``kind`` (defaulted as the plan defaults it) is one the plan
-    builds.  Their other parameters' names and values are the
-    builders' to check, when the plan is built.  Placement feasibility
+    builds and whose other keys are ones that kind reads, well typed
+    (:data:`_SECTION_KEYS`).  Placement feasibility
     goes through the placement registry's hooks and each environment
     section through the environment registry's, so a newly registered
     family is checked here without touching this function.
@@ -365,26 +430,10 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     scheme_known = (
         isinstance(spec.scheme, str) and spec.scheme in SCHEME_REGISTRY
     )
-    for name, default, kinds in (
-        ("dataset", _DEFAULT_DATASET, DATASET_KINDS),
-        ("model", _DEFAULT_MODEL, MODEL_KINDS),
-    ):
-        section = getattr(spec, name)
-        if not isinstance(section, Mapping):
-            problems.append(
-                f"{name} must be a {{'kind': ...}} mapping, got {section!r}"
-            )
-            continue
-        kind = section.get("kind", default["kind"])
-        if kind not in kinds:
-            problems.append(
-                f"unknown {name} kind {kind!r}{did_you_mean(kind, kinds)} "
-                f"(known kinds: {', '.join(kinds)})"
-            )
-    if isinstance(spec.dataset, Mapping) and "batch_size" in spec.dataset:
-        problems += _int_problems(
-            "dataset.batch_size", spec.dataset["batch_size"], minimum=1
-        )
+    problems += _section_problems(
+        "dataset", spec.dataset, _DEFAULT_DATASET["kind"]
+    )
+    problems += _section_problems("model", spec.model, _DEFAULT_MODEL["kind"])
     accepted = None
     if not isinstance(spec.rule, str):
         problems.append(f"rule must be a string, got {spec.rule!r}")

@@ -1,10 +1,11 @@
-"""Environment layer: named straggler scenarios behind one registry.
+"""Environment layer: named straggler scenarios behind one table.
 
 Mirrors :mod:`repro.core.scheme`'s placement registry for the
 environment side of an experiment — see :mod:`repro.env.registry` for
-the catalogue machinery and :mod:`repro.env.environment` for the
-composite :class:`Environment` object.  ``repro environments`` lists
-the registered families; ``docs/environments.md`` is the catalogue.
+the table of families, one row per family, and
+:mod:`repro.env.environment` for the composite :class:`Environment`
+object.  ``repro environments`` lists the families;
+``docs/environments.md`` is the catalogue.
 """
 
 from .environment import Environment
@@ -12,22 +13,11 @@ from .registry import (
     ENV_REGISTRY,
     LAYERS,
     ModelFamily,
-    delay_model_from,
-    make_compute_model,
-    make_contention_model,
-    make_delay_model,
-    make_failure_model,
     make_model,
-    make_network_model,
     model_fingerprint,
     model_from,
     model_spec,
     model_spec_problems,
-    register_compute,
-    register_contention,
-    register_delay,
-    register_failure,
-    register_network,
     registered_models,
     resolve_model,
 )
@@ -37,22 +27,11 @@ __all__ = [
     "Environment",
     "LAYERS",
     "ModelFamily",
-    "delay_model_from",
-    "make_compute_model",
-    "make_contention_model",
-    "make_delay_model",
-    "make_failure_model",
     "make_model",
-    "make_network_model",
     "model_fingerprint",
     "model_from",
     "model_spec",
     "model_spec_problems",
-    "register_compute",
-    "register_contention",
-    "register_delay",
-    "register_failure",
-    "register_network",
     "registered_models",
     "resolve_model",
 ]

@@ -7,7 +7,8 @@ resettable unit:
 
 * build it from spec sections, from already-built models, or any mix
   — each layer accepts a model instance, a kind string, or a
-  ``{"kind": ..., **params}`` mapping, read by
+  ``{"kind": ..., **params}`` mapping (the delay layer a recorded
+  :class:`~repro.straggler.DelayTrace` too), read by
   :func:`~repro.env.registry.model_from`;
 * :meth:`reset` rewinds stateful delay/failure models so a replay
   reproduces the run;
@@ -37,7 +38,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..simulation.cluster import ClusterSimulator
 from ..straggler.failures import NoFailures
-from .registry import delay_model_from, model_from
+from .registry import LAYERS, model_from
 
 
 class Environment:
@@ -58,11 +59,15 @@ class Environment:
         network: Any = None,
         contention: Any = None,
     ):
-        self._delay = delay_model_from(delay)
-        self._failure = model_from("failure", failure)
-        self._compute = model_from("compute", compute)
-        self._network = model_from("network", network)
-        self._contention = model_from("contention", contention)
+        sections = {
+            "delay": delay,
+            "failure": failure,
+            "compute": compute,
+            "network": network,
+            "contention": contention,
+        }
+        for layer in LAYERS:
+            setattr(self, f"_{layer}", model_from(layer, sections[layer]))
 
     # -- layers ---------------------------------------------------------
     @property

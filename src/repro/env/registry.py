@@ -1,4 +1,4 @@
-"""The environment registries: straggler models constructible by name.
+"""The environment table: straggler models constructible by name.
 
 The paper's premise is decoding under *arbitrary* straggler behaviour
 (Sec. IV "as many scenarios as you can imagine"), and the related work
@@ -7,22 +7,22 @@ chronically slow machines (Sec. VIII-C's "enduring straggler").  This
 module makes every such scenario a *named, parameterised family*, the
 same move :mod:`repro.core.scheme` made for placements:
 
-* one registry per environment layer — **delay**, **failure**,
-  **compute**, **network**, **contention** — populated by the
-  :func:`register_delay` / :func:`register_failure` /
-  :func:`register_compute` / :func:`register_network` /
-  :func:`register_contention` decorators (alias support included);
-* :func:`make_delay_model` and friends — the construction entry points
-  the spec engine, the CLI and library code share, with did-you-mean
-  errors for typos;
+* one closed table per environment layer — **delay**, **failure**,
+  **compute**, **network**, **contention** — whose rows are written
+  once, below, by :func:`_register`; a row's ``build`` is the model
+  class itself wherever the constructor takes the spec's parameters;
+* :func:`make_model` — the construction entry point the spec engine,
+  the CLI and library code share, with did-you-mean errors for typos;
+  it builds the parameters a row lists in ``nested`` through
+  :func:`model_from` before calling ``build``;
 * :func:`model_from` — the one coercer, accepting a built model, a
-  bare kind string or a ``{"kind": ..., **params}`` mapping, applied
-  recursively for composite families (``persistent`` / ``diurnal`` /
-  ``bursty`` / ``bernoulli`` / ``mixture`` name their sub-models the
-  same way); a per-layer table states each layer's model types, its
-  neutral kind, the kind of a kind-less mapping and the layer its
-  nested sub-models belong to (:func:`delay_model_from` adds the
-  recorded-trace case);
+  bare kind string, a ``{"kind": ..., **params}`` mapping or (delay
+  layer) a recorded :class:`DelayTrace`, applied recursively for
+  composite families (``persistent`` / ``diurnal`` / ``bursty`` /
+  ``bernoulli`` / ``mixture`` / ``composite`` name their sub-models
+  the same way); a per-layer table states each layer's model types,
+  its neutral kind, the kind of a kind-less mapping and the layer its
+  nested sub-models belong to;
 * :func:`model_spec_problems` — the arithmetic-only validation hook
   behind spec admission: signature-level problems (unknown kind, unknown
   or missing parameters, malformed nesting) without constructing
@@ -36,8 +36,13 @@ same move :mod:`repro.core.scheme` made for placements:
 read a section through one split (:func:`_split`) into a kind and its
 parameters.
 
-Registry-built models are **bit-for-bit identical** to direct
-construction: the factories below forward parameters verbatim, so the
+A compute or network model must be a pure function of its
+construction arguments: :class:`~repro.simulation.ClusterSimulator`
+reads each worker's compute seconds and the broadcast and upload times
+once, when it is built, not per round.
+
+Table-built models are **bit-for-bit identical** to direct
+construction: parameters reach the constructor verbatim, so the
 delay/failure streams (and RNG consumption order) match exactly —
 property-tested per family in ``tests/test_env.py`` and pinned by
 ``tests/golden/environments.json``.
@@ -122,8 +127,11 @@ class ModelFamily:
     paper: str
     build: Callable[..., Any]
     #: parameter names whose values recursively name sub-models (shown
-    #: in listings; validated recursively by :func:`model_spec_problems`).
+    #: in listings; validated recursively by :func:`model_spec_problems`
+    #: and built by :func:`make_model` before ``build`` sees them).
     nested: Tuple[str, ...] = ()
+    #: those of ``nested`` that take a list of sub-models, not one.
+    nested_lists: Tuple[str, ...] = ()
 
     def parameters(self) -> Dict[str, Any]:
         """name → default (``inspect.Parameter.empty`` when required)."""
@@ -141,64 +149,45 @@ ENV_REGISTRY: Dict[str, Registry[ModelFamily]] = {
     for layer in LAYERS
 }
 
+
 def _register(
     layer: str,
     kind: str,
+    build: Callable[..., Any],
     *,
     aliases: Sequence[str] = (),
     summary: str = "",
     paper: str = "",
     nested: Sequence[str] = (),
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    def wrap(build: Callable[..., Any]) -> Callable[..., Any]:
-        family = ModelFamily(
-            layer=layer,
-            kind=kind,
-            aliases=tuple(aliases),
-            summary=summary,
-            paper=paper,
-            build=build,
-            nested=tuple(nested),
-        )
-        ENV_REGISTRY[layer].register(kind, family, aliases)
-        return build
+    nested_lists: Sequence[str] = (),
+) -> None:
+    """Add the ``layer`` row ``kind`` (and its aliases) to the table.
 
-    return wrap
-
-
-def register_delay(kind: str, **meta: Any):
-    """Decorator registering a delay-model factory under ``kind``."""
-    return _register("delay", kind, **meta)
-
-
-def register_failure(kind: str, **meta: Any):
-    """Decorator registering a failure-model factory under ``kind``."""
-    return _register("failure", kind, **meta)
-
-
-def register_compute(kind: str, **meta: Any):
-    """Decorator registering a compute-model factory under ``kind``.
-
-    A compute model must be a pure function of its construction
-    arguments: :class:`~repro.simulation.ClusterSimulator` reads each
-    worker's compute seconds once, when it is built, not per round.
+    ``nested`` names the parameters that each take one sub-model spec,
+    ``nested_lists`` those that take a list of them.
     """
-    return _register("compute", kind, **meta)
+    ENV_REGISTRY[layer].register(
+        kind,
+        ModelFamily(
+            layer, kind, tuple(aliases), summary, paper, build,
+            (*nested, *nested_lists), tuple(nested_lists),
+        ),
+        aliases,
+    )
 
 
-def register_network(kind: str, **meta: Any):
-    """Decorator registering a network-model factory under ``kind``.
-
-    A network model must be a pure function of its construction
-    arguments: :class:`~repro.simulation.ClusterSimulator` reads the
-    broadcast and upload times once, when it is built, not per round.
-    """
-    return _register("network", kind, **meta)
-
-
-def register_contention(kind: str, **meta: Any):
-    """Decorator registering a contention-model factory under ``kind``."""
-    return _register("contention", kind, **meta)
+def _shape_problem(family: ModelFamily, name: str, sub: Any) -> Optional[str]:
+    """What is wrong with the shape of nested parameter ``name``'s value
+    (a list where the family takes one sub-model spec, or the reverse);
+    ``None`` when nothing is."""
+    listed = name in family.nested_lists
+    if listed == isinstance(sub, (list, tuple)):
+        return None
+    wanted = "a list of sub-model specs" if listed else "one sub-model spec"
+    return (
+        f"{family.layer} model {family.kind!r} takes {wanted} for "
+        f"{name!r}, got {sub!r}"
+    )
 
 
 def _layer_rule(layer: str) -> _Layer:
@@ -229,11 +218,25 @@ def resolve_model(layer: str, name: str) -> ModelFamily:
 def make_model(layer: str, kind: str, /, **params: Any) -> Any:
     """Construct the ``layer`` model of registered family ``kind``.
 
-    The single construction entry point behind :func:`make_delay_model`
-    and friends.  Unknown parameter names are rejected with the
-    family's accepted signature.
+    The single construction entry point.  Each parameter the family
+    lists in ``nested`` is built first by :func:`model_from` of the
+    layer's nested layer (entry by entry for a ``nested_lists`` one;
+    an absent or ``None`` one is passed as given).  Unknown parameter
+    names are rejected with the family's accepted signature.
     """
     family = resolve_model(layer, kind)
+    sub_layer = _LAYER_RULES[layer].nested
+    for name in family.nested:
+        sub = params.get(name)
+        if sub is None:
+            continue
+        problem = _shape_problem(family, name, sub)
+        if problem is not None:
+            raise ConfigurationError(problem)
+        if name in family.nested_lists:
+            params[name] = [model_from(sub_layer, entry) for entry in sub]
+        else:
+            params[name] = model_from(sub_layer, sub)
     try:
         return family.build(**params)
     except TypeError as exc:
@@ -241,32 +244,6 @@ def make_model(layer: str, kind: str, /, **params: Any) -> Any:
             f"invalid parameters for {layer} model {family.kind!r}: "
             f"{exc}; accepted: {', '.join(family.parameters())}"
         ) from exc
-
-
-def make_delay_model(kind: str, /, **params: Any) -> DelayModel:
-    """Construct the delay model of registered family ``kind``."""
-    return make_model("delay", kind, **params)
-
-
-def make_failure_model(kind: str, /, **params: Any) -> FailureModel:
-    """Construct the failure model of registered family ``kind``."""
-    return make_model("failure", kind, **params)
-
-
-def make_compute_model(kind: str = "uniform", /, **params: Any):
-    """Construct the compute model of registered family ``kind``."""
-    return make_model("compute", kind, **params)
-
-
-def make_network_model(kind: str = "uniform", /, **params: Any):
-    """Construct the network model of registered family ``kind``."""
-    return make_model("network", kind, **params)
-
-
-def make_contention_model(kind: str, /, **params: Any):
-    """Construct the contention model of registered family ``kind``
-    (the ``none`` family yields ``None``: an uncontended link)."""
-    return make_model("contention", kind, **params)
 
 
 # ----------------------------------------------------------------------
@@ -301,32 +278,24 @@ def model_from(layer: str, value: Any) -> Any:
     """Coerce ``value`` to a ``layer`` model.
 
     A built model of the layer passes through; a kind string or a
-    ``{"kind": ..., **params}`` mapping is built by the registry;
+    ``{"kind": ..., **params}`` mapping is built by the table;
     ``None`` builds the layer's neutral family (no delay, no failures,
     uniform compute and network, an uncontended link — the last is
     ``None`` itself).  A mapping with no ``kind`` builds the ``uniform``
     family on the compute and network layers (the historical
-    bare-parameter spec syntax) and is refused on the others.
+    bare-parameter spec syntax) and is refused on the others.  On the
+    delay layer a recorded :class:`DelayTrace` is wrapped in the replay
+    adapter (the Fig. 11/12 record-once-replay-everywhere idiom).
     """
     rule = _layer_rule(layer)
     if value is None:
         value = rule.neutral
     if isinstance(value, rule.types):
         return value
+    if layer == "delay" and isinstance(value, DelayTrace):
+        return TraceReplayModel(value)
     kind, params = _split(layer, value, f"{layer} model spec")
     return make_model(layer, kind, **params)
-
-
-def delay_model_from(value: Any) -> DelayModel:
-    """Coerce ``value`` to a :class:`DelayModel`.
-
-    :func:`model_from` for the delay layer, plus a recorded
-    :class:`DelayTrace` (wrapped in the replay adapter — the Fig. 11/12
-    record-once-replay-everywhere idiom).
-    """
-    if isinstance(value, DelayTrace):
-        return TraceReplayModel(value)
-    return model_from("delay", value)
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +355,9 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
 
     Mirrors :func:`repro.core.scheme.placement_spec_problems`: unknown
     kinds get the same did-you-mean message runtime construction would
-    raise; parameter names are checked against the factory signature;
-    nested sub-model specs recurse.  Value-range constraints (negative
+    raise; parameter names are checked against the signature of the
+    family's ``build``; nested sub-model specs recurse, and their shape
+    (one spec or a list) is the one the family takes.  Value-range constraints (negative
     means etc.) are construction-time concerns and not checked here.
     """
     where = section or f"{layer} spec"
@@ -422,7 +392,10 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
             continue
         sub_layer = rule.nested
         sub_section = f"{where}.{name}"
-        if isinstance(sub, (list, tuple)):
+        problem = _shape_problem(family, name, sub)
+        if problem is not None:
+            problems.append(f"{where}: {problem}")
+        elif name in family.nested_lists:
             for i, entry in enumerate(sub):
                 problems.extend(
                     model_spec_problems(
@@ -437,79 +410,14 @@ def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[st
 
 
 # ----------------------------------------------------------------------
-# Registered delay families.  This module is the sanctioned
-# construction layer, mirroring core/scheme.py for placements: the
-# rest of the library builds environment models through
-# make_delay_model and friends, which reach the direct constructor
-# calls below.
+# The table.  This module is the sanctioned construction layer,
+# mirroring core/scheme.py for placements: the rest of the library
+# builds environment models through make_model and model_from, which
+# reach the constructors named below.  A row whose class constructor
+# takes the spec's parameters names the class; the five factories
+# below convert or default what a constructor does not take.
 
 
-@register_delay(
-    "none",
-    aliases=("no-delay", "ideal"),
-    summary="the ideal cluster — nobody straggles",
-    paper="baseline in every figure",
-)
-def _delay_none() -> DelayModel:
-    return NoDelay()
-
-
-@register_delay(
-    "exponential",
-    aliases=("exp",),
-    summary=(
-        "exponential delay on a chosen worker subset (affected=None "
-        "hits everyone)"
-    ),
-    paper="Sec. VIII-B / Fig. 11 (means 1.5 s and 3.0 s)",
-)
-def _delay_exponential(
-    mean: float = 1.0, affected: Optional[Sequence[int]] = None
-) -> DelayModel:
-    return ExponentialDelay(mean, affected=affected)
-
-
-@register_delay(
-    "shifted-exponential",
-    aliases=("shifted_exponential", "shifted-exp"),
-    summary="constant floor plus exponential tail — the classic latency model",
-    paper="straggler literature staple (e.g. Lee et al.)",
-)
-def _delay_shifted(shift: float, mean: float) -> DelayModel:
-    return ShiftedExponentialDelay(shift, mean)
-
-
-@register_delay(
-    "pareto",
-    summary="heavy-tailed delays scale*Pareto(alpha) for tail-weight ablations",
-    paper="tail-sensitivity ablations",
-)
-def _delay_pareto(alpha: float, scale: float) -> DelayModel:
-    return ParetoDelay(alpha, scale)
-
-
-@register_delay(
-    "bernoulli",
-    summary=(
-        "each worker independently straggles with probability p per "
-        "step, drawing from the nested delay model"
-    ),
-    paper="stochastic gradient coding (Bitar et al., arXiv 1905.05383)",
-    nested=("delay",),
-)
-def _delay_bernoulli(probability: float, delay: Any) -> DelayModel:
-    return BernoulliStraggler(probability, delay_model_from(delay))
-
-
-@register_delay(
-    "persistent",
-    summary=(
-        "a fixed set of chronically slow workers (the 'enduring "
-        "straggler'); mean=/background_mean= are exponential sugar"
-    ),
-    paper="Sec. VIII-C (the 99.6% enduring-straggler effect)",
-    nested=("delay", "background"),
-)
 def _delay_persistent(
     stragglers: Sequence[int],
     delay: Any = None,
@@ -527,66 +435,13 @@ def _delay_persistent(
             "persistent delay takes background= (a nested delay spec) "
             "or background_mean= (exponential sugar), not both"
         )
-    slow = delay_model_from(delay) if delay is not None else ExponentialDelay(mean)
-    fast = None
-    if background is not None:
-        fast = delay_model_from(background)
-    elif background_mean is not None:
-        fast = ExponentialDelay(background_mean)
-    return PersistentStragglers(stragglers, slow, background_delay=fast)
+    if delay is None:
+        delay = ExponentialDelay(mean)
+    if background_mean is not None:
+        background = ExponentialDelay(background_mean)
+    return PersistentStragglers(stragglers, delay, background_delay=background)
 
 
-@register_delay(
-    "diurnal",
-    summary=(
-        "nested base delay scaled by a sinusoidal load wave "
-        "1 + amplitude*sin(2*pi*step/period)"
-    ),
-    paper="datacenter load cycles (beyond-paper ablation)",
-    nested=("base",),
-)
-def _delay_diurnal(
-    base: Any, period_steps: int, amplitude: float = 0.5
-) -> DelayModel:
-    return DiurnalDelay(delay_model_from(base), period_steps, amplitude)
-
-
-@register_delay(
-    "bursty",
-    summary=(
-        "two-state Gilbert model: calm <-> bursty per worker, burst "
-        "delays from the nested model"
-    ),
-    paper="noisy-neighbour on/off pattern (beyond-paper ablation)",
-    nested=("burst",),
-)
-def _delay_bursty(
-    burst: Any, enter_burst: float = 0.05, exit_burst: float = 0.25
-) -> DelayModel:
-    return BurstyDelay(
-        delay_model_from(burst), enter_burst=enter_burst, exit_burst=exit_burst
-    )
-
-
-@register_delay(
-    "mixture",
-    summary="per-step mixture: with probability weights[k] use models[k]",
-    paper="scenario blending (Sec. IV's 'any scenario' premise)",
-    nested=("models",),
-)
-def _delay_mixture(models: Sequence[Any], weights: Sequence[float]) -> DelayModel:
-    return MixtureDelay([delay_model_from(m) for m in models], weights)
-
-
-@register_delay(
-    "trace-replay",
-    aliases=("trace",),
-    summary=(
-        "replay a recorded DelayTrace (path= to a JSON trace file, or "
-        "delays= an inline steps x workers table)"
-    ),
-    paper="Fig. 11/12 controlled-seed methodology",
-)
 def _delay_trace(
     path: Optional[str] = None,
     delays: Optional[Sequence[Sequence[float]]] = None,
@@ -604,68 +459,6 @@ def _delay_trace(
     return TraceReplayModel(trace)
 
 
-# ----------------------------------------------------------------------
-# Registered failure families.
-
-
-@register_failure(
-    "none",
-    aliases=("no-failures",),
-    summary="everything always arrives (the default)",
-    paper="baseline",
-)
-def _failure_none() -> FailureModel:
-    return NoFailures()
-
-
-@register_failure(
-    "permanent-crashes",
-    aliases=("crashes", "permanent_crashes"),
-    summary="listed workers crash at a given step and never return",
-    paper="arbitrary ignorance keeps w below the live count (Sec. IV)",
-)
-def _failure_crashes(
-    crashed_workers: Sequence[int], at_step: int = 0
-) -> FailureModel:
-    return PermanentCrashes(crashed_workers, at_step=at_step)
-
-
-@register_failure(
-    "transient-dropouts",
-    aliases=("dropouts", "transient_dropouts"),
-    summary="each upload independently lost with probability p",
-    paper="packet loss / preemption / OOM-restart",
-)
-def _failure_dropouts(probability: float) -> FailureModel:
-    return TransientDropouts(probability)
-
-
-@register_failure(
-    "composite",
-    summary="alive only if alive under every nested failure model",
-    paper="scenario composition",
-    nested=("models",),
-)
-def _failure_composite(models: Sequence[Any]) -> FailureModel:
-    return CompositeFailures([model_from("failure", m) for m in models])
-
-
-# ----------------------------------------------------------------------
-# Registered compute / network / contention families.
-
-
-register_compute(
-    "uniform",
-    summary="base + c*per_partition seconds per worker per step",
-    paper="Sec. VIII-B step-time accounting",
-)(ComputeModel)
-
-
-@register_compute(
-    "heterogeneous",
-    summary="uniform cost scaled by per-worker speed factors",
-    paper="heterogeneity-aware GC discussion (related work [21])",
-)
 def _compute_heterogeneous(
     speed_factors: Mapping[Any, float],
     base: float = ComputeModel.base,
@@ -677,33 +470,146 @@ def _compute_heterogeneous(
     )
 
 
-register_network(
-    "uniform",
-    summary="latency + size/bandwidth per message (10 Gbit/s default)",
-    paper="Fig. 12(c): 'most time is spent on uploading gradients'",
-)(NetworkModel)
-
-
-@register_network(
-    "ideal",
-    summary="zero latency, infinite bandwidth — isolates compute stragglers",
-    paper="compute-only ablations",
-)
 def _network_ideal() -> NetworkModel:
     return NetworkModel(latency=0.0, bandwidth=float("inf"))
 
 
-@register_contention(
-    "none",
-    summary="uncontended uplink: transfers are independent (the default)",
-    paper="baseline",
-)
 def _contention_none() -> None:
     return None
 
 
-@register_contention(
-    "fair-share",
+_register(
+    "delay", "none", NoDelay,
+    aliases=("no-delay", "ideal"),
+    summary="the ideal cluster — nobody straggles",
+    paper="baseline in every figure",
+)
+_register(
+    "delay", "exponential", ExponentialDelay,
+    aliases=("exp",),
+    summary=(
+        "exponential delay on a chosen worker subset (affected=None "
+        "hits everyone)"
+    ),
+    paper="Sec. VIII-B / Fig. 11 (means 1.5 s and 3.0 s)",
+)
+_register(
+    "delay", "shifted-exponential", ShiftedExponentialDelay,
+    aliases=("shifted_exponential", "shifted-exp"),
+    summary="constant floor plus exponential tail — the classic latency model",
+    paper="straggler literature staple (e.g. Lee et al.)",
+)
+_register(
+    "delay", "pareto", ParetoDelay,
+    summary="heavy-tailed delays scale*Pareto(alpha) for tail-weight ablations",
+    paper="tail-sensitivity ablations",
+)
+_register(
+    "delay", "bernoulli", BernoulliStraggler,
+    summary=(
+        "each worker independently straggles with probability p per "
+        "step, drawing from the nested delay model"
+    ),
+    paper="stochastic gradient coding (Bitar et al., arXiv 1905.05383)",
+    nested=("delay",),
+)
+_register(
+    "delay", "persistent", _delay_persistent,
+    summary=(
+        "a fixed set of chronically slow workers (the 'enduring "
+        "straggler'); mean=/background_mean= are exponential sugar"
+    ),
+    paper="Sec. VIII-C (the 99.6% enduring-straggler effect)",
+    nested=("delay", "background"),
+)
+_register(
+    "delay", "diurnal", DiurnalDelay,
+    summary=(
+        "nested base delay scaled by a sinusoidal load wave "
+        "1 + amplitude*sin(2*pi*step/period)"
+    ),
+    paper="datacenter load cycles (beyond-paper ablation)",
+    nested=("base",),
+)
+_register(
+    "delay", "bursty", BurstyDelay,
+    summary=(
+        "two-state Gilbert model: calm <-> bursty per worker, burst "
+        "delays from the nested model"
+    ),
+    paper="noisy-neighbour on/off pattern (beyond-paper ablation)",
+    nested=("burst",),
+)
+_register(
+    "delay", "mixture", MixtureDelay,
+    summary="per-step mixture: with probability weights[k] use models[k]",
+    paper="scenario blending (Sec. IV's 'any scenario' premise)",
+    nested_lists=("models",),
+)
+_register(
+    "delay", "trace-replay", _delay_trace,
+    aliases=("trace",),
+    summary=(
+        "replay a recorded DelayTrace (path= to a JSON trace file, or "
+        "delays= an inline steps x workers table)"
+    ),
+    paper="Fig. 11/12 controlled-seed methodology",
+)
+
+_register(
+    "failure", "none", NoFailures,
+    aliases=("no-failures",),
+    summary="everything always arrives (the default)",
+    paper="baseline",
+)
+_register(
+    "failure", "permanent-crashes", PermanentCrashes,
+    aliases=("crashes", "permanent_crashes"),
+    summary="listed workers crash at a given step and never return",
+    paper="arbitrary ignorance keeps w below the live count (Sec. IV)",
+)
+_register(
+    "failure", "transient-dropouts", TransientDropouts,
+    aliases=("dropouts", "transient_dropouts"),
+    summary="each upload independently lost with probability p",
+    paper="packet loss / preemption / OOM-restart",
+)
+_register(
+    "failure", "composite", CompositeFailures,
+    summary="alive only if alive under every nested failure model",
+    paper="scenario composition",
+    nested_lists=("models",),
+)
+
+_register(
+    "compute", "uniform", ComputeModel,
+    summary="base + c*per_partition seconds per worker per step",
+    paper="Sec. VIII-B step-time accounting",
+)
+_register(
+    "compute", "heterogeneous", _compute_heterogeneous,
+    summary="uniform cost scaled by per-worker speed factors",
+    paper="heterogeneity-aware GC discussion (related work [21])",
+)
+
+_register(
+    "network", "uniform", NetworkModel,
+    summary="latency + size/bandwidth per message (10 Gbit/s default)",
+    paper="Fig. 12(c): 'most time is spent on uploading gradients'",
+)
+_register(
+    "network", "ideal", _network_ideal,
+    summary="zero latency, infinite bandwidth — isolates compute stragglers",
+    paper="compute-only ablations",
+)
+
+_register(
+    "contention", "none", _contention_none,
+    summary="uncontended uplink: transfers are independent (the default)",
+    paper="baseline",
+)
+_register(
+    "contention", "fair-share", ContendedUploadModel,
     aliases=("fair_share", "shared-link"),
     summary=(
         "uploads max-min fair-share one master ingress link of the "
@@ -711,9 +617,3 @@ def _contention_none() -> None:
     ),
     paper="Sec. VIII-C upload-bound inference",
 )
-def _contention_fair_share(
-    capacity_bytes_per_s: float, bytes_per_element: int = 4
-) -> ContendedUploadModel:
-    return ContendedUploadModel(
-        capacity_bytes_per_s, bytes_per_element=bytes_per_element
-    )

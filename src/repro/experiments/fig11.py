@@ -30,7 +30,7 @@ import numpy as np
 from ..analysis.reporting import Table
 from ..core.scheme import make_placement
 from ..core.decoders import Decoder, decoder_for
-from ..env import Environment, make_delay_model
+from ..env import Environment, make_model
 from ..parallel import PointTask, SweepExecutor
 from ..simulation.policies import WaitForK, WaitPolicy
 from ..straggler.traces import DelayTrace
@@ -121,8 +121,8 @@ def run_condition(
     n = cfg.num_workers
     c = cfg.partitions_per_worker
     rng = np.random.default_rng((cfg.seed, int(expected_delay * 1000), num_delayed))
-    model = make_delay_model(
-        "exponential", mean=expected_delay, affected=range(num_delayed)
+    model = make_model(
+        "delay", "exponential", mean=expected_delay, affected=range(num_delayed)
     )
     trace = DelayTrace.record(model, n, cfg.num_steps, rng)
 

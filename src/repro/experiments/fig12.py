@@ -33,7 +33,7 @@ from ..analysis.reporting import Table
 from ..analysis.stats import summarize_trials
 from ..core.scheme import make_placement
 from ..engine import ExperimentSpec, run_spec
-from ..env import make_delay_model
+from ..env import make_model
 from ..parallel import PointTask, SweepExecutor
 from ..straggler.traces import DelayTrace
 from ..types import TrainingSummary
@@ -84,7 +84,8 @@ def fig12_specs(
     n, c, w = cfg.num_workers, cfg.partitions_per_worker, wait_for
     trial_seed = cfg.seed + 1000 * trial
     trace = DelayTrace.record(
-        make_delay_model(
+        make_model(
+            "delay",
             "exponential",
             mean=cfg.expected_delay,
             affected=range(cfg.num_straggling),

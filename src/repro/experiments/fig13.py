@@ -27,7 +27,7 @@ from ..analysis.recovery import monte_carlo_recovery
 from ..analysis.reporting import Table
 from ..core.hybrid import HybridRepetition
 from ..engine import ExperimentSpec, run_spec
-from ..env import make_delay_model
+from ..env import make_model
 from ..parallel import PointTask, SweepExecutor
 from ..straggler.traces import DelayTrace
 from .config import Fig13Config
@@ -62,7 +62,7 @@ def fig13_spec(cfg: Fig13Config, c1: int) -> ExperimentSpec:
     ``cfg.seed + c1`` (``scheme_params.seed``).
     """
     trace = DelayTrace.record(
-        make_delay_model("exponential", mean=1.0),
+        make_model("delay", "exponential", mean=1.0),
         cfg.num_workers, cfg.num_steps, np.random.default_rng(cfg.seed + 3),
     )
     return ExperimentSpec(

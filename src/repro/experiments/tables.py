@@ -42,7 +42,7 @@ from ..core import (
     partition_matrix,
 )
 from ..engine import ExperimentSpec, build_engine, run_spec
-from ..env import make_delay_model
+from ..env import make_model
 from ..simulation.policies import (
     AdaptiveWaitK,
     DeadlinePolicy,
@@ -113,7 +113,7 @@ def _avg_step_time(trace: DelayTrace, policy) -> float:
 def wait_policy_table() -> Table:
     """Wait-k, deadline and ramp policies over one shared delay trace."""
     trace = DelayTrace.record(
-        make_delay_model("exponential", mean=1.5), _N, _STEPS,
+        make_model("delay", "exponential", mean=1.5), _N, _STEPS,
         np.random.default_rng(7),
     )
     table = Table(
@@ -155,11 +155,11 @@ def delay_model_table() -> Table:
     return _saving_table(
         "straggler-model sensitivity",
         [
-            ("exponential(1.5)", make_delay_model("exponential", mean=1.5)),
+            ("exponential(1.5)", make_model("delay", "exponential", mean=1.5)),
             ("pareto(a=1.5, 1.0)",
-             make_delay_model("pareto", alpha=1.5, scale=1.0)),
-            ("persistent 4 slow", make_delay_model(
-                "persistent", stragglers=range(4),
+             make_model("delay", "pareto", alpha=1.5, scale=1.0)),
+            ("persistent 4 slow", make_model(
+                "delay", "persistent", stragglers=range(4),
                 delay={"kind": "shifted-exponential", "shift": 8.0, "mean": 1.0},
             )),
         ],
@@ -172,12 +172,12 @@ def time_varying_table() -> Table:
     return _saving_table(
         "time-varying delay models",
         [
-            ("diurnal exp(1.5), period 50", make_delay_model(
-                "diurnal", base={"kind": "exponential", "mean": 1.5},
+            ("diurnal exp(1.5), period 50", make_model(
+                "delay", "diurnal", base={"kind": "exponential", "mean": 1.5},
                 period_steps=50, amplitude=0.8,
             )),
-            ("bursty exp(3.0), 5%/25%", make_delay_model(
-                "bursty", burst={"kind": "exponential", "mean": 3.0},
+            ("bursty exp(3.0), 5%/25%", make_model(
+                "delay", "bursty", burst={"kind": "exponential", "mean": 3.0},
                 enter_burst=0.05, exit_burst=0.25,
             )),
         ],

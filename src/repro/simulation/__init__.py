@@ -4,7 +4,6 @@ from .events import Event, EventQueue
 from .network import IDEAL_NETWORK, NetworkModel
 from .policies import (
     AdaptiveWaitK,
-    BestEffortWaitForK,
     DeadlinePolicy,
     WaitForAll,
     WaitForK,
@@ -30,7 +29,6 @@ __all__ = [
     "WaitPolicy",
     "WaitForK",
     "WaitForAll",
-    "BestEffortWaitForK",
     "DeadlinePolicy",
     "AdaptiveWaitK",
     "WaitOutcome",

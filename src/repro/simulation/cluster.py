@@ -147,9 +147,9 @@ class ClusterSimulator:
         self._tracer = tracer
         self._clock = 0.0
         # Compute and network models are pure functions of their
-        # construction arguments (the contract stated at
-        # ``register_compute`` / ``register_network``), so the transfer
-        # times and each worker's compute seconds are computed once, here.
+        # construction arguments (the contract stated in
+        # ``repro.env.registry``), so the transfer times and each
+        # worker's compute seconds are computed once, here.
         network = environment.network
         self._broadcast = network.broadcast_time(
             gradient_elements, num_workers

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -76,14 +76,11 @@ class Event:
         Free-form tag, e.g. ``"gradient_arrival"`` or ``"deadline"``.
     worker:
         Originating worker index, or ``None`` for master-side events.
-    payload:
-        Arbitrary attached data (never inspected by the queue).
     """
 
     time: float
     kind: str
     worker: Optional[int] = None
-    payload: Any = field(default=None, compare=False)
 
 
 class EventQueue:
@@ -105,12 +102,6 @@ class EventQueue:
             raise SimulationError("pop from empty event queue")
         return heapq.heappop(self._heap)[2]
 
-    def peek(self) -> Event:
-        """Return (without removing) the earliest event."""
-        if not self._heap:
-            raise SimulationError("peek at empty event queue")
-        return self._heap[0][2]
-
     def snapshot_events(self) -> list:
         """Queued events in pop order, non-destructively (checkpointing).
 
@@ -125,21 +116,3 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def drain_until(self, deadline: float) -> Iterator[Event]:
-        """Pop events with ``time <= deadline`` in order.
-
-        ``deadline`` is in the same clock as the queued event times —
-        absolute simulated seconds for simulator-produced events (the
-        queue itself is origin-agnostic; it only compares).
-        """
-        while self._heap and self._heap[0][0] <= deadline:
-            yield self.pop()
-
-    def drain(self) -> Iterator[Event]:
-        """Pop everything in order."""
-        while self._heap:
-            yield self.pop()

@@ -105,29 +105,6 @@ class WaitForK(WaitPolicy):
         return self._accept_first(ordered[: self._k])
 
 
-class BestEffortWaitForK(WaitPolicy):
-    """Accept the ``k`` fastest, or everyone when fewer than ``k``
-    workers report (crashes/dropouts).  The ignore-straggler decoders
-    handle whatever subset arrives, so training survives failures that
-    would deadlock a strict wait."""
-
-    def __init__(self, k: int):
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k}")
-        self._k = k
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    def describe(self) -> str:
-        return f"best-effort-wait-for-k(k={self._k})"
-
-    def wait(self, arrivals: Mapping[int, float], step: int) -> WaitOutcome:
-        ordered = self._sorted_arrivals(arrivals)
-        return self._accept_first(ordered[: self._k])
-
-
 class WaitForAll(WaitForK):
     """Synchronous SGD: wait for every worker."""
 

@@ -97,7 +97,7 @@ class ExponentialDelay(DelayModel):
     delays on 12 or on all 24 of its workers); ``None`` affects all.
     """
 
-    def __init__(self, mean: float, affected: Iterable[int] | None = None):
+    def __init__(self, mean: float = 1.0, affected: Iterable[int] | None = None):
         if mean < 0:
             raise ConfigurationError(f"mean delay must be >= 0, got {mean}")
         self._mean = float(mean)
@@ -193,16 +193,16 @@ class ParetoDelay(DelayModel):
 class BernoulliStraggler(DelayModel):
     """Each worker independently straggles with probability ``p`` per step.
 
-    When it does, the delay is drawn from ``delay_model``; otherwise 0.
+    When it does, the delay is drawn from ``delay``; otherwise 0.
     """
 
-    def __init__(self, probability: float, delay_model: DelayModel):
+    def __init__(self, probability: float, delay: DelayModel):
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(
                 f"probability must be in [0, 1], got {probability}"
             )
         self._p = float(probability)
-        self._inner = delay_model
+        self._inner = delay
 
     def sample(self, worker: int, step: int, rng: np.random.Generator) -> float:
         if rng.random() >= self._p:
@@ -310,7 +310,7 @@ class BurstyDelay(DelayModel):
     """Two-state Markov (Gilbert) model: calm ↔ bursty per worker.
 
     Each worker independently alternates between a calm state (no extra
-    delay) and a burst state (delays from ``burst_model``), with the
+    delay) and a burst state (delays from ``burst``), with the
     given per-step transition probabilities — the on/off pattern of
     co-located noisy neighbours.
 
@@ -322,14 +322,14 @@ class BurstyDelay(DelayModel):
 
     def __init__(
         self,
-        burst_model: DelayModel,
+        burst: DelayModel,
         enter_burst: float = 0.05,
         exit_burst: float = 0.25,
     ):
         for name, p in (("enter_burst", enter_burst), ("exit_burst", exit_burst)):
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {p}")
-        self._burst = burst_model
+        self._burst = burst
         self._enter = enter_burst
         self._exit = exit_burst
         self._in_burst: dict[int, bool] = {}

@@ -6,11 +6,11 @@ it writes ``environments.json`` into this directory.  The file checked
 into the repo was recorded at the commit introducing ``repro.env``,
 with each model built through the **direct constructors** (the
 pre-registry construction path), so the equivalence tests in
-``tests/test_env.py`` prove the registry port is bit-for-bit neutral:
-identical sampled streams through ``make_delay_model(...)`` & co. as
-through ``ExponentialDelay(...)`` & co.
+``tests/test_env.py`` prove the table port is bit-for-bit neutral:
+identical sampled streams through ``make_model("delay", ...)`` & co.
+as through ``ExponentialDelay(...)`` & co.
 
-Per case the golden stores the layer, the registry kind + params, the
+Per case the golden stores the layer, the table kind + params, the
 fingerprint of that ``{"kind": ..., **params}`` section
 (``model_fingerprint``, a function of the section data alone), and a
 behaviour probe:

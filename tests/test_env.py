@@ -31,13 +31,7 @@ from repro.env import (
     ENV_REGISTRY,
     Environment,
     LAYERS,
-    delay_model_from,
-    make_compute_model,
-    make_contention_model,
-    make_delay_model,
-    make_failure_model,
     make_model,
-    make_network_model,
     model_fingerprint,
     model_spec,
     model_spec_problems,
@@ -47,9 +41,11 @@ from repro.env import (
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.cluster import ClusterSimulator, ComputeModel
+from repro.simulation.contention import ContendedUploadModel
 from repro.simulation.network import NetworkModel
 from repro.straggler.failures import (
     CompositeFailures,
+    NoFailures,
     PermanentCrashes,
     TransientDropouts,
 )
@@ -183,7 +179,7 @@ class TestRegistryDirectEquivalence:
     @pytest.mark.parametrize("entry", DIRECT_EQUIVALENTS, ids=_ids)
     def test_stream_and_state_identical(self, entry):
         kind, params, direct = entry
-        via_registry = make_delay_model(kind, **copy.deepcopy(params))
+        via_registry = make_model("delay", kind, **copy.deepcopy(params))
         via_ctor = direct()
         rng_a = np.random.default_rng(123)
         rng_b = np.random.default_rng(123)
@@ -196,8 +192,8 @@ class TestRegistryDirectEquivalence:
     @pytest.mark.parametrize("entry", DIRECT_EQUIVALENTS, ids=_ids)
     def test_sample_round_matches_scalar_loop(self, entry):
         kind, params, _ = entry
-        batched = make_delay_model(kind, **copy.deepcopy(params))
-        looped = make_delay_model(kind, **copy.deepcopy(params))
+        batched = make_model("delay", kind, **copy.deepcopy(params))
+        looped = make_model("delay", kind, **copy.deepcopy(params))
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         for step in range(STEPS):
@@ -219,7 +215,7 @@ class TestRegistryDirectEquivalence:
         kwargs = {"mean": mean}
         if affected is not None:
             kwargs["affected"] = affected
-        via_registry = make_delay_model("exponential", **kwargs)
+        via_registry = make_model("delay", "exponential", **kwargs)
         via_ctor = ExponentialDelay(mean, affected=affected)
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
@@ -245,20 +241,22 @@ class TestRegistryDirectEquivalence:
         ):
             rng_a = np.random.default_rng(seed)
             rng_b = np.random.default_rng(seed)
-            a = make_delay_model(kind, **params).sample_round(WORKERS, 0, rng_a)
+            a = make_model("delay", kind, **params).sample_round(
+                WORKERS, 0, rng_a
+            )
             b = np.array([direct.sample(w, 0, rng_b) for w in WORKERS])
             np.testing.assert_array_equal(a, b)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_failure_models_equivalent(self):
         pairs = [
-            (make_failure_model("permanent-crashes",
+            (make_model("failure", "permanent-crashes",
                                 crashed_workers=[2], at_step=1),
              PermanentCrashes([2], at_step=1)),
-            (make_failure_model("transient-dropouts", probability=0.2),
+            (make_model("failure", "transient-dropouts", probability=0.2),
              TransientDropouts(0.2)),
-            (make_failure_model(
-                "composite",
+            (make_model(
+                "failure", "composite",
                 models=[{"kind": "permanent-crashes", "crashed_workers": [5]},
                         {"kind": "transient-dropouts", "probability": 0.1}]),
              CompositeFailures(
@@ -274,12 +272,13 @@ class TestRegistryDirectEquivalence:
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_compute_and_network_equivalent(self):
-        assert make_compute_model("uniform", base=0.05, per_partition=0.1) == \
-            ComputeModel(0.05, 0.1)
-        assert make_network_model(
-            "uniform", latency=0.002, bandwidth=1e9
+        assert make_model(
+            "compute", "uniform", base=0.05, per_partition=0.1
+        ) == ComputeModel(0.05, 0.1)
+        assert make_model(
+            "network", "uniform", latency=0.002, bandwidth=1e9
         ) == NetworkModel(latency=0.002, bandwidth=1e9)
-        ideal = make_network_model("ideal")
+        ideal = make_model("network", "ideal")
         assert ideal.latency == 0.0 and ideal.bandwidth == float("inf")
 
 
@@ -309,8 +308,9 @@ class _FixedUniform:
 class TestSampleRound:
     def test_empty_worker_list(self):
         for kind in ("none", "exponential", "pareto"):
-            model = make_delay_model(
-                kind, **({"alpha": 2.0, "scale": 1.0} if kind == "pareto" else {})
+            model = make_model(
+                "delay", kind,
+                **({"alpha": 2.0, "scale": 1.0} if kind == "pareto" else {}),
             )
             rng = np.random.default_rng(0)
             state = copy.deepcopy(rng.bit_generator.state)
@@ -397,13 +397,13 @@ class TestRegistryMachinery:
 
     def test_unknown_kind_did_you_mean(self):
         with pytest.raises(ConfigurationError, match="exponential"):
-            make_delay_model("exponentail")
+            make_model("delay", "exponentail")
         with pytest.raises(ConfigurationError, match="unknown delay model"):
-            make_delay_model("nope")
+            make_model("delay", "nope")
 
     def test_unknown_parameter_rejected_with_accepted_list(self):
         with pytest.raises(ConfigurationError, match="mean"):
-            make_delay_model("exponential", meen=2.0)
+            make_model("delay", "exponential", meen=2.0)
 
     def test_spec_of_registry_built(self):
         """The spec of the section the registry builds from."""
@@ -448,18 +448,18 @@ class TestRegistryMachinery:
         assert a == b
         assert a != c
 
-    def test_delay_model_from_coerces(self):
-        assert isinstance(delay_model_from("none"), NoDelay)
+    def test_model_from_coerces_delay_sections(self):
+        assert isinstance(model_from("delay", "none"), NoDelay)
         assert isinstance(
-            delay_model_from({"kind": "exponential", "mean": 1.0}),
+            model_from("delay", {"kind": "exponential", "mean": 1.0}),
             ExponentialDelay,
         )
         model = ExponentialDelay(2.0)
-        assert delay_model_from(model) is model
+        assert model_from("delay", model) is model
 
-    def test_delay_model_from_wraps_traces(self):
+    def test_model_from_wraps_delay_traces(self):
         trace = DelayTrace(np.array([[0.0, 1.0]]))
-        model = delay_model_from(trace)
+        model = model_from("delay", trace)
         assert isinstance(model, TraceReplayModel)
         section = {"kind": "trace", "delays": trace.delays}
         assert model_spec("delay", section) == {
@@ -467,7 +467,7 @@ class TestRegistryMachinery:
         }
 
     def test_contention_none_returns_none(self):
-        assert make_contention_model("none") is None
+        assert make_model("contention", "none") is None
 
     def test_model_spec_problems(self):
         assert model_spec_problems("delay", "exponential") == []
@@ -490,16 +490,129 @@ class TestRegistryMachinery:
 
     def test_persistent_requires_exactly_one_delay_spec(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
-            make_delay_model("persistent", stragglers=[0])
+            make_model("delay", "persistent", stragglers=[0])
         with pytest.raises(ConfigurationError, match="exactly one"):
-            make_delay_model(
-                "persistent", stragglers=[0], mean=1.0,
+            make_model(
+                "delay", "persistent", stragglers=[0], mean=1.0,
                 delay={"kind": "exponential", "mean": 1.0},
             )
 
     def test_trace_replay_requires_exactly_one_source(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
-            make_delay_model("trace-replay")
+            make_model("delay", "trace-replay")
+
+
+# ----------------------------------------------------------------------
+# The table's rows: classes, and nested sub-models built once
+# ----------------------------------------------------------------------
+#: (layer, kind, class) of every row whose build is the model class.
+CLASS_ROWS = [
+    ("delay", "none", NoDelay),
+    ("delay", "exponential", ExponentialDelay),
+    ("delay", "shifted-exponential", ShiftedExponentialDelay),
+    ("delay", "pareto", ParetoDelay),
+    ("delay", "bernoulli", BernoulliStraggler),
+    ("delay", "diurnal", DiurnalDelay),
+    ("delay", "bursty", BurstyDelay),
+    ("delay", "mixture", MixtureDelay),
+    ("failure", "none", NoFailures),
+    ("failure", "permanent-crashes", PermanentCrashes),
+    ("failure", "transient-dropouts", TransientDropouts),
+    ("failure", "composite", CompositeFailures),
+    ("compute", "uniform", ComputeModel),
+    ("network", "uniform", NetworkModel),
+    ("contention", "fair-share", ContendedUploadModel),
+]
+
+#: (layer, kind, other params, nested param, wraps the sub-model in a
+#: list with this second entry or not): one row per composite family's
+#: nested parameter.
+COMPOSITE_ROWS = [
+    ("delay", "bernoulli", {"probability": 0.4}, "delay", None),
+    ("delay", "persistent", {"stragglers": [0, 3]}, "delay", None),
+    ("delay", "persistent", {"stragglers": [0, 3], "mean": 2.0},
+     "background", None),
+    ("delay", "diurnal", {"period_steps": 3}, "base", None),
+    ("delay", "bursty", {"enter_burst": 0.5}, "burst", None),
+    ("delay", "mixture", {"weights": [0.6, 0.4]}, "models",
+     {"kind": "pareto", "alpha": 2.0, "scale": 1.0}),
+    ("failure", "composite", {}, "models",
+     {"kind": "transient-dropouts", "probability": 0.3}),
+]
+
+#: layer → one sub-model three ways: kind string, mapping, built model.
+SUB_MODEL_FORMS = {
+    "delay": ("exponential", {"kind": "exponential", "mean": 1.0},
+              ExponentialDelay(1.0)),
+    "failure": ("none", {"kind": "none"}, NoFailures()),
+}
+
+
+def _stream(layer, model, seed=11):
+    """What ``model`` draws over STEPS rounds of WORKERS."""
+    rng = np.random.default_rng(seed)
+    if layer == "delay":
+        return [
+            [float(x) for x in model.sample_round(WORKERS, step, rng)]
+            for step in range(STEPS)
+        ]
+    return [
+        [model.is_alive(w, step, rng) for w in WORKERS]
+        for step in range(STEPS)
+    ]
+
+
+class TestTableRows:
+    @pytest.mark.parametrize(
+        "layer, kind, params, name, second", COMPOSITE_ROWS,
+        ids=[f"{row[1]}.{row[3]}" for row in COMPOSITE_ROWS],
+    )
+    def test_nested_forms_draw_the_same_stream(
+        self, layer, kind, params, name, second
+    ):
+        streams = []
+        for form in SUB_MODEL_FORMS[layer]:
+            sub = copy.deepcopy(form)
+            value = sub if second is None else [sub, second]
+            model = make_model(layer, kind, **params, **{name: value})
+            streams.append(_stream(layer, model))
+        assert streams[0] == streams[1] == streams[2]
+
+    def test_bernoulli_nests_a_recorded_trace(self):
+        trace = DelayTrace.record(
+            ExponentialDelay(1.0), len(WORKERS), STEPS,
+            np.random.default_rng(3),
+        )
+        streams = [
+            _stream("delay", make_model(
+                "delay", "bernoulli", probability=0.5, delay=sub,
+            ))
+            for sub in (
+                trace,
+                TraceReplayModel(trace),
+                {"kind": "trace-replay", "delays": trace.delays.tolist()},
+            )
+        ]
+        assert streams[0] == streams[1] == streams[2]
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("bernoulli", {"probability": 0.5, "delay": ["none"]},
+         "delay model 'bernoulli' takes one sub-model spec for 'delay', "
+         "got ['none']"),
+        ("mixture", {"models": "none", "weights": [1.0]},
+         "delay model 'mixture' takes a list of sub-model specs for "
+         "'models', got 'none'"),
+    ], ids=["list-for-one", "one-for-list"])
+    def test_nested_shape_refused_at_admission_and_construction(
+        self, kind, params, message
+    ):
+        problems = model_spec_problems(
+            "delay", {"kind": kind, **params}, section="delay"
+        )
+        assert problems == [f"delay: {message}"]
+        with pytest.raises(ConfigurationError) as exc:
+            make_model("delay", kind, **params)
+        assert str(exc.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +634,7 @@ class TestTracePersistence:
         )
         path = tmp_path / "trace.json"
         trace.save(path)
-        model = make_delay_model("trace-replay", path=str(path))
+        model = make_model("delay", "trace-replay", path=str(path))
         rng = np.random.default_rng(0)
         np.testing.assert_array_equal(
             model.sample_round([0, 1, 2, 3], 0, rng), trace.delays[0]
@@ -585,12 +698,12 @@ class TestEnvironment:
             model_from("dealy", "none")
 
     def test_uniform_families_are_the_model_classes(self):
-        """The registry states no defaults of its own for the uniform
-        compute and network families: they are the classes."""
-        assert resolve_model("compute", "uniform").build is ComputeModel
-        assert resolve_model("network", "uniform").build is NetworkModel
-        assert make_compute_model() == ComputeModel()
-        assert make_network_model() == NetworkModel()
+        """The table states no defaults of its own for a family whose
+        constructor takes the spec's parameters: its row is the class."""
+        for layer, kind, cls in CLASS_ROWS:
+            assert ENV_REGISTRY[layer][kind].build is cls, (layer, kind)
+        assert make_model("compute", "uniform") == ComputeModel()
+        assert make_model("network", "uniform") == NetworkModel()
         assert model_spec("compute", {"base": 0.2}) == {
             "kind": "uniform", "base": 0.2,
         }

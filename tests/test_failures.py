@@ -8,7 +8,6 @@ from repro.core import CyclicRepetition
 from repro.env import Environment, model_from, registered_models
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
-    BestEffortWaitForK,
     ClusterSimulator,
     ComputeModel,
     ContendedUploadModel,
@@ -136,7 +135,7 @@ class TestSimulatorWithFailures:
 
     def test_crashed_workers_never_arrive(self):
         sim = self._sim(PermanentCrashes([0, 1]))
-        result = sim.run_round(0, BestEffortWaitForK(4))
+        result = sim.run_round(0, WaitForK(2))
         assert set(result.arrivals) == {2, 3}
 
     def test_strict_wait_deadlocks_on_crash(self):
@@ -146,15 +145,10 @@ class TestSimulatorWithFailures:
         with pytest.raises(SimulationError):
             sim.run_round(0, WaitForK(4))
 
-    def test_best_effort_clamps(self):
-        sim = self._sim(PermanentCrashes([0, 1, 2]))
-        result = sim.run_round(0, BestEffortWaitForK(4))
-        assert result.outcome.accepted_workers == frozenset({3})
-
     def test_all_failed_raises(self):
         sim = self._sim(PermanentCrashes([0, 1, 2, 3]))
         with pytest.raises(SimulationError, match="every worker failed"):
-            sim.run_round(0, BestEffortWaitForK(1))
+            sim.run_round(0, WaitForK(1))
 
     def test_contended_link_round(self):
         sim = self._sim(
@@ -162,7 +156,7 @@ class TestSimulatorWithFailures:
             contention=ContendedUploadModel(capacity_bytes_per_s=80_000),
         )
         # 4 × 40 kB flows share 80 kB/s: all finish 2 s after compute.
-        result = sim.run_round(0, BestEffortWaitForK(4))
+        result = sim.run_round(0, WaitForK(4))
         assert result.step_time == pytest.approx(0.3 + 2.0)
 
     def test_contention_vs_ideal_ordering(self):
@@ -171,8 +165,8 @@ class TestSimulatorWithFailures:
             contention=ContendedUploadModel(capacity_bytes_per_s=80_000),
         )
         ideal = self._sim(NoFailures())
-        t_contended = contended.run_round(0, BestEffortWaitForK(4)).step_time
-        t_ideal = ideal.run_round(0, BestEffortWaitForK(4)).step_time
+        t_contended = contended.run_round(0, WaitForK(4)).step_time
+        t_ideal = ideal.run_round(0, WaitForK(4)).step_time
         assert t_contended > t_ideal
 
 
@@ -184,7 +178,6 @@ class TestTrainingThroughFailures:
         strategy = ISGCStrategy(
             CyclicRepetition(n, 2), wait_for=wait_for,
             rng=np.random.default_rng(0),
-            policy=BestEffortWaitForK(wait_for),
         )
         cluster = ClusterSimulator(
             n,
@@ -212,7 +205,9 @@ class TestTrainingThroughFailures:
         assert all(r.num_available == 3 for r in late)
 
     def test_isgc_survives_dropouts(self):
-        trainer = self._trainer(TransientDropouts(0.3), wait_for=3)
+        # Training waits for w arrivals, so w is kept at the smallest
+        # live count a dropout round can leave (one survivor).
+        trainer = self._trainer(TransientDropouts(0.3), wait_for=1)
         summary = trainer.run(max_steps=30)
         assert summary.num_steps == 30
         assert all(r.num_recovered >= 2 for r in trainer.records)

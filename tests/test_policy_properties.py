@@ -1,45 +1,8 @@
-"""Property-based tests (hypothesis) for wait policies and schedules."""
+"""Property-based tests (hypothesis) for wait schedules and decoder lookup."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simulation import BestEffortWaitForK, WaitForK, linear_rampup
-
-
-@st.composite
-def arrival_maps(draw, max_workers=12):
-    n = draw(st.integers(min_value=1, max_value=max_workers))
-    times = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=100.0,
-                      allow_nan=False, allow_infinity=False),
-            min_size=n, max_size=n,
-        )
-    )
-    return {w: t for w, t in enumerate(times)}
-
-
-class TestBestEffortEquivalence:
-    """BestEffortWaitForK only differs from WaitForK when fewer than
-    ``k`` workers report; with ``>= k`` arrivals the two are the same
-    policy."""
-
-    @settings(max_examples=200)
-    @given(arrivals=arrival_maps(), k=st.integers(min_value=1, max_value=12))
-    def test_identical_when_enough_arrivals(self, arrivals, k):
-        if len(arrivals) < k:
-            return
-        strict = WaitForK(k).wait(arrivals, step=0)
-        best = BestEffortWaitForK(k).wait(arrivals, step=0)
-        assert best.accepted_workers == strict.accepted_workers
-        assert best.proceed_time == strict.proceed_time
-
-    @settings(max_examples=100)
-    @given(arrivals=arrival_maps(max_workers=6))
-    def test_accepts_everyone_when_short(self, arrivals):
-        k = len(arrivals) + 3
-        out = BestEffortWaitForK(k).wait(arrivals, step=0)
-        assert out.accepted_workers == frozenset(arrivals)
-        assert out.proceed_time == max(arrivals.values())
+from repro.simulation import linear_rampup
 
 
 class TestLinearRampupProperties:

@@ -51,10 +51,11 @@ def make_spec(i, max_steps=6):
     )
 
 
-#: A dataset parameter's value is the builder's to check, so a spec
-#: holding this one is admitted and its job fails when its plan builds.
-FAILS_AT_BUILD = {"dataset": {"num_classes": 1}}
-BUILD_ERROR = "need at least 2 classes, got 1"
+#: An environment model's parameter values are its constructor's to
+#: check, so a spec holding this one is admitted and its job fails when
+#: its engine builds.
+FAILS_AT_BUILD = {"delay": {"kind": "exponential", "mean": -1.0}}
+BUILD_ERROR = "mean delay must be >= 0, got -1.0"
 
 
 #: ``(id, rule, params, message)``: a spec with ``rule`` and ``params``
@@ -110,6 +111,14 @@ ADMISSION_ROWS = [
      "dataset must be a {'kind': ...} mapping"),
     ("model-str", "sync", {"model": "mlp"},
      "model must be a {'kind': ...} mapping"),
+    ("dataset-samples-str", "sync", {"samples": "many"},
+     "dataset.samples must be a positive integer"),
+    ("dataset-num-classes-one", "sync", {"num_classes": 1},
+     "dataset.num_classes must be an integer >= 2"),
+    ("dataset-separation-str", "sync", {"separation": "far"},
+     "dataset.separation must be a real number"),
+    ("model-seed-negative", "sync", {"seed": -1},
+     "model.seed must be an integer >= 0"),
     *(
         (f"{layer}-int", "sync", {layer: 5},
          f"spec section {layer!r} must be a kind string or a "
@@ -487,19 +496,24 @@ class TestLifecycle:
             "'sed' — did you mean 'seed'?"
         )):
             dataclasses.replace(make_spec(0), scheme_params={"sed": 3})
-        # Admission checks the dataset and model kinds too ...
+        # Admission checks the dataset and model kinds, keys and key
+        # types too ...
         for fields, message in (
             ({"dataset": {"kind": "mnist"}}, "unknown dataset kind 'mnist'"),
             ({"model": {"kind": "resnet"}}, "unknown model kind 'resnet'"),
+            ({"dataset": {"num_classes": 1}},
+             "dataset.num_classes must be an integer >= 2, got 1"),
+            ({"model": {"kind": "softmax", "num_classes": 1}},
+             "model.num_classes must be an integer >= 2, got 1"),
         ):
             with pytest.raises(ConfigurationError, match=message):
                 dataclasses.replace(make_spec(0), **fields)
-        # ... while their parameters' values fail only when the job
-        # builds.
+        # ... while environment models' parameter values fail only when
+        # the job builds.
         bad_fields = [
             (FAILS_AT_BUILD, "ConfigurationError", BUILD_ERROR),
-            ({"model": {"kind": "softmax", "num_classes": 1}},
-             "TrainingError", "num_classes >= 2, got 8, 1"),
+            ({"failure": {"kind": "transient-dropouts", "probability": 2.0}},
+             "ConfigurationError", "probability must be in [0, 1), got 2.0"),
         ]
         by_name = dataclasses.replace(make_spec(0), delay="none")
 
@@ -866,7 +880,20 @@ class TestMailbox:
         ("backend", "flatt", "unknown backend 'flatt' — did you mean 'flat'?"),
         ("dataset", {"kind": "nope"}, "unknown dataset kind 'nope'"),
         ("model", {"kind": "nope"}, "unknown model kind 'nope'"),
-    ], ids=["scheme", "backend", "dataset-kind", "model-kind"])
+        ("dataset", {"kind": "classification", "bogus": 1},
+         "dataset: dataset 'classification' got unknown parameter 'bogus'"),
+        ("dataset",
+         {"kind": "cifar-like", "samples": 256, "num_classes": 4},
+         "dataset: dataset 'cifar-like' got unknown parameter "
+         "'num_classes'"),
+        ("dataset", {"kind": "regression", "separation": 7},
+         "dataset: dataset 'regression' got unknown parameter "
+         "'separation'"),
+        ("model", {"kind": "logistic", "hidden": 3},
+         "model: model 'logistic' got unknown parameter 'hidden'"),
+    ], ids=["scheme", "backend", "dataset-kind", "model-kind",
+            "dataset-key", "cifar-like-classes", "regression-key",
+            "model-key"])
     def test_unknown_name_refused_at_admission(
         self, tmp_path, field, value, message
     ):

@@ -829,9 +829,12 @@ class TestIncrementalCheckpoints:
     def test_terminal_jobs_leave_nothing_under_checkpoints(self, tmp_path):
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
-        # A dataset parameter's value passes admission and fails the
-        # job when its plan is built.
-        bad = dict(make_spec(1).to_dict(), dataset={"num_classes": 1})
+        # A delay parameter's value passes admission and fails the job
+        # when its engine is built.
+        bad = dict(
+            make_spec(1).to_dict(),
+            delay={"kind": "exponential", "mean": -1.0},
+        )
         (tmp_path / "bad.json").write_text(json.dumps(bad))
         done = client.submit(make_spec(0))
         failed = client.submit(tmp_path / "bad.json")
@@ -975,7 +978,10 @@ class TestStatePublication:
         # replace a file; a rename onto a new name is cheap.
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
-        bad = dict(make_spec(1).to_dict(), dataset={"num_classes": 1})
+        bad = dict(
+            make_spec(1).to_dict(),
+            delay={"kind": "exponential", "mean": -1.0},
+        )
         (tmp_path / "bad.json").write_text(json.dumps(bad))
         done = client.submit(make_spec(0))
         failed = client.submit(tmp_path / "bad.json")
@@ -1668,10 +1674,10 @@ class TestWatch:
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
         spec_path = tmp_path / "spec.json"
-        # A dataset parameter's value fails the job at build time.
+        # A delay parameter's value fails the job at build time.
         bad = dict(
             make_spec(0, max_steps=2).to_dict(),
-            dataset={"num_classes": 1},
+            delay={"kind": "exponential", "mean": -1.0},
         )
         spec_path.write_text(json.dumps(bad))
         client.submit(spec_path)

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.env import Environment, delay_model_from, model_from
+from repro.env import Environment, model_from
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation import (
     AdaptiveWaitK,
-    BestEffortWaitForK,
     ClusterSimulator,
     ComputeModel,
     ContendedUploadModel,
@@ -36,39 +35,22 @@ class TestEventQueue:
         q.push(Event(3.0, "b"))
         q.push(Event(1.0, "a"))
         q.push(Event(2.0, "c"))
-        assert [e.kind for e in q.drain()] == ["a", "c", "b"]
+        assert [q.pop().kind for _ in range(3)] == ["a", "c", "b"]
+        assert len(q) == 0
 
     def test_fifo_tie_break(self):
         q = EventQueue()
         q.push(Event(1.0, "first"))
         q.push(Event(1.0, "second"))
-        assert [e.kind for e in q.drain()] == ["first", "second"]
+        assert [q.pop().kind for _ in range(2)] == ["first", "second"]
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
             EventQueue().pop()
 
-    def test_peek(self):
-        q = EventQueue()
-        q.push(Event(2.0, "x"))
-        assert q.peek().kind == "x"
-        assert len(q) == 1
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().peek()
-
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().push(Event(-1.0, "bad"))
-
-    def test_drain_until(self):
-        q = EventQueue()
-        for t in (1.0, 2.0, 3.0):
-            q.push(Event(t, f"t{t}"))
-        early = list(q.drain_until(2.0))
-        assert [e.time for e in early] == [1.0, 2.0]
-        assert len(q) == 1
 
     def test_bool(self):
         q = EventQueue()
@@ -353,10 +335,9 @@ class TestResetDeterminism:
         )
 
     def _run(self, sim, rounds=8):
-        from repro.simulation import BestEffortWaitForK
         out = []
         for step in range(rounds):
-            r = sim.run_round(step, BestEffortWaitForK(3))
+            r = sim.run_round(step, WaitForK(3))
             out.append((r.arrivals, r.step_start, r.step_end))
         return out
 
@@ -505,7 +486,8 @@ class QueueRound:
                 queue.push(Event(
                     time=begun + upload_t, kind="gradient_arrival", worker=w
                 ))
-            arrivals = {ev.worker: ev.time for ev in queue.drain()}
+            events = [queue.pop() for _ in range(len(queue))]
+            arrivals = {ev.worker: ev.time for ev in events}
         relative = {w: t - start for w, t in arrivals.items()}
         outcome = policy.wait(relative, step)
         end = start + outcome.proceed_time
@@ -587,11 +569,9 @@ def _failure_spec(draw, n):
 
 
 def _policy(draw, n):
-    kind = draw(st.sampled_from(["wait", "best-effort", "deadline", "adaptive"]))
+    kind = draw(st.sampled_from(["wait", "deadline", "adaptive"]))
     if kind == "wait":
-        return WaitForK(draw(st.integers(1, n)))
-    if kind == "best-effort":
-        return BestEffortWaitForK(draw(st.integers(1, n + 2)))
+        return WaitForK(draw(st.integers(1, n + 2)))
     if kind == "deadline":
         return DeadlinePolicy(draw(st.floats(0.01, 5.0)))
     return AdaptiveWaitK(linear_rampup(
@@ -657,7 +637,7 @@ class TestArrivalRace:
                 else ContendedUploadModel(scenario["capacity"])
             )
             return (
-                delay_model_from(scenario["delay"]),
+                model_from("delay", scenario["delay"]),
                 model_from("failure", scenario["failure"]),
                 link,
                 np.random.default_rng(scenario["seed"]),

@@ -641,11 +641,38 @@ class TestRules:
         ("model", {"kind": "nope"},
          "unknown model kind 'nope' (known kinds: logistic, linear, "
          "softmax, mlp)"),
+        ("model", {"kind": "logistic", "hidden": 3},
+         "model: model 'logistic' got unknown parameter 'hidden' "
+         "(accepted: seed)"),
+        ("model", {"kind": "mlp", "hidden_unit": 3},
+         "model: model 'mlp' got unknown parameter 'hidden_unit' — did "
+         "you mean 'hidden_units'? (accepted: num_classes, hidden_units, "
+         "seed)"),
+        ("dataset", {"samples": "many"},
+         "dataset.samples must be a positive integer, got 'many'"),
+        ("dataset", {"kind": "classification", "bogus": 1},
+         "dataset: dataset 'classification' got unknown parameter "
+         "'bogus' (accepted: samples, features, num_classes, separation, "
+         "seed, batch_size)"),
+        ("dataset",
+         {"kind": "cifar-like", "samples": 256, "num_classes": 4,
+          "bogus": 1},
+         "dataset: dataset 'cifar-like' got unknown parameter "
+         "'num_classes' (accepted: samples, side, seed, batch_size); "
+         "dataset: dataset 'cifar-like' got unknown parameter 'bogus'"),
+        ("dataset", {"kind": "regression", "num_classes": 9,
+                     "separation": 7},
+         "dataset: dataset 'regression' got unknown parameter "
+         "'num_classes' (accepted: samples, features, noise, seed, "
+         "batch_size); dataset: dataset 'regression' got unknown "
+         "parameter 'separation'"),
     ], ids=[
         "scheme-typo", "backend-typo", "scheme-list", "scheme-int",
         "backend-list", "backend-table", "rule-list", "rule-table",
         "name-int", "dataset-int", "dataset-kind", "dataset-kind-typo",
-        "model-str", "model-kind",
+        "model-str", "model-kind", "model-key", "model-key-typo",
+        "dataset-value", "dataset-key", "cifar-like-keys",
+        "regression-keys",
     ])
     def test_bad_scheme_or_backend_name_rejected(
         self, tmp_path, capsys, field, name, message
@@ -663,7 +690,9 @@ class TestRules:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["run", str(path)]) == 2
-        assert f"error: {exc.value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {exc.value}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("rule, params", [
         ("adaptive", {"review_every": 0}),
