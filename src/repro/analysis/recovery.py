@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batch import BatchDecodeResult
 from ..core.decoders import Decoder, decoder_for
 from ..core.placement import Placement
 from ..exceptions import ConfigurationError
@@ -59,29 +58,14 @@ def monte_carlo_recovery(
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
+    # The default decoder takes its key from ``rng`` first and never
+    # draws from it again, so every mask can be drawn up front and the
+    # whole batch decoded through the vectorized kernels.
+    dec = decoder if decoder is not None else decoder_for(placement, rng=rng)
     masks = np.zeros((trials, n), dtype=bool)
-    if decoder is not None:
-        # The decoder owns its generator, so every mask can be drawn up
-        # front (identical ``choice`` stream) and the whole batch
-        # decoded through the vectorized kernels — the decoder's
-        # fairness draws land in trial order either way.
-        for t in range(trials):
-            masks[t, rng.choice(n, size=wait_for, replace=False)] = True
-        batch = decoder.decode_batch(masks)
-    else:
-        # Default decoder shares ``rng`` with the mask draws; the
-        # historical stream interleaves choice/decode per trial, so
-        # batching the masks would reorder it and change recorded
-        # results (golden-pinned).  Keep the interleaved loop here.
-        dec = decoder_for(placement, rng=rng)
-        results = []
-        for t in range(trials):
-            available = rng.choice(n, size=wait_for, replace=False)
-            masks[t, available] = True
-            results.append(dec.decode(available.tolist()))
-        batch = BatchDecodeResult.from_results(
-            masks, results, placement.num_partitions
-        )
+    for t in range(trials):
+        masks[t, rng.choice(n, size=wait_for, replace=False)] = True
+    batch = dec.decode_batch(masks)
     arr = batch.num_recovered
     freq = batch.recovered.sum(axis=0).astype(float)
     return RecoveryStats(

@@ -21,13 +21,16 @@ the speed on the table.  This module is the data layer behind
   consumers (recovery stats, variance moments) can keep doing linear
   algebra instead of iterating ``DecodeResult`` objects.
 
-**The fairness-RNG invariant.**  Nothing in this module touches a
-random generator.  Decoders draw their fairness randomisation (which
-vertex seeds the window, which start order to try) *per mask, in batch
-order, before* calling the kernels here — the same discipline that
-makes :class:`~repro.parallel.DecodeCache` bit-for-bit safe.  Batched
-decoding therefore produces the identical selections *and* leaves the
-generator in the identical stream position as the looped path.
+**The fairness-stream invariant.**  Nothing in this module draws or
+hashes a fairness word.  A decoder's draws for decode ``k`` are a pure
+function of its key and ``k`` (see :mod:`repro.core.decoders`), so
+``decode`` hashes them for one mask and ``decode_batch`` for every row
+at once — row ``i`` is decode ``k + i`` — and hands the kernels here
+only the start vertices they pick.  Batched decoding therefore
+produces the identical selections as the looped path and leaves the
+decode counter where the loop would, and a
+:class:`~repro.parallel.DecodeCache` of search results stays
+bit-for-bit safe.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from itertools import combinations
 from typing import (
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -118,7 +120,8 @@ def masks_to_array(
     sequence of per-mask worker-id iterables.  Validation is fail-fast:
     the lowest malformed row raises the same
     :class:`~repro.exceptions.DecodeError` the looped ``decode`` path
-    would, before any row is decoded (so no RNG is consumed on error).
+    would, before any row is decoded (so the decode counter does not
+    move on error).
 
     Returns ``(avail, originals)`` where ``originals`` is the list of
     original mask objects (``None`` for array input).
@@ -159,16 +162,6 @@ def enumerate_masks(num_workers: int, size: int) -> np.ndarray:
     avail = np.zeros((combos.shape[0], num_workers), dtype=bool)
     avail[np.arange(combos.shape[0])[:, None], combos] = True
     return avail
-
-
-def mask_members(avail: np.ndarray) -> Iterator[List[int]]:
-    """Each row's available worker ids, ascending, as plain python ints
-    (one ``nonzero`` pass for the whole batch, so per-mask fairness
-    draws work on lists and leave numpy to the generator calls)."""
-    flat = np.nonzero(avail)[1].tolist()
-    bounds = np.concatenate(([0], np.cumsum(avail.sum(axis=1)))).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield flat[lo:hi]
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +263,7 @@ def batched_greedy_chains(
     ``avail_rows`` ``(P, n)`` bool (the mask each walk runs under), and
     ``starts`` ``(P,)`` int (each must be available in its row).
     Returns the chains as a ``(P, n)`` boolean array.  Deterministic —
-    consumes no randomness (the fairness-RNG invariant above).
+    draws nothing (the fairness-stream invariant above).
     """
     num_walks, n = avail_rows.shape
     chains = np.zeros((num_walks, n), dtype=bool)
@@ -305,7 +298,7 @@ def segment_argmax(
     ``sizes`` holds one value per greedy walk; ``counts[i]`` consecutive
     walks belong to mask (or group) ``i``.  Keeping the *first*
     occurrence of each segment's maximum reproduces the looped
-    decoders' tie-break (``>`` against the best so far, in shuffled
+    decoders' tie-break (``>`` against the best so far, in drawn
     start order).  Segments must be non-empty — every decoded mask runs
     at least one walk.
     """

@@ -15,7 +15,7 @@ restricted to ``W'``.  Alg. 2 exploits the circular structure:
 4. keep the largest set found.
 
 Alg. 3 is the same procedure with a different conflict relation and a
-different seeding rule, so everything but the fairness draws lives in
+different seeding rule, so everything but the choice of starts lives in
 :class:`ChainDecoder`: the walk itself is
 :func:`~repro.core.batch.greedy_chain` (per mask) and
 :func:`~repro.core.batch.batched_greedy_chains` (per batch), both run
@@ -24,13 +24,21 @@ under the decoder's adjacency matrix; the window of step 2 is
 in :meth:`ChainDecoder._decode` and the batched one in
 :meth:`ChainDecoder._best_chains_batch`.
 
-``starts="all"`` replaces the window with every available vertex —
-an O(|W'|²/c) belt-and-braces mode used by tests to confirm the window
-heuristic loses nothing.
+The fairness draws of one circle (see :mod:`repro.core.decoders`):
+the seed vertex is the available member
+:func:`~repro.splitmix.bounded_index` of draw 0 picks, and the
+window's starts run in ascending order of draw ``1 + o`` for the start
+``o`` steps clockwise of the seed, ties broken by ``o``.
+:meth:`ChainDecoder._window` draws them on Python ints for one mask
+and :meth:`ChainDecoder._windows` as arrays for a batch.
 
-Nothing here is memoised: a walk is linear in ``|W'|`` and the
-fairness draws that seed it stay live, so a memo of chains costs more
-than it saves; ``cache`` is accepted and ignored.
+``starts="all"`` replaces the window with every available vertex, in
+ascending order of draw ``v`` for vertex ``v`` — an O(|W'|²/c)
+belt-and-braces mode used by tests to confirm the window heuristic
+loses nothing.
+
+Nothing here is memoised: a walk is linear in ``|W'|``, so a memo of
+chains costs more than it saves; ``cache`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -41,31 +49,41 @@ from typing import FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..splitmix import (
+    bounded_index,
+    bounded_indices,
+    counter_hash,
+    counter_hashes,
+    weyl_terms,
+)
 from .batch import (
     BatchDecodeResult,
     MaskBatch,
     batched_greedy_chains,
     circulant_adjacency,
     greedy_chain,
-    mask_members,
     masks_to_array,
     segment_argmax,
     window_starts,
 )
 from .cyclic import CyclicRepetition
-from .decoders import Decoder, Selection
+from .decoders import CIRCLE, Decoder, Selection
 
 #: one segment of greedy walks: the circle it runs on (``0`` unless the
 #: adjacency covers one group of several), that circle's available
-#: vertices in ascending circle-local ids, and the shuffled starts.
+#: vertices in ascending circle-local ids, and its starts in draw order.
 Segment = Tuple[int, List[int], List[int]]
+
+#: ``(counts, starts)`` of a batch's segments: walks per segment, and
+#: every segment's starts in draw order, concatenated.
+Starts = Tuple[np.ndarray, np.ndarray]
 
 
 class ChainDecoder(Decoder):
     """Alg. 2 on the placement's worker circle, as the skeleton Alg. 3
     reuses: subclasses choose the adjacency the walk runs under
     (:attr:`_adj`) and — when not Alg. 2's window — the fairness draws
-    (:meth:`_draw_starts`).
+    (:meth:`_segments` per mask, :meth:`_batch_segments` per batch).
 
     The adjacency may cover the whole circle or one group of it (HR
     with ``c2 = 0``: ``g`` conflict-isolated ``n0``-circles); walks
@@ -89,37 +107,83 @@ class ChainDecoder(Decoder):
     def _search_tables(self):
         return self._adj, self._adj_rows
 
-    def _draw_window(self, members: List[int]) -> List[int]:
-        """Alg. 2's fairness draws on one circle: a uniform available
-        seed vertex ``u``, then the available members of its
-        ``c``-window in random order.
+    @cached_property
+    def _window_terms(self) -> np.ndarray:
+        """Weyl terms of circle 0's draws ``0 … c``: the seed draw and
+        one draw per window offset."""
+        return weyl_terms(
+            np.arange(self._placement.partitions_per_worker + 1)
+        )
+
+    def _window(
+        self, members: List[int], stream: int, circle: int = 0
+    ) -> List[int]:
+        """Alg. 2's fairness draws on ``circle`` of the decode keyed
+        ``stream``: a uniform available seed vertex ``u``, then the
+        available members of its ``c``-window in random order.
 
         Ties between equal-size chains go to the earliest start, so
         the start order must be random for the paper's fairness
         guarantee (every worker equally likely to contribute under
         homogeneous stragglers).
         """
+        size = len(self._adj_rows)
+        base = circle * CIRCLE
+        index = bounded_index(counter_hash(stream, base), len(members))
         starts = window_starts(
-            members,
-            int(self._rng.integers(len(members))),
-            self._placement.partitions_per_worker,
-            len(self._adj_rows),
+            members, index, self._placement.partitions_per_worker, size
         )
-        self._rng.shuffle(starts)
+        if len(starts) > 1:
+            seed, first = members[index], base + 1
+
+            def order(vertex: int) -> int:
+                # The draw's word, ties broken by the offset from ``u``.
+                offset = (vertex - seed) % size
+                return counter_hash(stream, first + offset) << 32 | offset
+
+            starts.sort(key=order)
         return starts
 
-    def _draw_starts(self, members: List[int]) -> List[Segment]:
-        """All fairness draws for one mask (``members``: its ascending
-        worker ids), in the order both decode paths consume them."""
-        return [(0, members, self._draw_window(members))]
+    def _windows(
+        self, rows: np.ndarray, streams: np.ndarray, terms: np.ndarray
+    ) -> Starts:
+        """:meth:`_window` for every row of ``rows`` (one circle's
+        availability each, none empty) under its decode's key in
+        ``streams``, with ``terms`` the Weyl terms of its circle's
+        draws ``0 … c`` (a row of them, or one per row)."""
+        size = rows.shape[1]
+        words = counter_hashes(streams[:, None], terms)
+        rank = rows.cumsum(axis=1, dtype=np.min_scalar_type(size))
+        index = bounded_indices(words[:, 0], rank[:, -1])
+        seed = (rank > index[:, None]).argmax(axis=1)
+        # Offsets in ascending word order; a stable sort breaks ties by
+        # offset, and unavailable offsets drop out after it.
+        vertex = seed[:, None] + np.argsort(words[:, 1:], axis=1, kind="stable")
+        vertex[vertex >= size] -= size
+        valid = np.take_along_axis(rows, vertex, axis=1)
+        return valid.sum(axis=1), vertex[valid]
 
-    def _decode(self, available: FrozenSet[int]) -> Selection:
+    def _segments(self, members: List[int], stream: int) -> List[Segment]:
+        """All fairness draws for one mask (``members``: its ascending
+        worker ids; ``stream``: its decode's key)."""
+        return [(0, members, self._window(members, stream))]
+
+    def _batch_segments(
+        self, avail: np.ndarray, streams: np.ndarray
+    ) -> Tuple[np.ndarray, Starts]:
+        """:meth:`_segments` for a whole batch: each segment's row of
+        ``avail`` viewed one circle per row, and its walks."""
+        return np.arange(avail.shape[0]), self._windows(
+            avail, streams, self._window_terms
+        )
+
+    def _decode(self, available: FrozenSet[int], stream: int) -> Selection:
         rows = self._adj_rows
         size = len(rows)
         grouped = size != self._placement.num_workers
         selected: List[int] = []
         searches = 0
-        for circle, local, starts in self._draw_starts(sorted(available)):
+        for circle, local, starts in self._segments(sorted(available), stream):
             searches += len(starts)
             best: FrozenSet[int] = frozenset()
             for start in starts:
@@ -135,27 +199,21 @@ class ChainDecoder(Decoder):
     def decode_batch(self, masks: MaskBatch) -> BatchDecodeResult:
         """Vectorized Algs. 2/3 across a whole mask batch.
 
-        Phase 1 draws the fairness RNG per mask in batch order, with
-        identical generator consumption to the looped path.  Phase 2
-        runs every (mask, start) greedy chain at once through the
-        adjacency kernel (no RNG).  Phase 3 keeps, per segment, the
-        first strictly-largest chain in shuffled start order — the
-        looped tie-break, vectorized.
+        Phase 1 hashes every row's fairness draws at once: row ``i``'s
+        are decode ``decode_count + i``'s, by the stream's definition.
+        Phase 2 runs every (mask, start) greedy chain at once through
+        the adjacency kernel.  Phase 3 keeps, per segment, the first
+        strictly-largest chain in draw order — the looped tie-break,
+        vectorized.
         """
         avail, _ = masks_to_array(masks, self._placement.num_workers)
-        circles = avail.shape[1] // self._adj.shape[0]
-        seg_rows: List[int] = []
-        counts: List[int] = []
-        starts: List[int] = []
-        searches: List[int] = []
-        for i, members in enumerate(mask_members(avail)):
-            before = len(starts)
-            for circle, _, seg_starts in self._draw_starts(members):
-                seg_rows.append(i * circles + circle)
-                counts.append(len(seg_starts))
-                starts.extend(seg_starts)
-            searches.append(len(starts) - before)
+        streams = self._stream_keys(avail.shape[0])
+        seg_rows, (counts, starts) = self._batch_segments(avail, streams)
         selected = self._best_chains_batch(avail, seg_rows, counts, starts)
+        circles = avail.shape[1] // self._adj.shape[0]
+        searches = np.bincount(
+            seg_rows // circles, weights=counts, minlength=avail.shape[0]
+        ).astype(np.intp)
         return self._finalize_batch(avail, selected, searches)
 
     def _best_chains_batch(
@@ -210,9 +268,23 @@ class CRDecoder(ChainDecoder):
         super().__init__(placement, rng=rng, cache=cache)
         self._starts = starts
 
-    def _draw_starts(self, members: List[int]) -> List[Segment]:
+    @cached_property
+    def _vertex_terms(self) -> np.ndarray:
+        """Weyl terms of draws ``0 … n-1``: one per vertex (``all``)."""
+        return weyl_terms(np.arange(self._placement.num_workers))
+
+    def _segments(self, members: List[int], stream: int) -> List[Segment]:
         if self._starts == "window":
-            return super()._draw_starts(members)
-        starts = list(members)
-        self._rng.shuffle(starts)
+            return super()._segments(members, stream)
+        starts = sorted(
+            members, key=lambda v: counter_hash(stream, v) << 32 | v
+        )
         return [(0, members, starts)]
+
+    def _batch_segments(self, avail, streams):
+        if self._starts == "window":
+            return super()._batch_segments(avail, streams)
+        words = counter_hashes(streams[:, None], self._vertex_terms)
+        vertex = np.argsort(words, axis=1, kind="stable")
+        valid = np.take_along_axis(avail, vertex, axis=1)
+        return np.arange(avail.shape[0]), (valid.sum(axis=1), vertex[valid])

@@ -10,8 +10,30 @@ All decoders share two contracts the paper relies on:
 * **optimality** — the returned worker set is a *maximum* independent
   set of ``G[W']`` (verified against the exact MIS solver in tests);
 * **fairness** — under homogeneous stragglers every partition has the
-  same probability of appearing in ``I`` (randomized tie-breaking,
-  driven by an injected :class:`numpy.random.Generator`).
+  same probability of appearing in ``I`` (randomized tie-breaking).
+
+The fairness draws
+------------------
+A decoder holds an integer **key** and a **decode counter**.  Decode
+``k`` (the counter's value when it starts) draws from the stream keyed
+``S(key, k)``, where ``S`` is SplitMix64 used as a counter hash
+(:func:`repro.splitmix.counter_hash`): draw ``j`` on circle ``c`` is
+the word ``S(S(key, k), c·2³² + j)``, a pure function of
+``(key, k, c, j)``.  A decoder with one circle draws on circle 0; HR
+with ``c2 = 0`` draws group ``g``'s window on circle ``g``.  A bounded
+index (a seed vertex, a seed group, a pick among optima) is
+:func:`~repro.splitmix.bounded_index` of one word, exactly uniform; a start order is an ascending sort of one word
+per start, ties broken by the start's index.  So the draws need no
+generator state: :meth:`Decoder.decode` hashes on Python ints, and
+:meth:`Decoder.decode_batch` hashes every row of a batch as arrays and
+equals looping ``decode`` because row ``i`` is decode ``k + i`` by
+definition.  A decode that fails validation does not count.
+
+The key is one 64-bit word drawn from the ``rng`` a decoder is built
+(or :meth:`~Decoder.fork`-ed) with; nothing draws from that generator
+afterwards, and :attr:`Decoder.rng` reads it back unchanged.  The key
+and the counter are the whole of a decoder's run state
+(:class:`~repro.engine.state.EngineState` keeps both).
 
 Public API
 ----------
@@ -19,11 +41,12 @@ Public API
 availability mask, runs the scheme's search, checks the disjointness
 invariant and returns a :class:`~repro.types.DecodeResult`.
 :meth:`Decoder.decode_batch` decodes a whole ``(num_masks, n)``
-boolean array (or list of masks) at once, bit-for-bit equivalent to
-looping ``decode`` — same selections, same generator stream — with the
-deterministic kernels vectorized through :mod:`repro.core.batch`.
-Subclasses implement the :meth:`Decoder._decode` hook returning a
-typed :class:`Selection`, and may override ``decode_batch`` with a
+boolean array (or list of masks) at once, bit-for-bit equal to
+looping ``decode`` — same selections, same counter at the end — with
+the draws and the deterministic kernels vectorized through
+:mod:`repro.splitmix` and :mod:`repro.core.batch`.  Subclasses
+implement the :meth:`Decoder._decode` hook returning a typed
+:class:`Selection`, and may override ``decode_batch`` with a
 vectorized path.
 
 A placement picks its own decoder: :meth:`Placement.decoder
@@ -39,9 +62,8 @@ Only a search worth memoising has a memo.  The exact-MIS decoder keeps
 its optima per availability mask in a
 :class:`~repro.parallel.DecodeCache` (its own unless ``cache=`` hands
 one in), under the fairness draw, so memoised decoding is bit-for-bit
-identical to a fresh search.  Algs. 1–3 are linear-time walks whose
-fairness draws stay live: FR, CR and HR accept ``cache`` and ignore
-it.
+identical to a fresh search.  Algs. 1–3 are linear-time walks: FR, CR
+and HR accept ``cache`` and ignore it.
 """
 
 from __future__ import annotations
@@ -59,7 +81,8 @@ from typing import (
 
 import numpy as np
 
-from ..exceptions import DecodeError
+from ..exceptions import ConfigurationError, DecodeError
+from ..splitmix import counter_hash, counter_hashes, weyl_terms
 from ..types import DecodeResult
 from .batch import (
     BatchDecodeResult,
@@ -78,6 +101,29 @@ class Selection(NamedTuple):
     workers: FrozenSet[int]
     #: how many greedy searches (start vertices) were run.
     num_searches: int
+
+
+#: Circle ``c``'s draws start at counter ``c · CIRCLE`` of a decode's
+#: stream.
+CIRCLE = 2**32
+
+
+def _key_from(rng: np.random.Generator) -> int:
+    """A stream key: one 64-bit word of ``rng``."""
+    return int(rng.integers(2**64, dtype=np.uint64))
+
+
+def _check_word(name: str, value) -> int:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or not 0 <= value < 2**64
+    ):
+        raise ConfigurationError(
+            f"decoder {name} must be an integer in [0, 2**64), "
+            f"got {value!r}"
+        )
+    return int(value)
 
 
 def decoder_for(
@@ -109,26 +155,61 @@ class Decoder(abc.ABC):
         # The fallback stays: the README, the tutorial and the benchmark
         # harness's self-test build decoders without an rng.
         self._rng = rng if rng is not None else np.random.default_rng()  # repro: noqa[DET003] deliberate opt-in to entropy when no rng is injected
+        self._key = _key_from(self._rng)
+        self._count = 0
 
     @property
     def rng(self) -> np.random.Generator:
-        """The fairness tie-break generator (checkpointing surface)."""
+        """The generator :attr:`key` was drawn from (one word, when the
+        decoder was built or forked; nothing draws from it since)."""
         return self._rng
+
+    @property
+    def key(self) -> int:
+        """The fairness stream's key (see the module docstring)."""
+        return self._key
+
+    @key.setter
+    def key(self, value: int) -> None:
+        self._key = _check_word("key", value)
+
+    @property
+    def decode_count(self) -> int:
+        """How many masks this decoder has decoded: decode ``k`` draws
+        from the stream keyed ``S(key, k)``."""
+        return self._count
+
+    @decode_count.setter
+    def decode_count(self, value: int) -> None:
+        self._count = _check_word("decode_count", value)
 
     @property
     def placement(self) -> Placement:
         return self._placement
 
     def fork(self, *, rng: np.random.Generator) -> "Decoder":
-        """A decoder for one more run over the same placement: it owns
-        ``rng`` and shares this one's search tables (built here if need
-        be; arrays made read-only), a memo among them."""
+        """A decoder for one more run over the same placement: its key
+        is one word of ``rng``, its counter starts at zero, and it
+        shares this one's search tables (built here if need be; arrays
+        made read-only), a memo among them."""
         for table in self._search_tables():
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
         twin = copy.copy(self)
         twin._rng = rng
+        twin._key = _key_from(rng)
+        twin._count = 0
         return twin
+
+    def _stream_keys(self, num_masks: int) -> np.ndarray:
+        """The next ``num_masks`` decodes' stream keys ``S(key, k)`` as
+        a ``uint64`` array; the counter moves past them."""
+        first = self._count
+        self._count = first + num_masks
+        return counter_hashes(
+            np.uint64(self._key),
+            weyl_terms(np.arange(first, first + num_masks, dtype=np.uint64)),
+        )
 
     def _search_tables(self) -> Sequence[Any]:
         """The placement-only tables, lazily built ones included
@@ -151,7 +232,9 @@ class Decoder(abc.ABC):
         available = validate_mask(
             available_workers, self._placement.num_workers
         )
-        selection = self._decode(available)
+        stream = counter_hash(self._key, self._count)
+        self._count += 1
+        selection = self._decode(available, stream)
         selected, searches = selection
         if not selected:
             raise DecodeError(
@@ -179,24 +262,21 @@ class Decoder(abc.ABC):
         **bit-for-bit equivalence** with the looped path: the returned
         :meth:`BatchDecodeResult.results` equal
         ``[self.decode(m) for m in masks]`` element by element, *and*
-        the injected generator ends in the identical stream position —
-        fairness draws happen per mask in batch order, outside the
-        vectorized kernels (see :mod:`repro.core.batch`).
+        :attr:`decode_count` ends where the loop leaves it — row ``i``
+        is decode ``decode_count + i``, whose draws are a function of
+        ``(key, decode_count + i)`` alone (see the module docstring).
 
         The one deliberate difference: malformed rows fail fast.  All
         rows are validated up front (lowest bad row raises, same
-        :class:`DecodeError` as the looped path) before any RNG is
-        consumed, whereas a loop would decode rows 0..k-1 before
-        raising on row k.
+        :class:`DecodeError` as the looped path) before the counter
+        moves, whereas a loop would decode rows 0..k-1 before raising
+        on row k.
 
         This base implementation validates then loops ``decode`` — the
         correct-by-construction fallback for decoders without a
-        vectorized kernel.  CR/HR override it with the batched chain
-        kernel; FR draws every group of the batch in one ``integers``
-        call and picks the survivors with array ops; the exact decoder
-        overrides it to batch its memo lookups and result assembly
-        (its per-mask work is search-bound, so there is no
-        deterministic inner loop to vectorize).
+        vectorized kernel.  FR, CR, HR and the exact decoder override
+        it: each hashes the whole batch's draws as arrays, and the
+        exact decoder batches its memo lookups as well.
         """
         avail, originals = masks_to_array(
             masks, self._placement.num_workers
@@ -210,8 +290,9 @@ class Decoder(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    def _decode(self, available: FrozenSet[int]) -> Selection:
-        """Search hook: the :class:`Selection` for ``available``."""
+    def _decode(self, available: FrozenSet[int], stream: int) -> Selection:
+        """Search hook: the :class:`Selection` for ``available``, its
+        fairness draws keyed by ``stream`` (``S(key, k)``)."""
         raise NotImplementedError(
             f"{type(self).__name__} must implement _decode()"
         )

@@ -7,11 +7,13 @@ truth the linear-time scheme decoders are validated against, and the
 decoder of last resort for custom placements.
 
 To preserve the paper's fairness property, when several maximum
-independent sets exist one is chosen uniformly at random.  The search
+independent sets exist one is chosen uniformly at random: the one
+:func:`~repro.splitmix.bounded_index` of draw 0 on circle 0 of the
+decode's stream (see :mod:`repro.core.decoders`) picks.  The search
 is the one decode worth memoising: the canonically ordered optima of
 a mask go into a :class:`~repro.parallel.DecodeCache`, held beside the
 conflict graph as a placement-only table that :meth:`~Decoder.fork`
-shares, and the fair draw over them stays live.
+shares, and the fair draw over them is made afresh per decode.
 """
 
 from __future__ import annotations
@@ -23,10 +25,20 @@ import numpy as np
 from ..graphs.graph import Graph
 from ..graphs.independent_set import all_maximum_independent_sets
 from ..parallel.cache import DecodeCache
+from ..splitmix import (
+    bounded_index,
+    bounded_indices,
+    counter_hash,
+    counter_hashes,
+    weyl_terms,
+)
 from .batch import BatchDecodeResult, MaskBatch, masks_to_array
 from .conflict import conflict_graph
 from .decoders import Decoder, Selection
 from .placement import Placement
+
+#: The Weyl term of draw 0, the pick among optima.
+_FIRST = weyl_terms([0])
 
 
 class ExactDecoder(Decoder):
@@ -55,16 +67,16 @@ class ExactDecoder(Decoder):
     def _optima(self, available: FrozenSet[int]) -> Tuple[FrozenSet[int], ...]:
         return tuple(all_maximum_independent_sets(self._graph, available))
 
-    def _decode(self, available: FrozenSet[int]) -> Selection:
+    def _decode(self, available: FrozenSet[int], stream: int) -> Selection:
         # The optima list is canonically ordered (pure in the induced
-        # subgraph), so it memoises; the uniform index draw below stays
-        # live for fairness.
+        # subgraph), so it memoises; the uniform index draw below is
+        # the decode's own.
         optima = self._cache.get_or_compute(
             self._placement.fingerprint, "exact-optima", available,
             lambda: self._optima(available),
         )
-        chosen = optima[int(self._rng.integers(len(optima)))]
-        return Selection(chosen, 1)
+        pick = bounded_index(counter_hash(stream, 0), len(optima))
+        return Selection(optima[pick], 1)
 
     def decode_batch(self, masks: MaskBatch) -> BatchDecodeResult:
         """Batched exact decoding: one memo pass, then fairness draws.
@@ -73,9 +85,8 @@ class ExactDecoder(Decoder):
         resolves through one
         :meth:`~repro.parallel.DecodeCache.get_or_compute_batch`
         hit/miss partition; only the misses are solved.  The uniform
-        index draws then run per mask in batch order — after the
-        searches but in the identical stream positions as the looped
-        path, which also never draws *during* a search.
+        index draws of every row are then hashed at once: row ``i``'s
+        is decode ``decode_count + i``'s.
         """
         placement: Placement = self._placement
         avail, originals = masks_to_array(masks, placement.num_workers)
@@ -91,10 +102,13 @@ class ExactDecoder(Decoder):
             placement.fingerprint, "exact-optima", fsets,
             lambda missing: [self._optima(fs) for fs in missing],
         )
+        words = counter_hashes(self._stream_keys(num_masks), _FIRST)
+        picks = bounded_indices(
+            words, np.fromiter(map(len, values), np.uint64, num_masks)
+        ).tolist()
         selected = np.zeros_like(avail)
-        for i, optima in enumerate(values):
-            chosen = optima[int(self._rng.integers(len(optima)))]
-            selected[i, list(chosen)] = True
+        for i, (optima, pick) in enumerate(zip(values, picks)):
+            selected[i, list(optima[pick])] = True
         return self._finalize_batch(
             avail, selected, np.ones(num_masks, dtype=np.intp)
         )

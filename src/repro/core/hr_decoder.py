@@ -7,7 +7,10 @@ reducers, different adjacency and seeding):
 
 * start vertices are the available workers of **one random non-empty
   group** (Theorem 8: some maximum independent set touches any group
-  with survivors);
+  with survivors): draw 0 picks the group by
+  :func:`~repro.splitmix.bounded_index`, and its survivors start in
+  ascending order of draw ``1 + o`` for the survivor ``o`` places into
+  the group;
 * the clockwise walk admits a candidate iff it conflicts with neither
   the previously admitted vertex nor the start vertex, where conflict is
   Alg. 4's predicate (within-group completeness plus neighbouring-group
@@ -23,19 +26,29 @@ Special cases route to simpler algorithms:
   nothing is overridden: the inherited Alg. 2 code runs as is;
 * ``c2 = 0`` → groups are conflict-isolated; decode each group
   independently with Alg. 2 on its local circle (which degenerates
-  to "pick one worker per group" when ``n0 ≤ 2c - 1``, i.e. FR).
+  to "pick one worker per group" when ``n0 ≤ 2c - 1``, i.e. FR),
+  group ``g`` drawing on circle ``g``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
 
+from ..splitmix import (
+    bounded_index,
+    bounded_indices,
+    counter_hash,
+    counter_hashes,
+    weyl_terms,
+)
 from .batch import circulant_adjacency
 from .conflict import conflict_graph
 from .cr_decoder import ChainDecoder, Segment
+from .decoders import CIRCLE
 from .hybrid import HybridRepetition
 
 
@@ -72,24 +85,68 @@ class HRDecoder(ChainDecoder):
             )
         return conflict_graph(placement).adjacency
 
-    def _draw_starts(self, members: List[int]) -> List[Segment]:
+    @cached_property
+    def _circle_terms(self) -> np.ndarray:
+        """Weyl terms of circle ``g``'s draws ``0 … c``, row ``g`` per
+        group (``c2 = 0``: group ``g``'s window)."""
+        placement: HybridRepetition = self._placement  # type: ignore[assignment]
+        return weyl_terms(
+            np.arange(placement.num_groups)[:, None] * CIRCLE
+            + np.arange(placement.partitions_per_worker + 1)
+        )
+
+    @cached_property
+    def _start_terms(self) -> np.ndarray:
+        """Weyl terms of draws ``0 … n0``: general HR's group draw and
+        one draw per survivor of the group."""
+        return weyl_terms(np.arange(self._placement.group_size + 1))  # type: ignore[attr-defined]
+
+    def _segments(self, members: List[int], stream: int) -> List[Segment]:
         if self._mode == "cr":
-            return super()._draw_starts(members)
+            return super()._segments(members, stream)
         n0 = self._placement.group_size  # type: ignore[attr-defined]
-        by_group: Dict[int, List[int]] = {}
-        for worker in members:
-            by_group.setdefault(worker // n0, []).append(worker)
         if self._mode == "groups":
             # Alg. 2 per non-empty group, on circle-local ids.
-            segments = []
-            for group, workers in by_group.items():
-                local = [worker - group * n0 for worker in workers]
-                segments.append((group, local, self._draw_window(local)))
-            return segments
+            by_group: Dict[int, List[int]] = {}
+            for worker in members:
+                by_group.setdefault(worker // n0, []).append(worker % n0)
+            return [
+                (group, local, self._window(local, stream, group))
+                for group, local in by_group.items()
+            ]
         # Alg. 3: seed one random non-empty group and start from each
         # of its survivors — "as long as i is randomly permutated,
         # gradients on each worker have an equal chance".
-        groups = list(by_group)
-        starts = by_group[groups[int(self._rng.integers(len(groups)))]]
-        self._rng.shuffle(starts)
+        groups = sorted({worker // n0 for worker in members})
+        group = groups[bounded_index(counter_hash(stream, 0), len(groups))]
+        base = group * n0
+        at = bisect_left(members, base)
+        first = 1 - base
+        starts = sorted(
+            members[at:bisect_left(members, base + n0, at)],
+            key=lambda v: counter_hash(stream, first + v) << 32 | v,
+        )
         return [(0, members, starts)]
+
+    def _batch_segments(self, avail, streams):
+        if self._mode == "cr":
+            return super()._batch_segments(avail, streams)
+        placement: HybridRepetition = self._placement  # type: ignore[assignment]
+        g, n0 = placement.num_groups, placement.group_size
+        cells = avail.reshape(-1, n0)
+        if self._mode == "groups":
+            seg_rows = np.flatnonzero(cells.any(axis=1))
+            return seg_rows, self._windows(
+                cells[seg_rows],
+                streams[seg_rows // g],
+                self._circle_terms[seg_rows % g],
+            )
+        words = counter_hashes(streams[:, None], self._start_terms)
+        rank = cells.any(axis=1).reshape(-1, g).cumsum(axis=1)
+        index = bounded_indices(words[:, 0], rank[:, -1])
+        group = (rank > index[:, None]).argmax(axis=1)
+        vertex = group[:, None] * n0 + np.argsort(
+            words[:, 1:], axis=1, kind="stable"
+        )
+        valid = np.take_along_axis(avail, vertex, axis=1)
+        return np.arange(avail.shape[0]), (valid.sum(axis=1), vertex[valid])

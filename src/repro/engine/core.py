@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from ..exceptions import TrainingError
+from ..exceptions import ConfigurationError, TrainingError
 from ..training.convergence import LossTracker
 from ..training.evaluation import held_out_loss
 from ..training.gradients import BatchStreams
@@ -31,8 +31,6 @@ from .state import (
     MODE_ROUNDS,
     MODE_UPDATES,
     EngineState,
-    generator_state,
-    set_generator_state,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -416,13 +414,29 @@ class RoundEngine:
             self.tracer.set_context(scheme=state.tracer_scheme)
 
     def _strategy_state(self) -> dict:
-        """Mutable strategy-side state: the decoder's fairness RNG."""
+        """Mutable strategy-side state: the decoder's fairness stream,
+        its key (a migrated strategy's is drawn mid-run) and its decode
+        counter."""
         decoder = getattr(self.strategy, "decoder", None)
         if decoder is None:
             return {}
-        return {"decoder_rng": generator_state(decoder.rng)}
+        return {
+            "decoder_key": decoder.key,
+            "decode_count": decoder.decode_count,
+        }
 
     def _restore_strategy_state(self, state) -> None:
         decoder = getattr(self.strategy, "decoder", None)
-        if decoder is not None and "decoder_rng" in state:
-            set_generator_state(decoder.rng, state["decoder_rng"])
+        if decoder is None:
+            return
+        missing = {"decoder_key", "decode_count"} - set(state)
+        if missing:
+            raise TrainingError(
+                f"engine state's strategy lacks {sorted(missing)} for "
+                f"its {type(decoder).__name__}"
+            )
+        try:
+            decoder.key = state["decoder_key"]
+            decoder.decode_count = state["decode_count"]
+        except ConfigurationError as exc:
+            raise TrainingError(f"engine state's strategy: {exc}") from exc

@@ -315,30 +315,31 @@ class AdaptiveMigration(SyncUpdate):
         The migrated placement is not serialised: ``rank_placements``
         is deterministic in ``(n, c, wait_for, seed=step)``, so the
         placement the run switched to is re-derived exactly from the
-        recorded migration step, and the rebuilt strategy shares this
-        rule's (restored) generator just like the original swap did.
+        recorded migration step.  The rebuilt strategy's decoder draws
+        its key from this rule's generator, as the original swap did;
+        the generator is restored after that draw, and the engine then
+        restores the decoder's own key and counter.
         """
         from .state import set_generator_state
 
         super().restore_state(engine, state)
         self._penalty = float(state["penalty"])
-        set_generator_state(self._rng, state["rng"])
         self.migrations = [
             MigrationEvent(**event) for event in state["migrations"]
         ]
-        if not self.migrations:
-            return
-        placement: Placement = engine.strategy.placement
-        ranking = rank_placements(
-            placement.num_workers,
-            placement.partitions_per_worker,
-            self._wait_for,
-            trials=1500,
-            seed=self.migrations[-1].step,
-        )
-        engine.strategy = ISGCStrategy(
-            ranking[0].placement, wait_for=self._wait_for, rng=self._rng
-        )
+        if self.migrations:
+            placement: Placement = engine.strategy.placement
+            ranking = rank_placements(
+                placement.num_workers,
+                placement.partitions_per_worker,
+                self._wait_for,
+                trials=1500,
+                seed=self.migrations[-1].step,
+            )
+            engine.strategy = ISGCStrategy(
+                ranking[0].placement, wait_for=self._wait_for, rng=self._rng
+            )
+        set_generator_state(self._rng, state["rng"])
 
 
 class AsyncUpdate(UpdateRule):

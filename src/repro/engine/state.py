@@ -41,7 +41,7 @@ from ..types import AsyncUpdateRecord, StepRecord
 
 #: Bumped whenever the serialised layout changes incompatibly; a state
 #: of any other version is refused, never converted.
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 #: Snapshot modes: synchronous rounds vs. asynchronous updates.
 MODE_ROUNDS = "rounds"

@@ -12,7 +12,8 @@ Two pieces:
 * :class:`DecodeCache` — an LRU memo for the decode searches worth
   memoising (the exact-MIS decoder's optima, classic GC's decode
   vectors), keyed on (placement fingerprint, survivor set),
-  bit-for-bit transparent because fairness RNG draws stay live.
+  bit-for-bit transparent because the fairness draws are made per
+  decode, outside the memo.
 
 See ``docs/parallelism.md`` for the executor model, the seeding
 discipline and its guards, and cache semantics.

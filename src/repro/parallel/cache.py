@@ -7,10 +7,10 @@ survivor set.  Both are *pure functions* of the survivor set for one
 placement (and, for GC, one code), so they memoise perfectly, and each
 memo is held beside what it is computed from and shared by every run
 of a plan.  The fairness randomisation (which optimum to
-return) stays live in the decoder, so memoised decoding is
+return) is drawn per decode in the decoder, so memoised decoding is
 **bit-for-bit identical** to a fresh search: the memo sits *under* the
-RNG draws, and the generator consumes exactly the same stream either
-way.  The linear-time FR/CR/HR decoders keep none — a memo of their
+draws, and each decode's draw is a function of its decode counter
+either way.  The linear-time FR/CR/HR decoders keep none — a memo of their
 walks costs more than it saves.
 
 Keys are ``(placement fingerprint, kind, key)``: the fingerprint (a

@@ -28,6 +28,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError, TrainingError
+from ..splitmix import counter_hash, counter_hashes, weyl_terms
 
 
 @dataclass(frozen=True)
@@ -256,53 +257,10 @@ def check_step(step: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# The batch-index stream: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
-# used as a counter hash.  ``mix`` is its bijective output function and
-# ``γ`` its Weyl increment; output ``i`` of the generator seeded with
-# ``s`` is ``mix(s + i·γ)``, so any output is one hash away.  The
-# scalar form works on Python ints (one key at a time costs no array
-# calls); the array form takes its counters' Weyl terms precomputed.
+# The batch-index stream: SplitMix64 used as a counter hash
+# (:mod:`repro.splitmix`).
 
-_MASK = 2**64 - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-_MIX_MULTIPLIERS = tuple(np.uint64(m) for m in _MULTIPLIERS)
-_MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 _HALF = np.uint64(32)
-
-
-def counter_hash(key: int, counter: int) -> int:
-    """``S(key, counter)``: output ``counter + 1`` of the SplitMix64
-    generator seeded with ``key``, on Python ints in ``[0, 2⁶⁴)``."""
-    m1, m2 = _MULTIPLIERS
-    z = (key + (counter + 1) * _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * m1) & _MASK
-    z = ((z ^ (z >> 27)) * m2) & _MASK
-    return z ^ (z >> 31)
-
-
-def weyl_terms(counters) -> np.ndarray:
-    """``(counter + 1)·γ mod 2⁶⁴`` of ``uint64`` counters, read-only:
-    the counter half of :func:`counter_hashes`, computed once per
-    stream rather than once per draw."""
-    terms = (
-        np.asarray(counters, dtype=np.uint64) + np.uint64(1)
-    ) * np.uint64(_GAMMA)
-    terms.flags.writeable = False
-    return terms
-
-
-def counter_hashes(keys, terms: np.ndarray) -> np.ndarray:
-    """``S(key, counter)`` broadcast over ``uint64`` keys and the
-    counters' :func:`weyl_terms`, as a new array."""
-    (m1, m2), (s1, s2, s3) = _MIX_MULTIPLIERS, _MIX_SHIFTS
-    z = keys + terms
-    z ^= z >> s1
-    z *= m1
-    z ^= z >> s2
-    z *= m2
-    z ^= z >> s3
-    return z
 
 
 def stream_key(seed: int) -> int:

@@ -47,6 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import TrainingError
+from ..splitmix import weyl_terms
 from .datasets import (
     BatchStream,
     Dataset,
@@ -54,7 +55,6 @@ from .datasets import (
     check_step,
     draw_indices,
     stream_key,
-    weyl_terms,
 )
 from .models import Model
 

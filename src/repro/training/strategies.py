@@ -252,8 +252,9 @@ class ISGCStrategy(TrainingStrategy):
         return self._decoder
 
     def spawn(self, seed):
-        """Own fairness generator and ``last_decode``; the decoder's
-        search tables (and memo, if it keeps one) are shared."""
+        """Own fairness stream (a key drawn from ``seed``'s generator,
+        a counter at zero) and ``last_decode``; the decoder's search
+        tables (and memo, if it keeps one) are shared."""
         twin = copy.copy(self)
         twin._decoder = self._decoder.fork(rng=np.random.default_rng(seed))
         twin.last_decode = None

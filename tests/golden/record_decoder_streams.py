@@ -17,7 +17,10 @@ at ``n >= 11`` it is the order of branching on workers sorted by
 ``repr`` (``10`` before ``2``), not ascending.  The CR and HR cache
 counts were re-recorded once, to zero, when their chain memo was
 removed (every other field kept its value): only the exact decoder
-reads the cache it is handed.
+reads the cache it is handed.  Every case was re-recorded once more
+when the fairness draws moved from the injected generator to the
+counter-keyed SplitMix64 stream (:mod:`repro.core.decoders`), and the
+generator's end state gave way to the decode counter.
 
 Per case (FR with several groups, ``c = 1`` and one group, and with
 ids past the frozenset's hash table, where set order is not ascending; CR
@@ -27,7 +30,8 @@ with a non-identity assignment) and per mode the golden stores:
 
 * a digest of every ``(selected workers, num_searches)`` pair, in mask
   order;
-* the injected generator's end state (the fairness draws consumed);
+* the decoder's decode counter at the end (the decodes its stream
+  counted);
 * the hit/miss counts of the :class:`~repro.parallel.DecodeCache`
   handed in (zero but for the exact decoder, the one that memoises).
 
@@ -183,14 +187,12 @@ def record_case(name: str) -> dict:
             for run in passes
             for res in run(decoder, masks)
         ]
-        state = rng.bit_generator.state["state"]
         out[mode] = {
             "results_sha256": hashlib.sha256(
                 json.dumps(rows).encode()
             ).hexdigest(),
             "total_searches": sum(row[1] for row in rows),
-            "rng_state": str(state["state"]),
-            "rng_inc": str(state["inc"]),
+            "decode_count": decoder.decode_count,
             "cache_hits": cache.hits if cached else None,
             "cache_misses": cache.misses if cached else None,
         }

@@ -2,10 +2,10 @@
 
 The ``decode_batch`` contract (see :mod:`repro.core.batch`) is that for
 every decoder family, ``decode_batch(masks).results()`` equals
-``[decode(m) for m in masks]`` element by element *and* the injected
-generator ends in the identical stream position — the fairness draws
-happen per mask, in batch order, outside the vectorized kernels.  These
-tests pin that contract for all seven registered placement families,
+``[decode(m) for m in masks]`` element by element *and* the decode
+counter ends where the loop leaves it — row ``i`` of a batch is decode
+``k + i`` of the counter-keyed fairness stream.  These tests pin that
+contract for all seven registered placement families,
 with and without a :class:`~repro.parallel.DecodeCache`, plus the
 cache's one-pass hit/miss partition and the shared mask validation.
 """
@@ -80,7 +80,7 @@ def _decoder_pair(placement, seed, cache_a=None, cache_b=None):
 
 
 class TestBatchLoopEquivalence:
-    """decode_batch == [decode(m) ...]: selections AND generator stream."""
+    """decode_batch == [decode(m) ...]: selections AND decode counter."""
 
     @pytest.mark.parametrize(("name", "placement"), FAMILIES, ids=FAMILY_IDS)
     def test_bit_for_bit_uncached(self, name, placement):
@@ -89,7 +89,7 @@ class TestBatchLoopEquivalence:
         looped = [dec_a.decode(np.flatnonzero(row).tolist()) for row in masks]
         batch = dec_b.decode_batch(masks)
         assert batch.results() == looped
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
 
     @pytest.mark.parametrize(("name", "placement"), FAMILIES, ids=FAMILY_IDS)
     def test_bit_for_bit_cached(self, name, placement):
@@ -105,7 +105,7 @@ class TestBatchLoopEquivalence:
         batch1 = dec_b.decode_batch(masks)
         batch2 = dec_b.decode_batch(masks)
         assert batch1.results() + batch2.results() == looped
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
 
     @pytest.mark.parametrize(("name", "placement"), FAMILIES, ids=FAMILY_IDS)
     def test_cached_equals_uncached_batched(self, name, placement):
@@ -116,7 +116,7 @@ class TestBatchLoopEquivalence:
         plain = dec_a.decode_batch(masks)
         cached = dec_b.decode_batch(masks)
         assert plain.results() == cached.results()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
 
     def test_list_of_masks_input(self):
         placement = CyclicRepetition(10, 2)
@@ -125,7 +125,7 @@ class TestBatchLoopEquivalence:
         looped = [dec_a.decode(m) for m in mask_lists]
         batch = dec_b.decode_batch(mask_lists)
         assert batch.results() == looped
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -147,7 +147,7 @@ class TestBatchLoopEquivalence:
         looped = [dec_a.decode(np.flatnonzero(row).tolist()) for row in masks]
         batch = dec_b.decode_batch(masks)
         assert batch.results() == looped
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
 
 
 #: How a mask reaches ``decode_batch`` (``decode`` gets each entry as
@@ -191,7 +191,7 @@ class TestFRAlgorithmOne:
         else:
             looped = [dec_a.decode(mask) for mask in masks]
         assert dec_b.decode_batch(masks).results() == looped
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
 
     @settings(max_examples=60, deadline=None)
     @given(batch=fr_batches(), seed=st.integers(0, 2**32 - 1))
@@ -214,7 +214,7 @@ class TestFRAlgorithmOne:
         assert [dec_a.decode(mask) for mask in masks] == [
             dec_b.decode(mask) for mask in canonical
         ]
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert dec_a.decode_count == dec_b.decode_count
         dec_a, _, dec_b, _ = _decoder_pair(placement, seed)
         assert dec_a.decode_batch(
             [list(reversed(mask)) for mask in canonical]
@@ -376,19 +376,17 @@ class TestMaskValidation:
             [1.0, 2.0],
             ["a"],
         ]
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            dec = decoder_for(placement, rng=rng)
+            dec = decoder_for(placement, rng=np.random.default_rng(0))
         for bad in bad_masks:
             with pytest.raises(DecodeError) as looped_err:
                 dec.decode(bad)
             with pytest.raises(DecodeError) as batched_err:
                 dec.decode_batch([[0], bad])
             assert str(batched_err.value) == str(looped_err.value)
-        # Rejected before any fairness draw, on either path.
-        assert rng.bit_generator.state == state
+        # Rejected before the decode counts, on either path.
+        assert dec.decode_count == 0
 
     def test_batch_fails_fast_without_consuming_rng(self):
         placement = CyclicRepetition(8, 2)
@@ -397,6 +395,7 @@ class TestMaskValidation:
         state = rng.bit_generator.state
         with pytest.raises(DecodeError):
             dec.decode_batch([[0, 1], [3, 3]])
+        assert dec.decode_count == 0
         assert rng.bit_generator.state == state
 
     def test_array_width_mismatch(self):

@@ -80,7 +80,8 @@ class TestDecodeContract:
     def test_overlap_names_the_first_re_covering_worker(self, monkeypatch, rng):
         dec = decoder_for(CyclicRepetition(8, 2), rng=rng)
         monkeypatch.setattr(
-            dec, "_decode", lambda available: Selection(frozenset({0, 1}), 1)
+            dec, "_decode",
+            lambda available, stream: Selection(frozenset({0, 1}), 1),
         )
         with pytest.raises(
             DecodeError,

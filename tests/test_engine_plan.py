@@ -250,16 +250,19 @@ class TestPlanIsImmutable:
         assert a.eval_data is b.eval_data is plan.dataset
         assert a.strategy.placement is b.strategy.placement
         assert a.strategy.decoder._adj_rows is b.strategy.decoder._adj_rows
+        assert a.strategy.decoder.key == b.strategy.decoder.key
         # owned: what EngineState describes
         assert a.model is not b.model is not plan.model
         assert a.strategy is not b.strategy is not plan.strategy
-        assert a.strategy.decoder.rng is not b.strategy.decoder.rng
+        assert a.strategy.decoder is not b.strategy.decoder
         assert a.backend is not b.backend and a.rule is not b.rule
         run(a, plan.spec)
         assert np.array_equal(
             b.model.get_parameters(), plan.model.get_parameters()
         )
         assert b.strategy.last_decode is None
+        assert b.strategy.decoder.decode_count == 0
+        assert a.strategy.decoder.decode_count > 0
 
     def test_stateless_schemes_are_shared_as_they_are(self):
         # gc's decode-vector memo is a pure function of the survivor

@@ -55,6 +55,7 @@ from repro.training import (
     make_classification,
     partition_dataset,
 )
+from repro import splitmix
 from repro.training import datasets
 from repro.training.evaluation import held_out_loss
 
@@ -375,10 +376,10 @@ class TestStreamDefinition:
         # reference implementation), for the oracle and for both forms
         # of the library's hash: on Python ints and on uint64 arrays.
         assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
-        assert datasets.counter_hash(0, 0) == 0xE220A8397B1DCDAF
+        assert splitmix.counter_hash(0, 0) == 0xE220A8397B1DCDAF
         zero = np.zeros(1, dtype=np.uint64)
-        terms = datasets.weyl_terms(zero)
-        assert datasets.counter_hashes(zero, terms)[0] == 0xE220A8397B1DCDAF
+        terms = splitmix.weyl_terms(zero)
+        assert splitmix.counter_hashes(zero, terms)[0] == 0xE220A8397B1DCDAF
 
     @pytest.mark.parametrize("pid", [2**63, 2**64 - 1])
     @pytest.mark.parametrize("step", [0, 2**64 - 1])
@@ -391,9 +392,9 @@ class TestStreamDefinition:
         assert_same_bits(stream.indices(step), want, f"row of {pid}")
         ids = np.array([[pid]], dtype=np.uint64)
         row = datasets.draw_indices(
-            datasets.stream_key(2023), step, datasets.weyl_terms(ids),
+            datasets.stream_key(2023), step, splitmix.weyl_terms(ids),
             np.array([[11]], dtype=np.uint64),
-            datasets.weyl_terms(np.arange(9)),
+            splitmix.weyl_terms(np.arange(9)),
         )
         assert_same_bits(row[0], want, f"array row of {pid}")
 
@@ -448,9 +449,9 @@ class TestStreamDefinition:
 def _index_blocks(seed, sizes, width, steps):
     """``(len(steps), P, width)`` index rows of partitions of ``sizes``."""
     key = datasets.stream_key(seed)
-    ids = datasets.weyl_terms(np.arange(len(sizes))[:, None])
+    ids = splitmix.weyl_terms(np.arange(len(sizes))[:, None])
     column = np.array(sizes, dtype=np.uint64)[:, None]
-    draws = datasets.weyl_terms(np.arange(width))
+    draws = splitmix.weyl_terms(np.arange(width))
     return np.stack([
         datasets.draw_indices(key, step, ids, column, draws)
         for step in steps
@@ -520,7 +521,7 @@ class TestStreamStatistics:
         rng = np.random.default_rng(seed)
         key = datasets.stream_key(seed)
         size = np.uint64(1000)
-        draws = datasets.weyl_terms(np.arange(16))
+        draws = splitmix.weyl_terms(np.arange(16))
 
         def row(key, step, pid):
             return tuple(datasets.draw_indices(key, step, pid, size, draws))

@@ -466,6 +466,7 @@ class TestCachedDecodingTransparency:
         )
         twin = parent.fork(rng=np.random.default_rng(4))
         assert twin.cache is parent.cache and twin.rng is not parent.rng
+        assert twin.key != parent.key and twin.decode_count == 0
         mask = frozenset(range(8))
         parent.decode(mask)
         twin.decode_batch([sorted(mask)])
