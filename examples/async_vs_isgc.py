@@ -49,7 +49,7 @@ BASE = ExperimentSpec(
         "background_mean": 0.5,
     },
     compute={"base": 0.05, "per_partition": 0.05},
-    network={"latency": 0.0, "bandwidth": float("inf")},
+    network="ideal",
 )
 
 

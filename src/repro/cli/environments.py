@@ -70,7 +70,7 @@ def cmd_environments(args: argparse.Namespace) -> int:
         rendered = [
             name if default is inspect.Parameter.empty
             else f"{name}={default!r}"
-            for name, default in family.parameters().items()
+            for name, default in family.parameters.items()
         ]
         print(f"  params: {', '.join(rendered) if rendered else '(none)'}")
         if family.nested:

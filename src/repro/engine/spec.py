@@ -237,17 +237,6 @@ def _delay_section(section: Any) -> Any:
         return {"kind": "exponential", **section}
     return section
 
-#: rule name → the ``rule_params`` keys ``plan._build_rule`` reads.
-_RULE_PARAMS: Mapping[str, tuple] = {
-    "sync": ("recovery_scaled_lr",),
-    "local-update": ("local_steps", "local_lr"),
-    "adaptive": (
-        "partition_bytes", "review_every", "min_recovery_gain", "seed",
-    ),
-    "async": (),
-}
-
-
 def _did_you_mean(unknown, known) -> str:
     """``'nmae' — did you mean 'name'?; 'x'`` for each unknown name."""
     import difflib
@@ -274,11 +263,14 @@ def _is_int(value: Any, minimum: int = 1) -> bool:
 
 def _is_real(value: Any) -> bool:
     """Finite ints and floats, not bools (NaN and infinities would run
-    under a fingerprint whose JSON no strict parser reads back)."""
-    return (
-        not isinstance(value, bool) and isinstance(value, (int, float))
-        and math.isfinite(value)
-    )
+    under a fingerprint whose JSON no strict parser reads back, and an
+    int past the float range overflows the first float it meets)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 #: (accepts the value?, what it must be) — one spec parameter's rule.
@@ -289,26 +281,11 @@ _SEED: _Check = (lambda v: _is_int(v, 0), "an integer >= 0")
 _CLASSES: _Check = (lambda v: _is_int(v, 2), "an integer >= 2")
 _REAL: _Check = (_is_real, "a real number")
 
-#: ``rule_params`` key → its rule: the values ``plan._build_rule``
-#: hands the rules, checked before one runs.
-_RULE_PARAM_VALUES: Mapping[str, _Check] = {
-    "recovery_scaled_lr": (lambda v: isinstance(v, bool), "a bool"),
-    "local_steps": _SIZE,
-    "local_lr": (lambda v: _is_real(v) and v > 0, "a positive real number"),
-    "partition_bytes": (
-        lambda v: _is_real(v) and v >= 0, "a real number >= 0"
-    ),
-    "review_every": _SIZE,
-    "min_recovery_gain": (
-        lambda v: _is_real(v) and 0 <= v <= 1, "a real number in [0, 1]"
-    ),
-    "seed": _SEED,
-}
-
 #: section → kind → the keys of that kind's section (``kind`` aside)
-#: → its rule: what ``plan._build_dataset`` and ``plan._build_model``
-#: build, one branch per kind and reading these keys only.  Admission
-#: refuses any other kind or key.
+#: → its rule: what ``plan._build_dataset``, ``plan._build_model`` and
+#: ``plan._build_rule`` build, one branch per kind and reading these
+#: keys only.  A ``rule_params`` section's kind is the spec's ``rule``.
+#: Admission refuses any other kind or key.
 _SECTION_KEYS: Mapping[str, Mapping[str, Mapping[str, _Check]]] = {
     "dataset": {
         "classification": {
@@ -332,34 +309,53 @@ _SECTION_KEYS: Mapping[str, Mapping[str, Mapping[str, _Check]]] = {
             "num_classes": _CLASSES, "hidden_units": _SIZE, "seed": _SEED,
         },
     },
+    "rule_params": {
+        "sync": {
+            "recovery_scaled_lr": (lambda v: isinstance(v, bool), "a bool"),
+        },
+        "local-update": {
+            "local_steps": _SIZE,
+            "local_lr": (
+                lambda v: _is_real(v) and v > 0, "a positive real number"
+            ),
+        },
+        "adaptive": {
+            "partition_bytes": (
+                lambda v: _is_real(v) and v >= 0, "a real number >= 0"
+            ),
+            "review_every": _SIZE,
+            "min_recovery_gain": (
+                lambda v: _is_real(v) and 0 <= v <= 1,
+                "a real number in [0, 1]",
+            ),
+            "seed": _SEED,
+        },
+        "async": {},
+    },
 }
 DATASET_KINDS = tuple(_SECTION_KEYS["dataset"])
 MODEL_KINDS = tuple(_SECTION_KEYS["model"])
 
 
-def _section_problems(name: str, section: Any, default_kind: str) -> List[str]:
-    """What is wrong with the ``dataset:`` or ``model:`` ``section``:
-    its shape, its kind (``default_kind`` when absent), and each key it
-    gives, by :data:`_SECTION_KEYS`."""
-    if not isinstance(section, Mapping):
-        return [f"{name} must be a {{'kind': ...}} mapping, got {section!r}"]
+def _section_problems(name: str, noun: str, params: Mapping, kind: Any) -> List[str]:
+    """What is wrong with the ``name`` section of kind ``kind`` whose
+    keys (``kind`` aside) are ``params``, by :data:`_SECTION_KEYS`:
+    the kind, then each key, well typed.  ``noun`` is what the
+    section's kind is the kind of, in the messages."""
     kinds = _SECTION_KEYS[name]
-    kind = section.get("kind", default_kind)
     accepted = kinds.get(kind) if isinstance(kind, str) else None
     if accepted is None:
         return [
-            f"unknown {name} kind {kind!r}{did_you_mean(kind, kinds)} "
+            f"unknown {noun} kind {kind!r}{did_you_mean(kind, kinds)} "
             f"(known kinds: {', '.join(kinds)})"
         ]
     problems = []
-    for key, value in section.items():
-        if key == "kind":
-            continue
+    for key, value in params.items():
         if key not in accepted:
             problems.append(
-                f"{name}: {name} {kind!r} got unknown parameter "
+                f"{name}: {noun} {kind!r} got unknown parameter "
                 f"{key!r}{did_you_mean(key, accepted)} "
-                f"(accepted: {', '.join(accepted)})"
+                f"(accepted: {', '.join(accepted) or '(none)'})"
             )
             continue
         valid, what = accepted[key]
@@ -381,23 +377,25 @@ def _int_problems(field_name: str, value: Any, minimum: int) -> List[str]:
 def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     """Why ``spec`` cannot run, as messages (empty when it can).
 
-    Purely arithmetic: nothing is built, so it is safe on untrusted
-    payloads.  Types come first (NumPy would reject a bad size or seed
-    from inside :class:`~repro.engine.plan.EnginePlan` with no field
-    name, and a bool or a float would run under its own fingerprint),
-    and so are ``learning_rate``, ``loss_threshold``,
-    ``scheme_params.seed`` and every ``rule_params`` value, which would
-    otherwise fail only inside the run; the paper's
-    constraints on ``n``, ``c`` and ``w`` are checked only
-    where their fields are well typed.  ``name`` must be a string;
-    ``scheme``, ``backend`` and ``rule`` must name an entry of their
-    closed tables, and ``dataset`` and ``model`` must be mappings whose
-    ``kind`` (defaulted as the plan defaults it) is one the plan
-    builds and whose other keys are ones that kind reads, well typed
-    (:data:`_SECTION_KEYS`).  Placement feasibility
-    goes through the placement registry's hooks and each environment
-    section through the environment registry's, so a newly registered
-    family is checked here without touching this function.
+    Safe on untrusted payloads.  The environment sections are built,
+    through the constructors :class:`~repro.engine.plan.EnginePlan`
+    calls (:func:`~repro.env.registry.model_spec_problems`), so their
+    names, nesting and values are checked once, where they are used;
+    nothing else is built, and the rest is arithmetic.  Types come
+    first (NumPy would reject a bad size or seed from inside
+    :class:`~repro.engine.plan.EnginePlan` with no field name, and a
+    bool or a float would run under its own fingerprint), and so are
+    ``learning_rate``, ``loss_threshold`` and ``scheme_params.seed``,
+    which would otherwise fail only inside the run; the paper's
+    constraints on ``n``, ``c`` and ``w`` are checked only where their
+    fields are well typed.  ``name`` must be a string; ``scheme`` and
+    ``backend`` must name an entry of their closed tables, and
+    ``dataset``, ``model`` and ``rule_params`` must be mappings whose
+    kind (``rule`` for ``rule_params``; a ``kind`` key, defaulted as
+    the plan defaults it, for the others) is one the plan builds and
+    whose keys are ones that kind reads, well typed
+    (:data:`_SECTION_KEYS`).  Placement feasibility goes through the
+    placement registry's hooks.
     """
     problems: List[str] = []
     for name in (
@@ -430,41 +428,31 @@ def _admission_problems(spec: "ExperimentSpec") -> List[str]:
     scheme_known = (
         isinstance(spec.scheme, str) and spec.scheme in SCHEME_REGISTRY
     )
-    problems += _section_problems(
-        "dataset", spec.dataset, _DEFAULT_DATASET["kind"]
-    )
-    problems += _section_problems("model", spec.model, _DEFAULT_MODEL["kind"])
-    accepted = None
-    if not isinstance(spec.rule, str):
-        problems.append(f"rule must be a string, got {spec.rule!r}")
-    else:
-        accepted = _RULE_PARAMS.get(spec.rule)
-        if accepted is None:
+    for name, section, default in (
+        ("dataset", spec.dataset, _DEFAULT_DATASET),
+        ("model", spec.model, _DEFAULT_MODEL),
+    ):
+        if isinstance(section, Mapping):
+            params = dict(section)
+            kind = params.pop("kind", default["kind"])
+            problems += _section_problems(name, name, params, kind)
+        else:
             problems.append(
-                f"unknown rule {spec.rule!r}; expected sync, local-update, "
-                "adaptive or async"
+                f"{name} must be a {{'kind': ...}} mapping, got {section!r}"
             )
     for name in ("scheme_params", "rule_params"):
         if not isinstance(getattr(spec, name), Mapping):
             problems.append(
                 f"{name} must be a mapping, got {getattr(spec, name)!r}"
             )
-    if accepted is not None and isinstance(spec.rule_params, Mapping):
-        unknown = sorted(set(spec.rule_params) - set(accepted))
-        if unknown:
-            problems.append(
-                f"unknown rule_params for rule {spec.rule!r}: "
-                f"{_did_you_mean(unknown, accepted)}; "
-                f"accepted: {', '.join(accepted) or '(none)'}"
-            )
-        for key, value in spec.rule_params.items():
-            if key not in accepted:
-                continue
-            valid, what = _RULE_PARAM_VALUES[key]
-            if not valid(value):
-                problems.append(
-                    f"rule_params.{key} must be {what}, got {value!r}"
-                )
+    if not isinstance(spec.rule, str):
+        problems.append(f"rule must be a string, got {spec.rule!r}")
+    else:
+        problems += _section_problems(
+            "rule_params", "rule",
+            spec.rule_params if isinstance(spec.rule_params, Mapping) else {},
+            spec.rule,
+        )
     if scheme_known and isinstance(spec.scheme_params, Mapping):
         unknown_scheme = _unknown_scheme_params(spec.scheme, spec.scheme_params)
         if unknown_scheme is not None:
@@ -569,9 +557,10 @@ class ExperimentSpec:
 
     Construction is admission: a spec that cannot run (a field of the
     wrong type, CR with ``c >= n``, FR without ``c | n``, HR outside
-    Theorems 5-7, ``wait_for`` outside ``1 <= w <= n``, an unknown
-    environment kind, ...) raises one :class:`ConfigurationError`
-    naming every problem, joined by ``"; "``.  So ``from_dict``,
+    Theorems 5-7, ``wait_for`` outside ``1 <= w <= n``, an environment
+    section that does not build, ...) raises one
+    :class:`ConfigurationError` naming every problem, joined by
+    ``"; "``.  So ``from_dict``,
     ``from_file``, ``repro run``, job submission and checkpoint
     recovery all refuse the same specs with the same text.
     """

@@ -20,9 +20,10 @@ backend) take their models from one
 :class:`Environment`; the neutral default of each layer is stated once,
 in :mod:`repro.env.registry`.
 
-Spec sections are validated before anything is built, per layer, by
-:func:`~repro.env.registry.model_spec_problems` (spec admission calls
-it from :class:`~repro.engine.spec.ExperimentSpec`).  An environment
+Spec admission builds each section once, per layer, through
+:func:`~repro.env.registry.model_spec_problems` (called from
+:class:`~repro.engine.spec.ExperimentSpec`), so a section that would
+not build is refused before anything runs.  An environment
 is named by its sections, not by its built models: the canonical spec
 and fingerprint of a section are
 :func:`~repro.env.registry.model_spec` and

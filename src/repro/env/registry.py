@@ -12,9 +12,11 @@ same move :mod:`repro.core.scheme` made for placements:
   once, below, by :func:`_register`; a row's ``build`` is the model
   class itself wherever the constructor takes the spec's parameters;
 * :func:`make_model` — the construction entry point the spec engine,
-  the CLI and library code share, with did-you-mean errors for typos;
-  it builds the parameters a row lists in ``nested`` through
-  :func:`model_from` before calling ``build``;
+  the CLI and library code share, and the one check of a section:
+  did-you-mean errors for typos, parameter names against the row's
+  signature, finite numbers, the shape of nested parameters, and the
+  constructor's own value checks; it builds the parameters a row lists
+  in ``nested`` through :func:`model_from` before calling ``build``;
 * :func:`model_from` — the one coercer, accepting a built model, a
   bare kind string, a ``{"kind": ..., **params}`` mapping or (delay
   layer) a recorded :class:`DelayTrace`, applied recursively for
@@ -23,18 +25,21 @@ same move :mod:`repro.core.scheme` made for placements:
   the same way); a per-layer table states each layer's model types,
   its neutral kind, the kind of a kind-less mapping and the layer its
   nested sub-models belong to;
-* :func:`model_spec_problems` — the arithmetic-only validation hook
-  behind spec admission: signature-level problems (unknown kind, unknown
-  or missing parameters, malformed nesting) without constructing
-  anything;
+* :func:`model_spec_problems` — spec admission's hook: it builds the
+  section and returns the refusal, so admission and the run hold one
+  rule set.  Building is safe on untrusted payloads: every row builds
+  in time linear in its section and draws no random numbers, and the
+  one exception is ``trace-replay``'s ``path=``, which is read in full
+  at every build (each spec construction), relative to the current
+  directory, and bounded to a regular file of at most
+  :data:`~repro.straggler.traces.MAX_TRACE_BYTES`;
 * :func:`model_spec` / :func:`model_fingerprint` — the canonical
   JSON-ready spec of a section and its content digest, pure functions
   of the section data.  A built model has no spec: fingerprint the
   section it was built from.
 
-:func:`model_from`, :func:`model_spec_problems` and :func:`model_spec`
-read a section through one split (:func:`_split`) into a kind and its
-parameters.
+:func:`model_from` and :func:`model_spec` read a section through one
+split (:func:`_split`) into a kind and its parameters.
 
 A compute or network model must be a pure function of its
 construction arguments: :class:`~repro.simulation.ClusterSimulator`
@@ -54,6 +59,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,20 +133,22 @@ class ModelFamily:
     paper: str
     build: Callable[..., Any]
     #: parameter names whose values recursively name sub-models (shown
-    #: in listings; validated recursively by :func:`model_spec_problems`
-    #: and built by :func:`make_model` before ``build`` sees them).
+    #: in listings; built by :func:`make_model` before ``build`` sees
+    #: them).
     nested: Tuple[str, ...] = ()
     #: those of ``nested`` that take a list of sub-models, not one.
     nested_lists: Tuple[str, ...] = ()
+    #: name → default (``inspect.Parameter.empty`` when required):
+    #: ``build``'s signature, read once, when the row is written (every
+    #: :func:`make_model` call checks a section against it).
+    parameters: Dict[str, Any] = dataclasses.field(init=False, repr=False)
 
-    def parameters(self) -> Dict[str, Any]:
-        """name → default (``inspect.Parameter.empty`` when required)."""
-        return {
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parameters", {
             name: p.default
             for name, p in inspect.signature(self.build).parameters.items()
-            if p.kind
-            in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        }
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        })
 
 
 #: layer → kind → family: one :class:`~repro.registry.Registry` per layer.
@@ -176,20 +184,6 @@ def _register(
     )
 
 
-def _shape_problem(family: ModelFamily, name: str, sub: Any) -> Optional[str]:
-    """What is wrong with the shape of nested parameter ``name``'s value
-    (a list where the family takes one sub-model spec, or the reverse);
-    ``None`` when nothing is."""
-    listed = name in family.nested_lists
-    if listed == isinstance(sub, (list, tuple)):
-        return None
-    wanted = "a list of sub-model specs" if listed else "one sub-model spec"
-    return (
-        f"{family.layer} model {family.kind!r} takes {wanted} for "
-        f"{name!r}, got {sub!r}"
-    )
-
-
 def _layer_rule(layer: str) -> _Layer:
     rule = _LAYER_RULES.get(layer)
     if rule is None:
@@ -215,35 +209,77 @@ def resolve_model(layer: str, name: str) -> ModelFamily:
     return _layer_registry(layer).resolve(name)
 
 
+def _non_finite(value: Any) -> bool:
+    """Whether ``value`` holds a NaN or an infinity, in lists and
+    mappings too (a spec fingerprint's JSON would spell it ``NaN`` or
+    ``Infinity``, which no strict parser reads back)."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_non_finite(entry) for entry in value)
+    return False
+
+
+def _sub_model(layer: str, value: Any, where: str) -> Any:
+    """:func:`model_from` of one nested sub-model spec; a refusal names
+    the parameter it sits at (``models[0]: ...``)."""
+    try:
+        return model_from(layer, value)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def make_model(layer: str, kind: str, /, **params: Any) -> Any:
     """Construct the ``layer`` model of registered family ``kind``.
 
-    The single construction entry point.  Each parameter the family
-    lists in ``nested`` is built first by :func:`model_from` of the
-    layer's nested layer (entry by entry for a ``nested_lists`` one;
-    an absent or ``None`` one is passed as given).  Unknown parameter
-    names are rejected with the family's accepted signature.
+    The single construction entry point, so the one check of a
+    section: names against the family's signature, finite numbers, and
+    the shape of each ``nested`` parameter, which :func:`model_from`
+    of the nested layer builds first (an absent or ``None`` one is
+    passed as given).  A ``TypeError``, ``ValueError``,
+    ``OverflowError`` or ``OSError`` from the constructor becomes a
+    :class:`ConfigurationError` naming the layer and kind.
     """
     family = resolve_model(layer, kind)
+    model = f"{layer} model {family.kind!r}"
+    accepted = family.parameters
+    problems = [
+        f"{model} got unknown parameter {name!r} "
+        f"(accepted: {', '.join(accepted)})"
+        for name in params if name not in accepted
+    ] + [
+        f"{model} missing required parameter {name!r}"
+        for name, default in accepted.items()
+        if default is inspect.Parameter.empty and name not in params
+    ] + [
+        f"{model} parameter {name!r} must hold finite numbers, "
+        "not NaN or infinities"
+        for name, value in params.items()
+        if name not in family.nested and _non_finite(value)
+    ]
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     sub_layer = _LAYER_RULES[layer].nested
     for name in family.nested:
         sub = params.get(name)
         if sub is None:
             continue
-        problem = _shape_problem(family, name, sub)
-        if problem is not None:
-            raise ConfigurationError(problem)
-        if name in family.nested_lists:
-            params[name] = [model_from(sub_layer, entry) for entry in sub]
-        else:
-            params[name] = model_from(sub_layer, sub)
+        listed = name in family.nested_lists
+        if listed != isinstance(sub, (list, tuple)):
+            wanted = "a list of sub-model specs" if listed else "one sub-model spec"
+            raise ConfigurationError(
+                f"{model} takes {wanted} for {name!r}, got {sub!r}"
+            )
+        params[name] = [
+            _sub_model(sub_layer, entry, f"{name}[{i}]")
+            for i, entry in enumerate(sub)
+        ] if listed else _sub_model(sub_layer, sub, name)
     try:
         return family.build(**params)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"invalid parameters for {layer} model {family.kind!r}: "
-            f"{exc}; accepted: {', '.join(family.parameters())}"
-        ) from exc
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
+        raise ConfigurationError(f"{model}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -329,12 +365,9 @@ def model_spec(layer: str, value: Any) -> Dict[str, Any]:
     """The canonical ``{"kind": ..., **params}`` spec of one ``layer``
     section: the registered kind, then the params as sorted JSON-ready
     data (nested sub-specs as given).  A built model, or a section
-    :func:`model_spec_problems` finds fault with, is refused."""
-    where = f"{layer} model spec"
-    problems = model_spec_problems(layer, value, section=where)
-    if problems:
-        raise ConfigurationError(problems[0])
-    kind, params = _split(layer, value, where)
+    :func:`make_model` refuses, is refused."""
+    kind, params = _split(layer, value, f"{layer} model spec")
+    model_from(layer, value)
     spec = {"kind": resolve_model(layer, kind).kind}
     spec.update(_canonical(params))
     return spec
@@ -346,67 +379,21 @@ def model_fingerprint(layer: str, value: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# Static validation (arithmetic-only, nothing constructed).
-
-
 def model_spec_problems(layer: str, value: Any, *, section: str = "") -> List[str]:
-    """Signature-level problems of one model spec (for spec admission).
-
-    Mirrors :func:`repro.core.scheme.placement_spec_problems`: unknown
-    kinds get the same did-you-mean message runtime construction would
-    raise; parameter names are checked against the signature of the
-    family's ``build``; nested sub-model specs recurse, and their shape
-    (one spec or a list) is the one the family takes.  Value-range constraints (negative
-    means etc.) are construction-time concerns and not checked here.
-    """
+    """Why one ``layer`` section cannot be built (for spec admission):
+    the refusal of :func:`model_from`, under ``section`` (default
+    ``"<layer> spec"``), or no problem.  Admission builds the section
+    the way the run will, so both refuse it with the same text.  The
+    section is untrusted input, so any exception its build raises is a
+    refusal of the section, not an error of the caller."""
     where = section or f"{layer} spec"
-    rule = _layer_rule(layer)
-    if isinstance(value, rule.types):
-        return []
     try:
-        kind, params = _split(layer, value, where)
-    except ConfigurationError as exc:
-        return [str(exc)]
-    try:
-        family = ENV_REGISTRY[layer].resolve(kind)
-    except ConfigurationError as exc:
+        model_from(layer, value)
+    except RecursionError:
+        return [f"{where}: sub-models nested too deeply to build"]
+    except Exception as exc:
         return [f"{where}: {exc}"]
-    problems: List[str] = []
-    accepted = family.parameters()
-    for name in params:
-        if name not in accepted:
-            problems.append(
-                f"{where}: {layer} model {family.kind!r} got unknown "
-                f"parameter {name!r} (accepted: {', '.join(accepted)})"
-            )
-    for name, default in accepted.items():
-        if default is inspect.Parameter.empty and name not in params:
-            problems.append(
-                f"{where}: {layer} model {family.kind!r} missing "
-                f"required parameter {name!r}"
-            )
-    for name in family.nested:
-        sub = params.get(name)
-        if sub is None:
-            continue
-        sub_layer = rule.nested
-        sub_section = f"{where}.{name}"
-        problem = _shape_problem(family, name, sub)
-        if problem is not None:
-            problems.append(f"{where}: {problem}")
-        elif name in family.nested_lists:
-            for i, entry in enumerate(sub):
-                problems.extend(
-                    model_spec_problems(
-                        sub_layer, entry, section=f"{sub_section}[{i}]"
-                    )
-                )
-        else:
-            problems.extend(
-                model_spec_problems(sub_layer, sub, section=sub_section)
-            )
-    return problems
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +451,11 @@ def _compute_heterogeneous(
     base: float = ComputeModel.base,
     per_partition: float = ComputeModel.per_partition,
 ) -> HeterogeneousComputeModel:
+    if not isinstance(speed_factors, Mapping):
+        raise ConfigurationError(
+            "heterogeneous compute needs speed_factors= as a "
+            f"{{worker: factor}} mapping, got {speed_factors!r}"
+        )
     factors = {int(w): float(f) for w, f in speed_factors.items()}
     return HeterogeneousComputeModel(
         ComputeModel(base=base, per_partition=per_partition), factors

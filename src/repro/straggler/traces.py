@@ -18,6 +18,10 @@ import numpy as np
 from ..exceptions import ConfigurationError, SimulationError
 from .models import DelayModel
 
+#: the largest trace file :meth:`DelayTrace.load` reads, in bytes (a
+#: spec's ``trace-replay`` ``path=`` is read at its admission).
+MAX_TRACE_BYTES = 16 * 2**20
+
 
 @dataclass(frozen=True)
 class DelayTrace:
@@ -93,12 +97,21 @@ class DelayTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "DelayTrace":
-        """Read a JSON trace written by :meth:`save`."""
+        """Read a JSON trace written by :meth:`save`: a regular file of
+        at most :data:`MAX_TRACE_BYTES` (a FIFO is refused unopened)."""
         file = Path(path)
         if not file.exists():
             raise ConfigurationError(f"trace file not found: {file}")
+        if not file.is_file():
+            raise ConfigurationError(f"trace file {file} is not a regular file")
+        with file.open("rb") as handle:
+            data = handle.read(MAX_TRACE_BYTES + 1)
+        if len(data) > MAX_TRACE_BYTES:
+            raise ConfigurationError(
+                f"trace file {file} is larger than {MAX_TRACE_BYTES} bytes"
+            )
         try:
-            payload = json.loads(file.read_text())
+            payload = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"trace file {file} is not valid JSON: {exc}"

@@ -74,3 +74,52 @@ def make_placement(kind: str, n: int, c: int, g: int | None = None):
         assert g is not None
         return HybridRepetition(n, c - 1, 1, g)
     raise ValueError(kind)
+
+
+#: ``(id, spec fields, message)``: environment values that spec
+#: admission refuses with ``message``, its section named first.  Each
+#: builds its section the way the run would, so none reaches a job.
+BAD_ENVIRONMENT_VALUES = [
+    ("mean-negative", {"delay": {"kind": "exponential", "mean": -1.0}},
+     "delay: mean delay must be >= 0, got -1.0"),
+    ("mean-string", {"delay": {"kind": "exponential", "mean": "slow"}},
+     "delay: delay model 'exponential': '<' not supported"),
+    ("mean-nan", {"delay": {"kind": "exponential", "mean": float("nan")}},
+     "delay: delay model 'exponential' parameter 'mean' must hold finite "
+     "numbers, not NaN or infinities"),
+    ("bandwidth-infinite", {"network": {"bandwidth": float("inf")}},
+     "network: network model 'uniform' parameter 'bandwidth' must hold "
+     "finite numbers"),
+    ("trace-nan",
+     {"delay": {"kind": "trace-replay", "delays": [[0.0, float("nan")]]}},
+     "delay: delay model 'trace-replay' parameter 'delays' must hold "
+     "finite numbers"),
+    ("dropout-probability",
+     {"failure": {"kind": "transient-dropouts", "probability": 2.0}},
+     "failure: probability must be in [0, 1), got 2.0"),
+    ("bandwidth-negative", {"network": {"bandwidth": -5}},
+     "network: bandwidth must be > 0, got -5"),
+    ("speed-factor-negative",
+     {"compute": {"kind": "heterogeneous", "speed_factors": {"0": -1}}},
+     "compute: worker 0 has non-positive speed factor -1.0"),
+    ("speed-factors-list",
+     {"compute": {"kind": "heterogeneous", "speed_factors": [1, 2]}},
+     "compute: heterogeneous compute needs speed_factors= as a "
+     "{worker: factor} mapping, got [1, 2]"),
+    ("mixture-empty",
+     {"delay": {"kind": "mixture", "models": [], "weights": []}},
+     "delay: models and weights must be equal-length and non-empty"),
+    ("trace-ragged",
+     {"delay": {"kind": "trace-replay", "delays": [[1, 2], [3]]}},
+     "delay: delay model 'trace-replay': "),
+    ("trace-missing",
+     {"delay": {"kind": "trace-replay", "path": "no/such/trace.json"}},
+     "delay: trace file not found: no/such/trace.json"),
+    ("trace-not-regular",
+     {"delay": {"kind": "trace-replay", "path": "."}},
+     "delay: trace file . is not a regular file"),
+    ("mixture-model-0",
+     {"delay": {"kind": "mixture", "weights": [1.0],
+                "models": [{"kind": "exponential", "mean": -1.0}]}},
+     "delay: models[0]: mean delay must be >= 0, got -1.0"),
+]

@@ -361,16 +361,18 @@ class TestEnvironmentsCommand:
     @pytest.mark.parametrize("name", ["kind", "layer"])
     def test_param_named_like_make_models_arguments(self, name, capsys):
         # `make_model(layer, kind, /, **params)`: a param called `kind`
-        # or `layer` is the family's invalid parameter, not a
-        # TypeError for a doubly given argument.
+        # or `layer` is the family's unknown parameter, not a
+        # TypeError for a doubly given argument, and it is refused in
+        # admission's words.
         assert main([
             "environments", "pareto", "--layer", "delay",
             "--param", f"{name}=1",
         ]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid parameters for delay model "
-                              "'pareto'"), err
-        assert f"argument {name!r}" in err
+        assert err.startswith(
+            f"error: delay model 'pareto' got unknown parameter {name!r} "
+            "(accepted: alpha, scale)"
+        ), err
 
     def test_unknown_kind_did_you_mean(self, capsys):
         assert main(["environments", "exponentail"]) == 2

@@ -36,8 +36,9 @@ from repro.engine.spec import BACKEND_REGISTRY, SCHEME_REGISTRY
 from repro.exceptions import ConfigurationError
 
 # Zero network cost: actor and flat messages differ in size, so exact
-# cross-backend equality needs a free network.
-FREE_NETWORK = {"latency": 0.0, "bandwidth": float("inf")}
+# cross-backend equality needs a free network (zero latency, infinite
+# bandwidth; a spec holds no infinity, so it names the family).
+FREE_NETWORK = "ideal"
 
 
 def _spec(scheme, *, wait_for, seed, max_steps=6, **over):

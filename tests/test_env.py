@@ -20,6 +20,7 @@ Three layers of pinning, mirroring ``tests/test_scheme.py``:
 
 import copy
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -61,6 +62,7 @@ from repro.straggler.models import (
     PersistentStragglers,
     ShiftedExponentialDelay,
 )
+from repro.straggler import traces
 from repro.straggler.traces import DelayTrace, TraceReplayModel
 
 GOLDEN = json.loads(
@@ -643,6 +645,19 @@ class TestTracePersistence:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             DelayTrace.load(tmp_path / "missing.json")
+
+    def test_load_refuses_a_fifo_without_opening_it(self, tmp_path):
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(ConfigurationError, match="not a regular file"):
+            make_model("delay", "trace-replay", path=str(fifo))
+
+    def test_load_reads_at_most_the_bound(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.json"
+        DelayTrace(np.ones((4, 3))).save(path)
+        monkeypatch.setattr(traces, "MAX_TRACE_BYTES", 16)
+        with pytest.raises(ConfigurationError, match="larger than 16 bytes"):
+            DelayTrace.load(path)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import asyncio
 import dataclasses
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -51,11 +52,12 @@ def make_spec(i, max_steps=6):
     )
 
 
-#: An environment model's parameter values are its constructor's to
-#: check, so a spec holding this one is admitted and its job fails when
-#: its engine builds.
-FAILS_AT_BUILD = {"delay": {"kind": "exponential", "mean": -1.0}}
-BUILD_ERROR = "mean delay must be >= 0, got -1.0"
+#: Admission reads a dataset section's keys and types, not whether its
+#: samples split into ``num_workers`` partitions, so a spec holding
+#: this one (on ``make_spec``'s 4 workers) is admitted and its job
+#: fails when its engine builds.
+FAILS_AT_BUILD = {"dataset": {"samples": 2}}
+BUILD_ERROR = "cannot split 2 samples into 4 partitions"
 
 
 #: ``(id, rule, params, message)``: a spec with ``rule`` and ``params``
@@ -508,13 +510,16 @@ class TestLifecycle:
         ):
             with pytest.raises(ConfigurationError, match=message):
                 dataclasses.replace(make_spec(0), **fields)
-        # ... while environment models' parameter values fail only when
-        # the job builds.
-        bad_fields = [
-            (FAILS_AT_BUILD, "ConfigurationError", BUILD_ERROR),
-            ({"failure": {"kind": "transient-dropouts", "probability": 2.0}},
-             "ConfigurationError", "probability must be in [0, 1), got 2.0"),
-        ]
+        # ... and builds the environment sections, so a bad environment
+        # value is refused too, while a dataset too small to split fails
+        # only when the job builds.
+        with pytest.raises(ConfigurationError, match=re.escape(
+            "failure: probability must be in [0, 1), got 2.0"
+        )):
+            dataclasses.replace(make_spec(0), failure={
+                "kind": "transient-dropouts", "probability": 2.0,
+            })
+        bad_fields = [(FAILS_AT_BUILD, "ConfigurationError", BUILD_ERROR)]
         by_name = dataclasses.replace(make_spec(0), delay="none")
 
         async def scenario():

@@ -42,6 +42,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -58,6 +59,7 @@ from repro.engine.spec import run_spec, run_spec_variation
 from repro.engine.state import STATE_VERSION
 from repro.exceptions import (
     AdmissionError,
+    ConfigurationError,
     ServeError,
     SubmissionRejectedError,
     TrainingError,
@@ -75,6 +77,7 @@ from repro.serve import mailbox as mailbox_module
 from repro.serve.jobs import Job, JobState
 from repro.serve.runner import JobRunner
 
+from conftest import BAD_ENVIRONMENT_VALUES
 from time_origins import time_origin_problems
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -829,12 +832,9 @@ class TestIncrementalCheckpoints:
     def test_terminal_jobs_leave_nothing_under_checkpoints(self, tmp_path):
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
-        # A delay parameter's value passes admission and fails the job
-        # when its engine is built.
-        bad = dict(
-            make_spec(1).to_dict(),
-            delay={"kind": "exponential", "mean": -1.0},
-        )
+        # Two samples pass admission and fail the job when its engine
+        # splits them into 4 partitions.
+        bad = dict(make_spec(1).to_dict(), dataset={"samples": 2})
         (tmp_path / "bad.json").write_text(json.dumps(bad))
         done = client.submit(make_spec(0))
         failed = client.submit(tmp_path / "bad.json")
@@ -978,10 +978,7 @@ class TestStatePublication:
         # replace a file; a rename onto a new name is cheap.
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
-        bad = dict(
-            make_spec(1).to_dict(),
-            delay={"kind": "exponential", "mean": -1.0},
-        )
+        bad = dict(make_spec(1).to_dict(), dataset={"samples": 2})
         (tmp_path / "bad.json").write_text(json.dumps(bad))
         done = client.submit(make_spec(0))
         failed = client.submit(tmp_path / "bad.json")
@@ -1517,6 +1514,72 @@ class TestStructuredRejection:
         done = client.state(ids[0])
         assert done["state"] == "done"
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [case[1:] for case in BAD_ENVIRONMENT_VALUES],
+        ids=[case[0] for case in BAD_ENVIRONMENT_VALUES],
+    )
+    def test_bad_environment_value_is_rejected_not_failed(
+        self, tmp_path, fields, message
+    ):
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        spec = {**make_spec(0, max_steps=2).to_dict(), **fields}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            client.submit(spec_path)
+        # The client refuses the spec, so the entry is written by hand,
+        # as any other writer of the inbox could.
+        (mb / "inbox" / "bad-env.json").write_text(
+            json.dumps({"spec": spec, "weight": 1})
+        )
+        peer = client.submit(make_spec(1, max_steps=2))
+        drain(mb)
+        record = client.state("bad-env")
+        assert record["state"] == "rejected"
+        assert record["reason"] == "invalid_submission"
+        assert message in record["error"]
+        assert not (mb / "jobs" / "bad-env.jsonl").exists()
+        assert client.state(peer)["state"] == "done"
+
+    def test_int_past_the_float_range_is_rejected(self, tmp_path):
+        # Admission's number check overflowed on it, which stopped the
+        # coordinator at every start while the entry sat in the inbox.
+        mb = tmp_path / "mb"
+        client = CoordinatorClient(mb)
+        spec = {**make_spec(0, max_steps=2).to_dict(), "learning_rate": 10**400}
+        (mb / "inbox" / "huge.json").write_text(
+            json.dumps({"spec": spec, "weight": 1})
+        )
+        peer = client.submit(make_spec(1, max_steps=2))
+        drain(mb)
+        record = client.state("huge")
+        assert record["reason"] == "invalid_submission"
+        assert "learning_rate must be a positive real number" in record["error"]
+        assert client.state(peer)["state"] == "done"
+
+    def test_vanished_trace_file_is_rejected_at_recovery(self, tmp_path):
+        # Recovery re-admits each checkpoint's spec, and admission reads
+        # a trace-replay section's file.
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"delays": [[0.5, 0.0, 1.0, 0.2]] * 3}))
+        spec = make_spec(
+            0, max_steps=8, delay={"kind": "trace-replay", "path": str(trace)}
+        )
+        mb = tmp_path / "mb"
+        client, (job,) = _submit_jobs(mb, [spec], tmp_path, trace=False)
+        serve_until_crash(mb, 3)
+        assert head_path(mb, job).exists()
+        trace.unlink()
+        drain(mb)
+        record = client.state(job)
+        assert record["reason"] == "invalid_checkpoint"
+        assert record["error"] == (
+            f"unreadable checkpoint: delay: trace file not found: {trace}"
+        )
+        assert list((mb / "checkpoints").iterdir()) == []
+
     def test_wait_raises_structured_rejection(self, tmp_path):
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
@@ -1674,11 +1737,9 @@ class TestWatch:
         mb = tmp_path / "mb"
         client = CoordinatorClient(mb)
         spec_path = tmp_path / "spec.json"
-        # A delay parameter's value fails the job at build time.
-        bad = dict(
-            make_spec(0, max_steps=2).to_dict(),
-            delay={"kind": "exponential", "mean": -1.0},
-        )
+        # Two samples fail the job when its engine splits them into 4
+        # partitions.
+        bad = dict(make_spec(0, max_steps=2).to_dict(), dataset={"samples": 2})
         spec_path.write_text(json.dumps(bad))
         client.submit(spec_path)
         drain(mb)

@@ -16,6 +16,7 @@ from repro.engine.spec import make_strategy
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.simulation import WaitForK
 
+from conftest import BAD_ENVIRONMENT_VALUES
 from time_origins import assert_time_origins, trace_every_engine
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
@@ -121,6 +122,20 @@ class TestValidation:
             ExperimentSpec.from_dict(
                 {**_spec().to_dict(), "loss_threshold": value}
             )
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"learning_rate": 10**400},
+         "learning_rate must be a positive real number"),
+        ({"loss_threshold": 10**400},
+         "loss_threshold must be null or a real number"),
+        ({"rule": "adaptive", "rule_params": {"partition_bytes": 10**400}},
+         "rule_params.partition_bytes must be a real number >= 0"),
+    ], ids=["learning-rate", "loss-threshold", "partition-bytes"])
+    def test_rejects_an_int_past_the_float_range(self, fields, message):
+        # JSON reads such an int exactly; the number check overflowed
+        # on it instead of refusing it.
+        with pytest.raises(ConfigurationError, match=f"^{message}, got 1000"):
+            ExperimentSpec.from_dict({**_spec().to_dict(), **fields})
 
     @pytest.mark.parametrize("learning_rate, loss_threshold", [
         (0.3, None), (1, 0), (1e-4, -2.5), (0.5, 3),
@@ -439,6 +454,34 @@ class TestEnvironmentSections:
         ))
         assert healthy.loss_curve != crashy.loss_curve
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [case[1:] for case in BAD_ENVIRONMENT_VALUES],
+        ids=[case[0] for case in BAD_ENVIRONMENT_VALUES],
+    )
+    def test_bad_environment_value_refused_at_admission(
+        self, fields, message
+    ):
+        # Each of these used to be admitted and then fail (or, NaN, run
+        # to a NaN clock) only when its engine was built.
+        payload = {**_spec().to_dict(), **fields}
+        for build in (lambda: ExperimentSpec(**payload),
+                      lambda: ExperimentSpec.from_dict(payload)):
+            with pytest.raises(ConfigurationError) as exc:
+                build()
+            assert str(exc.value).startswith(message), exc.value
+
+    def test_sub_models_nested_past_the_stack_are_refused(self):
+        # Building recurses once per level; a hostile payload's depth
+        # is refused, not raised out of admission as a RecursionError.
+        delay = {"kind": "exponential", "mean": 1.0}
+        for _ in range(sys.getrecursionlimit()):
+            delay = {"kind": "bernoulli", "probability": 0.5, "delay": delay}
+        with pytest.raises(ConfigurationError, match=(
+            "^delay: sub-models nested too deeply to build$"
+        )):
+            _spec(delay=delay)
+
     def test_unknown_env_kind_refused_at_admission(self):
         with pytest.raises(ConfigurationError, match="transient-dropouts"):
             _spec(failure={"kind": "transiant-dropouts", "probability": 0.1})
@@ -507,8 +550,11 @@ class TestRules:
         with pytest.raises(ConfigurationError) as exc:
             _spec(rule="local-update", rule_params={"local_stepz": 3})
         message = str(exc.value)
-        assert "'local_stepz' — did you mean 'local_steps'?" in message
-        assert "accepted: local_steps, local_lr" in message
+        assert (
+            "rule_params: rule 'local-update' got unknown parameter "
+            "'local_stepz' — did you mean 'local_steps' or 'local_lr'? "
+            "(accepted: local_steps, local_lr)"
+        ) in message
         with pytest.raises(ConfigurationError, match=r"accepted: \(none\)"):
             _spec(scheme="sync-sgd", rule="async", rule_params={"lr": 1})
 
